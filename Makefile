@@ -1,4 +1,4 @@
-.PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-engine bench-selection bench-parallel bench-service bench-chunked bench-anytime bench-sketch
+.PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-engine bench-selection bench-parallel bench-service bench-chunked bench-anytime bench-sketch
 
 # Fault-isolation fast gate + tier-1 tests + engine-cache and
 # selection-kernel micro-benches (smoke mode).
@@ -74,6 +74,14 @@ test-sketch:
 # with exact fingerprint counters, injected-slowdown regression flag).
 exp-smoke:
 	scripts/exp_smoke.sh
+
+# End-to-end benchmark smoke (BENCHMARK.json's command on tiny lakes, every
+# correctness gate, ~25 s, writes no tracked file) plus its contract tests,
+# which sit outside tier-1 testpaths.  benchmarks/e2e/README.md is the
+# performance record.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+	python3 -m pytest -q benchmarks/e2e
 
 # Full engine-cache benchmark (several lakes); writes BENCH_engine_cache.json.
 bench-engine:

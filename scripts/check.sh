@@ -75,6 +75,12 @@ python -m pytest -q tests/exp tests/bench
 scripts/exp_smoke.sh
 
 echo
+echo "== end-to-end benchmark smoke =="
+# BENCHMARK.json's command on tiny lakes (all four workloads, every
+# correctness gate, no tracked file written) plus its contract tests.
+make bench-e2e-smoke
+
+echo
 echo "== tier-1 tests =="
 python -m pytest -x -q
 

@@ -10,10 +10,12 @@ evaluates with:
   the same second-order gain formula and L2 leaf regularisation.
 
 Both share the histogram machinery: features are quantile-binned once per
-fit (at most ``max_bins`` bins), gradients/hessians are accumulated into
-per-feature histograms with ``np.bincount``, and split gains use the
-standard second-order formulation  gain = G_L²/(H_L+λ) + G_R²/(H_R+λ) −
-G²/(H+λ).  Binary tasks use logistic loss; multi-class is one-vs-rest.
+fit (at most ``max_bins`` bins) and their codes offset into one
+``n_features × width`` slot layout, so a node's gradient/hessian/count
+histograms of *all* features are three flat ``np.bincount`` calls, and
+split gains use the standard second-order formulation
+gain = G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ).  Binary tasks use logistic
+loss; multi-class is one-vs-rest over one shared binning.
 """
 
 from __future__ import annotations
@@ -57,6 +59,34 @@ class _BinMapper:
         return len(self._edges[feature]) + 1
 
 
+@dataclass(frozen=True)
+class _BinnedMatrix:
+    """A training matrix binned once per fit, in the split kernel's layout."""
+
+    mapper: _BinMapper
+    codes: np.ndarray  # (n, F) bin codes
+    slots: np.ndarray  # (n, F) codes + feature * width: one histogram slot each
+    width: int
+    cut_exists: np.ndarray  # (F, width - 1): cut b separates two bins of feature j
+
+    @classmethod
+    def build(cls, X: np.ndarray, n_rows: int, max_bins: int) -> "_BinnedMatrix":
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] != n_rows:
+            raise ModelError("X/y shape mismatch")
+        if not np.isfinite(X).all():
+            raise ModelError("X contains non-finite values; encode/impute first")
+        mapper = _BinMapper(max_bins).fit(X)
+        codes = mapper.transform(X)
+        n_bins = np.array(
+            [mapper.n_bins(j) for j in range(X.shape[1])], dtype=np.int64
+        )
+        width = int(n_bins.max(initial=1))
+        slots = codes + np.arange(X.shape[1], dtype=np.int64) * width
+        cut_exists = np.arange(width - 1) < (n_bins[:, np.newaxis] - 1)
+        return cls(mapper, codes, slots, width, cut_exists)
+
+
 @dataclass
 class _HistNode:
     """A node of a histogram tree over binned features."""
@@ -82,18 +112,16 @@ class _HistTreeBuilder:
 
     def __init__(
         self,
-        binned: np.ndarray,
+        data: _BinnedMatrix,
         grad: np.ndarray,
         hess: np.ndarray,
-        mapper: _BinMapper,
         reg_lambda: float,
         min_child_weight: float,
         min_samples_leaf: int,
     ):
-        self.binned = binned
+        self.data = data
         self.grad = grad
         self.hess = hess
-        self.mapper = mapper
         self.reg_lambda = reg_lambda
         self.min_child_weight = min_child_weight
         self.min_samples_leaf = min_samples_leaf
@@ -103,60 +131,60 @@ class _HistTreeBuilder:
         h = float(self.hess[rows].sum())
         return -g / (h + self.reg_lambda)
 
-    def _score(self, g: float, h: float) -> float:
+    def _score(self, g: float | np.ndarray, h: float | np.ndarray):
         return g * g / (h + self.reg_lambda)
 
     def _find_best_split(self, node: _HistNode) -> None:
-        rows = node.rows
-        g_total = float(self.grad[rows].sum())
-        h_total = float(self.hess[rows].sum())
-        parent_score = self._score(g_total, h_total)
-        best_gain, best_feature, best_bin = 0.0, -1, -1
-        n_features = self.binned.shape[1]
-        counts_needed = self.min_samples_leaf
-        for j in range(n_features):
-            bins = self.binned[rows, j]
-            n_bins = self.mapper.n_bins(j)
-            if n_bins < 2:
-                continue
-            g_hist = np.bincount(bins, weights=self.grad[rows], minlength=n_bins)
-            h_hist = np.bincount(bins, weights=self.hess[rows], minlength=n_bins)
-            c_hist = np.bincount(bins, minlength=n_bins)
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            c_left = np.cumsum(c_hist)[:-1]
-            g_right = g_total - g_left
-            h_right = h_total - h_left
-            c_right = len(rows) - c_left
-            valid = (
-                (c_left >= counts_needed)
-                & (c_right >= counts_needed)
-                & (h_left >= self.min_child_weight)
-                & (h_right >= self.min_child_weight)
-            )
-            if not valid.any():
-                continue
-            gains = (
-                self._score_vec(g_left, h_left)
-                + self._score_vec(g_right, h_right)
-                - parent_score
-            )
-            gains = np.where(valid, gains, -np.inf)
-            local_best = int(np.argmax(gains))
-            if gains[local_best] > best_gain:
-                best_gain = float(gains[local_best])
-                best_feature = j
-                best_bin = local_best
-        node.best_gain = best_gain
-        node.best_feature = best_feature
-        node.best_bin = best_bin
+        """Store the best (feature, bin, gain) of ``node`` over all features.
 
-    def _score_vec(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return g * g / (h + self.reg_lambda)
+        One flat bincount per statistic fills every feature's histogram;
+        each slot still accumulates its rows in ``rows`` order, so the sums
+        (and everything derived from them) are the floats a per-feature
+        bincount gives.  The row-major argmax keeps the tie-break: lowest
+        feature, then lowest bin, gain strictly above 0.
+        """
+        rows, data = node.rows, self.data
+        if len(rows) < 2 * self.min_samples_leaf or data.width < 2:
+            return  # too few rows for two leaves, or no feature has two bins
+        shape = (data.slots.shape[1], data.width)
+        grad, hess = self.grad[rows], self.hess[rows]
+        g_total = float(grad.sum())
+        h_total = float(hess.sum())
+        slots = data.slots[rows].ravel()
+
+        def left_sums(weights: np.ndarray | None) -> np.ndarray:
+            hist = np.bincount(slots, weights=weights, minlength=shape[0] * shape[1])
+            return np.cumsum(hist.reshape(shape), axis=1)[:, :-1]
+
+        g_left = left_sums(np.repeat(grad, shape[0]))
+        h_left = left_sums(np.repeat(hess, shape[0]))
+        c_left = left_sums(None)
+        g_right = g_total - g_left
+        h_right = h_total - h_left
+        c_right = len(rows) - c_left
+        valid = (
+            data.cut_exists
+            & (c_left >= self.min_samples_leaf)
+            & (c_right >= self.min_samples_leaf)
+            & (h_left >= self.min_child_weight)
+            & (h_right >= self.min_child_weight)
+        )
+        gains = (
+            self._score(g_left, h_left)
+            + self._score(g_right, h_right)
+            - self._score(g_total, h_total)
+        )
+        gains = np.where(valid, gains, -np.inf)
+        best = int(np.argmax(gains))
+        feature, cut = divmod(best, data.width - 1)
+        if gains[feature, cut] > 0.0:
+            node.best_gain = float(gains[feature, cut])
+            node.best_feature = feature
+            node.best_bin = cut
 
     def split(self, node: _HistNode) -> tuple[_HistNode, _HistNode]:
         """Apply the stored best split and return the two children."""
-        mask = self.binned[node.rows, node.best_feature] <= node.best_bin
+        mask = self.data.codes[node.rows, node.best_feature] <= node.best_bin
         left_rows = node.rows[mask]
         right_rows = node.rows[~mask]
         node.feature = node.best_feature
@@ -295,29 +323,28 @@ class GradientBoostingBinaryClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingBinaryClassifier":
         """Fit on binary labels (0/1)."""
-        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ModelError("X/y shape mismatch")
-        if not np.isfinite(X).all():
-            raise ModelError("X contains non-finite values; encode/impute first")
+        return self._fit_binned(_BinnedMatrix.build(X, len(y), self.max_bins), y)
+
+    def _fit_binned(
+        self, data: _BinnedMatrix, y: np.ndarray
+    ) -> "GradientBoostingBinaryClassifier":
+        """Boost on an already binned matrix (shared across one-vs-rest models)."""
         positive_rate = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
         self._base_score = float(np.log(positive_rate / (1 - positive_rate)))
-        self._mapper = _BinMapper(self.max_bins).fit(X)
-        binned = self._mapper.transform(X)
+        self._mapper = data.mapper
         raw = np.full(len(y), self._base_score, dtype=np.float64)
         self._trees = []
-        self._importance_gain = np.zeros(X.shape[1], dtype=np.float64)
+        self._importance_gain = np.zeros(data.codes.shape[1], dtype=np.float64)
         rows = np.arange(len(y))
         for _ in range(self.n_estimators):
             p = _sigmoid(raw)
             grad = p - y
             hess = p * (1.0 - p)
             builder = _HistTreeBuilder(
-                binned,
+                data,
                 grad,
                 hess,
-                self._mapper,
                 self.reg_lambda,
                 self.min_child_weight,
                 self.min_samples_leaf,
@@ -331,7 +358,7 @@ class GradientBoostingBinaryClassifier:
                     builder, rows, self.max_depth, self._importance_gain
                 )
             self._trees.append(tree)
-            raw += self.learning_rate * tree.predict_binned(binned)
+            raw += self.learning_rate * tree.predict_binned(data.codes)
         return self
 
     @property
@@ -378,16 +405,16 @@ class _OneVsRestGBDT:
         """Fit on class indices ``y`` in ``0..C-1``."""
         y = np.asarray(y, dtype=np.int64)
         self.n_classes_ = int(y.max()) + 1 if y.size else 0
-        self._models = []
-        if self.n_classes_ <= 2:
-            model = GradientBoostingBinaryClassifier(growth=self.growth, **self._kwargs)
-            model.fit(X, (y == (self.n_classes_ - 1)).astype(np.float64))
-            self._models.append(model)
-            return self
-        for cls in range(self.n_classes_):
-            model = GradientBoostingBinaryClassifier(growth=self.growth, **self._kwargs)
-            model.fit(X, (y == cls).astype(np.float64))
-            self._models.append(model)
+        # Up to two classes need one booster, whose positive class is index 1.
+        classes = [1] if self.n_classes_ <= 2 else range(self.n_classes_)
+        self._models = [
+            GradientBoostingBinaryClassifier(growth=self.growth, **self._kwargs)
+            for _ in classes
+        ]
+        # The binning depends on X alone: do it once for every per-class booster.
+        data = _BinnedMatrix.build(X, len(y), self._models[0].max_bins)
+        for cls, model in zip(classes, self._models):
+            model._fit_binned(data, (y == cls).astype(np.float64))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

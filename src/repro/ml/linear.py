@@ -102,8 +102,9 @@ class LogisticRegressionL1:
         self.n_classes_ = int(y.max()) + 1 if y.size else 0
         self._models = []
         if self.n_classes_ <= 2:
+            # The positive class is index 1 even when only class 0 is present.
             model = _BinaryL1Logistic(self.alpha, self.max_iter, self.tol)
-            model.fit(Xs, (y == (self.n_classes_ - 1)).astype(np.float64))
+            model.fit(Xs, (y == 1).astype(np.float64))
             self._models.append(model)
             return self
         for cls in range(self.n_classes_):

@@ -1,10 +1,14 @@
 """Integration-style tests for the full AutoFeat algorithm."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
+from repro.datasets import DATASETS, benchmark_drg
+from repro.datasets.splitter import split_into_lake
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
@@ -125,6 +129,54 @@ class TestDeterminism:
         assert [r.score for r in a.ranked_paths] == [
             r.score for r in b.ranked_paths
         ]
+
+
+class TestCovertypeGbdtPin:
+    """Per-path accuracies of the boosted models on a 600-row covertype lake.
+
+    Frozen from the commit before the flat-bincount split kernel replaced
+    the per-feature loop: the kernel is bit-identical, so a later change to
+    it that moves any of these has changed a split decision.
+    """
+
+    #: model -> ((terminal table, hops, accuracy) per trained path, best terminal)
+    FROZEN = {
+        "lightgbm": (
+            [
+                ("covertype_t07", 3, 0.9083333333333333),
+                ("covertype_t09", 3, 0.8916666666666667),
+                ("covertype_t06", 2, 0.9),
+                ("covertype_t10", 2, 0.7166666666666667),
+            ],
+            "covertype_t07",
+        ),
+        "xgboost": (
+            [
+                ("covertype_t07", 3, 0.9),
+                ("covertype_t09", 3, 0.9),
+                ("covertype_t06", 2, 0.9083333333333333),
+                ("covertype_t10", 2, 0.725),
+            ],
+            "covertype_t06",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def covertype(self):
+        spec = replace(DATASETS["covertype"], rows=600)
+        bundle = split_into_lake(spec.flat(), spec.plan())
+        return bundle, benchmark_drg(bundle)
+
+    @pytest.mark.parametrize("model", sorted(FROZEN))
+    def test_augment_matches_frozen_accuracies(self, covertype, model):
+        bundle, drg = covertype
+        result = AutoFeat(drg).augment(bundle.base_name, bundle.label_column, model)
+        trained, best = self.FROZEN[model]
+        assert [
+            (t.ranked.path.terminal, t.ranked.path.length, t.accuracy)
+            for t in result.trained
+        ] == trained
+        assert result.best.ranked.path.terminal == best
 
 
 class TestSelectionKernelParity:

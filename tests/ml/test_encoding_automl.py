@@ -146,3 +146,25 @@ class TestAutoTabularPredictor:
         a = evaluate_accuracy(table, "label", "lightgbm", seed=3)
         b = evaluate_accuracy(table, "label", "lightgbm", seed=3)
         assert a == b
+
+
+class TestSingleClassLabel:
+    """One label value is class index 0; no model may predict an index 1."""
+
+    @pytest.fixture
+    def single_class_table(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(0, 1, (2, 60))
+        return Table({"a": a, "b": b, "label": ["only"] * 60}, name="t")
+
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    def test_model_predicts_the_existing_class(self, model):
+        X = np.random.default_rng(1).normal(0, 1, (60, 3))
+        fitted = MODEL_REGISTRY[model](0).fit(X, np.zeros(60, dtype=np.int64))
+        assert (fitted.predict(X) == 0).all()
+
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    def test_predictor_evaluates_and_predicts(self, model, single_class_table):
+        predictor = AutoTabularPredictor(model, seed=0)
+        assert predictor.evaluate(single_class_table, "label").accuracy == 1.0
+        assert predictor.predict(single_class_table.head(5)) == ["only"] * 5
