@@ -1,7 +1,8 @@
 .PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-engine bench-selection bench-parallel bench-service bench-chunked bench-anytime bench-sketch
 
-# Fault-isolation fast gate + tier-1 tests + engine-cache and
-# selection-kernel micro-benches (smoke mode).
+# Every subsystem fast gate (suites + smoke-mode micro-bench, which writes
+# no tracked file), the end-to-end benchmark smoke and the tier-1 tests;
+# fails if the run changes what `git status --porcelain` reports.
 check:
 	scripts/check.sh
 

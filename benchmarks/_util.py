@@ -15,6 +15,8 @@ benchmark-only output helpers.
 
 from __future__ import annotations
 
+import atexit
+import tempfile
 from pathlib import Path
 
 from repro.bench.manifests import (  # noqa: F401  (re-exported for bench_* scripts)
@@ -25,6 +27,21 @@ from repro.bench.manifests import (  # noqa: F401  (re-exported for bench_* scri
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def summary_path(tracked: Path, smoke: bool) -> Path:
+    """Where a ``bench_*`` script writes its ``BENCH_*.json`` summary.
+
+    Full runs write the tracked file at the repo root.  Smoke runs are
+    gates, not measurements: their summary still goes through
+    :func:`write_summary` (so the manifest gates apply) but lands in a
+    temp dir removed at exit, never over a committed full-mode record.
+    """
+    if not smoke:
+        return tracked
+    scratch = tempfile.TemporaryDirectory(prefix="repro-bench-smoke-")
+    atexit.register(scratch.cleanup)
+    return Path(scratch.name) / tracked.name
 
 
 def emit(name: str, text: str) -> None:

@@ -26,6 +26,8 @@ Usage::
 
 Writes a JSON summary to ``BENCH_anytime.json`` at the repo root and
 exits non-zero if a gate fails, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig, ranking_regret
 from repro.datasets import build_dataset, datalake_drg
@@ -178,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             else None
         ),
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     print(
         f"full       hops={total_hops} time={full_seconds:.3f}s "
@@ -191,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             f"regret={row['regret']:.4f} "
             f"paths={row['n_paths_ranked']}"
         )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     if not degeneration_parity:
         print(

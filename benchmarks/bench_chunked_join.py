@@ -19,6 +19,8 @@ Usage::
 
 Writes ``BENCH_chunked_join.json`` (manifests embedded) at the repo root
 and exits non-zero if any gate fails, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import DType, JoinIndex
@@ -263,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         "bounded_memory": bounded,
         "gates": gates,
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     for k in kernels:
         print(
@@ -286,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{bounded['peak_resident_bytes']} B, "
         f"parity={'ok' if bounded['identical_rankings'] else 'BROKEN'}"
     )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     failed = [name for name, ok in gates.items() if not ok]
     if failed:

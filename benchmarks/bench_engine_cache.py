@@ -19,6 +19,8 @@ Usage::
 
 Writes a JSON summary to ``BENCH_engine_cache.json`` at the repo root and
 exits non-zero if parity is violated, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import build_dataset, datalake_drg
@@ -113,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         "all_rankings_identical": all(r["identical_rankings"] for r in results),
         "total_builds_saved": sum(r["builds_saved"] for r in results),
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     for r in results:
         on, off = r["cache_on"], r["cache_off"]
@@ -125,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             f"({r['speedup']:.2f}x) "
             f"parity={'ok' if r['identical_rankings'] else 'BROKEN'}"
         )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     if not summary["all_rankings_identical"]:
         print("ERROR: cached and uncached discovery disagree", file=sys.stderr)

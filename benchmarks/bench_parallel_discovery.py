@@ -23,6 +23,8 @@ Usage::
 
 Writes a JSON summary to ``BENCH_parallel_discovery.json`` at the repo
 root and exits non-zero if a gate fails, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import make_classification, split_into_lake
@@ -155,7 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         "speedup_gate": SPEEDUP_GATE,
         "speedup_gate_enforced": not args.smoke,
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     for backend in BACKENDS:
         r = rows[backend]
@@ -167,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             + (f"speedup={speedup:.2f}x " if speedup else "(baseline) ")
             + f"parity={'ok' if prints[backend] == prints['serial'] else 'BROKEN'}"
         )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     if not parity:
         print("ERROR: parallel and serial discovery disagree", file=sys.stderr)

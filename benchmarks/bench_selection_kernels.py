@@ -24,6 +24,8 @@ Usage::
 
 Writes a JSON summary to ``BENCH_selection_kernels.json`` at the repo root
 and exits non-zero if parity is violated, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import build_dataset, datalake_drg
@@ -143,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
         "lakes": results,
         "all_rankings_identical": all(r["identical_rankings"] for r in results),
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     for r in results:
         on, off = r["kernels_on"], r["kernels_off"]
@@ -155,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{on['feature_selection_seconds']:.3f}s ({r['speedup']:.2f}x) "
             f"parity={'ok' if r['identical_rankings'] else 'BROKEN'}"
         )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     if not summary["all_rankings_identical"]:
         print(

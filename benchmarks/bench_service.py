@@ -27,6 +27,8 @@ Usage::
 Writes a JSON summary (with embedded, validated run manifests) to
 ``BENCH_service.json`` at the repo root and exits non-zero if a gate
 fails, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 import time
 from pathlib import Path
 
-from _util import assert_no_failures, write_summary
+from _util import assert_no_failures, summary_path, write_summary
 
 from repro import AutoFeat, AutoFeatConfig, DiscoveryService
 from repro.datasets import make_classification, split_into_lake
@@ -193,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         priming.manifest,
         warm_responses[0].manifest,
     ]
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     print(
         f"cold single-shot   {cold_seconds:8.3f}s  (discovery + match + augment)"
@@ -209,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         f"({report.n_pairs_rematched} pairs rematched, "
         f"{report.n_pairs_reused} reused)"
     )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     if not parity:
         print("ERROR: warm service results differ from cold run", file=sys.stderr)

@@ -23,6 +23,8 @@ Writes a JSON summary (with embedded, validated per-scale run manifests
 carrying the ``drg.index_build`` / ``drg.match`` spans) to
 ``BENCH_sketch_index.json`` at the repo root and exits non-zero if a
 gate fails, so CI can gate on it.
+With ``--smoke`` the summary goes to a temp dir instead: the tracked file is
+only ever written by a full run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from _util import write_summary
+from _util import summary_path, write_summary
 
 from repro import AutoFeatConfig
 from repro.datasets import (
@@ -285,14 +287,15 @@ def main(argv: list[str] | None = None) -> int:
             "prune_factor": prune_factor >= PRUNE_GATE,
         },
     }
-    write_summary(SUMMARY_PATH, summary, manifests)
+    written = summary_path(SUMMARY_PATH, args.smoke)
+    write_summary(written, summary, manifests)
 
     print(
         f"pairs-scored slope {slope:.3f} (gate <= {SLOPE_GATE}), "
         f"pruning {prune_factor:.1f}x at {gate_tables} tables "
         f"(gate >= {PRUNE_GATE}x)"
     )
-    print(f"summary -> {SUMMARY_PATH}")
+    print(f"summary -> {written}")
 
     failed = [name for name, ok in summary["gates"].items() if not ok]
     for name in failed:

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Repo-wide check: the fault-isolation and observability fast gates, the
-# tier-1 test suite, and the engine-cache and selection-kernel
-# micro-benches in smoke mode (verifying cached/uncached and
-# kernels-on/off discovery parity; they write BENCH_engine_cache.json and
-# BENCH_selection_kernels.json).  Run from anywhere: `scripts/check.sh`
-# or `make check`.
+# Repo-wide check: the per-subsystem fast gates (suites plus their
+# micro-bench in smoke mode, which writes its summary to a temp dir),
+# the end-to-end benchmark smoke and the tier-1 test suite.  Ends by
+# requiring `git status --porcelain` to read as it did at the start
+# (empty, on a committed tree): a check that dirties tracked files, or
+# leaves unignored ones behind, fails.  Run from anywhere:
+# `scripts/check.sh` or `make check`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+tree_before="$(git status --porcelain)"
 
 echo "== fault-isolation fast gate =="
 python -m pytest -q tests/engine tests/core -k fault
@@ -91,6 +93,17 @@ python benchmarks/bench_engine_cache.py --smoke
 echo
 echo "== selection-kernel micro-bench (smoke) =="
 python benchmarks/bench_selection_kernels.py --smoke
+
+echo
+echo "== clean tree =="
+# Nothing above may touch a tracked file (smoke benches write to temp
+# dirs) or leave an unignored one behind.
+tree_after="$(git status --porcelain)"
+if [ "$tree_after" != "$tree_before" ]; then
+    echo "ERROR: the check changed the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo
 echo "all checks passed"

@@ -27,15 +27,11 @@ from ..engine import (
     JoinEngine,
     PathExecutor,
     PathTask,
-    plan_hop_faults,
-    plan_path_faults,
-    settle_managed_failure,
+    plan_faults,
+    settle_outcome,
 )
-from ..engine.engine import _hop_context
-from ..engine.parallel import simulate_injector_check, walk_injected_faults
-from ..errors import FaultError, JoinError, RunBudgetExceeded
+from ..errors import JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath
-from ..ml import evaluate_accuracy
 from ..obs import (
     MetricsRegistry,
     Span,
@@ -64,10 +60,10 @@ __all__ = ["AutoFeat", "autofeat_augment"]
 class AutoFeat:
     """Feature discovery over a Dataset Relation Graph.
 
-    ``fault_injector`` installs a deterministic
-    :class:`~repro.engine.FaultInjector` on every engine the pipeline
-    creates, so graceful degradation under ``config.failure_policy`` is
-    testable end to end.
+    ``fault_injector`` is a deterministic
+    :class:`~repro.engine.FaultInjector` consulted for every work unit the
+    pipeline generates, so graceful degradation under
+    ``config.failure_policy`` is testable end to end.
     """
 
     def __init__(
@@ -90,29 +86,22 @@ class AutoFeat:
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
 
-    def _engine(
-        self,
-        tracer: Tracer | None = None,
-        install_injector: bool = True,
-        run_deadline: float | None = None,
-    ) -> JoinEngine:
-        """One per-run engine carrying the config's hop budgets.
+    def _executor(self, tracer: Tracer, run_deadline: float | None) -> PathExecutor:
+        """One per-phase engine + executor carrying the config's budgets.
 
-        Parallel runs pass ``install_injector=False``: injected faults
-        are resolved canonically at work-unit *generation* time (see
-        :mod:`repro.engine.parallel`), so the engine — and every worker
-        view derived from it — must not consult the injector again.
+        The engine never consults the fault injector itself: injected
+        faults are resolved canonically at work-unit *generation* time
+        (see :mod:`repro.engine.parallel`), on every backend.
         ``run_deadline`` threads the run's anytime wall-clock budget into
         every hop for cooperative mid-hop aborts.
         """
         config = self.config
-        return JoinEngine(
+        engine = JoinEngine(
             self.drg,
             seed=config.seed,
             enable_cache=config.enable_hop_cache,
             hop_timeout_seconds=config.hop_timeout_seconds,
             max_output_rows=config.max_hop_output_rows,
-            fault_injector=self.fault_injector if install_injector else None,
             tracer=tracer,
             hop_latency_seconds=config.hop_latency_seconds,
             cache=self.hop_cache,
@@ -121,6 +110,12 @@ class AutoFeat:
             memory_budget_bytes=config.memory_budget_bytes,
             spill_dir=config.spill_dir,
             run_deadline=run_deadline,
+        )
+        return PathExecutor(
+            engine,
+            backend=config.parallel_backend,
+            max_workers=config.max_workers,
+            trace_spans=tracer.enabled,
         )
 
     def _navigation(
@@ -166,6 +161,36 @@ class AutoFeat:
             stage=stage,
         )
 
+    @staticmethod
+    def _wave(tracer: Tracer, executor: PathExecutor, units: int):
+        """The span one wave of work units executes and merges under."""
+        return tracer.span(
+            "wave",
+            parallel=True,
+            backend=executor.backend,
+            workers=executor.workers_used,
+            units=units,
+        )
+
+    @staticmethod
+    def _absorb(executor: PathExecutor, tracer: Tracer, wave, outcome) -> None:
+        """Fold a unit's stats delta and span tree into the run's.
+
+        Process workers time against their own ``perf_counter_ns`` clock,
+        so their trees are rebased onto the wave's start before grafting;
+        serial and thread units share the coordinator's clock and graft
+        verbatim.
+        """
+        if outcome.stats is not None:
+            executor.engine.stats.absorb(outcome.stats)
+        if not tracer.enabled:
+            return
+        for data in outcome.spans:
+            span = Span.from_dict(data)
+            if executor.rebase_spans:
+                span.shift(wave.start_ns - span.start_ns)
+            wave.children.append(span)
+
     # -- discovery (ranking) phase ---------------------------------------------
 
     def discover(
@@ -179,6 +204,24 @@ class AutoFeat:
         Runs entirely on a stratified sample of the base table; no ML model
         is trained.  Returns paths sorted by ranking score (descending).
 
+        The traversal advances in *waves* of work units, on every
+        ``config.parallel_backend``: under BFS one wave is the whole
+        current frontier level, under DFS — and under the UCB priority
+        frontier of a budgeted run, whose arm statistics must advance
+        before the next pop is chosen — it is one popped entry's edge
+        fan-out.  Units are enumerated in canonical order (the
+        ``neighbors`` / ``best_join_options`` loops, with similarity
+        pruning and fault planning done here on the coordinating thread),
+        executed by a :class:`repro.engine.PathExecutor` — inline and
+        lazily under ``"serial"``, on a worker pool under ``"threads"`` /
+        ``"processes"`` — and merged back **in enumeration order**:
+        quality pruning, streaming feature selection, ranking, frontier
+        growth, UCB arm updates and the failure policy (with its shared
+        error budget) all happen at the merge point only.  That ordering
+        is the entire determinism argument: ranked paths, scores,
+        selected features and failure reports are bit-identical across
+        backends (DESIGN.md §11).
+
         All hops execute through one :class:`JoinEngine`, so a right-hand
         table reached by many paths is deduped and indexed only once per
         run (when ``config.enable_hop_cache`` is on); the engine's counters
@@ -190,18 +233,12 @@ class AutoFeat:
         ``DiscoveryResult.selection_stats``.
 
         With ``config.enable_tracing`` on, the whole traversal runs under
-        one :class:`repro.obs.Tracer` (``discover > hop > join /
-        selection`` spans); ``discovery_seconds`` and
+        one :class:`repro.obs.Tracer` (``discover > wave > {hop > join,
+        selection}`` spans); ``discovery_seconds`` and
         ``feature_selection_seconds`` are derived from those spans — one
         timing source, not parallel bookkeeping — and the run's
         :class:`repro.obs.RunManifest` lands on
         ``DiscoveryResult.run_manifest``.
-
-        With ``config.parallel_backend`` set to ``"threads"`` or
-        ``"processes"``, frontier hops execute on a worker pool and merge
-        deterministically — the result is bit-identical to the serial
-        traversal (same ranked paths, scores, selected features, failure
-        report); see :meth:`_discover_parallel`.
 
         With an anytime budget set (``config.budget_seconds`` /
         ``config.max_hops``, or an explicit ``deadline`` — an absolute
@@ -210,28 +247,26 @@ class AutoFeat:
         frontier expands in ``config.frontier_strategy`` order and the
         run stops gracefully when the budget expires, returning the
         best-k-so-far with ``budget_exhausted`` set and the navigation
-        accounting on ``DiscoveryResult.navigation``.
+        accounting on ``DiscoveryResult.navigation``.  A ``max_hops`` cap
+        truncates work-unit *generation*, so the executed hop set is the
+        identical canonical prefix on every backend; the wall-clock
+        deadline is checked between waves and cooperatively inside hops,
+        and ``n_paths_explored`` counts only hops whose outcome was
+        merged, not units the deadline aborted.
         """
-        if self.config.parallel_backend != "serial":
-            return self._discover_parallel(base_name, label_column, deadline)
-        return self._discover_serial(base_name, label_column, deadline)
-
-    def _discover_serial(
-        self, base_name: str, label_column: str, deadline: float | None = None
-    ) -> DiscoveryResult:
-        """The single-threaded reference traversal (the parity baseline)."""
         config = self.config
-        tracer = self._tracer()
-        started = time.perf_counter()
-        budget, frontier = self._navigation(deadline)
-        engine = self._engine(tracer, run_deadline=budget.deadline)
-        faults = self._faults("discovery")
-
         base = self.drg.table(base_name)
         if label_column not in base:
             raise JoinError(
                 f"base table {base_name!r} has no label column {label_column!r}"
             )
+        tracer = self._tracer()
+        started = time.perf_counter()
+        budget, frontier = self._navigation(deadline)
+        executor = self._executor(tracer, budget.deadline)
+        engine = executor.engine
+        injector = self.fault_injector
+        faults = self._faults("discovery")
 
         # The single selection-timing site: traced runs get a span per
         # scored batch, untraced runs one fallback accumulator.
@@ -249,292 +284,9 @@ class AutoFeat:
                 fallback_selection += time.perf_counter() - scoring_started
 
         ranked: list[RankedPath] = []
-        explored = 0
-        pruned_quality = 0
-        pruned_similarity = 0
-        empty_contribution = 0
-        budget_exhausted = False
-
-        def record_pull(table: str, reward: float) -> None:
-            # Every *executed* hop into a table pulls its UCB arm —
-            # pruned/failed hops with reward 0, ranked hops with their
-            # bounded ranking reward.  No-op under the FIFO frontier.
-            if frontier.policy is not None:
-                frontier.policy.update(table, reward)
-
-        with tracer.span("discover", base=base_name, label=label_column) as root:
-            with tracer.span("sample", size=config.sample_size):
-                sample = stratified_sample(
-                    base, label_column, config.sample_size, seed=config.seed
-                )
-            label = sample.column(label_column).to_float()
-
-            selector = StreamingFeatureSelector(config, label)
-            base_features = [n for n in sample.column_names if n != label_column]
-            if base_features:
-                scored(
-                    lambda: selector.seed_with(
-                        base_features, sample.numeric_matrix(base_features)
-                    ),
-                    batch="seed",
-                )
-
-            # Each frontier entry carries the partially-joined sample and
-            # the qualified features accepted along the path so far.
-            frontier.push(JoinPath(base_name), sample, ())
-            while frontier:
-                if budget.exhausted(explored):
-                    budget_exhausted = True
-                    break
-                # The frontier pops in the strategy's order: canonical
-                # FIFO (BFS level order, or newest-first under the DFS
-                # ablation) or highest UCB priority on budgeted runs.
-                entry = frontier.pop()
-                path, current = entry.path, entry.table
-                path_features = entry.features
-                if path.length >= config.max_path_length:
-                    continue
-                visited = set(path.nodes)
-                for neighbor in self.drg.neighbors(path.terminal):
-                    if neighbor in visited:
-                        continue
-                    pruned_similarity += similarity_pruned_count(
-                        self.drg, path.terminal, neighbor
-                    )
-                    for edge in self.drg.best_join_options(path.terminal, neighbor):
-                        if budget.exhausted(explored):
-                            budget_exhausted = True
-                            break
-                        explored += 1
-                        with tracer.span(
-                            "hop", table=edge.target, key=edge.target_column
-                        ):
-                            # Ordinary JoinError is Algorithm 1's pruning
-                            # input and is handled below under every
-                            # policy; only the fault family (budgets,
-                            # injected faults) goes through the failure
-                            # policy — fail_fast propagates it, the other
-                            # policies record the hop and skip it.
-                            try:
-                                hop = faults.execute(
-                                    lambda: engine.apply_hop(
-                                        current, edge, base_name, path=path
-                                    ),
-                                    base=base_name,
-                                    path=path,
-                                    edge=edge,
-                                    kinds=(FaultError,),
-                                )
-                            except JoinError:
-                                pruned_quality += 1
-                                record_pull(edge.target, 0.0)
-                                continue
-                            except RunBudgetExceeded:
-                                # The wall-clock deadline landed inside
-                                # the hop: graceful anytime exhaustion,
-                                # never a recorded failure.
-                                budget_exhausted = True
-                                break
-                            if hop is None:
-                                record_pull(edge.target, 0.0)
-                                continue
-                            joined, contributed = hop
-                            comp = completeness(joined, contributed)
-                            if not contributed:
-                                # A hop may contribute no columns at all;
-                                # that is not poor join quality — keep it
-                                # traversable (see the stepping-stone note
-                                # below) and count it.
-                                empty_contribution += 1
-                            elif comp < config.tau:
-                                pruned_quality += 1
-                                record_pull(edge.target, 0.0)
-                                continue
-
-                            join_key = qualified(edge.target, edge.target_column)
-                            candidates = [c for c in contributed if c != join_key]
-                            outcome = scored(
-                                lambda: selector.process_batch(
-                                    candidates, joined.numeric_matrix(candidates)
-                                ),
-                                features=len(candidates),
-                            )
-                            score = compute_ranking_score(
-                                outcome.relevance_scores, outcome.redundancy_scores
-                            )
-                            reward = hop_reward(score, comp)
-                            record_pull(edge.target, reward)
-                            new_path = path.extend(edge)
-                            new_features = path_features + outcome.accepted_names
-                            ranked.append(
-                                RankedPath(
-                                    path=new_path,
-                                    score=score,
-                                    selected_features=new_features,
-                                    relevance_scores=outcome.relevance_scores,
-                                    redundancy_scores=outcome.redundancy_scores,
-                                    completeness=comp,
-                                    relevant_names=outcome.relevant_names,
-                                )
-                            )
-                            # Even an all-irrelevant join stays in the
-                            # frontier: it may be the gateway to a relevant
-                            # transitive table.
-                            frontier.push(new_path, joined, new_features, reward)
-                    if budget_exhausted:
-                        break
-                if budget_exhausted:
-                    break
-            if budget_exhausted:
-                tracer.event(
-                    "budget_exhausted",
-                    hops=explored,
-                    frontier_unexplored=len(frontier),
-                )
-
-        # Both timings come from the span tree on traced runs; the
-        # untraced fallback is one wall-clock pair plus the single
-        # selection accumulator above.
-        if tracer.enabled:
-            discovery_seconds = root.seconds
-            selection_seconds = tracer.total_seconds("selection")
-        else:
-            discovery_seconds = time.perf_counter() - started
-            selection_seconds = fallback_selection
-
-        ranked.sort(key=lambda r: (-r.score, r.path.length, r.path.describe()))
-        engine_stats = engine.snapshot()
-        selection_stats = selector.stats
-        failure_report = faults.report()
-        navigation = NavigationStats(
-            strategy=frontier.strategy,
-            budget_seconds=config.budget_seconds,
-            max_hops=config.max_hops,
-            hops_executed=explored,
-            budget_exhausted=budget_exhausted,
-            frontier_unexplored=len(frontier),
-            best_score=ranked[0].score if ranked else 0.0,
-            arms_tracked=frontier.policy.n_arms if frontier.policy else 0,
-        )
-        manifest = self._discovery_manifest(
-            tracer,
-            engine_stats,
-            selection_stats,
-            failure_report,
-            discovery_seconds=discovery_seconds,
-            selection_seconds=selection_seconds,
-            counters={
-                "discovery.paths_explored": explored,
-                "discovery.paths_ranked": len(ranked),
-                "discovery.pruned_quality": pruned_quality,
-                "discovery.pruned_similarity": pruned_similarity,
-                "discovery.hops_empty_contribution": empty_contribution,
-            },
-            navigation=navigation,
-        )
-        return DiscoveryResult(
-            base_table=base_name,
-            label_column=label_column,
-            ranked_paths=tuple(ranked),
-            n_paths_explored=explored,
-            n_paths_pruned_quality=pruned_quality,
-            n_joins_pruned_similarity=pruned_similarity,
-            feature_selection_seconds=selection_seconds,
-            discovery_seconds=discovery_seconds,
-            engine_stats=engine_stats,
-            selection_stats=selection_stats,
-            n_hops_empty_contribution=empty_contribution,
-            failure_report=failure_report,
-            run_manifest=manifest,
-            budget_exhausted=budget_exhausted,
-            navigation=navigation,
-        )
-
-    # -- parallel discovery ---------------------------------------------------
-
-    def _attempts(self) -> int:
-        """Attempts per managed operation, mirroring ``FaultManager.execute``."""
-        if self.config.failure_policy == "retry":
-            return 1 + self.config.max_retries
-        return 1
-
-    @staticmethod
-    def _graft_worker_spans(tracer: Tracer, wave, outcome, rebase: bool) -> None:
-        """Attach a work unit's span tree under the open wave span.
-
-        Process workers time against their own ``perf_counter_ns`` clock,
-        so their trees are rebased onto the wave's start before grafting;
-        thread workers share the parent's clock and graft verbatim.
-        """
-        if not tracer.enabled or not outcome.spans:
-            return
-        for data in outcome.spans:
-            span = Span.from_dict(data)
-            if rebase:
-                span.shift(wave.start_ns - span.start_ns)
-            wave.children.append(span)
-
-    def _discover_parallel(
-        self, base_name: str, label_column: str, deadline: float | None = None
-    ) -> DiscoveryResult:
-        """Wave-parallel Algorithm 1 with a deterministic merge.
-
-        The traversal advances in *waves*: under BFS one wave is the whole
-        current frontier level (draining the frontier reproduces the
-        serial pop order exactly), under DFS — and under the UCB priority
-        frontier of a budgeted run — it is one popped entry's edge
-        fan-out (what serial expands before popping again).  Work units
-        are enumerated in canonical order — the same ``neighbors`` /
-        ``best_join_options`` loops as serial, with similarity pruning and
-        fault planning done here on the coordinating thread — executed on
-        the configured backend, and merged back **in enumeration order**:
-        quality pruning, streaming feature selection, ranking, frontier
-        growth, UCB arm updates and the failure policy (with its shared
-        error budget) all happen at the merge point only.  That ordering
-        is the entire determinism argument: every order-sensitive
-        decision consumes worker output in exactly the sequence serial
-        would have produced it, so ranked paths, scores, selected
-        features and failure reports are bit-identical across backends.
-
-        Budget semantics mirror serial: a ``max_hops`` cap truncates
-        work-unit *generation* at exactly the serial cut point (the
-        executed hop set is the identical prefix on every backend); the
-        wall-clock deadline is checked between waves and cooperatively
-        inside workers, so an expiring run overshoots by at most one
-        wave.
-        """
-        config = self.config
-        tracer = self._tracer()
-        started = time.perf_counter()
-        budget, frontier = self._navigation(deadline)
-        engine = self._engine(
-            tracer, install_injector=False, run_deadline=budget.deadline
-        )
-        injector = self.fault_injector
-        faults = self._faults("discovery")
-        attempts = self._attempts()
-        fail_fast = config.failure_policy == "fail_fast"
-
-        base = self.drg.table(base_name)
-        if label_column not in base:
-            raise JoinError(
-                f"base table {base_name!r} has no label column {label_column!r}"
-            )
-
-        fallback_selection = 0.0
-
-        def scored(fn, **attrs):
-            nonlocal fallback_selection
-            if tracer.enabled:
-                with tracer.span("selection", **attrs):
-                    return fn()
-            scoring_started = time.perf_counter()
-            try:
-                return fn()
-            finally:
-                fallback_selection += time.perf_counter() - scoring_started
-
-        ranked: list[RankedPath] = []
+        # ``generated`` drives the deterministic max_hops cut; ``explored``
+        # is what the run reports: units merged without a deadline abort.
+        generated = 0
         explored = 0
         pruned_quality = 0
         pruned_similarity = 0
@@ -543,21 +295,14 @@ class AutoFeat:
         budget_exhausted = False
 
         def record_pull(table: str, reward: float) -> None:
-            # Arm updates happen only here, at the canonical merge point,
-            # mirroring the serial pull sequence exactly.
+            # Every *merged* hop into a table pulls its UCB arm —
+            # pruned/failed hops with reward 0, ranked hops with their
+            # bounded ranking reward.  No-op under the FIFO frontier.
             if frontier.policy is not None:
                 frontier.policy.update(table, reward)
 
-        executor = PathExecutor(
-            engine,
-            backend=config.parallel_backend,
-            max_workers=config.max_workers,
-            trace_spans=tracer.enabled,
-        )
         try:
-            with tracer.span(
-                "discover", base=base_name, label=label_column
-            ) as root:
+            with tracer.span("discover", base=base_name, label=label_column) as root:
                 with tracer.span("sample", size=config.sample_size):
                     sample = stratified_sample(
                         base, label_column, config.sample_size, seed=config.seed
@@ -565,9 +310,7 @@ class AutoFeat:
                 label = sample.column(label_column).to_float()
 
                 selector = StreamingFeatureSelector(config, label)
-                base_features = [
-                    n for n in sample.column_names if n != label_column
-                ]
+                base_features = [n for n in sample.column_names if n != label_column]
                 if base_features:
                     scored(
                         lambda: selector.seed_with(
@@ -576,28 +319,24 @@ class AutoFeat:
                         batch="seed",
                     )
 
+                # Each frontier entry carries the partially-joined sample and
+                # the qualified features accepted along the path so far.
                 frontier.push(JoinPath(base_name), sample, ())
-                while frontier:
-                    if budget.exhausted(explored):
+                while frontier and not budget_exhausted:
+                    if budget.exhausted(generated):
                         budget_exhausted = True
                         break
-                    # One wave: the whole frontier level (BFS — level-
-                    # synchronous draining reproduces serial pop order),
-                    # or one popped entry's fan-out (DFS — serial fully
-                    # fans an entry out before descending into its last
-                    # child — and likewise the UCB priority frontier,
-                    # whose arm statistics must advance before the next
-                    # pop is chosen).
+                    # Level-synchronous draining reproduces the canonical
+                    # FIFO pop order; DFS fully fans an entry out before
+                    # descending into its last child.
                     if frontier.strategy != "ucb" and config.traversal == "bfs":
                         entries = frontier.drain_level()
                     else:
                         entries = [frontier.pop()]
 
                     tasks: list[HopTask] = []
-                    leftover: list = []
                     for position, entry in enumerate(entries):
-                        path, current = entry.path, entry.table
-                        path_features = entry.features
+                        path = entry.path
                         if path.length >= config.max_path_length:
                             continue
                         visited = set(path.nodes)
@@ -610,198 +349,113 @@ class AutoFeat:
                             for edge in self.drg.best_join_options(
                                 path.terminal, neighbor
                             ):
-                                # The serial per-hop budget check, at the
-                                # identical canonical position — a
-                                # max_hops run generates exactly serial's
-                                # executed-hop prefix on every backend.
-                                if budget.exhausted(explored):
+                                if budget.exhausted(generated):
                                     budget_exhausted = True
                                     break
-                                explored += 1
-                                plan = plan_hop_faults(
-                                    injector,
-                                    edge,
-                                    attempts=attempts,
-                                    base_name=base_name,
+                                generated += 1
+                                task = HopTask(
+                                    index=len(tasks),
                                     path=path,
+                                    edge=edge,
+                                    table=entry.table,
+                                    base_name=base_name,
+                                    features=entry.features,
                                 )
-                                tasks.append(
-                                    HopTask(
-                                        index=len(tasks),
-                                        path=path,
-                                        edge=edge,
-                                        table=current,
-                                        base_name=base_name,
-                                        features=path_features,
-                                        plan=plan,
-                                    )
+                                task.plan = plan_faults(
+                                    injector, task, faults.attempts
                                 )
+                                tasks.append(task)
                             if budget_exhausted:
                                 break
                         if budget_exhausted:
                             # Level entries the cut never reached go back
-                            # on the frontier so the unexplored count
-                            # matches serial's (which only consumed the
-                            # entry it stopped inside).
-                            leftover = entries[position + 1 :]
+                            # on the frontier: only the entry the cut
+                            # landed inside counts as consumed.
+                            for unreached in entries[position + 1 :]:
+                                frontier.push(
+                                    unreached.path,
+                                    unreached.table,
+                                    unreached.features,
+                                    unreached.reward,
+                                )
                             break
-                    for entry in leftover:
-                        frontier.push(
-                            entry.path, entry.table, entry.features, entry.reward
-                        )
                     if not tasks:
-                        if budget_exhausted:
-                            break
                         continue
                     waves += 1
-                    with tracer.span(
-                        "wave",
-                        parallel=True,
-                        backend=executor.backend,
-                        workers=executor.workers_used,
-                        units=len(tasks),
-                    ) as wave:
-                        outcomes = executor.run_hops(tasks)
-                        for task, outcome in zip(tasks, outcomes):
-                            self._graft_worker_spans(
-                                tracer, wave, outcome, executor.rebase_spans
-                            )
-                            if outcome.stats is not None:
-                                engine.stats.absorb(outcome.stats)
-                            if not outcome.dispatched:
-                                # Injector exhausted every attempt at plan
-                                # time; serial would never execute the join.
-                                if fail_fast:
-                                    raise task.plan.exception
-                                faults.record(
-                                    task.plan.exception,
-                                    base=base_name,
-                                    path=task.path,
-                                    edge=task.edge,
-                                    retries=task.plan.retries,
+                    with self._wave(tracer, executor, len(tasks)) as wave:
+                        for task, outcome in zip(tasks, executor.run_hops(tasks)):
+                            self._absorb(executor, tracer, wave, outcome)
+                            try:
+                                hop = settle_outcome(
+                                    task,
+                                    outcome,
+                                    engine=engine,
+                                    injector=injector,
+                                    faults=faults,
                                 )
-                                record_pull(task.edge.target, 0.0)
-                                continue
-                            hop = None
-                            if outcome.error is None:
-                                hop = (outcome.joined, outcome.contributed)
-                            elif isinstance(outcome.error, RunBudgetExceeded):
-                                # The deadline tripped inside a worker:
-                                # graceful anytime exhaustion — the run
-                                # stops after this wave's merge, and the
-                                # aborted unit is neither a failure nor a
-                                # pruned path.
+                            except RunBudgetExceeded:
+                                # The wall-clock deadline landed inside
+                                # the hop: graceful anytime exhaustion,
+                                # neither a failure nor a pruned path.
+                                # The run stops after this wave's merge;
+                                # pool units that finished in time still
+                                # merge, serial ones abort at hop entry.
                                 budget_exhausted = True
                                 continue
-                            elif isinstance(outcome.error, FaultError):
-                                if fail_fast:
-                                    raise outcome.error
-                                passed_at = (
-                                    task.plan.passed_at
-                                    if task.plan is not None
-                                    else 0
-                                )
-
-                                def simulate(task=task):
-                                    exc = simulate_injector_check(
-                                        injector, task.edge
-                                    )
-                                    if exc is None:
-                                        return None
-                                    return type(exc)(
-                                        f"{exc}; "
-                                        f"{_hop_context(base_name, task.path, task.edge)}"
-                                    )
-
-                                def rerun(task=task):
-                                    return engine.apply_hop(
-                                        task.table,
-                                        task.edge,
-                                        base_name,
-                                        path=task.path,
-                                    )
-
-                                try:
-                                    hop, recorded = settle_managed_failure(
-                                        attempts=attempts,
-                                        passed_at=passed_at,
-                                        first_exc=outcome.error,
-                                        simulate=simulate,
-                                        rerun=rerun,
-                                        kinds=(FaultError,),
-                                    )
-                                except JoinError:
+                            except JoinError:
+                                # An unfeasible join is Algorithm 1's
+                                # pruning input, under every policy.
+                                pruned_quality += 1
+                                hop = None
+                            explored += 1
+                            if hop is not None:
+                                joined, contributed = hop
+                                comp = completeness(joined, contributed)
+                                if not contributed:
+                                    # A hop may contribute no columns at
+                                    # all; that is not poor join quality —
+                                    # keep it traversable (see the
+                                    # stepping-stone note below) and count it.
+                                    empty_contribution += 1
+                                elif comp < config.tau:
                                     pruned_quality += 1
-                                    record_pull(task.edge.target, 0.0)
-                                    continue
-                                except RunBudgetExceeded:
-                                    budget_exhausted = True
-                                    continue
-                                if recorded is not None:
-                                    last, retries = recorded
-                                    faults.record(
-                                        last,
-                                        base=base_name,
-                                        path=task.path,
-                                        edge=task.edge,
-                                        retries=retries,
-                                    )
-                                    record_pull(task.edge.target, 0.0)
-                                    continue
-                            else:
-                                # Ordinary JoinError: Algorithm 1's pruning
-                                # input, identical handling to serial.
-                                pruned_quality += 1
-                                record_pull(task.edge.target, 0.0)
-                                continue
-
-                            joined, contributed = hop
-                            comp = completeness(joined, contributed)
-                            if not contributed:
-                                empty_contribution += 1
-                            elif comp < config.tau:
-                                pruned_quality += 1
+                                    hop = None
+                            if hop is None:
                                 record_pull(task.edge.target, 0.0)
                                 continue
 
                             join_key = qualified(
                                 task.edge.target, task.edge.target_column
                             )
-                            candidates = [
-                                c for c in contributed if c != join_key
-                            ]
-                            outcome_batch = scored(
+                            candidates = [c for c in contributed if c != join_key]
+                            batch = scored(
                                 lambda: selector.process_batch(
                                     candidates, joined.numeric_matrix(candidates)
                                 ),
                                 features=len(candidates),
                             )
                             score = compute_ranking_score(
-                                outcome_batch.relevance_scores,
-                                outcome_batch.redundancy_scores,
+                                batch.relevance_scores, batch.redundancy_scores
                             )
                             reward = hop_reward(score, comp)
                             record_pull(task.edge.target, reward)
                             new_path = task.path.extend(task.edge)
-                            new_features = (
-                                task.features + outcome_batch.accepted_names
-                            )
+                            new_features = task.features + batch.accepted_names
                             ranked.append(
                                 RankedPath(
                                     path=new_path,
                                     score=score,
                                     selected_features=new_features,
-                                    relevance_scores=outcome_batch.relevance_scores,
-                                    redundancy_scores=outcome_batch.redundancy_scores,
+                                    relevance_scores=batch.relevance_scores,
+                                    redundancy_scores=batch.redundancy_scores,
                                     completeness=comp,
-                                    relevant_names=outcome_batch.relevant_names,
+                                    relevant_names=batch.relevant_names,
                                 )
                             )
-                            frontier.push(
-                                new_path, joined, new_features, reward
-                            )
-                    if budget_exhausted:
-                        break
+                            # Even an all-irrelevant join stays in the
+                            # frontier: it may be the gateway to a relevant
+                            # transitive table.
+                            frontier.push(new_path, joined, new_features, reward)
                 if budget_exhausted:
                     tracer.event(
                         "budget_exhausted",
@@ -811,6 +465,9 @@ class AutoFeat:
         finally:
             executor.close()
 
+        # Both timings come from the span tree on traced runs; the
+        # untraced fallback is one wall-clock pair plus the single
+        # selection accumulator above.
         if tracer.enabled:
             discovery_seconds = root.seconds
             selection_seconds = tracer.total_seconds("selection")
@@ -870,7 +527,7 @@ class AutoFeat:
 
     @staticmethod
     def _parallel_gauges(executor: PathExecutor) -> dict:
-        """The parallel-execution gauges a worker-pool run reports."""
+        """The executor's utilisation gauges, reported on every backend."""
         return {
             "parallel.workers_used": executor.workers_used,
             "parallel.speedup": round(executor.effective_speedup, 4),
@@ -887,8 +544,8 @@ class AutoFeat:
         discovery_seconds: float,
         selection_seconds: float,
         counters: dict[str, int],
-        gauges: dict | None = None,
-        navigation: NavigationStats | None = None,
+        gauges: dict,
+        navigation: NavigationStats,
     ):
         """Assemble the discovery-phase :class:`repro.obs.RunManifest`."""
         registry = MetricsRegistry()
@@ -897,10 +554,9 @@ class AutoFeat:
         failure_report.publish(registry)
         for name, value in counters.items():
             registry.counter(name).inc(value)
-        for name, value in (gauges or {}).items():
+        for name, value in gauges.items():
             registry.gauge(name).set(value)
-        if navigation is not None:
-            navigation.publish(registry)
+        navigation.publish(registry)
         timing = None
         if not tracer.enabled:
             # Untraced runs still get a minimal two-node tree so stage
@@ -938,6 +594,15 @@ class AutoFeat:
         materialisation runs through one cached :class:`JoinEngine`; its
         counters land on ``AugmentationResult.engine_stats``.
 
+        The top-k paths are independent work units (materialise + train),
+        executed as one wave on ``config.parallel_backend`` and merged
+        back in ranked order: trained paths, failure records and the
+        best-path tie-break (first index wins on equal accuracy) consume
+        outcomes one at a time, so the result is bit-identical across
+        backends.  Injected faults are pre-resolved per path at
+        task-generation time (the injector walks each path's edges in
+        canonical order).
+
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
         break a join).  Under ``skip_and_record`` /``retry`` such a path is
@@ -945,38 +610,23 @@ class AutoFeat:
         the remaining top-k paths still train; ``fail_fast`` propagates.
 
         When tracing is on, the training phase runs under a ``train`` span
-        tree (``train > path > evaluate``) that is composed with the
-        discovery phase's tree into one ``augment`` manifest on
+        tree (``train > wave > path > evaluate``) that is composed with
+        the discovery phase's tree into one ``augment`` manifest on
         ``AugmentationResult.run_manifest``.
-
-        With ``config.parallel_backend`` set to ``"threads"`` or
-        ``"processes"``, the top-k paths materialise and train on a
-        worker pool and merge deterministically in ranked order; see
-        :meth:`_train_parallel`.
 
         With an anytime deadline active (``config.budget_seconds``, or
         the explicit ``deadline`` that :meth:`augment` shares across
         both phases), training stops gracefully once it expires: the
-        trained prefix of the top-k still competes and the result is
-        returned with ``budget_exhausted`` set.  ``config.max_hops``
-        applies to discovery only.
+        paths trained in time still compete and the result is returned
+        with ``budget_exhausted`` set.  ``config.max_hops`` applies to
+        discovery only.
         """
-        if self.config.parallel_backend != "serial":
-            return self._train_parallel(discovery, model_name, deadline)
-        return self._train_serial(discovery, model_name, deadline)
-
-    def _train_serial(
-        self,
-        discovery: DiscoveryResult,
-        model_name: str = "lightgbm",
-        deadline: float | None = None,
-    ) -> AugmentationResult:
-        """The single-threaded reference training pass (parity baseline)."""
         started = time.perf_counter()
         config = self.config
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
-        engine = self._engine(tracer, run_deadline=budget.deadline)
+        executor = self._executor(tracer, budget.deadline)
+        injector = self.fault_injector
         faults = self._faults("training")
         base = self.drg.table(discovery.base_table)
         base_features = [
@@ -985,50 +635,61 @@ class AutoFeat:
 
         trained: list[TrainedPath] = []
         tables: list[Table] = []
-        budget_exhausted = False
-        with tracer.span(
-            "train", base=discovery.base_table, model=model_name
-        ) as root:
-            for ranked in discovery.top(config.top_k):
-                if budget.expired():
-                    budget_exhausted = True
-                    break
-                with tracer.span("path", path=ranked.path.describe()):
-                    try:
-                        materialised = faults.execute(
-                            lambda: engine.materialize_path(ranked.path, base),
-                            base=discovery.base_table,
-                            path=ranked.path,
-                        )
-                    except RunBudgetExceeded:
-                        # Deadline landed mid-materialisation: the
-                        # trained prefix still competes below.
-                        budget_exhausted = True
-                        break
-                    if materialised is None:
-                        continue
-                    table, __ = materialised
-                    features = base_features + [
-                        f for f in ranked.selected_features if f in table
-                    ]
-                    with tracer.span(
-                        "evaluate", model=model_name, features=len(features)
-                    ):
-                        acc = evaluate_accuracy(
-                            table,
-                            discovery.label_column,
-                            model_name=model_name,
-                            feature_names=features,
-                            seed=config.seed,
-                        )
-                    trained.append(
-                        TrainedPath(
-                            ranked=ranked,
-                            accuracy=acc,
-                            n_features_used=len(features),
-                        )
+        # Nothing left to spend: return the anytime result with zero
+        # trained paths rather than starting units that would only abort.
+        budget_exhausted = budget.expired()
+        top = [] if budget_exhausted else list(discovery.top(config.top_k))
+        try:
+            with tracer.span(
+                "train", base=discovery.base_table, model=model_name
+            ) as root:
+                tasks: list[PathTask] = []
+                for ranked in top:
+                    task = PathTask(
+                        index=len(tasks),
+                        path=ranked.path,
+                        selected_features=ranked.selected_features,
+                        base_name=discovery.base_table,
+                        label_column=discovery.label_column,
+                        model_name=model_name,
+                        seed=config.seed,
                     )
-                    tables.append(table)
+                    task.plan = plan_faults(injector, task, faults.attempts)
+                    tasks.append(task)
+                if tasks:
+                    with self._wave(tracer, executor, len(tasks)) as wave:
+                        for task, ranked, outcome in zip(
+                            tasks, top, executor.run_paths(tasks)
+                        ):
+                            self._absorb(executor, tracer, wave, outcome)
+                            try:
+                                result = settle_outcome(
+                                    task,
+                                    outcome,
+                                    engine=executor.engine,
+                                    injector=injector,
+                                    faults=faults,
+                                )
+                            except RunBudgetExceeded:
+                                # Deadline landed mid-materialisation:
+                                # graceful exhaustion, not a training
+                                # failure — whatever trained in time
+                                # still competes below.
+                                budget_exhausted = True
+                                continue
+                            if result is None:
+                                continue
+                            table, accuracy, n_features = result
+                            trained.append(
+                                TrainedPath(
+                                    ranked=ranked,
+                                    accuracy=accuracy,
+                                    n_features_used=n_features,
+                                )
+                            )
+                            tables.append(table)
+        finally:
+            executor.close()
 
         best = None
         augmented = None
@@ -1043,239 +704,13 @@ class AutoFeat:
             augmented = tables[best_idx].select(keep)
 
         # Span-derived when traced, wall-clock fallback when not, so
-        # there is a single timing source either way (satellite 1).
+        # there is a single timing source either way.
         if tracer.enabled:
             train_seconds = root.seconds
         else:
             train_seconds = time.perf_counter() - started
         total_seconds = discovery.discovery_seconds + train_seconds
-        engine_stats = engine.snapshot()
-        failure_report = faults.report()
-        budget_exhausted = budget_exhausted or discovery.budget_exhausted
-        manifest = self._augment_manifest(
-            discovery,
-            tracer,
-            engine_stats,
-            failure_report,
-            train_seconds=train_seconds,
-            total_seconds=total_seconds,
-            n_trained=len(trained),
-            best=best,
-            budget_exhausted=budget_exhausted,
-        )
-
-        return AugmentationResult(
-            discovery=discovery,
-            trained=tuple(trained),
-            best=best,
-            augmented_table=augmented,
-            model_name=model_name,
-            total_seconds=total_seconds,
-            engine_stats=engine_stats,
-            failure_report=failure_report,
-            run_manifest=manifest,
-            budget_exhausted=budget_exhausted,
-        )
-
-    def _train_parallel(
-        self,
-        discovery: DiscoveryResult,
-        model_name: str = "lightgbm",
-        deadline: float | None = None,
-    ) -> AugmentationResult:
-        """Worker-pool top-k training with a deterministic merge.
-
-        The top-k paths are independent work units (materialise + train),
-        dispatched as one wave and merged back in ranked order: trained
-        paths, failure records and the best-path tie-break (first index
-        wins on equal accuracy) consume outcomes exactly as the serial
-        loop would, so the result is bit-identical across backends.
-        Injected faults are pre-resolved per path at task-generation time
-        (the injector walks each path's edges in canonical order); a real
-        materialisation failure on a dispatched unit continues the serial
-        retry loop at the merge point.
-        """
-        started = time.perf_counter()
-        config = self.config
-        tracer = self._tracer()
-        budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
-        engine = self._engine(
-            tracer, install_injector=False, run_deadline=budget.deadline
-        )
-        injector = self.fault_injector
-        faults = self._faults("training")
-        attempts = self._attempts()
-        fail_fast = config.failure_policy == "fail_fast"
-        base = self.drg.table(discovery.base_table)
-        base_features = [
-            n for n in base.column_names if n != discovery.label_column
-        ]
-
-        trained: list[TrainedPath] = []
-        tables: list[Table] = []
-        budget_exhausted = False
-        executor = PathExecutor(
-            engine,
-            backend=config.parallel_backend,
-            max_workers=config.max_workers,
-            trace_spans=tracer.enabled,
-        )
-        try:
-            with tracer.span(
-                "train", base=discovery.base_table, model=model_name
-            ) as root:
-                top = list(discovery.top(config.top_k))
-                if budget.expired():
-                    # Nothing left to spend: return the anytime result
-                    # with zero trained paths rather than dispatching a
-                    # wave that would only abort inside the workers.
-                    budget_exhausted = True
-                    top = []
-                tasks: list[PathTask] = []
-                for i, ranked in enumerate(top):
-                    plan = plan_path_faults(
-                        injector,
-                        ranked.path,
-                        attempts=attempts,
-                        base_name=discovery.base_table,
-                    )
-                    tasks.append(
-                        PathTask(
-                            index=i,
-                            path=ranked.path,
-                            selected_features=ranked.selected_features,
-                            base_name=discovery.base_table,
-                            label_column=discovery.label_column,
-                            model_name=model_name,
-                            seed=config.seed,
-                            plan=plan,
-                        )
-                    )
-                if tasks:
-                    with tracer.span(
-                        "wave",
-                        parallel=True,
-                        backend=executor.backend,
-                        workers=executor.workers_used,
-                        units=len(tasks),
-                    ) as wave:
-                        outcomes = executor.run_paths(tasks)
-                        for task, ranked, outcome in zip(tasks, top, outcomes):
-                            self._graft_worker_spans(
-                                tracer, wave, outcome, executor.rebase_spans
-                            )
-                            if outcome.stats is not None:
-                                engine.stats.absorb(outcome.stats)
-                            if not outcome.dispatched:
-                                if fail_fast:
-                                    raise task.plan.exception
-                                faults.record(
-                                    task.plan.exception,
-                                    base=discovery.base_table,
-                                    path=task.path,
-                                    retries=task.plan.retries,
-                                )
-                                continue
-                            if isinstance(outcome.error, RunBudgetExceeded):
-                                # Deadline tripped inside this unit's
-                                # worker: graceful exhaustion, not a
-                                # training failure — the remaining
-                                # outcomes (already computed) still merge.
-                                budget_exhausted = True
-                                continue
-                            if outcome.error is not None:
-                                if fail_fast:
-                                    raise outcome.error
-                                passed_at = (
-                                    task.plan.passed_at
-                                    if task.plan is not None
-                                    else 0
-                                )
-
-                                def simulate(task=task):
-                                    return walk_injected_faults(
-                                        injector, task.path, discovery.base_table
-                                    )
-
-                                def rerun(task=task):
-                                    table, __ = engine.materialize_path(
-                                        task.path, base
-                                    )
-                                    features = base_features + [
-                                        f
-                                        for f in task.selected_features
-                                        if f in table
-                                    ]
-                                    acc = evaluate_accuracy(
-                                        table,
-                                        discovery.label_column,
-                                        model_name=model_name,
-                                        feature_names=features,
-                                        seed=config.seed,
-                                    )
-                                    return table, acc, len(features)
-
-                                try:
-                                    result, recorded = settle_managed_failure(
-                                        attempts=attempts,
-                                        passed_at=passed_at,
-                                        first_exc=outcome.error,
-                                        simulate=simulate,
-                                        rerun=rerun,
-                                        kinds=(JoinError, FaultError),
-                                    )
-                                except RunBudgetExceeded:
-                                    budget_exhausted = True
-                                    continue
-                                if recorded is not None:
-                                    last, retries = recorded
-                                    faults.record(
-                                        last,
-                                        base=discovery.base_table,
-                                        path=task.path,
-                                        retries=retries,
-                                    )
-                                    continue
-                                table, acc, n_features = result
-                            else:
-                                table = outcome.table
-                                acc = outcome.accuracy
-                                n_features = outcome.n_features_used
-                            trained.append(
-                                TrainedPath(
-                                    ranked=ranked,
-                                    accuracy=acc,
-                                    n_features_used=n_features,
-                                )
-                            )
-                            tables.append(table)
-        finally:
-            executor.close()
-
-        best = None
-        augmented = None
-        if trained:
-            best_idx = max(
-                range(len(trained)), key=lambda i: trained[i].accuracy
-            )
-            best = trained[best_idx]
-            keep = (
-                base_features
-                + [
-                    f
-                    for f in best.ranked.selected_features
-                    if f in tables[best_idx]
-                ]
-                + [discovery.label_column]
-            )
-            augmented = tables[best_idx].select(keep)
-
-        if tracer.enabled:
-            train_seconds = root.seconds
-        else:
-            train_seconds = time.perf_counter() - started
-        total_seconds = discovery.discovery_seconds + train_seconds
-        engine_stats = engine.snapshot()
+        engine_stats = executor.engine.snapshot()
         failure_report = faults.report()
         budget_exhausted = budget_exhausted or discovery.budget_exhausted
         manifest = self._augment_manifest(
@@ -1314,8 +749,8 @@ class AutoFeat:
         total_seconds: float,
         n_trained: int,
         best,
-        gauges: dict | None = None,
-        budget_exhausted: bool = False,
+        gauges: dict,
+        budget_exhausted: bool,
     ):
         """Compose discovery + training into one ``augment`` manifest."""
         registry = MetricsRegistry()
@@ -1325,7 +760,7 @@ class AutoFeat:
         registry.counter("train.paths_trained").inc(n_trained)
         if best is not None:
             registry.gauge("train.best_accuracy").set(round(best.accuracy, 6))
-        for name, value in (gauges or {}).items():
+        for name, value in gauges.items():
             registry.gauge(name).set(value)
         discovery.navigation.publish(registry)
         registry.gauge("navigation.budget_exhausted").set(

@@ -101,16 +101,17 @@ class AutoFeatConfig:
         work happens (exact, because left joins through deduped indexes
         preserve probe-side cardinality).  None disables the guard.
     parallel_backend:
-        Execution backend for discovery hops and top-k training paths:
-        ``"serial"`` (the default single-thread loop), ``"threads"`` or
-        ``"processes"`` (worker pools via :mod:`concurrent.futures`,
-        driven by :class:`repro.engine.PathExecutor`).  Results are
-        **bit-identical** across backends — work units carry their
-        enumeration index and all order-sensitive state (feature
-        selection, ranking, frontier growth, failure policy) advances
-        only at the canonical merge points — so this knob trades wall
-        time, never correctness.  See DESIGN.md §11 for the backend
-        matrix and GIL caveats.
+        Where :class:`repro.engine.PathExecutor` runs the work units
+        (discovery hops, top-k training paths) the one Algorithm-1
+        driver generates: ``"serial"`` (the default: inline on the
+        calling thread, each unit only after the previous outcome was
+        merged), ``"threads"`` or ``"processes"`` (worker pools via
+        :mod:`concurrent.futures`).  Results are **bit-identical**
+        across backends — outcomes are merged in enumeration order and
+        all order-sensitive state (feature selection, ranking, frontier
+        growth, failure policy) advances only at those merge points —
+        so this knob trades wall time, never correctness.  See
+        DESIGN.md §11 for the backend matrix and GIL caveats.
     max_workers:
         Worker count for the parallel backends (None = automatic;
         ignored under ``serial``).

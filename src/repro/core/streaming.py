@@ -26,8 +26,8 @@ how much work the cache saved.
 
 **Parallel-execution contract**: the selector is *order-dependent* state —
 redundancy scores depend on everything accepted before — and is therefore
-never shared with, or updated by, worker threads/processes.  Under
-``config.parallel_backend != "serial"`` the coordinator calls
+never shared with, or updated by, worker threads/processes.  On every
+``config.parallel_backend`` the coordinator calls
 :meth:`StreamingFeatureSelector.process_batch` only at the deterministic
 merge points, consuming hop outcomes in canonical enumeration order (see
 :mod:`repro.engine.parallel` and DESIGN.md §11), which is what keeps the

@@ -25,15 +25,14 @@ from .naming import qualified, source_column_name
 from .parallel import (
     PARALLEL_BACKENDS,
     FaultPlan,
-    HopOutcome,
     HopTask,
     PathExecutor,
-    PathOutcome,
     PathTask,
-    plan_hop_faults,
-    plan_path_faults,
+    UnitOutcome,
+    plan_faults,
     resolve_max_workers,
     settle_managed_failure,
+    settle_outcome,
 )
 from .stats import EngineStats, ExecutionStats
 
@@ -59,10 +58,9 @@ __all__ = [
     "FaultPlan",
     "HopTask",
     "PathTask",
-    "HopOutcome",
-    "PathOutcome",
+    "UnitOutcome",
     "resolve_max_workers",
-    "plan_hop_faults",
-    "plan_path_faults",
+    "plan_faults",
     "settle_managed_failure",
+    "settle_outcome",
 ]

@@ -213,6 +213,11 @@ class FaultManager:
     def n_failures(self) -> int:
         return len(self._records)
 
+    @property
+    def attempts(self) -> int:
+        """Attempts per guarded operation (1 unless the policy retries)."""
+        return 1 + (self.max_retries if self.policy == "retry" else 0)
+
     def execute(
         self,
         fn: Callable[[], T],
@@ -233,10 +238,9 @@ class FaultManager:
         """
         if self.policy == "fail_fast":
             return fn()
-        attempts = 1 + (self.max_retries if self.policy == "retry" else 0)
         last: Exception | None = None
         retries = 0
-        for attempt in range(attempts):
+        for attempt in range(self.attempts):
             try:
                 return fn()
             except ErrorBudgetExceeded:

@@ -1,80 +1,81 @@
-"""Parallel join-path execution with a deterministic merge.
+"""Join-path work units, their execution backends and the deterministic merge.
 
-The discovery BFS and the top-k training pass are embarrassingly parallel
-*between* work units — a hop's join depends only on its probe-side table
-and its DRG edge, never on selection state — but AutoFeat's results must
-stay bit-identical to the serial traversal.  This module supplies the
-worker side of that contract; :class:`repro.core.AutoFeat` supplies the
-merge side.  The split is:
+Algorithm 1 has one driver (:class:`repro.core.AutoFeat`): it enumerates
+work units in canonical order, hands them to a :class:`PathExecutor` and
+folds the outcomes back in exactly that order.  A hop's join depends only
+on its probe-side table and its DRG edge, never on selection state, so
+*where* a unit runs cannot change the result.  The split is:
 
-* **workers execute pure joins** — a :class:`HopTask` (one frontier hop)
-  or :class:`PathTask` (one top-k materialise + evaluate) runs on a
+* **units execute pure joins** — a :class:`HopTask` (one frontier hop) or
+  :class:`PathTask` (one top-k materialise + evaluate) runs on a
   :meth:`~repro.engine.JoinEngine.worker_view` of the run's engine and
-  returns a :class:`HopOutcome` / :class:`PathOutcome` carrying the data,
-  a private stats delta, its span tree and any *managed* error;
-* **the coordinator merges in canonical order** — work units carry their
-  enumeration ``index``, and :class:`PathExecutor` returns outcomes in
-  exactly that order regardless of completion order.  All order-sensitive
-  state — streaming feature selection, ranking, frontier growth, the
-  failure policy and its shared error budget — advances only at the merge
-  point, on the coordinating thread.
+  returns a :class:`UnitOutcome` carrying the value, a private stats
+  delta, its span tree and any *managed* error;
+* **the coordinator merges in canonical order** — :class:`PathExecutor`
+  hands outcomes over in task order, one at a time, regardless of
+  completion order.  All order-sensitive state — streaming feature
+  selection, ranking, frontier growth, the failure policy and its shared
+  error budget — advances only at the merge point, on the coordinating
+  thread.
 
 Determinism of injected faults is preserved by resolving the
 :class:`~repro.engine.FaultInjector` *at work-unit generation time* in
-canonical order (:func:`plan_hop_faults` / :func:`plan_path_faults`
-replay the exact ``FaultManager.execute`` attempt loop against the real
-injector), so a unit arrives at a worker either with a pre-resolved
-failure (never dispatched) or with the attempt index at which the
-injector passed.  A unit that then fails with a *real* managed error
-continues the serial attempt loop at the merge point via
-:func:`settle_managed_failure`.
+canonical order (:func:`plan_faults` replays the
+``FaultManager.execute`` attempt loop against the real injector), so a unit is either pre-resolved to failure (never dispatched)
+or carries the attempt index at which the injector passed.
+:func:`settle_outcome` is the merge-side half: it applies the failure
+policy to a unit's outcome and, when a dispatched unit failed with a
+*real* managed error, continues the attempt loop
+(:func:`settle_managed_failure`).
 
-Backends: ``serial`` runs units inline (the uniformity baseline),
-``threads`` shares the engine's single-flight :class:`HopCache` across a
-:class:`~concurrent.futures.ThreadPoolExecutor` (joins release the GIL
-only while sleeping on simulated latency, so CPU-bound speedups are
-modest — see DESIGN.md §11), and ``processes`` gives each worker process
-its own engine + cache via a :class:`~concurrent.futures.ProcessPoolExecutor`
-initializer (results identical; cache hit counters reflect the per-worker
-caches).
+Backends: ``serial`` runs each unit inline, only once the previous
+outcome has been consumed; ``threads`` shares the engine's single-flight
+:class:`HopCache` across a :class:`~concurrent.futures.ThreadPoolExecutor`
+(joins release the GIL only while sleeping on simulated latency, so
+CPU-bound speedups are modest — see DESIGN.md §11), and ``processes``
+gives each worker process its own engine + cache via a
+:class:`~concurrent.futures.ProcessPoolExecutor` initializer (results
+identical; cache hit counters reflect the per-worker caches).
 
-Unexpected worker exceptions (anything outside ``JoinError`` /
+Unexpected unit exceptions (anything outside ``JoinError`` /
 ``FaultError``) are never swallowed: they re-raise on the coordinating
-thread from ``future.result()`` during the in-order collection.
+thread during the in-order hand-off.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterator
 
 from ..dataframe import Table
 from ..errors import ConfigError, FaultError, JoinError, RunBudgetExceeded
 from ..graph import JoinPath, OrientedEdge
 from ..obs.tracer import Tracer
 from .engine import JoinEngine, _hop_context
+from .faults import FaultManager
 
 __all__ = [
     "PARALLEL_BACKENDS",
     "FaultPlan",
     "HopTask",
     "PathTask",
-    "HopOutcome",
-    "PathOutcome",
+    "UnitOutcome",
     "PathExecutor",
     "resolve_max_workers",
-    "plan_hop_faults",
-    "plan_path_faults",
+    "plan_faults",
     "settle_managed_failure",
-    "simulate_injector_check",
+    "settle_outcome",
 ]
 
 #: The three execution backends a run can use.
 #:
 #: * ``serial`` — work units run inline on the coordinating thread, in
-#:   canonical order (the baseline every parity test compares against);
+#:   canonical order, each only after the previous outcome was merged;
 #: * ``threads`` — a shared-memory pool; all workers share the run's
 #:   single-flight :class:`HopCache`, so engine counters match serial
 #:   exactly;
@@ -117,73 +118,46 @@ class FaultPlan:
     passed_at: int = 0
 
 
-def simulate_injector_check(injector, edge) -> Exception | None:
-    """One ``FaultInjector.check`` call, returning the raise instead.
+def walk_injected_faults(
+    injector, walked: JoinPath, edges, base_name: str
+) -> Exception | None:
+    """Simulate one attempt's injector checks along ``edges``.
 
-    Uses the real injector (and therefore advances its per-edge attempt
-    counters exactly as a serial hop would), which is what keeps transient
-    faults (``recover_after``) deterministic across backends.
+    The engine used to consult the injector per edge, in order, aborting
+    the attempt at the first raise and suffixing the message with the
+    prefix ``walked`` so far (:func:`~repro.engine.engine._hop_context`).
+    This replays exactly that against the real injector — advancing its
+    per-edge attempt counters, which is what keeps transient faults
+    (``recover_after``) deterministic across backends.  Returns the
+    wrapped error of the first faulting edge, or None when the walk passes.
     """
     if injector is None:
         return None
-    try:
-        injector.check(edge)
-    except FaultError as exc:
-        return exc
-    return None
-
-
-def plan_hop_faults(
-    injector, edge, *, attempts: int, base_name: str, path: JoinPath
-) -> FaultPlan | None:
-    """Pre-resolve the injected-fault sequence for one discovery hop.
-
-    Replays the attempt loop of ``FaultManager.execute`` against the real
-    injector, in the hop's canonical position, wrapping each injected
-    error with the same :func:`~repro.engine.engine._hop_context` suffix
-    the engine would — so recorded messages are byte-identical to serial.
-    Returns None when the edge is not faulty (the common case).
-    """
-    if injector is None or injector.fault_kind(edge) is None:
-        return None
-    last: Exception | None = None
-    for attempt in range(attempts):
-        exc = simulate_injector_check(injector, edge)
-        if exc is None:
-            return FaultPlan(passed_at=attempt)
-        last = type(exc)(f"{exc}; {_hop_context(base_name, path, edge)}")
-    return FaultPlan(exception=last, retries=attempts - 1)
-
-
-def walk_injected_faults(injector, path: JoinPath, base_name: str) -> Exception | None:
-    """Simulate one materialise attempt's injector checks along ``path``.
-
-    Serial ``materialize_path`` consults the injector per edge, in order,
-    aborting the attempt at the first raise; the wrapped message carries
-    the prefix walked so far.  Returns the wrapped error of the first
-    faulting edge, or None when the whole walk passes.
-    """
-    walked = JoinPath(path.base)
-    for edge in path.edges:
-        exc = simulate_injector_check(injector, edge)
-        if exc is not None:
+    for edge in edges:
+        try:
+            injector.check(edge)
+        except FaultError as exc:
             return type(exc)(f"{exc}; {_hop_context(base_name, walked, edge)}")
         walked = walked.extend(edge)
     return None
 
 
-def plan_path_faults(
-    injector, path: JoinPath, *, attempts: int, base_name: str
-) -> FaultPlan | None:
-    """Pre-resolve the injected-fault sequence for one top-k training path."""
-    if injector is None or not injector.faulty_edges(path.edges):
+def plan_faults(injector, task, attempts: int) -> FaultPlan | None:
+    """Pre-resolve the injected-fault sequence of one work unit.
+
+    Replays the ``FaultManager.execute`` attempt loop against the real
+    injector, in the unit's canonical position, so recorded messages and
+    the injector's per-edge attempt counters are what a unit-by-unit loop
+    would produce.  Returns None when no edge of the unit is faulty (the
+    common case).
+    """
+    if injector is None or not injector.faulty_edges(task.edges):
         return None
     last: Exception | None = None
     for attempt in range(attempts):
-        exc = walk_injected_faults(injector, path, base_name)
-        if exc is None:
+        last = task.injected_fault(injector)
+        if last is None:
             return FaultPlan(passed_at=attempt)
-        last = exc
     return FaultPlan(exception=last, retries=attempts - 1)
 
 
@@ -196,17 +170,17 @@ def settle_managed_failure(
     rerun,
     kinds: tuple[type[Exception], ...],
 ):
-    """Continue the serial attempt loop after a dispatched unit failed.
+    """Continue the attempt loop after a dispatched unit failed.
 
-    A worker executed the unit's attempt ``passed_at`` and it raised a
-    *managed* error (``first_exc``).  Serial ``FaultManager.execute``
-    would keep attempting: each remaining attempt first consults the
-    injector (``simulate`` returns a wrapped error or None) and, on pass,
+    The unit's attempt ``passed_at`` was executed and raised a *managed*
+    error (``first_exc``).  ``FaultManager.execute`` would keep
+    attempting: each remaining attempt first consults the injector
+    (``simulate`` returns a wrapped error or None) and, on pass,
     re-executes the real work (``rerun``).  Returns ``(result, None)``
     when a re-attempt succeeds, or ``(None, (last_exc, retries))`` for
     the coordinator to record.  Exceptions outside ``kinds`` raised by
-    ``rerun`` propagate, exactly as in serial (a discovery ``JoinError``
-    is pruning input, not a failure).
+    ``rerun`` propagate (a discovery ``JoinError`` is pruning input, not
+    a failure).
     """
     last, retries = first_exc, passed_at
     for attempt in range(passed_at + 1, attempts):
@@ -219,6 +193,47 @@ def settle_managed_failure(
         except kinds as exc2:
             last, retries = exc2, attempt
     return None, (last, retries)
+
+
+def settle_outcome(
+    task, outcome: "UnitOutcome", *, engine: JoinEngine, injector, faults: FaultManager
+):
+    """Apply the run's failure policy to one unit at its merge position.
+
+    The merge-side half of ``FaultManager.execute``, shared by discovery
+    and training.  Returns the unit's value, or None when its failure was
+    recorded and the unit must be skipped.  A pre-resolved injected
+    failure (never dispatched) and a dispatched unit's managed error are
+    raised under ``fail_fast`` and otherwise recorded once the remaining
+    attempts (re-executed on ``engine``, the coordinator's) are spent;
+    :meth:`FaultManager.record` enforces the shared error budget here, at
+    the canonical position.  Errors outside the task's ``managed`` family
+    re-raise for the driver: :class:`~repro.errors.RunBudgetExceeded`
+    (graceful anytime exhaustion) and, for hops, an ordinary
+    :class:`~repro.errors.JoinError` (Algorithm 1's pruning input).
+    """
+    if not outcome.dispatched:
+        error, retries = task.plan.exception, task.plan.retries
+    elif outcome.error is None:
+        return outcome.value
+    elif faults.policy == "fail_fast" or not isinstance(outcome.error, task.managed):
+        raise outcome.error
+    else:
+        value, failure = settle_managed_failure(
+            attempts=faults.attempts,
+            passed_at=task.plan.passed_at if task.plan is not None else 0,
+            first_exc=outcome.error,
+            simulate=lambda: task.injected_fault(injector),
+            rerun=lambda: task.run(engine),
+            kinds=task.managed,
+        )
+        if failure is None:
+            return value
+        error, retries = failure
+    if faults.policy == "fail_fast":
+        raise error
+    faults.record(error, retries=retries, **task.where())
+    return None
 
 
 # -- work units -------------------------------------------------------------
@@ -236,6 +251,32 @@ class HopTask:
     features: tuple[str, ...] = ()
     plan: FaultPlan | None = None
 
+    #: The failure policy manages only the fault family here: an ordinary
+    #: :class:`JoinError` is pruning input for Algorithm 1, not a failure.
+    managed = (FaultError,)
+
+    @property
+    def edges(self) -> tuple[OrientedEdge, ...]:
+        """The DRG edges this unit joins along."""
+        return (self.edge,)
+
+    def where(self) -> dict:
+        """Where a failure of this unit is recorded."""
+        return {"base": self.base_name, "path": self.path, "edge": self.edge}
+
+    def injected_fault(self, injector) -> Exception | None:
+        """One attempt's injector check, wrapped with the hop context."""
+        return walk_injected_faults(injector, self.path, self.edges, self.base_name)
+
+    def run(self, engine: JoinEngine) -> tuple[Table, list[str]]:
+        """Execute the hop: ``(joined, contributed_columns)``."""
+        with engine.tracer.span(
+            "hop", table=self.edge.target, key=self.edge.target_column
+        ):
+            return engine.apply_hop(
+                self.table, self.edge, self.base_name, path=self.path
+            )
+
 
 @dataclass
 class PathTask:
@@ -250,21 +291,63 @@ class PathTask:
     seed: int = 0
     plan: FaultPlan | None = None
 
+    #: Full-table materialisation failing after the sampled discovery pass
+    #: succeeded is a failure, not pruning: both families are managed.
+    managed = (JoinError, FaultError)
+
+    @property
+    def edges(self) -> tuple[OrientedEdge, ...]:
+        """The DRG edges this unit joins along."""
+        return self.path.edges
+
+    def where(self) -> dict:
+        """Where a failure of this unit is recorded."""
+        return {"base": self.base_name, "path": self.path}
+
+    def injected_fault(self, injector) -> Exception | None:
+        """One materialise attempt's injector checks along the path."""
+        return walk_injected_faults(
+            injector, JoinPath(self.path.base), self.edges, self.base_name
+        )
+
+    def run(self, engine: JoinEngine) -> tuple[Table, float, int]:
+        """Materialise and train: ``(table, accuracy, n_features_used)``."""
+        # Lazy import: repro.ml is a heavier dependency the hop path never needs.
+        from ..ml import evaluate_accuracy
+
+        base = engine.drg.table(self.base_name)
+        base_features = [n for n in base.column_names if n != self.label_column]
+        tracer = engine.tracer
+        with tracer.span("path", path=self.path.describe()):
+            table, __ = engine.materialize_path(self.path, base)
+            features = base_features + [
+                f for f in self.selected_features if f in table
+            ]
+            with tracer.span("evaluate", model=self.model_name, features=len(features)):
+                accuracy = evaluate_accuracy(
+                    table,
+                    self.label_column,
+                    model_name=self.model_name,
+                    feature_names=features,
+                    seed=self.seed,
+                )
+        return table, accuracy, len(features)
+
 
 @dataclass
-class HopOutcome:
-    """What one hop unit produced, in its canonical slot.
+class UnitOutcome:
+    """What one work unit produced, in its canonical slot.
 
-    ``error`` carries the managed (``JoinError`` / ``FaultError``)
-    exception when the hop failed; ``dispatched`` is False for units whose
-    fault plan pre-resolved to failure (the worker never saw them, so
-    ``stats`` is None and no join work was charged — matching serial,
-    where an injected fault aborts the hop before any join executes).
+    ``value`` is what the task's ``run`` returned; ``error`` carries the
+    managed (``JoinError`` / ``FaultError``) exception or the
+    :class:`RunBudgetExceeded` that aborted it.  ``dispatched`` is False
+    for units whose fault plan pre-resolved to failure (they never ran, so
+    ``stats`` is None and no join work was charged — an injected fault
+    aborts a hop before any join executes).
     """
 
     index: int
-    joined: Table | None = None
-    contributed: list[str] | None = None
+    value: tuple | None = None
     error: Exception | None = None
     dispatched: bool = True
     stats: object | None = None
@@ -272,100 +355,32 @@ class HopOutcome:
     busy_seconds: float = 0.0
 
 
-@dataclass
-class PathOutcome:
-    """What one training unit produced, in its canonical slot."""
-
-    index: int
-    table: Table | None = None
-    accuracy: float = 0.0
-    n_features_used: int = 0
-    error: Exception | None = None
-    dispatched: bool = True
-    stats: object | None = None
-    spans: list[dict] = field(default_factory=list)
-    busy_seconds: float = 0.0
-
-
-# -- worker bodies (shared by the serial, threads and processes backends) ---
-
-
-def _execute_hop(view: JoinEngine, tracer: Tracer, task: HopTask) -> HopOutcome:
+def _run_unit(engine: JoinEngine, task, trace_spans: bool) -> UnitOutcome:
+    """Every backend's unit body: fresh tracer + worker view per unit."""
+    tracer = Tracer(enabled=trace_spans)
+    view = engine.worker_view(tracer)
     started = time.perf_counter()
-    joined = contributed = error = None
+    value = error = None
     try:
-        with tracer.span("hop", table=task.edge.target, key=task.edge.target_column):
-            joined, contributed = view.apply_hop(
-                task.table, task.edge, task.base_name, path=task.path
-            )
+        value = task.run(view)
     except (JoinError, FaultError, RunBudgetExceeded) as exc:
         # RunBudgetExceeded is carried back as the unit's outcome (not
         # re-raised through the pool): the coordinator decides at the
         # canonical merge point whether the run's budget has expired —
-        # a worker-side trip is just an early abort of that unit's work.
+        # a unit-side trip is just an early abort of that unit's work.
         error = exc
-    return HopOutcome(
+    spans = [root.as_dict() for root in tracer.roots]
+    # The unit's tracer is done: unhook its spans so the tracer <-> span
+    # reference cycle does not wait for a cyclic garbage collection.
+    tracer.roots.clear()
+    return UnitOutcome(
         index=task.index,
-        joined=joined,
-        contributed=contributed,
+        value=value,
         error=error,
         stats=view.snapshot(),
-        spans=[root.as_dict() for root in tracer.roots],
+        spans=spans,
         busy_seconds=time.perf_counter() - started,
     )
-
-
-def _execute_path(view: JoinEngine, tracer: Tracer, drg, task: PathTask) -> PathOutcome:
-    # Lazy import: repro.ml is a heavier dependency the hop path never needs.
-    from ..ml import evaluate_accuracy
-
-    started = time.perf_counter()
-    base = drg.table(task.base_name)
-    base_features = [n for n in base.column_names if n != task.label_column]
-    table = None
-    accuracy = 0.0
-    n_features = 0
-    error = None
-    try:
-        with tracer.span("path", path=task.path.describe()):
-            materialised, __ = view.materialize_path(task.path, base)
-            features = base_features + [
-                f for f in task.selected_features if f in materialised
-            ]
-            with tracer.span("evaluate", model=task.model_name, features=len(features)):
-                accuracy = evaluate_accuracy(
-                    materialised,
-                    task.label_column,
-                    model_name=task.model_name,
-                    feature_names=features,
-                    seed=task.seed,
-                )
-            table = materialised
-            n_features = len(features)
-    except (JoinError, FaultError, RunBudgetExceeded) as exc:
-        error = exc
-    return PathOutcome(
-        index=task.index,
-        table=table,
-        accuracy=accuracy,
-        n_features_used=n_features,
-        error=error,
-        stats=view.snapshot(),
-        spans=[root.as_dict() for root in tracer.roots],
-        busy_seconds=time.perf_counter() - started,
-    )
-
-
-def _run_hop(engine: JoinEngine, task: HopTask, trace_spans: bool) -> HopOutcome:
-    """Serial/threads hop body: fresh tracer + worker view per unit."""
-    tracer = Tracer(enabled=trace_spans)
-    return _execute_hop(engine.worker_view(tracer), tracer, task)
-
-
-def _run_path(engine: JoinEngine, task: PathTask, trace_spans: bool) -> PathOutcome:
-    """Serial/threads path body: fresh tracer + worker view per unit."""
-    tracer = Tracer(enabled=trace_spans)
-    return _execute_path(engine.worker_view(tracer), tracer, engine.drg, task)
 
 
 # -- processes backend ------------------------------------------------------
@@ -384,23 +399,15 @@ def _process_init(drg, engine_kwargs: dict, trace_spans: bool) -> None:
     _WORKER_TRACE = trace_spans
 
 
-def _process_hop(task: HopTask) -> HopOutcome:
-    tracer = Tracer(enabled=_WORKER_TRACE)
-    return _execute_hop(_WORKER_ENGINE.worker_view(tracer), tracer, task)
-
-
-def _process_path(task: PathTask) -> PathOutcome:
-    tracer = Tracer(enabled=_WORKER_TRACE)
-    return _execute_path(
-        _WORKER_ENGINE.worker_view(tracer), tracer, _WORKER_ENGINE.drg, task
-    )
+def _process_unit(task) -> UnitOutcome:
+    return _run_unit(_WORKER_ENGINE, task, _WORKER_TRACE)
 
 
 # -- the executor -----------------------------------------------------------
 
 
 class PathExecutor:
-    """Runs work units on a configurable backend, merging in task order.
+    """Runs work units on a configurable backend, handing back in task order.
 
     One executor spans one logical run, exactly like
     :class:`~repro.engine.JoinEngine`: construct it with the run's engine,
@@ -410,8 +417,9 @@ class PathExecutor:
     which worker finished first, which is the whole determinism contract.
 
     The executor also keeps the run's utilisation accounting:
-    ``busy_seconds`` (summed worker-side unit durations) over
-    ``parallel_wall_seconds`` (summed wave walls) is the
+    ``busy_seconds`` (summed unit durations) over
+    ``parallel_wall_seconds`` (the time the coordinator spent executing
+    or waiting for units, merge work excluded) is the
     :attr:`effective_speedup` the run manifest reports.
     """
 
@@ -447,7 +455,7 @@ class PathExecutor:
 
     @property
     def effective_speedup(self) -> float:
-        """Worker-busy seconds per wall second of parallel execution."""
+        """Unit-busy seconds per wall second spent executing units."""
         if self.parallel_wall_seconds <= 0.0:
             return 0.0
         return self.busy_seconds / self.parallel_wall_seconds
@@ -481,64 +489,54 @@ class PathExecutor:
                 )
         return self._pool
 
-    def run_hops(self, tasks: list[HopTask]) -> list[HopOutcome]:
-        """Execute one wave of hop units; outcomes in task order."""
-        return self._run_wave(
-            tasks,
-            _run_hop,
-            _process_hop,
-            lambda task: HopOutcome(
-                index=task.index, error=task.plan.exception, dispatched=False
-            ),
-        )
+    def run_hops(self, tasks: list[HopTask]) -> Iterator[UnitOutcome]:
+        """Execute one wave of hop units; outcomes in task order, lazily."""
+        return self._run_wave(tasks)
 
-    def run_paths(self, tasks: list[PathTask]) -> list[PathOutcome]:
-        """Execute one wave of training units; outcomes in task order."""
-        return self._run_wave(
-            tasks,
-            _run_path,
-            _process_path,
-            lambda task: PathOutcome(
-                index=task.index, error=task.plan.exception, dispatched=False
-            ),
-        )
+    def run_paths(self, tasks: list[PathTask]) -> Iterator[UnitOutcome]:
+        """Execute one wave of training units; outcomes in task order, lazily."""
+        return self._run_wave(tasks)
 
-    def _run_wave(self, tasks, inline_fn, process_fn, synthesize):
-        started = time.perf_counter()
-        outcomes: list = [None] * len(tasks)
-        pending: list[tuple[int, object]] = []
-        for slot, task in enumerate(tasks):
+    def _run_wave(self, tasks) -> Iterator[UnitOutcome]:
+        """Yield each task's outcome, in task order, one at a time.
+
+        The hand-off is lazy so the coordinator's merge is interleaved
+        with execution.  On ``serial`` unit *i+1* runs only after outcome
+        *i* was consumed: a pruned hop's table is garbage before the next
+        join allocates (a whole BFS level of joined tables is never
+        resident at once), and a consumer that stops — ``fail_fast``, an
+        exhausted error budget — leaves the rest unexecuted.  The pools
+        get the whole wave submitted up front and are waited on in order;
+        ``future.result()`` re-raises unexpected worker exceptions here.
+        """
+        resumed = time.perf_counter()
+        pending: deque = deque()
+        for task in tasks:
             if task.plan is not None and task.plan.exception is not None:
                 # Pre-resolved failure: the injector exhausted every
-                # attempt at plan time, so dispatching would charge join
-                # work serial never performs.  The coordinator raises or
-                # records it at this slot's canonical merge position.
-                outcomes[slot] = synthesize(task)
+                # attempt at plan time, so running the unit would charge
+                # join work an injected fault never performs.  The
+                # coordinator raises or records it at this slot's
+                # canonical merge position.
+                outcome = UnitOutcome(
+                    index=task.index, error=task.plan.exception, dispatched=False
+                )
+                pending.append(lambda outcome=outcome: outcome)
+            elif self.backend == "serial":
+                pending.append(partial(_run_unit, self.engine, task, self.trace_spans))
+            elif self.backend == "threads":
+                future = self._ensure_pool().submit(
+                    _run_unit, self.engine, task, self.trace_spans
+                )
+                pending.append(future.result)
             else:
-                pending.append((slot, task))
-        if self.backend == "serial":
-            for slot, task in pending:
-                outcomes[slot] = inline_fn(self.engine, task, self.trace_spans)
-        else:
-            pool = self._ensure_pool()
-            if self.backend == "threads":
-                futures = [
-                    (slot, pool.submit(inline_fn, self.engine, task, self.trace_spans))
-                    for slot, task in pending
-                ]
-            else:
-                futures = [
-                    (slot, pool.submit(process_fn, task)) for slot, task in pending
-                ]
-            # In-order collection: future.result() re-raises unexpected
-            # worker exceptions on this thread — nothing is swallowed.
-            for slot, future in futures:
-                outcomes[slot] = future.result()
-        self.parallel_wall_seconds += time.perf_counter() - started
-        self.busy_seconds += sum(
-            outcome.busy_seconds for outcome in outcomes if outcome.dispatched
-        )
-        return outcomes
+                pending.append(self._ensure_pool().submit(_process_unit, task).result)
+        while pending:
+            outcome = pending.popleft()()
+            self.busy_seconds += outcome.busy_seconds
+            self.parallel_wall_seconds += time.perf_counter() - resumed
+            yield outcome
+            resumed = time.perf_counter()
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

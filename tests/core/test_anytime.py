@@ -35,12 +35,8 @@ from repro.errors import ConfigError
 from repro.graph import JoinPath
 from repro.obs import MetricsRegistry
 
-from tests.engine.test_parallel_parity import (
-    BACKENDS,
-    _discover,
-    _lake,
-    discovery_fingerprint,
-)
+from tests.core.driver_goldens import BACKENDS, _lake, golden_lake
+from tests.engine.test_parallel_parity import _discover, discovery_fingerprint
 
 lakes = st.tuples(
     st.integers(min_value=3, max_value=6),  # n_satellites
@@ -355,6 +351,36 @@ class TestWallClockBudget:
         assert result.budget_exhausted
         assert result.trained == ()
         assert result.discovery.budget_exhausted
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("strategy", ["fifo", "ucb"])
+    def test_only_merged_hops_are_reported(self, backend, strategy):
+        # Units are counted when generated (that is what makes the
+        # max_hops cut deterministic), but a unit the deadline aborted
+        # was never explored: every reported hop must be accounted for
+        # as ranked, pruned or failed.
+        # 12 hops of 30 ms cannot fit 120 ms, even on two workers.
+        bundle, drg = golden_lake("covertype")
+        full = _discover(drg, bundle, backend)
+        partial = _discover(
+            drg,
+            bundle,
+            backend,
+            budget_seconds=0.12,
+            hop_latency_seconds=0.03,
+            frontier_strategy=strategy,
+        )
+        assert partial.budget_exhausted
+        assert partial.n_paths_explored < full.n_paths_explored
+        for run in (full, partial):
+            assert run.n_paths_explored == (
+                len(run.ranked_paths)
+                + run.n_paths_pruned_quality
+                + len(run.failure_report.records)
+            )
+            assert run.navigation.hops_executed == run.n_paths_explored
+            counters = run.run_manifest.metrics["counters"]
+            assert counters["discovery.paths_explored"] == run.n_paths_explored
 
     def test_augment_unbudgeted_flags_clear(self):
         bundle, drg = _lake(3, 1, 0)

@@ -83,9 +83,14 @@ class TestDiscovery:
     def test_top_k(self, discovery):
         assert len(discovery.top(2)) == 2
 
-    def test_missing_label_raises(self, drg):
+    def test_missing_label_raises(self, drg, monkeypatch):
+        def no_executor(*args, **kwargs):
+            raise AssertionError("the label is checked before an executor is built")
+
+        monkeypatch.setattr("repro.core.autofeat.PathExecutor", no_executor)
+        config = AutoFeatConfig(parallel_backend="processes")
         with pytest.raises(JoinError):
-            AutoFeat(drg).discover("base", "not_a_column")
+            AutoFeat(drg, config).discover("base", "not_a_column")
 
 
 class TestTraining:

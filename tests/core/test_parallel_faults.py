@@ -1,13 +1,15 @@
-"""Stress: parallel discovery under heavy fault injection, every policy.
+"""Stress: discovery under heavy fault injection, every policy and backend.
 
 Runs the diamond lake of ``test_fault_isolation`` through ``discover``
 with 30% injected failure rates across all three ``FailurePolicy`` modes
-and both worker-pool backends, asserting the degradation contract:
+and all three backends, asserting the degradation contract against the
+outputs frozen from the deleted classic serial loop
+(``tests/core/driver_goldens.py`` records how they were generated):
 
 * failure reports (kinds, messages, edges, retry counts) are identical to
-  serial for every (policy, backend, seed) combination;
+  the goldens for every (policy, backend, seed) combination;
 * the shared error budget trips **exactly once**, at the same canonical
-  failure as serial — not once per worker;
+  failure as the classic loop did — not once per worker;
 * same-seed runs are bit-reproducible;
 * unexpected worker exceptions (outside the managed ``JoinError`` /
   ``FaultError`` family) are never swallowed by the pool.
@@ -22,8 +24,11 @@ from repro.engine import FaultInjector, JoinEngine
 from repro.errors import ErrorBudgetExceeded, FaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
-PARALLEL = ("threads", "processes")
-POLICIES = ("fail_fast", "skip_and_record", "retry")
+from tests.core.driver_goldens import BACKENDS, POLICIES, as_json, load_goldens
+
+
+def golden(key):
+    return load_goldens()["diamond"][key]
 
 
 def diamond_lake(n=400, seed=3):
@@ -100,31 +105,30 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
     )
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault_seed", (0, 1, 2))
 def test_30pct_fault_stress_matches_serial(drg, backend, policy, fault_seed):
-    serial = run_discovery(drg, "serial", policy, fault_seed=fault_seed)
-    parallel = run_discovery(drg, backend, policy, fault_seed=fault_seed)
-    assert parallel == serial
+    run = run_discovery(drg, backend, policy, fault_seed=fault_seed)
+    assert as_json(run) == golden(f"stress/{policy}/{fault_seed}")
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", ("skip_and_record", "retry"))
 def test_error_budget_trips_exactly_once(drg, backend, policy):
-    # Budget 0: the first recorded failure aborts the run.  Serial and
-    # parallel must raise the *same* ErrorBudgetExceeded — same message,
-    # same failure count, same last edge — which proves the budget is
-    # shared at the merge point and tripped once, not once per worker.
-    serial = run_discovery(drg, "serial", policy, error_budget=0)
-    parallel = run_discovery(drg, backend, policy, error_budget=0)
-    assert serial[0] == "raised"
-    assert serial[1] == "ErrorBudgetExceeded"
-    assert "1 failures exceed the budget of 0" in serial[2]
-    assert parallel == serial
+    # Budget 0: the first recorded failure aborts the run.  Every backend
+    # must raise the *same* ErrorBudgetExceeded as the classic loop did —
+    # same message, same failure count, same last edge — which proves the
+    # budget is shared at the merge point and tripped once, not once per
+    # worker.
+    frozen = golden(f"budget0/{policy}")
+    assert frozen[0] == "raised"
+    assert frozen[1] == "ErrorBudgetExceeded"
+    assert "1 failures exceed the budget of 0" in frozen[2]
+    assert as_json(run_discovery(drg, backend, policy, error_budget=0)) == frozen
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_budget_trip_is_typed_and_catchable(drg, backend):
     config = AutoFeatConfig(
         sample_size=200, seed=1, parallel_backend=backend, max_workers=2,
@@ -137,7 +141,7 @@ def test_budget_trip_is_typed_and_catchable(drg, backend):
         autofeat.discover("base", "label")
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_same_seed_runs_are_reproducible(drg, backend, policy):
     first = run_discovery(drg, backend, policy, fault_seed=0)
@@ -145,7 +149,7 @@ def test_same_seed_runs_are_reproducible(drg, backend, policy):
     assert first == second
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_retry_with_transient_faults_recovers_cleanly(drg, backend):
     # recover_after=1: every injected fault clears on its first retry, so
     # the retry policy ends with an empty report and the full ranked set.
@@ -159,7 +163,7 @@ def test_retry_with_transient_faults_recovers_cleanly(drg, backend):
     assert recovered[2] == clean[2]
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch):
     # A bug in the join kernel (anything outside JoinError/FaultError) must
     # re-raise on the coordinating thread, never turn into a skipped path.
@@ -179,22 +183,23 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
         AutoFeat(drg, config).discover("base", "label")
 
 
-@pytest.mark.parametrize("backend", PARALLEL)
-def test_training_phase_fault_parity(drg, backend):
-    def run(chosen_backend):
-        config = AutoFeatConfig(
-            sample_size=200, seed=1, parallel_backend=chosen_backend,
-            max_workers=2, failure_policy="skip_and_record", top_k=3,
-        )
-        autofeat = AutoFeat(
-            drg, config,
-            fault_injector=FaultInjector(failure_probability=0.3, seed=0),
-        )
-        result = autofeat.augment("base", "label", model_name="random_forest")
-        return (
-            [(t.ranked.path.describe(), t.accuracy) for t in result.trained],
-            [(f.stage, f.error_kind, f.message, f.path, f.retries)
-             for f in result.failure_report.records],
-        )
+def run_training(drg, backend):
+    config = AutoFeatConfig(
+        sample_size=200, seed=1, parallel_backend=backend,
+        max_workers=2, failure_policy="skip_and_record", top_k=3,
+    )
+    autofeat = AutoFeat(
+        drg, config,
+        fault_injector=FaultInjector(failure_probability=0.3, seed=0),
+    )
+    result = autofeat.augment("base", "label", model_name="random_forest")
+    return (
+        [(t.ranked.path.describe(), t.accuracy) for t in result.trained],
+        [(f.stage, f.error_kind, f.message, f.path, f.retries)
+         for f in result.failure_report.records],
+    )
 
-    assert run(backend) == run("serial")
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_training_phase_fault_parity(drg, backend):
+    assert as_json(run_training(drg, backend)) == golden("training")

@@ -1,47 +1,48 @@
-"""Property-based parity: parallel discovery is bit-identical to serial.
+"""Backend parity: every backend is bit-identical to the frozen serial driver.
 
 The determinism contract of :mod:`repro.engine.parallel` (DESIGN.md §11)
 says that for any lake, any seed and any backend, ``discover`` /
-``train_top_k`` return exactly what the serial loop returns — same ranked
-paths, same scores, same selected features, same failure reports.  This
-suite drives that claim over hypothesis-drawn lake topologies and seeds
-for all three backends, including runs under fault injection.
+``train_top_k`` return exactly the same thing — same ranked paths, same
+scores, same selected features, same failure reports.  Two layers pin it:
+
+* the **golden matrix** compares all three backends to
+  ``tests/core/goldens/driver.json``, frozen from the classic
+  ``_discover_serial`` / ``_train_serial`` loops at the last commit that
+  had them (46971f6), with this PR's ``tests/`` copied over that
+  checkout: ``PYTHONPATH=src python -m tests.core.driver_goldens``;
+* the **hypothesis suite** compares the backends to each other over
+  drawn lake topologies and seeds, including runs under fault injection.
 """
 
-from functools import lru_cache
-
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutoFeat, AutoFeatConfig
-from repro.datasets import make_classification, split_into_lake
-from repro.datasets.splitter import SplitPlan
 from repro.engine import FaultInjector
 
-BACKENDS = ("serial", "threads", "processes")
+from tests.core.driver_goldens import (
+    BACKENDS,
+    HOP_CAPS,
+    _lake,
+    as_json,
+    cell_keys,
+    expected_cell,
+    run_cell,
+)
 
 
-@lru_cache(maxsize=16)
-def _lake(n_satellites: int, max_depth: int, seed: int):
-    """Small deterministic snowflake lake (cached across examples)."""
-    flat = make_classification(
-        n_rows=240,
-        n_informative=5,
-        n_redundant=2,
-        n_noise=3,
-        class_sep=1.6,
-        seed=seed,
-    )
-    plan = SplitPlan(
-        name=f"lake{n_satellites}d{max_depth}s{seed}",
-        n_satellites=n_satellites,
-        n_base_features=2,
-        max_depth=max_depth,
-        match_rate_range=(0.75, 1.0),
-        seed=seed,
-    )
-    bundle = split_into_lake(flat, plan)
-    return bundle, bundle.benchmark_drg()
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lake", sorted(HOP_CAPS))
+def test_backend_reproduces_frozen_serial_driver(lake, backend):
+    """traversal x seed x fault policy x budget, one lake per test."""
+    mismatched = [
+        key
+        for key in cell_keys()
+        if key.startswith(f"{lake}/")
+        and as_json(run_cell(key, backend)) != expected_cell(key, backend)
+    ]
+    assert mismatched == []
 
 
 def discovery_fingerprint(discovery):
@@ -213,18 +214,3 @@ class TestAugmentParity:
             }
         assert outputs["threads"] == outputs["serial"]
         assert outputs["processes"] == outputs["serial"]
-
-    def test_serial_backend_of_executor_matches_default_loop(self):
-        # The PathExecutor's own "serial" backend (inline execution through
-        # the work-unit machinery) is the uniformity baseline: it must be
-        # indistinguishable from the classic loop.  ``discover`` routes
-        # backend="serial" to the classic loop, so drive the wave-based
-        # implementation directly.
-        bundle, drg = _lake(4, 2, 0)
-        config = AutoFeatConfig(sample_size=120, seed=0, parallel_backend="serial")
-        autofeat = AutoFeat(drg, config)
-        classic = autofeat._discover_serial(bundle.base_name, bundle.label_column)
-        waved = autofeat._discover_parallel(bundle.base_name, bundle.label_column)
-        assert discovery_fingerprint(waved) == discovery_fingerprint(classic)
-        assert waved.engine_stats == classic.engine_stats
-        assert waved.selection_stats == classic.selection_stats

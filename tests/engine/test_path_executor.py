@@ -1,0 +1,130 @@
+"""PathExecutor hand-off: in task order, one outcome at a time.
+
+The coordinator merges while units execute, so *when* the executor runs a
+unit is part of its contract: the ``serial`` backend must not run unit
+*i+1* before outcome *i* was consumed (that is what keeps one joined table
+resident instead of a BFS level of them, and what makes ``fail_fast`` stop
+at the first failing unit), while the pools may run ahead but must still
+hand back in task order and surface worker bugs on the coordinator.
+"""
+
+import time
+
+import pytest
+
+from repro.engine import FaultPlan, HopTask, JoinEngine, PathExecutor
+from repro.errors import InjectedFaultError
+from repro.graph import JoinPath
+
+from tests.core.test_parallel_faults import diamond_lake
+
+POOLS = ("threads", "processes")
+
+
+@pytest.fixture(scope="module")
+def drg():
+    return diamond_lake(n=120)
+
+
+def hop_tasks(drg, n=4):
+    """``n`` independent first-level hops, alternating base->a / base->b."""
+    base = drg.table("base")
+    edges = [drg.best_join_options("base", target)[0] for target in ("a", "b")]
+    return [
+        HopTask(
+            index=i,
+            path=JoinPath("base"),
+            edge=edges[i % 2],
+            table=base,
+            base_name="base",
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.fixture
+def hop_calls(monkeypatch):
+    """Targets of every ``apply_hop`` call, in call order."""
+    calls = []
+    original = JoinEngine.apply_hop
+
+    def counting(self, current, edge, base_name, path=None):
+        calls.append(edge.target)
+        return original(self, current, edge, base_name, path=path)
+
+    monkeypatch.setattr(JoinEngine, "apply_hop", counting)
+    return calls
+
+
+class TestSerialHandOff:
+    def test_next_unit_runs_only_after_outcome_consumed(self, drg, hop_calls):
+        executor = PathExecutor(JoinEngine(drg), backend="serial")
+        outcomes = executor.run_hops(hop_tasks(drg))
+        assert hop_calls == []  # nothing runs before the first outcome is asked for
+        for consumed in range(1, 5):
+            outcome = next(outcomes)
+            assert outcome.index == consumed - 1
+            assert outcome.error is None and outcome.dispatched
+            assert len(hop_calls) == consumed
+        assert list(outcomes) == []
+
+    def test_rest_is_abandoned_when_consumer_stops(self, drg, hop_calls):
+        executor = PathExecutor(JoinEngine(drg), backend="serial")
+        outcomes = executor.run_hops(hop_tasks(drg))
+        next(outcomes)
+        outcomes.close()
+        assert hop_calls == ["a"]
+        # The units that did run are still accounted for.
+        assert executor.busy_seconds > 0.0
+        assert executor.parallel_wall_seconds >= executor.busy_seconds
+
+    def test_accounting_excludes_the_consumers_merge_time(self, drg):
+        executor = PathExecutor(JoinEngine(drg), backend="serial")
+        for __ in executor.run_hops(hop_tasks(drg)):
+            time.sleep(0.02)  # the coordinator's merge work
+        assert 0.0 < executor.busy_seconds <= executor.parallel_wall_seconds
+        assert executor.parallel_wall_seconds < 4 * 0.02
+
+    def test_pre_resolved_failure_is_never_executed(self, drg, hop_calls):
+        tasks = hop_tasks(drg, n=2)
+        fault = InjectedFaultError("planned")
+        tasks[0].plan = FaultPlan(exception=fault, retries=2)
+        executor = PathExecutor(JoinEngine(drg), backend="serial")
+        first, second = executor.run_hops(tasks)
+        assert not first.dispatched and first.error is fault and first.stats is None
+        assert second.dispatched and second.error is None
+        assert hop_calls == ["b"]
+
+
+@pytest.mark.parametrize("backend", POOLS)
+class TestPoolHandOff:
+    def test_outcomes_in_task_order_whatever_finishes_first(
+        self, drg, backend, monkeypatch
+    ):
+        original = JoinEngine.apply_hop
+
+        def first_unit_is_slowest(self, current, edge, base_name, path=None):
+            if edge.target == "a":
+                time.sleep(0.05)
+            return original(self, current, edge, base_name, path=path)
+
+        monkeypatch.setattr(JoinEngine, "apply_hop", first_unit_is_slowest)
+        tasks = hop_tasks(drg)
+        with PathExecutor(JoinEngine(drg), backend=backend, max_workers=2) as executor:
+            outcomes = list(executor.run_hops(tasks))
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        for task, outcome in zip(tasks, outcomes):
+            joined, contributed = outcome.value
+            assert all(name.startswith(task.edge.target + ".") for name in contributed)
+        assert executor.busy_seconds > 0.0 and executor.parallel_wall_seconds > 0.0
+
+    def test_unexpected_worker_exception_reraises_on_coordinator(
+        self, drg, backend, monkeypatch
+    ):
+        def exploding(self, current, edge, base_name, path=None):
+            raise RuntimeError("worker bug: corrupted index")
+
+        monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
+        with PathExecutor(JoinEngine(drg), backend=backend, max_workers=2) as executor:
+            with pytest.raises(RuntimeError, match="worker bug"):
+                list(executor.run_hops(hop_tasks(drg)))

@@ -1,7 +1,8 @@
-"""Observability of parallel runs: stitched spans, gauges, valid manifests.
+"""Observability of wave execution: stitched spans, gauges, valid manifests.
 
-Worker hop/path spans execute on pool threads or in worker processes, yet
-the run manifest must stay one coherent tree: each wave span carries the
+Unit hop/path spans execute inline, on pool threads or in worker
+processes, yet the run manifest must stay one coherent tree of the same
+shape on every backend: each wave span carries the
 ``parallel`` marker plus backend/worker attributes, worker spans are
 grafted (and, for processes, rebased onto the coordinator's clock) as its
 children, and the schema validator's concurrency-aware rule — max child
@@ -146,12 +147,30 @@ class TestParallelDiscoveryManifest:
 
 
 class TestSerialManifestUnchanged:
-    def test_serial_run_has_no_parallel_gauges_or_waves(self, drg):
-        discovery = AutoFeat(drg, config("serial")).discover("base", "label")
-        manifest = discovery.run_manifest
-        assert validate_manifest(manifest.as_dict()) == []
-        assert wave_nodes(manifest) == []
-        assert "parallel.workers_used" not in manifest.metrics.get("gauges", {})
+    def test_serial_manifest_has_pool_shape(self, drg):
+        serial = AutoFeat(drg, config("serial")).augment("base", "label", "knn")
+        threads = AutoFeat(drg, config("threads")).augment("base", "label", "knn")
+        for result in (serial.discovery, serial):
+            manifest = result.run_manifest
+            assert validate_manifest(manifest.as_dict()) == []
+            waves = wave_nodes(manifest)
+            assert waves, "every backend runs its units under wave spans"
+            for wave in waves:
+                assert wave["attrs"]["backend"] == "serial"
+                assert wave["attrs"]["workers"] == 1
+        # selection is merge-side work: a sibling of the hop it scores.
+        discover_wave = wave_nodes(serial.discovery.run_manifest)[0]
+        assert {c["name"] for c in discover_wave["children"]} == {"hop", "selection"}
+        assert {n["name"] for n in iter_tree(serial.run_manifest.timing)} == {
+            n["name"] for n in iter_tree(threads.run_manifest.timing)
+        }
+        for ours, theirs in (
+            (serial.discovery.run_manifest, threads.discovery.run_manifest),
+            (serial.run_manifest, threads.run_manifest),
+        ):
+            for kind in ("gauges", "counters"):
+                assert set(ours.metrics[kind]) == set(theirs.metrics[kind])
+        assert serial.run_manifest.metrics["gauges"]["parallel.workers_used"] == 1
 
     def test_untraced_parallel_run_still_manifests(self, drg):
         cfg = config("threads", enable_tracing=False)
