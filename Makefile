@@ -62,12 +62,14 @@ trace-smoke:
 test-exp:
 	PYTHONPATH=src python -m pytest -q tests/exp tests/bench
 
-# Fast gate: sketch-index suites (banding validation, LSH candidate
-# index, filtered-matcher parity properties, containment-estimate
-# statistics) plus the sketch-index micro-bench in smoke mode
-# (bit-parity at recall 1.0, sub-quadratic pairs-scored growth).
+# Fast gate: every discovery suite (frozen COMA match goldens, name-score
+# and Levenshtein exactness properties, matcher lifetime / id-reuse
+# regressions, banding validation, LSH candidate index, filtered-matcher
+# parity properties, containment-estimate statistics) plus the
+# sketch-index micro-bench in smoke mode (bit-parity at recall 1.0,
+# sub-quadratic pairs-scored growth).
 test-sketch:
-	PYTHONPATH=src python -m pytest -q tests/discovery -k "index or lsh"
+	PYTHONPATH=src python -m pytest -q tests/discovery
 	PYTHONPATH=src python benchmarks/bench_sketch_index.py --smoke
 
 # End-to-end experiment-orchestration smoke: runs experiments/smoke.json

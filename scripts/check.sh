@@ -54,12 +54,14 @@ python -m pytest -q tests/core/test_anytime.py \
 python benchmarks/bench_anytime.py --smoke
 
 echo
-echo "== sketch-index fast gate =="
-# Sketch-index suites cover banding validation, the LSH candidate index
-# channels, filtered-vs-quadratic DRG parity properties and the
+echo "== discovery fast gate =="
+# All of tests/discovery (seconds): the frozen COMA match goldens, the
+# bit-vector Levenshtein and name-score exactness properties, matcher
+# lifetime / id-reuse regressions, banding validation, the LSH candidate
+# index channels, filtered-vs-quadratic DRG parity properties and the
 # containment-estimate statistics; the smoke bench gates on paper-lake
 # bit-parity at recall 1.0 and sub-quadratic pairs-scored growth.
-python -m pytest -q tests/discovery -k "index or lsh"
+python -m pytest -q tests/discovery
 python benchmarks/bench_sketch_index.py --smoke
 
 echo

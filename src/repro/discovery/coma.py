@@ -14,18 +14,17 @@ the noise regime AutoFeat's pruning is evaluated against.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
 from .name_similarity import (
+    NameFeatures,
     jaro_winkler_similarity,
     levenshtein_similarity,
-    ngram_similarity,
-    token_similarity,
+    set_jaccard,
 )
-from .profiles import ColumnProfile, TableProfile, profile_table
+from .profiles import ColumnProfile, ProfileCache, TableProfile
 from .value_overlap import instance_similarity
 
 __all__ = ["ColumnMatch", "ComaMatcher"]
@@ -44,19 +43,62 @@ class ColumnMatch:
     instance_score: float
 
 
-def _name_score(a: str, b: str) -> float:
+#: Ordered name pairs one matcher remembers (~12 MB at the bound).
+NAME_MEMO_PAIRS = 65_536
+
+
+def _name_score(a: NameFeatures, b: NameFeatures) -> float:
     """Aggregate of the four name matchers (max of avg and token score).
 
     Taking the max lets a strong token match (``credit_id`` vs
     ``CreditID``) win even when character-level metrics disagree, which is
     COMA's "max" aggregation applied to its linguistic matcher group.
     """
+    if a.name == b.name:
+        # Every measure scores an identical pair 1.0.
+        return 1.0
     average = (
-        levenshtein_similarity(a.lower(), b.lower())
-        + jaro_winkler_similarity(a.lower(), b.lower())
-        + ngram_similarity(a, b)
+        levenshtein_similarity(a.lowered, b.lowered)
+        + jaro_winkler_similarity(a.lowered, b.lowered)
+        + set_jaccard(a.trigrams, b.trigrams)
     ) / 3.0
-    return max(average, token_similarity(a, b))
+    return max(average, set_jaccard(a.tokens, b.tokens))
+
+
+class _NameScoreMemo:
+    """Bounded memo of :func:`_name_score` over *ordered* name pairs.
+
+    A lake has far fewer distinct column names than column pairs, so the
+    per-name features and the aggregate of each ordered pair are derived
+    once.  ``(a, b)`` and ``(b, a)`` are separate entries: Jaro's greedy
+    character matching is not symmetric by construction.  At the bound
+    the memo starts over — results never depend on what is remembered.
+    """
+
+    def __init__(self, max_pairs: int = NAME_MEMO_PAIRS):
+        if max_pairs < 1:
+            raise DiscoveryError(f"max_pairs must be >= 1, got {max_pairs}")
+        self._max_pairs = max_pairs
+        self._features: dict[str, NameFeatures] = {}
+        self._scores: dict[tuple[str, str], float] = {}
+
+    def __len__(self) -> int:
+        return len(self._scores)
+
+    def _of(self, name: str) -> NameFeatures:
+        features = self._features.get(name)
+        if features is None:
+            features = self._features[name] = NameFeatures(name)
+        return features
+
+    def score(self, a: str, b: str) -> float:
+        score = self._scores.get((a, b))
+        if score is None:
+            if len(self._scores) >= self._max_pairs:
+                self._scores.clear()
+                self._features.clear()
+            score = self._scores[a, b] = _name_score(self._of(a), self._of(b))
+        return score
 
 
 class ComaMatcher:
@@ -76,6 +118,12 @@ class ComaMatcher:
         join column (key or low-cardinality category) are reported —
         full-feature columns rarely make sense as join keys and skipping
         them keeps the lake graph from drowning in noise.
+
+    A matcher instance owns two memos with the same lifetime: table
+    profiles (:class:`~repro.discovery.profiles.ProfileCache`) and the
+    name score of every ordered name pair it has seen (bounded at
+    :data:`NAME_MEMO_PAIRS`).  Both only save work — a fresh matcher
+    starts empty and scores every pair to the same floats.
     """
 
     def __init__(
@@ -92,28 +140,8 @@ class ComaMatcher:
         self._instance_weight = instance_weight / total
         self._min_score = min_score
         self._key_like_only = key_like_only
-        # Keyed on id(table) but guarded by a weak reference: a bare id()
-        # key can be silently reused for a *different* table once the
-        # original is garbage-collected, serving a stale profile.  The
-        # stored weakref proves the entry still belongs to this exact
-        # object, and its callback evicts the entry when the table dies
-        # (unless the slot was already re-occupied by a live table).
-        self._profile_cache: dict[int, tuple[weakref.ref[Table], TableProfile]] = {}
-
-    def _evict_profile(self, key: int, ref: weakref.ref) -> None:
-        entry = self._profile_cache.get(key)
-        if entry is not None and entry[0] is ref:
-            del self._profile_cache[key]
-
-    def _profiles(self, table: Table) -> TableProfile:
-        key = id(table)
-        entry = self._profile_cache.get(key)
-        if entry is not None and entry[0]() is table:
-            return entry[1]
-        profile = profile_table(table)
-        ref = weakref.ref(table, lambda r, key=key: self._evict_profile(key, r))
-        self._profile_cache[key] = (ref, profile)
-        return profile
+        self._profiles = ProfileCache()
+        self._name_scores = _NameScoreMemo()
 
     @staticmethod
     def _key_like(profile: ColumnProfile) -> bool:
@@ -127,14 +155,15 @@ class ComaMatcher:
         self, profiles_a: TableProfile, profiles_b: TableProfile
     ) -> list[ColumnMatch]:
         """Score every column pair of two profiled tables."""
+        columns_a, columns_b = profiles_a.columns, profiles_b.columns
+        if self._key_like_only:
+            columns_a = [c for c in columns_a if self._key_like(c)]
+            columns_b = [c for c in columns_b if self._key_like(c)]
+        name_score = self._name_scores.score
         matches = []
-        for col_a in profiles_a.columns:
-            for col_b in profiles_b.columns:
-                if self._key_like_only and not (
-                    self._key_like(col_a) and self._key_like(col_b)
-                ):
-                    continue
-                name = _name_score(col_a.column_name, col_b.column_name)
+        for col_a in columns_a:
+            for col_b in columns_b:
+                name = name_score(col_a.column_name, col_b.column_name)
                 instance = instance_similarity(col_a, col_b)
                 score = (
                     self._name_weight * name + self._instance_weight * instance

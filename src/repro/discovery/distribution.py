@@ -20,7 +20,7 @@ from ..dataframe import Column, Table
 from ..errors import DiscoveryError
 from .name_similarity import token_similarity
 from .value_overlap import numeric_range_overlap
-from .profiles import ColumnProfile, profile_column
+from .profiles import ColumnProfile, ProfileCache, profile_column
 
 __all__ = ["QuantileSketch", "quantile_similarity", "DistributionMatcher"]
 
@@ -61,6 +61,21 @@ def quantile_similarity(a: QuantileSketch, b: QuantileSketch) -> float:
     return max(0.0, 1.0 - distance)
 
 
+def _numeric_summaries(
+    table: Table,
+) -> dict[str, tuple[QuantileSketch, ColumnProfile]]:
+    """Quantile sketch and profile of every numeric column, in column order."""
+    summaries = {}
+    for name in table.column_names:
+        column = table.column(name)
+        if column.dtype.is_numeric:
+            summaries[name] = (
+                QuantileSketch.of_column(column),
+                profile_column(column, table.name, name),
+            )
+    return summaries
+
+
 class DistributionMatcher:
     """Shape + range + name evidence for numeric column pairs.
 
@@ -74,15 +89,7 @@ class DistributionMatcher:
 
     def __init__(self, min_score: float = 0.35):
         self.min_score = min_score
-        self._sketch_cache: dict[tuple[int, str], QuantileSketch] = {}
-
-    def _sketch(self, table: Table, column_name: str) -> QuantileSketch:
-        key = (id(table), column_name)
-        cached = self._sketch_cache.get(key)
-        if cached is None:
-            cached = QuantileSketch.of_column(table.column(column_name))
-            self._sketch_cache[key] = cached
-        return cached
+        self._summaries = ProfileCache(_numeric_summaries)
 
     def score(
         self,
@@ -95,11 +102,9 @@ class DistributionMatcher:
         col_a, col_b = table_a.column(column_a), table_b.column(column_b)
         if not (col_a.dtype.is_numeric and col_b.dtype.is_numeric):
             return 0.0
-        shape = quantile_similarity(
-            self._sketch(table_a, column_a), self._sketch(table_b, column_b)
-        )
-        profile_a = profile_column(col_a, table_a.name, column_a)
-        profile_b = profile_column(col_b, table_b.name, column_b)
+        sketch_a, profile_a = self._summaries(table_a)[column_a]
+        sketch_b, profile_b = self._summaries(table_b)[column_b]
+        shape = quantile_similarity(sketch_a, sketch_b)
         ranges = numeric_range_overlap(profile_a, profile_b)
         names = token_similarity(column_a, column_b)
         return 0.45 * shape + 0.25 * ranges + 0.30 * names
@@ -107,12 +112,8 @@ class DistributionMatcher:
     def match(self, table_a: Table, table_b: Table):
         """All numeric column pairs scoring at or above the floor."""
         out = []
-        for column_a in table_a.column_names:
-            if not table_a.column(column_a).dtype.is_numeric:
-                continue
-            for column_b in table_b.column_names:
-                if not table_b.column(column_b).dtype.is_numeric:
-                    continue
+        for column_a in self._summaries(table_a):
+            for column_b in self._summaries(table_b):
                 score = self.score(table_a, column_a, table_b, column_b)
                 if score >= self.min_score:
                     out.append((column_a, column_b, round(score, 6)))

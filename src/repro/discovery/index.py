@@ -57,7 +57,6 @@ domain — the trade-off :meth:`verify_exact` exists to measure and the
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -69,8 +68,8 @@ from .name_similarity import tokenize_identifier
 from .profiles import (
     MINHASH_PERMUTATIONS,
     ColumnProfile,
+    ProfileCache,
     TableProfile,
-    profile_table,
 )
 
 __all__ = [
@@ -417,12 +416,7 @@ class CandidateFilteredMatcher:
         self.matcher = matcher
         self.index = JoinabilityIndex(bands=bands, rows_per_band=rows_per_band)
         self.stats = CandidateStats()
-        #: Weakref-guarded profile cache, same recipe as ComaMatcher's: a
-        #: bare id() key could be silently reused by a different table
-        #: after garbage collection.
-        self._table_profiles: dict[
-            int, tuple[weakref.ref[Table], TableProfile]
-        ] = {}
+        self._profiles = ProfileCache()
         #: name -> id() of the registered profile object, to skip
         #: re-registration of an unchanged profile.
         self._registered_ids: dict[str, int] = {}
@@ -430,25 +424,6 @@ class CandidateFilteredMatcher:
         #: Pairs inside the lake had their full-scan cost counted
         #: analytically up front, so per-pair counting skips them.
         self._lake: dict[str, int] | None = None
-
-    # -- profiles ------------------------------------------------------------
-
-    def _evict_table_profile(self, key: int, ref: weakref.ref) -> None:
-        entry = self._table_profiles.get(key)
-        if entry is not None and entry[0] is ref:
-            del self._table_profiles[key]
-
-    def _profiles(self, table: Table) -> TableProfile:
-        key = id(table)
-        entry = self._table_profiles.get(key)
-        if entry is not None and entry[0]() is table:
-            return entry[1]
-        profile = profile_table(table)
-        ref = weakref.ref(
-            table, lambda r, key=key: self._evict_table_profile(key, r)
-        )
-        self._table_profiles[key] = (ref, profile)
-        return profile
 
     # -- sketch registration -------------------------------------------------
 

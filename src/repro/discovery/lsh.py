@@ -19,7 +19,7 @@ import numpy as np
 
 from ..dataframe import Table
 from .index import validate_banding
-from .profiles import ColumnProfile, TableProfile, profile_table
+from .profiles import ColumnProfile, ProfileCache, TableProfile
 
 __all__ = ["LazoMatcher", "estimate_containment"]
 
@@ -63,14 +63,7 @@ class LazoMatcher:
         self.bands = bands
         self.rows_per_band = rows_per_band
         self.min_score = min_score
-        self._profile_cache: dict[int, TableProfile] = {}
-
-    def _profiles(self, table: Table) -> TableProfile:
-        cached = self._profile_cache.get(id(table))
-        if cached is None:
-            cached = profile_table(table)
-            self._profile_cache[id(table)] = cached
-        return cached
+        self._profiles = ProfileCache()
 
     def _band_keys(self, profile: ColumnProfile) -> list[tuple[int, bytes]]:
         signature = profile.minhash

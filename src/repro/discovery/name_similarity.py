@@ -16,6 +16,8 @@ __all__ = [
     "ngram_similarity",
     "token_similarity",
     "tokenize_identifier",
+    "set_jaccard",
+    "NameFeatures",
 ]
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -23,22 +25,44 @@ _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
-    """1 - edit_distance / max_length, in [0, 1]."""
+    """1 - edit_distance / max_length, in [0, 1].
+
+    The distance is the exact integer edit distance, computed with the
+    Myers (1999) bit-vector recurrence in the edit-distance form given
+    by Hyyrö (2003): one column of the DP matrix is held as two
+    bit-vectors of vertical +1 / -1 deltas, and a whole column is
+    advanced with a handful of word operations per text character.
+    Python ints are the words, so there is no 64-character limit and no
+    blocking.
+    """
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    distance = previous[-1]
-    return 1.0 - distance / max(len(a), len(b))
+    # Fewer loop turns with the shorter string as the text; the distance
+    # is symmetric.
+    pattern, text = (a, b) if len(a) >= len(b) else (b, a)
+    occurrences: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        occurrences[ch] = occurrences.get(ch, 0) | (1 << i)
+    m = len(pattern)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    plus, minus, distance = mask, 0, m
+    for ch in text:
+        eq = occurrences.get(ch, 0)
+        diag = eq | minus
+        horiz = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horiz | plus)
+        h_minus = plus & horiz
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = ((h_plus << 1) | 1) & mask
+        plus = ((h_minus << 1) | ~(diag | h_plus)) & mask
+        minus = h_plus & diag
+    return 1.0 - distance / m
 
 
 def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
@@ -91,17 +115,20 @@ def _ngrams(text: str, n: int) -> set[str]:
     return {padded[i : i + n] for i in range(len(padded) - n + 1)}
 
 
+def set_jaccard(a: frozenset | set, b: frozenset | set) -> float:
+    """|A∩B| / |A∪B| from one intersection; 0.0 when both sets are empty."""
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    return shared / union if union else 0.0
+
+
 def ngram_similarity(a: str, b: str, n: int = 3) -> float:
     """Jaccard similarity of padded character n-grams."""
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
-    grams_a, grams_b = _ngrams(a.lower(), n), _ngrams(b.lower(), n)
-    union = grams_a | grams_b
-    if not union:
-        return 0.0
-    return len(grams_a & grams_b) / len(union)
+    return set_jaccard(_ngrams(a.lower(), n), _ngrams(b.lower(), n))
 
 
 def tokenize_identifier(name: str) -> list[str]:
@@ -124,7 +151,24 @@ def token_similarity(a: str, b: str) -> float:
     """
     tokens_a = set(tokenize_identifier(a))
     tokens_b = set(tokenize_identifier(b))
-    union = tokens_a | tokens_b
-    if not union:
+    if not tokens_a and not tokens_b:
         return 1.0 if a == b else 0.0
-    return len(tokens_a & tokens_b) / len(union)
+    return set_jaccard(tokens_a, tokens_b)
+
+
+class NameFeatures:
+    """What the name measures need of one name, derived once.
+
+    A column-pair scorer that sees the same name in thousands of pairs
+    lower-cases, n-grams and tokenises it here a single time and feeds
+    the parts to :func:`levenshtein_similarity`,
+    :func:`jaro_winkler_similarity` and :func:`set_jaccard`.
+    """
+
+    __slots__ = ("name", "lowered", "trigrams", "tokens")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.lowered = name.lower()
+        self.trigrams = frozenset(_ngrams(self.lowered, 3))
+        self.tokens = frozenset(tokenize_identifier(name))

@@ -10,13 +10,21 @@ scale to lakes: profile once, match many times.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..dataframe import Column, DType, Table
 
-__all__ = ["ColumnProfile", "TableProfile", "profile_column", "profile_table"]
+__all__ = [
+    "ColumnProfile",
+    "TableProfile",
+    "ProfileCache",
+    "profile_column",
+    "profile_table",
+]
 
 SKETCH_SIZE = 256
 MINHASH_PERMUTATIONS = 64
@@ -140,3 +148,49 @@ def profile_table(table: Table) -> TableProfile:
             for name in table.column_names
         ),
     )
+
+
+class ProfileCache:
+    """Per-table memo of ``factory(table)``, safe against ``id()`` reuse.
+
+    Entries are keyed on ``id(table)`` (tables are unhashable by value and
+    must not be kept alive by a matcher) but guarded by a weak reference:
+    a bare id() key can be silently reused for a *different* table once
+    the original is garbage-collected, serving a stale profile.  The
+    stored weakref proves the entry still belongs to this exact object,
+    and its callback evicts the entry when the table dies (unless the
+    slot was already re-occupied by a live table).
+
+    The callback reaches the cache through a weak reference only, so the
+    cache — and the matcher owning it — is never part of a reference
+    cycle and is freed by refcount the moment its owner is dropped.
+    """
+
+    def __init__(self, factory: Callable[[Table], object] = profile_table):
+        self._factory = factory
+        self._entries: dict[int, tuple[weakref.ref[Table], object]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __call__(self, table: Table):
+        """The cached ``factory(table)``, computed on first sight."""
+        key = id(table)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0]() is table:
+            return entry[1]
+        value = self._factory(table)
+        cache_ref = weakref.ref(self)
+
+        def evict(ref: weakref.ref) -> None:
+            cache = cache_ref()
+            if cache is not None:
+                cache._evict(key, ref)
+
+        self._entries[key] = (weakref.ref(table, evict), value)
+        return value
+
+    def _evict(self, key: int, ref: weakref.ref) -> None:
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is ref:
+            del self._entries[key]

@@ -8,13 +8,11 @@ were truncated.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
-from .profiles import ColumnProfile, TableProfile, profile_table
+from .profiles import ColumnProfile, ProfileCache, TableProfile
 
 __all__ = [
     "sketch_jaccard",
@@ -26,12 +24,19 @@ __all__ = [
 ]
 
 
+def _jaccard(shared: int, size_a: int, size_b: int) -> float:
+    union = size_a + size_b - shared
+    return shared / union if union else 0.0
+
+
+def _containment(shared: int, size_a: int, size_b: int) -> float:
+    smaller = min(size_a, size_b)
+    return shared / smaller if smaller else 0.0
+
+
 def sketch_jaccard(a: ColumnProfile, b: ColumnProfile) -> float:
     """Exact Jaccard over the (bounded) distinct-value sketches."""
-    union = a.sketch | b.sketch
-    if not union:
-        return 0.0
-    return len(a.sketch & b.sketch) / len(union)
+    return _jaccard(len(a.sketch & b.sketch), len(a.sketch), len(b.sketch))
 
 
 def sketch_containment(a: ColumnProfile, b: ColumnProfile) -> float:
@@ -41,10 +46,7 @@ def sketch_containment(a: ColumnProfile, b: ColumnProfile) -> float:
     foreign key fully contained in a 10000-value primary key is perfectly
     joinable despite tiny Jaccard.
     """
-    smaller = min(len(a.sketch), len(b.sketch))
-    if smaller == 0:
-        return 0.0
-    return len(a.sketch & b.sketch) / smaller
+    return _containment(len(a.sketch & b.sketch), len(a.sketch), len(b.sketch))
 
 
 def minhash_jaccard(a: ColumnProfile, b: ColumnProfile) -> float:
@@ -74,12 +76,18 @@ def instance_similarity(a: ColumnProfile, b: ColumnProfile) -> float:
     Containment is the joinability signal; Jaccard tempers it so that a
     tiny sketch trivially contained in a huge one does not score 1.0
     outright.  Incompatible dtypes (string vs numeric) score 0.
+
+    The two sketches are intersected once; both measures are quotients
+    of that count and the two sketch sizes (|A∪B| = |A| + |B| − |A∩B|),
+    the same integers :func:`sketch_containment` and
+    :func:`sketch_jaccard` divide.
     """
     if a.dtype.is_numeric != b.dtype.is_numeric:
         return 0.0
-    containment = sketch_containment(a, b)
-    jaccard = sketch_jaccard(a, b)
-    return 0.7 * containment + 0.3 * jaccard
+    shared, size_a, size_b = len(a.sketch & b.sketch), len(a.sketch), len(b.sketch)
+    return 0.7 * _containment(shared, size_a, size_b) + 0.3 * _jaccard(
+        shared, size_a, size_b
+    )
 
 
 class ValueOverlapMatcher:
@@ -99,23 +107,7 @@ class ValueOverlapMatcher:
                 f"min_score must be within [0, 1], got {min_score}"
             )
         self._min_score = min_score
-        # Same weakref-guarded id-keyed cache recipe as ComaMatcher.
-        self._profile_cache: dict[int, tuple[weakref.ref[Table], TableProfile]] = {}
-
-    def _evict_profile(self, key: int, ref: weakref.ref) -> None:
-        entry = self._profile_cache.get(key)
-        if entry is not None and entry[0] is ref:
-            del self._profile_cache[key]
-
-    def _profiles(self, table: Table) -> TableProfile:
-        key = id(table)
-        entry = self._profile_cache.get(key)
-        if entry is not None and entry[0]() is table:
-            return entry[1]
-        profile = profile_table(table)
-        ref = weakref.ref(table, lambda r, key=key: self._evict_profile(key, r))
-        self._profile_cache[key] = (ref, profile)
-        return profile
+        self._profiles = ProfileCache()
 
     def match_profiles(
         self, profiles_a: TableProfile, profiles_b: TableProfile

@@ -1,14 +1,31 @@
 """Unit tests for the COMA-style composite matcher."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
-import repro.discovery.coma as coma_module
+import repro.discovery.profiles as profiles_module
 from repro.dataframe import Table
-from repro.discovery import ComaMatcher
+from repro.discovery import (
+    CandidateFilteredMatcher,
+    ComaMatcher,
+    DistributionMatcher,
+    LazoMatcher,
+    ValueOverlapMatcher,
+    profile_table,
+)
+from repro.discovery.coma import _NameScoreMemo
 from repro.errors import DiscoveryError
+
+ALL_MATCHERS = [
+    ComaMatcher,
+    ValueOverlapMatcher,
+    CandidateFilteredMatcher,
+    LazoMatcher,
+    DistributionMatcher,
+]
 
 
 @pytest.fixture
@@ -87,9 +104,9 @@ class TestMatching:
     def test_profile_cache_reused(self, tables):
         matcher = ComaMatcher()
         matcher.match(*tables)
-        cached = len(matcher._profile_cache)
+        cached = len(matcher._profiles)
         matcher.match(*tables)
-        assert len(matcher._profile_cache) == cached
+        assert len(matcher._profiles) == cached
 
     def test_invalid_weights_raise(self):
         with pytest.raises(DiscoveryError):
@@ -97,56 +114,135 @@ class TestMatching:
 
 
 class TestProfileCache:
+    """Every matcher's per-table cache is one ``ProfileCache``."""
+
     def test_same_object_profiled_once(self, tables, monkeypatch):
         calls = []
-        real = coma_module.profile_table
+        real = profiles_module.profile_column
 
-        def counting(table):
-            calls.append(table.name)
-            return real(table)
+        def counting(column, table_name, column_name):
+            calls.append((table_name, column_name))
+            return real(column, table_name, column_name)
 
-        monkeypatch.setattr(coma_module, "profile_table", counting)
+        monkeypatch.setattr(profiles_module, "profile_column", counting)
         matcher = ComaMatcher()
         matcher.match(*tables)
         matcher.match(*tables)
-        assert sorted(calls) == ["applicants", "credit"]
+        assert sorted(calls) == sorted(
+            (table.name, column) for table in tables for column in table.column_names
+        )
 
     def test_entry_evicted_when_table_dies(self):
         matcher = ComaMatcher()
         table = Table({"key": list(range(50))}, name="ephemeral")
         matcher._profiles(table)
-        assert len(matcher._profile_cache) == 1
+        assert len(matcher._profiles) == 1
         del table
         gc.collect()
-        assert matcher._profile_cache == {}
+        assert len(matcher._profiles) == 0
 
     def test_id_reuse_does_not_serve_stale_profile(self):
         # Simulate CPython reusing a dead table's id() for a new table:
         # plant table a's cache entry under table b's key.  The weakref
         # guard must notice the mismatch and re-profile instead of serving
         # a's profile for b.
-        matcher = ComaMatcher()
+        cache = ComaMatcher()._profiles
         a = Table({"alpha": list(range(40))}, name="a")
         b = Table({"beta": list(range(40, 80))}, name="b")
-        matcher._profiles(a)
-        matcher._profile_cache[id(b)] = matcher._profile_cache.pop(id(a))
-        profile = matcher._profiles(b)
+        cache(a)
+        cache._entries[id(b)] = cache._entries.pop(id(a))
+        profile = cache(b)
         assert profile.table_name == "b"
         assert [c.column_name for c in profile.columns] == ["beta"]
 
     def test_dead_ref_eviction_skips_reoccupied_slot(self):
         # If an entry was already replaced (same id, new live table), the
         # dying table's callback must not evict the newcomer's entry.
-        matcher = ComaMatcher()
+        cache = ComaMatcher()._profiles
         a = Table({"alpha": list(range(30))}, name="a")
-        matcher._profiles(a)
+        cache(a)
         key = id(a)
-        stale_ref = matcher._profile_cache[key][0]
+        stale_ref = cache._entries[key][0]
         b = Table({"beta": list(range(30))}, name="b")
-        profile_b = coma_module.profile_table(b)
-        matcher._profile_cache[key] = (coma_module.weakref.ref(b), profile_b)
-        matcher._evict_profile(key, stale_ref)
-        assert matcher._profile_cache[key][1] is profile_b
+        profile_b = profile_table(b)
+        cache._entries[key] = (weakref.ref(b), profile_b)
+        cache._evict(key, stale_ref)
+        assert cache._entries[key][1] is profile_b
+
+    @pytest.mark.parametrize("matcher_class", [LazoMatcher, DistributionMatcher])
+    def test_recycled_address_is_reprofiled(self, matcher_class):
+        # The real thing, no planting: a dies, b is allocated at a's
+        # address.  A cache keyed on a bare id() answers for b with what it
+        # remembered of a (LazoMatcher: the shared key, DistributionMatcher:
+        # a's uniform quantile shape).
+        matcher = matcher_class()
+        other = Table({"k": list(range(50))}, name="other")
+        for _ in range(50):
+            a = Table({"k": list(range(50))}, name="a")
+            assert matcher.match(a, other) == [("k", "k", 1.0)]
+            stale = id(a)
+            # Built before a dies so that the freed block goes to b itself.
+            columns = {"k": [1000 + i**3 for i in range(50)]}
+            del a
+            b = Table(columns, name="b")
+            if id(b) == stale:
+                break
+        else:
+            pytest.skip("the allocator never handed the freed address back")
+        assert matcher.match(b, other) == matcher_class().match(b, other)
+        assert matcher.match(b, other) != [("k", "k", 1.0)]
+
+    @pytest.mark.parametrize("matcher_class", ALL_MATCHERS)
+    def test_matcher_dies_by_refcount(self, matcher_class, tables):
+        # No reference cycle through the eviction callback: dropping the
+        # last reference frees the matcher (profiles, memo and all) at
+        # once, without waiting for a cyclic collection.
+        gc.collect()
+        gc.disable()
+        try:
+            matcher = matcher_class()
+            matcher.match(*tables)
+            alive = weakref.ref(matcher)
+            del matcher
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+class TestNameScoreMemo:
+    def test_ordered_pairs_are_separate_entries(self):
+        memo = _NameScoreMemo()
+        memo.score("credit_ref", "credit_key")
+        assert ("credit_ref", "credit_key") in memo._scores
+        assert ("credit_key", "credit_ref") not in memo._scores
+        memo.score("credit_key", "credit_ref")
+        assert len(memo) == 2
+
+    def test_second_matcher_starts_empty(self, tables):
+        first = ComaMatcher()
+        first.match(*tables)
+        assert len(first._name_scores) > 0
+        assert len(ComaMatcher()._name_scores) == 0
+
+    def test_never_exceeds_its_bound(self):
+        memo = _NameScoreMemo(max_pairs=5)
+        names = [f"column_{i}" for i in range(6)]
+        for a in names:
+            for b in names:
+                memo.score(a, b)
+                assert len(memo) <= 5
+                assert len(memo._features) <= 10
+
+    def test_bound_does_not_change_results(self, tables):
+        default, tiny = ComaMatcher(), ComaMatcher()
+        tiny._name_scores = _NameScoreMemo(max_pairs=1)
+        for pair in (tables, tables[::-1], tables):
+            assert tiny.match(*pair) == default.match(*pair)
+        assert len(tiny._name_scores) == 1
+
+    def test_invalid_bound_raises(self):
+        with pytest.raises(DiscoveryError):
+            _NameScoreMemo(max_pairs=0)
 
 
 class TestScoreComposition:

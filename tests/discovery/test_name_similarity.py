@@ -1,7 +1,7 @@
 """Unit tests for name-based similarity measures."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.discovery import (
@@ -11,8 +11,15 @@ from repro.discovery import (
     token_similarity,
     tokenize_identifier,
 )
+from repro.discovery.coma import _name_score
+from repro.discovery.name_similarity import NameFeatures, _ngrams
 
 identifiers = st.text(alphabet="abcdefgh_XYZ0123", min_size=0, max_size=12)
+#: Arbitrary unicode, plus long strings over a tiny alphabet so that pairs
+#: beyond one 64-bit word still share long runs.
+any_text = st.one_of(
+    st.text(max_size=24), st.text(alphabet="ab_", min_size=40, max_size=200)
+)
 
 ALL_MEASURES = [
     levenshtein_similarity,
@@ -121,3 +128,88 @@ class TestProperties:
     @given(a=identifiers)
     def test_identity(self, measure, a):
         assert measure(a, a) == 1.0
+
+
+def _reference_levenshtein_similarity(a: str, b: str) -> float:
+    """The cell-by-cell DP ``levenshtein_similarity`` was before the
+    bit-vector recurrence; kept here as the oracle."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    distance = previous[-1]
+    return 1.0 - distance / max(len(a), len(b))
+
+
+def _reference_name_score(a: str, b: str) -> float:
+    """COMA's per-pair name aggregate as it was computed from raw names,
+    with the set measures spelled out over explicit unions."""
+    if a == b:
+        ngram = 1.0
+    elif not a or not b:
+        ngram = 0.0
+    else:
+        grams_a, grams_b = _ngrams(a.lower(), 3), _ngrams(b.lower(), 3)
+        ngram = len(grams_a & grams_b) / len(grams_a | grams_b)
+    tokens_a, tokens_b = set(tokenize_identifier(a)), set(tokenize_identifier(b))
+    union = tokens_a | tokens_b
+    if union:
+        token = len(tokens_a & tokens_b) / len(union)
+    else:
+        token = 1.0 if a == b else 0.0
+    average = (
+        _reference_levenshtein_similarity(a.lower(), b.lower())
+        + jaro_winkler_similarity(a.lower(), b.lower())
+        + ngram
+    ) / 3.0
+    return max(average, token)
+
+
+class TestExactness:
+    """The fast paths return the very floats the replaced code returned."""
+
+    @given(a=any_text, b=any_text)
+    @example(a="", b="")
+    @example(a="", b="x")
+    @example(a="x", b="y")
+    @example(a="x", b="x")
+    @example(a="ab" * 40, b="ab" * 40)
+    @example(a="ab" * 40, b="ba" * 45)
+    @example(a="k" * 64, b="k" * 65)
+    @example(a="x" + "k" * 127, b="k" * 128 + "y")
+    def test_bit_vector_levenshtein_equals_reference_dp(self, a, b):
+        assert levenshtein_similarity(a, b) == _reference_levenshtein_similarity(a, b)
+
+    @given(a=st.one_of(identifiers, any_text), b=st.one_of(identifiers, any_text))
+    @example(a="", b="__")
+    @example(a="__", b="__")
+    @example(a="_", b="__")
+    @example(a="CreditID", b="credit_id")
+    @example(a="Name", b="name")
+    @example(a="İd", b="i̇d")
+    def test_feature_path_name_score_equals_per_pair_composition(self, a, b):
+        assert _name_score(NameFeatures(a), NameFeatures(b)) == _reference_name_score(
+            a, b
+        )
+
+    @given(a=identifiers, b=identifiers)
+    def test_set_measures_equal_explicit_union_quotients(self, a, b):
+        grams_a, grams_b = _ngrams(a.lower(), 3), _ngrams(b.lower(), 3)
+        if a != b and a and b:
+            assert ngram_similarity(a, b) == len(grams_a & grams_b) / len(
+                grams_a | grams_b
+            )
+        tokens_a, tokens_b = set(tokenize_identifier(a)), set(tokenize_identifier(b))
+        if tokens_a | tokens_b:
+            assert token_similarity(a, b) == len(tokens_a & tokens_b) / len(
+                tokens_a | tokens_b
+            )

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.dataframe import Column, Table
 from repro.discovery import profile_column, profile_table
-from repro.discovery.profiles import MINHASH_PERMUTATIONS, SKETCH_SIZE
+from repro.discovery.profiles import MINHASH_PERMUTATIONS, SKETCH_SIZE, ProfileCache
 
 
 class TestProfileColumn:
@@ -68,3 +68,38 @@ class TestProfileTable:
     def test_column_lookup(self):
         t = Table({"a": [1]}, name="demo")
         assert profile_table(t).column("a").column_name == "a"
+
+
+class TestProfileCacheClass:
+    def test_computes_once_per_live_table(self):
+        calls = []
+        cache = ProfileCache(lambda table: calls.append(table.name) or len(calls))
+        a, b = Table({"x": [1]}, name="a"), Table({"x": [1]}, name="b")
+        assert [cache(a), cache(b), cache(a), cache(b)] == [1, 2, 1, 2]
+        assert calls == ["a", "b"]
+        assert len(cache) == 2
+
+    def test_default_factory_profiles_the_table(self):
+        table = Table({"x": [1, 2]}, name="t")
+        cache = ProfileCache()
+        assert cache(table) is cache(table)
+        assert cache(table).table_name == "t"
+
+    def test_equal_tables_are_distinct_entries(self):
+        cache = ProfileCache()
+        a, b = Table({"x": [1]}, name="t"), Table({"x": [1]}, name="t")
+        assert cache(a) is not cache(b)
+
+    def test_does_not_keep_tables_alive(self):
+        cache = ProfileCache()
+        table = Table({"x": [1]}, name="t")
+        cache(table)
+        del table
+        assert len(cache) == 0
+
+    def test_outliving_tables_do_not_touch_a_dead_cache(self):
+        table = Table({"x": [1]}, name="t")
+        cache = ProfileCache()
+        cache(table)
+        del cache
+        del table  # the eviction callback finds its cache gone

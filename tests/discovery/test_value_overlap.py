@@ -102,3 +102,19 @@ class TestInstanceSimilarity:
             a = prof(list(rng.integers(0, 30, 20)), "a")
             b = prof(list(rng.integers(0, 30, 20)), "b")
             assert 0.0 <= instance_similarity(a, b) <= 1.0
+
+    def test_one_intersection_equals_the_two_measures(self):
+        # The composite intersects the sketches once; the floats must be
+        # the ones the two public measures give, with the union spelled out.
+        rng = np.random.default_rng(2)
+        sizes = [0, 1, 3, 20, 300]
+        for size_a in sizes:
+            for size_b in sizes:
+                a = prof([int(v) for v in rng.integers(0, 400, size_a)], "a")
+                b = prof([int(v) for v in rng.integers(0, 400, size_b)], "b")
+                union = a.sketch | b.sketch
+                jaccard = len(a.sketch & b.sketch) / len(union) if union else 0.0
+                assert sketch_jaccard(a, b) == jaccard
+                assert instance_similarity(a, b) == (
+                    0.7 * sketch_containment(a, b) + 0.3 * jaccard
+                )
