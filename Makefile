@@ -1,8 +1,8 @@
-.PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-engine bench-selection bench-parallel bench-service bench-chunked bench-anytime bench-sketch
+.PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-parallel bench-service bench-chunked bench-anytime bench-sketch
 
-# Every subsystem fast gate (suites + smoke-mode micro-bench, which writes
-# no tracked file), the end-to-end benchmark smoke and the tier-1 tests;
-# fails if the run changes what `git status --porcelain` reports.
+# The tier-1 tests (once), the smoke-mode micro-benches (which write no
+# tracked file), the trace / experiment smokes and the end-to-end benchmark
+# smoke; fails if the run changes what `git status --porcelain` reports.
 check:
 	scripts/check.sh
 
@@ -33,12 +33,13 @@ test-service:
 
 # Fast gate: dictionary-encoding + out-of-core suites (KeyDictionary
 # interning and cross-table alignment, chunked executor, spill manager,
-# encoded-vs-scalar hypothesis parity) plus the chunked-join micro-bench
-# in smoke mode (kernel parity, >=2x build+probe speedup, spilling
-# bounded-memory run).
+# hypothesis parity of the encoded kernels against the dict-based join
+# reference) plus the chunked-join micro-bench in smoke mode (spilling
+# bounded-memory run, rankings identical to in-core).
 test-chunked:
 	PYTHONPATH=src python -m pytest -q tests/dataframe/test_encoding.py \
-		tests/engine/test_chunked.py tests/engine/test_encoded_parity.py
+		tests/dataframe/test_join_reference.py tests/engine/test_chunked.py \
+		tests/engine/test_encoded_parity.py
 	PYTHONPATH=src python benchmarks/bench_chunked_join.py --smoke
 
 # Fast gate: anytime budgeted-navigation suites (UCB frontier, run
@@ -86,15 +87,6 @@ bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 	python3 -m pytest -q benchmarks/e2e
 
-# Full engine-cache benchmark (several lakes); writes BENCH_engine_cache.json.
-bench-engine:
-	PYTHONPATH=src python benchmarks/bench_engine_cache.py
-
-# Full selection-kernel benchmark (kernels on vs off, parity-gated); writes
-# BENCH_selection_kernels.json.
-bench-selection:
-	PYTHONPATH=src python benchmarks/bench_selection_kernels.py
-
 # Full parallel-discovery benchmark (serial vs threads vs processes at 4
 # workers; parity- and speedup-gated); writes BENCH_parallel_discovery.json.
 bench-parallel:
@@ -106,9 +98,8 @@ bench-parallel:
 bench-service:
 	PYTHONPATH=src python benchmarks/bench_service.py
 
-# Full chunked-join benchmark (encoded kernels vs scalar over three lakes,
-# discovery parity, 100k-row bounded-memory spill run; parity- and
-# >=2x-speedup-gated); writes BENCH_chunked_join.json.
+# Full chunked-join benchmark (100k-row bounded-memory spill run; spill-
+# and in-core-parity-gated); writes BENCH_chunked_join.json.
 bench-chunked:
 	PYTHONPATH=src python benchmarks/bench_chunked_join.py
 

@@ -128,7 +128,7 @@ def join_neighbor(
     if not options:
         return None
     if engine is None:
-        engine = JoinEngine(drg, seed=seed, enable_cache=False)
+        engine = JoinEngine(drg, seed=seed)
 
     def hop() -> tuple[Table, list[str]]:
         return engine.apply_hop(current, options[0], base_name)

@@ -139,7 +139,6 @@ def run_join_all(
                     k=kappa,
                     metric="spearman",
                     seed=seed,
-                    use_kernels=True,
                     counters=counters,
                 )
             fs_seconds = (

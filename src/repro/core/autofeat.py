@@ -99,13 +99,11 @@ class AutoFeat:
         engine = JoinEngine(
             self.drg,
             seed=config.seed,
-            enable_cache=config.enable_hop_cache,
             hop_timeout_seconds=config.hop_timeout_seconds,
             max_output_rows=config.max_hop_output_rows,
             tracer=tracer,
             hop_latency_seconds=config.hop_latency_seconds,
             cache=self.hop_cache,
-            use_dict_keys=config.enable_dict_keys,
             chunk_rows=config.chunk_rows,
             memory_budget_bytes=config.memory_budget_bytes,
             spill_dir=config.spill_dir,
@@ -224,11 +222,10 @@ class AutoFeat:
 
         All hops execute through one :class:`JoinEngine`, so a right-hand
         table reached by many paths is deduped and indexed only once per
-        run (when ``config.enable_hop_cache`` is on); the engine's counters
-        are returned on ``DiscoveryResult.engine_stats``.  Feature scoring
-        likewise runs through one :class:`StreamingFeatureSelector` whose
-        vectorised kernels and persistent code cache
-        (``config.enable_selection_kernels``) amortise discretisation and
+        run; the engine's counters are returned on
+        ``DiscoveryResult.engine_stats``.  Feature scoring likewise runs
+        through one :class:`StreamingFeatureSelector` whose vectorised
+        kernels and persistent code cache amortise discretisation and
         ranking across all hops; its counters are returned on
         ``DiscoveryResult.selection_stats``.
 

@@ -61,19 +61,6 @@ class AutoFeatConfig:
     traversal:
         ``"bfs"`` (the paper's choice, Section IV-A) or ``"dfs"`` — kept as
         a switch for the traversal ablation.
-    enable_hop_cache:
-        Reuse deduped right-hand tables and their join indexes across all
-        paths of one run (the :class:`repro.engine.HopCache`).  Results are
-        bit-identical with the cache on or off — deduplication is
-        deterministic in ``(table, key, seed)`` — so this flag exists for
-        exact A/B verification and for bounding memory on huge lakes.
-    enable_selection_kernels:
-        Score relevance/redundancy through the vectorised kernels and the
-        persistent code cache of :mod:`repro.selection.kernels` instead of
-        the scalar per-column path.  Scores are bit-identical either way
-        (the kernels perform the same floating-point operations on the
-        same buffers), so this flag exists for exact A/B verification —
-        ``benchmarks/bench_selection_kernels.py`` asserts ranking parity.
     failure_policy:
         How a run reacts to hop/path failures (budget blowups, injected
         faults, and — during training — full-table materialisation
@@ -121,14 +108,6 @@ class AutoFeatConfig:
         knob: it models a lake whose tables are fetched over a network
         and is what lets ``bench_parallel_discovery`` measure backend
         speedups machine-independently.
-    enable_dict_keys:
-        Build and probe join indexes on dictionary-encoded int32 key codes
-        (:class:`repro.dataframe.KeyDictionary`) instead of a Python dict
-        of boxed scalars.  Results are bit-identical either way — the
-        encoded kernels reproduce the seed-deterministic dedup
-        representatives exactly — so this flag exists for exact A/B
-        verification; ``benchmarks/bench_chunked_join.py`` gates the
-        speedup.
     chunk_rows:
         When set, join hops whose probe side exceeds this many rows stream
         through the out-of-core executor
@@ -209,8 +188,6 @@ class AutoFeatConfig:
     use_redundancy: bool = True
     sample_size: int = 1000
     traversal: str = "bfs"
-    enable_hop_cache: bool = True
-    enable_selection_kernels: bool = True
     failure_policy: str = "skip_and_record"
     error_budget: int = DEFAULT_ERROR_BUDGET
     max_retries: int = DEFAULT_MAX_RETRIES
@@ -219,7 +196,6 @@ class AutoFeatConfig:
     parallel_backend: str = "serial"
     max_workers: int | None = None
     hop_latency_seconds: float = 0.0
-    enable_dict_keys: bool = True
     chunk_rows: int | None = None
     memory_budget_bytes: int | None = None
     spill_dir: str | None = None

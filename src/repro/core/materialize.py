@@ -43,7 +43,7 @@ def apply_hop(
     the hop sequence included in the error message.
     """
     if engine is None:
-        engine = JoinEngine(drg, seed=seed, enable_cache=False)
+        engine = JoinEngine(drg, seed=seed)
     return engine.apply_hop(current, edge, base_name, path=path)
 
 
@@ -60,5 +60,5 @@ def materialize_path(
     that hop contributed.
     """
     if engine is None:
-        engine = JoinEngine(drg, seed=seed, enable_cache=False)
+        engine = JoinEngine(drg, seed=seed)
     return engine.materialize_path(path, base_table)

@@ -14,13 +14,15 @@ the global ``R_sel`` of Algorithm 1.  Join-column features are exempt from
 elimination because they carry the path (Section V-A); they are simply
 never offered to the selector.
 
-When ``config.enable_selection_kernels`` is on (the default), scoring runs
-through the vectorised kernels of :mod:`repro.selection.kernels` and a
-**persistent code cache**: the discretised codes (and entropy terms) of
-the label and every accepted feature are stored once at acceptance time,
-so the redundancy stage stops re-binning the entire selected set — an
-O(|S|·n) cost that grows quadratically over a traversal — on every hop.
-Scores are bit-identical with the kernels on or off; the
+Scoring runs through the vectorised kernels of
+:mod:`repro.selection.kernels` and a **persistent code cache**: the
+discretised codes (and entropy terms) of the label and every accepted
+feature are stored once at acceptance time, so the redundancy stage does
+not re-bin the entire selected set — an O(|S|·n) cost that would grow
+quadratically over a traversal — on every hop.  Scores are bit-identical
+to the scalar :func:`~repro.selection.relevance_scores` /
+:func:`~repro.selection.redundancy_scores` estimators
+(``tests/selection/test_kernels.py`` holds them so); the
 :class:`repro.selection.SelectionStats` counters on :attr:`stats` record
 how much work the cache saved.
 
@@ -43,7 +45,6 @@ import numpy as np
 
 from ..errors import SelectionError
 from ..selection.kernels import SelectionCodeCache, batch_redundancy_scores
-from ..selection.redundancy import redundancy_scores
 from ..selection.select_k_best import select_k_best
 from ..selection.stats import SelectionCounters, SelectionStats
 from .config import AutoFeatConfig
@@ -80,14 +81,8 @@ class StreamingFeatureSelector:
         self._label = label
         self._selected_names: list[str] = []
         self._selected_set: set[str] = set()
-        self._selected_columns: list[np.ndarray] = []
         self._counters = SelectionCounters()
-        self._use_kernels = config.enable_selection_kernels
-        self._code_cache = (
-            SelectionCodeCache(label, self._counters)
-            if self._use_kernels
-            else None
-        )
+        self._code_cache = SelectionCodeCache(label, self._counters)
 
     @property
     def selected_names(self) -> list[str]:
@@ -110,9 +105,7 @@ class StreamingFeatureSelector:
     def _accept(self, name: str, column: np.ndarray) -> None:
         self._selected_names.append(name)
         self._selected_set.add(name)
-        self._selected_columns.append(column)
-        if self._code_cache is not None:
-            self._code_cache.add(column)
+        self._code_cache.add(column)
 
     def seed_with(self, names: list[str], matrix: np.ndarray) -> None:
         """Initialise the selected set with the base table's features."""
@@ -124,11 +117,6 @@ class StreamingFeatureSelector:
             )
         for i, name in enumerate(names):
             self._accept(name, matrix[:, i])
-
-    def _selected_matrix(self) -> np.ndarray | None:
-        if not self._selected_columns:
-            return None
-        return np.column_stack(self._selected_columns)
 
     def process_batch(self, names: list[str], matrix: np.ndarray) -> StageOutcome:
         """Run relevance then redundancy on one batch of new features.
@@ -159,7 +147,6 @@ class StreamingFeatureSelector:
                 metric=config.relevance_metric,
                 min_score=config.min_relevance,
                 seed=config.seed,
-                use_kernels=self._use_kernels,
                 counters=self._counters,
             )
             relevant_idx = list(outcome.indices)
@@ -174,20 +161,12 @@ class StreamingFeatureSelector:
 
         candidate_matrix = matrix[:, relevant_idx]
         if config.use_redundancy:
-            if self._code_cache is not None:
-                scores = batch_redundancy_scores(
-                    candidate_matrix,
-                    self._code_cache,
-                    method=config.redundancy_method,
-                    counters=self._counters,
-                )
-            else:
-                scores = redundancy_scores(
-                    candidate_matrix,
-                    self._selected_matrix(),
-                    self._label,
-                    method=config.redundancy_method,
-                )
+            scores = batch_redundancy_scores(
+                candidate_matrix,
+                self._code_cache,
+                method=config.redundancy_method,
+                counters=self._counters,
+            )
             scored_keep = [
                 (i, float(s)) for i, s in enumerate(scores) if s > 0.0
             ]

@@ -15,14 +15,14 @@ integer kernels:
   code table.
 
 Null handling uses a sentinel: masked entries encode to :data:`CODE_NULL`
-(-1) and therefore never match, exactly like the scalar path's
-``value is None`` checks.
+(-1) and therefore never match.  A NaN float key is a null for join
+purposes — NaN equals no probe value — so it encodes to
+:data:`CODE_NULL` as well, masked or not.
 
 Key normalisation — the rule that makes ``1``, ``1.0`` and ``np.int64(1)``
 join-equal while ``"1"`` stays distinct — is centralised here in
-:func:`normalize_key` (formerly the private ``_key_of`` inside
-``join.py``); the scalar join path now delegates to it, so the two
-implementations cannot drift.
+:func:`normalize_key`; scalar probes and the dict-based reference under
+``tests/`` call the same function, so the definitions cannot drift.
 
 Cross-table alignment: the two sides of a DRG edge may store their keys in
 different dtypes (INT child key probing a FLOAT parent key and so on).
@@ -34,10 +34,10 @@ match under :func:`normalize_key` — short-circuit to all-unmatched.
 
 Determinism contract: encoding is a pure function of the column's values
 and mask.  The code assigned to a key is its rank in the sorted key
-universe, the dedup representative is chosen by the same per-key CRC-seeded
-RNG as the scalar path, and the scalar path remains available as the
-parity reference (``use_dict_keys=False``) — the hypothesis suite in
-``tests/engine/test_encoded_parity.py`` holds the two bit-identical.
+universe and the dedup representative is chosen by a per-key CRC-seeded
+RNG; the hypothesis suite in ``tests/engine/test_encoded_parity.py`` holds
+the kernels bit-identical to the dict-of-boxed-scalars reference in
+``tests/dataframe/test_join_reference.py``.
 """
 
 from __future__ import annotations
@@ -100,15 +100,10 @@ class KeyDictionary:
     """Interned key universe of one column: sorted values + dense codes.
 
     Codes are ranks in the sorted distinct-key universe (``int32``), so
-    ``codes[i] < codes[j]`` iff key *i* sorts before key *j*; nulls carry
-    :data:`CODE_NULL`.  Instances are immutable and safe to share across
-    threads (the lazily built scalar lookup is a benign idempotent race).
-
-    Build via :meth:`from_column`, which returns ``None`` for the rare
-    column shape the vectorised kernels cannot represent faithfully
-    (a FLOAT column with *unmasked* NaN values: the scalar path gives each
-    such row its own never-matching group, which has no dense-code
-    analogue) — callers fall back to the scalar join path in that case.
+    ``codes[i] < codes[j]`` iff key *i* sorts before key *j*; nulls (and
+    NaN float keys) carry :data:`CODE_NULL`.  Instances are immutable and
+    safe to share across threads (the lazily built scalar lookup is a
+    benign idempotent race).  Build via :meth:`from_column`.
     """
 
     __slots__ = ("codes", "_values", "_space", "_dtype", "_lookup")
@@ -120,7 +115,7 @@ class KeyDictionary:
         space: str,
         dtype: DType,
     ):
-        #: Per-source-row int32 codes; CODE_NULL at masked entries.
+        #: Per-source-row int32 codes; CODE_NULL at masked and NaN entries.
         self.codes = codes
         self._values = values
         self._space = space
@@ -128,19 +123,17 @@ class KeyDictionary:
         self._lookup: dict[Any, int] | None = None
 
     @classmethod
-    def from_column(cls, column: Column) -> "KeyDictionary | None":
+    def from_column(cls, column: Column) -> "KeyDictionary":
         """Intern ``column``'s non-null values into dense sorted codes.
 
-        Returns ``None`` when the column cannot be dictionary-encoded
-        without changing join semantics (unmasked NaN keys — see the class
-        docstring); every other shape, including empty columns, encodes.
+        A NaN key can never equal a probe value, so an unmasked NaN in a
+        FLOAT column is a null for join purposes and gets
+        :data:`CODE_NULL` like a masked entry.
         """
-        mask = column.mask
         values = _space_values(column)
-        if column.dtype is DType.FLOAT and len(values):
-            if bool(np.isnan(values[~mask]).any()):
-                return None
-        valid = ~mask
+        valid = ~column.mask
+        if column.dtype is DType.FLOAT:
+            valid &= ~np.isnan(values)
         present = values[valid]
         uniques, inverse = np.unique(present, return_inverse=True)
         codes = np.full(len(values), CODE_NULL, dtype=np.int32)

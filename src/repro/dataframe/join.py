@@ -18,16 +18,17 @@ reused across join paths:
   onto build-side row indices, and :meth:`JoinIndex.left_join` gathers the
   build columns onto a probe table.
 
-Both phases run on **dictionary-encoded keys** by default: the key column
-is interned once into dense int32 codes by a
+Both phases run on **dictionary-encoded keys**: the key column is interned
+once into dense int32 codes by a
 :class:`~repro.dataframe.encoding.KeyDictionary`, deduplication groups
 rows with one stable argsort over the codes, and probes are a
 ``searchsorted`` + gather over integers instead of a Python dict of boxed
-scalars.  The scalar path is kept verbatim behind ``use_dict_keys=False``
-as the bit-for-bit parity reference (and as the automatic fallback for the
-one column shape codes cannot represent, unmasked-NaN float keys).  Both
-paths pick dedup representatives through the same CRC-seeded per-key RNG,
-so their outputs are identical to the bit.
+scalars.  Their independent reference is the dict-of-boxed-scalars join in
+``tests/dataframe/test_join_reference.py``, which shares only
+:func:`~repro.dataframe.encoding.normalize_key` and
+:func:`_representative_index` (the CRC-seeded per-key RNG pick) with this
+module; the hypothesis suite in ``tests/engine/test_encoded_parity.py``
+holds the two identical to the bit.
 
 :func:`left_join` and :func:`inner_join` remain the one-shot wrappers
 (build + probe in a single call); the execution engine in
@@ -55,19 +56,13 @@ __all__ = [
     "join_key_null_ratio",
 ]
 
-#: Backward-compatible alias: key normalisation now lives centrally in
-#: :mod:`repro.dataframe.encoding` so the encoded and scalar paths share
-#: one definition (the former private ``_key_of``).
-_key_of = normalize_key
-
 
 def _representative_index(indices, key: Any, seed: int) -> int:
     """Deterministically pick one row index from a join-key group.
 
     A per-key RNG is derived from a CRC of the key and the global seed, so
-    the pick is stable across runs and independent of dict iteration order
-    — and of whether the group was assembled by the scalar or the encoded
-    kernel.
+    the pick is stable across runs and independent of how the group was
+    assembled (the encoded kernel here, or the dict-based test reference).
     """
     if len(indices) == 1:
         return indices[0]
@@ -82,8 +77,8 @@ def _encoded_dedup_picks(
     """Representative row per distinct code, sorted ascending.
 
     The vectorised core of :func:`dedup_by_key`: one stable argsort groups
-    the rows of every key (ascending row order within a group, exactly the
-    order the scalar path accumulates), singleton groups resolve without
+    the rows of every key (ascending row order within a group, the order
+    a row-by-row scan accumulates them), singleton groups resolve without
     touching Python, and only keys that actually have duplicates pay the
     per-key digest-seeded RNG pick.
     """
@@ -108,38 +103,17 @@ def _encoded_dedup_picks(
     return picks
 
 
-def _scalar_dedup_picks(column: Column, seed: int) -> np.ndarray:
-    """The per-row reference grouping (parity baseline for the encoded path)."""
-    groups: dict[Any, list[int]] = {}
-    for i, value in enumerate(column):
-        if value is None:
-            continue
-        groups.setdefault(normalize_key(value), []).append(i)
-    picks = sorted(
-        _representative_index(indices, key, seed) for key, indices in groups.items()
-    )
-    return np.asarray(picks, dtype=np.int64)
-
-
-def dedup_by_key(
-    table: Table, key_column: str, seed: int = 0, use_dict_keys: bool = True
-) -> Table:
+def dedup_by_key(table: Table, key_column: str, seed: int = 0) -> Table:
     """Reduce ``table`` to one representative row per value of ``key_column``.
 
     Rows whose key is null are dropped — they can never match a left join
-    probe.  The representative within each group is chosen deterministically
-    (see :func:`_representative_index`).  With ``use_dict_keys`` (the
-    default) grouping runs on interned int32 codes; ``False`` forces the
-    scalar reference path.  Outputs are bit-identical either way.
+    probe.  NaN float keys are dropped the same way: NaN equals no probe
+    value, so it is a null for join purposes.  The representative within
+    each group is chosen deterministically (see
+    :func:`_representative_index`).
     """
-    column = table.column(key_column)
-    if use_dict_keys:
-        dictionary = KeyDictionary.from_column(column)
-        if dictionary is not None:
-            return table.take(
-                _encoded_dedup_picks(dictionary.codes, dictionary, seed)
-            )
-    return table.take(_scalar_dedup_picks(column, seed))
+    dictionary = KeyDictionary.from_column(table.column(key_column))
+    return table.take(_encoded_dedup_picks(dictionary.codes, dictionary, seed))
 
 
 class JoinIndex:
@@ -149,13 +123,12 @@ class JoinIndex:
     many times — this is the unit the :class:`repro.engine.HopCache`
     memoizes across join paths.  The index is immutable after ``build``.
 
-    Two interchangeable backings exist: the **encoded** form carries the
-    key column's :class:`~repro.dataframe.encoding.KeyDictionary` plus a
-    dense ``code → build row`` gather table (``dictionary`` is non-None),
-    the **scalar** form a ``{normalised key: row}`` dict.  Probing an
-    encoded index with a :class:`Column` is fully vectorised; scalar
-    probes (arbitrary iterables, ``__contains__``) fall through to a
-    lazily derived dict either way.
+    The index carries the key column's
+    :class:`~repro.dataframe.encoding.KeyDictionary` plus a dense
+    ``code → build row`` gather table.  Probing with a :class:`Column` is
+    fully vectorised; scalar probes (arbitrary iterables,
+    ``__contains__``) go through a lazily derived
+    ``{normalised key: row}`` dict.
     """
 
     __slots__ = (
@@ -173,17 +146,16 @@ class JoinIndex:
         build_table: Table,
         key_column: str,
         seed: int,
-        index: dict[Any, int] | None,
         deduplicated: bool,
-        dictionary: KeyDictionary | None = None,
-        code_rows: np.ndarray | None = None,
+        dictionary: KeyDictionary,
+        code_rows: np.ndarray,
     ):
         self.build_table = build_table
         self.key_column = key_column
         self.seed = seed
         self.deduplicated = deduplicated
-        self._index = index
-        #: The key column's interned universe (None on the scalar path).
+        self._index: dict[Any, int] | None = None
+        #: The source key column's interned universe.
         self.dictionary = dictionary
         #: Dense gather table mapping a dictionary code to its build row.
         self._code_rows = code_rows
@@ -195,37 +167,18 @@ class JoinIndex:
         key_column: str,
         seed: int = 0,
         deduplicate: bool = True,
-        use_dict_keys: bool = True,
     ) -> "JoinIndex":
         """Deduplicate ``table`` on ``key_column`` and index the survivors.
 
         With ``deduplicate=False`` the table is taken as-is and a duplicate
         key raises :class:`JoinError` (a left join through it would
-        duplicate probe rows).  ``use_dict_keys=False`` forces the scalar
-        reference kernels; results are bit-identical, only speed differs.
+        duplicate probe rows).
         """
         if key_column not in table:
             raise JoinError(
                 f"right table {table.name!r} has no join column {key_column!r}"
             )
-        dictionary = (
-            KeyDictionary.from_column(table.column(key_column))
-            if use_dict_keys
-            else None
-        )
-        if dictionary is None:
-            return cls._build_scalar(table, key_column, seed, deduplicate)
-        return cls._build_encoded(table, key_column, seed, deduplicate, dictionary)
-
-    @classmethod
-    def _build_encoded(
-        cls,
-        table: Table,
-        key_column: str,
-        seed: int,
-        deduplicate: bool,
-        dictionary: KeyDictionary,
-    ) -> "JoinIndex":
+        dictionary = KeyDictionary.from_column(table.column(key_column))
         codes = dictionary.codes
         if deduplicate:
             picks = _encoded_dedup_picks(codes, dictionary, seed)
@@ -238,26 +191,17 @@ class JoinIndex:
         code_rows = np.full(dictionary.n_keys, -1, dtype=np.int64)
         keyed = np.flatnonzero(build_codes >= 0)
         code_rows[build_codes[keyed]] = keyed
-        return cls(
-            build,
-            key_column,
-            seed,
-            index=None,
-            deduplicated=deduplicate,
-            dictionary=dictionary,
-            code_rows=code_rows,
-        )
+        return cls(build, key_column, seed, deduplicate, dictionary, code_rows)
 
     @staticmethod
     def _check_unique_codes(
         table: Table, key_column: str, codes: np.ndarray
     ) -> None:
-        """Raise exactly where the scalar loop would on a repeated key.
+        """Raise on the row a row-by-row scan would reject first.
 
-        The scalar builder fails on the first row whose key was already
-        seen; the vectorised check reproduces that row (the earliest
-        second occurrence across all repeated codes) so the error message
-        is byte-identical.
+        That is the earliest second occurrence across all repeated codes;
+        naming it keeps the error message identical to the dict-based
+        test reference.
         """
         valid_rows = np.flatnonzero(codes >= 0)
         if len(valid_rows) < 2:
@@ -276,42 +220,17 @@ class JoinIndex:
             "deduplicate=False; a left join would duplicate probe rows"
         )
 
-    @classmethod
-    def _build_scalar(
-        cls, table: Table, key_column: str, seed: int, deduplicate: bool
-    ) -> "JoinIndex":
-        """The per-row reference builder (parity baseline + NaN-key fallback)."""
-        build = (
-            table.take(_scalar_dedup_picks(table.column(key_column), seed))
-            if deduplicate
-            else table
-        )
-        index: dict[Any, int] = {}
-        for i, value in enumerate(build.column(key_column)):
-            if value is None:
-                continue
-            key = normalize_key(value)
-            if key in index:
-                raise JoinError(
-                    f"duplicate join key {value!r} in {table.name!r} with "
-                    "deduplicate=False; a left join would duplicate probe rows"
-                )
-            index[key] = i
-        return cls(build, key_column, seed, index, deduplicate)
-
     @property
     def n_keys(self) -> int:
         """Number of distinct non-null join keys on the build side."""
-        if self.dictionary is not None:
-            return self.dictionary.n_keys
-        return len(self._index)
+        return self.dictionary.n_keys
 
     def _scalar_index(self) -> dict[Any, int]:
         """The ``{normalised key: build row}`` view, derived lazily.
 
-        Encoded indexes only materialise this for scalar probes and
-        membership tests; Column probes never touch it.  The build is
-        idempotent, so the unlocked lazy init is thread-safe.
+        Only scalar probes and membership tests materialise it; Column
+        probes never touch it.  The build is idempotent, so the unlocked
+        lazy init is thread-safe.
         """
         if self._index is None:
             code_rows = self._code_rows
@@ -329,12 +248,11 @@ class JoinIndex:
         """Map probe-side key values onto build-side row indices.
 
         Returns an int64 gather array aligned with ``keys``; unmatched or
-        null keys map to ``-1``.  Probing an encoded index with a
-        :class:`Column` runs vectorised (encode against the build
-        dictionary, gather through the code table); any other input takes
-        the scalar route.
+        null keys map to ``-1``.  A :class:`Column` probe runs vectorised
+        (encode against the build dictionary, gather through the code
+        table); any other input takes the scalar route.
         """
-        if self.dictionary is not None and isinstance(keys, Column):
+        if isinstance(keys, Column):
             codes = self.dictionary.encode_column(keys)
             if self.dictionary.n_keys == 0:
                 return np.full(len(codes), -1, dtype=np.int64)
@@ -386,11 +304,9 @@ class JoinIndex:
                 continue
             taken = source.take(safe_gather)
             mask = taken.mask | ~matched
+            values = taken.values.copy()
             if source.dtype is DType.STRING:
-                values = taken.values.copy()
                 values[~matched] = None
-            else:
-                values = taken.values.copy()
             out[out_name] = Column(values, dtype=source.dtype, mask=mask)
         return Table(out, name=left.name)
 
@@ -404,7 +320,6 @@ def left_join(
     deduplicate: bool = True,
     drop_right_key: bool = False,
     index: JoinIndex | None = None,
-    use_dict_keys: bool = True,
 ) -> Table:
     """Left join preserving the left table's row count exactly.
 
@@ -431,9 +346,6 @@ def left_join(
     drop_right_key:
         Drop the right join column from the output (it duplicates the left
         key on every matched row).
-    use_dict_keys:
-        Build and probe on dictionary-encoded int32 codes (the default) or
-        force the scalar reference kernels.  Results are bit-identical.
 
     Returns
     -------
@@ -446,13 +358,7 @@ def left_join(
     if left_on not in left:
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
     if index is None:
-        index = JoinIndex.build(
-            right,
-            right_on,
-            seed=seed,
-            deduplicate=deduplicate,
-            use_dict_keys=use_dict_keys,
-        )
+        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
     return index.left_join(left, left_on, drop_right_key=drop_right_key)
 
 
@@ -465,7 +371,6 @@ def inner_join(
     deduplicate: bool = True,
     drop_right_key: bool = False,
     index: JoinIndex | None = None,
-    use_dict_keys: bool = True,
 ) -> Table:
     """Inner join: like :func:`left_join` but unmatched probe rows are cut.
 
@@ -476,13 +381,7 @@ def inner_join(
     if left_on not in left:
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
     if index is None:
-        index = JoinIndex.build(
-            right,
-            right_on,
-            seed=seed,
-            deduplicate=deduplicate,
-            use_dict_keys=use_dict_keys,
-        )
+        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
     gather = index.probe(left.column(left_on))
     joined = index._attach(left, gather, drop_right_key)
     return joined.filter(gather >= 0)

@@ -55,9 +55,6 @@ class JoinEngine:
     seed:
         Seed for the deterministic representative-row choice during the
         build phase; part of the cache key.
-    enable_cache:
-        Disable to rebuild the join index on every hop (exact A/B switch —
-        results are bit-identical either way, only the work differs).
     hop_timeout_seconds:
         Per-hop wall-clock budget.  The check is cooperative: chunked
         hops carry the deadline into
@@ -93,14 +90,7 @@ class JoinEngine:
     cache:
         Share an existing :class:`HopCache` instead of creating one —
         how per-worker engine views of a parallel run reuse the parent
-        run's build state.  When given, ``enable_cache`` is ignored in
-        favour of the shared cache's own setting.
-    use_dict_keys:
-        Build and probe join indexes on dictionary-encoded int32 codes
-        (the default) or force the scalar reference kernels.  Outputs are
-        bit-identical either way, so engines sharing a :class:`HopCache`
-        may serve each other's indexes regardless of the setting; only
-        speed differs.
+        run's build state.
     chunk_rows:
         When set, hops whose probe side is taller than this stream through
         :func:`~repro.engine.chunked.chunked_left_join` in partitions of
@@ -126,14 +116,12 @@ class JoinEngine:
         self,
         drg: DatasetRelationGraph,
         seed: int = 0,
-        enable_cache: bool = True,
         hop_timeout_seconds: float | None = None,
         max_output_rows: int | None = None,
         fault_injector: FaultInjector | None = None,
         tracer: Tracer | None = None,
         hop_latency_seconds: float = 0.0,
         cache: HopCache | None = None,
-        use_dict_keys: bool = True,
         chunk_rows: int | None = None,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -141,14 +129,13 @@ class JoinEngine:
     ):
         self.drg = drg
         self.seed = seed
-        self.cache = cache if cache is not None else HopCache(enabled=enable_cache)
+        self.cache = cache if cache is not None else HopCache()
         self.stats = EngineStats()
         self.hop_timeout_seconds = hop_timeout_seconds
         self.max_output_rows = max_output_rows
         self.fault_injector = fault_injector
         self.tracer = tracer or NULL_TRACER
         self.hop_latency_seconds = hop_latency_seconds
-        self.use_dict_keys = use_dict_keys
         self.chunk_rows = chunk_rows
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_dir = spill_dir
@@ -175,7 +162,6 @@ class JoinEngine:
             tracer=tracer,
             hop_latency_seconds=self.hop_latency_seconds,
             cache=self.cache,
-            use_dict_keys=self.use_dict_keys,
             chunk_rows=self.chunk_rows,
             memory_budget_bytes=self.memory_budget_bytes,
             spill_dir=self.spill_dir,
@@ -195,20 +181,17 @@ class JoinEngine:
 
         def builder() -> JoinIndex:
             right = self.drg.table(edge.target).prefixed(edge.target)
-            return JoinIndex.build(
-                right, key_column, seed=self.seed, use_dict_keys=self.use_dict_keys
-            )
+            return JoinIndex.build(right, key_column, seed=self.seed)
 
         hits_before = self.stats.cache_hits
         index = self.cache.get_or_build(
             edge.target, key_column, self.seed, builder, self.stats
         )
-        if self.cache.enabled:
-            self.tracer.event(
-                "cache_hit" if self.stats.cache_hits > hits_before else "cache_miss",
-                table=edge.target,
-                key=key_column,
-            )
+        self.tracer.event(
+            "cache_hit" if self.stats.cache_hits > hits_before else "cache_miss",
+            table=edge.target,
+            key=key_column,
+        )
         return index
 
     # -- execute phase ------------------------------------------------------

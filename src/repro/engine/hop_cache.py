@@ -13,8 +13,8 @@ Correctness note: a cached :class:`~repro.dataframe.JoinIndex` is
 immutable, and the representative-row choice inside
 :func:`~repro.dataframe.dedup_by_key` depends only on the cache key, so
 executing through the cache is bit-identical to rebuilding per hop
-(verified by the engine parity tests and the ``bench_engine_cache``
-micro-benchmark).
+(``tests/engine/test_engine.py`` checks a cached materialisation against
+per-hop ``JoinIndex.build`` + ``left_join`` with no cache involved).
 
 Thread safety: the ``threads`` parallel backend shares one cache between
 every worker of a run, so :meth:`HopCache.get_or_build` is single-flight —
@@ -36,18 +36,9 @@ __all__ = ["HopCache"]
 
 
 class HopCache:
-    """Memoizes :class:`JoinIndex` objects keyed by ``(table, key, seed)``.
+    """Memoizes :class:`JoinIndex` objects keyed by ``(table, key, seed)``."""
 
-    Parameters
-    ----------
-    enabled:
-        When False every lookup falls through to the builder (and no
-        entries are stored) — the exact-A/B switch behind
-        ``AutoFeatConfig.enable_hop_cache``.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._indexes: dict[tuple[str, str, int], JoinIndex] = {}
         self._lock = threading.Lock()
         #: Per-key build latches: present while exactly one caller builds.
@@ -69,13 +60,6 @@ class HopCache:
             "builds": 0,
             "invalidations": 0,
             "entries_invalidated": 0,
-            # Dictionary-encoding traffic: a hit on an index that carries
-            # its KeyDictionary means the warm request skipped re-encoding
-            # entirely (encode_hits); every build of an encoded index paid
-            # the interning once (encode_misses).  Scalar-path indexes
-            # (NaN-key fallback or use_dict_keys=False) count in neither.
-            "encode_hits": 0,
-            "encode_misses": 0,
         }
 
     def __len__(self) -> int:
@@ -136,12 +120,10 @@ class HopCache:
     ) -> JoinIndex:
         """Return the cached index for the key, building it on first use.
 
-        ``builder`` is only invoked on a miss (or always, when the cache is
-        disabled), so callers can defer *all* build-side work — including
-        column prefixing — behind it.  ``stats`` counters are updated in
-        place: ``index_builds`` on every build, ``cache_hits`` /
-        ``cache_misses`` only when the cache is enabled (a disabled cache
-        performs no lookups).
+        ``builder`` is only invoked on a miss, so callers can defer *all*
+        build-side work — including column prefixing — behind it.  ``stats``
+        counters are updated in place: ``cache_hits`` on a hit,
+        ``cache_misses`` and ``index_builds`` on a miss.
 
         Single-flight under threads: concurrent calls for the same cold key
         run ``builder`` exactly once; the losers block until the winner
@@ -150,16 +132,6 @@ class HopCache:
         the new builder and surfaces the same deterministic error), which
         matches the serial counter sequence for failing builds exactly.
         """
-        if not self.enabled:
-            if stats is not None:
-                stats.index_builds += 1
-            with self._lock:
-                self._counters["builds"] += 1
-            index = builder()
-            if getattr(index, "dictionary", None) is not None:
-                with self._lock:
-                    self._counters["encode_misses"] += 1
-            return index
         key = (table_name, key_column, seed)
         while True:
             with self._lock:
@@ -168,10 +140,6 @@ class HopCache:
                     if stats is not None:
                         stats.cache_hits += 1
                     self._counters["hits"] += 1
-                    if getattr(cached, "dictionary", None) is not None:
-                        # The cached index carries its KeyDictionary, so
-                        # this request skips the encode phase outright.
-                        self._counters["encode_hits"] += 1
                     return cached
                 event = self._building.get(key)
                 if event is None:
@@ -200,7 +168,5 @@ class HopCache:
             if self._epochs.get(table_name, 0) == epoch:
                 self._indexes[key] = index
             self._building.pop(key, None)
-            if getattr(index, "dictionary", None) is not None:
-                self._counters["encode_misses"] += 1
         event.set()
         return index

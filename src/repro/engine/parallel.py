@@ -470,11 +470,9 @@ class PathExecutor:
                 engine = self.engine
                 engine_kwargs = {
                     "seed": engine.seed,
-                    "enable_cache": engine.cache.enabled,
                     "hop_timeout_seconds": engine.hop_timeout_seconds,
                     "max_output_rows": engine.max_output_rows,
                     "hop_latency_seconds": engine.hop_latency_seconds,
-                    "use_dict_keys": engine.use_dict_keys,
                     "chunk_rows": engine.chunk_rows,
                     "memory_budget_bytes": engine.memory_budget_bytes,
                     "spill_dir": engine.spill_dir,

@@ -57,12 +57,11 @@ class ExecutionStats:
     hops_executed:
         Join hops the engine actually performed (probe phases).
     index_builds:
-        Build phases run: dedup + hash of a right-hand table.  With the hop
-        cache enabled this is strictly less than ``hops_executed`` whenever
-        any ``(table, key_column)`` pair recurs across paths.
+        Build phases run: dedup + hash of a right-hand table.  Strictly
+        less than ``hops_executed`` whenever any ``(table, key_column)``
+        pair recurs across paths (the hop cache serves the repeats).
     cache_hits / cache_misses:
-        Hop-cache lookups that found / did not find a prebuilt index.  Both
-        stay zero when the cache is disabled (there are no lookups).
+        Hop-cache lookups that found / did not find a prebuilt index.
     rows_probed:
         Total probe-side rows streamed through :meth:`JoinIndex.probe`.
     chunks_executed:

@@ -1,9 +1,9 @@
 """Vectorised selection kernels with cross-batch code caching.
 
 The paper's own profiling (Figures 3a/3b) shows relevance/redundancy
-scoring dominates AutoFeat's online runtime, yet the scalar path re-ranks
-the label per feature and re-discretises the whole selected set on every
-BFS hop.  This module is the scoring analogue of the join engine's
+scoring dominates AutoFeat's online runtime, yet scoring column by column
+re-ranks the label per feature and re-discretises the whole selected set
+on every BFS hop.  This module is the scoring analogue of the join engine's
 build/probe split (:mod:`repro.engine`):
 
 * :func:`batch_spearman_scores` ranks a whole feature matrix with one
@@ -22,10 +22,11 @@ build/probe split (:mod:`repro.engine`):
   entries.
 
 Bit-identity is load-bearing: every fast path performs the same numpy
-operations on the same (column-contiguous) buffers as the scalar path, so
-``AutoFeatConfig.enable_selection_kernels`` is an exact A/B switch —
-``benchmarks/bench_selection_kernels.py`` asserts ranking parity the same
-way the engine-cache bench does for the hop cache.
+operations on the same (column-contiguous) buffers as the scalar
+estimators, which stay public (:func:`relevance_scores` /
+:func:`~repro.selection.redundancy.redundancy_scores`) and are what
+``tests/selection/test_kernels.py`` compares the kernels — and the
+streaming selector built on them — against.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SelectionError
-from .relevance import relevance_scores
+from .kernels import batch_relevance_scores
 from .stats import SelectionCounters
 
 __all__ = ["SelectionOutcome", "select_k_best", "select_k_best_named"]
@@ -36,7 +36,6 @@ def select_k_best(
     metric: str = "spearman",
     min_score: float = 0.0,
     seed: int = 0,
-    use_kernels: bool = False,
     counters: SelectionCounters | None = None,
 ) -> SelectionOutcome:
     """Keep the ``k`` highest-scoring feature columns.
@@ -47,22 +46,16 @@ def select_k_best(
     decision, since irrelevant intermediates may still carry the path).
     Ties are broken by column index for determinism.
 
-    ``use_kernels`` routes scoring through the vectorised kernels of
-    :mod:`repro.selection.kernels` (bit-identical scores, so the outcome is
-    unchanged); ``counters`` collects scoring statistics either way.
+    Scoring runs through
+    :func:`~repro.selection.kernels.batch_relevance_scores` (vectorised
+    Spearman; every other metric delegates to the scalar estimators);
+    ``counters`` collects its scoring statistics.
     """
     if k <= 0:
         raise SelectionError(f"k must be positive, got {k}")
-    if use_kernels:
-        from .kernels import batch_relevance_scores
-
-        scores = batch_relevance_scores(
-            features, label, metric=metric, seed=seed, counters=counters
-        )
-    else:
-        if counters is not None:
-            counters.features_ranked += int(np.asarray(features).shape[1])
-        scores = relevance_scores(features, label, metric=metric, seed=seed)
+    scores = batch_relevance_scores(
+        features, label, metric=metric, seed=seed, counters=counters
+    )
     order = np.argsort(-scores, kind="stable")
     kept = [int(j) for j in order[:k] if scores[j] > min_score]
     return SelectionOutcome(
@@ -79,7 +72,6 @@ def select_k_best_named(
     metric: str = "spearman",
     min_score: float = 0.0,
     seed: int = 0,
-    use_kernels: bool = False,
     counters: SelectionCounters | None = None,
 ) -> tuple[list[str], list[float]]:
     """Name-oriented wrapper over :func:`select_k_best`."""
@@ -95,7 +87,6 @@ def select_k_best_named(
         metric=metric,
         min_score=min_score,
         seed=seed,
-        use_kernels=use_kernels,
         counters=counters,
     )
     names = [feature_names[j] for j in outcome.indices]

@@ -194,7 +194,7 @@ class DiscoveryService:
         Edge-score threshold, as in ``from_discovery``.
     config:
         Default :class:`AutoFeatConfig` for requests that do not bring
-        their own.  ``enable_hop_cache`` governs the *shared* cache.
+        their own.
     n_workers:
         Request-queue worker threads (concurrent requests in flight).
     enable_result_cache:
@@ -219,7 +219,7 @@ class DiscoveryService:
             tables, matcher=self._resolve_matcher(matcher), threshold=threshold
         )
         self.recall_report = self._verify_candidate_recall(threshold)
-        self.hop_cache = HopCache(enabled=self.config.enable_hop_cache)
+        self.hop_cache = HopCache()
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()

@@ -3,17 +3,14 @@
 The regression focus is the mixed-dtype key collision rule the issue calls
 out: ``1``, ``1.0`` and ``np.int64(1)`` must land on the same code (they
 join-match and share one dedup-representative digest) while ``"1"`` stays
-a distinct, never-matching key.  That rule used to live as ``_key_of``
-inside ``join.py``; it is now centralised in
-:func:`repro.dataframe.encoding.normalize_key` and everything here pins
-the centralised behaviour.
+a distinct, never-matching key.  That rule lives in
+:func:`repro.dataframe.encoding.normalize_key` and everything here pins it.
 """
 
 import numpy as np
 import pytest
 
 from repro.dataframe import CODE_NULL, Column, DType, KeyDictionary, normalize_key
-from repro.dataframe.join import _key_of
 
 
 def _col(values, dtype, mask=None):
@@ -50,10 +47,6 @@ class TestNormalizeKey:
     def test_none_passthrough(self):
         assert normalize_key(None) is None
 
-    def test_join_module_delegates(self):
-        """The legacy ``_key_of`` alias is literally the central function."""
-        assert _key_of is normalize_key
-
 
 class TestFromColumn:
     def test_codes_are_sorted_ranks(self):
@@ -75,11 +68,12 @@ class TestFromColumn:
         assert d.n_keys == 0
         assert len(d.codes) == 0
 
-    def test_unmasked_nan_falls_back(self):
-        """Unmasked NaN keys have no dense-code analogue: each scalar-path
-        NaN row is its own never-matching group."""
+    def test_unmasked_nan_encodes_to_code_null(self):
+        """NaN equals no probe value, so it is a null for join purposes."""
         col = _col([1.0, np.nan, 2.0], DType.FLOAT)
-        assert KeyDictionary.from_column(col) is None
+        d = KeyDictionary.from_column(col)
+        assert d.codes.tolist() == [0, CODE_NULL, 1]
+        assert d.keys() == [1, 2]
 
     def test_masked_nan_is_fine(self):
         col = _col([1.0, np.nan, 2.0], DType.FLOAT, mask=[False, True, False])

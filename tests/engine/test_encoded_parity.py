@@ -1,27 +1,36 @@
-"""Property-based parity: encoded-chunked joins are bit-identical to scalar.
+"""Property-based parity of the dictionary-encoded join kernels.
 
-The determinism contract of the dictionary-encoded kernels (DESIGN.md §13)
-says that for any lake, any seed, any chunk size and either schema
-matcher, a run through ``enable_dict_keys=True`` + chunked out-of-core
-execution returns exactly what the legacy scalar in-core path returns —
-same rows, same row order, same dedup representatives, same ranked paths
-and scores.  This suite drives that claim over hypothesis-drawn lakes and
-join tables, including spill-forcing memory budgets.
+The determinism contract of the encoded kernels (DESIGN.md §13) has two
+halves, both driven here over hypothesis-drawn inputs:
+
+* **kernel level** — build, dedup and (spilling, chunked) probe return
+  exactly what the dict-of-boxed-scalars reference in
+  ``tests/dataframe/test_join_reference.py`` returns: same rows, same row
+  order, same dedup representatives, same error on a duplicate key;
+* **discovery level** — for any lake, any seed, any chunk size and either
+  schema matcher, a chunked + spilled run ranks the same paths with the
+  same scores as the in-core run.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutoFeat, AutoFeatConfig
-from repro.dataframe import Column, DType, JoinIndex, Table, dedup_by_key
+from repro.dataframe import Column, DType, JoinIndex, Table, dedup_by_key, left_join
 from repro.datasets import make_classification, split_into_lake
 from repro.datasets.splitter import SplitPlan
 from repro.discovery import ComaMatcher, DistributionMatcher
 from repro.engine import chunked_left_join
+from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph
+from tests.dataframe.test_join_reference import (
+    reference_join_index,
+    reference_left_join_table,
+)
 
 MATCHERS = {
     "coma": lambda: ComaMatcher(),
@@ -91,21 +100,20 @@ def table_fingerprint(table: Table):
     for name in table.column_names:
         column = table.column(name)
         values = column.values
-        if column.dtype is DType.STRING:
-            payload = tuple(None if m else v for v, m in zip(values, column.mask))
-        else:
-            payload = tuple(
-                None if m else v for v, m in zip(values.tolist(), column.mask)
-            )
+        if column.dtype is DType.FLOAT:
+            # hex() so an unmasked NaN cell compares equal to itself.
+            values = [v.hex() for v in values.tolist()]
+        elif column.dtype is not DType.STRING:
+            values = values.tolist()
+        payload = tuple(None if m else v for v, m in zip(values, column.mask))
         out.append((name, column.dtype.name, payload))
     return tuple(out)
 
 
-def _discover(bundle, drg, *, config_seed, encoded, chunk_rows=None, budget=None):
+def _discover(bundle, drg, *, config_seed, chunk_rows=None, budget=None):
     config = AutoFeatConfig(
         sample_size=120,
         seed=config_seed,
-        enable_dict_keys=encoded,
         chunk_rows=chunk_rows,
         memory_budget_bytes=budget,
         enable_tracing=False,
@@ -115,7 +123,7 @@ def _discover(bundle, drg, *, config_seed, encoded, chunk_rows=None, budget=None
 
 # -- kernel-level parity -----------------------------------------------------
 
-_key_columns = st.sampled_from(["int", "float", "str", "bool"])
+_key_columns = st.sampled_from(["int", "float", "float_nan", "str", "bool"])
 
 
 def _column(kind: str, n: int, rng: np.random.Generator) -> Column:
@@ -125,6 +133,12 @@ def _column(kind: str, n: int, rng: np.random.Generator) -> Column:
     if kind == "float":
         values = rng.integers(-4, 12, n).astype(float) + rng.choice([0.0, 0.25], n)
         return Column(values, dtype=DType.FLOAT, mask=mask)
+    if kind == "float_nan":
+        # NaN cells under an all-False mask: not nulls to the Column, but
+        # nulls to a join (NaN equals no probe value).
+        values = rng.integers(-4, 12, n).astype(float) + rng.choice([0.0, 0.25], n)
+        values[mask] = np.nan
+        return Column(values, dtype=DType.FLOAT, mask=np.zeros(n, dtype=bool))
     if kind == "bool":
         return Column(rng.random(n) < 0.5, dtype=DType.BOOL, mask=mask)
     values = np.array([f"k{v}" for v in rng.integers(-4, 12, n)], dtype=object)
@@ -156,27 +170,42 @@ def test_join_kernels_bit_identical(
         {"k": _column(right_kind, n_right, rng), "y": _column("int", n_right, rng)},
         name="R",
     )
-    scalar_index = JoinIndex.build(right, "k", seed=seed, use_dict_keys=False)
-    encoded_index = JoinIndex.build(right, "k", seed=seed, use_dict_keys=True)
+    ref_build, ref_index = reference_join_index(right, "k", seed)
+    index = JoinIndex.build(right, "k", seed=seed)
     # Dedup representatives: same surviving rows in the same order.
-    assert table_fingerprint(scalar_index.build_table) == table_fingerprint(
-        encoded_index.build_table
+    assert table_fingerprint(ref_build) == table_fingerprint(index.build_table)
+    assert len(ref_index) == index.n_keys
+    assert table_fingerprint(ref_build) == table_fingerprint(
+        dedup_by_key(right, "k", seed=seed)
     )
-    assert scalar_index.n_keys == encoded_index.n_keys
-    # Whole-table scalar join vs encoded chunked join, spill forced.
-    expect = scalar_index.left_join(left, "k")
+    # Cell-by-cell reference join vs in-core and chunked join, spill forced.
+    expect = table_fingerprint(
+        reference_left_join_table(left, ref_build, ref_index, "k")
+    )
+    assert expect == table_fingerprint(index.left_join(left, "k"))
     got = chunked_left_join(
-        encoded_index,
+        index,
         left,
         "k",
         chunk_rows=chunk_rows,
         memory_budget_bytes=256,
     )
-    assert table_fingerprint(expect) == table_fingerprint(got)
-    # dedup_by_key fast path agrees with the scalar reference.
-    assert table_fingerprint(
-        dedup_by_key(right, "k", seed=seed, use_dict_keys=True)
-    ) == table_fingerprint(dedup_by_key(right, "k", seed=seed, use_dict_keys=False))
+    assert expect == table_fingerprint(got)
+    # Without dedup: the same join, or the same duplicate-key error.
+    try:
+        raw_build, raw_index = reference_join_index(
+            right, "k", seed, deduplicate=False
+        )
+    except JoinError as exc:
+        with pytest.raises(JoinError) as raised:
+            left_join(left, right, "k", "k", seed=seed, deduplicate=False)
+        assert str(raised.value) == str(exc)
+    else:
+        assert table_fingerprint(
+            reference_left_join_table(left, raw_build, raw_index, "k")
+        ) == table_fingerprint(
+            left_join(left, right, "k", "k", seed=seed, deduplicate=False)
+        )
 
 
 # -- end-to-end discovery parity --------------------------------------------
@@ -197,17 +226,17 @@ def test_join_kernels_bit_identical(
     chunk_rows=st.sampled_from([16, 50, 97]),
 )
 def test_discover_parity_encoded_chunked_vs_scalar(lake, config_seed, chunk_rows):
+    """In-core discovery vs chunked + spilled discovery."""
     bundle, drg = _lake(*lake)
-    scalar = _discover(bundle, drg, config_seed=config_seed, encoded=False)
-    encoded = _discover(
+    in_core = _discover(bundle, drg, config_seed=config_seed)
+    chunked = _discover(
         bundle,
         drg,
         config_seed=config_seed,
-        encoded=True,
         chunk_rows=chunk_rows,
         budget=8192,  # small enough to spill on every realistic hop
     )
-    assert discovery_fingerprint(scalar) == discovery_fingerprint(encoded)
+    assert discovery_fingerprint(in_core) == discovery_fingerprint(chunked)
 
 
 @settings(
@@ -223,13 +252,12 @@ def test_discover_parity_encoded_chunked_vs_scalar(lake, config_seed, chunk_rows
 def test_discover_parity_with_real_matchers(matcher_name, seed, chunk_rows):
     """Matcher-discovered DRGs (spurious edges included) stay bit-identical."""
     bundle, drg = _matched_drg(matcher_name, seed)
-    scalar = _discover(bundle, drg, config_seed=seed, encoded=False)
-    encoded = _discover(
+    in_core = _discover(bundle, drg, config_seed=seed)
+    chunked = _discover(
         bundle,
         drg,
         config_seed=seed,
-        encoded=True,
         chunk_rows=chunk_rows,
         budget=8192,
     )
-    assert discovery_fingerprint(scalar) == discovery_fingerprint(encoded)
+    assert discovery_fingerprint(in_core) == discovery_fingerprint(chunked)

@@ -51,18 +51,6 @@ class TestEnabledCache:
         )
 
 
-class TestDisabledCache:
-    def test_every_lookup_builds_and_nothing_is_counted_as_cache_traffic(self):
-        cache, stats, builder = HopCache(enabled=False), EngineStats(), CountingBuilder()
-        a = cache.get_or_build("t", "t.k", 0, builder, stats)
-        b = cache.get_or_build("t", "t.k", 0, builder, stats)
-        assert a is not b
-        assert builder.calls == 2
-        assert stats.index_builds == 2
-        assert stats.cache_hits == stats.cache_misses == 0
-        assert len(cache) == 0
-
-
 class TestStats:
     def test_snapshot_freezes_counters(self):
         stats = EngineStats(hops_executed=3, index_builds=2, cache_hits=1,
@@ -265,12 +253,6 @@ class TestInvalidation:
         assert counters["invalidations"] == 1
         assert counters["entries_invalidated"] == 1
         assert cache.hit_rate == 0.5
-
-    def test_disabled_cache_still_counts_builds(self):
-        cache, builder = HopCache(enabled=False), CountingBuilder()
-        cache.get_or_build("t", "t.k", 0, builder)
-        assert cache.counters()["builds"] == 1
-        assert cache.counters()["hits"] == cache.counters()["misses"] == 0
 
     def test_concurrent_invalidation_keeps_counters_exact(self):
         import threading

@@ -108,7 +108,7 @@ class TestBuildErrors:
 
 
 class TestNumpyKeyNormalisation:
-    """The `_key_of` satellite: numpy scalars must hash/digest like Python."""
+    """numpy scalars must hash/digest like their Python twins."""
 
     def test_numpy_keys_probe_python_index(self):
         index = JoinIndex.build(ONE_TO_ONE, "id")

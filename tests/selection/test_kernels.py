@@ -1,10 +1,9 @@
-"""Bit-identity tests: vectorised selection kernels vs the scalar path.
+"""Bit-identity tests: vectorised selection kernels vs the scalar estimators.
 
-The kernels' contract is *exact* float equality with the scalar
-implementations (not approximate agreement) — that is what makes
-``AutoFeatConfig.enable_selection_kernels`` a true A/B switch and lets the
-benchmark assert ranking parity.  Every comparison below therefore uses
-``==``, never ``pytest.approx``.
+The kernels' contract is *exact* float equality with the public scalar
+``relevance_scores`` / ``redundancy_scores`` (not approximate agreement),
+so rankings cannot depend on which of them scored a column.  Every
+comparison below therefore uses ``==``, never ``pytest.approx``.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import AutoFeatConfig
-from repro.core.streaming import StreamingFeatureSelector
+from repro.core.streaming import StageOutcome, StreamingFeatureSelector
 from repro.errors import SelectionError
 from repro.selection import (
     REDUNDANCY_METHODS,
@@ -303,8 +302,60 @@ class TestSelectionStats:
         assert cache.n_selected == 1
 
 
-def _run_selector(config, label, batches):
-    selector = StreamingFeatureSelector(config, label)
+class ScalarTwoStageSelector:
+    """Reference selector: the two stages over the scalar estimators.
+
+    Top-κ relevance, then redundancy against every column accepted so far
+    (re-stacked per batch); no kernels, no code cache.  Stands in for
+    :class:`StreamingFeatureSelector` with both stages enabled.
+    """
+
+    stats = SelectionStats()
+
+    def __init__(self, config, label):
+        assert config.use_relevance and config.use_redundancy
+        self._config = config
+        self._label = np.asarray(label, dtype=np.float64)
+        self.selected_names = []
+        self._columns = []
+
+    def seed_with(self, names, matrix):
+        self.selected_names.extend(names)
+        self._columns.extend(np.asarray(matrix, dtype=np.float64).T)
+
+    def process_batch(self, names, matrix):
+        config = self._config
+        matrix = np.asarray(matrix, dtype=np.float64)
+        relevance = relevance_scores(
+            matrix, self._label, metric=config.relevance_metric, seed=config.seed
+        )
+        order = np.argsort(-relevance, kind="stable")[: config.kappa]
+        kept = [int(j) for j in order if relevance[j] > config.min_relevance]
+        if not kept:
+            return StageOutcome((), (), (), ())
+        redundancy = redundancy_scores(
+            matrix[:, kept],
+            np.column_stack(self._columns) if self._columns else None,
+            self._label,
+            method=config.redundancy_method,
+        )
+        accepted = [
+            (j, float(score))
+            for j, score in zip(kept, redundancy)
+            if score > 0.0 and names[j] not in self.selected_names
+        ]
+        for j, __ in accepted:
+            self.selected_names.append(names[j])
+            self._columns.append(matrix[:, j])
+        return StageOutcome(
+            relevant_names=tuple(names[j] for j in kept),
+            relevance_scores=tuple(float(relevance[j]) for j in kept),
+            accepted_names=tuple(names[j] for j, __ in accepted),
+            redundancy_scores=tuple(score for __, score in accepted),
+        )
+
+
+def _run_selector(selector, batches):
     seed_names, seed_matrix = batches[0]
     selector.seed_with(seed_names, seed_matrix)
     outcomes = [selector.process_batch(n, m) for n, m in batches[1:]]
@@ -324,10 +375,13 @@ class TestStreamingParity:
                 cols[::6, 1] = np.nan  # exercise the scalar fallbacks
             batches.append(([f"b{b}_{j}" for j in range(3)], cols))
 
-        on = AutoFeatConfig(enable_selection_kernels=True)
-        off = AutoFeatConfig(enable_selection_kernels=False)
-        sel_on, out_on = _run_selector(on, label, batches)
-        sel_off, out_off = _run_selector(off, label, batches)
+        config = AutoFeatConfig()
+        sel_on, out_on = _run_selector(
+            StreamingFeatureSelector(config, label), batches
+        )
+        sel_off, out_off = _run_selector(
+            ScalarTwoStageSelector(config, label), batches
+        )
 
         assert sel_on.selected_names == sel_off.selected_names
         for a, b in zip(out_on, out_off):
@@ -343,26 +397,10 @@ class TestStreamingParity:
         batches = [(["s0"], rng.normal(size=(n, 1)))]
         batches.append((["f0", "f1"], np.column_stack([label, rng.normal(size=n)])))
         selector, __ = _run_selector(
-            AutoFeatConfig(enable_selection_kernels=True), label, batches
+            StreamingFeatureSelector(AutoFeatConfig(), label), batches
         )
         stats = selector.stats
         assert stats.batches_scored == 1
         assert stats.features_ranked == 2
         assert stats.codes_cached >= 2  # label + seed + any accepted features
         assert stats.codes_reused >= 1
-
-    def test_kernels_off_leaves_cache_counters_zero(self):
-        rng = np.random.default_rng(37)
-        n = 60
-        label = (rng.normal(size=n) > 0).astype(float)
-        batches = [
-            (["s0"], rng.normal(size=(n, 1))),
-            (["f0"], label.reshape(-1, 1) + rng.normal(scale=0.1, size=(n, 1))),
-        ]
-        selector, __ = _run_selector(
-            AutoFeatConfig(enable_selection_kernels=False), label, batches
-        )
-        stats = selector.stats
-        assert stats.codes_cached == 0
-        assert stats.codes_reused == 0
-        assert stats.batches_scored == 1

@@ -269,8 +269,7 @@ class TestObservability:
         assert stats["n_tables"] == 3
         assert stats["cached_results"] == 1  # far is out of the 1-hop radius
         assert set(stats["hop_cache"]) == {
-            "hits", "misses", "builds", "invalidations",
-            "entries_invalidated", "encode_hits", "encode_misses",
+            "hits", "misses", "builds", "invalidations", "entries_invalidated",
         }
         assert stats["match_index"]["mutations"] == 1
 
