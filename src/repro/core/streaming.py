@@ -16,9 +16,10 @@ never offered to the selector.
 
 Scoring runs through the vectorised kernels of
 :mod:`repro.selection.kernels` and a **persistent code cache**: the
-discretised codes (and entropy terms) of the label and every accepted
-feature are stored once at acceptance time, so the redundancy stage does
-not re-bin the entire selected set — an O(|S|·n) cost that would grow
+discretised codes of the label and every accepted feature are stored
+once at acceptance time (grouped by validity mask, which is how the
+redundancy kernel counts them), so the redundancy stage does not re-bin
+the entire selected set — an O(|S|·n) cost that would grow
 quadratically over a traversal — on every hop.  Scores are bit-identical
 to the scalar :func:`~repro.selection.relevance_scores` /
 :func:`~repro.selection.redundancy_scores` estimators
@@ -159,7 +160,16 @@ class StreamingFeatureSelector:
         if not relevant_idx:
             return StageOutcome((), (), (), ())
 
-        candidate_matrix = matrix[:, relevant_idx]
+        # R_sel is global (Algorithm 1) and two paths landing on the same
+        # table offer the same qualified column twice: a candidate already
+        # in the selected set can never be accepted again, so it is not
+        # scored against it either.
+        fresh = [
+            i
+            for i, name in enumerate(relevant_names)
+            if name not in self._selected_set
+        ]
+        candidate_matrix = matrix[:, [relevant_idx[i] for i in fresh]]
         if config.use_redundancy:
             scores = batch_redundancy_scores(
                 candidate_matrix,
@@ -167,29 +177,19 @@ class StreamingFeatureSelector:
                 method=config.redundancy_method,
                 counters=self._counters,
             )
-            scored_keep = [
-                (i, float(s)) for i, s in enumerate(scores) if s > 0.0
-            ]
+            kept = [(c, float(s)) for c, s in enumerate(scores) if s > 0.0]
         else:
-            scored_keep = [
-                (i, float(relevant_scores[i])) for i in range(len(relevant_idx))
-            ]
+            kept = [(c, float(relevant_scores[i])) for c, i in enumerate(fresh)]
 
-        # A candidate can reach this point even though it is already in
-        # the selected set — two paths landing on the same table offer the
-        # same qualified column twice, and with redundancy disabled
-        # (ablation) nothing downstream rejects the rerun.  R_sel is
-        # global (Algorithm 1), so acceptance dedupes: an already-selected
-        # name is never added to the matrix or the outcome again.
         accepted_names: list[str] = []
         accepted_scores: list[float] = []
-        for i, score in scored_keep:
-            name = relevant_names[i]
+        for c, score in kept:
+            name = relevant_names[fresh[c]]
             if name in self._selected_set:
-                continue
+                continue  # repeated within this batch, accepted a moment ago
             accepted_names.append(name)
             accepted_scores.append(score)
-            self._accept(name, candidate_matrix[:, i])
+            self._accept(name, candidate_matrix[:, c])
 
         return StageOutcome(
             relevant_names=relevant_names,

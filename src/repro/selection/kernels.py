@@ -4,25 +4,29 @@ The paper's own profiling (Figures 3a/3b) shows relevance/redundancy
 scoring dominates AutoFeat's online runtime, yet scoring column by column
 re-ranks the label per feature and re-discretises the whole selected set
 on every BFS hop.  This module is the scoring analogue of the join engine's
-build/probe split (:mod:`repro.engine`):
+build/probe split (:mod:`repro.engine`), and both of its kernels rest on
+one observation about joined tables: a left join leaves the *same* rows
+unmatched in every column it brings, so columns fall into a handful of
+validity masks — *group by mask, then count once per group*:
 
 * :func:`batch_spearman_scores` ranks a whole feature matrix with one
   argsort and computes every correlation against a once-ranked label via
-  column-wise reductions — bit-identical to the scalar
-  :func:`repro.selection.relevance.relevance_scores` path (NaN-bearing
-  columns fall back to it, counted as ``scalar_fallbacks``);
-* :class:`SelectionCodeCache` persists the discretised codes (and the
-  marginal / label-joint entropy terms) of the label and every accepted
-  feature, so redundancy scoring stops re-binning the selected set on
-  every batch;
-* :func:`batch_redundancy_scores` bins the candidate matrix once and
-  reuses the cached contingency terms across all five redundancy criteria
-  (MIFS, MRMR, CIFE, JMI, CMIM), falling back to the pairwise-complete
-  scalar estimators only for code vectors that actually contain missing
-  entries.
+  column-wise reductions; NaN-bearing columns are grouped by their
+  pairwise-complete row mask and each group runs the same block on its
+  compacted rows;
+* :class:`SelectionCodeCache` persists the discretised codes of the label
+  and of every accepted feature — the features as one code matrix per
+  validity mask — so redundancy scoring stops re-binning the selected set
+  on every batch;
+* :func:`batch_redundancy_scores` bins the candidate matrix once, groups
+  it by validity mask, and for every (candidate group, selected group)
+  pair counts one (selected × candidate [× label]) contingency cube over
+  their shared complete rows; every entropy term of all five redundancy
+  criteria (MIFS, MRMR, CIFE, JMI, CMIM) is read off that cube.  There is
+  no per-pair scalar fallback (``scalar_fallbacks`` stays 0).
 
-Bit-identity is load-bearing: every fast path performs the same numpy
-operations on the same (column-contiguous) buffers as the scalar
+Bit-identity is load-bearing: every kernel evaluates the same float
+expressions on the same values in the same order as the scalar
 estimators, which stay public (:func:`relevance_scores` /
 :func:`~repro.selection.redundancy.redundancy_scores`) and are what
 ``tests/selection/test_kernels.py`` compares the kernels — and the
@@ -31,15 +35,12 @@ streaming selector built on them — against.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from ..errors import SelectionError
-from .entropy import (
-    conditional_mutual_information,
-    discretize,
-    entropy,
-    mutual_information,
-)
+from .entropy import discretize
 from .redundancy import REDUNDANCY_METHODS, linear_coefficients
 from .relevance import RELEVANCE_METRICS, _rankdata, relevance_scores
 from .stats import SelectionCounters
@@ -54,33 +55,50 @@ __all__ = [
 
 _TINY = float(np.finfo(np.float64).tiny)
 
+#: Upper bound on the elements of one contingency cube (codes binned, or
+#: bins counted, whichever is larger); wider selected groups are scored in
+#: blocks of columns.  8 MB of int64 — a constant, not a tuning knob.
+_CUBE_BUDGET = 1 << 20
 
-def _column_entropies(M: np.ndarray) -> np.ndarray:
-    """Plug-in entropy of every column of a non-negative integer matrix.
 
-    One flat bincount over offset codes replaces the per-column
-    :func:`repro.selection.entropy.entropy` calls; each column's positive
-    counts come out in the same ascending-bin order, so the per-column
-    ``-Σ p·log p`` reduction sees the identical float vector and the result
-    is bit-identical to the scalar estimator.
+def _mask_groups(masks: np.ndarray) -> list[tuple[np.ndarray, list[int]]]:
+    """Rows of a boolean matrix grouped by identical content.
+
+    Returns ``(mask, row indices)`` per distinct row, in first-seen order.
+    Keyed by the raw bytes of each row: ``np.unique`` over boolean vectors
+    routes through numpy's structured void dtype and costs more than the
+    work the grouping saves.
     """
-    n, m = M.shape
-    if m == 0:
-        return np.empty(0, dtype=np.float64)
-    out = np.empty(m, dtype=np.float64)
-    if n == 0:
-        out.fill(0.0)
-        return out
-    width = int(M.max()) + 1
-    offsets = np.arange(m, dtype=np.int64) * width
-    flat = (M + offsets[np.newaxis, :]).ravel(order="F")
-    counts = np.bincount(flat, minlength=m * width).reshape(m, width)
-    for i in range(m):
-        c = counts[i]
-        c = c[c > 0]
-        p = c / n
-        out[i] = float(-np.sum(p * np.log(p)))
-    return out
+    masks = np.ascontiguousarray(masks)
+    groups: dict[bytes, list[int]] = {}
+    for k in range(masks.shape[0]):
+        groups.setdefault(masks[k].tobytes(), []).append(k)
+    return [(masks[members[0]], members) for members in groups.values()]
+
+
+def _table_entropies(counts: np.ndarray, n: int) -> np.ndarray:
+    """Plug-in entropy of every row of a 2-D table of bin counts.
+
+    Each row holds the bin counts of one variable over the same ``n``
+    observations.  ``p·log p`` of every positive count is computed in one
+    pass over the whole table; what is left per row is one
+    ``np.add.reduce`` over the row's own contiguous run of terms — the
+    reduction :func:`repro.selection.entropy.entropy` performs on the same
+    values in the same ascending-bin order, which is what keeps the result
+    bit-identical to it (``np.add.reduceat`` sums in another order and is
+    not).
+    """
+    rows, width = counts.shape
+    flat = counts.ravel()
+    positive = np.flatnonzero(flat)
+    p = flat[positive] / n
+    terms = p * np.log(p)
+    bounds = np.searchsorted(positive, np.arange(rows + 1) * width).tolist()
+    reduce = np.add.reduce
+    return -np.array(
+        [reduce(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        dtype=np.float64,
+    )
 
 
 def rank_matrix(X: np.ndarray) -> np.ndarray:
@@ -140,11 +158,7 @@ def _spearman_block(X: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
     return scores
 
 
-def batch_spearman_scores(
-    features: np.ndarray,
-    label: np.ndarray,
-    counters: SelectionCounters | None = None,
-) -> np.ndarray:
+def batch_spearman_scores(features: np.ndarray, label: np.ndarray) -> np.ndarray:
     """|Spearman ρ| of every column against the label, vectorised.
 
     All-finite columns (against an all-finite label) share one label
@@ -180,15 +194,8 @@ def batch_spearman_scores(
         out[fast_idx] = _spearman_block(X[:, fast_idx], _rankdata(y))
     slow_idx = np.flatnonzero(~fast)
     if slow_idx.size:
-        # Group by the raw bytes of each column's pairwise-complete mask
-        # (np.unique over boolean columns routes through numpy's structured
-        # void dtype and costs more than the ranking it saves).
-        masks = np.asfortranarray(np.isfinite(X[:, slow_idx]) & y_finite[:, np.newaxis])
-        groups: dict[bytes, list[int]] = {}
-        for k in range(slow_idx.size):
-            groups.setdefault(masks[:, k].tobytes(), []).append(k)
-        for members in groups.values():
-            mask = masks[:, members[0]]
+        masks = np.isfinite(X[:, slow_idx]) & y_finite[:, np.newaxis]
+        for mask, members in _mask_groups(masks.T):
             if int(mask.sum()) < 2:
                 continue  # scalar path scores such columns 0.0
             cols = slow_idx[members]
@@ -220,18 +227,47 @@ def batch_relevance_scores(
     if counters is not None:
         counters.features_ranked += X.shape[1]
     if metric == "spearman":
-        return batch_spearman_scores(X, label, counters=counters)
+        return batch_spearman_scores(X, label)
     return relevance_scores(X, label, metric=metric, seed=seed)
+
+
+class _MaskGroup:
+    """The selected features that share one validity mask.
+
+    Their code vectors are the rows of one matrix that grows by doubling,
+    so accepting a feature appends one contiguous row instead of
+    re-stacking the group.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+        self.positions: list[int] = []  # insertion order within R_sel
+        self._codes = np.empty((4, mask.shape[0]), dtype=np.int64)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(members, n) code matrix; -1 exactly where ``mask`` is False."""
+        return self._codes[: len(self.positions)]
+
+    def append(self, position: int, codes: np.ndarray) -> None:
+        used = len(self.positions)
+        if used == self._codes.shape[0]:
+            grown = np.empty((2 * used, codes.shape[0]), dtype=np.int64)
+            grown[:used] = self._codes
+            self._codes = grown
+        self._codes[used] = codes
+        self.positions.append(position)
 
 
 class SelectionCodeCache:
     """Persistent discretised-code cache for a run's selected feature set.
 
-    Stores, for the label and every accepted feature, the integer codes
-    plus the entropy terms that are independent of the candidate being
-    scored: H(X_j), and H(X_j, Y) for the conditional criteria.  The legacy
-    path recomputes all of this — O(|S|·n) re-binning plus a full
-    ``column_stack`` copy — on every batch of every hop.
+    Holds the label's codes and, for every accepted feature, its codes —
+    binned once, at acceptance — filed under the feature's validity mask
+    (:class:`_MaskGroup`; the all-valid mask is just one of the groups).
+    Entropy terms are not cached: over pairwise-complete rows they depend
+    on the candidate's mask too, and :func:`batch_redundancy_scores` reads
+    them off the contingency cube it counts anyway.
     """
 
     def __init__(
@@ -240,85 +276,86 @@ class SelectionCodeCache:
         counters: SelectionCounters | None = None,
     ):
         self._counters = counters
-        label = np.asarray(label, dtype=np.float64)
-        self.label_codes = discretize(label)
-        self.label_has_missing = bool((self.label_codes < 0).any())
-        self.label_width = (
-            int(self.label_codes.max()) + 1 if self.label_codes.size else 1
-        )
-        self.label_entropy = entropy(self.label_codes)
-        self._codes: list[np.ndarray] = []
-        self._entropies: list[float] = []
-        self._label_joint_entropies: list[float] = []
-        self._has_missing: list[bool] = []
-        # For features with missing entries: their own validity mask, the
-        # compacted codes and the entropy over them.  These let the scorer
-        # treat "one side complete, other side missing" pairs on a masked
-        # fast path (the pairwise-complete mask is then just the missing
-        # side's own mask) instead of falling all the way back to scalar.
-        self._valid_masks: list[np.ndarray | None] = []
-        self._valid_codes: list[np.ndarray | None] = []
-        self._valid_entropies: list[float] = []
-        # Positions of the complete (no missing) features, plus their codes
-        # stacked into one F-ordered matrix so the scorer can compute all
-        # their joint entropies against a candidate in one flat bincount.
-        self._complete_positions: list[int] = []
-        self._complete_matrix: np.ndarray | None = None
+        self.label_codes = discretize(np.asarray(label, dtype=np.float64))
+        self.label_mask = self.label_codes >= 0
+        self.n_selected = 0
+        self._groups: dict[bytes, _MaskGroup] = {}
         if counters is not None:
             counters.codes_cached += 1  # the label's codes
 
     @property
-    def n_selected(self) -> int:
-        return len(self._codes)
-
-    def complete_matrix(self) -> np.ndarray:
-        """(n, m) F-ordered stack of the complete features' codes."""
-        if self._complete_matrix is None:
-            n = self.label_codes.shape[0]
-            if self._complete_positions:
-                self._complete_matrix = np.asfortranarray(
-                    np.column_stack(
-                        [self._codes[i] for i in self._complete_positions]
-                    )
-                )
-            else:
-                self._complete_matrix = np.empty((n, 0), dtype=np.int64)
-        return self._complete_matrix
-
-    @property
-    def selected_codes(self) -> list[np.ndarray]:
-        """The cached code vectors (insertion order, not copied)."""
-        return self._codes
+    def groups(self) -> Iterable[_MaskGroup]:
+        """The selected set as mask groups (first-accepted order)."""
+        return self._groups.values()
 
     def add(self, column: np.ndarray) -> None:
         """Discretise and cache one newly-accepted feature column."""
         codes = discretize(np.asarray(column, dtype=np.float64))
-        missing = bool((codes < 0).any())
-        self._codes.append(codes)
-        self._has_missing.append(missing)
-        self._entropies.append(entropy(codes))
-        if missing:
-            mask = codes >= 0
-            valid = codes[mask]
-            self._valid_masks.append(mask)
-            self._valid_codes.append(valid)
-            self._valid_entropies.append(entropy(valid))
-        else:
-            self._valid_masks.append(None)
-            self._valid_codes.append(None)
-            self._valid_entropies.append(0.0)
-            self._complete_positions.append(len(self._codes) - 1)
-            self._complete_matrix = None  # rebuilt lazily on next use
-        if missing or self.label_has_missing:
-            # Pairwise-complete terms depend on the candidate's mask; the
-            # scalar fallback recomputes them, so cache a placeholder.
-            self._label_joint_entropies.append(0.0)
-        else:
-            self._label_joint_entropies.append(
-                entropy(codes * self.label_width + self.label_codes)
-            )
+        mask = codes >= 0
+        key = mask.tobytes()
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _MaskGroup(mask)
+        group.append(self.n_selected, codes)
+        self.n_selected += 1
         if self._counters is not None:
             self._counters.codes_cached += 1
+
+
+def _pair_information(
+    left: np.ndarray, right: np.ndarray, given: np.ndarray | None = None
+) -> np.ndarray:
+    """max(0, I(L_i; R_j)) — or I(L_i; R_j | Z) — for every pair of rows.
+
+    ``left`` (a, r) and ``right`` (b, r) hold one code vector per row over
+    the same ``r`` observations, all complete (the caller compacts to the
+    observations every vector — and ``given``, the (r,) conditioning codes
+    — is valid on).  One flat offset bincount fills the (a, b, L, R, Z)
+    contingency cube; summing it over an axis gives the exact integer
+    counts of each marginal, so H(L,Z), H(R,Z), H(L,R,Z) and H(Z) all come
+    from that one count, in the bin order — and through the float
+    expression ``H(L,Z) + H(R,Z) - H(L,R,Z) - H(Z)`` — of the scalar
+    :func:`~repro.selection.entropy.conditional_mutual_information`.
+    Without ``given`` Z is constant and the expression is
+    :func:`~repro.selection.entropy.mutual_information`'s
+    ``H(L) + H(R) - H(L,R)``.  A cube is kept under :data:`_CUBE_BUDGET`
+    by counting ``left`` in blocks of rows (one row at the least).
+    """
+    a, r = left.shape
+    b = right.shape[0]
+    out = np.zeros((a, b), dtype=np.float64)
+    if r == 0 or a == 0 or b == 0:
+        return out  # no pairwise-complete rows: the scalar estimators say 0.0
+    wl, wr = int(left.max()) + 1, int(right.max()) + 1
+    wz = 1 if given is None else int(given.max()) + 1
+    width = wl * wr * wz
+    right = right * wz + (np.arange(b, dtype=np.int64) * width)[:, np.newaxis]
+    if given is not None:
+        right += given
+    step = max(1, _CUBE_BUDGET // (b * max(r, width)))
+    for lo in range(0, a, step):
+        block = left[lo : lo + step] * (wr * wz)
+        m = block.shape[0]
+        block += (np.arange(m, dtype=np.int64) * (b * width))[:, np.newaxis]
+        flat = (block[:, np.newaxis, :] + right[np.newaxis, :, :]).ravel()
+        cube = np.bincount(flat, minlength=m * b * width).reshape(m, b, wl, wr, wz)
+        h_left = _table_entropies(cube[:, 0].sum(axis=2).reshape(m, wl * wz), r)
+        h_right = _table_entropies(cube[0].sum(axis=1).reshape(b, wr * wz), r)
+        h_joint = _table_entropies(cube.reshape(m * b, width), r).reshape(m, b)
+        info = h_left[:, np.newaxis] + h_right[np.newaxis, :] - h_joint
+        if given is not None:
+            info -= _table_entropies(cube[0, 0].sum(axis=(0, 1))[np.newaxis, :], r)
+        out[lo : lo + m] = np.where(info > 0.0, info, 0.0)
+    return out
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Σ over the rows of ``terms``, accumulated in R_sel insertion order
+    from 0.0 — the running ``+=`` of the scalar criteria, per column."""
+    total = np.zeros(terms.shape[1], dtype=np.float64)
+    for row in terms:
+        total += row
+    return total
 
 
 def batch_redundancy_scores(
@@ -330,12 +367,13 @@ def batch_redundancy_scores(
     """Score every candidate column against the cached selected set.
 
     Drop-in for :func:`repro.selection.redundancy.redundancy_scores` with
-    the selected set's codes served from ``cache``.  Each candidate is
-    binned once; its marginal entropy H(X_k) and label-joint entropy
-    H(X_k, Y) are computed once and reused across every pairwise term, and
-    the cached H(X_j) / H(X_j, Y) terms are shared across the whole batch.
-    Pairs whose codes contain missing entries fall back to the scalar
-    pairwise-complete estimators (``counters.scalar_fallbacks``).
+    the selected set's codes served from ``cache``.  Candidates are binned
+    once and grouped by validity mask; each (candidate group, selected
+    group) pair shares one set of pairwise-complete rows, over which
+    :func:`_pair_information` counts every I(X_j; X_k) — and, for
+    CIFE/JMI/CMIM, every I(X_j; X_k | Y) on the rows the label is also
+    valid on — of the block at once.  The relevance term I(X_k; Y) is the
+    same computation against the label as a one-vector block.
     """
     X = np.asarray(candidates, dtype=np.float64)
     if X.ndim != 2:
@@ -345,164 +383,45 @@ def batch_redundancy_scores(
             f"unknown redundancy method {method!r}; "
             f"expected one of {sorted(REDUNDANCY_METHODS)}"
         )
-    label_codes = cache.label_codes
-    if X.shape[0] != label_codes.shape[0]:
+    label, label_mask = cache.label_codes, cache.label_mask
+    n, d = X.shape
+    if n != label.shape[0]:
         raise SelectionError(
-            f"candidate matrix has {X.shape[0]} rows, label has "
-            f"{label_codes.shape[0]}"
+            f"candidate matrix has {n} rows, label has {label.shape[0]}"
         )
     n_selected = cache.n_selected
     if counters is not None:
         counters.codes_reused += n_selected
-    coeffs = linear_coefficients(method, n_selected)
-    max_form = coeffs is None and method == "cmim"
-    if coeffs is None and not max_form:
-        # Unknown-form criterion: score through the registered scalar
-        # scorer, still saving the per-batch re-discretisation.
-        scorer = REDUNDANCY_METHODS[method]
-        return np.asarray(
-            [
-                scorer(discretize(X[:, j]), cache.selected_codes, label_codes).score
-                for j in range(X.shape[1])
-            ],
-            dtype=np.float64,
-        )
-    beta, lam = (0.0, 0.0) if max_form else coeffs
-    label_fast = not cache.label_has_missing and label_codes.size > 0
-    wz = cache.label_width
-    h_label = cache.label_entropy
+    coeffs = linear_coefficients(method, n_selected)  # None: CMIM's max form
+    conditional = coeffs is None or coeffs[1] != 0.0
 
-    out = np.empty(X.shape[1], dtype=np.float64)
-    for j in range(X.shape[1]):
-        cand = discretize(X[:, j])
-        cand_missing = bool((cand < 0).any())
-        cand_fast = not cand_missing and cand.size > 0
-        h_cand = entropy(cand) if cand_fast else 0.0
-        wc = int(cand.max()) + 1 if cand.size else 1
-        # Masked variants for a candidate with missing entries: against any
-        # *complete* vector the pairwise-complete mask is just the
-        # candidate's own validity mask, so the candidate-side terms are
-        # computed once here and shared across the label and the whole
-        # selected set.
-        cand_mask = None
-        cand_valid = None
-        h_cand_valid = 0.0
-        wc_valid = 1
-        if cand_missing:
-            cand_mask = cand >= 0
-            cand_valid = cand[cand_mask]
-            if cand_valid.size:
-                h_cand_valid = entropy(cand_valid)
-                wc_valid = int(cand_valid.max()) + 1
-        cand_label_joint = None
-        if label_fast and cand_fast:
-            cand_label_joint = entropy(cand * wz + label_codes)
-            relevance = max(0.0, float(h_cand + h_label - cand_label_joint))
-        elif label_fast and cand_missing and cand_valid.size:
-            label_m = label_codes[cand_mask]
-            relevance = max(
-                0.0,
-                float(
-                    h_cand_valid
-                    + entropy(label_m)
-                    - entropy(cand_valid * (int(label_m.max()) + 1) + label_m)
-                ),
+    codes = np.empty((d, n), dtype=np.int64)
+    for j in range(d):
+        codes[j] = discretize(X[:, j])
+    relevance = np.zeros(d, dtype=np.float64)
+    mi = np.zeros((n_selected, d), dtype=np.float64)
+    cmi = np.zeros((n_selected, d), dtype=np.float64)
+    for mask, members in _mask_groups(codes >= 0):
+        group_codes = codes[members]
+        rows = np.flatnonzero(mask & label_mask)
+        relevance[members] = _pair_information(
+            group_codes.take(rows, axis=1), label[np.newaxis, rows]
+        )[:, 0]
+        for selected in cache.groups:
+            block = np.ix_(selected.positions, members)
+            rows = np.flatnonzero(mask & selected.mask)
+            mi[block] = _pair_information(
+                selected.codes.take(rows, axis=1), group_codes.take(rows, axis=1)
             )
-        else:
-            if counters is not None:
-                counters.scalar_fallbacks += 1
-            relevance = mutual_information(cand, label_codes)
-
-        # The complete selected features share one joint-entropy batch: the
-        # joint codes against the candidate are built as one broadcast and
-        # binned with one flat bincount (per-pair float expressions — and
-        # hence results — are unchanged).  Missing-code features keep the
-        # per-pair masked / scalar paths.
-        needs_conditional = max_form or lam != 0.0
-        complete = cache._complete_positions
-        mi_by_pos: dict[int, float] = {}
-        cmi_by_pos: dict[int, float] = {}
-        if complete:
-            if cand_fast:
-                joint = cache.complete_matrix() * wc + cand[:, np.newaxis]
-                h_joint = _column_entropies(joint)
-                for t, i in enumerate(complete):
-                    mi_by_pos[i] = max(
-                        0.0, float(cache._entropies[i] + h_cand - h_joint[t])
-                    )
-                if needs_conditional and label_fast:
-                    h_joint3 = _column_entropies(
-                        joint * wz + label_codes[:, np.newaxis]
-                    )
-                    for t, i in enumerate(complete):
-                        cmi_by_pos[i] = max(
-                            0.0,
-                            float(
-                                cache._label_joint_entropies[i]
-                                + cand_label_joint
-                                - h_joint3[t]
-                                - h_label
-                            ),
-                        )
-            elif cand_missing and cand_valid.size:
-                sub = cache.complete_matrix()[cand_mask]
-                h_sub = _column_entropies(sub)
-                h_joint = _column_entropies(
-                    sub * wc_valid + cand_valid[:, np.newaxis]
+            if conditional:
+                rows = rows[label_mask[rows]]
+                cmi[block] = _pair_information(
+                    selected.codes.take(rows, axis=1),
+                    group_codes.take(rows, axis=1),
+                    label[rows],
                 )
-                for t, i in enumerate(complete):
-                    mi_by_pos[i] = max(
-                        0.0, float(h_sub[t] + h_cand_valid - h_joint[t])
-                    )
-            elif cand_missing:
-                for i in complete:
-                    mi_by_pos[i] = 0.0
-
-        redundancy = 0.0
-        conditional = 0.0
-        worst = 0.0
-        for i in range(n_selected):
-            sel_missing = cache._has_missing[i]
-            if i in mi_by_pos:
-                mi = mi_by_pos[i]
-            elif cand_fast and sel_missing:
-                sel_valid = cache._valid_codes[i]
-                if sel_valid.size:
-                    cand_m = cand[cache._valid_masks[i]]
-                    mi = max(
-                        0.0,
-                        float(
-                            cache._valid_entropies[i]
-                            + entropy(cand_m)
-                            - entropy(
-                                sel_valid * (int(cand_m.max()) + 1) + cand_m
-                            )
-                        ),
-                    )
-                else:
-                    mi = 0.0
-            else:
-                if counters is not None:
-                    counters.scalar_fallbacks += 1
-                mi = mutual_information(cache._codes[i], cand)
-            cmi = 0.0
-            if needs_conditional:
-                if i in cmi_by_pos:
-                    cmi = cmi_by_pos[i]
-                else:
-                    if counters is not None:
-                        counters.scalar_fallbacks += 1
-                    cmi = conditional_mutual_information(
-                        cache._codes[i], cand, label_codes
-                    )
-            if max_form:
-                worst = max(worst, mi - cmi)
-            else:
-                redundancy += mi
-                if lam != 0.0:
-                    conditional += cmi
-        if max_form:
-            out[j] = float(relevance - worst)
-        else:
-            out[j] = float(relevance - beta * redundancy + lam * conditional)
-    return out
+    if coeffs is None:
+        worst = np.maximum.reduce(mi - cmi, axis=0, initial=0.0)
+        return relevance - worst
+    beta, lam = coeffs
+    return relevance - beta * _sum_in_order(mi) + lam * _sum_in_order(cmi)

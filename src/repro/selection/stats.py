@@ -47,8 +47,10 @@ class SelectionStats:
         the legacy path performs on every batch.
     scalar_fallbacks:
         Pair scorings that fell off every vectorised/masked fast path onto
-        the per-pair scalar pairwise-complete estimators (e.g. redundancy
-        pairs where both code vectors contain missing entries).
+        the per-pair scalar pairwise-complete estimators.  The kernels
+        score every pair — nulls on either side or both — from mask-grouped
+        contingency counts, so this is 0; the benchmark and the driver
+        goldens gate on it staying there.
     """
 
     batches_scored: int = 0

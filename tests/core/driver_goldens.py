@@ -20,6 +20,12 @@ the whole ``augment("knn")``; unbudgeted fault cells also train the clean
 discovery's top-k under a fresh injector, because permanent faults met in
 discovery never reach training otherwise.  A second section freezes the
 diamond-lake stress runs of ``tests/core/test_parallel_faults.py``.
+
+One hand edit since: when the redundancy kernel stopped dropping to the
+scalar estimators (mask-grouped contingency counts score every pair), the
+12 ``covertype`` cells whose ``selection.scalar_fallbacks`` was 2, 4 or 6
+were set to 0 — those 12 integers and nothing else; every ranking, score,
+engine counter and the other four selection counters are the frozen bytes.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
-from repro.datasets import DATASETS, benchmark_drg
-from repro.datasets.splitter import split_into_lake
+from repro.datasets import DATASETS, benchmark_drg, make_classification
+from repro.datasets.splitter import SplitPlan, split_into_lake
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from tests.selection.test_kernels import ScalarTwoStageSelector
@@ -217,6 +217,26 @@ class TestSelectionKernelParity:
         result = autofeat.train_top_k(discovery, "lightgbm")
         assert "selection:" in result.summary()
         assert "codes cached" in result.summary()
+
+    def test_partial_joins_never_fall_back_to_scalar(self):
+        # Match rates < 1 on a multi-hop lake: candidates and selected
+        # features both carry nulls, on different rows.
+        flat = make_classification(
+            n_rows=300, n_informative=6, n_redundant=2, n_noise=2,
+            class_sep=1.6, seed=3,
+        )
+        plan = SplitPlan(
+            name="holes", n_satellites=5, n_base_features=2, max_depth=3,
+            match_rate_range=(0.6, 0.9), seed=3,
+        )
+        bundle = split_into_lake(flat, plan)
+        config = AutoFeatConfig(sample_size=300, tau=0.3, seed=1)
+        found = AutoFeat(bundle.benchmark_drg(), config).discover(
+            bundle.base_name, bundle.label_column
+        )
+        assert max(r.path.length for r in found.ranked_paths) >= 2
+        assert found.selection_stats.codes_reused > 0
+        assert found.selection_stats.scalar_fallbacks == 0
 
 
 class TestConfigEffects:

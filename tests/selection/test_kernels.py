@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core import AutoFeatConfig
 from repro.core.streaming import StageOutcome, StreamingFeatureSelector
 from repro.errors import SelectionError
+from repro.selection import kernels
 from repro.selection import (
     REDUNDANCY_METHODS,
     SelectionCodeCache,
@@ -100,11 +101,9 @@ class TestBatchSpearman:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         y[5] = np.nan
-        counters = SelectionCounters()
-        kernel = batch_spearman_scores(X, y, counters=counters)
-        # All three columns share the label's mask: one masked group, no
-        # scalar fallback, identical scores.
-        assert counters.scalar_fallbacks == 0
+        # All three columns share the label's mask: one masked group,
+        # identical scores.
+        kernel = batch_spearman_scores(X, y)
         assert kernel.tolist() == relevance_scores(X, y, metric="spearman").tolist()
 
     def test_distinct_nan_masks_stay_exact(self):
@@ -146,12 +145,53 @@ class TestBatchRelevance:
         assert counters.features_ranked == 3
 
 
-def _cache_for(selected: np.ndarray | None, label: np.ndarray) -> SelectionCodeCache:
-    cache = SelectionCodeCache(label)
+@st.composite
+def holed_problems(draw):
+    """(candidates, selected, label) with an independent null mask on each.
+
+    Every candidate and every selected column draws its own mask, so pairs
+    where *both* sides miss (different) rows are the common case; the label
+    gets one in half the examples.  Rounded columns stay dense-coded,
+    unrounded ones with more than 32 distinct values are equal-width binned.
+    """
+    n = draw(st.integers(min_value=0, max_value=48))
+    finite = st.floats(min_value=-9, max_value=9, allow_nan=False, allow_infinity=False)
+
+    def holed(width, round_it):
+        M = draw(arrays(np.float64, (n, width), elements=finite))
+        M = np.round(M) if round_it else M.copy()
+        M[draw(arrays(np.bool_, (n, width)))] = np.nan
+        return M
+
+    X = holed(draw(st.integers(1, 4)), draw(st.booleans()))
+    selected = holed(draw(st.integers(0, 5)), draw(st.booleans()))
+    y = holed(1, True)[:, 0] if draw(st.booleans()) else np.round(
+        draw(arrays(np.float64, n, elements=finite))
+    )
+    return X, selected, y
+
+
+def _cache_for(
+    selected: np.ndarray | None,
+    label: np.ndarray,
+    counters: SelectionCounters | None = None,
+) -> SelectionCodeCache:
+    cache = SelectionCodeCache(label, counters)
     if selected is not None and selected.size:
         for i in range(selected.shape[1]):
             cache.add(selected[:, i])
     return cache
+
+
+def _assert_identical_for_every_method(X, selected, y):
+    for method in METHODS:
+        counters = SelectionCounters()
+        kernel = batch_redundancy_scores(
+            X, _cache_for(selected, y, counters), method=method, counters=counters
+        )
+        scalar = redundancy_scores(X, selected, y, method=method)
+        assert kernel.tolist() == scalar.tolist(), method
+        assert counters.scalar_fallbacks == 0
 
 
 class TestBatchRedundancy:
@@ -190,6 +230,84 @@ class TestBatchRedundancy:
         kernel = batch_redundancy_scores(X, _cache_for(None, y), method=method)
         scalar = redundancy_scores(X, None, y, method=method)
         assert kernel.tolist() == scalar.tolist()
+
+    @given(holed_problems(), st.sampled_from(METHODS))
+    @settings(max_examples=200, deadline=None)
+    def test_independent_null_masks_bit_identical(self, problem, method):
+        X, selected, y = problem
+        counters = SelectionCounters()
+        kernel = batch_redundancy_scores(
+            X, _cache_for(selected, y, counters), method=method, counters=counters
+        )
+        scalar = redundancy_scores(X, selected, y, method=method)
+        assert kernel.tolist() == scalar.tolist()
+        assert counters.scalar_fallbacks == 0
+
+    def test_zero_pairwise_complete_rows(self):
+        rng = np.random.default_rng(41)
+        X = np.round(rng.normal(size=(20, 2)) * 2)
+        selected = np.round(rng.normal(size=(20, 2)) * 2)
+        X[:10, 0] = np.nan  # candidate 0 lives on the bottom half,
+        selected[10:, 1] = np.nan  # selected 1 on the top half only
+        _assert_identical_for_every_method(X, selected, rng.integers(0, 2, 20).astype(float))
+
+    def test_all_null_candidate(self):
+        rng = np.random.default_rng(43)
+        X = np.round(rng.normal(size=(20, 2)) * 2)
+        X[:, 1] = np.nan
+        selected = np.round(rng.normal(size=(20, 3)) * 2)
+        selected[::4, 2] = np.nan
+        _assert_identical_for_every_method(X, selected, rng.integers(0, 2, 20).astype(float))
+
+    def test_exactly_one_overlapping_row(self):
+        rng = np.random.default_rng(47)
+        X = np.round(rng.normal(size=(20, 1)) * 2)
+        selected = np.round(rng.normal(size=(20, 2)) * 2)
+        X[11:, 0] = np.nan
+        selected[:10, 0] = np.nan  # shares row 10 alone with the candidate
+        _assert_identical_for_every_method(X, selected, rng.integers(0, 3, 20).astype(float))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_rows(self, method):
+        X, y = np.empty((0, 2)), np.empty(0)
+        cache = SelectionCodeCache(y)
+        cache.add(np.empty(0))
+        kernel = batch_redundancy_scores(X, cache, method=method)
+        scalar = redundancy_scores(X, np.empty((0, 1)), y, method=method)
+        assert kernel.tolist() == scalar.tolist() == [0.0, 0.0]
+
+    def test_binned_and_dense_coded_columns_mixed(self):
+        rng = np.random.default_rng(53)
+        n = 200
+        X = np.column_stack(
+            [rng.normal(size=n), rng.integers(0, 5, n), rng.normal(size=n)]
+        ).astype(float)  # > 32 distinct (binned), 5 distinct (dense), binned
+        selected = np.column_stack(
+            [rng.integers(0, 3, n), rng.normal(size=n), rng.integers(0, 40, n)]
+        ).astype(float)
+        X[rng.random(n) < 0.2, 0] = np.nan
+        X[rng.random(n) < 0.2, 1] = np.nan
+        selected[rng.random(n) < 0.3, 1] = np.nan
+        selected[rng.random(n) < 0.3, 2] = np.nan
+        assert len(np.unique(discretize(X[:, 0]))) <= 11 < len(np.unique(X[:, 0]))
+        _assert_identical_for_every_method(X, selected, rng.integers(0, 4, n).astype(float))
+
+    @pytest.mark.parametrize("budget", [1, 1000, 2500])
+    def test_cube_budget_blocks_do_not_change_bits(self, budget, monkeypatch):
+        # 7 selected columns under one mask, 90-720 cube elements per
+        # column: a budget of 1 counts one column per cube, the other two
+        # cut the group into blocks of 4 / 3 columns (and fewer for the
+        # wider label-conditioned cubes).
+        rng = np.random.default_rng(59)
+        n = 60
+        X = np.round(rng.normal(size=(n, 3)) * 2)
+        selected = np.round(rng.normal(size=(n, 7)) * 2)
+        selected[::5] = np.nan
+        X[::7, 1] = np.nan
+        y = rng.integers(0, 3, n).astype(float)
+        y[3] = np.nan
+        monkeypatch.setattr(kernels, "_CUBE_BUDGET", budget)
+        _assert_identical_for_every_method(X, selected, y)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SelectionError):
@@ -372,7 +490,7 @@ class TestStreamingParity:
             cols = rng.normal(size=(n, 3))
             cols[:, 0] += label  # keep some batches partially relevant
             if b == 2:
-                cols[::6, 1] = np.nan  # exercise the scalar fallbacks
+                cols[::6, 1] = np.nan  # a second validity mask
             batches.append(([f"b{b}_{j}" for j in range(3)], cols))
 
         config = AutoFeatConfig()
