@@ -9,6 +9,15 @@ min / median wall time of 5 untraced ops, then a cProfile of one more op
 sorted by cumulative and by own time.  cProfile inflates call-heavy Python
 and not native code, so use it to find candidates and the untraced times —
 or the benchmark itself — to measure them.
+
+Every thread is profiled, not only the caller: ``service_mixed`` does its
+work on the service's worker threads, where a main-thread profile sees only
+``lock.acquire``.  A profile function is per thread and can only be set from
+inside it, so each thread started after ``threading.setprofile`` carries a
+hook that switches that thread's own ``cProfile.Profile`` on at its first
+call during the profiled op; the per-thread profiles are merged with
+``pstats.Stats.add``.  Idle, the hook slows a worker thread by 20–40 %, so
+the untraced ops run first, on a state prepared without it.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import os
 import pstats
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -51,15 +61,42 @@ def main() -> int:
             start = time.perf_counter()
             workload.op(lake, state)
             walls.append(time.perf_counter() - start)
-        print(
-            f"{args.workload} seed {args.seed}: {UNTRACED_OPS} untraced ops, "
-            f"min {min(walls):.3f} s, median {statistics.median(walls):.3f} s"
-        )
-        profiler = cProfile.Profile()
-        profiler.runcall(workload.op, lake, state)
     finally:
         workload.teardown(state)
-    stats = pstats.Stats(profiler).strip_dirs()
+    print(
+        f"{args.workload} seed {args.seed}: {UNTRACED_OPS} untraced ops, "
+        f"min {min(walls):.3f} s, median {statistics.median(walls):.3f} s"
+    )
+
+    profiling = threading.Event()
+    main_profiler = cProfile.Profile()
+    profilers = [("main", main_profiler)]
+
+    def thread_hook(frame, event, arg):
+        if profiling.is_set():
+            profiler = cProfile.Profile()
+            profilers.append((threading.current_thread().name, profiler))
+            profiler.enable()  # takes this hook's place on its thread
+
+    threading.setprofile(thread_hook)
+    state = workload.prepare(lake, args.seed)
+    try:
+        workload.op(lake, state)  # warm-up
+        profiling.set()
+        main_profiler.runcall(workload.op, lake, state)
+        profiling.clear()
+    finally:
+        threading.setprofile(None)
+        workload.teardown(state)  # joins the threads it started
+
+    stats = None
+    for name, profiler in profilers:
+        if not profiler.getstats():
+            continue
+        part = pstats.Stats(profiler)
+        print(f"thread {name}: {part.total_calls} calls, {part.total_tt:.3f} s own time")
+        stats = part if stats is None else stats.add(part)
+    stats.strip_dirs()
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
     return 0

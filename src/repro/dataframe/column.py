@@ -331,11 +331,15 @@ class Column:
         return self._values[~self._mask]
 
     def unique(self) -> list[Any]:
-        """Sorted distinct non-null values."""
+        """Sorted distinct non-null values, as Python scalars.
+
+        The one distinct-values primitive: a single ``np.unique`` for the
+        numeric dtypes.  An explicitly unmasked NaN counts once and sorts last.
+        """
         present = self.non_null_values()
         if self._dtype is DType.STRING:
             return sorted({str(v) for v in present})
-        return sorted({v.item() if isinstance(v, np.generic) else v for v in present})
+        return np.unique(present).tolist()
 
     def value_counts(self) -> dict[Any, int]:
         """Histogram of non-null values."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .column import Column, DType
-from .groupby import uniqueness
 from .table import Table
 
 __all__ = ["ColumnSchema", "TableSchema", "infer_role", "schema_of"]
@@ -66,8 +65,13 @@ def infer_role(column: Column) -> str:
     weak join columns — the source of spurious lake edges); everything else
     is a plain feature.
     """
-    distinct_fraction = uniqueness(column)
-    n_distinct = len(column.unique())
+    return _role(column, len(column.unique()))
+
+
+def _role(column: Column, n_distinct: int) -> str:
+    """:func:`infer_role` given the column's distinct count (computed once)."""
+    n_present = len(column) - column.null_count()
+    distinct_fraction = n_distinct / n_present if n_present else 0.0
     if distinct_fraction >= 0.95 and n_distinct > 1:
         return KEY_ROLE
     if n_distinct <= max(20, int(0.05 * max(len(column), 1))) and n_distinct > 0:
@@ -80,14 +84,15 @@ def schema_of(table: Table) -> TableSchema:
     columns = []
     for name in table.column_names:
         col = table.column(name)
+        n_distinct = len(col.unique())
         columns.append(
             ColumnSchema(
                 name=name,
                 dtype=col.dtype,
                 n_rows=len(col),
-                n_distinct=len(col.unique()),
+                n_distinct=n_distinct,
                 null_ratio=col.null_ratio(),
-                role=infer_role(col),
+                role=_role(col, n_distinct),
             )
         )
     return TableSchema(name=table.name, columns=tuple(columns))

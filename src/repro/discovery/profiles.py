@@ -1,10 +1,16 @@
 """Column profiling for schema matching.
 
 Matchers never touch full columns: each column is summarised once into a
-:class:`ColumnProfile` — dtype, cardinality, a bounded sketch of distinct
-values and a MinHash signature — and all pairwise similarity is computed on
+:class:`ColumnProfile` — dtype, cardinality, numeric range and a bounded
+sketch of distinct values — and all pairwise similarity is computed on
 profiles.  This mirrors how dataset-discovery systems (Aurum, Lazo, JOSIE)
 scale to lakes: profile once, match many times.
+
+Profiling computes what the matchers read.  The MinHash signature costs one
+hash per distinct value and only the opt-in sketch readers use it
+(``LazoMatcher``, ``minhash_jaccard``, ``JoinabilityIndex.column_keys``), so
+:attr:`ColumnProfile.minhash` is built from the profile's source column on
+first read and memoised.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,9 +88,16 @@ class ColumnProfile:
     n_distinct: int
     null_ratio: float
     sketch: frozenset[str]
-    minhash: np.ndarray = field(repr=False, compare=False)
+    #: The profiled column (immutable, already held by the lake).  Holding a
+    #: derived value list or token set instead would retain it per profile.
+    source: Column = field(repr=False, compare=False)
     numeric_min: float | None = None
     numeric_max: float | None = None
+
+    @cached_property
+    def minhash(self) -> np.ndarray:
+        """MinHash signature of all distinct normalised values (first read computes it)."""
+        return _minhash_signature({_normalise(v) for v in self.source.unique()})
 
     @property
     def uniqueness(self) -> float:
@@ -111,20 +125,15 @@ class TableProfile:
 def profile_column(column: Column, table_name: str, column_name: str) -> ColumnProfile:
     """Summarise one column into a :class:`ColumnProfile`.
 
-    The sketch keeps up to :data:`SKETCH_SIZE` distinct normalised values —
-    enough for containment estimates on join keys, bounded regardless of
-    table size.  Values are sampled deterministically (sorted order) so
-    profiling is reproducible.
+    One sorted distinct-values pass (:meth:`Column.unique`) yields the
+    cardinality, the numeric range and the sketch: the first
+    :data:`SKETCH_SIZE` distinct values, normalised — enough for containment
+    estimates on join keys, bounded regardless of table size, reproducible.
+    No other value is normalised, and none is hashed, until someone reads
+    :attr:`ColumnProfile.minhash`.
     """
     distinct = column.unique()
-    normalised = [_normalise(v) for v in distinct]
-    sketch_values = frozenset(normalised[:SKETCH_SIZE])
-    numeric_min = numeric_max = None
-    if column.dtype.is_numeric:
-        present = column.non_null_values().astype(np.float64)
-        if present.size:
-            numeric_min = float(present.min())
-            numeric_max = float(present.max())
+    numeric = column.dtype.is_numeric and bool(distinct)
     return ColumnProfile(
         table_name=table_name,
         column_name=column_name,
@@ -132,10 +141,10 @@ def profile_column(column: Column, table_name: str, column_name: str) -> ColumnP
         n_rows=len(column),
         n_distinct=len(distinct),
         null_ratio=column.null_ratio(),
-        sketch=sketch_values,
-        minhash=_minhash_signature(set(normalised)),
-        numeric_min=numeric_min,
-        numeric_max=numeric_max,
+        sketch=frozenset(_normalise(v) for v in distinct[:SKETCH_SIZE]),
+        source=column,
+        numeric_min=float(distinct[0]) if numeric else None,
+        numeric_max=float(distinct[-1]) if numeric else None,
     )
 
 

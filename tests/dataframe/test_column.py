@@ -187,6 +187,41 @@ class TestAnalytics:
     def test_unique_strings(self):
         assert Column(["b", "a", "b"]).unique() == ["a", "b"]
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            Column([3, 1, 2**53 + 1, 2**53, -(2**63), 2**63 - 1, 1, None]),
+            Column([0.0, -0.0, 2.5, float("inf"), float("-inf"), 2.5, None, -1e-300]),
+            Column([-0.0, 0.0]),
+            Column([True, False, None, True]),
+            Column([True]),
+            Column(["b", "a", " a", "B", None, "b"]),
+            Column([], dtype=DType.INT),
+            Column([], dtype=DType.STRING),
+            Column([None, None], dtype=DType.FLOAT),
+            Column([None, None], dtype=DType.BOOL),
+            Column.nulls(3, DType.STRING),
+        ],
+        ids=lambda c: f"{c.dtype.value}-{len(c)}",
+    )
+    def test_unique_equals_the_per_value_recipe(self, column):
+        """The vectorised pass returns what the old set comprehension did."""
+        present = column.non_null_values()
+        if column.dtype is DType.STRING:
+            expected = sorted({str(v) for v in present})
+        else:
+            expected = sorted({v.item() for v in present})
+        result = column.unique()
+        assert result == expected
+        assert [type(v) for v in result] == [type(v) for v in expected]
+
+    def test_unique_counts_an_unmasked_nan_once_and_last(self):
+        # The old recipe kept one set entry per NaN and sorted them undefinedly.
+        column = Column(np.array([np.nan, 2.0, np.nan, 1.0]), mask=np.zeros(4, dtype=bool))
+        result = column.unique()
+        assert result[:2] == [1.0, 2.0]
+        assert len(result) == 3 and np.isnan(result[2])
+
     def test_value_counts(self):
         assert Column([1, 1, 2, None]).value_counts() == {1: 2, 2: 1}
 

@@ -45,6 +45,20 @@ class TestSchemaOf:
         assert "id" in candidates
         assert "cat" in candidates
 
+    def test_one_distinct_pass_per_column(self, monkeypatch):
+        t = Table(
+            {"id": list(range(60)), "cat": [1, 2] * 30, "s": ["x", None] * 30}, name="t"
+        )
+        calls = []
+        unique = Column.unique
+        monkeypatch.setattr(Column, "unique", lambda col: calls.append(col) or unique(col))
+        schema = schema_of(t)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for col in schema.columns:
+            assert col.role == infer_role(t.column(col.name))
+            assert col.n_distinct == len(t.column(col.name).unique())
+
     def test_null_ratio_recorded(self):
         t = Table({"a": [1, None, None, 4]}, name="t")
         assert schema_of(t).column("a").null_ratio == 0.5

@@ -1,10 +1,25 @@
 """Unit tests for column profiling."""
 
-import numpy as np
+import hashlib
+import threading
+import tracemalloc
 
-from repro.dataframe import Column, Table
-from repro.discovery import profile_column, profile_table
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import DiscoveryService
+from repro.dataframe import Column, DType, Table
+from repro.discovery import (
+    ComaMatcher,
+    IncrementalMatchIndex,
+    ValueOverlapMatcher,
+    profile_column,
+    profile_table,
+    profiles,
+)
 from repro.discovery.profiles import MINHASH_PERMUTATIONS, SKETCH_SIZE, ProfileCache
+from repro.graph import DatasetRelationGraph
 
 
 class TestProfileColumn:
@@ -103,3 +118,166 @@ class TestProfileCacheClass:
         cache(table)
         del cache
         del table  # the eviction callback finds its cache gone
+
+
+# -- lazy signature / vectorised distinct pass -------------------------------
+
+_MERSENNE = (1 << 61) - 1
+
+
+def _old_unique(column):
+    """``Column.unique`` before the vectorised pass: a per-value set + sort."""
+    present = column.non_null_values()
+    if column.dtype is DType.STRING:
+        return sorted({str(v) for v in present})
+    return sorted({v.item() for v in present})
+
+
+def _old_normalise(value):
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value).strip().lower()
+
+
+def _eager_profile(column):
+    """The eager recipe this module replaced, written out in full."""
+    normalised = [_old_normalise(v) for v in _old_unique(column)]
+    signature = np.full(MINHASH_PERMUTATIONS, np.iinfo(np.uint64).max, dtype=np.uint64)
+    tokens = set(normalised)
+    if tokens:
+        rng = np.random.default_rng(0xDA7A)
+        a = rng.integers(1, _MERSENNE, size=MINHASH_PERMUTATIONS, dtype=np.uint64)
+        b = rng.integers(0, _MERSENNE, size=MINHASH_PERMUTATIONS, dtype=np.uint64)
+        hashes = np.asarray(
+            [
+                int.from_bytes(
+                    hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest(), "little"
+                )
+                for t in tokens
+            ],
+            dtype=np.uint64,
+        )
+        signature = ((hashes[:, None] * a[None, :] + b[None, :]) % _MERSENNE).min(axis=0)
+    numeric_min = numeric_max = None
+    if column.dtype.is_numeric:
+        present = column.non_null_values().astype(np.float64)
+        if present.size:
+            numeric_min, numeric_max = float(present.min()), float(present.max())
+    return {
+        "n_distinct": len(normalised),
+        "null_ratio": column.null_ratio(),
+        "sketch": frozenset(normalised[:SKETCH_SIZE]),
+        "numeric_min": numeric_min,
+        "numeric_max": numeric_max,
+        "minhash": signature,
+    }
+
+
+_POOLS = {
+    DType.INT: st.integers(-(2**63), 2**63 - 1),
+    DType.FLOAT: st.floats(allow_nan=False) | st.integers(-50, 50).map(float),
+    DType.BOOL: st.booleans(),
+    DType.STRING: st.text(max_size=6) | st.sampled_from([" A", "a ", "a", "1", "1.0"]),
+}
+
+
+@st.composite
+def _columns(draw, max_size=400):
+    """A column of duplicates drawn from a small pool, with random nulls."""
+    dtype = draw(st.sampled_from(list(_POOLS)))
+    pool = draw(st.lists(_POOLS[dtype], min_size=1, max_size=300))
+    values = draw(st.lists(st.sampled_from(pool) | st.none(), max_size=max_size))
+    return Column(values, dtype=dtype)
+
+
+class TestLazySignature:
+    @staticmethod
+    def _lake():
+        def table(name, ids):
+            return Table(
+                {
+                    "record_id": list(ids),
+                    "label": [i % 2 for i in ids],
+                    f"{name}_val": [float(i * 7 % 11) for i in ids],
+                },
+                name=name,
+            )
+
+        return [table("alpha", range(40)), table("beta", range(5, 45)), table("gamma", range(10, 50))]
+
+    def test_default_path_never_builds_a_signature(self, monkeypatch):
+        def boom(tokens):
+            raise AssertionError("MinHash signature built on the default path")
+
+        monkeypatch.setattr(profiles, "_minhash_signature", boom)
+        tables = self._lake()
+        drg = DatasetRelationGraph.from_discovery(tables, ComaMatcher())
+        assert drg.n_relationships > 0
+        assert ValueOverlapMatcher().match(tables[0], tables[1])
+        index = IncrementalMatchIndex(tables)
+        index.update_table(tables[1].take(np.arange(30)))
+        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        with DiscoveryService(tables) as service:
+            service.update_table(tables[2].take(np.arange(30)))
+            response = service.discover("alpha", "label", timeout=60)
+            assert response.result.ranked_paths
+
+    @settings(max_examples=150, deadline=None)
+    @given(_columns())
+    def test_bit_identical_to_the_eager_recipe(self, column):
+        profile = profile_column(column, "t", "c")
+        expected = _eager_profile(column)
+        assert profile.minhash.dtype == np.uint64
+        assert np.array_equal(profile.minhash, expected.pop("minhash"))
+        assert {name: getattr(profile, name) for name in expected} == expected
+
+    def test_more_distinct_values_than_the_sketch_holds(self):
+        column = Column(np.arange(3 * SKETCH_SIZE)[::-1] * 0.5)
+        profile = profile_column(column, "t", "c")
+        expected = _eager_profile(column)
+        assert len(profile.sketch) == SKETCH_SIZE
+        assert np.array_equal(profile.minhash, expected.pop("minhash"))
+        assert {name: getattr(profile, name) for name in expected} == expected
+
+    def test_concurrent_first_reads_agree_and_memoise(self):
+        profile = profile_column(Column(np.arange(20_000)), "t", "c")
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(profile.minhash)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+        assert np.array_equal(seen[0], _eager_profile(profile.source)["minhash"])
+        assert profile.minhash is profile.minhash
+
+    def test_profiles_retain_sketches_not_values(self):
+        rng = np.random.default_rng(0)
+        n = 50_000
+        table = Table(
+            {
+                "id": rng.permutation(n),
+                "x": rng.normal(size=n),
+                "s": [f"v{i}" for i in rng.permutation(n)],
+            },
+            name="big",
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            profile = profile_table(table)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        # 3 sketches x 256 short strings; one Python object per distinct value
+        # would be >= 3 x 50 000 x ~28 bytes = 4 MB.
+        assert retained < 200_000
+        assert all(c.source is table.column(c.column_name) for c in profile.columns)
