@@ -1,4 +1,4 @@
-.PHONY: check test test-faults test-parallel test-service test-chunked test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-parallel bench-service bench-chunked bench-anytime bench-sketch
+.PHONY: check test test-faults test-parallel test-service test-anytime test-exp test-sketch trace-smoke exp-smoke bench-e2e-smoke bench-service bench-anytime bench-sketch
 
 # The tier-1 tests (once), the smoke-mode micro-benches (which write no
 # tracked file), the trace / experiment smokes and the end-to-end benchmark
@@ -13,13 +13,11 @@ test:
 test-faults:
 	PYTHONPATH=src python -m pytest -q tests/engine tests/core -k fault
 
-# Fast gate: parallel-backend parity/stress/manifest suites (threads and
-# processes at max_workers=2, exercising the pickling path) plus the
-# parallel-discovery micro-bench in smoke mode (parity-gated).
+# Fast gate: backend parity/stress/manifest suites (serial vs processes
+# at max_workers=2, exercising the pickling path).
 test-parallel:
 	PYTHONPATH=src python -m pytest -q tests/engine/test_parallel_parity.py \
 		tests/core/test_parallel_faults.py tests/obs/test_parallel_manifest.py
-	PYTHONPATH=src python benchmarks/bench_parallel_discovery.py --smoke
 
 # Fast gate: the always-on service suites (request queue, warm result
 # cache, incremental DRG maintenance, surgical invalidation, the
@@ -30,17 +28,6 @@ test-service:
 		tests/graph/test_drg_delta.py tests/discovery/test_incremental.py \
 		tests/engine/test_hop_cache.py
 	PYTHONPATH=src python benchmarks/bench_service.py --smoke
-
-# Fast gate: dictionary-encoding + out-of-core suites (KeyDictionary
-# interning and cross-table alignment, chunked executor, spill manager,
-# hypothesis parity of the encoded kernels against the dict-based join
-# reference) plus the chunked-join micro-bench in smoke mode (spilling
-# bounded-memory run, rankings identical to in-core).
-test-chunked:
-	PYTHONPATH=src python -m pytest -q tests/dataframe/test_encoding.py \
-		tests/dataframe/test_join_reference.py tests/engine/test_chunked.py \
-		tests/engine/test_encoded_parity.py
-	PYTHONPATH=src python benchmarks/bench_chunked_join.py --smoke
 
 # Fast gate: anytime budgeted-navigation suites (UCB frontier, run
 # budgets, hop/run deadline enforcement, budget-vs-full-BFS parity and
@@ -87,21 +74,11 @@ bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 	python3 -m pytest -q benchmarks/e2e
 
-# Full parallel-discovery benchmark (serial vs threads vs processes at 4
-# workers; parity- and speedup-gated); writes BENCH_parallel_discovery.json.
-bench-parallel:
-	PYTHONPATH=src python benchmarks/bench_parallel_discovery.py
-
 # Full service benchmark (warm requests vs cold single-shot, incremental
 # mutation vs cold rebuild; parity- and speedup-gated); writes
 # BENCH_service.json.
 bench-service:
 	PYTHONPATH=src python benchmarks/bench_service.py
-
-# Full chunked-join benchmark (100k-row bounded-memory spill run; spill-
-# and in-core-parity-gated); writes BENCH_chunked_join.json.
-bench-chunked:
-	PYTHONPATH=src python benchmarks/bench_chunked_join.py
 
 # Full anytime benchmark (regret-vs-budget curve over covertype; parity-
 # gated at infinite budget and >=2x-speedup-at-<=5%-regret-gated); writes

@@ -17,14 +17,11 @@ python -m pytest -x -q
 
 echo
 echo "== micro-benches (smoke) =="
-# Each gates on its own parity claim: serial/threads/processes ranking
-# parity; warm/cold service parity and the >=5x warm-request speedup; a
-# spilling bounded-memory run ranked like the in-core one; degeneration
-# and infinite-budget parity over covertype; paper-lake bit-parity at
-# recall 1.0 and sub-quadratic pairs-scored growth.
-python benchmarks/bench_parallel_discovery.py --smoke
+# Each gates on its own parity claim: warm/cold service parity and the
+# >=5x warm-request speedup; degeneration and infinite-budget parity over
+# covertype; paper-lake bit-parity at recall 1.0 and sub-quadratic
+# pairs-scored growth.
 python benchmarks/bench_service.py --smoke
-python benchmarks/bench_chunked_join.py --smoke
 python benchmarks/bench_anytime.py --smoke
 python benchmarks/bench_sketch_index.py --smoke
 

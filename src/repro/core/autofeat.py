@@ -104,9 +104,6 @@ class AutoFeat:
             tracer=tracer,
             hop_latency_seconds=config.hop_latency_seconds,
             cache=self.hop_cache,
-            chunk_rows=config.chunk_rows,
-            memory_budget_bytes=config.memory_budget_bytes,
-            spill_dir=config.spill_dir,
             run_deadline=run_deadline,
         )
         return PathExecutor(
@@ -176,8 +173,7 @@ class AutoFeat:
 
         Process workers time against their own ``perf_counter_ns`` clock,
         so their trees are rebased onto the wave's start before grafting;
-        serial and thread units share the coordinator's clock and graft
-        verbatim.
+        serial units share the coordinator's clock and graft verbatim.
         """
         if outcome.stats is not None:
             executor.engine.stats.absorb(outcome.stats)
@@ -211,7 +207,7 @@ class AutoFeat:
         ``neighbors`` / ``best_join_options`` loops, with similarity
         pruning and fault planning done here on the coordinating thread),
         executed by a :class:`repro.engine.PathExecutor` — inline and
-        lazily under ``"serial"``, on a worker pool under ``"threads"`` /
+        lazily under ``"serial"``, on a worker pool under
         ``"processes"`` — and merged back **in enumeration order**:
         quality pruning, streaming feature selection, ranking, frontier
         growth, UCB arm updates and the failure policy (with its shared

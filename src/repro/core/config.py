@@ -80,9 +80,10 @@ class AutoFeatConfig:
         Retries per failing operation under the ``retry`` policy.
     hop_timeout_seconds:
         Per-hop wall-clock budget enforced by the
-        :class:`~repro.engine.JoinEngine` (cooperative check; a hop that
-        overruns raises :class:`~repro.errors.HopBudgetExceeded`).  None
-        disables the guard.
+        :class:`~repro.engine.JoinEngine` (cooperative: checked once per
+        hop, after its build and probe phases; a hop that overran raises
+        :class:`~repro.errors.HopBudgetExceeded`).  None disables the
+        guard.
     max_hop_output_rows:
         Per-hop output-row cap enforced by the engine before any join
         work happens (exact, because left joins through deduped indexes
@@ -92,34 +93,24 @@ class AutoFeatConfig:
         (discovery hops, top-k training paths) the one Algorithm-1
         driver generates: ``"serial"`` (the default: inline on the
         calling thread, each unit only after the previous outcome was
-        merged), ``"threads"`` or ``"processes"`` (worker pools via
-        :mod:`concurrent.futures`).  Results are **bit-identical**
-        across backends — outcomes are merged in enumeration order and
-        all order-sensitive state (feature selection, ranking, frontier
-        growth, failure policy) advances only at those merge points —
-        so this knob trades wall time, never correctness.  See
-        DESIGN.md §11 for the backend matrix and GIL caveats.
+        merged) or ``"processes"`` (a
+        :class:`~concurrent.futures.ProcessPoolExecutor`).  Results are
+        **bit-identical** across backends — outcomes are merged in
+        enumeration order and all order-sensitive state (feature
+        selection, ranking, frontier growth, failure policy) advances
+        only at those merge points — so this knob trades wall time,
+        never correctness.  The pool wins on the training wave and loses
+        on discovery hops; DESIGN.md §11 has the measured numbers.
     max_workers:
-        Worker count for the parallel backends (None = automatic;
-        ignored under ``serial``).
+        Worker-process count under ``"processes"`` (None = the CPU
+        count; ignored under ``serial``).
     hop_latency_seconds:
         Simulated per-hop remote-fetch latency injected by the
         :class:`~repro.engine.JoinEngine` (0.0 = off).  A benchmarking
-        knob: it models a lake whose tables are fetched over a network
-        and is what lets ``bench_parallel_discovery`` measure backend
-        speedups machine-independently.
-    chunk_rows:
-        When set, join hops whose probe side exceeds this many rows stream
-        through the out-of-core executor
-        (:func:`repro.engine.chunked_left_join`) in fixed-size row
-        partitions.  None (the default) keeps hops in-core.
-    memory_budget_bytes:
-        Resident budget for completed partitions of a chunked hop; once
-        the deterministic byte estimate exceeds it, the oldest partitions
-        spill to disk and are streamed back for the final concatenation.
-        Only meaningful with ``chunk_rows`` set; None never spills.
-    spill_dir:
-        Parent directory for spill files (system temp when unset).
+        knob: it models a lake whose tables are fetched over a network.
+        Its two remaining readers are ``benchmarks/bench_anytime.py`` and
+        ``python -m repro.exp --inject-hop-latency``; ROADMAP item 7(c)
+        decides whether it stays.
     enable_tracing:
         Record the run's hierarchical timing tree
         (``discover > hop > join / selection``) through
@@ -196,9 +187,6 @@ class AutoFeatConfig:
     parallel_backend: str = "serial"
     max_workers: int | None = None
     hop_latency_seconds: float = 0.0
-    chunk_rows: int | None = None
-    memory_budget_bytes: int | None = None
-    spill_dir: str | None = None
     enable_tracing: bool = True
     budget_seconds: float | None = None
     max_hops: int | None = None
@@ -271,15 +259,6 @@ class AutoFeatConfig:
             raise ConfigError(
                 f"hop_latency_seconds must be >= 0, "
                 f"got {self.hop_latency_seconds}"
-            )
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ConfigError(
-                f"chunk_rows must be >= 1 or None, got {self.chunk_rows}"
-            )
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes < 0:
-            raise ConfigError(
-                f"memory_budget_bytes must be >= 0 or None, "
-                f"got {self.memory_budget_bytes}"
             )
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ConfigError(

@@ -27,7 +27,7 @@ Determinism contract (DESIGN.md §14):
 * **No budget set** — navigation degenerates to the canonical FIFO order
   regardless of ``frontier_strategy``: every path is explored anyway, and
   canonical order is the one that keeps results bit-identical to the
-  reference BFS across all three parallel backends.  (A priority order
+  reference BFS on both execution backends.  (A priority order
   would reshuffle the streaming selector's batch sequence and change
   scores without changing the explored set — pure downside when nothing
   is pruned by the budget.)
@@ -35,11 +35,11 @@ Determinism contract (DESIGN.md §14):
   the first ``max_hops`` hops of the strategy's expansion order, which is
   itself budget-independent, so explored sets *nest* as the budget grows
   and regret (:func:`ranking_regret`) is monotonically non-increasing.
-  Serial, threads and processes backends execute the identical prefix.
+  The serial and processes backends execute the identical prefix.
 * **Wall-clock budget (`budget_seconds`)** — anytime, not bit-reproducible:
   where the deadline lands depends on machine speed.  The run still
   returns within budget plus one hop's slack (one wave's slack on the
-  parallel backends), marks ``budget_exhausted`` and reports what it
+  ``processes`` backend), marks ``budget_exhausted`` and reports what it
   explored.
 
 Deadlines are ``time.monotonic`` timestamps.  On the platforms this repo

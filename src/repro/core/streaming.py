@@ -29,7 +29,7 @@ how much work the cache saved.
 
 **Parallel-execution contract**: the selector is *order-dependent* state —
 redundancy scores depend on everything accepted before — and is therefore
-never shared with, or updated by, worker threads/processes.  On every
+never shared with, or updated by, worker processes.  On every
 ``config.parallel_backend`` the coordinator calls
 :meth:`StreamingFeatureSelector.process_batch` only at the deterministic
 merge points, consuming hop outcomes in canonical enumeration order (see

@@ -9,7 +9,6 @@ guards every hop with per-hop budgets and a run-level failure policy
 can observe exactly how much join work a run performed.
 """
 
-from .chunked import SpillManager, chunked_left_join, estimate_table_bytes
 from .engine import JoinEngine
 from .faults import (
     DEFAULT_ERROR_BUDGET,
@@ -41,9 +40,6 @@ __all__ = [
     "HopCache",
     "EngineStats",
     "ExecutionStats",
-    "SpillManager",
-    "chunked_left_join",
-    "estimate_table_bytes",
     "qualified",
     "source_column_name",
     "FAILURE_POLICIES",

@@ -22,7 +22,6 @@ from ..dataframe import JoinIndex, Table
 from ..errors import FaultError, HopBudgetExceeded, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath, OrientedEdge
 from ..obs.tracer import NULL_TRACER, Tracer
-from .chunked import chunked_left_join
 from .faults import FaultInjector
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
@@ -56,14 +55,12 @@ class JoinEngine:
         Seed for the deterministic representative-row choice during the
         build phase; part of the cache key.
     hop_timeout_seconds:
-        Per-hop wall-clock budget.  The check is cooperative: chunked
-        hops carry the deadline into
-        :func:`~repro.engine.chunked.chunked_left_join` and test it
-        *between* partitions (aborting a runaway join after at most one
-        chunk of overshoot), and every hop re-checks elapsed time after
-        its build and probe phases.  A hop that overruns raises a typed
+        Per-hop wall-clock budget.  The check is cooperative and runs
+        once per hop, after its build and probe phases have finished: a
+        hop that overran raises a typed
         :class:`~repro.errors.HopBudgetExceeded` instead of letting the
-        run hang hop after hop.  None disables the guard.
+        run hang hop after hop, but a single runaway join is not
+        interrupted mid-probe.  None disables the guard.
     max_output_rows:
         Per-hop output-cardinality cap.  The engine only left-joins
         through deduplicated indexes, so a hop's output row count equals
@@ -83,31 +80,22 @@ class JoinEngine:
     hop_latency_seconds:
         Simulated per-hop I/O latency (a ``time.sleep`` inside the join
         span), modelling a lake whose right-hand tables are fetched
-        remotely.  This is a benchmarking/testing knob — it lets
-        ``bench_parallel_discovery`` demonstrate backend speedups on any
-        machine, because sleeping releases the GIL — and is 0.0 (off) in
-        normal runs.  The sleep counts toward the hop's wall-clock budget.
+        remotely.  This is a benchmarking/testing knob, 0.0 (off) in
+        normal runs; its two remaining readers are
+        ``benchmarks/bench_anytime.py`` and ``python -m repro.exp
+        --inject-hop-latency``, and ROADMAP item 7(c) decides whether it
+        stays.  The sleep counts toward the hop's wall-clock budget.
     cache:
         Share an existing :class:`HopCache` instead of creating one —
         how per-worker engine views of a parallel run reuse the parent
         run's build state.
-    chunk_rows:
-        When set, hops whose probe side is taller than this stream through
-        :func:`~repro.engine.chunked.chunked_left_join` in partitions of
-        ``chunk_rows`` rows.  None (the default) keeps every hop in-core.
-    memory_budget_bytes:
-        Resident-bytes budget for completed partitions of a chunked hop;
-        exceeding it spills the oldest partitions to disk.  Only
-        meaningful with ``chunk_rows`` set; None never spills.
-    spill_dir:
-        Parent directory for spill files (system temp when unset).
     run_deadline:
         Absolute ``time.monotonic`` timestamp of the run-level anytime
         budget (None = unbudgeted).  Hops check it cooperatively — at hop
-        entry, after the index build, and between chunked partitions —
-        and raise :class:`~repro.errors.RunBudgetExceeded` once it has
-        passed, which the navigator treats as graceful exhaustion rather
-        than a hop failure.  Monotonic timestamps are system-wide on
+        entry and after the index build — and raise
+        :class:`~repro.errors.RunBudgetExceeded` once it has passed, which
+        the navigator treats as graceful exhaustion rather than a hop
+        failure.  Monotonic timestamps are system-wide on
         Linux, so a deadline computed by the coordinator remains
         meaningful inside process-pool workers.
     """
@@ -122,9 +110,6 @@ class JoinEngine:
         tracer: Tracer | None = None,
         hop_latency_seconds: float = 0.0,
         cache: HopCache | None = None,
-        chunk_rows: int | None = None,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
         run_deadline: float | None = None,
     ):
         self.drg = drg
@@ -136,16 +121,13 @@ class JoinEngine:
         self.fault_injector = fault_injector
         self.tracer = tracer or NULL_TRACER
         self.hop_latency_seconds = hop_latency_seconds
-        self.chunk_rows = chunk_rows
-        self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
         self.run_deadline = run_deadline
 
     def worker_view(self, tracer: Tracer | None = None) -> "JoinEngine":
         """A per-work-unit handle on this engine for parallel execution.
 
-        The view shares the DRG and the (single-flight) :class:`HopCache`
-        — so cross-path build reuse spans all workers of a run — but
+        The view shares the DRG and this engine's :class:`HopCache` — so
+        cross-path build reuse spans every unit the engine runs — but
         counts into its own fresh :class:`EngineStats`, which the
         coordinator absorbs at the deterministic merge point.  The fault
         injector is deliberately dropped: parallel runs resolve injected
@@ -162,9 +144,6 @@ class JoinEngine:
             tracer=tracer,
             hop_latency_seconds=self.hop_latency_seconds,
             cache=self.cache,
-            chunk_rows=self.chunk_rows,
-            memory_budget_bytes=self.memory_budget_bytes,
-            spill_dir=self.spill_dir,
             run_deadline=self.run_deadline,
         )
 
@@ -248,17 +227,11 @@ class JoinEngine:
                 f"{_hop_context(base_name, path, edge)}"
             )
         started = time.perf_counter()
-        hop_deadline = (
-            time.monotonic() + self.hop_timeout_seconds
-            if self.hop_timeout_seconds is not None
-            else None
-        )
         with self.tracer.span(
             "join", table=edge.target, key=edge.target_column, rows=current.n_rows
         ):
             if self.hop_latency_seconds > 0.0:
-                # Simulated remote-lake fetch latency; sleeping releases
-                # the GIL, so the threads backend overlaps these waits.
+                # Simulated remote-lake fetch latency.
                 time.sleep(self.hop_latency_seconds)
             try:
                 index = self.hop_index(edge)
@@ -272,22 +245,7 @@ class JoinEngine:
             self._check_run_deadline(_hop_context(base_name, path, edge))
             self.stats.hops_executed += 1
             self.stats.rows_probed += current.n_rows
-            if self.chunk_rows is not None and current.n_rows > self.chunk_rows:
-                joined = chunked_left_join(
-                    index,
-                    current,
-                    left_col,
-                    chunk_rows=self.chunk_rows,
-                    memory_budget_bytes=self.memory_budget_bytes,
-                    spill_dir=self.spill_dir,
-                    tracer=self.tracer,
-                    stats=self.stats,
-                    hop_deadline=hop_deadline,
-                    run_deadline=self.run_deadline,
-                    deadline_context=_hop_context(base_name, path, edge),
-                )
-            else:
-                joined = index.left_join(current, left_col)
+            joined = index.left_join(current, left_col)
         elapsed = time.perf_counter() - started
         if self.hop_timeout_seconds is not None and elapsed > self.hop_timeout_seconds:
             raise HopBudgetExceeded(

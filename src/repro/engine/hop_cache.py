@@ -16,8 +16,8 @@ executing through the cache is bit-identical to rebuilding per hop
 (``tests/engine/test_engine.py`` checks a cached materialisation against
 per-hop ``JoinIndex.build`` + ``left_join`` with no cache involved).
 
-Thread safety: the ``threads`` parallel backend shares one cache between
-every worker of a run, so :meth:`HopCache.get_or_build` is single-flight —
+Thread safety: :class:`repro.service.DiscoveryService` shares one cache
+between its request threads, so :meth:`HopCache.get_or_build` is single-flight —
 concurrent probes of a cold key elect exactly one builder while the rest
 wait on its result.  The counters stay *exact* under contention: each key
 costs one miss and one build no matter how many workers race it, and every

@@ -29,13 +29,11 @@ policy to a unit's outcome and, when a dispatched unit failed with a
 (:func:`settle_managed_failure`).
 
 Backends: ``serial`` runs each unit inline, only once the previous
-outcome has been consumed; ``threads`` shares the engine's single-flight
-:class:`HopCache` across a :class:`~concurrent.futures.ThreadPoolExecutor`
-(joins release the GIL only while sleeping on simulated latency, so
-CPU-bound speedups are modest — see DESIGN.md §11), and ``processes``
-gives each worker process its own engine + cache via a
-:class:`~concurrent.futures.ProcessPoolExecutor` initializer (results
-identical; cache hit counters reflect the per-worker caches).
+outcome has been consumed; ``processes`` gives each worker process its
+own engine + cache via a :class:`~concurrent.futures.ProcessPoolExecutor`
+initializer (results identical; cache hit counters reflect the per-worker
+caches).  The pool pays for itself only on the training wave (DESIGN.md
+§11 has the measured numbers).
 
 Unexpected unit exceptions (anything outside ``JoinError`` /
 ``FaultError``) are never swallowed: they re-raise on the coordinating
@@ -47,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
@@ -72,31 +70,26 @@ __all__ = [
     "settle_outcome",
 ]
 
-#: The three execution backends a run can use.
+#: The two execution backends a run can use.
 #:
 #: * ``serial`` — work units run inline on the coordinating thread, in
 #:   canonical order, each only after the previous outcome was merged;
-#: * ``threads`` — a shared-memory pool; all workers share the run's
-#:   single-flight :class:`HopCache`, so engine counters match serial
-#:   exactly;
 #: * ``processes`` — per-worker engines and caches behind pickled task
 #:   payloads; results are identical, cache counters are per-worker.
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
+PARALLEL_BACKENDS = ("serial", "processes")
 
 
 def resolve_max_workers(backend: str, max_workers: int | None = None) -> int:
     """The worker count a backend actually uses (``None`` = auto).
 
-    ``serial`` is always 1.  The automatic choice oversubscribes threads
-    (they spend their time blocked on simulated I/O or the GIL) and
-    matches CPU count for processes.
+    ``serial`` is always 1; the automatic choice for ``processes`` is
+    the CPU count.
     """
     if backend == "serial":
         return 1
     if max_workers is not None:
         return max(1, max_workers)
-    cpus = os.cpu_count() or 1
-    return min(32, cpus * 4) if backend == "threads" else cpus
+    return os.cpu_count() or 1
 
 
 # -- fault planning ---------------------------------------------------------
@@ -441,7 +434,7 @@ class PathExecutor:
         self.workers_used = resolve_max_workers(backend, max_workers)
         self.busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
     @property
     def rebase_spans(self) -> bool:
@@ -462,29 +455,21 @@ class PathExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
-            if self.backend == "threads":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers_used, thread_name_prefix="pathexec"
-                )
-            else:
-                engine = self.engine
-                engine_kwargs = {
-                    "seed": engine.seed,
-                    "hop_timeout_seconds": engine.hop_timeout_seconds,
-                    "max_output_rows": engine.max_output_rows,
-                    "hop_latency_seconds": engine.hop_latency_seconds,
-                    "chunk_rows": engine.chunk_rows,
-                    "memory_budget_bytes": engine.memory_budget_bytes,
-                    "spill_dir": engine.spill_dir,
-                    # monotonic deadlines are system-wide on Linux, so
-                    # worker processes can honour the coordinator's one.
-                    "run_deadline": engine.run_deadline,
-                }
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers_used,
-                    initializer=_process_init,
-                    initargs=(engine.drg, engine_kwargs, self.trace_spans),
-                )
+            engine = self.engine
+            engine_kwargs = {
+                "seed": engine.seed,
+                "hop_timeout_seconds": engine.hop_timeout_seconds,
+                "max_output_rows": engine.max_output_rows,
+                "hop_latency_seconds": engine.hop_latency_seconds,
+                # monotonic deadlines are system-wide on Linux, so
+                # worker processes can honour the coordinator's one.
+                "run_deadline": engine.run_deadline,
+            }
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers_used,
+                initializer=_process_init,
+                initargs=(engine.drg, engine_kwargs, self.trace_spans),
+            )
         return self._pool
 
     def run_hops(self, tasks: list[HopTask]) -> Iterator[UnitOutcome]:
@@ -503,9 +488,11 @@ class PathExecutor:
         *i* was consumed: a pruned hop's table is garbage before the next
         join allocates (a whole BFS level of joined tables is never
         resident at once), and a consumer that stops — ``fail_fast``, an
-        exhausted error budget — leaves the rest unexecuted.  The pools
-        get the whole wave submitted up front and are waited on in order;
-        ``future.result()`` re-raises unexpected worker exceptions here.
+        exhausted error budget — leaves the rest unexecuted.  The pool
+        gets the whole wave submitted up front and is waited on in order
+        (``future.result()`` re-raises unexpected worker exceptions
+        here); what a stopped consumer leaves queued is cancelled by
+        :meth:`close`.
         """
         resumed = time.perf_counter()
         pending: deque = deque()
@@ -522,11 +509,6 @@ class PathExecutor:
                 pending.append(lambda outcome=outcome: outcome)
             elif self.backend == "serial":
                 pending.append(partial(_run_unit, self.engine, task, self.trace_spans))
-            elif self.backend == "threads":
-                future = self._ensure_pool().submit(
-                    _run_unit, self.engine, task, self.trace_spans
-                )
-                pending.append(future.result)
             else:
                 pending.append(self._ensure_pool().submit(_process_unit, task).result)
         while pending:
@@ -537,9 +519,9 @@ class PathExecutor:
             resumed = time.perf_counter()
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down, abandoning queued units (idempotent)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "PathExecutor":

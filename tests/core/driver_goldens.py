@@ -50,7 +50,7 @@ from repro.errors import FaultError
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "driver.json"
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 POLICIES = ("fail_fast", "skip_and_record", "retry")
 
 #: lake name -> the ``max_hops`` cap of its budgeted cells (about half of

@@ -43,6 +43,14 @@ class TestValidation:
     def test_relief_accepted_as_relevance(self):
         AutoFeatConfig(relevance_metric="relief")
 
+    def test_threads_is_not_a_backend(self):
+        with pytest.raises(ConfigError, match=r"\['serial', 'processes'\]"):
+            AutoFeatConfig(parallel_backend="threads")
+
+    def test_chunk_rows_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            AutoFeatConfig(chunk_rows=1)
+
 
 class TestOverridesAndAblations:
     def test_with_overrides(self):

@@ -2,7 +2,7 @@
 
 Runs the diamond lake of ``test_fault_isolation`` through ``discover``
 with 30% injected failure rates across all three ``FailurePolicy`` modes
-and all three backends, asserting the degradation contract against the
+and both backends, asserting the degradation contract against the
 outputs frozen from the deleted classic serial loop
 (``tests/core/driver_goldens.py`` records how they were generated):
 

@@ -1,122 +1,24 @@
-"""Cooperative deadline enforcement inside hop execution.
+"""Cooperative run-deadline enforcement inside hop execution.
 
-Regression suite for the deadline bugfixes: before this, a slow hop was
-only caught *after* it finished (the post-hoc elapsed check in
-``JoinEngine.apply_hop``), so one runaway join could blow through both
-the per-hop timeout and the run-level anytime budget.  Chunked execution
-now checks both deadlines between partitions and aborts mid-hop.
+A hop checks the run-level anytime deadline at entry and again between
+its build and probe phases, raising ``RunBudgetExceeded`` — graceful
+exhaustion, never a recorded hop failure.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from repro.dataframe import JoinIndex
-from repro.engine import JoinEngine, chunked_left_join
-from repro.errors import HopBudgetExceeded, RunBudgetExceeded
+from repro.engine import JoinEngine
+from repro.errors import RunBudgetExceeded
 from repro.graph import JoinPath
 
-from tests.engine.test_chunked import chunky_lake, make_pair
-
-
-class SlowIndex:
-    """JoinIndex wrapper that sleeps on every probe — the injected slow hop."""
-
-    def __init__(self, index: JoinIndex, per_probe_seconds: float):
-        self._index = index
-        self._per_probe_seconds = per_probe_seconds
-        self.probes = 0
-
-    def left_join(self, left, left_on):
-        self.probes += 1
-        time.sleep(self._per_probe_seconds)
-        return self._index.left_join(left, left_on)
-
-
-class TestChunkedCooperativeDeadlines:
-    def _slow_setup(self, n_left=500, per_probe=0.02):
-        left, right = make_pair(n_left=n_left)
-        index = SlowIndex(JoinIndex.build(right, "k", seed=0), per_probe)
-        return left, index
-
-    def test_hop_deadline_aborts_between_partitions(self):
-        left, index = self._slow_setup()
-        with pytest.raises(HopBudgetExceeded, match="partitions"):
-            chunked_left_join(
-                index,
-                left,
-                "k",
-                chunk_rows=50,
-                hop_deadline=time.monotonic() + 0.05,
-            )
-        # Cooperative abort: the hop stopped mid-join, well short of the
-        # 10 partitions a 500-row probe at chunk_rows=50 implies.
-        assert index.probes < 10
-
-    def test_run_deadline_aborts_between_partitions(self):
-        left, index = self._slow_setup()
-        with pytest.raises(RunBudgetExceeded, match="run budget expired"):
-            chunked_left_join(
-                index,
-                left,
-                "k",
-                chunk_rows=50,
-                run_deadline=time.monotonic() + 0.05,
-            )
-        assert index.probes < 10
-
-    def test_run_deadline_checked_before_hop_deadline(self):
-        # Both expired: anytime expiry wins, so graceful termination is
-        # never misrecorded as a hop failure.
-        left, index = self._slow_setup()
-        past = time.monotonic() - 1.0
-        with pytest.raises(RunBudgetExceeded):
-            chunked_left_join(
-                index,
-                left,
-                "k",
-                chunk_rows=50,
-                hop_deadline=past,
-                run_deadline=past,
-            )
-
-    def test_deadline_context_lands_in_message(self):
-        left, index = self._slow_setup()
-        with pytest.raises(RunBudgetExceeded, match="base->sat"):
-            chunked_left_join(
-                index,
-                left,
-                "k",
-                chunk_rows=50,
-                run_deadline=time.monotonic() - 1.0,
-                deadline_context="base->sat",
-            )
-
-    def test_no_deadlines_no_aborts(self):
-        left, right = make_pair(n_left=200)
-        index = JoinIndex.build(right, "k", seed=0)
-        out = chunked_left_join(index, left, "k", chunk_rows=50)
-        assert out.n_rows == 200
-
-    def test_small_table_skips_checks_entirely(self):
-        # One-shot path: no partitions, so no cooperative checkpoints —
-        # the post-hoc engine check still covers it.
-        left, right = make_pair(n_left=10)
-        index = JoinIndex.build(right, "k", seed=0)
-        out = chunked_left_join(
-            index,
-            left,
-            "k",
-            chunk_rows=100,
-            run_deadline=time.monotonic() - 1.0,
-        )
-        assert out.n_rows == 10
+from tests.core.test_parallel_faults import diamond_lake
 
 
 class TestEngineRunDeadline:
     def test_apply_hop_rejects_expired_run_deadline(self):
-        drg = chunky_lake()
+        drg = diamond_lake()
         engine = JoinEngine(drg, run_deadline=time.monotonic() - 1.0)
         edge = drg.best_join_options("base", "a")[0]
         with pytest.raises(RunBudgetExceeded):
@@ -131,29 +33,12 @@ class TestEngineRunDeadline:
 
     def test_worker_view_inherits_run_deadline(self):
         deadline = time.monotonic() + 60.0
-        engine = JoinEngine(chunky_lake(), run_deadline=deadline)
+        engine = JoinEngine(diamond_lake(), run_deadline=deadline)
         assert engine.worker_view().run_deadline == deadline
 
     def test_materialize_path_respects_run_deadline(self):
-        drg = chunky_lake()
+        drg = diamond_lake()
         engine = JoinEngine(drg, run_deadline=time.monotonic() - 1.0)
         path = JoinPath("base").extend(drg.best_join_options("base", "a")[0])
         with pytest.raises(RunBudgetExceeded):
             engine.materialize_path(path, drg.table("base"))
-
-    def test_chunked_hop_through_engine_aborts_early(self, monkeypatch):
-        drg = chunky_lake(n=600)
-        engine = JoinEngine(
-            drg, chunk_rows=50, run_deadline=time.monotonic() + 0.05
-        )
-        original = JoinIndex.left_join
-
-        def slow_left_join(self, left, left_on):
-            time.sleep(0.02)
-            return original(self, left, left_on)
-
-        monkeypatch.setattr(JoinIndex, "left_join", slow_left_join)
-        edge = drg.best_join_options("base", "a")[0]
-        with pytest.raises(RunBudgetExceeded):
-            engine.apply_hop(drg.table("base"), edge, "base")
-        assert engine.snapshot().chunks_executed < 12

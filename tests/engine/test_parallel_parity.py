@@ -5,7 +5,7 @@ says that for any lake, any seed and any backend, ``discover`` /
 ``train_top_k`` return exactly the same thing — same ranked paths, same
 scores, same selected features, same failure reports.  Two layers pin it:
 
-* the **golden matrix** compares all three backends to
+* the **golden matrix** compares both backends to
   ``tests/core/goldens/driver.json``, frozen from the classic
   ``_discover_serial`` / ``_train_serial`` loops at the last commit that
   had them (46971f6), with this PR's ``tests/`` copied over that
@@ -113,7 +113,6 @@ def test_backends_bit_identical_on_random_lakes(lake, config_seed, traversal):
         )
         for backend in BACKENDS
     }
-    assert results["threads"] == results["serial"]
     assert results["processes"] == results["serial"]
 
 
@@ -151,19 +150,10 @@ def test_backends_bit_identical_under_fault_injection(
         )
         for backend in BACKENDS
     }
-    assert results["threads"] == results["serial"]
     assert results["processes"] == results["serial"]
 
 
 class TestEngineStatsParity:
-    """Shared-cache backends must reproduce serial counters exactly."""
-
-    def test_threads_engine_stats_exact(self):
-        bundle, drg = _lake(5, 3, 0)
-        serial = _discover(drg, bundle, "serial")
-        threads = _discover(drg, bundle, "threads")
-        assert threads.engine_stats == serial.engine_stats
-
     def test_processes_join_work_exact_cache_counters_per_worker(self):
         bundle, drg = _lake(5, 3, 0)
         serial = _discover(drg, bundle, "serial")
@@ -182,7 +172,7 @@ class TestEngineStatsParity:
         stats = [
             _discover(drg, bundle, backend).selection_stats for backend in BACKENDS
         ]
-        assert stats[0] == stats[1] == stats[2]
+        assert stats[0] == stats[1]
 
 
 class TestAugmentParity:
@@ -212,5 +202,4 @@ class TestAugmentParity:
                 "columns": result.augmented_table.column_names,
                 "failures": result.failure_report.records,
             }
-        assert outputs["threads"] == outputs["serial"]
         assert outputs["processes"] == outputs["serial"]

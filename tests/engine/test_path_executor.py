@@ -4,8 +4,9 @@ The coordinator merges while units execute, so *when* the executor runs a
 unit is part of its contract: the ``serial`` backend must not run unit
 *i+1* before outcome *i* was consumed (that is what keeps one joined table
 resident instead of a BFS level of them, and what makes ``fail_fast`` stop
-at the first failing unit), while the pools may run ahead but must still
-hand back in task order and surface worker bugs on the coordinator.
+at the first failing unit), while the pool may run ahead but must still
+hand back in task order, surface worker bugs on the coordinator and
+abandon what is still queued when the consumer stops.
 """
 
 import time
@@ -18,7 +19,7 @@ from repro.graph import JoinPath
 
 from tests.core.test_parallel_faults import diamond_lake
 
-POOLS = ("threads", "processes")
+POOLS = ("processes",)
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,29 @@ class TestPoolHandOff:
         with PathExecutor(JoinEngine(drg), backend=backend, max_workers=2) as executor:
             with pytest.raises(RuntimeError, match="worker bug"):
                 list(executor.run_hops(hop_tasks(drg)))
+
+    def test_queued_units_are_abandoned_when_consumer_stops(
+        self, drg, backend, monkeypatch, tmp_path
+    ):
+        # The pool twin of TestSerialHandOff.test_rest_is_abandoned_...:
+        # every executed unit leaves a line in a file the forked workers
+        # share, so the count is exact whatever the machine's speed.
+        ran = tmp_path / "ran"
+        original = JoinEngine.apply_hop
+
+        def logged_slow_hop(self, current, edge, base_name, path=None):
+            with ran.open("a") as log:
+                log.write(edge.target + "\n")
+            time.sleep(0.05)
+            return original(self, current, edge, base_name, path=path)
+
+        monkeypatch.setattr(JoinEngine, "apply_hop", logged_slow_hop)
+        tasks = hop_tasks(drg, n=16)
+        executor = PathExecutor(JoinEngine(drg), backend=backend, max_workers=2)
+        outcomes = executor.run_hops(tasks)
+        next(outcomes)
+        outcomes.close()
+        executor.close()
+        # Running units and the few the pool already handed to its
+        # workers' call queue finish; the rest never start.
+        assert len(ran.read_text().splitlines()) < len(tasks)

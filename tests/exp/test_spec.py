@@ -63,6 +63,11 @@ class TestValidateSpec:
         errors = validate_spec(spec_dict(configs=configs))
         assert any("unknown AutoFeatConfig field" in e for e in errors)
 
+    def test_stale_spec_naming_a_removed_field(self):
+        configs = [{"name": "a", "overrides": {"chunk_rows": 256}}]
+        errors = validate_spec(spec_dict(configs=configs))
+        assert any("unknown AutoFeatConfig field" in e for e in errors)
+
     def test_from_dict_raises_with_every_error(self):
         data = spec_dict(datasets=["nope"], failure_policy="yolo")
         with pytest.raises(SpecError) as exc:

@@ -91,6 +91,19 @@ class TestExecutionStatsBridge:
     def test_from_dict_missing_keys_default_to_zero(self):
         assert ExecutionStats.from_dict({}) == ExecutionStats()
 
+    def test_from_dict_ignores_keys_of_older_manifests(self):
+        persisted = {
+            "hops_executed": 3, "index_builds": 2, "cache_hits": 1,
+            "cache_misses": 2, "rows_probed": 50, "cache_hit_rate": 0.3333,
+            "chunks_executed": 4, "partitions_spilled": 1,
+            "spill_bytes_written": 9, "spill_bytes_read": 9,
+            "peak_resident_bytes": 7,
+        }
+        assert ExecutionStats.from_dict(persisted) == ExecutionStats(
+            hops_executed=3, index_builds=2, cache_hits=1, cache_misses=2,
+            rows_probed=50,
+        )
+
 
 class TestSelectionStatsBridge:
     def test_publish_and_round_trip(self):

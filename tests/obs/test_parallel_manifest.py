@@ -1,9 +1,9 @@
 """Observability of wave execution: stitched spans, gauges, valid manifests.
 
-Unit hop/path spans execute inline, on pool threads or in worker
-processes, yet the run manifest must stay one coherent tree of the same
-shape on every backend: each wave span carries the
-``parallel`` marker plus backend/worker attributes, worker spans are
+Unit hop/path spans execute inline or in worker processes, yet the run
+manifest must stay one coherent tree of the same shape on every backend:
+each wave span carries the ``parallel`` marker plus backend/worker
+attributes, worker spans are
 grafted (and, for processes, rebased onto the coordinator's clock) as its
 children, and the schema validator's concurrency-aware rule — max child
 duration, not the sum, bounded by the parent — holds for every wave.
@@ -17,7 +17,7 @@ from repro.dataframe import Table
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import validate_manifest
 
-PARALLEL = ("threads", "processes")
+PARALLEL = ("processes",)
 
 
 def diamond_lake(n=300, seed=3):
@@ -149,7 +149,7 @@ class TestParallelDiscoveryManifest:
 class TestSerialManifestUnchanged:
     def test_serial_manifest_has_pool_shape(self, drg):
         serial = AutoFeat(drg, config("serial")).augment("base", "label", "knn")
-        threads = AutoFeat(drg, config("threads")).augment("base", "label", "knn")
+        pooled = AutoFeat(drg, config("processes")).augment("base", "label", "knn")
         for result in (serial.discovery, serial):
             manifest = result.run_manifest
             assert validate_manifest(manifest.as_dict()) == []
@@ -162,18 +162,18 @@ class TestSerialManifestUnchanged:
         discover_wave = wave_nodes(serial.discovery.run_manifest)[0]
         assert {c["name"] for c in discover_wave["children"]} == {"hop", "selection"}
         assert {n["name"] for n in iter_tree(serial.run_manifest.timing)} == {
-            n["name"] for n in iter_tree(threads.run_manifest.timing)
+            n["name"] for n in iter_tree(pooled.run_manifest.timing)
         }
         for ours, theirs in (
-            (serial.discovery.run_manifest, threads.discovery.run_manifest),
-            (serial.run_manifest, threads.run_manifest),
+            (serial.discovery.run_manifest, pooled.discovery.run_manifest),
+            (serial.run_manifest, pooled.run_manifest),
         ):
             for kind in ("gauges", "counters"):
                 assert set(ours.metrics[kind]) == set(theirs.metrics[kind])
         assert serial.run_manifest.metrics["gauges"]["parallel.workers_used"] == 1
 
     def test_untraced_parallel_run_still_manifests(self, drg):
-        cfg = config("threads", enable_tracing=False)
+        cfg = config("processes", enable_tracing=False)
         discovery = AutoFeat(drg, cfg).discover("base", "label")
         manifest = discovery.run_manifest
         assert validate_manifest(manifest.as_dict()) == []
