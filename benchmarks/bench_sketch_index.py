@@ -51,7 +51,7 @@ from repro.discovery import (
     ValueOverlapMatcher,
 )
 from repro.graph import DatasetRelationGraph
-from repro.obs import MetricsRegistry, Tracer, build_manifest
+from repro.obs import Tracer, build_manifest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUMMARY_PATH = REPO_ROOT / "BENCH_sketch_index.json"
@@ -140,16 +140,12 @@ def parity_segment(smoke: bool) -> list[dict]:
 
 def scale_segment(sizes, check_exact_at: int):
     """Filtered DRG construction over growing wide lakes, with manifests."""
-    config = AutoFeatConfig(enable_sketch_index=True)
+    config = AutoFeatConfig()
     rows = []
     manifests = []
     for n_tables in sizes:
         lake = make_wide_lake(n_tables, seed=n_tables)
-        wrapped = CandidateFilteredMatcher(
-            ComaMatcher(),
-            bands=config.sketch_bands,
-            rows_per_band=config.sketch_rows_per_band,
-        )
+        wrapped = CandidateFilteredMatcher(ComaMatcher())
         tracer = Tracer()
         started = time.perf_counter()
         with tracer.span("bench.sketch_index.scale", n_tables=n_tables):
@@ -189,13 +185,11 @@ def scale_segment(sizes, check_exact_at: int):
                 ordered_edges(reference) == ordered_edges(drg)
                 and reference.table_names == drg.table_names
             )
-        registry = MetricsRegistry()
-        stats.publish(registry)
         manifests.append(
             build_manifest(
                 "bench.sketch_index.scale",
                 tracer=tracer,
-                registry=registry,
+                records=[stats],
                 config=config,
                 dataset=lake.tables,
                 seed=n_tables,

@@ -8,9 +8,9 @@ observability contract end to end:
 2. the manifest's timing tree accounts for the run's wall clock;
 3. the Chrome-trace export loads cleanly and is non-empty;
 4. the ``python -m repro.obs`` CLI accepts the saved manifest;
-5. the no-op tracer is cheap: the measured per-span cost of a disabled
-   tracer, scaled to this run's span count, stays under 2% of the traced
-   wall time.
+5. the disabled tracer is cheap: the measured per-span cost of its
+   timing-only spans, scaled to this run's span count, stays under 2% of
+   the traced wall time.
 
 Exits non-zero on the first violated invariant.  Run via ``make
 trace-smoke`` or ``scripts/check.sh``.
@@ -132,7 +132,7 @@ def main():
     budget = 0.02 * wall
     gate(
         overhead < budget,
-        f"no-op tracer overhead {overhead * 1e6:.1f}µs for {n_spans} spans "
+        f"disabled tracer overhead {overhead * 1e6:.1f}µs for {n_spans} spans "
         f"< 2% of wall ({budget * 1e6:.0f}µs)",
     )
 

@@ -16,8 +16,6 @@ had to do.  ARDA's shape:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..dataframe import Table
@@ -30,8 +28,8 @@ from ..engine import (
 )
 from ..graph import DatasetRelationGraph
 from ..ml import RandomForestClassifier, TabularEncoder, encode_labels, evaluate_accuracy
-from ..obs import Tracer
-from .common import BaselineResult, baseline_manifest, join_neighbor
+from ..obs import Tracer, build_manifest
+from .common import BaselineResult, join_neighbor
 
 __all__ = ["rifs_select", "run_arda"]
 
@@ -96,7 +94,6 @@ def run_arda(
     accounted on the result's ``failure_report``.
     """
     tracer = Tracer(enabled=enable_tracing)
-    started = time.perf_counter()
     engine = JoinEngine(
         drg, seed=seed, fault_injector=fault_injector, tracer=tracer
     )
@@ -127,7 +124,6 @@ def run_arda(
             np.asarray(current.column(label_column).to_list(), dtype=object)
         )
 
-        fs_started = time.perf_counter()
         with tracer.span("selection", features=len(feature_names)):
             candidates = rifs_select(X, y, feature_names, seed=seed)
             # Model-in-the-loop evaluation of each survival threshold.
@@ -146,11 +142,7 @@ def run_arda(
                     )
                 if acc > best_acc:
                     best_acc, best_features = acc, subset
-        fs_seconds = (
-            tracer.total_seconds("selection")
-            if tracer.enabled
-            else time.perf_counter() - fs_started
-        )
+        fs_seconds = tracer.total_seconds("selection")
 
         if best_acc < 0.0:
             with tracer.span("evaluate", features=len(best_features)):
@@ -158,16 +150,14 @@ def run_arda(
                     current, label_column, model_name,
                     feature_names=best_features, seed=seed,
                 )
-    elapsed = root.seconds if tracer.enabled else time.perf_counter() - started
-    manifest = baseline_manifest(
+    elapsed = root.seconds
+    manifest = build_manifest(
         "arda",
-        tracer,
-        total_seconds=elapsed,
-        fs_seconds=fs_seconds,
+        tracer=tracer,
         dataset=drg,
         seed=seed,
-        engine_stats=engine.snapshot(),
-        failure_report=faults.report(),
+        wall_seconds=elapsed,
+        records=[engine.snapshot(), faults.report()],
         counters={"arda.tables_joined": joined_tables},
     )
     return BaselineResult(

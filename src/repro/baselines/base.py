@@ -6,12 +6,10 @@ model on the base table's own features only.
 
 from __future__ import annotations
 
-import time
-
 from ..dataframe import Table
 from ..ml import evaluate_accuracy
-from ..obs import Tracer
-from .common import BaselineResult, baseline_manifest
+from ..obs import Tracer, build_manifest
+from .common import BaselineResult
 
 __all__ = ["run_base"]
 
@@ -25,17 +23,16 @@ def run_base(
 ) -> BaselineResult:
     """Evaluate the base table as-is (no augmentation, no selection)."""
     tracer = Tracer(enabled=enable_tracing)
-    started = time.perf_counter()
     with tracer.span("base", dataset=base_table.name, model=model_name) as root:
         with tracer.span("evaluate", model=model_name):
             acc = evaluate_accuracy(base_table, label_column, model_name, seed=seed)
-    elapsed = root.seconds if tracer.enabled else time.perf_counter() - started
-    manifest = baseline_manifest(
+    elapsed = root.seconds
+    manifest = build_manifest(
         "base",
-        tracer,
-        total_seconds=elapsed,
+        tracer=tracer,
         dataset=[base_table],
         seed=seed,
+        wall_seconds=elapsed,
     )
     return BaselineResult(
         method="BASE",

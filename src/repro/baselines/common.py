@@ -8,10 +8,10 @@ from ..dataframe import Table
 from ..engine import ExecutionStats, FailureReport, FaultManager, JoinEngine
 from ..errors import JoinError
 from ..graph import DatasetRelationGraph
-from ..obs import MetricsRegistry, RunManifest, Tracer, build_manifest, flat_node
+from ..obs import RunManifest
 from ..selection.stats import SelectionStats
 
-__all__ = ["BaselineResult", "baseline_manifest", "join_neighbor"]
+__all__ = ["BaselineResult", "join_neighbor"]
 
 
 @dataclass(frozen=True)
@@ -58,50 +58,6 @@ class BaselineResult:
             "joined_tables": self.n_joined_tables,
             "features": self.n_features_used,
         }
-
-
-def baseline_manifest(
-    stage: str,
-    tracer: Tracer,
-    total_seconds: float,
-    fs_seconds: float = 0.0,
-    dataset=None,
-    seed: int = 0,
-    config=None,
-    engine_stats: ExecutionStats | None = None,
-    selection_stats: SelectionStats | None = None,
-    failure_report: FailureReport | None = None,
-    counters: dict[str, int] | None = None,
-) -> RunManifest:
-    """Assemble one baseline run's :class:`repro.obs.RunManifest`.
-
-    Traced runs contribute their span tree; untraced runs get a
-    synthesised two-node tree (whole run + selection share) so stage
-    timings are never missing from benchmark figures.
-    """
-    registry = MetricsRegistry()
-    if engine_stats is not None:
-        engine_stats.publish(registry)
-    if selection_stats is not None:
-        selection_stats.publish(registry)
-    if failure_report is not None:
-        failure_report.publish(registry)
-    for name, value in (counters or {}).items():
-        registry.counter(name).inc(value)
-    timing = None
-    if not tracer.enabled:
-        children = [flat_node("selection", fs_seconds)] if fs_seconds else []
-        timing = flat_node(stage, total_seconds, children=children, traced=False)
-    return build_manifest(
-        stage,
-        tracer=tracer,
-        registry=registry,
-        config=config,
-        dataset=dataset,
-        seed=seed,
-        wall_seconds=total_seconds,
-        timing=timing,
-    )
 
 
 def join_neighbor(

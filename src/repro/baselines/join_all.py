@@ -15,8 +15,6 @@ before training — cheap selection, expensive join.
 
 from __future__ import annotations
 
-import time
-
 from ..dataframe import Table
 from ..engine import (
     DEFAULT_ERROR_BUDGET,
@@ -28,9 +26,9 @@ from ..engine import (
 from ..errors import JoinError
 from ..graph import DatasetRelationGraph, bfs_levels, join_all_path_count
 from ..ml import evaluate_accuracy
-from ..obs import Tracer
-from ..selection import SelectionCounters, select_k_best_named
-from .common import BaselineResult, baseline_manifest, join_neighbor
+from ..obs import Tracer, build_manifest
+from ..selection import SelectionStats, select_k_best_named
+from .common import BaselineResult, join_neighbor
 
 __all__ = ["run_join_all", "join_all_table", "FEASIBILITY_CAP"]
 
@@ -110,7 +108,6 @@ def run_join_all(
             f"join orderings exceed the cap of {feasibility_cap}"
         )
     tracer = Tracer(enabled=enable_tracing)
-    started = time.perf_counter()
     engine = JoinEngine(
         drg, seed=seed, fault_injector=fault_injector, tracer=tracer
     )
@@ -120,15 +117,13 @@ def run_join_all(
         max_retries=max_retries,
         stage="join_all",
     )
-    fs_seconds = 0.0
-    counters = SelectionCounters()
+    selection_stats = SelectionStats() if with_filter else None
     with tracer.span("join_all", base=base_name, model=model_name) as root:
         wide, joined = join_all_table(
             drg, base_name, seed, engine=engine, faults=faults
         )
         feature_names = [n for n in wide.column_names if n != label_column]
         if with_filter:
-            fs_started = time.perf_counter()
             with tracer.span("selection", features=len(feature_names)):
                 label = wide.column(label_column).to_float()
                 matrix = wide.numeric_matrix(feature_names)
@@ -139,13 +134,8 @@ def run_join_all(
                     k=kappa,
                     metric="spearman",
                     seed=seed,
-                    counters=counters,
+                    counters=selection_stats,
                 )
-            fs_seconds = (
-                tracer.total_seconds("selection")
-                if tracer.enabled
-                else time.perf_counter() - fs_started
-            )
             if kept:
                 feature_names = kept
         with tracer.span("evaluate", model=model_name):
@@ -153,17 +143,15 @@ def run_join_all(
                 wide, label_column, model_name,
                 feature_names=feature_names, seed=seed,
             )
-    elapsed = root.seconds if tracer.enabled else time.perf_counter() - started
-    manifest = baseline_manifest(
+    fs_seconds = tracer.total_seconds("selection")
+    elapsed = root.seconds
+    manifest = build_manifest(
         "join_all",
-        tracer,
-        total_seconds=elapsed,
-        fs_seconds=fs_seconds,
+        tracer=tracer,
         dataset=drg,
         seed=seed,
-        engine_stats=engine.snapshot(),
-        selection_stats=counters.snapshot() if with_filter else None,
-        failure_report=faults.report(),
+        wall_seconds=elapsed,
+        records=[engine.snapshot(), selection_stats, faults.report()],
         counters={"join_all.tables_joined": joined},
     )
     return BaselineResult(
@@ -176,7 +164,7 @@ def run_join_all(
         n_joined_tables=joined,
         n_features_used=len(feature_names),
         engine_stats=engine.snapshot(),
-        selection_stats=counters.snapshot() if with_filter else None,
+        selection_stats=selection_stats,
         failure_report=faults.report(),
         run_manifest=manifest,
     )

@@ -17,7 +17,6 @@ comparison depends on them:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..core.navigation import ucb_score
@@ -30,8 +29,8 @@ from ..engine import (
 )
 from ..graph import DatasetRelationGraph
 from ..ml import evaluate_accuracy
-from ..obs import Tracer
-from .common import BaselineResult, baseline_manifest
+from ..obs import Tracer, build_manifest
+from .common import BaselineResult
 
 __all__ = ["run_mab"]
 
@@ -89,7 +88,6 @@ def run_mab(
     before) and accounted on the result's ``failure_report``.
     """
     tracer = Tracer(enabled=enable_tracing)
-    started = time.perf_counter()
     engine = JoinEngine(
         drg, seed=seed, fault_injector=fault_injector, tracer=tracer
     )
@@ -122,7 +120,6 @@ def run_mab(
 
         arms = candidate_arms()
         arm_index = {(a.source, a.target): a for a in arms}
-        fs_seconds = 0.0
         total_pulls = 0
 
         while total_pulls < budget and arm_index:
@@ -136,10 +133,7 @@ def run_mab(
             total_pulls += 1
             arm.pulls += 1
             options = _same_name_options(drg, arm.source, arm.target)
-            pull_started = time.perf_counter()
-            with tracer.span(
-                "pull", source=arm.source, target=arm.target
-            ) as pull_span:
+            with tracer.span("pull", source=arm.source, target=arm.target):
                 result = None
                 if options:
                     result = faults.execute(
@@ -149,10 +143,6 @@ def run_mab(
                     )
                 if result is None:
                     tracer.event("arm_retired", target=arm.target)
-                    # The span is still open here, so its duration is not
-                    # yet stamped — the wall-clock delta is the accounting
-                    # source for failed pulls under both modes.
-                    fs_seconds += time.perf_counter() - pull_started
                     arm.total_reward -= 0.01
                     del arm_index[(arm.source, arm.target)]
                     continue
@@ -161,11 +151,6 @@ def run_mab(
                     acc = evaluate_accuracy(
                         candidate_table, label_column, model_name, seed=seed
                     )
-            fs_seconds += (
-                pull_span.seconds
-                if tracer.enabled
-                else time.perf_counter() - pull_started
-            )
             reward = acc - current_acc
             arm.total_reward += reward
             if reward > 0.0:
@@ -179,16 +164,16 @@ def run_mab(
                 # Two unrewarding pulls: retire the arm.
                 del arm_index[(arm.source, arm.target)]
 
-    elapsed = root.seconds if tracer.enabled else time.perf_counter() - started
-    manifest = baseline_manifest(
+    # Every pull — joined, failed or retired — is selection work.
+    fs_seconds = tracer.total_seconds("pull")
+    elapsed = root.seconds
+    manifest = build_manifest(
         "mab",
-        tracer,
-        total_seconds=elapsed,
-        fs_seconds=fs_seconds,
+        tracer=tracer,
         dataset=drg,
         seed=seed,
-        engine_stats=engine.snapshot(),
-        failure_report=faults.report(),
+        wall_seconds=elapsed,
+        records=[engine.snapshot(), faults.report()],
         counters={
             "mab.pulls": total_pulls,
             "mab.tables_joined": len(joined),

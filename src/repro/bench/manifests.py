@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..obs import validate_manifest
+from ..obs import RunManifest, validate_manifest
 
 __all__ = [
     "manifest_problems",
@@ -33,27 +33,12 @@ def _as_manifest_dict(manifest) -> dict:
     return dict(manifest)
 
 
-def _iter_tree(node: dict):
-    if not node:
-        return
-    yield node
-    for child in node.get("children", ()):
-        yield from _iter_tree(child)
-
-
 def stage_seconds_of(manifest) -> dict[str, float]:
-    """Per-stage seconds of a manifest (object or dict form).
-
-    Mirrors :meth:`repro.obs.RunManifest.stage_seconds` but also works on
-    the plain-dict manifests the experiment store round-trips from disk.
-    """
-    if hasattr(manifest, "stage_seconds"):
-        return manifest.stage_seconds()
-    totals: dict[str, float] = {}
-    for node in _iter_tree(_as_manifest_dict(manifest).get("timing", {})):
-        name = node.get("name", "?")
-        totals[name] = totals.get(name, 0.0) + node.get("duration_ns", 0) / 1e9
-    return totals
+    """:meth:`repro.obs.RunManifest.stage_seconds` of a manifest, also in
+    the plain-dict form the experiment store round-trips from disk."""
+    if not hasattr(manifest, "stage_seconds"):
+        manifest = RunManifest.from_dict(manifest)
+    return manifest.stage_seconds()
 
 
 def manifest_problems(manifest) -> list[str]:

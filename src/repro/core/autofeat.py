@@ -17,7 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 from ..dataframe import Table, stratified_sample
 from ..engine import (
@@ -32,14 +32,7 @@ from ..engine import (
 )
 from ..errors import JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath
-from ..obs import (
-    MetricsRegistry,
-    Span,
-    Tracer,
-    build_manifest,
-    flat_node,
-    synthetic_root,
-)
+from ..obs import Span, Tracer, build_manifest, synthetic_root
 from .config import AutoFeatConfig
 from .materialize import qualified
 from .navigation import (
@@ -176,7 +169,8 @@ class AutoFeat:
         serial units share the coordinator's clock and graft verbatim.
         """
         if outcome.stats is not None:
-            executor.engine.stats.absorb(outcome.stats)
+            engine = executor.engine
+            engine.stats = engine.stats.merged(outcome.stats)
         if not tracer.enabled:
             return
         for data in outcome.spans:
@@ -225,11 +219,11 @@ class AutoFeat:
         ranking across all hops; its counters are returned on
         ``DiscoveryResult.selection_stats``.
 
-        With ``config.enable_tracing`` on, the whole traversal runs under
-        one :class:`repro.obs.Tracer` (``discover > wave > {hop > join,
-        selection}`` spans); ``discovery_seconds`` and
-        ``feature_selection_seconds`` are derived from those spans — one
-        timing source, not parallel bookkeeping — and the run's
+        The whole traversal runs under one :class:`repro.obs.Tracer`
+        (``discover > wave > {hop > join, selection}`` spans; per-name
+        totals only when ``config.enable_tracing`` is off);
+        ``discovery_seconds`` and ``feature_selection_seconds`` are read
+        off it — the tracer is the run's only clock — and the run's
         :class:`repro.obs.RunManifest` lands on
         ``DiscoveryResult.run_manifest``.
 
@@ -254,27 +248,11 @@ class AutoFeat:
                 f"base table {base_name!r} has no label column {label_column!r}"
             )
         tracer = self._tracer()
-        started = time.perf_counter()
         budget, frontier = self._navigation(deadline)
         executor = self._executor(tracer, budget.deadline)
         engine = executor.engine
         injector = self.fault_injector
         faults = self._faults("discovery")
-
-        # The single selection-timing site: traced runs get a span per
-        # scored batch, untraced runs one fallback accumulator.
-        fallback_selection = 0.0
-
-        def scored(fn, **attrs):
-            nonlocal fallback_selection
-            if tracer.enabled:
-                with tracer.span("selection", **attrs):
-                    return fn()
-            scoring_started = time.perf_counter()
-            try:
-                return fn()
-            finally:
-                fallback_selection += time.perf_counter() - scoring_started
 
         ranked: list[RankedPath] = []
         # ``generated`` drives the deterministic max_hops cut; ``explored``
@@ -305,12 +283,10 @@ class AutoFeat:
                 selector = StreamingFeatureSelector(config, label)
                 base_features = [n for n in sample.column_names if n != label_column]
                 if base_features:
-                    scored(
-                        lambda: selector.seed_with(
+                    with tracer.span("selection", batch="seed"):
+                        selector.seed_with(
                             base_features, sample.numeric_matrix(base_features)
-                        ),
-                        batch="seed",
-                    )
+                        )
 
                 # Each frontier entry carries the partially-joined sample and
                 # the qualified features accepted along the path so far.
@@ -421,12 +397,10 @@ class AutoFeat:
                                 task.edge.target, task.edge.target_column
                             )
                             candidates = [c for c in contributed if c != join_key]
-                            batch = scored(
-                                lambda: selector.process_batch(
+                            with tracer.span("selection", features=len(candidates)):
+                                batch = selector.process_batch(
                                     candidates, joined.numeric_matrix(candidates)
-                                ),
-                                features=len(candidates),
-                            )
+                                )
                             score = compute_ranking_score(
                                 batch.relevance_scores, batch.redundancy_scores
                             )
@@ -458,15 +432,8 @@ class AutoFeat:
         finally:
             executor.close()
 
-        # Both timings come from the span tree on traced runs; the
-        # untraced fallback is one wall-clock pair plus the single
-        # selection accumulator above.
-        if tracer.enabled:
-            discovery_seconds = root.seconds
-            selection_seconds = tracer.total_seconds("selection")
-        else:
-            discovery_seconds = time.perf_counter() - started
-            selection_seconds = fallback_selection
+        discovery_seconds = root.seconds
+        selection_seconds = tracer.total_seconds("selection")
 
         ranked.sort(key=lambda r: (-r.score, r.path.length, r.path.describe()))
         engine_stats = engine.snapshot()
@@ -482,13 +449,14 @@ class AutoFeat:
             best_score=ranked[0].score if ranked else 0.0,
             arms_tracked=frontier.policy.n_arms if frontier.policy else 0,
         )
-        manifest = self._discovery_manifest(
-            tracer,
-            engine_stats,
-            selection_stats,
-            failure_report,
-            discovery_seconds=discovery_seconds,
-            selection_seconds=selection_seconds,
+        manifest = build_manifest(
+            "discovery",
+            tracer=tracer,
+            config=config,
+            dataset=self.drg,
+            seed=config.seed,
+            wall_seconds=discovery_seconds,
+            records=[engine_stats, selection_stats, failure_report, navigation],
             counters={
                 "discovery.paths_explored": explored,
                 "discovery.paths_ranked": len(ranked),
@@ -498,7 +466,6 @@ class AutoFeat:
                 "discovery.waves": waves,
             },
             gauges=self._parallel_gauges(executor),
-            navigation=navigation,
         )
         return DiscoveryResult(
             base_table=base_name,
@@ -527,49 +494,6 @@ class AutoFeat:
             "parallel.busy_seconds": round(executor.busy_seconds, 6),
             "parallel.wall_seconds": round(executor.parallel_wall_seconds, 6),
         }
-
-    def _discovery_manifest(
-        self,
-        tracer: Tracer,
-        engine_stats,
-        selection_stats,
-        failure_report,
-        discovery_seconds: float,
-        selection_seconds: float,
-        counters: dict[str, int],
-        gauges: dict,
-        navigation: NavigationStats,
-    ):
-        """Assemble the discovery-phase :class:`repro.obs.RunManifest`."""
-        registry = MetricsRegistry()
-        engine_stats.publish(registry)
-        selection_stats.publish(registry)
-        failure_report.publish(registry)
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
-        for name, value in gauges.items():
-            registry.gauge(name).set(value)
-        navigation.publish(registry)
-        timing = None
-        if not tracer.enabled:
-            # Untraced runs still get a minimal two-node tree so stage
-            # breakdowns are never missing.
-            timing = flat_node(
-                "discover",
-                discovery_seconds,
-                children=[flat_node("selection", selection_seconds)],
-                traced=False,
-            )
-        return build_manifest(
-            "discovery",
-            tracer=tracer,
-            registry=registry,
-            config=self.config,
-            dataset=self.drg,
-            seed=self.config.seed,
-            wall_seconds=discovery_seconds,
-            timing=timing,
-        )
 
     # -- training phase -----------------------------------------------------------
 
@@ -602,10 +526,10 @@ class AutoFeat:
         recorded on ``AugmentationResult.failure_report`` and skipped, and
         the remaining top-k paths still train; ``fail_fast`` propagates.
 
-        When tracing is on, the training phase runs under a ``train`` span
-        tree (``train > wave > path > evaluate``) that is composed with
-        the discovery phase's tree into one ``augment`` manifest on
-        ``AugmentationResult.run_manifest``.
+        The training phase runs under a ``train`` span tree (``train >
+        wave > path > evaluate``; totals only when tracing is off) that
+        is composed with the discovery phase's tree into one ``augment``
+        manifest on ``AugmentationResult.run_manifest``.
 
         With an anytime deadline active (``config.budget_seconds``, or
         the explicit ``deadline`` that :meth:`augment` shares across
@@ -614,7 +538,6 @@ class AutoFeat:
         with ``budget_exhausted`` set.  ``config.max_hops`` applies to
         discovery only.
         """
-        started = time.perf_counter()
         config = self.config
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
@@ -696,27 +619,34 @@ class AutoFeat:
             )
             augmented = tables[best_idx].select(keep)
 
-        # Span-derived when traced, wall-clock fallback when not, so
-        # there is a single timing source either way.
-        if tracer.enabled:
-            train_seconds = root.seconds
-        else:
-            train_seconds = time.perf_counter() - started
-        total_seconds = discovery.discovery_seconds + train_seconds
+        total_seconds = discovery.discovery_seconds + root.seconds
         engine_stats = executor.engine.snapshot()
         failure_report = faults.report()
         budget_exhausted = budget_exhausted or discovery.budget_exhausted
-        manifest = self._augment_manifest(
-            discovery,
-            tracer,
-            engine_stats,
-            failure_report,
-            train_seconds=train_seconds,
-            total_seconds=total_seconds,
-            n_trained=len(trained),
-            best=best,
-            gauges=self._parallel_gauges(executor),
-            budget_exhausted=budget_exhausted,
+        gauges = self._parallel_gauges(executor)
+        if best is not None:
+            gauges["train.best_accuracy"] = round(best.accuracy, 6)
+        # Compose discovery + training into one ``augment`` manifest.
+        discovery_manifest = discovery.run_manifest or build_manifest(
+            "discover", wall_seconds=discovery.discovery_seconds
+        )
+        manifest = build_manifest(
+            "augment",
+            config=config,
+            dataset=self.drg,
+            seed=config.seed,
+            wall_seconds=total_seconds,
+            timing=synthetic_root(
+                "augment", [discovery_manifest.timing, tracer.timing_tree()]
+            ),
+            records=[
+                discovery.engine_stats.merged(engine_stats),
+                discovery.selection_stats,
+                discovery.failure_report.merged(failure_report),
+                replace(discovery.navigation, budget_exhausted=budget_exhausted),
+            ],
+            counters={"train.paths_trained": len(trained)},
+            gauges=gauges,
         )
 
         return AugmentationResult(
@@ -730,54 +660,6 @@ class AutoFeat:
             failure_report=failure_report,
             run_manifest=manifest,
             budget_exhausted=budget_exhausted,
-        )
-
-    def _augment_manifest(
-        self,
-        discovery: DiscoveryResult,
-        tracer: Tracer,
-        engine_stats,
-        failure_report,
-        train_seconds: float,
-        total_seconds: float,
-        n_trained: int,
-        best,
-        gauges: dict,
-        budget_exhausted: bool,
-    ):
-        """Compose discovery + training into one ``augment`` manifest."""
-        registry = MetricsRegistry()
-        discovery.engine_stats.merged(engine_stats).publish(registry)
-        discovery.selection_stats.publish(registry)
-        discovery.failure_report.merged(failure_report).publish(registry)
-        registry.counter("train.paths_trained").inc(n_trained)
-        if best is not None:
-            registry.gauge("train.best_accuracy").set(round(best.accuracy, 6))
-        for name, value in gauges.items():
-            registry.gauge(name).set(value)
-        discovery.navigation.publish(registry)
-        registry.gauge("navigation.budget_exhausted").set(
-            1 if budget_exhausted else 0
-        )
-
-        if tracer.enabled:
-            train_tree = tracer.timing_tree()
-        else:
-            train_tree = flat_node("train", train_seconds, traced=False)
-        discovery_tree = (
-            discovery.run_manifest.timing
-            if discovery.run_manifest is not None
-            else flat_node("discover", discovery.discovery_seconds, traced=False)
-        )
-        timing = synthetic_root("augment", [discovery_tree, train_tree])
-        return build_manifest(
-            "augment",
-            registry=registry,
-            config=self.config,
-            dataset=self.drg,
-            seed=self.config.seed,
-            wall_seconds=total_seconds,
-            timing=timing,
         )
 
     def augment(

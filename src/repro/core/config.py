@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..discovery.profiles import MINHASH_PERMUTATIONS
 from ..engine.faults import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
@@ -116,11 +115,10 @@ class AutoFeatConfig:
         (``discover > hop > join / selection``) through
         :class:`repro.obs.Tracer` and attach a full
         :class:`repro.obs.RunManifest` to every result.  Tracing does not
-        change results, only observability; disabling it swaps in the
-        no-op tracer (coarse wall-clock totals are still reported, but
-        the manifest's timing tree collapses to a single node and the
-        per-hop spans, events and ``feature_selection_seconds`` detail
-        come from cheap fallback accounting instead of spans).
+        change results, only observability; disabled, the tracer keeps
+        per-name totals instead of a tree (every reported duration still
+        comes from it, and the manifest's timing tree is one flat node
+        per coordinator-level stage, without per-hop spans or events).
     budget_seconds:
         Run-level anytime wall-clock budget for ``discover`` /
         ``train_top_k`` / ``augment`` (``augment`` shares one deadline
@@ -145,25 +143,6 @@ class AutoFeatConfig:
         results bit-identical to the reference traversal (DESIGN.md §14).
     frontier_exploration:
         UCB1 exploration constant of the ``"ucb"`` frontier strategy.
-    enable_sketch_index:
-        Route schema matching through the sketch-index candidate
-        generator (:class:`repro.discovery.index.CandidateFilteredMatcher`):
-        the service wraps its exact matcher so only column pairs
-        colliding in the joinability index are scored exactly.  At
-        candidate recall 1.0 the DRG is bit-identical to the full
-        quadratic scan — ``benchmarks/bench_sketch_index.py`` gates
-        exactly that — so this flag trades matcher work, not edges.
-    sketch_bands / sketch_rows_per_band:
-        LSH banding layout of the joinability index's MinHash channel;
-        their product must not exceed the signature length
-        (:data:`~repro.discovery.profiles.MINHASH_PERMUTATIONS`).  More
-        bands surface more candidates (higher recall, less pruning).
-    candidate_min_recall:
-        When set (and the sketch index is enabled), the service replays
-        the full quadratic scan over the initial lake via
-        ``verify_exact`` and refuses to start if missed-edge recall
-        falls below this floor — an audited deployment mode.  None (the
-        default) skips the audit; 1.0 demands provable DRG parity.
     seed:
         Seed for sampling and join-representative choices.
     """
@@ -192,10 +171,6 @@ class AutoFeatConfig:
     max_hops: int | None = None
     frontier_strategy: str = "ucb"
     frontier_exploration: float = DEFAULT_FRONTIER_EXPLORATION
-    enable_sketch_index: bool = False
-    sketch_bands: int = 16
-    sketch_rows_per_band: int = 4
-    candidate_min_recall: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -278,24 +253,6 @@ class AutoFeatConfig:
             raise ConfigError(
                 f"frontier_exploration must be >= 0, "
                 f"got {self.frontier_exploration}"
-            )
-        if self.sketch_bands < 1 or self.sketch_rows_per_band < 1:
-            raise ConfigError(
-                f"sketch_bands and sketch_rows_per_band must be >= 1, "
-                f"got {self.sketch_bands}x{self.sketch_rows_per_band}"
-            )
-        if self.sketch_bands * self.sketch_rows_per_band > MINHASH_PERMUTATIONS:
-            raise ConfigError(
-                f"sketch banding {self.sketch_bands}x"
-                f"{self.sketch_rows_per_band} exceeds the "
-                f"{MINHASH_PERMUTATIONS}-permutation signature"
-            )
-        if self.candidate_min_recall is not None and not (
-            0.0 < self.candidate_min_recall <= 1.0
-        ):
-            raise ConfigError(
-                f"candidate_min_recall must be in (0, 1] or None, "
-                f"got {self.candidate_min_recall}"
             )
         if self.redundancy_method not in REDUNDANCY_METHODS:
             raise ConfigError(

@@ -40,14 +40,14 @@ bit-identical across backends.  The selector itself needs no locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import SelectionError
 from ..selection.kernels import SelectionCodeCache, batch_redundancy_scores
 from ..selection.select_k_best import select_k_best
-from ..selection.stats import SelectionCounters, SelectionStats
+from ..selection.stats import SelectionStats
 from .config import AutoFeatConfig
 
 __all__ = ["StageOutcome", "StreamingFeatureSelector"]
@@ -82,7 +82,7 @@ class StreamingFeatureSelector:
         self._label = label
         self._selected_names: list[str] = []
         self._selected_set: set[str] = set()
-        self._counters = SelectionCounters()
+        self._counters = SelectionStats()
         self._code_cache = SelectionCodeCache(label, self._counters)
 
     @property
@@ -96,8 +96,8 @@ class StreamingFeatureSelector:
 
     @property
     def stats(self) -> SelectionStats:
-        """Frozen snapshot of the run's scoring counters."""
-        return self._counters.snapshot()
+        """A copy of the run's scoring counters (never the live block)."""
+        return replace(self._counters)
 
     def is_selected(self, name: str) -> bool:
         """Whether ``name`` is already in the persistent selected set."""

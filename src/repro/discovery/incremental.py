@@ -40,6 +40,7 @@ from itertools import combinations
 from ..dataframe import Table
 from ..errors import DiscoveryError
 from ..graph import DatasetRelationGraph, DrgDelta
+from ..obs.metrics import CounterRecord
 from .coma import ComaMatcher
 from .profiles import TableProfile, profile_table
 
@@ -50,7 +51,7 @@ PairMatches = tuple[tuple[str, str, float], ...]
 
 
 @dataclass
-class MatchCounters:
+class MatchCounters(CounterRecord):
     """Cumulative work accounting of one index's lifetime.
 
     ``pairs_reused`` counts pairs whose stored matches were replayed
@@ -63,13 +64,7 @@ class MatchCounters:
     pairs_reused: int = 0
     mutations: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "profiles_built": self.profiles_built,
-            "pairs_matched": self.pairs_matched,
-            "pairs_reused": self.pairs_reused,
-            "mutations": self.mutations,
-        }
+    prefix = "match_index"
 
 
 @dataclass(frozen=True)

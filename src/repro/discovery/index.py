@@ -50,8 +50,8 @@ byte-identical (same matches, same scores, same order) to the exact
 scan's.  What can still be missed, by construction, is a pair whose
 exact score clears the edge threshold through *moderate* name similarity
 without any shared token plus *asymmetric* containment of a large value
-domain — the trade-off :meth:`verify_exact` exists to measure and the
-``candidate_min_recall`` config gate exists to enforce.
+domain — the trade-off :meth:`verify_exact` exists to measure and
+``DiscoveryService(candidate_min_recall=)`` exists to enforce.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
-from ..obs import MetricsRegistry
+from ..obs.metrics import CounterRecord
 from .name_similarity import tokenize_identifier
 from .profiles import (
     MINHASH_PERMUTATIONS,
@@ -111,17 +111,8 @@ def validate_banding(bands: int, rows_per_band: int) -> None:
         )
 
 
-_COUNTER_FIELDS = (
-    "pairs_considered",
-    "pairs_scored",
-    "table_pairs_probed",
-    "tables_registered",
-    "columns_registered",
-)
-
-
 @dataclass
-class CandidateStats:
+class CandidateStats(CounterRecord):
     """Cumulative work accounting of one filtered matcher's lifetime.
 
     ``pairs_considered`` counts the cross-table column pairs the
@@ -138,6 +129,9 @@ class CandidateStats:
     columns_registered: int = 0
     index_build_seconds: float = 0.0
 
+    prefix = "sketch_index"
+    derived = ("candidates_pruned", "prune_ratio")
+
     @property
     def candidates_pruned(self) -> int:
         return max(self.pairs_considered - self.pairs_scored, 0)
@@ -148,28 +142,6 @@ class CandidateStats:
         if self.pairs_considered == 0:
             return 0.0
         return self.candidates_pruned / self.pairs_considered
-
-    def publish(
-        self, registry: MetricsRegistry, prefix: str = "sketch_index"
-    ) -> MetricsRegistry:
-        """Publish counters and derived gauges into ``registry``."""
-        for name in _COUNTER_FIELDS:
-            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
-        registry.counter(f"{prefix}.candidates_pruned").inc(
-            self.candidates_pruned
-        )
-        registry.gauge(f"{prefix}.prune_ratio").set(round(self.prune_ratio, 6))
-        registry.gauge(f"{prefix}.index_build_seconds").set(
-            round(self.index_build_seconds, 6)
-        )
-        return registry
-
-    def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _COUNTER_FIELDS}
-        out["candidates_pruned"] = self.candidates_pruned
-        out["prune_ratio"] = round(self.prune_ratio, 6)
-        out["index_build_seconds"] = round(self.index_build_seconds, 6)
-        return out
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,11 @@ from .parallel import (
     settle_managed_failure,
     settle_outcome,
 )
-from .stats import EngineStats, ExecutionStats
+from .stats import ExecutionStats
 
 __all__ = [
     "JoinEngine",
     "HopCache",
-    "EngineStats",
     "ExecutionStats",
     "qualified",
     "source_column_name",

@@ -10,13 +10,14 @@ top-k path materialisation, and all four baselines — executes through one
 * **execute** — probe the running table through the index and collect the
   qualified columns the hop contributed.
 
-The engine also owns the run's :class:`EngineStats`, so every consumer
+The engine also owns the run's :class:`ExecutionStats`, so every consumer
 gets observable build/probe/cache counters for free.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from ..dataframe import JoinIndex, Table
 from ..errors import FaultError, HopBudgetExceeded, JoinError, RunBudgetExceeded
@@ -25,7 +26,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .faults import FaultInjector
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
-from .stats import EngineStats, ExecutionStats
+from .stats import ExecutionStats
 
 __all__ = ["JoinEngine"]
 
@@ -45,7 +46,7 @@ class JoinEngine:
     One engine instance spans one logical run (a discovery traversal, a
     top-k training pass, or a baseline's join loop): every hop executed
     through it shares the :class:`HopCache` and accumulates into the same
-    :class:`EngineStats`.
+    :class:`ExecutionStats`.
 
     Parameters
     ----------
@@ -115,7 +116,7 @@ class JoinEngine:
         self.drg = drg
         self.seed = seed
         self.cache = cache if cache is not None else HopCache()
-        self.stats = EngineStats()
+        self.stats = ExecutionStats()
         self.hop_timeout_seconds = hop_timeout_seconds
         self.max_output_rows = max_output_rows
         self.fault_injector = fault_injector
@@ -128,8 +129,8 @@ class JoinEngine:
 
         The view shares the DRG and this engine's :class:`HopCache` — so
         cross-path build reuse spans every unit the engine runs — but
-        counts into its own fresh :class:`EngineStats`, which the
-        coordinator absorbs at the deterministic merge point.  The fault
+        counts into its own fresh :class:`ExecutionStats`, which the
+        coordinator merges in at the deterministic merge point.  The fault
         injector is deliberately dropped: parallel runs resolve injected
         faults canonically at work-unit *generation* time (seeded per
         hop), never inside a worker, so same-seed runs inject identical
@@ -226,10 +227,9 @@ class JoinEngine:
                 f"max_output_rows={self.max_output_rows}; "
                 f"{_hop_context(base_name, path, edge)}"
             )
-        started = time.perf_counter()
         with self.tracer.span(
             "join", table=edge.target, key=edge.target_column, rows=current.n_rows
-        ):
+        ) as span:
             if self.hop_latency_seconds > 0.0:
                 # Simulated remote-lake fetch latency.
                 time.sleep(self.hop_latency_seconds)
@@ -246,7 +246,7 @@ class JoinEngine:
             self.stats.hops_executed += 1
             self.stats.rows_probed += current.n_rows
             joined = index.left_join(current, left_col)
-        elapsed = time.perf_counter() - started
+        elapsed = span.seconds
         if self.hop_timeout_seconds is not None and elapsed > self.hop_timeout_seconds:
             raise HopBudgetExceeded(
                 f"hop took {elapsed:.3f}s, over the wall-clock budget of "
@@ -281,5 +281,5 @@ class JoinEngine:
     # -- observability ------------------------------------------------------
 
     def snapshot(self) -> ExecutionStats:
-        """Freeze the engine's counters into an immutable stats record."""
-        return self.stats.snapshot()
+        """A copy of the engine's counters that later hops do not change."""
+        return replace(self.stats)

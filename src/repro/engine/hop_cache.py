@@ -30,7 +30,7 @@ import threading
 from typing import Callable
 
 from ..dataframe import JoinIndex
-from .stats import EngineStats
+from .stats import ExecutionStats
 
 __all__ = ["HopCache"]
 
@@ -51,7 +51,7 @@ class HopCache:
         self._epochs: dict[str, int] = {}
         #: Cumulative cache-lifetime counters (exact under concurrency:
         #: every update happens under ``_lock``).  Distinct from the
-        #: per-run :class:`EngineStats` callers pass in — these span the
+        #: per-run :class:`ExecutionStats` callers pass in — these span the
         #: cache's whole life, which is what a long-lived service's
         #: warm-hit-rate gauge reports.
         self._counters = {
@@ -116,7 +116,7 @@ class HopCache:
         key_column: str,
         seed: int,
         builder: Callable[[], JoinIndex],
-        stats: EngineStats | None = None,
+        stats: ExecutionStats | None = None,
     ) -> JoinIndex:
         """Return the cached index for the key, building it on first use.
 

@@ -4,10 +4,11 @@ The subsystem every layer of the pipeline reports into:
 
 * :class:`Tracer` / :class:`Span` — hierarchical wall-clock spans
   (``discover > hop > join / selection``) with structured events and a
-  cheap no-op mode (:mod:`repro.obs.tracer`);
-* :class:`MetricsRegistry` — named counters/gauges/histograms the
-  existing stats records (``ExecutionStats``, ``SelectionStats``,
-  ``FailureReport``) publish into (:mod:`repro.obs.metrics`);
+  cheap totals-only mode (:mod:`repro.obs.tracer`);
+* :class:`MetricsRegistry` — named counters/gauges/histograms, and
+  :class:`CounterRecord`, the one base the stats records
+  (``ExecutionStats``, ``SelectionStats``, …) merge, serialise and
+  publish through (:mod:`repro.obs.metrics`);
 * :class:`RunManifest` — the frozen reproducibility record (config,
   seed, dataset fingerprint, git revision, timing tree, metrics, event
   log) attached to every result object (:mod:`repro.obs.manifest`);
@@ -30,7 +31,7 @@ from .manifest import (
     git_revision,
     synthetic_root,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, CounterRecord, Gauge, Histogram, MetricsRegistry
 from .schema import MANIFEST_SCHEMA, SPAN_SCHEMA, validate, validate_manifest
 from .tracer import NULL_TRACER, Span, Tracer
 
@@ -40,6 +41,7 @@ __all__ = [
     "NULL_TRACER",
     "MetricsRegistry",
     "Counter",
+    "CounterRecord",
     "Gauge",
     "Histogram",
     "RunManifest",

@@ -16,6 +16,7 @@ pretty-prints or re-exports a saved one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .metrics import MetricsRegistry
-from .tracer import Tracer
+from .tracer import Tracer, flat_node
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -84,12 +85,14 @@ def dataset_fingerprint(tables) -> str:
     return digest[:16]
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision(start: Path | None = None) -> str:
     """Short git revision of the enclosing working tree ('' when absent).
 
     Reads ``.git/HEAD`` directly (no subprocess, no git dependency) and
     resolves one level of symbolic ref, covering the normal layouts
-    including ``packed-refs``.
+    including ``packed-refs``.  Resolved once per ``start`` per process:
+    the service builds a manifest for every response.
     """
     directory = (start or Path(__file__)).resolve()
     if directory.is_file():
@@ -117,30 +120,12 @@ def git_revision(start: Path | None = None) -> str:
     return ""
 
 
-def flat_node(name: str, seconds: float, children: list[dict] | None = None, **attrs) -> dict:
-    """A leaf (or shallow) span-tree node from a plain wall-clock total.
-
-    Untraced runs use this to synthesise a minimal timing tree out of
-    their fallback accumulators, so per-stage breakdowns never go
-    missing just because tracing was off.
-    """
-    return {
-        "name": name,
-        "start_ns": 0,
-        "duration_ns": max(int(seconds * 1e9), 0),
-        "attrs": dict(attrs),
-        "events": [],
-        "children": list(children or ()),
-    }
-
-
 def synthetic_root(name: str, children: list[dict], **attrs) -> dict:
     """A span-tree node wrapping pre-rendered child trees.
 
-    Used to compose one manifest out of several traced phases (e.g. the
-    ``augment`` root over the ``discover`` and ``train`` trees) and to
-    synthesise a minimal tree for untraced runs.  Duration is the sum of
-    the children's durations; start is the earliest child start.
+    Used to compose one manifest out of several phases (e.g. the
+    ``augment`` root over the ``discover`` and ``train`` trees).  Duration
+    is the sum of the children's durations; start is the earliest child start.
     """
     children = [c for c in children if c]
     duration = sum(int(c.get("duration_ns", 0)) for c in children)
@@ -305,28 +290,34 @@ def build_manifest(
     seed: int = 0,
     wall_seconds: float | None = None,
     timing: dict | None = None,
+    records=(),
+    counters: dict[str, int] | None = None,
+    gauges: dict[str, float] | None = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` from a run's observability state.
 
     ``dataset`` is anything :func:`dataset_fingerprint` accepts (a DRG or
     an iterable of tables); ``timing`` overrides the tracer's tree (used
-    when composing multi-phase manifests).  Untraced runs get a
-    synthesised single-node tree covering ``wall_seconds`` so the
-    per-stage breakdown is never empty.
+    when composing multi-phase manifests).  ``records`` are the run's
+    stats records (anything with ``publish(registry)``; None entries are
+    skipped), published in order before the loose ``counters`` and
+    ``gauges``.  A run with no tree at all gets a single node covering
+    ``wall_seconds`` so the per-stage breakdown is never empty.
     """
     if timing is None:
         timing = tracer.timing_tree() if tracer is not None else {}
     if wall_seconds is None:
         wall_seconds = timing.get("duration_ns", 0) / 1e9 if timing else 0.0
     if not timing:
-        timing = {
-            "name": stage,
-            "start_ns": 0,
-            "duration_ns": int(wall_seconds * 1e9),
-            "attrs": {"traced": False},
-            "events": [],
-            "children": [],
-        }
+        timing = flat_node(stage, wall_seconds, traced=False)
+    registry = registry if registry is not None else MetricsRegistry()
+    for record in records:
+        if record is not None:
+            record.publish(registry)
+    for name, value in (counters or {}).items():
+        registry.counter(name).inc(value)
+    for name, value in (gauges or {}).items():
+        registry.gauge(name).set(value)
     return RunManifest(
         stage=stage,
         seed=seed,
@@ -334,7 +325,7 @@ def build_manifest(
         dataset_fingerprint=dataset_fingerprint(dataset) if dataset is not None else "",
         git_rev=git_revision(),
         timing=timing,
-        metrics=registry.as_dict() if registry is not None else MetricsRegistry().as_dict(),
+        metrics=registry.as_dict(),
         events=_flatten_events(timing),
         wall_seconds=float(wall_seconds),
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),

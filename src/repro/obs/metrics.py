@@ -2,12 +2,12 @@
 
 One :class:`MetricsRegistry` collects a run's numeric observability
 signals under dotted names (``engine.cache_hits``,
-``selection.codes_reused``, ``faults.recorded``).  The existing stats
-records — :class:`repro.engine.ExecutionStats`,
-:class:`repro.selection.SelectionStats` and
-:class:`repro.engine.FailureReport` — publish into a registry via their
-``publish()`` methods and keep their flat fields as backward-compatible
-views; the registry's :meth:`MetricsRegistry.as_dict` payload is what a
+``selection.codes_reused``, ``faults.recorded``).  The stats records —
+every :class:`CounterRecord` (:class:`repro.engine.ExecutionStats`,
+:class:`repro.selection.SelectionStats`, the discovery layer's two) plus
+:class:`repro.engine.FailureReport` and ``NavigationStats`` — publish
+into a registry via ``publish()``; the registry's
+:meth:`MetricsRegistry.as_dict` payload is what a
 :class:`repro.obs.RunManifest` embeds.
 
 Three instrument kinds, mirroring the usual metrics vocabulary:
@@ -20,22 +20,29 @@ Three instrument kinds, mirroring the usual metrics vocabulary:
 
 from __future__ import annotations
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+import threading
+from dataclasses import fields
+from functools import reduce
+
+__all__ = ["Counter", "CounterRecord", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
-    """Monotonic counter; negative increments are rejected."""
+    """Monotonic counter; negative increments are rejected, concurrent
+    ones exact (``lock`` is the owning registry's)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock=None):
         self.name = name
         self.value = 0
+        self._lock = lock or threading.RLock()
 
     def inc(self, amount: int = 1) -> "Counter":
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        self.value += amount
+        with self._lock:
+            self.value += amount
         return self
 
 
@@ -56,21 +63,23 @@ class Gauge:
 class Histogram:
     """Constant-memory streaming summary of an observed distribution."""
 
-    __slots__ = ("name", "count", "total", "min", "max")
+    __slots__ = ("name", "count", "total", "min", "max", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock=None):
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
+        self._lock = lock or threading.RLock()
 
     def observe(self, value: float) -> "Histogram":
         value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        with self._lock:
+            self.count += 1
+            self.total += value
+            self.min = min(self.min, value)
+            self.max = max(self.max, value)
         return self
 
     @property
@@ -95,9 +104,14 @@ class MetricsRegistry:
     A name belongs to exactly one instrument kind for the registry's
     lifetime; asking for the same name as a different kind raises, which
     catches taxonomy typos early.
+
+    Thread-safe: get-or-create, ``inc`` and ``observe`` run under the
+    re-entrant :attr:`lock` (a gauge's ``set`` is one store); a caller may
+    hold it across a read-several-then-write sequence.
     """
 
     def __init__(self):
+        self.lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -115,22 +129,25 @@ class MetricsRegistry:
                 )
 
     def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._check_unique(name, "counter")
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        with self.lock:
+            if name not in self._counters:
+                self._check_unique(name, "counter")
+                self._counters[name] = Counter(name, self.lock)
+            return self._counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        if name not in self._gauges:
-            self._check_unique(name, "gauge")
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        with self.lock:
+            if name not in self._gauges:
+                self._check_unique(name, "gauge")
+                self._gauges[name] = Gauge(name)
+            return self._gauges[name]
 
     def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._check_unique(name, "histogram")
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
+        with self.lock:
+            if name not in self._histograms:
+                self._check_unique(name, "histogram")
+                self._histograms[name] = Histogram(name, self.lock)
+            return self._histograms[name]
 
     def __contains__(self, name: str) -> bool:
         return (
@@ -154,10 +171,59 @@ class MetricsRegistry:
 
     def as_dict(self) -> dict:
         """JSON-safe payload (the manifest's ``metrics`` section)."""
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.summary() for n, h in sorted(self._histograms.items())
-            },
-        }
+        with self.lock:
+            return {
+                "counters": {n: c.value for n, c in sorted(self._counters.items())},
+                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
+                "histograms": {
+                    n: h.summary() for n, h in sorted(self._histograms.items())
+                },
+            }
+
+
+class CounterRecord:
+    """Base of every stats record: a dataclass of summable counters.
+
+    A subclass is a ``@dataclass`` declaring its zero-defaulted fields
+    once, the read-only properties reported beside them (``derived``) and
+    the ``prefix`` its metrics publish under; merging, publishing and
+    (de)serialising are written here only.  An ``int`` publishes as a
+    counter, a ``float`` as a gauge rounded to six places.
+    """
+
+    prefix = ""
+    derived: tuple[str, ...] = ()
+
+    def merged(self, other):
+        """Field-wise sum — e.g. discovery-phase + training-phase stats."""
+        return type(self)(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
+
+    @classmethod
+    def merge(cls, records):
+        """Field-wise sum over any iterable of records (order-independent)."""
+        return reduce(cls.merged, records, cls())
+
+    def as_dict(self) -> dict:
+        """Flat dict of the fields, then the derived values."""
+        names = [f.name for f in fields(self)] + list(self.derived)
+        values = ((name, getattr(self, name)) for name in names)
+        return {n: v if isinstance(v, int) else round(v, 6) for n, v in values}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Inverse of :meth:`as_dict`; unknown and derived keys are ignored."""
+        return cls(
+            **{f.name: type(f.default)(data.get(f.name, f.default)) for f in fields(cls)}
+        )
+
+    def publish(self, registry: MetricsRegistry, prefix: str | None = None) -> MetricsRegistry:
+        """Publish every :meth:`as_dict` entry as ``<prefix>.<name>``."""
+        for name, value in self.as_dict().items():
+            metric = f"{prefix or self.prefix}.{name}"
+            if isinstance(value, int):
+                registry.counter(metric).inc(value)
+            else:
+                registry.gauge(metric).set(value)
+        return registry

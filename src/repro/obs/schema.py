@@ -122,9 +122,10 @@ def _validate_span_tree(node: dict, path: str) -> list[str]:
         duration = child.get("duration_ns", 0) if isinstance(child, dict) else 0
         child_total += duration
         child_max = max(child_max, duration)
-    if node["attrs"].get("parallel"):
+    if node["attrs"].get("parallel") or node["attrs"].get("traced") is False:
         # A parallel span's children ran concurrently (worker subtrees
-        # grafted under a wave), so their durations legitimately sum past
+        # grafted under a wave) and an untraced root's are per-name totals
+        # of stages that nest, so their durations legitimately sum past
         # the parent's wall time; each child must still fit individually.
         if child_max > node["duration_ns"] + 1_000_000:
             errors.append(

@@ -19,10 +19,11 @@ with :func:`time.perf_counter_ns`, and carry structured events
 The resulting tree is the timing backbone of a
 :class:`repro.obs.RunManifest` and of the Chrome-trace export.
 
-When disabled, :meth:`Tracer.span` returns one shared no-op span — no
-allocation, no clock reads, no tree — so production runs can switch
-tracing off with negligible overhead (the ``make trace-smoke`` gate
-asserts the no-op cost stays under 2% of discovery wall time).
+A disabled tracer keeps totals, not trees: :meth:`Tracer.span` returns a
+slotted timing-only span — two clock reads, no tree, no attrs, no events —
+that adds its duration into a per-name total, so the tracer is the run's
+only clock in both modes (the ``make trace-smoke`` gate asserts the
+timing-only cost stays under 2% of discovery wall time).
 
 The module is dependency-free by design: it imports only :mod:`time`.
 """
@@ -31,7 +32,19 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Span", "Tracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NULL_TRACER", "flat_node"]
+
+
+def flat_node(name: str, seconds: float, children: list[dict] | None = None, **attrs) -> dict:
+    """A leaf (or shallow) span-tree node from a plain wall-clock total."""
+    return {
+        "name": name,
+        "start_ns": 0,
+        "duration_ns": max(int(seconds * 1e9), 0),
+        "attrs": dict(attrs),
+        "events": [],
+        "children": list(children or ()),
+    }
 
 
 class Span:
@@ -157,55 +170,61 @@ class Span:
         return f"Span({self.name!r}, {self.seconds:.6f}s, {len(self.children)} children)"
 
 
-class _NullSpan:
-    """Shared do-nothing span returned by disabled tracers."""
+class _TimedSpan:
+    """Timing-only span of a disabled tracer; adds into its name's total."""
 
-    __slots__ = ()
+    __slots__ = ("name", "start_ns", "end_ns", "_totals")
 
-    name = "null"
-    attrs: dict = {}
-    children: tuple = ()
-    events: tuple = ()
-    start_ns = 0
-    end_ns = 0
-    duration_ns = 0
-    seconds = 0.0
-    finished = False
+    def __init__(self, name: str, totals: dict[str, int]):
+        self.name = name
+        self.start_ns = self.end_ns = 0
+        self._totals = totals
+
+    @property
+    def seconds(self) -> float:
+        return (self.end_ns - self.start_ns) / 1e9 if self.end_ns else 0.0
 
     def event(self, name: str, **attrs) -> None:
         pass
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_TimedSpan":
+        self.start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self.end_ns = time.perf_counter_ns()
+        totals = self._totals
+        totals[self.name] = totals.get(self.name, 0) + self.end_ns - self.start_ns
         return False
 
 
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
-    """Builds one run's span tree (or does nothing when disabled).
+    """Builds one run's span tree (per-name totals only when disabled).
 
     Parameters
     ----------
     enabled:
-        When False, :meth:`span` returns a shared no-op span and
-        :meth:`event` is a no-op — the cheap mode production runs use via
-        ``AutoFeatConfig(enable_tracing=False)``.
+        When False, :meth:`span` returns timing-only spans that feed
+        per-name totals and :meth:`event` is a no-op — the cheap mode
+        production runs use via ``AutoFeatConfig(enable_tracing=False)``.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.roots: list[Span] = []
         self._stack: list[Span] = []
+        #: Disabled mode: nanoseconds per span name; the outermost span.
+        self._totals: dict[str, int] = {}
+        self._outer: _TimedSpan | None = None
 
     def span(self, name: str, **attrs):
         """A context manager timing one named region (nestable)."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return Span(name, attrs, tracer=self)
+        if self.enabled:
+            return Span(name, attrs, tracer=self)
+        span = _TimedSpan(name, self._totals)
+        if self._outer is None:
+            self._outer = span
+        return span
 
     def event(self, name: str, **attrs) -> None:
         """Attach a structured event to the innermost open span."""
@@ -233,12 +252,24 @@ class Tracer:
     def total_seconds(self, name: str) -> float:
         """Summed duration of every span named ``name`` (see caveat on
         :meth:`Span.total_named_seconds`)."""
+        if not self.enabled:
+            return self._totals.get(name, 0) / 1e9
         return sum(s.seconds for s in self.iter_spans() if s.name == name)
 
     def timing_tree(self) -> dict:
-        """The root span as a JSON-safe dict ({} when nothing was traced)."""
-        return self.root.as_dict() if self.root is not None else {}
+        """The root span as a JSON-safe dict ({} when nothing was timed);
+        disabled: the outermost span over one flat ``traced: False`` child
+        per other span name."""
+        if self.enabled:
+            return self.root.as_dict() if self.root is not None else {}
+        outer = self._outer
+        if outer is None:
+            return {}
+        totals = self._totals.items()
+        stages = [flat_node(n, ns / 1e9) for n, ns in totals if n != outer.name]
+        return flat_node(outer.name, outer.seconds, stages, traced=False)
 
 
 #: Shared disabled tracer for callers that want tracing to be optional.
+#: Every such caller adds into its totals, so nothing reads them.
 NULL_TRACER = Tracer(enabled=False)

@@ -17,7 +17,7 @@ from .kernels import (
     batch_spearman_scores,
     rank_matrix,
 )
-from .stats import SelectionCounters, SelectionStats
+from .stats import SelectionStats
 from .entropy import (
     conditional_mutual_information,
     discretize,
@@ -70,7 +70,6 @@ __all__ = [
     "batch_relevance_scores",
     "batch_redundancy_scores",
     "SelectionCodeCache",
-    "SelectionCounters",
     "SelectionStats",
     "SelectionOutcome",
     "select_k_best",

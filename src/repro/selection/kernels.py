@@ -43,7 +43,7 @@ from ..errors import SelectionError
 from .entropy import discretize
 from .redundancy import REDUNDANCY_METHODS, linear_coefficients
 from .relevance import RELEVANCE_METRICS, _rankdata, relevance_scores
-from .stats import SelectionCounters
+from .stats import SelectionStats
 
 __all__ = [
     "rank_matrix",
@@ -208,7 +208,7 @@ def batch_relevance_scores(
     label: np.ndarray,
     metric: str = "spearman",
     seed: int = 0,
-    counters: SelectionCounters | None = None,
+    counters: SelectionStats | None = None,
 ) -> np.ndarray:
     """Kernel-accelerated drop-in for :func:`relevance_scores`.
 
@@ -273,7 +273,7 @@ class SelectionCodeCache:
     def __init__(
         self,
         label: np.ndarray,
-        counters: SelectionCounters | None = None,
+        counters: SelectionStats | None = None,
     ):
         self._counters = counters
         self.label_codes = discretize(np.asarray(label, dtype=np.float64))
@@ -362,7 +362,7 @@ def batch_redundancy_scores(
     candidates: np.ndarray,
     cache: SelectionCodeCache,
     method: str = "mrmr",
-    counters: SelectionCounters | None = None,
+    counters: SelectionStats | None = None,
 ) -> np.ndarray:
     """Score every candidate column against the cached selected set.
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import SelectionError
 from .kernels import batch_relevance_scores
-from .stats import SelectionCounters
+from .stats import SelectionStats
 
 __all__ = ["SelectionOutcome", "select_k_best", "select_k_best_named"]
 
@@ -36,7 +36,7 @@ def select_k_best(
     metric: str = "spearman",
     min_score: float = 0.0,
     seed: int = 0,
-    counters: SelectionCounters | None = None,
+    counters: SelectionStats | None = None,
 ) -> SelectionOutcome:
     """Keep the ``k`` highest-scoring feature columns.
 
@@ -72,7 +72,7 @@ def select_k_best_named(
     metric: str = "spearman",
     min_score: float = 0.0,
     seed: int = 0,
-    counters: SelectionCounters | None = None,
+    counters: SelectionStats | None = None,
 ) -> tuple[list[str], list[float]]:
     """Name-oriented wrapper over :func:`select_k_best`."""
     if np.asarray(features).shape[1] != len(feature_names):

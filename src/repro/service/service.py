@@ -184,14 +184,15 @@ class DiscoveryService:
     matcher:
         Schema matcher for edge discovery (:class:`~repro.discovery
         .ComaMatcher` by default; any ``Matcher`` works, profile-aware
-        ones incrementally).  With ``config.enable_sketch_index`` the
-        matcher is wrapped in a :class:`~repro.discovery
-        .CandidateFilteredMatcher` so only sketch-index candidates are
-        scored exactly; ``config.candidate_min_recall`` additionally
-        audits the initial lake against the full quadratic scan and
-        refuses to start below the floor.
+        ones incrementally).  Pass a :class:`~repro.discovery
+        .CandidateFilteredMatcher` to score only sketch-index candidates
+        exactly.
     threshold:
         Edge-score threshold, as in ``from_discovery``.
+    candidate_min_recall:
+        With a candidate-filtered ``matcher``, audit the initial lake
+        against the full quadratic scan at ``threshold`` and refuse to
+        start below this recall floor (None skips the audit).
     config:
         Default :class:`AutoFeatConfig` for requests that do not bring
         their own.
@@ -211,14 +212,19 @@ class DiscoveryService:
         config: AutoFeatConfig | None = None,
         n_workers: int = 2,
         enable_result_cache: bool = True,
+        candidate_min_recall: float | None = None,
     ):
         if n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
+        if candidate_min_recall is not None and not 0.0 < candidate_min_recall <= 1.0:
+            raise ServiceError(
+                f"candidate_min_recall must be in (0, 1], got {candidate_min_recall}"
+            )
         self.config = config or AutoFeatConfig()
-        self.index = IncrementalMatchIndex(
-            tables, matcher=self._resolve_matcher(matcher), threshold=threshold
+        self.index = IncrementalMatchIndex(tables, matcher=matcher, threshold=threshold)
+        self.recall_report = self._verify_candidate_recall(
+            threshold, candidate_min_recall
         )
-        self.recall_report = self._verify_candidate_recall(threshold)
         self.hop_cache = HopCache()
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
@@ -239,27 +245,14 @@ class DiscoveryService:
         for worker in self._workers:
             worker.start()
 
-    def _resolve_matcher(self, matcher):
-        """Wrap the exact matcher in the sketch index when configured."""
-        if not self.config.enable_sketch_index:
-            return matcher
-        if isinstance(matcher, CandidateFilteredMatcher):
-            return matcher
-        return CandidateFilteredMatcher(
-            matcher,
-            bands=self.config.sketch_bands,
-            rows_per_band=self.config.sketch_rows_per_band,
-        )
-
-    def _verify_candidate_recall(self, threshold: float):
+    def _verify_candidate_recall(self, threshold: float, floor: float | None):
         """Audit the initial lake against the full quadratic scan.
 
-        Only runs when ``config.candidate_min_recall`` is set and the
-        index is actually a candidate filter; returns the
+        Only runs when a ``floor`` is set and the index is actually a
+        candidate filter; returns the
         :class:`~repro.discovery.RecallReport` (or None when skipped) and
         raises :class:`~repro.errors.DiscoveryError` below the floor.
         """
-        floor = self.config.candidate_min_recall
         if floor is None or not isinstance(
             self.index.matcher, CandidateFilteredMatcher
         ):
@@ -523,15 +516,16 @@ class DiscoveryService:
             self._results[key] = entry
 
     def _count_cache(self, hit: bool) -> None:
-        hits_counter = self.registry.counter("service.result_cache_hits")
-        misses_counter = self.registry.counter("service.result_cache_misses")
-        (hits_counter if hit else misses_counter).inc()
-        hits = hits_counter.value
-        misses = misses_counter.value
-        total = hits + misses
-        self.registry.gauge("service.warm_hit_rate").set(
-            round(hits / total, 6) if total else 0.0
-        )
+        # One critical section: the rate is set from the counts it read.
+        with self.registry.lock:
+            hits_counter = self.registry.counter("service.result_cache_hits")
+            misses_counter = self.registry.counter("service.result_cache_misses")
+            (hits_counter if hit else misses_counter).inc()
+            hits = hits_counter.value
+            total = hits + misses_counter.value
+            self.registry.gauge("service.warm_hit_rate").set(
+                round(hits / total, 6) if total else 0.0
+            )
 
     def _request_manifest(
         self,
@@ -541,10 +535,6 @@ class DiscoveryService:
         queue_seconds: float,
         execute_seconds: float,
     ) -> RunManifest:
-        registry = MetricsRegistry()
-        registry.counter("service.cache_hit").inc(1 if cache_hit else 0)
-        registry.gauge("service.snapshot_version").set(snapshot.version)
-        registry.gauge("service.queue_depth").set(self._queue.qsize())
         timing = flat_node(
             f"service.{request.kind}",
             queue_seconds + execute_seconds,
@@ -556,12 +546,16 @@ class DiscoveryService:
         )
         return build_manifest(
             f"service.{request.kind}",
-            registry=registry,
             config=request.config,
             dataset=snapshot.drg,
             seed=request.config.seed,
             wall_seconds=queue_seconds + execute_seconds,
             timing=timing,
+            counters={"service.cache_hit": 1 if cache_hit else 0},
+            gauges={
+                "service.snapshot_version": snapshot.version,
+                "service.queue_depth": self._queue.qsize(),
+            },
         )
 
     # -- mutations -----------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -156,7 +156,7 @@ def discovery_record(discovery, backend: str) -> dict:
         "budget_exhausted": discovery.budget_exhausted,
         "failures": failure_records(discovery.failure_report),
         "engine": engine_counters(discovery.engine_stats, backend),
-        "selection": discovery.selection_stats.as_dict(),
+        "selection": asdict(discovery.selection_stats),
     }
 
 

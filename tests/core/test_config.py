@@ -51,6 +51,15 @@ class TestValidation:
         with pytest.raises(TypeError):
             AutoFeatConfig(chunk_rows=1)
 
+    @pytest.mark.parametrize(
+        "knob", ["enable_sketch_index", "sketch_bands", "sketch_rows_per_band"]
+    )
+    def test_sketch_knobs_are_not_fields(self, knob):
+        """A ``CandidateFilteredMatcher(bands=, rows_per_band=)`` passed to
+        the service is the one spelling."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(**{knob: 1})
+
 
 class TestOverridesAndAblations:
     def test_with_overrides(self):

@@ -45,7 +45,6 @@ SKETCH_CONFIG = AutoFeatConfig(
     max_path_length=2,
     sample_size=16,
     seed=5,
-    enable_sketch_index=True,
 )
 
 
@@ -137,7 +136,7 @@ class TestServiceMutationParity:
         *unwrapped* quadratic scan of the final lake."""
         lake = [make_base(), make_satellite("s1", 0), make_satellite("s2", 1)]
         service = DiscoveryService(
-            lake, config=SKETCH_CONFIG, n_workers=1
+            lake, CandidateFilteredMatcher(), config=SKETCH_CONFIG, n_workers=1
         )
         try:
             assert isinstance(service.index.matcher, CandidateFilteredMatcher)
@@ -160,7 +159,9 @@ class TestServiceMutationParity:
         """One discover request through the sketch-enabled service vs a
         cold AutoFeat run over the unfiltered DRG."""
         lake = [make_base(), make_satellite("s1", 2), make_satellite("s3", 4)]
-        service = DiscoveryService(lake, config=SKETCH_CONFIG, n_workers=1)
+        service = DiscoveryService(
+            lake, CandidateFilteredMatcher(), config=SKETCH_CONFIG, n_workers=1
+        )
         try:
             service.register_table(make_satellite("s2", 1))
             warm = service.discover("base", "label", use_cache=False)
@@ -175,9 +176,12 @@ class TestServiceMutationParity:
             service.close()
 
     def test_candidate_min_recall_gate_accepts_clean_lake(self):
-        config = SKETCH_CONFIG.with_overrides(candidate_min_recall=1.0)
         service = DiscoveryService(
-            [make_base(), make_satellite("s1", 0)], config=config, n_workers=1
+            [make_base(), make_satellite("s1", 0)],
+            CandidateFilteredMatcher(),
+            config=SKETCH_CONFIG,
+            n_workers=1,
+            candidate_min_recall=1.0,
         )
         try:
             assert service.recall_report is not None

@@ -1,6 +1,8 @@
 """Exact accounting of the cross-path hop cache."""
 
-from repro.engine import EngineStats, ExecutionStats, HopCache
+from repro.dataframe import Table
+from repro.engine import ExecutionStats, HopCache, JoinEngine
+from repro.graph import DatasetRelationGraph, KFKConstraint
 
 
 class CountingBuilder:
@@ -16,7 +18,7 @@ class CountingBuilder:
 
 class TestEnabledCache:
     def test_miss_then_hit(self):
-        cache, stats, builder = HopCache(), EngineStats(), CountingBuilder()
+        cache, stats, builder = HopCache(), ExecutionStats(), CountingBuilder()
         first = cache.get_or_build("t", "t.k", 0, builder, stats)
         second = cache.get_or_build("t", "t.k", 0, builder, stats)
         assert first is second
@@ -26,7 +28,7 @@ class TestEnabledCache:
         assert ("t", "t.k", 0) in cache
 
     def test_distinct_keys_build_separately(self):
-        cache, stats, builder = HopCache(), EngineStats(), CountingBuilder()
+        cache, stats, builder = HopCache(), ExecutionStats(), CountingBuilder()
         cache.get_or_build("t", "t.k", 0, builder, stats)
         cache.get_or_build("t", "t.other", 0, builder, stats)  # other key column
         cache.get_or_build("u", "t.k", 0, builder, stats)  # other table
@@ -53,13 +55,25 @@ class TestEnabledCache:
 
 class TestStats:
     def test_snapshot_freezes_counters(self):
-        stats = EngineStats(hops_executed=3, index_builds=2, cache_hits=1,
-                            cache_misses=2, rows_probed=300)
-        snap = stats.snapshot()
-        stats.hops_executed = 99
-        assert snap.hops_executed == 3
-        assert snap.cache_lookups == 3
-        assert snap.cache_hit_rate == 1 / 3
+        """A snapshot is a copy: the engine keeps counting, it does not."""
+        base = Table({"k": [1, 2, 3], "label": [0, 1, 0]}, name="base")
+        side = Table({"k": [1, 2, 3], "x": [0.1, 0.2, 0.3]}, name="side")
+        drg = DatasetRelationGraph.from_constraints(
+            [base, side], [KFKConstraint("base", "k", "side", "k")]
+        )
+        engine = JoinEngine(drg, seed=0)
+        edge = drg.best_join_options("base", "side")[0]
+        engine.apply_hop(base, edge, "base")
+        snap = engine.snapshot()
+        engine.apply_hop(base, edge, "base")
+        assert snap is not engine.stats
+        assert (snap.hops_executed, snap.cache_hits, snap.rows_probed) == (1, 0, 3)
+        assert snap.cache_lookups == 1
+        assert engine.snapshot() == ExecutionStats(
+            hops_executed=2, index_builds=1, cache_hits=1, cache_misses=1,
+            rows_probed=6,
+        )
+        assert engine.snapshot().cache_hit_rate == 1 / 2
 
     def test_hit_rate_zero_without_lookups(self):
         assert ExecutionStats().cache_hit_rate == 0.0
@@ -119,9 +133,7 @@ class TestThreadSafety:
     def _race(self, cache, builder, n_threads=N_THREADS):
         import threading
 
-        from repro.engine import EngineStats
-
-        stats = [EngineStats() for _ in range(n_threads)]
+        stats = [ExecutionStats() for _ in range(n_threads)]
         results = [None] * n_threads
         barrier = threading.Barrier(n_threads)
 
@@ -152,7 +164,7 @@ class TestThreadSafety:
 
         cache, builder = HopCache(), SlowBuilder()
         _, stats = self._race(cache, builder)
-        merged = ExecutionStats.merge(s.snapshot() for s in stats)
+        merged = ExecutionStats.merge(stats)
         # Identical totals to a serial sequence of the same lookups:
         # one miss + one build for the cold key, a hit for everyone else.
         assert merged.index_builds == 1
@@ -162,12 +174,12 @@ class TestThreadSafety:
     def test_waiters_retry_when_the_elected_builder_fails(self):
         import threading
 
-        from repro.engine import EngineStats, HopCache
+        from repro.engine import HopCache
 
         cache = HopCache()
         builder = SlowBuilder(delay=0.02, fail_times=1)
         n = 4
-        stats = [EngineStats() for _ in range(n)]
+        stats = [ExecutionStats() for _ in range(n)]
         results = [None] * n
         errors = [None] * n
         barrier = threading.Barrier(n)
@@ -195,11 +207,11 @@ class TestThreadSafety:
     def test_distinct_keys_build_concurrently_without_cross_talk(self):
         import threading
 
-        from repro.engine import EngineStats, ExecutionStats, HopCache
+        from repro.engine import ExecutionStats, HopCache
 
         cache = HopCache()
         builders = [SlowBuilder(delay=0.01) for _ in range(4)]
-        stats = [EngineStats() for _ in range(8)]
+        stats = [ExecutionStats() for _ in range(8)]
         barrier = threading.Barrier(8)
 
         def probe(i):
@@ -212,7 +224,7 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert [b.calls for b in builders] == [1, 1, 1, 1]
-        merged = ExecutionStats.merge(s.snapshot() for s in stats)
+        merged = ExecutionStats.merge(stats)
         assert merged.index_builds == 4
         assert merged.cache_misses == 4
         assert merged.cache_hits == 4

@@ -1,10 +1,18 @@
 """MetricsRegistry instruments and the stats records that publish into it."""
 
-import pytest
+import sys
+import threading
+import time
+from dataclasses import fields
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.discovery import CandidateStats, MatchCounters
 from repro.engine import ExecutionStats, FailureReport
 from repro.engine.faults import FailureRecord
-from repro.obs import MetricsRegistry
+from repro.obs import Counter, MetricsRegistry
 from repro.selection.stats import SelectionStats
 
 
@@ -68,6 +76,112 @@ class TestInstruments:
         assert payload["histograms"] == {}
 
 
+class TestRegistryThreads:
+    """The service mutates one registry from several request threads."""
+
+    def test_racing_first_use_creates_one_counter(self, monkeypatch):
+        """Deterministic form of the get-or-create race: both threads are
+        inside ``Counter.__init__`` at once unless creation is locked."""
+        original = Counter.__init__
+
+        def slow_init(self, *args, **kwargs):
+            time.sleep(0.02)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Counter, "__init__", slow_init)
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(2)
+
+        def first_use():
+            barrier.wait(timeout=5)
+            registry.counter("service.result_cache_hits").inc()
+
+        threads = [threading.Thread(target=first_use) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.value("service.result_cache_hits") == 2
+
+    def test_increments_are_exact_under_contention(self):
+        registry = MetricsRegistry()
+        n_threads, n_incs = 4, 500
+        barrier = threading.Barrier(n_threads)
+
+        def hammer():
+            barrier.wait(timeout=5)
+            for _ in range(n_incs):
+                registry.counter("c").inc()
+                registry.histogram("h").observe(1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.value("c") == n_threads * n_incs
+        assert registry.value("h")["count"] == n_threads * n_incs
+
+
+def records(cls):
+    """Strategy: one ``cls`` record with arbitrary field values.
+
+    Float fields draw multiples of 0.5, so sums are exact (merge stays
+    associative) and survive ``as_dict``'s six-place rounding.
+    """
+    ints = st.integers(0, 10**9)
+    return st.builds(
+        cls,
+        **{
+            f.name: ints if isinstance(f.default, int) else ints.map(lambda n: n / 2)
+            for f in fields(cls)
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [ExecutionStats, SelectionStats, CandidateStats, MatchCounters]
+)
+class TestCounterRecords:
+    """Every stats record gets its plumbing from ``CounterRecord``."""
+
+    @given(data=st.data())
+    def test_merge_is_a_commutative_monoid(self, cls, data):
+        a, b, c = (data.draw(records(cls)) for _ in range(3))
+        assert a.merged(b) == b.merged(a)
+        assert a.merged(b).merged(c) == a.merged(b.merged(c))
+        assert a.merged(cls()) == a == cls().merged(a)
+        assert cls.merge([a, b, c]) == a.merged(b).merged(c)
+        assert cls.merge([]) == cls()
+
+    @given(data=st.data())
+    def test_dict_round_trip_ignores_unknown_keys(self, cls, data):
+        record = data.draw(records(cls))
+        payload = record.as_dict()
+        assert set(payload) == {f.name for f in fields(cls)} | set(cls.derived)
+        assert all(payload[f.name] == getattr(record, f.name) for f in fields(cls))
+        assert cls.from_dict(payload) == record
+        assert cls.from_dict({**payload, "chunks_executed": 4}) == record
+        assert cls.from_dict({}) == cls()
+
+    @given(data=st.data())
+    def test_publish_matches_the_flat_view(self, cls, data):
+        record = data.draw(records(cls))
+        registry = record.publish(MetricsRegistry())
+        for name, value in record.as_dict().items():
+            assert registry.value(f"{cls.prefix}.{name}") == value
+        assert len(registry) == len(record.as_dict())
+        other = record.publish(MetricsRegistry(), prefix="other")
+        assert len(other) == len(registry) and f"other.{fields(cls)[0].name}" in other
+
+
 class TestExecutionStatsBridge:
     def test_publish_counters_and_hit_rate(self):
         stats = ExecutionStats(
@@ -77,19 +191,6 @@ class TestExecutionStatsBridge:
         registry = stats.publish(MetricsRegistry())
         assert registry.value("engine.hops_executed") == 10
         assert registry.value("engine.cache_hit_rate") == 0.75
-
-    def test_as_dict_from_dict_round_trip(self):
-        stats = ExecutionStats(
-            hops_executed=3, index_builds=2, cache_hits=1, cache_misses=2,
-            rows_probed=50,
-        )
-        restored = ExecutionStats.from_dict(stats.as_dict())
-        assert restored == stats
-        # derived fields are recomputed, not stored
-        assert restored.cache_hit_rate == pytest.approx(1 / 3)
-
-    def test_from_dict_missing_keys_default_to_zero(self):
-        assert ExecutionStats.from_dict({}) == ExecutionStats()
 
     def test_from_dict_ignores_keys_of_older_manifests(self):
         persisted = {
@@ -103,18 +204,6 @@ class TestExecutionStatsBridge:
             hops_executed=3, index_builds=2, cache_hits=1, cache_misses=2,
             rows_probed=50,
         )
-
-
-class TestSelectionStatsBridge:
-    def test_publish_and_round_trip(self):
-        stats = SelectionStats(
-            batches_scored=4, features_ranked=40, codes_cached=10,
-            codes_reused=30, scalar_fallbacks=0,
-        )
-        registry = stats.publish(MetricsRegistry())
-        assert registry.value("selection.features_ranked") == 40
-        assert registry.value("selection.code_reuse_rate") == 0.75
-        assert SelectionStats.from_dict(stats.as_dict()) == stats
 
 
 class TestFailureReportBridge:

@@ -136,6 +136,80 @@ class TestAutoFeatManifests:
         ]
 
 
+BASELINES = {
+    # name: (runner, root stage, stage holding feature-selection time)
+    "base": (lambda drg, **kw: run_base(drg.table("base"), "label", "knn", **kw),
+             "base", "selection"),
+    "join_all": (lambda drg, **kw: run_join_all(drg, "base", "label", "knn", **kw),
+                 "join_all", "selection"),
+    "join_all_f": (
+        lambda drg, **kw: run_join_all(
+            drg, "base", "label", "knn", with_filter=True, **kw
+        ),
+        "join_all", "selection"),
+    "arda": (lambda drg, **kw: run_arda(drg, "base", "label", "knn", **kw),
+             "arda", "selection"),
+    "mab": (lambda drg, **kw: run_mab(drg, "base", "label", "knn", budget=4, **kw),
+            "mab", "pull"),
+}
+
+
+@pytest.mark.parametrize("tracing", [True, False], ids=["traced", "untraced"])
+class TestOneClock:
+    """Result seconds and manifest stages are read off one tracer, in both
+    modes, so they agree to the nanosecond-to-float rounding (1 us here)."""
+
+    def test_discover(self, drg, tracing):
+        config = CONFIG.with_overrides(enable_tracing=tracing)
+        discovery = AutoFeat(drg, config).discover("base", "label")
+        stages = discovery.run_manifest.stage_seconds()
+        assert stages["selection"] == pytest.approx(
+            discovery.feature_selection_seconds, abs=1e-6
+        )
+        assert stages["discover"] == pytest.approx(
+            discovery.discovery_seconds, abs=1e-6
+        )
+        assert 0 < discovery.feature_selection_seconds < discovery.discovery_seconds
+
+    def test_augment(self, drg, tracing):
+        config = CONFIG.with_overrides(enable_tracing=tracing)
+        result = AutoFeat(drg, config).augment("base", "label", "knn")
+        stages = result.run_manifest.stage_seconds()
+        discovery = result.discovery
+        assert stages["selection"] == pytest.approx(
+            discovery.feature_selection_seconds, abs=1e-6
+        )
+        assert stages["discover"] == pytest.approx(
+            discovery.discovery_seconds, abs=1e-6
+        )
+        assert stages["augment"] == pytest.approx(result.total_seconds, abs=1e-6)
+        assert stages["train"] > 0
+
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_baseline(self, drg, tracing, name):
+        run, root, fs_stage = BASELINES[name]
+        result = run(drg, enable_tracing=tracing)
+        stages = result.run_manifest.stage_seconds()
+        assert stages.get(fs_stage, 0.0) == pytest.approx(
+            result.feature_selection_seconds, abs=1e-6
+        )
+        assert stages[root] == pytest.approx(result.total_seconds, abs=1e-6)
+        assert result.feature_selection_seconds <= result.total_seconds
+
+
+def test_untraced_discover_keeps_coordinator_stages(drg):
+    """Disabled tracing keeps totals, not trees: every stage the coordinator
+    times is there; worker-side hop/join totals stay traced-only."""
+    config = CONFIG.with_overrides(enable_tracing=False)
+    manifest = AutoFeat(drg, config).discover("base", "label").run_manifest
+    assert manifest.timing["attrs"] == {"traced": False}
+    assert {c["name"] for c in manifest.timing["children"]} == {
+        "sample", "selection", "wave",
+    }
+    assert all(not c["children"] for c in manifest.timing["children"])
+    assert validate_manifest(manifest.as_dict()) == []
+
+
 class TestBaselineManifests:
     def test_base(self, drg):
         result = run_base(drg.table("base"), "label", "knn")

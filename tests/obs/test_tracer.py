@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.obs import NULL_TRACER, Span, Tracer
-from repro.obs.tracer import _NULL_SPAN
 
 
 class TestSpanTree:
@@ -130,23 +129,36 @@ class TestEvents:
 
 
 class TestNoOpMode:
-    def test_disabled_tracer_returns_shared_null_span(self):
+    def test_disabled_tracer_keeps_totals_not_trees(self):
         tracer = Tracer(enabled=False)
-        a = tracer.span("x", attr=1)
-        b = tracer.span("y")
-        assert a is b is _NULL_SPAN
-        with a as span:
-            assert span.seconds == 0.0
-        assert tracer.roots == []
-        assert tracer.timing_tree() == {}
+        with tracer.span("run", attr=1) as run:
+            for _ in range(2):
+                with tracer.span("stage") as stage:
+                    time.sleep(0.001)
+            assert run.seconds == 0.0  # still open
+        assert not hasattr(stage, "children")
+        assert tracer.roots == [] and tracer.n_spans() == 0
+        assert 0.002 <= tracer.total_seconds("stage") <= run.seconds
+        assert tracer.total_seconds("run") == run.seconds
+        assert tracer.total_seconds("never") == 0.0
+        tree = tracer.timing_tree()
+        assert tree["name"] == "run" and tree["attrs"] == {"traced": False}
+        assert tree["duration_ns"] == pytest.approx(run.seconds * 1e9, abs=1)
+        assert [c["name"] for c in tree["children"]] == ["stage"]
+        assert tree["children"][0]["duration_ns"] == pytest.approx(
+            tracer.total_seconds("stage") * 1e9, abs=1
+        )
+        assert Tracer(enabled=False).timing_tree() == {}
 
     def test_disabled_event_is_noop(self):
         NULL_TRACER.event("anything", x=1)
         assert NULL_TRACER.n_spans() == 0
 
     def test_null_span_event_is_noop(self):
-        _NULL_SPAN.event("e")
-        assert _NULL_SPAN.events == ()
+        tracer = Tracer(enabled=False)
+        with tracer.span("offer") as span:
+            span.event("e")
+        assert tracer.timing_tree()["events"] == []
 
     def test_null_tracer_shared_instance_disabled(self):
         assert NULL_TRACER.enabled is False

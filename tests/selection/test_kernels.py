@@ -19,7 +19,6 @@ from repro.selection import kernels
 from repro.selection import (
     REDUNDANCY_METHODS,
     SelectionCodeCache,
-    SelectionCounters,
     SelectionStats,
     batch_redundancy_scores,
     batch_relevance_scores,
@@ -138,7 +137,7 @@ class TestBatchRelevance:
             batch_relevance_scores(np.zeros((4, 1)), np.zeros(4), metric="nope")
 
     def test_counts_features_ranked(self):
-        counters = SelectionCounters()
+        counters = SelectionStats()
         batch_relevance_scores(
             np.zeros((5, 3)), np.arange(5.0), counters=counters
         )
@@ -174,7 +173,7 @@ def holed_problems(draw):
 def _cache_for(
     selected: np.ndarray | None,
     label: np.ndarray,
-    counters: SelectionCounters | None = None,
+    counters: SelectionStats | None = None,
 ) -> SelectionCodeCache:
     cache = SelectionCodeCache(label, counters)
     if selected is not None and selected.size:
@@ -185,7 +184,7 @@ def _cache_for(
 
 def _assert_identical_for_every_method(X, selected, y):
     for method in METHODS:
-        counters = SelectionCounters()
+        counters = SelectionStats()
         kernel = batch_redundancy_scores(
             X, _cache_for(selected, y, counters), method=method, counters=counters
         )
@@ -235,7 +234,7 @@ class TestBatchRedundancy:
     @settings(max_examples=200, deadline=None)
     def test_independent_null_masks_bit_identical(self, problem, method):
         X, selected, y = problem
-        counters = SelectionCounters()
+        counters = SelectionStats()
         kernel = batch_redundancy_scores(
             X, _cache_for(selected, y, counters), method=method, counters=counters
         )
@@ -325,7 +324,7 @@ class TestBatchRedundancy:
         rng = np.random.default_rng(17)
         selected = rng.normal(size=(20, 3))
         y = np.arange(20.0)
-        counters = SelectionCounters()
+        counters = SelectionStats()
         batch_redundancy_scores(
             rng.normal(size=(20, 2)),
             _cache_for(selected, y),
@@ -383,23 +382,23 @@ class TestIncrementalGreedy:
 
 class TestSelectionStats:
     def test_snapshot_freezes_counters(self):
-        counters = SelectionCounters(batches_scored=2, features_ranked=9)
-        stats = counters.snapshot()
-        counters.batches_scored = 5
-        assert stats.batches_scored == 2
-        assert stats.features_ranked == 9
+        """``selector.stats`` is a copy: the selector keeps counting, it does not."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 3))
+        selector = StreamingFeatureSelector(AutoFeatConfig(), (X[:, 0] > 0) * 1.0)
+        selector.process_batch(["a", "b", "c"], X)
+        stats = selector.stats
+        selector.process_batch(["d", "e", "f"], X[:, ::-1])
+        assert (stats.batches_scored, stats.features_ranked) == (1, 3)
+        assert selector.stats.batches_scored == 2
+        assert selector.stats.features_ranked == 6
 
     def test_merged_sums_fields(self):
         a = SelectionStats(1, 2, 3, 4, 5)
         b = SelectionStats(10, 20, 30, 40, 50)
         merged = a.merged(b)
-        assert merged.as_dict() == {
-            "batches_scored": 11,
-            "features_ranked": 22,
-            "codes_cached": 33,
-            "codes_reused": 44,
-            "scalar_fallbacks": 55,
-        }
+        assert merged == SelectionStats(11, 22, 33, 44, 55)
+        assert merged.as_dict()["code_reuse_rate"] == round(44 / 77, 6)
 
     def test_code_reuse_rate(self):
         assert SelectionStats().code_reuse_rate == 0.0
@@ -413,7 +412,7 @@ class TestSelectionStats:
         )
 
     def test_cache_counts_label_and_features(self):
-        counters = SelectionCounters()
+        counters = SelectionStats()
         cache = SelectionCodeCache(np.arange(10.0), counters)
         cache.add(np.arange(10.0) % 3)
         assert counters.codes_cached == 2
