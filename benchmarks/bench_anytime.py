@@ -3,9 +3,9 @@
 Runs ``AutoFeat.discover`` over the covertype lake under a sweep of hop
 budgets (fractions of the full traversal) with the UCB frontier, and
 reports wall time, executed hops and :func:`repro.core.ranking_regret`
-against the unbudgeted reference run.  Hop work is dominated by
-``hop_latency_seconds`` (the engine's simulated remote-fetch latency), so
-wall time tracks executed hops and the speedup figures are
+against the unbudgeted reference run.  Hop work is dominated by a
+:class:`repro.engine.HopLatency` hop hook (a simulated remote-fetch
+latency), so wall time tracks executed hops and the speedup figures are
 machine-independent.
 
 Three gates are enforced and recorded:
@@ -41,6 +41,7 @@ from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig, ranking_regret
 from repro.datasets import build_dataset, datalake_drg
+from repro.engine import HopLatency
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUMMARY_PATH = REPO_ROOT / "BENCH_anytime.json"
@@ -65,13 +66,8 @@ def fingerprint(discovery):
 
 
 def run_discover(drg, bundle, *, sample_size, hop_latency, **overrides):
-    config = AutoFeatConfig(
-        sample_size=sample_size,
-        seed=0,
-        hop_latency_seconds=hop_latency,
-        **overrides,
-    )
-    autofeat = AutoFeat(drg, config)
+    config = AutoFeatConfig(sample_size=sample_size, seed=0, **overrides)
+    autofeat = AutoFeat(drg, config, hop_hook=HopLatency(hop_latency))
     started = time.perf_counter()
     discovery = autofeat.discover(bundle.base_name, bundle.label_column)
     return discovery, time.perf_counter() - started

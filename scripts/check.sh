@@ -4,8 +4,8 @@
 # experiment smokes and the end-to-end benchmark smoke.  Ends by
 # requiring `git status --porcelain` to read as it did at the start
 # (empty, on a committed tree): a check that dirties tracked files, or
-# leaves unignored ones behind, fails.  Run from anywhere:
-# `scripts/check.sh` or `make check`.
+# leaves unignored ones behind, fails; then prints ROADMAP's three diet
+# counters.  Run from anywhere: `scripts/check.sh` or `make check`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,3 +55,9 @@ fi
 
 echo
 echo "all checks passed"
+
+echo
+echo "== diet counters (ROADMAP reads these off) =="
+echo "src/repro lines:       $(find src/repro -name '*.py' | xargs cat | wc -l)"
+echo "AutoFeatConfig fields: $(python -c 'import dataclasses, repro; print(len(dataclasses.fields(repro.AutoFeatConfig)))')"
+echo "Makefile targets:      $(sed -n 's/^\.PHONY://p' Makefile | wc -w)"

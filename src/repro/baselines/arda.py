@@ -22,7 +22,6 @@ from ..dataframe import Table
 from ..engine import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
-    FaultInjector,
     FaultManager,
     JoinEngine,
 )
@@ -85,7 +84,7 @@ def run_arda(
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    fault_injector: FaultInjector | None = None,
+    hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
     """Full ARDA pipeline: star join, RIFS, model-based threshold pick.
@@ -94,9 +93,7 @@ def run_arda(
     accounted on the result's ``failure_report``.
     """
     tracer = Tracer(enabled=enable_tracing)
-    engine = JoinEngine(
-        drg, seed=seed, fault_injector=fault_injector, tracer=tracer
-    )
+    engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
         policy=failure_policy,
         error_budget=error_budget,

@@ -8,7 +8,6 @@ BaselineResult``.
 from __future__ import annotations
 
 from ..core import AutoFeat, AutoFeatConfig
-from ..engine import FaultInjector
 from ..graph import DatasetRelationGraph
 from .common import BaselineResult
 
@@ -22,7 +21,7 @@ def run_autofeat(
     model_name: str = "lightgbm",
     config: AutoFeatConfig | None = None,
     seed: int = 0,
-    fault_injector: FaultInjector | None = None,
+    hop_hook=None,
 ) -> BaselineResult:
     """Run the full AutoFeat pipeline and normalise its result record.
 
@@ -31,7 +30,7 @@ def run_autofeat(
     failure accounting lands on the result's ``failure_report``.
     """
     config = (config or AutoFeatConfig()).with_overrides(seed=seed)
-    result = AutoFeat(drg, config, fault_injector=fault_injector).augment(
+    result = AutoFeat(drg, config, hop_hook=hop_hook).augment(
         base_name, label_column, model_name
     )
     best = result.best

@@ -19,7 +19,6 @@ from ..dataframe import Table
 from ..engine import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
-    FaultInjector,
     FaultManager,
     JoinEngine,
 )
@@ -90,7 +89,7 @@ def run_join_all(
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    fault_injector: FaultInjector | None = None,
+    hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
     """JoinAll (``with_filter=False``) or JoinAll+F (``True``).
@@ -108,9 +107,7 @@ def run_join_all(
             f"join orderings exceed the cap of {feasibility_cap}"
         )
     tracer = Tracer(enabled=enable_tracing)
-    engine = JoinEngine(
-        drg, seed=seed, fault_injector=fault_injector, tracer=tracer
-    )
+    engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
         policy=failure_policy,
         error_budget=error_budget,

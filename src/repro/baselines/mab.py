@@ -23,7 +23,6 @@ from ..core.navigation import ucb_score
 from ..engine import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
-    FaultInjector,
     FaultManager,
     JoinEngine,
 )
@@ -78,7 +77,7 @@ def run_mab(
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    fault_injector: FaultInjector | None = None,
+    hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
     """UCB1 bandit augmentation with a pull budget.
@@ -88,9 +87,7 @@ def run_mab(
     before) and accounted on the result's ``failure_report``.
     """
     tracer = Tracer(enabled=enable_tracing)
-    engine = JoinEngine(
-        drg, seed=seed, fault_injector=fault_injector, tracer=tracer
-    )
+    engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
         policy=failure_policy,
         error_budget=error_budget,
@@ -137,7 +134,9 @@ def run_mab(
                 result = None
                 if options:
                     result = faults.execute(
-                        lambda: engine.apply_hop(current, options[0], base_name),
+                        lambda attempt: engine.apply_hop(
+                            current, options[0], base_name, attempt=attempt
+                        ),
                         base=base_name,
                         edge=options[0],
                     )

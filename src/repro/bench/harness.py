@@ -84,8 +84,13 @@ def run_method(
     bundle: LakeBundle,
     model: str,
     profile: BenchProfile,
+    hop_hook=None,
 ) -> BaselineResult | None:
-    """Run one method; None when infeasible (JoinAll explosion)."""
+    """Run one method; None when infeasible (JoinAll explosion).
+
+    ``hop_hook`` (``python -m repro.exp --inject-hop-latency``) reaches
+    the AutoFeat runs only.
+    """
     base, label = bundle.base_name, bundle.label_column
     seed = profile.seed
     if method == "BASE":
@@ -105,7 +110,9 @@ def run_method(
         except JoinError:
             return None
     if method == "AutoFeat":
-        return run_autofeat(drg, base, label, model, config=profile.config, seed=seed)
+        return run_autofeat(
+            drg, base, label, model, config=profile.config, seed=seed, hop_hook=hop_hook
+        )
     raise ValueError(f"unknown method {method!r}")
 
 

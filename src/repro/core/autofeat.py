@@ -21,13 +21,11 @@ from dataclasses import replace
 
 from ..dataframe import Table, stratified_sample
 from ..engine import (
-    FaultInjector,
     FaultManager,
     HopTask,
     JoinEngine,
     PathExecutor,
     PathTask,
-    plan_faults,
     settle_outcome,
 )
 from ..errors import JoinError, RunBudgetExceeded
@@ -53,22 +51,23 @@ __all__ = ["AutoFeat", "autofeat_augment"]
 class AutoFeat:
     """Feature discovery over a Dataset Relation Graph.
 
-    ``fault_injector`` is a deterministic
-    :class:`~repro.engine.FaultInjector` consulted for every work unit the
-    pipeline generates, so graceful degradation under
-    ``config.failure_policy`` is testable end to end.
+    ``hop_hook`` is the picklable per-hop test hook of every
+    :class:`~repro.engine.JoinEngine` the pipeline creates — a
+    deterministic :class:`~repro.engine.FaultInjector`, so graceful
+    degradation under ``config.failure_policy`` is testable end to end,
+    or a :class:`~repro.engine.HopLatency`.
     """
 
     def __init__(
         self,
         drg: DatasetRelationGraph,
         config: AutoFeatConfig | None = None,
-        fault_injector: FaultInjector | None = None,
+        hop_hook=None,
         hop_cache=None,
     ):
         self.drg = drg
         self.config = config or AutoFeatConfig()
-        self.fault_injector = fault_injector
+        self.hop_hook = hop_hook
         #: Optional service-owned :class:`repro.engine.HopCache` shared
         #: across many runs.  When set, every engine this pipeline
         #: creates reuses it instead of building a fresh per-run cache —
@@ -79,14 +78,14 @@ class AutoFeat:
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
 
-    def _executor(self, tracer: Tracer, run_deadline: float | None) -> PathExecutor:
+    def _executor(
+        self, tracer: Tracer, run_deadline: float | None, faults: FaultManager
+    ) -> PathExecutor:
         """One per-phase engine + executor carrying the config's budgets.
 
-        The engine never consults the fault injector itself: injected
-        faults are resolved canonically at work-unit *generation* time
-        (see :mod:`repro.engine.parallel`), on every backend.
         ``run_deadline`` threads the run's anytime wall-clock budget into
-        every hop for cooperative mid-hop aborts.
+        every hop for cooperative mid-hop aborts; units re-attempt as
+        often as ``faults``' policy allows.
         """
         config = self.config
         engine = JoinEngine(
@@ -94,8 +93,8 @@ class AutoFeat:
             seed=config.seed,
             hop_timeout_seconds=config.hop_timeout_seconds,
             max_output_rows=config.max_hop_output_rows,
+            hop_hook=self.hop_hook,
             tracer=tracer,
-            hop_latency_seconds=config.hop_latency_seconds,
             cache=self.hop_cache,
             run_deadline=run_deadline,
         )
@@ -104,6 +103,7 @@ class AutoFeat:
             backend=config.parallel_backend,
             max_workers=config.max_workers,
             trace_spans=tracer.enabled,
+            attempts=faults.attempts,
         )
 
     def _navigation(
@@ -168,9 +168,8 @@ class AutoFeat:
         so their trees are rebased onto the wave's start before grafting;
         serial units share the coordinator's clock and graft verbatim.
         """
-        if outcome.stats is not None:
-            engine = executor.engine
-            engine.stats = engine.stats.merged(outcome.stats)
+        engine = executor.engine
+        engine.stats = engine.stats.merged(outcome.stats)
         if not tracer.enabled:
             return
         for data in outcome.spans:
@@ -199,7 +198,7 @@ class AutoFeat:
         before the next pop is chosen — it is one popped entry's edge
         fan-out.  Units are enumerated in canonical order (the
         ``neighbors`` / ``best_join_options`` loops, with similarity
-        pruning and fault planning done here on the coordinating thread),
+        pruning done here on the coordinating thread),
         executed by a :class:`repro.engine.PathExecutor` — inline and
         lazily under ``"serial"``, on a worker pool under
         ``"processes"`` — and merged back **in enumeration order**:
@@ -249,10 +248,9 @@ class AutoFeat:
             )
         tracer = self._tracer()
         budget, frontier = self._navigation(deadline)
-        executor = self._executor(tracer, budget.deadline)
-        engine = executor.engine
-        injector = self.fault_injector
         faults = self._faults("discovery")
+        executor = self._executor(tracer, budget.deadline, faults)
+        engine = executor.engine
 
         ranked: list[RankedPath] = []
         # ``generated`` drives the deterministic max_hops cut; ``explored``
@@ -322,18 +320,16 @@ class AutoFeat:
                                     budget_exhausted = True
                                     break
                                 generated += 1
-                                task = HopTask(
-                                    index=len(tasks),
-                                    path=path,
-                                    edge=edge,
-                                    table=entry.table,
-                                    base_name=base_name,
-                                    features=entry.features,
+                                tasks.append(
+                                    HopTask(
+                                        index=len(tasks),
+                                        path=path,
+                                        edge=edge,
+                                        table=entry.table,
+                                        base_name=base_name,
+                                        features=entry.features,
+                                    )
                                 )
-                                task.plan = plan_faults(
-                                    injector, task, faults.attempts
-                                )
-                                tasks.append(task)
                             if budget_exhausted:
                                 break
                         if budget_exhausted:
@@ -355,13 +351,7 @@ class AutoFeat:
                         for task, outcome in zip(tasks, executor.run_hops(tasks)):
                             self._absorb(executor, tracer, wave, outcome)
                             try:
-                                hop = settle_outcome(
-                                    task,
-                                    outcome,
-                                    engine=engine,
-                                    injector=injector,
-                                    faults=faults,
-                                )
+                                hop = settle_outcome(task, outcome, faults)
                             except RunBudgetExceeded:
                                 # The wall-clock deadline landed inside
                                 # the hop: graceful anytime exhaustion,
@@ -516,9 +506,7 @@ class AutoFeat:
         back in ranked order: trained paths, failure records and the
         best-path tie-break (first index wins on equal accuracy) consume
         outcomes one at a time, so the result is bit-identical across
-        backends.  Injected faults are pre-resolved per path at
-        task-generation time (the injector walks each path's edges in
-        canonical order).
+        backends.
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
@@ -541,9 +529,8 @@ class AutoFeat:
         config = self.config
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
-        executor = self._executor(tracer, budget.deadline)
-        injector = self.fault_injector
         faults = self._faults("training")
+        executor = self._executor(tracer, budget.deadline, faults)
         base = self.drg.table(discovery.base_table)
         base_features = [
             n for n in base.column_names if n != discovery.label_column
@@ -559,10 +546,9 @@ class AutoFeat:
             with tracer.span(
                 "train", base=discovery.base_table, model=model_name
             ) as root:
-                tasks: list[PathTask] = []
-                for ranked in top:
-                    task = PathTask(
-                        index=len(tasks),
+                tasks = [
+                    PathTask(
+                        index=index,
                         path=ranked.path,
                         selected_features=ranked.selected_features,
                         base_name=discovery.base_table,
@@ -570,8 +556,8 @@ class AutoFeat:
                         model_name=model_name,
                         seed=config.seed,
                     )
-                    task.plan = plan_faults(injector, task, faults.attempts)
-                    tasks.append(task)
+                    for index, ranked in enumerate(top)
+                ]
                 if tasks:
                     with self._wave(tracer, executor, len(tasks)) as wave:
                         for task, ranked, outcome in zip(
@@ -579,13 +565,7 @@ class AutoFeat:
                         ):
                             self._absorb(executor, tracer, wave, outcome)
                             try:
-                                result = settle_outcome(
-                                    task,
-                                    outcome,
-                                    engine=executor.engine,
-                                    injector=injector,
-                                    faults=faults,
-                                )
+                                result = settle_outcome(task, outcome, faults)
                             except RunBudgetExceeded:
                                 # Deadline landed mid-materialisation:
                                 # graceful exhaustion, not a training
@@ -688,9 +668,9 @@ def autofeat_augment(
     label_column: str,
     config: AutoFeatConfig | None = None,
     model_name: str = "lightgbm",
-    fault_injector: FaultInjector | None = None,
+    hop_hook=None,
 ) -> AugmentationResult:
     """One-call convenience wrapper around :class:`AutoFeat`."""
-    return AutoFeat(drg, config, fault_injector=fault_injector).augment(
+    return AutoFeat(drg, config, hop_hook=hop_hook).augment(
         base_name, label_column, model_name
     )

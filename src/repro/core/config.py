@@ -101,15 +101,8 @@ class AutoFeatConfig:
         never correctness.  The pool wins on the training wave and loses
         on discovery hops; DESIGN.md §11 has the measured numbers.
     max_workers:
-        Worker-process count under ``"processes"`` (None = the CPU
-        count; ignored under ``serial``).
-    hop_latency_seconds:
-        Simulated per-hop remote-fetch latency injected by the
-        :class:`~repro.engine.JoinEngine` (0.0 = off).  A benchmarking
-        knob: it models a lake whose tables are fetched over a network.
-        Its two remaining readers are ``benchmarks/bench_anytime.py`` and
-        ``python -m repro.exp --inject-hop-latency``; ROADMAP item 7(c)
-        decides whether it stays.
+        Worker-process count under ``"processes"`` (None = the CPUs the
+        process may run on; ignored under ``serial``).
     enable_tracing:
         Record the run's hierarchical timing tree
         (``discover > hop > join / selection``) through
@@ -165,7 +158,6 @@ class AutoFeatConfig:
     max_hop_output_rows: int | None = None
     parallel_backend: str = "serial"
     max_workers: int | None = None
-    hop_latency_seconds: float = 0.0
     enable_tracing: bool = True
     budget_seconds: float | None = None
     max_hops: int | None = None
@@ -229,11 +221,6 @@ class AutoFeatConfig:
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigError(
                 f"max_workers must be >= 1 or None, got {self.max_workers}"
-            )
-        if self.hop_latency_seconds < 0:
-            raise ConfigError(
-                f"hop_latency_seconds must be >= 0, "
-                f"got {self.hop_latency_seconds}"
             )
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ConfigError(

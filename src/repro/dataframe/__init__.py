@@ -27,7 +27,6 @@ from .quality import (
     verify_key_constraint,
 )
 from .sampling import random_sample, stratified_sample, train_test_split_indices
-from .schema import ColumnSchema, TableSchema, infer_role, schema_of
 from .table import Table
 
 __all__ = [
@@ -62,10 +61,6 @@ __all__ = [
     "write_csv",
     "from_csv_text",
     "to_csv_text",
-    "ColumnSchema",
-    "TableSchema",
-    "infer_role",
-    "schema_of",
     "ColumnQuality",
     "TableQuality",
     "column_quality",

@@ -2,7 +2,6 @@
 
 from .generators import FlatDataset, WideLake, make_classification, make_wide_lake
 from .lake import DEFAULT_LAKE_THRESHOLD, benchmark_drg, datalake_drg, rename_for_lake
-from .persistence import MANIFEST_NAME, load_lake, load_lake_tables, save_lake
 from .registry import DATASETS, DatasetSpec, build_all, build_dataset, dataset_names
 from .splitter import (
     BASE_ID,
@@ -30,10 +29,6 @@ __all__ = [
     "datalake_drg",
     "rename_for_lake",
     "DEFAULT_LAKE_THRESHOLD",
-    "save_lake",
-    "load_lake",
-    "load_lake_tables",
-    "MANIFEST_NAME",
     "DatasetSpec",
     "DATASETS",
     "dataset_names",

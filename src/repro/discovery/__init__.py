@@ -24,7 +24,6 @@ from .name_similarity import (
     tokenize_identifier,
 )
 from .profiles import ColumnProfile, TableProfile, profile_column, profile_table
-from .valentine import MatchReport, evaluate_matches, run_matcher
 from .value_overlap import (
     ValueOverlapMatcher,
     instance_similarity,
@@ -65,7 +64,4 @@ __all__ = [
     "DistributionMatcher",
     "QuantileSketch",
     "quantile_similarity",
-    "MatchReport",
-    "run_matcher",
-    "evaluate_matches",
 ]

@@ -9,7 +9,7 @@ guards every hop with per-hop budgets and a run-level failure policy
 can observe exactly how much join work a run performed.
 """
 
-from .engine import JoinEngine
+from .engine import HopLatency, JoinEngine
 from .faults import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
@@ -23,20 +23,18 @@ from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .parallel import (
     PARALLEL_BACKENDS,
-    FaultPlan,
     HopTask,
     PathExecutor,
     PathTask,
     UnitOutcome,
-    plan_faults,
     resolve_max_workers,
-    settle_managed_failure,
     settle_outcome,
 )
 from .stats import ExecutionStats
 
 __all__ = [
     "JoinEngine",
+    "HopLatency",
     "HopCache",
     "ExecutionStats",
     "qualified",
@@ -50,12 +48,9 @@ __all__ = [
     "FaultInjector",
     "PARALLEL_BACKENDS",
     "PathExecutor",
-    "FaultPlan",
     "HopTask",
     "PathTask",
     "UnitOutcome",
     "resolve_max_workers",
-    "plan_faults",
-    "settle_managed_failure",
     "settle_outcome",
 ]

@@ -17,18 +17,18 @@ gets observable build/probe/cache counters for free.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from ..dataframe import JoinIndex, Table
 from ..errors import FaultError, HopBudgetExceeded, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath, OrientedEdge
 from ..obs.tracer import NULL_TRACER, Tracer
-from .faults import FaultInjector
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .stats import ExecutionStats
 
-__all__ = ["JoinEngine"]
+__all__ = ["JoinEngine", "HopLatency"]
 
 
 def _hop_context(base_name: str, path: JoinPath | None, edge: OrientedEdge) -> str:
@@ -38,6 +38,18 @@ def _hop_context(base_name: str, path: JoinPath | None, edge: OrientedEdge) -> s
         f"{edge.source}.{edge.source_column} -> {edge.target}.{edge.target_column}"
     )
     return f"base={base_name!r} path=[{prefix}] failing edge [{failing}]"
+
+
+@dataclass(frozen=True)
+class HopLatency:
+    """Hop hook that sleeps ``seconds`` per hop: a simulated remote-table
+    fetch for ``benchmarks/bench_anytime.py`` and ``python -m repro.exp
+    --inject-hop-latency``.  The sleep lands in the ``hop`` span."""
+
+    seconds: float
+
+    def __call__(self, edge: OrientedEdge, attempt: int = 0) -> None:
+        time.sleep(self.seconds)
 
 
 class JoinEngine:
@@ -69,23 +81,20 @@ class JoinEngine:
         any work is done, and raises
         :class:`~repro.errors.HopBudgetExceeded` instead of materialising
         an exploded join.  None disables the guard.
-    fault_injector:
-        Optional :class:`FaultInjector` consulted at the top of every hop
-        — the deterministic harness fault-isolation tests run under.
+    hop_hook:
+        Optional picklable callable ``hook(edge, attempt)`` invoked at the
+        top of every hop, on whichever worker runs it — the one test
+        perturbation: a :class:`FaultInjector` raises the deterministic
+        faults fault-isolation tests run under (a raised
+        :class:`~repro.errors.FaultError` gets the hop context attached),
+        a :class:`HopLatency` sleeps.  ``attempt`` is the index the
+        caller's retry loop passed to :meth:`apply_hop`.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given (and enabled),
         every executed hop opens a ``join`` span nested under the
         caller's current span, and hop-cache lookups emit ``cache_hit`` /
         ``cache_miss`` events onto it.  Defaults to the shared no-op
         tracer.
-    hop_latency_seconds:
-        Simulated per-hop I/O latency (a ``time.sleep`` inside the join
-        span), modelling a lake whose right-hand tables are fetched
-        remotely.  This is a benchmarking/testing knob, 0.0 (off) in
-        normal runs; its two remaining readers are
-        ``benchmarks/bench_anytime.py`` and ``python -m repro.exp
-        --inject-hop-latency``, and ROADMAP item 7(c) decides whether it
-        stays.  The sleep counts toward the hop's wall-clock budget.
     cache:
         Share an existing :class:`HopCache` instead of creating one —
         how per-worker engine views of a parallel run reuse the parent
@@ -107,9 +116,8 @@ class JoinEngine:
         seed: int = 0,
         hop_timeout_seconds: float | None = None,
         max_output_rows: int | None = None,
-        fault_injector: FaultInjector | None = None,
+        hop_hook: Callable[[OrientedEdge, int], None] | None = None,
         tracer: Tracer | None = None,
-        hop_latency_seconds: float = 0.0,
         cache: HopCache | None = None,
         run_deadline: float | None = None,
     ):
@@ -119,9 +127,8 @@ class JoinEngine:
         self.stats = ExecutionStats()
         self.hop_timeout_seconds = hop_timeout_seconds
         self.max_output_rows = max_output_rows
-        self.fault_injector = fault_injector
+        self.hop_hook = hop_hook
         self.tracer = tracer or NULL_TRACER
-        self.hop_latency_seconds = hop_latency_seconds
         self.run_deadline = run_deadline
 
     def worker_view(self, tracer: Tracer | None = None) -> "JoinEngine":
@@ -130,20 +137,15 @@ class JoinEngine:
         The view shares the DRG and this engine's :class:`HopCache` — so
         cross-path build reuse spans every unit the engine runs — but
         counts into its own fresh :class:`ExecutionStats`, which the
-        coordinator merges in at the deterministic merge point.  The fault
-        injector is deliberately dropped: parallel runs resolve injected
-        faults canonically at work-unit *generation* time (seeded per
-        hop), never inside a worker, so same-seed runs inject identical
-        faults regardless of worker scheduling.
+        coordinator merges in at the deterministic merge point.
         """
         return JoinEngine(
             self.drg,
             seed=self.seed,
             hop_timeout_seconds=self.hop_timeout_seconds,
             max_output_rows=self.max_output_rows,
-            fault_injector=None,
+            hop_hook=self.hop_hook,
             tracer=tracer,
-            hop_latency_seconds=self.hop_latency_seconds,
             cache=self.cache,
             run_deadline=self.run_deadline,
         )
@@ -187,6 +189,7 @@ class JoinEngine:
         edge: OrientedEdge,
         base_name: str,
         path: JoinPath | None = None,
+        attempt: int = 0,
     ) -> tuple[Table, list[str]]:
         """Left-join one hop onto the running table.
 
@@ -199,16 +202,16 @@ class JoinEngine:
         column is missing from the running join (can happen on spurious
         discovery edges) — Algorithm 1 prunes such paths.  Raises
         :class:`~repro.errors.HopBudgetExceeded` when the hop blows the
-        engine's wall-clock or output-row budget, and the fault injector's
-        typed errors when one is installed.  Every error message carries
+        engine's wall-clock or output-row budget, and whatever typed fault
+        the hop hook raises for this ``attempt``.  Every error message carries
         the base table, the hop sequence walked so far (when ``path`` is
         given) and the failing edge, so pruned-path and failure-report
         diagnostics are actionable.
         """
         self._check_run_deadline(_hop_context(base_name, path, edge))
-        if self.fault_injector is not None:
+        if self.hop_hook is not None:
             try:
-                self.fault_injector.check(edge)
+                self.hop_hook(edge, attempt)
             except FaultError as exc:
                 raise type(exc)(
                     f"{exc}; {_hop_context(base_name, path, edge)}"
@@ -230,9 +233,6 @@ class JoinEngine:
         with self.tracer.span(
             "join", table=edge.target, key=edge.target_column, rows=current.n_rows
         ) as span:
-            if self.hop_latency_seconds > 0.0:
-                # Simulated remote-lake fetch latency.
-                time.sleep(self.hop_latency_seconds)
             try:
                 index = self.hop_index(edge)
             except JoinError as exc:
@@ -259,7 +259,7 @@ class JoinEngine:
         return joined, contributed
 
     def materialize_path(
-        self, path: JoinPath, base_table: Table
+        self, path: JoinPath, base_table: Table, attempt: int = 0
     ) -> tuple[Table, list[list[str]]]:
         """Join the full path onto ``base_table``, hop by hop.
 
@@ -272,7 +272,7 @@ class JoinEngine:
         for edge in path.edges:
             with self.tracer.span("hop", table=edge.target, key=edge.target_column):
                 current, contributed = self.apply_hop(
-                    current, edge, path.base, path=walked
+                    current, edge, path.base, path=walked, attempt=attempt
                 )
             walked = walked.extend(edge)
             contributions.append(contributed)

@@ -218,9 +218,36 @@ class FaultManager:
         """Attempts per guarded operation (1 unless the policy retries)."""
         return 1 + (self.max_retries if self.policy == "retry" else 0)
 
+    @staticmethod
+    def run_attempts(
+        fn: Callable[[int], T], attempts: int, kinds: tuple[type[Exception], ...]
+    ) -> tuple[T | None, Exception | None, int]:
+        """The one attempt loop: ``(value, error, retries)`` of ``fn(attempt)``.
+
+        ``fn`` is handed the attempt index (which the engine threads to
+        its hop hook) and is re-attempted while it raises one of ``kinds``
+        — the exception family the caller's policy manages: the discovery
+        BFS passes ``(FaultError,)`` only, because an ordinary
+        :class:`~repro.errors.JoinError` is pruning input for Algorithm 1,
+        not a failure.  Everything outside ``kinds`` (and
+        :class:`~repro.errors.ErrorBudgetExceeded`, always) propagates.
+        Nothing is recorded here: :meth:`execute` records for the
+        baselines, the Algorithm-1 driver's work units run this loop
+        themselves and the driver records at its canonical merge point.
+        """
+        error: Exception | None = None
+        for attempt in range(attempts):
+            try:
+                return fn(attempt), None, attempt
+            except ErrorBudgetExceeded:
+                raise
+            except kinds as exc:
+                error = exc
+        return None, error, attempts - 1
+
     def execute(
         self,
-        fn: Callable[[], T],
+        fn: Callable[[int], T],
         *,
         stage: str | None = None,
         base: str = "",
@@ -228,27 +255,18 @@ class FaultManager:
         edge=None,
         kinds: tuple[type[Exception], ...] = (JoinError, FaultError),
     ) -> T | None:
-        """Run ``fn`` under the policy; None means "recorded and skipped".
+        """Run ``fn(attempt)`` under the policy; None means "recorded and skipped".
 
-        ``kinds`` is the exception family the policy manages here — the
-        discovery BFS passes ``(FaultError,)`` only, because an ordinary
-        :class:`~repro.errors.JoinError` is pruning input for Algorithm 1,
-        not a failure.  Everything outside ``kinds`` (and
-        :class:`~repro.errors.ErrorBudgetExceeded`, always) propagates.
+        ``kinds`` is the exception family the policy manages here (see
+        :meth:`run_attempts`).  ``fail_fast`` re-raises the managed error
+        instead of recording it.
         """
+        value, error, retries = self.run_attempts(fn, self.attempts, kinds)
+        if error is None:
+            return value
         if self.policy == "fail_fast":
-            return fn()
-        last: Exception | None = None
-        retries = 0
-        for attempt in range(self.attempts):
-            try:
-                return fn()
-            except ErrorBudgetExceeded:
-                raise
-            except kinds as exc:
-                last = exc
-                retries = attempt
-        self.record(last, stage=stage, base=base, path=path, edge=edge, retries=retries)
+            raise error
+        self.record(error, stage=stage, base=base, path=path, edge=edge, retries=retries)
         return None
 
     def record(
@@ -289,14 +307,15 @@ class FaultManager:
 
 
 class FaultInjector:
-    """Deterministic, seeded fault injection for join hops.
+    """Deterministic, seeded fault injection for join hops — a hop hook.
 
     Whether an edge is faulty — and whether its fault manifests as a join
     failure or a timeout — is a pure function of ``(seed, edge)``: a
     SHA-256 draw over the edge signature is compared against the two
-    probabilities.  The same seed therefore injects the same faults on
-    every run, which is what makes degradation testable (same seed → same
-    :class:`FailureReport`).
+    probabilities; whether it raises is a pure function of ``(seed, edge,
+    attempt)``.  The injector holds no state, so it is picklable, runs
+    inside pool workers, and injects the same faults whatever the
+    schedule (same seed → same :class:`FailureReport`).
 
     Parameters
     ----------
@@ -309,9 +328,10 @@ class FaultInjector:
     seed:
         Determinism seed; part of every draw.
     recover_after:
-        When positive, a faulty edge is *transient*: it fails its first
-        ``recover_after`` attempts and succeeds afterwards — the scenario
-        the ``retry`` policy exists for.  Zero means faults are permanent.
+        When positive, a faulty edge is *transient*: it fails an
+        operation's first ``recover_after`` attempts and succeeds
+        afterwards — the scenario the ``retry`` policy exists for.  Zero
+        means faults are permanent.
     """
 
     def __init__(
@@ -337,7 +357,6 @@ class FaultInjector:
         self.timeout_probability = timeout_probability
         self.seed = seed
         self.recover_after = recover_after
-        self._attempts: dict[str, int] = {}
 
     def _draw(self, signature: str) -> float:
         digest = hashlib.sha256(f"{self.seed}:{signature}".encode()).digest()
@@ -352,31 +371,22 @@ class FaultInjector:
             return "timeout"
         return None
 
-    def faulty_edges(self, edges) -> list:
-        """The subset of ``edges`` this injector will fault (any kind)."""
-        return [edge for edge in edges if self.fault_kind(edge) is not None]
+    def check(self, edge, attempt: int = 0) -> None:
+        """Raise the edge's injected fault, if any, for this attempt.
 
-    def reset(self) -> None:
-        """Forget attempt counts, so transient faults fail afresh."""
-        self._attempts.clear()
-
-    def check(self, edge) -> None:
-        """Raise the edge's injected fault, if any.
-
-        Called by :class:`JoinEngine` at the top of every hop.  Transient
-        faults (``recover_after > 0``) count their attempts per edge and
-        stop raising once the attempt count passes the threshold.
+        :class:`JoinEngine` calls it (as its ``hop_hook``) at the top of
+        every hop with the operation's attempt index; a transient fault
+        (``recover_after > 0``) stops raising from attempt
+        ``recover_after`` on.
         """
         kind = self.fault_kind(edge)
-        if kind is None:
+        if kind is None or (self.recover_after and attempt >= self.recover_after):
             return
         signature = _edge_signature(edge)
-        attempt = self._attempts.get(signature, 0)
-        self._attempts[signature] = attempt + 1
-        if self.recover_after and attempt >= self.recover_after:
-            return
         if kind == "failure":
             raise InjectedFaultError(
                 f"injected join failure on edge [{signature}]"
             )
         raise HopBudgetExceeded(f"injected hop timeout on edge [{signature}]")
+
+    __call__ = check

@@ -18,15 +18,14 @@ on its probe-side table and its DRG edge, never on selection state, so
   error budget — advances only at the merge point, on the coordinating
   thread.
 
-Determinism of injected faults is preserved by resolving the
-:class:`~repro.engine.FaultInjector` *at work-unit generation time* in
-canonical order (:func:`plan_faults` replays the
-``FaultManager.execute`` attempt loop against the real injector), so a unit is either pre-resolved to failure (never dispatched)
-or carries the attempt index at which the injector passed.
-:func:`settle_outcome` is the merge-side half: it applies the failure
-policy to a unit's outcome and, when a dispatched unit failed with a
-*real* managed error, continues the attempt loop
-(:func:`settle_managed_failure`).
+Retries run inside the unit: the engine's hop hook (a
+:class:`~repro.engine.FaultInjector` under test) is a pure function of
+``(seed, edge, attempt)``, so every backend runs the one attempt loop
+(:meth:`FaultManager.run_attempts`) around ``task.run(view,
+attempt)`` wherever the unit lands, and the outcome carries the last
+managed error with its retry count.  :func:`settle_outcome` is the
+merge-side half: it raises or records that error at the unit's canonical
+position.
 
 Backends: ``serial`` runs each unit inline, only once the previous
 outcome has been consumed; ``processes`` gives each worker process its
@@ -54,19 +53,16 @@ from ..dataframe import Table
 from ..errors import ConfigError, FaultError, JoinError, RunBudgetExceeded
 from ..graph import JoinPath, OrientedEdge
 from ..obs.tracer import Tracer
-from .engine import JoinEngine, _hop_context
+from .engine import JoinEngine
 from .faults import FaultManager
 
 __all__ = [
     "PARALLEL_BACKENDS",
-    "FaultPlan",
     "HopTask",
     "PathTask",
     "UnitOutcome",
     "PathExecutor",
     "resolve_max_workers",
-    "plan_faults",
-    "settle_managed_failure",
     "settle_outcome",
 ]
 
@@ -83,149 +79,36 @@ def resolve_max_workers(backend: str, max_workers: int | None = None) -> int:
     """The worker count a backend actually uses (``None`` = auto).
 
     ``serial`` is always 1; the automatic choice for ``processes`` is
-    the CPU count.
+    the number of CPUs this process may run on (its affinity mask, which
+    honours cpusets and ``taskset``), not the machine's.
     """
     if backend == "serial":
         return 1
     if max_workers is not None:
         return max(1, max_workers)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-# -- fault planning ---------------------------------------------------------
-
-
-@dataclass
-class FaultPlan:
-    """Pre-resolved injector schedule for one work unit.
-
-    Either the injector exhausted every attempt (``exception`` is set; the
-    unit is never dispatched and the coordinator records/raises it at the
-    unit's canonical merge position) or it passed at attempt
-    ``passed_at`` (the unit is dispatched; ``passed_at`` seeds the retry
-    accounting if the dispatched work then fails for real).
-    """
-
-    exception: Exception | None = None
-    retries: int = 0
-    passed_at: int = 0
-
-
-def walk_injected_faults(
-    injector, walked: JoinPath, edges, base_name: str
-) -> Exception | None:
-    """Simulate one attempt's injector checks along ``edges``.
-
-    The engine used to consult the injector per edge, in order, aborting
-    the attempt at the first raise and suffixing the message with the
-    prefix ``walked`` so far (:func:`~repro.engine.engine._hop_context`).
-    This replays exactly that against the real injector — advancing its
-    per-edge attempt counters, which is what keeps transient faults
-    (``recover_after``) deterministic across backends.  Returns the
-    wrapped error of the first faulting edge, or None when the walk passes.
-    """
-    if injector is None:
-        return None
-    for edge in edges:
-        try:
-            injector.check(edge)
-        except FaultError as exc:
-            return type(exc)(f"{exc}; {_hop_context(base_name, walked, edge)}")
-        walked = walked.extend(edge)
-    return None
-
-
-def plan_faults(injector, task, attempts: int) -> FaultPlan | None:
-    """Pre-resolve the injected-fault sequence of one work unit.
-
-    Replays the ``FaultManager.execute`` attempt loop against the real
-    injector, in the unit's canonical position, so recorded messages and
-    the injector's per-edge attempt counters are what a unit-by-unit loop
-    would produce.  Returns None when no edge of the unit is faulty (the
-    common case).
-    """
-    if injector is None or not injector.faulty_edges(task.edges):
-        return None
-    last: Exception | None = None
-    for attempt in range(attempts):
-        last = task.injected_fault(injector)
-        if last is None:
-            return FaultPlan(passed_at=attempt)
-    return FaultPlan(exception=last, retries=attempts - 1)
-
-
-def settle_managed_failure(
-    *,
-    attempts: int,
-    passed_at: int,
-    first_exc: Exception,
-    simulate,
-    rerun,
-    kinds: tuple[type[Exception], ...],
-):
-    """Continue the attempt loop after a dispatched unit failed.
-
-    The unit's attempt ``passed_at`` was executed and raised a *managed*
-    error (``first_exc``).  ``FaultManager.execute`` would keep
-    attempting: each remaining attempt first consults the injector
-    (``simulate`` returns a wrapped error or None) and, on pass,
-    re-executes the real work (``rerun``).  Returns ``(result, None)``
-    when a re-attempt succeeds, or ``(None, (last_exc, retries))`` for
-    the coordinator to record.  Exceptions outside ``kinds`` raised by
-    ``rerun`` propagate (a discovery ``JoinError`` is pruning input, not
-    a failure).
-    """
-    last, retries = first_exc, passed_at
-    for attempt in range(passed_at + 1, attempts):
-        exc = simulate()
-        if exc is not None:
-            last, retries = exc, attempt
-            continue
-        try:
-            return rerun(), None
-        except kinds as exc2:
-            last, retries = exc2, attempt
-    return None, (last, retries)
-
-
-def settle_outcome(
-    task, outcome: "UnitOutcome", *, engine: JoinEngine, injector, faults: FaultManager
-):
+def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
     """Apply the run's failure policy to one unit at its merge position.
 
-    The merge-side half of ``FaultManager.execute``, shared by discovery
-    and training.  Returns the unit's value, or None when its failure was
-    recorded and the unit must be skipped.  A pre-resolved injected
-    failure (never dispatched) and a dispatched unit's managed error are
-    raised under ``fail_fast`` and otherwise recorded once the remaining
-    attempts (re-executed on ``engine``, the coordinator's) are spent;
+    Shared by discovery and training.  Returns the unit's value, or None
+    when its failure was recorded and the unit must be skipped: the
+    unit's attempts are already spent (:func:`_run_unit`), so a managed
+    error is raised under ``fail_fast`` and otherwise recorded, and
     :meth:`FaultManager.record` enforces the shared error budget here, at
     the canonical position.  Errors outside the task's ``managed`` family
     re-raise for the driver: :class:`~repro.errors.RunBudgetExceeded`
     (graceful anytime exhaustion) and, for hops, an ordinary
     :class:`~repro.errors.JoinError` (Algorithm 1's pruning input).
     """
-    if not outcome.dispatched:
-        error, retries = task.plan.exception, task.plan.retries
-    elif outcome.error is None:
+    if outcome.error is None:
         return outcome.value
-    elif faults.policy == "fail_fast" or not isinstance(outcome.error, task.managed):
+    if faults.policy == "fail_fast" or not isinstance(outcome.error, task.managed):
         raise outcome.error
-    else:
-        value, failure = settle_managed_failure(
-            attempts=faults.attempts,
-            passed_at=task.plan.passed_at if task.plan is not None else 0,
-            first_exc=outcome.error,
-            simulate=lambda: task.injected_fault(injector),
-            rerun=lambda: task.run(engine),
-            kinds=task.managed,
-        )
-        if failure is None:
-            return value
-        error, retries = failure
-    if faults.policy == "fail_fast":
-        raise error
-    faults.record(error, retries=retries, **task.where())
+    faults.record(outcome.error, retries=outcome.retries, **task.where())
     return None
 
 
@@ -242,32 +125,22 @@ class HopTask:
     table: Table
     base_name: str
     features: tuple[str, ...] = ()
-    plan: FaultPlan | None = None
 
     #: The failure policy manages only the fault family here: an ordinary
     #: :class:`JoinError` is pruning input for Algorithm 1, not a failure.
     managed = (FaultError,)
 
-    @property
-    def edges(self) -> tuple[OrientedEdge, ...]:
-        """The DRG edges this unit joins along."""
-        return (self.edge,)
-
     def where(self) -> dict:
         """Where a failure of this unit is recorded."""
         return {"base": self.base_name, "path": self.path, "edge": self.edge}
 
-    def injected_fault(self, injector) -> Exception | None:
-        """One attempt's injector check, wrapped with the hop context."""
-        return walk_injected_faults(injector, self.path, self.edges, self.base_name)
-
-    def run(self, engine: JoinEngine) -> tuple[Table, list[str]]:
+    def run(self, engine: JoinEngine, attempt: int = 0) -> tuple[Table, list[str]]:
         """Execute the hop: ``(joined, contributed_columns)``."""
         with engine.tracer.span(
             "hop", table=self.edge.target, key=self.edge.target_column
         ):
             return engine.apply_hop(
-                self.table, self.edge, self.base_name, path=self.path
+                self.table, self.edge, self.base_name, path=self.path, attempt=attempt
             )
 
 
@@ -282,28 +155,16 @@ class PathTask:
     label_column: str
     model_name: str
     seed: int = 0
-    plan: FaultPlan | None = None
 
     #: Full-table materialisation failing after the sampled discovery pass
     #: succeeded is a failure, not pruning: both families are managed.
     managed = (JoinError, FaultError)
 
-    @property
-    def edges(self) -> tuple[OrientedEdge, ...]:
-        """The DRG edges this unit joins along."""
-        return self.path.edges
-
     def where(self) -> dict:
         """Where a failure of this unit is recorded."""
         return {"base": self.base_name, "path": self.path}
 
-    def injected_fault(self, injector) -> Exception | None:
-        """One materialise attempt's injector checks along the path."""
-        return walk_injected_faults(
-            injector, JoinPath(self.path.base), self.edges, self.base_name
-        )
-
-    def run(self, engine: JoinEngine) -> tuple[Table, float, int]:
+    def run(self, engine: JoinEngine, attempt: int = 0) -> tuple[Table, float, int]:
         """Materialise and train: ``(table, accuracy, n_features_used)``."""
         # Lazy import: repro.ml is a heavier dependency the hop path never needs.
         from ..ml import evaluate_accuracy
@@ -312,7 +173,7 @@ class PathTask:
         base_features = [n for n in base.column_names if n != self.label_column]
         tracer = engine.tracer
         with tracer.span("path", path=self.path.describe()):
-            table, __ = engine.materialize_path(self.path, base)
+            table, __ = engine.materialize_path(self.path, base, attempt)
             features = base_features + [
                 f for f in self.selected_features if f in table
             ]
@@ -332,30 +193,34 @@ class UnitOutcome:
     """What one work unit produced, in its canonical slot.
 
     ``value`` is what the task's ``run`` returned; ``error`` carries the
-    managed (``JoinError`` / ``FaultError``) exception or the
-    :class:`RunBudgetExceeded` that aborted it.  ``dispatched`` is False
-    for units whose fault plan pre-resolved to failure (they never ran, so
-    ``stats`` is None and no join work was charged — an injected fault
-    aborts a hop before any join executes).
+    ``JoinError`` / ``FaultError`` its last attempt raised (after
+    ``retries`` re-attempts when the task manages that family) or the
+    :class:`RunBudgetExceeded` that aborted it.  ``stats`` counts every
+    attempt's join work.
     """
 
     index: int
     value: tuple | None = None
     error: Exception | None = None
-    dispatched: bool = True
+    retries: int = 0
     stats: object | None = None
     spans: list[dict] = field(default_factory=list)
     busy_seconds: float = 0.0
 
 
-def _run_unit(engine: JoinEngine, task, trace_spans: bool) -> UnitOutcome:
-    """Every backend's unit body: fresh tracer + worker view per unit."""
+def _run_unit(
+    engine: JoinEngine, trace_spans: bool, attempts: int, task
+) -> UnitOutcome:
+    """Every backend's unit body: fresh tracer + worker view per unit,
+    ``attempts`` tries while the task's ``managed`` family is raised."""
     tracer = Tracer(enabled=trace_spans)
     view = engine.worker_view(tracer)
     started = time.perf_counter()
-    value = error = None
+    value, retries = None, 0
     try:
-        value = task.run(view)
+        value, error, retries = FaultManager.run_attempts(
+            partial(task.run, view), attempts, task.managed
+        )
     except (JoinError, FaultError, RunBudgetExceeded) as exc:
         # RunBudgetExceeded is carried back as the unit's outcome (not
         # re-raised through the pool): the coordinator decides at the
@@ -370,6 +235,7 @@ def _run_unit(engine: JoinEngine, task, trace_spans: bool) -> UnitOutcome:
         index=task.index,
         value=value,
         error=error,
+        retries=retries,
         stats=view.snapshot(),
         spans=spans,
         busy_seconds=time.perf_counter() - started,
@@ -378,22 +244,21 @@ def _run_unit(engine: JoinEngine, task, trace_spans: bool) -> UnitOutcome:
 
 # -- processes backend ------------------------------------------------------
 
-#: Per-worker-process engine installed by :func:`_process_init`.  Module
-#: globals are how ``ProcessPoolExecutor`` initializers hand state to
-#: worker functions; the engine (and its cache) lives for the life of the
-#: worker process, so repeated hops on one worker still reuse builds.
-_WORKER_ENGINE: JoinEngine | None = None
-_WORKER_TRACE = False
+#: ``(engine, trace_spans, attempts)`` of this worker process, installed
+#: by :func:`_process_init`.  Module globals are how
+#: ``ProcessPoolExecutor`` initializers hand state to worker functions;
+#: the engine (and its cache) lives for the life of the worker process,
+#: so repeated hops on one worker still reuse builds.
+_WORKER: tuple[JoinEngine, bool, int] | None = None
 
 
-def _process_init(drg, engine_kwargs: dict, trace_spans: bool) -> None:
-    global _WORKER_ENGINE, _WORKER_TRACE
-    _WORKER_ENGINE = JoinEngine(drg, **engine_kwargs)
-    _WORKER_TRACE = trace_spans
+def _process_init(drg, engine_kwargs: dict, trace_spans: bool, attempts: int) -> None:
+    global _WORKER
+    _WORKER = (JoinEngine(drg, **engine_kwargs), trace_spans, attempts)
 
 
 def _process_unit(task) -> UnitOutcome:
-    return _run_unit(_WORKER_ENGINE, task, _WORKER_TRACE)
+    return _run_unit(*_WORKER, task)
 
 
 # -- the executor -----------------------------------------------------------
@@ -422,6 +287,7 @@ class PathExecutor:
         backend: str = "serial",
         max_workers: int | None = None,
         trace_spans: bool = False,
+        attempts: int = 1,
     ):
         if backend not in PARALLEL_BACKENDS:
             raise ConfigError(
@@ -431,6 +297,8 @@ class PathExecutor:
         self.engine = engine
         self.backend = backend
         self.trace_spans = trace_spans
+        #: Tries per unit (``FaultManager.attempts`` of the run's policy).
+        self.attempts = attempts
         self.workers_used = resolve_max_workers(backend, max_workers)
         self.busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
@@ -460,7 +328,7 @@ class PathExecutor:
                 "seed": engine.seed,
                 "hop_timeout_seconds": engine.hop_timeout_seconds,
                 "max_output_rows": engine.max_output_rows,
-                "hop_latency_seconds": engine.hop_latency_seconds,
+                "hop_hook": engine.hop_hook,
                 # monotonic deadlines are system-wide on Linux, so
                 # worker processes can honour the coordinator's one.
                 "run_deadline": engine.run_deadline,
@@ -468,7 +336,7 @@ class PathExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers_used,
                 initializer=_process_init,
-                initargs=(engine.drg, engine_kwargs, self.trace_spans),
+                initargs=(engine.drg, engine_kwargs, self.trace_spans, self.attempts),
             )
         return self._pool
 
@@ -497,18 +365,12 @@ class PathExecutor:
         resumed = time.perf_counter()
         pending: deque = deque()
         for task in tasks:
-            if task.plan is not None and task.plan.exception is not None:
-                # Pre-resolved failure: the injector exhausted every
-                # attempt at plan time, so running the unit would charge
-                # join work an injected fault never performs.  The
-                # coordinator raises or records it at this slot's
-                # canonical merge position.
-                outcome = UnitOutcome(
-                    index=task.index, error=task.plan.exception, dispatched=False
+            if self.backend == "serial":
+                pending.append(
+                    partial(
+                        _run_unit, self.engine, self.trace_spans, self.attempts, task
+                    )
                 )
-                pending.append(lambda outcome=outcome: outcome)
-            elif self.backend == "serial":
-                pending.append(partial(_run_unit, self.engine, task, self.trace_spans))
             else:
                 pending.append(self._ensure_pool().submit(_process_unit, task).result)
         while pending:

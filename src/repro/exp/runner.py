@@ -65,25 +65,26 @@ def _execute_trial(payload: dict) -> dict:
         from ..bench.harness import BenchProfile, build_setting, run_method
         from ..bench.manifests import manifest_problems
         from ..datasets import build_dataset
+        from ..engine import HopLatency
 
-        config = trial.build_config(
-            **(
-                {"hop_latency_seconds": inject}
-                if inject > 0
-                else {}
-            )
-        )
         profile = BenchProfile(
             datasets=(trial.dataset,),
             models=(trial.model,),
             methods=(trial.method,),
             seed=trial.seed,
-            config=config,
+            config=trial.build_config(),
         )
         started = time.perf_counter()
         bundle = build_dataset(trial.dataset)
         drg = build_setting(bundle, trial.setting)
-        result = run_method(trial.method, drg, bundle, trial.model, profile)
+        result = run_method(
+            trial.method,
+            drg,
+            bundle,
+            trial.model,
+            profile,
+            hop_hook=HopLatency(inject) if inject > 0 else None,
+        )
         wall = time.perf_counter() - started
         if result is None:
             return {"status": "infeasible", "wall_seconds": wall}
@@ -224,9 +225,10 @@ def run_experiment(
     timeout_seconds:
         Per-trial wall-clock budget (``None`` = the spec's).
     inject_hop_latency:
-        Extra per-hop engine latency (seconds) added to every trial's
-        config *without* entering its fingerprint — an execution-
-        environment perturbation for exercising the regression gate.
+        Extra per-hop engine latency (seconds) injected into every
+        AutoFeat trial as a :class:`~repro.engine.HopLatency` hop hook,
+        *without* entering its fingerprint — an execution-environment
+        perturbation for exercising the regression gate.
     progress:
         Optional callable receiving one line per trial outcome.
     """

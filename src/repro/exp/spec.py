@@ -183,15 +183,9 @@ class TrialSpec:
             f"{self.config_name}/seed{self.seed}"
         )
 
-    def build_config(self, **extra) -> AutoFeatConfig:
-        """The trial's :class:`AutoFeatConfig` (overrides + seed + extras).
-
-        ``extra`` fields win over the spec's overrides; the runner uses
-        this for execution-environment perturbations (slowdown injection)
-        that must *not* enter the fingerprint.
-        """
-        merged = {**self.overrides, "seed": self.seed, **extra}
-        return AutoFeatConfig(**merged)
+    def build_config(self) -> AutoFeatConfig:
+        """The trial's :class:`AutoFeatConfig` (overrides + seed)."""
+        return AutoFeatConfig(**{**self.overrides, "seed": self.seed})
 
     def as_dict(self) -> dict:
         return {

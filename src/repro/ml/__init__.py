@@ -25,7 +25,6 @@ from .knn import KNeighborsClassifier
 from .linear import LogisticRegressionL1
 from .metrics import accuracy, auc_score, confusion_counts, f1_score
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
-from .validation import CrossValidationResult, cross_validate, evaluate_auc
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -46,9 +45,6 @@ __all__ = [
     "AutoTabularPredictor",
     "EvaluationResult",
     "evaluate_accuracy",
-    "cross_validate",
-    "CrossValidationResult",
-    "evaluate_auc",
     "MODEL_REGISTRY",
     "TREE_MODELS",
     "NON_TREE_MODELS",

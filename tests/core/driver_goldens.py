@@ -175,9 +175,12 @@ def training_record(result, backend: str, with_engine: bool) -> dict:
         "failures": failure_records(result.failure_report),
     }
     if with_engine:
-        # Under injected faults the training engine counters follow
-        # plan-time accounting (DESIGN.md §11 caveat 2), which the classic
-        # loop did not; they are pinned on clean runs only.
+        # Pinned on clean runs only.  The fault cells were frozen without
+        # training engine counters, because the wave driver of the time
+        # planned faults before dispatch and charged no join work to a
+        # path ending in one, unlike the classic loop.  Units now charge
+        # the partial path up to the faulting edge, as the classic loop
+        # did, but the file holds nothing to compare that with.
         record["engine"] = engine_counters(result.engine_stats, backend)
     return record
 
@@ -210,7 +213,7 @@ def _autofeat(lake, traversal, seed, faults, budget, backend) -> AutoFeat:
         max_workers=2,
         **overrides,
     )
-    return AutoFeat(drg, config, fault_injector=injector)
+    return AutoFeat(drg, config, hop_hook=injector)
 
 
 @lru_cache(maxsize=None)

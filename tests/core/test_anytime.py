@@ -31,6 +31,7 @@ from repro.core import (
     ranking_regret,
     ucb_score,
 )
+from repro.engine import HopLatency
 from repro.errors import ConfigError
 from repro.graph import JoinPath
 from repro.obs import MetricsRegistry
@@ -366,7 +367,7 @@ class TestWallClockBudget:
             bundle,
             backend,
             budget_seconds=0.12,
-            hop_latency_seconds=0.03,
+            hop_hook=HopLatency(0.03),
             frontier_strategy=strategy,
         )
         assert partial.budget_exhausted

@@ -1,5 +1,7 @@
 """Unit tests for AutoFeatConfig validation and presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import AutoFeatConfig
@@ -50,6 +52,12 @@ class TestValidation:
     def test_chunk_rows_is_not_a_field(self):
         with pytest.raises(TypeError):
             AutoFeatConfig(chunk_rows=1)
+
+    def test_hop_latency_seconds_is_not_a_field(self):
+        """``AutoFeat(hop_hook=HopLatency(s))`` is the one spelling."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(hop_latency_seconds=0.0)
+        assert len(dataclasses.fields(AutoFeatConfig)) == 24
 
     @pytest.mark.parametrize(
         "knob", ["enable_sketch_index", "sketch_bands", "sketch_rows_per_band"]

@@ -116,7 +116,7 @@ class TestExplainDegradedPaths:
             AutoFeatConfig(
                 sample_size=400, seed=1, failure_policy="skip_and_record"
             ),
-            fault_injector=injector,
+            hop_hook=injector,
         ).augment("base", "label")
         # every hop faulted: no path survives, but failures are on record
         assert result.best is None
@@ -137,7 +137,7 @@ class TestExplainDegradedPaths:
             AutoFeatConfig(
                 sample_size=400, seed=1, failure_policy="skip_and_record"
             ),
-            fault_injector=injector,
+            hop_hook=injector,
         ).augment("base", "label")
         assert result.combined_failure_report.n_failures > 0
         rows = explain_rows(result)

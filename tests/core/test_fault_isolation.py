@@ -95,7 +95,7 @@ class TestSkipAndRecord:
             "base",
             "label",
             config=config(failure_policy="skip_and_record"),
-            fault_injector=injector(),
+            hop_hook=injector(),
         )
         # The run completes and still finds the signal via the b -> c route.
         assert result.best is not None
@@ -122,7 +122,7 @@ class TestSkipAndRecord:
             "base",
             "label",
             config=config(failure_policy="skip_and_record"),
-            fault_injector=injector(),
+            hop_hook=injector(),
         )
         recorded = {r.edge for r in result.combined_failure_report.records}
         assert recorded <= faulty
@@ -130,10 +130,10 @@ class TestSkipAndRecord:
 
     def test_same_seed_same_failure_report(self, drg):
         cfg = config(failure_policy="skip_and_record")
-        first = AutoFeat(drg, cfg, fault_injector=injector()).discover(
+        first = AutoFeat(drg, cfg, hop_hook=injector()).discover(
             "base", "label"
         )
-        second = AutoFeat(drg, cfg, fault_injector=injector()).discover(
+        second = AutoFeat(drg, cfg, hop_hook=injector()).discover(
             "base", "label"
         )
         assert first.failure_report == second.failure_report
@@ -148,7 +148,7 @@ class TestSkipAndRecord:
                 config=config(
                     failure_policy="skip_and_record", error_budget=0
                 ),
-                fault_injector=injector(failure_probability=1.0),
+                hop_hook=injector(failure_probability=1.0),
             )
 
 
@@ -160,7 +160,7 @@ class TestFailFast:
                 "base",
                 "label",
                 config=config(failure_policy="fail_fast"),
-                fault_injector=injector(),
+                hop_hook=injector(),
             )
         assert "injected join failure" in str(excinfo.value)
         assert FAULTY_EDGE in str(excinfo.value)
@@ -187,7 +187,7 @@ class TestRetry:
             "base",
             "label",
             config=config(failure_policy="retry", max_retries=2),
-            fault_injector=injector(recover_after=1),
+            hop_hook=injector(recover_after=1),
         )
         assert result.combined_failure_report.ok
         assert result.accuracy == clean.accuracy
@@ -202,7 +202,7 @@ class TestRetry:
             "base",
             "label",
             config=config(failure_policy="retry", max_retries=2),
-            fault_injector=injector(),
+            hop_hook=injector(),
         )
         assert result.best is not None
         report = result.combined_failure_report
@@ -222,10 +222,10 @@ class TestTrainTopKRegression:
         top = discovery.top(top_k)[0].path.describe()
         original = JoinEngine.materialize_path
 
-        def poisoned(self, path, base_table):
+        def poisoned(self, path, base_table, attempt=0):
             if path.describe() == top:
                 raise JoinError(f"materialisation failed for [{top}]")
-            return original(self, path, base_table)
+            return original(self, path, base_table, attempt)
 
         monkeypatch.setattr(JoinEngine, "materialize_path", poisoned)
         return top
@@ -299,7 +299,7 @@ class TestBaselinesUnderInjection:
 
     def test_join_all_skips_faulty_hop(self, drg):
         result = run_join_all(
-            drg, "base", "label", seed=1, fault_injector=injector()
+            drg, "base", "label", seed=1, hop_hook=injector()
         )
         # The faulty base -> a hop is skipped; b and c still join (c is
         # reachable through b on a shallower BFS level).
@@ -317,12 +317,12 @@ class TestBaselinesUnderInjection:
                 "label",
                 seed=1,
                 failure_policy="fail_fast",
-                fault_injector=injector(),
+                hop_hook=injector(),
             )
 
     def test_arda_records_star_join_failure(self, drg):
         result = run_arda(
-            drg, "base", "label", seed=1, fault_injector=injector()
+            drg, "base", "label", seed=1, hop_hook=injector()
         )
         report = result.failure_report
         assert report.n_failures == 1
@@ -331,7 +331,7 @@ class TestBaselinesUnderInjection:
 
     def test_mab_penalises_and_records_faulty_arm(self, drg):
         result = run_mab(
-            drg, "base", "label", seed=1, budget=6, fault_injector=injector()
+            drg, "base", "label", seed=1, budget=6, hop_hook=injector()
         )
         report = result.failure_report
         assert report is not None
@@ -345,7 +345,7 @@ class TestBaselinesUnderInjection:
             "label",
             config=config(),
             seed=1,
-            fault_injector=injector(),
+            hop_hook=injector(),
         )
         assert result.failure_report is not None
         assert result.failure_report.n_failures == 1

@@ -15,13 +15,15 @@ outputs frozen from the deleted classic serial loop
   ``FaultError`` family) are never swallowed by the pool.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
 from repro.engine import FaultInjector, JoinEngine
-from repro.errors import ErrorBudgetExceeded, FaultError
+from repro.errors import ErrorBudgetExceeded, FaultError, InjectedFaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
 from tests.core.driver_goldens import BACKENDS, POLICIES, as_json, load_goldens
@@ -89,7 +91,7 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
         max_retries=2,
         **overrides,
     )
-    autofeat = AutoFeat(drg, config, fault_injector=FaultInjector(**kwargs))
+    autofeat = AutoFeat(drg, config, hop_hook=FaultInjector(**kwargs))
     try:
         discovery = autofeat.discover("base", "label")
     except FaultError as exc:
@@ -135,7 +137,7 @@ def test_budget_trip_is_typed_and_catchable(drg, backend):
         failure_policy="skip_and_record", error_budget=0,
     )
     autofeat = AutoFeat(
-        drg, config, fault_injector=FaultInjector(failure_probability=0.3, seed=0)
+        drg, config, hop_hook=FaultInjector(failure_probability=0.3, seed=0)
     )
     with pytest.raises(ErrorBudgetExceeded):
         autofeat.discover("base", "label")
@@ -169,10 +171,10 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
     # re-raise on the coordinating thread, never turn into a skipped path.
     original = JoinEngine.apply_hop
 
-    def exploding(self, current, edge, base_name, path=None):
+    def exploding(self, current, edge, base_name, path=None, attempt=0):
         if edge.target == "c":
             raise RuntimeError("worker bug: corrupted index")
-        return original(self, current, edge, base_name, path=path)
+        return original(self, current, edge, base_name, path=path, attempt=attempt)
 
     monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
     config = AutoFeatConfig(
@@ -190,7 +192,7 @@ def run_training(drg, backend):
     )
     autofeat = AutoFeat(
         drg, config,
-        fault_injector=FaultInjector(failure_probability=0.3, seed=0),
+        hop_hook=FaultInjector(failure_probability=0.3, seed=0),
     )
     result = autofeat.augment("base", "label", model_name="random_forest")
     return (
@@ -203,3 +205,57 @@ def run_training(drg, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_training_phase_fault_parity(drg, backend):
     assert as_json(run_training(drg, backend)) == golden("training")
+
+
+def hop_budget_run(drg, backend, **budget):
+    config = AutoFeatConfig(
+        sample_size=200, seed=1, parallel_backend=backend, max_workers=2,
+        failure_policy="retry", max_retries=2, **budget,
+    )
+    discovery = AutoFeat(drg, config).discover("base", "label")
+    first_level = {"base.a_key->a.a_key", "base.b_key->b.b_key"}
+    records = discovery.failure_report.records
+    assert {r.edge for r in records} == first_level and len(records) == 2
+    assert all(r.error_kind == "HopBudgetExceeded" and r.retries == 2 for r in records)
+    assert discovery.ranked_paths == ()
+    return discovery
+
+
+def test_real_row_cap_errors_are_retried_inside_the_unit(drg):
+    # No injector: the engine's own pre-join guard fails every attempt, so
+    # every hop is recorded after its retries and no join ever executes.
+    runs = [hop_budget_run(drg, b, max_hop_output_rows=1) for b in BACKENDS]
+    assert runs[0].failure_report == runs[1].failure_report
+    assert all(run.engine_stats.hops_executed == 0 for run in runs)
+
+
+def test_real_hop_timeouts_are_retried_inside_the_unit(drg):
+    # A 1 ns wall-clock budget makes every real hop too slow: each of the
+    # two first-level hops joins three times before it is recorded.  The
+    # message carries the measured time, so compare the rest.
+    runs = [hop_budget_run(drg, b, hop_timeout_seconds=1e-9) for b in BACKENDS]
+    where = [
+        [(r.stage, r.base_table, r.path, r.edge) for r in run.failure_report.records]
+        for run in runs
+    ]
+    assert where[0] == where[1]
+    assert all(run.engine_stats.hops_executed == 6 for run in runs)
+
+
+class PidFault:
+    """Hop hook failing every hop with the pid of the process it ran in."""
+
+    def __call__(self, edge, attempt):
+        raise InjectedFaultError(f"pid={os.getpid()}")
+
+
+def test_pool_workers_consult_the_hop_hook_themselves(drg):
+    config = AutoFeatConfig(
+        sample_size=200, seed=1, parallel_backend="processes", max_workers=2
+    )
+    discovery = AutoFeat(drg, config, hop_hook=PidFault()).discover("base", "label")
+    records = discovery.failure_report.records
+    assert len(records) == 2
+    for record in records:
+        assert record.message.startswith("pid=")
+        assert not record.message.startswith(f"pid={os.getpid()};")

@@ -1,7 +1,11 @@
 """Unit tests for the fault-isolation layer: injector, budgets, manager."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataframe import Table
 from repro.engine import (
@@ -18,7 +22,7 @@ from repro.errors import (
     InjectedFaultError,
     JoinError,
 )
-from repro.graph import DatasetRelationGraph, KFKConstraint
+from repro.graph import DatasetRelationGraph, KFKConstraint, OrientedEdge
 
 
 def tiny_drg(n=50, seed=0):
@@ -78,24 +82,57 @@ class TestFaultInjector:
         injector = FaultInjector(
             failure_probability=1.0, seed=0, recover_after=2
         )
-        for __ in range(2):
+        injector.check(edge, 2)  # the third attempt recovers, whenever asked
+        for attempt in (1, 0, 1):
             with pytest.raises(InjectedFaultError):
-                injector.check(edge)
-        injector.check(edge)  # third attempt recovers
-        injector.reset()
+                injector.check(edge, attempt)
         with pytest.raises(InjectedFaultError):
-            injector.check(edge)
+            injector(edge)  # the hop-hook spelling, attempt 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        recover_after=st.integers(0, 3),
+        calls=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=12
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_check_is_a_pure_function_of_seed_edge_attempt(
+        self, seed, recover_after, calls, order
+    ):
+        """Call order, repeats and a pickle round trip change nothing."""
+        edges = [
+            OrientedEdge("base", f"t{i}", "id", "id", 1.0) for i in range(4)
+        ]
+        kwargs = dict(
+            failure_probability=0.4,
+            timeout_probability=0.2,
+            seed=seed,
+            recover_after=recover_after,
+        )
+
+        def outcome(injector, call):
+            try:
+                injector.check(edges[call[0]], call[1])
+            except FaultError as exc:
+                return type(exc).__name__, str(exc)
+            return None
+
+        fresh = {call: outcome(FaultInjector(**kwargs), call) for call in calls}
+        used = FaultInjector(**kwargs)
+        shuffled = calls * 2
+        order.shuffle(shuffled)
+        for call in shuffled:
+            assert outcome(used, call) == fresh[call]
+        copy = pickle.loads(pickle.dumps(used))
+        assert [outcome(copy, call) for call in calls] == [fresh[c] for c in calls]
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ConfigError):
             FaultInjector(failure_probability=1.5)
         with pytest.raises(ConfigError):
             FaultInjector(failure_probability=0.7, timeout_probability=0.7)
-
-    def test_faulty_edges_subset(self, drg, edge):
-        injector = FaultInjector(failure_probability=1.0, seed=0)
-        assert injector.faulty_edges([edge]) == [edge]
-        assert FaultInjector(seed=0).faulty_edges([edge]) == []
 
 
 class TestEngineHopBudgets:
@@ -126,7 +163,7 @@ class TestEngineHopBudgets:
         engine = JoinEngine(
             drg,
             seed=0,
-            fault_injector=FaultInjector(failure_probability=1.0, seed=0),
+            hop_hook=FaultInjector(failure_probability=1.0, seed=0),
         )
         with pytest.raises(InjectedFaultError) as excinfo:
             engine.apply_hop(drg.table("base"), edge, "base")
@@ -145,7 +182,7 @@ class TestFaultManager:
     def test_fail_fast_propagates(self):
         manager = FaultManager(policy="fail_fast")
 
-        def boom():
+        def boom(attempt):
             raise JoinError("boom")
 
         with pytest.raises(JoinError):
@@ -155,7 +192,7 @@ class TestFaultManager:
     def test_skip_and_record_returns_none_and_records(self, edge):
         manager = FaultManager(policy="skip_and_record", stage="test")
 
-        def boom():
+        def boom(attempt):
             raise HopBudgetExceeded("too big")
 
         assert manager.execute(boom, base="base", edge=edge) is None
@@ -170,7 +207,7 @@ class TestFaultManager:
     def test_unmanaged_kinds_propagate(self):
         manager = FaultManager(policy="skip_and_record")
 
-        def boom():
+        def boom(attempt):
             raise JoinError("prune me instead")
 
         with pytest.raises(JoinError):
@@ -179,13 +216,13 @@ class TestFaultManager:
 
     def test_successful_fn_passes_through(self):
         manager = FaultManager(policy="skip_and_record")
-        assert manager.execute(lambda: 42) == 42
+        assert manager.execute(lambda attempt: 42) == 42
         assert manager.report().ok
 
     def test_error_budget_exhaustion_aborts(self):
         manager = FaultManager(policy="skip_and_record", error_budget=2)
 
-        def boom():
+        def boom(attempt):
             raise JoinError("boom")
 
         manager.execute(boom)
@@ -197,7 +234,7 @@ class TestFaultManager:
         manager = FaultManager(policy="retry", max_retries=2)
         attempts = []
 
-        def flaky():
+        def flaky(attempt):
             attempts.append(1)
             if len(attempts) < 3:
                 raise JoinError("transient")
@@ -211,7 +248,7 @@ class TestFaultManager:
         manager = FaultManager(policy="retry", max_retries=2)
         attempts = []
 
-        def always_bad():
+        def always_bad(attempt):
             attempts.append(1)
             raise JoinError("permanent")
 
@@ -234,10 +271,10 @@ class TestFailureReport:
     def test_by_kind_and_describe(self):
         manager = FaultManager(policy="skip_and_record", stage="s")
 
-        def join_boom():
+        def join_boom(attempt):
             raise JoinError("a")
 
-        def budget_boom():
+        def budget_boom(attempt):
             raise HopBudgetExceeded("b")
 
         manager.execute(join_boom)
@@ -251,7 +288,7 @@ class TestFailureReport:
         a = FaultManager(policy="skip_and_record", stage="a")
         b = FaultManager(policy="skip_and_record", stage="b")
 
-        def boom():
+        def boom(attempt):
             raise JoinError("x")
 
         a.execute(boom)

@@ -14,11 +14,14 @@ scores, same selected features, same failure reports.  Two layers pin it:
   drawn lake topologies and seeds, including runs under fault injection.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutoFeat, AutoFeatConfig
+from repro.datasets import datalake_drg
 from repro.engine import FaultInjector
 
 from tests.core.driver_goldens import (
@@ -71,7 +74,7 @@ def discovery_fingerprint(discovery):
     }
 
 
-def _discover(drg, bundle, backend, *, config_seed=0, injector=None, **overrides):
+def _discover(drg, bundle, backend, *, config_seed=0, hop_hook=None, **overrides):
     config = AutoFeatConfig(
         sample_size=120,
         seed=config_seed,
@@ -79,11 +82,14 @@ def _discover(drg, bundle, backend, *, config_seed=0, injector=None, **overrides
         max_workers=2,
         **overrides,
     )
-    fault_injector = None
-    if injector is not None:
-        fault_injector = FaultInjector(**injector)
-    autofeat = AutoFeat(drg, config, fault_injector=fault_injector)
+    autofeat = AutoFeat(drg, config, hop_hook=hop_hook)
     return autofeat.discover(bundle.base_name, bundle.label_column)
+
+
+@lru_cache(maxsize=16)
+def _dense_lake(n_satellites, max_depth, seed):
+    bundle, __ = _lake(n_satellites, max_depth, seed)
+    return bundle, datalake_drg(bundle)
 
 
 lakes = st.tuples(
@@ -125,27 +131,31 @@ def test_backends_bit_identical_on_random_lakes(lake, config_seed, traversal):
     lake=lakes,
     policy=st.sampled_from(["skip_and_record", "retry"]),
     fault_seed=st.integers(min_value=0, max_value=3),
-    recover_after=st.integers(min_value=0, max_value=1),
+    recover_after=st.integers(min_value=0, max_value=3),
+    max_retries=st.integers(min_value=0, max_value=2),
 )
 def test_backends_bit_identical_under_fault_injection(
-    lake, policy, fault_seed, recover_after
+    lake, policy, fault_seed, recover_after, max_retries
 ):
-    bundle, drg = _lake(*lake)
-    injector = {
-        "failure_probability": 0.2,
-        "timeout_probability": 0.1,
-        "seed": fault_seed,
-        "recover_after": recover_after,
-    }
+    # The rediscovered (dense) DRG reaches a table over several paths, so
+    # one faulty edge is attempted by several units — with draws on both
+    # sides of ``1 + max_retries <= recover_after``.
+    bundle, drg = _dense_lake(*lake)
+    injector = FaultInjector(
+        failure_probability=0.2,
+        timeout_probability=0.1,
+        seed=fault_seed,
+        recover_after=recover_after,
+    )
     results = {
         backend: discovery_fingerprint(
             _discover(
                 drg,
                 bundle,
                 backend,
-                injector=injector,
+                hop_hook=injector,
                 failure_policy=policy,
-                max_retries=2,
+                max_retries=max_retries,
             )
         )
         for backend in BACKENDS

@@ -9,12 +9,23 @@ hand back in task order, surface worker bugs on the coordinator and
 abandon what is still queued when the consumer stops.
 """
 
+import multiprocessing
+import os
 import time
 
 import pytest
 
-from repro.engine import FaultPlan, HopTask, JoinEngine, PathExecutor
-from repro.errors import InjectedFaultError
+from repro.core import AutoFeat, AutoFeatConfig
+from repro.core.streaming import StreamingFeatureSelector
+from repro.engine import (
+    FaultInjector,
+    HopLatency,
+    HopTask,
+    JoinEngine,
+    PathExecutor,
+    resolve_max_workers,
+)
+from repro.errors import ErrorBudgetExceeded, InjectedFaultError
 from repro.graph import JoinPath
 
 from tests.core.test_parallel_faults import diamond_lake
@@ -49,9 +60,9 @@ def hop_calls(monkeypatch):
     calls = []
     original = JoinEngine.apply_hop
 
-    def counting(self, current, edge, base_name, path=None):
+    def counting(self, current, edge, base_name, path=None, attempt=0):
         calls.append(edge.target)
-        return original(self, current, edge, base_name, path=path)
+        return original(self, current, edge, base_name, path=path, attempt=attempt)
 
     monkeypatch.setattr(JoinEngine, "apply_hop", counting)
     return calls
@@ -65,7 +76,7 @@ class TestSerialHandOff:
         for consumed in range(1, 5):
             outcome = next(outcomes)
             assert outcome.index == consumed - 1
-            assert outcome.error is None and outcome.dispatched
+            assert outcome.error is None and outcome.retries == 0
             assert len(hop_calls) == consumed
         assert list(outcomes) == []
 
@@ -86,15 +97,22 @@ class TestSerialHandOff:
         assert 0.0 < executor.busy_seconds <= executor.parallel_wall_seconds
         assert executor.parallel_wall_seconds < 4 * 0.02
 
-    def test_pre_resolved_failure_is_never_executed(self, drg, hop_calls):
-        tasks = hop_tasks(drg, n=2)
-        fault = InjectedFaultError("planned")
-        tasks[0].plan = FaultPlan(exception=fault, retries=2)
-        executor = PathExecutor(JoinEngine(drg), backend="serial")
-        first, second = executor.run_hops(tasks)
-        assert not first.dispatched and first.error is fault and first.stats is None
-        assert second.dispatched and second.error is None
-        assert hop_calls == ["b"]
+    def test_injected_fault_spends_every_attempt_before_any_join(self, drg):
+        engine = JoinEngine(drg, hop_hook=FaultInjector(failure_probability=1.0))
+        executor = PathExecutor(engine, backend="serial", attempts=3)
+        for outcome in executor.run_hops(hop_tasks(drg, n=2)):
+            assert isinstance(outcome.error, InjectedFaultError)
+            assert outcome.retries == 2
+            assert outcome.stats.hops_executed == 0
+
+    def test_transient_fault_passes_at_the_attempt_it_recovers(self, drg):
+        hook = FaultInjector(failure_probability=1.0, recover_after=2)
+        executor = PathExecutor(
+            JoinEngine(drg, hop_hook=hook), backend="serial", attempts=3
+        )
+        (outcome,) = executor.run_hops(hop_tasks(drg, n=1))
+        assert outcome.error is None and outcome.retries == 2
+        assert outcome.stats.hops_executed == 1
 
 
 @pytest.mark.parametrize("backend", POOLS)
@@ -104,10 +122,10 @@ class TestPoolHandOff:
     ):
         original = JoinEngine.apply_hop
 
-        def first_unit_is_slowest(self, current, edge, base_name, path=None):
+        def first_unit_is_slowest(self, current, edge, base_name, path=None, attempt=0):
             if edge.target == "a":
                 time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path)
+            return original(self, current, edge, base_name, path=path, attempt=attempt)
 
         monkeypatch.setattr(JoinEngine, "apply_hop", first_unit_is_slowest)
         tasks = hop_tasks(drg)
@@ -122,7 +140,7 @@ class TestPoolHandOff:
     def test_unexpected_worker_exception_reraises_on_coordinator(
         self, drg, backend, monkeypatch
     ):
-        def exploding(self, current, edge, base_name, path=None):
+        def exploding(self, current, edge, base_name, path=None, attempt=0):
             raise RuntimeError("worker bug: corrupted index")
 
         monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
@@ -139,11 +157,11 @@ class TestPoolHandOff:
         ran = tmp_path / "ran"
         original = JoinEngine.apply_hop
 
-        def logged_slow_hop(self, current, edge, base_name, path=None):
+        def logged_slow_hop(self, current, edge, base_name, path=None, attempt=0):
             with ran.open("a") as log:
                 log.write(edge.target + "\n")
             time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path)
+            return original(self, current, edge, base_name, path=path, attempt=attempt)
 
         monkeypatch.setattr(JoinEngine, "apply_hop", logged_slow_hop)
         tasks = hop_tasks(drg, n=16)
@@ -155,3 +173,57 @@ class TestPoolHandOff:
         # Running units and the few the pool already handed to its
         # workers' call queue finish; the rest never start.
         assert len(ran.read_text().splitlines()) < len(tasks)
+
+
+def test_auto_worker_count_follows_cpu_affinity(monkeypatch):
+    # A container pinned to one CPU of a many-core machine must not start
+    # one worker per machine core.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert resolve_max_workers("processes") == 1
+    assert resolve_max_workers("processes", max_workers=3) == 3
+    assert resolve_max_workers("serial") == 1
+
+
+class TestPoolIsGoneWhenDiscoverEnds:
+    """However ``discover`` ends, it leaves no worker process behind."""
+
+    def discover(self, drg, hop_hook=None, **overrides):
+        config = AutoFeatConfig(
+            sample_size=100, parallel_backend="processes", max_workers=2, **overrides
+        )
+        before = set(multiprocessing.active_children())
+        try:
+            return AutoFeat(drg, config, hop_hook=hop_hook).discover("base", "label")
+        finally:
+            assert set(multiprocessing.active_children()) <= before
+
+    def test_unexpected_worker_exception(self, drg, monkeypatch):
+        def exploding(self, current, edge, base_name, path=None, attempt=0):
+            raise RuntimeError("worker bug: corrupted index")
+
+        monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
+        with pytest.raises(RuntimeError, match="worker bug"):
+            self.discover(drg)
+
+    def test_fail_fast_fault(self, drg):
+        with pytest.raises(InjectedFaultError):
+            self.discover(
+                drg, FaultInjector(failure_probability=1.0), failure_policy="fail_fast"
+            )
+
+    def test_error_budget_exceeded(self, drg):
+        with pytest.raises(ErrorBudgetExceeded):
+            self.discover(drg, FaultInjector(failure_probability=1.0), error_budget=0)
+
+    def test_expired_run_budget(self, drg):
+        result = self.discover(drg, HopLatency(0.05), budget_seconds=0.06)
+        assert result.budget_exhausted
+
+    def test_keyboard_interrupt_in_the_merge_loop(self, drg, monkeypatch):
+        def interrupted(self, names, matrix):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(StreamingFeatureSelector, "process_batch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.discover(drg)

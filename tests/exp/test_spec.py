@@ -166,12 +166,11 @@ class TestBuildConfig:
         assert config.top_k == 2
         assert config.seed == 2
 
-    def test_extras_win_without_touching_fingerprint(self, unit_spec):
-        trial = unit_spec.trials()[0]
-        before = trial.fingerprint
-        config = trial.build_config(hop_latency_seconds=0.5)
-        assert config.hop_latency_seconds == 0.5
-        assert trial.fingerprint == before
+    def test_takes_no_extras(self, unit_spec):
+        # Execution-environment perturbations travel as a hop hook
+        # (``run_experiment(inject_hop_latency=)``), never as config.
+        with pytest.raises(TypeError):
+            unit_spec.trials()[0].build_config(sample_size=50)
 
 
 class TestFromFile:
