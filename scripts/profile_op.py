@@ -6,9 +6,10 @@
 Builds the workload exactly as ``benchmarks/e2e/run.py`` does (its
 ``workloads.py`` is imported, not copied), runs one warm-up op, prints the
 min / median wall time of 5 untraced ops, then a cProfile of one more op
-sorted by cumulative and by own time.  cProfile inflates call-heavy Python
-and not native code, so use it to find candidates and the untraced times —
-or the benchmark itself — to measure them.
+sorted by cumulative and by own time and, for ``service_mixed``, the
+selection memo's hits / misses over the profiled block.  cProfile inflates
+call-heavy Python and not native code, so use it to find candidates and the
+untraced times — or the benchmark itself — to measure them.
 
 Every thread is profiled, not only the caller: ``service_mixed`` does its
 work on the service's worker threads, where a main-thread profile sees only
@@ -82,9 +83,11 @@ def main() -> int:
     state = workload.prepare(lake, args.seed)
     try:
         workload.op(lake, state)  # warm-up
+        memo_before = _memo_counters(workload, state)
         profiling.set()
         main_profiler.runcall(workload.op, lake, state)
         profiling.clear()
+        memo_after = _memo_counters(workload, state)
     finally:
         threading.setprofile(None)
         workload.teardown(state)  # joins the threads it started
@@ -99,7 +102,19 @@ def main() -> int:
     stats.strip_dirs()
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
+    if memo_after:
+        hits, misses = (memo_after[k] - memo_before[k] for k in ("hits", "misses"))
+        print(
+            f"selection memo, profiled block: {hits} hits / {misses} misses "
+            f"({hits / max(1, hits + misses):.0%}), {memo_after['entries']} entries, "
+            f"{memo_after['evictions']} evictions"
+        )
     return 0
+
+
+def _memo_counters(workload, state) -> dict:
+    """The service's selection-memo counters ({} for a library workload)."""
+    return state.service.stats()["selection_memo"] if workload.service else {}
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .navigation import (
 from .pruning import completeness, passes_quality, similarity_pruned_count
 from .ranking import compute_ranking_score, normalised_sum
 from .result import AugmentationResult, DiscoveryResult, RankedPath, TrainedPath
-from .streaming import StageOutcome, StreamingFeatureSelector
+from .streaming import SelectionMemo, StageOutcome, StreamingFeatureSelector
 from .tuning import AutoFeatTuner, TuningOutcome, TuningTrial
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "TrainedPath",
     "AugmentationResult",
     "StreamingFeatureSelector",
+    "SelectionMemo",
     "StageOutcome",
     "compute_ranking_score",
     "normalised_sum",

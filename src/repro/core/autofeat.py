@@ -64,6 +64,7 @@ class AutoFeat:
         config: AutoFeatConfig | None = None,
         hop_hook=None,
         hop_cache=None,
+        selection_memo=None,
     ):
         self.drg = drg
         self.config = config or AutoFeatConfig()
@@ -77,6 +78,10 @@ class AutoFeat:
         #: invalidates per-table on mutation); only per-run cache
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
+        #: Optional service-owned :class:`~repro.core.SelectionMemo`: a
+        #: selection step whose exact input bytes an earlier run scored is
+        #: answered from it (DESIGN.md §12).  ``None`` hashes nothing.
+        self.selection_memo = selection_memo
 
     def _executor(
         self, tracer: Tracer, run_deadline: float | None, faults: FaultManager
@@ -279,6 +284,8 @@ class AutoFeat:
                 label = sample.column(label_column).to_float()
 
                 selector = StreamingFeatureSelector(config, label)
+                if self.selection_memo is not None:
+                    selector.use_memo(self.selection_memo)
                 base_features = [n for n in sample.column_names if n != label_column]
                 if base_features:
                     with tracer.span("selection", batch="seed"):
@@ -387,10 +394,14 @@ class AutoFeat:
                                 task.edge.target, task.edge.target_column
                             )
                             candidates = [c for c in contributed if c != join_key]
-                            with tracer.span("selection", features=len(candidates)):
+                            with tracer.span(
+                                "selection", features=len(candidates)
+                            ) as span:
                                 batch = selector.process_batch(
                                     candidates, joined.numeric_matrix(candidates)
                                 )
+                            if tracer.enabled and self.selection_memo is not None:
+                                span.attrs["memo_hit"] = selector.memo_hit
                             score = compute_ranking_score(
                                 batch.relevance_scores, batch.redundancy_scores
                             )

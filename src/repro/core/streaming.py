@@ -36,21 +36,45 @@ merge points, consuming hop outcomes in canonical enumeration order (see
 :mod:`repro.engine.parallel` and DESIGN.md §11), which is what keeps the
 accepted-feature sequence — and with it every downstream ranking score —
 bit-identical across backends.  The selector itself needs no locks.
+
+**Cross-run memo**: one ``process_batch`` step is a pure function of
+(config, label, the features accepted so far, the batch), so a long-lived
+owner (:class:`repro.service.DiscoveryService`) may share one
+:class:`SelectionMemo`, keyed by a digest of exactly those bytes, between
+its runs (DESIGN.md §12).  Without a memo the selector hashes nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import SelectionError
+from ..obs.manifest import config_snapshot
 from ..selection.kernels import SelectionCodeCache, batch_redundancy_scores
 from ..selection.select_k_best import select_k_best
 from ..selection.stats import SelectionStats
 from .config import AutoFeatConfig
 
-__all__ = ["StageOutcome", "StreamingFeatureSelector"]
+__all__ = ["SelectionMemo", "StageOutcome", "StreamingFeatureSelector"]
+
+#: Entries a :class:`SelectionMemo` keeps (LRU); each is a few hundred
+#: bytes — names, floats and column positions, never a matrix.
+SELECTION_MEMO_ENTRIES = 4096
+
+
+def _digest(*parts) -> bytes:
+    """128-bit blake2b of length-prefixed ``parts`` (bytes or C arrays)."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        view = memoryview(part)
+        h.update(view.nbytes.to_bytes(8, "little"))
+        h.update(view)
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -71,6 +95,42 @@ class StageOutcome:
         return bool(self.relevant_names) and not self.accepted_names
 
 
+class SelectionMemo:
+    """Bounded, thread-safe map from a :meth:`StreamingFeatureSelector
+    .process_batch` input digest to what that step returned.
+
+    An entry is ``(StageOutcome, SelectionStats delta, accepted column
+    positions)``.  The key is a digest of the bytes the step reads, so an
+    entry can never go stale and there is nothing to invalidate; two
+    threads racing one key both compute and store the same value.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+        self._counts = {"hits": 0, "misses": 0, "evictions": 0}
+
+    def get(self, key: bytes) -> tuple | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            self._counts["misses" if entry is None else "hits"] += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: bytes, entry: tuple) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            while len(self._entries) > SELECTION_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+                self._counts["evictions"] += 1
+
+    def counters(self) -> dict[str, int]:
+        """Lifetime ``hits`` / ``misses`` / ``evictions`` and live ``entries``."""
+        with self._lock:
+            return {**self._counts, "entries": len(self._entries)}
+
+
 class StreamingFeatureSelector:
     """Stateful two-stage selector shared by a whole discovery run."""
 
@@ -84,6 +144,22 @@ class StreamingFeatureSelector:
         self._selected_set: set[str] = set()
         self._counters = SelectionStats()
         self._code_cache = SelectionCodeCache(label, self._counters)
+        self._memo: SelectionMemo | None = None
+        #: With a memo: digest of all a batch's outcome depends on besides
+        #: the batch — config, label, accepted ``(name, column)`` in order.
+        self._state: bytes | None = None
+        #: Whether the last ``process_batch`` was answered from the memo.
+        self.memo_hit = False
+
+    def use_memo(self, memo: SelectionMemo) -> None:
+        """Serve repeated ``(state, batch)`` inputs from ``memo``; call
+        before anything is accepted.  The whole config snapshot is hashed,
+        so a future field can never produce a stale hit."""
+        if self._selected_names:
+            raise SelectionError("use_memo must precede seed_with/process_batch")
+        self._memo = memo
+        snapshot = repr(sorted(config_snapshot(self._config).items()))
+        self._state = _digest(snapshot.encode(), self._label)
 
     @property
     def selected_names(self) -> list[str]:
@@ -107,6 +183,9 @@ class StreamingFeatureSelector:
         self._selected_names.append(name)
         self._selected_set.add(name)
         self._code_cache.add(column)
+        if self._state is not None:
+            column = np.ascontiguousarray(column)
+            self._state = _digest(self._state, name.encode(), column)
 
     def seed_with(self, names: list[str], matrix: np.ndarray) -> None:
         """Initialise the selected set with the base table's features."""
@@ -124,6 +203,9 @@ class StreamingFeatureSelector:
 
         Features accepted by both stages are added to the persistent
         selected set.  Returns the per-stage survivors and their scores.
+        With a memo, an input seen before — by any selector sharing it —
+        is answered from it; the accepted columns are still filed in the
+        code cache, because later misses score against them.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(names):
@@ -135,30 +217,54 @@ class StreamingFeatureSelector:
             raise SelectionError(
                 f"batch has {matrix.shape[0]} rows, label has {len(self._label)}"
             )
+        self.memo_hit = False
         if not names:
             return StageOutcome((), (), (), ())
 
+        key = entry = None
+        if self._memo is not None:
+            encoded = (name.encode() for name in names)
+            key = _digest(self._state, *encoded, np.ascontiguousarray(matrix))
+            entry = self._memo.get(key)
+            self.memo_hit = entry is not None
+        if entry is None:
+            delta = SelectionStats(batches_scored=1)
+            entry = (*self._score(names, matrix, delta), delta)
+            if key is not None:
+                self._memo.put(key, entry)
+        outcome, positions, delta = entry
+        live = vars(self._counters)
+        for field, value in vars(delta).items():
+            live[field] += value
+        for name, position in zip(outcome.accepted_names, positions):
+            self._accept(name, matrix[:, position])
+        return outcome
+
+    def _score(
+        self, names: list[str], matrix: np.ndarray, counters: SelectionStats
+    ) -> tuple[StageOutcome, tuple[int, ...]]:
+        """Both stages on one batch, reading the selector but not changing
+        it: the outcome and the ``matrix`` column of each accepted name."""
         config = self._config
-        self._counters.batches_scored += 1
         if config.use_relevance:
-            outcome = select_k_best(
+            best = select_k_best(
                 matrix,
                 self._label,
                 k=config.kappa,
                 metric=config.relevance_metric,
                 min_score=config.min_relevance,
                 seed=config.seed,
-                counters=self._counters,
+                counters=counters,
             )
-            relevant_idx = list(outcome.indices)
-            relevant_scores = list(outcome.scores)
+            relevant_idx = list(best.indices)
+            relevant_scores = list(best.scores)
         else:
             relevant_idx = list(range(len(names)))[: config.kappa]
             relevant_scores = [0.0] * len(relevant_idx)
 
         relevant_names = tuple(names[j] for j in relevant_idx)
         if not relevant_idx:
-            return StageOutcome((), (), (), ())
+            return StageOutcome((), (), (), ()), ()
 
         # R_sel is global (Algorithm 1) and two paths landing on the same
         # table offer the same qualified column twice: a candidate already
@@ -169,31 +275,27 @@ class StreamingFeatureSelector:
             for i, name in enumerate(relevant_names)
             if name not in self._selected_set
         ]
-        candidate_matrix = matrix[:, [relevant_idx[i] for i in fresh]]
+        candidate_idx = [relevant_idx[i] for i in fresh]
         if config.use_redundancy:
             scores = batch_redundancy_scores(
-                candidate_matrix,
+                matrix[:, candidate_idx],
                 self._code_cache,
                 method=config.redundancy_method,
-                counters=self._counters,
+                counters=counters,
             )
             kept = [(c, float(s)) for c, s in enumerate(scores) if s > 0.0]
         else:
             kept = [(c, float(relevant_scores[i])) for c, i in enumerate(fresh)]
 
-        accepted_names: list[str] = []
-        accepted_scores: list[float] = []
+        accepted: dict[str, tuple[float, int]] = {}
         for c, score in kept:
-            name = relevant_names[fresh[c]]
-            if name in self._selected_set:
-                continue  # repeated within this batch, accepted a moment ago
-            accepted_names.append(name)
-            accepted_scores.append(score)
-            self._accept(name, candidate_matrix[:, c])
+            # A name repeated within this batch is accepted once, first wins.
+            accepted.setdefault(relevant_names[fresh[c]], (score, candidate_idx[c]))
 
-        return StageOutcome(
+        outcome = StageOutcome(
             relevant_names=relevant_names,
             relevance_scores=tuple(relevant_scores),
-            accepted_names=tuple(accepted_names),
-            redundancy_scores=tuple(accepted_scores),
+            accepted_names=tuple(accepted),
+            redundancy_scores=tuple(score for score, _ in accepted.values()),
         )
+        return outcome, tuple(position for _, position in accepted.values())

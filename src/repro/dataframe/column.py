@@ -230,8 +230,7 @@ class Column:
         return value
 
     def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+        return iter(self.to_list())
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(v) for v in list(self)[:6])
@@ -379,7 +378,12 @@ class Column:
 
     def to_list(self) -> list[Any]:
         """Python list representation with ``None`` at null slots."""
-        return list(self)
+        out = self._values.tolist()  # the same scalars as per-element .item()
+        if self._values.dtype == object:
+            out = [v.item() if isinstance(v, np.generic) else v for v in out]
+        for i in np.flatnonzero(self._mask).tolist():
+            out[i] = None
+        return out
 
     @staticmethod
     def concat(columns: Sequence["Column"]) -> "Column":

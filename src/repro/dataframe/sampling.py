@@ -36,31 +36,35 @@ def stratified_sample(
 
     Each class contributes ``round(n * class_fraction)`` rows (at least one
     row per class that exists, so rare classes are never lost).  Rows whose
-    label is null are excluded from the sample.
+    label is null are excluded — also when ``n`` covers the whole table.
     """
     if n <= 0:
         raise SchemaError(f"sample size must be positive, got {n}")
-    if n >= table.n_rows:
-        return table
     labels = table.column(label_column)
-    by_class: dict[object, list[int]] = {}
-    for i, value in enumerate(labels):
-        if value is None:
-            continue
-        by_class.setdefault(value, []).append(i)
-    if not by_class:
+    rows = np.flatnonzero(~labels.mask)
+    if table.n_rows and not len(rows):
         raise SchemaError(f"label column {label_column!r} is entirely null")
+    if n >= table.n_rows:
+        return table if len(rows) == table.n_rows else table.take(rows)
 
-    total = sum(len(v) for v in by_class.values())
+    # One class per distinct label, its member rows ascending; classes are
+    # visited in ``str`` order of the value first seen for each.
+    values = labels.values[rows]
+    _, first, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse, kind="stable")
+    by_class = np.split(rows[order], np.cumsum(counts)[:-1])
+    keys = [str(v) for v in values[first].tolist()]
+
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for cls in sorted(by_class.keys(), key=str):
+    chosen = []
+    for cls in sorted(range(len(keys)), key=keys.__getitem__):
         members = by_class[cls]
-        quota = max(1, round(n * len(members) / total))
+        quota = max(1, round(n * len(members) / len(rows)))
         quota = min(quota, len(members))
-        picks = rng.choice(len(members), size=quota, replace=False)
-        chosen.extend(members[p] for p in picks)
-    return table.take(np.sort(np.asarray(chosen, dtype=np.int64)))
+        chosen.append(members[rng.choice(len(members), size=quota, replace=False)])
+    return table.take(np.sort(np.concatenate(chosen)))
 
 
 def train_test_split_indices(

@@ -23,11 +23,13 @@ def encode_labels(label_values: np.ndarray) -> tuple[np.ndarray, list]:
     Returns ``(encoded, classes)`` where ``classes[i]`` is the raw value
     for index ``i`` (sorted for determinism).
     """
-    flat = np.asarray(label_values)
-    classes = sorted({v.item() if isinstance(v, np.generic) else v for v in flat})
+    values = np.asarray(label_values).tolist()
+    classes = [
+        c.item() if isinstance(c, np.generic) else c for c in sorted(set(values))
+    ]
     mapping = {c: i for i, c in enumerate(classes)}
-    encoded = np.asarray([mapping[v.item() if isinstance(v, np.generic) else v] for v in flat])
-    return encoded.astype(np.int64), classes
+    encoded = np.fromiter((mapping[v] for v in values), np.int64, len(values))
+    return encoded, classes
 
 
 class TabularEncoder:

@@ -10,8 +10,11 @@ to feature discovery:
   .IncrementalMatchIndex` (profiles + pair matches + the current DRG
   snapshot), one long-lived single-flight
   :class:`~repro.engine.HopCache` shared into every run's
-  :class:`~repro.engine.JoinEngine`, and a result cache of whole
-  :class:`~repro.core.DiscoveryResult` / ``AugmentationResult`` objects;
+  :class:`~repro.engine.JoinEngine`, one content-addressed
+  :class:`~repro.core.SelectionMemo` of streaming-selection outcomes
+  (keyed by the bytes a step reads, so mutations never touch it), and a
+  result cache of whole :class:`~repro.core.DiscoveryResult` /
+  ``AugmentationResult`` objects;
 * **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
   requests which ``n_workers`` threads drain concurrently, each run
   multiplexed onto the existing engine/executor machinery
@@ -41,7 +44,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from ..core import AutoFeat, AutoFeatConfig
+from ..core import AutoFeat, AutoFeatConfig, SelectionMemo
 from ..core.result import AugmentationResult, DiscoveryResult
 from ..dataframe import Table
 from ..discovery import (
@@ -226,6 +229,7 @@ class DiscoveryService:
             threshold, candidate_min_recall
         )
         self.hop_cache = HopCache()
+        self.selection_memo = SelectionMemo()
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()
@@ -452,8 +456,14 @@ class DiscoveryService:
         if budget_exhausted:
             self.registry.counter("service.requests_budget_exhausted").inc()
         self._count_cache(cache_hit)
+        memo_gauges = {
+            f"service.selection_memo_{name}": value
+            for name, value in self.selection_memo.counters().items()
+        }
+        for name, value in memo_gauges.items():
+            self.registry.gauge(name).set(value)
         manifest = self._request_manifest(
-            request, snapshot, cache_hit, queue_seconds, execute_seconds
+            request, snapshot, cache_hit, queue_seconds, execute_seconds, memo_gauges
         )
         return ServiceResponse(
             kind=request.kind,
@@ -472,7 +482,10 @@ class DiscoveryService:
     def _run(self, request: _Request, snapshot: LakeSnapshot):
         """Execute one pipeline run against shared immutable state."""
         autofeat = AutoFeat(
-            snapshot.drg, request.config, hop_cache=self.hop_cache
+            snapshot.drg,
+            request.config,
+            hop_cache=self.hop_cache,
+            selection_memo=self.selection_memo,
         )
         if request.kind == "discover":
             return autofeat.discover(request.base, request.label)
@@ -534,6 +547,7 @@ class DiscoveryService:
         cache_hit: bool,
         queue_seconds: float,
         execute_seconds: float,
+        memo_gauges: dict,
     ) -> RunManifest:
         timing = flat_node(
             f"service.{request.kind}",
@@ -555,6 +569,7 @@ class DiscoveryService:
             gauges={
                 "service.snapshot_version": snapshot.version,
                 "service.queue_depth": self._queue.qsize(),
+                **memo_gauges,
             },
         )
 
@@ -641,6 +656,7 @@ class DiscoveryService:
             "hop_cache": self.hop_cache.counters(),
             "hop_cache_entries": len(self.hop_cache),
             "hop_cache_hit_rate": round(self.hop_cache.hit_rate, 6),
+            "selection_memo": self.selection_memo.counters(),
             "match_index": self.index.counters.as_dict(),
             "metrics": self.registry.as_dict(),
         }

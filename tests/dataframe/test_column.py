@@ -255,6 +255,29 @@ class TestAnalytics:
     def test_to_list(self):
         assert Column([1, None]).to_list() == [1, None]
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            Column([3, None, -1, 2**40]),
+            Column([1.5, None, float("nan"), -0.0, 1e300]),
+            Column([True, None, False]),
+            Column(["b", None, "", np.str_("numpy")]),
+            Column(np.arange(5, dtype=np.int32)),
+            Column(np.array([0.5, np.nan])),
+            Column([]),
+            Column.nulls(3, DType.STRING),
+        ],
+        ids=repr,
+    )
+    def test_to_list_and_iter_match_element_access(self, column):
+        # The reference is the per-element walk the bulk conversion replaced:
+        # same values, same Python types, None at the null slots.
+        reference = [column[i] for i in range(len(column))]
+        for produced in (column.to_list(), list(column)):
+            assert [type(v) for v in produced] == [type(v) for v in reference]
+            assert repr(produced) == repr(reference)  # repr: -0.0 stays -0.0
+        assert column.to_list() is not column.to_list()
+
 
 class TestFactories:
     def test_concat(self):

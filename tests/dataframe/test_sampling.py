@@ -67,6 +67,58 @@ class TestStratifiedSample:
         b = stratified_sample(t, "label", 100, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("n", [3, 5, 500])
+    def test_null_labels_dropped_whether_or_not_it_samples(self, n):
+        t = Table({"x": list(range(6)), "label": [0, None, 1, 0, None, 1]}, name="t")
+        out = stratified_sample(t, "label", n, seed=0)
+        assert None not in out.column("label").to_list()
+        if n >= t.n_rows:
+            assert out.column("x").to_list() == [0, 2, 3, 5]
+
+    def test_all_null_labels_raise_when_n_covers_the_table(self):
+        t = Table({"x": [1, 2], "label": [None, None]}, name="t")
+        with pytest.raises(SchemaError):
+            stratified_sample(t, "label", 10)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 1] * 40 + [1] * 20,
+            [0, None, 1, 1, None, 2] * 15,
+            ["b", "a", None, "c", "a"] * 12,
+            [9, 10, 10, 9, 100, 9] * 10,  # visited in str order: 10, 100, 9
+            [7] * 30,  # a single class
+            [0] * 59 + [1],  # quota clamps up to 1
+            [0, 1, 2, 3, 4] * 6 + [5],  # ... and down to the class size
+            [1.5, -0.0, 0.0, None, 2.5] * 8,
+            [True, False, False, None] * 10,
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("n,seed", [(1, 0), (7, 1), (11, 2), (29, 3)])
+    def test_same_sample_as_the_per_row_loop(self, labels, n, seed):
+        def reference(table, label_column, n, seed):
+            # stratified_sample's sampling branch before np.unique grouping.
+            by_class = {}
+            for i, value in enumerate(table.column(label_column)):
+                if value is not None:
+                    by_class.setdefault(value, []).append(i)
+            total = sum(len(v) for v in by_class.values())
+            rng = np.random.default_rng(seed)
+            chosen = []
+            for cls in sorted(by_class.keys(), key=str):
+                members = by_class[cls]
+                quota = min(max(1, round(n * len(members) / total)), len(members))
+                picks = rng.choice(len(members), size=quota, replace=False)
+                chosen.extend(members[p] for p in picks)
+            return table.take(np.sort(np.asarray(chosen, dtype=np.int64)))
+
+        t = Table({"row": list(range(len(labels))), "label": labels}, name="t")
+        assert n < t.n_rows
+        assert stratified_sample(t, "label", n, seed=seed) == reference(
+            t, "label", n, seed
+        )
+
 
 class TestTrainTestSplit:
     def test_partition(self):

@@ -44,6 +44,39 @@ class TestEncodeLabels:
         assert list(encoded) == [1, 0, 1]
 
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([5, 2, 5, 10, 9], dtype=object),
+            np.array(["b", "a", "b", "10", "9"], dtype=object),
+            np.array([True, False, True], dtype=object),
+            np.array([1.5, -0.0, 0.0, 1.5], dtype=object),
+            np.array([np.int64(3), 1, np.int64(1)], dtype=object),
+            np.array([3, 1, 3, 2]),
+            np.array([0.25, 0.5, 0.25]),
+            np.array(["x", "y"]),
+            np.array([], dtype=object),
+        ],
+        ids=repr,
+    )
+    def test_matches_the_per_element_loop(self, labels):
+        def reference(label_values):
+            # encode_labels as it was before the bulk conversion.
+            flat = np.asarray(label_values)
+            classes = sorted({v.item() if isinstance(v, np.generic) else v for v in flat})
+            mapping = {c: i for i, c in enumerate(classes)}
+            encoded = np.asarray(
+                [mapping[v.item() if isinstance(v, np.generic) else v] for v in flat]
+            )
+            return encoded.astype(np.int64), classes
+
+        encoded, classes = encode_labels(labels)
+        expected, expected_classes = reference(labels)
+        assert encoded.dtype == expected.dtype and encoded.tolist() == expected.tolist()
+        assert repr(classes) == repr(expected_classes)
+        assert [type(c) for c in classes] == [type(c) for c in expected_classes]
+
+
 class TestTabularEncoder:
     def test_output_finite(self, table):
         X = TabularEncoder().fit_transform(table, ["num", "with_nulls", "cat"])
