@@ -7,7 +7,9 @@ Builds the workload exactly as ``benchmarks/e2e/run.py`` does (its
 ``workloads.py`` is imported, not copied), runs one warm-up op, prints the
 min / median wall time of 5 untraced ops, then a cProfile of one more op
 sorted by cumulative and by own time and, for ``service_mixed``, the
-selection memo's hits / misses over the profiled block.  cProfile inflates
+selection memo's hits / misses over the profiled block; for a workload that
+matches in its op (``wide_match``, ``paper_augment``), how many table pairs
+and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
 untraced times — or the benchmark itself — to measure them.
 
@@ -109,12 +111,36 @@ def main() -> int:
             f"({hits / max(1, hits + misses):.0%}), {memo_after['entries']} entries, "
             f"{memo_after['evictions']} evictions"
         )
+    if workload.match_in_op:
+        print(_overlap_gate_line(lake))
     return 0
 
 
 def _memo_counters(workload, state) -> dict:
     """The service's selection-memo counters ({} for a library workload)."""
     return state.service.stats()["selection_memo"] if workload.service else {}
+
+
+def _overlap_gate_line(lake) -> str:
+    """Table and key-like column pairs of the lake that COMA intersects."""
+    from repro.discovery import ComaMatcher, profile_table
+    from repro.discovery.value_overlap import tables_may_overlap
+
+    profiles = [profile_table(table) for table in lake.tables]
+    key_like = [sum(map(ComaMatcher._key_like, p.columns)) for p in profiles]
+    tables = passed_tables = columns = passed_columns = 0
+    for i, a in enumerate(profiles):
+        for j in range(i + 1, len(profiles)):
+            pairs = key_like[i] * key_like[j]
+            tables += 1
+            columns += pairs
+            if tables_may_overlap(a, profiles[j]):
+                passed_tables += 1
+                passed_columns += pairs
+    return (
+        f"overlap gate: {passed_tables} / {tables} table pairs, "
+        f"{passed_columns} / {columns} key-like column pairs intersected"
+    )
 
 
 if __name__ == "__main__":

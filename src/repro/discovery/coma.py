@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
-from .name_similarity import (
-    NameFeatures,
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    set_jaccard,
-)
+from .name_similarity import NameFeatures, _jaro_winkler, _levenshtein, set_jaccard
 from .profiles import ColumnProfile, ProfileCache, TableProfile
-from .value_overlap import instance_similarity
+from .value_overlap import instance_similarity, tables_may_overlap
 
 __all__ = ["ColumnMatch", "ComaMatcher"]
 
@@ -43,36 +38,47 @@ class ColumnMatch:
     instance_score: float
 
 
-#: Ordered name pairs one matcher remembers (~12 MB at the bound).
+#: Ordered name pairs one matcher remembers (~22 MB at the bound).
 NAME_MEMO_PAIRS = 65_536
 
 
-def _name_score(a: NameFeatures, b: NameFeatures) -> float:
+def _symmetric_measures(a: NameFeatures, b: NameFeatures) -> tuple[float, ...]:
+    """Levenshtein, trigram Jaccard and token Jaccard — equal for ``(b, a)``."""
+    return (
+        _levenshtein(a.lowered, a.positions, b.lowered, b.positions),
+        set_jaccard(a.trigrams, b.trigrams),
+        set_jaccard(a.tokens, b.tokens),
+    )
+
+
+def _name_score(
+    a: NameFeatures, b: NameFeatures, symmetric: tuple[float, ...] | None = None
+) -> float:
     """Aggregate of the four name matchers (max of avg and token score).
 
     Taking the max lets a strong token match (``credit_id`` vs
     ``CreditID``) win even when character-level metrics disagree, which is
     COMA's "max" aggregation applied to its linguistic matcher group.
+    ``symmetric`` is :func:`_symmetric_measures` of the pair, if known.
     """
     if a.name == b.name:
         # Every measure scores an identical pair 1.0.
         return 1.0
-    average = (
-        levenshtein_similarity(a.lowered, b.lowered)
-        + jaro_winkler_similarity(a.lowered, b.lowered)
-        + set_jaccard(a.trigrams, b.trigrams)
-    ) / 3.0
-    return max(average, set_jaccard(a.tokens, b.tokens))
+    levenshtein, trigram, token = symmetric or _symmetric_measures(a, b)
+    jaro = _jaro_winkler(a.lowered, b.lowered, b.positions)
+    return max((levenshtein + jaro + trigram) / 3.0, token)
 
 
 class _NameScoreMemo:
     """Bounded memo of :func:`_name_score` over *ordered* name pairs.
 
     A lake has far fewer distinct column names than column pairs, so the
-    per-name features and the aggregate of each ordered pair are derived
-    once.  ``(a, b)`` and ``(b, a)`` are separate entries: Jaro's greedy
-    character matching is not symmetric by construction.  At the bound
-    the memo starts over — results never depend on what is remembered.
+    per-name features are derived once, the symmetric measures once per
+    *unordered* pair, and Jaro-Winkler and the aggregate once per ordered
+    pair: ``(a, b)`` and ``(b, a)`` are separate entries because Jaro's
+    greedy character matching is not symmetric by construction.  At the
+    bound the memo starts over — results never depend on what is
+    remembered.
     """
 
     def __init__(self, max_pairs: int = NAME_MEMO_PAIRS):
@@ -80,6 +86,7 @@ class _NameScoreMemo:
             raise DiscoveryError(f"max_pairs must be >= 1, got {max_pairs}")
         self._max_pairs = max_pairs
         self._features: dict[str, NameFeatures] = {}
+        self._symmetric: dict[tuple[str, str], tuple[float, ...]] = {}
         self._scores: dict[tuple[str, str], float] = {}
 
     def __len__(self) -> int:
@@ -96,8 +103,16 @@ class _NameScoreMemo:
         if score is None:
             if len(self._scores) >= self._max_pairs:
                 self._scores.clear()
+                self._symmetric.clear()
                 self._features.clear()
-            score = self._scores[a, b] = _name_score(self._of(a), self._of(b))
+            features_a, features_b = self._of(a), self._of(b)
+            unordered = (a, b) if a < b else (b, a)
+            symmetric = self._symmetric.get(unordered)
+            if symmetric is None:
+                symmetric = _symmetric_measures(features_a, features_b)
+                self._symmetric[unordered] = symmetric
+            score = _name_score(features_a, features_b, symmetric)
+            self._scores[a, b] = score
         return score
 
 
@@ -123,7 +138,10 @@ class ComaMatcher:
     profiles (:class:`~repro.discovery.profiles.ProfileCache`) and the
     name score of every ordered name pair it has seen (bounded at
     :data:`NAME_MEMO_PAIRS`).  Both only save work — a fresh matcher
-    starts empty and scores every pair to the same floats.
+    starts empty and scores every pair to the same floats.  Instance
+    scores run only for table pairs that
+    :func:`~repro.discovery.value_overlap.tables_may_overlap`; every other
+    pair's instance score is the exact ``0.0`` the computation returns.
     """
 
     def __init__(
@@ -159,12 +177,13 @@ class ComaMatcher:
         if self._key_like_only:
             columns_a = [c for c in columns_a if self._key_like(c)]
             columns_b = [c for c in columns_b if self._key_like(c)]
+        overlap = tables_may_overlap(profiles_a, profiles_b)
         name_score = self._name_scores.score
         matches = []
         for col_a in columns_a:
             for col_b in columns_b:
                 name = name_score(col_a.column_name, col_b.column_name)
-                instance = instance_similarity(col_a, col_b)
+                instance = instance_similarity(col_a, col_b) if overlap else 0.0
                 score = (
                     self._name_weight * name + self._instance_weight * instance
                 )

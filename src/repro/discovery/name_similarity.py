@@ -24,6 +24,14 @@ _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
 
+def _positions(text: str) -> dict[str, int]:
+    """Per character of ``text``, the bit mask of its positions (bit i = index i)."""
+    positions: dict[str, int] = {}
+    for i, ch in enumerate(text):
+        positions[ch] = positions.get(ch, 0) | (1 << i)
+    return positions
+
+
 def levenshtein_similarity(a: str, b: str) -> float:
     """1 - edit_distance / max_length, in [0, 1].
 
@@ -35,17 +43,20 @@ def levenshtein_similarity(a: str, b: str) -> float:
     Python ints are the words, so there is no 64-character limit and no
     blocking.
     """
+    return _levenshtein(a, _positions(a), b, _positions(b))
+
+
+def _levenshtein(a: str, positions_a: dict, b: str, positions_b: dict) -> float:
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
     # Fewer loop turns with the shorter string as the text; the distance
     # is symmetric.
-    pattern, text = (a, b) if len(a) >= len(b) else (b, a)
-    occurrences: dict[str, int] = {}
-    for i, ch in enumerate(pattern):
-        occurrences[ch] = occurrences.get(ch, 0) | (1 << i)
-    m = len(pattern)
+    if len(a) >= len(b):
+        m, occurrences, text = len(a), positions_a, b
+    else:
+        m, occurrences, text = len(b), positions_b, a
     mask = (1 << m) - 1
     last = 1 << (m - 1)
     plus, minus, distance = mask, 0, m
@@ -66,39 +77,47 @@ def levenshtein_similarity(a: str, b: str) -> float:
 
 
 def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
-    """Jaro-Winkler similarity, rewarding shared prefixes (identifier-friendly)."""
+    """Jaro-Winkler similarity, rewarding shared prefixes (identifier-friendly).
+
+    Bit-parallel over ``b``'s positions: the greedy first free match of
+    ``a[i]`` in its window is the lowest set bit of
+    ``positions_b[a[i]] & free & window``, and transpositions pair a's
+    matched characters with b's taken bits in order — the same matches,
+    counts and float arithmetic as the position-by-position scan.
+    """
+    return _jaro_winkler(a, b, _positions(b), prefix_weight)
+
+
+def _jaro_winkler(
+    a: str, b: str, positions_b: dict, prefix_weight: float = 0.1
+) -> float:
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_flags = [False] * len(a)
-    b_flags = [False] * len(b)
-    matches = 0
+    len_a, len_b = len(a), len(b)
+    window = max(max(len_a, len_b) // 2 - 1, 0)
+    free = (1 << len_b) - 1
+    matched = []  # a's matched characters, in order
     for i, ca in enumerate(a):
         lo = max(0, i - window)
-        hi = min(len(b), i + window + 1)
-        for j in range(lo, hi):
-            if not b_flags[j] and b[j] == ca:
-                a_flags[i] = b_flags[j] = True
-                matches += 1
-                break
+        candidates = (positions_b.get(ca, 0) & free) >> lo << lo
+        candidates &= (1 << (i + window + 1)) - 1
+        if candidates:
+            free ^= candidates & -candidates
+            matched.append(ca)
+    matches = len(matched)
     if matches == 0:
         return 0.0
     transpositions = 0
-    j = 0
-    for i, flagged in enumerate(a_flags):
-        if not flagged:
-            continue
-        while not b_flags[j]:
-            j += 1
-        if a[i] != b[j]:
-            transpositions += 1
-        j += 1
+    taken = ((1 << len_b) - 1) ^ free
+    for ca in matched:
+        lowest = taken & -taken
+        transpositions += b[lowest.bit_length() - 1] != ca
+        taken ^= lowest
     transpositions //= 2
     jaro = (
-        matches / len(a) + matches / len(b) + (matches - transpositions) / matches
+        matches / len_a + matches / len_b + (matches - transpositions) / matches
     ) / 3.0
     prefix = 0
     for ca, cb in zip(a, b):
@@ -160,15 +179,16 @@ class NameFeatures:
     """What the name measures need of one name, derived once.
 
     A column-pair scorer that sees the same name in thousands of pairs
-    lower-cases, n-grams and tokenises it here a single time and feeds
-    the parts to :func:`levenshtein_similarity`,
-    :func:`jaro_winkler_similarity` and :func:`set_jaccard`.
+    lower-cases, n-grams, tokenises and position-masks it here a single
+    time and feeds the parts to the Levenshtein and Jaro-Winkler cores
+    (which both read ``positions``) and to :func:`set_jaccard`.
     """
 
-    __slots__ = ("name", "lowered", "trigrams", "tokens")
+    __slots__ = ("name", "lowered", "positions", "trigrams", "tokens")
 
     def __init__(self, name: str):
         self.name = name
         self.lowered = name.lower()
+        self.positions = _positions(self.lowered)
         self.trigrams = frozenset(_ngrams(self.lowered, 3))
         self.tokens = frozenset(tokenize_identifier(name))

@@ -121,6 +121,11 @@ class TableProfile:
                 return profile
         raise KeyError(name)
 
+    @cached_property
+    def sketch_tokens(self) -> frozenset[str]:
+        """Union of the columns' sketches (first read computes it)."""
+        return frozenset().union(*(c.sketch for c in self.columns))
+
 
 def profile_column(column: Column, table_name: str, column_name: str) -> ColumnProfile:
     """Summarise one column into a :class:`ColumnProfile`.
@@ -141,7 +146,7 @@ def profile_column(column: Column, table_name: str, column_name: str) -> ColumnP
         n_rows=len(column),
         n_distinct=len(distinct),
         null_ratio=column.null_ratio(),
-        sketch=frozenset(_normalise(v) for v in distinct[:SKETCH_SIZE]),
+        sketch=frozenset(map(_normalise, distinct[:SKETCH_SIZE])),
         source=column,
         numeric_min=float(distinct[0]) if numeric else None,
         numeric_max=float(distinct[-1]) if numeric else None,

@@ -20,6 +20,7 @@ __all__ = [
     "minhash_jaccard",
     "numeric_range_overlap",
     "instance_similarity",
+    "tables_may_overlap",
     "ValueOverlapMatcher",
 ]
 
@@ -90,6 +91,17 @@ def instance_similarity(a: ColumnProfile, b: ColumnProfile) -> float:
     )
 
 
+def tables_may_overlap(a: TableProfile, b: TableProfile) -> bool:
+    """Whether any column of ``a`` shares a sketch token with one of ``b``.
+
+    One ``isdisjoint`` of the tables' :attr:`TableProfile.sketch_tokens`.
+    ``False`` proves every column pair's intersection empty, so its
+    :func:`instance_similarity` is the exact ``0.0``; ``True`` only sends
+    the pairs on to their exact intersections.
+    """
+    return not a.sketch_tokens.isdisjoint(b.sketch_tokens)
+
+
 class ValueOverlapMatcher:
     """Pure instance-level matcher: names are ignored entirely.
 
@@ -113,10 +125,11 @@ class ValueOverlapMatcher:
         self, profiles_a: TableProfile, profiles_b: TableProfile
     ) -> list[tuple[str, str, float]]:
         """Instance-similarity scores of every column pair, sorted."""
+        overlap = tables_may_overlap(profiles_a, profiles_b)
         matches = []
         for col_a in profiles_a.columns:
             for col_b in profiles_b.columns:
-                score = instance_similarity(col_a, col_b)
+                score = instance_similarity(col_a, col_b) if overlap else 0.0
                 if score >= self._min_score:
                     matches.append(
                         (

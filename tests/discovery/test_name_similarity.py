@@ -11,7 +11,7 @@ from repro.discovery import (
     token_similarity,
     tokenize_identifier,
 )
-from repro.discovery.coma import _name_score
+from repro.discovery.coma import _name_score, _NameScoreMemo
 from repro.discovery.name_similarity import NameFeatures, _ngrams
 
 identifiers = st.text(alphabet="abcdefgh_XYZ0123", min_size=0, max_size=12)
@@ -19,6 +19,15 @@ identifiers = st.text(alphabet="abcdefgh_XYZ0123", min_size=0, max_size=12)
 #: beyond one 64-bit word still share long runs.
 any_text = st.one_of(
     st.text(max_size=24), st.text(alphabet="ab_", min_size=40, max_size=200)
+)
+#: Every shape the bit-parallel measures special-case: empty, one
+#: character, runs of one repeated character, tiny alphabets (many
+#: candidates per window) and arbitrary unicode.
+edge_text = st.one_of(
+    st.text(max_size=1),
+    st.text(alphabet="aab", max_size=20),
+    st.integers(0, 70).map(lambda n: "k" * n),
+    any_text,
 )
 
 ALL_MEASURES = [
@@ -150,6 +159,82 @@ def _reference_levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - distance / max(len(a), len(b))
 
 
+def _scalar_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    """The position-by-position scan ``jaro_winkler_similarity`` was before
+    the bit-parallel window; kept here as the oracle."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    window = max(len(a), len(b)) // 2 - 1
+    window = max(window, 0)
+    a_flags = [False] * len(a)
+    b_flags = [False] * len(b)
+    matches = 0
+    for i, ca in enumerate(a):
+        lo = max(0, i - window)
+        hi = min(len(b), i + window + 1)
+        for j in range(lo, hi):
+            if not b_flags[j] and b[j] == ca:
+                a_flags[i] = b_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, flagged in enumerate(a_flags):
+        if not flagged:
+            continue
+        while not b_flags[j]:
+            j += 1
+        if a[i] != b[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    jaro = (
+        matches / len(a) + matches / len(b) + (matches - transpositions) / matches
+    ) / 3.0
+    prefix = 0
+    for ca, cb in zip(a, b):
+        if ca != cb or prefix == 4:
+            break
+        prefix += 1
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def _self_masking_levenshtein(a: str, b: str) -> float:
+    """The bit-vector ``levenshtein_similarity`` as it was when it built
+    its own occurrence masks per call; kept here as the oracle for the
+    shared per-name masks."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    pattern, text = (a, b) if len(a) >= len(b) else (b, a)
+    occurrences: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        occurrences[ch] = occurrences.get(ch, 0) | (1 << i)
+    m = len(pattern)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    plus, minus, distance = mask, 0, m
+    for ch in text:
+        eq = occurrences.get(ch, 0)
+        diag = eq | minus
+        horiz = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horiz | plus)
+        h_minus = plus & horiz
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = ((h_plus << 1) | 1) & mask
+        plus = ((h_minus << 1) | ~(diag | h_plus)) & mask
+        minus = h_plus & diag
+    return 1.0 - distance / m
+
+
 def _reference_name_score(a: str, b: str) -> float:
     """COMA's per-pair name aggregate as it was computed from raw names,
     with the set measures spelled out over explicit unions."""
@@ -168,7 +253,7 @@ def _reference_name_score(a: str, b: str) -> float:
         token = 1.0 if a == b else 0.0
     average = (
         _reference_levenshtein_similarity(a.lower(), b.lower())
-        + jaro_winkler_similarity(a.lower(), b.lower())
+        + _scalar_jaro_winkler(a.lower(), b.lower())
         + ngram
     ) / 3.0
     return max(average, token)
@@ -213,3 +298,31 @@ class TestExactness:
             assert token_similarity(a, b) == len(tokens_a & tokens_b) / len(
                 tokens_a | tokens_b
             )
+
+    @given(a=edge_text, b=edge_text)
+    @example(a="martha", b="marhta")
+    @example(a="ab", b="ba")
+    @example(a="a", b="aaaa")
+    @example(a="aaaa", b="a")
+    @example(a="İd", b="i̇d")
+    def test_bit_parallel_jaro_winkler_equals_scalar_scan(self, a, b):
+        assert jaro_winkler_similarity(a, b) == _scalar_jaro_winkler(a, b)
+        assert jaro_winkler_similarity(b, a) == _scalar_jaro_winkler(b, a)
+
+    @given(a=edge_text, b=edge_text)
+    @example(a="", b="k")
+    @example(a="k" * 64, b="k" * 65)
+    def test_shared_mask_levenshtein_equals_self_masking(self, a, b):
+        assert levenshtein_similarity(a, b) == _self_masking_levenshtein(a, b)
+        assert levenshtein_similarity(b, a) == _self_masking_levenshtein(b, a)
+
+    @given(a=st.one_of(identifiers, edge_text), b=st.one_of(identifiers, edge_text))
+    @example(a="credit_id", b="CreditID")
+    @example(a="k0001", b="k0001")
+    @example(a="", b="x")
+    def test_memo_scores_both_orders_like_name_score(self, a, b):
+        memo = _NameScoreMemo()
+        # (b, a) reuses the symmetric measures (a, b) stored.
+        for x, y in ((a, b), (b, a), (a, b)):
+            expected = _name_score(NameFeatures(x), NameFeatures(y))
+            assert memo.score(x, y) == expected

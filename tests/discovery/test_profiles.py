@@ -231,6 +231,12 @@ class TestLazySignature:
         assert np.array_equal(profile.minhash, expected.pop("minhash"))
         assert {name: getattr(profile, name) for name in expected} == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(_columns())
+    def test_sketch_equals_the_generator_expression(self, column):
+        old = frozenset(profiles._normalise(v) for v in column.unique()[:SKETCH_SIZE])
+        assert profile_column(column, "t", "c").sketch == old
+
     def test_more_distinct_values_than_the_sketch_holds(self):
         column = Column(np.arange(3 * SKETCH_SIZE)[::-1] * 0.5)
         profile = profile_column(column, "t", "c")

@@ -1,17 +1,32 @@
 """Unit tests for instance-based similarity."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dataframe import Column
+import repro
+from repro.dataframe import Column, DType, Table
 from repro.discovery import (
+    ComaMatcher,
+    ValueOverlapMatcher,
     instance_similarity,
     minhash_jaccard,
     numeric_range_overlap,
     profile_column,
+    profile_table,
     sketch_containment,
     sketch_jaccard,
 )
+from repro.discovery.coma import ColumnMatch, _name_score
+from repro.discovery.name_similarity import NameFeatures
+from repro.discovery.value_overlap import tables_may_overlap
 
 
 def prof(values, name="c"):
@@ -118,3 +133,131 @@ class TestInstanceSimilarity:
                 assert instance_similarity(a, b) == (
                     0.7 * sketch_containment(a, b) + 0.3 * jaccard
                 )
+
+
+#: Small domains so that tables often share a token: ``"1"`` is the token
+#: of the string "1", the int 1 and the float 1.0 alike; NaN and None are
+#: nulls and never tokens.
+_VALUES = {
+    DType.STRING: st.sampled_from(["1", "a", " A", "b", "2.5", ""]),
+    DType.INT: st.integers(-2, 6),
+    DType.FLOAT: st.integers(-2, 6).map(float) | st.just(2.5) | st.just(float("nan")),
+}
+
+
+@st.composite
+def _tables(draw, name):
+    """0-3 columns of 0-12 rows each; empty, all-null and mixed-dtype tables."""
+    n_rows = draw(st.integers(0, 12))
+    pool = st.sampled_from(["id", "key", "k0001", "value"])
+    names = draw(st.lists(pool, max_size=3, unique=True))
+    columns = {}
+    for column_name in names:
+        dtype = draw(st.sampled_from(list(_VALUES)))
+        cell = _VALUES[dtype] | st.none()
+        values = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+        columns[column_name] = Column(values, dtype=dtype)
+    return Table(columns, name=name)
+
+
+def _ungated_coma(matcher, profiles_a, profiles_b):
+    """``ComaMatcher.match_profiles`` with every instance score computed."""
+    key_like = ComaMatcher._key_like
+    matches = []
+    for col_a in filter(key_like, profiles_a.columns):
+        for col_b in filter(key_like, profiles_b.columns):
+            name = _name_score(
+                NameFeatures(col_a.column_name), NameFeatures(col_b.column_name)
+            )
+            instance = instance_similarity(col_a, col_b)
+            score = matcher._name_weight * name + matcher._instance_weight * instance
+            if score >= matcher._min_score:
+                matches.append(
+                    ColumnMatch(
+                        profiles_a.table_name,
+                        col_a.column_name,
+                        profiles_b.table_name,
+                        col_b.column_name,
+                        round(float(score), 6),
+                        round(float(name), 6),
+                        round(float(instance), 6),
+                    )
+                )
+    matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
+    return matches
+
+
+def _ungated_value_overlap(min_score, profiles_a, profiles_b):
+    """``ValueOverlapMatcher.match_profiles`` with every pair intersected."""
+    matches = [
+        (col_a.column_name, col_b.column_name, round(float(score), 6))
+        for col_a in profiles_a.columns
+        for col_b in profiles_b.columns
+        if (score := instance_similarity(col_a, col_b)) >= min_score
+    ]
+    matches.sort(key=lambda t: (-t[2], t[0], t[1]))
+    return matches
+
+
+class TestOverlapGate:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_tables("left"), b=_tables("right"))
+    def test_gate_never_drops_an_overlap(self, a, b):
+        profiles_a, profiles_b = profile_table(a), profile_table(b)
+        shares = any(
+            col_a.sketch & col_b.sketch
+            for col_a in profiles_a.columns
+            for col_b in profiles_b.columns
+        )
+        # Exact at table granularity: it passes precisely the pairs that share.
+        assert tables_may_overlap(profiles_a, profiles_b) == shares
+        assert tables_may_overlap(profiles_b, profiles_a) == shares
+        coma = ComaMatcher(min_score=0.0)
+        assert repr(coma.match_profiles(profiles_a, profiles_b)) == repr(
+            _ungated_coma(coma, profiles_a, profiles_b)
+        )
+        overlap = ValueOverlapMatcher(0.0).match_profiles(profiles_a, profiles_b)
+        assert repr(overlap) == repr(_ungated_value_overlap(0.0, profiles_a, profiles_b))
+
+    def test_gate_is_per_table_pair(self):
+        # A passing table pair still intersects every column pair exactly:
+        # b's "id" shares with a's "id" only, so a's "other" scores 0.0.
+        a = profile_table(Table({"id": [1, 2, 3], "other": [50, 60, 70]}, name="a"))
+        b = profile_table(Table({"id": [3, 4, 5]}, name="b"))
+        c = profile_table(Table({"id": [8, 9]}, name="c"))
+        assert tables_may_overlap(a, b) and not tables_may_overlap(a, c)
+        scores = {(x, y): s for x, y, s in ValueOverlapMatcher(0.0).match_profiles(a, b)}
+        assert scores[("other", "id")] == 0.0 and scores[("id", "id")] > 0.0
+
+
+_REMOTE = """
+import pickle, sys
+from repro.discovery import ComaMatcher, profile_table
+remote, table_a, local = pickle.loads(sys.stdin.buffer.read())
+print(repr(ComaMatcher(min_score=0.0).match_profiles(remote, profile_table(local))))
+print(repr(ComaMatcher(min_score=0.0).match(table_a, local)))
+"""
+
+
+class TestCrossProcess:
+    def test_profile_pickled_after_gating_matches_cold_elsewhere(self):
+        ids = list(range(40))
+        table_a = Table({"id": ids, "region": [i % 5 for i in ids]}, name="a")
+        tail = ids[10:]
+        local = Table({"a_id": tail, "zone": [i % 7 + 100 for i in tail]}, name="b")
+        profile = profile_table(table_a)
+        assert tables_may_overlap(profile, profile_table(local))  # gate state built
+        cold = repr(ComaMatcher(min_score=0.0).match(table_a, local))
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _REMOTE],
+            input=pickle.dumps((profile, table_a, local)),
+            capture_output=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        from_pickle, remote_cold = done.stdout.decode().splitlines()
+        assert from_pickle == remote_cold == cold
