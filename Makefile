@@ -1,4 +1,4 @@
-.PHONY: check test trace-smoke exp-smoke bench-e2e-smoke bench-service bench-anytime bench-sketch
+.PHONY: check test trace-smoke exp-smoke bench-e2e-smoke bench-service bench-anytime
 
 # The tier-1 tests (once), the smoke-mode micro-benches (which write no
 # tracked file), the trace / experiment smokes and the end-to-end benchmark
@@ -39,9 +39,3 @@ bench-service:
 # BENCH_anytime.json.
 bench-anytime:
 	PYTHONPATH=src python benchmarks/bench_anytime.py
-
-# Full sketch-index benchmark (paper-lake bit-parity for both exact
-# matchers, 100-2000-table wide-lake scaling; recall-, slope- and
-# >=5x-pruning-gated); writes BENCH_sketch_index.json.
-bench-sketch:
-	PYTHONPATH=src python benchmarks/bench_sketch_index.py

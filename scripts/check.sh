@@ -19,11 +19,9 @@ echo
 echo "== micro-benches (smoke) =="
 # Each gates on its own parity claim: warm/cold service parity and the
 # >=5x warm-request speedup; degeneration and infinite-budget parity over
-# covertype; paper-lake bit-parity at recall 1.0 and sub-quadratic
-# pairs-scored growth.
+# covertype.
 python benchmarks/bench_service.py --smoke
 python benchmarks/bench_anytime.py --smoke
-python benchmarks/bench_sketch_index.py --smoke
 
 echo
 echo "== observability smoke =="

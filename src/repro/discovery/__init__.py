@@ -8,14 +8,7 @@ data-lake setting, where joinability edges come from a schema matcher
 from .coma import ColumnMatch, ComaMatcher
 from .distribution import DistributionMatcher, QuantileSketch, quantile_similarity
 from .incremental import IncrementalMatchIndex, MatchCounters, MutationReport
-from .index import (
-    CandidateFilteredMatcher,
-    CandidateStats,
-    JoinabilityIndex,
-    RecallReport,
-    validate_banding,
-)
-from .lsh import LazoMatcher, estimate_containment
+from .lsh import LazoMatcher, estimate_containment, validate_banding
 from .name_similarity import (
     jaro_winkler_similarity,
     levenshtein_similarity,
@@ -54,13 +47,9 @@ __all__ = [
     "IncrementalMatchIndex",
     "MatchCounters",
     "MutationReport",
-    "JoinabilityIndex",
-    "CandidateFilteredMatcher",
-    "CandidateStats",
-    "RecallReport",
-    "validate_banding",
     "LazoMatcher",
     "estimate_containment",
+    "validate_banding",
     "DistributionMatcher",
     "QuantileSketch",
     "quantile_similarity",

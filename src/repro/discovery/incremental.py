@@ -29,7 +29,9 @@ returning :class:`~repro.discovery.ColumnMatch` objects
 (:class:`~repro.discovery.ComaMatcher`) or plain ``(col_a, col_b,
 score)`` tuples (:class:`~repro.discovery.LazoMatcher`) — plugs in;
 matchers without profile support fall back to being called on the raw
-tables, still scoped to the affected pairs only.
+tables, still scoped to the affected pairs only.  The index is the only
+state a mutation touches: the matcher is never told about registrations
+or drops, so every stored pair is exactly what a cold scan would score.
 """
 
 from __future__ import annotations
@@ -171,13 +173,7 @@ class IncrementalMatchIndex:
         if not hasattr(self.matcher, "match_profiles"):
             return None
         self.counters.profiles_built += 1
-        profile = profile_table(table)
-        if hasattr(self.matcher, "register_profile"):
-            # Sketch-index matchers keep a standing index: insert (or
-            # replace) this table's sketches now so a mutation never
-            # re-profiles the rest of the lake.
-            self.matcher.register_profile(profile)
-        return profile
+        return profile_table(table)
 
     def _match_pair(
         self, name_a: str, name_b: str, right_table: Table | None = None
@@ -332,8 +328,6 @@ class IncrementalMatchIndex:
         del self._profiles[name]
         for pair in pairs:
             del self._matches[pair]
-        if hasattr(self.matcher, "drop_table"):
-            self.matcher.drop_table(name)
         delta = DrgDelta(dropped=(name,))
         return self._finish(
             "drop",

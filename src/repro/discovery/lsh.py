@@ -18,10 +18,30 @@ from collections import defaultdict
 import numpy as np
 
 from ..dataframe import Table
-from .index import validate_banding
-from .profiles import ColumnProfile, ProfileCache, TableProfile
+from ..errors import DiscoveryError
+from .profiles import MINHASH_PERMUTATIONS, ColumnProfile, ProfileCache, TableProfile
 
-__all__ = ["LazoMatcher", "estimate_containment"]
+__all__ = ["LazoMatcher", "estimate_containment", "validate_banding"]
+
+
+def validate_banding(bands: int, rows_per_band: int) -> None:
+    """Eagerly reject banding layouts the signature cannot support.
+
+    Called by :class:`LazoMatcher` so an oversized layout fails at
+    construction with a :class:`~repro.errors.DiscoveryError` instead of
+    deep inside signature slicing (where short/empty band chunks would
+    silently collide everything).
+    """
+    if bands < 1 or rows_per_band < 1:
+        raise DiscoveryError(
+            f"bands and rows_per_band must be >= 1, "
+            f"got {bands}x{rows_per_band}"
+        )
+    if bands * rows_per_band > MINHASH_PERMUTATIONS:
+        raise DiscoveryError(
+            f"banding {bands}x{rows_per_band} exceeds the "
+            f"{MINHASH_PERMUTATIONS}-permutation signature"
+        )
 
 
 def estimate_containment(

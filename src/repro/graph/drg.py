@@ -126,30 +126,17 @@ class DatasetRelationGraph:
         not absurd) connections through — AutoFeat's pruning is supposed to
         handle them.
 
-        Index-backed matchers (:class:`~repro.discovery.index
-        .CandidateFilteredMatcher`) expose two optional hooks honoured
-        here: ``begin_lake(tables)`` builds the standing sketch index
-        once up front (traced as the ``drg.index_build`` span), and
-        ``candidate_table_pairs()`` enumerates the only table pairs with
-        any candidate column pair — in canonical ``combinations`` order —
-        so construction skips pairs an exact scan would score to nothing.
-        At candidate recall 1.0 the resulting DRG is bit-identical to the
-        full quadratic scan's.
+        Pairs are walked in ``combinations`` order, which fixes the
+        adjacency insertion order that traversal and ranking follow.
+        Cheap rejection of a pair that cannot share a value lives inside
+        the exact matchers
+        (:func:`~repro.discovery.value_overlap.tables_may_overlap`), so it
+        never changes a score.
         """
         if not 0.0 < threshold <= 1.0:
             raise GraphError(f"threshold must be in (0, 1], got {threshold}")
         drg = cls(tables)
-        if hasattr(matcher, "begin_lake"):
-            with tracer.span("drg.index_build", tables=len(tables)):
-                matcher.begin_lake(tables)
-        if hasattr(matcher, "candidate_table_pairs"):
-            by_name = {table.name: table for table in tables}
-            pairs = [
-                (by_name[name_a], by_name[name_b])
-                for name_a, name_b in matcher.candidate_table_pairs()
-            ]
-        else:
-            pairs = list(combinations(tables, 2))
+        pairs = list(combinations(tables, 2))
         with tracer.span(
             "drg.match", tables=len(tables), table_pairs=len(pairs)
         ):

@@ -47,13 +47,9 @@ from dataclasses import dataclass, field, replace
 from ..core import AutoFeat, AutoFeatConfig, SelectionMemo
 from ..core.result import AugmentationResult, DiscoveryResult
 from ..dataframe import Table
-from ..discovery import (
-    CandidateFilteredMatcher,
-    IncrementalMatchIndex,
-    MutationReport,
-)
+from ..discovery import IncrementalMatchIndex, MutationReport
 from ..engine import HopCache
-from ..errors import DiscoveryError, ServiceError
+from ..errors import ServiceError
 from ..obs import MetricsRegistry, RunManifest, build_manifest, flat_node
 from ..obs.manifest import config_snapshot
 from .state import CachedEntry, LakeSnapshot, reachable_within
@@ -187,15 +183,10 @@ class DiscoveryService:
     matcher:
         Schema matcher for edge discovery (:class:`~repro.discovery
         .ComaMatcher` by default; any ``Matcher`` works, profile-aware
-        ones incrementally).  Pass a :class:`~repro.discovery
-        .CandidateFilteredMatcher` to score only sketch-index candidates
-        exactly.
+        ones incrementally).  Every table pair is scored exactly, so the
+        warm DRG is the one a cold ``from_discovery`` builds.
     threshold:
         Edge-score threshold, as in ``from_discovery``.
-    candidate_min_recall:
-        With a candidate-filtered ``matcher``, audit the initial lake
-        against the full quadratic scan at ``threshold`` and refuse to
-        start below this recall floor (None skips the audit).
     config:
         Default :class:`AutoFeatConfig` for requests that do not bring
         their own.
@@ -215,19 +206,11 @@ class DiscoveryService:
         config: AutoFeatConfig | None = None,
         n_workers: int = 2,
         enable_result_cache: bool = True,
-        candidate_min_recall: float | None = None,
     ):
         if n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
-        if candidate_min_recall is not None and not 0.0 < candidate_min_recall <= 1.0:
-            raise ServiceError(
-                f"candidate_min_recall must be in (0, 1], got {candidate_min_recall}"
-            )
         self.config = config or AutoFeatConfig()
         self.index = IncrementalMatchIndex(tables, matcher=matcher, threshold=threshold)
-        self.recall_report = self._verify_candidate_recall(
-            threshold, candidate_min_recall
-        )
         self.hop_cache = HopCache()
         self.selection_memo = SelectionMemo()
         self.registry = MetricsRegistry()
@@ -248,30 +231,6 @@ class DiscoveryService:
         ]
         for worker in self._workers:
             worker.start()
-
-    def _verify_candidate_recall(self, threshold: float, floor: float | None):
-        """Audit the initial lake against the full quadratic scan.
-
-        Only runs when a ``floor`` is set and the index is actually a
-        candidate filter; returns the
-        :class:`~repro.discovery.RecallReport` (or None when skipped) and
-        raises :class:`~repro.errors.DiscoveryError` below the floor.
-        """
-        if floor is None or not isinstance(
-            self.index.matcher, CandidateFilteredMatcher
-        ):
-            return None
-        report = self.index.matcher.verify_exact(
-            self.index.tables, threshold=threshold
-        )
-        if report.recall < floor:
-            raise DiscoveryError(
-                f"sketch-index candidate recall {report.recall:.6f} is "
-                f"below the configured floor {floor} "
-                f"({len(report.missed)} of {report.edges_expected} "
-                f"would-be edges missed)"
-            )
-        return report
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -648,7 +607,7 @@ class DiscoveryService:
         """One JSON-safe snapshot of the whole service's warm state."""
         with self._results_lock:
             cached_results = len(self._results)
-        out = {
+        return {
             "snapshot_version": self._snapshot.version,
             "n_tables": self._snapshot.n_tables,
             "n_relationships": self._snapshot.drg.n_relationships,
@@ -660,8 +619,3 @@ class DiscoveryService:
             "match_index": self.index.counters.as_dict(),
             "metrics": self.registry.as_dict(),
         }
-        if isinstance(self.index.matcher, CandidateFilteredMatcher):
-            out["sketch_index"] = self.index.matcher.stats.as_dict()
-            if self.recall_report is not None:
-                out["candidate_recall"] = self.recall_report.as_dict()
-        return out

@@ -63,8 +63,8 @@ class TestValidation:
         "knob", ["enable_sketch_index", "sketch_bands", "sketch_rows_per_band"]
     )
     def test_sketch_knobs_are_not_fields(self, knob):
-        """A ``CandidateFilteredMatcher(bands=, rows_per_band=)`` passed to
-        the service is the one spelling."""
+        """Schema matching has one exact path; there is no sketch index
+        to switch on or tune."""
         with pytest.raises(TypeError):
             AutoFeatConfig(**{knob: 1})
 

@@ -9,7 +9,6 @@ import pytest
 import repro.discovery.profiles as profiles_module
 from repro.dataframe import Table
 from repro.discovery import (
-    CandidateFilteredMatcher,
     ComaMatcher,
     DistributionMatcher,
     LazoMatcher,
@@ -22,7 +21,6 @@ from repro.errors import DiscoveryError
 ALL_MATCHERS = [
     ComaMatcher,
     ValueOverlapMatcher,
-    CandidateFilteredMatcher,
     LazoMatcher,
     DistributionMatcher,
 ]

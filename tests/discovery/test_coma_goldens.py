@@ -6,8 +6,15 @@ features, the name-score memo and the bit-vector Levenshtein existed (see
 from the current code.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from tests.discovery.coma_goldens import (
     LAKES,
     MATCHERS,
@@ -45,3 +52,40 @@ def test_warm_memo_reproduces_frozen_output(goldens):
     matcher = MATCHERS["coma"]()
     for lake in ("credit", "covertype", "credit"):
         assert match_cells(lake_profiles(lake), matcher) == goldens[f"{lake}/coma"]
+
+
+_REMOTE = """
+import json
+from repro.datasets import make_wide_lake
+from repro.discovery import LazoMatcher
+from repro.graph import DatasetRelationGraph
+from tests.discovery.coma_goldens import _generate
+drg = DatasetRelationGraph.from_discovery(make_wide_lake(16).tables, LazoMatcher())
+print(json.dumps({"goldens": _generate(), "lazo": drg.edge_fingerprint()}))
+"""
+
+
+class TestHashSeed:
+    def test_matching_is_independent_of_pythonhashseed(self, goldens):
+        # Sketches and table unions are frozensets of strings, whose
+        # iteration order follows PYTHONHASHSEED; no score or edge may.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        root = str(Path(__file__).resolve().parents[2])
+        runs = []
+        for seed in ("0", "4242"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join((src, root)),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", _REMOTE],
+                capture_output=True,
+                env=env,
+                timeout=300,
+                check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        for run in runs:
+            assert run["goldens"] == goldens
+        assert runs[0]["lazo"] and runs[0]["lazo"] == runs[1]["lazo"]

@@ -1,8 +1,12 @@
 """Unit tests for the Lazo-style LSH matcher and the distribution matcher."""
 
+import importlib.util
+import types
+
 import numpy as np
 import pytest
 
+import repro.discovery
 from repro.dataframe import Column, Table
 from repro.discovery import (
     DistributionMatcher,
@@ -11,6 +15,8 @@ from repro.discovery import (
     estimate_containment,
     quantile_similarity,
 )
+from repro.discovery.lsh import validate_banding
+from repro.discovery.profiles import MINHASH_PERMUTATIONS
 from repro.errors import DiscoveryError
 from repro.graph import DatasetRelationGraph
 
@@ -96,6 +102,46 @@ class TestMinhashContainmentRecall:
         assert float(np.mean(errors)) < 0.10
 
 
+class TestValidateBanding:
+    def test_full_signature_layout_ok(self):
+        validate_banding(16, 4)
+        validate_banding(1, MINHASH_PERMUTATIONS)
+        validate_banding(MINHASH_PERMUTATIONS, 1)
+
+    def test_oversized_layout_raises(self):
+        with pytest.raises(DiscoveryError):
+            validate_banding(13, 5)  # 65 > 64
+        with pytest.raises(DiscoveryError):
+            validate_banding(1000, 1000)
+
+    def test_degenerate_layouts_raise(self):
+        for bands, rows in ((0, 4), (4, 0), (-1, 4), (4, -1), (0, 0)):
+            with pytest.raises(DiscoveryError):
+                validate_banding(bands, rows)
+
+
+def test_discovery_surface_is_exact_matchers_only():
+    # Banding is LazoMatcher's own scoring recipe: the package has no
+    # blocking index, no candidate wrapper and no recall report.
+    public = {
+        name
+        for name, value in vars(repro.discovery).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(repro.discovery.__all__) == {
+        "ColumnMatch", "ColumnProfile", "ComaMatcher", "DistributionMatcher",
+        "IncrementalMatchIndex", "LazoMatcher", "MatchCounters",
+        "MutationReport", "QuantileSketch", "TableProfile",
+        "ValueOverlapMatcher", "estimate_containment", "instance_similarity",
+        "jaro_winkler_similarity", "levenshtein_similarity", "minhash_jaccard",
+        "ngram_similarity", "numeric_range_overlap", "profile_column",
+        "profile_table", "quantile_similarity", "sketch_containment",
+        "sketch_jaccard", "token_similarity", "tokenize_identifier",
+        "validate_banding",
+    }
+    assert importlib.util.find_spec("repro.discovery.index") is None
+
+
 class TestLazoMatcher:
     def test_finds_shared_key(self, tables):
         matches = LazoMatcher().match(*tables)
@@ -125,8 +171,6 @@ class TestLazoMatcher:
             LazoMatcher(bands=0)
 
     def test_banding_boundary_layouts(self, tables):
-        from repro.discovery.profiles import MINHASH_PERMUTATIONS
-
         # Exactly-full layouts are legal and usable end to end.
         for bands, rows in (
             (16, 4),

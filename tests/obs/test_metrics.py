@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.discovery import CandidateStats, MatchCounters
+from repro.discovery import MatchCounters
 from repro.engine import ExecutionStats, FailureReport
 from repro.engine.faults import FailureRecord
 from repro.obs import Counter, MetricsRegistry
@@ -146,9 +146,7 @@ def records(cls):
     )
 
 
-@pytest.mark.parametrize(
-    "cls", [ExecutionStats, SelectionStats, CandidateStats, MatchCounters]
-)
+@pytest.mark.parametrize("cls", [ExecutionStats, SelectionStats, MatchCounters])
 class TestCounterRecords:
     """Every stats record gets its plumbing from ``CounterRecord``."""
 

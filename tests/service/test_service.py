@@ -6,6 +6,7 @@ surgical invalidation on mutation, per-request manifests, and the
 service-level gauges.
 """
 
+import inspect
 import threading
 
 import pytest
@@ -122,6 +123,15 @@ class TestRequests:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ServiceError):
             DiscoveryService(_lake(), matcher=chain_matcher, n_workers=0)
+
+    def test_no_recall_floor_parameter(self):
+        # Every pair is scored exactly, so there is no recall to audit.
+        assert list(inspect.signature(DiscoveryService).parameters) == [
+            "tables", "matcher", "threshold", "config", "n_workers",
+            "enable_result_cache",
+        ]
+        with pytest.raises(TypeError):
+            DiscoveryService(_lake(), **{"candidate_min_" "recall": 1.0})
 
     def test_request_error_surfaces_through_future(self, service):
         with pytest.raises(Exception):
@@ -265,6 +275,11 @@ class TestObservability:
         service.discover("base", "label", config=short)
         service.drop_table("far")
         stats = service.stats()
+        assert set(stats) == {
+            "snapshot_version", "n_tables", "n_relationships", "cached_results",
+            "hop_cache", "hop_cache_entries", "hop_cache_hit_rate",
+            "selection_memo", "match_index", "metrics",
+        }
         assert stats["snapshot_version"] == 1
         assert stats["n_tables"] == 3
         assert stats["cached_results"] == 1  # far is out of the 1-hop radius
