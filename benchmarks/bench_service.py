@@ -10,8 +10,9 @@ hop-index building across requests.  Three segments:
   (result cache + shared hop cache);
 * **mutation** — one ``update_table`` applied incrementally vs a cold
   full rebuild of the post-mutation lake, then one re-run past the result
-  cache, answered through the selection memo (its hit ratio is printed
-  next to the warm/cold gate and the re-run joins the parity gate).
+  cache, answered through the outcome memo (the hit ratios of its
+  ``selection`` and ``train`` namespaces are printed after the warm/cold
+  gate and the re-run joins the parity gate).
 
 Two gates are enforced and recorded:
 
@@ -160,16 +161,19 @@ def main(argv: list[str] | None = None) -> int:
         service.drg.edge_fingerprint() == rebuilt.edge_fingerprint()
     )
 
-    # -- re-run past the result cache: the selection memo answers -----------
+    # -- re-run past the result cache: the outcome memo answers -------------
     # (the mutation re-registered identical rows, so the cold run still
-    # describes the lake and every selection step recurs byte for byte)
+    # describes the lake and every selection step and fit recurs byte for
+    # byte)
     rerun = service.augment(bundle.base_name, bundle.label_column, use_cache=False)
     parity = parity and fingerprint(rerun.result) == fingerprint(cold)
 
     speedup = cold_seconds / max(warm_median, 1e-9)
     stats = service.stats()
-    memo = stats["selection_memo"]
-    memo_hit_ratio = memo["hits"] / max(1, memo["hits"] + memo["misses"])
+    memo_hit_ratios = {
+        namespace: counters["hits"] / max(1, counters["hits"] + counters["misses"])
+        for namespace, counters in stats["memo"].items()
+    }
     service.close()
 
     summary = {
@@ -188,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         "speedup_gate": SPEEDUP_GATE,
         "all_warm_requests_cache_hits": all_warm_hits,
         "warm_cold_parity": parity,
-        "selection_memo_hit_ratio": round(memo_hit_ratio, 4),
+        "memo_hit_ratios": {k: round(v, 4) for k, v in memo_hit_ratios.items()},
         "mutation": {
             "kind": report.kind,
             "table": report.table,
@@ -215,10 +219,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"warm priming       {priming_seconds:8.3f}s  (service, cold caches)")
     print(
         f"warm request       {warm_median:8.6f}s  median of {N_WARM_REQUESTS} "
-        f"(speedup {speedup:.0f}x, gate {SPEEDUP_GATE:.0f}x; selection memo "
-        f"{memo['hits']} hits / {memo['misses']} misses = {memo_hit_ratio:.0%} "
-        f"over priming + one uncached re-run)"
+        f"(speedup {speedup:.0f}x, gate {SPEEDUP_GATE:.0f}x)"
     )
+    for namespace, counters in stats["memo"].items():
+        print(
+            f"{namespace + ' memo':<18} {counters['hits']} hits / "
+            f"{counters['misses']} misses = {memo_hit_ratios[namespace]:.0%} "
+            f"over priming + one uncached re-run"
+        )
     print(
         f"mutation           {mutation_seconds:8.3f}s  incremental vs "
         f"{rebuild_seconds:.3f}s cold rebuild "

@@ -7,7 +7,8 @@ Builds the workload exactly as ``benchmarks/e2e/run.py`` does (its
 ``workloads.py`` is imported, not copied), runs one warm-up op, prints the
 min / median wall time of 5 untraced ops, then a cProfile of one more op
 sorted by cumulative and by own time and, for ``service_mixed``, the
-selection memo's hits / misses over the profiled block; for a workload that
+outcome memo's hits / misses per namespace (``selection``, ``train``) over
+the profiled block; for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
@@ -104,12 +105,13 @@ def main() -> int:
     stats.strip_dirs()
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
-    if memo_after:
-        hits, misses = (memo_after[k] - memo_before[k] for k in ("hits", "misses"))
+    for namespace, after in memo_after.items():
+        before = memo_before[namespace]
+        hits, misses = (after[k] - before[k] for k in ("hits", "misses"))
         print(
-            f"selection memo, profiled block: {hits} hits / {misses} misses "
-            f"({hits / max(1, hits + misses):.0%}), {memo_after['entries']} entries, "
-            f"{memo_after['evictions']} evictions"
+            f"{namespace} memo, profiled block: {hits} hits / {misses} misses "
+            f"({hits / max(1, hits + misses):.0%}), {after['entries']} entries, "
+            f"{after['evictions']} evictions"
         )
     if workload.match_in_op:
         print(_overlap_gate_line(lake))
@@ -117,8 +119,8 @@ def main() -> int:
 
 
 def _memo_counters(workload, state) -> dict:
-    """The service's selection-memo counters ({} for a library workload)."""
-    return state.service.stats()["selection_memo"] if workload.service else {}
+    """The service's memo counters per namespace ({} for a library workload)."""
+    return state.service.stats()["memo"] if workload.service else {}
 
 
 def _overlap_gate_line(lake) -> str:

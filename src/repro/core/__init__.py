@@ -19,7 +19,8 @@ from .navigation import (
 from .pruning import completeness, passes_quality, similarity_pruned_count
 from .ranking import compute_ranking_score, normalised_sum
 from .result import AugmentationResult, DiscoveryResult, RankedPath, TrainedPath
-from .streaming import SelectionMemo, StageOutcome, StreamingFeatureSelector
+from .memo import MemoCounters, OutcomeMemo
+from .streaming import StageOutcome, StreamingFeatureSelector
 from .tuning import AutoFeatTuner, TuningOutcome, TuningTrial
 
 __all__ = [
@@ -37,7 +38,8 @@ __all__ = [
     "TrainedPath",
     "AugmentationResult",
     "StreamingFeatureSelector",
-    "SelectionMemo",
+    "MemoCounters",
+    "OutcomeMemo",
     "StageOutcome",
     "compute_ranking_score",
     "normalised_sum",

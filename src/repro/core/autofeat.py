@@ -64,7 +64,7 @@ class AutoFeat:
         config: AutoFeatConfig | None = None,
         hop_hook=None,
         hop_cache=None,
-        selection_memo=None,
+        memo=None,
     ):
         self.drg = drg
         self.config = config or AutoFeatConfig()
@@ -78,10 +78,11 @@ class AutoFeat:
         #: invalidates per-table on mutation); only per-run cache
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
-        #: Optional service-owned :class:`~repro.core.SelectionMemo`: a
-        #: selection step whose exact input bytes an earlier run scored is
-        #: answered from it (DESIGN.md §12).  ``None`` hashes nothing.
-        self.selection_memo = selection_memo
+        #: Optional service-owned :class:`~repro.core.OutcomeMemo`: a
+        #: selection step, or a top-k fit run in this process, whose exact
+        #: input bytes an earlier run saw is answered from it (DESIGN.md
+        #: §12).  ``None`` hashes nothing.
+        self.memo = memo
 
     def _executor(
         self, tracer: Tracer, run_deadline: float | None, faults: FaultManager
@@ -284,8 +285,8 @@ class AutoFeat:
                 label = sample.column(label_column).to_float()
 
                 selector = StreamingFeatureSelector(config, label)
-                if self.selection_memo is not None:
-                    selector.use_memo(self.selection_memo)
+                if self.memo is not None:
+                    selector.use_memo(self.memo)
                 base_features = [n for n in sample.column_names if n != label_column]
                 if base_features:
                     with tracer.span("selection", batch="seed"):
@@ -400,7 +401,7 @@ class AutoFeat:
                                 batch = selector.process_batch(
                                     candidates, joined.numeric_matrix(candidates)
                                 )
-                            if tracer.enabled and self.selection_memo is not None:
+                            if tracer.enabled and self.memo is not None:
                                 span.attrs["memo_hit"] = selector.memo_hit
                             score = compute_ranking_score(
                                 batch.relevance_scores, batch.redundancy_scores
@@ -517,7 +518,8 @@ class AutoFeat:
         back in ranked order: trained paths, failure records and the
         best-path tie-break (first index wins on equal accuracy) consume
         outcomes one at a time, so the result is bit-identical across
-        backends.
+        backends.  With a memo, ``serial`` units answer a fit whose exact
+        arguments an earlier run trained on from it.
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
@@ -553,6 +555,8 @@ class AutoFeat:
         # trained paths rather than starting units that would only abort.
         budget_exhausted = budget.expired()
         top = [] if budget_exhausted else list(discovery.top(config.top_k))
+        # The memo cannot be pickled: pool units train as if there were none.
+        memo = self.memo if executor.backend == "serial" else None
         try:
             with tracer.span(
                 "train", base=discovery.base_table, model=model_name
@@ -566,6 +570,7 @@ class AutoFeat:
                         label_column=discovery.label_column,
                         model_name=model_name,
                         seed=config.seed,
+                        memo=memo,
                     )
                     for index, ranked in enumerate(top)
                 ]

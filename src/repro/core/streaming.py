@@ -40,15 +40,13 @@ bit-identical across backends.  The selector itself needs no locks.
 **Cross-run memo**: one ``process_batch`` step is a pure function of
 (config, label, the features accepted so far, the batch), so a long-lived
 owner (:class:`repro.service.DiscoveryService`) may share one
-:class:`SelectionMemo`, keyed by a digest of exactly those bytes, between
-its runs (DESIGN.md §12).  Without a memo the selector hashes nothing.
+:class:`~repro.core.memo.OutcomeMemo`, keyed in its ``selection``
+namespace by a digest of exactly those bytes, between its runs
+(DESIGN.md §12).  Without a memo the selector hashes nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,22 +57,9 @@ from ..selection.kernels import SelectionCodeCache, batch_redundancy_scores
 from ..selection.select_k_best import select_k_best
 from ..selection.stats import SelectionStats
 from .config import AutoFeatConfig
+from .memo import OutcomeMemo, digest
 
-__all__ = ["SelectionMemo", "StageOutcome", "StreamingFeatureSelector"]
-
-#: Entries a :class:`SelectionMemo` keeps (LRU); each is a few hundred
-#: bytes — names, floats and column positions, never a matrix.
-SELECTION_MEMO_ENTRIES = 4096
-
-
-def _digest(*parts) -> bytes:
-    """128-bit blake2b of length-prefixed ``parts`` (bytes or C arrays)."""
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        view = memoryview(part)
-        h.update(view.nbytes.to_bytes(8, "little"))
-        h.update(view)
-    return h.digest()
+__all__ = ["StageOutcome", "StreamingFeatureSelector"]
 
 
 @dataclass(frozen=True)
@@ -95,42 +80,6 @@ class StageOutcome:
         return bool(self.relevant_names) and not self.accepted_names
 
 
-class SelectionMemo:
-    """Bounded, thread-safe map from a :meth:`StreamingFeatureSelector
-    .process_batch` input digest to what that step returned.
-
-    An entry is ``(StageOutcome, SelectionStats delta, accepted column
-    positions)``.  The key is a digest of the bytes the step reads, so an
-    entry can never go stale and there is nothing to invalidate; two
-    threads racing one key both compute and store the same value.
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[bytes, tuple] = OrderedDict()
-        self._lock = threading.Lock()
-        self._counts = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def get(self, key: bytes) -> tuple | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            self._counts["misses" if entry is None else "hits"] += 1
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: bytes, entry: tuple) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            while len(self._entries) > SELECTION_MEMO_ENTRIES:
-                self._entries.popitem(last=False)
-                self._counts["evictions"] += 1
-
-    def counters(self) -> dict[str, int]:
-        """Lifetime ``hits`` / ``misses`` / ``evictions`` and live ``entries``."""
-        with self._lock:
-            return {**self._counts, "entries": len(self._entries)}
-
-
 class StreamingFeatureSelector:
     """Stateful two-stage selector shared by a whole discovery run."""
 
@@ -144,22 +93,23 @@ class StreamingFeatureSelector:
         self._selected_set: set[str] = set()
         self._counters = SelectionStats()
         self._code_cache = SelectionCodeCache(label, self._counters)
-        self._memo: SelectionMemo | None = None
+        self._memo: OutcomeMemo | None = None
         #: With a memo: digest of all a batch's outcome depends on besides
         #: the batch — config, label, accepted ``(name, column)`` in order.
         self._state: bytes | None = None
         #: Whether the last ``process_batch`` was answered from the memo.
         self.memo_hit = False
 
-    def use_memo(self, memo: SelectionMemo) -> None:
-        """Serve repeated ``(state, batch)`` inputs from ``memo``; call
-        before anything is accepted.  The whole config snapshot is hashed,
-        so a future field can never produce a stale hit."""
+    def use_memo(self, memo: OutcomeMemo) -> None:
+        """Serve repeated ``(state, batch)`` inputs from ``memo``'s
+        ``selection`` namespace; call before anything is accepted.  The
+        whole config snapshot is hashed, so a future field can never
+        produce a stale hit."""
         if self._selected_names:
             raise SelectionError("use_memo must precede seed_with/process_batch")
         self._memo = memo
         snapshot = repr(sorted(config_snapshot(self._config).items()))
-        self._state = _digest(snapshot.encode(), self._label)
+        self._state = digest(snapshot.encode(), self._label)
 
     @property
     def selected_names(self) -> list[str]:
@@ -185,7 +135,7 @@ class StreamingFeatureSelector:
         self._code_cache.add(column)
         if self._state is not None:
             column = np.ascontiguousarray(column)
-            self._state = _digest(self._state, name.encode(), column)
+            self._state = digest(self._state, name.encode(), column)
 
     def seed_with(self, names: list[str], matrix: np.ndarray) -> None:
         """Initialise the selected set with the base table's features."""
@@ -224,14 +174,14 @@ class StreamingFeatureSelector:
         key = entry = None
         if self._memo is not None:
             encoded = (name.encode() for name in names)
-            key = _digest(self._state, *encoded, np.ascontiguousarray(matrix))
-            entry = self._memo.get(key)
+            key = digest(self._state, *encoded, np.ascontiguousarray(matrix))
+            entry = self._memo.get("selection", key)
             self.memo_hit = entry is not None
         if entry is None:
             delta = SelectionStats(batches_scored=1)
             entry = (*self._score(names, matrix, delta), delta)
             if key is not None:
-                self._memo.put(key, entry)
+                self._memo.put("selection", key, entry)
         outcome, positions, delta = entry
         live = vars(self._counters)
         for field, value in vars(delta).items():

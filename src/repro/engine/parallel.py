@@ -155,6 +155,10 @@ class PathTask:
     label_column: str
     model_name: str
     seed: int = 0
+    #: The coordinator's :class:`~repro.core.OutcomeMemo`, or None.  A
+    #: memo holds a lock and cannot be pickled, so only units that run in
+    #: the coordinator's process (``serial``) ever carry one.
+    memo: object | None = None
 
     #: Full-table materialisation failing after the sampled discovery pass
     #: succeeded is a failure, not pruning: both families are managed.
@@ -165,9 +169,14 @@ class PathTask:
         return {"base": self.base_name, "path": self.path}
 
     def run(self, engine: JoinEngine, attempt: int = 0) -> tuple[Table, float, int]:
-        """Materialise and train: ``(table, accuracy, n_features_used)``."""
+        """Materialise and train: ``(table, accuracy, n_features_used)``.
+
+        With a memo, a fit whose exact arguments an earlier unit trained
+        on is answered from its ``train`` namespace; a unit that faults
+        before the fit stores nothing.
+        """
         # Lazy import: repro.ml is a heavier dependency the hop path never needs.
-        from ..ml import evaluate_accuracy
+        from ..ml import evaluate_accuracy, fit_key
 
         base = engine.drg.table(self.base_name)
         base_features = [n for n in base.column_names if n != self.label_column]
@@ -177,14 +186,20 @@ class PathTask:
             features = base_features + [
                 f for f in self.selected_features if f in table
             ]
-            with tracer.span("evaluate", model=self.model_name, features=len(features)):
-                accuracy = evaluate_accuracy(
-                    table,
-                    self.label_column,
-                    model_name=self.model_name,
-                    feature_names=features,
-                    seed=self.seed,
-                )
+            fit = (table, self.label_column, self.model_name, features, self.seed)
+            with tracer.span(
+                "evaluate", model=self.model_name, features=len(features)
+            ) as span:
+                key = accuracy = None
+                if self.memo is not None:
+                    key = fit_key(*fit)
+                    accuracy = self.memo.get("train", key)
+                    if tracer.enabled:
+                        span.attrs["memo_hit"] = accuracy is not None
+                if accuracy is None:
+                    accuracy = evaluate_accuracy(*fit)
+                    if key is not None:
+                        self.memo.put("train", key, accuracy)
         return table, accuracy, len(features)
 
 

@@ -13,6 +13,7 @@ from .automl import (
     AutoTabularPredictor,
     EvaluationResult,
     evaluate_accuracy,
+    fit_key,
 )
 from .encoding import TabularEncoder, encode_labels
 from .forest import ExtraTreesClassifier, RandomForestClassifier
@@ -45,6 +46,7 @@ __all__ = [
     "AutoTabularPredictor",
     "EvaluationResult",
     "evaluate_accuracy",
+    "fit_key",
     "MODEL_REGISTRY",
     "TREE_MODELS",
     "NON_TREE_MODELS",

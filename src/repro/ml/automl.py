@@ -5,7 +5,8 @@ data encoding and hyper-parameter tuning".  :class:`AutoTabularPredictor`
 is that layer: give it a Table and a label column, it encodes features,
 stratified-splits, fits the requested model from the registry and reports
 test accuracy.  :func:`evaluate_accuracy` is the one-call form every
-experiment in the benchmark harness uses.
+experiment in the benchmark harness uses; :func:`fit_key` is its content
+address, the key a long-lived owner memoises fits under.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..dataframe import Table, train_test_split_indices
+from ..core.memo import digest
+from ..dataframe import Column, DType, Table, train_test_split_indices
 from ..errors import ModelError
 from .encoding import TabularEncoder, encode_labels
 from .forest import ExtraTreesClassifier, RandomForestClassifier
@@ -31,6 +33,7 @@ __all__ = [
     "AutoTabularPredictor",
     "EvaluationResult",
     "evaluate_accuracy",
+    "fit_key",
 ]
 
 MODEL_REGISTRY: dict[str, Callable[[int], object]] = {
@@ -165,3 +168,41 @@ def evaluate_accuracy(
     """Convenience: one 80/20 evaluation, returning only the accuracy."""
     predictor = AutoTabularPredictor(model_name=model_name, seed=seed)
     return predictor.evaluate(table, label_column, feature_names).accuracy
+
+
+def fit_key(
+    table: Table,
+    label_column: str,
+    model_name: str = "lightgbm",
+    feature_names: list[str] | None = None,
+    seed: int = 0,
+) -> bytes:
+    """Content address of :func:`evaluate_accuracy` on the same arguments.
+
+    The fit reads the model name, the seed, the resolved feature names in
+    order and the dtype, value and mask bytes of those columns and of the
+    label, so the digest covers exactly that (DESIGN.md §12).  The
+    parameters must stay :func:`evaluate_accuracy`'s: a new training
+    input joins both signatures at once.
+    """
+    features = AutoTabularPredictor._feature_list(table, label_column, feature_names)
+    parts = [model_name.encode(), str(seed).encode()]
+    for name in features:
+        parts.append(name.encode())
+        parts.extend(_column_parts(table.column(name)))
+    parts.extend(_column_parts(table.column(label_column)))
+    return digest(*parts)
+
+
+def _column_parts(column: Column) -> list:
+    """Dtype, mask and value bytes of ``column``; strings as UTF-8 behind
+    their lengths, so no two different columns give the same parts."""
+    head = [column.dtype.value.encode(), np.ascontiguousarray(column.mask)]
+    if column.dtype is not DType.STRING:
+        return head + [np.ascontiguousarray(column.values)]
+    encoded = [
+        ("" if v is None else v).encode("utf-8", "surrogatepass")
+        for v in column.values
+    ]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return head + [lengths, b"".join(encoded)]

@@ -11,8 +11,9 @@ to feature discovery:
   snapshot), one long-lived single-flight
   :class:`~repro.engine.HopCache` shared into every run's
   :class:`~repro.engine.JoinEngine`, one content-addressed
-  :class:`~repro.core.SelectionMemo` of streaming-selection outcomes
-  (keyed by the bytes a step reads, so mutations never touch it), and a
+  :class:`~repro.core.OutcomeMemo` of streaming-selection and top-k fit
+  outcomes (keyed by the bytes a step reads, so mutations never touch
+  it), and a
   result cache of whole :class:`~repro.core.DiscoveryResult` /
   ``AugmentationResult`` objects;
 * **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
@@ -44,7 +45,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from ..core import AutoFeat, AutoFeatConfig, SelectionMemo
+from ..core import AutoFeat, AutoFeatConfig, OutcomeMemo
 from ..core.result import AugmentationResult, DiscoveryResult
 from ..dataframe import Table
 from ..discovery import IncrementalMatchIndex, MutationReport
@@ -212,7 +213,7 @@ class DiscoveryService:
         self.config = config or AutoFeatConfig()
         self.index = IncrementalMatchIndex(tables, matcher=matcher, threshold=threshold)
         self.hop_cache = HopCache()
-        self.selection_memo = SelectionMemo()
+        self.memo = OutcomeMemo()
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()
@@ -416,8 +417,9 @@ class DiscoveryService:
             self.registry.counter("service.requests_budget_exhausted").inc()
         self._count_cache(cache_hit)
         memo_gauges = {
-            f"service.selection_memo_{name}": value
-            for name, value in self.selection_memo.counters().items()
+            f"service.memo_{namespace}_{name}": value
+            for namespace, counters in self.memo.counters().items()
+            for name, value in counters.as_dict().items()
         }
         for name, value in memo_gauges.items():
             self.registry.gauge(name).set(value)
@@ -444,7 +446,7 @@ class DiscoveryService:
             snapshot.drg,
             request.config,
             hop_cache=self.hop_cache,
-            selection_memo=self.selection_memo,
+            memo=self.memo,
         )
         if request.kind == "discover":
             return autofeat.discover(request.base, request.label)
@@ -615,7 +617,10 @@ class DiscoveryService:
             "hop_cache": self.hop_cache.counters(),
             "hop_cache_entries": len(self.hop_cache),
             "hop_cache_hit_rate": round(self.hop_cache.hit_rate, 6),
-            "selection_memo": self.selection_memo.counters(),
+            "memo": {
+                namespace: counters.as_dict()
+                for namespace, counters in self.memo.counters().items()
+            },
             "match_index": self.index.counters.as_dict(),
             "metrics": self.registry.as_dict(),
         }

@@ -1,13 +1,15 @@
 """The selection-outcome memo: a selector with a memo ≡ one without.
 
 One ``process_batch`` step is a pure function of (config, label, accepted
-features, batch), so a :class:`SelectionMemo` keyed by a digest of those
-bytes may be shared by any number of selectors — different configs,
+features, batch), so an :class:`OutcomeMemo` keyed by a digest of those
+bytes in its ``selection`` namespace may be shared by any number of selectors — different configs,
 different labels — without one ever answering for another.
 """
 
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,10 +19,15 @@ from hypothesis import strategies as st
 from repro.core import (
     AutoFeat,
     AutoFeatConfig,
-    SelectionMemo,
+    MemoCounters,
+    OutcomeMemo,
     StreamingFeatureSelector,
+    autofeat_augment,
 )
+from repro.core import memo as memo_module
 from repro.core import streaming
+from repro import ml
+from repro.ml import automl
 from repro.errors import SelectionError
 
 N_ROWS = 60
@@ -84,7 +91,7 @@ class TestMemoEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(run_strategy, min_size=2, max_size=6))
     def test_shared_memo_never_changes_an_answer(self, runs):
-        memo = SelectionMemo()
+        memo = OutcomeMemo()
         # Forwards then backwards: every run meets its own entries again,
         # with the other configs' and labels' entries in between.
         for config_idx, label_idx, seeded, batches in runs + runs[::-1]:
@@ -94,7 +101,7 @@ class TestMemoEquivalence:
             assert _play(memoised, seeded, batches) == _play(plain, seeded, batches)
 
     def test_a_repeated_run_is_all_hits(self):
-        memo = SelectionMemo()
+        memo = OutcomeMemo()
         batches = [[("t.a", 0), ("t.b", 1)], [("u.a", 2), ("u.a", 4)], [("t.a", 0)]]
         answers = []
         for _ in range(2):
@@ -103,14 +110,14 @@ class TestMemoEquivalence:
             answers.append(_play(selector, True, batches))
             assert selector.memo_hit is bool(len(answers) == 2)
         assert answers[0] == answers[1]
-        assert memo.counters() == {
-            "hits": 3, "misses": 3, "entries": 3, "evictions": 0,
-        }
+        assert memo.counters()["selection"] == MemoCounters(
+            hits=3, misses=3, entries=3, evictions=0
+        )
 
     def test_rejected_batches_do_not_move_the_state(self):
         # State, not history: a batch that accepted nothing leaves the
         # digest alone, so the batch after it still hits.
-        memo = SelectionMemo()
+        memo = OutcomeMemo()
         noise = np.ones((N_ROWS, 1))  # constant: zero relevance
         first = StreamingFeatureSelector(CONFIGS[0], LABELS[0])
         first.use_memo(memo)
@@ -125,7 +132,7 @@ class TestMemoEquivalence:
         selector = StreamingFeatureSelector(CONFIGS[0], LABELS[0])
         selector.seed_with(["base.x"], COLUMNS[1].reshape(-1, 1))
         with pytest.raises(SelectionError):
-            selector.use_memo(SelectionMemo())
+            selector.use_memo(OutcomeMemo())
 
 
 #: One valid other value per config field: whatever differs must miss.
@@ -146,7 +153,7 @@ class TestMemoIsolation:
     BATCHES = [[("t.a", 0), ("t.b", 1)], [("u.a", 2)]]
 
     def _warm(self):
-        memo = SelectionMemo()
+        memo = OutcomeMemo()
         selector = StreamingFeatureSelector(AutoFeatConfig(), LABELS[0])
         selector.use_memo(memo)
         _play(selector, True, self.BATCHES)
@@ -160,7 +167,7 @@ class TestMemoIsolation:
         selector = StreamingFeatureSelector(AutoFeatConfig(), LABELS[0].copy())
         selector.use_memo(memo)
         _play(selector, True, self.BATCHES)
-        assert memo.counters()["hits"] == len(self.BATCHES)
+        assert memo.counters()["selection"].hits == len(self.BATCHES)
 
     @pytest.mark.parametrize("field", sorted(OTHER_VALUE))
     def test_any_differing_config_field_misses(self, field):
@@ -170,7 +177,7 @@ class TestMemoIsolation:
         selector = StreamingFeatureSelector(config, LABELS[0])
         selector.use_memo(memo)
         _play(selector, True, self.BATCHES)
-        assert memo.counters()["hits"] == 0
+        assert memo.counters()["selection"].hits == 0
 
     def test_a_different_label_misses(self):
         memo = self._warm()
@@ -179,29 +186,82 @@ class TestMemoIsolation:
         selector = StreamingFeatureSelector(AutoFeatConfig(), label)
         selector.use_memo(memo)
         _play(selector, True, self.BATCHES)
-        assert memo.counters()["hits"] == 0
+        assert memo.counters()["selection"].hits == 0
 
     def test_a_different_seed_column_misses(self):
         memo = self._warm()
         selector = StreamingFeatureSelector(AutoFeatConfig(), LABELS[0])
         selector.use_memo(memo)
         _play(selector, False, self.BATCHES)
-        assert memo.counters()["hits"] == 0
+        assert memo.counters()["selection"].hits == 0
 
 
 class TestMemoBound:
     def test_least_recently_used_entry_goes_first(self, monkeypatch):
-        monkeypatch.setattr(streaming, "SELECTION_MEMO_ENTRIES", 2)
-        memo = SelectionMemo()
+        monkeypatch.setattr(memo_module, "MEMO_ENTRIES", 2)
+        memo = OutcomeMemo()
         for key in (b"a", b"b"):
-            memo.put(key, (key,))
-        assert memo.get(b"a") == (b"a",)
-        memo.put(b"c", (b"c",))
-        assert memo.get(b"b") is None
-        assert memo.get(b"a") is not None and memo.get(b"c") is not None
-        assert memo.counters() == {
-            "hits": 3, "misses": 1, "entries": 2, "evictions": 1,
-        }
+            memo.put("selection", key, (key,))
+        assert memo.get("selection", b"a") == (b"a",)
+        memo.put("selection", b"c", (b"c",))
+        assert memo.get("selection", b"b") is None
+        assert memo.get("selection", b"a") and memo.get("selection", b"c")
+        assert memo.counters()["selection"] == MemoCounters(
+            hits=3, misses=1, entries=2, evictions=1
+        )
+
+    def test_each_namespace_has_its_own_bound(self, monkeypatch):
+        # One block's selection churn cannot evict fit outcomes.
+        monkeypatch.setattr(memo_module, "MEMO_ENTRIES", 2)
+        memo = OutcomeMemo()
+        memo.put("train", b"fit", 0.75)
+        for key in (b"a", b"b", b"c", b"d"):
+            memo.put("selection", key, (key,))
+        assert memo.get("train", b"fit") == 0.75
+        counters = memo.counters()
+        assert counters["selection"] == MemoCounters(entries=2, evictions=2)
+        assert counters["train"] == MemoCounters(hits=1, entries=1)
+
+
+class TestMemoUnderThreads:
+    def test_no_lookup_or_store_is_lost(self, monkeypatch):
+        # More threads than cores, switching every microsecond: every get
+        # is counted once and the bound holds in both namespaces.
+        monkeypatch.setattr(memo_module, "MEMO_ENTRIES", 8)
+        memo = OutcomeMemo()
+        n_threads, rounds = 6, 400
+        barrier = threading.Barrier(n_threads)
+
+        def work(seed):
+            barrier.wait(timeout=10)
+            for i in range(rounds):
+                namespace = ("selection", "train")[(seed + i) % 2]
+                key = bytes([(seed * 7 + i // 2) % 12])
+                if memo.get(namespace, key) is None:
+                    memo.put(namespace, key, (namespace, key))
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(n_threads)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counters = memo.counters()
+        gets = n_threads * rounds
+        assert sum(c.hits + c.misses for c in counters.values()) == gets
+        for namespace, c in counters.items():
+            assert c.entries == 8
+            # Each miss stores once; a store of a live key adds no entry.
+            assert c.entries + c.evictions <= c.misses
+            assert all(
+                memo.get(namespace, bytes([k])) in (None, (namespace, bytes([k])))
+                for k in range(12)
+            )
 
 
 class TestLibraryPathHashesNothing:
@@ -221,8 +281,19 @@ class TestLibraryPathHashesNothing:
         def boom(*args, **kwargs):
             raise AssertionError("the memo-less path computed a digest")
 
-        monkeypatch.setattr(streaming, "_digest", boom)
         monkeypatch.setattr(hashlib, "blake2b", boom)
-        config = dataclasses.replace(CONFIG, enable_tracing=False)
+        for module in (memo_module, streaming, automl):
+            monkeypatch.setattr(module, "digest", boom)
+        for module in (automl, ml):
+            monkeypatch.setattr(module, "fit_key", boom)
+        config = dataclasses.replace(CONFIG, enable_tracing=False, top_k=2)
         found = AutoFeat(drg, config).discover("base", "label")
         assert found.selection_stats.batches_scored > 0
+        # Training too: the library's augment, on both backends, and the
+        # one-call wrapper fit without ever keying a fit.
+        for backend in ("serial", "processes"):
+            run = dataclasses.replace(config, parallel_backend=backend, max_workers=2)
+            result = AutoFeat(drg, run).augment("base", "label", "knn")
+            assert result.trained and result.best is not None
+        wrapped = autofeat_augment(drg, "base", "label", config, model_name="knn")
+        assert wrapped.trained

@@ -1,6 +1,7 @@
 """Unit tests for column profiling."""
 
 import hashlib
+import sys
 import threading
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from repro import DiscoveryService
 from repro.dataframe import Column, DType, Table
+from repro.datasets import make_wide_lake
 from repro.discovery import (
     ComaMatcher,
     IncrementalMatchIndex,
+    LazoMatcher,
     ValueOverlapMatcher,
     profile_column,
     profile_table,
@@ -287,3 +290,73 @@ class TestLazySignature:
         # would be >= 3 x 50 000 x ~28 bytes = 4 MB.
         assert retained < 200_000
         assert all(c.source is table.column(c.column_name) for c in profile.columns)
+
+
+class TestRacingSharedMatchers:
+    """Two threads race the first read of a memoised profile field through
+    one shared matcher, then build the DRG with it.  The fields are
+    ``cached_property`` with no lock of ours: computing twice is allowed,
+    a different value — or a different DRG — is not."""
+
+    @staticmethod
+    def _race(first_reads, build):
+        barrier = threading.Barrier(2)
+        seen, errors = [], []
+
+        def run():
+            try:
+                barrier.wait(timeout=10)
+                values = first_reads()
+                seen.append((values, build().edge_fingerprint()))
+            except BaseException as exc:  # re-raised on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        return seen
+
+    def test_minhash_through_a_shared_lazo_matcher(self):
+        tables = make_wide_lake(12, n_rows=200).tables
+        matcher = LazoMatcher()
+        columns = [c for t in tables for c in matcher._profiles(t).columns]
+        assert not any("minhash" in vars(c) for c in columns)
+        seen = self._race(
+            lambda: [c.minhash for c in columns],
+            lambda: DatasetRelationGraph.from_discovery(tables, matcher),
+        )
+        fresh = LazoMatcher()
+        expected = [c.minhash for t in tables for c in fresh._profiles(t).columns]
+        single = DatasetRelationGraph.from_discovery(tables, fresh).edge_fingerprint()
+        assert single
+        for values, fingerprint in seen:
+            assert len(values) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(values, expected))
+            assert fingerprint == single
+
+    def test_sketch_tokens_through_a_shared_coma_matcher(self):
+        tables = make_wide_lake(12, n_rows=200).tables
+        matcher = ComaMatcher()
+        table_profiles = [matcher._profiles(t) for t in tables]
+        assert not any("sketch_tokens" in vars(p) for p in table_profiles)
+        seen = self._race(
+            lambda: [p.sketch_tokens for p in table_profiles],
+            lambda: DatasetRelationGraph.from_discovery(tables, matcher),
+        )
+        fresh = ComaMatcher()
+        expected = [fresh._profiles(t).sketch_tokens for t in tables]
+        single = DatasetRelationGraph.from_discovery(tables, fresh).edge_fingerprint()
+        assert single
+        for values, fingerprint in seen:
+            assert values == expected
+            assert fingerprint == single

@@ -14,12 +14,18 @@ scores, same selected features, same failure reports.  Two layers pin it:
   drawn lake topologies and seeds, including runs under fault injection.
 """
 
+import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import datalake_drg
 from repro.engine import FaultInjector
@@ -213,3 +219,47 @@ class TestAugmentParity:
                 "failures": result.failure_report.records,
             }
         assert outputs["processes"] == outputs["serial"]
+
+
+#: A slice of the golden matrix: every lake, fault mode and budget at
+#: (bfs, seed 0) and (dfs, seed 1) — unbudgeted cells run augment("knn").
+HASH_SEED_SLICE = [
+    key for key in cell_keys() if key.split("/")[1:3] in (["bfs", "0"], ["dfs", "1"])
+]
+
+_REMOTE = """
+import json, sys
+from tests.core.driver_goldens import run_cell
+keys = json.loads(sys.argv[1])
+print(json.dumps({b: {k: run_cell(k, b) for k in keys} for b in ("serial", "processes")}))
+"""
+
+
+class TestHashSeed:
+    def test_driver_is_independent_of_pythonhashseed(self):
+        # Sets of strings iterate in PYTHONHASHSEED order; no ranking,
+        # score, trained accuracy or failure record may follow it.
+        assert any(key.endswith("/clean/unbudgeted") for key in HASH_SEED_SLICE)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        root = str(Path(__file__).resolve().parents[2])
+        for seed in ("0", "4242"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join((src, root)),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", _REMOTE, json.dumps(HASH_SEED_SLICE)],
+                capture_output=True,
+                env=env,
+                timeout=600,
+                check=True,
+            )
+            cells = json.loads(done.stdout)
+            for backend in BACKENDS:
+                mismatched = [
+                    key
+                    for key in HASH_SEED_SLICE
+                    if cells[backend][key] != expected_cell(key, backend)
+                ]
+                assert mismatched == [], (seed, backend)

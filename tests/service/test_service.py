@@ -278,8 +278,11 @@ class TestObservability:
         assert set(stats) == {
             "snapshot_version", "n_tables", "n_relationships", "cached_results",
             "hop_cache", "hop_cache_entries", "hop_cache_hit_rate",
-            "selection_memo", "match_index", "metrics",
+            "memo", "match_index", "metrics",
         }
+        assert set(stats["memo"]) == {"selection", "train"}
+        for counters in stats["memo"].values():
+            assert set(counters) == {"hits", "misses", "entries", "evictions"}
         assert stats["snapshot_version"] == 1
         assert stats["n_tables"] == 3
         assert stats["cached_results"] == 1  # far is out of the 1-hop radius
