@@ -1,4 +1,4 @@
-.PHONY: check test trace-smoke exp-smoke bench-e2e-smoke bench-service bench-anytime
+.PHONY: check test bench-e2e-smoke bench-service bench-anytime
 
 # The tier-1 tests (once), the smoke-mode micro-benches (which write no
 # tracked file), the trace / experiment smokes and the end-to-end benchmark
@@ -8,17 +8,6 @@ check:
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-# Observability smoke: traced diamond-lake run, manifest schema validation,
-# chrome-trace export, obs CLI, and the <2% disabled-tracer overhead gate.
-trace-smoke:
-	PYTHONPATH=src python scripts/trace_smoke.py
-
-# End-to-end experiment-orchestration smoke: runs experiments/smoke.json
-# against a scratch store (2 baseline sweeps, clean diff gate, kill/resume
-# with exact fingerprint counters, injected-slowdown regression flag).
-exp-smoke:
-	scripts/exp_smoke.sh
 
 # End-to-end benchmark smoke (BENCHMARK.json's command on tiny lakes, every
 # correctness gate, ~25 s, writes no tracked file) plus its contract tests,

@@ -1,16 +1,15 @@
-"""Shared helpers for the figure/table benchmarks.
+"""Shared helpers for the two micro-benches (``bench_service`` / ``bench_anytime``).
 
-Each benchmark regenerates one paper artefact, prints the rows and also
-persists them under ``benchmarks/results/`` so the output survives
-pytest's output capture (EXPERIMENTS.md is written from these files).
-Every ``BENCH_*.json`` summary also embeds the run manifests of the runs
-behind its figures, so a summary certifies *how* its numbers were
-produced (config, seed, dataset fingerprint, per-stage timings).
+Every ``BENCH_*.json`` summary embeds the run manifests of the runs behind
+its numbers, so a summary certifies *how* its numbers were produced
+(config, seed, dataset fingerprint, per-stage timings).  The paper tables
+and figures are not here: ``python -m repro.bench <id>`` is their one
+entry point.
 
 The manifest/summary gates themselves live in
 :mod:`repro.bench.manifests` (shared with the harness and the experiment
 store); this module re-exports them for the ``bench_*`` scripts plus the
-benchmark-only output helpers.
+summary-path helper.
 """
 
 from __future__ import annotations
@@ -21,12 +20,8 @@ from pathlib import Path
 
 from repro.bench.manifests import (  # noqa: F401  (re-exported for bench_* scripts)
     assert_no_failures,
-    manifest_problems,
-    require_valid_manifest,
     write_summary,
 )
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def summary_path(tracked: Path, smoke: bool) -> Path:
@@ -42,19 +37,3 @@ def summary_path(tracked: Path, smoke: bool) -> Path:
     scratch = tempfile.TemporaryDirectory(prefix="repro-bench-smoke-")
     atexit.register(scratch.cleanup)
     return Path(scratch.name) / tracked.name
-
-
-def emit(name: str, text: str) -> None:
-    """Print a rendered table and persist it to benchmarks/results/."""
-    print(f"\n{text}\n")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def run_once(benchmark, fn):
-    """Time ``fn`` exactly once through pytest-benchmark.
-
-    These experiments take seconds to minutes; repeated rounds would add
-    nothing but wall-clock, so every figure benchmark is pedantic(1, 1).
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

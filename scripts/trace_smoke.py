@@ -12,8 +12,8 @@ observability contract end to end:
    timing-only spans, scaled to this run's span count, stays under 2% of
    the traced wall time.
 
-Exits non-zero on the first violated invariant.  Run via ``make
-trace-smoke`` or ``scripts/check.sh``.
+Exits non-zero on the first violated invariant.  Run with
+``PYTHONPATH=src python scripts/trace_smoke.py`` or ``scripts/check.sh``.
 """
 
 import json

@@ -17,9 +17,7 @@ comparison depends on them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core.navigation import ucb_score
+from ..core.navigation import UcbArm
 from ..engine import (
     DEFAULT_ERROR_BUDGET,
     DEFAULT_MAX_RETRIES,
@@ -32,24 +30,6 @@ from ..obs import Tracer, build_manifest
 from .common import BaselineResult
 
 __all__ = ["run_mab"]
-
-
-@dataclass
-class _Arm:
-    """One candidate (source table, target table) join action."""
-
-    source: str
-    target: str
-    pulls: int = 0
-    total_reward: float = 0.0
-
-    def ucb(self, total_pulls: int, exploration: float) -> float:
-        # Shared UCB1 with the navigation frontier: unpulled arms score
-        # +inf (cold-start optimism) and the bonus uses log(total+1), so
-        # it is strictly positive from the first pull — the previous
-        # log(max(total, 1)) form zeroed the bonus while total_pulls <= 1
-        # and collapsed early tie-breaking onto one-sample means.
-        return ucb_score(self.pulls, self.total_reward, total_pulls, exploration)
 
 
 def _same_name_options(drg: DatasetRelationGraph, source: str, target: str):
@@ -97,7 +77,7 @@ def run_mab(
     base = drg.table(base_name)
     joined: list[str] = []
 
-    def candidate_arms() -> list[_Arm]:
+    def candidate_arms() -> list[UcbArm]:
         sources = [base_name] + joined
         arms = []
         for source in sources:
@@ -105,7 +85,7 @@ def run_mab(
                 if target == base_name or target in joined:
                     continue
                 if _same_name_options(drg, source, target):
-                    arms.append(_Arm(source=source, target=target))
+                    arms.append(UcbArm(key=(source, target)))
         return arms
 
     with tracer.span("mab", base=base_name, model=model_name) as root:
@@ -116,7 +96,7 @@ def run_mab(
             )
 
         arms = candidate_arms()
-        arm_index = {(a.source, a.target): a for a in arms}
+        arm_index = {a.key: a for a in arms}
         total_pulls = 0
 
         while total_pulls < budget and arm_index:
@@ -127,10 +107,10 @@ def run_mab(
                 enumerate(arm_index.values()),
                 key=lambda pair: (pair[1].ucb(total_pulls, exploration), -pair[0]),
             )[1]
+            source, target = arm.key
             total_pulls += 1
-            arm.pulls += 1
-            options = _same_name_options(drg, arm.source, arm.target)
-            with tracer.span("pull", source=arm.source, target=arm.target):
+            options = _same_name_options(drg, source, target)
+            with tracer.span("pull", source=source, target=target):
                 result = None
                 if options:
                     result = faults.execute(
@@ -141,9 +121,9 @@ def run_mab(
                         edge=options[0],
                     )
                 if result is None:
-                    tracer.event("arm_retired", target=arm.target)
-                    arm.total_reward -= 0.01
-                    del arm_index[(arm.source, arm.target)]
+                    tracer.event("arm_retired", target=target)
+                    arm.pull(-0.01)
+                    del arm_index[arm.key]
                     continue
                 candidate_table, __ = result
                 with tracer.span("evaluate", model=model_name):
@@ -151,17 +131,17 @@ def run_mab(
                         candidate_table, label_column, model_name, seed=seed
                     )
             reward = acc - current_acc
-            arm.total_reward += reward
+            arm.pull(reward)
             if reward > 0.0:
                 current = candidate_table
                 current_acc = acc
-                joined.append(arm.target)
-                del arm_index[(arm.source, arm.target)]
+                joined.append(target)
+                del arm_index[arm.key]
                 for fresh in candidate_arms():
-                    arm_index.setdefault((fresh.source, fresh.target), fresh)
+                    arm_index.setdefault(fresh.key, fresh)
             elif arm.pulls >= 2:
                 # Two unrewarding pulls: retire the arm.
-                del arm_index[(arm.source, arm.target)]
+                del arm_index[arm.key]
 
     # Every pull — joined, failed or retired — is selection work.
     fs_seconds = tracer.total_seconds("pull")

@@ -1,20 +1,21 @@
 """One function per paper table/figure (the per-experiment index of DESIGN.md).
 
 Each function returns plain dict rows ready for
-:func:`repro.bench.reporting.format_table`; the ``benchmarks/`` pytest
-files are thin wrappers that time these functions and print their output.
+:func:`repro.bench.reporting.format_table`; ``python -m repro.bench``
+renders them and checks their paper shape.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ..core import AutoFeat, AutoFeatConfig
 from ..datasets import DATASETS, LakeBundle, build_dataset
 from ..graph import join_all_path_count
-from ..ml import TabularEncoder, evaluate_accuracy
+from ..ml import evaluate_accuracy
 from ..selection import greedy_select, relevance_scores
 from ..dataframe import Table
 from .harness import BenchProfile, build_setting, compare_methods
@@ -163,41 +164,28 @@ def fig3b_redundancy_comparison(
 # -- Figures 4-7: the main comparisons -------------------------------------------
 
 
+NONTREE_MODELS = ("knn", "linear_l1")
+
+
 def fig4_benchmark_setting(profile: BenchProfile | None = None) -> list[dict]:
     """Benchmark setting, tree models: runtime split + accuracy per method."""
-    return compare_methods(profile or BenchProfile.from_env(), "benchmark")
+    return compare_methods(profile or BenchProfile.quick(), "benchmark")
 
 
 def fig5_nontree_benchmark(profile: BenchProfile | None = None) -> list[dict]:
     """Benchmark setting with KNN and logistic-L1."""
-    profile = profile or BenchProfile.from_env()
-    profile = BenchProfile(
-        datasets=profile.datasets,
-        models=("knn", "linear_l1"),
-        methods=profile.methods,
-        mab_budget=profile.mab_budget,
-        seed=profile.seed,
-        config=profile.config,
-    )
+    profile = replace(profile or BenchProfile.quick(), models=NONTREE_MODELS)
     return compare_methods(profile, "benchmark")
 
 
 def fig6_datalake_setting(profile: BenchProfile | None = None) -> list[dict]:
     """Data-lake setting (COMA edges at 0.55), tree models."""
-    return compare_methods(profile or BenchProfile.from_env(), "datalake")
+    return compare_methods(profile or BenchProfile.quick(), "datalake")
 
 
 def fig7_nontree_datalake(profile: BenchProfile | None = None) -> list[dict]:
     """Data-lake setting with KNN and logistic-L1."""
-    profile = profile or BenchProfile.from_env()
-    profile = BenchProfile(
-        datasets=profile.datasets,
-        models=("knn", "linear_l1"),
-        methods=profile.methods,
-        mab_budget=profile.mab_budget,
-        seed=profile.seed,
-        config=profile.config,
-    )
+    profile = replace(profile or BenchProfile.quick(), models=NONTREE_MODELS)
     return compare_methods(profile, "datalake")
 
 

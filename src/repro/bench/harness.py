@@ -8,7 +8,6 @@ result row per (dataset, method, model).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..baselines import (
@@ -47,26 +46,12 @@ class BenchProfile:
         return BenchProfile(datasets=("credit", "eyemove", "steel"))
 
     @staticmethod
-    def wide() -> "BenchProfile":
-        """All eight Table II datasets with the two boosted models."""
-        return BenchProfile(datasets=tuple(dataset_names()))
-
-    @staticmethod
     def full() -> "BenchProfile":
         """The whole Table II matrix with all four tree models."""
         return BenchProfile(
             datasets=tuple(dataset_names()),
             models=("lightgbm", "xgboost", "random_forest", "extra_trees"),
         )
-
-    @staticmethod
-    def from_env() -> "BenchProfile":
-        """Profile selection: ``REPRO_BENCH_FULL=1`` > ``REPRO_BENCH_WIDE=1`` > quick."""
-        if os.environ.get("REPRO_BENCH_FULL", "") == "1":
-            return BenchProfile.full()
-        if os.environ.get("REPRO_BENCH_WIDE", "") == "1":
-            return BenchProfile.wide()
-        return BenchProfile.quick()
 
 
 def build_setting(bundle: LakeBundle, setting: str) -> DatasetRelationGraph:

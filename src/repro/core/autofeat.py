@@ -107,7 +107,6 @@ class AutoFeat:
         return PathExecutor(
             engine,
             backend=config.parallel_backend,
-            max_workers=config.max_workers,
             trace_spans=tracer.enabled,
             attempts=faults.attempts,
         )
@@ -131,11 +130,7 @@ class AutoFeat:
             config.budget_seconds, config.max_hops, deadline=deadline
         )
         strategy = config.frontier_strategy if budget.active else "fifo"
-        policy = (
-            UcbFrontierPolicy(config.frontier_exploration)
-            if strategy == "ucb"
-            else None
-        )
+        policy = UcbFrontierPolicy() if strategy == "ucb" else None
         frontier = NavigationFrontier(
             traversal=config.traversal, strategy=strategy, policy=policy
         )

@@ -4,13 +4,13 @@ The two headline knobs are τ — the data-quality (completeness) threshold of
 the pruning rule — and κ — the maximum number of features the relevance
 analysis keeps per table.  The paper recommends τ = 0.65 and κ = 15
 (Section VII-B/VII-D); the ablation study of Figure 9 is expressed here via
-``relevance_metric`` / ``redundancy_method`` / ``use_relevance`` /
-``use_redundancy``.
+``relevance_metric`` / ``redundancy_method``, where ``None`` turns a stage
+off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..engine.faults import (
     DEFAULT_ERROR_BUDGET,
@@ -19,7 +19,7 @@ from ..engine.faults import (
 )
 from ..engine.parallel import PARALLEL_BACKENDS
 from ..errors import ConfigError
-from .navigation import DEFAULT_FRONTIER_EXPLORATION, FRONTIER_STRATEGIES
+from .navigation import FRONTIER_STRATEGIES
 from ..selection.redundancy import REDUNDANCY_METHODS
 from ..selection.relevance import RELEVANCE_METRICS
 
@@ -49,11 +49,9 @@ class AutoFeatConfig:
         Hop budget for the BFS traversal of the DRG.
     relevance_metric / redundancy_method:
         Metric names from :mod:`repro.selection`; Spearman + MRMR is the
-        published AutoFeat configuration.
-    use_relevance / use_redundancy:
-        Ablation switches.  Turning a stage off passes every candidate
-        feature straight through it (Figure 9's "Spearman-only" and
-        "MRMR-only" variants).
+        published AutoFeat configuration.  ``None`` turns that stage off:
+        every candidate feature passes straight through it (Figure 9's
+        "MRMR-only" and "Spearman-only" variants).
     sample_size:
         Stratified-sample size of the base table used during feature
         selection (training always sees the full table).
@@ -99,10 +97,9 @@ class AutoFeatConfig:
         selection, ranking, frontier growth, failure policy) advances
         only at those merge points — so this knob trades wall time,
         never correctness.  The pool wins on the training wave and loses
-        on discovery hops; DESIGN.md §11 has the measured numbers.
-    max_workers:
-        Worker-process count under ``"processes"`` (None = the CPUs the
-        process may run on; ignored under ``serial``).
+        on discovery hops; DESIGN.md §11 has the measured numbers.  The
+        pool has one worker per CPU the process may run on (its affinity
+        mask, :func:`repro.engine.resolve_max_workers`).
     enable_tracing:
         Record the run's hierarchical timing tree
         (``discover > hop > join / selection``) through
@@ -134,8 +131,8 @@ class AutoFeatConfig:
         Unbudgeted runs always traverse in canonical order regardless —
         every path is explored anyway and canonical order is what keeps
         results bit-identical to the reference traversal (DESIGN.md §14).
-    frontier_exploration:
-        UCB1 exploration constant of the ``"ucb"`` frontier strategy.
+        The UCB1 exploration constant is
+        :data:`~repro.core.navigation.DEFAULT_FRONTIER_EXPLORATION`.
     seed:
         Seed for sampling and join-representative choices.
     """
@@ -145,10 +142,8 @@ class AutoFeatConfig:
     min_relevance: float = 0.01
     top_k: int = 4
     max_path_length: int = 3
-    relevance_metric: str = "spearman"
-    redundancy_method: str = "mrmr"
-    use_relevance: bool = True
-    use_redundancy: bool = True
+    relevance_metric: str | None = "spearman"
+    redundancy_method: str | None = "mrmr"
     sample_size: int = 1000
     traversal: str = "bfs"
     failure_policy: str = "skip_and_record"
@@ -157,12 +152,10 @@ class AutoFeatConfig:
     hop_timeout_seconds: float | None = None
     max_hop_output_rows: int | None = None
     parallel_backend: str = "serial"
-    max_workers: int | None = None
     enable_tracing: bool = True
     budget_seconds: float | None = None
     max_hops: int | None = None
     frontier_strategy: str = "ucb"
-    frontier_exploration: float = DEFAULT_FRONTIER_EXPLORATION
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -187,10 +180,13 @@ class AutoFeatConfig:
                 f"traversal must be 'bfs' or 'dfs', got {self.traversal!r}"
             )
         valid_relevance = set(RELEVANCE_METRICS) | {"relief"}
-        if self.relevance_metric not in valid_relevance:
+        if (
+            self.relevance_metric is not None
+            and self.relevance_metric not in valid_relevance
+        ):
             raise ConfigError(
                 f"unknown relevance metric {self.relevance_metric!r}; "
-                f"expected one of {sorted(valid_relevance)}"
+                f"expected one of {sorted(valid_relevance)} or None"
             )
         if self.failure_policy not in FAILURE_POLICIES:
             raise ConfigError(
@@ -218,10 +214,6 @@ class AutoFeatConfig:
                 f"unknown parallel backend {self.parallel_backend!r}; "
                 f"expected one of {list(PARALLEL_BACKENDS)}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigError(
-                f"max_workers must be >= 1 or None, got {self.max_workers}"
-            )
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ConfigError(
                 f"budget_seconds must be positive or None, "
@@ -236,15 +228,13 @@ class AutoFeatConfig:
                 f"unknown frontier strategy {self.frontier_strategy!r}; "
                 f"expected one of {list(FRONTIER_STRATEGIES)}"
             )
-        if self.frontier_exploration < 0:
-            raise ConfigError(
-                f"frontier_exploration must be >= 0, "
-                f"got {self.frontier_exploration}"
-            )
-        if self.redundancy_method not in REDUNDANCY_METHODS:
+        if (
+            self.redundancy_method is not None
+            and self.redundancy_method not in REDUNDANCY_METHODS
+        ):
             raise ConfigError(
                 f"unknown redundancy method {self.redundancy_method!r}; "
-                f"expected one of {sorted(REDUNDANCY_METHODS)}"
+                f"expected one of {sorted(REDUNDANCY_METHODS)} or None"
             )
 
     def with_overrides(self, **kwargs) -> "AutoFeatConfig":
@@ -266,8 +256,8 @@ class AutoFeatConfig:
                 "relevance_metric": "pearson",
                 "redundancy_method": "jmi",
             },
-            "spearman-only": {"use_redundancy": False},
-            "mrmr-only": {"use_relevance": False},
+            "spearman-only": {"redundancy_method": None},
+            "mrmr-only": {"relevance_metric": None},
         }
         if name not in presets:
             raise ConfigError(

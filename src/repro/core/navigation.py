@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..obs.metrics import MetricsRegistry
@@ -117,16 +117,10 @@ class UcbArm:
     join actions and the navigation frontier's per-target-table arms.
     """
 
-    key: str = ""
-    #: Stable insertion index — the deterministic tie-break among arms
-    #: with equal (possibly infinite) UCB scores: earliest wins.
-    order: int = 0
+    #: The target table (frontier) or ``(source, target)`` pair (MAB).
+    key: str | tuple[str, str] = ""
     pulls: int = 0
     total_reward: float = 0.0
-
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.pulls if self.pulls else 0.0
 
     def pull(self, reward: float) -> None:
         """Record one pull of this arm with its observed reward."""
@@ -175,20 +169,20 @@ class UcbFrontierPolicy:
 
         entry.reward + arm(entry.path.terminal).ucb(total_pulls, c)
 
-    — the observed value of reaching the node plus optimism about tables
-    whose joins have been productive (or never tried: unpulled arms are
-    ``+inf``, so the root expands first and freshly-reached tables are
-    probed before well-known ones are milked).
+    (``c`` is :data:`DEFAULT_FRONTIER_EXPLORATION`) — the observed value
+    of reaching the node plus optimism about tables whose joins have been
+    productive (or never tried: unpulled arms are ``+inf``, so the root
+    expands first and freshly-reached tables are probed before well-known
+    ones are milked).
     """
 
-    def __init__(self, exploration: float = DEFAULT_FRONTIER_EXPLORATION):
-        self.exploration = exploration
+    def __init__(self):
         self.total_pulls = 0
         self._arms: dict[str, UcbArm] = {}
 
     def arm(self, table: str) -> UcbArm:
         if table not in self._arms:
-            self._arms[table] = UcbArm(key=table, order=len(self._arms))
+            self._arms[table] = UcbArm(key=table)
         return self._arms[table]
 
     def update(self, table: str, reward: float) -> None:
@@ -197,14 +191,10 @@ class UcbFrontierPolicy:
         self.total_pulls += 1
 
     def priority(self, entry: FrontierEntry) -> float:
-        terminal = entry.path.terminal
-        bonus = ucb_score(
-            self._arms[terminal].pulls if terminal in self._arms else 0,
-            self._arms[terminal].total_reward if terminal in self._arms else 0.0,
-            self.total_pulls,
-            self.exploration,
-        )
-        return entry.reward + bonus
+        # A table no hop has reached yet scores as an unpulled arm without
+        # being registered: ``n_arms`` counts pulled tables only.
+        arm = self._arms.get(entry.path.terminal) or UcbArm()
+        return entry.reward + arm.ucb(self.total_pulls, DEFAULT_FRONTIER_EXPLORATION)
 
     @property
     def n_arms(self) -> int:
@@ -344,16 +334,6 @@ class RunBudget:
         if self.max_hops is not None and hops_executed >= self.max_hops:
             return True
         return self.expired()
-
-    def hops_remaining(self, hops_executed: int) -> int | None:
-        if self.max_hops is None:
-            return None
-        return max(0, self.max_hops - hops_executed)
-
-    def remaining_seconds(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return self.deadline - time.monotonic()
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ class StreamingFeatureSelector:
         """Both stages on one batch, reading the selector but not changing
         it: the outcome and the ``matrix`` column of each accepted name."""
         config = self._config
-        if config.use_relevance:
+        if config.relevance_metric is not None:
             best = select_k_best(
                 matrix,
                 self._label,
@@ -226,7 +226,7 @@ class StreamingFeatureSelector:
             if name not in self._selected_set
         ]
         candidate_idx = [relevant_idx[i] for i in fresh]
-        if config.use_redundancy:
+        if config.redundancy_method is not None:
             scores = batch_redundancy_scores(
                 matrix[:, candidate_idx],
                 self._code_cache,

@@ -8,8 +8,8 @@ ranking itself* plus one cheap model evaluation per configuration on a
 sampled base table, so tuning cost stays far below a full wrapper search.
 
 Trials compose with the ``processes`` backend: every trial's discovery
-and top-1 training run through whatever ``parallel_backend`` /
-``max_workers`` the ``base_config`` carries, and because pool runs are
+and top-1 training run through whatever ``parallel_backend`` the
+``base_config`` carries, and because pool runs are
 bit-identical to serial (DESIGN.md §11) the grid picks the same winner
 either way — the backend only changes wall time.
 """

@@ -8,7 +8,6 @@ sampling, imputation and CSV I/O.
 
 from .column import Column, DType
 from .encoding import CODE_NULL, KeyDictionary, normalize_key
-from .expressions import Expression, col, where
 from .groupby import aggregate, distinct_count, group_indices, group_sizes, uniqueness
 from .impute import (
     impute_constant,
@@ -33,9 +32,6 @@ __all__ = [
     "Column",
     "DType",
     "Table",
-    "Expression",
-    "col",
-    "where",
     "JoinIndex",
     "KeyDictionary",
     "CODE_NULL",

@@ -207,15 +207,6 @@ class Table:
             {n: c.filter(keep) for n, c in self._columns.items()}, name=self._name
         )
 
-    def where(self, expression) -> "Table":
-        """Filter rows with a predicate built from :func:`repro.dataframe.col`.
-
-        Example::
-
-            table.where((col("age") >= 18) & col("region").isin([1, 2]))
-        """
-        return self.filter(expression.mask(self))
-
     def take(self, indices: np.ndarray | Sequence[int]) -> "Table":
         """Row gather by integer positions."""
         return Table(

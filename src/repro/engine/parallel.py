@@ -75,17 +75,15 @@ __all__ = [
 PARALLEL_BACKENDS = ("serial", "processes")
 
 
-def resolve_max_workers(backend: str, max_workers: int | None = None) -> int:
-    """The worker count a backend actually uses (``None`` = auto).
+def resolve_max_workers(backend: str) -> int:
+    """The worker count a backend uses.
 
-    ``serial`` is always 1; the automatic choice for ``processes`` is
-    the number of CPUs this process may run on (its affinity mask, which
-    honours cpusets and ``taskset``), not the machine's.
+    ``serial`` is always 1; ``processes`` gets one worker per CPU this
+    process may run on (its affinity mask, which honours cpusets and
+    ``taskset``), not one per CPU of the machine.
     """
     if backend == "serial":
         return 1
-    if max_workers is not None:
-        return max(1, max_workers)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -300,7 +298,6 @@ class PathExecutor:
         self,
         engine: JoinEngine,
         backend: str = "serial",
-        max_workers: int | None = None,
         trace_spans: bool = False,
         attempts: int = 1,
     ):
@@ -314,7 +311,7 @@ class PathExecutor:
         self.trace_spans = trace_spans
         #: Tries per unit (``FaultManager.attempts`` of the run's policy).
         self.attempts = attempts
-        self.workers_used = resolve_max_workers(backend, max_workers)
+        self.workers_used = resolve_max_workers(backend)
         self.busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
         self._pool: ProcessPoolExecutor | None = None

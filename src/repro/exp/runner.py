@@ -353,17 +353,21 @@ def run_experiment(
 def _run_pooled(pending, payload_for, settle, workers: int, timeout: float | None):
     """Pool scheduler: bounded in-flight set with per-future deadlines.
 
-    At most ``workers`` futures are in flight, so every submitted trial
+    At most ``workers`` futures occupy a worker, so every submitted trial
     starts immediately and its deadline can be measured from submission.
     Timed-out futures are abandoned (their worker finishes the trial and
-    the result is dropped); retries re-enter the queue.
+    the result is dropped) but keep counting against ``workers`` until
+    they finish: a trial submitted beside them would queue inside the
+    pool with its deadline already running.  Retries re-enter the queue.
     """
     queue = [_TrialState(t) for t in pending]
     pool = ProcessPoolExecutor(max_workers=workers)
     in_flight: dict = {}  # future -> (state, deadline)
+    abandoned: set = set()  # timed-out futures whose worker is still busy
     try:
         while queue or in_flight:
-            while queue and len(in_flight) < workers:
+            abandoned = {future for future in abandoned if not future.done()}
+            while queue and len(in_flight) + len(abandoned) < workers:
                 state = queue.pop(0)
                 state.attempts += 1
                 future = pool.submit(_execute_trial, payload_for(state))
@@ -382,6 +386,7 @@ def _run_pooled(pending, payload_for, settle, workers: int, timeout: float | Non
                 if deadline is not None and now > deadline and not future.done():
                     future.cancel()
                     in_flight.pop(future)
+                    abandoned.add(future)
                     payload = {
                         "status": "timeout",
                         "error_kind": "TrialTimeout",

@@ -22,7 +22,7 @@ The resulting tree is the timing backbone of a
 A disabled tracer keeps totals, not trees: :meth:`Tracer.span` returns a
 slotted timing-only span — two clock reads, no tree, no attrs, no events —
 that adds its duration into a per-name total, so the tracer is the run's
-only clock in both modes (the ``make trace-smoke`` gate asserts the
+only clock in both modes (``scripts/trace_smoke.py`` asserts the
 timing-only cost stays under 2% of discovery wall time).
 
 The module is dependency-free by design: it imports only :mod:`time`.

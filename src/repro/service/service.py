@@ -177,6 +177,10 @@ def _config_key(config: AutoFeatConfig) -> tuple:
 class DiscoveryService:
     """Long-lived feature-discovery server over a mutable lake.
 
+    Repeated identical queries are served from the warm result cache
+    (invalidated surgically on mutation); a request that passes
+    ``use_cache=False`` recomputes instead.
+
     Parameters
     ----------
     tables:
@@ -193,10 +197,6 @@ class DiscoveryService:
         their own.
     n_workers:
         Request-queue worker threads (concurrent requests in flight).
-    enable_result_cache:
-        Serve repeated identical queries from the warm result cache
-        (invalidated surgically on mutation).  Disable for strict
-        recompute-every-time semantics.
     """
 
     def __init__(
@@ -206,7 +206,6 @@ class DiscoveryService:
         threshold: float = 0.55,
         config: AutoFeatConfig | None = None,
         n_workers: int = 2,
-        enable_result_cache: bool = True,
     ):
         if n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
@@ -217,7 +216,6 @@ class DiscoveryService:
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()
-        self._enable_result_cache = enable_result_cache
         self._results: dict[tuple, CachedEntry] = {}
         self._results_lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -313,7 +311,7 @@ class DiscoveryService:
                 (model_name or "lightgbm") if kind == "augment" else None
             ),
             config=resolved,
-            use_cache=use_cache and self._enable_result_cache,
+            use_cache=use_cache,
             future=RequestFuture(),
         )
         self.registry.counter("service.requests_submitted").inc()

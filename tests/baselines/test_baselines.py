@@ -14,6 +14,7 @@ from repro.baselines import (
     run_join_all,
     run_mab,
 )
+from repro.core import UcbArm
 from repro.dataframe import Table
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
@@ -182,18 +183,14 @@ class TestMabUcbColdStart:
     """Regression for the UCB cold-start bug (shared ucb_score)."""
 
     def test_unpulled_arm_scores_infinite(self):
-        from repro.baselines.mab import _Arm
-
-        arm = _Arm(source="a", target="b")
+        arm = UcbArm(key=("a", "b"))
         assert arm.ucb(total_pulls=0, exploration=0.5) == float("inf")
         assert arm.ucb(total_pulls=50, exploration=0.5) == float("inf")
 
     def test_exploration_bonus_positive_after_first_pull(self):
-        from repro.baselines.mab import _Arm
-
         # The old log(max(total, 1)) form returned a bare one-sample
         # mean here (zero bonus while total_pulls <= 1).
-        arm = _Arm(source="a", target="b", pulls=1, total_reward=0.0)
+        arm = UcbArm(key=("a", "b"), pulls=1)
         assert arm.ucb(total_pulls=1, exploration=0.5) > 0.0
 
     def test_run_mab_deterministic_per_seed(self, lake):

@@ -1,8 +1,8 @@
 """Smoke tests for the figure-level experiment functions (tiny scales).
 
-The full experiments live in ``benchmarks/``; these assert the row
-contracts on the smallest possible inputs so harness regressions surface
-in the fast suite.
+The full experiments run through ``python -m repro.bench``; these assert
+the row contracts on the smallest possible inputs so harness regressions
+surface in the fast suite.
 """
 
 import pytest

@@ -102,12 +102,6 @@ class TestProfile:
         assert len(BenchProfile.full().datasets) == 8
         assert len(BenchProfile.full().models) == 4
 
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        assert len(BenchProfile.from_env().datasets) == 8
-        monkeypatch.delenv("REPRO_BENCH_FULL")
-        assert len(BenchProfile.from_env().datasets) == 3
-
 
 class TestHarness:
     def test_build_setting_variants(self):

@@ -210,7 +210,6 @@ def _autofeat(lake, traversal, seed, faults, budget, backend) -> AutoFeat:
         traversal=traversal,
         top_k=3,
         parallel_backend=backend,
-        max_workers=2,
         **overrides,
     )
     return AutoFeat(drg, config, hop_hook=injector)

@@ -82,22 +82,18 @@ class TestRunBudget:
         assert not budget.active
         assert not budget.expired()
         assert not budget.exhausted(10**9)
-        assert budget.hops_remaining(5) is None
-        assert budget.remaining_seconds() is None
 
     def test_hop_cap(self):
         budget = RunBudget.start(None, 3)
         assert budget.active
         assert not budget.exhausted(2)
         assert budget.exhausted(3)
-        assert budget.hops_remaining(1) == 2
-        assert budget.hops_remaining(7) == 0
+        assert budget.exhausted(7)
 
     def test_wall_clock(self):
         budget = RunBudget.start(1e-9, None)
         time.sleep(0.002)
         assert budget.expired() and budget.exhausted(0)
-        assert budget.remaining_seconds() < 0
         relaxed = RunBudget.start(3600.0, None)
         assert not relaxed.expired()
 
@@ -132,7 +128,7 @@ class TestNavigationFrontier:
             NavigationFrontier(strategy="greedy")
 
     def test_ucb_prefers_high_reward_then_canonical_order(self):
-        policy = UcbFrontierPolicy(exploration=0.5)
+        policy = UcbFrontierPolicy()
         frontier = NavigationFrontier(strategy="ucb", policy=policy)
         # Two arms with history: t1 productive, t2 not.
         policy.update("t1", 0.9)
@@ -143,7 +139,7 @@ class TestNavigationFrontier:
         assert frontier.pop().path.base == "t2"
 
     def test_ucb_ties_break_on_lowest_canonical_order(self):
-        policy = UcbFrontierPolicy(exploration=0.5)
+        policy = UcbFrontierPolicy()
         frontier = NavigationFrontier(strategy="ucb", policy=policy)
         # No arm has been pulled: every priority is +inf, so pops must
         # come back in canonical push order, not list position noise.
@@ -192,8 +188,6 @@ class TestNavigationStats:
             AutoFeatConfig(max_hops=-1)
         with pytest.raises(ConfigError, match="frontier strategy"):
             AutoFeatConfig(frontier_strategy="greedy")
-        with pytest.raises(ConfigError, match="frontier_exploration"):
-            AutoFeatConfig(frontier_exploration=-0.1)
 
 
 class TestRankingRegret:

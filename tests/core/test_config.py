@@ -45,6 +45,12 @@ class TestValidation:
     def test_relief_accepted_as_relevance(self):
         AutoFeatConfig(relevance_metric="relief")
 
+    def test_none_turns_a_stage_off(self):
+        assert AutoFeatConfig(relevance_metric=None).relevance_metric is None
+        assert AutoFeatConfig(redundancy_method=None).redundancy_method is None
+        both_off = AutoFeatConfig(relevance_metric=None, redundancy_method=None)
+        assert both_off != AutoFeatConfig()
+
     def test_threads_is_not_a_backend(self):
         with pytest.raises(ConfigError, match=r"\['serial', 'processes'\]"):
             AutoFeatConfig(parallel_backend="threads")
@@ -57,7 +63,27 @@ class TestValidation:
         """``AutoFeat(hop_hook=HopLatency(s))`` is the one spelling."""
         with pytest.raises(TypeError):
             AutoFeatConfig(hop_latency_seconds=0.0)
-        assert len(dataclasses.fields(AutoFeatConfig)) == 24
+        assert len(dataclasses.fields(AutoFeatConfig)) == 20
+
+    def test_frontier_exploration_is_not_a_field(self):
+        """The UCB1 constant is ``navigation.DEFAULT_FRONTIER_EXPLORATION``."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(frontier_exploration=0.5)
+
+    def test_max_workers_is_not_a_field(self):
+        """``processes`` sizes its pool from the CPU-affinity mask."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(max_workers=2)
+
+    def test_use_relevance_is_not_a_field(self):
+        """``relevance_metric=None`` turns the relevance stage off."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(use_relevance=False)
+
+    def test_use_redundancy_is_not_a_field(self):
+        """``redundancy_method=None`` turns the redundancy stage off."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(use_redundancy=False)
 
     @pytest.mark.parametrize(
         "knob", ["enable_sketch_index", "sketch_bands", "sketch_rows_per_band"]
@@ -94,8 +120,12 @@ class TestOverridesAndAblations:
         assert AutoFeatConfig.ablation("pearson-mrmr").relevance_metric == "pearson"
 
     def test_ablation_single_stage(self):
-        assert not AutoFeatConfig.ablation("spearman-only").use_redundancy
-        assert not AutoFeatConfig.ablation("mrmr-only").use_relevance
+        spearman_only = AutoFeatConfig.ablation("spearman-only")
+        assert spearman_only.redundancy_method is None
+        assert spearman_only.relevance_metric == "spearman"
+        mrmr_only = AutoFeatConfig.ablation("mrmr-only")
+        assert mrmr_only.relevance_metric is None
+        assert mrmr_only.redundancy_method == "mrmr"
 
     def test_ablation_extra_kwargs(self):
         assert AutoFeatConfig.ablation("spearman-jmi", seed=9).seed == 9

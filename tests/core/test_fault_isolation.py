@@ -264,7 +264,7 @@ class TestStreamingDedupeRegression:
         # a duplicate: the same qualified column offered by two paths was
         # accepted twice.
         selector, label = self._selector(
-            use_relevance=False, use_redundancy=False
+            relevance_metric=None, redundancy_method=None
         )
         matrix = np.column_stack([label, 1.0 - label])
         names = ["t.x", "t.y"]
@@ -287,7 +287,7 @@ class TestStreamingDedupeRegression:
 
     def test_is_selected_tracks_acceptance(self):
         selector, label = self._selector(
-            use_relevance=False, use_redundancy=False
+            relevance_metric=None, redundancy_method=None
         )
         assert not selector.is_selected("t.x")
         selector.process_batch(["t.x"], label.reshape(-1, 1))

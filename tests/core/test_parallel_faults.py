@@ -86,7 +86,6 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
         sample_size=200,
         seed=1,
         parallel_backend=backend,
-        max_workers=2,
         failure_policy=policy,
         max_retries=2,
         **overrides,
@@ -133,7 +132,7 @@ def test_error_budget_trips_exactly_once(drg, backend, policy):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_budget_trip_is_typed_and_catchable(drg, backend):
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend, max_workers=2,
+        sample_size=200, seed=1, parallel_backend=backend,
         failure_policy="skip_and_record", error_budget=0,
     )
     autofeat = AutoFeat(
@@ -178,7 +177,7 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
 
     monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend, max_workers=2,
+        sample_size=200, seed=1, parallel_backend=backend,
         failure_policy="skip_and_record",
     )
     with pytest.raises(RuntimeError, match="worker bug"):
@@ -188,7 +187,7 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
 def run_training(drg, backend):
     config = AutoFeatConfig(
         sample_size=200, seed=1, parallel_backend=backend,
-        max_workers=2, failure_policy="skip_and_record", top_k=3,
+        failure_policy="skip_and_record", top_k=3,
     )
     autofeat = AutoFeat(
         drg, config,
@@ -209,7 +208,7 @@ def test_training_phase_fault_parity(drg, backend):
 
 def hop_budget_run(drg, backend, **budget):
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend, max_workers=2,
+        sample_size=200, seed=1, parallel_backend=backend,
         failure_policy="retry", max_retries=2, **budget,
     )
     discovery = AutoFeat(drg, config).discover("base", "label")
@@ -250,9 +249,7 @@ class PidFault:
 
 
 def test_pool_workers_consult_the_hop_hook_themselves(drg):
-    config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend="processes", max_workers=2
-    )
+    config = AutoFeatConfig(sample_size=200, seed=1, parallel_backend="processes")
     discovery = AutoFeat(drg, config, hop_hook=PidFault()).discover("base", "label")
     records = discovery.failure_report.records
     assert len(records) == 2

@@ -54,8 +54,8 @@ CONFIGS = (
     AutoFeatConfig(),
     AutoFeatConfig(kappa=2),
     AutoFeatConfig(min_relevance=0.2),
-    AutoFeatConfig(use_redundancy=False),
-    AutoFeatConfig(use_relevance=False, kappa=3),
+    AutoFeatConfig(redundancy_method=None),
+    AutoFeatConfig(relevance_metric=None, kappa=3),
     AutoFeatConfig(relevance_metric="pearson", redundancy_method="jmi"),
 )
 
@@ -139,13 +139,12 @@ class TestMemoEquivalence:
 OTHER_VALUE = {
     "tau": 0.5, "kappa": 14, "min_relevance": 0.02, "top_k": 3,
     "max_path_length": 2, "relevance_metric": "pearson",
-    "redundancy_method": "jmi", "use_relevance": False,
-    "use_redundancy": False, "sample_size": 999, "traversal": "dfs",
+    "redundancy_method": "jmi", "sample_size": 999, "traversal": "dfs",
     "failure_policy": "retry", "error_budget": 7, "max_retries": 5,
     "hop_timeout_seconds": 9.0, "max_hop_output_rows": 10**6,
-    "parallel_backend": "processes", "max_workers": 1, "enable_tracing": False,
+    "parallel_backend": "processes", "enable_tracing": False,
     "budget_seconds": 60.0, "max_hops": 10**6, "frontier_strategy": "fifo",
-    "frontier_exploration": 0.25, "seed": 1,
+    "seed": 1,
 }
 
 
@@ -292,7 +291,7 @@ class TestLibraryPathHashesNothing:
         # Training too: the library's augment, on both backends, and the
         # one-call wrapper fit without ever keying a fit.
         for backend in ("serial", "processes"):
-            run = dataclasses.replace(config, parallel_backend=backend, max_workers=2)
+            run = dataclasses.replace(config, parallel_backend=backend)
             result = AutoFeat(drg, run).augment("base", "label", "knn")
             assert result.trained and result.best is not None
         wrapped = autofeat_augment(drg, "base", "label", config, model_name="knn")

@@ -108,14 +108,14 @@ class TestRedundancyStage:
 
 class TestAblationSwitches:
     def test_relevance_off_passes_everything_to_redundancy(self, label, features):
-        s = selector(label, use_relevance=False)
+        s = selector(label, relevance_metric=None)
         outcome = s.process_batch(["noise"], features["noise"].reshape(-1, 1))
         # Noise is not pruned by relevance; redundancy sees it (and may
         # accept it since nothing is selected yet).
         assert outcome.relevant_names == ("noise",)
 
     def test_redundancy_off_accepts_all_relevant(self, label, features):
-        s = selector(label, use_redundancy=False)
+        s = selector(label, redundancy_method=None)
         s.seed_with(["strong"], features["strong"].reshape(-1, 1))
         duplicate = features["strong"] + 0.001
         outcome = s.process_batch(["dup"], duplicate.reshape(-1, 1))

@@ -85,7 +85,6 @@ def _discover(drg, bundle, backend, *, config_seed=0, hop_hook=None, **overrides
         sample_size=120,
         seed=config_seed,
         parallel_backend=backend,
-        max_workers=2,
         **overrides,
     )
     autofeat = AutoFeat(drg, config, hop_hook=hop_hook)
@@ -203,7 +202,6 @@ class TestAugmentParity:
                 seed=0,
                 top_k=3,
                 parallel_backend=backend,
-                max_workers=2,
             )
             result = AutoFeat(drg, config).augment(
                 bundle.base_name, bundle.label_column, model_name="random_forest"
@@ -229,7 +227,10 @@ HASH_SEED_SLICE = [
 
 _REMOTE = """
 import json, sys
+from repro.engine import parallel
+from tests.conftest import two_workers
 from tests.core.driver_goldens import run_cell
+parallel.resolve_max_workers = two_workers
 keys = json.loads(sys.argv[1])
 print(json.dumps({b: {k: run_cell(k, b) for k in keys} for b in ("serial", "processes")}))
 """

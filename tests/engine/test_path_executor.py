@@ -129,7 +129,7 @@ class TestPoolHandOff:
 
         monkeypatch.setattr(JoinEngine, "apply_hop", first_unit_is_slowest)
         tasks = hop_tasks(drg)
-        with PathExecutor(JoinEngine(drg), backend=backend, max_workers=2) as executor:
+        with PathExecutor(JoinEngine(drg), backend=backend) as executor:
             outcomes = list(executor.run_hops(tasks))
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
         for task, outcome in zip(tasks, outcomes):
@@ -144,7 +144,7 @@ class TestPoolHandOff:
             raise RuntimeError("worker bug: corrupted index")
 
         monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
-        with PathExecutor(JoinEngine(drg), backend=backend, max_workers=2) as executor:
+        with PathExecutor(JoinEngine(drg), backend=backend) as executor:
             with pytest.raises(RuntimeError, match="worker bug"):
                 list(executor.run_hops(hop_tasks(drg)))
 
@@ -165,7 +165,7 @@ class TestPoolHandOff:
 
         monkeypatch.setattr(JoinEngine, "apply_hop", logged_slow_hop)
         tasks = hop_tasks(drg, n=16)
-        executor = PathExecutor(JoinEngine(drg), backend=backend, max_workers=2)
+        executor = PathExecutor(JoinEngine(drg), backend=backend)
         outcomes = executor.run_hops(tasks)
         next(outcomes)
         outcomes.close()
@@ -181,7 +181,6 @@ def test_auto_worker_count_follows_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert resolve_max_workers("processes") == 1
-    assert resolve_max_workers("processes", max_workers=3) == 3
     assert resolve_max_workers("serial") == 1
 
 
@@ -190,7 +189,7 @@ class TestPoolIsGoneWhenDiscoverEnds:
 
     def discover(self, drg, hop_hook=None, **overrides):
         config = AutoFeatConfig(
-            sample_size=100, parallel_backend="processes", max_workers=2, **overrides
+            sample_size=100, parallel_backend="processes", **overrides
         )
         before = set(multiprocessing.active_children())
         try:

@@ -5,6 +5,8 @@ sample_size=300) inline; the policy tests monkeypatch the worker entry
 point so every branch is exercised without touching the pipeline.
 """
 
+import time
+
 import pytest
 
 from repro.engine.faults import ErrorBudgetExceeded
@@ -16,6 +18,7 @@ from repro.exp import (
     run_experiment,
 )
 from repro.exp import runner as runner_module
+from repro.obs import build_manifest
 
 from .conftest import spec_dict
 
@@ -29,6 +32,14 @@ def ok_payload(valid_manifest: dict, *, wall: float = 0.01) -> dict:
         "manifest": valid_manifest,
         "stage_seconds": {"trial": wall},
     }
+
+
+def sleepy_trial(payload: dict) -> dict:
+    """Pool-worker stand-in for ``_execute_trial``: seed 1 overruns a 1 s
+    timeout, seed 2 finishes well inside it (module level: picklable)."""
+    time.sleep(2.5 if payload["trial"]["seed"] == 1 else 0.1)
+    manifest = build_manifest("trial", wall_seconds=0.01, seed=1).as_dict()
+    return ok_payload(manifest)
 
 
 FAILED_PAYLOAD = {
@@ -216,3 +227,16 @@ class TestPooledExecution:
         assert store.completed_fingerprints() == {
             t.fingerprint for t in unit_spec.trials()
         }
+
+    def test_timed_out_worker_still_counts_against_the_bound(
+        self, tmp_path, monkeypatch
+    ):
+        """The abandoned seed-1 trial keeps the only worker busy; seed 2
+        must wait for it rather than start its deadline in the pool queue."""
+        monkeypatch.setattr(runner_module, "_execute_trial", sleepy_trial)
+        store = ResultsStore(tmp_path)
+        spec = ExperimentSpec.from_dict(spec_dict(seeds=[1, 2]))
+        result = run_experiment(spec, store, workers=1, timeout_seconds=1)
+        statuses = {r.seed: r.status for r in store.records()}
+        assert statuses == {1: "timeout", 2: "ok"}
+        assert (result.n_timeout, result.n_ok) == (1, 1)

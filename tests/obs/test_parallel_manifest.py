@@ -68,7 +68,6 @@ def config(backend, **overrides):
         tau=0.0,
         top_k=2,
         parallel_backend=backend,
-        max_workers=2,
         **overrides,
     )
 

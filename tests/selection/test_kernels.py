@@ -430,7 +430,7 @@ class ScalarTwoStageSelector:
     stats = SelectionStats()
 
     def __init__(self, config, label):
-        assert config.use_relevance and config.use_redundancy
+        assert config.relevance_metric and config.redundancy_method
         self._config = config
         self._label = np.asarray(label, dtype=np.float64)
         self.selected_names = []

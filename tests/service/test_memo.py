@@ -156,7 +156,7 @@ class TestEveryResponseEqualsAColdRebuild:
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_both_backends_across_a_mutation(self, backend):
-        config = dataclasses.replace(CONFIG, parallel_backend=backend, max_workers=2)
+        config = dataclasses.replace(CONFIG, parallel_backend=backend)
         lake = initial_lake()
         with DiscoveryService(lake, config=config, n_workers=1) as service:
             before = [read(service, kind, config) for kind in ("discover", "augment")]
@@ -180,7 +180,7 @@ class TestEveryResponseEqualsAColdRebuild:
 #: Augment requests on a 240-row split lake whose top-3 paths train on
 #: three different matrices (redundancy off keeps every relevant feature).
 AUGMENT_CONFIG = AutoFeatConfig(
-    sample_size=120, top_k=3, use_redundancy=False, failure_policy="skip_and_record"
+    sample_size=120, top_k=3, redundancy_method=None, failure_policy="skip_and_record"
 )
 
 #: Faults the ``t_t01 -> t_t02`` hop, so one of the three top-k units of
@@ -263,7 +263,7 @@ class TestAugmentEqualsAColdRebuild:
         overrides, pipeline = self.CASES[case]
         base, label, lake = split_lake()
         config = dataclasses.replace(
-            AUGMENT_CONFIG, parallel_backend=backend, max_workers=2, **overrides
+            AUGMENT_CONFIG, parallel_backend=backend, **overrides
         )
         monkeypatch.setattr(service_module, "AutoFeat", pipeline)
         units = []
@@ -466,8 +466,8 @@ class TestWarmState:
 
 
 class TestNoNewKnob:
-    def test_config_still_has_24_fields(self):
-        assert len(dataclasses.fields(AutoFeatConfig)) == 24
+    def test_config_still_has_20_fields(self):
+        assert len(dataclasses.fields(AutoFeatConfig)) == 20
 
 
 def _walk(node):

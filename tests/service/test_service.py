@@ -125,13 +125,14 @@ class TestRequests:
             DiscoveryService(_lake(), matcher=chain_matcher, n_workers=0)
 
     def test_no_recall_floor_parameter(self):
-        # Every pair is scored exactly, so there is no recall to audit.
+        # Every pair is scored exactly, so there is no recall to audit;
+        # the result cache is always on (``use_cache=False`` per request).
         assert list(inspect.signature(DiscoveryService).parameters) == [
             "tables", "matcher", "threshold", "config", "n_workers",
-            "enable_result_cache",
         ]
-        with pytest.raises(TypeError):
-            DiscoveryService(_lake(), **{"candidate_min_" "recall": 1.0})
+        for gone in ("candidate_min_" "recall", "enable_result_cache"):
+            with pytest.raises(TypeError):
+                DiscoveryService(_lake(), **{gone: True})
 
     def test_request_error_surfaces_through_future(self, service):
         with pytest.raises(Exception):
