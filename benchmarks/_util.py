@@ -7,9 +7,8 @@ and figures are not here: ``python -m repro.bench <id>`` is their one
 entry point.
 
 The manifest/summary gates themselves live in
-:mod:`repro.bench.manifests` (shared with the harness and the experiment
-store); this module re-exports them for the ``bench_*`` scripts plus the
-summary-path helper.
+:mod:`repro.bench.manifests` (shared with the harness); this module
+re-exports them for the ``bench_*`` scripts plus the summary-path helper.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo-wide check: the tier-1 test suite (once), the legacy micro-benches
-# in smoke mode (each writes its summary to a temp dir), the trace and
-# experiment smokes and the end-to-end benchmark smoke.  Ends by
+# in smoke mode (each writes its summary to a temp dir), the trace smoke,
+# three paper-shape claim checks and the end-to-end benchmark smoke.
+# Performance is gated by benchmarks/e2e/compare.py, the paper by the
+# `python -m repro.bench` shape claims; there is no third gate.  Ends by
 # requiring `git status --porcelain` to read as it did at the start
 # (empty, on a committed tree): a check that dirties tracked files, or
 # leaves unignored ones behind, fails; then prints ROADMAP's three diet
@@ -28,11 +30,13 @@ echo "== observability smoke =="
 python scripts/trace_smoke.py
 
 echo
-echo "== experiment-orchestration smoke =="
-# experiments/smoke.json against a scratch store: two baseline sweeps, a
-# clean regression diff, kill/resume with exact fingerprint counters, and
-# an injected hop slowdown that must trip `diff --gate`.
-scripts/exp_smoke.sh
+echo "== paper-shape claims =="
+# Each prints its table and exits 1 naming any failed claim.  No --out,
+# so no tracked results file is written.  traversal runs AutoFeat's
+# augment end to end and checks bfs >= dfs - 0.05.
+python -m repro.bench table2
+python -m repro.bench eq3
+python -m repro.bench traversal
 
 echo
 echo "== end-to-end benchmark smoke =="

@@ -19,21 +19,13 @@ from .experiments import (
     traversal_ablation,
 )
 from .harness import ALL_METHODS, BenchProfile, average_by_method, build_setting, compare_methods
-from .manifests import (
-    assert_no_failures,
-    manifest_problems,
-    require_valid_manifest,
-    stage_seconds_of,
-    write_summary,
-)
-from .reporting import format_series, format_table, print_table, summarise
+from .manifests import assert_no_failures, require_valid_manifest, write_summary
+from .reporting import format_table, print_table
 
 __all__ = [
     "BenchProfile",
     "assert_no_failures",
-    "manifest_problems",
     "require_valid_manifest",
-    "stage_seconds_of",
     "write_summary",
     "compare_methods",
     "average_by_method",
@@ -41,8 +33,6 @@ __all__ = [
     "ALL_METHODS",
     "format_table",
     "print_table",
-    "format_series",
-    "summarise",
     "table2_overview",
     "fig3a_relevance_comparison",
     "fig3b_redundancy_comparison",

@@ -69,13 +69,8 @@ def run_method(
     bundle: LakeBundle,
     model: str,
     profile: BenchProfile,
-    hop_hook=None,
 ) -> BaselineResult | None:
-    """Run one method; None when infeasible (JoinAll explosion).
-
-    ``hop_hook`` (``python -m repro.exp --inject-hop-latency``) reaches
-    the AutoFeat runs only.
-    """
+    """Run one method; None when infeasible (JoinAll explosion)."""
     base, label = bundle.base_name, bundle.label_column
     seed = profile.seed
     if method == "BASE":
@@ -95,9 +90,7 @@ def run_method(
         except JoinError:
             return None
     if method == "AutoFeat":
-        return run_autofeat(
-            drg, base, label, model, config=profile.config, seed=seed, hop_hook=hop_hook
-        )
+        return run_autofeat(drg, base, label, model, config=profile.config, seed=seed)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -1,12 +1,10 @@
-"""Shared manifest/summary gates for benchmarks and experiments.
+"""Shared manifest/summary gates for the benchmarks.
 
-Every published number in this repo — a ``BENCH_*.json`` figure, a
-``compare_methods`` row, or a trial in the experiment store — must come
-from a *complete* run certified by a valid :class:`repro.obs.RunManifest`
-with non-negative per-stage timings.  The checks enforcing that contract
-used to be copy-pasted between ``benchmarks/_util.py`` and
-``repro.bench.harness``; they live here once, consumed by both and by
-:mod:`repro.exp.store`.
+Every published number in this repo — a ``BENCH_*.json`` figure or a
+``compare_methods`` row — must come from a *complete* run certified by a
+valid :class:`repro.obs.RunManifest` with non-negative per-stage timings.
+The checks enforcing that contract live here once, consumed by
+``repro.bench.harness`` and (re-exported) by ``benchmarks/_util.py``.
 """
 
 from __future__ import annotations
@@ -14,15 +12,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..obs import RunManifest, validate_manifest
+from ..obs import validate_manifest
 
 __all__ = [
-    "manifest_problems",
     "require_valid_manifest",
     "failure_reports",
     "assert_no_failures",
     "write_summary",
-    "stage_seconds_of",
 ]
 
 
@@ -33,46 +29,24 @@ def _as_manifest_dict(manifest) -> dict:
     return dict(manifest)
 
 
-def stage_seconds_of(manifest) -> dict[str, float]:
-    """:meth:`repro.obs.RunManifest.stage_seconds` of a manifest, also in
-    the plain-dict form the experiment store round-trips from disk."""
-    if not hasattr(manifest, "stage_seconds"):
-        manifest = RunManifest.from_dict(manifest)
-    return manifest.stage_seconds()
+def require_valid_manifest(manifest, context: str = "") -> None:
+    """Raise :class:`AssertionError` unless ``manifest`` is publishable.
 
-
-def manifest_problems(manifest) -> list[str]:
-    """Everything wrong with a run manifest (empty list = publishable).
-
-    A missing manifest, schema violations, an empty stage breakdown and
-    negative stage timings are each a reason a figure or stored trial
-    must be refused: they all mean the observability layer was bypassed
-    or mis-assembled.
+    A missing manifest, or one :func:`repro.obs.validate_manifest` rejects,
+    means the observability layer was bypassed or mis-assembled, so the
+    figure built on the run is refused.  The validator already requires a
+    non-empty timing tree whose every span lasts ``>= 0`` ns, so a manifest
+    that passes has a non-empty, non-negative stage breakdown.
     """
     if manifest is None:
-        return [
-            "run carries no run_manifest; figures must record "
-            "per-stage timings"
-        ]
-    data = _as_manifest_dict(manifest)
-    errors = validate_manifest(data)
-    if errors:
-        return [f"invalid run manifest: {'; '.join(errors)}"]
-    stages = stage_seconds_of(data)
-    if not stages:
-        return ["run manifest has no stage timings"]
-    negative = {name: s for name, s in stages.items() if s < 0}
-    if negative:
-        return [f"run manifest has negative stage timings: {negative}"]
-    return []
-
-
-def require_valid_manifest(manifest, context: str = "") -> None:
-    """Raise :class:`AssertionError` when :func:`manifest_problems` is non-empty."""
-    problems = manifest_problems(manifest)
-    if problems:
-        prefix = f"{context}: " if context else ""
-        raise AssertionError(prefix + "; ".join(problems))
+        problem = "run carries no run_manifest; figures must record per-stage timings"
+    else:
+        errors = validate_manifest(_as_manifest_dict(manifest))
+        if not errors:
+            return
+        problem = f"invalid run manifest: {'; '.join(errors)}"
+    prefix = f"{context}: " if context else ""
+    raise AssertionError(prefix + problem)
 
 
 def failure_reports(result) -> list:

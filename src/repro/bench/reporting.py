@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for the benchmark harness.
+"""Plain-text table rendering for the benchmark harness.
 
 Every experiment prints the same rows/series the paper's figures plot, as
 aligned ASCII tables — the reproduction artefact EXPERIMENTS.md records.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "print_table", "format_series", "summarise"]
+__all__ = ["format_table", "print_table"]
 
 
 def _cell(value: Any) -> str:
@@ -63,29 +63,3 @@ def print_table(
     """Print :func:`format_table` output."""
     print(format_table(rows, columns, title))
 
-
-def format_series(
-    x_label: str,
-    xs: Sequence[Any],
-    series: Mapping[str, Sequence[float]],
-    title: str = "",
-) -> str:
-    """Render parallel series (figure curves) as one table."""
-    rows = []
-    for i, x in enumerate(xs):
-        row = {x_label: x}
-        for name, values in series.items():
-            row[name] = values[i]
-        rows.append(row)
-    return format_table(rows, [x_label, *series.keys()], title)
-
-
-def summarise(values: Sequence[float]) -> dict[str, float]:
-    """Mean / min / max of a numeric sequence (empty-safe)."""
-    if not values:
-        return {"mean": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-    }

@@ -43,8 +43,8 @@ def _hop_context(base_name: str, path: JoinPath | None, edge: OrientedEdge) -> s
 @dataclass(frozen=True)
 class HopLatency:
     """Hop hook that sleeps ``seconds`` per hop: a simulated remote-table
-    fetch for ``benchmarks/bench_anytime.py`` and ``python -m repro.exp
-    --inject-hop-latency``.  The sleep lands in the ``hop`` span."""
+    fetch for ``benchmarks/bench_anytime.py``.  The sleep lands in the
+    ``hop`` span."""
 
     seconds: float
 

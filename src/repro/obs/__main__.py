@@ -2,7 +2,9 @@
 
 Pretty-prints a manifest as an aligned text report (default), re-emits it
 as JSON, exports a Chrome-trace file loadable in ``chrome://tracing`` /
-Perfetto, or validates it against the manifest schema::
+Perfetto, or just reports that it is valid.  Every mode validates against the
+manifest schema first: a file that is not a manifest prints each problem
+as ``INVALID …`` on stderr and exits 1::
 
     python -m repro.obs run_manifest.json
     python -m repro.obs run_manifest.json --format json
@@ -43,7 +45,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="validate against the manifest schema; non-zero exit on problems",
+        help="print a validity line instead of the report (every mode exits 1 "
+        "on schema problems)",
     )
     args = parser.parse_args(argv)
 
@@ -53,13 +56,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return 2
 
+    # Every mode validates first: RunManifest.from_dict trusts its input.
+    errors = validate_manifest(data)
+    if errors:
+        for error in errors:
+            print(f"INVALID  {error}", file=sys.stderr)
+        return 1
     if args.validate:
-        errors = validate_manifest(data)
-        if errors:
-            for error in errors:
-                print(f"INVALID  {error}", file=sys.stderr)
-            return 1
-        print(f"{args.manifest}: valid (schema v{data.get('schema_version')})")
+        print(f"{args.manifest}: valid (schema v{data['schema_version']})")
 
     manifest = RunManifest.from_dict(data)
     if not args.validate:

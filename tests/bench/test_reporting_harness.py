@@ -1,20 +1,78 @@
 """Unit tests for the bench reporting and the experiment harness."""
 
+import inspect
+import types
+
 import pytest
 
+import repro.bench
 from repro.bench import (
     BenchProfile,
     average_by_method,
     build_setting,
     compare_methods,
-    format_series,
     format_table,
     headline_summary,
-    summarise,
+    require_valid_manifest,
     table2_overview,
 )
+from repro.bench.harness import run_method
 from repro.core import AutoFeatConfig
 from repro.datasets import build_dataset
+from repro.obs import Tracer, build_manifest
+
+
+def test_bench_surface_is_one_paper_harness():
+    # One harness per paper artefact plus the manifest gates the
+    # micro-benches share.
+    public = {
+        name
+        for name, value in vars(repro.bench).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(repro.bench.__all__) == {
+        "ALL_METHODS", "BenchProfile", "assert_no_failures", "average_by_method",
+        "build_setting", "compare_methods", "fig3a_relevance_comparison",
+        "fig3b_redundancy_comparison", "fig4_benchmark_setting",
+        "fig5_nontree_benchmark", "fig6_datalake_setting",
+        "fig7_nontree_datalake", "fig8_kappa_sensitivity",
+        "fig8_tau_sensitivity", "fig9_ablation", "format_table",
+        "headline_summary", "joinall_explosion", "matcher_comparison",
+        "multigraph_ablation", "print_table", "require_valid_manifest",
+        "streaming_selector_comparison", "table2_overview",
+        "traversal_ablation", "write_summary",
+    }
+    assert "hop_hook" not in inspect.signature(run_method).parameters
+
+
+class TestRequireValidManifest:
+    def manifest(self):
+        tracer = Tracer()
+        with tracer.span("discover"):
+            with tracer.span("hop"):
+                pass
+        return build_manifest("discovery", tracer=tracer)
+
+    def test_valid_manifest_and_its_dict_pass(self):
+        manifest = self.manifest()
+        require_valid_manifest(manifest)
+        require_valid_manifest(manifest.as_dict())
+
+    def test_missing_manifest(self):
+        with pytest.raises(AssertionError, match="^fig: run carries no run_manifest"):
+            require_valid_manifest(None, context="fig")
+
+    def test_schema_violation(self):
+        data = self.manifest().as_dict()
+        data["timing"] = {}
+        with pytest.raises(AssertionError, match="^invalid run manifest: .*empty timing"):
+            require_valid_manifest(data)
+
+    def test_negative_stage_is_a_schema_violation(self):
+        data = self.manifest().as_dict()
+        data["timing"]["children"][0]["duration_ns"] = -1
+        with pytest.raises(AssertionError, match="invalid run manifest: .*below the minimum"):
+            require_valid_manifest(data)
 
 
 class TestFormatTable:
@@ -76,20 +134,6 @@ class TestFormatTable:
         header, rule = text.splitlines()[:2]
         assert len(rule) == 10
         assert header.startswith("a")
-
-
-class TestSeriesAndSummaries:
-    def test_series(self):
-        text = format_series("k", [1, 2], {"acc": [0.5, 0.6]})
-        assert "acc" in text
-        assert "0.6000" in text
-
-    def test_summarise(self):
-        out = summarise([1.0, 2.0, 3.0])
-        assert out == {"mean": 2.0, "min": 1.0, "max": 3.0}
-
-    def test_summarise_empty(self):
-        assert summarise([]) == {"mean": 0.0, "min": 0.0, "max": 0.0}
 
 
 class TestProfile:

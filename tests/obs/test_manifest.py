@@ -209,6 +209,21 @@ class TestCLI:
         assert obs_cli([str(path), "--validate"]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [{}, [1, 2]], ids=["empty-object", "array"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--validate"], ["--format", "json"]], ids=["text", "validate", "json"]
+    )
+    def test_json_that_is_not_a_manifest_exits_1(self, tmp_path, capsys, payload, flags):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(payload))
+        chrome = tmp_path / "trace.json"
+        assert obs_cli([str(path), *flags, "--chrome", str(chrome)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("INVALID  $") for line in lines)
+        assert not chrome.exists()
+
     def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         assert obs_cli([str(path)]) == 2
