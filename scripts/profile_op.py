@@ -8,7 +8,9 @@ Builds the workload exactly as ``benchmarks/e2e/run.py`` does (its
 min / median wall time of 5 untraced ops, then a cProfile of one more op
 sorted by cumulative and by own time and, for ``service_mixed``, the
 outcome memo's hits / misses per namespace (``selection``, ``train``) over
-the profiled block; for a workload that
+the profiled block; how many (selected × candidate) pairs the redundancy
+kernel counted and how many candidates its early-rejection bound dropped
+(every workload's op runs ``discover``); for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
@@ -27,6 +29,7 @@ the untraced ops run first, on a state prepared without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import os
 import pstats
@@ -88,7 +91,8 @@ def main() -> int:
         workload.op(lake, state)  # warm-up
         memo_before = _memo_counters(workload, state)
         profiling.set()
-        main_profiler.runcall(workload.op, lake, state)
+        with _redundancy_work() as work:
+            main_profiler.runcall(workload.op, lake, state)
         profiling.clear()
         memo_after = _memo_counters(workload, state)
     finally:
@@ -113,6 +117,12 @@ def main() -> int:
             f"({hits / max(1, hits + misses):.0%}), {after['entries']} entries, "
             f"{after['evictions']} evictions"
         )
+    if work["candidates"]:
+        print(
+            f"redundancy: {work['counted']} / {work['pairs']} selected×candidate "
+            f"pairs counted, {work['rejected']} / {work['candidates']} "
+            "candidates rejected by the bound"
+        )
     if workload.match_in_op:
         print(_overlap_gate_line(lake))
     return 0
@@ -121,6 +131,49 @@ def main() -> int:
 def _memo_counters(workload, state) -> dict:
     """The service's memo counters per namespace ({} for a library workload)."""
     return state.service.stats()["memo"] if workload.service else {}
+
+
+@contextlib.contextmanager
+def _redundancy_work():
+    """Count, while active, what the redundancy kernel does.
+
+    ``pairs`` is |R_sel| × candidates summed over its calls — what a full
+    walk counts — and ``counted`` the (selected × candidate) pairs it
+    counted.  Under MIFS, MRMR and CMIM every rejection is the bound's (the
+    last check is the full score); CIFE and JMI reject none by it.
+    """
+    from repro.core import streaming
+    from repro.selection import kernels
+
+    work = dict.fromkeys(("counted", "pairs", "rejected", "candidates"), 0)
+    lock = threading.Lock()  # service workloads score on worker threads
+    kernel = streaming.batch_redundancy_scores
+    pair_information = kernels._pair_information
+
+    def counting_pairs(left, right, given=None):
+        if given is None:
+            with lock:
+                work["counted"] += left.shape[0] * right.shape[0]
+        return pair_information(left, right, given)
+
+    def counting_kernel(candidates, cache, method="mrmr", counters=None):
+        scores = kernel(candidates, cache, method, counters)
+        with lock:
+            # Each candidate's relevance is one (candidate × label) pair.
+            work["counted"] -= scores.shape[0]
+            work["pairs"] += cache.n_selected * scores.shape[0]
+            work["candidates"] += scores.shape[0]
+            if method not in ("cife", "jmi"):
+                work["rejected"] += int((scores <= 0.0).sum())
+        return scores
+
+    streaming.batch_redundancy_scores = counting_kernel
+    kernels._pair_information = counting_pairs
+    try:
+        yield work
+    finally:
+        streaming.batch_redundancy_scores = kernel
+        kernels._pair_information = pair_information
 
 
 def _overlap_gate_line(lake) -> str:

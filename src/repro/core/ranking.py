@@ -8,7 +8,8 @@ that as cardinality-normalised means combined on a common scale:
 
     rank = (Σ rel / |rel|  +  Σ red / |red|) / 2
 
-with an empty list contributing zero.  The normalisation keeps long paths
+where an empty list is left out of the mean (the divisor is the number of
+non-empty lists), not counted as zero.  The normalisation keeps long paths
 from winning just by accumulating many weak features — the score rewards
 paths whose *average* accepted feature is strong, which is the behaviour
 the paper's examples exhibit.
@@ -35,10 +36,11 @@ def compute_ranking_score(
     """Combine relevance and redundancy analyses into one path score.
 
     Both inputs are the scores of the features that *survived* the
-    respective analysis stage.  Higher is better.  A path whose join
-    produced no relevant, non-redundant features scores 0 — it is kept as
-    a navigation stepping stone but will not be ranked above productive
-    paths.
+    respective analysis stage.  Higher is better.  The score is the mean
+    of the non-empty lists' normalised sums: an empty list is left out of
+    the mean, not counted as zero, so ``([0.4], [])`` scores 0.4, not 0.2.
+    A path with both lists empty scores 0 — it is kept as a navigation
+    stepping stone but will not be ranked above productive paths.
     """
     parts = []
     if relevance_scores:

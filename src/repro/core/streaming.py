@@ -17,13 +17,15 @@ never offered to the selector.
 Scoring runs through the vectorised kernels of
 :mod:`repro.selection.kernels` and a **persistent code cache**: the
 discretised codes of the label and every accepted feature are stored
-once at acceptance time (grouped by validity mask, which is how the
-redundancy kernel counts them), so the redundancy stage does not re-bin
-the entire selected set — an O(|S|·n) cost that would grow
-quadratically over a traversal — on every hop.  Scores are bit-identical
-to the scalar :func:`~repro.selection.relevance_scores` /
-:func:`~repro.selection.redundancy_scores` estimators
-(``tests/selection/test_kernels.py`` holds them so); the
+once at acceptance time (in insertion-order runs that share a validity
+mask, which is how the redundancy kernel counts them), so the redundancy
+stage does not re-bin the entire selected set — an O(|S|·n) cost that
+would grow quadratically over a traversal — on every hop.  Scores are
+bit-identical to the scalar :func:`~repro.selection.relevance_scores` /
+:func:`~repro.selection.redundancy_scores` estimators, except that a
+redundancy score that is not positive comes back as some value ≤ 0 —
+:meth:`_score` reads only its sign (``tests/selection/test_kernels.py``
+holds them so); the
 :class:`repro.selection.SelectionStats` counters on :attr:`stats` record
 how much work the cache saved.
 
@@ -233,6 +235,7 @@ class StreamingFeatureSelector:
                 method=config.redundancy_method,
                 counters=counters,
             )
+            # A score ≤ 0 may be only the bound that rejected it: read its sign.
             kept = [(c, float(s)) for c, s in enumerate(scores) if s > 0.0]
         else:
             kept = [(c, float(relevant_scores[i])) for c, i in enumerate(fresh)]

@@ -55,7 +55,10 @@ def discretize(
     if hi == lo:
         codes[finite] = 0
         return codes
-    scaled = (present - lo) / (hi - lo)
+    if np.isfinite(hi - lo):
+        scaled = (present - lo) / (hi - lo)
+    else:  # the range overflows float64: halve before subtracting
+        scaled = (present / 2 - lo / 2) / (hi / 2 - lo / 2)
     binned = np.minimum((scaled * n_bins).astype(np.int64), n_bins - 1)
     codes[finite] = binned
     return codes

@@ -15,27 +15,30 @@ validity masks — *group by mask, then count once per group*:
   pairwise-complete row mask and each group runs the same block on its
   compacted rows;
 * :class:`SelectionCodeCache` persists the discretised codes of the label
-  and of every accepted feature — the features as one code matrix per
-  validity mask — so redundancy scoring stops re-binning the selected set
-  on every batch;
+  and of every accepted feature — the features in insertion order, as
+  runs of consecutive features sharing one validity mask — so redundancy
+  scoring stops re-binning the selected set on every batch;
 * :func:`batch_redundancy_scores` bins the candidate matrix once, groups
-  it by validity mask, and for every (candidate group, selected group)
-  pair counts one (selected × candidate [× label]) contingency cube over
-  their shared complete rows; every entropy term of all five redundancy
-  criteria (MIFS, MRMR, CIFE, JMI, CMIM) is read off that cube.  There is
-  no per-pair scalar fallback (``scalar_fallbacks`` stays 0).
+  it by validity mask, and for every (run, candidate group) pair counts
+  one (selected × candidate [× label]) contingency cube over their shared
+  complete rows; every entropy term of all five redundancy criteria (MIFS,
+  MRMR, CIFE, JMI, CMIM) is read off that cube.  Under the criteria whose
+  penalty only grows it stops counting a candidate once its partial score
+  proves it cannot be accepted.  There is no per-pair scalar fallback
+  (``scalar_fallbacks`` stays 0).
 
 Bit-identity is load-bearing: every kernel evaluates the same float
 expressions on the same values in the same order as the scalar
 estimators, which stay public (:func:`relevance_scores` /
 :func:`~repro.selection.redundancy.redundancy_scores`) and are what
 ``tests/selection/test_kernels.py`` compares the kernels — and the
-streaming selector built on them — against.
+streaming selector built on them — against.  The one relaxation: a
+redundancy score that is not positive is returned as some value ≤ 0.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -56,7 +59,7 @@ __all__ = [
 _TINY = float(np.finfo(np.float64).tiny)
 
 #: Upper bound on the elements of one contingency cube (codes binned, or
-#: bins counted, whichever is larger); wider selected groups are scored in
+#: bins counted, whichever is larger); wider selected runs are scored in
 #: blocks of columns.  8 MB of int64 — a constant, not a tuning knob.
 _CUBE_BUDGET = 1 << 20
 
@@ -231,43 +234,23 @@ def batch_relevance_scores(
     return relevance_scores(X, label, metric=metric, seed=seed)
 
 
-class _MaskGroup:
-    """The selected features that share one validity mask.
-
-    Their code vectors are the rows of one matrix that grows by doubling,
-    so accepting a feature appends one contiguous row instead of
-    re-stacking the group.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-        self.positions: list[int] = []  # insertion order within R_sel
-        self._codes = np.empty((4, mask.shape[0]), dtype=np.int64)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """(members, n) code matrix; -1 exactly where ``mask`` is False."""
-        return self._codes[: len(self.positions)]
-
-    def append(self, position: int, codes: np.ndarray) -> None:
-        used = len(self.positions)
-        if used == self._codes.shape[0]:
-            grown = np.empty((2 * used, codes.shape[0]), dtype=np.int64)
-            grown[:used] = self._codes
-            self._codes = grown
-        self._codes[used] = codes
-        self.positions.append(position)
+#: Most features in one run of :class:`SelectionCodeCache` — how far the
+#: redundancy kernel walks ``R_sel`` between two early-rejection checks.
+#: 4, 8 and 16 measured within noise of each other on ``dense_discover``;
+#: 8 is kept.  Not a tuning knob.
+_RUN_ROWS = 8
 
 
 class SelectionCodeCache:
     """Persistent discretised-code cache for a run's selected feature set.
 
     Holds the label's codes and, for every accepted feature, its codes —
-    binned once, at acceptance — filed under the feature's validity mask
-    (:class:`_MaskGroup`; the all-valid mask is just one of the groups).
-    Entropy terms are not cached: over pairwise-complete rows they depend
-    on the candidate's mask too, and :func:`batch_redundancy_scores` reads
-    them off the contingency cube it counts anyway.
+    binned once, at acceptance — as the rows of one matrix in ``R_sel``
+    insertion order, grown by doubling.  Consecutive features that share a
+    validity mask form a *run* of at most :data:`_RUN_ROWS` rows, the unit
+    :func:`batch_redundancy_scores` counts at once.  Entropy terms are not
+    cached: over pairwise-complete rows they depend on the candidate's mask
+    too, and the kernel reads them off the contingency cube it counts anyway.
     """
 
     def __init__(
@@ -279,24 +262,33 @@ class SelectionCodeCache:
         self.label_codes = discretize(np.asarray(label, dtype=np.float64))
         self.label_mask = self.label_codes >= 0
         self.n_selected = 0
-        self._groups: dict[bytes, _MaskGroup] = {}
+        self._codes = np.empty((4, self.label_codes.shape[0]), dtype=np.int64)
+        self._runs: list[tuple[np.ndarray, int, int]] = []  # (mask, start, stop)
         if counters is not None:
             counters.codes_cached += 1  # the label's codes
 
     @property
-    def groups(self) -> Iterable[_MaskGroup]:
-        """The selected set as mask groups (first-accepted order)."""
-        return self._groups.values()
+    def runs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``R_sel`` in insertion order as ``(mask, codes)`` runs; ``codes``
+        is (features, n), -1 exactly where ``mask`` is False."""
+        for mask, start, stop in self._runs:
+            yield mask, self._codes[start:stop]
 
     def add(self, column: np.ndarray) -> None:
         """Discretise and cache one newly-accepted feature column."""
         codes = discretize(np.asarray(column, dtype=np.float64))
         mask = codes >= 0
-        key = mask.tobytes()
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = _MaskGroup(mask)
-        group.append(self.n_selected, codes)
+        used = self.n_selected
+        if used == self._codes.shape[0]:
+            grown = np.empty((2 * used, codes.shape[0]), dtype=np.int64)
+            grown[:used] = self._codes
+            self._codes = grown
+        self._codes[used] = codes
+        last = self._runs[-1] if self._runs else None
+        if last and used - last[1] < _RUN_ROWS and np.array_equal(last[0], mask):
+            self._runs[-1] = (last[0], last[1], used + 1)
+        else:
+            self._runs.append((mask, used, used + 1))
         self.n_selected += 1
         if self._counters is not None:
             self._counters.codes_cached += 1
@@ -349,10 +341,9 @@ def _pair_information(
     return out
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Σ over the rows of ``terms``, accumulated in R_sel insertion order
-    from 0.0 — the running ``+=`` of the scalar criteria, per column."""
-    total = np.zeros(terms.shape[1], dtype=np.float64)
+def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows of ``terms``, one ``+=`` per row in R_sel
+    insertion order — the running sum of the scalar criteria, per column."""
     for row in terms:
         total += row
     return total
@@ -366,14 +357,24 @@ def batch_redundancy_scores(
 ) -> np.ndarray:
     """Score every candidate column against the cached selected set.
 
-    Drop-in for :func:`repro.selection.redundancy.redundancy_scores` with
-    the selected set's codes served from ``cache``.  Candidates are binned
-    once and grouped by validity mask; each (candidate group, selected
-    group) pair shares one set of pairwise-complete rows, over which
-    :func:`_pair_information` counts every I(X_j; X_k) — and, for
-    CIFE/JMI/CMIM, every I(X_j; X_k | Y) on the rows the label is also
-    valid on — of the block at once.  The relevance term I(X_k; Y) is the
-    same computation against the label as a one-vector block.
+    Every positive score is bit-identical to
+    :func:`repro.selection.redundancy.redundancy_scores` with the selected
+    set's codes served from ``cache``; a non-positive one is returned as
+    *some* value ≤ 0 — the bound that proved it.  Candidates are binned
+    once and grouped by validity mask, and ``R_sel`` is walked run by run
+    in insertion order: each (run, candidate group) pair shares one set of
+    pairwise-complete rows, over which :func:`_pair_information` counts
+    every I(X_j; X_k) — and, for CIFE/JMI/CMIM, every I(X_j; X_k | Y) on
+    the rows the label is also valid on — of the block at once.  The
+    relevance term I(X_k; Y) is the same computation against the label as
+    a one-vector block.
+
+    Under MIFS, MRMR (λ = 0) and CMIM the penalty only grows along
+    ``R_sel``, so a candidate is dropped before the next run once
+    ``relevance − β·partial`` (CMIM: ``relevance − running max``) is ≤ 0:
+    adding non-negative floats, scaling by β ≥ 0 and subtracting are all
+    monotone under round-to-nearest, so the full score is ≤ that bound.
+    CIFE and JMI add a positive conditional term and walk all of ``R_sel``.
     """
     X = np.asarray(candidates, dtype=np.float64)
     if X.ndim != 2:
@@ -392,36 +393,48 @@ def batch_redundancy_scores(
     n_selected = cache.n_selected
     if counters is not None:
         counters.codes_reused += n_selected
-    coeffs = linear_coefficients(method, n_selected)  # None: CMIM's max form
-    conditional = coeffs is None or coeffs[1] != 0.0
+    coeffs = linear_coefficients(method, n_selected)
+    max_form = coeffs is None  # CMIM: relevance − 1.0 · running max
+    beta, lam = (1.0, 0.0) if max_form else coeffs
+    conditional = max_form or lam != 0.0
 
     codes = np.empty((d, n), dtype=np.int64)
     for j in range(d):
         codes[j] = discretize(X[:, j])
+    groups = [(mask, np.asarray(group)) for mask, group in _mask_groups(codes >= 0)]
     relevance = np.zeros(d, dtype=np.float64)
-    mi = np.zeros((n_selected, d), dtype=np.float64)
-    cmi = np.zeros((n_selected, d), dtype=np.float64)
-    for mask, members in _mask_groups(codes >= 0):
-        group_codes = codes[members]
+    for mask, members in groups:
         rows = np.flatnonzero(mask & label_mask)
         relevance[members] = _pair_information(
-            group_codes.take(rows, axis=1), label[np.newaxis, rows]
+            codes[members].take(rows, axis=1), label[np.newaxis, rows]
         )[:, 0]
-        for selected in cache.groups:
-            block = np.ix_(selected.positions, members)
-            rows = np.flatnonzero(mask & selected.mask)
-            mi[block] = _pair_information(
-                selected.codes.take(rows, axis=1), group_codes.take(rows, axis=1)
-            )
+    # Σ I(X_j; X_k) (CMIM: max of I(X_j; X_k) − I(X_j; X_k | Y)) and
+    # Σ I(X_j; X_k | Y) over the runs walked so far, each accumulated in
+    # R_sel order from 0.0 — the running ``+=`` / ``max`` of the scalar
+    # criteria.  A dropped candidate keeps the partial that rejected it.
+    penalty = np.zeros(d, dtype=np.float64)
+    gain = np.zeros(d, dtype=np.float64)
+    alive = np.ones(d, dtype=bool)
+    for run_mask, run_codes in cache.runs:
+        if lam == 0.0:
+            alive &= relevance - beta * penalty > 0.0
+        for mask, members in groups:
+            live = members[alive[members]]
+            if not live.size:
+                continue
+            rows = np.flatnonzero(mask & run_mask)
+            left = run_codes.take(rows, axis=1)
+            right = codes[live].take(rows, axis=1)
+            mi = _pair_information(left, right)
             if conditional:
-                rows = rows[label_mask[rows]]
-                cmi[block] = _pair_information(
-                    selected.codes.take(rows, axis=1),
-                    group_codes.take(rows, axis=1),
-                    label[rows],
+                given = label_mask[rows]
+                cmi = _pair_information(
+                    left[:, given], right[:, given], label[rows[given]]
                 )
-    if coeffs is None:
-        worst = np.maximum.reduce(mi - cmi, axis=0, initial=0.0)
-        return relevance - worst
-    beta, lam = coeffs
-    return relevance - beta * _sum_in_order(mi) + lam * _sum_in_order(cmi)
+            if max_form:
+                penalty[live] = np.maximum(penalty[live], (mi - cmi).max(axis=0))
+                continue
+            penalty[live] = _add_in_order(penalty[live], mi)
+            if conditional:
+                gain[live] = _add_in_order(gain[live], cmi)
+    return relevance - beta * penalty + lam * gain

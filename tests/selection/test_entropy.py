@@ -1,15 +1,21 @@
 """Unit tests for the Shannon information estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import SelectionError
 from repro.selection import (
+    REDUNDANCY_METHODS,
+    SelectionCodeCache,
+    batch_redundancy_scores,
     conditional_mutual_information,
     discretize,
     entropy,
     joint_entropy,
     mutual_information,
+    redundancy_scores,
     symmetrical_uncertainty,
 )
 
@@ -45,6 +51,29 @@ class TestDiscretize:
     def test_too_few_bins_raise(self):
         with pytest.raises(SelectionError):
             discretize(np.array([1.0]), n_bins=1)
+
+    def test_range_overflowing_float64_keeps_every_value(self):
+        # hi - lo is inf here: every value must still get a bin, with no
+        # warning, and the column must carry its information to a score.
+        x = np.r_[-1.7e308, 1.7e308, np.linspace(-1, 1, 40)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = discretize(x)
+        assert codes.tolist() == [0, 9] + [5] * 40
+        label = np.r_[0.0, 2.0, np.ones(40)]
+        assert mutual_information(codes, discretize(label)) > 0.0
+        rng = np.random.default_rng(0)
+        selected = rng.normal(size=(42, 2))
+        candidates = np.column_stack([x, rng.normal(size=42)])
+        for method in sorted(REDUNDANCY_METHODS):
+            cache = SelectionCodeCache(label)
+            for column in selected.T:
+                cache.add(column)
+            kernel = batch_redundancy_scores(candidates, cache, method=method)
+            scalar = redundancy_scores(candidates, selected, label, method=method)
+            # The kernel's contract: same signs, positive scores bit-identical.
+            assert (kernel > 0).tolist() == (scalar > 0).tolist(), method
+            assert kernel[kernel > 0].tolist() == scalar[scalar > 0].tolist()
 
 
 class TestEntropy:

@@ -3,7 +3,10 @@
 The kernels' contract is *exact* float equality with the public scalar
 ``relevance_scores`` / ``redundancy_scores`` (not approximate agreement),
 so rankings cannot depend on which of them scored a column.  Every
-comparison below therefore uses ``==``, never ``pytest.approx``.
+comparison below therefore uses ``==``, never ``pytest.approx``.  The one
+relaxation is the redundancy kernel's early rejection: a score that is not
+positive comes back as the bound that proved it, some value ≤ 0
+(:func:`_assert_same_decisions`).
 """
 
 import numpy as np
@@ -182,6 +185,16 @@ def _cache_for(
     return cache
 
 
+def _assert_same_decisions(kernel, scalar, method=""):
+    """The redundancy kernel's contract against ``redundancy_scores``: the
+    same candidates score positive, every positive score is bit-identical,
+    and a non-positive one is an upper bound of the exact score."""
+    kernel, scalar = kernel.tolist(), scalar.tolist()
+    assert [k > 0.0 for k in kernel] == [s > 0.0 for s in scalar], method
+    assert [k for k in kernel if k > 0.0] == [s for s in scalar if s > 0.0], method
+    assert all(s <= k <= 0.0 for k, s in zip(kernel, scalar) if k <= 0.0), method
+
+
 def _assert_identical_for_every_method(X, selected, y):
     for method in METHODS:
         counters = SelectionStats()
@@ -189,7 +202,7 @@ def _assert_identical_for_every_method(X, selected, y):
             X, _cache_for(selected, y, counters), method=method, counters=counters
         )
         scalar = redundancy_scores(X, selected, y, method=method)
-        assert kernel.tolist() == scalar.tolist(), method
+        _assert_same_decisions(kernel, scalar, method)
         assert counters.scalar_fallbacks == 0
 
 
@@ -206,7 +219,7 @@ class TestBatchRedundancy:
         )
         kernel = batch_redundancy_scores(X, _cache_for(selected, y), method=method)
         scalar = redundancy_scores(X, selected, y, method=method)
-        assert kernel.tolist() == scalar.tolist()
+        _assert_same_decisions(kernel, scalar)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_nan_everywhere_still_identical(self, method):
@@ -219,7 +232,7 @@ class TestBatchRedundancy:
         y[::9] = np.nan
         kernel = batch_redundancy_scores(X, _cache_for(selected, y), method=method)
         scalar = redundancy_scores(X, selected, y, method=method)
-        assert kernel.tolist() == scalar.tolist()
+        _assert_same_decisions(kernel, scalar)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_empty_selected_set_reduces_to_relevance(self, method):
@@ -228,7 +241,7 @@ class TestBatchRedundancy:
         y = (X[:, 0] > 0).astype(float)
         kernel = batch_redundancy_scores(X, _cache_for(None, y), method=method)
         scalar = redundancy_scores(X, None, y, method=method)
-        assert kernel.tolist() == scalar.tolist()
+        _assert_same_decisions(kernel, scalar)
 
     @given(holed_problems(), st.sampled_from(METHODS))
     @settings(max_examples=200, deadline=None)
@@ -239,7 +252,7 @@ class TestBatchRedundancy:
             X, _cache_for(selected, y, counters), method=method, counters=counters
         )
         scalar = redundancy_scores(X, selected, y, method=method)
-        assert kernel.tolist() == scalar.tolist()
+        _assert_same_decisions(kernel, scalar)
         assert counters.scalar_fallbacks == 0
 
     def test_zero_pairwise_complete_rows(self):
@@ -273,7 +286,8 @@ class TestBatchRedundancy:
         cache.add(np.empty(0))
         kernel = batch_redundancy_scores(X, cache, method=method)
         scalar = redundancy_scores(X, np.empty((0, 1)), y, method=method)
-        assert kernel.tolist() == scalar.tolist() == [0.0, 0.0]
+        _assert_same_decisions(kernel, scalar)
+        assert scalar.tolist() == [0.0, 0.0]
 
     def test_binned_and_dense_coded_columns_mixed(self):
         rng = np.random.default_rng(53)
@@ -307,6 +321,60 @@ class TestBatchRedundancy:
         y[3] = np.nan
         monkeypatch.setattr(kernels, "_CUBE_BUDGET", budget)
         _assert_identical_for_every_method(X, selected, y)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_growing_penalty_stops_counting_rejected_candidates(
+        self, method, monkeypatch
+    ):
+        # Three 4-valued candidates, all recodings of one column, against
+        # R_sel = 16 copies of that column (two runs) + 8 noise features.
+        # The label is valid only where the column is 0 or 1, so relevance
+        # (≈ log 2) is far below what one run of copies costs under MIFS
+        # and CMIM, and what two runs cost under MRMR (16/24 · log 4).
+        rng = np.random.default_rng(61)
+        n = 120
+        x = rng.integers(0, 4, n).astype(float)
+        X = np.column_stack([x, (x + 1) % 4, 3 - x])
+        noise = rng.normal(size=(n, 8))
+        noise[rng.random((n, 8)) < 0.2] = np.nan
+        selected = np.column_stack([np.repeat(x[:, None], 16, axis=1), noise])
+        y = np.where(x < 2, x, np.nan)
+        pairs = []
+        real = kernels._pair_information
+
+        def counting(left, right, given=None):
+            if given is None:
+                pairs.append(left.shape[0] * right.shape[0])
+            return real(left, right, given)
+
+        monkeypatch.setattr(kernels, "_pair_information", counting)
+        kernel = batch_redundancy_scores(X, _cache_for(selected, y), method=method)
+        monkeypatch.setattr(kernels, "_pair_information", real)
+        _assert_same_decisions(kernel, redundancy_scores(X, selected, y, method))
+        # Each candidate's relevance is one (candidate × label) pair; the
+        # rest are (selected × candidate) pairs.
+        counted = sum(pairs) - X.shape[1]
+        if method in ("cife", "jmi"):
+            assert counted == selected.shape[1] * X.shape[1]
+        else:
+            assert (kernel <= 0.0).all()
+            assert counted < selected.shape[1] * X.shape[1]
+            assert counted == (16 if method == "mrmr" else 8) * X.shape[1]
+
+    def test_cache_runs_follow_insertion_order(self):
+        rng = np.random.default_rng(67)
+        holed = rng.normal(size=20)
+        holed[::3] = np.nan
+        columns = [rng.normal(size=20) for _ in range(kernels._RUN_ROWS + 5)]
+        columns[3] = holed  # splits the first run; the rest overflow one
+        cache = _cache_for(np.column_stack(columns), np.arange(20.0))
+        runs = [codes for __, codes in cache.runs]
+        assert [len(r) for r in runs] == [3, 1, kernels._RUN_ROWS, 1]
+        stacked = np.concatenate(runs)
+        expected = np.stack([discretize(c) for c in columns])
+        assert stacked.tolist() == expected.tolist()
+        for mask, codes in cache.runs:
+            assert ((codes >= 0) == mask).all()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SelectionError):
@@ -472,6 +540,43 @@ class ScalarTwoStageSelector:
         )
 
 
+@st.composite
+def streaming_problems(draw):
+    """(label, batches) whose seed batch alone spans at least three runs.
+
+    17–22 seed features (a run holds at most eight) and three later batches
+    of label-driven, redundant (a seed feature plus noise) and pure-noise
+    columns; every column takes one of three validity masks, drawn per
+    column, so the masks of R_sel interleave.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 60
+    label = rng.integers(0, 3, n).astype(float)
+    masks = [np.zeros(n, dtype=bool), rng.random(n) < 0.15, rng.random(n) < 0.3]
+    seed = rng.normal(size=(n, draw(st.integers(17, 22))))
+
+    def fresh(kind):
+        if kind == 0:
+            return label + rng.normal(scale=0.7, size=n)
+        if kind == 1:
+            return seed[:, rng.integers(seed.shape[1])] + rng.normal(scale=0.05, size=n)
+        return rng.normal(size=n)
+
+    def batch(prefix, columns):
+        width = len(columns)
+        holes = draw(st.lists(st.integers(0, 2), min_size=width, max_size=width))
+        matrix = np.column_stack(columns)
+        for j, hole in enumerate(holes):
+            matrix[masks[hole], j] = np.nan
+        return [f"{prefix}{j}" for j in range(width)], matrix
+
+    batches = [batch("s", list(seed.T))]
+    for b in range(3):
+        kinds = draw(st.lists(st.integers(0, 2), min_size=2, max_size=5))
+        batches.append(batch(f"b{b}_", [fresh(kind) for kind in kinds]))
+    return label, batches
+
+
 def _run_selector(selector, batches):
     seed_names, seed_matrix = batches[0]
     selector.seed_with(seed_names, seed_matrix)
@@ -506,6 +611,35 @@ class TestStreamingParity:
             assert a.relevance_scores == b.relevance_scores
             assert a.accepted_names == b.accepted_names
             assert a.redundancy_scores == b.redundancy_scores
+
+    @given(streaming_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_identical_over_several_runs_and_interleaved_masks(self, problem):
+        label, batches = problem
+        config = AutoFeatConfig()
+        sel_on, out_on = _run_selector(
+            StreamingFeatureSelector(config, label), batches
+        )
+        sel_off, out_off = _run_selector(
+            ScalarTwoStageSelector(config, label), batches
+        )
+        assert len(list(sel_on._code_cache.runs)) >= 3
+        assert sel_on.selected_names == sel_off.selected_names
+        assert out_on == out_off
+
+    def test_exact_zero_score_rejected_by_both(self):
+        # R_sel = {y} and a candidate equal to y: MRMR's J is
+        # I(y; y) − 1.0 · I(y; y), exactly 0.0, so neither accepts it.
+        rng = np.random.default_rng(71)
+        label = rng.integers(0, 4, 50).astype(float)
+        candidates = np.column_stack([label, rng.normal(size=50)])
+        exact = redundancy_scores(candidates[:, :1], label[:, None], label)
+        assert exact.tolist() == [0.0]
+        batches = [(["seed"], label[:, None]), (["copy", "noise"], candidates)]
+        for selector in (StreamingFeatureSelector, ScalarTwoStageSelector):
+            __, (outcome,) = _run_selector(selector(AutoFeatConfig(), label), batches)
+            assert "copy" in outcome.relevant_names
+            assert "copy" not in outcome.accepted_names
 
     def test_stats_report_cache_activity(self):
         rng = np.random.default_rng(31)
