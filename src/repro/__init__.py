@@ -52,7 +52,7 @@ from .errors import (
     SelectionError,
     ServiceError,
 )
-from .graph import DatasetRelationGraph, DrgDelta, JoinPath, KFKConstraint
+from .graph import DatasetRelationGraph, JoinPath, KFKConstraint
 from .obs import MetricsRegistry, RunManifest, Span, Tracer
 from .service import DiscoveryService, ServiceResponse
 
@@ -82,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "RunManifest",
     "DatasetRelationGraph",
-    "DrgDelta",
     "KFKConstraint",
     "JoinPath",
     "DiscoveryService",

@@ -74,8 +74,8 @@ class AutoFeat:
         #: creates reuses it instead of building a fresh per-run cache —
         #: the warm-state lever of :class:`repro.service.DiscoveryService`.
         #: Results are bit-identical either way (a cached JoinIndex is
-        #: deterministic in its ``(table, key, seed)`` key and the owner
-        #: invalidates per-table on mutation); only per-run cache
+        #: deterministic in its ``(table, key, seed)`` key and an entry
+        #: built from another table object is rebuilt); only per-run cache
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
         #: Optional service-owned :class:`~repro.core.OutcomeMemo`: a

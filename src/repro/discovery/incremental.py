@@ -17,12 +17,15 @@ the matcher's scored output.  A mutation —
   n-1 pairs, reusing every other profile;
 * :meth:`drop_table` — pure bookkeeping, zero matcher calls
 
-— then emits a :class:`~repro.graph.DrgDelta` so the DRG is rebuilt by
-*replaying* stored matches (cheap adjacency work) rather than re-running
-the matcher.  The resulting graph is bit-identical to a cold
-``from_discovery`` over the same table sequence; the property suite in
-``tests/service/test_incremental_equivalence.py`` drives that contract
-over random mutation sequences for both the COMA and Lazo matchers.
+— then replays every stored pair's thresholded matches into a fresh DRG
+(:meth:`IncrementalMatchIndex._build_full`, cheap adjacency work) rather
+than re-running the matcher.  The replay walks the same
+``combinations(tables, 2)`` order a cold ``from_discovery`` walks, so the
+graph is bit-identical to a cold build over the same table sequence; the
+property suite in ``tests/service/test_incremental_equivalence.py``
+drives that contract over random mutation sequences for both the COMA
+and Lazo matchers.  Unchanged tables keep their identity across
+snapshots, which is what the service's caches check on read.
 
 Any matcher exposing ``match_profiles(profiles_a, profiles_b)`` — either
 returning :class:`~repro.discovery.ColumnMatch` objects
@@ -36,12 +39,12 @@ or drops, so every stored pair is exactly what a cold scan would score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
-from ..graph import DatasetRelationGraph, DrgDelta
+from ..graph import DatasetRelationGraph
 from ..obs.metrics import CounterRecord
 from .coma import ComaMatcher
 from .profiles import TableProfile, profile_table
@@ -71,25 +74,13 @@ class MatchCounters(CounterRecord):
 
 @dataclass(frozen=True)
 class MutationReport:
-    """What one register/update/drop actually touched.
-
-    ``affected_tables`` is the surgical-invalidation input consumed by the
-    service layer: the mutated table plus the *other* endpoint of every
-    pair whose thresholded edge set changed.  Pairs that were re-matched
-    but produced identical edges do not put their partner here — a cached
-    result that only ever saw the partner stays valid.
-    """
+    """What one register/update/drop did and how much matching it saved."""
 
     kind: str
     table: str
     version: int
-    changed_pairs: tuple[tuple[str, str], ...] = ()
-    affected_tables: frozenset[str] = frozenset()
     n_pairs_rematched: int = 0
     n_pairs_reused: int = 0
-    #: Whether the mutated table's *contents* changed (update/drop) —
-    #: only then do that table's cached join indexes go stale.
-    content_changed: bool = True
 
 
 class IncrementalMatchIndex:
@@ -199,24 +190,19 @@ class IncrementalMatchIndex:
                 out.append((ca, cb, float(score)))
         return tuple(out)
 
-    def _edges_for(self, pair: tuple[str, str]) -> PairMatches:
-        """The pair's stored matches at or above the edge threshold."""
-        return tuple(
-            m for m in self._matches.get(pair, ()) if m[2] >= self.threshold
-        )
-
     def _pairs_of(self, name: str) -> list[tuple[str, str]]:
         """Every stored unordered pair involving ``name``, in order."""
         return [pair for pair in self._matches if name in pair]
 
     def _build_full(self) -> DatasetRelationGraph:
-        """Replay every stored pair into a fresh DRG (initial build)."""
+        """Replay every stored pair into a fresh DRG (every build)."""
         drg = DatasetRelationGraph(self.tables)
         for name_a, name_b in combinations(self._tables, 2):
-            for column_a, column_b, score in self._edges_for((name_a, name_b)):
-                drg.add_relationship(
-                    name_a, column_a, name_b, column_b, weight=score
-                )
+            for column_a, column_b, score in self._matches[(name_a, name_b)]:
+                if score >= self.threshold:
+                    drg.add_relationship(
+                        name_a, column_a, name_b, column_b, weight=score
+                    )
         return drg
 
     def rebuild(self) -> DatasetRelationGraph:
@@ -233,25 +219,8 @@ class IncrementalMatchIndex:
 
     # -- mutations -----------------------------------------------------------
 
-    def _finish(
-        self,
-        kind: str,
-        name: str,
-        old_edges: dict[tuple[str, str], PairMatches],
-        pair_edges: dict[tuple[str, str], PairMatches],
-        delta: DrgDelta,
-        content_changed: bool,
-        n_rematched: int,
-    ) -> MutationReport:
-        changed = tuple(
-            pair
-            for pair in sorted(set(old_edges) | set(pair_edges))
-            if old_edges.get(pair, ()) != pair_edges.get(pair, ())
-        )
-        affected = {name}
-        for pair in changed:
-            affected.update(pair)
-        self._drg = self._drg.apply_delta(delta)
+    def _finish(self, kind: str, name: str, n_rematched: int) -> MutationReport:
+        self._drg = self._build_full()
         self._version += 1
         self.counters.mutations += 1
         n_total_pairs = max(len(self._tables) * (len(self._tables) - 1) // 2, 0)
@@ -261,11 +230,8 @@ class IncrementalMatchIndex:
             kind=kind,
             table=name,
             version=self._version,
-            changed_pairs=changed,
-            affected_tables=frozenset(affected),
             n_pairs_rematched=n_rematched,
             n_pairs_reused=reused,
-            content_changed=content_changed,
         )
 
     def register_table(self, table: Table) -> MutationReport:
@@ -275,22 +241,9 @@ class IncrementalMatchIndex:
                 f"table {table.name!r} already registered; "
                 f"use update_table to replace it"
             )
-        existing = list(self._tables)
+        n_existing = len(self._tables)
         self._ingest(table)
-        pair_edges = {
-            (name, table.name): self._edges_for((name, table.name))
-            for name in existing
-        }
-        delta = DrgDelta(added=(table,), pair_edges=pair_edges)
-        return self._finish(
-            "register",
-            table.name,
-            old_edges={},
-            pair_edges=pair_edges,
-            delta=delta,
-            content_changed=False,
-            n_rematched=len(existing),
-        )
+        return self._finish("register", table.name, n_rematched=n_existing)
 
     def update_table(self, table: Table) -> MutationReport:
         """Replace a table in place: re-profile it, re-match its pairs."""
@@ -301,40 +254,18 @@ class IncrementalMatchIndex:
             )
         name = table.name
         pairs = self._pairs_of(name)
-        old_edges = {pair: self._edges_for(pair) for pair in pairs}
         self._profiles[name] = self._profile(table)
         self._tables[name] = table
         for pair in pairs:
             self._matches[pair] = self._match_pair(*pair)
-        pair_edges = {pair: self._edges_for(pair) for pair in pairs}
-        delta = DrgDelta(updated=(table,), pair_edges=pair_edges)
-        return self._finish(
-            "update",
-            name,
-            old_edges=old_edges,
-            pair_edges=pair_edges,
-            delta=delta,
-            content_changed=True,
-            n_rematched=len(pairs),
-        )
+        return self._finish("update", name, n_rematched=len(pairs))
 
     def drop_table(self, name: str) -> MutationReport:
         """Remove a table: pure bookkeeping, zero matcher calls."""
         if name not in self._tables:
             raise DiscoveryError(f"unknown table {name!r}; nothing to drop")
-        pairs = self._pairs_of(name)
-        old_edges = {pair: self._edges_for(pair) for pair in pairs}
         del self._tables[name]
         del self._profiles[name]
-        for pair in pairs:
+        for pair in self._pairs_of(name):
             del self._matches[pair]
-        delta = DrgDelta(dropped=(name,))
-        return self._finish(
-            "drop",
-            name,
-            old_edges=old_edges,
-            pair_edges={},
-            delta=delta,
-            content_changed=True,
-            n_rematched=0,
-        )
+        return self._finish("drop", name, n_rematched=0)

@@ -160,14 +160,15 @@ class JoinEngine:
         per ``(target, key, seed)`` for the lifetime of the engine.
         """
         key_column = qualified(edge.target, edge.target_column)
+        table = self.drg.table(edge.target)
 
         def builder() -> JoinIndex:
-            right = self.drg.table(edge.target).prefixed(edge.target)
+            right = table.prefixed(edge.target)
             return JoinIndex.build(right, key_column, seed=self.seed)
 
         hits_before = self.stats.cache_hits
         index = self.cache.get_or_build(
-            edge.target, key_column, self.seed, builder, self.stats
+            table, key_column, self.seed, builder, self.stats
         )
         self.tracer.event(
             "cache_hit" if self.stats.cache_hits > hits_before else "cache_miss",

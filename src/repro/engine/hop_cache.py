@@ -16,6 +16,13 @@ executing through the cache is bit-identical to rebuilding per hop
 (``tests/engine/test_engine.py`` checks a cached materialisation against
 per-hop ``JoinIndex.build`` + ``left_join`` with no cache involved).
 
+Freshness is checked on read.  An entry stores the :class:`Table` object
+it was built from, and a lookup whose table ``is not`` that object is a
+miss that rebuilds the entry in place.  Tables are immutable and a lake
+mutation replaces a table object, so nothing ever has to invalidate an
+entry, and the cache holds at most one entry per ``(table name, key
+column, seed)`` however many versions of a table come and go.
+
 Thread safety: :class:`repro.service.DiscoveryService` shares one cache
 between its request threads, so :meth:`HopCache.get_or_build` is single-flight —
 concurrent probes of a cold key elect exactly one builder while the rest
@@ -27,9 +34,10 @@ other lookup is a hit — the same totals a serial traversal produces.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Callable
 
-from ..dataframe import JoinIndex
+from ..dataframe import JoinIndex, Table
 from .stats import ExecutionStats
 
 __all__ = ["HopCache"]
@@ -39,28 +47,15 @@ class HopCache:
     """Memoizes :class:`JoinIndex` objects keyed by ``(table, key, seed)``."""
 
     def __init__(self):
-        self._indexes: dict[tuple[str, str, int], JoinIndex] = {}
+        #: ``key -> (the table the index was built from, the index)``.
+        self._indexes: dict[tuple[str, str, int], tuple[Table, JoinIndex]] = {}
         self._lock = threading.Lock()
         #: Per-key build latches: present while exactly one caller builds.
         self._building: dict[tuple[str, str, int], threading.Event] = {}
-        #: Per-table invalidation epochs: a builder that started before an
-        #: :meth:`invalidate` of its table publishes nothing (its caller
-        #: still gets the index it built — that request began against the
-        #: pre-mutation snapshot — but the stale index never enters the
-        #: cache).
-        self._epochs: dict[str, int] = {}
-        #: Cumulative cache-lifetime counters (exact under concurrency:
-        #: every update happens under ``_lock``).  Distinct from the
-        #: per-run :class:`ExecutionStats` callers pass in — these span the
-        #: cache's whole life, which is what a long-lived service's
-        #: warm-hit-rate gauge reports.
-        self._counters = {
-            "hits": 0,
-            "misses": 0,
-            "builds": 0,
-            "invalidations": 0,
-            "entries_invalidated": 0,
-        }
+        #: Cache-lifetime counters (``cache_hits`` / ``cache_misses`` /
+        #: ``index_builds``), moved under ``_lock`` beside the per-run
+        #: record a caller passes in.
+        self._counters = ExecutionStats()
 
     def __len__(self) -> int:
         return len(self._indexes)
@@ -68,91 +63,53 @@ class HopCache:
     def __contains__(self, key: tuple[str, str, int]) -> bool:
         return key in self._indexes
 
-    def counters(self) -> dict[str, int]:
-        """Snapshot of the cache-lifetime counters."""
+    def counters(self) -> ExecutionStats:
+        """A copy of the cache-lifetime counters."""
         with self._lock:
-            return dict(self._counters)
-
-    @property
-    def hit_rate(self) -> float:
-        """Lifetime hits over lookups (0.0 before any lookup)."""
-        with self._lock:
-            lookups = self._counters["hits"] + self._counters["misses"]
-            return self._counters["hits"] / lookups if lookups else 0.0
-
-    def clear(self) -> None:
-        """Drop every cached index (e.g. between unrelated discovery runs)."""
-        with self._lock:
-            for table_name in {key[0] for key in self._indexes}:
-                self._epochs[table_name] = self._epochs.get(table_name, 0) + 1
-            self._indexes.clear()
-
-    def invalidate(self, table_name: str) -> int:
-        """Surgically drop every entry built from ``table_name``.
-
-        The per-table mutation hook of the always-on service: an
-        ``update_table``/``drop_table`` only stales the indexes built
-        *from that table's rows* — entries for every other table (any
-        key column, any seed) stay warm.  Returns the number of entries
-        dropped.
-
-        Safe under concurrency: the table's epoch is bumped under the
-        lock, so a builder elected *before* the invalidation completes
-        its build but never publishes — waiters retry and rebuild
-        against whatever the caller's builder closure now reads.
-        """
-        with self._lock:
-            doomed = [key for key in self._indexes if key[0] == table_name]
-            for key in doomed:
-                del self._indexes[key]
-            self._epochs[table_name] = self._epochs.get(table_name, 0) + 1
-            self._counters["invalidations"] += 1
-            self._counters["entries_invalidated"] += len(doomed)
-        return len(doomed)
+            return replace(self._counters)
 
     def get_or_build(
         self,
-        table_name: str,
+        table: Table,
         key_column: str,
         seed: int,
         builder: Callable[[], JoinIndex],
         stats: ExecutionStats | None = None,
     ) -> JoinIndex:
-        """Return the cached index for the key, building it on first use.
+        """Return the index built from ``table``, building it on first use.
 
         ``builder`` is only invoked on a miss, so callers can defer *all*
         build-side work — including column prefixing — behind it.  ``stats``
         counters are updated in place: ``cache_hits`` on a hit,
-        ``cache_misses`` and ``index_builds`` on a miss.
+        ``cache_misses`` and ``index_builds`` on a miss.  A stored entry
+        built from another object of the same name is a miss, and the
+        rebuild replaces it.
 
         Single-flight under threads: concurrent calls for the same cold key
         run ``builder`` exactly once; the losers block until the winner
-        publishes the index and then count an ordinary hit.  If the winner's
+        publishes the index and then look it up again.  If the winner's
         builder raises, the waiters retry the lookup themselves (one becomes
         the new builder and surfaces the same deterministic error), which
         matches the serial counter sequence for failing builds exactly.
         """
-        key = (table_name, key_column, seed)
+        key = (table.name, key_column, seed)
+        records = (self._counters,) if stats is None else (self._counters, stats)
         while True:
             with self._lock:
                 cached = self._indexes.get(key)
-                if cached is not None:
-                    if stats is not None:
-                        stats.cache_hits += 1
-                    self._counters["hits"] += 1
-                    return cached
+                if cached is not None and cached[0] is table:
+                    for record in records:
+                        record.cache_hits += 1
+                    return cached[1]
                 event = self._building.get(key)
                 if event is None:
                     event = threading.Event()
                     self._building[key] = event
                     # Counters move under the lock, and only for the
                     # elected builder — one miss + one build per cold key.
-                    if stats is not None:
-                        stats.cache_misses += 1
-                        stats.index_builds += 1
-                    self._counters["misses"] += 1
-                    self._counters["builds"] += 1
-                    epoch = self._epochs.get(table_name, 0)
+                    for record in records:
+                        record.cache_misses += 1
+                        record.index_builds += 1
                     break
             event.wait()
         try:
@@ -163,10 +120,7 @@ class HopCache:
             event.set()
             raise
         with self._lock:
-            # Publish only if the table was not invalidated mid-build;
-            # the caller still gets the index it built either way.
-            if self._epochs.get(table_name, 0) == epoch:
-                self._indexes[key] = index
+            self._indexes[key] = (table, index)
             self._building.pop(key, None)
         event.set()
         return index

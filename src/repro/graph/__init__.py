@@ -1,6 +1,6 @@
 """Dataset Relation Graph: multigraph storage and join-path enumeration."""
 
-from .drg import DatasetRelationGraph, DrgDelta, KFKConstraint
+from .drg import DatasetRelationGraph, KFKConstraint
 from .multigraph import Edge, MultiGraph, OrientedEdge
 from .paths import (
     JoinPath,
@@ -16,7 +16,6 @@ __all__ = [
     "Edge",
     "OrientedEdge",
     "DatasetRelationGraph",
-    "DrgDelta",
     "KFKConstraint",
     "JoinPath",
     "enumerate_paths",

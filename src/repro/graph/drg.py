@@ -14,16 +14,16 @@ experimental settings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..dataframe import Table
 from ..errors import GraphError
 from ..obs import NULL_TRACER
 from .multigraph import MultiGraph, OrientedEdge
 
-__all__ = ["KFKConstraint", "DrgDelta", "DatasetRelationGraph"]
+__all__ = ["KFKConstraint", "DatasetRelationGraph"]
 
 #: A matcher maps a pair of tables to ``(column_a, column_b, score)`` tuples.
 Matcher = Callable[[Table, Table], Iterable[tuple[str, str, float]]]
@@ -37,43 +37,6 @@ class KFKConstraint:
     column_a: str
     table_b: str
     column_b: str
-
-
-@dataclass(frozen=True)
-class DrgDelta:
-    """One lake mutation, expressed against an existing DRG.
-
-    ``added`` tables are appended after the existing table order,
-    ``updated`` tables replace their namesakes *in place* (keeping their
-    position), and ``dropped`` names are removed.  ``pair_edges`` carries
-    the freshly re-matched ``(column_a, column_b, weight)`` tuples for
-    every *affected* unordered table pair — a pair where at least one
-    endpoint was added, updated or dropped — keyed by ``(name_a,
-    name_b)`` with ``name_a`` preceding ``name_b`` in the post-mutation
-    table order.  Scores must already be thresholded: everything in
-    ``pair_edges`` becomes an edge.
-
-    Unaffected pairs are deliberately absent: :meth:`DatasetRelationGraph
-    .apply_delta` re-uses their existing :class:`~repro.graph.Edge`
-    instances untouched, which is what makes a mutation O(affected pairs)
-    instead of O(n²).
-    """
-
-    added: tuple[Table, ...] = ()
-    updated: tuple[Table, ...] = ()
-    dropped: tuple[str, ...] = ()
-    pair_edges: Mapping[tuple[str, str], tuple[tuple[str, str, float], ...]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def affected_tables(self) -> frozenset[str]:
-        """Names whose profile/matches this delta replaces or removes."""
-        return frozenset(
-            [t.name for t in self.added]
-            + [t.name for t in self.updated]
-            + list(self.dropped)
-        )
 
 
 class DatasetRelationGraph:
@@ -164,66 +127,6 @@ class DatasetRelationGraph:
                     f"table {table_name!r} has no column {column_name!r}"
                 )
         self._graph.add_edge(table_a, table_b, column_a, column_b, weight)
-
-    # -- incremental maintenance --------------------------------------------
-
-    def apply_delta(self, delta: DrgDelta) -> "DatasetRelationGraph":
-        """A new DRG with the delta applied, sharing unchanged state.
-
-        The result is **bit-identical** to a cold
-        :meth:`from_discovery`-style rebuild over the post-mutation table
-        sequence, provided ``delta.pair_edges`` holds exactly what the
-        matcher would emit for the affected pairs: tables keep their
-        relative order (updated in place, added appended), and edges are
-        replayed pair-by-pair in the same ``combinations`` sequence a
-        cold build walks, so every adjacency list — and with it
-        ``neighbors()`` order, traversal order and ranking — matches the
-        cold build exactly.  Table objects and the :class:`Edge`
-        instances of unaffected pairs are *shared*, not copied; only the
-        adjacency lists are rebuilt (cheap, O(edges)).
-
-        The original DRG is left untouched — callers holding it (e.g.
-        in-flight service requests) keep a consistent snapshot.
-        """
-        dropped = set(delta.dropped)
-        updated = {t.name: t for t in delta.updated}
-        for name in dropped | set(updated):
-            if name not in self._tables:
-                raise GraphError(
-                    f"delta refers to unknown table {name!r}; "
-                    f"known: {self.table_names}"
-                )
-        overlap = dropped & set(updated)
-        if overlap:
-            raise GraphError(
-                f"delta both updates and drops {sorted(overlap)}"
-            )
-        order: list[Table] = []
-        for name, table in self._tables.items():
-            if name in dropped:
-                continue
-            order.append(updated.get(name, table))
-        for table in delta.added:
-            if table.name in self._tables and table.name not in dropped:
-                raise GraphError(
-                    f"delta adds table {table.name!r} which already exists"
-                )
-            order.append(table)
-
-        clone = DatasetRelationGraph(order)
-        affected = delta.affected_tables
-        for name_a, name_b in combinations([t.name for t in order], 2):
-            if name_a in affected or name_b in affected:
-                for column_a, column_b, weight in delta.pair_edges.get(
-                    (name_a, name_b), ()
-                ):
-                    clone.add_relationship(
-                        name_a, column_a, name_b, column_b, weight=weight
-                    )
-            else:
-                for edge in self._graph.edge_objects_between(name_a, name_b):
-                    clone._graph.adopt_edge(edge)
-        return clone
 
     def edge_fingerprint(self) -> tuple[tuple[str, str, str, str, float], ...]:
         """Canonical, order-independent digest of every edge and weight.

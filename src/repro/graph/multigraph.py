@@ -162,39 +162,6 @@ class MultiGraph:
         """All parallel edges between two nodes, oriented from ``node_a``."""
         return [e for e in self.edges_of(node_a) if e.target == node_b]
 
-    def edge_objects_between(self, node_a: str, node_b: str) -> list[Edge]:
-        """The shared :class:`Edge` instances between two nodes.
-
-        Returned in insertion order as seen from ``node_a``'s adjacency
-        list — for a graph built pair-by-pair (the discovery builders)
-        this is exactly the order the pair's edges were originally added,
-        which is what lets :meth:`adopt_edge` replay an unchanged pair
-        bit-identically during an incremental rebuild.
-        """
-        if node_a not in self._adjacency:
-            raise GraphError(f"unknown node {node_a!r}")
-        return [
-            edge
-            for edge in self._adjacency[node_a]
-            if node_b in (edge.node_a, edge.node_b)
-        ]
-
-    def adopt_edge(self, edge: Edge) -> Edge:
-        """Append an existing :class:`Edge` instance without copying it.
-
-        The incremental-rebuild fast path: edges of unaffected table pairs
-        are *shared* between the old and new graph (``Edge`` is frozen, so
-        aliasing is safe).  Both endpoints must already be nodes; the
-        duplicate check is skipped because adopted edges come from a graph
-        that already deduplicated them.
-        """
-        for node in (edge.node_a, edge.node_b):
-            if node not in self._adjacency:
-                raise GraphError(f"unknown node {node!r}; add_node it first")
-        self._adjacency[edge.node_a].append(edge)
-        self._adjacency[edge.node_b].append(edge)
-        return edge
-
     def degree(self, node: str) -> int:
         """Number of incident edges (parallel edges each count)."""
         return len(self.edges_of(node))

@@ -8,13 +8,12 @@ keeping every answer bit-identical to a cold full rebuild (DESIGN.md §12).
 """
 
 from .service import DiscoveryService, RequestFuture, ServiceResponse
-from .state import CachedEntry, LakeSnapshot, reachable_within
+from .state import LakeSnapshot, reachable_within
 
 __all__ = [
     "DiscoveryService",
     "RequestFuture",
     "ServiceResponse",
     "LakeSnapshot",
-    "CachedEntry",
     "reachable_within",
 ]

@@ -12,23 +12,24 @@ to feature discovery:
   :class:`~repro.engine.HopCache` shared into every run's
   :class:`~repro.engine.JoinEngine`, one content-addressed
   :class:`~repro.core.OutcomeMemo` of streaming-selection and top-k fit
-  outcomes (keyed by the bytes a step reads, so mutations never touch
-  it), and a
-  result cache of whole :class:`~repro.core.DiscoveryResult` /
-  ``AugmentationResult`` objects;
+  outcomes (keyed by the bytes a step reads), and a bounded
+  :class:`~repro.service.state.ResultStore` of whole
+  :class:`~repro.core.DiscoveryResult` / ``AugmentationResult`` objects;
 * **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
   requests which ``n_workers`` threads drain concurrently, each run
   multiplexed onto the existing engine/executor machinery
   (``config.parallel_backend`` still applies *within* a request);
 * **incremental mutation** — :meth:`register_table` /
   :meth:`update_table` / :meth:`drop_table` re-profile and re-match only
-  the affected column pairs, rebuild the DRG snapshot through
-  :meth:`~repro.graph.DatasetRelationGraph.apply_delta`, and surgically
-  invalidate only the dependent hop-cache entries and cached results.
+  the affected column pairs, replay the stored matches into a fresh DRG
+  and publish it as the new snapshot.  A mutation invalidates nothing:
+  the hop cache checks each index against the table object it was built
+  from, and the result store checks each result against the
+  :class:`~repro.service.state.Envelope` it was computed on, both on read.
 
 Concurrency model: a readers-writer lock.  Requests hold the read side
 while they resolve their snapshot and run; mutations take the write side
-— they wait for in-flight requests to drain, apply the delta, invalidate,
+— they wait for in-flight requests to drain, apply the index operation,
 publish the new snapshot, and release.  Requests already running keep the
 snapshot (an immutable DRG) they started with, so they never observe a
 half-applied mutation; requests dequeued after the mutation see the new
@@ -53,7 +54,7 @@ from ..engine import HopCache
 from ..errors import ServiceError
 from ..obs import MetricsRegistry, RunManifest, build_manifest, flat_node
 from ..obs.manifest import config_snapshot
-from .state import CachedEntry, LakeSnapshot, reachable_within
+from .state import LakeSnapshot, ResultStore
 
 __all__ = ["DiscoveryService", "RequestFuture", "ServiceResponse"]
 
@@ -177,9 +178,9 @@ def _config_key(config: AutoFeatConfig) -> tuple:
 class DiscoveryService:
     """Long-lived feature-discovery server over a mutable lake.
 
-    Repeated identical queries are served from the warm result cache
-    (invalidated surgically on mutation); a request that passes
-    ``use_cache=False`` recomputes instead.
+    Repeated identical queries are served from the warm result store
+    while the part of the lake they can observe is unchanged; a request
+    that passes ``use_cache=False`` recomputes instead.
 
     Parameters
     ----------
@@ -216,10 +217,13 @@ class DiscoveryService:
         self.registry = MetricsRegistry()
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()
-        self._results: dict[tuple, CachedEntry] = {}
-        self._results_lock = threading.Lock()
+        self._results = ResultStore()
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
+        #: Held while checking ``_closed`` and enqueuing, and while
+        #: ``close`` sets it and enqueues the shutdown sentinels, so no
+        #: request is ever queued behind a sentinel.
+        self._submit_lock = threading.Lock()
         self._in_flight = 0
         self._state_lock = threading.Lock()
         self._workers = [
@@ -241,11 +245,12 @@ class DiscoveryService:
 
     def close(self) -> None:
         """Drain the queue and stop the workers (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(_SHUTDOWN)
+        with self._submit_lock:
+            if self._closed:
+                return
+            self._closed = True
+            for _ in self._workers:
+                self._queue.put(_SHUTDOWN)
         for worker in self._workers:
             worker.join()
 
@@ -287,8 +292,6 @@ class DiscoveryService:
         request config), so a tight-budget partial answer is never served
         to a later unbudgeted request.
         """
-        if self._closed:
-            raise ServiceError("service is closed; no further requests")
         if kind not in REQUEST_KINDS:
             raise ServiceError(
                 f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}"
@@ -314,8 +317,11 @@ class DiscoveryService:
             use_cache=use_cache,
             future=RequestFuture(),
         )
+        with self._submit_lock:
+            if self._closed:
+                raise ServiceError("service is closed; no further requests")
+            self._queue.put(request)
         self.registry.counter("service.requests_submitted").inc()
-        self._queue.put(request)
         self.registry.gauge("service.queue_depth").set(self._queue.qsize())
         return request.future
 
@@ -400,15 +406,17 @@ class DiscoveryService:
                 request.model_name,
                 _config_key(request.config),
             )
-            entry = self._lookup(key) if request.use_cache else None
-            if entry is not None:
-                result = entry.result
-                cache_hit = True
-            else:
+            result = None
+            if request.use_cache:
+                envelope = snapshot.envelope(
+                    request.base, request.config.max_path_length
+                )
+                result = self._results.get(key, envelope)
+            cache_hit = result is not None
+            if not cache_hit:
                 result = self._run(request, snapshot)
-                cache_hit = False
                 if request.use_cache and self._cacheable(request, result):
-                    self._store(key, request, snapshot, result)
+                    self._results.put(key, envelope, result)
         execute_seconds = time.perf_counter() - started
         budget_exhausted = bool(getattr(result, "budget_exhausted", False))
         if budget_exhausted:
@@ -467,25 +475,6 @@ class DiscoveryService:
         if not getattr(result, "budget_exhausted", False):
             return True
         return request.config.budget_seconds is None
-
-    def _lookup(self, key: tuple) -> CachedEntry | None:
-        with self._results_lock:
-            return self._results.get(key)
-
-    def _store(
-        self, key: tuple, request: _Request, snapshot: LakeSnapshot, result
-    ) -> None:
-        entry = CachedEntry(
-            result=result,
-            base=request.base,
-            max_path_length=request.config.max_path_length,
-            reachable=reachable_within(
-                snapshot.drg, request.base, request.config.max_path_length
-            ),
-            version=snapshot.version,
-        )
-        with self._results_lock:
-            self._results[key] = entry
 
     def _count_cache(self, hit: bool) -> None:
         # One critical section: the rate is set from the counts it read.
@@ -547,74 +536,34 @@ class DiscoveryService:
         return self._mutate(lambda: self.index.drop_table(name))
 
     def _mutate(self, operation) -> MutationReport:
-        """Apply one mutation under the write lock and invalidate."""
+        """Apply one index operation under the write lock and publish the
+        new snapshot; every cache checks it on read."""
         if self._closed:
             raise ServiceError("service is closed; no further mutations")
         with self._rw.write():
             report = operation()
-            new_drg = self.index.drg
-            if report.content_changed:
-                dropped = self.hop_cache.invalidate(report.table)
-                self.registry.counter("service.hop_entries_invalidated").inc(
-                    dropped
-                )
-            invalidated = self._invalidate_results(report, new_drg)
             self._snapshot = LakeSnapshot(
-                version=self.index.version, drg=new_drg
+                version=self.index.version, drg=self.index.drg
             )
             self.registry.counter("service.mutations").inc()
-            self.registry.counter("service.results_invalidated").inc(
-                invalidated
-            )
             self.registry.gauge("service.snapshot_version").set(
                 self._snapshot.version
             )
         return report
 
-    def _invalidate_results(self, report: MutationReport, new_drg) -> int:
-        """Drop exactly the cached results the mutation can affect.
-
-        An entry survives iff its base still exists and no affected table
-        lies within its traversal radius in either the old graph (stored
-        ``reachable`` envelope) or the new one — see
-        :mod:`repro.service.state` for why that is sufficient.
-        """
-        affected = set(report.affected_tables)
-        new_reach: dict[tuple[str, int], frozenset[str]] = {}
-        doomed = []
-        with self._results_lock:
-            for key, entry in self._results.items():
-                if entry.base not in new_drg.graph:
-                    doomed.append(key)
-                    continue
-                if affected & entry.reachable:
-                    doomed.append(key)
-                    continue
-                radius = (entry.base, entry.max_path_length)
-                if radius not in new_reach:
-                    new_reach[radius] = reachable_within(
-                        new_drg, entry.base, entry.max_path_length
-                    )
-                if affected & new_reach[radius]:
-                    doomed.append(key)
-            for key in doomed:
-                del self._results[key]
-        return len(doomed)
-
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict:
         """One JSON-safe snapshot of the whole service's warm state."""
-        with self._results_lock:
-            cached_results = len(self._results)
+        hop_counters = self.hop_cache.counters()
         return {
             "snapshot_version": self._snapshot.version,
             "n_tables": self._snapshot.n_tables,
             "n_relationships": self._snapshot.drg.n_relationships,
-            "cached_results": cached_results,
-            "hop_cache": self.hop_cache.counters(),
+            "cached_results": len(self._results),
+            "hop_cache": hop_counters.as_dict(),
             "hop_cache_entries": len(self.hop_cache),
-            "hop_cache_hit_rate": round(self.hop_cache.hit_rate, 6),
+            "hop_cache_hit_rate": round(hop_counters.cache_hit_rate, 6),
             "memo": {
                 namespace: counters.as_dict()
                 for namespace, counters in self.memo.counters().items()

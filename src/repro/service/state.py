@@ -1,32 +1,50 @@
 """Shared immutable state of the always-on discovery service.
 
-The service never mutates a DRG in place: every lake mutation produces a
-fresh :class:`LakeSnapshot` (via :meth:`repro.graph.DatasetRelationGraph
-.apply_delta`), while requests already executing keep the snapshot they
-started with — the same share-immutable-state discipline the parallel
-backends use within one run (DESIGN.md §11), lifted to the request level.
+The service never mutates a DRG in place: every lake mutation replays the
+stored pair matches into a fresh DRG and publishes it as a new
+:class:`LakeSnapshot`, while requests already executing keep the snapshot
+they started with — the same share-immutable-state discipline the
+parallel backends use within one run (DESIGN.md §11), lifted to the
+request level.
 
-:func:`reachable_within` and :class:`CachedEntry` implement the surgical
-result-cache invalidation rule.  A discovery traversal from ``base``
-under hop budget ``L`` only ever observes tables within ``L`` hops of
-``base``; a mutation can therefore only change its outcome if one of the
-mutation's *affected tables* (the mutated table plus the far endpoint of
-every pair whose edges changed) lies inside that radius — in the
-pre-mutation graph (a path the old result used might die) or in the
-post-mutation graph (a new path might open).  Entries failing both
-intersection tests are provably still bit-identical to a cold rebuild
-and stay served warm; the property suite in
-``tests/service/test_incremental_equivalence.py`` checks exactly that.
+Nothing derived from a snapshot is invalidated when the next one is
+published.  A cached result is instead checked on read against its
+:class:`Envelope`, the part of the lake its traversal can observe.  A
+discovery traversal from ``base`` under hop budget ``L`` never expands a
+path of length ``L``, so every table it reads lies within ``L`` hops of
+``base`` and every edge it walks joins two such tables, read in adjacency
+order.  Two snapshots with equal envelopes therefore give bit-identical
+answers, and a lookup is a hit iff the stored envelope equals the
+current one; the property suite in
+``tests/service/test_incremental_equivalence.py`` checks served hits
+against a cold rebuild.  Tables compare by identity: a table is immutable
+and a mutation replaces the object, so ``is`` is exact and O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from ..core.result import AugmentationResult, DiscoveryResult
-from ..graph import DatasetRelationGraph
+from ..dataframe import Table
+from ..graph import DatasetRelationGraph, OrientedEdge
 
-__all__ = ["LakeSnapshot", "CachedEntry", "reachable_within"]
+__all__ = [
+    "RESULT_ENTRIES",
+    "Envelope",
+    "LakeSnapshot",
+    "ResultStore",
+    "reachable_within",
+]
+
+#: Results the service keeps (LRU).  An ``augment`` result carries its
+#: augmented table and pickles to ≈ 0.9 MB on the ``service_mixed`` lake,
+#: so the bound caps the store near 60 MB on a lake that size, while a
+#: client cycling through a few dozen request configs still hits (the
+#: e2e service workload uses 6).
+RESULT_ENTRIES = 64
 
 
 def reachable_within(
@@ -61,24 +79,88 @@ class LakeSnapshot:
 
     version: int
     drg: DatasetRelationGraph
+    #: ``(base, max_hops) -> Envelope``, derived from this snapshot only.
+    _envelopes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_tables(self) -> int:
         return self.drg.n_tables
 
+    def envelope(self, base: str, max_hops: int) -> "Envelope":
+        """:meth:`Envelope.of` this snapshot, computed once per argument
+        pair (two racing readers both compute it and store equal values)."""
+        key = (base, max_hops)
+        envelope = self._envelopes.get(key)
+        if envelope is None:
+            envelope = self._envelopes[key] = Envelope.of(self.drg, base, max_hops)
+        return envelope
 
-@dataclass(frozen=True)
-class CachedEntry:
-    """A warm discovery/augmentation result plus its validity envelope.
 
-    ``reachable`` is the table set the producing traversal could observe
-    (computed on the snapshot it ran against); an entry survives a
-    mutation iff no affected table intersects that envelope in either
-    the old or the new graph.
+@dataclass(frozen=True, eq=False)
+class Envelope:
+    """What a traversal from ``base`` under hop budget ``L`` can observe.
+
+    ``tables`` are the tables within ``L`` hops of ``base`` in canonical
+    order; ``edges`` are every edge among them, node by node in adjacency
+    order.  Equality is identity on the tables and value on the edges.
     """
 
-    result: DiscoveryResult | AugmentationResult
-    base: str
-    max_path_length: int
-    reachable: frozenset[str]
-    version: int
+    tables: tuple[Table, ...]
+    edges: tuple[OrientedEdge, ...]
+
+    @classmethod
+    def of(cls, drg: DatasetRelationGraph, base: str, max_hops: int) -> "Envelope":
+        reach = reachable_within(drg, base, max_hops)
+        names = [name for name in drg.table_names if name in reach]
+        return cls(
+            tables=tuple(drg.table(name) for name in names),
+            edges=tuple(
+                edge
+                for name in names
+                for edge in drg.graph.edges_of(name)
+                if edge.target in reach
+            ),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Envelope):
+            return NotImplemented
+        return self is other or (
+            len(self.tables) == len(other.tables)
+            and all(a is b for a, b in zip(self.tables, other.tables))
+            and self.edges == other.edges
+        )
+
+
+class ResultStore:
+    """Bounded, thread-safe map from a request key to the last result
+    computed for it and the :class:`Envelope` it was computed on."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[
+            tuple, tuple[Envelope, DiscoveryResult | AugmentationResult]
+        ] = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: tuple, envelope: Envelope):
+        """The stored result if it was computed on ``envelope``, else None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != envelope:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def put(self, key: tuple, envelope: Envelope, result) -> None:
+        """Store ``result``, replacing whatever ``key`` held."""
+        with self._lock:
+            self._entries[key] = (envelope, result)
+            self._entries.move_to_end(key)
+            while len(self._entries) > RESULT_ENTRIES:
+                self._entries.popitem(last=False)

@@ -2,8 +2,10 @@
 
 Covers the scoped-rematch accounting (only affected pairs hit the
 matcher), equivalence of the incremental DRG against a cold
-``from_discovery`` build, and the MutationReport surface the service
-layer's surgical invalidation consumes.
+``from_discovery`` build, the MutationReport surface, and the snapshot
+discipline the service's read-side checks rely on: a mutation publishes
+a new DRG, leaves the old one untouched and keeps every other table's
+identity.
 """
 
 import pytest
@@ -47,27 +49,37 @@ class CountingMatcher:
         yield "record_id", "record_id", 0.9
 
 
+def assert_matches_cold(index):
+    """Same tables, edges, weights and per-node adjacency order as a cold
+    ``from_discovery``: the BFS enumerates paths in adjacency order."""
+    cold = index.rebuild()
+    assert index.drg.table_names == cold.table_names
+    assert index.drg.edge_fingerprint() == cold.edge_fingerprint()
+    for name in cold.table_names:
+        assert index.drg.graph.edges_of(name) == cold.graph.edges_of(name), name
+
+
 @pytest.mark.parametrize("matcher_cls", MATCHERS)
 class TestEquivalence:
     def test_initial_build_matches_cold(self, tables, matcher_cls):
         index = IncrementalMatchIndex(tables, matcher=matcher_cls())
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert_matches_cold(index)
         assert index.version == 0
 
     def test_register_matches_cold(self, tables, matcher_cls):
         index = IncrementalMatchIndex(tables, matcher=matcher_cls())
         index.register_table(_table("delta", [3, 4, 5]))
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert_matches_cold(index)
 
     def test_update_matches_cold(self, tables, matcher_cls):
         index = IncrementalMatchIndex(tables, matcher=matcher_cls())
         index.update_table(_table("beta", [100, 200, 300]))
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert_matches_cold(index)
 
     def test_drop_matches_cold(self, tables, matcher_cls):
         index = IncrementalMatchIndex(tables, matcher=matcher_cls())
         index.drop_table("beta")
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert_matches_cold(index)
         assert "beta" not in index
 
     def test_mutation_sequence_matches_cold(self, tables, matcher_cls):
@@ -76,7 +88,7 @@ class TestEquivalence:
         index.drop_table("alpha")
         index.update_table(_table("gamma", [1, 2]))
         index.register_table(_table("alpha", [2, 9]))
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert_matches_cold(index)
         assert index.version == 4
 
 
@@ -122,25 +134,35 @@ class TestMutationReports:
         assert report.kind == "register"
         assert report.table == "delta"
         assert report.version == 1
-        assert not report.content_changed  # no existing rows changed
-        assert "delta" in report.affected_tables
+        assert (report.n_pairs_rematched, report.n_pairs_reused) == (3, 3)
 
     def test_drop_report_affects_partners_with_edges(self, tables):
         index = IncrementalMatchIndex(tables, matcher=ComaMatcher())
+        before = index.drg
+        assert before.neighbors("beta")  # beta has partners to lose
         report = index.drop_table("beta")
         assert report.kind == "drop"
-        assert report.content_changed
-        # every partner beta had a thresholded edge to is affected
-        partners = {t for pair in report.changed_pairs for t in pair} - {"beta"}
-        assert report.affected_tables == partners | {"beta"}
+        assert (report.n_pairs_rematched, report.n_pairs_reused) == (0, 1)
+        assert all("beta" not in row[::2] for row in index.drg.edge_fingerprint())
+        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        # The published snapshot is new; the old one is left untouched.
+        assert index.drg is not before
+        assert "beta" in before.table_names and before.neighbors("beta")
 
     def test_noop_update_affects_only_itself(self, tables):
         index = IncrementalMatchIndex(tables, matcher=ComaMatcher())
-        # identical contents -> identical matches -> no changed pairs
-        report = index.update_table(_table("beta", [1, 2, 3, 9]))
-        assert report.changed_pairs == ()
-        assert report.affected_tables == frozenset({"beta"})
-        assert report.content_changed  # rows *may* differ; indexes stale
+        before = index.drg
+        # identical contents -> identical matches -> identical edges
+        replacement = _table("beta", [1, 2, 3, 9])
+        report = index.update_table(replacement)
+        assert (report.n_pairs_rematched, report.n_pairs_reused) == (2, 1)
+        assert index.drg.edge_fingerprint() == before.edge_fingerprint()
+        assert index.drg.table_names == before.table_names
+        # Only the updated table's object changed: the other tables keep
+        # their identity, which is what the service's caches check.
+        for name in ("alpha", "gamma"):
+            assert index.drg.table(name) is before.table(name)
+        assert index.drg.table("beta") is replacement
 
 
 class TestValidation:

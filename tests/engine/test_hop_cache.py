@@ -4,6 +4,9 @@ from repro.dataframe import Table
 from repro.engine import ExecutionStats, HopCache, JoinEngine
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
+T = Table({"k": [1, 2]}, name="t")
+U = Table({"k": [1, 2]}, name="u")
+
 
 class CountingBuilder:
     """Stands in for the JoinIndex build phase; counts invocations."""
@@ -19,8 +22,8 @@ class CountingBuilder:
 class TestEnabledCache:
     def test_miss_then_hit(self):
         cache, stats, builder = HopCache(), ExecutionStats(), CountingBuilder()
-        first = cache.get_or_build("t", "t.k", 0, builder, stats)
-        second = cache.get_or_build("t", "t.k", 0, builder, stats)
+        first = cache.get_or_build(T, "t.k", 0, builder, stats)
+        second = cache.get_or_build(T, "t.k", 0, builder, stats)
         assert first is second
         assert builder.calls == 1
         assert (stats.index_builds, stats.cache_hits, stats.cache_misses) == (1, 1, 1)
@@ -29,27 +32,19 @@ class TestEnabledCache:
 
     def test_distinct_keys_build_separately(self):
         cache, stats, builder = HopCache(), ExecutionStats(), CountingBuilder()
-        cache.get_or_build("t", "t.k", 0, builder, stats)
-        cache.get_or_build("t", "t.other", 0, builder, stats)  # other key column
-        cache.get_or_build("u", "t.k", 0, builder, stats)  # other table
-        cache.get_or_build("t", "t.k", 1, builder, stats)  # other seed
+        cache.get_or_build(T, "t.k", 0, builder, stats)
+        cache.get_or_build(T, "t.other", 0, builder, stats)  # other key column
+        cache.get_or_build(U, "t.k", 0, builder, stats)  # other table
+        cache.get_or_build(T, "t.k", 1, builder, stats)  # other seed
         assert builder.calls == 4
         assert stats.cache_misses == 4
         assert stats.cache_hits == 0
         assert len(cache) == 4
 
-    def test_clear_forces_rebuild(self):
-        cache, builder = HopCache(), CountingBuilder()
-        cache.get_or_build("t", "t.k", 0, builder)
-        cache.clear()
-        assert len(cache) == 0
-        cache.get_or_build("t", "t.k", 0, builder)
-        assert builder.calls == 2
-
     def test_stats_optional(self):
         cache, builder = HopCache(), CountingBuilder()
-        assert cache.get_or_build("t", "t.k", 0, builder) is cache.get_or_build(
-            "t", "t.k", 0, builder
+        assert cache.get_or_build(T, "t.k", 0, builder) is cache.get_or_build(
+            T, "t.k", 0, builder
         )
 
 
@@ -139,7 +134,7 @@ class TestThreadSafety:
 
         def probe(i):
             barrier.wait()
-            results[i] = cache.get_or_build("t", "t.k", 0, builder, stats[i])
+            results[i] = cache.get_or_build(T, "t.k", 0, builder, stats[i])
 
         threads = [
             threading.Thread(target=probe, args=(i,)) for i in range(n_threads)
@@ -187,7 +182,7 @@ class TestThreadSafety:
         def probe(i):
             barrier.wait()
             try:
-                results[i] = cache.get_or_build("t", "t.k", 0, builder, stats[i])
+                results[i] = cache.get_or_build(T, "t.k", 0, builder, stats[i])
             except RuntimeError as exc:
                 errors[i] = exc
 
@@ -210,13 +205,14 @@ class TestThreadSafety:
         from repro.engine import ExecutionStats, HopCache
 
         cache = HopCache()
+        tables = [Table({"k": [1]}, name=f"t{i}") for i in range(4)]
         builders = [SlowBuilder(delay=0.01) for _ in range(4)]
         stats = [ExecutionStats() for _ in range(8)]
         barrier = threading.Barrier(8)
 
         def probe(i):
             barrier.wait()
-            cache.get_or_build(f"t{i % 4}", "t.k", 0, builders[i % 4], stats[i])
+            cache.get_or_build(tables[i % 4], "t.k", 0, builders[i % 4], stats[i])
 
         threads = [threading.Thread(target=probe, args=(i,)) for i in range(8)]
         for t in threads:
@@ -231,100 +227,132 @@ class TestThreadSafety:
         assert len(cache) == 4
 
 
-class TestInvalidation:
-    """Per-table surgical invalidation: the always-on service's mutation hook."""
+class TestTableIdentity:
+    """An entry is served only to a lookup for the table object it was
+    built from; any other version of the table rebuilds it in place."""
 
-    def test_invalidate_drops_only_that_tables_entries(self):
-        cache, builder = HopCache(), CountingBuilder()
-        cache.get_or_build("t", "t.k", 0, builder)
-        cache.get_or_build("t", "t.other", 1, builder)
-        cache.get_or_build("u", "u.k", 0, builder)
-        dropped = cache.invalidate("t")
-        assert dropped == 2
+    def test_new_table_object_misses_and_rebuilds_in_place(self):
+        cache, stats, builder = HopCache(), ExecutionStats(), CountingBuilder()
+        old = cache.get_or_build(T, "t.k", 0, builder, stats)
+        newer = Table({"k": [1, 2]}, name="t")  # equal contents, new object
+        fresh = cache.get_or_build(newer, "t.k", 0, builder, stats)
+        assert fresh is not old
+        assert cache.get_or_build(newer, "t.k", 0, builder, stats) is fresh
+        assert builder.calls == 2
+        assert (stats.cache_misses, stats.cache_hits) == (2, 1)
         assert len(cache) == 1
-        assert ("u", "u.k", 0) in cache
-        assert ("t", "t.k", 0) not in cache
 
-    def test_invalidate_unknown_table_is_a_counted_noop(self):
-        cache = HopCache()
-        assert cache.invalidate("ghost") == 0
-        assert cache.counters()["invalidations"] == 1
-        assert cache.counters()["entries_invalidated"] == 0
+    def test_other_tables_stay_warm(self):
+        cache, builder = HopCache(), CountingBuilder()
+        kept = cache.get_or_build(U, "u.k", 0, builder)
+        cache.get_or_build(T, "t.k", 0, builder)
+        cache.get_or_build(T, "t.other", 1, builder)
+        newer = Table({"k": [3]}, name="t")
+        cache.get_or_build(newer, "t.k", 0, builder)
+        cache.get_or_build(newer, "t.other", 1, builder)
+        assert cache.get_or_build(U, "u.k", 0, builder) is kept
+        assert builder.calls == 5
+        assert len(cache) == 3
+
+    def test_versions_of_one_table_keep_one_entry_per_key(self):
+        cache, builder = HopCache(), CountingBuilder()
+        for version in range(50):
+            table = Table({"k": [version]}, name="t")
+            cache.get_or_build(table, "t.k", 0, builder)
+            cache.get_or_build(table, "t.k", 1, builder)
+        assert len(cache) == 2
+        assert builder.calls == 100
 
     def test_lifetime_counters_and_hit_rate(self):
         cache, builder = HopCache(), CountingBuilder()
-        cache.get_or_build("t", "t.k", 0, builder)
-        cache.get_or_build("t", "t.k", 0, builder)
-        cache.get_or_build("t", "t.k", 0, builder)
-        cache.invalidate("t")
-        cache.get_or_build("t", "t.k", 0, builder)
+        for _ in range(3):
+            cache.get_or_build(T, "t.k", 0, builder)
+        cache.get_or_build(Table({"k": [1, 2]}, name="t"), "t.k", 0, builder)
         counters = cache.counters()
-        assert counters["hits"] == 2
-        assert counters["misses"] == 2
-        assert counters["builds"] == 2
-        assert counters["invalidations"] == 1
-        assert counters["entries_invalidated"] == 1
-        assert cache.hit_rate == 0.5
+        assert counters == ExecutionStats(
+            index_builds=2, cache_hits=2, cache_misses=2
+        )
+        assert counters.cache_hit_rate == 0.5
+        counters.cache_hits += 10  # a copy: the cache keeps its own count
+        assert cache.counters().cache_hits == 2
 
-    def test_concurrent_invalidation_keeps_counters_exact(self):
+    def test_concurrent_table_swaps_keep_counters_exact(self):
+        import sys
         import threading
 
         cache = HopCache()
         builder = SlowBuilder(delay=0.002)
+        versions = [Table({"k": [v]}, name="t") for v in range(2)]
         n_loops, n_threads = 25, 4
-        barrier = threading.Barrier(n_threads + 1)
+        barrier = threading.Barrier(n_threads)
+        served = []
 
-        def prober():
+        def prober(i):
             barrier.wait()
-            for _ in range(n_loops):
-                cache.get_or_build("t", "t.k", 0, builder)
+            for loop in range(n_loops):
+                table = versions[(i + loop) % 2]
+                served.append((table, cache.get_or_build(table, "t.k", 0, builder)))
 
-        def invalidator():
-            barrier.wait()
-            for _ in range(n_loops):
-                cache.invalidate("t")
-
-        threads = [threading.Thread(target=prober) for _ in range(n_threads)]
-        threads.append(threading.Thread(target=invalidator))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [
+            threading.Thread(target=prober, args=(i,)) for i in range(n_threads)
+        ]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # 4 probers on 2 cores
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(t.is_alive() for t in threads)
         counters = cache.counters()
         # Conservation laws that hold under any interleaving: every
-        # lookup is a hit or a miss, every miss elects one builder, and
-        # nothing invalidated is ever double-counted.
-        assert counters["hits"] + counters["misses"] == n_loops * n_threads
-        assert counters["builds"] == counters["misses"]
-        assert builder.calls == counters["builds"]
-        assert counters["invalidations"] == n_loops
-        assert counters["entries_invalidated"] <= counters["builds"]
+        # lookup is a hit or a miss and every miss elects one builder.
+        assert counters.cache_lookups == n_loops * n_threads
+        assert counters.index_builds == counters.cache_misses == builder.calls
+        assert len(cache) == 1
+        # No lookup was ever answered with an index another version built.
+        built_from = {}
+        for table, index in served:
+            assert built_from.setdefault(index, table) is table
 
-    def test_builder_racing_an_invalidation_never_publishes_stale(self):
+    def test_old_table_builder_is_not_served_to_new_table_caller(self):
         import threading
+        import time
 
         cache = HopCache()
+        newer = Table({"k": [1, 2]}, name="t")
         release = threading.Event()
         entered = threading.Event()
+        results = {}
 
         def parked_builder():
             entered.set()
             release.wait(2.0)
             return "stale"
 
-        worker = threading.Thread(
-            target=lambda: cache.get_or_build("t", "t.k", 0, parked_builder)
+        old_caller = threading.Thread(
+            target=lambda: results.setdefault(
+                "old", cache.get_or_build(T, "t.k", 0, parked_builder)
+            )
         )
-        worker.start()
+        old_caller.start()
         assert entered.wait(2.0)
-        # Invalidate while the elected builder is mid-build: its result
-        # must be returned to its caller but never enter the cache.
-        cache.invalidate("t")
+        # A caller on the mutated table arrives while the old table's
+        # builder is mid-build: it must get an index built from its own
+        # table, never the one the old builder publishes.
+        new_caller = threading.Thread(
+            target=lambda: results.setdefault(
+                "new", cache.get_or_build(newer, "t.k", 0, lambda: "fresh")
+            )
+        )
+        new_caller.start()
+        time.sleep(0.05)  # let the new caller reach the build latch
         release.set()
-        worker.join()
-        assert len(cache) == 0
-        assert ("t", "t.k", 0) not in cache
-        # The next lookup is an ordinary miss that rebuilds fresh.
-        fresh = cache.get_or_build("t", "t.k", 0, lambda: "fresh")
-        assert fresh == "fresh"
-        assert ("t", "t.k", 0) in cache
+        old_caller.join(5)
+        new_caller.join(5)
+        assert not old_caller.is_alive() and not new_caller.is_alive()
+        assert results == {"old": "stale", "new": "fresh"}
+        assert cache.get_or_build(newer, "t.k", 0, lambda: "rebuilt") == "fresh"
+        assert len(cache) == 1

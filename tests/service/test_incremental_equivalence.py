@@ -6,8 +6,11 @@ state must be bit-identical to throwing everything away and rebuilding
 from scratch — same DRG (edges and weights), same ranked paths and
 scores, same failure reports, same deterministic manifest fields.
 Hypothesis drives random mutation sequences over a small lake for both
-the COMA and Lazo matchers.
+the COMA and Lazo matchers, once with every answer recomputed and once
+with answers served from the warm result store.
 """
+
+import dataclasses
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -56,6 +59,13 @@ ops_strategy = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+def make_isolated(variant):
+    """A table no matcher links to anything: outside every envelope."""
+    return Table(
+        {"colour": [f"shade{variant}-{i}" for i in range(4)]}, name="notes"
+    )
 
 
 def apply_ops(service, ops):
@@ -148,6 +158,10 @@ class TestMutationEquivalence:
             )
             assert service.drg.table_names == cold_drg.table_names
             assert service.drg.edge_fingerprint() == cold_drg.edge_fingerprint()
+            for name in cold_drg.table_names:
+                assert service.drg.graph.edges_of(name) == cold_drg.graph.edges_of(
+                    name
+                )
 
             # (2) Ranked paths, scores, counters and failure reports.
             warm = service.discover("base", "label", use_cache=False)
@@ -160,5 +174,54 @@ class TestMutationEquivalence:
             assert manifest_deterministic_fields(
                 warm.result.run_manifest
             ) == manifest_deterministic_fields(cold.run_manifest)
+        finally:
+            service.close()
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=ops_strategy)
+    def test_cached_answers_equal_cold_rebuild(self, matcher_cls, ops):
+        """Served hits, across mutations, at three traversal radii.
+
+        Each step applies one op, then rewrites the isolated ``notes``
+        table, which lies outside every envelope: a step whose op was
+        skipped changed nothing a traversal can observe, so its first
+        read must be a hit.  The manifest's lake-wide dataset fingerprint
+        records the producing run and is not compared.
+        """
+        configs = [
+            dataclasses.replace(CONFIG, max_path_length=hops) for hops in (1, 2, 3)
+        ]
+        lake = [
+            make_base(),
+            make_satellite("s1", 0),
+            make_satellite("s2", 1),
+            make_isolated(0),
+        ]
+        service = DiscoveryService(
+            lake, matcher=matcher_cls(), config=CONFIG, n_workers=1
+        )
+        try:
+            for config in configs:
+                service.discover("base", "label", config=config)
+            for step, op in enumerate(ops, start=1):
+                applied = apply_ops(service, [op])
+                service.update_table(make_isolated(step))
+                cold_drg = DatasetRelationGraph.from_discovery(
+                    service.index.tables, matcher_cls(), threshold=0.55
+                )
+                for config in configs:
+                    cold = discovery_fingerprint(
+                        AutoFeat(cold_drg, config).discover("base", "label")
+                    )
+                    first = service.discover("base", "label", config=config)
+                    again = service.discover("base", "label", config=config)
+                    assert first.cache_hit or applied
+                    assert again.cache_hit
+                    assert discovery_fingerprint(first.result) == cold
+                    assert discovery_fingerprint(again.result) == cold
         finally:
             service.close()

@@ -451,8 +451,7 @@ class TestWarmState:
 
     def test_mutations_never_touch_the_memo(self):
         # There is no invalidation path to get wrong: the key is the bytes.
-        for name in ("register_table", "update_table", "drop_table", "_mutate",
-                     "_invalidate_results"):
+        for name in ("register_table", "update_table", "drop_table", "_mutate"):
             source = inspect.getsource(getattr(DiscoveryService, name))
             assert "memo" not in source, name
         with DiscoveryService(initial_lake(), config=CONFIG, n_workers=1) as service:

@@ -1,21 +1,27 @@
 """Behavioural tests for the always-on DiscoveryService.
 
 A small deterministic chain lake (base — a — b — far) driven by a
-name-keyed matcher exercises the request queue, the warm result cache,
-surgical invalidation on mutation, per-request manifests, and the
-service-level gauges.
+name-keyed matcher exercises the request queue, the warm result store,
+the read-side checks that decide what a mutation made stale, the bounds
+on both caches, per-request manifests, and the service-level gauges.
 """
 
+import dataclasses
 import inspect
+import sys
 import threading
 
 import pytest
 
-from repro import AutoFeatConfig, DiscoveryService
+from repro import AutoFeat, AutoFeatConfig, DiscoveryService
 from repro.dataframe import Table
 from repro.errors import ServiceError
+from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import validate_manifest
 from repro.service import reachable_within
+from repro.service.state import RESULT_ENTRIES, Envelope, ResultStore
+
+from .test_incremental_equivalence import discovery_fingerprint
 
 
 def _lake():
@@ -147,6 +153,25 @@ class TestRequests:
             svc.drop_table("far")
         svc.close()  # idempotent
 
+    def test_submit_racing_close_never_loses_the_request(self, config):
+        # close() runs from inside submit(), after the request is built:
+        # the request must be either refused or answered, never queued
+        # behind the shutdown sentinels where no worker would take it.
+        svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
+        counter = svc.registry.counter
+
+        def closing_counter(name):
+            if name == "service.requests_submitted":
+                svc.close()
+            return counter(name)
+
+        svc.registry.counter = closing_counter
+        try:
+            future = svc.submit("discover", "base", "label")
+        except ServiceError:
+            return
+        assert future.result(timeout=30).result.ranked_paths
+
     def test_context_manager_closes(self, config):
         with DiscoveryService(
             _lake(), matcher=chain_matcher, config=config
@@ -176,14 +201,22 @@ class TestMutationInvalidation:
         assert after.cache_hit
         assert after.result is warm.result
 
-    def test_in_radius_pair_endpoint_invalidates_conservatively(self, service):
+    def test_in_radius_pair_endpoint_change_hits_and_equals_cold(
+        self, service, config
+    ):
         # Under the 2-hop budget base reaches b, and dropping "far"
-        # changes the (b, far) pair — the entry is (conservatively)
-        # invalidated even though no <=2-hop path used the dead edge.
-        service.discover("base", "label")
+        # removes the (b, far) edge — but far lies outside the envelope
+        # and no <=2-hop path walks that edge, so the hit is exact.
+        warm = service.discover("base", "label")
         service.drop_table("far")
         after = service.discover("base", "label")
-        assert not after.cache_hit
+        assert after.cache_hit
+        assert after.result is warm.result
+        cold_drg = DatasetRelationGraph.from_discovery(
+            service.index.tables, chain_matcher, threshold=0.55
+        )
+        cold = AutoFeat(cold_drg, config).discover("base", "label")
+        assert discovery_fingerprint(after.result) == discovery_fingerprint(cold)
 
     def test_in_radius_mutation_invalidates(self, service):
         service.discover("base", "label")
@@ -200,35 +233,140 @@ class TestMutationInvalidation:
             service.discover("base", "label")
         assert resp.result is not None  # the old handle stays usable
 
-    def test_update_invalidates_hop_cache_for_that_table_only(self, service):
+    def test_update_rebuilds_hop_entries_for_that_table_only(self, service):
         service.discover("base", "label")
-        entries_before = {key[0] for key in service.hop_cache._indexes}
+        before = dict(service.hop_cache._indexes)
+        assert {key[0] for key in before} == {"a", "b"}
         lake = {t.name: t for t in _lake()}
         service.update_table(lake["a"])
-        assert all(key[0] != "a" for key in service.hop_cache._indexes)
-        counters = service.hop_cache.counters()
-        assert counters["invalidations"] == 1
+        assert service.hop_cache._indexes == before  # a mutation touches none
+        service.discover("base", "label")
+        after = service.hop_cache._indexes
+        assert after.keys() == before.keys()
+        for key, (table, index) in after.items():
+            if key[0] == "a":
+                assert table is lake["a"] and index is not before[key][1]
+            else:
+                assert (table, index) == before[key]
 
     def test_register_does_not_touch_hop_cache(self, service):
         service.discover("base", "label")
         service.drop_table("far")
-        invalidations = service.hop_cache.counters()["invalidations"]
+        entries = dict(service.hop_cache._indexes)
         lake = {t.name: t for t in _lake()}
         service.register_table(lake["far"])
-        assert (
-            service.hop_cache.counters()["invalidations"] == invalidations
-        )
+        assert service.hop_cache._indexes == entries
+        # A mutation only publishes the new snapshot; no cache is called.
+        source = inspect.getsource(DiscoveryService._mutate)
+        assert "hop_cache" not in source and "_results" not in source
 
     def test_mutation_report_shape(self, service):
         report = service.drop_table("far")
         assert report.kind == "drop"
         assert report.table == "far"
-        assert "far" in report.affected_tables
+        assert report.version == 1
+        assert (report.n_pairs_rematched, report.n_pairs_reused) == (0, 3)
 
     def test_requests_after_mutation_see_new_snapshot(self, service):
         service.drop_table("far")
         resp = service.discover("base", "label")
         assert resp.snapshot_version == 1
+
+
+class TestBounds:
+    """Both caches stay bounded however many configs and mutations pass."""
+
+    def test_distinct_configs_stay_within_the_result_bound(self, service, config):
+        futures = [
+            service.submit(
+                "discover", "base", "label",
+                config=dataclasses.replace(config, tau=i / 1000),
+            )
+            for i in range(1000)
+        ]
+        assert not any(f.result(timeout=300).cache_hit for f in futures)
+        assert service.stats()["cached_results"] <= RESULT_ENTRIES
+        # The most recent configs are the ones still served warm.
+        last = dataclasses.replace(config, tau=999 / 1000)
+        assert service.discover("base", "label", config=last).cache_hit
+
+    def test_updates_of_one_satellite_keep_one_hop_entry_per_key(self, service):
+        service.discover("base", "label")
+        triples = set(service.hop_cache._indexes)
+        for _ in range(50):
+            service.update_table(_lake()[1])  # a fresh "a" object each time
+            response = service.discover("base", "label")
+            assert not response.cache_hit
+        assert set(service.hop_cache._indexes) == triples
+        assert len(service.hop_cache) == len(triples)
+
+
+    def test_store_under_contention_serves_only_matching_results(self):
+        store = ResultStore()
+        n_threads, n_loops, n_keys = 4, 300, RESULT_ENTRIES + 16
+        envelopes = [
+            Envelope(tables=(Table({"k": [i]}, name="t"),), edges=())
+            for i in range(n_threads)
+        ]
+        wrong = []
+
+        def client(i):
+            for loop in range(n_loops):
+                key = (loop % n_keys,)
+                got = store.get(key, envelopes[i])
+                if got is not None and got != (i, key):
+                    wrong.append(got)
+                store.put(key, envelopes[i], (i, key))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(n_threads)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # 4 clients on 2 cores
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(store) == RESULT_ENTRIES
+
+
+class TestEnvelope:
+    def _drg(self, tables, constraints):
+        return DatasetRelationGraph.from_constraints(
+            tables, [KFKConstraint(*c) for c in constraints]
+        )
+
+    def test_radius_tables_and_edges(self):
+        lake = _lake()
+        drg = DatasetRelationGraph.from_discovery(lake, chain_matcher)
+        envelope = Envelope.of(drg, "base", 1)
+        assert [t.name for t in envelope.tables] == ["base", "a"]
+        assert envelope.tables[1] is lake[1]
+        assert [(e.source, e.target) for e in envelope.edges] == [
+            ("base", "a"), ("a", "base"),  # a's edge to b leaves the radius
+        ]
+        assert Envelope.of(drg, "ghost", 2) == Envelope((), ())
+
+    def test_equal_iff_same_table_objects_and_same_edges(self):
+        lake = _lake()
+        chain = [("base", "id", "a", "id"), ("a", "link", "b", "link")]
+        envelope = Envelope.of(self._drg(lake, chain), "base", 2)
+        assert Envelope.of(self._drg(lake, chain), "base", 2) == envelope
+        # Same tables, one edge more: the traversal could walk it.
+        wider = self._drg(lake, chain + [("base", "id", "b", "link")])
+        assert Envelope.of(wider, "base", 2) != envelope
+        # Same edges, a content-equal copy of one table: a new object.
+        copy = [lake[0], Table(lake[1].to_dict(), name="a"), *lake[2:]]
+        assert copy[1] == lake[1]
+        assert Envelope.of(self._drg(copy, chain), "base", 2) != envelope
+
+    def test_snapshot_computes_each_envelope_once(self, service):
+        snapshot = service.snapshot
+        assert snapshot.envelope("base", 2) is snapshot.envelope("base", 2)
+        assert snapshot.envelope("base", 2) == Envelope.of(snapshot.drg, "base", 2)
 
 
 class TestReachability:
@@ -286,10 +424,12 @@ class TestObservability:
             assert set(counters) == {"hits", "misses", "entries", "evictions"}
         assert stats["snapshot_version"] == 1
         assert stats["n_tables"] == 3
-        assert stats["cached_results"] == 1  # far is out of the 1-hop radius
-        assert set(stats["hop_cache"]) == {
-            "hits", "misses", "builds", "invalidations", "entries_invalidated",
-        }
+        assert stats["cached_results"] == 1
+        assert stats["hop_cache"] == service.hop_cache.counters().as_dict()
+        assert stats["hop_cache"]["index_builds"] == stats["hop_cache_entries"]
+        assert (
+            stats["hop_cache_hit_rate"] == stats["hop_cache"]["cache_hit_rate"]
+        )
         assert stats["match_index"]["mutations"] == 1
 
 
