@@ -10,7 +10,9 @@ sorted by cumulative and by own time and, for ``service_mixed``, the
 outcome memo's hits / misses per namespace (``selection``, ``train``) over
 the profiled block; how many (selected × candidate) pairs the redundancy
 kernel counted and how many candidates its early-rejection bound dropped
-(every workload's op runs ``discover``); for a workload that
+(every workload's op runs ``discover``); how many joined tables the op's
+hops built (discovery builds one only for a path that can still grow);
+for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import inspect
 import os
 import pstats
 import statistics
@@ -123,6 +126,7 @@ def main() -> int:
             f"pairs counted, {work['rejected']} / {work['candidates']} "
             "candidates rejected by the bound"
         )
+    print(f"hop tables materialised: {work['tables']} / hops {work['hops']}")
     if workload.match_in_op:
         print(_overlap_gate_line(lake))
     return 0
@@ -135,20 +139,26 @@ def _memo_counters(workload, state) -> dict:
 
 @contextlib.contextmanager
 def _redundancy_work():
-    """Count, while active, what the redundancy kernel does.
+    """Count, while active, what the redundancy kernel and the hops do.
 
-    ``pairs`` is |R_sel| × candidates summed over its calls — what a full
-    walk counts — and ``counted`` the (selected × candidate) pairs it
-    counted.  Under MIFS, MRMR and CMIM every rejection is the bound's (the
-    last check is the full score); CIFE and JMI reject none by it.
+    ``pairs`` is |R_sel| × candidates summed over the kernel's calls — what
+    a full walk counts — and ``counted`` the (selected × candidate) pairs
+    it counted.  Under MIFS, MRMR and CMIM every rejection is the bound's
+    (the last check is the full score); CIFE and JMI reject none by it.
+    ``hops`` counts probed hops and ``tables`` the joined tables built.
     """
     from repro.core import streaming
+    from repro.dataframe import JoinIndex
+    from repro.engine import JoinEngine
     from repro.selection import kernels
 
-    work = dict.fromkeys(("counted", "pairs", "rejected", "candidates"), 0)
+    keys = ("counted", "pairs", "rejected", "candidates", "hops", "tables")
+    work = dict.fromkeys(keys, 0)
     lock = threading.Lock()  # service workloads score on worker threads
     kernel = streaming.batch_redundancy_scores
+    signature = inspect.signature(kernel)
     pair_information = kernels._pair_information
+    probe_hop, attach = JoinEngine.probe_hop, JoinIndex.attach
 
     def counting_pairs(left, right, given=None):
         if given is None:
@@ -156,8 +166,11 @@ def _redundancy_work():
                 work["counted"] += left.shape[0] * right.shape[0]
         return pair_information(left, right, given)
 
-    def counting_kernel(candidates, cache, method="mrmr", counters=None):
-        scores = kernel(candidates, cache, method, counters)
+    def counting_kernel(*args, **kwargs):
+        scores = kernel(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        cache, method = call.arguments["cache"], call.arguments["method"]
         with lock:
             # Each candidate's relevance is one (candidate × label) pair.
             work["counted"] -= scores.shape[0]
@@ -167,13 +180,24 @@ def _redundancy_work():
                 work["rejected"] += int((scores <= 0.0).sum())
         return scores
 
+    def counting(key, method):
+        def counted(*args, **kwargs):
+            with lock:
+                work[key] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
     streaming.batch_redundancy_scores = counting_kernel
     kernels._pair_information = counting_pairs
+    JoinEngine.probe_hop = counting("hops", probe_hop)
+    JoinIndex.attach = counting("tables", attach)
     try:
         yield work
     finally:
         streaming.batch_redundancy_scores = kernel
         kernels._pair_information = pair_information
+        JoinEngine.probe_hop, JoinIndex.attach = probe_hop, attach
 
 
 def _overlap_gate_line(lake) -> str:

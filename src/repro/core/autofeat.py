@@ -32,7 +32,6 @@ from ..errors import JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath
 from ..obs import Span, Tracer, build_manifest, synthetic_root
 from .config import AutoFeatConfig
-from .materialize import qualified
 from .navigation import (
     NavigationFrontier,
     NavigationStats,
@@ -40,7 +39,7 @@ from .navigation import (
     UcbFrontierPolicy,
     hop_reward,
 )
-from .pruning import completeness, similarity_pruned_count
+from .pruning import similarity_pruned_count
 from .ranking import compute_ranking_score
 from .result import AugmentationResult, DiscoveryResult, RankedPath, TrainedPath
 from .streaming import StreamingFeatureSelector
@@ -331,6 +330,9 @@ class AutoFeat:
                                         table=entry.table,
                                         base_name=base_name,
                                         features=entry.features,
+                                        tau=config.tau,
+                                        grow=path.length + 1
+                                        < config.max_path_length,
                                     )
                                 )
                             if budget_exhausted:
@@ -371,9 +373,8 @@ class AutoFeat:
                                 hop = None
                             explored += 1
                             if hop is not None:
-                                joined, contributed = hop
-                                comp = completeness(joined, contributed)
-                                if not contributed:
+                                comp = hop.completeness
+                                if not hop.contributed:
                                     # A hop may contribute no columns at
                                     # all; that is not poor join quality —
                                     # keep it traversable (see the
@@ -386,15 +387,11 @@ class AutoFeat:
                                 record_pull(task.edge.target, 0.0)
                                 continue
 
-                            join_key = qualified(
-                                task.edge.target, task.edge.target_column
-                            )
-                            candidates = [c for c in contributed if c != join_key]
                             with tracer.span(
-                                "selection", features=len(candidates)
+                                "selection", features=len(hop.candidates)
                             ) as span:
                                 batch = selector.process_batch(
-                                    candidates, joined.numeric_matrix(candidates)
+                                    hop.candidates, hop.matrix, hop.codes
                                 )
                             if tracer.enabled and self.memo is not None:
                                 span.attrs["memo_hit"] = selector.memo_hit
@@ -418,8 +415,10 @@ class AutoFeat:
                             )
                             # Even an all-irrelevant join stays in the
                             # frontier: it may be the gateway to a relevant
-                            # transitive table.
-                            frontier.push(new_path, joined, new_features, reward)
+                            # transitive table.  A path at max_path_length
+                            # is never probed again, so its hop built no
+                            # table (``hop.table`` is None).
+                            frontier.push(new_path, hop.table, new_features, reward)
                 if budget_exhausted:
                     tracer.event(
                         "budget_exhausted",

@@ -34,8 +34,10 @@ def apply_hop(
     """Left-join one hop onto the running table.
 
     Returns ``(joined, contributed_columns)`` where the contributed columns
-    are the qualified names of everything the right table added (join key
-    included — its completeness is what quality pruning inspects).
+    are the names of everything the right table added in ``joined`` (join
+    key included — its completeness is what quality pruning inspects):
+    qualified, and ``"_r"``-suffixed where the running join already held
+    the name.
 
     Raises :class:`repro.errors.JoinError` when the join is unfeasible: the
     source column is missing from the running join (can happen on spurious

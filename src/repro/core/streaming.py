@@ -15,8 +15,10 @@ elimination because they carry the path (Section V-A); they are simply
 never offered to the selector.
 
 Scoring runs through the vectorised kernels of
-:mod:`repro.selection.kernels` and a **persistent code cache**: the
-discretised codes of the label and every accepted feature are stored
+:mod:`repro.selection.kernels`, which rank a batch from its columns' rank
+codes (a discovery hop hands over the codes its join index gathered; the
+label's are computed once per selector), and a **persistent code cache**:
+the discretised codes of the label and every accepted feature are stored
 once at acceptance time (in insertion-order runs that share a validity
 mask, which is how the redundancy kernel counts them), so the redundancy
 stage does not re-bin the entire selected set — an O(|S|·n) cost that
@@ -53,9 +55,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..dataframe.encoding import rank_codes
 from ..errors import SelectionError
 from ..obs.manifest import config_snapshot
-from ..selection.kernels import SelectionCodeCache, batch_redundancy_scores
+from ..selection.kernels import (
+    SelectionCodeCache,
+    batch_redundancy_scores,
+    column_codes,
+)
 from ..selection.select_k_best import select_k_best
 from ..selection.stats import SelectionStats
 from .config import AutoFeatConfig
@@ -91,6 +98,7 @@ class StreamingFeatureSelector:
         if label.ndim != 1:
             raise SelectionError("label must be a 1-D vector")
         self._label = label
+        self._label_codes = rank_codes(label)
         self._selected_names: list[str] = []
         self._selected_set: set[str] = set()
         self._counters = SelectionStats()
@@ -131,10 +139,12 @@ class StreamingFeatureSelector:
         """Whether ``name`` is already in the persistent selected set."""
         return name in self._selected_set
 
-    def _accept(self, name: str, column: np.ndarray) -> None:
+    def _accept(
+        self, name: str, column: np.ndarray, codes: np.ndarray | None = None
+    ) -> None:
         self._selected_names.append(name)
         self._selected_set.add(name)
-        self._code_cache.add(column)
+        self._code_cache.add(column, codes)
         if self._state is not None:
             column = np.ascontiguousarray(column)
             self._state = digest(self._state, name.encode(), column)
@@ -150,11 +160,17 @@ class StreamingFeatureSelector:
         for i, name in enumerate(names):
             self._accept(name, matrix[:, i])
 
-    def process_batch(self, names: list[str], matrix: np.ndarray) -> StageOutcome:
+    def process_batch(
+        self, names: list[str], matrix: np.ndarray, codes: np.ndarray | None = None
+    ) -> StageOutcome:
         """Run relevance then redundancy on one batch of new features.
 
         Features accepted by both stages are added to the persistent
         selected set.  Returns the per-stage survivors and their scores.
+        ``codes`` are the batch's rank codes (columns × rows, as
+        :meth:`repro.dataframe.JoinIndex.gather` returns them); without
+        them they are derived from ``matrix`` (:func:`column_codes`), and
+        the outcome is the same either way.
         With a memo, an input seen before — by any selector sharing it —
         is answered from it; the accepted columns are still filed in the
         code cache, because later misses score against them.
@@ -181,7 +197,9 @@ class StreamingFeatureSelector:
             self.memo_hit = entry is not None
         if entry is None:
             delta = SelectionStats(batches_scored=1)
-            entry = (*self._score(names, matrix, delta), delta)
+            if codes is None:
+                codes = column_codes(matrix)
+            entry = (*self._score(names, matrix, codes, delta), delta)
             if key is not None:
                 self._memo.put("selection", key, entry)
         outcome, positions, delta = entry
@@ -189,11 +207,17 @@ class StreamingFeatureSelector:
         for field, value in vars(delta).items():
             live[field] += value
         for name, position in zip(outcome.accepted_names, positions):
-            self._accept(name, matrix[:, position])
+            self._accept(
+                name, matrix[:, position], None if codes is None else codes[position]
+            )
         return outcome
 
     def _score(
-        self, names: list[str], matrix: np.ndarray, counters: SelectionStats
+        self,
+        names: list[str],
+        matrix: np.ndarray,
+        codes: np.ndarray,
+        counters: SelectionStats,
     ) -> tuple[StageOutcome, tuple[int, ...]]:
         """Both stages on one batch, reading the selector but not changing
         it: the outcome and the ``matrix`` column of each accepted name."""
@@ -207,6 +231,8 @@ class StreamingFeatureSelector:
                 min_score=config.min_relevance,
                 seed=config.seed,
                 counters=counters,
+                codes=codes,
+                label_codes=self._label_codes,
             )
             relevant_idx = list(best.indices)
             relevant_scores = list(best.scores)
@@ -234,6 +260,7 @@ class StreamingFeatureSelector:
                 self._code_cache,
                 method=config.redundancy_method,
                 counters=counters,
+                codes=codes[candidate_idx],
             )
             # A score ≤ 0 may be only the bound that rejected it: read its sign.
             kept = [(c, float(s)) for c, s in enumerate(scores) if s > 0.0]

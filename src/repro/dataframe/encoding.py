@@ -38,6 +38,12 @@ universe and the dedup representative is chosen by a per-key CRC-seeded
 RNG; the hypothesis suite in ``tests/engine/test_encoded_parity.py`` holds
 the kernels bit-identical to the dict-of-boxed-scalars reference in
 ``tests/dataframe/test_join_reference.py``.
+
+The same idea serves selection: :func:`rank_codes` interns a numeric
+vector's finite values into dense ``int32`` codes ordered like the values,
+which is all a rank statistic (Spearman midranks) or a discretiser needs
+to know about them.  The join index derives them once per build column
+and a hop gathers them (:meth:`repro.dataframe.JoinIndex.gather`).
 """
 
 from __future__ import annotations
@@ -48,7 +54,13 @@ import numpy as np
 
 from .column import Column, DType
 
-__all__ = ["CODE_NULL", "KeyDictionary", "normalize_key"]
+__all__ = [
+    "CODE_NULL",
+    "KeyDictionary",
+    "dense_codes",
+    "normalize_key",
+    "rank_codes",
+]
 
 #: Sentinel code for null (and, on probe encodings, unmatched) entries.
 CODE_NULL = -1
@@ -78,6 +90,39 @@ def normalize_key(value: Any) -> Any:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
+
+
+def rank_codes(values: np.ndarray) -> np.ndarray:
+    """Dense ``int32`` rank codes of a vector's finite values.
+
+    Code ``c`` is the position of the value in the sorted distinct finite
+    values (``-0.0`` and ``0.0`` are one value), so equal values share a
+    code and codes order like values; NaN and ±inf get :data:`CODE_NULL`.
+    One ``np.unique`` — the one ranking primitive behind Spearman midranks
+    and :func:`~repro.selection.entropy.discretize`.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    codes = np.full(x.shape, CODE_NULL, dtype=np.int32)
+    finite = np.isfinite(x)
+    if finite.all():
+        codes[...] = np.unique(x, return_inverse=True)[1].reshape(x.shape)
+    elif finite.any():
+        codes[finite] = np.unique(x[finite], return_inverse=True)[1]
+    return codes
+
+
+def dense_codes(codes: np.ndarray) -> np.ndarray:
+    """``codes`` renumbered over the codes present: the ``k`` distinct
+    non-negative codes become ``0 .. k-1`` in the same order, and
+    :data:`CODE_NULL` stays (``int64``)."""
+    out = np.full(codes.shape, CODE_NULL, dtype=np.int64)
+    present = codes >= 0
+    if present.any():
+        kept = codes[present]
+        used = np.zeros(int(kept.max()) + 1, dtype=bool)
+        used[kept] = True
+        out[present] = (np.cumsum(used) - 1)[kept]
+    return out
 
 
 def _match_space(dtype: DType) -> str:

@@ -15,8 +15,17 @@ reused across join paths:
 * **build** — :meth:`JoinIndex.build` deduplicates the right table and
   indexes its key column once;
 * **probe** — :meth:`JoinIndex.probe` maps any stream of left-hand keys
-  onto build-side row indices, and :meth:`JoinIndex.left_join` gathers the
-  build columns onto a probe table.
+  onto build-side row indices (the *row map*), and
+  :meth:`JoinIndex.attach` gathers the build columns along it onto the
+  probe table (:meth:`JoinIndex.left_join` is probe + attach).
+
+A caller that only needs to *score* what a join would bring does not need
+the joined table at all: :meth:`JoinIndex.null_count` answers the
+completeness statistic from the row map, and :meth:`JoinIndex.gather`
+returns the build columns' float matrix and rank codes along it.  The rank
+codes (:func:`~repro.dataframe.encoding.rank_codes`) are derived once per
+build column and kept on the index, so a table reached by many join paths
+is ranked once, not once per hop.
 
 Both phases run on **dictionary-encoded keys**: the key column is interned
 once into dense int32 codes by a
@@ -45,7 +54,7 @@ import numpy as np
 
 from ..errors import JoinError
 from .column import Column, DType
-from .encoding import CODE_NULL, KeyDictionary, normalize_key
+from .encoding import CODE_NULL, KeyDictionary, dense_codes, normalize_key, rank_codes
 from .table import Table
 
 __all__ = [
@@ -129,6 +138,11 @@ class JoinIndex:
     fully vectorised; scalar probes (arbitrary iterables,
     ``__contains__``) go through a lazily derived
     ``{normalised key: row}`` dict.
+
+    Per build column it also keeps, derived on first use, the column's
+    rank codes, and per build row its null count: what :meth:`gather`
+    and :meth:`null_count` read.  Both derivations are idempotent, so the
+    unlocked lazy init is thread-safe.
     """
 
     __slots__ = (
@@ -139,6 +153,8 @@ class JoinIndex:
         "_index",
         "dictionary",
         "_code_rows",
+        "_rank_codes",
+        "_row_nulls",
     )
 
     def __init__(
@@ -159,6 +175,9 @@ class JoinIndex:
         self.dictionary = dictionary
         #: Dense gather table mapping a dictionary code to its build row.
         self._code_rows = code_rows
+        #: ``build column -> rank codes of its to_float() values``.
+        self._rank_codes: dict[str, np.ndarray] = {}
+        self._row_nulls: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -279,36 +298,120 @@ class JoinIndex:
             raise JoinError(
                 f"left table {left.name!r} has no join column {left_on!r}"
             )
-        gather = self.probe(left.column(left_on))
-        return self._attach(left, gather, drop_right_key)
+        row_map = self.probe(left.column(left_on))
+        return self.attach(left, row_map, drop_right_key)
 
-    def _attach(
-        self, left: Table, gather: np.ndarray, drop_right_key: bool
-    ) -> Table:
-        """Gather build rows onto ``left`` along a precomputed gather array."""
-        build = self.build_table
-        n = left.n_rows
-        matched = gather >= 0
-        safe_gather = np.where(matched, gather, 0)
+    def output_names(
+        self, left_names: Iterable[str], drop_right_key: bool = False
+    ) -> list[tuple[str, str]]:
+        """``(build column, output name)`` of every column a join writes.
 
-        out: dict[str, Column] = {name: left.column(name) for name in left.column_names}
-        for name in build.column_names:
+        A build column whose name the running join already holds is
+        suffixed with ``"_r"`` until it is free; :meth:`attach` writes
+        exactly these names.
+        """
+        taken = set(left_names)
+        names = []
+        for name in self.build_table.column_names:
             if drop_right_key and name == self.key_column:
                 continue
             out_name = name
-            while out_name in out:
+            while out_name in taken:
                 out_name = f"{out_name}_r"
+            taken.add(out_name)
+            names.append((name, out_name))
+        return names
+
+    def attach(
+        self, left: Table, row_map: np.ndarray, drop_right_key: bool = False
+    ) -> Table:
+        """Gather build rows onto ``left`` along a probe's row map."""
+        build = self.build_table
+        n = left.n_rows
+        matched = row_map >= 0
+        safe = np.where(matched, row_map, 0)
+        unmatched = ~matched
+
+        out: dict[str, Column] = {name: left.column(name) for name in left.column_names}
+        for name, out_name in self.output_names(left.column_names, drop_right_key):
             source = build.column(name)
             if build.n_rows == 0:
                 out[out_name] = Column.nulls(n, dtype=source.dtype)
                 continue
-            taken = source.take(safe_gather)
-            mask = taken.mask | ~matched
-            values = taken.values.copy()
-            if source.dtype is DType.STRING:
-                values[~matched] = None
-            out[out_name] = Column(values, dtype=source.dtype, mask=mask)
+            # One Column per gathered column: its constructor writes the
+            # null fill (None for STRING) under the combined mask.
+            out[out_name] = Column(
+                source.values[safe],
+                dtype=source.dtype,
+                mask=source.mask[safe] | unmatched,
+            )
         return Table(out, name=left.name)
+
+    def rank_codes(self, name: str) -> np.ndarray:
+        """The rank codes of build column ``name``'s ``to_float()`` values.
+
+        ``int32``, -1 where that value is not finite (nulls included);
+        derived on first use and kept for the life of the index.
+        """
+        codes = self._rank_codes.get(name)
+        if codes is None:
+            codes = rank_codes(self.build_table.column(name).to_float())
+            self._rank_codes[name] = codes
+        return codes
+
+    def null_count(self, row_map: np.ndarray) -> int:
+        """Null cells a join along ``row_map`` writes into the build columns.
+
+        Every build column is null on an unmatched row; a matched row adds
+        its build row's own nulls.  Equal to the null count of those
+        columns in :meth:`attach`'s table, without building it.
+        """
+        build = self.build_table
+        if self._row_nulls is None:
+            row_nulls = np.zeros(build.n_rows, dtype=np.int64)
+            for name in build.column_names:
+                row_nulls += build.column(name).mask
+            self._row_nulls = row_nulls
+        matched = row_map[row_map >= 0]
+        unmatched = len(row_map) - len(matched)
+        return unmatched * build.n_cols + int(self._row_nulls[matched].sum())
+
+    def gather(
+        self, row_map: np.ndarray, names: list[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Build columns ``names`` along ``row_map``, without a table.
+
+        Returns ``(matrix, codes)``: ``matrix`` is the (rows × columns)
+        float64 matrix that ``attach(...).numeric_matrix`` would return for
+        those columns, byte for byte; ``codes`` is (columns × rows)
+        ``int32``, each row the column's :meth:`rank_codes` gathered along
+        the row map (-1 on unmatched rows) — ordered like the matrix
+        column's values and -1 exactly where they are not finite.  A STRING
+        column's values are its dense rank over the codes present, as
+        ``Column.to_float`` label-encodes the gathered strings.
+        """
+        n, d = len(row_map), len(names)
+        matrix = np.full((d, n), np.nan, dtype=np.float64)
+        codes = np.full((d, n), CODE_NULL, dtype=np.int32)
+        if self.build_table.n_rows == 0:
+            return matrix.T, codes
+        matched = row_map >= 0
+        safe = np.where(matched, row_map, 0)
+        unmatched = ~matched
+        for j, name in enumerate(names):
+            column = self.build_table.column(name)
+            gathered = self.rank_codes(name)[safe]
+            gathered[unmatched] = CODE_NULL
+            codes[j] = gathered
+            if column.dtype is DType.STRING:
+                dense = dense_codes(gathered)
+                present = dense >= 0
+                matrix[j, present] = dense[present]
+                continue
+            values = matrix[j]
+            values[:] = column.values[safe]
+            values[column.mask[safe] | unmatched] = np.nan
+        return matrix.T, codes
 
 
 def left_join(
@@ -382,9 +485,9 @@ def inner_join(
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
     if index is None:
         index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
-    gather = index.probe(left.column(left_on))
-    joined = index._attach(left, gather, drop_right_key)
-    return joined.filter(gather >= 0)
+    row_map = index.probe(left.column(left_on))
+    joined = index.attach(left, row_map, drop_right_key)
+    return joined.filter(row_map >= 0)
 
 
 def join_key_null_ratio(joined: Table, right_columns: list[str]) -> float:

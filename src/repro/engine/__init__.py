@@ -23,6 +23,7 @@ from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .parallel import (
     PARALLEL_BACKENDS,
+    HopResult,
     HopTask,
     PathExecutor,
     PathTask,
@@ -49,6 +50,7 @@ __all__ = [
     "PARALLEL_BACKENDS",
     "PathExecutor",
     "HopTask",
+    "HopResult",
     "PathTask",
     "UnitOutcome",
     "resolve_max_workers",

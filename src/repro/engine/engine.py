@@ -7,8 +7,11 @@ top-k path materialisation, and all four baselines — executes through one
 * **plan** — resolve the edge into a probe column and a build-side
   :class:`~repro.dataframe.JoinIndex` (served by the :class:`HopCache`
   whenever the same ``(table, key_column, seed)`` was built before);
-* **execute** — probe the running table through the index and collect the
-  qualified columns the hop contributed.
+* **execute** — probe the running table through the index
+  (:meth:`JoinEngine.probe_hop`, which yields the index and the probe's
+  row map) and, for :meth:`JoinEngine.apply_hop`, attach the build
+  columns along it.  Discovery stops at the row map: it gathers only the
+  columns it scores (:class:`repro.engine.HopTask`).
 
 The engine also owns the run's :class:`ExecutionStats`, so every consumer
 gets observable build/probe/cache counters for free.
@@ -19,6 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
+
+import numpy as np
 
 from ..dataframe import JoinIndex, Table
 from ..errors import FaultError, HopBudgetExceeded, JoinError, RunBudgetExceeded
@@ -68,12 +73,14 @@ class JoinEngine:
         Seed for the deterministic representative-row choice during the
         build phase; part of the cache key.
     hop_timeout_seconds:
-        Per-hop wall-clock budget.  The check is cooperative and runs
-        once per hop, after its build and probe phases have finished: a
-        hop that overran raises a typed
-        :class:`~repro.errors.HopBudgetExceeded` instead of letting the
-        run hang hop after hop, but a single runaway join is not
-        interrupted mid-probe.  None disables the guard.
+        Per-hop wall-clock budget over the hop's ``join`` span — the index
+        lookup or build plus the probe.  The check is cooperative and
+        runs once per hop, after the probe: a hop that overran raises a
+        typed :class:`~repro.errors.HopBudgetExceeded` instead of letting
+        the run hang hop after hop, but a single runaway join is not
+        interrupted mid-probe.  Gathering the build columns along the row
+        map (linear in the probe rows) comes after the check and is not
+        timed.  None disables the guard.
     max_output_rows:
         Per-hop output-cardinality cap.  The engine only left-joins
         through deduplicated indexes, so a hop's output row count equals
@@ -88,7 +95,7 @@ class JoinEngine:
         faults fault-isolation tests run under (a raised
         :class:`~repro.errors.FaultError` gets the hop context attached),
         a :class:`HopLatency` sleeps.  ``attempt`` is the index the
-        caller's retry loop passed to :meth:`apply_hop`.
+        caller's retry loop passed to :meth:`probe_hop`.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given (and enabled),
         every executed hop opens a ``join`` span nested under the
@@ -184,20 +191,20 @@ class JoinEngine:
         if self.run_deadline is not None and time.monotonic() >= self.run_deadline:
             raise RunBudgetExceeded(f"run budget expired; {context}")
 
-    def apply_hop(
+    def probe_hop(
         self,
         current: Table,
         edge: OrientedEdge,
         base_name: str,
         path: JoinPath | None = None,
         attempt: int = 0,
-    ) -> tuple[Table, list[str]]:
-        """Left-join one hop onto the running table.
+    ) -> tuple[JoinIndex, np.ndarray]:
+        """Plan and probe one hop: ``(index, row_map)``.
 
-        Returns ``(joined, contributed_columns)`` where the contributed
-        columns are the qualified names of everything the right table added
-        (join key included — its completeness is what quality pruning
-        inspects).
+        ``index`` is the target table's cached build side and ``row_map``
+        the probe of ``current`` through it (an int64 build row per probe
+        row, -1 where unmatched).  Every hop — discovery's gathers and
+        :meth:`apply_hop`'s tables — enters here.
 
         Raises :class:`JoinError` when the join is unfeasible: the source
         column is missing from the running join (can happen on spurious
@@ -246,7 +253,7 @@ class JoinEngine:
             self._check_run_deadline(_hop_context(base_name, path, edge))
             self.stats.hops_executed += 1
             self.stats.rows_probed += current.n_rows
-            joined = index.left_join(current, left_col)
+            row_map = index.probe(current.column(left_col))
         elapsed = span.seconds
         if self.hop_timeout_seconds is not None and elapsed > self.hop_timeout_seconds:
             raise HopBudgetExceeded(
@@ -254,10 +261,30 @@ class JoinEngine:
                 f"{self.hop_timeout_seconds}s; "
                 f"{_hop_context(base_name, path, edge)}"
             )
-        contributed = [
-            name for name in index.build_table.column_names if name in joined
-        ]
-        return joined, contributed
+        return index, row_map
+
+    def apply_hop(
+        self,
+        current: Table,
+        edge: OrientedEdge,
+        base_name: str,
+        path: JoinPath | None = None,
+        attempt: int = 0,
+    ) -> tuple[Table, list[str]]:
+        """Left-join one hop onto the running table.
+
+        Returns ``(joined, contributed_columns)`` where the contributed
+        columns are the names under which the joined table holds
+        everything the right table added (join key included — its
+        completeness is what quality pruning inspects): the qualified
+        build names, ``"_r"``-suffixed where the running join already held
+        one.  Raises what :meth:`probe_hop` raises.
+        """
+        index, row_map = self.probe_hop(
+            current, edge, base_name, path=path, attempt=attempt
+        )
+        contributed = [out for __, out in index.output_names(current.column_names)]
+        return index.attach(current, row_map), contributed
 
     def materialize_path(
         self, path: JoinPath, base_table: Table, attempt: int = 0

@@ -6,7 +6,8 @@ folds the outcomes back in exactly that order.  A hop's join depends only
 on its probe-side table and its DRG edge, never on selection state, so
 *where* a unit runs cannot change the result.  The split is:
 
-* **units execute pure joins** — a :class:`HopTask` (one frontier hop) or
+* **units execute pure joins** — a :class:`HopTask` (one frontier hop:
+  plan + probe + gather, see :class:`HopResult`) or
   :class:`PathTask` (one top-k materialise + evaluate) runs on a
   :meth:`~repro.engine.JoinEngine.worker_view` of the run's engine and
   returns a :class:`UnitOutcome` carrying the value, a private stats
@@ -49,6 +50,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
+import numpy as np
+
 from ..dataframe import Table
 from ..errors import ConfigError, FaultError, JoinError, RunBudgetExceeded
 from ..graph import JoinPath, OrientedEdge
@@ -59,6 +62,7 @@ from .faults import FaultManager
 __all__ = [
     "PARALLEL_BACKENDS",
     "HopTask",
+    "HopResult",
     "PathTask",
     "UnitOutcome",
     "PathExecutor",
@@ -114,8 +118,37 @@ def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
 
 
 @dataclass
+class HopResult:
+    """What one discovery hop hands the merge: a gather, not a table.
+
+    ``contributed`` are the output names of every build column (join key
+    included) and ``completeness`` is 1 − their null ratio, counted from
+    the row map (:meth:`~repro.dataframe.JoinIndex.null_count`).  A hop
+    that clears τ also carries its ``candidates`` — the contributed
+    columns but the join key — as the float ``matrix`` and the rank
+    ``codes`` that :meth:`~repro.dataframe.JoinIndex.gather` returns, and,
+    only when the path can still grow, the joined ``table`` the frontier
+    probes next.  No :class:`~repro.dataframe.JoinIndex` is in it, so it
+    crosses a process boundary as plain arrays.
+    """
+
+    contributed: list[str]
+    completeness: float
+    candidates: list[str] = field(default_factory=list)
+    matrix: np.ndarray | None = None
+    codes: np.ndarray | None = None
+    table: Table | None = None
+
+
+@dataclass
 class HopTask:
-    """One discovery frontier hop: join ``edge`` onto ``table``."""
+    """One discovery frontier hop: join ``edge`` onto ``table``.
+
+    ``tau`` is the run's completeness threshold — a hop below it is
+    pruned at the merge, so it gathers nothing — and ``grow`` says whether
+    the extended path is still shorter than ``max_path_length``, the one
+    case where the joined table is built.
+    """
 
     index: int
     path: JoinPath
@@ -123,6 +156,8 @@ class HopTask:
     table: Table
     base_name: str
     features: tuple[str, ...] = ()
+    tau: float = 0.0
+    grow: bool = True
 
     #: The failure policy manages only the fault family here: an ordinary
     #: :class:`JoinError` is pruning input for Algorithm 1, not a failure.
@@ -132,14 +167,32 @@ class HopTask:
         """Where a failure of this unit is recorded."""
         return {"base": self.base_name, "path": self.path, "edge": self.edge}
 
-    def run(self, engine: JoinEngine, attempt: int = 0) -> tuple[Table, list[str]]:
-        """Execute the hop: ``(joined, contributed_columns)``."""
+    def run(self, engine: JoinEngine, attempt: int = 0) -> HopResult:
+        """Execute the hop: probe, then gather what the merge reads."""
         with engine.tracer.span(
             "hop", table=self.edge.target, key=self.edge.target_column
         ):
-            return engine.apply_hop(
+            index, row_map = engine.probe_hop(
                 self.table, self.edge, self.base_name, path=self.path, attempt=attempt
             )
+            names = index.output_names(self.table.column_names)
+            cells = len(row_map) * len(names)
+            result = HopResult(
+                contributed=[out for __, out in names],
+                completeness=(
+                    1.0 if cells == 0 else 1.0 - index.null_count(row_map) / cells
+                ),
+            )
+            if names and result.completeness < self.tau:
+                return result
+            scored = [(name, out) for name, out in names if name != index.key_column]
+            result.candidates = [out for __, out in scored]
+            result.matrix, result.codes = index.gather(
+                row_map, [name for name, __ in scored]
+            )
+            if self.grow:
+                result.table = index.attach(self.table, row_map)
+            return result
 
 
 @dataclass

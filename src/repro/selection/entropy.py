@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataframe.encoding import dense_codes, rank_codes
 from ..errors import SelectionError
 
 __all__ = [
@@ -31,6 +32,7 @@ _DISCRETE_UNIQUE_LIMIT = 32
 def discretize(
     values: np.ndarray,
     n_bins: int = DEFAULT_BINS,
+    codes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map a numeric vector to non-negative integer codes (-1 for NaN).
 
@@ -38,30 +40,33 @@ def discretize(
     are treated as already discrete and densely re-coded; anything wider is
     equal-width binned into ``n_bins`` buckets.  The -1 code marks missing
     entries and is ignored by every estimator in this module.
+
+    Everything but the binning itself is read off the vector's rank
+    ``codes`` (:func:`~repro.dataframe.encoding.rank_codes`, derived here
+    when the caller does not hold them; any codes that order like the
+    values and are -1 exactly where they are not finite give the same
+    result): the distinct values are the distinct codes present, the dense
+    recode is their running count, and the extremes are the values at the
+    smallest and largest code.
     """
     if n_bins < 2:
         raise SelectionError(f"n_bins must be >= 2, got {n_bins}")
     x = np.asarray(values, dtype=np.float64)
-    codes = np.full(x.shape, -1, dtype=np.int64)
-    finite = np.isfinite(x)
-    if not finite.any():
-        return codes
-    present = x[finite]
-    uniques = np.unique(present)
-    if len(uniques) <= _DISCRETE_UNIQUE_LIMIT:
-        codes[finite] = np.searchsorted(uniques, present)
-        return codes
-    lo, hi = float(present.min()), float(present.max())
-    if hi == lo:
-        codes[finite] = 0
-        return codes
+    if codes is None:
+        codes = rank_codes(x)
+    out = dense_codes(codes)
+    if out.max(initial=-1) < _DISCRETE_UNIQUE_LIMIT:
+        return out
+    # More than _DISCRETE_UNIQUE_LIMIT distinct values: hi > lo.
+    finite = out >= 0
+    kept, present = x[finite], codes[finite]
+    lo, hi = float(kept[present.argmin()]), float(kept[present.argmax()])
     if np.isfinite(hi - lo):
-        scaled = (present - lo) / (hi - lo)
+        scaled = (kept - lo) / (hi - lo)
     else:  # the range overflows float64: halve before subtracting
-        scaled = (present / 2 - lo / 2) / (hi / 2 - lo / 2)
-    binned = np.minimum((scaled * n_bins).astype(np.int64), n_bins - 1)
-    codes[finite] = binned
-    return codes
+        scaled = (kept / 2 - lo / 2) / (hi / 2 - lo / 2)
+    out[finite] = np.minimum((scaled * n_bins).astype(np.int64), n_bins - 1)
+    return out
 
 
 def _probabilities(codes: np.ndarray) -> np.ndarray:

@@ -9,16 +9,19 @@ one observation about joined tables: a left join leaves the *same* rows
 unmatched in every column it brings, so columns fall into a handful of
 validity masks — *group by mask, then count once per group*:
 
-* :func:`batch_spearman_scores` ranks a whole feature matrix with one
-  argsort and computes every correlation against a once-ranked label via
-  column-wise reductions; NaN-bearing columns are grouped by their
-  pairwise-complete row mask and each group runs the same block on its
-  compacted rows;
+* :func:`batch_spearman_scores` works from each column's dense rank
+  codes (:func:`~repro.dataframe.encoding.rank_codes`; a discovery hop
+  gathers them from its join index, any other caller derives them with
+  :func:`column_codes`): columns are grouped by their pairwise-complete
+  row mask, and per group one flat ``bincount`` over the codes gives every
+  column's midranks — and the label's, from its codes — and column-wise
+  reductions give every correlation;
 * :class:`SelectionCodeCache` persists the discretised codes of the label
   and of every accepted feature — the features in insertion order, as
   runs of consecutive features sharing one validity mask — so redundancy
   scoring stops re-binning the selected set on every batch;
-* :func:`batch_redundancy_scores` bins the candidate matrix once, groups
+* :func:`batch_redundancy_scores` bins the candidate matrix once (from
+  the same rank codes), groups
   it by validity mask, and for every (run, candidate group) pair counts
   one (selected × candidate [× label]) contingency cube over their shared
   complete rows; every entropy term of all five redundancy criteria (MIFS,
@@ -42,13 +45,15 @@ from typing import Iterator
 
 import numpy as np
 
+from ..dataframe.encoding import rank_codes
 from ..errors import SelectionError
 from .entropy import discretize
 from .redundancy import REDUNDANCY_METHODS, linear_coefficients
-from .relevance import RELEVANCE_METRICS, _rankdata, relevance_scores
+from .relevance import RELEVANCE_METRICS, relevance_scores
 from .stats import SelectionStats
 
 __all__ = [
+    "column_codes",
     "rank_matrix",
     "batch_spearman_scores",
     "batch_relevance_scores",
@@ -104,41 +109,68 @@ def _table_entropies(counts: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+def column_codes(X: np.ndarray) -> np.ndarray:
+    """Rank codes of every column of a matrix: (columns, rows) ``int32``.
+
+    One :func:`~repro.dataframe.encoding.rank_codes` (``np.unique``) per
+    column, -1 where a value is not finite — the codes of a caller that
+    holds only the matrix.  A discovery hop gathers the same ranking from
+    its join index instead (:meth:`repro.dataframe.JoinIndex.gather`).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise SelectionError("column_codes expects a 2-D matrix")
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
+    for j in range(X.shape[1]):
+        codes[j] = rank_codes(X[:, j])
+    return codes
+
+
+def _midranks(codes: np.ndarray) -> np.ndarray:
+    """Average ranks (midranks for ties) of each row of non-negative codes.
+
+    ``codes`` is (k, m); row ``i``'s ranks come from one flat ``bincount``
+    over every row's codes, offset into its own segment: a code's midrank
+    is the running count up to it minus half its own count less one.  The
+    arithmetic is integer-exact and is
+    :func:`repro.selection.relevance._rankdata`'s ``ends - (counts - 1) /
+    2.0``, so the result is bit-identical to ranking each row's values.
+    Returns (k, m) float64, C-ordered: its transpose is the F-ordered
+    (m, k) matrix the column reductions run over.
+    """
+    k, m = codes.shape
+    if k == 0 or m == 0:
+        return np.empty((k, m), dtype=np.float64)
+    widths = codes.max(axis=1).astype(np.int64) + 1
+    starts = np.zeros(k, dtype=np.int64)
+    np.cumsum(widths[:-1], out=starts[1:])
+    flat = codes + starts[:, np.newaxis]
+    counts = np.bincount(flat.ravel(), minlength=int(starts[-1] + widths[-1]))
+    ends = np.cumsum(counts)
+    ends -= np.repeat(ends[starts] - counts[starts], widths)
+    midranks = ends.astype(np.float64) - (counts - 1) / 2.0
+    return midranks[flat]
+
+
 def rank_matrix(X: np.ndarray) -> np.ndarray:
     """Column-wise average ranks (midranks for ties) of an all-finite matrix.
 
-    One stable argsort over the whole matrix plus a flattened bincount
-    replace the per-column :func:`repro.selection.relevance._rankdata`
-    calls; the midrank arithmetic is integer-exact, so the result is
-    bit-identical to ranking each column separately.  Returned
+    Each column's :func:`column_codes` turned into midranks by
+    :func:`_midranks` — bit-identical to ranking each column separately
+    with :func:`repro.selection.relevance._rankdata`.  Returned
     Fortran-ordered so per-column reductions run over contiguous memory.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise SelectionError("rank_matrix expects a 2-D matrix")
-    n, d = X.shape
-    ranks = np.empty((n, d), dtype=np.float64, order="F")
-    if n == 0 or d == 0:
-        return ranks
-    order = np.argsort(X, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(X, order, axis=0)
-    new_group = np.empty((n, d), dtype=bool)
-    new_group[0, :] = True
-    new_group[1:, :] = sorted_vals[1:] != sorted_vals[:-1]
-    group_id = np.cumsum(new_group, axis=0) - 1
-    # Per-column bincount via one flat bincount over offset group ids.
-    offsets = np.arange(d, dtype=np.int64) * n
-    flat = (group_id + offsets[np.newaxis, :]).ravel(order="F")
-    counts = np.bincount(flat, minlength=n * d).reshape(d, n)
-    ends = np.cumsum(counts, axis=1).astype(np.float64)
-    midranks = ends - (counts - 1) / 2.0
-    per_position = midranks[np.arange(d)[np.newaxis, :], group_id]
-    np.put_along_axis(ranks, order, per_position, axis=0)
-    return ranks
+    if not np.isfinite(X).all():
+        raise SelectionError("rank_matrix expects an all-finite matrix")
+    return _midranks(column_codes(X)).T
 
 
-def _spearman_block(X: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
-    """|Spearman ρ| of every all-finite column against a pre-ranked label.
+def _spearman_block(ranks: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
+    """|Spearman ρ| of every column of an F-ordered midrank matrix against
+    the label's midranks over the same rows.
 
     The correlations are column-contiguous reductions over the F-ordered
     rank matrix, so their floating-point accumulation order matches the
@@ -148,7 +180,6 @@ def _spearman_block(X: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
     sy = np.std(label_ranks)
     my = np.mean(label_ranks)
     ay = max(float(np.abs(label_ranks).max()), _TINY)
-    ranks = rank_matrix(X)
     sx = np.std(ranks, axis=0)
     mx = np.mean(ranks, axis=0)
     ax = np.maximum(np.abs(ranks).max(axis=0), _TINY)
@@ -161,16 +192,25 @@ def _spearman_block(X: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
     return scores
 
 
-def batch_spearman_scores(features: np.ndarray, label: np.ndarray) -> np.ndarray:
+def batch_spearman_scores(
+    features: np.ndarray,
+    label: np.ndarray,
+    codes: np.ndarray | None = None,
+    label_codes: np.ndarray | None = None,
+) -> np.ndarray:
     """|Spearman ρ| of every column against the label, vectorised.
 
-    All-finite columns (against an all-finite label) share one label
-    ranking and one matrix-wide column ranking.  NaN-bearing columns are
-    grouped by their pairwise-complete row mask — on joined tables every
-    column of a batch misses the *same* rows (the ones the join did not
-    match), so whole batches share one mask — and each group runs the same
-    block computation on its compacted rows.  Either way the result is
-    bit-identical to the scalar pairwise-complete path.
+    Spearman reads only the order of values, so the kernel runs on rank
+    codes: ``codes`` (columns × rows, as :func:`column_codes` returns, or
+    any codes that order like the columns' values and are -1 exactly
+    where they are not finite) and ``label_codes``; either one missing is
+    derived from its values.  Columns are grouped by their
+    pairwise-complete row mask — on joined tables every column of a batch
+    misses the *same* rows (the ones the join did not match), so whole
+    batches share one mask — and each group with at least two rows ranks
+    its compacted codes with :func:`_midranks` and runs
+    :func:`_spearman_block`.  The result is bit-identical to the scalar
+    pairwise-complete path.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -186,23 +226,23 @@ def batch_spearman_scores(features: np.ndarray, label: np.ndarray) -> np.ndarray
         # Fewer than two rows can never yield a defined correlation; the
         # scalar path scores every such column 0.0.
         return out
-    y_finite = np.isfinite(y)
-    fast = (
-        np.isfinite(X).all(axis=0)
-        if bool(y_finite.all())
-        else np.zeros(d, dtype=bool)
-    )
-    fast_idx = np.flatnonzero(fast)
-    if fast_idx.size:
-        out[fast_idx] = _spearman_block(X[:, fast_idx], _rankdata(y))
-    slow_idx = np.flatnonzero(~fast)
-    if slow_idx.size:
-        masks = np.isfinite(X[:, slow_idx]) & y_finite[:, np.newaxis]
-        for mask, members in _mask_groups(masks.T):
-            if int(mask.sum()) < 2:
-                continue  # scalar path scores such columns 0.0
-            cols = slow_idx[members]
-            out[cols] = _spearman_block(X[np.ix_(mask, cols)], _rankdata(y[mask]))
+    if codes is None:
+        codes = column_codes(X)
+    if label_codes is None:
+        label_codes = rank_codes(y)
+    valid = (codes >= 0) & (label_codes >= 0)
+    for mask, members in _mask_groups(valid):
+        rows = np.flatnonzero(mask)
+        if rows.size < 2:
+            continue  # scalar path scores such columns 0.0
+        group = codes[members]
+        label_group = label_codes[np.newaxis, :]
+        if rows.size < n:
+            group = group.take(rows, axis=1)
+            label_group = label_group.take(rows, axis=1)
+        out[members] = _spearman_block(
+            _midranks(group).T, _midranks(label_group)[0]
+        )
     return out
 
 
@@ -212,12 +252,15 @@ def batch_relevance_scores(
     metric: str = "spearman",
     seed: int = 0,
     counters: SelectionStats | None = None,
+    codes: np.ndarray | None = None,
+    label_codes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel-accelerated drop-in for :func:`relevance_scores`.
 
     Spearman — AutoFeat's published metric — routes through the vectorised
-    kernel; every other metric delegates to the scalar implementation, so
-    callers can switch unconditionally.
+    kernel (with the rank ``codes`` / ``label_codes`` when the caller
+    holds them); every other metric delegates to the scalar
+    implementation, so callers can switch unconditionally.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -230,7 +273,7 @@ def batch_relevance_scores(
     if counters is not None:
         counters.features_ranked += X.shape[1]
     if metric == "spearman":
-        return batch_spearman_scores(X, label)
+        return batch_spearman_scores(X, label, codes, label_codes)
     return relevance_scores(X, label, metric=metric, seed=seed)
 
 
@@ -274,9 +317,10 @@ class SelectionCodeCache:
         for mask, start, stop in self._runs:
             yield mask, self._codes[start:stop]
 
-    def add(self, column: np.ndarray) -> None:
-        """Discretise and cache one newly-accepted feature column."""
-        codes = discretize(np.asarray(column, dtype=np.float64))
+    def add(self, column: np.ndarray, codes: np.ndarray | None = None) -> None:
+        """Discretise and cache one newly-accepted feature column (from its
+        rank ``codes`` when the caller holds them)."""
+        codes = discretize(np.asarray(column, dtype=np.float64), codes=codes)
         mask = codes >= 0
         used = self.n_selected
         if used == self._codes.shape[0]:
@@ -354,6 +398,7 @@ def batch_redundancy_scores(
     cache: SelectionCodeCache,
     method: str = "mrmr",
     counters: SelectionStats | None = None,
+    codes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score every candidate column against the cached selected set.
 
@@ -367,7 +412,10 @@ def batch_redundancy_scores(
     every I(X_j; X_k) — and, for CIFE/JMI/CMIM, every I(X_j; X_k | Y) on
     the rows the label is also valid on — of the block at once.  The
     relevance term I(X_k; Y) is the same computation against the label as
-    a one-vector block.
+    a one-vector block.  Each candidate is binned by
+    :func:`~repro.selection.entropy.discretize` from its row of ``codes``
+    (rank codes as :func:`batch_spearman_scores` takes them, or
+    :func:`column_codes` of ``candidates``).
 
     Under MIFS, MRMR (λ = 0) and CMIM the penalty only grows along
     ``R_sel``, so a candidate is dropped before the next run once
@@ -398,9 +446,10 @@ def batch_redundancy_scores(
     beta, lam = (1.0, 0.0) if max_form else coeffs
     conditional = max_form or lam != 0.0
 
+    ranks = column_codes(X) if codes is None else codes
     codes = np.empty((d, n), dtype=np.int64)
     for j in range(d):
-        codes[j] = discretize(X[:, j])
+        codes[j] = discretize(X[:, j], codes=ranks[j])
     groups = [(mask, np.asarray(group)) for mask, group in _mask_groups(codes >= 0)]
     relevance = np.zeros(d, dtype=np.float64)
     for mask, members in groups:

@@ -52,6 +52,22 @@ def su_relevance(feature: np.ndarray, label: np.ndarray) -> float:
     return symmetrical_uncertainty(discretize(feature), discretize(label))
 
 
+#: Below this magnitude a vector's squared deviations fall into float64's
+#: subnormal range, where ``np.std`` loses digits.
+_SCALE_UP_BELOW = 2.0**-460
+
+
+def _scaled_up(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that lifts its largest magnitude into
+    [0.5, 1) when that magnitude is below :data:`_SCALE_UP_BELOW`; else
+    ``v`` itself.  Scaling up by a power of two is exact and r ignores a
+    positive scale, so only vectors whose r would underflow change."""
+    top = float(np.abs(v).max())
+    if 0.0 < top < _SCALE_UP_BELOW:
+        return np.ldexp(v, -np.frexp(top)[1])
+    return v
+
+
 def pearson_relevance(feature: np.ndarray, label: np.ndarray) -> float:
     """|Pearson r| between feature and label; 0 for constant inputs."""
     x, y = _paired(feature, label)
@@ -67,7 +83,13 @@ def pearson_relevance(feature: np.ndarray, label: np.ndarray) -> float:
         float(np.abs(y).max()), tiny
     ):
         return 0.0
-    r = np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy)
+    # r itself is computed where squared deviations cannot underflow.
+    xs, ys = _scaled_up(x), _scaled_up(y)
+    if xs is not x:
+        sx = np.std(xs)
+    if ys is not y:
+        sy = np.std(ys)
+    r = np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy)
     return float(abs(np.clip(r, -1.0, 1.0)))
 
 

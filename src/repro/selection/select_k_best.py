@@ -37,6 +37,8 @@ def select_k_best(
     min_score: float = 0.0,
     seed: int = 0,
     counters: SelectionStats | None = None,
+    codes: np.ndarray | None = None,
+    label_codes: np.ndarray | None = None,
 ) -> SelectionOutcome:
     """Keep the ``k`` highest-scoring feature columns.
 
@@ -49,12 +51,20 @@ def select_k_best(
     Scoring runs through
     :func:`~repro.selection.kernels.batch_relevance_scores` (vectorised
     Spearman; every other metric delegates to the scalar estimators);
-    ``counters`` collects its scoring statistics.
+    ``counters`` collects its scoring statistics.  Spearman ranks from the
+    rank ``codes`` / ``label_codes`` a caller already holds and derives
+    the missing ones from the values.
     """
     if k <= 0:
         raise SelectionError(f"k must be positive, got {k}")
     scores = batch_relevance_scores(
-        features, label, metric=metric, seed=seed, counters=counters
+        features,
+        label,
+        metric=metric,
+        seed=seed,
+        counters=counters,
+        codes=codes,
+        label_codes=label_codes,
     )
     order = np.argsort(-scores, kind="stable")
     kept = [int(j) for j in order[:k] if scores[j] > min_score]

@@ -168,14 +168,14 @@ def test_retry_with_transient_faults_recovers_cleanly(drg, backend):
 def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch):
     # A bug in the join kernel (anything outside JoinError/FaultError) must
     # re-raise on the coordinating thread, never turn into a skipped path.
-    original = JoinEngine.apply_hop
+    original = JoinEngine.probe_hop
 
     def exploding(self, current, edge, base_name, path=None, attempt=0):
         if edge.target == "c":
             raise RuntimeError("worker bug: corrupted index")
         return original(self, current, edge, base_name, path=path, attempt=attempt)
 
-    monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
+    monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
     config = AutoFeatConfig(
         sample_size=200, seed=1, parallel_backend=backend,
         failure_policy="skip_and_record",

@@ -56,15 +56,16 @@ def hop_tasks(drg, n=4):
 
 @pytest.fixture
 def hop_calls(monkeypatch):
-    """Targets of every ``apply_hop`` call, in call order."""
+    """Targets of every ``probe_hop`` call (every hop enters there), in
+    call order."""
     calls = []
-    original = JoinEngine.apply_hop
+    original = JoinEngine.probe_hop
 
     def counting(self, current, edge, base_name, path=None, attempt=0):
         calls.append(edge.target)
         return original(self, current, edge, base_name, path=path, attempt=attempt)
 
-    monkeypatch.setattr(JoinEngine, "apply_hop", counting)
+    monkeypatch.setattr(JoinEngine, "probe_hop", counting)
     return calls
 
 
@@ -120,20 +121,20 @@ class TestPoolHandOff:
     def test_outcomes_in_task_order_whatever_finishes_first(
         self, drg, backend, monkeypatch
     ):
-        original = JoinEngine.apply_hop
+        original = JoinEngine.probe_hop
 
         def first_unit_is_slowest(self, current, edge, base_name, path=None, attempt=0):
             if edge.target == "a":
                 time.sleep(0.05)
             return original(self, current, edge, base_name, path=path, attempt=attempt)
 
-        monkeypatch.setattr(JoinEngine, "apply_hop", first_unit_is_slowest)
+        monkeypatch.setattr(JoinEngine, "probe_hop", first_unit_is_slowest)
         tasks = hop_tasks(drg)
         with PathExecutor(JoinEngine(drg), backend=backend) as executor:
             outcomes = list(executor.run_hops(tasks))
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
         for task, outcome in zip(tasks, outcomes):
-            joined, contributed = outcome.value
+            contributed = outcome.value.contributed
             assert all(name.startswith(task.edge.target + ".") for name in contributed)
         assert executor.busy_seconds > 0.0 and executor.parallel_wall_seconds > 0.0
 
@@ -143,7 +144,7 @@ class TestPoolHandOff:
         def exploding(self, current, edge, base_name, path=None, attempt=0):
             raise RuntimeError("worker bug: corrupted index")
 
-        monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
+        monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
         with PathExecutor(JoinEngine(drg), backend=backend) as executor:
             with pytest.raises(RuntimeError, match="worker bug"):
                 list(executor.run_hops(hop_tasks(drg)))
@@ -155,7 +156,7 @@ class TestPoolHandOff:
         # every executed unit leaves a line in a file the forked workers
         # share, so the count is exact whatever the machine's speed.
         ran = tmp_path / "ran"
-        original = JoinEngine.apply_hop
+        original = JoinEngine.probe_hop
 
         def logged_slow_hop(self, current, edge, base_name, path=None, attempt=0):
             with ran.open("a") as log:
@@ -163,7 +164,7 @@ class TestPoolHandOff:
             time.sleep(0.05)
             return original(self, current, edge, base_name, path=path, attempt=attempt)
 
-        monkeypatch.setattr(JoinEngine, "apply_hop", logged_slow_hop)
+        monkeypatch.setattr(JoinEngine, "probe_hop", logged_slow_hop)
         tasks = hop_tasks(drg, n=16)
         executor = PathExecutor(JoinEngine(drg), backend=backend)
         outcomes = executor.run_hops(tasks)
@@ -201,7 +202,7 @@ class TestPoolIsGoneWhenDiscoverEnds:
         def exploding(self, current, edge, base_name, path=None, attempt=0):
             raise RuntimeError("worker bug: corrupted index")
 
-        monkeypatch.setattr(JoinEngine, "apply_hop", exploding)
+        monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
         with pytest.raises(RuntimeError, match="worker bug"):
             self.discover(drg)
 
@@ -220,7 +221,7 @@ class TestPoolIsGoneWhenDiscoverEnds:
         assert result.budget_exhausted
 
     def test_keyboard_interrupt_in_the_merge_loop(self, drg, monkeypatch):
-        def interrupted(self, names, matrix):
+        def interrupted(self, names, matrix, codes=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(StreamingFeatureSelector, "process_batch", interrupted)

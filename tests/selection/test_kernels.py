@@ -508,7 +508,9 @@ class ScalarTwoStageSelector:
         self.selected_names.extend(names)
         self._columns.extend(np.asarray(matrix, dtype=np.float64).T)
 
-    def process_batch(self, names, matrix):
+    def process_batch(self, names, matrix, codes=None):
+        # The reference scores the matrix only: a hop's gathered rank codes
+        # are the kernels' input, never the reference's.
         config = self._config
         matrix = np.asarray(matrix, dtype=np.float64)
         relevance = relevance_scores(

@@ -43,6 +43,16 @@ def test_pearson_matches_scipy(x, y):
     assert ours == pytest.approx(theirs, abs=1e-6)
 
 
+def test_pearson_of_tiny_values_does_not_underflow():
+    # Squared deviations of values near 1e-160 are subnormal: computed on
+    # the raw values, r came out 0.2500117 here instead of 0.25.
+    x = np.array([0.0] + [4.53104266e-160] * 4)
+    y = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+    theirs = abs(stats.pearsonr(x, y).statistic)
+    assert pearson_relevance(x, y) == pytest.approx(theirs, abs=1e-12)
+    assert pearson_relevance(x * 2.0**600, y) == pearson_relevance(x, y)
+
+
 @given(vectors, vectors)
 @settings(max_examples=60)
 def test_spearman_matches_scipy(x, y):
