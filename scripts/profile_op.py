@@ -12,6 +12,7 @@ the profiled block; how many (selected × candidate) pairs the redundancy
 kernel counted and how many candidates its early-rejection bound dropped
 (every workload's op runs ``discover``); how many joined tables the op's
 hops built (discovery builds one only for a path that can still grow);
+how many verdicts of each kind the op's discovery runs logged;
 for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
@@ -31,6 +32,7 @@ the untraced ops run first, on a state prepared without it.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import cProfile
 import inspect
@@ -127,6 +129,8 @@ def main() -> int:
             "candidates rejected by the bound"
         )
     print(f"hop tables materialised: {work['tables']} / hops {work['hops']}")
+    kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
+    print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     if workload.match_in_op:
         print(_overlap_gate_line(lake))
     return 0
@@ -145,20 +149,23 @@ def _redundancy_work():
     a full walk counts — and ``counted`` the (selected × candidate) pairs
     it counted.  Under MIFS, MRMR and CMIM every rejection is the bound's
     (the last check is the full score); CIFE and JMI reject none by it.
-    ``hops`` counts probed hops and ``tables`` the joined tables built.
+    ``hops`` counts probed hops and ``tables`` the joined tables built;
+    ``verdicts`` tallies the kinds of the verdicts ``discover`` logged.
     """
-    from repro.core import streaming
+    from repro.core import AutoFeat, streaming
     from repro.dataframe import JoinIndex
     from repro.engine import JoinEngine
     from repro.selection import kernels
 
     keys = ("counted", "pairs", "rejected", "candidates", "hops", "tables")
     work = dict.fromkeys(keys, 0)
+    work["verdicts"] = collections.Counter()
     lock = threading.Lock()  # service workloads score on worker threads
     kernel = streaming.batch_redundancy_scores
     signature = inspect.signature(kernel)
     pair_information = kernels._pair_information
     probe_hop, attach = JoinEngine.probe_hop, JoinIndex.attach
+    discover = AutoFeat.discover
 
     def counting_pairs(left, right, given=None):
         if given is None:
@@ -188,16 +195,24 @@ def _redundancy_work():
 
         return counted
 
+    def logging_discover(*args, **kwargs):
+        result = discover(*args, **kwargs)
+        with lock:
+            work["verdicts"].update(verdict.kind for verdict in result.verdicts)
+        return result
+
     streaming.batch_redundancy_scores = counting_kernel
     kernels._pair_information = counting_pairs
     JoinEngine.probe_hop = counting("hops", probe_hop)
     JoinIndex.attach = counting("tables", attach)
+    AutoFeat.discover = logging_discover
     try:
         yield work
     finally:
         streaming.batch_redundancy_scores = kernel
         kernels._pair_information = pair_information
         JoinEngine.probe_hop, JoinIndex.attach = probe_hop, attach
+        AutoFeat.discover = discover
 
 
 def _overlap_gate_line(lake) -> str:

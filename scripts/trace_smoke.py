@@ -10,7 +10,10 @@ observability contract end to end:
 4. the ``python -m repro.obs`` CLI accepts the saved manifest;
 5. the disabled tracer is cheap: the measured per-span cost of its
    timing-only spans, scaled to this run's span count, stays under 2% of
-   the traced wall time.
+   the traced wall time;
+6. the discovery manifest's ``discovery.*`` counters and
+   ``navigation.hops_executed`` gauge equal the counts recomputed here
+   from the run's verdict log.
 
 Exits non-zero on the first violated invariant.  Run with
 ``PYTHONPATH=src python scripts/trace_smoke.py`` or ``scripts/check.sh``.
@@ -20,6 +23,7 @@ import json
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -27,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.core import AutoFeat, AutoFeatConfig
+from repro.core.result import EXPLORED_KINDS
 from repro.dataframe import Table
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import Tracer, chrome_trace_json, validate_manifest
@@ -134,6 +139,28 @@ def main():
         overhead < budget,
         f"disabled tracer overhead {overhead * 1e6:.1f}µs for {n_spans} spans "
         f"< 2% of wall ({budget * 1e6:.0f}µs)",
+    )
+
+    discovery = result.discovery
+    kinds = Counter(verdict.kind for verdict in discovery.verdicts)
+    explored = sum(kinds[kind] for kind in EXPLORED_KINDS)
+    recounted = {
+        "discovery.paths_explored": explored,
+        "discovery.pruned_quality": kinds["pruned_tau"] + kinds["unfeasible"],
+        "discovery.pruned_similarity": kinds["similarity"],
+        "discovery.hops_empty_contribution": sum(
+            verdict.empty for verdict in discovery.verdicts
+        ),
+    }
+    metrics = discovery.run_manifest.metrics
+    reported = {name: metrics["counters"][name] for name in recounted}
+    gate(
+        reported == recounted,
+        f"manifest counters equal the verdict log's {dict(kinds)}: {reported}",
+    )
+    gate(
+        metrics["gauges"]["navigation.hops_executed"] == explored,
+        f"navigation.hops_executed equals the {explored} explored verdicts",
     )
 
     print("trace smoke passed")

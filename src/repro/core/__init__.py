@@ -2,7 +2,7 @@
 
 from .autofeat import AutoFeat, autofeat_augment
 from .config import AutoFeatConfig
-from .explain import FeatureProvenance, explain, explain_rows
+from .explain import explain, explain_rows
 from .materialize import apply_hop, materialize_path, qualified, source_column_name
 from .navigation import (
     FRONTIER_STRATEGIES,
@@ -16,9 +16,15 @@ from .navigation import (
     ranking_regret,
     ucb_score,
 )
-from .pruning import completeness, passes_quality, similarity_pruned_count
+from .pruning import completeness
 from .ranking import compute_ranking_score, normalised_sum
-from .result import AugmentationResult, DiscoveryResult, RankedPath, TrainedPath
+from .result import (
+    AugmentationResult,
+    DiscoveryResult,
+    HopVerdict,
+    RankedPath,
+    TrainedPath,
+)
 from .memo import MemoCounters, OutcomeMemo
 from .streaming import StageOutcome, StreamingFeatureSelector
 from .tuning import AutoFeatTuner, TuningOutcome, TuningTrial
@@ -32,8 +38,8 @@ __all__ = [
     "AutoFeatConfig",
     "explain",
     "explain_rows",
-    "FeatureProvenance",
     "DiscoveryResult",
+    "HopVerdict",
     "RankedPath",
     "TrainedPath",
     "AugmentationResult",
@@ -44,8 +50,6 @@ __all__ = [
     "compute_ranking_score",
     "normalised_sum",
     "completeness",
-    "passes_quality",
-    "similarity_pruned_count",
     "materialize_path",
     "apply_hop",
     "qualified",

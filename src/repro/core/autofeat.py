@@ -39,9 +39,15 @@ from .navigation import (
     UcbFrontierPolicy,
     hop_reward,
 )
-from .pruning import similarity_pruned_count
 from .ranking import compute_ranking_score
-from .result import AugmentationResult, DiscoveryResult, RankedPath, TrainedPath
+from .result import (
+    AugmentationResult,
+    DiscoveryResult,
+    HopVerdict,
+    RankedPath,
+    TrainedPath,
+    tally,
+)
 from .streaming import StreamingFeatureSelector
 
 __all__ = ["AutoFeat", "autofeat_augment"]
@@ -191,54 +197,40 @@ class AutoFeat:
         Runs entirely on a stratified sample of the base table; no ML model
         is trained.  Returns paths sorted by ranking score (descending).
 
-        The traversal advances in *waves* of work units, on every
-        ``config.parallel_backend``: under BFS one wave is the whole
-        current frontier level, under DFS — and under the UCB priority
+        The traversal advances in *waves* of work units: under BFS one wave
+        is the whole current frontier level, under DFS — and under the UCB
         frontier of a budgeted run, whose arm statistics must advance
-        before the next pop is chosen — it is one popped entry's edge
-        fan-out.  Units are enumerated in canonical order (the
-        ``neighbors`` / ``best_join_options`` loops, with similarity
-        pruning done here on the coordinating thread),
-        executed by a :class:`repro.engine.PathExecutor` — inline and
-        lazily under ``"serial"``, on a worker pool under
-        ``"processes"`` — and merged back **in enumeration order**:
-        quality pruning, streaming feature selection, ranking, frontier
-        growth, UCB arm updates and the failure policy (with its shared
-        error budget) all happen at the merge point only.  That ordering
-        is the entire determinism argument: ranked paths, scores,
-        selected features and failure reports are bit-identical across
-        backends (DESIGN.md §11).
+        before the next pop — one popped entry's edge fan-out.  Units are
+        enumerated in canonical order (the ``neighbors`` /
+        ``best_join_options`` loops, similarity pruning included), run by
+        a :class:`repro.engine.PathExecutor` on ``config.parallel_backend``
+        and merged back **in enumeration order** by :meth:`_merge`, which
+        turns each hop into one :class:`~repro.core.result.HopVerdict`.
+        That ordering is the entire determinism argument: the verdict log
+        — and with it ranked paths, scores, selected features and failure
+        reports — is bit-identical across backends (DESIGN.md §11).
+        Frontier growth, UCB arm updates, the ``max_hops`` cut and every
+        count the run reports are read off the log.
 
-        All hops execute through one :class:`JoinEngine`, so a right-hand
-        table reached by many paths is deduped and indexed only once per
-        run; the engine's counters are returned on
-        ``DiscoveryResult.engine_stats``.  Feature scoring likewise runs
-        through one :class:`StreamingFeatureSelector` whose vectorised
-        kernels and persistent code cache amortise discretisation and
-        ranking across all hops; its counters are returned on
-        ``DiscoveryResult.selection_stats``.
+        All hops run through one :class:`JoinEngine` (a table reached by
+        many paths is indexed once) and all scoring through one
+        :class:`StreamingFeatureSelector`; their counters land on
+        ``engine_stats`` / ``selection_stats``.  The traversal runs under
+        one :class:`repro.obs.Tracer` (``discover > wave > {hop > join,
+        selection}``), the run's only clock, and its
+        :class:`repro.obs.RunManifest` lands on ``run_manifest``.
 
-        The whole traversal runs under one :class:`repro.obs.Tracer`
-        (``discover > wave > {hop > join, selection}`` spans; per-name
-        totals only when ``config.enable_tracing`` is off);
-        ``discovery_seconds`` and ``feature_selection_seconds`` are read
-        off it — the tracer is the run's only clock — and the run's
-        :class:`repro.obs.RunManifest` lands on
-        ``DiscoveryResult.run_manifest``.
-
-        With an anytime budget set (``config.budget_seconds`` /
+        With an anytime budget (``config.budget_seconds`` /
         ``config.max_hops``, or an explicit ``deadline`` — an absolute
-        ``time.monotonic`` timestamp, as passed by :meth:`augment` and
-        the discovery service), the traversal becomes *anytime*: the
-        frontier expands in ``config.frontier_strategy`` order and the
-        run stops gracefully when the budget expires, returning the
-        best-k-so-far with ``budget_exhausted`` set and the navigation
-        accounting on ``DiscoveryResult.navigation``.  A ``max_hops`` cap
-        truncates work-unit *generation*, so the executed hop set is the
-        identical canonical prefix on every backend; the wall-clock
-        deadline is checked between waves and cooperatively inside hops,
-        and ``n_paths_explored`` counts only hops whose outcome was
-        merged, not units the deadline aborted.
+        ``time.monotonic`` timestamp, as passed by :meth:`augment` and the
+        discovery service) the frontier expands in
+        ``config.frontier_strategy`` order and the run stops gracefully
+        when the budget expires, returning the best-k-so-far with
+        ``budget_exhausted`` set.  A ``max_hops`` cap truncates hop
+        *generation*, so every backend executes the identical canonical
+        prefix; the wall-clock deadline is checked between waves and
+        cooperatively inside hops, and a hop it aborted gets a
+        ``deadline`` verdict, which ``n_paths_explored`` does not count.
         """
         config = self.config
         base = self.drg.table(base_name)
@@ -250,26 +242,10 @@ class AutoFeat:
         budget, frontier = self._navigation(deadline)
         faults = self._faults("discovery")
         executor = self._executor(tracer, budget.deadline, faults)
-        engine = executor.engine
 
-        ranked: list[RankedPath] = []
-        # ``generated`` drives the deterministic max_hops cut; ``explored``
-        # is what the run reports: units merged without a deadline abort.
-        generated = 0
-        explored = 0
-        pruned_quality = 0
-        pruned_similarity = 0
-        empty_contribution = 0
+        verdicts: list[HopVerdict] = []
         waves = 0
         budget_exhausted = False
-
-        def record_pull(table: str, reward: float) -> None:
-            # Every *merged* hop into a table pulls its UCB arm —
-            # pruned/failed hops with reward 0, ranked hops with their
-            # bounded ranking reward.  No-op under the FIFO frontier.
-            if frontier.policy is not None:
-                frontier.policy.update(table, reward)
-
         try:
             with tracer.span("discover", base=base_name, label=label_column) as root:
                 with tracer.span("sample", size=config.sample_size):
@@ -292,7 +268,10 @@ class AutoFeat:
                 # the qualified features accepted along the path so far.
                 frontier.push(JoinPath(base_name), sample, ())
                 while frontier and not budget_exhausted:
-                    if budget.exhausted(generated):
+                    # The max_hops cut counts generated hops: each has a
+                    # verdict once its wave merged, deadline aborts included.
+                    n_hops = sum(v.kind != "similarity" for v in verdicts)
+                    if budget.exhausted(n_hops):
                         budget_exhausted = True
                         break
                     # Level-synchronous draining reproduces the canonical
@@ -308,20 +287,21 @@ class AutoFeat:
                         path = entry.path
                         if path.length >= config.max_path_length:
                             continue
-                        visited = set(path.nodes)
-                        for neighbor in self.drg.neighbors(path.terminal):
+                        terminal, visited = path.terminal, set(path.nodes)
+                        for neighbor in self.drg.neighbors(terminal):
                             if neighbor in visited:
                                 continue
-                            pruned_similarity += similarity_pruned_count(
-                                self.drg, path.terminal, neighbor
+                            kept = self.drg.best_join_options(terminal, neighbor)
+                            weight = kept[0].weight
+                            verdicts.extend(
+                                HopVerdict("similarity", path, e, kept_weight=weight)
+                                for e in self.drg.join_options(terminal, neighbor)
+                                if e not in kept
                             )
-                            for edge in self.drg.best_join_options(
-                                path.terminal, neighbor
-                            ):
-                                if budget.exhausted(generated):
+                            for edge in kept:
+                                if budget.exhausted(n_hops + len(tasks)):
                                     budget_exhausted = True
                                     break
-                                generated += 1
                                 tasks.append(
                                     HopTask(
                                         index=len(tasks),
@@ -341,12 +321,9 @@ class AutoFeat:
                             # Level entries the cut never reached go back
                             # on the frontier: only the entry the cut
                             # landed inside counts as consumed.
-                            for unreached in entries[position + 1 :]:
+                            for left in entries[position + 1 :]:
                                 frontier.push(
-                                    unreached.path,
-                                    unreached.table,
-                                    unreached.features,
-                                    unreached.reward,
+                                    left.path, left.table, left.features, left.reward
                                 )
                             break
                     if not tasks:
@@ -355,94 +332,56 @@ class AutoFeat:
                     with self._wave(tracer, executor, len(tasks)) as wave:
                         for task, outcome in zip(tasks, executor.run_hops(tasks)):
                             self._absorb(executor, tracer, wave, outcome)
-                            try:
-                                hop = settle_outcome(task, outcome, faults)
-                            except RunBudgetExceeded:
-                                # The wall-clock deadline landed inside
-                                # the hop: graceful anytime exhaustion,
-                                # neither a failure nor a pruned path.
+                            verdict = self._merge(
+                                task, outcome, faults, selector, tracer
+                            )
+                            verdicts.append(verdict)
+                            if verdict.kind == "deadline":
                                 # The run stops after this wave's merge;
                                 # pool units that finished in time still
                                 # merge, serial ones abort at hop entry.
                                 budget_exhausted = True
                                 continue
-                            except JoinError:
-                                # An unfeasible join is Algorithm 1's
-                                # pruning input, under every policy.
-                                pruned_quality += 1
-                                hop = None
-                            explored += 1
-                            if hop is not None:
-                                comp = hop.completeness
-                                if not hop.contributed:
-                                    # A hop may contribute no columns at
-                                    # all; that is not poor join quality —
-                                    # keep it traversable (see the
-                                    # stepping-stone note below) and count it.
-                                    empty_contribution += 1
-                                elif comp < config.tau:
-                                    pruned_quality += 1
-                                    hop = None
-                            if hop is None:
-                                record_pull(task.edge.target, 0.0)
-                                continue
-
-                            with tracer.span(
-                                "selection", features=len(hop.candidates)
-                            ) as span:
-                                batch = selector.process_batch(
-                                    hop.candidates, hop.matrix, hop.codes
-                                )
-                            if tracer.enabled and self.memo is not None:
-                                span.attrs["memo_hit"] = selector.memo_hit
-                            score = compute_ranking_score(
-                                batch.relevance_scores, batch.redundancy_scores
-                            )
-                            reward = hop_reward(score, comp)
-                            record_pull(task.edge.target, reward)
-                            new_path = task.path.extend(task.edge)
-                            new_features = task.features + batch.accepted_names
-                            ranked.append(
-                                RankedPath(
-                                    path=new_path,
-                                    score=score,
-                                    selected_features=new_features,
-                                    relevance_scores=batch.relevance_scores,
-                                    redundancy_scores=batch.redundancy_scores,
-                                    completeness=comp,
-                                    relevant_names=batch.relevant_names,
-                                )
-                            )
+                            # Every merged hop pulls its table's UCB arm.
+                            policy = frontier.policy
+                            if policy is not None:
+                                policy.update(task.edge.target, verdict.reward)
                             # Even an all-irrelevant join stays in the
                             # frontier: it may be the gateway to a relevant
                             # transitive table.  A path at max_path_length
                             # is never probed again, so its hop built no
-                            # table (``hop.table`` is None).
-                            frontier.push(new_path, hop.table, new_features, reward)
+                            # table (``table`` is None).
+                            if verdict.ranked is not None:
+                                frontier.push(
+                                    verdict.ranked.path,
+                                    outcome.value.table,
+                                    verdict.ranked.selected_features,
+                                    verdict.reward,
+                                )
+                counts = tally(verdicts)
                 if budget_exhausted:
                     tracer.event(
                         "budget_exhausted",
-                        hops=explored,
+                        hops=counts["paths_explored"],
                         frontier_unexplored=len(frontier),
                     )
         finally:
             executor.close()
 
-        discovery_seconds = root.seconds
-        selection_seconds = tracer.total_seconds("selection")
-
-        ranked.sort(key=lambda r: (-r.score, r.path.length, r.path.describe()))
-        engine_stats = engine.snapshot()
+        engine_stats = executor.engine.snapshot()
         selection_stats = selector.stats
         failure_report = faults.report()
         navigation = NavigationStats(
             strategy=frontier.strategy,
             budget_seconds=config.budget_seconds,
             max_hops=config.max_hops,
-            hops_executed=explored,
+            hops_executed=counts["paths_explored"],
             budget_exhausted=budget_exhausted,
             frontier_unexplored=len(frontier),
-            best_score=ranked[0].score if ranked else 0.0,
+            best_score=max(
+                (v.ranked.score for v in verdicts if v.ranked is not None),
+                default=0.0,
+            ),
             arms_tracked=frontier.policy.n_arms if frontier.policy else 0,
         )
         manifest = build_manifest(
@@ -451,14 +390,10 @@ class AutoFeat:
             config=config,
             dataset=self.drg,
             seed=config.seed,
-            wall_seconds=discovery_seconds,
+            wall_seconds=root.seconds,
             records=[engine_stats, selection_stats, failure_report, navigation],
             counters={
-                "discovery.paths_explored": explored,
-                "discovery.paths_ranked": len(ranked),
-                "discovery.pruned_quality": pruned_quality,
-                "discovery.pruned_similarity": pruned_similarity,
-                "discovery.hops_empty_contribution": empty_contribution,
+                **{f"discovery.{name}": n for name, n in counts.items()},
                 "discovery.waves": waves,
             },
             gauges=self._parallel_gauges(executor),
@@ -466,19 +401,57 @@ class AutoFeat:
         return DiscoveryResult(
             base_table=base_name,
             label_column=label_column,
-            ranked_paths=tuple(ranked),
-            n_paths_explored=explored,
-            n_paths_pruned_quality=pruned_quality,
-            n_joins_pruned_similarity=pruned_similarity,
-            feature_selection_seconds=selection_seconds,
-            discovery_seconds=discovery_seconds,
+            verdicts=tuple(verdicts),
+            feature_selection_seconds=tracer.total_seconds("selection"),
+            discovery_seconds=root.seconds,
             engine_stats=engine_stats,
             selection_stats=selection_stats,
-            n_hops_empty_contribution=empty_contribution,
             failure_report=failure_report,
             run_manifest=manifest,
             budget_exhausted=budget_exhausted,
             navigation=navigation,
+        )
+
+    def _merge(self, task, outcome, faults, selector, tracer) -> HopVerdict:
+        """Algorithm 1's decision about one hop, at its merge position.
+
+        The failure policy, then the τ rule, then streaming selection and
+        the ranking score.  A deadline abort is graceful exhaustion, not a
+        failure; an unfeasible join is pruning input under every policy;
+        a hop that contributed no columns is not poor join quality — it is
+        ranked (and stays traversable) with ``empty`` set.
+        """
+        where = (task.path, task.edge)
+        try:
+            hop = settle_outcome(task, outcome, faults)
+        except RunBudgetExceeded:
+            return HopVerdict("deadline", *where)
+        except JoinError:
+            return HopVerdict("unfeasible", *where)
+        if hop is None:
+            return HopVerdict("faulted", *where)
+        if hop.contributed and hop.completeness < self.config.tau:
+            return HopVerdict("pruned_tau", *where, completeness=hop.completeness)
+        with tracer.span("selection", features=len(hop.candidates)) as span:
+            batch = selector.process_batch(hop.candidates, hop.matrix, hop.codes)
+        if tracer.enabled and self.memo is not None:
+            span.attrs["memo_hit"] = selector.memo_hit
+        score = compute_ranking_score(batch.relevance_scores, batch.redundancy_scores)
+        ranked = RankedPath(
+            path=task.path.extend(task.edge),
+            score=score,
+            selected_features=task.features + batch.accepted_names,
+            relevance_scores=batch.relevance_scores,
+            redundancy_scores=batch.redundancy_scores,
+            completeness=hop.completeness,
+            relevant_names=batch.relevant_names,
+        )
+        return HopVerdict(
+            "ranked",
+            *where,
+            ranked=ranked,
+            reward=hop_reward(score, hop.completeness),
+            empty=not hop.contributed,
         )
 
     @staticmethod

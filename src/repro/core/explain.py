@@ -3,88 +3,54 @@
 An augmented table is only trustworthy if you can see where each feature
 came from; :func:`explain` turns an :class:`AugmentationResult` into a
 per-feature provenance table — origin dataset, the join hops that fetched
-it, its relevance/redundancy scores and the hop completeness — plus the
-pruning bookkeeping of the discovery run.
+it and the relevance/redundancy scores of the hop that accepted it — plus
+the pruning bookkeeping of the discovery run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .result import AugmentationResult
 
-from .result import AugmentationResult, RankedPath
-
-__all__ = ["FeatureProvenance", "explain_rows", "explain"]
-
-
-@dataclass(frozen=True)
-class FeatureProvenance:
-    """Where one selected feature came from and why it survived."""
-
-    feature: str
-    origin_table: str
-    hops_from_base: int
-    join_route: str
-    relevance_score: float | None
-    redundancy_score: float | None
-
-
-def _provenance_of(ranked: RankedPath) -> list[FeatureProvenance]:
-    hop_of = {edge.target: i + 1 for i, edge in enumerate(ranked.path.edges)}
-    route_upto = {}
-    for i in range(len(ranked.path.edges)):
-        hops = ranked.path.edges[: i + 1]
-        route_upto[hops[-1].target] = " | ".join(
-            f"{e.source}.{e.source_column} -> {e.target}.{e.target_column}"
-            for e in hops
-        )
-    # Scores are recorded for the last hop's batch: redundancy scores align
-    # with the last len(redundancy_scores) selected features, relevance
-    # scores with the recorded relevant_names.  Earlier hops' scores were
-    # reported in their own (ancestor) ranking entries.
-    n_last = len(ranked.redundancy_scores)
-    last_accepted = ranked.selected_features[len(ranked.selected_features) - n_last :]
-    last_scores = dict(zip(last_accepted, ranked.redundancy_scores))
-    relevance = dict(zip(ranked.relevant_names, ranked.relevance_scores))
-    out = []
-    for feature in ranked.selected_features:
-        origin = feature.split(".", 1)[0] if "." in feature else ranked.path.base
-        out.append(
-            FeatureProvenance(
-                feature=feature,
-                origin_table=origin,
-                hops_from_base=hop_of.get(origin, 0),
-                join_route=route_upto.get(origin, "(base table)"),
-                relevance_score=relevance.get(feature),
-                redundancy_score=last_scores.get(feature),
-            )
-        )
-    return out
+__all__ = ["explain_rows", "explain"]
 
 
 def explain_rows(result: AugmentationResult) -> list[dict]:
-    """Provenance of the winning path's features as report rows."""
+    """Provenance of the winning path's features as report rows.
+
+    Each feature's scores are read off the ``ranked`` verdict of the hop
+    that accepted it: one verdict per prefix of the winning path, whose
+    batch's accepted names are the features that prefix added.
+    """
     if result.best is None:
         return []
+    by_path = {
+        verdict.ranked.path: verdict
+        for verdict in result.discovery.verdicts
+        if verdict.ranked is not None
+    }
+    chain = []
+    path = result.best.ranked.path
+    while path in by_path:
+        chain.append(by_path[path])
+        path = chain[-1].path
     rows = []
-    for item in _provenance_of(result.best.ranked):
-        rows.append(
-            {
-                "feature": item.feature,
-                "origin": item.origin_table,
-                "hops": item.hops_from_base,
-                "route": item.join_route,
-                "relevance": (
-                    round(item.relevance_score, 4)
-                    if item.relevance_score is not None
-                    else ""
-                ),
-                "redundancy": (
-                    round(item.redundancy_score, 4)
-                    if item.redundancy_score is not None
-                    else ""
-                ),
-            }
-        )
+    accepted_before: tuple[str, ...] = ()
+    for verdict in reversed(chain):
+        ranked = verdict.ranked
+        relevance = dict(zip(ranked.relevant_names, ranked.relevance_scores))
+        accepted = ranked.selected_features[len(accepted_before) :]
+        for feature, redundancy in zip(accepted, ranked.redundancy_scores):
+            rows.append(
+                {
+                    "feature": feature,
+                    "origin": verdict.edge.target,
+                    "hops": ranked.path.length,
+                    "route": ranked.path.describe(),
+                    "relevance": round(relevance[feature], 4),
+                    "redundancy": round(redundancy, 4),
+                }
+            )
+        accepted_before = ranked.selected_features
     return rows
 
 

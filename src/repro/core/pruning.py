@@ -4,52 +4,33 @@
    dataset-discovery run proposes several join columns between the same two
    tables, only the top-scoring one(s) are explored (ties each become their
    own path).  Exposed through
-   :meth:`repro.graph.DatasetRelationGraph.best_join_options`; the helper
-   here just counts what was discarded for bookkeeping.
+   :meth:`repro.graph.DatasetRelationGraph.best_join_options`; discovery
+   records each option it drops as a ``similarity``
+   :class:`~repro.core.result.HopVerdict`.
 
 2. **Data-quality pruning** operates at the join-result level: a join whose
-   contributed columns are mostly null (completeness below τ) is pruned.
+   contributed columns are mostly null (completeness below τ, which the
+   paper recommends at 0.65, Section VII-D) is pruned.
 """
 
 from __future__ import annotations
 
 from ..dataframe import Table
-from ..graph import DatasetRelationGraph, OrientedEdge
 
-__all__ = ["completeness", "passes_quality", "similarity_pruned_count"]
+__all__ = ["completeness"]
 
 
 def completeness(joined: Table, contributed_columns: list[str]) -> float:
     """1 - null ratio over the columns the join contributed.
 
-    A hop that contributed no columns is vacuously complete (1.0): an
-    empty contribution carries no evidence of a bad join, and scoring it
-    0.0 would quality-prune stepping-stone hops that only exist to reach a
-    relevant transitive table (``AutoFeat.discover`` counts such hops
-    separately as ``n_hops_empty_contribution``).
+    A join is kept iff its completeness is ≥ τ.  A hop that contributed
+    no columns is vacuously complete (1.0): an empty contribution carries
+    no evidence of a bad join, and scoring it 0.0 would quality-prune
+    stepping-stone hops that only exist to reach a relevant transitive
+    table (``AutoFeat.discover`` counts such hops separately as
+    ``n_hops_empty_contribution``).
     """
     present = [c for c in contributed_columns if c in joined]
     if not present:
         return 1.0
     return 1.0 - joined.null_ratio(present)
-
-
-def passes_quality(
-    joined: Table, contributed_columns: list[str], tau: float
-) -> bool:
-    """Data-quality pruning rule: keep a join iff completeness >= τ.
-
-    τ = 1 demands a perfect key match (no nulls at all); τ near 0 keeps
-    everything.  The paper recommends τ = 0.65 (Section VII-D).  Joins
-    with an empty contribution always pass (vacuous completeness).
-    """
-    return completeness(joined, contributed_columns) >= tau
-
-
-def similarity_pruned_count(
-    drg: DatasetRelationGraph, table_a: str, table_b: str
-) -> int:
-    """How many parallel join options similarity pruning discards."""
-    total = len(drg.join_options(table_a, table_b))
-    kept = len(drg.best_join_options(table_a, table_b))
-    return max(0, total - kept)

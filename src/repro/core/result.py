@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..dataframe import Table
 from ..engine import ExecutionStats, FailureReport
-from ..graph import JoinPath
+from ..graph import JoinPath, OrientedEdge
 from ..obs import RunManifest
 from ..selection.stats import SelectionStats
 from .navigation import NavigationStats
 
-__all__ = ["RankedPath", "DiscoveryResult", "TrainedPath", "AugmentationResult"]
+__all__ = [
+    "RankedPath", "HopVerdict", "DiscoveryResult", "TrainedPath", "AugmentationResult"
+]
 
 
 @dataclass(frozen=True)
@@ -38,16 +42,67 @@ class RankedPath:
         return f"[{self.score:+.4f}] {self.path.describe()} :: {features}"
 
 
+#: Verdict kinds of a hop whose outcome was merged: the hops a run explored.
+#: The other two kinds are ``deadline`` (the wall-clock budget aborted the
+#: hop) and ``similarity`` (a join option dropped before any hop ran).
+EXPLORED_KINDS = ("ranked", "pruned_tau", "unfeasible", "faulted")
+
+
+@dataclass(frozen=True)
+class HopVerdict:
+    """What discovery decided about joining ``path`` along ``edge``.
+
+    One per generated hop — ``ranked`` (with its :class:`RankedPath`, UCB
+    ``reward`` and the ``empty`` flag of a hop that contributed no
+    columns), ``pruned_tau`` (with its ``completeness``), ``unfeasible``
+    (a :class:`~repro.errors.JoinError`), ``faulted`` (a recorded
+    failure) or ``deadline`` — and one ``similarity`` verdict per parallel
+    join option similarity pruning dropped, with the ``kept_weight`` of
+    the option it lost to.
+    """
+
+    kind: str
+    path: JoinPath
+    edge: OrientedEdge
+    ranked: RankedPath | None = None
+    reward: float = 0.0
+    empty: bool = False
+    completeness: float | None = None
+    kept_weight: float | None = None
+
+
+def tally(verdicts) -> dict[str, int]:
+    """A run's counts, each one reduction over its verdict log.
+
+    The keys are the manifest's ``discovery.*`` counter names; the
+    result's ``n_*`` properties and ``NavigationStats.hops_executed`` read
+    the same numbers.
+    """
+    kinds = Counter(verdict.kind for verdict in verdicts)
+    return {
+        "paths_explored": sum(kinds[kind] for kind in EXPLORED_KINDS),
+        "paths_ranked": kinds["ranked"],
+        "pruned_quality": kinds["pruned_tau"] + kinds["unfeasible"],
+        "pruned_similarity": kinds["similarity"],
+        "hops_empty_contribution": sum(verdict.empty for verdict in verdicts),
+    }
+
+
+def _count(key: str, doc: str) -> property:
+    """A read-only :class:`DiscoveryResult` count: one entry of its tally."""
+    return property(lambda result: tally(result.verdicts)[key], doc=doc)
+
+
 @dataclass(frozen=True)
 class DiscoveryResult:
     """Outcome of the ranking phase (before any model is trained)."""
 
     base_table: str
     label_column: str
-    ranked_paths: tuple[RankedPath, ...]
-    n_paths_explored: int
-    n_paths_pruned_quality: int
-    n_joins_pruned_similarity: int
+    #: The run's decision log, in merge order: one :class:`HopVerdict` per
+    #: generated hop and per similarity-pruned join option.  The ranking
+    #: and every count below are reductions over it.
+    verdicts: tuple[HopVerdict, ...]
     #: Wall time spent inside the streaming selector (relevance plus
     #: redundancy scoring).  This is the quantity the paper's Figure 3/4
     #: "feature selection time" comparisons measure, and it matches how the
@@ -62,10 +117,6 @@ class DiscoveryResult:
     #: Feature-scoring counters of the traversal (batches scored, features
     #: ranked, code-cache activity, scalar fallbacks).
     selection_stats: SelectionStats = field(default_factory=SelectionStats)
-    #: Hops that joined fine but contributed no columns.  They are *not*
-    #: quality-pruned (an empty contribution carries no evidence of a bad
-    #: join) — the path stays traversable as a stepping stone.
-    n_hops_empty_contribution: int = 0
     #: Per-path failure accounting of the traversal under the run's
     #: failure policy (empty under ``fail_fast``, and for clean runs).
     failure_report: FailureReport = field(default_factory=FailureReport)
@@ -79,6 +130,28 @@ class DiscoveryResult:
     #: Frontier/budget accounting of the traversal (strategy, executed
     #: hops, unexplored frontier size, best score).
     navigation: NavigationStats = field(default_factory=NavigationStats)
+
+    @cached_property
+    def ranked_paths(self) -> tuple[RankedPath, ...]:
+        """The ranked verdicts' paths, best score first."""
+        ranked = [v.ranked for v in self.verdicts if v.ranked is not None]
+        ranked.sort(key=lambda r: (-r.score, r.path.length, r.path.describe()))
+        return tuple(ranked)
+
+    n_paths_explored = _count(
+        "paths_explored", "Hops whose outcome was merged (not deadline-aborted)."
+    )
+    n_paths_pruned_quality = _count(
+        "pruned_quality", "Hops pruned by τ or as unfeasible joins."
+    )
+    n_joins_pruned_similarity = _count(
+        "pruned_similarity", "Parallel join options similarity pruning dropped."
+    )
+    n_hops_empty_contribution = _count(
+        "hops_empty_contribution",
+        "Ranked hops that contributed no columns: not quality-pruned (no"
+        " evidence of a bad join), they stay traversable as stepping stones.",
+    )
 
     def top(self, k: int) -> tuple[RankedPath, ...]:
         """The ``k`` best-scoring paths."""

@@ -17,7 +17,7 @@ from .impute import (
     impute_table,
 )
 from .io import from_csv_text, read_csv, to_csv_text, write_csv
-from .join import JoinIndex, dedup_by_key, inner_join, join_key_null_ratio, left_join
+from .join import JoinIndex, dedup_by_key, inner_join, left_join
 from .quality import (
     ColumnQuality,
     TableQuality,
@@ -39,7 +39,6 @@ __all__ = [
     "left_join",
     "inner_join",
     "dedup_by_key",
-    "join_key_null_ratio",
     "group_indices",
     "group_sizes",
     "aggregate",

@@ -21,7 +21,7 @@ purposes — NaN equals no probe value — so it encodes to
 
 Key normalisation — the rule that makes ``1``, ``1.0`` and ``np.int64(1)``
 join-equal while ``"1"`` stays distinct — is centralised here in
-:func:`normalize_key`; scalar probes and the dict-based reference under
+:func:`normalize_key`; key interning and the dict-based reference under
 ``tests/`` call the same function, so the definitions cannot drift.
 
 Cross-table alignment: the two sides of a DRG edge may store their keys in

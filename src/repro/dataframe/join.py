@@ -34,7 +34,8 @@ rows with one stable argsort over the codes, and probes are a
 ``searchsorted`` + gather over integers instead of a Python dict of boxed
 scalars.  Their independent reference is the dict-of-boxed-scalars join in
 ``tests/dataframe/test_join_reference.py``, which shares only
-:func:`~repro.dataframe.encoding.normalize_key` and
+:func:`~repro.dataframe.encoding.normalize_key` (through the
+:class:`~repro.dataframe.encoding.KeyDictionary`) and
 :func:`_representative_index` (the CRC-seeded per-key RNG pick) with this
 module; the hypothesis suite in ``tests/engine/test_encoded_parity.py``
 holds the two identical to the bit.
@@ -54,7 +55,7 @@ import numpy as np
 
 from ..errors import JoinError
 from .column import Column, DType
-from .encoding import CODE_NULL, KeyDictionary, dense_codes, normalize_key, rank_codes
+from .encoding import CODE_NULL, KeyDictionary, dense_codes, rank_codes
 from .table import Table
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "left_join",
     "inner_join",
     "dedup_by_key",
-    "join_key_null_ratio",
 ]
 
 
@@ -134,10 +134,8 @@ class JoinIndex:
 
     The index carries the key column's
     :class:`~repro.dataframe.encoding.KeyDictionary` plus a dense
-    ``code → build row`` gather table.  Probing with a :class:`Column` is
-    fully vectorised; scalar probes (arbitrary iterables,
-    ``__contains__``) go through a lazily derived
-    ``{normalised key: row}`` dict.
+    ``code → build row`` gather table; a probe with a :class:`Column`
+    encodes it against the dictionary and gathers through that table.
 
     Per build column it also keeps, derived on first use, the column's
     rank codes, and per build row its null count: what :meth:`gather`
@@ -150,7 +148,6 @@ class JoinIndex:
         "key_column",
         "seed",
         "deduplicated",
-        "_index",
         "dictionary",
         "_code_rows",
         "_rank_codes",
@@ -170,7 +167,6 @@ class JoinIndex:
         self.key_column = key_column
         self.seed = seed
         self.deduplicated = deduplicated
-        self._index: dict[Any, int] | None = None
         #: The source key column's interned universe.
         self.dictionary = dictionary
         #: Dense gather table mapping a dictionary code to its build row.
@@ -244,47 +240,18 @@ class JoinIndex:
         """Number of distinct non-null join keys on the build side."""
         return self.dictionary.n_keys
 
-    def _scalar_index(self) -> dict[Any, int]:
-        """The ``{normalised key: build row}`` view, derived lazily.
-
-        Only scalar probes and membership tests materialise it; Column
-        probes never touch it.  The build is idempotent, so the unlocked
-        lazy init is thread-safe.
-        """
-        if self._index is None:
-            code_rows = self._code_rows
-            self._index = {
-                self.dictionary.key(code): int(row)
-                for code, row in enumerate(code_rows)
-                if row >= 0
-            }
-        return self._index
-
-    def __contains__(self, value: Any) -> bool:
-        return normalize_key(value) in self._scalar_index()
-
-    def probe(self, keys: "Column | Iterable[Any]") -> np.ndarray:
+    def probe(self, keys: Column) -> np.ndarray:
         """Map probe-side key values onto build-side row indices.
 
         Returns an int64 gather array aligned with ``keys``; unmatched or
-        null keys map to ``-1``.  A :class:`Column` probe runs vectorised
-        (encode against the build dictionary, gather through the code
-        table); any other input takes the scalar route.
+        null keys map to ``-1``.  Vectorised: encode against the build
+        dictionary, gather through the code table.
         """
-        if isinstance(keys, Column):
-            codes = self.dictionary.encode_column(keys)
-            if self.dictionary.n_keys == 0:
-                return np.full(len(codes), -1, dtype=np.int64)
-            gather = self._code_rows[np.clip(codes, 0, None)]
-            return np.where(codes >= 0, gather, -1)
-        index = self._scalar_index()
-        return np.asarray(
-            [
-                -1 if value is None else index.get(normalize_key(value), -1)
-                for value in keys
-            ],
-            dtype=np.int64,
-        )
+        codes = self.dictionary.encode_column(keys)
+        if self.dictionary.n_keys == 0:
+            return np.full(len(codes), -1, dtype=np.int64)
+        gather = self._code_rows[np.clip(codes, 0, None)]
+        return np.where(codes >= 0, gather, -1)
 
     def left_join(
         self, left: Table, left_on: str, drop_right_key: bool = False
@@ -488,16 +455,3 @@ def inner_join(
     row_map = index.probe(left.column(left_on))
     joined = index.attach(left, row_map, drop_right_key)
     return joined.filter(row_map >= 0)
-
-
-def join_key_null_ratio(joined: Table, right_columns: list[str]) -> float:
-    """Null ratio over the columns a join contributed.
-
-    This is the completeness statistic fed to AutoFeat's data-quality
-    pruning: a join that failed to match most probe rows leaves its entire
-    right-hand side null, and should be pruned.
-    """
-    present = [c for c in right_columns if c in joined]
-    if not present:
-        raise JoinError("none of the contributed columns exist in the join result")
-    return joined.null_ratio(present)

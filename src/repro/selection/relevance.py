@@ -73,22 +73,18 @@ def pearson_relevance(feature: np.ndarray, label: np.ndarray) -> float:
     x, y = _paired(feature, label)
     if x.size < 2:
         return 0.0
-    sx, sy = np.std(x), np.std(y)
+    # Everything below runs where squared deviations cannot underflow.
+    xs, ys = _scaled_up(x), _scaled_up(y)
+    sx, sy = np.std(xs), np.std(ys)
     # Guard against effectively-constant vectors whose std is pure
     # floating-point residue (e.g. a large value repeated n times): the
     # threshold is relative to the data's own magnitude, so legitimately
     # tiny-valued columns are still correlated normally.
     tiny = float(np.finfo(np.float64).tiny)
-    if sx <= 1e-12 * max(float(np.abs(x).max()), tiny) or sy <= 1e-12 * max(
-        float(np.abs(y).max()), tiny
+    if sx <= 1e-12 * max(float(np.abs(xs).max()), tiny) or sy <= 1e-12 * max(
+        float(np.abs(ys).max()), tiny
     ):
         return 0.0
-    # r itself is computed where squared deviations cannot underflow.
-    xs, ys = _scaled_up(x), _scaled_up(y)
-    if xs is not x:
-        sx = np.std(xs)
-    if ys is not y:
-        sy = np.std(ys)
     r = np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy)
     return float(abs(np.clip(r, -1.0, 1.0)))
 

@@ -6,7 +6,9 @@ import pytest
 from repro.core import AutoFeat, AutoFeatConfig, explain, explain_rows
 from repro.dataframe import Table
 from repro.engine import FaultInjector
-from repro.graph import DatasetRelationGraph, KFKConstraint
+from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
+
+from tests.core.driver_goldens import golden_lake
 
 
 def chain_lake(sparse=False):
@@ -49,6 +51,32 @@ def result():
     )
 
 
+@pytest.fixture(scope="module")
+def credit_result():
+    """The credit golden lake: its best path accepts features at two hops."""
+    bundle, drg = golden_lake("credit")
+    return AutoFeat(drg, AutoFeatConfig()).augment(
+        bundle.base_name, bundle.label_column, "knn"
+    )
+
+
+def scores_by_hop(result) -> dict:
+    """``feature -> (relevance, redundancy)`` as each prefix of the best
+    path scored the features it accepted, read off ``ranked_paths``."""
+    ranked = {r.path: r for r in result.discovery.ranked_paths}
+    path = result.best.ranked.path
+    expected, before = {}, ()
+    for i in range(1, path.length + 1):
+        hop = ranked[JoinPath(path.base, path.edges[:i])]
+        relevance = dict(zip(hop.relevant_names, hop.relevance_scores))
+        accepted = hop.selected_features[len(before) :]
+        assert len(accepted) == len(hop.redundancy_scores)
+        for name, redundancy in zip(accepted, hop.redundancy_scores):
+            expected[name] = (round(relevance[name], 4), round(redundancy, 4))
+        before = hop.selected_features
+    return expected
+
+
 class TestExplainRows:
     def test_one_row_per_selected_feature(self, result):
         rows = explain_rows(result)
@@ -66,10 +94,23 @@ class TestExplainRows:
         rows = {r["feature"]: r for r in explain_rows(result)}
         assert "mid.k3 -> deep.k3" in rows["deep.signal"]["route"]
 
-    def test_last_hop_scores_attached(self, result):
-        rows = {r["feature"]: r for r in explain_rows(result)}
-        # The winning path's last hop is deep; its feature carries scores.
-        assert rows["deep.signal"]["redundancy"] != ""
+    @pytest.mark.parametrize("lake", ["chain", "credit"])
+    def test_every_row_carries_its_own_hops_scores(self, lake, request):
+        # Not only the last hop's: a feature accepted at an earlier hop of
+        # the best path once rendered blank scores.
+        result = request.getfixturevalue(
+            {"chain": "result", "credit": "credit_result"}[lake]
+        )
+        expected = scores_by_hop(result)
+        rows = explain_rows(result)
+        assert len(rows) == len(result.best.ranked.selected_features)
+        assert {r["feature"]: (r["relevance"], r["redundancy"]) for r in rows} == (
+            expected
+        )
+        assert len({r["hops"] for r in rows}) > 1, "features from one hop only"
+        if lake == "chain":
+            assert expected["mid.m"] == (0.4677, 0.0295)
+            assert expected["deep.signal"] == (0.7731, 0.2344)
 
     def test_empty_result(self):
         base = Table(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import compute_ranking_score, completeness, normalised_sum, passes_quality
-from repro.dataframe import Table
+from repro.core import compute_ranking_score, completeness, normalised_sum
+from repro.dataframe import Table, left_join
 
 
 class TestNormalisedSum:
@@ -58,28 +58,36 @@ class TestCompleteness:
     def test_missing_columns_vacuously_complete(self):
         # An empty contribution carries no evidence of a bad join: it must
         # not be quality-pruned (it may be a stepping-stone hop).
+        # So it passes even τ = 1.
         assert completeness(self.make(), ["zzz"]) == 1.0
         assert completeness(self.make(), []) == 1.0
 
-    def test_empty_contribution_passes_quality(self):
-        assert passes_quality(self.make(), [], tau=1.0)
+    def test_left_join_contribution(self):
+        # Half the probe rows find no partner: the contributed column is
+        # half null, the probe side's own columns do not count.
+        left = Table({"id": [1, 2, 3, 4], "x": [1.0, 2.0, 3.0, 4.0]}, name="l")
+        right = Table({"id": [1, 2], "y": [10.0, 20.0]}, name="r")
+        joined = left_join(left, right, "id", "id", drop_right_key=True)
+        assert completeness(joined, ["y"]) == pytest.approx(0.5)
 
 
 class TestQualityRule:
+    """A join is kept iff its completeness is ≥ τ."""
+
     def test_keeps_above_threshold(self):
         t = Table({"x": [1, 2, 3, None]}, name="t")
-        assert passes_quality(t, ["x"], tau=0.65)
+        assert completeness(t, ["x"]) >= 0.65
 
     def test_prunes_below_threshold(self):
         t = Table({"x": [1, None, None, None]}, name="t")
-        assert not passes_quality(t, ["x"], tau=0.65)
+        assert completeness(t, ["x"]) < 0.65
 
     def test_tau_one_requires_perfection(self):
         perfect = Table({"x": [1, 2]}, name="t")
         flawed = Table({"x": [1, None]}, name="t")
-        assert passes_quality(perfect, ["x"], tau=1.0)
-        assert not passes_quality(flawed, ["x"], tau=1.0)
+        assert completeness(perfect, ["x"]) >= 1.0
+        assert completeness(flawed, ["x"]) < 1.0
 
     def test_tau_zero_keeps_everything(self):
         empty = Table({"x": [None, None]}, name="t")
-        assert passes_quality(empty, ["x"], tau=0.0)
+        assert completeness(empty, ["x"]) >= 0.0

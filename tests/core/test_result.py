@@ -1,7 +1,9 @@
 """Unit tests for the discovery/augmentation result types."""
 
-from repro.core import DiscoveryResult, RankedPath
-from repro.graph import JoinPath
+from repro.core import DiscoveryResult, HopVerdict, RankedPath
+from repro.graph import JoinPath, OrientedEdge
+
+EDGE = OrientedEdge("base", "t", "k", "k", 1.0)
 
 
 def make_ranked(score: float, features=("t.f",)) -> RankedPath:
@@ -30,10 +32,10 @@ class TestDiscoveryResult:
         return DiscoveryResult(
             base_table="base",
             label_column="label",
-            ranked_paths=tuple(make_ranked(s) for s in scores),
-            n_paths_explored=len(scores),
-            n_paths_pruned_quality=0,
-            n_joins_pruned_similarity=0,
+            verdicts=tuple(
+                HopVerdict("ranked", JoinPath("base"), EDGE, ranked=make_ranked(s))
+                for s in scores
+            ),
             feature_selection_seconds=0.5,
         )
 

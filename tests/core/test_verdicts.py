@@ -1,0 +1,121 @@
+"""The verdict log: one decision per generated hop, every count read off it.
+
+``AutoFeat.discover`` turns each hop it hands the executor into exactly one
+:class:`~repro.core.HopVerdict`, and each parallel join option similarity
+pruning drops into one ``similarity`` verdict.  Over the frozen driver
+matrix (``tests/core/goldens/driver.json``) on both backends this suite
+checks that the log accounts for every hop, that its reductions are the
+golden counters, and that it is the same log on every backend; a deadline
+run checks that aborted hops are logged but not counted as explored.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from repro.core import AutoFeat, AutoFeatConfig
+from repro.core.result import EXPLORED_KINDS
+from repro.engine import HopLatency, PathExecutor
+from repro.errors import FaultError
+
+from tests.core.driver_goldens import (
+    BACKENDS,
+    HOP_CAPS,
+    _autofeat,
+    cell_keys,
+    expected_cell,
+    golden_lake,
+)
+from tests.core.test_parallel_faults import diamond_lake
+
+
+def logged_discover(autofeat, base, label, monkeypatch):
+    """``(discovery, hops handed to run_hops)`` of one ``discover`` call."""
+    handed = []
+    run_hops = PathExecutor.run_hops
+
+    def recording(self, tasks):
+        handed.extend((task.path, task.edge) for task in tasks)
+        return run_hops(self, tasks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PathExecutor, "run_hops", recording)
+        return autofeat.discover(base, label), handed
+
+
+@lru_cache(maxsize=None)
+def run_logged(key: str, backend: str):
+    """One matrix cell's discovery, or None where it raised (fail_fast)."""
+    lake, traversal, seed, faults, budget = key.split("/")
+    bundle, __ = golden_lake(lake)
+    autofeat = _autofeat(lake, traversal, int(seed), faults, budget, backend)
+    try:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return logged_discover(
+                autofeat, bundle.base_name, bundle.label_column, monkeypatch
+            )
+    except FaultError:
+        return None
+
+
+def lake_cells(lake: str) -> list[str]:
+    return [key for key in cell_keys() if key.startswith(f"{lake}/")]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lake", sorted(HOP_CAPS))
+def test_every_cell_logs_one_verdict_per_hop(lake, backend):
+    checked = 0
+    for key in lake_cells(lake):
+        golden = expected_cell(key, backend)
+        run = run_logged(key, backend)
+        if run is None:
+            assert "raised" in golden, key
+            continue
+        discovery, handed = run
+        hops = [v for v in discovery.verdicts if v.kind != "similarity"]
+        # Exactly one hop verdict per HopTask, in the order they were handed.
+        assert [(v.path, v.edge) for v in hops] == handed, key
+        similarity = [v for v in discovery.verdicts if v.kind == "similarity"]
+        assert len(similarity) == golden["discovery"]["pruned_similarity"], key
+        assert all(v.edge.weight < v.kept_weight for v in similarity), key
+        assert discovery.n_paths_explored == (
+            len(discovery.ranked_paths)
+            + discovery.n_paths_pruned_quality
+            + len(discovery.failure_report.records)
+        ), key
+        assert discovery.n_paths_explored == golden["discovery"]["explored"], key
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("lake", sorted(HOP_CAPS))
+def test_verdict_logs_equal_across_backends(lake):
+    # No matrix cell sets budget_seconds: every cut is a max_hops cut.
+    for key in lake_cells(lake):
+        serial, processes = (run_logged(key, backend) for backend in BACKENDS)
+        assert (serial is None) == (processes is None), key
+        if serial is not None:
+            assert serial[0].verdicts == processes[0].verdicts, key
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deadline_aborts_are_logged_but_not_explored(backend, monkeypatch):
+    # Each hop sleeps past the deadline, so the engine's check after the
+    # hook aborts it (or the entry check does, if set-up was slow).
+    config = AutoFeatConfig(
+        sample_size=100, parallel_backend=backend, budget_seconds=0.2
+    )
+    autofeat = AutoFeat(diamond_lake(n=120), config, hop_hook=HopLatency(0.3))
+    discovery, handed = logged_discover(autofeat, "base", "label", monkeypatch)
+    assert discovery.budget_exhausted
+    hops = [v for v in discovery.verdicts if v.kind != "similarity"]
+    assert [(v.path, v.edge) for v in hops] == handed
+    aborted = [v for v in hops if v.kind == "deadline"]
+    assert aborted, "a hop sleeping past the deadline must be aborted"
+    explored = len(hops) - len(aborted)
+    assert explored == sum(v.kind in EXPLORED_KINDS for v in hops)
+    assert discovery.n_paths_explored == explored
+    assert discovery.navigation.hops_executed == explored
+    counters = discovery.run_manifest.metrics["counters"]
+    assert counters["discovery.paths_explored"] == explored

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataframe import Table, dedup_by_key, join_key_null_ratio, left_join
+from repro.dataframe import Table, dedup_by_key, left_join
 from repro.errors import JoinError
 
 
@@ -121,14 +121,3 @@ class TestDedupByKey:
     def test_deterministic_per_seed(self):
         t = Table({"k": [1] * 10, "v": list(range(10))}, name="t")
         assert dedup_by_key(t, "k", seed=3) == dedup_by_key(t, "k", seed=3)
-
-
-class TestJoinNullRatio:
-    def test_ratio_over_contributed(self, left, right):
-        joined = left_join(left, right, "id", "id", drop_right_key=True)
-        assert join_key_null_ratio(joined, ["y"]) == pytest.approx(0.5)
-
-    def test_missing_columns_raise(self, left, right):
-        joined = left_join(left, right, "id", "id")
-        with pytest.raises(JoinError):
-            join_key_null_ratio(joined, ["not_there"])

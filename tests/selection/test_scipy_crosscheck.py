@@ -8,7 +8,12 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from repro.ml.metrics import auc_score
-from repro.selection.relevance import _rankdata, pearson_relevance, spearman_relevance
+from repro.selection.relevance import (
+    _rankdata,
+    _scaled_up,
+    pearson_relevance,
+    spearman_relevance,
+)
 
 vectors = arrays(
     np.float64,
@@ -26,8 +31,11 @@ def test_rankdata_matches_scipy(x):
 
 
 def _effectively_constant(x: np.ndarray) -> bool:
+    # Judged on the scaled-up vector, as pearson_relevance does: the std
+    # of raw values below ~1e-154 underflows to a false "constant".
+    xs = _scaled_up(x)
     tiny = float(np.finfo(np.float64).tiny)
-    return np.std(x) <= 1e-12 * max(float(np.abs(x).max()), tiny)
+    return np.std(xs) <= 1e-12 * max(float(np.abs(xs).max()), tiny)
 
 
 @given(vectors, vectors)
@@ -51,6 +59,18 @@ def test_pearson_of_tiny_values_does_not_underflow():
     theirs = abs(stats.pearsonr(x, y).statistic)
     assert pearson_relevance(x, y) == pytest.approx(theirs, abs=1e-12)
     assert pearson_relevance(x * 2.0**600, y) == pearson_relevance(x, y)
+
+
+@pytest.mark.parametrize("tiny", [1.1e-300, 1.1e-308])
+def test_pearson_of_tiny_values_is_not_called_constant(tiny):
+    # The constant guard once read np.std of the raw values, whose squared
+    # deviations underflow to 0 below ~1e-154: these valid columns (1.1e-308
+    # is subnormal) scored 0.0 instead of scipy's |r| = 0.25.
+    x = np.array([0.0] + [tiny] * 4)
+    y = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+    assert not _effectively_constant(x)
+    theirs = abs(stats.pearsonr(x, y).statistic)
+    assert pearson_relevance(x, y) == pytest.approx(theirs, abs=1e-12)
 
 
 @given(vectors, vectors)
