@@ -7,7 +7,7 @@
 # requiring `git status --porcelain` to read as it did at the start
 # (empty, on a committed tree): a check that dirties tracked files, or
 # leaves unignored ones behind, fails; then prints ROADMAP's three diet
-# counters.  Run from anywhere: `scripts/check.sh` or `make check`.
+# counters and the import floor (`import repro` wall ms and peak RSS).  Run from anywhere: `scripts/check.sh` or `make check`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,3 +63,13 @@ echo "== diet counters (ROADMAP reads these off) =="
 echo "src/repro lines:       $(find src/repro -name '*.py' | xargs cat | wc -l)"
 echo "AutoFeatConfig fields: $(python -c 'import dataclasses, repro; print(len(dataclasses.fields(repro.AutoFeatConfig)))')"
 echo "Makefile targets:      $(sed -n 's/^\.PHONY://p' Makefile | wc -w)"
+# The import floor (DESIGN.md §3): one fresh interpreter, numpy included,
+# since every workload imports it first.
+python - <<'PY'
+import resource, time
+t0 = time.perf_counter()
+import numpy, repro
+ms = (time.perf_counter() - t0) * 1e3
+mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"import repro:          {ms:.0f} ms, ru_maxrss {mb:.1f} MB")
+PY

@@ -45,10 +45,9 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -58,6 +57,9 @@ from ..graph import JoinPath, OrientedEdge
 from ..obs.tracer import Tracer
 from .engine import JoinEngine
 from .faults import FaultManager
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "PARALLEL_BACKENDS",
@@ -388,6 +390,11 @@ class PathExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
+            # Imported here, not at module level: only the opt-in
+            # ``processes`` backend needs it, and it drags in
+            # ``multiprocessing`` (DESIGN.md §3, the import rule).
+            from concurrent.futures import ProcessPoolExecutor
+
             engine = self.engine
             engine_kwargs = {
                 "seed": engine.seed,

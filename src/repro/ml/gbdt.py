@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -215,16 +216,19 @@ class _HistTree:
             stack.append((node.right, idx[~mask]))
         return out
 
+    def leaves(self) -> Iterator[_HistNode]:
+        """Every leaf; together their ``rows`` partition the training rows."""
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield node
+            else:
+                stack.extend((node.left, node.right))
+
     @property
     def n_leaves(self) -> int:
-        def walk(node: _HistNode | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self._root)
+        return sum(1 for _ in self.leaves())
 
 
 def _grow_leaf_wise(
@@ -249,6 +253,8 @@ def _grow_leaf_wise(
             importance[node.best_feature] += node.best_gain
         left, right = builder.split(node)
         n_leaves += 1
+        if n_leaves == max_leaves:
+            break  # the children's best splits would never be popped
         for child in (left, right):
             builder._find_best_split(child)
             if child.best_feature >= 0:
@@ -358,7 +364,10 @@ class GradientBoostingBinaryClassifier:
                     builder, rows, self.max_depth, self._importance_gain
                 )
             self._trees.append(tree)
-            raw += self.learning_rate * tree.predict_binned(data.codes)
+            # The leaves partition ``rows``, so this is the training update
+            # ``raw += lr * tree.predict_binned(data.codes)``, bit for bit.
+            for leaf in tree.leaves():
+                raw[leaf.rows] += self.learning_rate * leaf.value
         return self
 
     @property

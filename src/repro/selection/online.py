@@ -22,7 +22,6 @@ work).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..errors import SelectionError
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -48,16 +47,24 @@ def partial_correlation_pvalue(
     """Two-sided p-value of corr(candidate, label | selected).
 
     Both variables are residualised against the selected features, then a
-    Pearson t-test is applied to the residual correlation.  Degenerate
-    inputs (constant residuals, tiny n) return p = 1.0 (never significant).
+    Pearson t-test is applied to the residual correlation.  Only rows on
+    which the candidate, the label and every selected column are finite
+    take part; a 1-D ``selected`` is one column.  Degenerate inputs
+    (constant residuals, tiny n) return p = 1.0 (never significant).
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
     if candidate.shape != label.shape:
         raise SelectionError("candidate and label lengths differ")
     keep = np.isfinite(candidate) & np.isfinite(label)
+    basis = None
+    if selected is not None:
+        basis = np.asarray(selected, dtype=np.float64)
+        if basis.ndim == 1:
+            basis = basis[:, None]
+        keep &= np.isfinite(basis).all(axis=1)
+        basis = basis[keep]
     candidate, label = candidate[keep], label[keep]
-    basis = selected[keep] if selected is not None else None
     n = len(candidate)
     n_controls = 0 if basis is None or basis.size == 0 else basis.shape[1]
     dof = n - 2 - n_controls
@@ -70,6 +77,10 @@ def partial_correlation_pvalue(
         return 1.0
     r = float(np.clip(np.mean(res_x * res_y) / (sx * sy), -0.9999999, 0.9999999))
     t = r * np.sqrt(dof / (1.0 - r * r))
+    # Imported here, not at module level: ``import repro`` must not load
+    # scipy, which only the online selectors use (DESIGN.md §3).
+    from scipy import stats
+
     return float(2.0 * stats.t.sf(abs(t), dof))
 
 

@@ -6,6 +6,8 @@ same ``(best_feature, best_bin, best_gain)`` on every node, hence the same
 ``decision_function`` and ``feature_importances_`` after a full fit.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,88 @@ class TestFullFits:
             kernel.feature_importances_, reference.feature_importances_
         )
         assert np.array_equal(kernel.predict_proba(X), reference.predict_proba(X))
+
+
+def _reference_grow_leaf_wise(builder, rows, max_leaves, importance):
+    """Leaf-wise growth as it was: every new child gets its best split."""
+    root = _HistNode(rows=rows, depth=0)
+    root.value = builder._leaf_value(rows)
+    builder._find_best_split(root)
+    counter, heap, n_leaves = 0, [], 1
+    if root.best_feature >= 0:
+        heap.append((-root.best_gain, counter, root))
+    while heap and n_leaves < max_leaves:
+        neg_gain, _, node = heapq.heappop(heap)
+        if -neg_gain <= 0.0:
+            break
+        importance[node.best_feature] += node.best_gain
+        left, right = builder.split(node)
+        n_leaves += 1
+        for child in (left, right):
+            builder._find_best_split(child)
+            if child.best_feature >= 0:
+                counter += 1
+                heapq.heappush(heap, (-child.best_gain, counter, child))
+    return gbdt._HistTree(root)
+
+
+class _ReferenceBoosting(GradientBoostingBinaryClassifier):
+    """Boosting as it was: the training update re-predicts every row."""
+
+    def _fit_binned(self, data, y):
+        positive_rate = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
+        self._base_score = float(np.log(positive_rate / (1 - positive_rate)))
+        self._mapper = data.mapper
+        raw = np.full(len(y), self._base_score, dtype=np.float64)
+        self._trees = []
+        self._importance_gain = np.zeros(data.codes.shape[1], dtype=np.float64)
+        rows = np.arange(len(y))
+        for _ in range(self.n_estimators):
+            p = gbdt._sigmoid(raw)
+            builder = _HistTreeBuilder(
+                data,
+                p - y,
+                p * (1.0 - p),
+                self.reg_lambda,
+                self.min_child_weight,
+                self.min_samples_leaf,
+            )
+            if self.growth == "leaf_wise":
+                tree = _reference_grow_leaf_wise(
+                    builder, rows, self.max_leaves, self._importance_gain
+                )
+            else:
+                tree = gbdt._grow_depth_wise(
+                    builder, rows, self.max_depth, self._importance_gain
+                )
+            self._trees.append(tree)
+            raw += self.learning_rate * tree.predict_binned(data.codes)
+        self.training_raw = raw
+        return self
+
+
+class TestBoostingTrims:
+    """The leaf-row training update and the skipped last-split search are exact."""
+
+    @pytest.mark.parametrize("growth", ["leaf_wise", "depth_wise"])
+    @pytest.mark.parametrize("max_leaves", [2, 4, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_equals_reference_loop(self, growth, max_leaves, seed):
+        X, rng = make_matrix(COLUMN_KINDS * 2, 300, seed)
+        y = (X[:, 0] + rng.normal(0, 1, 300) > 0).astype(np.float64)
+        params = dict(
+            n_estimators=8, max_leaves=max_leaves, max_depth=3, growth=growth
+        )
+        ours = GradientBoostingBinaryClassifier(**params).fit(X, y)
+        reference = _ReferenceBoosting(**params).fit(X, y)
+        if growth == "leaf_wise":
+            assert max(tree.n_leaves for tree in ours._trees) == max_leaves
+        X_new, _ = make_matrix(COLUMN_KINDS * 2, 50, seed + 100)
+        for rows in (X, X_new):
+            assert np.array_equal(
+                ours.decision_function(rows), reference.decision_function(rows)
+            )
+        assert np.array_equal(ours.decision_function(X), reference.training_raw)
+        assert np.array_equal(
+            ours.feature_importances_, reference.feature_importances_
+        )

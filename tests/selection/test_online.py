@@ -51,6 +51,28 @@ class TestPartialCorrelationPvalue:
         with pytest.raises(SelectionError):
             partial_correlation_pvalue(data["y"][:10], data["y"], None)
 
+    def test_missing_values_in_controls_drop_their_rows(self):
+        # A NaN in a selected column used to reach lstsq, which raised
+        # LinAlgError on the offer after any feature with a missing value
+        # was accepted.
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=400)
+        a = y + 0.5 * rng.normal(size=400)
+        a[:40] = np.nan
+        b = y + 0.5 * rng.normal(size=400)
+        selector = AlphaInvestingSelector().start(y)
+        assert selector.offer("a", a)
+        selector.offer("b", b)
+        complete = partial_correlation_pvalue(b[40:], y[40:], a[40:, None])
+        assert partial_correlation_pvalue(b, y, a[:, None]) == complete
+
+    def test_one_dimensional_controls_are_one_column(self, data):
+        flat = partial_correlation_pvalue(data["dup"], data["y"], data["strong"])
+        column = partial_correlation_pvalue(
+            data["dup"], data["y"], data["strong"].reshape(-1, 1)
+        )
+        assert flat == column
+
 
 class TestAlphaInvesting:
     def test_accepts_signal_rejects_noise(self, data):
