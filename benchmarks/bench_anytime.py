@@ -3,9 +3,9 @@
 Runs ``AutoFeat.discover`` over the covertype lake under a sweep of hop
 budgets (fractions of the full traversal) with the UCB frontier, and
 reports wall time, executed hops and :func:`repro.core.ranking_regret`
-against the unbudgeted reference run.  Hop work is dominated by a
-:class:`repro.engine.HopLatency` hop hook (a simulated remote-fetch
-latency), so wall time tracks executed hops and the speedup figures are
+against the unbudgeted reference run.  Hop work is dominated by the
+:class:`HopLatency` hop hook below (a simulated remote-fetch latency), so
+wall time tracks executed hops and the speedup figures are
 machine-independent.
 
 Three gates are enforced and recorded:
@@ -35,13 +35,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from _util import assert_no_failures, summary_path, write_summary
 
 from repro.core import AutoFeat, AutoFeatConfig, ranking_regret
 from repro.datasets import build_dataset, datalake_drg
-from repro.engine import HopLatency
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUMMARY_PATH = REPO_ROOT / "BENCH_anytime.json"
@@ -50,6 +50,16 @@ SPEEDUP_GATE = 2.0
 REGRET_GATE = 0.05
 #: Hop budgets as fractions of the full traversal, smallest first.
 BUDGET_FRACTIONS = (0.125, 0.25, 0.4, 0.5, 0.75, 1.0)
+
+
+@dataclass(frozen=True)
+class HopLatency:
+    """Hop hook that sleeps ``seconds`` per hop (lands in the ``hop`` span)."""
+
+    seconds: float
+
+    def __call__(self, edge) -> None:
+        time.sleep(self.seconds)
 
 
 def fingerprint(discovery):

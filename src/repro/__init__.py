@@ -31,7 +31,6 @@ from .engine import (
     ExecutionStats,
     FailureRecord,
     FailureReport,
-    FaultInjector,
     FaultManager,
     HopCache,
     JoinEngine,
@@ -43,8 +42,6 @@ from .errors import (
     ErrorBudgetExceeded,
     FaultError,
     GraphError,
-    HopBudgetExceeded,
-    InjectedFaultError,
     JoinError,
     ModelError,
     ReproError,
@@ -76,7 +73,6 @@ __all__ = [
     "FailureRecord",
     "FailureReport",
     "FaultManager",
-    "FaultInjector",
     "Tracer",
     "Span",
     "MetricsRegistry",
@@ -90,8 +86,6 @@ __all__ = [
     "SchemaError",
     "JoinError",
     "FaultError",
-    "HopBudgetExceeded",
-    "InjectedFaultError",
     "ErrorBudgetExceeded",
     "GraphError",
     "SelectionError",

@@ -19,12 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataframe import Table
-from ..engine import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_MAX_RETRIES,
-    FaultManager,
-    JoinEngine,
-)
+from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
 from ..graph import DatasetRelationGraph
 from ..ml import RandomForestClassifier, TabularEncoder, encode_labels, evaluate_accuracy
 from ..obs import Tracer, build_manifest
@@ -83,7 +78,6 @@ def run_arda(
     seed: int = 0,
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
@@ -95,10 +89,7 @@ def run_arda(
     tracer = Tracer(enabled=enable_tracing)
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
-        policy=failure_policy,
-        error_budget=error_budget,
-        max_retries=max_retries,
-        stage="arda",
+        policy=failure_policy, error_budget=error_budget, stage="arda"
     )
     base = drg.table(base_name)
     with tracer.span("arda", base=base_name, model=model_name) as root:

@@ -26,7 +26,7 @@ def run_autofeat(
     """Run the full AutoFeat pipeline and normalise its result record.
 
     The failure policy lives on ``config`` (``failure_policy`` /
-    ``error_budget`` / ``max_retries``); the combined discovery+training
+    ``error_budget``); the combined discovery+training
     failure accounting lands on the result's ``failure_report``.
     """
     config = (config or AutoFeatConfig()).with_overrides(seed=seed)

@@ -86,8 +86,8 @@ def join_neighbor(
     if engine is None:
         engine = JoinEngine(drg, seed=seed)
 
-    def hop(attempt: int = 0) -> tuple[Table, list[str]]:
-        return engine.apply_hop(current, options[0], base_name, attempt=attempt)
+    def hop() -> tuple[Table, list[str]]:
+        return engine.apply_hop(current, options[0], base_name)
 
     if faults is None:
         try:

@@ -16,12 +16,7 @@ before training — cheap selection, expensive join.
 from __future__ import annotations
 
 from ..dataframe import Table
-from ..engine import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_MAX_RETRIES,
-    FaultManager,
-    JoinEngine,
-)
+from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
 from ..errors import JoinError
 from ..graph import DatasetRelationGraph, bfs_levels, join_all_path_count
 from ..ml import evaluate_accuracy
@@ -88,7 +83,6 @@ def run_join_all(
     feasibility_cap: int = FEASIBILITY_CAP,
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
@@ -109,10 +103,7 @@ def run_join_all(
     tracer = Tracer(enabled=enable_tracing)
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
-        policy=failure_policy,
-        error_budget=error_budget,
-        max_retries=max_retries,
-        stage="join_all",
+        policy=failure_policy, error_budget=error_budget, stage="join_all"
     )
     selection_stats = SelectionStats() if with_filter else None
     with tracer.span("join_all", base=base_name, model=model_name) as root:

@@ -18,12 +18,7 @@ comparison depends on them:
 from __future__ import annotations
 
 from ..core.navigation import UcbArm
-from ..engine import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_MAX_RETRIES,
-    FaultManager,
-    JoinEngine,
-)
+from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
 from ..graph import DatasetRelationGraph
 from ..ml import evaluate_accuracy
 from ..obs import Tracer, build_manifest
@@ -56,7 +51,6 @@ def run_mab(
     seed: int = 0,
     failure_policy: str = "skip_and_record",
     error_budget: int = DEFAULT_ERROR_BUDGET,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     hop_hook=None,
     enable_tracing: bool = True,
 ) -> BaselineResult:
@@ -69,10 +63,7 @@ def run_mab(
     tracer = Tracer(enabled=enable_tracing)
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
     faults = FaultManager(
-        policy=failure_policy,
-        error_budget=error_budget,
-        max_retries=max_retries,
-        stage="mab",
+        policy=failure_policy, error_budget=error_budget, stage="mab"
     )
     base = drg.table(base_name)
     joined: list[str] = []
@@ -114,9 +105,7 @@ def run_mab(
                 result = None
                 if options:
                     result = faults.execute(
-                        lambda attempt: engine.apply_hop(
-                            current, options[0], base_name, attempt=attempt
-                        ),
+                        lambda: engine.apply_hop(current, options[0], base_name),
                         base=base_name,
                         edge=options[0],
                     )

@@ -56,11 +56,11 @@ __all__ = ["AutoFeat", "autofeat_augment"]
 class AutoFeat:
     """Feature discovery over a Dataset Relation Graph.
 
-    ``hop_hook`` is the picklable per-hop test hook of every
-    :class:`~repro.engine.JoinEngine` the pipeline creates — a
-    deterministic :class:`~repro.engine.FaultInjector`, so graceful
-    degradation under ``config.failure_policy`` is testable end to end,
-    or a :class:`~repro.engine.HopLatency`.
+    ``hop_hook`` is the picklable per-hop test seam of every
+    :class:`~repro.engine.JoinEngine` the pipeline creates, ``hook(edge)``:
+    a hook that raises a deterministic fault makes graceful degradation
+    under ``config.failure_policy`` testable end to end; one that sleeps
+    simulates a slow table.
     """
 
     def __init__(
@@ -89,31 +89,23 @@ class AutoFeat:
         #: §12).  ``None`` hashes nothing.
         self.memo = memo
 
-    def _executor(
-        self, tracer: Tracer, run_deadline: float | None, faults: FaultManager
-    ) -> PathExecutor:
-        """One per-phase engine + executor carrying the config's budgets.
+    def _executor(self, tracer: Tracer, run_deadline: float | None) -> PathExecutor:
+        """One per-phase engine + executor.
 
         ``run_deadline`` threads the run's anytime wall-clock budget into
-        every hop for cooperative mid-hop aborts; units re-attempt as
-        often as ``faults``' policy allows.
+        every hop for cooperative mid-hop aborts.
         """
         config = self.config
         engine = JoinEngine(
             self.drg,
             seed=config.seed,
-            hop_timeout_seconds=config.hop_timeout_seconds,
-            max_output_rows=config.max_hop_output_rows,
             hop_hook=self.hop_hook,
             tracer=tracer,
             cache=self.hop_cache,
             run_deadline=run_deadline,
         )
         return PathExecutor(
-            engine,
-            backend=config.parallel_backend,
-            trace_spans=tracer.enabled,
-            attempts=faults.attempts,
+            engine, backend=config.parallel_backend, trace_spans=tracer.enabled
         )
 
     def _navigation(
@@ -151,7 +143,6 @@ class AutoFeat:
         return FaultManager(
             policy=config.failure_policy,
             error_budget=config.error_budget,
-            max_retries=config.max_retries,
             stage=stage,
         )
 
@@ -241,7 +232,7 @@ class AutoFeat:
         tracer = self._tracer()
         budget, frontier = self._navigation(deadline)
         faults = self._faults("discovery")
-        executor = self._executor(tracer, budget.deadline, faults)
+        executor = self._executor(tracer, budget.deadline)
 
         verdicts: list[HopVerdict] = []
         waves = 0
@@ -490,7 +481,7 @@ class AutoFeat:
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
-        break a join).  Under ``skip_and_record`` /``retry`` such a path is
+        break a join).  Under ``skip_and_record`` such a path is
         recorded on ``AugmentationResult.failure_report`` and skipped, and
         the remaining top-k paths still train; ``fail_fast`` propagates.
 
@@ -510,7 +501,7 @@ class AutoFeat:
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
         faults = self._faults("training")
-        executor = self._executor(tracer, budget.deadline, faults)
+        executor = self._executor(tracer, budget.deadline)
         base = self.drg.table(discovery.base_table)
         base_features = [
             n for n in base.column_names if n != discovery.label_column

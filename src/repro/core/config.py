@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..engine.faults import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_MAX_RETRIES,
-    FAILURE_POLICIES,
-)
+from ..engine.faults import DEFAULT_ERROR_BUDGET, FAILURE_POLICIES
 from ..engine.parallel import PARALLEL_BACKENDS
 from ..errors import ConfigError
 from .navigation import FRONTIER_STRATEGIES
@@ -59,32 +55,19 @@ class AutoFeatConfig:
         ``"bfs"`` (the paper's choice, Section IV-A) or ``"dfs"`` — kept as
         a switch for the traversal ablation.
     failure_policy:
-        How a run reacts to hop/path failures (budget blowups, injected
-        faults, and — during training — full-table materialisation
+        How a run reacts to hop/path failures (faults raised by the
+        ``hop_hook`` and, during training, full-table materialisation
         errors).  ``"skip_and_record"`` (the default) skips the failing
         path, records it on the result's ``failure_report`` and keeps
         going; ``"fail_fast"`` propagates the first typed error (the
-        pre-fault-isolation behaviour); ``"retry"`` retries each failing
-        operation up to ``max_retries`` times before recording it.
-        Ordinary join infeasibilities during discovery are *pruning* input
-        for Algorithm 1 under every policy, exactly as before.
+        pre-fault-isolation behaviour).  Ordinary join infeasibilities
+        during discovery are *pruning* input for Algorithm 1 under both
+        policies.
     error_budget:
-        Recorded failures tolerated per run under ``skip_and_record`` /
-        ``retry`` before the run aborts with
+        Recorded failures tolerated per run under ``skip_and_record``
+        before the run aborts with
         :class:`~repro.errors.ErrorBudgetExceeded` — degradation is
         bounded, not unconditional.
-    max_retries:
-        Retries per failing operation under the ``retry`` policy.
-    hop_timeout_seconds:
-        Per-hop wall-clock budget enforced by the
-        :class:`~repro.engine.JoinEngine` (cooperative: checked once per
-        hop, after its build and probe phases; a hop that overran raises
-        :class:`~repro.errors.HopBudgetExceeded`).  None disables the
-        guard.
-    max_hop_output_rows:
-        Per-hop output-row cap enforced by the engine before any join
-        work happens (exact, because left joins through deduped indexes
-        preserve probe-side cardinality).  None disables the guard.
     parallel_backend:
         Where :class:`repro.engine.PathExecutor` runs the work units
         (discovery hops, top-k training paths) the one Algorithm-1
@@ -148,9 +131,6 @@ class AutoFeatConfig:
     traversal: str = "bfs"
     failure_policy: str = "skip_and_record"
     error_budget: int = DEFAULT_ERROR_BUDGET
-    max_retries: int = DEFAULT_MAX_RETRIES
-    hop_timeout_seconds: float | None = None
-    max_hop_output_rows: int | None = None
     parallel_backend: str = "serial"
     enable_tracing: bool = True
     budget_seconds: float | None = None
@@ -196,18 +176,6 @@ class AutoFeatConfig:
         if self.error_budget < 0:
             raise ConfigError(
                 f"error_budget must be >= 0, got {self.error_budget}"
-            )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.hop_timeout_seconds is not None and self.hop_timeout_seconds <= 0:
-            raise ConfigError(
-                f"hop_timeout_seconds must be positive or None, "
-                f"got {self.hop_timeout_seconds}"
-            )
-        if self.max_hop_output_rows is not None and self.max_hop_output_rows < 1:
-            raise ConfigError(
-                f"max_hop_output_rows must be >= 1 or None, "
-                f"got {self.max_hop_output_rows}"
             )
         if self.parallel_backend not in PARALLEL_BACKENDS:
             raise ConfigError(

@@ -4,19 +4,17 @@ The engine layer sits between the columnar substrate
 (:mod:`repro.dataframe`) and the algorithm layer (:mod:`repro.core`,
 :mod:`repro.baselines`): it turns DRG edges into build/probe join kernels,
 memoizes build-side state across join paths with a :class:`HopCache`,
-guards every hop with per-hop budgets and a run-level failure policy
+applies a run-level failure policy to failing hops
 (:mod:`repro.engine.faults`), and exposes execution counters so callers
 can observe exactly how much join work a run performed.
 """
 
-from .engine import HopLatency, JoinEngine
+from .engine import JoinEngine
 from .faults import (
     DEFAULT_ERROR_BUDGET,
-    DEFAULT_MAX_RETRIES,
     FAILURE_POLICIES,
     FailureRecord,
     FailureReport,
-    FaultInjector,
     FaultManager,
 )
 from .hop_cache import HopCache
@@ -35,18 +33,15 @@ from .stats import ExecutionStats
 
 __all__ = [
     "JoinEngine",
-    "HopLatency",
     "HopCache",
     "ExecutionStats",
     "qualified",
     "source_column_name",
     "FAILURE_POLICIES",
     "DEFAULT_ERROR_BUDGET",
-    "DEFAULT_MAX_RETRIES",
     "FailureRecord",
     "FailureReport",
     "FaultManager",
-    "FaultInjector",
     "PARALLEL_BACKENDS",
     "PathExecutor",
     "HopTask",

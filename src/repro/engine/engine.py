@@ -20,20 +20,20 @@ gets observable build/probe/cache counters for free.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from ..dataframe import JoinIndex, Table
-from ..errors import FaultError, HopBudgetExceeded, JoinError, RunBudgetExceeded
+from ..errors import FaultError, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath, OrientedEdge
 from ..obs.tracer import NULL_TRACER, Tracer
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .stats import ExecutionStats
 
-__all__ = ["JoinEngine", "HopLatency"]
+__all__ = ["JoinEngine"]
 
 
 def _hop_context(base_name: str, path: JoinPath | None, edge: OrientedEdge) -> str:
@@ -43,18 +43,6 @@ def _hop_context(base_name: str, path: JoinPath | None, edge: OrientedEdge) -> s
         f"{edge.source}.{edge.source_column} -> {edge.target}.{edge.target_column}"
     )
     return f"base={base_name!r} path=[{prefix}] failing edge [{failing}]"
-
-
-@dataclass(frozen=True)
-class HopLatency:
-    """Hop hook that sleeps ``seconds`` per hop: a simulated remote-table
-    fetch for ``benchmarks/bench_anytime.py``.  The sleep lands in the
-    ``hop`` span."""
-
-    seconds: float
-
-    def __call__(self, edge: OrientedEdge, attempt: int = 0) -> None:
-        time.sleep(self.seconds)
 
 
 class JoinEngine:
@@ -72,30 +60,12 @@ class JoinEngine:
     seed:
         Seed for the deterministic representative-row choice during the
         build phase; part of the cache key.
-    hop_timeout_seconds:
-        Per-hop wall-clock budget over the hop's ``join`` span — the index
-        lookup or build plus the probe.  The check is cooperative and
-        runs once per hop, after the probe: a hop that overran raises a
-        typed :class:`~repro.errors.HopBudgetExceeded` instead of letting
-        the run hang hop after hop, but a single runaway join is not
-        interrupted mid-probe.  Gathering the build columns along the row
-        map (linear in the probe rows) comes after the check and is not
-        timed.  None disables the guard.
-    max_output_rows:
-        Per-hop output-cardinality cap.  The engine only left-joins
-        through deduplicated indexes, so a hop's output row count equals
-        its probe-side row count — the cap is checked exactly, *before*
-        any work is done, and raises
-        :class:`~repro.errors.HopBudgetExceeded` instead of materialising
-        an exploded join.  None disables the guard.
     hop_hook:
-        Optional picklable callable ``hook(edge, attempt)`` invoked at the
-        top of every hop, on whichever worker runs it — the one test
-        perturbation: a :class:`FaultInjector` raises the deterministic
-        faults fault-isolation tests run under (a raised
-        :class:`~repro.errors.FaultError` gets the hop context attached),
-        a :class:`HopLatency` sleeps.  ``attempt`` is the index the
-        caller's retry loop passed to :meth:`probe_hop`.
+        Optional picklable callable ``hook(edge)`` invoked at the top of
+        every hop, on whichever worker runs it — the one test seam: a
+        hook that raises a :class:`~repro.errors.FaultError` (which gets
+        the hop context attached) injects a fault, one that sleeps
+        simulates a slow table.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given (and enabled),
         every executed hop opens a ``join`` span nested under the
@@ -121,9 +91,7 @@ class JoinEngine:
         self,
         drg: DatasetRelationGraph,
         seed: int = 0,
-        hop_timeout_seconds: float | None = None,
-        max_output_rows: int | None = None,
-        hop_hook: Callable[[OrientedEdge, int], None] | None = None,
+        hop_hook: Callable[[OrientedEdge], None] | None = None,
         tracer: Tracer | None = None,
         cache: HopCache | None = None,
         run_deadline: float | None = None,
@@ -132,8 +100,6 @@ class JoinEngine:
         self.seed = seed
         self.cache = cache if cache is not None else HopCache()
         self.stats = ExecutionStats()
-        self.hop_timeout_seconds = hop_timeout_seconds
-        self.max_output_rows = max_output_rows
         self.hop_hook = hop_hook
         self.tracer = tracer or NULL_TRACER
         self.run_deadline = run_deadline
@@ -149,8 +115,6 @@ class JoinEngine:
         return JoinEngine(
             self.drg,
             seed=self.seed,
-            hop_timeout_seconds=self.hop_timeout_seconds,
-            max_output_rows=self.max_output_rows,
             hop_hook=self.hop_hook,
             tracer=tracer,
             cache=self.cache,
@@ -197,7 +161,6 @@ class JoinEngine:
         edge: OrientedEdge,
         base_name: str,
         path: JoinPath | None = None,
-        attempt: int = 0,
     ) -> tuple[JoinIndex, np.ndarray]:
         """Plan and probe one hop: ``(index, row_map)``.
 
@@ -208,10 +171,8 @@ class JoinEngine:
 
         Raises :class:`JoinError` when the join is unfeasible: the source
         column is missing from the running join (can happen on spurious
-        discovery edges) — Algorithm 1 prunes such paths.  Raises
-        :class:`~repro.errors.HopBudgetExceeded` when the hop blows the
-        engine's wall-clock or output-row budget, and whatever typed fault
-        the hop hook raises for this ``attempt``.  Every error message carries
+        discovery edges) — Algorithm 1 prunes such paths.  Raises whatever
+        typed fault the hop hook raises.  Every error message carries
         the base table, the hop sequence walked so far (when ``path`` is
         given) and the failing edge, so pruned-path and failure-report
         diagnostics are actionable.
@@ -219,7 +180,7 @@ class JoinEngine:
         self._check_run_deadline(_hop_context(base_name, path, edge))
         if self.hop_hook is not None:
             try:
-                self.hop_hook(edge, attempt)
+                self.hop_hook(edge)
             except FaultError as exc:
                 raise type(exc)(
                     f"{exc}; {_hop_context(base_name, path, edge)}"
@@ -230,17 +191,9 @@ class JoinEngine:
                 f"join column {left_col!r} is not available in the running "
                 f"join; {_hop_context(base_name, path, edge)}"
             )
-        if self.max_output_rows is not None and current.n_rows > self.max_output_rows:
-            # Left joins through a deduped index preserve probe-side
-            # cardinality, so this pre-check bounds the output exactly.
-            raise HopBudgetExceeded(
-                f"hop output of {current.n_rows} rows exceeds "
-                f"max_output_rows={self.max_output_rows}; "
-                f"{_hop_context(base_name, path, edge)}"
-            )
         with self.tracer.span(
             "join", table=edge.target, key=edge.target_column, rows=current.n_rows
-        ) as span:
+        ):
             try:
                 index = self.hop_index(edge)
             except JoinError as exc:
@@ -254,13 +207,6 @@ class JoinEngine:
             self.stats.hops_executed += 1
             self.stats.rows_probed += current.n_rows
             row_map = index.probe(current.column(left_col))
-        elapsed = span.seconds
-        if self.hop_timeout_seconds is not None and elapsed > self.hop_timeout_seconds:
-            raise HopBudgetExceeded(
-                f"hop took {elapsed:.3f}s, over the wall-clock budget of "
-                f"{self.hop_timeout_seconds}s; "
-                f"{_hop_context(base_name, path, edge)}"
-            )
         return index, row_map
 
     def apply_hop(
@@ -269,7 +215,6 @@ class JoinEngine:
         edge: OrientedEdge,
         base_name: str,
         path: JoinPath | None = None,
-        attempt: int = 0,
     ) -> tuple[Table, list[str]]:
         """Left-join one hop onto the running table.
 
@@ -280,14 +225,12 @@ class JoinEngine:
         build names, ``"_r"``-suffixed where the running join already held
         one.  Raises what :meth:`probe_hop` raises.
         """
-        index, row_map = self.probe_hop(
-            current, edge, base_name, path=path, attempt=attempt
-        )
+        index, row_map = self.probe_hop(current, edge, base_name, path=path)
         contributed = [out for __, out in index.output_names(current.column_names)]
         return index.attach(current, row_map), contributed
 
     def materialize_path(
-        self, path: JoinPath, base_table: Table, attempt: int = 0
+        self, path: JoinPath, base_table: Table
     ) -> tuple[Table, list[list[str]]]:
         """Join the full path onto ``base_table``, hop by hop.
 
@@ -300,7 +243,7 @@ class JoinEngine:
         for edge in path.edges:
             with self.tracer.span("hop", table=edge.target, key=edge.target_column):
                 current, contributed = self.apply_hop(
-                    current, edge, path.base, path=walked, attempt=attempt
+                    current, edge, path.base, path=walked
                 )
             walked = walked.extend(edge)
             contributions.append(contributed)

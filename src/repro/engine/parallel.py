@@ -19,14 +19,11 @@ on its probe-side table and its DRG edge, never on selection state, so
   error budget — advances only at the merge point, on the coordinating
   thread.
 
-Retries run inside the unit: the engine's hop hook (a
-:class:`~repro.engine.FaultInjector` under test) is a pure function of
-``(seed, edge, attempt)``, so every backend runs the one attempt loop
-(:meth:`FaultManager.run_attempts`) around ``task.run(view,
-attempt)`` wherever the unit lands, and the outcome carries the last
-managed error with its retry count.  :func:`settle_outcome` is the
-merge-side half: it raises or records that error at the unit's canonical
-position.
+A unit runs once: a hop is a deterministic in-memory join, and the
+engine's hop hook (the test seam) is a pure function of the edge, so
+the outcome carries the managed error ``task.run(view)`` raised wherever
+the unit landed.  :func:`settle_outcome` is the merge-side half: it
+raises or records that error at the unit's canonical position.
 
 Backends: ``serial`` runs each unit inline, only once the previous
 outcome has been consumed; ``processes`` gives each worker process its
@@ -99,8 +96,7 @@ def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
     """Apply the run's failure policy to one unit at its merge position.
 
     Shared by discovery and training.  Returns the unit's value, or None
-    when its failure was recorded and the unit must be skipped: the
-    unit's attempts are already spent (:func:`_run_unit`), so a managed
+    when its failure was recorded and the unit must be skipped: a managed
     error is raised under ``fail_fast`` and otherwise recorded, and
     :meth:`FaultManager.record` enforces the shared error budget here, at
     the canonical position.  Errors outside the task's ``managed`` family
@@ -112,7 +108,7 @@ def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
         return outcome.value
     if faults.policy == "fail_fast" or not isinstance(outcome.error, task.managed):
         raise outcome.error
-    faults.record(outcome.error, retries=outcome.retries, **task.where())
+    faults.record(outcome.error, **task.where())
     return None
 
 
@@ -169,13 +165,13 @@ class HopTask:
         """Where a failure of this unit is recorded."""
         return {"base": self.base_name, "path": self.path, "edge": self.edge}
 
-    def run(self, engine: JoinEngine, attempt: int = 0) -> HopResult:
+    def run(self, engine: JoinEngine) -> HopResult:
         """Execute the hop: probe, then gather what the merge reads."""
         with engine.tracer.span(
             "hop", table=self.edge.target, key=self.edge.target_column
         ):
             index, row_map = engine.probe_hop(
-                self.table, self.edge, self.base_name, path=self.path, attempt=attempt
+                self.table, self.edge, self.base_name, path=self.path
             )
             names = index.output_names(self.table.column_names)
             cells = len(row_map) * len(names)
@@ -221,7 +217,7 @@ class PathTask:
         """Where a failure of this unit is recorded."""
         return {"base": self.base_name, "path": self.path}
 
-    def run(self, engine: JoinEngine, attempt: int = 0) -> tuple[Table, float, int]:
+    def run(self, engine: JoinEngine) -> tuple[Table, float, int]:
         """Materialise and train: ``(table, accuracy, n_features_used)``.
 
         With a memo, a fit whose exact arguments an earlier unit trained
@@ -235,7 +231,7 @@ class PathTask:
         base_features = [n for n in base.column_names if n != self.label_column]
         tracer = engine.tracer
         with tracer.span("path", path=self.path.describe()):
-            table, __ = engine.materialize_path(self.path, base, attempt)
+            table, __ = engine.materialize_path(self.path, base)
             features = base_features + [
                 f for f in self.selected_features if f in table
             ]
@@ -261,34 +257,27 @@ class UnitOutcome:
     """What one work unit produced, in its canonical slot.
 
     ``value`` is what the task's ``run`` returned; ``error`` carries the
-    ``JoinError`` / ``FaultError`` its last attempt raised (after
-    ``retries`` re-attempts when the task manages that family) or the
-    :class:`RunBudgetExceeded` that aborted it.  ``stats`` counts every
-    attempt's join work.
+    ``JoinError`` / ``FaultError`` it raised or the
+    :class:`RunBudgetExceeded` that aborted it.  ``stats`` counts its join
+    work, up to the failing hop when there is one.
     """
 
     index: int
     value: tuple | None = None
     error: Exception | None = None
-    retries: int = 0
     stats: object | None = None
     spans: list[dict] = field(default_factory=list)
     busy_seconds: float = 0.0
 
 
-def _run_unit(
-    engine: JoinEngine, trace_spans: bool, attempts: int, task
-) -> UnitOutcome:
-    """Every backend's unit body: fresh tracer + worker view per unit,
-    ``attempts`` tries while the task's ``managed`` family is raised."""
+def _run_unit(engine: JoinEngine, trace_spans: bool, task) -> UnitOutcome:
+    """Every backend's unit body: fresh tracer + worker view per unit."""
     tracer = Tracer(enabled=trace_spans)
     view = engine.worker_view(tracer)
     started = time.perf_counter()
-    value, retries = None, 0
+    value = error = None
     try:
-        value, error, retries = FaultManager.run_attempts(
-            partial(task.run, view), attempts, task.managed
-        )
+        value = task.run(view)
     except (JoinError, FaultError, RunBudgetExceeded) as exc:
         # RunBudgetExceeded is carried back as the unit's outcome (not
         # re-raised through the pool): the coordinator decides at the
@@ -303,7 +292,6 @@ def _run_unit(
         index=task.index,
         value=value,
         error=error,
-        retries=retries,
         stats=view.snapshot(),
         spans=spans,
         busy_seconds=time.perf_counter() - started,
@@ -312,17 +300,17 @@ def _run_unit(
 
 # -- processes backend ------------------------------------------------------
 
-#: ``(engine, trace_spans, attempts)`` of this worker process, installed
+#: ``(engine, trace_spans)`` of this worker process, installed
 #: by :func:`_process_init`.  Module globals are how
 #: ``ProcessPoolExecutor`` initializers hand state to worker functions;
 #: the engine (and its cache) lives for the life of the worker process,
 #: so repeated hops on one worker still reuse builds.
-_WORKER: tuple[JoinEngine, bool, int] | None = None
+_WORKER: tuple[JoinEngine, bool] | None = None
 
 
-def _process_init(drg, engine_kwargs: dict, trace_spans: bool, attempts: int) -> None:
+def _process_init(drg, engine_kwargs: dict, trace_spans: bool) -> None:
     global _WORKER
-    _WORKER = (JoinEngine(drg, **engine_kwargs), trace_spans, attempts)
+    _WORKER = (JoinEngine(drg, **engine_kwargs), trace_spans)
 
 
 def _process_unit(task) -> UnitOutcome:
@@ -354,7 +342,6 @@ class PathExecutor:
         engine: JoinEngine,
         backend: str = "serial",
         trace_spans: bool = False,
-        attempts: int = 1,
     ):
         if backend not in PARALLEL_BACKENDS:
             raise ConfigError(
@@ -364,8 +351,6 @@ class PathExecutor:
         self.engine = engine
         self.backend = backend
         self.trace_spans = trace_spans
-        #: Tries per unit (``FaultManager.attempts`` of the run's policy).
-        self.attempts = attempts
         self.workers_used = resolve_max_workers(backend)
         self.busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
@@ -398,8 +383,6 @@ class PathExecutor:
             engine = self.engine
             engine_kwargs = {
                 "seed": engine.seed,
-                "hop_timeout_seconds": engine.hop_timeout_seconds,
-                "max_output_rows": engine.max_output_rows,
                 "hop_hook": engine.hop_hook,
                 # monotonic deadlines are system-wide on Linux, so
                 # worker processes can honour the coordinator's one.
@@ -408,7 +391,7 @@ class PathExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers_used,
                 initializer=_process_init,
-                initargs=(engine.drg, engine_kwargs, self.trace_spans, self.attempts),
+                initargs=(engine.drg, engine_kwargs, self.trace_spans),
             )
         return self._pool
 
@@ -438,11 +421,7 @@ class PathExecutor:
         pending: deque = deque()
         for task in tasks:
             if self.backend == "serial":
-                pending.append(
-                    partial(
-                        _run_unit, self.engine, self.trace_spans, self.attempts, task
-                    )
-                )
+                pending.append(partial(_run_unit, self.engine, self.trace_spans, task))
             else:
                 pending.append(self._ensure_pool().submit(_process_unit, task).result)
         while pending:

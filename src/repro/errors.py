@@ -29,30 +29,18 @@ class FaultError(ReproError):
 
     Deliberately *not* a :class:`JoinError` subclass: an ordinary join
     infeasibility is expected pruning input for Algorithm 1, while a
-    :class:`FaultError` signals that a hop misbehaved (budget blown,
-    injected fault, run-level error budget exhausted) and must flow to the
-    run's :class:`repro.engine.FaultManager` instead of the pruning rules.
+    :class:`FaultError` signals that a hop misbehaved (a fault raised by
+    the engine's ``hop_hook``, the run-level error budget exhausted) and
+    must flow to the run's :class:`repro.engine.FaultManager` instead of
+    the pruning rules.
     """
-
-
-class HopBudgetExceeded(FaultError):
-    """A join hop blew its wall-clock or output-row budget.
-
-    Raised by :class:`repro.engine.JoinEngine` when a hop's execution time
-    exceeds ``hop_timeout_seconds`` or its output cardinality would exceed
-    ``max_output_rows`` — a typed signal instead of a hang or an OOM.
-    """
-
-
-class InjectedFaultError(FaultError):
-    """A deterministic fault injected by :class:`repro.engine.FaultInjector`."""
 
 
 class ErrorBudgetExceeded(FaultError):
     """A run recorded more failures than its error budget tolerates.
 
     Raised by :class:`repro.engine.FaultManager` under the
-    ``skip_and_record`` / ``retry`` policies once the per-run budget is
+    ``skip_and_record`` policy once the per-run budget is
     exhausted — graceful degradation is bounded, not unconditional.
     """
 

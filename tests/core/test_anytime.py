@@ -31,13 +31,13 @@ from repro.core import (
     ranking_regret,
     ucb_score,
 )
-from repro.engine import HopLatency
 from repro.errors import ConfigError
 from repro.graph import JoinPath
 from repro.obs import MetricsRegistry
 
 from tests.core.driver_goldens import BACKENDS, _lake, golden_lake
 from tests.engine.test_parallel_parity import _discover, discovery_fingerprint
+from tests.fault_hooks import HopLatency
 
 lakes = st.tuples(
     st.integers(min_value=3, max_value=6),  # n_satellites

@@ -60,10 +60,23 @@ class TestValidation:
             AutoFeatConfig(chunk_rows=1)
 
     def test_hop_latency_seconds_is_not_a_field(self):
-        """``AutoFeat(hop_hook=HopLatency(s))`` is the one spelling."""
+        """A sleeping ``hop_hook`` is the one spelling of hop latency."""
         with pytest.raises(TypeError):
             AutoFeatConfig(hop_latency_seconds=0.0)
-        assert len(dataclasses.fields(AutoFeatConfig)) == 20
+        assert len(dataclasses.fields(AutoFeatConfig)) == 17
+
+    @pytest.mark.parametrize(
+        "knob", ["max_retries", "hop_timeout_seconds", "max_hop_output_rows"]
+    )
+    def test_per_hop_guards_are_not_fields(self, knob):
+        """A hop is a deterministic in-memory join: nothing to retry, and a
+        left join through a deduplicated index keeps the probe side's rows."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(**{knob: 1})
+
+    def test_retry_is_not_a_policy(self):
+        with pytest.raises(ConfigError, match=r"\['fail_fast', 'skip_and_record'\]"):
+            AutoFeatConfig(failure_policy="retry")
 
     def test_frontier_exploration_is_not_a_field(self):
         """The UCB1 constant is ``navigation.DEFAULT_FRONTIER_EXPLORATION``."""

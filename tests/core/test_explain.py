@@ -5,10 +5,10 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig, explain, explain_rows
 from repro.dataframe import Table
-from repro.engine import FaultInjector
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
 
 from tests.core.driver_goldens import golden_lake
+from tests.fault_hooks import FaultInjector
 
 
 def chain_lake(sparse=False):

@@ -15,9 +15,11 @@ from repro.baselines import run_arda, run_autofeat, run_join_all, run_mab
 from repro.core import AutoFeat, AutoFeatConfig, autofeat_augment
 from repro.core.streaming import StreamingFeatureSelector
 from repro.dataframe import Table
-from repro.engine import FaultInjector, JoinEngine
-from repro.errors import ErrorBudgetExceeded, InjectedFaultError, JoinError
+from repro.engine import JoinEngine
+from repro.errors import ErrorBudgetExceeded, JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
+
+from tests.fault_hooks import FaultInjector, InjectedFaultError
 
 FAULTY_EDGE = "base.a_key->a.a_key"
 
@@ -179,37 +181,6 @@ class TestFailFast:
         assert default.combined_failure_report.ok
 
 
-class TestRetry:
-    def test_transient_fault_recovers_with_empty_report(self, drg):
-        clean = autofeat_augment(drg, "base", "label", config=config())
-        result = autofeat_augment(
-            drg,
-            "base",
-            "label",
-            config=config(failure_policy="retry", max_retries=2),
-            hop_hook=injector(recover_after=1),
-        )
-        assert result.combined_failure_report.ok
-        assert result.accuracy == clean.accuracy
-        assert (
-            result.best.ranked.path.describe()
-            == clean.best.ranked.path.describe()
-        )
-
-    def test_permanent_fault_recorded_with_retry_count(self, drg):
-        result = autofeat_augment(
-            drg,
-            "base",
-            "label",
-            config=config(failure_policy="retry", max_retries=2),
-            hop_hook=injector(),
-        )
-        assert result.best is not None
-        report = result.combined_failure_report
-        assert report.n_failures == 1
-        assert report.records[0].retries == 2
-
-
 class TestTrainTopKRegression:
     """A failing full-table materialisation must not abort training."""
 
@@ -222,10 +193,10 @@ class TestTrainTopKRegression:
         top = discovery.top(top_k)[0].path.describe()
         original = JoinEngine.materialize_path
 
-        def poisoned(self, path, base_table, attempt=0):
+        def poisoned(self, path, base_table):
             if path.describe() == top:
                 raise JoinError(f"materialisation failed for [{top}]")
-            return original(self, path, base_table, attempt)
+            return original(self, path, base_table)
 
         monkeypatch.setattr(JoinEngine, "materialize_path", poisoned)
         return top

@@ -1,13 +1,13 @@
 """Stress: discovery under heavy fault injection, every policy and backend.
 
 Runs the diamond lake of ``test_fault_isolation`` through ``discover``
-with 30% injected failure rates across all three ``FailurePolicy`` modes
-and both backends, asserting the degradation contract against the
-outputs frozen from the deleted classic serial loop
-(``tests/core/driver_goldens.py`` records how they were generated):
+with 30% injected failure rates under both failure policies and both
+backends, asserting the degradation contract against the outputs frozen
+from the deleted classic serial loop (``tests/core/driver_goldens.py``
+records how they were generated):
 
-* failure reports (kinds, messages, edges, retry counts) are identical to
-  the goldens for every (policy, backend, seed) combination;
+* failure reports (kinds, messages, edges) are identical to the goldens
+  for every (policy, backend, seed) combination;
 * the shared error budget trips **exactly once**, at the same canonical
   failure as the classic loop did — not once per worker;
 * same-seed runs are bit-reproducible;
@@ -22,11 +22,12 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
-from repro.engine import FaultInjector, JoinEngine
-from repro.errors import ErrorBudgetExceeded, FaultError, InjectedFaultError
+from repro.engine import JoinEngine
+from repro.errors import ErrorBudgetExceeded, FaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
 from tests.core.driver_goldens import BACKENDS, POLICIES, as_json, load_goldens
+from tests.fault_hooks import FaultInjector, InjectedFaultError
 
 
 def golden(key):
@@ -87,7 +88,6 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
         seed=1,
         parallel_backend=backend,
         failure_policy=policy,
-        max_retries=2,
         **overrides,
     )
     autofeat = AutoFeat(drg, config, hop_hook=FaultInjector(**kwargs))
@@ -98,7 +98,7 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
     return (
         "ok",
         [
-            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge, f.retries)
+            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge)
             for f in discovery.failure_report.records
         ],
         [(r.path.describe(), r.score, r.selected_features)
@@ -115,7 +115,7 @@ def test_30pct_fault_stress_matches_serial(drg, backend, policy, fault_seed):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("policy", ("skip_and_record", "retry"))
+@pytest.mark.parametrize("policy", ("skip_and_record",))
 def test_error_budget_trips_exactly_once(drg, backend, policy):
     # Budget 0: the first recorded failure aborts the run.  Every backend
     # must raise the *same* ErrorBudgetExceeded as the classic loop did —
@@ -151,29 +151,15 @@ def test_same_seed_runs_are_reproducible(drg, backend, policy):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_retry_with_transient_faults_recovers_cleanly(drg, backend):
-    # recover_after=1: every injected fault clears on its first retry, so
-    # the retry policy ends with an empty report and the full ranked set.
-    clean = run_discovery(drg, "serial", "skip_and_record",
-                          injector_kwargs={"failure_probability": 0.0,
-                                           "timeout_probability": 0.0})
-    recovered = run_discovery(drg, backend, "retry",
-                              injector_kwargs={"recover_after": 1})
-    assert recovered[0] == "ok"
-    assert recovered[1] == []  # nothing recorded: all faults retried away
-    assert recovered[2] == clean[2]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch):
     # A bug in the join kernel (anything outside JoinError/FaultError) must
     # re-raise on the coordinating thread, never turn into a skipped path.
     original = JoinEngine.probe_hop
 
-    def exploding(self, current, edge, base_name, path=None, attempt=0):
+    def exploding(self, current, edge, base_name, path=None):
         if edge.target == "c":
             raise RuntimeError("worker bug: corrupted index")
-        return original(self, current, edge, base_name, path=path, attempt=attempt)
+        return original(self, current, edge, base_name, path=path)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
     config = AutoFeatConfig(
@@ -196,7 +182,7 @@ def run_training(drg, backend):
     result = autofeat.augment("base", "label", model_name="random_forest")
     return (
         [(t.ranked.path.describe(), t.accuracy) for t in result.trained],
-        [(f.stage, f.error_kind, f.message, f.path, f.retries)
+        [(f.stage, f.error_kind, f.message, f.path)
          for f in result.failure_report.records],
     )
 
@@ -206,45 +192,10 @@ def test_training_phase_fault_parity(drg, backend):
     assert as_json(run_training(drg, backend)) == golden("training")
 
 
-def hop_budget_run(drg, backend, **budget):
-    config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend,
-        failure_policy="retry", max_retries=2, **budget,
-    )
-    discovery = AutoFeat(drg, config).discover("base", "label")
-    first_level = {"base.a_key->a.a_key", "base.b_key->b.b_key"}
-    records = discovery.failure_report.records
-    assert {r.edge for r in records} == first_level and len(records) == 2
-    assert all(r.error_kind == "HopBudgetExceeded" and r.retries == 2 for r in records)
-    assert discovery.ranked_paths == ()
-    return discovery
-
-
-def test_real_row_cap_errors_are_retried_inside_the_unit(drg):
-    # No injector: the engine's own pre-join guard fails every attempt, so
-    # every hop is recorded after its retries and no join ever executes.
-    runs = [hop_budget_run(drg, b, max_hop_output_rows=1) for b in BACKENDS]
-    assert runs[0].failure_report == runs[1].failure_report
-    assert all(run.engine_stats.hops_executed == 0 for run in runs)
-
-
-def test_real_hop_timeouts_are_retried_inside_the_unit(drg):
-    # A 1 ns wall-clock budget makes every real hop too slow: each of the
-    # two first-level hops joins three times before it is recorded.  The
-    # message carries the measured time, so compare the rest.
-    runs = [hop_budget_run(drg, b, hop_timeout_seconds=1e-9) for b in BACKENDS]
-    where = [
-        [(r.stage, r.base_table, r.path, r.edge) for r in run.failure_report.records]
-        for run in runs
-    ]
-    assert where[0] == where[1]
-    assert all(run.engine_stats.hops_executed == 6 for run in runs)
-
-
 class PidFault:
     """Hop hook failing every hop with the pid of the process it ran in."""
 
-    def __call__(self, edge, attempt):
+    def __call__(self, edge):
         raise InjectedFaultError(f"pid={os.getpid()}")
 
 

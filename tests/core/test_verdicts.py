@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.core.result import EXPLORED_KINDS
-from repro.engine import HopLatency, PathExecutor
+from repro.engine import PathExecutor
 from repro.errors import FaultError
 
 from tests.core.driver_goldens import (
@@ -27,6 +27,7 @@ from tests.core.driver_goldens import (
     golden_lake,
 )
 from tests.core.test_parallel_faults import diamond_lake
+from tests.fault_hooks import HopLatency
 
 
 def logged_discover(autofeat, base, label, monkeypatch):

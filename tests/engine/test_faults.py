@@ -8,21 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import Table
-from repro.engine import (
-    FailureReport,
-    FaultInjector,
-    FaultManager,
-    JoinEngine,
-)
-from repro.errors import (
-    ConfigError,
-    ErrorBudgetExceeded,
-    FaultError,
-    HopBudgetExceeded,
-    InjectedFaultError,
-    JoinError,
-)
+from repro.engine import FailureReport, FaultManager, JoinEngine
+from repro.errors import ConfigError, ErrorBudgetExceeded, FaultError, JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint, OrientedEdge
+
+from tests.fault_hooks import FaultInjector, HopBudgetExceeded, InjectedFaultError
 
 
 def tiny_drg(n=50, seed=0):
@@ -78,43 +68,22 @@ class TestFaultInjector:
         with pytest.raises(HopBudgetExceeded):
             injector.check(edge)
 
-    def test_recover_after_makes_fault_transient(self, edge):
-        injector = FaultInjector(
-            failure_probability=1.0, seed=0, recover_after=2
-        )
-        injector.check(edge, 2)  # the third attempt recovers, whenever asked
-        for attempt in (1, 0, 1):
-            with pytest.raises(InjectedFaultError):
-                injector.check(edge, attempt)
-        with pytest.raises(InjectedFaultError):
-            injector(edge)  # the hop-hook spelling, attempt 0
-
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 50),
-        recover_after=st.integers(0, 3),
-        calls=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=12
-        ),
+        calls=st.lists(st.integers(0, 3), min_size=1, max_size=12),
         order=st.randoms(use_true_random=False),
     )
-    def test_check_is_a_pure_function_of_seed_edge_attempt(
-        self, seed, recover_after, calls, order
-    ):
+    def test_check_is_a_pure_function_of_seed_and_edge(self, seed, calls, order):
         """Call order, repeats and a pickle round trip change nothing."""
         edges = [
             OrientedEdge("base", f"t{i}", "id", "id", 1.0) for i in range(4)
         ]
-        kwargs = dict(
-            failure_probability=0.4,
-            timeout_probability=0.2,
-            seed=seed,
-            recover_after=recover_after,
-        )
+        kwargs = dict(failure_probability=0.4, timeout_probability=0.2, seed=seed)
 
         def outcome(injector, call):
             try:
-                injector.check(edges[call[0]], call[1])
+                injector(edges[call])
             except FaultError as exc:
                 return type(exc).__name__, str(exc)
             return None
@@ -136,28 +105,7 @@ class TestFaultInjector:
 
 
 class TestEngineHopBudgets:
-    def test_row_cap_raises_typed_error_with_context(self, drg, edge):
-        engine = JoinEngine(drg, seed=0, max_output_rows=10)
-        with pytest.raises(HopBudgetExceeded) as excinfo:
-            engine.apply_hop(drg.table("base"), edge, "base")
-        message = str(excinfo.value)
-        assert "max_output_rows=10" in message
-        assert "base.id -> sat.id" in message
-
-    def test_row_cap_allows_bounded_hops(self, drg, edge):
-        engine = JoinEngine(drg, seed=0, max_output_rows=50)
-        joined, contributed = engine.apply_hop(drg.table("base"), edge, "base")
-        assert "sat.y" in contributed
-        assert joined.n_rows == 50
-
-    def test_wall_clock_budget_raises_typed_error(self, drg, edge):
-        # A zero budget is exceeded by any real hop: the cooperative check
-        # fires after the work and raises instead of letting a run hang
-        # hop after hop.
-        engine = JoinEngine(drg, seed=0, hop_timeout_seconds=0.0)
-        with pytest.raises(HopBudgetExceeded) as excinfo:
-            engine.apply_hop(drg.table("base"), edge, "base")
-        assert "wall-clock budget" in str(excinfo.value)
+    """A fault the hop hook raises reaches the caller typed, with context."""
 
     def test_injector_fault_carries_hop_context(self, drg, edge):
         engine = JoinEngine(
@@ -170,6 +118,7 @@ class TestEngineHopBudgets:
         message = str(excinfo.value)
         assert "injected join failure" in message
         assert "base='base'" in message
+        assert "base.id -> sat.id" in message
 
     def test_budget_errors_are_fault_not_join_errors(self):
         assert issubclass(HopBudgetExceeded, FaultError)
@@ -182,7 +131,7 @@ class TestFaultManager:
     def test_fail_fast_propagates(self):
         manager = FaultManager(policy="fail_fast")
 
-        def boom(attempt):
+        def boom():
             raise JoinError("boom")
 
         with pytest.raises(JoinError):
@@ -192,7 +141,7 @@ class TestFaultManager:
     def test_skip_and_record_returns_none_and_records(self, edge):
         manager = FaultManager(policy="skip_and_record", stage="test")
 
-        def boom(attempt):
+        def boom():
             raise HopBudgetExceeded("too big")
 
         assert manager.execute(boom, base="base", edge=edge) is None
@@ -202,12 +151,11 @@ class TestFaultManager:
         assert record.error_kind == "HopBudgetExceeded"
         assert record.stage == "test"
         assert record.edge == "base.id->sat.id"
-        assert record.retries == 0
 
     def test_unmanaged_kinds_propagate(self):
         manager = FaultManager(policy="skip_and_record")
 
-        def boom(attempt):
+        def boom():
             raise JoinError("prune me instead")
 
         with pytest.raises(JoinError):
@@ -216,13 +164,13 @@ class TestFaultManager:
 
     def test_successful_fn_passes_through(self):
         manager = FaultManager(policy="skip_and_record")
-        assert manager.execute(lambda attempt: 42) == 42
+        assert manager.execute(lambda: 42) == 42
         assert manager.report().ok
 
     def test_error_budget_exhaustion_aborts(self):
         manager = FaultManager(policy="skip_and_record", error_budget=2)
 
-        def boom(attempt):
+        def boom():
             raise JoinError("boom")
 
         manager.execute(boom)
@@ -230,36 +178,11 @@ class TestFaultManager:
         with pytest.raises(ErrorBudgetExceeded):
             manager.execute(boom)
 
-    def test_retry_recovers_transient_failures(self):
-        manager = FaultManager(policy="retry", max_retries=2)
-        attempts = []
-
-        def flaky(attempt):
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise JoinError("transient")
-            return "ok"
-
-        assert manager.execute(flaky) == "ok"
-        assert len(attempts) == 3
-        assert manager.report().ok
-
-    def test_retry_respects_budget_then_records(self):
-        manager = FaultManager(policy="retry", max_retries=2)
-        attempts = []
-
-        def always_bad(attempt):
-            attempts.append(1)
-            raise JoinError("permanent")
-
-        assert manager.execute(always_bad) is None
-        assert len(attempts) == 3  # 1 try + 2 retries, no more
-        record = manager.report().records[0]
-        assert record.retries == 2
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             FaultManager(policy="shrug")
+        with pytest.raises(ConfigError, match=r"\['fail_fast', 'skip_and_record'\]"):
+            FaultManager(policy="retry")
 
 
 class TestFailureReport:
@@ -271,10 +194,10 @@ class TestFailureReport:
     def test_by_kind_and_describe(self):
         manager = FaultManager(policy="skip_and_record", stage="s")
 
-        def join_boom(attempt):
+        def join_boom():
             raise JoinError("a")
 
-        def budget_boom(attempt):
+        def budget_boom():
             raise HopBudgetExceeded("b")
 
         manager.execute(join_boom)
@@ -288,7 +211,7 @@ class TestFailureReport:
         a = FaultManager(policy="skip_and_record", stage="a")
         b = FaultManager(policy="skip_and_record", stage="b")
 
-        def boom(attempt):
+        def boom():
             raise JoinError("x")
 
         a.execute(boom)

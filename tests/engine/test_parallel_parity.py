@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 import repro
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import datalake_drg
-from repro.engine import FaultInjector
 
 from tests.core.driver_goldens import (
     BACKENDS,
@@ -39,6 +38,7 @@ from tests.core.driver_goldens import (
     expected_cell,
     run_cell,
 )
+from tests.fault_hooks import FaultInjector
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -74,7 +74,7 @@ def discovery_fingerprint(discovery):
         "pruned_similarity": discovery.n_joins_pruned_similarity,
         "empty_contribution": discovery.n_hops_empty_contribution,
         "failures": [
-            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge, f.retries)
+            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge)
             for f in discovery.failure_report.records
         ],
     }
@@ -132,36 +132,17 @@ def test_backends_bit_identical_on_random_lakes(lake, config_seed, traversal):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(
-    lake=lakes,
-    policy=st.sampled_from(["skip_and_record", "retry"]),
-    fault_seed=st.integers(min_value=0, max_value=3),
-    recover_after=st.integers(min_value=0, max_value=3),
-    max_retries=st.integers(min_value=0, max_value=2),
-)
-def test_backends_bit_identical_under_fault_injection(
-    lake, policy, fault_seed, recover_after, max_retries
-):
+@given(lake=lakes, fault_seed=st.integers(min_value=0, max_value=3))
+def test_backends_bit_identical_under_fault_injection(lake, fault_seed):
     # The rediscovered (dense) DRG reaches a table over several paths, so
-    # one faulty edge is attempted by several units — with draws on both
-    # sides of ``1 + max_retries <= recover_after``.
+    # one faulty edge is attempted by several units.
     bundle, drg = _dense_lake(*lake)
     injector = FaultInjector(
-        failure_probability=0.2,
-        timeout_probability=0.1,
-        seed=fault_seed,
-        recover_after=recover_after,
+        failure_probability=0.2, timeout_probability=0.1, seed=fault_seed
     )
     results = {
         backend: discovery_fingerprint(
-            _discover(
-                drg,
-                bundle,
-                backend,
-                hop_hook=injector,
-                failure_policy=policy,
-                max_retries=max_retries,
-            )
+            _discover(drg, bundle, backend, hop_hook=injector)
         )
         for backend in BACKENDS
     }

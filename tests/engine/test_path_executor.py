@@ -17,18 +17,12 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.core.streaming import StreamingFeatureSelector
-from repro.engine import (
-    FaultInjector,
-    HopLatency,
-    HopTask,
-    JoinEngine,
-    PathExecutor,
-    resolve_max_workers,
-)
-from repro.errors import ErrorBudgetExceeded, InjectedFaultError
+from repro.engine import HopTask, JoinEngine, PathExecutor, resolve_max_workers
+from repro.errors import ErrorBudgetExceeded
 from repro.graph import JoinPath
 
 from tests.core.test_parallel_faults import diamond_lake
+from tests.fault_hooks import FaultInjector, HopLatency, InjectedFaultError
 
 POOLS = ("processes",)
 
@@ -61,9 +55,9 @@ def hop_calls(monkeypatch):
     calls = []
     original = JoinEngine.probe_hop
 
-    def counting(self, current, edge, base_name, path=None, attempt=0):
+    def counting(self, current, edge, base_name, path=None):
         calls.append(edge.target)
-        return original(self, current, edge, base_name, path=path, attempt=attempt)
+        return original(self, current, edge, base_name, path=path)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", counting)
     return calls
@@ -77,7 +71,7 @@ class TestSerialHandOff:
         for consumed in range(1, 5):
             outcome = next(outcomes)
             assert outcome.index == consumed - 1
-            assert outcome.error is None and outcome.retries == 0
+            assert outcome.error is None
             assert len(hop_calls) == consumed
         assert list(outcomes) == []
 
@@ -98,22 +92,12 @@ class TestSerialHandOff:
         assert 0.0 < executor.busy_seconds <= executor.parallel_wall_seconds
         assert executor.parallel_wall_seconds < 4 * 0.02
 
-    def test_injected_fault_spends_every_attempt_before_any_join(self, drg):
+    def test_injected_fault_stops_a_unit_before_any_join(self, drg):
         engine = JoinEngine(drg, hop_hook=FaultInjector(failure_probability=1.0))
-        executor = PathExecutor(engine, backend="serial", attempts=3)
+        executor = PathExecutor(engine, backend="serial")
         for outcome in executor.run_hops(hop_tasks(drg, n=2)):
             assert isinstance(outcome.error, InjectedFaultError)
-            assert outcome.retries == 2
             assert outcome.stats.hops_executed == 0
-
-    def test_transient_fault_passes_at_the_attempt_it_recovers(self, drg):
-        hook = FaultInjector(failure_probability=1.0, recover_after=2)
-        executor = PathExecutor(
-            JoinEngine(drg, hop_hook=hook), backend="serial", attempts=3
-        )
-        (outcome,) = executor.run_hops(hop_tasks(drg, n=1))
-        assert outcome.error is None and outcome.retries == 2
-        assert outcome.stats.hops_executed == 1
 
 
 @pytest.mark.parametrize("backend", POOLS)
@@ -123,10 +107,10 @@ class TestPoolHandOff:
     ):
         original = JoinEngine.probe_hop
 
-        def first_unit_is_slowest(self, current, edge, base_name, path=None, attempt=0):
+        def first_unit_is_slowest(self, current, edge, base_name, path=None):
             if edge.target == "a":
                 time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path, attempt=attempt)
+            return original(self, current, edge, base_name, path=path)
 
         monkeypatch.setattr(JoinEngine, "probe_hop", first_unit_is_slowest)
         tasks = hop_tasks(drg)
@@ -141,7 +125,7 @@ class TestPoolHandOff:
     def test_unexpected_worker_exception_reraises_on_coordinator(
         self, drg, backend, monkeypatch
     ):
-        def exploding(self, current, edge, base_name, path=None, attempt=0):
+        def exploding(self, current, edge, base_name, path=None):
             raise RuntimeError("worker bug: corrupted index")
 
         monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
@@ -158,11 +142,11 @@ class TestPoolHandOff:
         ran = tmp_path / "ran"
         original = JoinEngine.probe_hop
 
-        def logged_slow_hop(self, current, edge, base_name, path=None, attempt=0):
+        def logged_slow_hop(self, current, edge, base_name, path=None):
             with ran.open("a") as log:
                 log.write(edge.target + "\n")
             time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path, attempt=attempt)
+            return original(self, current, edge, base_name, path=path)
 
         monkeypatch.setattr(JoinEngine, "probe_hop", logged_slow_hop)
         tasks = hop_tasks(drg, n=16)
@@ -199,7 +183,7 @@ class TestPoolIsGoneWhenDiscoverEnds:
             assert set(multiprocessing.active_children()) <= before
 
     def test_unexpected_worker_exception(self, drg, monkeypatch):
-        def exploding(self, current, edge, base_name, path=None, attempt=0):
+        def exploding(self, current, edge, base_name, path=None):
             raise RuntimeError("worker bug: corrupted index")
 
         monkeypatch.setattr(JoinEngine, "probe_hop", exploding)

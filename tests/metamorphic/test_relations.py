@@ -1,0 +1,119 @@
+"""Metamorphic relations: a change to the lake that must not change discovery.
+
+Each relation runs ``discover`` on a lake and on a transformed copy and
+compares the two verdict logs (``DiscoveryResult.verdicts``, one verdict
+per generated hop plus one per similarity-pruned join option), so no
+oracle is needed:
+
+* scaling every non-key float column of every satellite table by a power
+  of two leaves the log identical — Spearman relevance and equal-width
+  binning are invariant to it.  The DRG is the lake's KFK graph: a
+  value-overlap matcher sees the scaled values, so rediscovering the
+  edges is a different relation;
+* adding a table with no joinable column leaves the log identical, on the
+  KFK graph and on the matcher-discovered one;
+* raising τ only removes ranked verdicts: the ranked paths at a higher τ
+  are a subset of those at a lower one (unbudgeted runs).
+
+A permuted table listing is not among them: DRG adjacency still follows
+insertion order, which changes the order features enter ``R_sel`` and so
+the MRMR scores.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.core import AutoFeat, AutoFeatConfig
+from repro.dataframe import Column, DType, Table
+from repro.datasets import benchmark_drg, datalake_drg
+
+from tests.core.driver_goldens import _lake, golden_lake
+
+GOLDEN_LAKES = ("credit", "covertype")
+#: Three random snowflake lakes, ``split-<satellites>-<depth>-<seed>``.
+RANDOM_LAKES = ("split-4-2-0", "split-5-3-1", "split-6-2-2")
+TAUS = (0.0, 0.3, 0.5, 0.65, 0.8, 0.9, 1.0)
+DRG_BUILDERS = {"kfk": benchmark_drg, "matched": datalake_drg}
+
+
+def bundle_of(lake: str):
+    if lake.startswith("split-"):
+        return _lake(*map(int, lake.split("-")[1:]))[0]
+    return golden_lake(lake)[0]
+
+
+def verdicts(bundle, drg, **overrides):
+    config = AutoFeatConfig(sample_size=200, **overrides)
+    discovery = AutoFeat(drg, config).discover(bundle.base_name, bundle.label_column)
+    return discovery.verdicts
+
+
+def scaled(bundle, factor: float):
+    """``bundle`` with every non-key float column of its satellites scaled."""
+    keys = {c.column_a for c in bundle.constraints}
+    keys |= {c.column_b for c in bundle.constraints}
+    tables = []
+    for table in bundle.tables:
+        if table.name == bundle.base_name:
+            tables.append(table)
+            continue
+        columns = {}
+        for name in table.column_names:
+            column = table.column(name)
+            if column.dtype is DType.FLOAT and name not in keys:
+                column = Column(column.values * factor, DType.FLOAT, column.mask)
+            columns[name] = column
+        tables.append(Table(columns, name=table.name))
+    return replace(bundle, tables=tuple(tables))
+
+
+def with_island(bundle):
+    """``bundle`` plus a table whose names and values match nothing."""
+    n = bundle.base_table.n_rows
+    island = Table(
+        {
+            "zz_isolated_code": [f"iso-{i}" for i in range(n)],
+            "zz_isolated_level": np.random.default_rng(7).normal(0, 1, n) + 1e6,
+        },
+        name="zz_island",
+    )
+    return replace(bundle, tables=bundle.tables + (island,))
+
+
+def ranked_paths(log) -> set[str]:
+    return {v.ranked.path.describe() for v in log if v.kind == "ranked"}
+
+
+@pytest.mark.parametrize("factor", (2.0, 0.5, 1024.0))
+@pytest.mark.parametrize("lake", GOLDEN_LAKES)
+def test_scaling_satellite_floats_keeps_the_verdict_log(lake, factor):
+    bundle, drg = golden_lake(lake)
+    reference = verdicts(bundle, drg)
+    assert ranked_paths(reference)
+    transformed = scaled(bundle, factor)
+    assert transformed.tables != bundle.tables
+    assert verdicts(transformed, benchmark_drg(transformed)) == reference
+
+
+@pytest.mark.parametrize("setting", sorted(DRG_BUILDERS))
+@pytest.mark.parametrize("lake", GOLDEN_LAKES)
+def test_an_unjoinable_table_keeps_the_verdict_log(lake, setting):
+    bundle = bundle_of(lake)
+    build = DRG_BUILDERS[setting]
+    reference = verdicts(bundle, build(bundle))
+    transformed = with_island(bundle)
+    drg = build(transformed)
+    assert "zz_island" in drg.table_names and drg.neighbors("zz_island") == []
+    assert verdicts(transformed, drg) == reference
+
+
+@pytest.mark.parametrize("lake", GOLDEN_LAKES + RANDOM_LAKES)
+def test_raising_tau_only_removes_ranked_verdicts(lake):
+    bundle = bundle_of(lake)
+    drg = datalake_drg(bundle)
+    ranked = [ranked_paths(verdicts(bundle, drg, tau=tau)) for tau in TAUS]
+    assert ranked[0] != ranked[-1]
+    for lower, higher in zip(ranked, ranked[1:]):
+        assert higher <= lower

@@ -106,7 +106,7 @@ def discovery_fingerprint(discovery):
         "pruned_similarity": discovery.n_joins_pruned_similarity,
         "empty_contribution": discovery.n_hops_empty_contribution,
         "failures": [
-            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge, f.retries)
+            (f.stage, f.error_kind, f.message, f.base_table, f.path, f.edge)
             for f in discovery.failure_report.records
         ],
     }

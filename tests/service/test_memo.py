@@ -28,9 +28,11 @@ from repro.core import memo as memo_module
 from repro.datasets import make_classification, rename_for_lake, split_into_lake
 from repro.datasets.splitter import SplitPlan
 from repro.discovery import ComaMatcher
-from repro.engine import FaultInjector, PathExecutor
+from repro.engine import PathExecutor
 from repro.graph import DatasetRelationGraph
 from repro.service import service as service_module
+
+from tests.fault_hooks import FaultInjector
 
 from .test_incremental_equivalence import (
     CONFIG,
@@ -465,8 +467,8 @@ class TestWarmState:
 
 
 class TestNoNewKnob:
-    def test_config_still_has_20_fields(self):
-        assert len(dataclasses.fields(AutoFeatConfig)) == 20
+    def test_config_still_has_17_fields(self):
+        assert len(dataclasses.fields(AutoFeatConfig)) == 17
 
 
 def _walk(node):
