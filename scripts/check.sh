@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check: the tier-1 test suite (once), the legacy micro-benches
 # in smoke mode (each writes its summary to a temp dir), the trace smoke,
-# three paper-shape claim checks and the end-to-end benchmark smoke.
+# four paper-shape claim checks and the end-to-end benchmark smoke.
 # Performance is gated by benchmarks/e2e/compare.py, the paper by the
 # `python -m repro.bench` shape claims; there is no third gate.  Ends by
 # requiring `git status --porcelain` to read as it did at the start
@@ -33,10 +33,13 @@ echo
 echo "== paper-shape claims =="
 # Each prints its table and exits 1 naming any failed claim.  No --out,
 # so no tracked results file is written.  traversal runs AutoFeat's
-# augment end to end and checks bfs >= dfs - 0.05.
+# augment end to end and checks bfs >= dfs - 0.05; matchers builds DRGs
+# with the COMA, Lazo and distribution matchers through the Matcher
+# protocol (each is handed the threshold as its floor).
 python -m repro.bench table2
 python -m repro.bench eq3
 python -m repro.bench traversal
+python -m repro.bench matchers
 
 echo
 echo "== end-to-end benchmark smoke =="

@@ -15,7 +15,9 @@ hops built (discovery builds one only for a path that can still grow);
 how many verdicts of each kind the op's discovery runs logged;
 for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
-and key-like column pairs COMA's instance-overlap gate lets through.  cProfile inflates
+and key-like column pairs COMA's instance-overlap gate lets through, and how
+many key-like column pairs its name-score bound lets through at the DRG
+threshold.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
 untraced times — or the benchmark itself — to measure them.
 
@@ -132,7 +134,7 @@ def main() -> int:
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     if workload.match_in_op:
-        print(_overlap_gate_line(lake))
+        print(*_matching_lines(lake), sep="\n")
     return 0
 
 
@@ -215,10 +217,19 @@ def _redundancy_work():
         AutoFeat.discover = discover
 
 
-def _overlap_gate_line(lake) -> str:
-    """Table and key-like column pairs of the lake that COMA intersects."""
+def _matching_lines(lake) -> tuple[str, str]:
+    """What COMA's two cheap rejections leave of a cold DRG build.
+
+    The overlap gate: the table and key-like column pairs whose sketches
+    are intersected.  The threshold bound: the key-like column pairs whose
+    name is scored (their bound reaches the DRG threshold the builder
+    hands the matcher as its floor), and the matches emitted at it.
+    """
+    from itertools import combinations
+
     from repro.discovery import ComaMatcher, profile_table
     from repro.discovery.value_overlap import tables_may_overlap
+    from workloads import THRESHOLD
 
     profiles = [profile_table(table) for table in lake.tables]
     key_like = [sum(map(ComaMatcher._key_like, p.columns)) for p in profiles]
@@ -231,9 +242,24 @@ def _overlap_gate_line(lake) -> str:
             if tables_may_overlap(a, profiles[j]):
                 passed_tables += 1
                 passed_columns += pairs
+    matcher = ComaMatcher()
+    memo = matcher._name_scores
+    score, scored = memo.score, []
+
+    def counted(a, b):
+        scored.append((a, b))
+        return score(a, b)
+
+    memo.score = counted
+    emitted = sum(
+        len(matcher.match_profiles(a, b, THRESHOLD))
+        for a, b in combinations(profiles, 2)
+    )
     return (
         f"overlap gate: {passed_tables} / {tables} table pairs, "
-        f"{passed_columns} / {columns} key-like column pairs intersected"
+        f"{passed_columns} / {columns} key-like column pairs intersected",
+        f"threshold bound: {len(scored)} / {columns} key-like column pairs "
+        f"name-scored, {emitted} emitted",
     )
 
 

@@ -20,7 +20,7 @@ from ..dataframe import Table
 from ..errors import DiscoveryError
 from .name_similarity import NameFeatures, _jaro_winkler, _levenshtein, set_jaccard
 from .profiles import ColumnProfile, ProfileCache, TableProfile
-from .value_overlap import instance_similarity, tables_may_overlap
+from .value_overlap import check_min_score, instance_similarity, tables_may_overlap
 
 __all__ = ["ColumnMatch", "ComaMatcher"]
 
@@ -40,6 +40,11 @@ class ColumnMatch:
 
 #: Ordered name pairs one matcher remembers (~22 MB at the bound).
 NAME_MEMO_PAIRS = 65_536
+
+#: How far below a floor a pair's score bound must fall to skip the pair:
+#: ``ColumnMatch.score`` is ``round(score, 6)``, which moves a score by at
+#: most 5e-7, and the floor is compared with that rounded value.
+ROUNDING_MARGIN = 1e-6
 
 
 def _symmetric_measures(a: NameFeatures, b: NameFeatures) -> tuple[float, ...]:
@@ -69,6 +74,24 @@ def _name_score(
     return max((levenshtein + jaro + trigram) / 3.0, token)
 
 
+def _name_bound(a: NameFeatures, b: NameFeatures) -> float:
+    """An upper bound on :func:`_name_score` from lengths and sets alone.
+
+    Edit distance is at least the length gap of the lowered names and
+    Jaro-Winkler is at most 1; both Jaccards are exact.  ``1 - gap / longer``
+    is the form ``_levenshtein`` computes, so rounding keeps the bound sound.
+    """
+    if a.name == b.name:
+        return 1.0
+    len_a, len_b = len(a.lowered), len(b.lowered)
+    longer = max(len_a, len_b)
+    levenshtein = 1.0 - abs(len_a - len_b) / longer if longer else 1.0
+    return max(
+        (levenshtein + 1.0 + set_jaccard(a.trigrams, b.trigrams)) / 3.0,
+        set_jaccard(a.tokens, b.tokens),
+    )
+
+
 class _NameScoreMemo:
     """Bounded memo of :func:`_name_score` over *ordered* name pairs.
 
@@ -92,9 +115,11 @@ class _NameScoreMemo:
     def __len__(self) -> int:
         return len(self._scores)
 
-    def _of(self, name: str) -> NameFeatures:
+    def features(self, name: str) -> NameFeatures:
         features = self._features.get(name)
         if features is None:
+            if len(self._features) >= self._max_pairs:
+                self._features.clear()  # skipped pairs add features, not scores
             features = self._features[name] = NameFeatures(name)
         return features
 
@@ -105,7 +130,7 @@ class _NameScoreMemo:
                 self._scores.clear()
                 self._symmetric.clear()
                 self._features.clear()
-            features_a, features_b = self._of(a), self._of(b)
+            features_a, features_b = self.features(a), self.features(b)
             unordered = (a, b) if a < b else (b, a)
             symmetric = self._symmetric.get(unordered)
             if symmetric is None:
@@ -126,7 +151,7 @@ class ComaMatcher:
         60/40 mix reflects COMA's emphasis on schema-level evidence with
         instance evidence as corroboration.
     min_score:
-        Matches below this floor are not even reported (they would be
+        Matches scoring below this are not even reported (they would be
         discarded by any realistic threshold anyway).
     key_like_only:
         When True, only column pairs where at least one side looks like a
@@ -152,8 +177,12 @@ class ComaMatcher:
         key_like_only: bool = True,
     ):
         total = name_weight + instance_weight
-        if total <= 0:
-            raise DiscoveryError("matcher weights must sum to a positive value")
+        if not (name_weight >= 0 and instance_weight >= 0 and total > 0):
+            raise DiscoveryError(
+                "matcher weights must be >= 0 and sum to a positive value, "
+                f"got {name_weight} and {instance_weight}"
+            )
+        check_min_score(min_score)
         self._name_weight = name_weight / total
         self._instance_weight = instance_weight / total
         self._min_score = min_score
@@ -170,31 +199,42 @@ class ComaMatcher:
         return profile.n_distinct <= 64
 
     def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile
+        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
     ) -> list[ColumnMatch]:
-        """Score every column pair of two profiled tables."""
+        """Score every column pair of two profiled tables, down to ``floor``.
+
+        A pair whose name-score bound cannot reach ``floor`` (the DRG
+        builders pass their threshold) skips the costly name measures.
+        """
         columns_a, columns_b = profiles_a.columns, profiles_b.columns
         if self._key_like_only:
             columns_a = [c for c in columns_a if self._key_like(c)]
             columns_b = [c for c in columns_b if self._key_like(c)]
         overlap = tables_may_overlap(profiles_a, profiles_b)
-        name_score = self._name_scores.score
+        name_score, features = self._name_scores.score, self._name_scores.features
+        name_weight, instance_weight = self._name_weight, self._instance_weight
+        cutoff = floor - ROUNDING_MARGIN
+        named_b = [(col_b, features(col_b.column_name)) for col_b in columns_b]
         matches = []
         for col_a in columns_a:
-            for col_b in columns_b:
-                name = name_score(col_a.column_name, col_b.column_name)
+            features_a = features(col_a.column_name)
+            for col_b, features_b in named_b:
+                a, b = col_a.column_name, col_b.column_name
                 instance = instance_similarity(col_a, col_b) if overlap else 0.0
-                score = (
-                    self._name_weight * name + self._instance_weight * instance
-                )
-                if score >= self._min_score:
+                bound = _name_bound(features_a, features_b) if cutoff > 0.0 else 1.0
+                if name_weight * bound + instance_weight * instance < cutoff:
+                    continue
+                name = name_score(a, b)
+                score = name_weight * name + instance_weight * instance
+                rounded = round(float(score), 6)
+                if score >= self._min_score and rounded >= floor:
                     matches.append(
                         ColumnMatch(
                             table_a=profiles_a.table_name,
-                            column_a=col_a.column_name,
+                            column_a=a,
                             table_b=profiles_b.table_name,
-                            column_b=col_b.column_name,
-                            score=round(float(score), 6),
+                            column_b=b,
+                            score=rounded,
                             name_score=round(float(name), 6),
                             instance_score=round(float(instance), 6),
                         )
@@ -202,11 +242,13 @@ class ComaMatcher:
         matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
         return matches
 
-    def match(self, table_a: Table, table_b: Table) -> list[ColumnMatch]:
+    def match(
+        self, table_a: Table, table_b: Table, floor: float = 0.0
+    ) -> list[ColumnMatch]:
         """Score every column pair of two tables (profiles are cached)."""
-        return self.match_profiles(self._profiles(table_a), self._profiles(table_b))
+        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
 
-    def __call__(self, table_a: Table, table_b: Table):
+    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """Adapter to the DRG ``Matcher`` protocol: yields score tuples."""
-        for match in self.match(table_a, table_b):
+        for match in self.match(table_a, table_b, floor):
             yield match.column_a, match.column_b, match.score

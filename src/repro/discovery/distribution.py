@@ -19,7 +19,7 @@ import numpy as np
 from ..dataframe import Column, Table
 from ..errors import DiscoveryError
 from .name_similarity import token_similarity
-from .value_overlap import numeric_range_overlap
+from .value_overlap import check_min_score, numeric_range_overlap
 from .profiles import ColumnProfile, ProfileCache, profile_column
 
 __all__ = ["QuantileSketch", "quantile_similarity", "DistributionMatcher"]
@@ -88,6 +88,7 @@ class DistributionMatcher:
     """
 
     def __init__(self, min_score: float = 0.35):
+        check_min_score(min_score)
         self.min_score = min_score
         self._summaries = ProfileCache(_numeric_summaries)
 
@@ -109,17 +110,18 @@ class DistributionMatcher:
         names = token_similarity(column_a, column_b)
         return 0.45 * shape + 0.25 * ranges + 0.30 * names
 
-    def match(self, table_a: Table, table_b: Table):
-        """All numeric column pairs scoring at or above the floor."""
+    def match(self, table_a: Table, table_b: Table, floor: float = 0.0):
+        """All numeric column pairs reaching ``min_score`` and ``floor``."""
         out = []
         for column_a in self._summaries(table_a):
             for column_b in self._summaries(table_b):
                 score = self.score(table_a, column_a, table_b, column_b)
-                if score >= self.min_score:
-                    out.append((column_a, column_b, round(score, 6)))
+                rounded = round(score, 6)
+                if score >= self.min_score and rounded >= floor:
+                    out.append((column_a, column_b, rounded))
         out.sort(key=lambda t: (-t[2], t[0], t[1]))
         return out
 
-    def __call__(self, table_a: Table, table_b: Table):
+    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """DRG ``Matcher`` protocol adapter."""
-        yield from self.match(table_a, table_b)
+        yield from self.match(table_a, table_b, floor)

@@ -27,8 +27,8 @@ drives that contract over random mutation sequences for both the COMA
 and Lazo matchers.  Unchanged tables keep their identity across
 snapshots, which is what the service's caches check on read.
 
-Any matcher exposing ``match_profiles(profiles_a, profiles_b)`` — either
-returning :class:`~repro.discovery.ColumnMatch` objects
+Any matcher exposing ``match_profiles(profiles_a, profiles_b, floor)`` —
+either returning :class:`~repro.discovery.ColumnMatch` objects
 (:class:`~repro.discovery.ComaMatcher`) or plain ``(col_a, col_b,
 score)`` tuples (:class:`~repro.discovery.LazoMatcher`) — plugs in;
 matchers without profile support fall back to being called on the raw
@@ -173,13 +173,13 @@ class IncrementalMatchIndex:
         self.counters.pairs_matched += 1
         if hasattr(self.matcher, "match_profiles"):
             raw = self.matcher.match_profiles(
-                self._profiles[name_a], self._profiles[name_b]
+                self._profiles[name_a], self._profiles[name_b], self.threshold
             )
         else:
             table_b = (
                 right_table if right_table is not None else self._tables[name_b]
             )
-            raw = self.matcher(self._tables[name_a], table_b)
+            raw = self.matcher(self._tables[name_a], table_b, self.threshold)
         out = []
         for match in raw:
             column_a = getattr(match, "column_a", None)

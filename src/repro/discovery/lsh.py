@@ -20,6 +20,7 @@ import numpy as np
 from ..dataframe import Table
 from ..errors import DiscoveryError
 from .profiles import MINHASH_PERMUTATIONS, ColumnProfile, ProfileCache, TableProfile
+from .value_overlap import check_min_score
 
 __all__ = ["LazoMatcher", "estimate_containment", "validate_banding"]
 
@@ -80,6 +81,7 @@ class LazoMatcher:
         min_score: float = 0.3,
     ):
         validate_banding(bands, rows_per_band)
+        check_min_score(min_score)
         self.bands = bands
         self.rows_per_band = rows_per_band
         self.min_score = min_score
@@ -122,9 +124,9 @@ class LazoMatcher:
         return estimate_containment(jaccard, a.n_distinct, b.n_distinct)
 
     def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile
+        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
     ) -> list[tuple[str, str, float]]:
-        """Candidate pairs of two pre-profiled tables, scored and sorted.
+        """Candidate pairs of two pre-profiled tables reaching ``floor``, sorted.
 
         The profile-level entry point the incremental re-matcher
         (:mod:`repro.discovery.incremental`) drives, so a mutated table
@@ -135,15 +137,16 @@ class LazoMatcher:
         scored = []
         for col_a, col_b in pairs:
             score = self.score(col_a, col_b)
-            if score >= self.min_score:
-                scored.append((col_a.column_name, col_b.column_name, round(score, 6)))
+            rounded = round(score, 6)
+            if score >= self.min_score and rounded >= floor:
+                scored.append((col_a.column_name, col_b.column_name, rounded))
         scored.sort(key=lambda t: (-t[2], t[0], t[1]))
         return scored
 
-    def match(self, table_a: Table, table_b: Table):
+    def match(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """All candidate pairs with their containment scores, sorted."""
-        return self.match_profiles(self._profiles(table_a), self._profiles(table_b))
+        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
 
-    def __call__(self, table_a: Table, table_b: Table):
+    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """DRG ``Matcher`` protocol adapter."""
-        yield from self.match(table_a, table_b)
+        yield from self.match(table_a, table_b, floor)

@@ -102,6 +102,12 @@ def tables_may_overlap(a: TableProfile, b: TableProfile) -> bool:
     return not a.sketch_tokens.isdisjoint(b.sketch_tokens)
 
 
+def check_min_score(min_score: float) -> None:
+    """Reject a matcher's ``min_score`` outside the score range [0, 1]."""
+    if not 0.0 <= min_score <= 1.0:
+        raise DiscoveryError(f"min_score must be within [0, 1], got {min_score}")
+
+
 class ValueOverlapMatcher:
     """Pure instance-level matcher: names are ignored entirely.
 
@@ -114,37 +120,29 @@ class ValueOverlapMatcher:
     """
 
     def __init__(self, min_score: float = 0.3):
-        if not 0.0 <= min_score <= 1.0:
-            raise DiscoveryError(
-                f"min_score must be within [0, 1], got {min_score}"
-            )
+        check_min_score(min_score)
         self._min_score = min_score
         self._profiles = ProfileCache()
 
     def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile
+        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
     ) -> list[tuple[str, str, float]]:
-        """Instance-similarity scores of every column pair, sorted."""
+        """Instance scores of every column pair reaching ``floor``, sorted."""
         overlap = tables_may_overlap(profiles_a, profiles_b)
         matches = []
         for col_a in profiles_a.columns:
             for col_b in profiles_b.columns:
                 score = instance_similarity(col_a, col_b) if overlap else 0.0
-                if score >= self._min_score:
-                    matches.append(
-                        (
-                            col_a.column_name,
-                            col_b.column_name,
-                            round(float(score), 6),
-                        )
-                    )
+                rounded = round(float(score), 6)
+                if score >= self._min_score and rounded >= floor:
+                    matches.append((col_a.column_name, col_b.column_name, rounded))
         matches.sort(key=lambda t: (-t[2], t[0], t[1]))
         return matches
 
-    def match(self, table_a: Table, table_b: Table):
+    def match(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """Scored column pairs of two tables (profiles are cached)."""
-        return self.match_profiles(self._profiles(table_a), self._profiles(table_b))
+        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
 
-    def __call__(self, table_a: Table, table_b: Table):
+    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
         """DRG ``Matcher`` protocol adapter."""
-        yield from self.match(table_a, table_b)
+        yield from self.match(table_a, table_b, floor)

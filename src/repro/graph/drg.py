@@ -25,8 +25,9 @@ from .multigraph import MultiGraph, OrientedEdge
 
 __all__ = ["KFKConstraint", "DatasetRelationGraph"]
 
-#: A matcher maps a pair of tables to ``(column_a, column_b, score)`` tuples.
-Matcher = Callable[[Table, Table], Iterable[tuple[str, str, float]]]
+#: A matcher maps a pair of tables and a score floor to ``(column_a,
+#: column_b, score)`` tuples; it may omit any match scoring below the floor.
+Matcher = Callable[[Table, Table, float], Iterable[tuple[str, str, float]]]
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,9 @@ class DatasetRelationGraph:
         Cheap rejection of a pair that cannot share a value lives inside
         the exact matchers
         (:func:`~repro.discovery.value_overlap.tables_may_overlap`), so it
-        never changes a score.
+        never changes a score.  The matcher is handed ``threshold`` as its
+        floor, so it may skip whatever cannot become an edge; the check
+        here stays, so a matcher that ignores the floor is still correct.
         """
         if not 0.0 < threshold <= 1.0:
             raise GraphError(f"threshold must be in (0, 1], got {threshold}")
@@ -104,7 +107,7 @@ class DatasetRelationGraph:
             "drg.match", tables=len(tables), table_pairs=len(pairs)
         ):
             for table_a, table_b in pairs:
-                for column_a, column_b, score in matcher(table_a, table_b):
+                for column_a, column_b, score in matcher(table_a, table_b, threshold):
                     if score >= threshold:
                         drg.add_relationship(
                             table_a.name, column_a, table_b.name, column_b, weight=score

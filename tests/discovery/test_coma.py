@@ -110,6 +110,20 @@ class TestMatching:
         with pytest.raises(DiscoveryError):
             ComaMatcher(name_weight=0.0, instance_weight=0.0)
 
+    @pytest.mark.parametrize(
+        "weights", [(-0.5, 1.5), (1.5, -0.5), (-1.0, 0.0), (float("nan"), 1.0)]
+    )
+    def test_negative_or_nan_weight_raises(self, weights):
+        # (-0.5, 1.5) sums to 1 yet would score a pair 1.5, past any edge weight.
+        with pytest.raises(DiscoveryError, match="weights"):
+            ComaMatcher(*weights)
+
+    @pytest.mark.parametrize("min_score", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("matcher_class", ALL_MATCHERS)
+    def test_min_score_outside_the_score_range_raises(self, matcher_class, min_score):
+        with pytest.raises(DiscoveryError, match="min_score"):
+            matcher_class(min_score=min_score)
+
 
 class TestProfileCache:
     """Every matcher's per-table cache is one ``ProfileCache``."""

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import repro
 from tests.discovery.coma_goldens import (
     LAKES,
     MATCHERS,
+    _row,
     expected,
     lake_profiles,
     match_cells,
@@ -44,6 +46,34 @@ def test_match_profiles_reproduces_frozen_output(goldens, lake):
         assert list(cells) == list(want), (lake, name)
         for pair, rows in cells.items():
             assert rows == want[pair], (lake, name, pair)
+
+
+FLOORS = (0.3, 0.55, 0.7, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("lake", LAKES)
+def test_floor_keeps_exactly_the_golden_rows_reaching_it(goldens, lake):
+    # A floor may only drop rows: the rest keep their floats and order.
+    profiles = lake_profiles(lake)
+    for name, factory in MATCHERS.items():
+        for floor in FLOORS:
+            matcher = factory()
+            want = {}
+            for pair, rows in goldens[f"{lake}/{name}"].items():
+                kept = [row for row in rows if float.fromhex(row[2]) >= floor]
+                if kept:
+                    want[pair] = kept
+            got = {}
+            for profile_a, profile_b in permutations(profiles, 2):
+                rows = [
+                    _row(match)
+                    for match in matcher.match_profiles(profile_a, profile_b, floor)
+                ]
+                if rows:
+                    got[f"{profile_a.table_name}|{profile_b.table_name}"] = rows
+            assert list(got) == list(want), (lake, name, floor)
+            for pair, rows in got.items():
+                assert rows == want[pair], (lake, name, floor, pair)
 
 
 def test_warm_memo_reproduces_frozen_output(goldens):

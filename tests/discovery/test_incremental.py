@@ -44,7 +44,7 @@ class CountingMatcher:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, t1, t2):
+    def __call__(self, t1, t2, floor):
         self.calls.append((t1.name, t2.name))
         yield "record_id", "record_id", 0.9
 

@@ -11,7 +11,7 @@ from repro.discovery import (
     token_similarity,
     tokenize_identifier,
 )
-from repro.discovery.coma import _name_score, _NameScoreMemo
+from repro.discovery.coma import _name_bound, _name_score, _NameScoreMemo
 from repro.discovery.name_similarity import NameFeatures, _ngrams
 
 identifiers = st.text(alphabet="abcdefgh_XYZ0123", min_size=0, max_size=12)
@@ -326,3 +326,26 @@ class TestExactness:
         for x, y in ((a, b), (b, a), (a, b)):
             expected = _name_score(NameFeatures(x), NameFeatures(y))
             assert memo.score(x, y) == expected
+
+
+class TestNameBound:
+    """The bound the matcher skips pairs by is never below a pair's score."""
+
+    @given(a=st.one_of(identifiers, edge_text), b=st.one_of(identifiers, edge_text))
+    @example(a="", b="")
+    @example(a="", b="x")
+    @example(a="Name", b="name")
+    @example(a="CreditID", b="credit_id")
+    @example(a="İd", b="id")
+    @example(a="İ", b="i̇")
+    @example(a="ẞ", b="ß")
+    @example(a="STRAẞE", b="straße")
+    @example(a="k" * 64, b="k" * 65)
+    def test_bound_is_at_least_the_score(self, a, b):
+        # Both against the per-pair reference composition, which shares no
+        # code with the features the bound reads, and the feature path.
+        for x, y in ((a, b), (b, a)):
+            bound = _name_bound(NameFeatures(x), NameFeatures(y))
+            assert bound >= _reference_name_score(x, y)
+            assert bound >= _name_score(NameFeatures(x), NameFeatures(y))
+            assert 0.0 <= bound <= 1.0

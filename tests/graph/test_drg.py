@@ -57,7 +57,7 @@ class TestConstruction:
 
 class TestDiscoveryConstruction:
     def test_matcher_driven_edges(self, tables):
-        def matcher(t1, t2):
+        def matcher(t1, t2, floor):
             if {t1.name, t2.name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6
@@ -69,7 +69,7 @@ class TestDiscoveryConstruction:
         assert len(drg.join_options("a", "b")) == 2
 
     def test_threshold_filters(self, tables):
-        def matcher(t1, t2):
+        def matcher(t1, t2, floor):
             yield t1.column_names[0], t2.column_names[0], 0.5
 
         drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
@@ -77,7 +77,7 @@ class TestDiscoveryConstruction:
 
     def test_invalid_threshold_raises(self, tables):
         with pytest.raises(GraphError):
-            DatasetRelationGraph.from_discovery(tables, lambda a, b: [], threshold=0)
+            DatasetRelationGraph.from_discovery(tables, lambda a, b, floor: [], threshold=0)
 
 
 class TestQueries:
@@ -99,7 +99,7 @@ class TestQueries:
 
 class TestSimilarityPruning:
     def test_best_keeps_top_score(self, tables):
-        def matcher(t1, t2):
+        def matcher(t1, t2, floor):
             if {t1.name, t2.name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6
@@ -110,7 +110,7 @@ class TestSimilarityPruning:
         assert best[0].weight == 0.9
 
     def test_ties_all_survive(self, tables):
-        def matcher(t1, t2):
+        def matcher(t1, t2, floor):
             if {t1.name, t2.name} == {"a", "b"}:
                 yield "id", "id", 0.8
                 yield "id", "fk", 0.8
@@ -124,7 +124,7 @@ class TestSimilarityPruning:
 
 class TestSimpleGraphVariant:
     def test_collapse(self, tables):
-        def matcher(t1, t2):
+        def matcher(t1, t2, floor):
             if {t1.name, t2.name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6

@@ -13,7 +13,12 @@ oracle is needed:
 * adding a table with no joinable column leaves the log identical, on the
   KFK graph and on the matcher-discovered one;
 * raising τ only removes ranked verdicts: the ranked paths at a higher τ
-  are a subset of those at a lower one (unbudgeted runs).
+  are a subset of those at a lower one (unbudgeted runs);
+* raising the DRG's edge threshold only removes edges: every table's
+  adjacency at a higher threshold is its adjacency at a lower one with the
+  edges below the higher threshold taken out, in the same order.  The
+  matcher is handed the threshold as its floor, so this also holds the
+  matcher's skipping to what the threshold drops.
 
 A permuted table listing is not among them: DRG adjacency still follows
 insertion order, which changes the order features enter ``R_sel`` and so
@@ -35,6 +40,7 @@ GOLDEN_LAKES = ("credit", "covertype")
 #: Three random snowflake lakes, ``split-<satellites>-<depth>-<seed>``.
 RANDOM_LAKES = ("split-4-2-0", "split-5-3-1", "split-6-2-2")
 TAUS = (0.0, 0.3, 0.5, 0.65, 0.8, 0.9, 1.0)
+THRESHOLDS = (0.3, 0.45, 0.55, 0.7, 0.85, 1.0)
 DRG_BUILDERS = {"kfk": benchmark_drg, "matched": datalake_drg}
 
 
@@ -117,3 +123,15 @@ def test_raising_tau_only_removes_ranked_verdicts(lake):
     assert ranked[0] != ranked[-1]
     for lower, higher in zip(ranked, ranked[1:]):
         assert higher <= lower
+
+
+@pytest.mark.parametrize("lake", GOLDEN_LAKES + RANDOM_LAKES)
+def test_raising_the_edge_threshold_only_removes_edges(lake):
+    bundle = bundle_of(lake)
+    drgs = [datalake_drg(bundle, threshold=t) for t in THRESHOLDS]
+    assert drgs[0].n_relationships > drgs[-1].n_relationships
+    for lower, (threshold, higher) in zip(drgs, zip(THRESHOLDS[1:], drgs[1:])):
+        assert higher.table_names == lower.table_names
+        for name in lower.table_names:
+            kept = [e for e in lower.graph.edges_of(name) if e.weight >= threshold]
+            assert higher.graph.edges_of(name) == kept, (threshold, name)

@@ -60,7 +60,7 @@ def _lake():
     return [base, a, b, far]
 
 
-def chain_matcher(t1, t2):
+def chain_matcher(t1, t2, floor):
     """Deterministic chain edges: base—a, a—b, b—far."""
     pair = {t1.name, t2.name}
     if pair == {"base", "a"}:
