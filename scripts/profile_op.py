@@ -12,7 +12,9 @@ the profiled block; how many (selected × candidate) pairs the redundancy
 kernel counted and how many candidates its early-rejection bound dropped
 (every workload's op runs ``discover``); how many joined tables the op's
 hops built (discovery builds one only for a path that can still grow);
-how many verdicts of each kind the op's discovery runs logged;
+how many verdicts of each kind the op's discovery runs logged; where one
+traced op's ``discover`` time goes — its ``hop``, ``selection`` and
+``sample`` spans, and what is left over at the coordinator between them;
 for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through, and how
@@ -105,6 +107,7 @@ def main() -> int:
     finally:
         threading.setprofile(None)
         workload.teardown(state)  # joins the threads it started
+    attribution = _discover_attribution(workload, lake, args.seed)
 
     stats = None
     for name, profiler in profilers:
@@ -133,6 +136,7 @@ def main() -> int:
     print(f"hop tables materialised: {work['tables']} / hops {work['hops']}")
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
+    print(attribution)
     if workload.match_in_op:
         print(*_matching_lines(lake), sep="\n")
     return 0
@@ -215,6 +219,58 @@ def _redundancy_work():
         kernels._pair_information = pair_information
         JoinEngine.probe_hop, JoinIndex.attach = probe_hop, attach
         AutoFeat.discover = discover
+
+
+def _discover_attribution(workload, lake, seed) -> str:
+    """Split one traced op's ``discover`` time over its spans.
+
+    Every ``discover`` the op runs is traced (the workload's own config may
+    turn tracing off); ``hop``, ``selection`` and ``sample`` spans are
+    summed over the run trees, outermost only, and the coordinator's
+    leftover is the ``discover`` roots' time outside them: frontier
+    bookkeeping, verdicts, the manifest, and whatever per-hop isolation the
+    driver pays.
+    """
+    from repro.core import AutoFeat
+    from repro.obs import Tracer
+
+    names = ("hop", "selection", "sample")
+    totals = collections.Counter()
+    lock = threading.Lock()  # service workloads discover on worker threads
+    discover, make_tracer = AutoFeat.discover, AutoFeat._tracer
+
+    def add(node):
+        if node["name"] in names:
+            totals[node["name"]] += node["duration_ns"]
+            return
+        for child in node.get("children", ()):
+            add(child)
+
+    def traced_discover(*args, **kwargs):
+        result = discover(*args, **kwargs)
+        root = result.run_manifest.timing
+        with lock:
+            totals["discover"] += root["duration_ns"]
+            for child in root.get("children", ()):
+                add(child)
+        return result
+
+    state = workload.prepare(lake, seed)
+    try:
+        workload.op(lake, state)  # warm-up
+        AutoFeat.discover = traced_discover
+        AutoFeat._tracer = lambda self: Tracer(enabled=True)
+        workload.op(lake, state)
+    finally:
+        AutoFeat.discover, AutoFeat._tracer = discover, make_tracer
+        workload.teardown(state)
+    whole = totals["discover"]
+    parts = [(name, totals[name]) for name in names]
+    parts.append(("coordinator", whole - sum(ns for __, ns in parts)))
+    shares = " + ".join(
+        f"{name} {ns / 1e9:.3f} s ({ns / max(1, whole):.0%})" for name, ns in parts
+    )
+    return f"discover, one traced op: {whole / 1e9:.3f} s = {shares}"
 
 
 def _matching_lines(lake) -> tuple[str, str]:

@@ -28,7 +28,7 @@ from ..engine import (
     PathTask,
     settle_outcome,
 )
-from ..errors import JoinError, RunBudgetExceeded
+from ..errors import FaultError, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath
 from ..obs import Span, Tracer, build_manifest, synthetic_root
 from .config import AutoFeatConfig
@@ -89,23 +89,19 @@ class AutoFeat:
         #: §12).  ``None`` hashes nothing.
         self.memo = memo
 
-    def _executor(self, tracer: Tracer, run_deadline: float | None) -> PathExecutor:
-        """One per-phase engine + executor.
+    def _engine(self, tracer: Tracer, run_deadline: float | None) -> JoinEngine:
+        """One per-phase engine.
 
         ``run_deadline`` threads the run's anytime wall-clock budget into
         every hop for cooperative mid-hop aborts.
         """
-        config = self.config
-        engine = JoinEngine(
+        return JoinEngine(
             self.drg,
-            seed=config.seed,
+            seed=self.config.seed,
             hop_hook=self.hop_hook,
             tracer=tracer,
             cache=self.hop_cache,
             run_deadline=run_deadline,
-        )
-        return PathExecutor(
-            engine, backend=config.parallel_backend, trace_spans=tracer.enabled
         )
 
     def _navigation(
@@ -188,26 +184,21 @@ class AutoFeat:
         Runs entirely on a stratified sample of the base table; no ML model
         is trained.  Returns paths sorted by ranking score (descending).
 
-        The traversal advances in *waves* of work units: under BFS one wave
-        is the whole current frontier level, under DFS — and under the UCB
-        frontier of a budgeted run, whose arm statistics must advance
-        before the next pop — one popped entry's edge fan-out.  Units are
-        enumerated in canonical order (the ``neighbors`` /
-        ``best_join_options`` loops, similarity pruning included), run by
-        a :class:`repro.engine.PathExecutor` on ``config.parallel_backend``
-        and merged back **in enumeration order** by :meth:`_merge`, which
-        turns each hop into one :class:`~repro.core.result.HopVerdict`.
-        That ordering is the entire determinism argument: the verdict log
-        — and with it ranked paths, scores, selected features and failure
-        reports — is bit-identical across backends (DESIGN.md §11).
-        Frontier growth, UCB arm updates, the ``max_hops`` cut and every
-        count the run reports are read off the log.
+        Algorithm 1 as one in-process loop: pop a frontier entry, and for
+        each of its canonical hops (the ``neighbors`` /
+        ``best_join_options`` loops, similarity pruning included) join,
+        score and push, one hop at a time.  :meth:`_hop` turns each hop
+        into one :class:`~repro.core.result.HopVerdict`; frontier growth,
+        UCB arm updates, the ``max_hops`` cut and every count the run
+        reports are read off that log.  ``config.parallel_backend`` does
+        not apply here: only the training wave uses the pool
+        (DESIGN.md §11).
 
         All hops run through one :class:`JoinEngine` (a table reached by
         many paths is indexed once) and all scoring through one
         :class:`StreamingFeatureSelector`; their counters land on
         ``engine_stats`` / ``selection_stats``.  The traversal runs under
-        one :class:`repro.obs.Tracer` (``discover > wave > {hop > join,
+        one :class:`repro.obs.Tracer` (``discover > {hop > join,
         selection}``), the run's only clock, and its
         :class:`repro.obs.RunManifest` lands on ``run_manifest``.
 
@@ -217,11 +208,11 @@ class AutoFeat:
         discovery service) the frontier expands in
         ``config.frontier_strategy`` order and the run stops gracefully
         when the budget expires, returning the best-k-so-far with
-        ``budget_exhausted`` set.  A ``max_hops`` cap truncates hop
-        *generation*, so every backend executes the identical canonical
-        prefix; the wall-clock deadline is checked between waves and
-        cooperatively inside hops, and a hop it aborted gets a
-        ``deadline`` verdict, which ``n_paths_explored`` does not count.
+        ``budget_exhausted`` set.  A ``max_hops`` cap keeps the first
+        ``max_hops`` hops of the canonical order; the wall-clock deadline
+        is checked before every hop and cooperatively inside it, and a hop
+        it aborted gets a ``deadline`` verdict, which ends the run and
+        which ``n_paths_explored`` does not count.
         """
         config = self.config
         base = self.drg.table(base_name)
@@ -232,134 +223,83 @@ class AutoFeat:
         tracer = self._tracer()
         budget, frontier = self._navigation(deadline)
         faults = self._faults("discovery")
-        executor = self._executor(tracer, budget.deadline)
+        engine = self._engine(tracer, budget.deadline)
 
         verdicts: list[HopVerdict] = []
-        waves = 0
+        n_hops = 0
         budget_exhausted = False
-        try:
-            with tracer.span("discover", base=base_name, label=label_column) as root:
-                with tracer.span("sample", size=config.sample_size):
-                    sample = stratified_sample(
-                        base, label_column, config.sample_size, seed=config.seed
+        with tracer.span("discover", base=base_name, label=label_column) as root:
+            with tracer.span("sample", size=config.sample_size):
+                sample = stratified_sample(
+                    base, label_column, config.sample_size, seed=config.seed
+                )
+            label = sample.column(label_column).to_float()
+
+            selector = StreamingFeatureSelector(config, label)
+            if self.memo is not None:
+                selector.use_memo(self.memo)
+            base_features = [n for n in sample.column_names if n != label_column]
+            if base_features:
+                with tracer.span("selection", batch="seed"):
+                    selector.seed_with(
+                        base_features, sample.numeric_matrix(base_features)
                     )
-                label = sample.column(label_column).to_float()
 
-                selector = StreamingFeatureSelector(config, label)
-                if self.memo is not None:
-                    selector.use_memo(self.memo)
-                base_features = [n for n in sample.column_names if n != label_column]
-                if base_features:
-                    with tracer.span("selection", batch="seed"):
-                        selector.seed_with(
-                            base_features, sample.numeric_matrix(base_features)
-                        )
-
-                # Each frontier entry carries the partially-joined sample and
-                # the qualified features accepted along the path so far.
-                frontier.push(JoinPath(base_name), sample, ())
-                while frontier and not budget_exhausted:
-                    # The max_hops cut counts generated hops: each has a
-                    # verdict once its wave merged, deadline aborts included.
-                    n_hops = sum(v.kind != "similarity" for v in verdicts)
+            # Each frontier entry carries the partially-joined sample and
+            # the qualified features accepted along the path so far.
+            frontier.push(JoinPath(base_name), sample, ())
+            while frontier and not budget_exhausted:
+                # The max_hops cut counts executed hops, deadline aborts
+                # included; it is checked here and before every hop.
+                if budget.exhausted(n_hops):
+                    budget_exhausted = True
+                    break
+                entry = frontier.pop()
+                path = entry.path
+                if path.length >= config.max_path_length:
+                    continue
+                for edge in self._edges(path, verdicts):
                     if budget.exhausted(n_hops):
                         budget_exhausted = True
                         break
-                    # Level-synchronous draining reproduces the canonical
-                    # FIFO pop order; DFS fully fans an entry out before
-                    # descending into its last child.
-                    if frontier.strategy != "ucb" and config.traversal == "bfs":
-                        entries = frontier.drain_level()
-                    else:
-                        entries = [frontier.pop()]
-
-                    tasks: list[HopTask] = []
-                    for position, entry in enumerate(entries):
-                        path = entry.path
-                        if path.length >= config.max_path_length:
-                            continue
-                        terminal, visited = path.terminal, set(path.nodes)
-                        for neighbor in self.drg.neighbors(terminal):
-                            if neighbor in visited:
-                                continue
-                            kept = self.drg.best_join_options(terminal, neighbor)
-                            weight = kept[0].weight
-                            verdicts.extend(
-                                HopVerdict("similarity", path, e, kept_weight=weight)
-                                for e in self.drg.join_options(terminal, neighbor)
-                                if e not in kept
-                            )
-                            for edge in kept:
-                                if budget.exhausted(n_hops + len(tasks)):
-                                    budget_exhausted = True
-                                    break
-                                tasks.append(
-                                    HopTask(
-                                        index=len(tasks),
-                                        path=path,
-                                        edge=edge,
-                                        table=entry.table,
-                                        base_name=base_name,
-                                        features=entry.features,
-                                        tau=config.tau,
-                                        grow=path.length + 1
-                                        < config.max_path_length,
-                                    )
-                                )
-                            if budget_exhausted:
-                                break
-                        if budget_exhausted:
-                            # Level entries the cut never reached go back
-                            # on the frontier: only the entry the cut
-                            # landed inside counts as consumed.
-                            for left in entries[position + 1 :]:
-                                frontier.push(
-                                    left.path, left.table, left.features, left.reward
-                                )
-                            break
-                    if not tasks:
-                        continue
-                    waves += 1
-                    with self._wave(tracer, executor, len(tasks)) as wave:
-                        for task, outcome in zip(tasks, executor.run_hops(tasks)):
-                            self._absorb(executor, tracer, wave, outcome)
-                            verdict = self._merge(
-                                task, outcome, faults, selector, tracer
-                            )
-                            verdicts.append(verdict)
-                            if verdict.kind == "deadline":
-                                # The run stops after this wave's merge;
-                                # pool units that finished in time still
-                                # merge, serial ones abort at hop entry.
-                                budget_exhausted = True
-                                continue
-                            # Every merged hop pulls its table's UCB arm.
-                            policy = frontier.policy
-                            if policy is not None:
-                                policy.update(task.edge.target, verdict.reward)
-                            # Even an all-irrelevant join stays in the
-                            # frontier: it may be the gateway to a relevant
-                            # transitive table.  A path at max_path_length
-                            # is never probed again, so its hop built no
-                            # table (``table`` is None).
-                            if verdict.ranked is not None:
-                                frontier.push(
-                                    verdict.ranked.path,
-                                    outcome.value.table,
-                                    verdict.ranked.selected_features,
-                                    verdict.reward,
-                                )
-                counts = tally(verdicts)
-                if budget_exhausted:
-                    tracer.event(
-                        "budget_exhausted",
-                        hops=counts["paths_explored"],
-                        frontier_unexplored=len(frontier),
+                    task = HopTask(
+                        path=path,
+                        edge=edge,
+                        table=entry.table,
+                        base_name=base_name,
+                        features=entry.features,
+                        tau=config.tau,
+                        grow=path.length + 1 < config.max_path_length,
                     )
-        finally:
-            executor.close()
+                    verdict, table = self._hop(task, engine, faults, selector, tracer)
+                    verdicts.append(verdict)
+                    n_hops += 1
+                    if verdict.kind == "deadline":
+                        budget_exhausted = True
+                        break
+                    # Every executed hop pulls its table's UCB arm.
+                    if frontier.policy is not None:
+                        frontier.policy.update(edge.target, verdict.reward)
+                    # Even an all-irrelevant join stays in the frontier: it
+                    # may be the gateway to a relevant transitive table.  A
+                    # path at max_path_length is never probed again, so its
+                    # hop built no table (``table`` is None).
+                    if verdict.ranked is not None:
+                        frontier.push(
+                            verdict.ranked.path,
+                            table,
+                            verdict.ranked.selected_features,
+                            verdict.reward,
+                        )
+            counts = tally(verdicts)
+            if budget_exhausted:
+                tracer.event(
+                    "budget_exhausted",
+                    hops=counts["paths_explored"],
+                    frontier_unexplored=len(frontier),
+                )
 
-        engine_stats = executor.engine.snapshot()
+        engine_stats = engine.snapshot()
         selection_stats = selector.stats
         failure_report = faults.report()
         navigation = NavigationStats(
@@ -383,11 +323,7 @@ class AutoFeat:
             seed=config.seed,
             wall_seconds=root.seconds,
             records=[engine_stats, selection_stats, failure_report, navigation],
-            counters={
-                **{f"discovery.{name}": n for name, n in counts.items()},
-                "discovery.waves": waves,
-            },
-            gauges=self._parallel_gauges(executor),
+            counters={f"discovery.{name}": n for name, n in counts.items()},
         )
         return DiscoveryResult(
             base_table=base_name,
@@ -403,26 +339,53 @@ class AutoFeat:
             navigation=navigation,
         )
 
-    def _merge(self, task, outcome, faults, selector, tracer) -> HopVerdict:
-        """Algorithm 1's decision about one hop, at its merge position.
+    def _edges(self, path: JoinPath, verdicts: list[HopVerdict]):
+        """The edges out of ``path``'s terminal that get a hop, in order.
+
+        Each parallel join option similarity pruning drops is logged as
+        one ``similarity`` verdict just before its neighbour's kept
+        options are yielded.
+        """
+        terminal, visited = path.terminal, set(path.nodes)
+        for neighbor in self.drg.neighbors(terminal):
+            if neighbor in visited:
+                continue
+            kept = self.drg.best_join_options(terminal, neighbor)
+            verdicts.extend(
+                HopVerdict("similarity", path, e, kept_weight=kept[0].weight)
+                for e in self.drg.join_options(terminal, neighbor)
+                if e not in kept
+            )
+            yield from kept
+
+    def _hop(
+        self, task, engine, faults, selector, tracer
+    ) -> tuple[HopVerdict, Table | None]:
+        """Run one hop and decide it: ``(verdict, frontier table)``.
 
         The failure policy, then the τ rule, then streaming selection and
         the ranking score.  A deadline abort is graceful exhaustion, not a
         failure; an unfeasible join is pruning input under every policy;
         a hop that contributed no columns is not poor join quality — it is
-        ranked (and stays traversable) with ``empty`` set.
+        ranked (and stays traversable) with ``empty`` set.  The table is
+        the joined sample the extended path probes next, None unless the
+        hop was ranked and its path can still grow.
         """
         where = (task.path, task.edge)
         try:
-            hop = settle_outcome(task, outcome, faults)
+            hop = task.run(engine)
         except RunBudgetExceeded:
-            return HopVerdict("deadline", *where)
+            return HopVerdict("deadline", *where), None
         except JoinError:
-            return HopVerdict("unfeasible", *where)
-        if hop is None:
-            return HopVerdict("faulted", *where)
+            return HopVerdict("unfeasible", *where), None
+        except FaultError as exc:
+            if faults.policy == "fail_fast":
+                raise
+            faults.record(exc, **task.where())
+            return HopVerdict("faulted", *where), None
         if hop.contributed and hop.completeness < self.config.tau:
-            return HopVerdict("pruned_tau", *where, completeness=hop.completeness)
+            verdict = HopVerdict("pruned_tau", *where, completeness=hop.completeness)
+            return verdict, None
         with tracer.span("selection", features=len(hop.candidates)) as span:
             batch = selector.process_batch(hop.candidates, hop.matrix, hop.codes)
         if tracer.enabled and self.memo is not None:
@@ -437,23 +400,14 @@ class AutoFeat:
             completeness=hop.completeness,
             relevant_names=batch.relevant_names,
         )
-        return HopVerdict(
+        verdict = HopVerdict(
             "ranked",
             *where,
             ranked=ranked,
             reward=hop_reward(score, hop.completeness),
             empty=not hop.contributed,
         )
-
-    @staticmethod
-    def _parallel_gauges(executor: PathExecutor) -> dict:
-        """The executor's utilisation gauges, reported on every backend."""
-        return {
-            "parallel.workers_used": executor.workers_used,
-            "parallel.speedup": round(executor.effective_speedup, 4),
-            "parallel.busy_seconds": round(executor.busy_seconds, 6),
-            "parallel.wall_seconds": round(executor.parallel_wall_seconds, 6),
-        }
+        return verdict, hop.table
 
     # -- training phase -----------------------------------------------------------
 
@@ -501,7 +455,11 @@ class AutoFeat:
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
         faults = self._faults("training")
-        executor = self._executor(tracer, budget.deadline)
+        executor = PathExecutor(
+            self._engine(tracer, budget.deadline),
+            backend=config.parallel_backend,
+            trace_spans=tracer.enabled,
+        )
         base = self.drg.table(discovery.base_table)
         base_features = [
             n for n in base.column_names if n != discovery.label_column
@@ -577,7 +535,12 @@ class AutoFeat:
         engine_stats = executor.engine.snapshot()
         failure_report = faults.report()
         budget_exhausted = budget_exhausted or discovery.budget_exhausted
-        gauges = self._parallel_gauges(executor)
+        gauges = {
+            "parallel.workers_used": executor.workers_used,
+            "parallel.speedup": round(executor.effective_speedup, 4),
+            "parallel.busy_seconds": round(executor.busy_seconds, 6),
+            "parallel.wall_seconds": round(executor.parallel_wall_seconds, 6),
+        }
         if best is not None:
             gauges["train.best_accuracy"] = round(best.accuracy, 6)
         # Compose discovery + training into one ``augment`` manifest.

@@ -69,20 +69,19 @@ class AutoFeatConfig:
         :class:`~repro.errors.ErrorBudgetExceeded` — degradation is
         bounded, not unconditional.
     parallel_backend:
-        Where :class:`repro.engine.PathExecutor` runs the work units
-        (discovery hops, top-k training paths) the one Algorithm-1
-        driver generates: ``"serial"`` (the default: inline on the
-        calling thread, each unit only after the previous outcome was
-        merged) or ``"processes"`` (a
-        :class:`~concurrent.futures.ProcessPoolExecutor`).  Results are
-        **bit-identical** across backends — outcomes are merged in
-        enumeration order and all order-sensitive state (feature
-        selection, ranking, frontier growth, failure policy) advances
-        only at those merge points — so this knob trades wall time,
-        never correctness.  The pool wins on the training wave and loses
-        on discovery hops; DESIGN.md §11 has the measured numbers.  The
-        pool has one worker per CPU the process may run on (its affinity
-        mask, :func:`repro.engine.resolve_max_workers`).
+        Where :class:`repro.engine.PathExecutor` runs the top-k training
+        wave (materialise + evaluate per path): ``"serial"`` (the
+        default: inline on the calling thread, each unit only after the
+        previous outcome was merged) or ``"processes"`` (a
+        :class:`~concurrent.futures.ProcessPoolExecutor`).  Discovery
+        runs in process on every backend.  Results are **bit-identical**
+        across backends — outcomes are merged in ranked order and the
+        failure policy advances only at those merge points — so this
+        knob trades wall time, never correctness.  The pool wins on the
+        training wave and lost on discovery hops; DESIGN.md §11 has the
+        measured numbers.  The pool has one worker per CPU the process
+        may run on (its affinity mask,
+        :func:`repro.engine.resolve_max_workers`).
     enable_tracing:
         Record the run's hierarchical timing tree
         (``discover > hop > join / selection``) through

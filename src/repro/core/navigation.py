@@ -9,7 +9,7 @@ see PAPERS.md):
 
 * :class:`RunBudget` — a run-level wall-clock deadline and/or executed-hop
   cap, threaded from :class:`~repro.core.AutoFeatConfig` through
-  ``discover`` / ``train_top_k``, the parallel wave scheduler and the
+  ``discover`` / ``train_top_k``, the training wave and the
   :class:`~repro.service.DiscoveryService` per-request path;
 * :class:`NavigationFrontier` — the traversal frontier, either in
   canonical FIFO order (the bit-parity baseline: exactly the paper's BFS /
@@ -35,18 +35,18 @@ Determinism contract (DESIGN.md §14):
   the first ``max_hops`` hops of the strategy's expansion order, which is
   itself budget-independent, so explored sets *nest* as the budget grows
   and regret (:func:`ranking_regret`) is monotonically non-increasing.
-  The serial and processes backends execute the identical prefix.
+  The cut counts executed hops and is checked before every hop.
 * **Wall-clock budget (`budget_seconds`)** — anytime, not bit-reproducible:
-  where the deadline lands depends on machine speed.  The run still
-  returns within budget plus one hop's slack (one wave's slack on the
-  ``processes`` backend), marks ``budget_exhausted`` and reports what it
-  explored.
+  where the deadline lands depends on machine speed.  Discovery still
+  returns within budget plus one hop's slack, marks ``budget_exhausted``
+  and reports what it explored; the first hop the deadline aborts ends
+  it.
 
 Deadlines are ``time.monotonic`` timestamps.  On the platforms this repo
 targets (Linux) the monotonic clock is system-wide, so a deadline computed
-on the coordinator is meaningful inside process-pool workers too; worker
-checks are a best-effort early abort and the coordinator re-checks
-authoritatively between waves either way.
+on the coordinator is meaningful inside the training wave's pool workers
+too; worker checks are a best-effort early abort and the coordinator
+re-checks authoritatively at the merge either way.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def hop_reward(score: float, completeness: float) -> float:
 class FrontierEntry:
     """One expandable node of the traversal: a path and its joined sample."""
 
-    #: Canonical insertion index (merge order) — the FIFO key and the
+    #: Canonical insertion index (push order) — the FIFO key and the
     #: deterministic tie-break under priority ordering.
     order: int
     path: object
@@ -211,7 +211,7 @@ class NavigationFrontier:
     canonical ``order`` (the entry serial BFS would have reached first),
     so the expansion order is a deterministic function of the arm
     statistics alone.  Priorities are recomputed at every pop — arms move
-    with each merged hop, and a linear scan over the (small) frontier is
+    with each executed hop, and a linear scan over the (small) frontier is
     both simpler and stricter about determinism than a staleness-prone
     heap.
     """
@@ -248,7 +248,7 @@ class NavigationFrontier:
         features: tuple[str, ...] = (),
         reward: float = 0.0,
     ) -> FrontierEntry:
-        """Append a node in canonical (merge) order."""
+        """Append a node in canonical (push) order."""
         entry = FrontierEntry(
             order=self._next_order,
             path=path,
@@ -274,14 +274,6 @@ class NavigationFrontier:
         if self.traversal == "bfs":
             return self._entries.pop(0)
         return self._entries.pop()
-
-    def drain_level(self) -> list[FrontierEntry]:
-        """Remove and return the whole current frontier, canonical order.
-
-        The level-synchronous wave the parallel BFS scheduler dispatches.
-        """
-        entries, self._entries = self._entries, []
-        return entries
 
 
 class RunBudget:

@@ -185,7 +185,7 @@ class JoinEngine:
                 raise type(exc)(
                     f"{exc}; {_hop_context(base_name, path, edge)}"
                 ) from exc
-        left_col = source_column_name(edge, base_name)
+        left_col = source_column_name(edge, base_name, current.column_names)
         if left_col not in current:
             raise JoinError(
                 f"join column {left_col!r} is not available in the running "

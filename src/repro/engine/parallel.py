@@ -1,25 +1,22 @@
-"""Join-path work units, their execution backends and the deterministic merge.
+"""Join-path work units, the training wave's backends and its ordered merge.
 
-Algorithm 1 has one driver (:class:`repro.core.AutoFeat`): it enumerates
-work units in canonical order, hands them to a :class:`PathExecutor` and
-folds the outcomes back in exactly that order.  A hop's join depends only
-on its probe-side table and its DRG edge, never on selection state, so
-*where* a unit runs cannot change the result.  The split is:
+A :class:`HopTask` is one discovery hop (plan + probe + gather, see
+:class:`HopResult`); :meth:`repro.core.AutoFeat.discover` runs each one
+inline, on the phase's engine, in Algorithm 1's canonical order.  Only
+the top-k training wave goes through a :class:`PathExecutor`:
 
-* **units execute pure joins** — a :class:`HopTask` (one frontier hop:
-  plan + probe + gather, see :class:`HopResult`) or
-  :class:`PathTask` (one top-k materialise + evaluate) runs on a
+* **units execute pure work** — a :class:`PathTask` (one top-k
+  materialise + evaluate) runs on a
   :meth:`~repro.engine.JoinEngine.worker_view` of the run's engine and
   returns a :class:`UnitOutcome` carrying the value, a private stats
   delta, its span tree and any *managed* error;
 * **the coordinator merges in canonical order** — :class:`PathExecutor`
   hands outcomes over in task order, one at a time, regardless of
-  completion order.  All order-sensitive state — streaming feature
-  selection, ranking, frontier growth, the failure policy and its shared
-  error budget — advances only at the merge point, on the coordinating
+  completion order, so trained paths, the failure policy and its shared
+  error budget advance only at the merge point, on the coordinating
   thread.
 
-A unit runs once: a hop is a deterministic in-memory join, and the
+A unit runs once: its joins are deterministic and in memory, and the
 engine's hop hook (the test seam) is a pure function of the edge, so
 the outcome carries the managed error ``task.run(view)`` raised wherever
 the unit landed.  :func:`settle_outcome` is the merge-side half: it
@@ -29,8 +26,8 @@ Backends: ``serial`` runs each unit inline, only once the previous
 outcome has been consumed; ``processes`` gives each worker process its
 own engine + cache via a :class:`~concurrent.futures.ProcessPoolExecutor`
 initializer (results identical; cache hit counters reflect the per-worker
-caches).  The pool pays for itself only on the training wave (DESIGN.md
-§11 has the measured numbers).
+caches).  The pool pays for itself on the training wave only (DESIGN.md
+§11 has the measured numbers), which is why discovery never uses it.
 
 Unexpected unit exceptions (anything outside ``JoinError`` /
 ``FaultError``) are never swallowed: they re-raise on the coordinating
@@ -69,7 +66,7 @@ __all__ = [
     "settle_outcome",
 ]
 
-#: The two execution backends a run can use.
+#: The two execution backends the training wave can use.
 #:
 #: * ``serial`` — work units run inline on the coordinating thread, in
 #:   canonical order, each only after the previous outcome was merged;
@@ -95,14 +92,13 @@ def resolve_max_workers(backend: str) -> int:
 def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
     """Apply the run's failure policy to one unit at its merge position.
 
-    Shared by discovery and training.  Returns the unit's value, or None
-    when its failure was recorded and the unit must be skipped: a managed
-    error is raised under ``fail_fast`` and otherwise recorded, and
-    :meth:`FaultManager.record` enforces the shared error budget here, at
-    the canonical position.  Errors outside the task's ``managed`` family
-    re-raise for the driver: :class:`~repro.errors.RunBudgetExceeded`
-    (graceful anytime exhaustion) and, for hops, an ordinary
-    :class:`~repro.errors.JoinError` (Algorithm 1's pruning input).
+    Returns the unit's value, or None when its failure was recorded and
+    the unit must be skipped: a managed error is raised under
+    ``fail_fast`` and otherwise recorded, and :meth:`FaultManager.record`
+    enforces the shared error budget here, at the canonical position.
+    Errors outside the task's ``managed`` family re-raise for the driver:
+    :class:`~repro.errors.RunBudgetExceeded` is graceful anytime
+    exhaustion.
     """
     if outcome.error is None:
         return outcome.value
@@ -126,8 +122,7 @@ class HopResult:
     columns but the join key — as the float ``matrix`` and the rank
     ``codes`` that :meth:`~repro.dataframe.JoinIndex.gather` returns, and,
     only when the path can still grow, the joined ``table`` the frontier
-    probes next.  No :class:`~repro.dataframe.JoinIndex` is in it, so it
-    crosses a process boundary as plain arrays.
+    probes next.
     """
 
     contributed: list[str]
@@ -148,7 +143,6 @@ class HopTask:
     case where the joined table is built.
     """
 
-    index: int
     path: JoinPath
     edge: OrientedEdge
     table: Table
@@ -156,10 +150,6 @@ class HopTask:
     features: tuple[str, ...] = ()
     tau: float = 0.0
     grow: bool = True
-
-    #: The failure policy manages only the fault family here: an ordinary
-    #: :class:`JoinError` is pruning input for Algorithm 1, not a failure.
-    managed = (FaultError,)
 
     def where(self) -> dict:
         """Where a failure of this unit is recorded."""
@@ -325,8 +315,8 @@ class PathExecutor:
 
     One executor spans one logical run, exactly like
     :class:`~repro.engine.JoinEngine`: construct it with the run's engine,
-    feed it waves of :class:`HopTask` / :class:`PathTask` lists, and close
-    it when the run ends.  Outcomes always come back in the order the
+    feed it a wave of :class:`PathTask` units, and close it when the run
+    ends.  Outcomes always come back in the order the
     tasks were submitted — the canonical enumeration order — no matter
     which worker finished first, which is the whole determinism contract.
 
@@ -395,22 +385,12 @@ class PathExecutor:
             )
         return self._pool
 
-    def run_hops(self, tasks: list[HopTask]) -> Iterator[UnitOutcome]:
-        """Execute one wave of hop units; outcomes in task order, lazily."""
-        return self._run_wave(tasks)
-
     def run_paths(self, tasks: list[PathTask]) -> Iterator[UnitOutcome]:
-        """Execute one wave of training units; outcomes in task order, lazily."""
-        return self._run_wave(tasks)
-
-    def _run_wave(self, tasks) -> Iterator[UnitOutcome]:
-        """Yield each task's outcome, in task order, one at a time.
+        """Yield each training unit's outcome, in task order, one at a time.
 
         The hand-off is lazy so the coordinator's merge is interleaved
         with execution.  On ``serial`` unit *i+1* runs only after outcome
-        *i* was consumed: a pruned hop's table is garbage before the next
-        join allocates (a whole BFS level of joined tables is never
-        resident at once), and a consumer that stops — ``fail_fast``, an
+        *i* was consumed, so a consumer that stops — ``fail_fast``, an
         exhausted error budget — leaves the rest unexecuted.  The pool
         gets the whole wave submitted up front and is waited on in order
         (``future.result()`` re-raises unexpected worker exceptions

@@ -17,8 +17,9 @@ to feature discovery:
   :class:`~repro.core.DiscoveryResult` / ``AugmentationResult`` objects;
 * **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
   requests which ``n_workers`` threads drain concurrently, each run
-  multiplexed onto the existing engine/executor machinery
-  (``config.parallel_backend`` still applies *within* a request);
+  multiplexed onto the existing engine machinery
+  (``config.parallel_backend`` still places an ``augment`` request's
+  training wave);
 * **incremental mutation** — :meth:`register_table` /
   :meth:`update_table` / :meth:`drop_table` re-profile and re-match only
   the affected column pairs, replay the stored matches into a fresh DRG

@@ -147,19 +147,11 @@ class TestNavigationFrontier:
             frontier.push(JoinPath(name), None)
         assert [frontier.pop().path.base for _ in range(3)] == ["x", "y", "z"]
 
-    def test_drain_level_preserves_canonical_order(self):
-        frontier = NavigationFrontier()
-        for name in ("a", "b"):
-            frontier.push(name, None)
-        level = frontier.drain_level()
-        assert [e.path for e in level] == ["a", "b"]
-        assert len(frontier) == 0 and not frontier
-
     def test_entry_orders_are_stable_serials(self):
         frontier = NavigationFrontier()
         orders = [frontier.push(str(i), None).order for i in range(4)]
         assert orders == [0, 1, 2, 3]
-        assert isinstance(frontier.drain_level()[0], FrontierEntry)
+        assert isinstance(frontier.pop(), FrontierEntry)
 
 
 class TestNavigationStats:

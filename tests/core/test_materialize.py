@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core import apply_hop, materialize_path, qualified, source_column_name
+from repro.core import (
+    AutoFeat,
+    AutoFeatConfig,
+    apply_hop,
+    materialize_path,
+    qualified,
+    source_column_name,
+)
 from repro.dataframe import Table
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
@@ -84,3 +91,59 @@ class TestMaterializePath:
         a, __ = materialize_path(drg, path, drg.table("base"), seed=4)
         b, __ = materialize_path(drg, path, drg.table("base"), seed=4)
         assert a == b
+
+
+class TestRenamedSourceKey:
+    """A hop probes with the column its source table's key was written as.
+
+    The base already holds a column named ``a.k``, so hop 1 writes ``a``'s
+    key as ``a.k_r``; hop 2 must probe ``b`` with ``a.k_r``, not with the
+    base's constant ``a.k``.
+    """
+
+    EXPECTED = [1.5 * i for i in range(6)]
+
+    @pytest.fixture
+    def drg(self):
+        ids = list(range(6))
+        base = Table(
+            {"id": ids, "a.k": [100] * 6, "label": [i % 2 for i in ids]},
+            name="base",
+        )
+        a = Table({"id": ids, "k": [i + 10 for i in ids]}, name="a")
+        b = Table({"k": [i + 10 for i in ids], "f": self.EXPECTED}, name="b")
+        return DatasetRelationGraph.from_constraints(
+            [base, a, b],
+            [
+                KFKConstraint("base", "id", "a", "id"),
+                KFKConstraint("a", "k", "b", "k"),
+            ],
+        )
+
+    def test_source_column_is_the_last_suffixed_name(self, drg):
+        edge = drg.best_join_options("a", "b")[0]
+        columns = ["id", "a.k", "label", "a.id", "a.k_r"]
+        assert source_column_name(edge, "base", columns) == "a.k_r"
+        later = ["a.k_r_r", "a.id", "a.k_r"]
+        assert source_column_name(edge, "base", later) == "a.k_r"
+        assert source_column_name(edge, "base", ["a.k", "a.kk"]) == "a.k"
+
+    def test_apply_hop(self, drg):
+        table = drg.table("base")
+        first = drg.best_join_options("base", "a")[0]
+        table, contributed = apply_hop(table, drg, first, "base", 0)
+        assert contributed == ["a.id", "a.k_r"]
+        second = drg.best_join_options("a", "b")[0]
+        table, __ = apply_hop(table, drg, second, "base", 0)
+        assert table.column("b.f").to_list() == self.EXPECTED
+
+    def test_materialize_path(self, drg):
+        path = path_of(drg, ("base", "a"), ("a", "b"))
+        table, __ = materialize_path(drg, path, drg.table("base"))
+        assert table.column("b.f").to_list() == self.EXPECTED
+
+    def test_discover_ranks_the_two_hop_path_complete(self, drg):
+        discovery = AutoFeat(drg, AutoFeatConfig()).discover("base", "label")
+        two_hop = [v for v in discovery.verdicts if v.path.length == 1]
+        assert [v.kind for v in two_hop] == ["ranked"]
+        assert two_hop[0].ranked.completeness == 1.0

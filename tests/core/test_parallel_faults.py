@@ -9,10 +9,11 @@ records how they were generated):
 * failure reports (kinds, messages, edges) are identical to the goldens
   for every (policy, backend, seed) combination;
 * the shared error budget trips **exactly once**, at the same canonical
-  failure as the classic loop did — not once per worker;
+  failure as the classic loop did;
 * same-seed runs are bit-reproducible;
-* unexpected worker exceptions (outside the managed ``JoinError`` /
-  ``FaultError`` family) are never swallowed by the pool.
+* unexpected exceptions (outside the managed ``JoinError`` /
+  ``FaultError`` family) are never swallowed;
+* the training wave's pool workers consult the hop hook themselves.
 """
 
 import os
@@ -200,10 +201,17 @@ class PidFault:
 
 
 def test_pool_workers_consult_the_hop_hook_themselves(drg):
+    # Discovery runs in this process without the hook; every training unit
+    # then faults while materialising its path, inside a pool worker.
     config = AutoFeatConfig(sample_size=200, seed=1, parallel_backend="processes")
-    discovery = AutoFeat(drg, config, hop_hook=PidFault()).discover("base", "label")
-    records = discovery.failure_report.records
-    assert len(records) == 2
+    discovery = AutoFeat(drg, config).discover("base", "label")
+    result = AutoFeat(drg, config, hop_hook=PidFault()).train_top_k(
+        discovery, model_name="knn"
+    )
+    records = result.failure_report.records
+    assert len(records) == len(discovery.top(config.top_k)) > 0
+    assert result.trained == ()
     for record in records:
+        assert record.stage == "training"
         assert record.message.startswith("pid=")
         assert not record.message.startswith(f"pid={os.getpid()};")

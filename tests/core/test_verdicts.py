@@ -1,12 +1,13 @@
 """The verdict log: one decision per generated hop, every count read off it.
 
-``AutoFeat.discover`` turns each hop it hands the executor into exactly one
+``AutoFeat.discover`` turns each hop it runs into exactly one
 :class:`~repro.core.HopVerdict`, and each parallel join option similarity
 pruning drops into one ``similarity`` verdict.  Over the frozen driver
 matrix (``tests/core/goldens/driver.json``) on both backends this suite
 checks that the log accounts for every hop, that its reductions are the
 golden counters, and that it is the same log on every backend; a deadline
-run checks that aborted hops are logged but not counted as explored.
+run checks that the one aborted hop is logged last but not counted as
+explored.
 """
 
 from functools import lru_cache
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.core.result import EXPLORED_KINDS
-from repro.engine import PathExecutor
+from repro.engine import HopTask
 from repro.errors import FaultError
 
 from tests.core.driver_goldens import (
@@ -31,16 +32,16 @@ from tests.fault_hooks import HopLatency
 
 
 def logged_discover(autofeat, base, label, monkeypatch):
-    """``(discovery, hops handed to run_hops)`` of one ``discover`` call."""
+    """``(discovery, hops run)`` of one ``discover`` call."""
     handed = []
-    run_hops = PathExecutor.run_hops
+    run = HopTask.run
 
-    def recording(self, tasks):
-        handed.extend((task.path, task.edge) for task in tasks)
-        return run_hops(self, tasks)
+    def recording(self, engine):
+        handed.append((self.path, self.edge))
+        return run(self, engine)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PathExecutor, "run_hops", recording)
+        patch.setattr(HopTask, "run", recording)
         return autofeat.discover(base, label), handed
 
 
@@ -75,7 +76,7 @@ def test_every_cell_logs_one_verdict_per_hop(lake, backend):
             continue
         discovery, handed = run
         hops = [v for v in discovery.verdicts if v.kind != "similarity"]
-        # Exactly one hop verdict per HopTask, in the order they were handed.
+        # Exactly one hop verdict per HopTask, in the order they ran.
         assert [(v.path, v.edge) for v in hops] == handed, key
         similarity = [v for v in discovery.verdicts if v.kind == "similarity"]
         assert len(similarity) == golden["discovery"]["pruned_similarity"], key
@@ -103,7 +104,7 @@ def test_verdict_logs_equal_across_backends(lake):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_deadline_aborts_are_logged_but_not_explored(backend, monkeypatch):
     # Each hop sleeps past the deadline, so the engine's check after the
-    # hook aborts it (or the entry check does, if set-up was slow).
+    # index build aborts the first one, and that abort ends the run.
     config = AutoFeatConfig(
         sample_size=100, parallel_backend=backend, budget_seconds=0.2
     )
@@ -113,7 +114,7 @@ def test_deadline_aborts_are_logged_but_not_explored(backend, monkeypatch):
     hops = [v for v in discovery.verdicts if v.kind != "similarity"]
     assert [(v.path, v.edge) for v in hops] == handed
     aborted = [v for v in hops if v.kind == "deadline"]
-    assert aborted, "a hop sleeping past the deadline must be aborted"
+    assert aborted == hops[-1:], "exactly one deadline verdict, and it is last"
     explored = len(hops) - len(aborted)
     assert explored == sum(v.kind in EXPLORED_KINDS for v in hops)
     assert discovery.n_paths_explored == explored

@@ -223,7 +223,7 @@ class TestColumnNameCollision:
     def test_hop_task_gathers_the_satellite_column(self):
         drg = collision_lake()
         edge = drg.best_join_options("base", "sat")[0]
-        task = HopTask(0, JoinPath("base"), edge, drg.table("base"), "base")
+        task = HopTask(JoinPath("base"), edge, drg.table("base"), "base")
         result = task.run(JoinEngine(drg))
         assert result.contributed == ["sat.id", "sat.f_r"]
         assert result.candidates == ["sat.f_r"]
@@ -322,7 +322,7 @@ class TestHopTaskEqualsApplyHop:
                 edge = drg.best_join_options(path.terminal, target)[0]
                 joined, contributed = engine.apply_hop(table, edge, "base", path=path)
                 grow = target == first
-                task = HopTask(0, path, edge, table, "base", tau=tau, grow=grow)
+                task = HopTask(path, edge, table, "base", tau=tau, grow=grow)
                 result = task.run(engine)
                 assert result.contributed == contributed
                 assert result.completeness == completeness(joined, contributed)

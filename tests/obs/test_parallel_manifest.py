@@ -1,12 +1,14 @@
-"""Observability of wave execution: stitched spans, gauges, valid manifests.
+"""Observability of the training wave: stitched spans, gauges, valid manifests.
 
-Unit hop/path spans execute inline or in worker processes, yet the run
-manifest must stay one coherent tree of the same shape on every backend:
-each wave span carries the ``parallel`` marker plus backend/worker
-attributes, worker spans are
-grafted (and, for processes, rebased onto the coordinator's clock) as its
-children, and the schema validator's concurrency-aware rule — max child
-duration, not the sum, bounded by the parent — holds for every wave.
+Discovery runs in process on every backend, so its tree is
+``discover > {sample, selection, hop > join}`` with no wave in it.  The
+training wave's path units execute inline or in worker processes, yet the
+run manifest must stay one coherent tree of the same shape on every
+backend: the wave span carries the ``parallel`` marker plus
+backend/worker attributes, worker spans are grafted (and, for processes,
+rebased onto the coordinator's clock) as its children, and the schema
+validator's concurrency-aware rule — max child duration, not the sum,
+bounded by the parent — holds for it.
 """
 
 import numpy as np
@@ -88,6 +90,16 @@ def wave_nodes(manifest):
     ]
 
 
+def assert_no_wave(discovery):
+    """Discovery's tree holds no wave and its manifest no pool metrics."""
+    assert wave_nodes(discovery.run_manifest) == []
+    names = {node["name"] for node in iter_tree(discovery.run_manifest.timing)}
+    assert "wave" not in names
+    metrics = discovery.run_manifest.metrics
+    assert not any(name.startswith("parallel.") for name in metrics["gauges"])
+    assert "discovery.waves" not in metrics["counters"]
+
+
 @pytest.mark.parametrize("backend", PARALLEL)
 class TestParallelDiscoveryManifest:
     def test_manifest_validates_against_schema(self, drg, backend):
@@ -101,37 +113,34 @@ class TestParallelDiscoveryManifest:
     def test_wave_spans_carry_backend_attrs_and_worker_children(
         self, drg, backend
     ):
-        discovery = AutoFeat(drg, config(backend)).discover("base", "label")
-        waves = wave_nodes(discovery.run_manifest)
-        assert waves, "parallel discovery must emit wave spans"
-        for wave in waves:
-            assert wave["name"] == "wave"
-            assert wave["attrs"]["backend"] == backend
-            assert wave["attrs"]["workers"] == 2
-        # Worker hop spans are stitched back under their wave.
-        grafted = [
-            child["name"] for wave in waves for child in wave.get("children", ())
-        ]
-        assert "hop" in grafted
+        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        assert_no_wave(result.discovery)
+        waves = wave_nodes(result.run_manifest)
+        assert len(waves) == 1, "the training wave is the only wave"
+        (wave,) = waves
+        assert wave["name"] == "wave"
+        assert wave["attrs"]["backend"] == backend
+        assert wave["attrs"]["workers"] == 2
+        # Worker path spans are stitched back under the wave.
+        assert {child["name"] for child in wave["children"]} == {"path"}
 
     def test_child_time_bounded_by_parent_time(self, drg, backend):
         # Concurrent children may *sum* past the parent's wall time, but no
         # single child can exceed it (1ms clock tolerance, as the schema
         # validator allows).
-        discovery = AutoFeat(drg, config(backend)).discover("base", "label")
-        for wave in wave_nodes(discovery.run_manifest):
+        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        for wave in wave_nodes(result.run_manifest):
             for child in wave.get("children", ()):
                 assert child["duration_ns"] <= wave["duration_ns"] + 1_000_000
 
     def test_workers_used_gauge_recorded(self, drg, backend):
-        discovery = AutoFeat(drg, config(backend)).discover("base", "label")
-        gauges = discovery.run_manifest.metrics["gauges"]
+        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        assert_no_wave(result.discovery)
+        gauges = result.run_manifest.metrics["gauges"]
         assert gauges["parallel.workers_used"] == 2
         assert gauges["parallel.speedup"] >= 0.0
         assert gauges["parallel.wall_seconds"] >= 0.0
         assert gauges["parallel.busy_seconds"] >= 0.0
-        counters = discovery.run_manifest.metrics["counters"]
-        assert counters["discovery.waves"] >= 1
 
     def test_augment_manifest_covers_both_phases(self, drg, backend):
         result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
@@ -149,17 +158,17 @@ class TestSerialManifestUnchanged:
     def test_serial_manifest_has_pool_shape(self, drg):
         serial = AutoFeat(drg, config("serial")).augment("base", "label", "knn")
         pooled = AutoFeat(drg, config("processes")).augment("base", "label", "knn")
-        for result in (serial.discovery, serial):
-            manifest = result.run_manifest
-            assert validate_manifest(manifest.as_dict()) == []
-            waves = wave_nodes(manifest)
-            assert waves, "every backend runs its units under wave spans"
-            for wave in waves:
-                assert wave["attrs"]["backend"] == "serial"
-                assert wave["attrs"]["workers"] == 1
-        # selection is merge-side work: a sibling of the hop it scores.
-        discover_wave = wave_nodes(serial.discovery.run_manifest)[0]
-        assert {c["name"] for c in discover_wave["children"]} == {"hop", "selection"}
+        for result in (serial, pooled):
+            assert_no_wave(result.discovery)
+            assert validate_manifest(result.run_manifest.as_dict()) == []
+        (wave,) = wave_nodes(serial.run_manifest)
+        assert wave["attrs"]["backend"] == "serial"
+        assert wave["attrs"]["workers"] == 1
+        # selection is coordinator work: a sibling of the hop it scores.
+        discover_root = serial.discovery.run_manifest.timing
+        assert {c["name"] for c in discover_root["children"]} == {
+            "sample", "selection", "hop",
+        }
         assert {n["name"] for n in iter_tree(serial.run_manifest.timing)} == {
             n["name"] for n in iter_tree(pooled.run_manifest.timing)
         }
@@ -173,8 +182,8 @@ class TestSerialManifestUnchanged:
 
     def test_untraced_parallel_run_still_manifests(self, drg):
         cfg = config("processes", enable_tracing=False)
-        discovery = AutoFeat(drg, cfg).discover("base", "label")
-        manifest = discovery.run_manifest
+        result = AutoFeat(drg, cfg).augment("base", "label", "knn")
+        manifest = result.run_manifest
         assert validate_manifest(manifest.as_dict()) == []
         # Gauges survive without tracing; the timing tree collapses.
         assert manifest.metrics["gauges"]["parallel.workers_used"] == 2

@@ -198,13 +198,13 @@ class TestOneClock:
 
 
 def test_untraced_discover_keeps_coordinator_stages(drg):
-    """Disabled tracing keeps totals, not trees: every stage the coordinator
-    times is there; worker-side hop/join totals stay traced-only."""
+    """Disabled tracing keeps totals, not trees: every stage discovery
+    times in process is there, hop and join included."""
     config = CONFIG.with_overrides(enable_tracing=False)
     manifest = AutoFeat(drg, config).discover("base", "label").run_manifest
     assert manifest.timing["attrs"] == {"traced": False}
     assert {c["name"] for c in manifest.timing["children"]} == {
-        "sample", "selection", "wave",
+        "sample", "selection", "hop", "join",
     }
     assert all(not c["children"] for c in manifest.timing["children"])
     assert validate_manifest(manifest.as_dict()) == []

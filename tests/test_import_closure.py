@@ -1,8 +1,8 @@
 """The import rule: ``import repro`` and the default paths load numpy only.
 
 scipy (the online selectors' t-test), networkx (two graph tests) and the
-process pool (the opt-in ``processes`` backend) are imported where they
-run, never at module level.  Each case runs in a fresh interpreter: other
+process pool (the opt-in ``processes`` backend's training wave) are
+imported where they run, never at module level.  Each case runs in a fresh interpreter: other
 test modules import scipy at collection, so this process cannot tell.
 """
 
@@ -47,6 +47,17 @@ with DiscoveryService(bundle.tables, n_workers=1) as service:
     service.discover(bundle.base_name, bundle.label_column)
 record("service discover/update")
 print(json.dumps(loaded))
+"""
+
+PROCESSES_DISCOVER = """
+import json, sys
+from repro import AutoFeat, AutoFeatConfig
+from repro.datasets import build_dataset, datalake_drg
+
+bundle = build_dataset("credit")
+config = AutoFeatConfig(parallel_backend="processes")
+AutoFeat(datalake_drg(bundle), config).discover(bundle.base_name, bundle.label_column)
+print(json.dumps("concurrent.futures.process" in sys.modules))
 """
 
 PVALUE = """
@@ -95,6 +106,11 @@ def test_default_paths_load_numpy_only():
         "augment": [],
         "service discover/update": [],
     }
+
+
+def test_discover_never_starts_the_pool():
+    # Only the training wave pools: discovery runs in process on every backend.
+    assert run_fresh(PROCESSES_DISCOVER) is False
 
 
 def test_pvalue_loads_scipy_at_its_call_site():
