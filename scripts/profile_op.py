@@ -11,7 +11,8 @@ outcome memo's hits / misses per namespace (``selection``, ``train``) over
 the profiled block; how many (selected × candidate) pairs the redundancy
 kernel counted and how many candidates its early-rejection bound dropped
 (every workload's op runs ``discover``); how many joined tables the op's
-hops built (discovery builds one only for a path that can still grow);
+hops built (only training's ``materialize_path`` builds one: a discovery
+hop walks its path's chain of row maps);
 how many verdicts of each kind the op's discovery runs logged; where one
 traced op's ``discover`` time goes — its ``hop``, ``selection`` and
 ``sample`` spans, and what is left over at the coordinator between them;
@@ -133,7 +134,10 @@ def main() -> int:
             f"pairs counted, {work['rejected']} / {work['candidates']} "
             "candidates rejected by the bound"
         )
-    print(f"hop tables materialised: {work['tables']} / hops {work['hops']}")
+    print(
+        f"hop tables materialised: {work['tables']} / hops {work['hops']} "
+        "(only materialize_path builds one)"
+    )
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     print(attribution)

@@ -1,9 +1,9 @@
 """AutoFeat core: ranking-based transitive feature discovery."""
 
+from ..engine import qualified, source_column_name
 from .autofeat import AutoFeat, autofeat_augment
 from .config import AutoFeatConfig
 from .explain import explain, explain_rows
-from .materialize import apply_hop, materialize_path, qualified, source_column_name
 from .navigation import (
     FRONTIER_STRATEGIES,
     FrontierEntry,
@@ -50,8 +50,6 @@ __all__ = [
     "compute_ranking_score",
     "normalised_sum",
     "completeness",
-    "materialize_path",
-    "apply_hop",
     "qualified",
     "source_column_name",
     "FRONTIER_STRATEGIES",

@@ -22,7 +22,6 @@ from dataclasses import replace
 from ..dataframe import Table, stratified_sample
 from ..engine import (
     FaultManager,
-    HopTask,
     JoinEngine,
     PathExecutor,
     PathTask,
@@ -245,9 +244,10 @@ class AutoFeat:
                         base_features, sample.numeric_matrix(base_features)
                     )
 
-            # Each frontier entry carries the partially-joined sample and
+            # Each frontier entry carries its path's last hop as row maps
+            # (the root: the sample itself, no map, its column names) and
             # the qualified features accepted along the path so far.
-            frontier.push(JoinPath(base_name), sample, ())
+            frontier.push(JoinPath(base_name), (sample, None, sample.column_names))
             while frontier and not budget_exhausted:
                 # The max_hops cut counts executed hops, deadline aborts
                 # included; it is checked here and before every hop.
@@ -262,16 +262,9 @@ class AutoFeat:
                     if budget.exhausted(n_hops):
                         budget_exhausted = True
                         break
-                    task = HopTask(
-                        path=path,
-                        edge=edge,
-                        table=entry.table,
-                        base_name=base_name,
-                        features=entry.features,
-                        tau=config.tau,
-                        grow=path.length + 1 < config.max_path_length,
+                    verdict, rows = self._hop(
+                        entry, edge, base_name, engine, faults, selector, tracer
                     )
-                    verdict, table = self._hop(task, engine, faults, selector, tracer)
                     verdicts.append(verdict)
                     n_hops += 1
                     if verdict.kind == "deadline":
@@ -281,13 +274,11 @@ class AutoFeat:
                     if frontier.policy is not None:
                         frontier.policy.update(edge.target, verdict.reward)
                     # Even an all-irrelevant join stays in the frontier: it
-                    # may be the gateway to a relevant transitive table.  A
-                    # path at max_path_length is never probed again, so its
-                    # hop built no table (``table`` is None).
+                    # may be the gateway to a relevant transitive table.
                     if verdict.ranked is not None:
                         frontier.push(
                             verdict.ranked.path,
-                            table,
+                            rows,
                             verdict.ranked.selected_features,
                             verdict.reward,
                         )
@@ -359,21 +350,35 @@ class AutoFeat:
             yield from kept
 
     def _hop(
-        self, task, engine, faults, selector, tracer
-    ) -> tuple[HopVerdict, Table | None]:
-        """Run one hop and decide it: ``(verdict, frontier table)``.
+        self, entry, edge, base_name, engine, faults, selector, tracer
+    ) -> tuple[HopVerdict, tuple | None]:
+        """Run the hop ``edge`` out of ``entry`` and decide it.
 
-        The failure policy, then the τ rule, then streaming selection and
-        the ranking score.  A deadline abort is graceful exhaustion, not a
-        failure; an unfeasible join is pruning input under every policy;
-        a hop that contributed no columns is not poor join quality — it is
-        ranked (and stays traversable) with ``empty`` set.  The table is
-        the joined sample the extended path probes next, None unless the
-        hop was ranked and its path can still grow.
+        Probe along the entry's row map, then the failure policy, the τ
+        rule, streaming selection and the ranking score.  A deadline abort
+        is graceful exhaustion, not a failure; an unfeasible join is
+        pruning input under every policy; a hop that contributed no
+        columns is not poor join quality — it is ranked (and stays
+        traversable) with ``empty`` set.  Returns ``(verdict, rows)``:
+        ``rows`` is the extended path's frontier link — this hop's build
+        table, its row map and the running join's column names — and None
+        unless the hop was ranked.
         """
-        where = (task.path, task.edge)
+        path = entry.path
+        source, row_map, names = entry.rows
+        where = (path, edge)
         try:
-            hop = task.run(engine)
+            with tracer.span("hop", table=edge.target, key=edge.target_column):
+                index, row_map = engine.probe_hop(
+                    source, edge, base_name, path=path, row_map=row_map
+                )
+                written = index.output_names(names)
+                cells = len(row_map) * len(written)
+                complete = 1.0 - index.null_count(row_map) / cells if cells else 1.0
+                if written and complete < self.config.tau:
+                    return HopVerdict("pruned_tau", *where, completeness=complete), None
+                scored = [(n, out) for n, out in written if n != index.key_column]
+                matrix, codes = index.gather(row_map, [n for n, __ in scored])
         except RunBudgetExceeded:
             return HopVerdict("deadline", *where), None
         except JoinError:
@@ -381,33 +386,32 @@ class AutoFeat:
         except FaultError as exc:
             if faults.policy == "fail_fast":
                 raise
-            faults.record(exc, **task.where())
+            faults.record(exc, base=base_name, path=path, edge=edge)
             return HopVerdict("faulted", *where), None
-        if hop.contributed and hop.completeness < self.config.tau:
-            verdict = HopVerdict("pruned_tau", *where, completeness=hop.completeness)
-            return verdict, None
-        with tracer.span("selection", features=len(hop.candidates)) as span:
-            batch = selector.process_batch(hop.candidates, hop.matrix, hop.codes)
+        candidates = [out for __, out in scored]
+        with tracer.span("selection", features=len(candidates)) as span:
+            batch = selector.process_batch(candidates, matrix, codes)
         if tracer.enabled and self.memo is not None:
             span.attrs["memo_hit"] = selector.memo_hit
         score = compute_ranking_score(batch.relevance_scores, batch.redundancy_scores)
         ranked = RankedPath(
-            path=task.path.extend(task.edge),
+            path=path.extend(edge),
             score=score,
-            selected_features=task.features + batch.accepted_names,
+            selected_features=entry.features + batch.accepted_names,
             relevance_scores=batch.relevance_scores,
             redundancy_scores=batch.redundancy_scores,
-            completeness=hop.completeness,
+            completeness=complete,
             relevant_names=batch.relevant_names,
         )
         verdict = HopVerdict(
             "ranked",
             *where,
             ranked=ranked,
-            reward=hop_reward(score, hop.completeness),
-            empty=not hop.contributed,
+            reward=hop_reward(score, complete),
+            empty=not written,
         )
-        return verdict, hop.table
+        outs = tuple(out for __, out in written)
+        return verdict, (index.build_table, row_map, (*names, *outs))
 
     # -- training phase -----------------------------------------------------------
 

@@ -148,13 +148,20 @@ def hop_reward(score: float, completeness: float) -> float:
 
 @dataclass
 class FrontierEntry:
-    """One expandable node of the traversal: a path and its joined sample."""
+    """One expandable node of the traversal: a path and its last hop.
+
+    ``rows`` is the path's last hop as row maps, ``(source, row_map,
+    names)``: that hop's build table (the base sample at the root), the
+    map aligning its rows with the sample's (None at the root), and the
+    running join's column names, which the next hop's ``_r`` rule reads.
+    No joined table is kept.
+    """
 
     #: Canonical insertion index (push order) — the FIFO key and the
     #: deterministic tie-break under priority ordering.
     order: int
     path: object
-    table: object
+    rows: object
     features: tuple[str, ...] = ()
     #: Observed value of the hop that created this node (0 for the root).
     reward: float = 0.0
@@ -244,7 +251,7 @@ class NavigationFrontier:
     def push(
         self,
         path,
-        table,
+        rows,
         features: tuple[str, ...] = (),
         reward: float = 0.0,
     ) -> FrontierEntry:
@@ -252,7 +259,7 @@ class NavigationFrontier:
         entry = FrontierEntry(
             order=self._next_order,
             path=path,
-            table=table,
+            rows=rows,
             features=features,
             reward=reward,
         )

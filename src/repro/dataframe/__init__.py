@@ -17,7 +17,7 @@ from .impute import (
     impute_table,
 )
 from .io import from_csv_text, read_csv, to_csv_text, write_csv
-from .join import JoinIndex, dedup_by_key, inner_join, left_join
+from .join import JoinIndex, dedup_by_key, gather_rows, inner_join, left_join
 from .quality import (
     ColumnQuality,
     TableQuality,
@@ -33,6 +33,7 @@ __all__ = [
     "DType",
     "Table",
     "JoinIndex",
+    "gather_rows",
     "KeyDictionary",
     "CODE_NULL",
     "normalize_key",

@@ -21,8 +21,11 @@ reused across join paths:
 
 A caller that only needs to *score* what a join would bring does not need
 the joined table at all: :meth:`JoinIndex.null_count` answers the
-completeness statistic from the row map, and :meth:`JoinIndex.gather`
-returns the build columns' float matrix and rank codes along it.  The rank
+completeness statistic from the row map, :meth:`JoinIndex.gather`
+returns the build columns' float matrix and rank codes along it, and
+:func:`gather_rows` reads any one column along a map — how the next hop
+reads its probe key from this hop's build table, so a join path is a chain
+of row maps and no joined table is needed to walk it.  The rank
 codes (:func:`~repro.dataframe.encoding.rank_codes`) are derived once per
 build column and kept on the index, so a table reached by many join paths
 is ranked once, not once per hop.
@@ -60,6 +63,7 @@ from .table import Table
 
 __all__ = [
     "JoinIndex",
+    "gather_rows",
     "left_join",
     "inner_join",
     "dedup_by_key",
@@ -293,25 +297,9 @@ class JoinIndex:
         self, left: Table, row_map: np.ndarray, drop_right_key: bool = False
     ) -> Table:
         """Gather build rows onto ``left`` along a probe's row map."""
-        build = self.build_table
-        n = left.n_rows
-        matched = row_map >= 0
-        safe = np.where(matched, row_map, 0)
-        unmatched = ~matched
-
-        out: dict[str, Column] = {name: left.column(name) for name in left.column_names}
+        out = {name: left.column(name) for name in left.column_names}
         for name, out_name in self.output_names(left.column_names, drop_right_key):
-            source = build.column(name)
-            if build.n_rows == 0:
-                out[out_name] = Column.nulls(n, dtype=source.dtype)
-                continue
-            # One Column per gathered column: its constructor writes the
-            # null fill (None for STRING) under the combined mask.
-            out[out_name] = Column(
-                source.values[safe],
-                dtype=source.dtype,
-                mask=source.mask[safe] | unmatched,
-            )
+            out[out_name] = gather_rows(self.build_table.column(name), row_map)
         return Table(out, name=left.name)
 
     def rank_codes(self, name: str) -> np.ndarray:
@@ -379,6 +367,18 @@ class JoinIndex:
             values[:] = column.values[safe]
             values[column.mask[safe] | unmatched] = np.nan
         return matrix.T, codes
+
+
+def gather_rows(column: Column, row_map: np.ndarray) -> Column:
+    """``column`` read along ``row_map``: null where the map holds -1."""
+    if len(column) == 0:
+        return Column.nulls(len(row_map), dtype=column.dtype)
+    matched = row_map >= 0
+    safe = np.where(matched, row_map, 0)
+    # The constructor writes the null fill (None for STRING) under the mask.
+    return Column(
+        column.values[safe], dtype=column.dtype, mask=column.mask[safe] | ~matched
+    )
 
 
 def left_join(

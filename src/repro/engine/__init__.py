@@ -21,8 +21,6 @@ from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .parallel import (
     PARALLEL_BACKENDS,
-    HopResult,
-    HopTask,
     PathExecutor,
     PathTask,
     UnitOutcome,
@@ -44,8 +42,6 @@ __all__ = [
     "FaultManager",
     "PARALLEL_BACKENDS",
     "PathExecutor",
-    "HopTask",
-    "HopResult",
     "PathTask",
     "UnitOutcome",
     "resolve_max_workers",

@@ -7,11 +7,16 @@ top-k path materialisation, and all four baselines — executes through one
 * **plan** — resolve the edge into a probe column and a build-side
   :class:`~repro.dataframe.JoinIndex` (served by the :class:`HopCache`
   whenever the same ``(table, key_column, seed)`` was built before);
-* **execute** — probe the running table through the index
-  (:meth:`JoinEngine.probe_hop`, which yields the index and the probe's
-  row map) and, for :meth:`JoinEngine.apply_hop`, attach the build
-  columns along it.  Discovery stops at the row map: it gathers only the
-  columns it scores (:class:`repro.engine.HopTask`).
+* **execute** — probe through the index (:meth:`JoinEngine.probe_hop`,
+  which yields the index and the probe's row map) and, for
+  :meth:`JoinEngine.apply_hop`, attach the build columns along it.
+
+A path is a chain of row maps: each hop's map aligns its build table's
+rows with the base rows, so the next hop reads its probe key from that
+build table along the map (``probe_hop(..., row_map=)``).  Discovery
+never builds a joined table — it gathers only the columns it scores
+(``AutoFeat._hop``) — and :meth:`JoinEngine.materialize_path` walks the
+same chain to build the one table training needs.
 
 The engine also owns the run's :class:`ExecutionStats`, so every consumer
 gets observable build/probe/cache counters for free.
@@ -25,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..dataframe import JoinIndex, Table
+from ..dataframe import JoinIndex, Table, gather_rows
 from ..errors import FaultError, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath, OrientedEdge
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -161,17 +166,25 @@ class JoinEngine:
         edge: OrientedEdge,
         base_name: str,
         path: JoinPath | None = None,
+        row_map: np.ndarray | None = None,
     ) -> tuple[JoinIndex, np.ndarray]:
         """Plan and probe one hop: ``(index, row_map)``.
 
-        ``index`` is the target table's cached build side and ``row_map``
-        the probe of ``current`` through it (an int64 build row per probe
-        row, -1 where unmatched).  Every hop — discovery's gathers and
-        :meth:`apply_hop`'s tables — enters here.
+        ``index`` is the target table's cached build side and the returned
+        ``row_map`` maps each probe row to an int64 build row, -1 where
+        unmatched.  Every hop — discovery's gathers and :meth:`apply_hop`'s
+        tables — enters here.
+
+        Without ``row_map``, ``current`` is the running join and the probe
+        key is the column :func:`source_column_name` finds in it.  With
+        one, ``current`` is the previous hop's build table, ``row_map``
+        aligns its rows with the base rows, and the probe key is
+        ``current``'s column of the edge's exact qualified name, read
+        along the map.
 
         Raises :class:`JoinError` when the join is unfeasible: the source
-        column is missing from the running join (can happen on spurious
-        discovery edges) — Algorithm 1 prunes such paths.  Raises whatever
+        column is missing (can happen on spurious discovery edges) —
+        Algorithm 1 prunes such paths.  Raises whatever
         typed fault the hop hook raises.  Every error message carries
         the base table, the hop sequence walked so far (when ``path`` is
         given) and the failing edge, so pruned-path and failure-report
@@ -185,14 +198,20 @@ class JoinEngine:
                 raise type(exc)(
                     f"{exc}; {_hop_context(base_name, path, edge)}"
                 ) from exc
-        left_col = source_column_name(edge, base_name, current.column_names)
+        if row_map is None:
+            left_col = source_column_name(edge, base_name, current.column_names)
+        else:
+            left_col = qualified(edge.source, edge.source_column)
         if left_col not in current:
             raise JoinError(
                 f"join column {left_col!r} is not available in the running "
                 f"join; {_hop_context(base_name, path, edge)}"
             )
+        keys = current.column(left_col)
+        if row_map is not None:
+            keys = gather_rows(keys, row_map)
         with self.tracer.span(
-            "join", table=edge.target, key=edge.target_column, rows=current.n_rows
+            "join", table=edge.target, key=edge.target_column, rows=len(keys)
         ):
             try:
                 index = self.hop_index(edge)
@@ -205,8 +224,8 @@ class JoinEngine:
             # paying for the probe as well.
             self._check_run_deadline(_hop_context(base_name, path, edge))
             self.stats.hops_executed += 1
-            self.stats.rows_probed += current.n_rows
-            row_map = index.probe(current.column(left_col))
+            self.stats.rows_probed += len(keys)
+            row_map = index.probe(keys)
         return index, row_map
 
     def apply_hop(
@@ -224,6 +243,13 @@ class JoinEngine:
         completeness is what quality pruning inspects): the qualified
         build names, ``"_r"``-suffixed where the running join already held
         one.  Raises what :meth:`probe_hop` raises.
+
+        The probe key is found by name in ``current``
+        (:func:`source_column_name`), so this table route cannot tell a
+        key written as ``t.k_r`` from a real ``k_r`` column of ``t``: a
+        second hop out of a table that holds both probes with ``t.k_r``.
+        :meth:`materialize_path` and discovery walk the row-map chain and
+        read the key by its exact name instead.
         """
         index, row_map = self.probe_hop(current, edge, base_name, path=path)
         contributed = [out for __, out in index.output_names(current.column_names)]
@@ -235,18 +261,24 @@ class JoinEngine:
         """Join the full path onto ``base_table``, hop by hop.
 
         Returns the augmented table and, per hop, the list of qualified
-        columns that hop contributed.
+        columns that hop contributed.  Each hop probes along the previous
+        hop's row map (:meth:`probe_hop`), the chain discovery walks; the
+        table is only what is attached along the way.
         """
-        current = base_table
+        current = source = base_table
+        row_map = None
         contributions: list[list[str]] = []
         walked = JoinPath(path.base)
         for edge in path.edges:
             with self.tracer.span("hop", table=edge.target, key=edge.target_column):
-                current, contributed = self.apply_hop(
-                    current, edge, path.base, path=walked
+                index, row_map = self.probe_hop(
+                    source, edge, path.base, path=walked, row_map=row_map
                 )
+                names = index.output_names(current.column_names)
+                current = index.attach(current, row_map)
+            contributions.append([out for __, out in names])
+            source = index.build_table
             walked = walked.extend(edge)
-            contributions.append(contributed)
         return current, contributions
 
     # -- observability ------------------------------------------------------

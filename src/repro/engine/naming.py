@@ -2,9 +2,7 @@
 
 Columns contributed by a lake table are qualified as ``table.column`` so
 provenance survives multi-hop joins and name collisions cannot occur.
-These helpers are the single source of truth for that convention; the
-``repro.core.materialize`` module re-exports them for backward
-compatibility.
+These helpers are the single source of truth for that convention.
 """
 
 from __future__ import annotations
@@ -32,7 +30,10 @@ def source_column_name(
     wrote it.  A table appears once per path and its columns are appended
     after every earlier one, so among the running join's ``columns`` the
     last one named ``q``, ``q_r``, ``q_r_r``, … (``q`` the qualified name)
-    is the one the source table's hop wrote.
+    is the one the source table's hop wrote — unless the source table
+    itself has a column named ``<column>_r``, which this name search cannot
+    tell apart.  Only the table route (:meth:`JoinEngine.apply_hop`) still
+    searches; a row-map chain reads the key by its exact name.
     """
     if edge.source == base_name:
         return edge.source_column

@@ -1,9 +1,8 @@
-"""Join-path work units, the training wave's backends and its ordered merge.
+"""The training wave's work units, backends and ordered merge.
 
-A :class:`HopTask` is one discovery hop (plan + probe + gather, see
-:class:`HopResult`); :meth:`repro.core.AutoFeat.discover` runs each one
-inline, on the phase's engine, in Algorithm 1's canonical order.  Only
-the top-k training wave goes through a :class:`PathExecutor`:
+Discovery runs no work units: :meth:`repro.core.AutoFeat.discover` runs
+each hop inline, on the phase's engine, in Algorithm 1's canonical order.
+Only the top-k training wave goes through a :class:`PathExecutor`:
 
 * **units execute pure work** — a :class:`PathTask` (one top-k
   materialise + evaluate) runs on a
@@ -43,11 +42,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
 from ..dataframe import Table
 from ..errors import ConfigError, FaultError, JoinError, RunBudgetExceeded
-from ..graph import JoinPath, OrientedEdge
+from ..graph import JoinPath
 from ..obs.tracer import Tracer
 from .engine import JoinEngine
 from .faults import FaultManager
@@ -57,8 +54,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PARALLEL_BACKENDS",
-    "HopTask",
-    "HopResult",
     "PathTask",
     "UnitOutcome",
     "PathExecutor",
@@ -109,78 +104,6 @@ def settle_outcome(task, outcome: "UnitOutcome", faults: FaultManager):
 
 
 # -- work units -------------------------------------------------------------
-
-
-@dataclass
-class HopResult:
-    """What one discovery hop hands the merge: a gather, not a table.
-
-    ``contributed`` are the output names of every build column (join key
-    included) and ``completeness`` is 1 − their null ratio, counted from
-    the row map (:meth:`~repro.dataframe.JoinIndex.null_count`).  A hop
-    that clears τ also carries its ``candidates`` — the contributed
-    columns but the join key — as the float ``matrix`` and the rank
-    ``codes`` that :meth:`~repro.dataframe.JoinIndex.gather` returns, and,
-    only when the path can still grow, the joined ``table`` the frontier
-    probes next.
-    """
-
-    contributed: list[str]
-    completeness: float
-    candidates: list[str] = field(default_factory=list)
-    matrix: np.ndarray | None = None
-    codes: np.ndarray | None = None
-    table: Table | None = None
-
-
-@dataclass
-class HopTask:
-    """One discovery frontier hop: join ``edge`` onto ``table``.
-
-    ``tau`` is the run's completeness threshold — a hop below it is
-    pruned at the merge, so it gathers nothing — and ``grow`` says whether
-    the extended path is still shorter than ``max_path_length``, the one
-    case where the joined table is built.
-    """
-
-    path: JoinPath
-    edge: OrientedEdge
-    table: Table
-    base_name: str
-    features: tuple[str, ...] = ()
-    tau: float = 0.0
-    grow: bool = True
-
-    def where(self) -> dict:
-        """Where a failure of this unit is recorded."""
-        return {"base": self.base_name, "path": self.path, "edge": self.edge}
-
-    def run(self, engine: JoinEngine) -> HopResult:
-        """Execute the hop: probe, then gather what the merge reads."""
-        with engine.tracer.span(
-            "hop", table=self.edge.target, key=self.edge.target_column
-        ):
-            index, row_map = engine.probe_hop(
-                self.table, self.edge, self.base_name, path=self.path
-            )
-            names = index.output_names(self.table.column_names)
-            cells = len(row_map) * len(names)
-            result = HopResult(
-                contributed=[out for __, out in names],
-                completeness=(
-                    1.0 if cells == 0 else 1.0 - index.null_count(row_map) / cells
-                ),
-            )
-            if names and result.completeness < self.tau:
-                return result
-            scored = [(name, out) for name, out in names if name != index.key_column]
-            result.candidates = [out for __, out in scored]
-            result.matrix, result.codes = index.gather(
-                row_map, [name for name, __ in scored]
-            )
-            if self.grow:
-                result.table = index.attach(self.table, row_map)
-            return result
 
 
 @dataclass

@@ -25,11 +25,10 @@ from .gbdt import (
 from .knn import KNeighborsClassifier
 from .linear import LogisticRegressionL1
 from .metrics import accuracy, auc_score, confusion_counts, f1_score
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .tree import DecisionTreeClassifier
 
 __all__ = [
     "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "RandomForestClassifier",
     "ExtraTreesClassifier",
     "LightGBMClassifier",

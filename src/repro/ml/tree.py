@@ -1,10 +1,10 @@
-"""CART decision trees (classification and regression) on numpy.
+"""CART classification trees on numpy.
 
 Split search is vectorised per feature: values are sorted once per node and
-candidate thresholds are scored with cumulative statistics (class counts
-for Gini, sum/sum-of-squares for variance).  ``max_features`` enables the
-column subsampling the forest ensembles rely on, and ``random_thresholds``
-gives the Extra-Trees variant its randomised cut points.
+candidate thresholds are scored with cumulative class counts (Gini).
+``max_features`` enables the column subsampling the forest ensembles rely
+on, and ``random_thresholds`` gives the Extra-Trees variant its randomised
+cut points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ModelError
 
-__all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
+__all__ = ["DecisionTreeClassifier"]
 
 _EPS = 1e-12
 
@@ -292,58 +292,3 @@ class DecisionTreeClassifier(_BaseTree):
         """Most probable class index per row."""
         return np.argmax(self.predict_proba(X), axis=1)
 
-
-class DecisionTreeRegressor(_BaseTree):
-    """CART regressor minimising within-node variance (squared loss)."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Fit on real-valued targets."""
-        X, y = _validate_matrix(X, y)
-        y = y.astype(np.float64)
-        self._n_features = X.shape[1]
-        self._importance_gain = np.zeros(X.shape[1], dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        self._root = self._build(X, y, depth=0, rng=rng)
-        return self
-
-    def _leaf_value(self, y: np.ndarray) -> float:
-        return float(np.mean(y))
-
-    def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
-
-    def _impurity(self, y: np.ndarray) -> float:
-        if len(y) == 0:
-            return 0.0
-        return float(np.var(y))
-
-    def _split_gain(
-        self, x: np.ndarray, y: np.ndarray, min_leaf: int
-    ) -> tuple[float, float]:
-        order = np.argsort(x, kind="stable")
-        xs, ys = x[order], y[order]
-        n = len(ys)
-        csum = np.cumsum(ys)
-        csum_sq = np.cumsum(ys * ys)
-        sizes_left = np.arange(1, n, dtype=np.float64)
-        sizes_right = n - sizes_left
-        sum_left = csum[:-1]
-        sum_right = csum[-1] - sum_left
-        sq_left = csum_sq[:-1]
-        sq_right = csum_sq[-1] - sq_left
-        var_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
-        var_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
-        parent = self._impurity(ys)
-        gains = parent - (sizes_left * var_left + sizes_right * var_right) / n
-        valid = (xs[:-1] < xs[1:]) & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
-        if not valid.any():
-            return 0.0, 0.0
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))
-        threshold = 0.5 * (xs[best] + xs[best + 1])
-        return float(gains[best]), float(threshold)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Mean-of-leaf predictions."""
-        X = np.asarray(X, dtype=np.float64)
-        return np.asarray(self._predict_node(X), dtype=np.float64)

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    AutoFeat,
-    AutoFeatConfig,
-    apply_hop,
-    materialize_path,
-    qualified,
-    source_column_name,
-)
+from repro.core import AutoFeat, AutoFeatConfig, qualified, source_column_name
 from repro.dataframe import Table
+from repro.engine import JoinEngine
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
 
@@ -53,26 +47,29 @@ class TestHelpers:
 class TestApplyHop:
     def test_contributes_qualified_columns(self, drg):
         edge = drg.best_join_options("base", "mid")[0]
-        joined, contributed = apply_hop(drg.table("base"), drg, edge, "base", 0)
+        joined, contributed = JoinEngine(drg).apply_hop(
+            drg.table("base"), edge, "base"
+        )
         assert set(contributed) == {"mid.id", "mid.fk", "mid.m"}
         assert joined.n_rows == 3
 
     def test_unmatched_rows_null(self, drg):
         edge = drg.best_join_options("base", "mid")[0]
-        joined, __ = apply_hop(drg.table("base"), drg, edge, "base", 0)
+        joined, __ = JoinEngine(drg).apply_hop(drg.table("base"), edge, "base")
         assert joined.column("mid.m").to_list() == [5.0, 6.0, None]
 
     def test_missing_source_column_raises(self, drg):
         edge = drg.best_join_options("mid", "leaf")[0]
         with pytest.raises(JoinError):
             # base table has no 'mid.fk' column: hop out of order.
-            apply_hop(drg.table("base"), drg, edge, "base", 0)
+            JoinEngine(drg).apply_hop(drg.table("base"), edge, "base")
 
 
 class TestMaterializePath:
     def test_two_hop_chain(self, drg):
         path = path_of(drg, ("base", "mid"), ("mid", "leaf"))
-        table, contributions = materialize_path(drg, path, drg.table("base"))
+        base = drg.table("base")
+        table, contributions = JoinEngine(drg).materialize_path(path, base)
         assert table.n_rows == 3
         assert len(contributions) == 2
         assert "leaf.z" in table
@@ -80,16 +77,16 @@ class TestMaterializePath:
         assert table.column("leaf.z").to_list() == [7.0, 8.0, None]
 
     def test_empty_path_returns_base(self, drg):
-        table, contributions = materialize_path(
-            drg, JoinPath("base"), drg.table("base")
+        table, contributions = JoinEngine(drg).materialize_path(
+            JoinPath("base"), drg.table("base")
         )
         assert table is drg.table("base")
         assert contributions == []
 
     def test_deterministic(self, drg):
         path = path_of(drg, ("base", "mid"), ("mid", "leaf"))
-        a, __ = materialize_path(drg, path, drg.table("base"), seed=4)
-        b, __ = materialize_path(drg, path, drg.table("base"), seed=4)
+        a, __ = JoinEngine(drg, seed=4).materialize_path(path, drg.table("base"))
+        b, __ = JoinEngine(drg, seed=4).materialize_path(path, drg.table("base"))
         assert a == b
 
 
@@ -131,15 +128,56 @@ class TestRenamedSourceKey:
     def test_apply_hop(self, drg):
         table = drg.table("base")
         first = drg.best_join_options("base", "a")[0]
-        table, contributed = apply_hop(table, drg, first, "base", 0)
+        table, contributed = JoinEngine(drg).apply_hop(table, first, "base")
         assert contributed == ["a.id", "a.k_r"]
         second = drg.best_join_options("a", "b")[0]
-        table, __ = apply_hop(table, drg, second, "base", 0)
+        table, __ = JoinEngine(drg).apply_hop(table, second, "base")
         assert table.column("b.f").to_list() == self.EXPECTED
 
     def test_materialize_path(self, drg):
         path = path_of(drg, ("base", "a"), ("a", "b"))
-        table, __ = materialize_path(drg, path, drg.table("base"))
+        table, __ = JoinEngine(drg).materialize_path(path, drg.table("base"))
+        assert table.column("b.f").to_list() == self.EXPECTED
+
+    def test_discover_ranks_the_two_hop_path_complete(self, drg):
+        discovery = AutoFeat(drg, AutoFeatConfig()).discover("base", "label")
+        two_hop = [v for v in discovery.verdicts if v.path.length == 1]
+        assert [v.kind for v in two_hop] == ["ranked"]
+        assert two_hop[0].ranked.completeness == 1.0
+
+
+class TestSourceTableWithAnRColumn:
+    """A source table's own ``k_r`` column is not its key.
+
+    ``a`` has both ``k`` and ``k_r``, so the running join holds ``a.k`` and
+    ``a.k_r``; the hop out of ``a`` on ``k`` must probe ``b`` with ``a.k``.
+    A name search in the running join takes the last ``a.k``-like column,
+    ``a.k_r``, which matches no key of ``b``; the row-map chain reads
+    ``a.k`` from ``a``'s build table by its exact name.
+    """
+
+    EXPECTED = [1.5 * i for i in range(12)]
+
+    @pytest.fixture
+    def drg(self):
+        ids = list(range(12))
+        base = Table({"id": ids, "label": [i % 2 for i in ids]}, name="base")
+        a = Table(
+            {"id": ids, "k": [i + 10 for i in ids], "k_r": [i + 100 for i in ids]},
+            name="a",
+        )
+        b = Table({"k": [i + 10 for i in ids], "f": self.EXPECTED}, name="b")
+        return DatasetRelationGraph.from_constraints(
+            [base, a, b],
+            [
+                KFKConstraint("base", "id", "a", "id"),
+                KFKConstraint("a", "k", "b", "k"),
+            ],
+        )
+
+    def test_materialize_path(self, drg):
+        path = path_of(drg, ("base", "a"), ("a", "b"))
+        table, __ = JoinEngine(drg).materialize_path(path, drg.table("base"))
         assert table.column("b.f").to_list() == self.EXPECTED
 
     def test_discover_ranks_the_two_hop_path_complete(self, drg):

@@ -157,10 +157,10 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
     # re-raise on the coordinating thread, never turn into a skipped path.
     original = JoinEngine.probe_hop
 
-    def exploding(self, current, edge, base_name, path=None):
+    def exploding(self, current, edge, base_name, **kwargs):
         if edge.target == "c":
             raise RuntimeError("worker bug: corrupted index")
-        return original(self, current, edge, base_name, path=path)
+        return original(self, current, edge, base_name, **kwargs)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
     config = AutoFeatConfig(

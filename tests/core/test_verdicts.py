@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.core.result import EXPLORED_KINDS
-from repro.engine import HopTask
+from repro.engine import JoinEngine
 from repro.errors import FaultError
 
 from tests.core.driver_goldens import (
@@ -32,16 +32,17 @@ from tests.fault_hooks import HopLatency
 
 
 def logged_discover(autofeat, base, label, monkeypatch):
-    """``(discovery, hops run)`` of one ``discover`` call."""
+    """``(discovery, hops run)`` of one ``discover`` call: every hop
+    enters at ``JoinEngine.probe_hop``, with the path it extends."""
     handed = []
-    run = HopTask.run
+    probe_hop = JoinEngine.probe_hop
 
-    def recording(self, engine):
-        handed.append((self.path, self.edge))
-        return run(self, engine)
+    def recording(self, current, edge, base_name, path=None, **kwargs):
+        handed.append((path, edge))
+        return probe_hop(self, current, edge, base_name, path=path, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(HopTask, "run", recording)
+        patch.setattr(JoinEngine, "probe_hop", recording)
         return autofeat.discover(base, label), handed
 
 
@@ -76,7 +77,7 @@ def test_every_cell_logs_one_verdict_per_hop(lake, backend):
             continue
         discovery, handed = run
         hops = [v for v in discovery.verdicts if v.kind != "similarity"]
-        # Exactly one hop verdict per HopTask, in the order they ran.
+        # Exactly one hop verdict per probed hop, in the order they ran.
         assert [(v.path, v.edge) for v in hops] == handed, key
         similarity = [v for v in discovery.verdicts if v.kind == "similarity"]
         assert len(similarity) == golden["discovery"]["pruned_similarity"], key

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import materialize_path
 from repro.datasets import LABEL_COLUMN, SplitPlan, make_classification, split_into_lake
+from repro.engine import JoinEngine
 from repro.errors import DatasetError
 from repro.graph import JoinPath, bfs_levels
 
@@ -82,7 +82,7 @@ class TestJoinability:
         path = JoinPath(bundle.base_name)
         for source, target in ((bundle.base_name, parent), (parent, deep)):
             path = path.extend(drg.best_join_options(source, target)[0])
-        table, __ = materialize_path(drg, path, bundle.base_table)
+        table, __ = JoinEngine(drg).materialize_path(path, bundle.base_table)
         assert table.n_rows == bundle.base_table.n_rows
         deep_cols = [c for c in table.column_names if c.startswith(f"{deep}.")]
         # Most rows should resolve through the chain (match rates < 1 allow

@@ -9,7 +9,7 @@ cross-path reuse the HopCache exists for.
 import numpy as np
 import pytest
 
-from repro.core import AutoFeat, AutoFeatConfig, apply_hop, materialize_path
+from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import JoinIndex, Table
 from repro.engine import HopCache, JoinEngine
 from repro.engine.naming import qualified, source_column_name
@@ -157,23 +157,6 @@ class TestEngineStats:
             + result.engine_stats.hops_executed
         )
         assert "engine:" in result.summary()
-
-
-class TestModuleLevelWrappers:
-    def test_apply_hop_matches_engine(self, drg):
-        base = drg.table("base")
-        edge = drg.best_join_options("base", "a")[0]
-        via_wrapper = apply_hop(base, drg, edge, "base", 1)
-        via_engine = JoinEngine(drg, seed=1).apply_hop(base, edge, "base")
-        assert via_wrapper[0] == via_engine[0]
-        assert via_wrapper[1] == via_engine[1]
-
-    def test_materialize_path_matches_engine(self, drg, cached_discovery):
-        base = drg.table("base")
-        path = cached_discovery.best_path.path
-        via_wrapper, __ = materialize_path(drg, path, base, seed=1)
-        via_engine, __ = JoinEngine(drg, seed=1).materialize_path(path, base)
-        assert via_wrapper == via_engine
 
 
 class TestJoinErrorContext:

@@ -1,6 +1,7 @@
 """A discovery hop is a gather: probe + gather ≡ join + ``numeric_matrix``.
 
-``HopTask`` never builds the joined table to score it: it reads the
+A discovery hop never builds the joined table to score it: it probes
+along its path's row-map chain (``probe_hop(..., row_map=)``), reads the
 completeness off the row map (:meth:`JoinIndex.null_count`) and gathers
 the candidates' float matrix and rank codes (:meth:`JoinIndex.gather`);
 the selection kernels rank from those codes.  These tests hold each piece
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import AutoFeat, AutoFeatConfig, completeness
 from repro.dataframe import Column, DType, JoinIndex, Table
 from repro.dataframe.encoding import rank_codes
-from repro.engine import HopTask, JoinEngine
+from repro.engine import JoinEngine
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
 from repro.selection import batch_spearman_scores, discretize, relevance_scores
 
@@ -220,15 +221,16 @@ class TestColumnNameCollision:
         assert ranked.relevant_names == ("sat.f_r",)
         assert ranked.selected_features == ("sat.f_r",)
 
-    def test_hop_task_gathers_the_satellite_column(self):
+    def test_hop_gathers_the_satellite_column(self):
         drg = collision_lake()
         edge = drg.best_join_options("base", "sat")[0]
-        task = HopTask(JoinPath("base"), edge, drg.table("base"), "base")
-        result = task.run(JoinEngine(drg))
-        assert result.contributed == ["sat.id", "sat.f_r"]
-        assert result.candidates == ["sat.f_r"]
+        base = drg.table("base")
+        index, row_map = JoinEngine(drg).probe_hop(base, edge, "base")
+        names = index.output_names(base.column_names)
+        assert names == [("sat.id", "sat.id"), ("sat.f", "sat.f_r")]
+        matrix, __ = index.gather(row_map, ["sat.f"])
         expected = drg.table("sat").column("f").to_float()
-        assert result.matrix[:, 0].tolist() == expected.tolist()
+        assert matrix[:, 0].tolist() == expected.tolist()
 
 
 # -- whole traversals -----------------------------------------------------------
@@ -308,8 +310,8 @@ def mixed_lake(n=240, seed=5):
     )
 
 
-class TestHopTaskEqualsApplyHop:
-    """``HopTask.run`` reports what ``apply_hop``'s table says, hop by hop."""
+class TestRowMapChainEqualsApplyHop:
+    """A row-map chain reports what ``apply_hop``'s table says, hop by hop."""
 
     @pytest.mark.parametrize("tau", [0.0, 0.8])
     def test_first_and_second_level_hops(self, tau):
@@ -318,29 +320,48 @@ class TestHopTaskEqualsApplyHop:
         checked = 0
         for first, second in (("a", "b"), ("d", "a"), ("a", "d")):
             path, table = JoinPath("base"), drg.table("base")
+            source, row_map = table, None
             for target in (first, second):
                 edge = drg.best_join_options(path.terminal, target)[0]
                 joined, contributed = engine.apply_hop(table, edge, "base", path=path)
-                grow = target == first
-                task = HopTask(path, edge, table, "base", tau=tau, grow=grow)
-                result = task.run(engine)
-                assert result.contributed == contributed
-                assert result.completeness == completeness(joined, contributed)
+                index, row_map = engine.probe_hop(
+                    source, edge, "base", path=path, row_map=row_map
+                )
+                names = index.output_names(table.column_names)
+                assert [out for __, out in names] == contributed
+                cells = len(row_map) * len(names)
+                gathered = 1.0 - index.null_count(row_map) / cells
+                assert gathered == completeness(joined, contributed)
                 checked += 1
-                if result.completeness < tau:
-                    assert result.matrix is None and result.table is None
+                if gathered < tau:
                     break
                 key = f"{edge.target}.{edge.target_column}"
-                assert result.candidates == [c for c in contributed if c != key]
-                expected = joined.numeric_matrix(result.candidates)
-                assert result.matrix.tobytes() == expected.tobytes()
-                assert result.codes.shape == (len(result.candidates), joined.n_rows)
-                if task.grow:
-                    assert result.table == joined
-                else:
-                    assert result.table is None
+                scored = [(n, out) for n, out in names if n != key]
+                assert [out for __, out in scored] == [
+                    c for c in contributed if c != key
+                ]
+                matrix, codes = index.gather(row_map, [n for n, __ in scored])
+                expected = joined.numeric_matrix([out for __, out in scored])
+                assert matrix.tobytes() == expected.tobytes()
+                assert codes.shape == (len(scored), joined.n_rows)
                 path, table = path.extend(edge), joined
+                source = index.build_table
         assert checked >= 4
+
+    def test_nothing_is_gathered_below_tau(self, monkeypatch):
+        gathered = []
+        original = JoinIndex.gather
+
+        def counting(self, row_map, names):
+            gathered.append(names)
+            return original(self, row_map, names)
+
+        monkeypatch.setattr(JoinIndex, "gather", counting)
+        config = AutoFeatConfig(sample_size=200, tau=0.8, max_path_length=3)
+        result = AutoFeat(mixed_lake(), config).discover("base", "label")
+        kinds = [v.kind for v in result.verdicts]
+        assert "pruned_tau" in kinds
+        assert len(gathered) == kinds.count("ranked")
 
 
 def ranking_digest(max_path_length, backend="serial"):

@@ -55,9 +55,9 @@ def hop_calls(monkeypatch):
     calls = []
     original = JoinEngine.probe_hop
 
-    def counting(self, current, edge, base_name, path=None):
+    def counting(self, current, edge, base_name, **kwargs):
         calls.append(edge.target)
-        return original(self, current, edge, base_name, path=path)
+        return original(self, current, edge, base_name, **kwargs)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", counting)
     return calls
@@ -109,10 +109,10 @@ class TestPoolHandOff:
     ):
         original = JoinEngine.probe_hop
 
-        def first_unit_is_slowest(self, current, edge, base_name, path=None):
+        def first_unit_is_slowest(self, current, edge, base_name, **kwargs):
             if edge.target == "a":
                 time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path)
+            return original(self, current, edge, base_name, **kwargs)
 
         monkeypatch.setattr(JoinEngine, "probe_hop", first_unit_is_slowest)
         tasks = path_tasks(drg)
@@ -128,7 +128,7 @@ class TestPoolHandOff:
     def test_unexpected_worker_exception_reraises_on_coordinator(
         self, drg, backend, monkeypatch
     ):
-        def exploding(self, current, edge, base_name, path=None):
+        def exploding(self, current, edge, base_name, **kwargs):
             raise RuntimeError("worker bug: corrupted index")
 
         monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
@@ -145,11 +145,11 @@ class TestPoolHandOff:
         ran = tmp_path / "ran"
         original = JoinEngine.probe_hop
 
-        def logged_slow_hop(self, current, edge, base_name, path=None):
+        def logged_slow_hop(self, current, edge, base_name, **kwargs):
             with ran.open("a") as log:
                 log.write(edge.target + "\n")
             time.sleep(0.05)
-            return original(self, current, edge, base_name, path=path)
+            return original(self, current, edge, base_name, **kwargs)
 
         monkeypatch.setattr(JoinEngine, "probe_hop", logged_slow_hop)
         tasks = path_tasks(drg, n=16)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import DecisionTreeClassifier
 
 
 def separable(n=400, seed=0):
@@ -98,32 +98,3 @@ class TestClassifier:
         y = np.array([0, 1] * 25)
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.n_leaves == 1
-
-
-class TestRegressor:
-    def test_fits_linear_signal(self):
-        rng = np.random.default_rng(2)
-        X = rng.uniform(-1, 1, (500, 2))
-        y = 3 * X[:, 0] + rng.normal(0, 0.05, 500)
-        tree = DecisionTreeRegressor(max_depth=8).fit(X, y)
-        pred = tree.predict(X)
-        assert np.corrcoef(pred, y)[0, 1] > 0.95
-
-    def test_leaf_value_is_mean(self):
-        X = np.zeros((4, 1))
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        tree = DecisionTreeRegressor().fit(X, y)
-        assert tree.predict(X)[0] == pytest.approx(2.5)
-
-    def test_max_depth_respected(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(0, 1, (200, 1))
-        y = rng.normal(0, 1, 200)
-        assert DecisionTreeRegressor(max_depth=3).fit(X, y).depth <= 3
-
-    def test_importances_available(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(0, 1, (200, 2))
-        y = X[:, 1] * 2
-        tree = DecisionTreeRegressor(max_depth=4).fit(X, y)
-        assert tree.feature_importances_[1] > tree.feature_importances_[0]
