@@ -15,8 +15,10 @@ hops built (only training's ``materialize_path`` builds one: a discovery
 hop walks its path's chain of row maps);
 how many verdicts of each kind the op's discovery runs logged; where one
 traced op's ``discover`` time goes — its ``hop``, ``selection`` and
-``sample`` spans, and what is left over at the coordinator between them;
-for a workload that
+``sample`` spans, and what is left over at the coordinator between them —
+and, for a workload that trains (``paper_augment``, ``service_mixed``),
+where its ``train`` time goes — its ``path`` spans (materialise), its
+``evaluate`` spans (fit) and the coordinator's leftover; for a workload that
 matches in its op (``wide_match``, ``paper_augment``), how many table pairs
 and key-like column pairs COMA's instance-overlap gate lets through, and how
 many key-like column pairs its name-score bound lets through at the DRG
@@ -108,7 +110,7 @@ def main() -> int:
     finally:
         threading.setprofile(None)
         workload.teardown(state)  # joins the threads it started
-    attribution = _discover_attribution(workload, lake, args.seed)
+    attribution = _phase_attribution(workload, lake, args.seed)
 
     stats = None
     for name, profiler in profilers:
@@ -140,7 +142,7 @@ def main() -> int:
     )
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
-    print(attribution)
+    print(*attribution, sep="\n")
     if workload.match_in_op:
         print(*_matching_lines(lake), sep="\n")
     return 0
@@ -225,56 +227,76 @@ def _redundancy_work():
         AutoFeat.discover = discover
 
 
-def _discover_attribution(workload, lake, seed) -> str:
-    """Split one traced op's ``discover`` time over its spans.
+#: Per phase of one op, the spans its time is split over (outermost only);
+#: the rest of the phase's root is the coordinator's.
+PHASE_SPANS = {
+    "discover": ("hop", "selection", "sample"),
+    "train": ("path", "evaluate"),
+}
 
-    Every ``discover`` the op runs is traced (the workload's own config may
-    turn tracing off); ``hop``, ``selection`` and ``sample`` spans are
-    summed over the run trees, outermost only, and the coordinator's
-    leftover is the ``discover`` roots' time outside them: frontier
-    bookkeeping, verdicts, the manifest, and whatever per-hop isolation the
-    driver pays.
+
+def _phase_attribution(workload, lake, seed) -> list[str]:
+    """Split one traced op's ``discover`` and ``train`` time over their spans.
+
+    Every ``discover`` / ``train_top_k`` the op runs is traced (the
+    workload's own config may turn tracing off).  ``discover``: its
+    ``hop``, ``selection`` and ``sample`` spans; the coordinator's
+    leftover is frontier bookkeeping, verdicts and the manifest.
+    ``train``: its ``path`` spans (materialise) and ``evaluate`` spans
+    (the fit inline, or the wait for a pool's fit); the leftover is fit
+    keys, submission and the best-path pick.  One line per phase the op
+    ran.
     """
     from repro.core import AutoFeat
     from repro.obs import Tracer
 
-    names = ("hop", "selection", "sample")
-    totals = collections.Counter()
-    lock = threading.Lock()  # service workloads discover on worker threads
-    discover, make_tracer = AutoFeat.discover, AutoFeat._tracer
+    totals = {phase: collections.Counter() for phase in PHASE_SPANS}
+    lock = threading.Lock()  # service workloads run on worker threads
+    originals = AutoFeat.discover, AutoFeat.train_top_k, AutoFeat._tracer
 
-    def add(node):
+    def add(counter, names, node):
         if node["name"] in names:
-            totals[node["name"]] += node["duration_ns"]
+            counter[node["name"]] += node["duration_ns"]
             return
         for child in node.get("children", ()):
-            add(child)
+            add(counter, names, child)
 
-    def traced_discover(*args, **kwargs):
-        result = discover(*args, **kwargs)
-        root = result.run_manifest.timing
-        with lock:
-            totals["discover"] += root["duration_ns"]
-            for child in root.get("children", ()):
-                add(child)
-        return result
+    def traced(method, phase):
+        def run(*args, **kwargs):
+            result = method(*args, **kwargs)
+            root = result.run_manifest.timing
+            if phase == "train":  # the augment manifest: discover + train
+                (root,) = (c for c in root["children"] if c["name"] == "train")
+            with lock:
+                totals[phase][phase] += root["duration_ns"]
+                for child in root.get("children", ()):
+                    add(totals[phase], PHASE_SPANS[phase], child)
+            return result
+
+        return run
 
     state = workload.prepare(lake, seed)
     try:
         workload.op(lake, state)  # warm-up
-        AutoFeat.discover = traced_discover
+        AutoFeat.discover = traced(originals[0], "discover")
+        AutoFeat.train_top_k = traced(originals[1], "train")
         AutoFeat._tracer = lambda self: Tracer(enabled=True)
         workload.op(lake, state)
     finally:
-        AutoFeat.discover, AutoFeat._tracer = discover, make_tracer
+        AutoFeat.discover, AutoFeat.train_top_k, AutoFeat._tracer = originals
         workload.teardown(state)
-    whole = totals["discover"]
-    parts = [(name, totals[name]) for name in names]
-    parts.append(("coordinator", whole - sum(ns for __, ns in parts)))
-    shares = " + ".join(
-        f"{name} {ns / 1e9:.3f} s ({ns / max(1, whole):.0%})" for name, ns in parts
-    )
-    return f"discover, one traced op: {whole / 1e9:.3f} s = {shares}"
+    lines = []
+    for phase, names in PHASE_SPANS.items():
+        whole = totals[phase][phase]
+        if not whole:
+            continue
+        parts = [(name, totals[phase][name]) for name in names]
+        parts.append(("coordinator", whole - sum(ns for __, ns in parts)))
+        shares = " + ".join(
+            f"{name} {ns / 1e9:.3f} s ({ns / max(1, whole):.0%})" for name, ns in parts
+        )
+        lines.append(f"{phase}, one traced op: {whole / 1e9:.3f} s = {shares}")
+    return lines
 
 
 def _matching_lines(lake) -> tuple[str, str]:

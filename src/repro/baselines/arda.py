@@ -94,16 +94,17 @@ def run_arda(
     base = drg.table(base_name)
     with tracer.span("arda", base=base_name, model=model_name) as root:
         current = base
-        joined_tables = 0
+        # A star join: every hop leaves the base, whose bare names are
+        # unambiguous.
+        links = {base_name: (base, None)}
         for neighbor in drg.neighbors(base_name):
             result = join_neighbor(
-                current, drg, base_name, neighbor, base_name, seed,
+                current, links, drg, base_name, neighbor, base_name, seed,
                 engine=engine, faults=faults,
             )
-            if result is None:
-                continue
-            current, __ = result
-            joined_tables += 1
+            if result is not None:
+                current = result
+        joined_tables = len(links) - 1
 
         feature_names = [n for n in current.column_names if n != label_column]
         encoder = TabularEncoder()

@@ -1,4 +1,13 @@
-"""Shared result type and join helpers for the baseline systems."""
+"""Shared result type and join helpers for the baseline systems.
+
+A baseline's running join is a chain of row maps, as in
+:meth:`repro.engine.JoinEngine.materialize_path`: ``links`` maps each
+joined table to its hop's build table and the row map aligning that
+table's rows with the base rows — ``(base, None)`` for the base itself.
+A hop out of a joined table reads the key from that table by its exact
+qualified name, so a table's own ``k_r`` column is never mistaken for its
+key ``k`` written as ``k_r``.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +16,11 @@ from dataclasses import dataclass
 from ..dataframe import Table
 from ..engine import ExecutionStats, FailureReport, FaultManager, JoinEngine
 from ..errors import JoinError
-from ..graph import DatasetRelationGraph
+from ..graph import DatasetRelationGraph, OrientedEdge
 from ..obs import RunManifest
 from ..selection.stats import SelectionStats
 
-__all__ = ["BaselineResult", "join_neighbor"]
+__all__ = ["BaselineResult", "join_hop", "join_neighbor"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,23 @@ class BaselineResult:
         }
 
 
+def join_hop(
+    engine: JoinEngine, current: Table, links: dict, edge: OrientedEdge, base_name: str
+) -> tuple[Table, tuple]:
+    """Left-join ``edge``'s target onto ``current`` along its source's link.
+
+    Returns ``(joined, link)``, ``link`` the target's ``(build table, row
+    map)``; the caller records it once it keeps the join.  Raises what
+    :meth:`JoinEngine.probe_hop` raises.
+    """
+    source, row_map = links[edge.source]
+    index, row_map = engine.probe_hop(source, edge, base_name, row_map=row_map)
+    return index.attach(current, row_map), (index.build_table, row_map)
+
+
 def join_neighbor(
     current: Table,
+    links: dict,
     drg: DatasetRelationGraph,
     source: str,
     target: str,
@@ -69,16 +93,17 @@ def join_neighbor(
     seed: int = 0,
     engine: JoinEngine | None = None,
     faults: FaultManager | None = None,
-) -> tuple[Table, list[str]] | None:
+) -> Table | None:
     """Join ``target`` onto the running table via the best join option.
 
-    Returns ``(joined, contributed_columns)`` or None when no join option
-    exists or the hop failed.  Pass the caller's :class:`JoinEngine` so
-    repeated visits to the same target table reuse its build-side index; a
-    throwaway engine is used otherwise.  Pass the caller's
-    :class:`FaultManager` to run the hop under its failure policy (failed
-    hops are then recorded, and ``fail_fast`` propagates instead of
-    returning None); without one, infeasible joins are silently skipped.
+    Returns the joined table, and records ``target``'s link in ``links``,
+    or returns None when no join option exists or the hop failed.  Pass
+    the caller's :class:`JoinEngine` so repeated visits to the same
+    target table reuse its build-side index; a throwaway engine is used
+    otherwise.  Pass the caller's :class:`FaultManager` to run the hop
+    under its failure policy (failed hops are then recorded, and
+    ``fail_fast`` propagates instead of returning None); without one,
+    infeasible joins are silently skipped.
     """
     options = drg.best_join_options(source, target)
     if not options:
@@ -86,12 +111,17 @@ def join_neighbor(
     if engine is None:
         engine = JoinEngine(drg, seed=seed)
 
-    def hop() -> tuple[Table, list[str]]:
-        return engine.apply_hop(current, options[0], base_name)
+    def hop() -> tuple[Table, tuple]:
+        return join_hop(engine, current, links, options[0], base_name)
 
     if faults is None:
         try:
-            return hop()
+            result = hop()
         except JoinError:
             return None
-    return faults.execute(hop, base=base_name, edge=options[0])
+    else:
+        result = faults.execute(hop, base=base_name, edge=options[0])
+    if result is None:
+        return None
+    joined, links[target] = result
+    return joined

@@ -47,29 +47,23 @@ def join_all_table(
         key=lambda n: (levels[n], n),
     )
     current = base
-    joined = 0
-    parents: dict[str, str] = {base_name: base_name}
+    links = {base_name: (base, None)}
     for name in order:
         # Join through any already-joined neighbour on a shallower level.
         sources = [
             n
             for n in drg.neighbors(name)
-            if levels.get(n, 10**9) < levels[name] and n in parents
+            if levels.get(n, 10**9) < levels[name] and n in links
         ]
-        result = None
         for source in sources:
             result = join_neighbor(
-                current, drg, source, name, base_name, seed,
+                current, links, drg, source, name, base_name, seed,
                 engine=engine, faults=faults,
             )
             if result is not None:
+                current = result
                 break
-        if result is None:
-            continue
-        current, __ = result
-        parents[name] = sources[0]
-        joined += 1
-    return current, joined
+    return current, len(links) - 1
 
 
 def run_join_all(

@@ -22,7 +22,7 @@ from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
 from ..graph import DatasetRelationGraph
 from ..ml import evaluate_accuracy
 from ..obs import Tracer, build_manifest
-from .common import BaselineResult
+from .common import BaselineResult, join_hop
 
 __all__ = ["run_mab"]
 
@@ -81,6 +81,8 @@ def run_mab(
 
     with tracer.span("mab", base=base_name, model=model_name) as root:
         current = base
+        # Only an accepted join records its target's link.
+        links = {base_name: (base, None)}
         with tracer.span("evaluate", model=model_name):
             current_acc = evaluate_accuracy(
                 current, label_column, model_name, seed=seed
@@ -105,7 +107,9 @@ def run_mab(
                 result = None
                 if options:
                     result = faults.execute(
-                        lambda: engine.apply_hop(current, options[0], base_name),
+                        lambda: join_hop(
+                            engine, current, links, options[0], base_name
+                        ),
                         base=base_name,
                         edge=options[0],
                     )
@@ -114,7 +118,7 @@ def run_mab(
                     arm.pull(-0.01)
                     del arm_index[arm.key]
                     continue
-                candidate_table, __ = result
+                candidate_table, link = result
                 with tracer.span("evaluate", model=model_name):
                     acc = evaluate_accuracy(
                         candidate_table, label_column, model_name, seed=seed
@@ -125,6 +129,7 @@ def run_mab(
                 current = candidate_table
                 current_acc = acc
                 joined.append(target)
+                links[target] = link
                 del arm_index[arm.key]
                 for fresh in candidate_arms():
                     arm_index.setdefault(fresh.key, fresh)

@@ -20,16 +20,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..dataframe import Table, stratified_sample
-from ..engine import (
-    FaultManager,
-    JoinEngine,
-    PathExecutor,
-    PathTask,
-    settle_outcome,
-)
+from ..engine import FaultManager, JoinEngine, parallel
 from ..errors import FaultError, JoinError, RunBudgetExceeded
 from ..graph import DatasetRelationGraph, JoinPath
-from ..obs import Span, Tracer, build_manifest, synthetic_root
+from ..obs import Tracer, build_manifest, synthetic_root
 from .config import AutoFeatConfig
 from .navigation import (
     NavigationFrontier,
@@ -55,7 +49,7 @@ __all__ = ["AutoFeat", "autofeat_augment"]
 class AutoFeat:
     """Feature discovery over a Dataset Relation Graph.
 
-    ``hop_hook`` is the picklable per-hop test seam of every
+    ``hop_hook`` is the per-hop test seam of every
     :class:`~repro.engine.JoinEngine` the pipeline creates, ``hook(edge)``:
     a hook that raises a deterministic fault makes graceful degradation
     under ``config.failure_policy`` testable end to end; one that sleeps
@@ -83,7 +77,7 @@ class AutoFeat:
         #: hit/miss counters reflect the pre-warmed state.
         self.hop_cache = hop_cache
         #: Optional service-owned :class:`~repro.core.OutcomeMemo`: a
-        #: selection step, or a top-k fit run in this process, whose exact
+        #: selection step or a top-k fit (on either backend) whose exact
         #: input bytes an earlier run saw is answered from it (DESIGN.md
         #: §12).  ``None`` hashes nothing.
         self.memo = memo
@@ -141,35 +135,6 @@ class AutoFeat:
             stage=stage,
         )
 
-    @staticmethod
-    def _wave(tracer: Tracer, executor: PathExecutor, units: int):
-        """The span one wave of work units executes and merges under."""
-        return tracer.span(
-            "wave",
-            parallel=True,
-            backend=executor.backend,
-            workers=executor.workers_used,
-            units=units,
-        )
-
-    @staticmethod
-    def _absorb(executor: PathExecutor, tracer: Tracer, wave, outcome) -> None:
-        """Fold a unit's stats delta and span tree into the run's.
-
-        Process workers time against their own ``perf_counter_ns`` clock,
-        so their trees are rebased onto the wave's start before grafting;
-        serial units share the coordinator's clock and graft verbatim.
-        """
-        engine = executor.engine
-        engine.stats = engine.stats.merged(outcome.stats)
-        if not tracer.enabled:
-            return
-        for data in outcome.spans:
-            span = Span.from_dict(data)
-            if executor.rebase_spans:
-                span.shift(wave.start_ns - span.start_ns)
-            wave.children.append(span)
-
     # -- discovery (ranking) phase ---------------------------------------------
 
     def discover(
@@ -190,8 +155,7 @@ class AutoFeat:
         into one :class:`~repro.core.result.HopVerdict`; frontier growth,
         UCB arm updates, the ``max_hops`` cut and every count the run
         reports are read off that log.  ``config.parallel_backend`` does
-        not apply here: only the training wave uses the pool
-        (DESIGN.md §11).
+        not apply here: only training fits use the pool (DESIGN.md §11).
 
         All hops run through one :class:`JoinEngine` (a table reached by
         many paths is indexed once) and all scoring through one
@@ -426,16 +390,19 @@ class AutoFeat:
         Training uses the *full* base table (sampling only ever affected
         feature selection) and only the features accepted along each path,
         plus all base-table features.  The top-k paths often share hops, so
-        materialisation runs through one cached :class:`JoinEngine`; its
-        counters land on ``AugmentationResult.engine_stats``.
+        every path is materialised, in ranked order, on one cached
+        :class:`JoinEngine`; its counters land on
+        ``AugmentationResult.engine_stats``.
 
-        The top-k paths are independent work units (materialise + train),
-        executed as one wave on ``config.parallel_backend`` and merged
-        back in ranked order: trained paths, failure records and the
-        best-path tie-break (first index wins on equal accuracy) consume
-        outcomes one at a time, so the result is bit-identical across
-        backends.  With a memo, ``serial`` units answer a fit whose exact
-        arguments an earlier run trained on from it.
+        Only the fit leaves the loop.  On ``config.parallel_backend``
+        ``serial`` each fit runs inline before the next path is
+        materialised; on ``processes`` each is submitted to a process pool
+        as soon as its table exists, and the accuracies are collected in
+        ranked order.  The best-path tie-break (first ranked path wins on
+        equal accuracy) reads them in that order, so the result is
+        bit-identical across backends.  With a memo, a fit whose exact
+        arguments an earlier run trained on is answered from it, on both
+        backends.
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
@@ -444,84 +411,108 @@ class AutoFeat:
         the remaining top-k paths still train; ``fail_fast`` propagates.
 
         The training phase runs under a ``train`` span tree (``train >
-        wave > path > evaluate``; totals only when tracing is off) that
-        is composed with the discovery phase's tree into one ``augment``
-        manifest on ``AugmentationResult.run_manifest``.
+        {path > hop > join, evaluate}``; totals only when tracing is off)
+        that is composed with the discovery phase's tree into one
+        ``augment`` manifest on ``AugmentationResult.run_manifest``.
 
         With an anytime deadline active (``config.budget_seconds``, or
         the explicit ``deadline`` that :meth:`augment` shares across
         both phases), training stops gracefully once it expires: the
-        paths trained in time still compete and the result is returned
-        with ``budget_exhausted`` set.  ``config.max_hops`` applies to
-        discovery only.
+        deadline is checked in every hop, the paths trained in time still
+        compete and the result is returned with ``budget_exhausted`` set.
+        On ``processes`` every path is materialised before the first
+        accuracy is awaited, so the deadline cuts materialisations only.
+        ``config.max_hops`` applies to discovery only.
         """
+        # Lazy import: repro.ml is a heavier dependency the hop path never needs.
+        from ..ml import evaluate_accuracy, fit_key
+
         config = self.config
+        memo = self.memo
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
         faults = self._faults("training")
-        executor = PathExecutor(
-            self._engine(tracer, budget.deadline),
-            backend=config.parallel_backend,
-            trace_spans=tracer.enabled,
-        )
-        base = self.drg.table(discovery.base_table)
-        base_features = [
-            n for n in base.column_names if n != discovery.label_column
-        ]
+        engine = self._engine(tracer, budget.deadline)
+        base_name, label = discovery.base_table, discovery.label_column
+        base = self.drg.table(base_name)
+        base_features = [n for n in base.column_names if n != label]
+        workers = parallel.resolve_max_workers(config.parallel_backend)
 
         trained: list[TrainedPath] = []
         tables: list[Table] = []
+        # Pool fits by memo key (by ranked position without a memo): a
+        # path whose fit an earlier path already submitted waits for it.
+        futures: dict = {}
+
+        def collect(ranked, fit, key, slot) -> None:
+            """One path's accuracy, in ranked order: the memo, else the fit."""
+            n_features = len(fit[3])
+            with tracer.span("evaluate", model=model_name, features=n_features) as span:
+                accuracy = None if key is None else memo.get("train", key)
+                if key is not None and tracer.enabled:
+                    span.attrs["memo_hit"] = accuracy is not None
+                if accuracy is None:
+                    future = futures.get(slot)
+                    if future is None:
+                        accuracy = evaluate_accuracy(*fit)
+                    else:
+                        accuracy = future.result()
+                    if key is not None:
+                        memo.put("train", key, accuracy)
+            trained.append(TrainedPath(ranked, accuracy, n_features))
+            tables.append(fit[0])
+
         # Nothing left to spend: return the anytime result with zero
-        # trained paths rather than starting units that would only abort.
+        # trained paths rather than starting joins that would only abort.
         budget_exhausted = budget.expired()
         top = [] if budget_exhausted else list(discovery.top(config.top_k))
-        # The memo cannot be pickled: pool units train as if there were none.
-        memo = self.memo if executor.backend == "serial" else None
+        pool = parallel.fit_pool(config.parallel_backend) if top else None
+        pending = []
         try:
             with tracer.span(
-                "train", base=discovery.base_table, model=model_name
+                "train",
+                base=base_name,
+                model=model_name,
+                backend=config.parallel_backend,
+                workers=workers,
             ) as root:
-                tasks = [
-                    PathTask(
-                        index=index,
-                        path=ranked.path,
-                        selected_features=ranked.selected_features,
-                        base_name=discovery.base_table,
-                        label_column=discovery.label_column,
-                        model_name=model_name,
-                        seed=config.seed,
-                        memo=memo,
-                    )
-                    for index, ranked in enumerate(top)
-                ]
-                if tasks:
-                    with self._wave(tracer, executor, len(tasks)) as wave:
-                        for task, ranked, outcome in zip(
-                            tasks, top, executor.run_paths(tasks)
-                        ):
-                            self._absorb(executor, tracer, wave, outcome)
-                            try:
-                                result = settle_outcome(task, outcome, faults)
-                            except RunBudgetExceeded:
-                                # Deadline landed mid-materialisation:
-                                # graceful exhaustion, not a training
-                                # failure — whatever trained in time
-                                # still competes below.
-                                budget_exhausted = True
-                                continue
-                            if result is None:
-                                continue
-                            table, accuracy, n_features = result
-                            trained.append(
-                                TrainedPath(
-                                    ranked=ranked,
-                                    accuracy=accuracy,
-                                    n_features_used=n_features,
-                                )
+                for index, ranked in enumerate(top):
+                    try:
+                        with tracer.span("path", path=ranked.path.describe()):
+                            # Full-table materialisation failing after the
+                            # sampled pass succeeded is a failure, not pruning.
+                            joined = faults.execute(
+                                lambda: engine.materialize_path(ranked.path, base),
+                                base=base_name,
+                                path=ranked.path,
                             )
-                            tables.append(table)
+                    except RunBudgetExceeded:
+                        # Deadline landed mid-materialisation: graceful
+                        # exhaustion, not a training failure — whatever
+                        # trained in time still competes below.
+                        budget_exhausted = True
+                        continue
+                    if joined is None:
+                        continue
+                    table = joined[0]
+                    features = base_features + [
+                        f for f in ranked.selected_features if f in table
+                    ]
+                    fit = (table, label, model_name, features, config.seed)
+                    key = None if memo is None else fit_key(*fit)
+                    slot = index if key is None else key
+                    if pool is None:
+                        collect(ranked, fit, key, slot)
+                        continue
+                    held = key is not None and memo.holds("train", key)
+                    if slot not in futures and not held:
+                        futures[slot] = pool.submit(evaluate_accuracy, *fit)
+                    pending.append((ranked, fit, key, slot))
+                for work in pending:
+                    collect(*work)
         finally:
-            executor.close()
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
         best = None
         augmented = None
@@ -531,20 +522,15 @@ class AutoFeat:
             keep = (
                 base_features
                 + [f for f in best.ranked.selected_features if f in tables[best_idx]]
-                + [discovery.label_column]
+                + [label]
             )
             augmented = tables[best_idx].select(keep)
 
         total_seconds = discovery.discovery_seconds + root.seconds
-        engine_stats = executor.engine.snapshot()
+        engine_stats = engine.snapshot()
         failure_report = faults.report()
         budget_exhausted = budget_exhausted or discovery.budget_exhausted
-        gauges = {
-            "parallel.workers_used": executor.workers_used,
-            "parallel.speedup": round(executor.effective_speedup, 4),
-            "parallel.busy_seconds": round(executor.busy_seconds, 6),
-            "parallel.wall_seconds": round(executor.parallel_wall_seconds, 6),
-        }
+        gauges = {"parallel.workers_used": workers}
         if best is not None:
             gauges["train.best_accuracy"] = round(best.accuracy, 6)
         # Compose discovery + training into one ``augment`` manifest.

@@ -69,18 +69,18 @@ class AutoFeatConfig:
         :class:`~repro.errors.ErrorBudgetExceeded` — degradation is
         bounded, not unconditional.
     parallel_backend:
-        Where :class:`repro.engine.PathExecutor` runs the top-k training
-        wave (materialise + evaluate per path): ``"serial"`` (the
-        default: inline on the calling thread, each unit only after the
-        previous outcome was merged) or ``"processes"`` (a
-        :class:`~concurrent.futures.ProcessPoolExecutor`).  Discovery
-        runs in process on every backend.  Results are **bit-identical**
-        across backends — outcomes are merged in ranked order and the
-        failure policy advances only at those merge points — so this
-        knob trades wall time, never correctness.  The pool wins on the
-        training wave and lost on discovery hops; DESIGN.md §11 has the
-        measured numbers.  The pool has one worker per CPU the process
-        may run on (its affinity mask,
+        Where the top-k training fits run: ``"serial"`` (the default:
+        inline on the calling thread, each before the next path is
+        materialised) or ``"processes"`` (a
+        :class:`~concurrent.futures.ProcessPoolExecutor`).  Every join —
+        discovery's and training's — runs in the calling process on
+        every backend, and only the fit leaves it.  Results are
+        **bit-identical** across backends — accuracies are collected in
+        ranked order, and the failure policy applies where each path is
+        materialised — so this knob trades wall time, never correctness.
+        The pool wins on the fits and lost on discovery hops; DESIGN.md
+        §11 has the measured numbers.  The pool has one worker per CPU
+        the process may run on (its affinity mask,
         :func:`repro.engine.resolve_max_workers`).
     enable_tracing:
         Record the run's hierarchical timing tree

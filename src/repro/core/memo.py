@@ -86,6 +86,12 @@ class OutcomeMemo:
                 entries.move_to_end(key)
             return value
 
+    def holds(self, namespace: str, key: bytes) -> bool:
+        """Whether ``key`` is stored; counts nothing (a later :meth:`get`
+        may still miss if another run evicts it in between)."""
+        with self._lock:
+            return key in self._entries[namespace]
+
     def put(self, namespace: str, key: bytes, value) -> None:
         with self._lock:
             entries = self._entries[namespace]

@@ -9,7 +9,7 @@ see PAPERS.md):
 
 * :class:`RunBudget` — a run-level wall-clock deadline and/or executed-hop
   cap, threaded from :class:`~repro.core.AutoFeatConfig` through
-  ``discover`` / ``train_top_k``, the training wave and the
+  ``discover`` / ``train_top_k`` and the
   :class:`~repro.service.DiscoveryService` per-request path;
 * :class:`NavigationFrontier` — the traversal frontier, either in
   canonical FIFO order (the bit-parity baseline: exactly the paper's BFS /
@@ -42,11 +42,9 @@ Determinism contract (DESIGN.md §14):
   and reports what it explored; the first hop the deadline aborts ends
   it.
 
-Deadlines are ``time.monotonic`` timestamps.  On the platforms this repo
-targets (Linux) the monotonic clock is system-wide, so a deadline computed
-on the coordinator is meaningful inside the training wave's pool workers
-too; worker checks are a best-effort early abort and the coordinator
-re-checks authoritatively at the merge either way.
+Deadlines are ``time.monotonic`` timestamps, checked only in the
+coordinating process: every hop, discovery's and training's, runs there,
+and a pool runs nothing but training fits, which never check one.
 """
 
 from __future__ import annotations

@@ -31,15 +31,14 @@ holds them so); the
 :class:`repro.selection.SelectionStats` counters on :attr:`stats` record
 how much work the cache saved.
 
-**Parallel-execution contract**: the selector is *order-dependent* state —
-redundancy scores depend on everything accepted before — and is therefore
-never shared with, or updated by, worker processes.  On every
-``config.parallel_backend`` the coordinator calls
-:meth:`StreamingFeatureSelector.process_batch` only at the deterministic
-merge points, consuming hop outcomes in canonical enumeration order (see
-:mod:`repro.engine.parallel` and DESIGN.md §11), which is what keeps the
-accepted-feature sequence — and with it every downstream ranking score —
-bit-identical across backends.  The selector itself needs no locks.
+**Order contract**: the selector is *order-dependent* state — redundancy
+scores depend on everything accepted before.  Discovery runs in one
+process on every ``config.parallel_backend`` (only training fits reach a
+pool, DESIGN.md §11) and calls
+:meth:`StreamingFeatureSelector.process_batch` once per hop in canonical
+enumeration order, which is what keeps the accepted-feature sequence —
+and with it every downstream ranking score — bit-identical across
+backends.  The selector itself needs no locks.
 
 **Cross-run memo**: one ``process_batch`` step is a pure function of
 (config, label, the features accepted so far, the batch), so a long-lived

@@ -7,11 +7,11 @@ instantiation: a small grid search over (τ, κ) scored by the *discovery
 ranking itself* plus one cheap model evaluation per configuration on a
 sampled base table, so tuning cost stays far below a full wrapper search.
 
-Trials compose with the ``processes`` backend: every trial's top-1
-training runs on whatever ``parallel_backend`` the ``base_config``
-carries (discovery always runs in process), and because pool runs are
-bit-identical to serial (DESIGN.md §11) the grid picks the same winner
-either way — the backend only changes wall time.
+Trials compose with the ``processes`` backend: every trial's top-1 fit
+runs on whatever ``parallel_backend`` the ``base_config`` carries (every
+join runs in process), and because pool runs are bit-identical to serial
+(DESIGN.md §11) the grid picks the same winner either way — the backend
+only changes wall time.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from .impute import (
     impute_mean,
     impute_median,
     impute_most_frequent,
-    impute_table,
 )
 from .io import from_csv_text, read_csv, to_csv_text, write_csv
 from .join import JoinIndex, dedup_by_key, gather_rows, inner_join, left_join
@@ -25,7 +24,7 @@ from .quality import (
     quality_report,
     verify_key_constraint,
 )
-from .sampling import random_sample, stratified_sample, train_test_split_indices
+from .sampling import stratified_sample, train_test_split_indices
 from .table import Table
 
 __all__ = [
@@ -45,14 +44,12 @@ __all__ = [
     "aggregate",
     "distinct_count",
     "uniqueness",
-    "random_sample",
     "stratified_sample",
     "train_test_split_indices",
     "impute_most_frequent",
     "impute_mean",
     "impute_median",
     "impute_constant",
-    "impute_table",
     "read_csv",
     "write_csv",
     "from_csv_text",

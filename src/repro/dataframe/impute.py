@@ -2,8 +2,8 @@
 
 The paper handles missing values "by imputation with the most common value
 corresponding to the feature" (Section V-B) and discusses mean/median/mode
-imputation as alternatives to deletion (Section IV-C).  All strategies here
-return new tables; the originals are untouched.
+imputation as alternatives to deletion (Section IV-C).  Every strategy here
+returns a new column; the original is untouched.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import numpy as np
 
 from ..errors import SchemaError
 from .column import Column, DType
-from .table import Table
 
 __all__ = [
     "impute_most_frequent",
     "impute_mean",
     "impute_median",
     "impute_constant",
-    "impute_table",
 ]
 
 
@@ -73,32 +71,3 @@ def impute_median(column: Column) -> Column:
 def impute_constant(column: Column, value: object) -> Column:
     """Replace nulls with a caller-supplied default value."""
     return column.fill_nulls(value)
-
-
-_STRATEGIES = {
-    "most_frequent": impute_most_frequent,
-    "mean": impute_mean,
-    "median": impute_median,
-}
-
-
-def impute_table(table: Table, strategy: str = "most_frequent") -> Table:
-    """Impute every column of a table with the named strategy.
-
-    ``mean``/``median`` silently fall back to ``most_frequent`` on string
-    columns, matching the usual mixed-type preprocessing behaviour.
-    """
-    if strategy not in _STRATEGIES:
-        raise SchemaError(
-            f"unknown imputation strategy {strategy!r}; "
-            f"expected one of {sorted(_STRATEGIES)}"
-        )
-    impute = _STRATEGIES[strategy]
-    out = {}
-    for name in table.column_names:
-        column = table.column(name)
-        if strategy != "most_frequent" and not column.dtype.is_numeric:
-            out[name] = impute_most_frequent(column)
-        else:
-            out[name] = impute(column)
-    return Table(out, name=table.name)

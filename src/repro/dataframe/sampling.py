@@ -13,17 +13,7 @@ import numpy as np
 from ..errors import SchemaError
 from .table import Table
 
-__all__ = ["random_sample", "stratified_sample", "train_test_split_indices"]
-
-
-def random_sample(table: Table, n: int, seed: int = 0) -> Table:
-    """Uniform sample of ``min(n, n_rows)`` rows without replacement."""
-    if n < 0:
-        raise SchemaError(f"sample size must be non-negative, got {n}")
-    n = min(n, table.n_rows)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(table.n_rows, size=n, replace=False)
-    return table.take(np.sort(idx))
+__all__ = ["stratified_sample", "train_test_split_indices"]
 
 
 def stratified_sample(

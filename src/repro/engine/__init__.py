@@ -19,14 +19,7 @@ from .faults import (
 )
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
-from .parallel import (
-    PARALLEL_BACKENDS,
-    PathExecutor,
-    PathTask,
-    UnitOutcome,
-    resolve_max_workers,
-    settle_outcome,
-)
+from .parallel import PARALLEL_BACKENDS, fit_pool, resolve_max_workers
 from .stats import ExecutionStats
 
 __all__ = [
@@ -41,9 +34,6 @@ __all__ = [
     "FailureReport",
     "FaultManager",
     "PARALLEL_BACKENDS",
-    "PathExecutor",
-    "PathTask",
-    "UnitOutcome",
+    "fit_pool",
     "resolve_max_workers",
-    "settle_outcome",
 ]

@@ -66,11 +66,11 @@ class JoinEngine:
         Seed for the deterministic representative-row choice during the
         build phase; part of the cache key.
     hop_hook:
-        Optional picklable callable ``hook(edge)`` invoked at the top of
-        every hop, on whichever worker runs it — the one test seam: a
-        hook that raises a :class:`~repro.errors.FaultError` (which gets
-        the hop context attached) injects a fault, one that sleeps
-        simulates a slow table.
+        Optional callable ``hook(edge)`` invoked at the top of every hop
+        — the one test seam: a hook that raises a
+        :class:`~repro.errors.FaultError` (which gets the hop context
+        attached) injects a fault, one that sleeps simulates a slow
+        table.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given (and enabled),
         every executed hop opens a ``join`` span nested under the
@@ -79,17 +79,14 @@ class JoinEngine:
         tracer.
     cache:
         Share an existing :class:`HopCache` instead of creating one —
-        how per-worker engine views of a parallel run reuse the parent
-        run's build state.
+        how a long-lived service reuses build state across runs.
     run_deadline:
         Absolute ``time.monotonic`` timestamp of the run-level anytime
         budget (None = unbudgeted).  Hops check it cooperatively — at hop
         entry and after the index build — and raise
         :class:`~repro.errors.RunBudgetExceeded` once it has passed, which
         the navigator treats as graceful exhaustion rather than a hop
-        failure.  Monotonic timestamps are system-wide on
-        Linux, so a deadline computed by the coordinator remains
-        meaningful inside process-pool workers.
+        failure.
     """
 
     def __init__(
@@ -108,23 +105,6 @@ class JoinEngine:
         self.hop_hook = hop_hook
         self.tracer = tracer or NULL_TRACER
         self.run_deadline = run_deadline
-
-    def worker_view(self, tracer: Tracer | None = None) -> "JoinEngine":
-        """A per-work-unit handle on this engine for parallel execution.
-
-        The view shares the DRG and this engine's :class:`HopCache` — so
-        cross-path build reuse spans every unit the engine runs — but
-        counts into its own fresh :class:`ExecutionStats`, which the
-        coordinator merges in at the deterministic merge point.
-        """
-        return JoinEngine(
-            self.drg,
-            seed=self.seed,
-            hop_hook=self.hop_hook,
-            tracer=tracer,
-            cache=self.cache,
-            run_deadline=self.run_deadline,
-        )
 
     # -- plan phase ---------------------------------------------------------
 
@@ -248,8 +228,10 @@ class JoinEngine:
         (:func:`source_column_name`), so this table route cannot tell a
         key written as ``t.k_r`` from a real ``k_r`` column of ``t``: a
         second hop out of a table that holds both probes with ``t.k_r``.
-        :meth:`materialize_path` and discovery walk the row-map chain and
-        read the key by its exact name instead.
+        :meth:`materialize_path`, discovery and the baselines walk the
+        row-map chain and read the key by its exact name instead; the one
+        caller outside the tests is the staged replay of the end-to-end
+        benchmark (``benchmarks/e2e/staged.py``).
         """
         index, row_map = self.probe_hop(current, edge, base_name, path=path)
         contributed = [out for __, out in index.output_names(current.column_names)]

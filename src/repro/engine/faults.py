@@ -133,9 +133,9 @@ class FaultManager:
 
     One manager spans one logical run, exactly like :class:`JoinEngine`:
     the discovery traversal, the top-k training pass and each baseline's
-    join loop construct their own.  A baseline threads every fallible hop
-    through :meth:`execute`; the Algorithm-1 driver records at its merge
-    points through :func:`~repro.engine.settle_outcome`.
+    join loop construct their own.  A baseline and top-k training
+    thread every fallible join through :meth:`execute`; discovery's
+    ``AutoFeat._hop`` records its faulted hops itself.
 
     Parameters
     ----------

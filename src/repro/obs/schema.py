@@ -122,14 +122,13 @@ def _validate_span_tree(node: dict, path: str) -> list[str]:
         duration = child.get("duration_ns", 0) if isinstance(child, dict) else 0
         child_total += duration
         child_max = max(child_max, duration)
-    if node["attrs"].get("parallel") or node["attrs"].get("traced") is False:
-        # A parallel span's children ran concurrently (worker subtrees
-        # grafted under a wave) and an untraced root's are per-name totals
-        # of stages that nest, so their durations legitimately sum past
-        # the parent's wall time; each child must still fit individually.
+    if node["attrs"].get("traced") is False:
+        # An untraced root's children are per-name totals of stages that
+        # nest, so their durations legitimately sum past the parent's wall
+        # time; each child must still fit individually.
         if child_max > node["duration_ns"] + 1_000_000:
             errors.append(
-                f"{path}: child span of {child_max}ns exceeds the parallel "
+                f"{path}: child span of {child_max}ns exceeds the untraced "
                 f"parent's {node['duration_ns']}ns"
             )
     elif child_total > node["duration_ns"] + 1_000_000:

@@ -112,36 +112,6 @@ class Span:
             "children": [child.as_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        """Inverse of :meth:`as_dict` — rebuild a finished span tree.
-
-        How worker span trees come back across the parallel executor's
-        pool boundary: workers serialise their roots with :meth:`as_dict`
-        and the coordinator grafts them into the parent trace here.
-        """
-        span = cls(str(data.get("name", "span")), dict(data.get("attrs", {})))
-        span.start_ns = int(data.get("start_ns", 0))
-        span.end_ns = span.start_ns + int(data.get("duration_ns", 0))
-        span.events = [dict(event) for event in data.get("events", ())]
-        span.children = [cls.from_dict(child) for child in data.get("children", ())]
-        return span
-
-    def shift(self, delta_ns: int) -> "Span":
-        """Shift this subtree's clock by ``delta_ns`` in place; returns self.
-
-        ``perf_counter_ns`` stamps are only comparable within one process,
-        so span trees returned by *process* workers are rebased into the
-        parent's clock (durations are untouched) before grafting.
-        """
-        for span in self.iter_spans():
-            span.start_ns += delta_ns
-            span.end_ns += delta_ns
-            for event in span.events:
-                if "t_ns" in event:
-                    event["t_ns"] += delta_ns
-        return self
-
     # -- context manager ----------------------------------------------------
 
     def __enter__(self) -> "Span":

@@ -19,7 +19,7 @@ to feature discovery:
   requests which ``n_workers`` threads drain concurrently, each run
   multiplexed onto the existing engine machinery
   (``config.parallel_backend`` still places an ``augment`` request's
-  training wave);
+  training fits);
 * **incremental mutation** — :meth:`register_table` /
   :meth:`update_table` / :meth:`drop_table` re-profile and re-match only
   the affected column pairs, replay the stored matches into a fresh DRG

@@ -152,6 +152,26 @@ class TestJoinAll:
         assert result.n_features_used <= 3
         assert result.feature_selection_seconds > 0
 
+    def test_second_hop_probes_the_key_not_a_k_r_column(self):
+        # ``a`` has its own ``k_r`` column: a name search in the running
+        # join finds ``a.k_r`` (ids 100…) where the key ``a.k`` (ids 10…)
+        # is meant, and leaves every ``b.f`` null.
+        n = 12
+        ids = np.arange(n)
+        base = Table({"id": ids, "label": ids % 2}, name="base")
+        a = Table({"id": ids, "k": ids + 10, "k_r": ids + 100}, name="a")
+        b = Table({"k": np.arange(10, 10 + n), "f": 1.5 * ids}, name="b")
+        drg = DatasetRelationGraph.from_constraints(
+            [base, a, b],
+            [
+                KFKConstraint("base", "id", "a", "id"),
+                KFKConstraint("a", "k", "b", "k"),
+            ],
+        )
+        wide, joined = join_all_table(drg, "base")
+        assert joined == 2
+        assert wide.column("b.f").to_list() == [1.5 * i for i in range(n)]
+
     def test_feasibility_cap(self, lake):
         drg, __ = lake
         with pytest.raises(JoinError):

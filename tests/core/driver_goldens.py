@@ -124,27 +124,20 @@ def failure_records(report) -> list:
     ]
 
 
-def engine_counters(stats, backend: str) -> dict:
-    """Engine counters a backend must reproduce.
-
-    ``processes`` keeps one hop cache per worker, so only the join work and
-    the number of cache lookups are invariant there, not the hit/miss split.
-    """
-    counters = {
+def engine_counters(stats) -> dict:
+    """Engine counters every backend must reproduce: every join runs on
+    the coordinator's one engine, so all of them are exact."""
+    return {
         "hops_executed": stats.hops_executed,
         "rows_probed": stats.rows_probed,
         "cache_lookups": stats.cache_hits + stats.cache_misses,
+        "index_builds": stats.index_builds,
+        "cache_hits": stats.cache_hits,
+        "cache_misses": stats.cache_misses,
     }
-    if backend != "processes":
-        counters.update(
-            index_builds=stats.index_builds,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
-        )
-    return counters
 
 
-def discovery_record(discovery, backend: str) -> dict:
+def discovery_record(discovery) -> dict:
     return {
         "ranked": [
             [
@@ -162,12 +155,12 @@ def discovery_record(discovery, backend: str) -> dict:
         "empty_contribution": discovery.n_hops_empty_contribution,
         "budget_exhausted": discovery.budget_exhausted,
         "failures": failure_records(discovery.failure_report),
-        "engine": engine_counters(discovery.engine_stats, backend),
+        "engine": engine_counters(discovery.engine_stats),
         "selection": asdict(discovery.selection_stats),
     }
 
 
-def training_record(result, backend: str, with_engine: bool) -> dict:
+def training_record(result, with_engine: bool) -> dict:
     record = {
         "trained": [
             [t.ranked.path.describe(), float(t.accuracy).hex(), t.n_features_used]
@@ -188,7 +181,7 @@ def training_record(result, backend: str, with_engine: bool) -> dict:
         # path ending in one, unlike the classic loop.  Units now charge
         # the partial path up to the faulting edge, as the classic loop
         # did, but the file holds nothing to compare that with.
-        record["engine"] = engine_counters(result.engine_stats, backend)
+        record["engine"] = engine_counters(result.engine_stats)
     return record
 
 
@@ -236,7 +229,7 @@ def run_cell(key: str, backend: str) -> dict:
             discovery = autofeat.discover(bundle.base_name, bundle.label_column)
         except FaultError as exc:
             return _raised(exc)
-        return {"discovery": discovery_record(discovery, backend)}
+        return {"discovery": discovery_record(discovery)}
 
     record = {}
     try:
@@ -244,10 +237,8 @@ def run_cell(key: str, backend: str) -> dict:
     except FaultError as exc:
         record.update(_raised(exc))
     else:
-        record["discovery"] = discovery_record(result.discovery, backend)
-        record["training"] = training_record(
-            result, backend, with_engine=faults == "clean"
-        )
+        record["discovery"] = discovery_record(result.discovery)
+        record["training"] = training_record(result, with_engine=faults == "clean")
     if faults != "clean":
         fresh = _autofeat(lake, traversal, seed, faults, budget, backend)
         try:
@@ -257,9 +248,7 @@ def run_cell(key: str, backend: str) -> dict:
         except FaultError as exc:
             record["training_of_clean"] = _raised(exc)
         else:
-            record["training_of_clean"] = training_record(
-                trained, backend, with_engine=False
-            )
+            record["training_of_clean"] = training_record(trained, with_engine=False)
     return record
 
 
@@ -292,15 +281,9 @@ def load_goldens() -> dict:
     return goldens
 
 
-def expected_cell(key: str, backend: str) -> dict:
-    """The golden record of ``key``, reduced to what ``backend`` pins."""
-    record = copy.deepcopy(load_goldens()["matrix"][key])
-    if backend == "processes":
-        for part in record.values():
-            if isinstance(part, dict) and "engine" in part:
-                for name in ("index_builds", "cache_hits", "cache_misses"):
-                    del part["engine"][name]
-    return record
+def expected_cell(key: str) -> dict:
+    """The golden record of ``key``, which every backend must reproduce."""
+    return copy.deepcopy(load_goldens()["matrix"][key])
 
 
 def _generate() -> dict:

@@ -85,10 +85,10 @@ class TestDiscovery:
         assert len(discovery.top(2)) == 2
 
     def test_missing_label_raises(self, drg, monkeypatch):
-        def no_executor(*args, **kwargs):
-            raise AssertionError("the label is checked before an executor is built")
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the label is checked before a pool is built")
 
-        monkeypatch.setattr("repro.core.autofeat.PathExecutor", no_executor)
+        monkeypatch.setattr("repro.engine.parallel.fit_pool", no_pool)
         config = AutoFeatConfig(parallel_backend="processes")
         with pytest.raises(JoinError):
             AutoFeat(drg, config).discover("base", "not_a_column")

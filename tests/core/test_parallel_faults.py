@@ -12,11 +12,8 @@ records how they were generated):
   failure as the classic loop did;
 * same-seed runs are bit-reproducible;
 * unexpected exceptions (outside the managed ``JoinError`` /
-  ``FaultError`` family) are never swallowed;
-* the training wave's pool workers consult the hop hook themselves.
+  ``FaultError`` family) are never swallowed.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -28,7 +25,7 @@ from repro.errors import ErrorBudgetExceeded, FaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
 from tests.core.driver_goldens import BACKENDS, POLICIES, as_json, load_goldens
-from tests.fault_hooks import FaultInjector, InjectedFaultError
+from tests.fault_hooks import FaultInjector
 
 
 def golden(key):
@@ -191,27 +188,3 @@ def run_training(drg, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_training_phase_fault_parity(drg, backend):
     assert as_json(run_training(drg, backend)) == golden("training")
-
-
-class PidFault:
-    """Hop hook failing every hop with the pid of the process it ran in."""
-
-    def __call__(self, edge):
-        raise InjectedFaultError(f"pid={os.getpid()}")
-
-
-def test_pool_workers_consult_the_hop_hook_themselves(drg):
-    # Discovery runs in this process without the hook; every training unit
-    # then faults while materialising its path, inside a pool worker.
-    config = AutoFeatConfig(sample_size=200, seed=1, parallel_backend="processes")
-    discovery = AutoFeat(drg, config).discover("base", "label")
-    result = AutoFeat(drg, config, hop_hook=PidFault()).train_top_k(
-        discovery, model_name="knn"
-    )
-    records = result.failure_report.records
-    assert len(records) == len(discovery.top(config.top_k)) > 0
-    assert result.trained == ()
-    for record in records:
-        assert record.stage == "training"
-        assert record.message.startswith("pid=")
-        assert not record.message.startswith(f"pid={os.getpid()};")

@@ -70,7 +70,7 @@ def lake_cells(lake: str) -> list[str]:
 def test_every_cell_logs_one_verdict_per_hop(lake, backend):
     checked = 0
     for key in lake_cells(lake):
-        golden = expected_cell(key, backend)
+        golden = expected_cell(key)
         run = run_logged(key, backend)
         if run is None:
             assert "raised" in golden, key

@@ -4,12 +4,10 @@ import pytest
 
 from repro.dataframe import (
     Column,
-    Table,
     impute_constant,
     impute_mean,
     impute_median,
     impute_most_frequent,
-    impute_table,
 )
 from repro.errors import SchemaError
 
@@ -58,24 +56,3 @@ class TestMeanMedian:
 class TestConstant:
     def test_fills(self):
         assert impute_constant(Column([None, 1]), 9).to_list() == [9, 1]
-
-
-class TestTableLevel:
-    def test_most_frequent_everywhere(self):
-        t = Table({"a": [1, None, 1], "b": ["x", None, "x"]}, name="t")
-        out = impute_table(t)
-        assert out.null_ratio() == 0.0
-
-    def test_mean_falls_back_for_strings(self):
-        t = Table({"a": [1.0, None], "b": ["x", None]}, name="t")
-        out = impute_table(t, "mean")
-        assert out.column("b").to_list() == ["x", "x"]
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(SchemaError):
-            impute_table(Table({"a": [1]}, name="t"), "zeros")
-
-    def test_original_untouched(self):
-        t = Table({"a": [1, None]}, name="t")
-        impute_table(t)
-        assert t.column("a").null_count() == 1

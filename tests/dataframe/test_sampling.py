@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataframe import Table, random_sample, stratified_sample, train_test_split_indices
+from repro.dataframe import Table, stratified_sample, train_test_split_indices
 from repro.errors import SchemaError
 
 
@@ -11,28 +11,6 @@ def make_table(n=100, pos_fraction=0.3, seed=0):
     rng = np.random.default_rng(seed)
     label = (rng.random(n) < pos_fraction).astype(int)
     return Table({"x": rng.normal(size=n), "label": label}, name="t")
-
-
-class TestRandomSample:
-    def test_size(self):
-        assert random_sample(make_table(), 10).n_rows == 10
-
-    def test_caps_at_table_size(self):
-        assert random_sample(make_table(20), 100).n_rows == 20
-
-    def test_deterministic(self):
-        t = make_table()
-        assert random_sample(t, 10, seed=1) == random_sample(t, 10, seed=1)
-
-    def test_negative_raises(self):
-        with pytest.raises(SchemaError):
-            random_sample(make_table(), -1)
-
-    def test_no_duplicate_rows(self):
-        t = Table({"i": list(range(50))}, name="t")
-        out = random_sample(t, 30, seed=2)
-        values = out.column("i").to_list()
-        assert len(values) == len(set(values))
 
 
 class TestStratifiedSample:

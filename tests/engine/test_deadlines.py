@@ -31,11 +31,6 @@ class TestEngineRunDeadline:
 
         assert not issubclass(RunBudgetExceeded, FaultError)
 
-    def test_worker_view_inherits_run_deadline(self):
-        deadline = time.monotonic() + 60.0
-        engine = JoinEngine(diamond_lake(), run_deadline=deadline)
-        assert engine.worker_view().run_deadline == deadline
-
     def test_materialize_path_respects_run_deadline(self):
         drg = diamond_lake()
         engine = JoinEngine(drg, run_deadline=time.monotonic() - 1.0)

@@ -1,30 +1,64 @@
-"""PathExecutor hand-off: in task order, one outcome at a time.
+"""The training fits' hand-off: joins in the coordinator, fits anywhere.
 
-The training wave is the executor's only client: ``train_top_k`` merges
-while units execute, so *when* the executor runs a unit is part of its
-contract: the ``serial`` backend must not run unit *i+1* before outcome
-*i* was consumed (that is what makes ``fail_fast`` stop at the first
-failing unit), while the pool may run ahead but must still hand
-back in task order, surface worker bugs on the coordinator and abandon
-what is still queued when the consumer stops.
+``train_top_k`` materialises every top-k path itself, in ranked order,
+and only the fit ``evaluate_accuracy(...)`` leaves the loop.  A unit here
+is one path: its materialisation and its fit.  On ``serial`` unit *i+1*
+starts only after unit *i*'s accuracy was recorded, so ``fail_fast``
+stops at the first failing path; on ``processes`` the fits run in a pool
+that may finish them in any order, yet the accuracies come back in
+ranked order, a fit's exception re-raises on the coordinator, fits still
+queued when the coordinator stops are abandoned, and no worker outlives
+training however it ends.
+
+The fits the pool runs are patched here with module-level functions: a
+worker forked after the patch finds them by name.
 """
 
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
+from repro import ml
 from repro.core import AutoFeat, AutoFeatConfig
-from repro.engine import JoinEngine, PathExecutor, PathTask, resolve_max_workers
+from repro.engine import JoinEngine, resolve_max_workers
 from repro.errors import ErrorBudgetExceeded
-from repro.graph import JoinPath
 
 from tests.core.test_parallel_faults import diamond_lake
 from tests.fault_hooks import FaultInjector, HopLatency, InjectedFaultError
 
-POOLS = ("processes",)
+_evaluate_accuracy = ml.evaluate_accuracy
+
+#: Column names of the table whose fit :func:`slow_first_fit` delays; a
+#: worker forked after the test sets it inherits the value.
+SLOW_TABLE: tuple[str, ...] = ()
+
+
+def slow_first_fit(table, *args):
+    """The real fit, after a delay on :data:`SLOW_TABLE` only."""
+    if tuple(table.column_names) == SLOW_TABLE:
+        time.sleep(0.3)
+    return _evaluate_accuracy(table, *args)
+
+
+def exploding_fit(*args):
+    raise RuntimeError("worker bug: corrupted model")
+
+
+#: The file :func:`logged_slow_fit` appends one line per fit to; the
+#: forked workers share it, so the count is exact whatever the machine's
+#: speed.
+FIT_LOG = None
+
+
+def logged_slow_fit(table, *args):
+    with open(FIT_LOG, "a") as log:
+        log.write("fit\n")
+    time.sleep(0.5)
+    return _evaluate_accuracy(table, *args)
 
 
 @pytest.fixture(scope="module")
@@ -32,135 +66,112 @@ def drg():
     return diamond_lake(n=120)
 
 
-def path_tasks(drg, n=4):
-    """``n`` independent one-hop training units, alternating base->a / base->b."""
-    edges = [drg.best_join_options("base", target)[0] for target in ("a", "b")]
-    return [
-        PathTask(
-            index=i,
-            path=JoinPath("base").extend(edges[i % 2]),
-            selected_features=(),
-            base_name="base",
-            label_column="label",
-            model_name="knn",
-        )
-        for i in range(n)
-    ]
+def config(backend, **overrides):
+    return AutoFeatConfig(sample_size=100, parallel_backend=backend, **overrides)
+
+
+@pytest.fixture(scope="module")
+def discovery(drg):
+    discovery = AutoFeat(drg, config("serial")).discover("base", "label")
+    assert len(discovery.top(AutoFeatConfig().top_k)) > 1
+    return discovery
+
+
+def trained(result):
+    return [(t.ranked.path.describe(), t.accuracy.hex()) for t in result.trained]
 
 
 @pytest.fixture
-def hop_calls(monkeypatch):
-    """Targets of every ``probe_hop`` call (every hop enters there), in
-    call order."""
+def units(monkeypatch):
+    """Every materialisation (the path) and fit of a serial run, in order."""
     calls = []
-    original = JoinEngine.probe_hop
+    materialize_path = JoinEngine.materialize_path
 
-    def counting(self, current, edge, base_name, **kwargs):
-        calls.append(edge.target)
-        return original(self, current, edge, base_name, **kwargs)
+    def materialise(self, path, base_table):
+        calls.append(("path", path.describe()))
+        return materialize_path(self, path, base_table)
 
-    monkeypatch.setattr(JoinEngine, "probe_hop", counting)
+    def fit(table, *args):
+        calls.append(("fit",))
+        return _evaluate_accuracy(table, *args)
+
+    monkeypatch.setattr(JoinEngine, "materialize_path", materialise)
+    monkeypatch.setattr(ml, "evaluate_accuracy", fit)
     return calls
 
 
 class TestSerialHandOff:
-    def test_next_unit_runs_only_after_outcome_consumed(self, drg, hop_calls):
-        executor = PathExecutor(JoinEngine(drg), backend="serial")
-        outcomes = executor.run_paths(path_tasks(drg))
-        assert hop_calls == []  # nothing runs before the first outcome is asked for
-        for consumed in range(1, 5):
-            outcome = next(outcomes)
-            assert outcome.index == consumed - 1
-            assert outcome.error is None
-            assert len(hop_calls) == consumed
-        assert list(outcomes) == []
+    def test_next_unit_runs_only_after_outcome_consumed(self, drg, discovery, units):
+        result = AutoFeat(drg, config("serial")).train_top_k(discovery, "knn")
+        expected = []
+        for path, __ in trained(result):
+            expected += [("path", path), ("fit",)]
+        assert units == expected
 
-    def test_rest_is_abandoned_when_consumer_stops(self, drg, hop_calls):
-        executor = PathExecutor(JoinEngine(drg), backend="serial")
-        outcomes = executor.run_paths(path_tasks(drg))
-        next(outcomes)
-        outcomes.close()
-        assert hop_calls == ["a"]
-        # The units that did run are still accounted for.
-        assert executor.busy_seconds > 0.0
-        assert executor.parallel_wall_seconds >= executor.busy_seconds
+    def test_rest_is_abandoned_when_consumer_stops(self, drg, discovery, units):
+        def second_path_faults(edge):
+            if len(units) == 3:  # path 0, fit 0, path 1
+                raise InjectedFaultError("second path")
 
-    def test_accounting_excludes_the_consumers_merge_time(self, drg):
-        executor = PathExecutor(JoinEngine(drg), backend="serial")
-        started = time.perf_counter()
-        for __ in executor.run_paths(path_tasks(drg)):
-            time.sleep(0.02)  # the coordinator's merge work
-        elapsed = time.perf_counter() - started
-        assert 0.0 < executor.busy_seconds <= executor.parallel_wall_seconds
-        assert executor.parallel_wall_seconds < elapsed - 4 * 0.02
+        autofeat = AutoFeat(
+            drg, config("serial", failure_policy="fail_fast"), hop_hook=second_path_faults
+        )
+        with pytest.raises(InjectedFaultError):
+            autofeat.train_top_k(discovery, "knn")
+        top = [ranked.path.describe() for ranked in discovery.top(3)]
+        assert units == [("path", top[0]), ("fit",), ("path", top[1])]
 
-    def test_injected_fault_stops_a_unit_before_any_join(self, drg):
-        engine = JoinEngine(drg, hop_hook=FaultInjector(failure_probability=1.0))
-        executor = PathExecutor(engine, backend="serial")
-        for outcome in executor.run_paths(path_tasks(drg, n=2)):
-            assert isinstance(outcome.error, InjectedFaultError)
-            assert outcome.stats.hops_executed == 0
+    def test_injected_fault_stops_a_unit_before_any_join(self, drg, discovery):
+        hook = FaultInjector(failure_probability=1.0)
+        result = AutoFeat(drg, config("serial"), hop_hook=hook).train_top_k(
+            discovery, "knn"
+        )
+        assert result.trained == ()
+        top_k = AutoFeatConfig().top_k
+        assert len(result.failure_report.records) == len(discovery.top(top_k))
+        assert result.engine_stats.hops_executed == 0
 
 
-@pytest.mark.parametrize("backend", POOLS)
+@pytest.mark.parametrize("backend", ("processes",))
 class TestPoolHandOff:
     def test_outcomes_in_task_order_whatever_finishes_first(
-        self, drg, backend, monkeypatch
+        self, drg, discovery, backend, monkeypatch
     ):
-        original = JoinEngine.probe_hop
-
-        def first_unit_is_slowest(self, current, edge, base_name, **kwargs):
-            if edge.target == "a":
-                time.sleep(0.05)
-            return original(self, current, edge, base_name, **kwargs)
-
-        monkeypatch.setattr(JoinEngine, "probe_hop", first_unit_is_slowest)
-        tasks = path_tasks(drg)
-        with PathExecutor(JoinEngine(drg), backend=backend) as executor:
-            outcomes = list(executor.run_paths(tasks))
-        assert [o.index for o in outcomes] == [0, 1, 2, 3]
-        for task, outcome in zip(tasks, outcomes):
-            table, __, __ = outcome.value
-            prefix = task.path.terminal + "."
-            assert any(name.startswith(prefix) for name in table.column_names)
-        assert executor.busy_seconds > 0.0 and executor.parallel_wall_seconds > 0.0
+        first = discovery.top(AutoFeatConfig().top_k)[0].path
+        table, __ = JoinEngine(drg).materialize_path(first, drg.table("base"))
+        monkeypatch.setattr(f"{__name__}.SLOW_TABLE", tuple(table.column_names))
+        monkeypatch.setattr(ml, "evaluate_accuracy", slow_first_fit)
+        pooled = AutoFeat(drg, config(backend)).train_top_k(discovery, "knn")
+        serial = AutoFeat(drg, config("serial")).train_top_k(discovery, "knn")
+        assert trained(pooled)[0][0] == first.describe()
+        assert trained(pooled) == trained(serial)
 
     def test_unexpected_worker_exception_reraises_on_coordinator(
-        self, drg, backend, monkeypatch
+        self, drg, discovery, backend, monkeypatch
     ):
-        def exploding(self, current, edge, base_name, **kwargs):
-            raise RuntimeError("worker bug: corrupted index")
-
-        monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
-        with PathExecutor(JoinEngine(drg), backend=backend) as executor:
-            with pytest.raises(RuntimeError, match="worker bug"):
-                list(executor.run_paths(path_tasks(drg)))
+        monkeypatch.setattr(ml, "evaluate_accuracy", exploding_fit)
+        with pytest.raises(RuntimeError, match="worker bug"):
+            AutoFeat(drg, config(backend)).train_top_k(discovery, "knn")
 
     def test_queued_units_are_abandoned_when_consumer_stops(
-        self, drg, backend, monkeypatch, tmp_path
+        self, drg, discovery, backend, monkeypatch, tmp_path
     ):
-        # The pool twin of TestSerialHandOff.test_rest_is_abandoned_...:
-        # every executed unit leaves a line in a file the forked workers
-        # share, so the count is exact whatever the machine's speed.
-        ran = tmp_path / "ran"
-        original = JoinEngine.probe_hop
+        # The coordinator stops as it starts waiting for the first fit:
+        # all six are submitted and none has finished.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
 
-        def logged_slow_hop(self, current, edge, base_name, **kwargs):
-            with ran.open("a") as log:
-                log.write(edge.target + "\n")
-            time.sleep(0.05)
-            return original(self, current, edge, base_name, **kwargs)
-
-        monkeypatch.setattr(JoinEngine, "probe_hop", logged_slow_hop)
-        tasks = path_tasks(drg, n=16)
-        executor = PathExecutor(JoinEngine(drg), backend=backend)
-        outcomes = executor.run_paths(tasks)
-        next(outcomes)
-        outcomes.close()
-        executor.close()
-        # Running units and the few the pool already handed to its
-        # workers' call queue finish; the rest never start.
-        assert len(ran.read_text().splitlines()) < len(tasks)
+        monkeypatch.setattr(f"{__name__}.FIT_LOG", str(tmp_path / "fits"))
+        monkeypatch.setattr(ml, "evaluate_accuracy", logged_slow_fit)
+        monkeypatch.setattr(Future, "result", interrupted)
+        top_k = len(discovery.ranked_paths)
+        assert top_k == 6
+        autofeat = AutoFeat(drg, config(backend, top_k=top_k))
+        with pytest.raises(KeyboardInterrupt):
+            autofeat.train_top_k(discovery, "knn")
+        # The two running fits and the three the pool already handed to
+        # its workers' call queue finish; the rest never start.
+        assert len((tmp_path / "fits").read_text().splitlines()) < top_k
 
 
 def test_auto_worker_count_follows_cpu_affinity(monkeypatch):
@@ -173,31 +184,26 @@ def test_auto_worker_count_follows_cpu_affinity(monkeypatch):
 
 
 class TestPoolIsGoneWhenTrainingEnds:
-    """However the training wave ends, it leaves no worker process behind.
+    """However training ends, it leaves no worker process behind.
 
-    Discovery runs without the hook, so every failure lands in the pool.
+    Discovery runs without the hook, so every failure lands in training.
     """
 
     def train(self, drg, hop_hook=None, **overrides):
-        config = AutoFeatConfig(
-            sample_size=100, parallel_backend="processes", **overrides
-        )
+        processes = config("processes", **overrides)
         # Without the wall-clock budget: discovery must rank paths.
-        unbudgeted = replace(config, budget_seconds=None)
+        unbudgeted = replace(processes, budget_seconds=None)
         discovery = AutoFeat(drg, unbudgeted).discover("base", "label")
         assert discovery.ranked_paths
         before = set(multiprocessing.active_children())
         try:
-            autofeat = AutoFeat(drg, config, hop_hook=hop_hook)
+            autofeat = AutoFeat(drg, processes, hop_hook=hop_hook)
             return autofeat.train_top_k(discovery, model_name="knn")
         finally:
             assert set(multiprocessing.active_children()) <= before
 
     def test_unexpected_worker_exception(self, drg, monkeypatch):
-        def exploding(self, path, base_table):
-            raise RuntimeError("worker bug: corrupted index")
-
-        monkeypatch.setattr(JoinEngine, "materialize_path", exploding)
+        monkeypatch.setattr(ml, "evaluate_accuracy", exploding_fit)
         with pytest.raises(RuntimeError, match="worker bug"):
             self.train(drg)
 
@@ -216,10 +222,11 @@ class TestPoolIsGoneWhenTrainingEnds:
         assert result.budget_exhausted
 
     def test_keyboard_interrupt_in_the_merge_loop(self, drg, monkeypatch):
-        def interrupted(task, outcome, faults):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.core.autofeat.settle_outcome", interrupted)
+        # Raised where the first collected accuracy is recorded, while the
+        # pool still holds the other fits.
+        monkeypatch.setattr("repro.core.autofeat.TrainedPath", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.train(drg)
-

@@ -1,7 +1,7 @@
 """Hop hooks the tests perturb a run with, through ``hop_hook=``.
 
 Every :class:`~repro.engine.JoinEngine` calls its ``hop_hook(edge)`` at
-the top of each hop, on whichever worker runs it.  Nothing in a real run
+the top of each hop, in the coordinating process.  Nothing in a real run
 fails or stalls a hop on its own — a hop is a deterministic in-memory
 join — so the faults and delays the fault layer must survive are made
 here:
@@ -9,9 +9,8 @@ here:
 * :class:`FaultInjector` raises a seeded, per-edge fault;
 * :class:`HopLatency` sleeps a fixed time per hop.
 
-Both are plain picklable objects, so they run inside process-pool
-workers too.  The two fault classes keep the names the frozen goldens
-record as ``type(exc).__name__``.
+Both are pure functions of ``(seed, edge)``.  The two fault classes keep
+the names the frozen goldens record as ``type(exc).__name__``.
 """
 
 from __future__ import annotations

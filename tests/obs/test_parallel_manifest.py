@@ -1,14 +1,15 @@
-"""Observability of the training wave: stitched spans, gauges, valid manifests.
+"""Observability of training on both backends: one tree, valid manifests.
 
 Discovery runs in process on every backend, so its tree is
-``discover > {sample, selection, hop > join}`` with no wave in it.  The
-training wave's path units execute inline or in worker processes, yet the
-run manifest must stay one coherent tree of the same shape on every
-backend: the wave span carries the ``parallel`` marker plus
-backend/worker attributes, worker spans are grafted (and, for processes,
-rebased onto the coordinator's clock) as its children, and the schema
-validator's concurrency-aware rule — max child duration, not the sum,
-bounded by the parent — holds for it.
+``discover > {sample, selection, hop > join}``.  Training materialises
+every path in the coordinator too and only its fits may run in a pool, so
+its tree is ``train > {path > hop > join, evaluate}`` on every backend:
+the ``train`` span carries the backend/worker attributes, and its
+children run one after another, so the schema validator's rule — the
+children's durations sum to no more than their parent's — holds for it.
+On ``serial`` each ``evaluate`` follows its ``path``; on ``processes``
+every ``path`` comes first, then one ``evaluate`` per path, timing the
+wait for that fit.
 """
 
 import numpy as np
@@ -82,22 +83,17 @@ def iter_tree(node):
         yield from iter_tree(child)
 
 
-def wave_nodes(manifest):
-    return [
-        node
-        for node in iter_tree(manifest.timing)
-        if node.get("attrs", {}).get("parallel")
-    ]
+def train_node(manifest):
+    (train,) = [n for n in iter_tree(manifest.timing) if n["name"] == "train"]
+    return train
 
 
-def assert_no_wave(discovery):
-    """Discovery's tree holds no wave and its manifest no pool metrics."""
-    assert wave_nodes(discovery.run_manifest) == []
+def assert_no_pool(discovery):
+    """Discovery's tree and manifest hold no trace of a pool."""
     names = {node["name"] for node in iter_tree(discovery.run_manifest.timing)}
-    assert "wave" not in names
+    assert "wave" not in names and "train" not in names
     metrics = discovery.run_manifest.metrics
     assert not any(name.startswith("parallel.") for name in metrics["gauges"])
-    assert "discovery.waves" not in metrics["counters"]
 
 
 @pytest.mark.parametrize("backend", PARALLEL)
@@ -110,37 +106,40 @@ class TestParallelDiscoveryManifest:
             discovery.discovery_seconds, abs=1e-6
         )
 
-    def test_wave_spans_carry_backend_attrs_and_worker_children(
+    def test_train_span_carries_backend_attrs_and_fit_children(
         self, drg, backend
     ):
         result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
-        assert_no_wave(result.discovery)
-        waves = wave_nodes(result.run_manifest)
-        assert len(waves) == 1, "the training wave is the only wave"
-        (wave,) = waves
-        assert wave["name"] == "wave"
-        assert wave["attrs"]["backend"] == backend
-        assert wave["attrs"]["workers"] == 2
-        # Worker path spans are stitched back under the wave.
-        assert {child["name"] for child in wave["children"]} == {"path"}
+        assert_no_pool(result.discovery)
+        names = {node["name"] for node in iter_tree(result.run_manifest.timing)}
+        assert "wave" not in names
+        train = train_node(result.run_manifest)
+        assert train["attrs"]["backend"] == backend
+        assert train["attrs"]["workers"] == 2
+        # Every path is materialised before the first fit is awaited.
+        assert [child["name"] for child in train["children"]] == ["path"] * 2 + [
+            "evaluate"
+        ] * 2
 
     def test_child_time_bounded_by_parent_time(self, drg, backend):
-        # Concurrent children may *sum* past the parent's wall time, but no
-        # single child can exceed it (1ms clock tolerance, as the schema
-        # validator allows).
+        # The fits run in the pool, but the spans time the coordinator's
+        # own work and waits, one after another: the children's durations
+        # sum to no more than the train span's (1ms clock tolerance, as the
+        # schema validator allows).
         result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
-        for wave in wave_nodes(result.run_manifest):
-            for child in wave.get("children", ()):
-                assert child["duration_ns"] <= wave["duration_ns"] + 1_000_000
+        train = train_node(result.run_manifest)
+        children = sum(child["duration_ns"] for child in train["children"])
+        assert children <= train["duration_ns"] + 1_000_000
 
     def test_workers_used_gauge_recorded(self, drg, backend):
         result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
-        assert_no_wave(result.discovery)
+        assert_no_pool(result.discovery)
         gauges = result.run_manifest.metrics["gauges"]
         assert gauges["parallel.workers_used"] == 2
-        assert gauges["parallel.speedup"] >= 0.0
-        assert gauges["parallel.wall_seconds"] >= 0.0
-        assert gauges["parallel.busy_seconds"] >= 0.0
+        # The executor's utilisation gauges went with the executor.
+        assert [name for name in gauges if name.startswith("parallel.")] == [
+            "parallel.workers_used"
+        ]
 
     def test_augment_manifest_covers_both_phases(self, drg, backend):
         result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
@@ -149,9 +148,8 @@ class TestParallelDiscoveryManifest:
         stages = manifest.stage_seconds()
         assert "discover" in stages and "train" in stages
         assert manifest.metrics["gauges"]["parallel.workers_used"] == 2
-        # The training wave stitches per-path worker spans back in.
         names = {node["name"] for node in iter_tree(manifest.timing)}
-        assert "path" in names
+        assert {"path", "evaluate"} <= names
 
 
 class TestSerialManifestUnchanged:
@@ -159,11 +157,15 @@ class TestSerialManifestUnchanged:
         serial = AutoFeat(drg, config("serial")).augment("base", "label", "knn")
         pooled = AutoFeat(drg, config("processes")).augment("base", "label", "knn")
         for result in (serial, pooled):
-            assert_no_wave(result.discovery)
+            assert_no_pool(result.discovery)
             assert validate_manifest(result.run_manifest.as_dict()) == []
-        (wave,) = wave_nodes(serial.run_manifest)
-        assert wave["attrs"]["backend"] == "serial"
-        assert wave["attrs"]["workers"] == 1
+        train = train_node(serial.run_manifest)
+        assert train["attrs"]["backend"] == "serial"
+        assert train["attrs"]["workers"] == 1
+        # Each fit runs inline, right after its path is materialised.
+        assert [child["name"] for child in train["children"]] == [
+            "path", "evaluate",
+        ] * 2
         # selection is coordinator work: a sibling of the hop it scores.
         discover_root = serial.discovery.run_manifest.timing
         assert {c["name"] for c in discover_root["children"]} == {
