@@ -12,7 +12,10 @@ the profiled block; how many (selected × candidate) pairs the redundancy
 kernel counted and how many candidates its early-rejection bound dropped
 (every workload's op runs ``discover``); how many joined tables the op's
 hops built (only training's ``materialize_path`` builds one: a discovery
-hop walks its path's chain of row maps);
+hop walks its path's chain of row maps); how many training fits ran in a
+process pool and how many inline; the CPU time and the largest peak RSS
+of the child processes — the fit pool's workers — over the untraced ops
+(``RUSAGE_CHILDREN``, which ``RUSAGE_SELF`` cannot see);
 how many verdicts of each kind the op's discovery runs logged; where one
 traced op's ``discover`` time goes — its ``hop``, ``selection`` and
 ``sample`` spans, and what is left over at the coordinator between them —
@@ -45,6 +48,7 @@ import cProfile
 import inspect
 import os
 import pstats
+import resource
 import statistics
 import sys
 import threading
@@ -59,6 +63,19 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 UNTRACED_OPS = 5
+
+#: Training fits :func:`_counted_fit` ran in this process, i.e. inline.
+_inline_fits = 0
+
+
+def _counted_fit(*args):
+    """``repro.ml.evaluate_accuracy``, counted.  Module-level, so a forked
+    pool worker handed it finds it by name (and counts into its own copy)."""
+    from repro.ml import automl
+
+    global _inline_fits
+    _inline_fits += 1
+    return automl.evaluate_accuracy(*args)
 
 
 def main() -> int:
@@ -76,15 +93,23 @@ def main() -> int:
     try:
         workload.op(lake, state)  # warm-up
         walls = []
+        before = [resource.getrusage(who) for who in _RUSAGE]
         for _ in range(UNTRACED_OPS):
             start = time.perf_counter()
             workload.op(lake, state)
             walls.append(time.perf_counter() - start)
+        after = [resource.getrusage(who) for who in _RUSAGE]
     finally:
         workload.teardown(state)
     print(
         f"{args.workload} seed {args.seed}: {UNTRACED_OPS} untraced ops, "
         f"min {min(walls):.3f} s, median {statistics.median(walls):.3f} s"
+    )
+    cpu = [_cpu_seconds(b, a) / UNTRACED_OPS for b, a in zip(before, after)]
+    print(
+        f"CPU per untraced op: coordinator {cpu[0]:.3f} s, child processes "
+        f"{cpu[1]:.3f} s; largest child peak RSS {after[1].ru_maxrss / 1024:.1f} MB "
+        "(RUSAGE_CHILDREN: the fit pool's workers)"
     )
 
     profiling = threading.Event()
@@ -140,12 +165,21 @@ def main() -> int:
         f"hop tables materialised: {work['tables']} / hops {work['hops']} "
         "(only materialize_path builds one)"
     )
+    print(f"training fits: {work['pooled']} pooled, {work['inline']} inline")
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     print(*attribution, sep="\n")
     if workload.match_in_op:
         print(*_matching_lines(lake), sep="\n")
     return 0
+
+
+#: The coordinator's own resource usage, then its waited-for children's.
+_RUSAGE = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+
+
+def _cpu_seconds(before, after) -> float:
+    return (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
 
 
 def _memo_counters(workload, state) -> dict:
@@ -162,14 +196,17 @@ def _redundancy_work():
     it counted.  Under MIFS, MRMR and CMIM every rejection is the bound's
     (the last check is the full score); CIFE and JMI reject none by it.
     ``hops`` counts probed hops and ``tables`` the joined tables built;
-    ``verdicts`` tallies the kinds of the verdicts ``discover`` logged.
+    ``verdicts`` tallies the kinds of the verdicts ``discover`` logged;
+    ``pooled`` and ``inline`` count the training fits handed to a pool and
+    run in this process.
     """
+    from repro import ml
     from repro.core import AutoFeat, streaming
     from repro.dataframe import JoinIndex
-    from repro.engine import JoinEngine
+    from repro.engine import JoinEngine, parallel
     from repro.selection import kernels
 
-    keys = ("counted", "pairs", "rejected", "candidates", "hops", "tables")
+    keys = ("counted", "pairs", "rejected", "candidates", "hops", "tables", "pooled")
     work = dict.fromkeys(keys, 0)
     work["verdicts"] = collections.Counter()
     lock = threading.Lock()  # service workloads score on worker threads
@@ -213,18 +250,28 @@ def _redundancy_work():
             work["verdicts"].update(verdict.kind for verdict in result.verdicts)
         return result
 
+    def counting_pool(workers):
+        pool = fit_pool(workers)
+        pool.submit = counting("pooled", pool.submit)
+        return pool
+
+    fit_pool, evaluate_accuracy = parallel.fit_pool, ml.evaluate_accuracy
     streaming.batch_redundancy_scores = counting_kernel
     kernels._pair_information = counting_pairs
     JoinEngine.probe_hop = counting("hops", probe_hop)
     JoinIndex.attach = counting("tables", attach)
     AutoFeat.discover = logging_discover
+    parallel.fit_pool, ml.evaluate_accuracy = counting_pool, _counted_fit
+    inline = _inline_fits
     try:
         yield work
     finally:
+        work["inline"] = _inline_fits - inline
         streaming.batch_redundancy_scores = kernel
         kernels._pair_information = pair_information
         JoinEngine.probe_hop, JoinIndex.attach = probe_hop, attach
         AutoFeat.discover = discover
+        parallel.fit_pool, ml.evaluate_accuracy = fit_pool, evaluate_accuracy
 
 
 #: Per phase of one op, the spans its time is split over (outermost only);

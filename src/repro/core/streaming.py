@@ -33,12 +33,12 @@ how much work the cache saved.
 
 **Order contract**: the selector is *order-dependent* state — redundancy
 scores depend on everything accepted before.  Discovery runs in one
-process on every ``config.parallel_backend`` (only training fits reach a
-pool, DESIGN.md §11) and calls
+process whatever the CPU count (only training fits reach a pool,
+DESIGN.md §11) and calls
 :meth:`StreamingFeatureSelector.process_batch` once per hop in canonical
 enumeration order, which is what keeps the accepted-feature sequence —
-and with it every downstream ranking score — bit-identical across
-backends.  The selector itself needs no locks.
+and with it every downstream ranking score — bit-identical whether the
+fits run inline or pooled.  The selector itself needs no locks.
 
 **Cross-run memo**: one ``process_batch`` step is a pure function of
 (config, label, the features accepted so far, the batch), so a long-lived

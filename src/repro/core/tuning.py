@@ -7,11 +7,9 @@ instantiation: a small grid search over (τ, κ) scored by the *discovery
 ranking itself* plus one cheap model evaluation per configuration on a
 sampled base table, so tuning cost stays far below a full wrapper search.
 
-Trials compose with the ``processes`` backend: every trial's top-1 fit
-runs on whatever ``parallel_backend`` the ``base_config`` carries (every
-join runs in process), and because pool runs are bit-identical to serial
-(DESIGN.md §11) the grid picks the same winner either way — the backend
-only changes wall time.
+Every trial trains its top-1 path only, so its one fit runs inline; the
+winner's re-run with the caller's ``top_k`` may pool a tree model's fits
+(DESIGN.md §11), which changes wall time, never the result.
 """
 
 from __future__ import annotations

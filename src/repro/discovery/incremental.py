@@ -89,9 +89,8 @@ class IncrementalMatchIndex:
     Parameters
     ----------
     tables:
-        The initial lake, in canonical order (order is part of the
-        determinism contract: traversal and ranking follow adjacency
-        insertion order, which follows table order).
+        The initial lake.  Its order fixes ``nodes`` but not traversal
+        or ranking: every adjacency list is kept sorted.
     matcher:
         Any DRG ``Matcher``; profile-aware matchers (``match_profiles``)
         get the incremental fast path.  Defaults to :class:`ComaMatcher`.

@@ -19,7 +19,7 @@ from .faults import (
 )
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
-from .parallel import PARALLEL_BACKENDS, fit_pool, resolve_max_workers
+from .parallel import fit_pool, resolve_max_workers
 from .stats import ExecutionStats
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "FailureRecord",
     "FailureReport",
     "FaultManager",
-    "PARALLEL_BACKENDS",
     "fit_pool",
     "resolve_max_workers",
 ]

@@ -90,8 +90,9 @@ class DatasetRelationGraph:
         not absurd) connections through — AutoFeat's pruning is supposed to
         handle them.
 
-        Pairs are walked in ``combinations`` order, which fixes the
-        adjacency insertion order that traversal and ranking follow.
+        Pairs are walked in ``combinations`` order; traversal and ranking
+        do not follow it, since every adjacency list is kept sorted
+        (:class:`~repro.graph.multigraph.MultiGraph`).
         Cheap rejection of a pair that cannot share a value lives inside
         the exact matchers
         (:func:`~repro.discovery.value_overlap.tables_may_overlap`), so it

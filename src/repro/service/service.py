@@ -17,9 +17,9 @@ to feature discovery:
   :class:`~repro.core.DiscoveryResult` / ``AugmentationResult`` objects;
 * **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
   requests which ``n_workers`` threads drain concurrently, each run
-  multiplexed onto the existing engine machinery
-  (``config.parallel_backend`` still places an ``augment`` request's
-  training fits);
+  multiplexed onto the existing engine machinery (an ``augment``
+  request's tree-model fits may still share a process pool, by the rule
+  of :meth:`~repro.core.AutoFeat.train_top_k`);
 * **incremental mutation** — :meth:`register_table` /
   :meth:`update_table` / :meth:`drop_table` re-profile and re-match only
   the affected column pairs, replay the stored matches into a fresh DRG

@@ -1,22 +1,51 @@
 """Suite-wide fixtures."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.engine import parallel
 
+#: The CPU count each training route runs on.  On one CPU every fit runs
+#: inline (``serial``); on two, ``processes`` pools the fits of a tree
+#: model when at least two of them miss the memo (a ``knn`` or
+#: ``linear_l1`` fit stays inline there too).
+ROUTES = {"serial": 1, "processes": 2}
 
-def two_workers(backend: str) -> int:
-    """:func:`repro.engine.resolve_max_workers` pinned to two pool workers."""
-    return 1 if backend == "serial" else 2
+
+@contextmanager
+def cpus(n: int):
+    """:func:`repro.engine.resolve_max_workers` reads ``n`` CPUs inside the
+    block, on every thread of this process."""
+    saved = parallel.resolve_max_workers
+    parallel.resolve_max_workers = lambda: n
+    try:
+        yield
+    finally:
+        parallel.resolve_max_workers = saved
 
 
 @pytest.fixture(autouse=True)
-def two_pool_workers(monkeypatch):
-    """Every ``processes`` pool under test has two workers.
+def one_cpu(monkeypatch):
+    """Every run under test sees one CPU unless it asks for more.
 
-    The pool sizes itself from the CPU-affinity mask, so without this the
-    worker count — and the ``workers`` attributes and gauges the manifests
-    record — would follow the host, and a many-core host would fork one
-    worker per core for every pool the suite starts.
+    The pool rule reads the CPU-affinity mask, so without this whether a
+    run pools — and the ``workers`` attributes and gauges its manifest
+    records — would follow the host.  A test asks for the pool with
+    :func:`cpus` (or a ``processes`` leg of :data:`ROUTES`).
     """
-    monkeypatch.setattr(parallel, "resolve_max_workers", two_workers)
+    monkeypatch.setattr(parallel, "resolve_max_workers", lambda: 1)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every fit pool started under the test, in order."""
+    started = []
+    fit_pool = parallel.fit_pool
+
+    def counted(workers):
+        started.append(workers)
+        return fit_pool(workers)
+
+    monkeypatch.setattr(parallel, "fit_pool", counted)
+    return started

@@ -3,9 +3,9 @@
 The contracts under test (DESIGN.md §14):
 
 * **No budget** — navigation is bit-identical to the reference full BFS
-  on every parallel backend, whatever ``frontier_strategy`` says.
+  on one CPU and on two, whatever ``frontier_strategy`` says.
 * **Hop budget** — expiry is deterministic: the same ``max_hops`` yields
-  the same fingerprint on serial and processes and across
+  the same fingerprint on one CPU and on two and across
   repeat runs, explored sets nest as the budget grows, and
   :func:`ranking_regret` is monotone non-increasing in the budget.
 * **Wall-clock budget** — the run returns within budget plus bounded
@@ -35,7 +35,8 @@ from repro.errors import ConfigError
 from repro.graph import JoinPath
 from repro.obs import MetricsRegistry
 
-from tests.core.driver_goldens import BACKENDS, _lake, golden_lake
+from tests.conftest import ROUTES
+from tests.core.driver_goldens import _lake, golden_lake
 from tests.engine.test_parallel_parity import _discover, discovery_fingerprint
 from tests.fault_hooks import HopLatency
 
@@ -206,13 +207,13 @@ class TestRankingRegret:
 @given(
     lake=lakes,
     strategy=st.sampled_from(["fifo", "ucb"]),
-    backend=st.sampled_from(BACKENDS),
+    route=st.sampled_from(list(ROUTES)),
 )
-def test_unbudgeted_runs_bit_identical_to_reference(lake, strategy, backend):
+def test_unbudgeted_runs_bit_identical_to_reference(lake, strategy, route):
     """No budget ⇒ canonical traversal, whatever the strategy knob says."""
     bundle, drg = _lake(*lake)
     reference = _discover(drg, bundle, "serial")
-    probed = _discover(drg, bundle, backend, frontier_strategy=strategy)
+    probed = _discover(drg, bundle, route, frontier_strategy=strategy)
     assert discovery_fingerprint(probed) == discovery_fingerprint(reference)
     assert probed.navigation.strategy == "fifo"  # degenerated, by design
     assert not probed.budget_exhausted
@@ -236,18 +237,18 @@ def test_hop_budget_expiry_deterministic_across_backends(
     bundle, drg = _lake(*lake)
     full = _discover(drg, bundle, "serial")
     fingerprints = {}
-    for backend in BACKENDS:
+    for route in ROUTES:
         run = _discover(
             drg,
             bundle,
-            backend,
+            route,
             max_hops=max_hops,
             frontier_strategy=strategy,
         )
         rerun = _discover(
             drg,
             bundle,
-            backend,
+            route,
             max_hops=max_hops,
             frontier_strategy=strategy,
         )
@@ -258,7 +259,7 @@ def test_hop_budget_expiry_deterministic_across_backends(
             run.navigation.hops_executed < full.navigation.hops_executed
             or run.navigation.frontier_unexplored > 0
         )
-        fingerprints[backend] = discovery_fingerprint(run)
+        fingerprints[route] = discovery_fingerprint(run)
     assert fingerprints["processes"] == fingerprints["serial"]
 
 
@@ -329,7 +330,6 @@ class TestWallClockBudget:
             seed=0,
             top_k=2,
             budget_seconds=1e-9,
-            parallel_backend="serial",
         )
         result = AutoFeat(drg, config).augment(
             bundle.base_name, bundle.label_column, model_name="random_forest"
@@ -338,20 +338,20 @@ class TestWallClockBudget:
         assert result.trained == ()
         assert result.discovery.budget_exhausted
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("strategy", ["fifo", "ucb"])
-    def test_only_merged_hops_are_reported(self, backend, strategy):
+    def test_only_merged_hops_are_reported(self, route, strategy):
         # Units are counted when generated (that is what makes the
         # max_hops cut deterministic), but a unit the deadline aborted
         # was never explored: every reported hop must be accounted for
         # as ranked, pruned or failed.
         # 12 hops of 30 ms cannot fit 120 ms, even on two workers.
         bundle, drg = golden_lake("covertype")
-        full = _discover(drg, bundle, backend)
+        full = _discover(drg, bundle, route)
         partial = _discover(
             drg,
             bundle,
-            backend,
+            route,
             budget_seconds=0.12,
             hop_hook=HopLatency(0.03),
             frontier_strategy=strategy,
@@ -370,9 +370,7 @@ class TestWallClockBudget:
 
     def test_augment_unbudgeted_flags_clear(self):
         bundle, drg = _lake(3, 1, 0)
-        config = AutoFeatConfig(
-            sample_size=120, seed=0, top_k=1, parallel_backend="serial"
-        )
+        config = AutoFeatConfig(sample_size=120, seed=0, top_k=1)
         result = AutoFeat(drg, config).augment(
             bundle.base_name, bundle.label_column, model_name="random_forest"
         )

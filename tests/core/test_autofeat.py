@@ -11,6 +11,7 @@ from repro.datasets import DATASETS, benchmark_drg, make_classification
 from repro.datasets.splitter import SplitPlan, split_into_lake
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
+from tests.conftest import cpus
 from tests.selection.test_kernels import ScalarTwoStageSelector
 
 
@@ -89,9 +90,8 @@ class TestDiscovery:
             raise AssertionError("the label is checked before a pool is built")
 
         monkeypatch.setattr("repro.engine.parallel.fit_pool", no_pool)
-        config = AutoFeatConfig(parallel_backend="processes")
-        with pytest.raises(JoinError):
-            AutoFeat(drg, config).discover("base", "not_a_column")
+        with cpus(2), pytest.raises(JoinError):
+            AutoFeat(drg, AutoFeatConfig()).augment("base", "not_a_column")
 
 
 class TestTraining:

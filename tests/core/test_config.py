@@ -52,7 +52,8 @@ class TestValidation:
         assert both_off != AutoFeatConfig()
 
     def test_threads_is_not_a_backend(self):
-        with pytest.raises(ConfigError, match=r"\['serial', 'processes'\]"):
+        """Where the fits run is a rule, not a field (DESIGN.md §11)."""
+        with pytest.raises(TypeError):
             AutoFeatConfig(parallel_backend="threads")
 
     def test_chunk_rows_is_not_a_field(self):
@@ -63,7 +64,7 @@ class TestValidation:
         """A sleeping ``hop_hook`` is the one spelling of hop latency."""
         with pytest.raises(TypeError):
             AutoFeatConfig(hop_latency_seconds=0.0)
-        assert len(dataclasses.fields(AutoFeatConfig)) == 17
+        assert len(dataclasses.fields(AutoFeatConfig)) == 16
 
     @pytest.mark.parametrize(
         "knob", ["max_retries", "hop_timeout_seconds", "max_hop_output_rows"]

@@ -1,13 +1,13 @@
-"""Stress: discovery under heavy fault injection, every policy and backend.
+"""Stress: discovery under heavy fault injection, every policy and route.
 
 Runs the diamond lake of ``test_fault_isolation`` through ``discover``
-with 30% injected failure rates under both failure policies and both
-backends, asserting the degradation contract against the outputs frozen
+with 30% injected failure rates under both failure policies on one CPU
+and on two (``tests.conftest.ROUTES``), asserting the degradation contract against the outputs frozen
 from the deleted classic serial loop (``tests/core/driver_goldens.py``
 records how they were generated):
 
 * failure reports (kinds, messages, edges) are identical to the goldens
-  for every (policy, backend, seed) combination;
+  for every (policy, route, seed) combination;
 * the shared error budget trips **exactly once**, at the same canonical
   failure as the classic loop did;
 * same-seed runs are bit-reproducible;
@@ -24,7 +24,8 @@ from repro.engine import JoinEngine
 from repro.errors import ErrorBudgetExceeded, FaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
-from tests.core.driver_goldens import BACKENDS, POLICIES, as_json, load_goldens
+from tests.conftest import ROUTES, cpus
+from tests.core.driver_goldens import POLICIES, as_json, load_goldens
 from tests.fault_hooks import FaultInjector
 
 
@@ -75,22 +76,23 @@ def drg():
     return diamond_lake()
 
 
-def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
+def run_discovery(drg, route, policy, *, fault_seed=0, injector_kwargs=None,
                   **overrides):
-    """One discovery run; returns ('ok', fingerprint) or ('raised', ...)."""
+    """One discovery run on the CPUs of ``route``; returns ('ok',
+    fingerprint) or ('raised', ...)."""
     kwargs = {"failure_probability": 0.3, "timeout_probability": 0.15,
               "seed": fault_seed}
     kwargs.update(injector_kwargs or {})
     config = AutoFeatConfig(
         sample_size=200,
         seed=1,
-        parallel_backend=backend,
         failure_policy=policy,
         **overrides,
     )
     autofeat = AutoFeat(drg, config, hop_hook=FaultInjector(**kwargs))
     try:
-        discovery = autofeat.discover("base", "label")
+        with cpus(ROUTES[route]):
+            discovery = autofeat.discover("base", "label")
     except FaultError as exc:
         return ("raised", type(exc).__name__, str(exc))
     return (
@@ -104,18 +106,18 @@ def run_discovery(drg, backend, policy, *, fault_seed=0, injector_kwargs=None,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault_seed", (0, 1, 2))
-def test_30pct_fault_stress_matches_serial(drg, backend, policy, fault_seed):
-    run = run_discovery(drg, backend, policy, fault_seed=fault_seed)
+def test_30pct_fault_stress_matches_serial(drg, route, policy, fault_seed):
+    run = run_discovery(drg, route, policy, fault_seed=fault_seed)
     assert as_json(run) == golden(f"stress/{policy}/{fault_seed}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("policy", ("skip_and_record",))
-def test_error_budget_trips_exactly_once(drg, backend, policy):
-    # Budget 0: the first recorded failure aborts the run.  Every backend
+def test_error_budget_trips_exactly_once(drg, route, policy):
+    # Budget 0: the first recorded failure aborts the run.  Every route
     # must raise the *same* ErrorBudgetExceeded as the classic loop did —
     # same message, same failure count, same last edge — which proves the
     # budget is shared at the merge point and tripped once, not once per
@@ -124,32 +126,32 @@ def test_error_budget_trips_exactly_once(drg, backend, policy):
     assert frozen[0] == "raised"
     assert frozen[1] == "ErrorBudgetExceeded"
     assert "1 failures exceed the budget of 0" in frozen[2]
-    assert as_json(run_discovery(drg, backend, policy, error_budget=0)) == frozen
+    assert as_json(run_discovery(drg, route, policy, error_budget=0)) == frozen
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_budget_trip_is_typed_and_catchable(drg, backend):
+@pytest.mark.parametrize("route", ROUTES)
+def test_budget_trip_is_typed_and_catchable(drg, route):
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend,
+        sample_size=200, seed=1,
         failure_policy="skip_and_record", error_budget=0,
     )
     autofeat = AutoFeat(
         drg, config, hop_hook=FaultInjector(failure_probability=0.3, seed=0)
     )
-    with pytest.raises(ErrorBudgetExceeded):
+    with cpus(ROUTES[route]), pytest.raises(ErrorBudgetExceeded):
         autofeat.discover("base", "label")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_same_seed_runs_are_reproducible(drg, backend, policy):
-    first = run_discovery(drg, backend, policy, fault_seed=0)
-    second = run_discovery(drg, backend, policy, fault_seed=0)
+def test_same_seed_runs_are_reproducible(drg, route, policy):
+    first = run_discovery(drg, route, policy, fault_seed=0)
+    second = run_discovery(drg, route, policy, fault_seed=0)
     assert first == second
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_unexpected_worker_exception_is_not_swallowed(drg, route, monkeypatch):
     # A bug in the join kernel (anything outside JoinError/FaultError) must
     # re-raise on the coordinating thread, never turn into a skipped path.
     original = JoinEngine.probe_hop
@@ -161,23 +163,22 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, backend, monkeypatch)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend,
-        failure_policy="skip_and_record",
+        sample_size=200, seed=1, failure_policy="skip_and_record",
     )
-    with pytest.raises(RuntimeError, match="worker bug"):
+    with cpus(ROUTES[route]), pytest.raises(RuntimeError, match="worker bug"):
         AutoFeat(drg, config).discover("base", "label")
 
 
-def run_training(drg, backend):
+def run_training(drg, route):
     config = AutoFeatConfig(
-        sample_size=200, seed=1, parallel_backend=backend,
-        failure_policy="skip_and_record", top_k=3,
+        sample_size=200, seed=1, failure_policy="skip_and_record", top_k=3,
     )
     autofeat = AutoFeat(
         drg, config,
         hop_hook=FaultInjector(failure_probability=0.3, seed=0),
     )
-    result = autofeat.augment("base", "label", model_name="random_forest")
+    with cpus(ROUTES[route]):
+        result = autofeat.augment("base", "label", model_name="random_forest")
     return (
         [(t.ranked.path.describe(), t.accuracy) for t in result.trained],
         [(f.stage, f.error_kind, f.message, f.path)
@@ -185,6 +186,8 @@ def run_training(drg, backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_training_phase_fault_parity(drg, backend):
-    assert as_json(run_training(drg, backend)) == golden("training")
+@pytest.mark.parametrize("route", ROUTES)
+def test_training_phase_fault_parity(drg, route, pools):
+    assert as_json(run_training(drg, route)) == golden("training")
+    # Two paths train, so random_forest pools them on two CPUs.
+    assert pools == ([2] if route == "processes" else [])

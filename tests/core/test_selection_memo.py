@@ -141,7 +141,7 @@ OTHER_VALUE = {
     "max_path_length": 2, "relevance_metric": "pearson",
     "redundancy_method": "jmi", "sample_size": 999, "traversal": "dfs",
     "failure_policy": "fail_fast", "error_budget": 7,
-    "parallel_backend": "processes", "enable_tracing": False,
+    "enable_tracing": False,
     "budget_seconds": 60.0, "max_hops": 10**6, "frontier_strategy": "fifo",
     "seed": 1,
 }
@@ -263,7 +263,8 @@ class TestMemoUnderThreads:
 
 
 class TestLibraryPathHashesNothing:
-    def test_discover_without_a_memo_never_reaches_hashlib(self, monkeypatch):
+    def test_discover_without_a_memo_never_reaches_hashlib(self, monkeypatch, pools):
+        from tests.conftest import cpus
         from tests.service.test_incremental_equivalence import (
             CONFIG, make_base, make_satellite,
         )
@@ -287,11 +288,12 @@ class TestLibraryPathHashesNothing:
         config = dataclasses.replace(CONFIG, enable_tracing=False, top_k=2)
         found = AutoFeat(drg, config).discover("base", "label")
         assert found.selection_stats.batches_scored > 0
-        # Training too: the library's augment, on both backends, and the
+        # Training too: the library's augment, inline and pooled, and the
         # one-call wrapper fit without ever keying a fit.
-        for backend in ("serial", "processes"):
-            run = dataclasses.replace(config, parallel_backend=backend)
-            result = AutoFeat(drg, run).augment("base", "label", "knn")
+        for model in ("knn", "lightgbm"):
+            with cpus(2):
+                result = AutoFeat(drg, config).augment("base", "label", model)
             assert result.trained and result.best is not None
+        assert pools == [2]
         wrapped = autofeat_augment(drg, "base", "label", config, model_name="knn")
         assert wrapped.trained

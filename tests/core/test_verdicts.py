@@ -3,9 +3,9 @@
 ``AutoFeat.discover`` turns each hop it runs into exactly one
 :class:`~repro.core.HopVerdict`, and each parallel join option similarity
 pruning drops into one ``similarity`` verdict.  Over the frozen driver
-matrix (``tests/core/goldens/driver.json``) on both backends this suite
+matrix (``tests/core/goldens/driver.json``) on one CPU and on two this suite
 checks that the log accounts for every hop, that its reductions are the
-golden counters, and that it is the same log on every backend; a deadline
+golden counters, and that it is the same log on both; a deadline
 run checks that the one aborted hop is logged last but not counted as
 explored.
 """
@@ -19,8 +19,8 @@ from repro.core.result import EXPLORED_KINDS
 from repro.engine import JoinEngine
 from repro.errors import FaultError
 
+from tests.conftest import ROUTES, cpus
 from tests.core.driver_goldens import (
-    BACKENDS,
     HOP_CAPS,
     _autofeat,
     cell_keys,
@@ -47,13 +47,13 @@ def logged_discover(autofeat, base, label, monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def run_logged(key: str, backend: str):
+def run_logged(key: str, route: str):
     """One matrix cell's discovery, or None where it raised (fail_fast)."""
     lake, traversal, seed, faults, budget = key.split("/")
     bundle, __ = golden_lake(lake)
-    autofeat = _autofeat(lake, traversal, int(seed), faults, budget, backend)
+    autofeat = _autofeat(lake, traversal, int(seed), faults, budget)
     try:
-        with pytest.MonkeyPatch.context() as monkeypatch:
+        with cpus(ROUTES[route]), pytest.MonkeyPatch.context() as monkeypatch:
             return logged_discover(
                 autofeat, bundle.base_name, bundle.label_column, monkeypatch
             )
@@ -65,13 +65,13 @@ def lake_cells(lake: str) -> list[str]:
     return [key for key in cell_keys() if key.startswith(f"{lake}/")]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("lake", sorted(HOP_CAPS))
-def test_every_cell_logs_one_verdict_per_hop(lake, backend):
+def test_every_cell_logs_one_verdict_per_hop(lake, route):
     checked = 0
     for key in lake_cells(lake):
         golden = expected_cell(key)
-        run = run_logged(key, backend)
+        run = run_logged(key, route)
         if run is None:
             assert "raised" in golden, key
             continue
@@ -96,21 +96,20 @@ def test_every_cell_logs_one_verdict_per_hop(lake, backend):
 def test_verdict_logs_equal_across_backends(lake):
     # No matrix cell sets budget_seconds: every cut is a max_hops cut.
     for key in lake_cells(lake):
-        serial, processes = (run_logged(key, backend) for backend in BACKENDS)
+        serial, processes = (run_logged(key, route) for route in ROUTES)
         assert (serial is None) == (processes is None), key
         if serial is not None:
             assert serial[0].verdicts == processes[0].verdicts, key
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_deadline_aborts_are_logged_but_not_explored(backend, monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_deadline_aborts_are_logged_but_not_explored(route, monkeypatch):
     # Each hop sleeps past the deadline, so the engine's check after the
     # index build aborts the first one, and that abort ends the run.
-    config = AutoFeatConfig(
-        sample_size=100, parallel_backend=backend, budget_seconds=0.2
-    )
+    config = AutoFeatConfig(sample_size=100, budget_seconds=0.2)
     autofeat = AutoFeat(diamond_lake(n=120), config, hop_hook=HopLatency(0.3))
-    discovery, handed = logged_discover(autofeat, "base", "label", monkeypatch)
+    with cpus(ROUTES[route]):
+        discovery, handed = logged_discover(autofeat, "base", "label", monkeypatch)
     assert discovery.budget_exhausted
     hops = [v for v in discovery.verdicts if v.kind != "similarity"]
     assert [(v.path, v.edge) for v in hops] == handed

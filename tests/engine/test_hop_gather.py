@@ -25,7 +25,7 @@ from repro.engine import JoinEngine
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
 from repro.selection import batch_spearman_scores, discretize, relevance_scores
 
-BACKENDS = ("serial", "processes")
+from tests.conftest import ROUTES, cpus
 
 _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
 
@@ -213,10 +213,11 @@ class TestColumnNameCollision:
         assert joined.column("sat.f_r").to_list() == satellite.to_list()
         assert joined.column("sat.f") == base.column("sat.f")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_the_satellite_column_is_ranked(self, backend):
-        config = AutoFeatConfig(sample_size=300, parallel_backend=backend)
-        result = AutoFeat(collision_lake(), config).discover("base", "label")
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_the_satellite_column_is_ranked(self, route):
+        config = AutoFeatConfig(sample_size=300)
+        with cpus(ROUTES[route]):
+            result = AutoFeat(collision_lake(), config).discover("base", "label")
         (ranked,) = result.ranked_paths
         assert ranked.relevant_names == ("sat.f_r",)
         assert ranked.selected_features == ("sat.f_r",)
@@ -364,13 +365,12 @@ class TestRowMapChainEqualsApplyHop:
         assert len(gathered) == kinds.count("ranked")
 
 
-def ranking_digest(max_path_length, backend="serial"):
+def ranking_digest(max_path_length, route="serial"):
     """SHA-256 of every ranked path's hop sequence, exact score,
     completeness, selected and relevant names and the run's counters."""
-    config = AutoFeatConfig(
-        sample_size=200, max_path_length=max_path_length, parallel_backend=backend
-    )
-    result = AutoFeat(mixed_lake(), config).discover("base", "label")
+    config = AutoFeatConfig(sample_size=200, max_path_length=max_path_length)
+    with cpus(ROUTES[route]):
+        result = AutoFeat(mixed_lake(), config).discover("base", "label")
     rows = [
         (
             r.path.describe(),
@@ -391,8 +391,8 @@ def ranking_digest(max_path_length, backend="serial"):
     return len(rows), hashlib.sha256(repr((rows, counters)).encode()).hexdigest()
 
 
-#: ``ranking_digest`` at ``max_path_length`` 1, 2 and 3, recorded (on both
-#: backends alike) with the traversal that joined a full table on every hop
+#: ``ranking_digest`` at ``max_path_length`` 1, 2 and 3, recorded (on one
+#: CPU and two alike) with the traversal that joined a full table on every hop
 #: and ranked ``joined.numeric_matrix(...)`` with an argsort.
 FROZEN_DIGESTS = {
     1: (2, "ef2cd90e32d280291d8ba6c293976c5e1073aa70911bfb3587c9dc0c9759eaed"),
@@ -401,7 +401,7 @@ FROZEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("max_path_length", sorted(FROZEN_DIGESTS))
-def test_discover_equals_the_table_per_hop_traversal(max_path_length, backend):
-    assert ranking_digest(max_path_length, backend) == FROZEN_DIGESTS[max_path_length]
+def test_discover_equals_the_table_per_hop_traversal(max_path_length, route):
+    assert ranking_digest(max_path_length, route) == FROZEN_DIGESTS[max_path_length]

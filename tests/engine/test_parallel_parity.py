@@ -1,16 +1,19 @@
-"""Backend parity: every backend is bit-identical to the frozen serial driver.
+"""Route parity: inline and pooled fits are bit-identical to the frozen
+serial driver.
 
 The determinism contract of :mod:`repro.engine.parallel` (DESIGN.md §11)
-says that for any lake, any seed and any backend, ``discover`` /
+says that for any lake, any seed and any CPU count, ``discover`` /
 ``train_top_k`` return exactly the same thing — same ranked paths, same
-scores, same selected features, same failure reports.  Two layers pin it:
+scores, same selected features, same failure reports — whether the fits
+run inline or in a pool.  Two layers pin it, each on one CPU and on two
+(``tests.conftest.ROUTES``):
 
-* the **golden matrix** compares both backends to
+* the **golden matrix** compares both routes to
   ``tests/core/goldens/driver.json``, frozen from the classic
   ``_discover_serial`` / ``_train_serial`` loops at the last commit that
   had them (46971f6), with this PR's ``tests/`` copied over that
   checkout: ``PYTHONPATH=src python -m tests.core.driver_goldens``;
-* the **hypothesis suite** compares the backends to each other over
+* the **hypothesis suite** compares the routes to each other over
   drawn lake topologies and seeds, including runs under fault injection.
 """
 
@@ -29,8 +32,8 @@ import repro
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.datasets import datalake_drg
 
+from tests.conftest import ROUTES, cpus
 from tests.core.driver_goldens import (
-    BACKENDS,
     HOP_CAPS,
     _lake,
     as_json,
@@ -41,15 +44,15 @@ from tests.core.driver_goldens import (
 from tests.fault_hooks import FaultInjector
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("lake", sorted(HOP_CAPS))
-def test_backend_reproduces_frozen_serial_driver(lake, backend):
+def test_backend_reproduces_frozen_serial_driver(lake, route):
     """traversal x seed x fault policy x budget, one lake per test."""
     mismatched = [
         key
         for key in cell_keys()
         if key.startswith(f"{lake}/")
-        and as_json(run_cell(key, backend)) != expected_cell(key)
+        and as_json(run_cell(key, route)) != expected_cell(key)
     ]
     assert mismatched == []
 
@@ -80,15 +83,11 @@ def discovery_fingerprint(discovery):
     }
 
 
-def _discover(drg, bundle, backend, *, config_seed=0, hop_hook=None, **overrides):
-    config = AutoFeatConfig(
-        sample_size=120,
-        seed=config_seed,
-        parallel_backend=backend,
-        **overrides,
-    )
+def _discover(drg, bundle, route, *, config_seed=0, hop_hook=None, **overrides):
+    config = AutoFeatConfig(sample_size=120, seed=config_seed, **overrides)
     autofeat = AutoFeat(drg, config, hop_hook=hop_hook)
-    return autofeat.discover(bundle.base_name, bundle.label_column)
+    with cpus(ROUTES[route]):
+        return autofeat.discover(bundle.base_name, bundle.label_column)
 
 
 @lru_cache(maxsize=16)
@@ -117,12 +116,10 @@ lakes = st.tuples(
 def test_backends_bit_identical_on_random_lakes(lake, config_seed, traversal):
     bundle, drg = _lake(*lake)
     results = {
-        backend: discovery_fingerprint(
-            _discover(
-                drg, bundle, backend, config_seed=config_seed, traversal=traversal
-            )
+        route: discovery_fingerprint(
+            _discover(drg, bundle, route, config_seed=config_seed, traversal=traversal)
         )
-        for backend in BACKENDS
+        for route in ROUTES
     }
     assert results["processes"] == results["serial"]
 
@@ -141,10 +138,8 @@ def test_backends_bit_identical_under_fault_injection(lake, fault_seed):
         failure_probability=0.2, timeout_probability=0.1, seed=fault_seed
     )
     results = {
-        backend: discovery_fingerprint(
-            _discover(drg, bundle, backend, hop_hook=injector)
-        )
-        for backend in BACKENDS
+        route: discovery_fingerprint(_discover(drg, bundle, route, hop_hook=injector))
+        for route in ROUTES
     }
     assert results["processes"] == results["serial"]
 
@@ -156,44 +151,41 @@ class TestEngineStatsParity:
         procs = _discover(drg, bundle, "processes")
         assert procs.engine_stats == serial.engine_stats
 
-    def test_training_engine_stats_equal_across_pool_runs(self):
+    def test_training_engine_stats_equal_across_pool_runs(self, pools):
         # Every join of training runs on the coordinator's one engine, so
         # its cache counters do not depend on which worker got which path.
         bundle, drg = _lake(5, 2, 2)
-        stats = [
-            AutoFeat(drg, AutoFeatConfig(sample_size=120, parallel_backend=backend))
-            .augment(bundle.base_name, bundle.label_column, "knn")
-            .engine_stats
-            for backend in ("processes", "processes", "serial")
-        ]
+        stats = []
+        for route in ("processes", "processes", "serial"):
+            autofeat = AutoFeat(drg, AutoFeatConfig(sample_size=120))
+            with cpus(ROUTES[route]):
+                result = autofeat.augment(
+                    bundle.base_name, bundle.label_column, "random_forest"
+                )
+            stats.append(result.engine_stats)
+        assert pools == [2, 2]
         assert stats[0] == stats[1] == stats[2]
         assert stats[0].cache_hits > 0
 
     def test_selection_stats_identical_across_backends(self):
         bundle, drg = _lake(4, 2, 1)
-        stats = [
-            _discover(drg, bundle, backend).selection_stats for backend in BACKENDS
-        ]
+        stats = [_discover(drg, bundle, route).selection_stats for route in ROUTES]
         assert stats[0] == stats[1]
 
 
 class TestAugmentParity:
     """train_top_k merges trained paths deterministically too."""
 
-    def test_full_pipeline_identical_across_backends(self):
+    def test_full_pipeline_identical_across_backends(self, pools):
         bundle, drg = _lake(5, 2, 2)
         outputs = {}
-        for backend in BACKENDS:
-            config = AutoFeatConfig(
-                sample_size=120,
-                seed=0,
-                top_k=3,
-                parallel_backend=backend,
-            )
-            result = AutoFeat(drg, config).augment(
-                bundle.base_name, bundle.label_column, model_name="random_forest"
-            )
-            outputs[backend] = {
+        for route in ROUTES:
+            config = AutoFeatConfig(sample_size=120, seed=0, top_k=3)
+            with cpus(ROUTES[route]):
+                result = AutoFeat(drg, config).augment(
+                    bundle.base_name, bundle.label_column, model_name="random_forest"
+                )
+            outputs[route] = {
                 "trained": [
                     (t.ranked.path.describe(), t.accuracy, t.n_features_used)
                     for t in result.trained
@@ -204,6 +196,7 @@ class TestAugmentParity:
                 "failures": result.failure_report.records,
             }
         assert outputs["processes"] == outputs["serial"]
+        assert pools == [2]
 
 
 #: A slice of the golden matrix: every lake, fault mode and budget at
@@ -214,12 +207,10 @@ HASH_SEED_SLICE = [
 
 _REMOTE = """
 import json, sys
-from repro.engine import parallel
-from tests.conftest import two_workers
+from tests.conftest import ROUTES
 from tests.core.driver_goldens import run_cell
-parallel.resolve_max_workers = two_workers
 keys = json.loads(sys.argv[1])
-print(json.dumps({b: {k: run_cell(k, b) for k in keys} for b in ("serial", "processes")}))
+print(json.dumps({r: {k: run_cell(k, r) for k in keys} for r in ROUTES}))
 """
 
 
@@ -244,10 +235,10 @@ class TestHashSeed:
                 check=True,
             )
             cells = json.loads(done.stdout)
-            for backend in BACKENDS:
+            for route in ROUTES:
                 mismatched = [
                     key
                     for key in HASH_SEED_SLICE
-                    if cells[backend][key] != expected_cell(key)
+                    if cells[route][key] != expected_cell(key)
                 ]
-                assert mismatched == [], (seed, backend)
+                assert mismatched == [], (seed, route)

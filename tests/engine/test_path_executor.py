@@ -1,14 +1,13 @@
 """The training fits' hand-off: joins in the coordinator, fits anywhere.
 
 ``train_top_k`` materialises every top-k path itself, in ranked order,
-and only the fit ``evaluate_accuracy(...)`` leaves the loop.  A unit here
-is one path: its materialisation and its fit.  On ``serial`` unit *i+1*
-starts only after unit *i*'s accuracy was recorded, so ``fail_fast``
-stops at the first failing path; on ``processes`` the fits run in a pool
-that may finish them in any order, yet the accuracies come back in
-ranked order, a fit's exception re-raises on the coordinator, fits still
-queued when the coordinator stops are abandoned, and no worker outlives
-training however it ends.
+before any fit starts, and only the fit ``evaluate_accuracy(...)`` may
+leave the loop.  On one CPU the fits run inline, in ranked order, so a
+``fail_fast`` fault stops training before the first fit.  On two CPUs a
+tree model's fits run in a pool that may finish them in any order, yet
+the accuracies come back in ranked order, a fit's exception re-raises on
+the coordinator, fits still queued when the coordinator stops are
+abandoned, and no worker outlives training however it ends.
 
 The fits the pool runs are patched here with module-level functions: a
 worker forked after the patch finds them by name.
@@ -23,10 +22,11 @@ from dataclasses import replace
 import pytest
 
 from repro import ml
-from repro.core import AutoFeat, AutoFeatConfig
+from repro.core import AutoFeat, AutoFeatConfig, MemoCounters, OutcomeMemo
 from repro.engine import JoinEngine, resolve_max_workers
 from repro.errors import ErrorBudgetExceeded
 
+from tests.conftest import cpus
 from tests.core.test_parallel_faults import diamond_lake
 from tests.fault_hooks import FaultInjector, HopLatency, InjectedFaultError
 
@@ -66,13 +66,13 @@ def drg():
     return diamond_lake(n=120)
 
 
-def config(backend, **overrides):
-    return AutoFeatConfig(sample_size=100, parallel_backend=backend, **overrides)
+def config(**overrides):
+    return AutoFeatConfig(sample_size=100, **overrides)
 
 
 @pytest.fixture(scope="module")
 def discovery(drg):
-    discovery = AutoFeat(drg, config("serial")).discover("base", "label")
+    discovery = AutoFeat(drg, config()).discover("base", "label")
     assert len(discovery.top(AutoFeatConfig().top_k)) > 1
     return discovery
 
@@ -83,7 +83,7 @@ def trained(result):
 
 @pytest.fixture
 def units(monkeypatch):
-    """Every materialisation (the path) and fit of a serial run, in order."""
+    """Every materialisation (the path) and inline fit of a run, in order."""
     calls = []
     materialize_path = JoinEngine.materialize_path
 
@@ -101,29 +101,31 @@ def units(monkeypatch):
 
 
 class TestSerialHandOff:
-    def test_next_unit_runs_only_after_outcome_consumed(self, drg, discovery, units):
-        result = AutoFeat(drg, config("serial")).train_top_k(discovery, "knn")
-        expected = []
-        for path, __ in trained(result):
-            expected += [("path", path), ("fit",)]
-        assert units == expected
+    def test_every_path_is_materialised_before_the_first_fit(
+        self, drg, discovery, units
+    ):
+        result = AutoFeat(drg, config()).train_top_k(discovery, "knn")
+        paths = [path for path, __ in trained(result)]
+        assert units == [("path", path) for path in paths] + [("fit",)] * len(paths)
 
-    def test_rest_is_abandoned_when_consumer_stops(self, drg, discovery, units):
+    def test_a_fail_fast_fault_stops_training_before_any_fit(
+        self, drg, discovery, units
+    ):
         def second_path_faults(edge):
-            if len(units) == 3:  # path 0, fit 0, path 1
+            if len(units) == 2:  # path 0, path 1
                 raise InjectedFaultError("second path")
 
         autofeat = AutoFeat(
-            drg, config("serial", failure_policy="fail_fast"), hop_hook=second_path_faults
+            drg, config(failure_policy="fail_fast"), hop_hook=second_path_faults
         )
         with pytest.raises(InjectedFaultError):
             autofeat.train_top_k(discovery, "knn")
         top = [ranked.path.describe() for ranked in discovery.top(3)]
-        assert units == [("path", top[0]), ("fit",), ("path", top[1])]
+        assert units == [("path", top[0]), ("path", top[1])]
 
     def test_injected_fault_stops_a_unit_before_any_join(self, drg, discovery):
         hook = FaultInjector(failure_probability=1.0)
-        result = AutoFeat(drg, config("serial"), hop_hook=hook).train_top_k(
+        result = AutoFeat(drg, config(), hop_hook=hook).train_top_k(
             discovery, "knn"
         )
         assert result.trained == ()
@@ -132,29 +134,37 @@ class TestSerialHandOff:
         assert result.engine_stats.hops_executed == 0
 
 
+def pooled(autofeat, discovery):
+    """``train_top_k`` of a tree model on two CPUs: its fits pool."""
+    with cpus(2):
+        return autofeat.train_top_k(discovery, "lightgbm")
+
+
 @pytest.mark.parametrize("backend", ("processes",))
 class TestPoolHandOff:
     def test_outcomes_in_task_order_whatever_finishes_first(
-        self, drg, discovery, backend, monkeypatch
+        self, drg, discovery, backend, monkeypatch, pools
     ):
         first = discovery.top(AutoFeatConfig().top_k)[0].path
         table, __ = JoinEngine(drg).materialize_path(first, drg.table("base"))
         monkeypatch.setattr(f"{__name__}.SLOW_TABLE", tuple(table.column_names))
         monkeypatch.setattr(ml, "evaluate_accuracy", slow_first_fit)
-        pooled = AutoFeat(drg, config(backend)).train_top_k(discovery, "knn")
-        serial = AutoFeat(drg, config("serial")).train_top_k(discovery, "knn")
-        assert trained(pooled)[0][0] == first.describe()
-        assert trained(pooled) == trained(serial)
+        result = pooled(AutoFeat(drg, config()), discovery)
+        inline = AutoFeat(drg, config()).train_top_k(discovery, "lightgbm")
+        assert pools == [2]
+        assert trained(result)[0][0] == first.describe()
+        assert trained(result) == trained(inline)
 
     def test_unexpected_worker_exception_reraises_on_coordinator(
-        self, drg, discovery, backend, monkeypatch
+        self, drg, discovery, backend, monkeypatch, pools
     ):
         monkeypatch.setattr(ml, "evaluate_accuracy", exploding_fit)
         with pytest.raises(RuntimeError, match="worker bug"):
-            AutoFeat(drg, config(backend)).train_top_k(discovery, "knn")
+            pooled(AutoFeat(drg, config()), discovery)
+        assert pools == [2]
 
     def test_queued_units_are_abandoned_when_consumer_stops(
-        self, drg, discovery, backend, monkeypatch, tmp_path
+        self, drg, discovery, backend, monkeypatch, tmp_path, pools
     ):
         # The coordinator stops as it starts waiting for the first fit:
         # all six are submitted and none has finished.
@@ -166,9 +176,10 @@ class TestPoolHandOff:
         monkeypatch.setattr(Future, "result", interrupted)
         top_k = len(discovery.ranked_paths)
         assert top_k == 6
-        autofeat = AutoFeat(drg, config(backend, top_k=top_k))
+        autofeat = AutoFeat(drg, config(top_k=top_k))
         with pytest.raises(KeyboardInterrupt):
-            autofeat.train_top_k(discovery, "knn")
+            pooled(autofeat, discovery)
+        assert pools == [2]
         # The two running fits and the three the pool already handed to
         # its workers' call queue finish; the rest never start.
         assert len((tmp_path / "fits").read_text().splitlines()) < top_k
@@ -179,8 +190,68 @@ def test_auto_worker_count_follows_cpu_affinity(monkeypatch):
     # one worker per machine core.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert resolve_max_workers("processes") == 1
-    assert resolve_max_workers("serial") == 1
+    assert resolve_max_workers() == 1
+
+
+def workers_used(result):
+    return result.run_manifest.metrics["gauges"]["parallel.workers_used"]
+
+
+class TestPoolRule:
+    """A pool starts only for a tree model whose fits miss the memo at
+    least twice on two CPUs or more, with one worker per miss up to the
+    CPU count; every other fit runs inline."""
+
+    def test_a_tree_model_pools_its_misses(self, drg, discovery, pools):
+        result = pooled(AutoFeat(drg, config()), discovery)
+        assert len(result.trained) == AutoFeatConfig().top_k
+        assert pools == [2]
+        assert workers_used(result) == 2
+
+    def test_the_pool_is_no_wider_than_the_misses(self, drg, discovery, pools):
+        with cpus(8):
+            result = AutoFeat(drg, config(top_k=3)).train_top_k(discovery, "lightgbm")
+        assert pools == [3]
+        assert workers_used(result) == 3
+
+    @pytest.mark.parametrize("model", ["knn", "linear_l1"])
+    def test_other_models_fit_inline(self, drg, discovery, pools, model):
+        with cpus(2):
+            result = AutoFeat(drg, config()).train_top_k(discovery, model)
+        assert pools == []
+        assert workers_used(result) == 1
+
+    def test_one_cpu_fits_inline(self, drg, discovery, pools):
+        result = AutoFeat(drg, config()).train_top_k(discovery, "lightgbm")
+        assert pools == []
+        assert workers_used(result) == 1
+
+    def test_a_memo_warm_rerun_with_one_miss_fits_inline(self, drg, discovery, pools):
+        memo = OutcomeMemo()
+        AutoFeat(drg, config(top_k=1), memo=memo).train_top_k(discovery, "lightgbm")
+        with cpus(2):
+            AutoFeat(drg, config(top_k=2), memo=memo).train_top_k(discovery, "lightgbm")
+        assert pools == []
+        # The re-run hit the first path and missed the second only.
+        assert memo.counters()["train"] == MemoCounters(hits=1, misses=2, entries=2)
+
+    def test_no_inline_fit_starts_past_the_deadline(
+        self, drg, discovery, monkeypatch, pools
+    ):
+        deadline = time.monotonic() + 1.0
+        fits = []
+
+        def fit_through_the_deadline(*args):
+            fits.append(args)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return _evaluate_accuracy(*args)
+
+        monkeypatch.setattr(ml, "evaluate_accuracy", fit_through_the_deadline)
+        autofeat = AutoFeat(drg, config())
+        result = autofeat.train_top_k(discovery, "lightgbm", deadline=deadline)
+        assert len(fits) == len(result.trained) == 1
+        assert result.budget_exhausted
+        assert pools == []
 
 
 class TestPoolIsGoneWhenTrainingEnds:
@@ -190,22 +261,22 @@ class TestPoolIsGoneWhenTrainingEnds:
     """
 
     def train(self, drg, hop_hook=None, **overrides):
-        processes = config("processes", **overrides)
+        budgeted = config(**overrides)
         # Without the wall-clock budget: discovery must rank paths.
-        unbudgeted = replace(processes, budget_seconds=None)
+        unbudgeted = replace(budgeted, budget_seconds=None)
         discovery = AutoFeat(drg, unbudgeted).discover("base", "label")
         assert discovery.ranked_paths
         before = set(multiprocessing.active_children())
         try:
-            autofeat = AutoFeat(drg, processes, hop_hook=hop_hook)
-            return autofeat.train_top_k(discovery, model_name="knn")
+            return pooled(AutoFeat(drg, budgeted, hop_hook=hop_hook), discovery)
         finally:
             assert set(multiprocessing.active_children()) <= before
 
-    def test_unexpected_worker_exception(self, drg, monkeypatch):
+    def test_unexpected_worker_exception(self, drg, monkeypatch, pools):
         monkeypatch.setattr(ml, "evaluate_accuracy", exploding_fit)
         with pytest.raises(RuntimeError, match="worker bug"):
             self.train(drg)
+        assert pools == [2]
 
     def test_fail_fast_fault(self, drg):
         with pytest.raises(InjectedFaultError):
@@ -221,7 +292,7 @@ class TestPoolIsGoneWhenTrainingEnds:
         result = self.train(drg, HopLatency(0.1), budget_seconds=0.06)
         assert result.budget_exhausted
 
-    def test_keyboard_interrupt_in_the_merge_loop(self, drg, monkeypatch):
+    def test_keyboard_interrupt_in_the_merge_loop(self, drg, monkeypatch, pools):
         def interrupted(*args):
             raise KeyboardInterrupt
 
@@ -230,3 +301,4 @@ class TestPoolIsGoneWhenTrainingEnds:
         monkeypatch.setattr("repro.core.autofeat.TrainedPath", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.train(drg)
+        assert pools == [2]

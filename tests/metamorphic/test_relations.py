@@ -18,11 +18,11 @@ oracle is needed:
   adjacency at a higher threshold is its adjacency at a lower one with the
   edges below the higher threshold taken out, in the same order.  The
   matcher is handed the threshold as its floor, so this also holds the
-  matcher's skipping to what the threshold drops.
-
-A permuted table listing is not among them: DRG adjacency still follows
-insertion order, which changes the order features enter ``R_sel`` and so
-the MRMR scores.
+  matcher's skipping to what the threshold drops;
+* reversing the table listing the matcher-discovered DRG is built from
+  leaves the ranked paths and their scores identical: every adjacency
+  list is kept sorted, so the order features enter ``R_sel`` — and with
+  it every MRMR score — is the graph's, not the listing's.
 """
 
 from dataclasses import replace
@@ -32,7 +32,9 @@ import pytest
 
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Column, DType, Table
-from repro.datasets import benchmark_drg, datalake_drg
+from repro.datasets import benchmark_drg, datalake_drg, rename_for_lake
+from repro.discovery import ComaMatcher
+from repro.graph import DatasetRelationGraph
 
 from tests.core.driver_goldens import _lake, golden_lake
 
@@ -135,3 +137,17 @@ def test_raising_the_edge_threshold_only_removes_edges(lake):
         for name in lower.table_names:
             kept = [e for e in lower.graph.edges_of(name) if e.weight >= threshold]
             assert higher.graph.edges_of(name) == kept, (threshold, name)
+
+
+@pytest.mark.parametrize("lake", GOLDEN_LAKES + RANDOM_LAKES)
+def test_reversing_the_table_listing_keeps_the_ranking(lake):
+    bundle = bundle_of(lake)
+    tables = rename_for_lake(bundle)
+    ranked = []
+    for listing in (tables, tables[::-1]):
+        drg = DatasetRelationGraph.from_discovery(listing, ComaMatcher(), threshold=0.55)
+        log = verdicts(bundle, drg)
+        ranked.append(
+            [(v.ranked.path.describe(), v.ranked.score.hex()) for v in log if v.kind == "ranked"]
+        )
+    assert ranked[0] and ranked[0] == ranked[1]

@@ -1,15 +1,15 @@
-"""Observability of training on both backends: one tree, valid manifests.
+"""Observability of training, inline or pooled: one tree, valid manifests.
 
-Discovery runs in process on every backend, so its tree is
+Discovery runs in process whatever the CPU count, so its tree is
 ``discover > {sample, selection, hop > join}``.  Training materialises
 every path in the coordinator too and only its fits may run in a pool, so
-its tree is ``train > {path > hop > join, evaluate}`` on every backend:
-the ``train`` span carries the backend/worker attributes, and its
-children run one after another, so the schema validator's rule — the
-children's durations sum to no more than their parent's — holds for it.
-On ``serial`` each ``evaluate`` follows its ``path``; on ``processes``
+its tree is ``train > {path > hop > join, evaluate}`` on both routes:
 every ``path`` comes first, then one ``evaluate`` per path, timing the
-wait for that fit.
+inline fit or the wait for the pooled one.  The ``train`` span carries
+the worker count, and its children run one after another, so the schema
+validator's rule — the children's durations sum to no more than their
+parent's — holds for it.  The runs here train ``lightgbm``, a tree model,
+so on two CPUs their two fits pool.
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import validate_manifest
+
+from tests.conftest import ROUTES, cpus
 
 PARALLEL = ("processes",)
 
@@ -65,14 +67,14 @@ def drg():
     return diamond_lake()
 
 
-def config(backend, **overrides):
-    return AutoFeatConfig(
-        sample_size=100,
-        tau=0.0,
-        top_k=2,
-        parallel_backend=backend,
-        **overrides,
-    )
+def config(**overrides):
+    return AutoFeatConfig(sample_size=100, tau=0.0, top_k=2, **overrides)
+
+
+def augment(drg, route, **overrides):
+    """A ``lightgbm`` augment on the CPUs of ``route``."""
+    with cpus(ROUTES[route]):
+        return AutoFeat(drg, config(**overrides)).augment("base", "label", "lightgbm")
 
 
 def iter_tree(node):
@@ -99,7 +101,8 @@ def assert_no_pool(discovery):
 @pytest.mark.parametrize("backend", PARALLEL)
 class TestParallelDiscoveryManifest:
     def test_manifest_validates_against_schema(self, drg, backend):
-        discovery = AutoFeat(drg, config(backend)).discover("base", "label")
+        with cpus(ROUTES[backend]):
+            discovery = AutoFeat(drg, config()).discover("base", "label")
         manifest = discovery.run_manifest
         assert validate_manifest(manifest.as_dict()) == []
         assert manifest.wall_seconds == pytest.approx(
@@ -107,15 +110,15 @@ class TestParallelDiscoveryManifest:
         )
 
     def test_train_span_carries_backend_attrs_and_fit_children(
-        self, drg, backend
+        self, drg, backend, pools
     ):
-        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        result = augment(drg, backend)
+        assert pools == [2]
         assert_no_pool(result.discovery)
         names = {node["name"] for node in iter_tree(result.run_manifest.timing)}
         assert "wave" not in names
         train = train_node(result.run_manifest)
-        assert train["attrs"]["backend"] == backend
-        assert train["attrs"]["workers"] == 2
+        assert train["attrs"] == {"base": "base", "model": "lightgbm", "workers": 2}
         # Every path is materialised before the first fit is awaited.
         assert [child["name"] for child in train["children"]] == ["path"] * 2 + [
             "evaluate"
@@ -126,13 +129,13 @@ class TestParallelDiscoveryManifest:
         # own work and waits, one after another: the children's durations
         # sum to no more than the train span's (1ms clock tolerance, as the
         # schema validator allows).
-        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        result = augment(drg, backend)
         train = train_node(result.run_manifest)
         children = sum(child["duration_ns"] for child in train["children"])
         assert children <= train["duration_ns"] + 1_000_000
 
     def test_workers_used_gauge_recorded(self, drg, backend):
-        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        result = augment(drg, backend)
         assert_no_pool(result.discovery)
         gauges = result.run_manifest.metrics["gauges"]
         assert gauges["parallel.workers_used"] == 2
@@ -142,7 +145,7 @@ class TestParallelDiscoveryManifest:
         ]
 
     def test_augment_manifest_covers_both_phases(self, drg, backend):
-        result = AutoFeat(drg, config(backend)).augment("base", "label", "knn")
+        result = augment(drg, backend)
         manifest = result.run_manifest
         assert validate_manifest(manifest.as_dict()) == []
         stages = manifest.stage_seconds()
@@ -153,19 +156,19 @@ class TestParallelDiscoveryManifest:
 
 
 class TestSerialManifestUnchanged:
-    def test_serial_manifest_has_pool_shape(self, drg):
-        serial = AutoFeat(drg, config("serial")).augment("base", "label", "knn")
-        pooled = AutoFeat(drg, config("processes")).augment("base", "label", "knn")
+    def test_serial_manifest_has_pool_shape(self, drg, pools):
+        serial = augment(drg, "serial")
+        pooled = augment(drg, "processes")
+        assert pools == [2]
         for result in (serial, pooled):
             assert_no_pool(result.discovery)
             assert validate_manifest(result.run_manifest.as_dict()) == []
         train = train_node(serial.run_manifest)
-        assert train["attrs"]["backend"] == "serial"
         assert train["attrs"]["workers"] == 1
-        # Each fit runs inline, right after its path is materialised.
+        # The fits run inline, after every path is materialised.
         assert [child["name"] for child in train["children"]] == [
-            "path", "evaluate",
-        ] * 2
+            "path"
+        ] * 2 + ["evaluate"] * 2
         # selection is coordinator work: a sibling of the hop it scores.
         discover_root = serial.discovery.run_manifest.timing
         assert {c["name"] for c in discover_root["children"]} == {
@@ -183,8 +186,7 @@ class TestSerialManifestUnchanged:
         assert serial.run_manifest.metrics["gauges"]["parallel.workers_used"] == 1
 
     def test_untraced_parallel_run_still_manifests(self, drg):
-        cfg = config("processes", enable_tracing=False)
-        result = AutoFeat(drg, cfg).augment("base", "label", "knn")
+        result = augment(drg, "processes", enable_tracing=False)
         manifest = result.run_manifest
         assert validate_manifest(manifest.as_dict()) == []
         # Gauges survive without tracing; the timing tree collapses.
