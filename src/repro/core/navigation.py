@@ -27,7 +27,7 @@ Determinism contract (DESIGN.md §14):
 * **No budget set** — navigation degenerates to the canonical FIFO order
   regardless of ``frontier_strategy``: every path is explored anyway, and
   canonical order is the one that keeps results bit-identical to the
-  reference BFS on both execution backends.  (A priority order
+  reference BFS.  (A priority order
   would reshuffle the streaming selector's batch sequence and change
   scores without changing the explored set — pure downside when nothing
   is pruned by the budget.)

@@ -140,10 +140,6 @@ class WideLake:
     def n_tables(self) -> int:
         return len(self.tables)
 
-    @property
-    def n_columns(self) -> int:
-        return sum(len(t.column_names) for t in self.tables)
-
 
 def make_wide_lake(
     n_tables: int,

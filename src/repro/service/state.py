@@ -3,9 +3,7 @@
 The service never mutates a DRG in place: every lake mutation replays the
 stored pair matches into a fresh DRG and publishes it as a new
 :class:`LakeSnapshot`, while requests already executing keep the snapshot
-they started with — the same share-immutable-state discipline the
-parallel backends use within one run (DESIGN.md §11), lifted to the
-request level.
+they started with: a run never sees another's writes.
 
 Nothing derived from a snapshot is invalidated when the next one is
 published.  A cached result is instead checked on read against its
