@@ -4,7 +4,7 @@ Measures what the :class:`repro.service.DiscoveryService` exists for —
 amortising lake profiling, O(n²) schema matching, DRG construction and
 hop-index building across requests.  Three segments:
 
-* **cold** — one from-scratch ``from_discovery`` + ``autofeat_augment``,
+* **cold** — one from-scratch ``from_discovery`` + ``AutoFeat(...).augment``,
   the per-request cost of not running a service;
 * **warm** — the same request served repeatedly by a standing service
   (result cache + shared hop cache);

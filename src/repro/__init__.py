@@ -24,7 +24,6 @@ from .core import (
     DiscoveryResult,
     RankedPath,
     TrainedPath,
-    autofeat_augment,
 )
 from .dataframe import Column, DType, JoinIndex, Table
 from .engine import (
@@ -58,7 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AutoFeat",
     "AutoFeatConfig",
-    "autofeat_augment",
     "DiscoveryResult",
     "RankedPath",
     "TrainedPath",

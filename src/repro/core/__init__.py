@@ -1,7 +1,7 @@
 """AutoFeat core: ranking-based transitive feature discovery."""
 
 from ..engine import qualified, source_column_name
-from .autofeat import AutoFeat, autofeat_augment
+from .autofeat import AutoFeat
 from .config import AutoFeatConfig
 from .explain import explain, explain_rows
 from .navigation import (
@@ -34,7 +34,6 @@ __all__ = [
     "TuningOutcome",
     "TuningTrial",
     "AutoFeat",
-    "autofeat_augment",
     "AutoFeatConfig",
     "explain",
     "explain_rows",

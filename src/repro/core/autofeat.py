@@ -43,7 +43,7 @@ from .result import (
 )
 from .streaming import StreamingFeatureSelector
 
-__all__ = ["AutoFeat", "autofeat_augment"]
+__all__ = ["AutoFeat"]
 
 
 class AutoFeat:
@@ -402,7 +402,9 @@ class AutoFeat:
         accuracies are collected in ranked order, which the best-path
         tie-break (first ranked path wins) reads, so the result is
         bit-identical on both routes.  With a memo, a fit whose exact
-        arguments an earlier run trained on is answered from it.
+        arguments an earlier run trained on is answered from it; without
+        one, the paths that add no feature all train the same base-only
+        model, which is fitted once.
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
@@ -441,9 +443,12 @@ class AutoFeat:
 
         trained: list[TrainedPath] = []
         tables: list[Table] = []
-        # Pool fits by memo key (by ranked position without a memo): a
-        # path whose fit an earlier path shares waits for it.
+        # Fits by slot: the memo key, or without a memo the ranked position,
+        # except that every path adding no feature fits the same base-only
+        # model and shares one slot.  A path whose slot an earlier path
+        # fitted (or a pool runs) waits for that fit.
         futures: dict = {}
+        done: dict = {}
 
         def held(key) -> bool:
             return key is not None and memo.holds("train", key)
@@ -456,8 +461,10 @@ class AutoFeat:
                 if key is not None and tracer.enabled:
                     span.attrs["memo_hit"] = accuracy is not None
                 if accuracy is None:
-                    future = futures.get(slot)
-                    accuracy = future.result() if future else evaluate_accuracy(*fit)
+                    if slot not in done:
+                        future = futures.get(slot)
+                        done[slot] = future.result() if future else evaluate_accuracy(*fit)
+                    accuracy = done[slot]
                     if key is not None:
                         memo.put("train", key, accuracy)
             trained.append(TrainedPath(ranked, accuracy, n_features))
@@ -496,7 +503,9 @@ class AutoFeat:
                     ]
                     fit = (table, label, model_name, features, config.seed)
                     key = None if memo is None else fit_key(*fit)
-                    fits.append((ranked, fit, key, index if key is None else key))
+                    base_only = len(features) == len(base_features)
+                    slot = key if key is not None else "base" if base_only else index
+                    fits.append((ranked, fit, key, slot))
                 # The rule: pool a tree model's fits when two distinct ones
                 # miss and two of the process's CPUs are free (DESIGN.md §11);
                 # reserve_workers grants none for fewer than two misses.
@@ -510,7 +519,7 @@ class AutoFeat:
                 if tracer.enabled:
                     root.attrs["workers"] = max(reserved, 1)
                 for ranked, fit, key, slot in fits:
-                    if budget.expired() and slot not in futures and not held(key):
+                    if budget.expired() and not (slot in futures or slot in done or held(key)):
                         # No inline fit starts past the deadline.
                         budget_exhausted = True
                         break
@@ -594,16 +603,3 @@ class AutoFeat:
         discovery = self.discover(base_name, label_column, deadline=deadline)
         return self.train_top_k(discovery, model_name=model_name, deadline=deadline)
 
-
-def autofeat_augment(
-    drg: DatasetRelationGraph,
-    base_name: str,
-    label_column: str,
-    config: AutoFeatConfig | None = None,
-    model_name: str = "lightgbm",
-    hop_hook=None,
-) -> AugmentationResult:
-    """One-call convenience wrapper around :class:`AutoFeat`."""
-    return AutoFeat(drg, config, hop_hook=hop_hook).augment(
-        base_name, label_column, model_name
-    )

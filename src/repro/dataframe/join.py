@@ -1,4 +1,4 @@
-"""Left joins with cardinality control, as two-phase build/probe kernels.
+"""Left-join kernels with cardinality control: build once, probe by row map.
 
 AutoFeat only ever performs *left* joins so that the base table keeps its
 row count and label distribution (paper Section IV-B).  To guarantee this
@@ -17,7 +17,8 @@ reused across join paths:
 * **probe** — :meth:`JoinIndex.probe` maps any stream of left-hand keys
   onto build-side row indices (the *row map*), and
   :meth:`JoinIndex.attach` gathers the build columns along it onto the
-  probe table (:meth:`JoinIndex.left_join` is probe + attach).
+  probe table (probe + attach is one left join; only training's
+  ``materialize_path`` builds that table).
 
 A caller that only needs to *score* what a join would bring does not need
 the joined table at all: :meth:`JoinIndex.null_count` answers the
@@ -36,17 +37,15 @@ once into dense int32 codes by a
 rows with one stable argsort over the codes, and probes are a
 ``searchsorted`` + gather over integers instead of a Python dict of boxed
 scalars.  Their independent reference is the dict-of-boxed-scalars join in
-``tests/dataframe/test_join_reference.py``, which shares only
+``tests/oracle/join.py``, which shares only
 :func:`~repro.dataframe.encoding.normalize_key` (through the
 :class:`~repro.dataframe.encoding.KeyDictionary`) and
 :func:`_representative_index` (the CRC-seeded per-key RNG pick) with this
 module; the hypothesis suite in ``tests/engine/test_encoded_parity.py``
-holds the two identical to the bit.
-
-:func:`left_join` and :func:`inner_join` remain the one-shot wrappers
-(build + probe in a single call); the execution engine in
-:mod:`repro.engine` holds ``JoinIndex`` objects in a cache so that a table
-probed by many paths is only ever built once.
+holds the two identical to the bit.  The one-shot ``left_join`` /
+``inner_join`` / ``dedup_by_key`` the tests speak in live there too; the
+execution engine in :mod:`repro.engine` holds ``JoinIndex`` objects in a
+cache so that a table probed by many paths is only ever built once.
 """
 
 from __future__ import annotations
@@ -61,13 +60,7 @@ from .column import Column, DType
 from .encoding import CODE_NULL, KeyDictionary, dense_codes, rank_codes
 from .table import Table
 
-__all__ = [
-    "JoinIndex",
-    "gather_rows",
-    "left_join",
-    "inner_join",
-    "dedup_by_key",
-]
+__all__ = ["JoinIndex", "gather_rows"]
 
 
 def _representative_index(indices, key: Any, seed: int) -> int:
@@ -89,7 +82,7 @@ def _encoded_dedup_picks(
 ) -> np.ndarray:
     """Representative row per distinct code, sorted ascending.
 
-    The vectorised core of :func:`dedup_by_key`: one stable argsort groups
+    The deduplication of :meth:`JoinIndex.build`: one stable argsort groups
     the rows of every key (ascending row order within a group, the order
     a row-by-row scan accumulates them), singleton groups resolve without
     touching Python, and only keys that actually have duplicates pay the
@@ -114,19 +107,6 @@ def _encoded_dedup_picks(
         picks[g] = _representative_index(sorted_rows[start:end], key, seed)
     picks.sort()
     return picks
-
-
-def dedup_by_key(table: Table, key_column: str, seed: int = 0) -> Table:
-    """Reduce ``table`` to one representative row per value of ``key_column``.
-
-    Rows whose key is null are dropped — they can never match a left join
-    probe.  NaN float keys are dropped the same way: NaN equals no probe
-    value, so it is a null for join purposes.  The representative within
-    each group is chosen deterministically (see
-    :func:`_representative_index`).
-    """
-    dictionary = KeyDictionary.from_column(table.column(key_column))
-    return table.take(_encoded_dedup_picks(dictionary.codes, dictionary, seed))
 
 
 class JoinIndex:
@@ -189,7 +169,9 @@ class JoinIndex:
     ) -> "JoinIndex":
         """Deduplicate ``table`` on ``key_column`` and index the survivors.
 
-        With ``deduplicate=False`` the table is taken as-is and a duplicate
+        Deduplication keeps one representative row per key (see
+        :func:`_representative_index`) and drops rows whose key is null or
+        NaN: neither equals any probe value.  With ``deduplicate=False`` the table is taken as-is and a duplicate
         key raises :class:`JoinError` (a left join through it would
         duplicate probe rows).
         """
@@ -256,21 +238,6 @@ class JoinIndex:
             return np.full(len(codes), -1, dtype=np.int64)
         gather = self._code_rows[np.clip(codes, 0, None)]
         return np.where(codes >= 0, gather, -1)
-
-    def left_join(
-        self, left: Table, left_on: str, drop_right_key: bool = False
-    ) -> Table:
-        """Probe with ``left`` and gather the build columns onto it.
-
-        The left row count is preserved exactly; unmatched probe rows carry
-        nulls in every build column.
-        """
-        if left_on not in left:
-            raise JoinError(
-                f"left table {left.name!r} has no join column {left_on!r}"
-            )
-        row_map = self.probe(left.column(left_on))
-        return self.attach(left, row_map, drop_right_key)
 
     def output_names(
         self, left_names: Iterable[str], drop_right_key: bool = False
@@ -380,78 +347,3 @@ def gather_rows(column: Column, row_map: np.ndarray) -> Column:
         column.values[safe], dtype=column.dtype, mask=column.mask[safe] | ~matched
     )
 
-
-def left_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    seed: int = 0,
-    deduplicate: bool = True,
-    drop_right_key: bool = False,
-    index: JoinIndex | None = None,
-) -> Table:
-    """Left join preserving the left table's row count exactly.
-
-    One-shot wrapper over :class:`JoinIndex`: build the right side, then
-    probe with the left.  Pass a prebuilt ``index`` to skip the build phase
-    (the ``right``/``right_on``/``seed``/``deduplicate`` arguments are then
-    ignored — the index already embodies them).
-
-    Parameters
-    ----------
-    left, right:
-        The probe and build tables.
-    left_on, right_on:
-        Join column names in each table.
-    seed:
-        Seed for the deterministic representative-row choice in
-        :func:`dedup_by_key`.
-    deduplicate:
-        When True (the default, and AutoFeat's behaviour) the right table is
-        first reduced to one row per key so the join is at most 1:1 and the
-        left row count is preserved.  When False, a duplicate key on the
-        right would violate row-count preservation, so a multi-match raises
-        :class:`JoinError`.
-    drop_right_key:
-        Drop the right join column from the output (it duplicates the left
-        key on every matched row).
-
-    Returns
-    -------
-    Table
-        All columns of ``left`` followed by the columns of ``right``
-        (minus the key if ``drop_right_key``).  Right columns whose name
-        collides with a left column are suffixed with ``"_r"``.
-        Unmatched probe rows carry nulls in every right column.
-    """
-    if left_on not in left:
-        raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
-    if index is None:
-        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
-    return index.left_join(left, left_on, drop_right_key=drop_right_key)
-
-
-def inner_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    seed: int = 0,
-    deduplicate: bool = True,
-    drop_right_key: bool = False,
-    index: JoinIndex | None = None,
-) -> Table:
-    """Inner join: like :func:`left_join` but unmatched probe rows are cut.
-
-    AutoFeat never uses this — Section IV-B argues that dropping rows
-    skews the label distribution — but the engine provides it so the
-    join-type ablation can *demonstrate* that skew rather than assert it.
-    """
-    if left_on not in left:
-        raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
-    if index is None:
-        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
-    row_map = index.probe(left.column(left_on))
-    joined = index.attach(left, row_map, drop_right_key)
-    return joined.filter(row_map >= 0)

@@ -13,16 +13,34 @@ from dataclasses import dataclass
 
 from ..errors import SchemaError
 from .column import Column
-from .groupby import uniqueness
 from .table import Table
 
 __all__ = [
+    "distinct_count",
+    "uniqueness",
     "ColumnQuality",
     "TableQuality",
     "column_quality",
     "quality_report",
     "verify_key_constraint",
 ]
+
+
+def distinct_count(column: Column) -> int:
+    """Number of distinct non-null values in a column."""
+    return len(column.unique())
+
+
+def uniqueness(column: Column) -> float:
+    """Distinct non-null values over non-null count (key-ness score).
+
+    1.0 means the column is a candidate primary key; values near 0 indicate
+    a heavily repeated (categorical/foreign-key-like) column.
+    """
+    n = len(column) - column.null_count()
+    if n == 0:
+        return 0.0
+    return distinct_count(column) / n
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,6 @@ class WideLake:
     tables: tuple[Table, ...]
     expected_key_edges: tuple[tuple[str, str, str, str], ...]
 
-    @property
-    def n_tables(self) -> int:
-        return len(self.tables)
-
 
 def make_wide_lake(
     n_tables: int,

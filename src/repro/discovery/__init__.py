@@ -9,41 +9,21 @@ from .coma import ColumnMatch, ComaMatcher
 from .distribution import DistributionMatcher, QuantileSketch, quantile_similarity
 from .incremental import IncrementalMatchIndex, MatchCounters, MutationReport
 from .lsh import LazoMatcher, estimate_containment, validate_banding
-from .name_similarity import (
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    ngram_similarity,
-    token_similarity,
-    tokenize_identifier,
-)
+from .name_similarity import token_similarity, tokenize_identifier
 from .profiles import ColumnProfile, TableProfile, profile_column, profile_table
-from .value_overlap import (
-    ValueOverlapMatcher,
-    instance_similarity,
-    minhash_jaccard,
-    numeric_range_overlap,
-    sketch_containment,
-    sketch_jaccard,
-)
+from .value_overlap import instance_similarity, numeric_range_overlap
 
 __all__ = [
     "ColumnProfile",
     "TableProfile",
     "profile_column",
     "profile_table",
-    "levenshtein_similarity",
-    "jaro_winkler_similarity",
-    "ngram_similarity",
     "token_similarity",
     "tokenize_identifier",
-    "sketch_jaccard",
-    "sketch_containment",
-    "minhash_jaccard",
     "numeric_range_overlap",
     "instance_similarity",
     "ColumnMatch",
     "ComaMatcher",
-    "ValueOverlapMatcher",
     "IncrementalMatchIndex",
     "MatchCounters",
     "MutationReport",

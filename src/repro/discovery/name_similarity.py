@@ -3,7 +3,9 @@
 COMA's linguistic matchers compare attribute *names*.  We implement the
 standard string-similarity toolbox — normalised Levenshtein, Jaro-Winkler,
 character n-gram Jaccard and identifier-token overlap — all returning
-scores in [0, 1].
+scores in [0, 1].  COMA calls the Levenshtein and Jaro-Winkler kernels on
+:class:`NameFeatures` derived once per name; their one-pair-of-strings
+forms are test references (``tests/oracle/names.py``).
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ from __future__ import annotations
 import re
 
 __all__ = [
-    "levenshtein_similarity",
-    "jaro_winkler_similarity",
-    "ngram_similarity",
     "token_similarity",
     "tokenize_identifier",
     "set_jaccard",
@@ -32,8 +31,9 @@ def _positions(text: str) -> dict[str, int]:
     return positions
 
 
-def levenshtein_similarity(a: str, b: str) -> float:
-    """1 - edit_distance / max_length, in [0, 1].
+def _levenshtein(a: str, positions_a: dict, b: str, positions_b: dict) -> float:
+    """1 - edit_distance / max_length, in [0, 1]; ``positions_*`` are the
+    strings' :func:`_positions`.
 
     The distance is the exact integer edit distance, computed with the
     Myers (1999) bit-vector recurrence in the edit-distance form given
@@ -43,10 +43,6 @@ def levenshtein_similarity(a: str, b: str) -> float:
     Python ints are the words, so there is no 64-character limit and no
     blocking.
     """
-    return _levenshtein(a, _positions(a), b, _positions(b))
-
-
-def _levenshtein(a: str, positions_a: dict, b: str, positions_b: dict) -> float:
     if a == b:
         return 1.0
     if not a or not b:
@@ -76,7 +72,9 @@ def _levenshtein(a: str, positions_a: dict, b: str, positions_b: dict) -> float:
     return 1.0 - distance / m
 
 
-def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
+def _jaro_winkler(
+    a: str, b: str, positions_b: dict, prefix_weight: float = 0.1
+) -> float:
     """Jaro-Winkler similarity, rewarding shared prefixes (identifier-friendly).
 
     Bit-parallel over ``b``'s positions: the greedy first free match of
@@ -85,12 +83,6 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
     matched characters with b's taken bits in order — the same matches,
     counts and float arithmetic as the position-by-position scan.
     """
-    return _jaro_winkler(a, b, _positions(b), prefix_weight)
-
-
-def _jaro_winkler(
-    a: str, b: str, positions_b: dict, prefix_weight: float = 0.1
-) -> float:
     if a == b:
         return 1.0
     if not a or not b:
@@ -139,15 +131,6 @@ def set_jaccard(a: frozenset | set, b: frozenset | set) -> float:
     shared = len(a & b)
     union = len(a) + len(b) - shared
     return shared / union if union else 0.0
-
-
-def ngram_similarity(a: str, b: str, n: int = 3) -> float:
-    """Jaccard similarity of padded character n-grams."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return set_jaccard(_ngrams(a.lower(), n), _ngrams(b.lower(), n))
 
 
 def tokenize_identifier(name: str) -> list[str]:

@@ -7,8 +7,8 @@ profiles.  This mirrors how dataset-discovery systems (Aurum, Lazo, JOSIE)
 scale to lakes: profile once, match many times.
 
 Profiling computes what the matchers read.  The MinHash signature costs one
-hash per distinct value and only its two readers use it (``LazoMatcher``
-and ``minhash_jaccard``, neither on the default matching path), so
+hash per distinct value and only ``LazoMatcher`` reads it (it is not on
+the default matching path), so
 :attr:`ColumnProfile.minhash` is built from the profile's source column on
 first read and memoised.
 """

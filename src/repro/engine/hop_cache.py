@@ -11,10 +11,10 @@ augmentation.
 
 Correctness note: a cached :class:`~repro.dataframe.JoinIndex` is
 immutable, and the representative-row choice inside
-:func:`~repro.dataframe.dedup_by_key` depends only on the cache key, so
+:meth:`~repro.dataframe.JoinIndex.build` depends only on the cache key, so
 executing through the cache is bit-identical to rebuilding per hop
 (``tests/engine/test_engine.py`` checks a cached materialisation against
-per-hop ``JoinIndex.build`` + ``left_join`` with no cache involved).
+per-hop ``JoinIndex.build`` + probe + attach with no cache involved).
 
 Freshness is checked on read.  An entry stores the :class:`Table` object
 it was built from, and a lookup whose table ``is not`` that object is a

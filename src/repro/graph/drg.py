@@ -158,11 +158,6 @@ class DatasetRelationGraph:
         return list(self._tables.keys())
 
     @property
-    def tables(self) -> list[Table]:
-        """The table objects in canonical (insertion) order."""
-        return list(self._tables.values())
-
-    @property
     def n_tables(self) -> int:
         return len(self._tables)
 

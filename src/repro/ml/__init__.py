@@ -24,7 +24,7 @@ from .gbdt import (
 )
 from .knn import KNeighborsClassifier
 from .linear import LogisticRegressionL1
-from .metrics import accuracy, auc_score, confusion_counts, f1_score
+from .metrics import accuracy
 from .tree import DecisionTreeClassifier
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "TabularEncoder",
     "encode_labels",
     "accuracy",
-    "auc_score",
-    "f1_score",
-    "confusion_counts",
     "AutoTabularPredictor",
     "EvaluationResult",
     "evaluate_accuracy",

@@ -76,31 +76,6 @@ class AutoTabularPredictor:
         self.model_name = model_name
         self.seed = seed
         self._encoder = TabularEncoder()
-        self._model: object | None = None
-        self._classes: list | None = None
-
-    def fit(
-        self,
-        table: Table,
-        label_column: str,
-        feature_names: list[str] | None = None,
-    ) -> "AutoTabularPredictor":
-        """Fit on all rows of ``table`` using the given feature subset."""
-        features = self._feature_list(table, label_column, feature_names)
-        X = self._encoder.fit_transform(table, features)
-        y, self._classes = encode_labels(self._label_array(table, label_column))
-        model = MODEL_REGISTRY[self.model_name](self.seed)
-        model.fit(X, y)
-        self._model = model
-        return self
-
-    def predict(self, table: Table) -> list:
-        """Predict raw label values for each row of ``table``."""
-        if self._model is None or self._classes is None:
-            raise ModelError("predictor is not fitted")
-        X = self._encoder.transform(table)
-        indices = self._model.predict(X)
-        return [self._classes[i] for i in indices]
 
     @staticmethod
     def _label_array(table: Table, label_column: str) -> np.ndarray:
@@ -136,7 +111,7 @@ class AutoTabularPredictor:
         """80/20 stratified train/test evaluation (the paper's protocol)."""
         features = self._feature_list(table, label_column, feature_names)
         raw_labels = self._label_array(table, label_column)
-        y, self._classes = encode_labels(raw_labels)
+        y, __ = encode_labels(raw_labels)
         train_idx, test_idx = train_test_split_indices(
             table.n_rows, y, test_fraction=test_fraction, seed=self.seed
         )
@@ -146,7 +121,6 @@ class AutoTabularPredictor:
         X_test = self._encoder.transform(test_table)
         model = MODEL_REGISTRY[self.model_name](self.seed)
         model.fit(X_train, y[train_idx])
-        self._model = model
         predictions = model.predict(X_test)
         return EvaluationResult(
             model_name=self.model_name,

@@ -1,4 +1,4 @@
-"""Classification metrics: accuracy, AUC, F1, confusion counts."""
+"""Classification metric: the accuracy every experiment reports."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import ModelError
 
-__all__ = ["accuracy", "auc_score", "f1_score", "confusion_counts"]
+__all__ = ["accuracy"]
 
 
 def _check_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,48 +26,3 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true, y_pred = _check_pair(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
 
-
-def auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Binary ROC AUC via the rank (Mann-Whitney) formulation.
-
-    ``scores`` are real-valued confidences for the positive class (the
-    larger label value).  Degenerate single-class inputs return 0.5.
-    """
-    y_true, scores = _check_pair(y_true, np.asarray(scores, dtype=np.float64))
-    classes = np.unique(y_true)
-    if len(classes) != 2:
-        return 0.5
-    from ..selection.relevance import _rankdata
-
-    positive = y_true == classes[-1]
-    n_pos = int(positive.sum())
-    n_neg = len(y_true) - n_pos
-    ranks = _rankdata(scores)
-    rank_sum = float(ranks[positive].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def confusion_counts(
-    y_true: np.ndarray, y_pred: np.ndarray, positive_label: object = 1
-) -> tuple[int, int, int, int]:
-    """``(tp, fp, fn, tn)`` for a binary task."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    pos_true = y_true == positive_label
-    pos_pred = y_pred == positive_label
-    tp = int(np.sum(pos_true & pos_pred))
-    fp = int(np.sum(~pos_true & pos_pred))
-    fn = int(np.sum(pos_true & ~pos_pred))
-    tn = int(np.sum(~pos_true & ~pos_pred))
-    return tp, fp, fn, tn
-
-
-def f1_score(
-    y_true: np.ndarray, y_pred: np.ndarray, positive_label: object = 1
-) -> float:
-    """Harmonic mean of precision and recall for the positive class."""
-    tp, fp, fn, _ = confusion_counts(y_true, y_pred, positive_label)
-    denominator = 2 * tp + fp + fn
-    if denominator == 0:
-        return 0.0
-    return 2 * tp / denominator

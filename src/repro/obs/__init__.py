@@ -5,7 +5,7 @@ The subsystem every layer of the pipeline reports into:
 * :class:`Tracer` / :class:`Span` — hierarchical wall-clock spans
   (``discover > hop > join / selection``) with structured events and a
   cheap totals-only mode (:mod:`repro.obs.tracer`);
-* :class:`MetricsRegistry` — named counters/gauges/histograms, and
+* :class:`MetricsRegistry` — named counters and gauges, and
   :class:`CounterRecord`, the one base the stats records
   (``ExecutionStats``, ``SelectionStats``, …) merge, serialise and
   publish through (:mod:`repro.obs.metrics`);
@@ -31,7 +31,7 @@ from .manifest import (
     git_revision,
     synthetic_root,
 )
-from .metrics import Counter, CounterRecord, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, CounterRecord, Gauge, MetricsRegistry
 from .schema import MANIFEST_SCHEMA, SPAN_SCHEMA, validate, validate_manifest
 from .tracer import NULL_TRACER, Span, Tracer
 
@@ -43,7 +43,6 @@ __all__ = [
     "Counter",
     "CounterRecord",
     "Gauge",
-    "Histogram",
     "RunManifest",
     "build_manifest",
     "config_snapshot",

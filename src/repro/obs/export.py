@@ -128,23 +128,14 @@ def render_text_report(manifest, max_tree_rows: int = 80) -> str:
     metrics = manifest.metrics or {}
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    if counters or gauges or histograms:
+    if counters or gauges:
         lines.append("")
         lines.append("  metrics")
-        width = max(
-            (len(n) for n in (*counters, *gauges, *histograms)), default=0
-        )
+        width = max((len(n) for n in (*counters, *gauges)), default=0)
         for name, value in counters.items():
             lines.append(f"    {name.ljust(width)}  {value}")
         for name, value in gauges.items():
             lines.append(f"    {name.ljust(width)}  {value:.4f}")
-        for name, summary in histograms.items():
-            lines.append(
-                f"    {name.ljust(width)}  n={summary['count']} "
-                f"mean={summary['mean']:.4f} "
-                f"min={summary['min']:.4f} max={summary['max']:.4f}"
-            )
 
     if manifest.events:
         tally: dict[str, int] = {}

@@ -1,4 +1,4 @@
-"""Metrics registry: named counters, gauges and histograms.
+"""Metrics registry: named counters and gauges.
 
 One :class:`MetricsRegistry` collects a run's numeric observability
 signals under dotted names (``engine.cache_hits``,
@@ -10,12 +10,10 @@ into a registry via ``publish()``; the registry's
 :meth:`MetricsRegistry.as_dict` payload is what a
 :class:`repro.obs.RunManifest` embeds.
 
-Three instrument kinds, mirroring the usual metrics vocabulary:
+Two instrument kinds, mirroring the usual metrics vocabulary:
 
 * **Counter** — monotonically increasing integer (``inc``);
-* **Gauge** — last-written float (``set``);
-* **Histogram** — streaming summary (count/total/min/max/mean) of an
-  observed value distribution (``observe``), without storing samples.
+* **Gauge** — last-written float (``set``).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import threading
 from dataclasses import fields
 from functools import reduce
 
-__all__ = ["Counter", "CounterRecord", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "CounterRecord", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -60,44 +58,6 @@ class Gauge:
         return self
 
 
-class Histogram:
-    """Constant-memory streaming summary of an observed distribution."""
-
-    __slots__ = ("name", "count", "total", "min", "max", "_lock")
-
-    def __init__(self, name: str, lock=None):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self._lock = lock or threading.RLock()
-
-    def observe(self, value: float) -> "Histogram":
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-        return self
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> dict:
-        if not self.count:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
     """Get-or-create registry of named instruments.
 
@@ -105,7 +65,7 @@ class MetricsRegistry:
     lifetime; asking for the same name as a different kind raises, which
     catches taxonomy typos early.
 
-    Thread-safe: get-or-create, ``inc`` and ``observe`` run under the
+    Thread-safe: get-or-create and ``inc`` run under the
     re-entrant :attr:`lock` (a gauge's ``set`` is one store); a caller may
     hold it across a read-several-then-write sequence.
     """
@@ -114,14 +74,9 @@ class MetricsRegistry:
         self.lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def _check_unique(self, name: str, kind: str) -> None:
-        owners = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }
+        owners = {"counter": self._counters, "gauge": self._gauges}
         for other_kind, table in owners.items():
             if other_kind != kind and name in table:
                 raise ValueError(
@@ -142,31 +97,18 @@ class MetricsRegistry:
                 self._gauges[name] = Gauge(name)
             return self._gauges[name]
 
-    def histogram(self, name: str) -> Histogram:
-        with self.lock:
-            if name not in self._histograms:
-                self._check_unique(name, "histogram")
-                self._histograms[name] = Histogram(name, self.lock)
-            return self._histograms[name]
-
     def __contains__(self, name: str) -> bool:
-        return (
-            name in self._counters
-            or name in self._gauges
-            or name in self._histograms
-        )
+        return name in self._counters or name in self._gauges
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._gauges)
 
     def value(self, name: str):
-        """Current value of a counter or gauge (histograms: summary)."""
+        """Current value of a counter or gauge."""
         if name in self._counters:
             return self._counters[name].value
         if name in self._gauges:
             return self._gauges[name].value
-        if name in self._histograms:
-            return self._histograms[name].summary()
         raise KeyError(f"unknown metric {name!r}")
 
     def as_dict(self) -> dict:
@@ -175,9 +117,6 @@ class MetricsRegistry:
             return {
                 "counters": {n: c.value for n, c in sorted(self._counters.items())},
                 "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-                "histograms": {
-                    n: h.summary() for n, h in sorted(self._histograms.items())
-                },
             }
 
 

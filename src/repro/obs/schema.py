@@ -55,11 +55,10 @@ MANIFEST_SCHEMA = {
         "timing": {"type": "object"},
         "metrics": {
             "type": "object",
-            "required": ["counters", "gauges", "histograms"],
+            "required": ["counters", "gauges"],
             "properties": {
                 "counters": {"type": "object"},
                 "gauges": {"type": "object"},
-                "histograms": {"type": "object"},
             },
         },
         "events": {"type": "array", "items": {"type": "object"}},

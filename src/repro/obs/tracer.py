@@ -93,14 +93,6 @@ class Span:
         for child in self.children:
             yield from child.iter_spans()
 
-    def total_named_seconds(self, name: str) -> float:
-        """Summed duration of all spans named ``name`` in this subtree.
-
-        Same-named spans are assumed not to nest inside each other (true
-        for the pipeline's taxonomy), so the sum is not double-counted.
-        """
-        return sum(s.seconds for s in self.iter_spans() if s.name == name)
-
     def as_dict(self) -> dict:
         """JSON-safe tree rendering (the manifest's ``timing`` payload)."""
         return {
@@ -176,7 +168,9 @@ class Tracer:
     enabled:
         When False, :meth:`span` returns timing-only spans that feed
         per-name totals and :meth:`event` is a no-op — the cheap mode
-        production runs use via ``AutoFeatConfig(enable_tracing=False)``.
+        ``AutoFeatConfig(enable_tracing=False)`` selects.  Every entry point
+        runs traced by default; the end-to-end benchmark's staged replay
+        is the one caller that turns it off, to measure tracing's cost.
     """
 
     def __init__(self, enabled: bool = True):
@@ -220,8 +214,11 @@ class Tracer:
         return sum(1 for _ in self.iter_spans())
 
     def total_seconds(self, name: str) -> float:
-        """Summed duration of every span named ``name`` (see caveat on
-        :meth:`Span.total_named_seconds`)."""
+        """Summed duration of every span named ``name``.
+
+        Same-named spans are assumed not to nest inside each other (true
+        for the pipeline's taxonomy), so the sum is not double-counted.
+        """
         if not self.enabled:
             return self._totals.get(name, 0) / 1e9
         return sum(s.seconds for s in self.iter_spans() if s.name == name)

@@ -15,7 +15,6 @@ from .kernels import (
     batch_redundancy_scores,
     batch_relevance_scores,
     batch_spearman_scores,
-    rank_matrix,
 )
 from .stats import SelectionStats
 from .entropy import (
@@ -32,7 +31,6 @@ from .redundancy import (
     linear_coefficients,
     RedundancyResult,
     redundancy_score,
-    redundancy_scores,
 )
 from .relevance import (
     RELEVANCE_METRICS,
@@ -40,7 +38,6 @@ from .relevance import (
     pearson_relevance,
     relevance_scores,
     relief_scores,
-    spearman_relevance,
     su_relevance,
 )
 from .select_k_best import SelectionOutcome, select_k_best, select_k_best_named
@@ -55,17 +52,14 @@ __all__ = [
     "information_gain",
     "su_relevance",
     "pearson_relevance",
-    "spearman_relevance",
     "relief_scores",
     "relevance_scores",
     "RELEVANCE_METRICS",
     "RedundancyResult",
     "redundancy_score",
-    "redundancy_scores",
     "greedy_select",
     "linear_coefficients",
     "REDUNDANCY_METHODS",
-    "rank_matrix",
     "batch_spearman_scores",
     "batch_relevance_scores",
     "batch_redundancy_scores",

@@ -32,10 +32,10 @@ validity masks — *group by mask, then count once per group*:
 
 Bit-identity is load-bearing: every kernel evaluates the same float
 expressions on the same values in the same order as the scalar
-estimators, which stay public (:func:`relevance_scores` /
-:func:`~repro.selection.redundancy.redundancy_scores`) and are what
-``tests/selection/test_kernels.py`` compares the kernels — and the
-streaming selector built on them — against.  The one relaxation: a
+estimators — :func:`relevance_scores` and the column-by-column
+``redundancy_scores`` / ``rank_matrix`` of ``tests/oracle/selection.py`` —
+which ``tests/selection/test_kernels.py`` compares the kernels, and the
+streaming selector built on them, against.  The one relaxation: a
 redundancy score that is not positive is returned as some value ≤ 0.
 """
 
@@ -54,7 +54,6 @@ from .stats import SelectionStats
 
 __all__ = [
     "column_codes",
-    "rank_matrix",
     "batch_spearman_scores",
     "batch_relevance_scores",
     "SelectionCodeCache",
@@ -150,22 +149,6 @@ def _midranks(codes: np.ndarray) -> np.ndarray:
     ends -= np.repeat(ends[starts] - counts[starts], widths)
     midranks = ends.astype(np.float64) - (counts - 1) / 2.0
     return midranks[flat]
-
-
-def rank_matrix(X: np.ndarray) -> np.ndarray:
-    """Column-wise average ranks (midranks for ties) of an all-finite matrix.
-
-    Each column's :func:`column_codes` turned into midranks by
-    :func:`_midranks` — bit-identical to ranking each column separately
-    with :func:`repro.selection.relevance._rankdata`.  Returned
-    Fortran-ordered so per-column reductions run over contiguous memory.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise SelectionError("rank_matrix expects a 2-D matrix")
-    if not np.isfinite(X).all():
-        raise SelectionError("rank_matrix expects an all-finite matrix")
-    return _midranks(column_codes(X)).T
 
 
 def _spearman_block(ranks: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
@@ -402,8 +385,8 @@ def batch_redundancy_scores(
 ) -> np.ndarray:
     """Score every candidate column against the cached selected set.
 
-    Every positive score is bit-identical to
-    :func:`repro.selection.redundancy.redundancy_scores` with the selected
+    Every positive score is bit-identical to scoring each candidate with
+    :func:`repro.selection.redundancy.redundancy_score` with the selected
     set's codes served from ``cache``; a non-positive one is returned as
     *some* value ≤ 0 — the bound that proved it.  Candidates are binned
     once and grouped by validity mask, and ``R_sel`` is walked run by run

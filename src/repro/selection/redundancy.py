@@ -40,7 +40,6 @@ from .entropy import (
 __all__ = [
     "RedundancyResult",
     "redundancy_score",
-    "redundancy_scores",
     "greedy_select",
     "linear_coefficients",
     "REDUNDANCY_METHODS",
@@ -262,30 +261,3 @@ def greedy_select(
                     )
     return selected
 
-
-def redundancy_scores(
-    candidates: np.ndarray,
-    selected_features: np.ndarray | None,
-    label: np.ndarray,
-    method: str = "mrmr",
-) -> np.ndarray:
-    """Score every column of ``candidates``; shares discretisation work."""
-    X = np.asarray(candidates, dtype=np.float64)
-    if X.ndim != 2:
-        raise SelectionError("redundancy_scores expects a 2-D candidate matrix")
-    if method not in REDUNDANCY_METHODS:
-        raise SelectionError(
-            f"unknown redundancy method {method!r}; "
-            f"expected one of {sorted(REDUNDANCY_METHODS)}"
-        )
-    label_codes = discretize(np.asarray(label, dtype=np.float64))
-    if selected_features is None or np.size(selected_features) == 0:
-        selected_codes: list[np.ndarray] = []
-    else:
-        selected_codes = _codes_matrix(selected_features)
-    scorer = REDUNDANCY_METHODS[method]
-    out = np.empty(X.shape[1], dtype=np.float64)
-    for j in range(X.shape[1]):
-        cand_codes = discretize(X[:, j])
-        out[j] = scorer(cand_codes, selected_codes, label_codes).score
-    return out

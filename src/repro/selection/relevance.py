@@ -10,7 +10,9 @@ Five scorers of how strongly a single feature associates with the label:
 
 Every scorer maps ``(feature, label) -> float`` where larger is more
 relevant; Pearson/Spearman return absolute values so sign does not matter.
-NaN entries are excluded pairwise.
+NaN entries are excluded pairwise.  Spearman is computed inside
+:func:`relevance_scores`, which ranks the label once per call; its
+one-feature form is a test reference (``tests/oracle/selection.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "information_gain",
     "su_relevance",
     "pearson_relevance",
-    "spearman_relevance",
     "relief_scores",
     "relevance_scores",
     "RELEVANCE_METRICS",
@@ -105,18 +106,6 @@ def _rankdata(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman_relevance(feature: np.ndarray, label: np.ndarray) -> float:
-    """|Spearman ρ|: Pearson correlation of the midranks.
-
-    AutoFeat's relevance metric of choice — monotone-association aware and
-    cheap (paper Section V-C recommends it over IG/SU/Pearson/Relief).
-    """
-    x, y = _paired(feature, label)
-    if x.size < 2:
-        return 0.0
-    return pearson_relevance(_rankdata(x), _rankdata(y))
-
-
 def relief_scores(
     features: np.ndarray,
     label: np.ndarray,
@@ -167,12 +156,15 @@ def relief_scores(
     return np.clip(weights, 0.0, None)
 
 
-RELEVANCE_METRICS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
+#: The per-feature scorers :func:`relevance_scores` calls column by column.
+_SCORERS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "information_gain": information_gain,
     "symmetrical_uncertainty": su_relevance,
     "pearson": pearson_relevance,
-    "spearman": spearman_relevance,
 }
+
+#: Every metric :func:`relevance_scores` accepts besides ``"relief"``.
+RELEVANCE_METRICS = (*_SCORERS, "spearman")
 
 
 def relevance_scores(
@@ -216,7 +208,7 @@ def relevance_scores(
                 continue
             out[j] = pearson_relevance(_rankdata(kept), _rankdata(y[keep]))
         return out
-    scorer = RELEVANCE_METRICS[metric]
+    scorer = _SCORERS[metric]
     return np.asarray(
         [scorer(X[:, j], label) for j in range(X.shape[1])], dtype=np.float64
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import run_arda, run_autofeat, run_join_all, run_mab
-from repro.core import AutoFeat, AutoFeatConfig, autofeat_augment
+from repro.core import AutoFeat, AutoFeatConfig
 from repro.core.streaming import StreamingFeatureSelector
 from repro.dataframe import Table
 from repro.engine import JoinEngine
@@ -92,13 +92,9 @@ def all_oriented_signatures(drg):
 
 class TestSkipAndRecord:
     def test_augment_survives_injected_faults(self, drg):
-        result = autofeat_augment(
-            drg,
-            "base",
-            "label",
-            config=config(failure_policy="skip_and_record"),
-            hop_hook=injector(),
-        )
+        result = AutoFeat(
+            drg, config(failure_policy="skip_and_record"), hop_hook=injector()
+        ).augment("base", "label")
         # The run completes and still finds the signal via the b -> c route.
         assert result.best is not None
         assert "b.shared_key -> c.shared_key" in result.best.ranked.path.describe()
@@ -119,13 +115,9 @@ class TestSkipAndRecord:
             for sig, edge in all_oriented_signatures(drg).items()
             if inj.fault_kind(edge) is not None
         }
-        result = autofeat_augment(
-            drg,
-            "base",
-            "label",
-            config=config(failure_policy="skip_and_record"),
-            hop_hook=injector(),
-        )
+        result = AutoFeat(
+            drg, config(failure_policy="skip_and_record"), hop_hook=injector()
+        ).augment("base", "label")
         recorded = {r.edge for r in result.combined_failure_report.records}
         assert recorded <= faulty
         assert FAULTY_EDGE in recorded
@@ -143,35 +135,25 @@ class TestSkipAndRecord:
 
     def test_error_budget_bounds_degradation(self, drg):
         with pytest.raises(ErrorBudgetExceeded):
-            autofeat_augment(
+            AutoFeat(
                 drg,
-                "base",
-                "label",
-                config=config(
-                    failure_policy="skip_and_record", error_budget=0
-                ),
+                config(failure_policy="skip_and_record", error_budget=0),
                 hop_hook=injector(failure_probability=1.0),
-            )
+            ).augment("base", "label")
 
 
 class TestFailFast:
     def test_first_injected_fault_propagates(self, drg):
         with pytest.raises(InjectedFaultError) as excinfo:
-            autofeat_augment(
-                drg,
-                "base",
-                "label",
-                config=config(failure_policy="fail_fast"),
-                hop_hook=injector(),
-            )
+            AutoFeat(
+                drg, config(failure_policy="fail_fast"), hop_hook=injector()
+            ).augment("base", "label")
         assert "injected join failure" in str(excinfo.value)
         assert FAULTY_EDGE in str(excinfo.value)
 
     def test_clean_run_matches_default_policy(self, drg):
-        fast = autofeat_augment(
-            drg, "base", "label", config=config(failure_policy="fail_fast")
-        )
-        default = autofeat_augment(drg, "base", "label", config=config())
+        fast = AutoFeat(drg, config(failure_policy="fail_fast")).augment("base", "label")
+        default = AutoFeat(drg, config()).augment("base", "label")
         assert fast.accuracy == default.accuracy
         assert (
             fast.best.ranked.path.describe()

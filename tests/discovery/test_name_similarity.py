@@ -4,15 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.discovery import (
+from repro.discovery import token_similarity, tokenize_identifier
+from repro.discovery.coma import _name_bound, _name_score, _NameScoreMemo
+from repro.discovery.name_similarity import NameFeatures, _ngrams
+from tests.oracle.names import (
     jaro_winkler_similarity,
     levenshtein_similarity,
     ngram_similarity,
-    token_similarity,
-    tokenize_identifier,
 )
-from repro.discovery.coma import _name_bound, _name_score, _NameScoreMemo
-from repro.discovery.name_similarity import NameFeatures, _ngrams
 
 identifiers = st.text(alphabet="abcdefgh_XYZ0123", min_size=0, max_size=12)
 #: Arbitrary unicode, plus long strings over a tiny alphabet so that pairs

@@ -16,13 +16,13 @@ from repro.discovery import (
     ComaMatcher,
     IncrementalMatchIndex,
     LazoMatcher,
-    ValueOverlapMatcher,
     profile_column,
     profile_table,
     profiles,
 )
 from repro.discovery.profiles import MINHASH_PERMUTATIONS, SKETCH_SIZE, ProfileCache
 from repro.graph import DatasetRelationGraph
+from tests.oracle.overlap import ValueOverlapMatcher
 
 
 class TestProfileColumn:

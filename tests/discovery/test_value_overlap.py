@@ -15,18 +15,20 @@ import repro
 from repro.dataframe import Column, DType, Table
 from repro.discovery import (
     ComaMatcher,
-    ValueOverlapMatcher,
     instance_similarity,
-    minhash_jaccard,
     numeric_range_overlap,
     profile_column,
     profile_table,
-    sketch_containment,
-    sketch_jaccard,
 )
 from repro.discovery.coma import ColumnMatch, _name_score
 from repro.discovery.name_similarity import NameFeatures
 from repro.discovery.value_overlap import tables_may_overlap
+from tests.oracle.overlap import (
+    ValueOverlapMatcher,
+    minhash_jaccard,
+    sketch_containment,
+    sketch_jaccard,
+)
 
 
 def prof(values, name="c"):

@@ -3,7 +3,7 @@
 The determinism contract of the encoded kernels (DESIGN.md §13), driven
 over hypothesis-drawn inputs: build, dedup and probe return exactly what
 the dict-of-boxed-scalars reference in
-``tests/dataframe/test_join_reference.py`` returns — same rows, same row
+``tests/oracle/join.py`` returns — same rows, same row
 order, same dedup representatives, same error on a duplicate key.
 """
 
@@ -12,9 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import Column, DType, JoinIndex, Table, dedup_by_key, left_join
+from repro.dataframe import Column, DType, JoinIndex, Table
 from repro.errors import JoinError
-from tests.dataframe.test_join_reference import (
+from tests.oracle.join import (
+    dedup_by_key,
+    index_left_join,
+    left_join,
     reference_join_index,
     reference_left_join_table,
 )
@@ -91,7 +94,7 @@ def test_join_kernels_bit_identical(left_kind, right_kind, n_left, n_right, seed
     # Cell-by-cell reference join vs the in-core probe.
     assert table_fingerprint(
         reference_left_join_table(left, ref_build, ref_index, "k")
-    ) == table_fingerprint(index.left_join(left, "k"))
+    ) == table_fingerprint(index_left_join(index, left, "k"))
     # Without dedup: the same join, or the same duplicate-key error.
     try:
         raw_build, raw_index = reference_join_index(

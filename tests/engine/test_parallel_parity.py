@@ -154,10 +154,12 @@ class TestEngineStatsParity:
     def test_training_engine_stats_equal_across_pool_runs(self, pools):
         # Every join of training runs on the coordinator's one engine, so
         # its cache counters do not depend on which worker got which path.
+        # At the default sample size the top 4 paths add 0, 2, 1 and 0
+        # features: three distinct fits, so two CPUs pool them.
         bundle, drg = _lake(5, 2, 2)
         stats = []
         for route in ("processes", "processes", "serial"):
-            autofeat = AutoFeat(drg, AutoFeatConfig(sample_size=120))
+            autofeat = AutoFeat(drg, AutoFeatConfig())
             with cpus(ROUTES[route]):
                 result = autofeat.augment(
                     bundle.base_name, bundle.label_column, "random_forest"
@@ -180,7 +182,9 @@ class TestAugmentParity:
         bundle, drg = _lake(5, 2, 2)
         outputs = {}
         for route in ROUTES:
-            config = AutoFeatConfig(sample_size=120, seed=0, top_k=3)
+            # At the default sample size the top 3 paths add 0, 2 and 1
+            # features: three distinct fits, so two CPUs pool them.
+            config = AutoFeatConfig(seed=0, top_k=3)
             with cpus(ROUTES[route]):
                 result = AutoFeat(drg, config).augment(
                     bundle.base_name, bundle.label_column, model_name="random_forest"

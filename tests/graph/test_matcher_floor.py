@@ -15,10 +15,10 @@ from repro.discovery import (
     DistributionMatcher,
     IncrementalMatchIndex,
     LazoMatcher,
-    ValueOverlapMatcher,
 )
 from repro.graph import DatasetRelationGraph
 from tests.discovery.coma_goldens import LAKES
+from tests.oracle.overlap import ValueOverlapMatcher
 
 MATCHERS = {
     "coma": ComaMatcher,

@@ -22,7 +22,14 @@ oracle is needed:
 * reversing the table listing the matcher-discovered DRG is built from
   leaves the ranked paths and their scores identical: every adjacency
   list is kept sorted, so the order features enter ``R_sel`` — and with
-  it every MRMR score — is the graph's, not the listing's.
+  it every MRMR score — is the graph's, not the listing's;
+* a ``DiscoveryService`` started on the base table alone, with the other
+  tables registered one by one — in listing order or in reverse — ranks
+  the same paths with the same scores as a service built cold on the
+  whole lake: incremental matching replays into the cold DRG;
+* permuting the rows of every satellite whose join keys are unique
+  leaves the log identical: a join reads a row by its key, never by its
+  position, and deduplication has nothing to pick.
 """
 
 from dataclasses import replace
@@ -35,6 +42,7 @@ from repro.dataframe import Column, DType, Table
 from repro.datasets import benchmark_drg, datalake_drg, rename_for_lake
 from repro.discovery import ComaMatcher
 from repro.graph import DatasetRelationGraph
+from repro.service import DiscoveryService
 
 from tests.core.driver_goldens import _lake, golden_lake
 
@@ -94,6 +102,10 @@ def ranked_paths(log) -> set[str]:
     return {v.ranked.path.describe() for v in log if v.kind == "ranked"}
 
 
+def ranked_scores(log) -> list:
+    return [(v.ranked.path.describe(), v.ranked.score.hex()) for v in log if v.kind == "ranked"]
+
+
 @pytest.mark.parametrize("factor", (2.0, 0.5, 1024.0))
 @pytest.mark.parametrize("lake", GOLDEN_LAKES)
 def test_scaling_satellite_floats_keeps_the_verdict_log(lake, factor):
@@ -146,8 +158,57 @@ def test_reversing_the_table_listing_keeps_the_ranking(lake):
     ranked = []
     for listing in (tables, tables[::-1]):
         drg = DatasetRelationGraph.from_discovery(listing, ComaMatcher(), threshold=0.55)
-        log = verdicts(bundle, drg)
-        ranked.append(
-            [(v.ranked.path.describe(), v.ranked.score.hex()) for v in log if v.kind == "ranked"]
-        )
+        ranked.append(ranked_scores(verdicts(bundle, drg)))
     assert ranked[0] and ranked[0] == ranked[1]
+
+
+@pytest.mark.parametrize("lake", GOLDEN_LAKES + RANDOM_LAKES)
+def test_registering_tables_one_by_one_keeps_the_ranking(lake):
+    bundle = bundle_of(lake)
+    tables = rename_for_lake(bundle)
+    base = next(t for t in tables if t.name == bundle.base_name)
+    others = [t for t in tables if t is not base]
+    config = AutoFeatConfig(sample_size=200)
+
+    def ranking(service):
+        with service:
+            response = service.discover(bundle.base_name, bundle.label_column)
+        return ranked_scores(response.result.verdicts)
+
+    cold = ranking(DiscoveryService(tables, config=config, n_workers=1))
+    assert cold
+    for order in (others, others[::-1]):
+        service = DiscoveryService([base], config=config, n_workers=1)
+        for table in order:
+            service.register_table(table)
+        assert ranking(service) == cold
+
+
+def with_permuted_rows(bundle, seed: int = 11):
+    """``bundle`` with the rows of every satellite whose join keys are all
+    unique (and non-null) in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for table in bundle.tables:
+        keys = {c.column_a for c in bundle.constraints if c.table_a == table.name}
+        keys |= {c.column_b for c in bundle.constraints if c.table_b == table.name}
+        unique = all(
+            not table.column(k).has_nulls() and len(table.column(k).unique()) == table.n_rows
+            for k in keys
+        )
+        if table.name != bundle.base_name and unique:
+            table = table.take(rng.permutation(table.n_rows))
+        tables.append(table)
+    return replace(bundle, tables=tuple(tables))
+
+
+@pytest.mark.parametrize("lake", GOLDEN_LAKES + RANDOM_LAKES)
+def test_permuting_satellite_rows_keeps_the_verdict_log(lake):
+    bundle = bundle_of(lake)
+    reference = verdicts(bundle, benchmark_drg(bundle))
+    assert ranked_paths(reference)
+    transformed = with_permuted_rows(bundle)
+    assert transformed.tables != bundle.tables
+    log = verdicts(transformed, benchmark_drg(transformed))
+    assert log == reference
+    assert ranked_scores(log) == ranked_scores(reference)

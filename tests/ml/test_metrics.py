@@ -1,10 +1,10 @@
-"""Unit tests for classification metrics."""
+"""Unit tests for the accuracy metric."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml import accuracy, auc_score, confusion_counts, f1_score
+from repro.ml import accuracy
 
 
 class TestAccuracy:
@@ -22,49 +22,3 @@ class TestAccuracy:
         with pytest.raises(ModelError):
             accuracy(np.array([1]), np.array([1, 2]))
 
-
-class TestAUC:
-    def test_perfect_ranking(self):
-        y = np.array([0, 0, 1, 1])
-        scores = np.array([0.1, 0.2, 0.8, 0.9])
-        assert auc_score(y, scores) == 1.0
-
-    def test_inverted_ranking(self):
-        y = np.array([0, 0, 1, 1])
-        scores = np.array([0.9, 0.8, 0.2, 0.1])
-        assert auc_score(y, scores) == 0.0
-
-    def test_random_is_half(self):
-        rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, 4000)
-        scores = rng.random(4000)
-        assert auc_score(y, scores) == pytest.approx(0.5, abs=0.03)
-
-    def test_ties_averaged(self):
-        y = np.array([0, 1])
-        scores = np.array([0.5, 0.5])
-        assert auc_score(y, scores) == 0.5
-
-    def test_single_class_is_half(self):
-        assert auc_score(np.zeros(5), np.arange(5)) == 0.5
-
-
-class TestConfusionAndF1:
-    def test_counts(self):
-        y_true = np.array([1, 1, 0, 0, 1])
-        y_pred = np.array([1, 0, 0, 1, 1])
-        assert confusion_counts(y_true, y_pred) == (2, 1, 1, 1)
-
-    def test_f1_known_value(self):
-        y_true = np.array([1, 1, 0, 0, 1])
-        y_pred = np.array([1, 0, 0, 1, 1])
-        # precision 2/3, recall 2/3 -> f1 = 2/3.
-        assert f1_score(y_true, y_pred) == pytest.approx(2 / 3)
-
-    def test_f1_no_positives(self):
-        assert f1_score(np.zeros(4), np.zeros(4)) == 0.0
-
-    def test_custom_positive_label(self):
-        y_true = np.array(["a", "b", "a"])
-        y_pred = np.array(["a", "a", "a"])
-        assert f1_score(y_true, y_pred, positive_label="a") == pytest.approx(0.8)

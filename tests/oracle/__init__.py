@@ -1,0 +1,19 @@
+"""Reference implementations the tests compare the pipeline against.
+
+Each module here implements, in the plainest form, a rule that ``src/repro``
+runs elsewhere in a faster or fused form; nothing under ``src`` imports
+them, and no entry point calls them (``scripts/reach.py`` measures that):
+
+* :mod:`tests.oracle.join` — one-shot left / inner joins and key
+  deduplication over :class:`~repro.dataframe.JoinIndex`, and the
+  independent dict-of-boxed-scalars dedup + index + probe the encoded join
+  kernels are held to;
+* :mod:`tests.oracle.names` — the scalar Levenshtein, Jaro-Winkler and
+  character n-gram similarities COMA's per-name feature scorer fuses;
+* :mod:`tests.oracle.selection` — scalar Spearman relevance, the
+  per-column redundancy scores and the column-wise midrank matrix the
+  selection kernels must reproduce;
+* :mod:`tests.oracle.overlap` — sketch Jaccard, containment and the
+  MinHash estimate one at a time, and the instance-only matcher the
+  ``value_overlap`` rows of the COMA goldens were frozen from.
+"""

