@@ -1,9 +1,10 @@
 .PHONY: check test bench-e2e-smoke bench-service bench-anytime
 
 # The tier-1 tests (once), the smoke-mode micro-benches (which write no
-# tracked file), the trace smoke, three `repro.bench` paper-shape claim
-# checks and the end-to-end benchmark smoke; fails if the run changes what
-# `git status --porcelain` reports.
+# tracked file), the trace smoke, four `repro.bench` paper-shape claim
+# checks (table2, eq3, traversal, matchers), the end-to-end benchmark smoke
+# and one profiled op; fails if the run changes what `git status
+# --porcelain` reports.
 check:
 	scripts/check.sh
 

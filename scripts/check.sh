@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check: the tier-1 test suite (once), the legacy micro-benches
 # in smoke mode (each writes its summary to a temp dir), the trace smoke,
-# four paper-shape claim checks and the end-to-end benchmark smoke.
+# four paper-shape claim checks, the end-to-end benchmark smoke and one
+# profiled op.
 # Performance is gated by benchmarks/e2e/compare.py, the paper by the
 # `python -m repro.bench` shape claims; there is no third gate.  Ends by
 # requiring `git status --porcelain` to read as it did at the start
@@ -46,6 +47,12 @@ echo "== end-to-end benchmark smoke =="
 # BENCHMARK.json's command on tiny lakes (all four workloads, every
 # correctness gate, no tracked file written) plus its contract tests.
 make bench-e2e-smoke
+
+echo
+echo "== profiler =="
+# scripts/profile_op.py patches private names of the selection kernels and
+# the join engine to count their work; one run keeps those names honest.
+python scripts/profile_op.py --workload dense_discover --top 1
 
 echo
 echo "== clean tree =="

@@ -8,11 +8,12 @@ body lines (docstring included), then the totals.  A function named only in
 a docstring counts as unreached: this measures calls, not mentions.
 
 Entry points: every ``python -m repro.bench`` artefact at default size, the
-examples, ``scripts/trace_smoke.py``, ``benchmarks/e2e/run.py --smoke`` and
-both legacy bench smokes.  Fork-pool workers are not traced (they leave
+examples, ``scripts/trace_smoke.py``, ``benchmarks/e2e/run.py --smoke``,
+both legacy bench smokes and ``scripts/profile_op.py`` on ``dense_discover``
+(it patches private names, so a deletion must not break it).  Fork-pool workers are not traced (they leave
 through ``os._exit``, so the hook never writes what they saw);
 ``evaluate_accuracy`` and the model fits are reached inline by the
-``linear_l1`` / ``knn`` runs.  Run from the repository root (≈ 11 min)::
+``linear_l1`` / ``knn`` runs.  Run from the repository root (≈ 8 min on 2 CPUs)::
 
     python scripts/reach.py
     python scripts/reach.py --root PKG --entry "python script.py"   # other code
@@ -44,7 +45,8 @@ def entries() -> list:
     return ([f"{py} -m repro.bench {name}" for name in sorted(EXPERIMENTS)]
             + [f"{py} {path}" for path in sorted(ROOT.glob("examples/*.py"))]
             + [f"{py} scripts/trace_smoke.py", f"{py} benchmarks/e2e/run.py --smoke",
-               f"{py} benchmarks/bench_service.py --smoke", f"{py} benchmarks/bench_anytime.py --smoke"])
+               f"{py} benchmarks/bench_service.py --smoke", f"{py} benchmarks/bench_anytime.py --smoke",
+               f"{py} scripts/profile_op.py --workload dense_discover --top 1"])
 
 
 def functions(node, path, prefix=""):

@@ -19,7 +19,7 @@ from ..baselines import (
     run_mab,
 )
 from ..core import AutoFeatConfig
-from ..datasets import LakeBundle, benchmark_drg, build_dataset, datalake_drg, dataset_names
+from ..datasets import DATASETS, LakeBundle, benchmark_drg, build_dataset, datalake_drg
 from ..errors import JoinError
 from ..graph import DatasetRelationGraph
 from .manifests import require_valid_manifest
@@ -49,7 +49,7 @@ class BenchProfile:
     def full() -> "BenchProfile":
         """The whole Table II matrix with all four tree models."""
         return BenchProfile(
-            datasets=tuple(dataset_names()),
+            datasets=tuple(DATASETS),
             models=("lightgbm", "xgboost", "random_forest", "extra_trees"),
         )
 

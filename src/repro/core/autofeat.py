@@ -403,8 +403,9 @@ class AutoFeat:
         tie-break (first ranked path wins) reads, so the result is
         bit-identical on both routes.  With a memo, a fit whose exact
         arguments an earlier run trained on is answered from it; without
-        one, the paths that add no feature all train the same base-only
-        model, which is fitted once.
+        one, paths that keep the same features along the same edges (up to
+        the last hop that contributed one) train the same model, which is
+        fitted once.
 
         Full-table materialisation can fail even though the sampled
         discovery pass succeeded (the sample may have dodged the rows that
@@ -443,10 +444,11 @@ class AutoFeat:
 
         trained: list[TrainedPath] = []
         tables: list[Table] = []
-        # Fits by slot: the memo key, or without a memo the ranked position,
-        # except that every path adding no feature fits the same base-only
-        # model and shares one slot.  A path whose slot an earlier path
-        # fitted (or a pool runs) waits for that fit.
+        # Fits by slot: the memo key, or without a memo the path's edges up
+        # to the last hop that contributed a kept feature plus the feature
+        # list, which fix the fit's input (the base-only fit is the empty
+        # prefix).  A path whose slot an earlier path fitted (or a pool
+        # runs) waits for that fit.
         futures: dict = {}
         done: dict = {}
 
@@ -479,7 +481,7 @@ class AutoFeat:
         pool = None
         try:
             with tracer.span("train", base=base_name, model=model_name) as root:
-                for index, ranked in enumerate(top):
+                for ranked in top:
                     try:
                         with tracer.span("path", path=ranked.path.describe()):
                             # Full-table materialisation failing after the
@@ -497,14 +499,16 @@ class AutoFeat:
                         continue
                     if joined is None:
                         continue
-                    table = joined[0]
-                    features = base_features + [
-                        f for f in ranked.selected_features if f in table
-                    ]
+                    table, contributions = joined
+                    kept = [f for f in ranked.selected_features if f in table]
+                    features = base_features + kept
                     fit = (table, label, model_name, features, config.seed)
-                    key = None if memo is None else fit_key(*fit)
-                    base_only = len(features) == len(base_features)
-                    slot = key if key is not None else "base" if base_only else index
+                    if memo is None:
+                        last = max((i + 1 for i, outs in enumerate(contributions)
+                                    if not set(outs).isdisjoint(kept)), default=0)
+                        key, slot = None, (ranked.path.edges[:last], tuple(kept))
+                    else:
+                        key = slot = fit_key(*fit)
                     fits.append((ranked, fit, key, slot))
                 # The rule: pool a tree model's fits when two distinct ones
                 # miss and two of the process's CPUs are free (DESIGN.md §11);

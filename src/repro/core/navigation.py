@@ -370,18 +370,6 @@ class NavigationStats:
             registry.gauge(f"{prefix}.budget_seconds").set(self.budget_seconds)
         return registry
 
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "budget_seconds": self.budget_seconds,
-            "max_hops": self.max_hops,
-            "hops_executed": self.hops_executed,
-            "budget_exhausted": self.budget_exhausted,
-            "frontier_unexplored": self.frontier_unexplored,
-            "best_score": round(self.best_score, 6),
-            "arms_tracked": self.arms_tracked,
-        }
-
     def describe(self) -> str:
         state = "exhausted" if self.budget_exhausted else "complete"
         return (

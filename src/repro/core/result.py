@@ -157,10 +157,6 @@ class DiscoveryResult:
         """The ``k`` best-scoring paths."""
         return self.ranked_paths[:k]
 
-    @property
-    def best_path(self) -> RankedPath | None:
-        return self.ranked_paths[0] if self.ranked_paths else None
-
 
 @dataclass(frozen=True)
 class TrainedPath:

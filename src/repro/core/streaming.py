@@ -79,14 +79,6 @@ class StageOutcome:
     accepted_names: tuple[str, ...]
     redundancy_scores: tuple[float, ...]
 
-    @property
-    def all_irrelevant(self) -> bool:
-        return not self.relevant_names
-
-    @property
-    def all_redundant(self) -> bool:
-        return bool(self.relevant_names) and not self.accepted_names
-
 
 class StreamingFeatureSelector:
     """Stateful two-stage selector shared by a whole discovery run."""
@@ -126,17 +118,9 @@ class StreamingFeatureSelector:
         return list(self._selected_names)
 
     @property
-    def n_selected(self) -> int:
-        return len(self._selected_names)
-
-    @property
     def stats(self) -> SelectionStats:
         """A copy of the run's scoring counters (never the live block)."""
         return replace(self._counters)
-
-    def is_selected(self, name: str) -> bool:
-        """Whether ``name`` is already in the persistent selected set."""
-        return name in self._selected_set
 
     def _accept(
         self, name: str, column: np.ndarray, codes: np.ndarray | None = None

@@ -49,10 +49,6 @@ class TuningOutcome:
     best_result: AugmentationResult
     total_seconds: float
 
-    @property
-    def best_trial(self) -> TuningTrial:
-        return max(self.trials, key=lambda t: t.accuracy)
-
 
 class AutoFeatTuner:
     """Grid search over (τ, κ), adapting AutoFeat to the lake at hand."""

@@ -287,42 +287,6 @@ class Column:
             )
         return Column(self._values[keep], dtype=self._dtype, mask=self._mask[keep])
 
-    def fill_nulls(self, value: Any) -> "Column":
-        """Return a copy with every null replaced by ``value``."""
-        values = self._values.copy()
-        if self._dtype is DType.STRING:
-            values = values.astype(object)
-        values[self._mask] = value
-        return Column(values, dtype=self._dtype, mask=np.zeros(len(self), dtype=bool))
-
-    def rename_nulls_preserved_cast(self, dtype: DType) -> "Column":
-        """Cast to another dtype, keeping the null mask intact."""
-        if dtype is self._dtype:
-            return self
-        if dtype is DType.STRING:
-            out = [None if m else str(v) for v, m in zip(self._values, self._mask)]
-            return Column(out, dtype=dtype, mask=self._mask.copy())
-        if self._dtype is DType.STRING:
-            converted = []
-            mask = self._mask.copy()
-            caster = float if dtype is DType.FLOAT else int
-            for i, (item, missing) in enumerate(zip(self._values, self._mask)):
-                if missing:
-                    converted.append(_null_fill_value(dtype))
-                    continue
-                try:
-                    converted.append(caster(item))
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(
-                        f"cannot cast string value {item!r} to {dtype.value}"
-                    ) from exc
-            return Column(np.asarray(converted), dtype=dtype, mask=mask)
-        return Column(
-            self._values.astype(_storage_dtype(dtype)),
-            dtype=dtype,
-            mask=self._mask.copy(),
-        )
-
     # -- analytics -----------------------------------------------------------
 
     def non_null_values(self) -> np.ndarray:
@@ -347,16 +311,6 @@ class Column:
             key = value.item() if isinstance(value, np.generic) else value
             counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def mode(self) -> Any:
-        """Most frequent non-null value; ties broken by sort order.
-
-        Returns ``None`` when the column is entirely null.
-        """
-        counts = self.value_counts()
-        if not counts:
-            return None
-        return min(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0]
 
     def to_float(self) -> np.ndarray:
         """Numeric view as float64 with NaN at null slots.
@@ -384,18 +338,6 @@ class Column:
         for i in np.flatnonzero(self._mask).tolist():
             out[i] = None
         return out
-
-    @staticmethod
-    def concat(columns: Sequence["Column"]) -> "Column":
-        """Stack columns of the same dtype vertically."""
-        if not columns:
-            raise SchemaError("cannot concatenate zero columns")
-        dtype = columns[0].dtype
-        if any(c.dtype is not dtype for c in columns):
-            raise SchemaError("cannot concatenate columns of differing dtypes")
-        values = np.concatenate([c.values for c in columns])
-        mask = np.concatenate([c.mask for c in columns])
-        return Column(values, dtype=dtype, mask=mask)
 
     @staticmethod
     def nulls(n: int, dtype: DType = DType.FLOAT) -> "Column":

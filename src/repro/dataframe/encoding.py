@@ -147,11 +147,10 @@ class KeyDictionary:
     Codes are ranks in the sorted distinct-key universe (``int32``), so
     ``codes[i] < codes[j]`` iff key *i* sorts before key *j*; nulls (and
     NaN float keys) carry :data:`CODE_NULL`.  Instances are immutable and
-    safe to share across threads (the lazily built scalar lookup is a
-    benign idempotent race).  Build via :meth:`from_column`.
+    safe to share across threads.  Build via :meth:`from_column`.
     """
 
-    __slots__ = ("codes", "_values", "_space", "_dtype", "_lookup")
+    __slots__ = ("codes", "_values", "_space", "_dtype")
 
     def __init__(
         self,
@@ -165,7 +164,6 @@ class KeyDictionary:
         self._values = values
         self._space = space
         self._dtype = dtype
-        self._lookup: dict[Any, int] | None = None
 
     @classmethod
     def from_column(cls, column: Column) -> "KeyDictionary":
@@ -192,16 +190,6 @@ class KeyDictionary:
         """Number of distinct non-null keys."""
         return len(self._values)
 
-    @property
-    def nbytes(self) -> int:
-        """Rough resident size of the dictionary (codes + key universe)."""
-        values_bytes = self._values.nbytes
-        if self._values.dtype.kind == "O":
-            values_bytes += sum(
-                len(v) if isinstance(v, str) else 8 for v in self._values
-            )
-        return int(self.codes.nbytes + values_bytes)
-
     def key(self, code: int) -> Any:
         """The normalised Python key a code stands for.
 
@@ -214,18 +202,6 @@ class KeyDictionary:
         if self._dtype is DType.BOOL:
             return bool(value)
         return normalize_key(value.item() if isinstance(value, np.generic) else value)
-
-    def keys(self) -> list[Any]:
-        """All normalised keys in code order."""
-        return [self.key(code) for code in range(self.n_keys)]
-
-    def scalar_lookup(self) -> dict[Any, int]:
-        """Lazy ``{normalised key: code}`` map for scalar/cross-space probes."""
-        lookup = self._lookup
-        if lookup is None:
-            lookup = {self.key(code): code for code in range(self.n_keys)}
-            self._lookup = lookup
-        return lookup
 
     # -- alignment -----------------------------------------------------------
 
@@ -291,7 +267,7 @@ class KeyDictionary:
             codes[exact] = bridged[exact]
             overflow = integral & ~exact
         if overflow.any():
-            lookup = self.scalar_lookup()
+            lookup = {self.key(code): code for code in range(self.n_keys)}
             for i in np.flatnonzero(overflow):
                 codes[i] = lookup.get(normalize_key(column[int(i)]), CODE_NULL)
         return codes

@@ -221,11 +221,6 @@ class JoinIndex:
             "deduplicate=False; a left join would duplicate probe rows"
         )
 
-    @property
-    def n_keys(self) -> int:
-        """Number of distinct non-null join keys on the build side."""
-        return self.dictionary.n_keys
-
     def probe(self, keys: Column) -> np.ndarray:
         """Map probe-side key values onto build-side row indices.
 

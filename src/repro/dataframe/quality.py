@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SchemaError
 from .column import Column
 from .table import Table
 
@@ -88,12 +87,6 @@ class TableQuality:
     def key_candidates(self) -> tuple[str, ...]:
         """Columns of key quality."""
         return tuple(c.name for c in self.columns if c.is_key_quality)
-
-    def column(self, name: str) -> ColumnQuality:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise SchemaError(f"no quality record for column {name!r}")
 
     def rows(self) -> list[dict]:
         """Report rows for :func:`repro.bench.reporting.format_table`."""

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .column import Column, DType
+from .column import Column
 
 __all__ = ["Table"]
 
@@ -78,14 +78,6 @@ class Table:
         }
         return Table(columns, name=name)
 
-    @staticmethod
-    def empty(column_names: Sequence[str], name: str = "") -> "Table":
-        """A zero-row table with the given column names (all FLOAT)."""
-        return Table(
-            {col: Column(np.empty(0, dtype=np.float64)) for col in column_names},
-            name=name,
-        )
-
     # -- basic protocol -------------------------------------------------------
 
     @property
@@ -102,11 +94,6 @@ class Table:
     def n_cols(self) -> int:
         """Number of columns."""
         return len(self._columns)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(n_rows, n_cols)``."""
-        return (self._n_rows, len(self._columns))
 
     @property
     def column_names(self) -> list[str]:
@@ -155,17 +142,6 @@ class Table:
             {name: self.column(name) for name in column_names}, name=self._name
         )
 
-    def drop(self, column_names: Sequence[str]) -> "Table":
-        """Projection complement: remove the named columns."""
-        to_drop = set(column_names)
-        missing = to_drop - set(self._columns)
-        if missing:
-            raise SchemaError(f"cannot drop unknown columns: {sorted(missing)}")
-        return Table(
-            {n: c for n, c in self._columns.items() if n not in to_drop},
-            name=self._name,
-        )
-
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Rename columns; names not in ``mapping`` are kept."""
         unknown = set(mapping) - set(self._columns)
@@ -175,20 +151,6 @@ class Table:
         if len(renamed) != len(self._columns):
             raise SchemaError("rename would create duplicate column names")
         return Table(renamed, name=self._name)
-
-    def with_column(self, column_name: str, column: Column) -> "Table":
-        """Add (or replace) a column."""
-        if len(column) != self._n_rows and self._columns:
-            raise SchemaError(
-                f"new column has {len(column)} rows, table has {self._n_rows}"
-            )
-        columns = dict(self._columns)
-        columns[column_name] = column
-        return Table(columns, name=self._name)
-
-    def with_name(self, name: str) -> "Table":
-        """Return the same table under a different name."""
-        return Table(self._columns, name=name)
 
     def prefixed(self, prefix: str, exclude: Sequence[str] = ()) -> "Table":
         """Qualify column names as ``prefix.column`` (except ``exclude``).
@@ -211,25 +173,6 @@ class Table:
         """Row gather by integer positions."""
         return Table(
             {n: c.take(indices) for n, c in self._columns.items()}, name=self._name
-        )
-
-    def head(self, n: int = 5) -> "Table":
-        """The first ``n`` rows."""
-        return self.take(np.arange(min(n, self._n_rows)))
-
-    def concat_rows(self, other: "Table") -> "Table":
-        """Vertical concatenation; schemas must agree exactly."""
-        if self.column_names != other.column_names:
-            raise SchemaError(
-                "cannot concat tables with different columns: "
-                f"{self.column_names} vs {other.column_names}"
-            )
-        return Table(
-            {
-                n: Column.concat([self._columns[n], other._columns[n]])
-                for n in self._columns
-            },
-            name=self._name,
         )
 
     # -- analytics --------------------------------------------------------------
@@ -257,15 +200,3 @@ class Table:
         if not names:
             return np.empty((self._n_rows, 0), dtype=np.float64)
         return np.column_stack([self.column(n).to_float() for n in names])
-
-    def row(self, index: int) -> dict[str, Any]:
-        """A single row as a name->value dict (``None`` for nulls)."""
-        return {n: c[index] for n, c in self._columns.items()}
-
-    def to_dict(self) -> dict[str, list[Any]]:
-        """Materialise as a plain dict of python lists."""
-        return {n: c.to_list() for n, c in self._columns.items()}
-
-    def dtypes(self) -> dict[str, DType]:
-        """Mapping of column name to logical dtype."""
-        return {n: c.dtype for n, c in self._columns.items()}

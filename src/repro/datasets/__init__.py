@@ -2,7 +2,7 @@
 
 from .generators import FlatDataset, WideLake, make_classification, make_wide_lake
 from .lake import DEFAULT_LAKE_THRESHOLD, benchmark_drg, datalake_drg, rename_for_lake
-from .registry import DATASETS, DatasetSpec, build_all, build_dataset, dataset_names
+from .registry import DATASETS, DatasetSpec, build_dataset
 from .splitter import (
     BASE_ID,
     LABEL_COLUMN,
@@ -31,7 +31,5 @@ __all__ = [
     "DEFAULT_LAKE_THRESHOLD",
     "DatasetSpec",
     "DATASETS",
-    "dataset_names",
     "build_dataset",
-    "build_all",
 ]

@@ -20,7 +20,7 @@ from ..errors import DatasetError
 from .generators import FlatDataset, make_classification
 from .splitter import LakeBundle, SplitPlan, split_into_lake
 
-__all__ = ["DatasetSpec", "DATASETS", "dataset_names", "build_dataset", "build_all"]
+__all__ = ["DatasetSpec", "DATASETS", "build_dataset"]
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,11 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
-def dataset_names() -> list[str]:
-    """The eight dataset names in Table II order."""
-    return list(DATASETS.keys())
-
-
 def build_dataset(name: str) -> LakeBundle:
     """Generate the scaled synthetic lake for one Table II dataset."""
     if name not in DATASETS:
         raise DatasetError(
-            f"unknown dataset {name!r}; expected one of {dataset_names()}"
+            f"unknown dataset {name!r}; expected one of {list(DATASETS)}"
         )
     spec = DATASETS[name]
     return split_into_lake(spec.flat(), spec.plan())
-
-
-def build_all() -> dict[str, LakeBundle]:
-    """Generate every Table II lake (cached nowhere; call once per run)."""
-    return {name: build_dataset(name) for name in DATASETS}

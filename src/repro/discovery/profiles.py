@@ -115,12 +115,6 @@ class TableProfile:
     table_name: str
     columns: tuple[ColumnProfile, ...]
 
-    def column(self, name: str) -> ColumnProfile:
-        for profile in self.columns:
-            if profile.column_name == name:
-                return profile
-        raise KeyError(name)
-
     @cached_property
     def sketch_tokens(self) -> frozenset[str]:
         """Union of the columns' sketches (first read computes it)."""

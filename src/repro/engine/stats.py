@@ -4,10 +4,8 @@
 performed — and how much the :class:`repro.engine.HopCache` saved.  A
 running :class:`repro.engine.JoinEngine` counts into its own instance and
 hands result objects (``DiscoveryResult.engine_stats`` and friends) a
-copy.  Merging, publishing (``engine.*`` metric names) and
-(de)serialising come from :class:`repro.obs.metrics.CounterRecord`;
-``from_dict`` ignores keys it does not know (older manifests carry
-chunk/spill counters this record no longer has).
+copy.  Summing, publishing (``engine.*`` metric names) and flattening
+come from :class:`repro.obs.metrics.CounterRecord`.
 """
 
 from __future__ import annotations

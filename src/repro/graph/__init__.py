@@ -5,7 +5,6 @@ from .multigraph import Edge, MultiGraph, OrientedEdge
 from .paths import (
     JoinPath,
     bfs_levels,
-    count_paths,
     enumerate_paths,
     iter_paths_bfs,
     join_all_path_count,
@@ -21,6 +20,5 @@ __all__ = [
     "enumerate_paths",
     "iter_paths_bfs",
     "bfs_levels",
-    "count_paths",
     "join_all_path_count",
 ]

@@ -146,10 +146,6 @@ class MultiGraph:
         return list(self._adjacency.keys())
 
     @property
-    def n_nodes(self) -> int:
-        return len(self._adjacency)
-
-    @property
     def n_edges(self) -> int:
         """Number of distinct undirected edges."""
         return sum(len(edges) for edges in self._adjacency.values()) // 2
@@ -174,10 +170,6 @@ class MultiGraph:
     def edges_between(self, node_a: str, node_b: str) -> list[OrientedEdge]:
         """All parallel edges between two nodes, oriented from ``node_a``."""
         return [e for e in self.edges_of(node_a) if e.target == node_b]
-
-    def degree(self, node: str) -> int:
-        """Number of incident edges (parallel edges each count)."""
-        return len(self.edges_of(node))
 
     def all_edges(self) -> list[Edge]:
         """Every undirected edge exactly once, deterministic order."""
@@ -213,4 +205,4 @@ class MultiGraph:
         return collapsed
 
     def __repr__(self) -> str:
-        return f"MultiGraph(nodes={self.n_nodes}, edges={self.n_edges})"
+        return f"MultiGraph(nodes={len(self._adjacency)}, edges={self.n_edges})"

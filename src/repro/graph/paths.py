@@ -22,7 +22,6 @@ __all__ = [
     "enumerate_paths",
     "iter_paths_bfs",
     "bfs_levels",
-    "count_paths",
     "join_all_path_count",
 ]
 
@@ -134,11 +133,6 @@ def enumerate_paths(
 ) -> list[JoinPath]:
     """Materialised :func:`iter_paths_bfs`."""
     return list(iter_paths_bfs(graph, base, max_length, max_paths=max_paths))
-
-
-def count_paths(graph: MultiGraph, base: str, max_length: int = 3) -> int:
-    """Size of the join-path search space from ``base`` up to ``max_length``."""
-    return sum(1 for _ in iter_paths_bfs(graph, base, max_length))
 
 
 def bfs_levels(graph: MultiGraph, base: str) -> dict[str, int]:

@@ -40,12 +40,6 @@ class TabularEncoder:
         self._fill_values: np.ndarray | None = None
         self._string_mappings: dict[str, dict[str, float]] = {}
 
-    @property
-    def feature_names(self) -> list[str]:
-        if self._feature_names is None:
-            raise ModelError("encoder is not fitted")
-        return list(self._feature_names)
-
     def fit(self, table: Table, feature_names: list[str] | None = None) -> "TabularEncoder":
         """Learn encodings and imputation statistics from ``table``."""
         names = feature_names if feature_names is not None else table.column_names

@@ -226,16 +226,11 @@ class _HistTree:
             else:
                 stack.extend((node.left, node.right))
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
-
 
 def _grow_leaf_wise(
     builder: _HistTreeBuilder,
     rows: np.ndarray,
     max_leaves: int,
-    importance: np.ndarray | None = None,
 ) -> _HistTree:
     root = _HistNode(rows=rows, depth=0)
     root.value = builder._leaf_value(rows)
@@ -249,8 +244,6 @@ def _grow_leaf_wise(
         neg_gain, _, node = heapq.heappop(heap)
         if -neg_gain <= 0.0:
             break
-        if importance is not None:
-            importance[node.best_feature] += node.best_gain
         left, right = builder.split(node)
         n_leaves += 1
         if n_leaves == max_leaves:
@@ -267,7 +260,6 @@ def _grow_depth_wise(
     builder: _HistTreeBuilder,
     rows: np.ndarray,
     max_depth: int,
-    importance: np.ndarray | None = None,
 ) -> _HistTree:
     root = _HistNode(rows=rows, depth=0)
     root.value = builder._leaf_value(rows)
@@ -280,8 +272,6 @@ def _grow_depth_wise(
             builder._find_best_split(node)
             if node.best_feature < 0 or node.best_gain <= 0.0:
                 continue
-            if importance is not None:
-                importance[node.best_feature] += node.best_gain
             left, right = builder.split(node)
             next_frontier.extend((left, right))
         frontier = next_frontier
@@ -325,7 +315,6 @@ class GradientBoostingBinaryClassifier:
         self._mapper: _BinMapper | None = None
         self._trees: list[_HistTree] = []
         self._base_score = 0.0
-        self._importance_gain: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingBinaryClassifier":
         """Fit on binary labels (0/1)."""
@@ -341,7 +330,6 @@ class GradientBoostingBinaryClassifier:
         self._mapper = data.mapper
         raw = np.full(len(y), self._base_score, dtype=np.float64)
         self._trees = []
-        self._importance_gain = np.zeros(data.codes.shape[1], dtype=np.float64)
         rows = np.arange(len(y))
         for _ in range(self.n_estimators):
             p = _sigmoid(raw)
@@ -356,29 +344,15 @@ class GradientBoostingBinaryClassifier:
                 self.min_samples_leaf,
             )
             if self.growth == "leaf_wise":
-                tree = _grow_leaf_wise(
-                    builder, rows, self.max_leaves, self._importance_gain
-                )
+                tree = _grow_leaf_wise(builder, rows, self.max_leaves)
             else:
-                tree = _grow_depth_wise(
-                    builder, rows, self.max_depth, self._importance_gain
-                )
+                tree = _grow_depth_wise(builder, rows, self.max_depth)
             self._trees.append(tree)
             # The leaves partition ``rows``, so this is the training update
             # ``raw += lr * tree.predict_binned(data.codes)``, bit for bit.
             for leaf in tree.leaves():
                 raw[leaf.rows] += self.learning_rate * leaf.value
         return self
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Total split gain per feature across all trees, normalised."""
-        if self._importance_gain is None:
-            raise ModelError("model is not fitted")
-        total = self._importance_gain.sum()
-        if total == 0.0:
-            return np.zeros_like(self._importance_gain)
-        return self._importance_gain / total
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw additive score before the sigmoid."""
@@ -440,13 +414,6 @@ class _OneVsRestGBDT:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class index."""
         return np.argmax(self.predict_proba(X), axis=1)
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Mean normalised split gain across the per-class boosters."""
-        if not self._models:
-            raise ModelError("model is not fitted")
-        return np.mean([m.feature_importances_ for m in self._models], axis=0)
 
 
 class LightGBMClassifier(_OneVsRestGBDT):

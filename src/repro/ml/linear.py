@@ -113,13 +113,6 @@ class LogisticRegressionL1:
             self._models.append(model)
         return self
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Per-class weight matrix in standardised feature space."""
-        if not self._models:
-            raise ModelError("model is not fitted")
-        return np.vstack([m.weights for m in self._models])
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix."""
         if not self._models:

@@ -49,8 +49,8 @@ def _validate_matrix(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return X, y
 
 
-class _BaseTree:
-    """Shared recursive builder; subclasses define impurity bookkeeping."""
+class DecisionTreeClassifier:
+    """CART classifier minimising Gini impurity."""
 
     def __init__(
         self,
@@ -71,22 +71,64 @@ class _BaseTree:
         self.max_features = max_features
         self.random_thresholds = random_thresholds
         self.seed = seed
+        self.n_classes_ = 0
         self._root: _Node | None = None
         self._n_features = 0
         self._importance_gain: np.ndarray | None = None
 
-    # -- subclass hooks ------------------------------------------------------
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
+        """Fit on class indices ``y`` in ``0..C-1``."""
+        X, y = _validate_matrix(X, y)
+        y = y.astype(np.int64)
+        if y.min() < 0:
+            raise ModelError("class labels must be non-negative indices")
+        self.n_classes_ = int(y.max()) + 1
+        self._n_features = X.shape[1]
+        self._importance_gain = np.zeros(X.shape[1], dtype=np.float64)
+        rng = np.random.default_rng(self.seed)
+        self._root = self._build(X, y, depth=0, rng=rng)
+        return self
 
-    def _leaf_value(self, y: np.ndarray):
-        raise NotImplementedError
+    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
+        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
+        return counts / counts.sum()
+
+    def _is_pure(self, y: np.ndarray) -> bool:
+        return bool(np.all(y == y[0]))
+
+    def _impurity(self, y: np.ndarray) -> float:
+        if len(y) == 0:
+            return 0.0
+        p = np.bincount(y, minlength=self.n_classes_) / len(y)
+        return float(1.0 - np.sum(p * p))
 
     def _split_gain(
         self, x: np.ndarray, y: np.ndarray, min_leaf: int
     ) -> tuple[float, float]:
         """Best (gain, threshold) for one feature; gain <= 0 means no split."""
-        raise NotImplementedError
-
-    # -- fitting -----------------------------------------------------------------
+        order = np.argsort(x, kind="stable")
+        xs, ys = x[order], y[order]
+        n = len(ys)
+        one_hot = np.zeros((n, self.n_classes_), dtype=np.float64)
+        one_hot[np.arange(n), ys] = 1.0
+        left_counts = np.cumsum(one_hot, axis=0)
+        total = left_counts[-1]
+        # Candidate split after position i (1-based prefix of size i+1).
+        sizes_left = np.arange(1, n, dtype=np.float64)
+        lc = left_counts[:-1]
+        rc = total - lc
+        gini_left = 1.0 - np.sum((lc / sizes_left[:, None]) ** 2, axis=1)
+        sizes_right = n - sizes_left
+        gini_right = 1.0 - np.sum((rc / sizes_right[:, None]) ** 2, axis=1)
+        parent = self._impurity(ys)
+        gains = parent - (sizes_left * gini_left + sizes_right * gini_right) / n
+        valid = (xs[:-1] < xs[1:]) & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
+        if not valid.any():
+            return 0.0, 0.0
+        gains = np.where(valid, gains, -np.inf)
+        best = int(np.argmax(gains))
+        threshold = 0.5 * (xs[best] + xs[best + 1])
+        return float(gains[best]), float(threshold)
 
     def _feature_candidates(self, rng: np.random.Generator) -> np.ndarray:
         d = self._n_features
@@ -134,8 +176,7 @@ class _BaseTree:
             return node
         node.feature = best_feature
         node.threshold = best_threshold
-        if self._importance_gain is not None:
-            self._importance_gain[best_feature] += best_gain * len(y)
+        self._importance_gain[best_feature] += best_gain * len(y)
         node.left = self._build(X[goes_left], y[goes_left], depth + 1, rng)
         node.right = self._build(X[~goes_left], y[~goes_left], depth + 1, rng)
         return node
@@ -157,12 +198,6 @@ class _BaseTree:
             + (len(y) - n_left) / len(y) * self._impurity(y[~goes_left])
         )
         return float(gain), threshold
-
-    def _is_pure(self, y: np.ndarray) -> bool:
-        raise NotImplementedError
-
-    def _impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
 
     def _predict_node(self, X: np.ndarray) -> list:
         if self._root is None:
@@ -194,95 +229,6 @@ class _BaseTree:
             return np.zeros_like(self._importance_gain)
         return self._importance_gain / total
 
-    @property
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
-            raise ModelError("tree is not fitted")
-        return walk(self._root)
-
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaves of the fitted tree."""
-
-        def walk(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        if self._root is None:
-            raise ModelError("tree is not fitted")
-        return walk(self._root)
-
-
-class DecisionTreeClassifier(_BaseTree):
-    """CART classifier minimising Gini impurity."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.n_classes_ = 0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        """Fit on class indices ``y`` in ``0..C-1``."""
-        X, y = _validate_matrix(X, y)
-        y = y.astype(np.int64)
-        if y.min() < 0:
-            raise ModelError("class labels must be non-negative indices")
-        self.n_classes_ = int(y.max()) + 1
-        self._n_features = X.shape[1]
-        self._importance_gain = np.zeros(X.shape[1], dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        self._root = self._build(X, y, depth=0, rng=rng)
-        return self
-
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
-        return counts / counts.sum()
-
-    def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
-
-    def _impurity(self, y: np.ndarray) -> float:
-        if len(y) == 0:
-            return 0.0
-        p = np.bincount(y, minlength=self.n_classes_) / len(y)
-        return float(1.0 - np.sum(p * p))
-
-    def _split_gain(
-        self, x: np.ndarray, y: np.ndarray, min_leaf: int
-    ) -> tuple[float, float]:
-        order = np.argsort(x, kind="stable")
-        xs, ys = x[order], y[order]
-        n = len(ys)
-        one_hot = np.zeros((n, self.n_classes_), dtype=np.float64)
-        one_hot[np.arange(n), ys] = 1.0
-        left_counts = np.cumsum(one_hot, axis=0)
-        total = left_counts[-1]
-        # Candidate split after position i (1-based prefix of size i+1).
-        sizes_left = np.arange(1, n, dtype=np.float64)
-        lc = left_counts[:-1]
-        rc = total - lc
-        gini_left = 1.0 - np.sum((lc / sizes_left[:, None]) ** 2, axis=1)
-        sizes_right = n - sizes_left
-        gini_right = 1.0 - np.sum((rc / sizes_right[:, None]) ** 2, axis=1)
-        parent = self._impurity(ys)
-        gains = parent - (sizes_left * gini_left + sizes_right * gini_right) / n
-        valid = (xs[:-1] < xs[1:]) & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
-        if not valid.any():
-            return 0.0, 0.0
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))
-        threshold = 0.5 * (xs[best] + xs[best + 1])
-        return float(gains[best]), float(threshold)
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Per-class probabilities (leaf class frequencies)."""
         X = np.asarray(X, dtype=np.float64)
@@ -291,4 +237,3 @@ class DecisionTreeClassifier(_BaseTree):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class index per row."""
         return np.argmax(self.predict_proba(X), axis=1)
-

@@ -8,8 +8,8 @@ log.  ``DiscoveryResult``, ``AugmentationResult`` and every
 ``BaselineResult`` carry one on their ``run_manifest`` field; benchmark
 summaries embed them next to the figures they certify.
 
-Manifests are plain JSON on disk (:meth:`RunManifest.save` /
-:meth:`RunManifest.load`) and are validated by
+Manifests are plain JSON on disk (:meth:`RunManifest.save`, read back
+with :meth:`RunManifest.from_dict`) and are validated by
 :func:`repro.obs.schema.validate_manifest`; ``python -m repro.obs``
 pretty-prints or re-exports a saved one.
 """
@@ -259,16 +259,6 @@ class RunManifest:
         path = Path(path)
         path.write_text(self.to_json() + "\n")
         return path
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def describe(self) -> str:
-        """Aligned human-readable report (see :mod:`repro.obs.export`)."""
-        from .export import render_text_report
-
-        return render_text_report(self)
 
 
 def _flatten_events(timing: dict) -> tuple:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import fields
-from functools import reduce
 
 __all__ = ["Counter", "CounterRecord", "Gauge", "MetricsRegistry"]
 
@@ -103,14 +102,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges)
 
-    def value(self, name: str):
-        """Current value of a counter or gauge."""
-        if name in self._counters:
-            return self._counters[name].value
-        if name in self._gauges:
-            return self._gauges[name].value
-        raise KeyError(f"unknown metric {name!r}")
-
     def as_dict(self) -> dict:
         """JSON-safe payload (the manifest's ``metrics`` section)."""
         with self.lock:
@@ -125,8 +116,8 @@ class CounterRecord:
 
     A subclass is a ``@dataclass`` declaring its zero-defaulted fields
     once, the read-only properties reported beside them (``derived``) and
-    the ``prefix`` its metrics publish under; merging, publishing and
-    (de)serialising are written here only.  An ``int`` publishes as a
+    the ``prefix`` its metrics publish under; summing, publishing and
+    flattening are written here only.  An ``int`` publishes as a
     counter, a ``float`` as a gauge rounded to six places.
     """
 
@@ -139,23 +130,11 @@ class CounterRecord:
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
-    @classmethod
-    def merge(cls, records):
-        """Field-wise sum over any iterable of records (order-independent)."""
-        return reduce(cls.merged, records, cls())
-
     def as_dict(self) -> dict:
         """Flat dict of the fields, then the derived values."""
         names = [f.name for f in fields(self)] + list(self.derived)
         values = ((name, getattr(self, name)) for name in names)
         return {n: v if isinstance(v, int) else round(v, 6) for n, v in values}
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """Inverse of :meth:`as_dict`; unknown and derived keys are ignored."""
-        return cls(
-            **{f.name: type(f.default)(data.get(f.name, f.default)) for f in fields(cls)}
-        )
 
     def publish(self, registry: MetricsRegistry, prefix: str | None = None) -> MetricsRegistry:
         """Publish every :meth:`as_dict` entry as ``<prefix>.<name>``."""

@@ -77,10 +77,6 @@ class Span:
     def seconds(self) -> float:
         return self.duration_ns / 1e9
 
-    @property
-    def finished(self) -> bool:
-        return self.end_ns != 0
-
     # -- structure ----------------------------------------------------------
 
     def event(self, name: str, **attrs) -> None:
@@ -196,11 +192,6 @@ class Tracer:
             self._stack[-1].event(name, **attrs)
 
     @property
-    def current(self) -> Span | None:
-        """The innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
-    @property
     def root(self) -> Span | None:
         """The first root span recorded (a run's outermost region)."""
         return self.roots[0] if self.roots else None
@@ -209,9 +200,6 @@ class Tracer:
         """Every recorded span across all roots, pre-order."""
         for root in self.roots:
             yield from root.iter_spans()
-
-    def n_spans(self) -> int:
-        return sum(1 for _ in self.iter_spans())
 
     def total_seconds(self, name: str) -> float:
         """Summed duration of every span named ``name``.

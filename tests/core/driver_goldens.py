@@ -188,12 +188,19 @@ def training_record(result, with_engine: bool) -> dict:
     return record
 
 
-def distinct_fits(n_features: list[int], base: int) -> int:
-    """Fits a memo-less ``train_top_k`` makes for paths that use
-    ``n_features`` features each, ``base`` of them the base table's: its slot
-    rule gives one fit per path that adds features and one shared by every
-    path that adds none."""
-    return sum(n > base for n in n_features) + (base in n_features)
+def distinct_fits(trained) -> int:
+    """Fits a memo-less ``train_top_k`` makes for its ``trained`` paths: its
+    slot rule gives one fit per distinct pair of the path's edges up to the
+    last hop whose target table holds a kept feature and the kept features,
+    in order (a path that adds none has the empty prefix)."""
+    slots = set()
+    for t in trained:
+        kept = tuple(t.ranked.selected_features)
+        edges = t.ranked.path.edges
+        last = max((i + 1 for i, edge in enumerate(edges)
+                    if any(f.startswith(f"{edge.target}.") for f in kept)), default=0)
+        slots.add((edges[:last], kept))
+    return len(slots)
 
 
 def _raised(exc: Exception) -> dict:
@@ -236,13 +243,12 @@ def run_cell(key: str, route: str) -> dict:
     ``processes`` route ``knn`` is made a tree model for the cell: every
     training call with two or more distinct fits then pools them, and the
     route checks that a pool of two workers started for each of them.
-    Without a memo the paths that add no feature share one fit, so a
-    call's distinct fits are its paths that add features, plus one if any
-    path adds none.
+    Without a memo, paths that keep the same features along the same edges
+    share one fit (:func:`distinct_fits`).
     """
     if route == "serial":
         with cpus(ROUTES[route]):
-            return _run_cell(key)
+            return _run_cell(key)[0]
     started = []
     fit_pool = parallel.fit_pool
 
@@ -252,13 +258,8 @@ def run_cell(key: str, route: str) -> dict:
 
     with cpus(ROUTES[route]), _patched(ml, "TREE_MODELS", ml.TREE_MODELS + ("knn",)):
         with _patched(parallel, "fit_pool", counted):
-            record = _run_cell(key)
-    base = golden_lake(key.split("/")[0])[0].base_table.n_cols - 1
-    trainings = [record.get(part) for part in ("training", "training_of_clean")]
-    expected = [
-        2 for t in trainings
-        if t and distinct_fits([n for *__, n in t.get("trained", ())], base) >= 2
-    ]
+            record, trainings = _run_cell(key)
+    expected = [2 for trained in trainings if distinct_fits(trained) >= 2]
     assert started == expected, (key, started)
     return record
 
@@ -273,7 +274,8 @@ def _patched(module, name, value):
         setattr(module, name, saved)
 
 
-def _run_cell(key: str) -> dict:
+def _run_cell(key: str) -> tuple[dict, list]:
+    """The cell's record and the ``trained`` paths of each training call."""
     lake, traversal, seed, faults, budget = key.split("/")
     seed = int(seed)
     bundle, __ = golden_lake(lake)
@@ -282,10 +284,11 @@ def _run_cell(key: str) -> dict:
         try:
             discovery = autofeat.discover(bundle.base_name, bundle.label_column)
         except FaultError as exc:
-            return _raised(exc)
-        return {"discovery": discovery_record(discovery)}
+            return _raised(exc), []
+        return {"discovery": discovery_record(discovery)}, []
 
     record = {}
+    trainings = []
     try:
         result = autofeat.augment(bundle.base_name, bundle.label_column, "knn")
     except FaultError as exc:
@@ -293,6 +296,7 @@ def _run_cell(key: str) -> dict:
     else:
         record["discovery"] = discovery_record(result.discovery)
         record["training"] = training_record(result, with_engine=faults == "clean")
+        trainings.append(result.trained)
     if faults != "clean":
         fresh = _autofeat(lake, traversal, seed, faults, budget)
         try:
@@ -303,7 +307,8 @@ def _run_cell(key: str) -> dict:
             record["training_of_clean"] = _raised(exc)
         else:
             record["training_of_clean"] = training_record(trained, with_engine=False)
-    return record
+            trainings.append(trained.trained)
+    return record, trainings
 
 
 def _without_retries(records: list) -> list:

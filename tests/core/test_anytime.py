@@ -166,12 +166,11 @@ class TestNavigationStats:
             best_score=0.25,
             arms_tracked=3,
         )
-        registry = stats.publish(MetricsRegistry())
-        assert registry.value("navigation.budget_exhausted") == 1
-        assert registry.value("navigation.hops_executed") == 4
-        assert registry.value("navigation.frontier_unexplored") == 2
-        assert registry.value("navigation.max_hops") == 4
-        assert stats.as_dict()["budget_exhausted"] is True
+        gauges = stats.publish(MetricsRegistry()).as_dict()["gauges"]
+        assert gauges["navigation.budget_exhausted"] == 1
+        assert gauges["navigation.hops_executed"] == 4
+        assert gauges["navigation.frontier_unexplored"] == 2
+        assert gauges["navigation.max_hops"] == 4
         assert "exhausted" in stats.describe()
 
     def test_config_validation(self):
@@ -253,7 +252,7 @@ def test_hop_budget_expiry_deterministic_across_backends(
             frontier_strategy=strategy,
         )
         assert discovery_fingerprint(run) == discovery_fingerprint(rerun)
-        assert run.navigation.as_dict() == rerun.navigation.as_dict()
+        assert run.navigation == rerun.navigation
         assert run.navigation.hops_executed <= max_hops
         assert run.budget_exhausted == (
             run.navigation.hops_executed < full.navigation.hops_executed

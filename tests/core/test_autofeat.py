@@ -24,16 +24,16 @@ def planted_lake(n=700, seed=7):
     signal = rng.normal(0, 1, n)
     label = ((signal + rng.normal(0, 0.4, n)) > 0).astype(int)
 
-    base = Table(
-        {"id": ids, "weak": rng.normal(0, 1, n), "label": label}, name="base"
-    )
+    weak = rng.normal(0, 1, n)
     mid = Table(
         {"mid_key": mid_key, "deep_key": deep_key, "mid_noise": rng.normal(0, 1, n)},
         name="mid",
     )
     deep = Table({"deep_key": deep_key, "signal": signal}, name="deep")
     junk = Table({"id": ids, "junk": rng.normal(0, 1, n)}, name="junk")
-    base = base.with_column("mid_key", mid.column("mid_key"))
+    base = Table(
+        {"id": ids, "weak": weak, "label": label, "mid_key": mid_key}, name="base"
+    )
     drg = DatasetRelationGraph.from_constraints(
         [base, mid, deep, junk],
         [
@@ -58,7 +58,7 @@ def discovery(drg):
 
 class TestDiscovery:
     def test_transitive_path_ranked_first(self, discovery):
-        best = discovery.best_path
+        best = discovery.ranked_paths[0]
         assert best is not None
         assert best.path.terminal == "deep"
         assert "deep.signal" in best.selected_features

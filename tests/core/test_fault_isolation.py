@@ -225,7 +225,7 @@ class TestStreamingDedupeRegression:
         assert first.accepted_names == ("t.x", "t.y")
         second = selector.process_batch(names, matrix)
         assert second.accepted_names == ()
-        assert selector.n_selected == 2
+        assert len(selector.selected_names) == 2
         assert selector.selected_names == ["t.x", "t.y"]
 
     def test_reoffered_batch_not_reaccepted_with_scoring_on(self):
@@ -236,15 +236,15 @@ class TestStreamingDedupeRegression:
         assert first.accepted_names == ("t.x",)
         second = selector.process_batch(["t.x"], matrix)
         assert second.accepted_names == ()
-        assert selector.n_selected == 1
+        assert len(selector.selected_names) == 1
 
     def test_is_selected_tracks_acceptance(self):
         selector, label = self._selector(
             relevance_metric=None, redundancy_method=None
         )
-        assert not selector.is_selected("t.x")
+        assert "t.x" not in selector.selected_names
         selector.process_batch(["t.x"], label.reshape(-1, 1))
-        assert selector.is_selected("t.x")
+        assert "t.x" in selector.selected_names
 
 
 class TestBaselinesUnderInjection:

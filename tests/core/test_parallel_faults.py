@@ -225,13 +225,15 @@ TOP_6 = [
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_memoless_training_fits_the_base_only_model_once(drg, route, tmp_path, monkeypatch, pools):
-    """Without a memo the paths that add no feature share one fit: 3 fits
-    for the top 6, not 6, with each path's accuracy unchanged."""
+    """Without a memo, paths that keep the same features along the same
+    edges share one fit: 2 fits for the top 6 (the four that add no feature,
+    and ``a -> c`` with ``a -> c -> b``, which keep only ``c.signal``), not
+    6, with each path's accuracy unchanged."""
     global FIT_LOG
     FIT_LOG = tmp_path / "fits.log"
     monkeypatch.setattr(ml, "evaluate_accuracy", logged_fit)
     with cpus(ROUTES[route]):
         result = AutoFeat(drg, AutoFeatConfig(top_k=6)).augment("base", "label", "lightgbm")
     assert [(t.ranked.path.describe(), t.accuracy.hex()) for t in result.trained] == TOP_6
-    assert FIT_LOG.read_text().count("fit") == 3
+    assert FIT_LOG.read_text().count("fit") == 2
     assert pools == ([2] if route == "processes" else [])

@@ -44,7 +44,7 @@ class TestDiscoveryResult:
         assert [r.score for r in result.top(2)] == [0.9, 0.5]
 
     def test_best_path(self):
-        assert self.make([0.9, 0.5]).best_path.score == 0.9
+        assert self.make([0.9, 0.5]).top(1)[0].score == 0.9
 
     def test_best_path_empty(self):
-        assert self.make([]).best_path is None
+        assert self.make([]).top(1) == ()

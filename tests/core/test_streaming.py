@@ -48,8 +48,8 @@ class TestRelevanceStage:
     def test_irrelevant_batch_rejected(self, label, features):
         s = selector(label)
         outcome = s.process_batch(["noise"], features["noise"].reshape(-1, 1))
-        assert outcome.all_irrelevant
-        assert s.n_selected == 0
+        assert outcome.relevant_names == ()
+        assert s.selected_names == []
 
     def test_relevant_batch_accepted(self, label, features):
         s = selector(label)
@@ -84,7 +84,7 @@ class TestRedundancyStage:
             0, 0.01, len(label)
         )
         outcome = s.process_batch(["dup"], duplicate.reshape(-1, 1))
-        assert outcome.all_redundant
+        assert outcome.relevant_names and outcome.accepted_names == ()
         assert s.selected_names == ["strong"]
 
     def test_fresh_signal_accepted_after_seed(self, label, features):
@@ -99,11 +99,11 @@ class TestRedundancyStage:
     def test_selected_set_grows_across_batches(self, label, features):
         s = selector(label)
         s.process_batch(["strong"], features["strong"].reshape(-1, 1))
-        before = s.n_selected
+        before = len(s.selected_names)
         rng = np.random.default_rng(5)
         other = (1 - label) + rng.normal(0, 0.3, len(label))
         s.process_batch(["other"], other.reshape(-1, 1))
-        assert s.n_selected >= before
+        assert len(s.selected_names) >= before
 
 
 class TestAblationSwitches:

@@ -54,8 +54,10 @@ class TestTuner:
         }
 
     def test_best_trial_is_grid_max(self, outcome):
-        assert outcome.best_trial.accuracy == max(
-            t.accuracy for t in outcome.trials
+        best = max(outcome.trials, key=lambda t: t.accuracy)
+        assert (outcome.best_config.tau, outcome.best_config.kappa) == (
+            best.tau,
+            best.kappa,
         )
 
     def test_best_config_from_grid(self, outcome):

@@ -148,36 +148,20 @@ class TestTransforms:
         with pytest.raises(SchemaError):
             Column([1, 2]).filter(np.array([True]))
 
-    def test_fill_nulls(self):
-        col = Column([1, None, 3]).fill_nulls(0)
-        assert list(col) == [1, 0, 3]
-        assert not col.has_nulls()
-
-    def test_fill_nulls_string(self):
-        col = Column(["a", None]).fill_nulls("?")
-        assert list(col) == ["a", "?"]
-
+    # A cast is a construction with an explicit dtype; nulls stay nulls.
     def test_cast_int_to_float(self):
-        col = Column([1, None]).rename_nulls_preserved_cast(DType.FLOAT)
+        col = Column([1, None], dtype=DType.FLOAT)
         assert col.dtype is DType.FLOAT
         assert col[1] is None
 
     def test_cast_to_string(self):
-        col = Column([1, None]).rename_nulls_preserved_cast(DType.STRING)
+        col = Column([1, None], dtype=DType.STRING)
         assert list(col) == ["1", None]
 
     def test_cast_string_to_float(self):
-        col = Column(["1.5", None]).rename_nulls_preserved_cast(DType.FLOAT)
+        col = Column(["1.5", None], dtype=DType.FLOAT)
         assert col[0] == 1.5
         assert col[1] is None
-
-    def test_cast_bad_string_raises(self):
-        with pytest.raises(SchemaError):
-            Column(["abc"]).rename_nulls_preserved_cast(DType.FLOAT)
-
-    def test_cast_same_dtype_returns_self(self):
-        col = Column([1])
-        assert col.rename_nulls_preserved_cast(DType.INT) is col
 
 
 class TestAnalytics:
@@ -225,15 +209,6 @@ class TestAnalytics:
     def test_value_counts(self):
         assert Column([1, 1, 2, None]).value_counts() == {1: 2, 2: 1}
 
-    def test_mode(self):
-        assert Column([1, 2, 2, 3]).mode() == 2
-
-    def test_mode_tie_breaks_deterministically(self):
-        assert Column([1, 1, 2, 2]).mode() == Column([2, 2, 1, 1]).mode()
-
-    def test_mode_all_null_is_none(self):
-        assert Column([None, None]).mode() is None
-
     def test_to_float_numeric(self):
         out = Column([1, None, 3]).to_float()
         assert out[0] == 1.0
@@ -280,18 +255,6 @@ class TestAnalytics:
 
 
 class TestFactories:
-    def test_concat(self):
-        col = Column.concat([Column([1, 2]), Column([3, None])])
-        assert col.to_list() == [1, 2, 3, None]
-
-    def test_concat_dtype_mismatch_raises(self):
-        with pytest.raises(SchemaError):
-            Column.concat([Column([1]), Column(["a"])])
-
-    def test_concat_empty_raises(self):
-        with pytest.raises(SchemaError):
-            Column.concat([])
-
     def test_nulls_factory(self):
         col = Column.nulls(3, DType.STRING)
         assert len(col) == 3

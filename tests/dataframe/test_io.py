@@ -14,7 +14,7 @@ class TestParsing:
 
     def test_type_inference(self):
         t = from_csv_text("i,f,b,s\n1,1.5,true,hello\n")
-        dtypes = t.dtypes()
+        dtypes = {n: t[n].dtype for n in t.column_names}
         assert dtypes["i"] is DType.INT
         assert dtypes["f"] is DType.FLOAT
         assert dtypes["b"] is DType.BOOL

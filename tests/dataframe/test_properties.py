@@ -69,15 +69,6 @@ def test_take_length(values, k):
 
 
 @given(homogeneous_column())
-def test_fill_nulls_removes_all_nulls(values):
-    col = Column(values)
-    fill = col.mode()
-    if fill is None:
-        return  # entirely-null column: nothing to learn a fill value from
-    assert not col.fill_nulls(fill).has_nulls()
-
-
-@given(homogeneous_column())
 def test_unique_is_sorted_and_distinct(values):
     uniques = Column(values).unique()
     assert uniques == sorted(set(uniques), key=uniques.index) or uniques == sorted(

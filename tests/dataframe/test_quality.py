@@ -9,7 +9,6 @@ from repro.dataframe import (
     quality_report,
     verify_key_constraint,
 )
-from repro.errors import SchemaError
 
 
 class TestColumnQuality:
@@ -65,12 +64,6 @@ class TestTableQuality:
 
     def test_key_candidates(self):
         assert quality_report(self.make()).key_candidates == ("id",)
-
-    def test_column_lookup(self):
-        report = quality_report(self.make())
-        assert report.column("holey").completeness == 0.5
-        with pytest.raises(SchemaError):
-            report.column("zzz")
 
     def test_rows_for_reporting(self):
         rows = quality_report(self.make()).rows()

@@ -21,7 +21,6 @@ def table():
 
 class TestConstruction:
     def test_shape(self, table):
-        assert table.shape == (4, 3)
         assert table.n_rows == 4
         assert table.n_cols == 3
 
@@ -48,10 +47,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table.from_rows(["a", "b"], [(1,)])
 
-    def test_empty_factory(self):
-        t = Table.empty(["a", "b"])
-        assert t.shape == (0, 2)
-
     def test_zero_row_table(self):
         t = Table({"a": []})
         assert t.n_rows == 0
@@ -70,33 +65,26 @@ class TestAccess:
         assert table["id"].to_list() == [1, 2, 3, 4]
 
     def test_row(self, table):
-        assert table.row(1) == {"id": 2, "x": None, "name": "b"}
+        assert [table[n][1] for n in table.column_names] == [2, None, "b"]
 
     def test_to_dict(self, table):
-        assert table.to_dict()["name"] == ["a", "b", None, "d"]
+        assert table["name"].to_list() == ["a", "b", None, "d"]
 
     def test_dtypes(self, table):
-        assert table.dtypes()["name"] is DType.STRING
+        assert table["name"].dtype is DType.STRING
 
     def test_equality(self, table):
-        clone = Table(table.to_dict(), name="other")
+        clone = Table({n: table[n].to_list() for n in table.column_names}, name="other")
         assert table == clone  # equality ignores the table name
 
     def test_inequality_on_columns(self, table):
-        assert table != table.drop(["x"])
+        assert table != table.select(["id", "name"])
 
 
 class TestRelationalOps:
     def test_select_order(self, table):
         t = table.select(["name", "id"])
         assert t.column_names == ["name", "id"]
-
-    def test_drop(self, table):
-        assert table.drop(["x"]).column_names == ["id", "name"]
-
-    def test_drop_unknown_raises(self, table):
-        with pytest.raises(SchemaError):
-            table.drop(["zzz"])
 
     def test_rename(self, table):
         t = table.rename({"id": "key"})
@@ -110,21 +98,6 @@ class TestRelationalOps:
         with pytest.raises(SchemaError):
             table.rename({"id": "x"})
 
-    def test_with_column_adds(self, table):
-        t = table.with_column("y", Column([0, 0, 0, 0]))
-        assert "y" in t
-
-    def test_with_column_replaces(self, table):
-        t = table.with_column("id", Column([9, 9, 9, 9]))
-        assert t.column("id").to_list() == [9, 9, 9, 9]
-
-    def test_with_column_wrong_length_raises(self, table):
-        with pytest.raises(SchemaError):
-            table.with_column("y", Column([1]))
-
-    def test_with_name(self, table):
-        assert table.with_name("zzz").name == "zzz"
-
     def test_prefixed(self, table):
         t = table.prefixed("demo", exclude=["id"])
         assert t.column_names == ["id", "demo.x", "demo.name"]
@@ -136,20 +109,6 @@ class TestRelationalOps:
     def test_take(self, table):
         t = table.take([3, 0])
         assert t.column("id").to_list() == [4, 1]
-
-    def test_head(self, table):
-        assert table.head(2).n_rows == 2
-
-    def test_head_beyond_length(self, table):
-        assert table.head(10).n_rows == 4
-
-    def test_concat_rows(self, table):
-        t = table.concat_rows(table)
-        assert t.n_rows == 8
-
-    def test_concat_rows_schema_mismatch_raises(self, table):
-        with pytest.raises(SchemaError):
-            table.concat_rows(table.drop(["x"]))
 
 
 class TestAnalytics:

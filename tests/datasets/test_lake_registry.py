@@ -7,7 +7,6 @@ from repro.datasets import (
     benchmark_drg,
     build_dataset,
     datalake_drg,
-    dataset_names,
     rename_for_lake,
 )
 from repro.errors import DatasetError
@@ -20,8 +19,8 @@ def bundle():
 
 class TestRegistry:
     def test_eight_datasets(self):
-        assert len(dataset_names()) == 8
-        assert dataset_names()[0] == "credit"
+        assert len(DATASETS) == 8
+        assert list(DATASETS)[0] == "credit"
 
     def test_paper_metadata_recorded(self):
         spec = DATASETS["school"]
@@ -106,12 +105,8 @@ class TestDataLakeSetting:
 
 class TestBuildAll:
     def test_all_eight_lakes_build(self):
-        from repro.datasets import build_all
-
-        bundles = build_all()
-        assert set(bundles) == set(dataset_names())
-        for name, bundle in bundles.items():
-            spec = DATASETS[name]
+        for name, spec in DATASETS.items():
+            bundle = build_dataset(name)
             assert bundle.n_tables - 1 == spec.n_satellites, name
             assert bundle.base_table.n_rows == spec.rows, name
             assert len(bundle.constraints) == spec.n_satellites, name

@@ -83,10 +83,6 @@ class TestProfileTable:
         assert profiles.table_name == "demo"
         assert [c.column_name for c in profiles.columns] == ["a", "b"]
 
-    def test_column_lookup(self):
-        t = Table({"a": [1]}, name="demo")
-        assert profile_table(t).column("a").column_name == "a"
-
 
 class TestProfileCacheClass:
     def test_computes_once_per_live_table(self):

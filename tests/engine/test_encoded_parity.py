@@ -87,7 +87,7 @@ def test_join_kernels_bit_identical(left_kind, right_kind, n_left, n_right, seed
     index = JoinIndex.build(right, "k", seed=seed)
     # Dedup representatives: same surviving rows in the same order.
     assert table_fingerprint(ref_build) == table_fingerprint(index.build_table)
-    assert len(ref_index) == index.n_keys
+    assert len(ref_index) == index.dictionary.n_keys
     assert table_fingerprint(ref_build) == table_fingerprint(
         dedup_by_key(right, "k", seed=seed)
     )

@@ -102,7 +102,7 @@ class TestCachedUncachedParity:
     def test_identical_materialisation(self, drg, cached_discovery):
         """Engine (cold, then all cache hits) vs per-hop build, no cache."""
         base = drg.table("base")
-        path = cached_discovery.best_path.path
+        path = cached_discovery.ranked_paths[0].path
         expected, expected_cols = base, []
         for edge in path.edges:
             right = drg.table(edge.target).prefixed(edge.target)
@@ -119,7 +119,7 @@ class TestCachedUncachedParity:
         assert engine.stats.cache_hits == len(path.edges)
 
     def test_signal_found_through_diamond(self, cached_discovery):
-        best = cached_discovery.best_path
+        best = cached_discovery.ranked_paths[0]
         assert best.path.terminal == "c"
         all_selected = set()
         for ranked in cached_discovery.ranked_paths:

@@ -61,7 +61,7 @@ class TestRoundTrip:
     def test_build_table_is_deduped(self):
         index = JoinIndex.build(ONE_TO_N, "id")
         assert index.build_table == dedup_by_key(ONE_TO_N, "id")
-        assert index.n_keys == index.build_table.n_rows == 3
+        assert index.dictionary.n_keys == index.build_table.n_rows == 3
 
 
 class TestProbe:
@@ -104,7 +104,7 @@ class TestBuildErrors:
 
     def test_no_dedup_on_unique_keys_ok(self):
         index = JoinIndex.build(ONE_TO_ONE, "id", deduplicate=False)
-        assert index.n_keys == 3
+        assert index.dictionary.n_keys == 3
         assert not index.deduplicated
 
 

@@ -82,10 +82,9 @@ def trained(result):
     return [(t.ranked.path.describe(), t.accuracy.hex()) for t in result.trained]
 
 
-def fits_made(drg, result) -> int:
+def fits_made(result) -> int:
     """The distinct fits a memo-less ``result`` made (see :func:`distinct_fits`)."""
-    base = drg.table("base").n_cols - 1
-    return distinct_fits([t.n_features_used for t in result.trained], base)
+    return distinct_fits(result.trained)
 
 
 @pytest.fixture
@@ -113,7 +112,7 @@ class TestSerialHandOff:
     ):
         result = AutoFeat(drg, config()).train_top_k(discovery, "knn")
         paths = [path for path, __ in trained(result)]
-        fits = [("fit",)] * fits_made(drg, result)
+        fits = [("fit",)] * fits_made(result)
         assert units == [("path", path) for path in paths] + fits
         assert len(fits) < len(paths)
 
@@ -218,12 +217,13 @@ class TestPoolRule:
         assert workers_used(result) == 2
 
     def test_the_pool_is_no_wider_than_the_misses(self, drg, discovery, pools):
-        # The top 6 paths are three distinct fits: four add no feature.
+        # The top 6 paths are two distinct fits: four add no feature, and
+        # two keep only ``c.signal`` along ``base -> a -> c``.
         with cpus(8):
             result = AutoFeat(drg, config(top_k=6)).train_top_k(discovery, "lightgbm")
-        assert len(result.trained) == 6 and fits_made(drg, result) == 3
-        assert pools == [3]
-        assert workers_used(result) == 3
+        assert len(result.trained) == 6 and fits_made(result) == 2
+        assert pools == [2]
+        assert workers_used(result) == 2
 
     @pytest.mark.parametrize("model", ["knn", "linear_l1"])
     def test_other_models_fit_inline(self, drg, discovery, pools, model):

@@ -19,12 +19,12 @@ def graph():
 
 class TestConstruction:
     def test_counts(self, graph):
-        assert graph.n_nodes == 3
+        assert len(graph.nodes) == 3
         assert graph.n_edges == 3
 
     def test_add_node_idempotent(self, graph):
         graph.add_node("a")
-        assert graph.n_nodes == 3
+        assert len(graph.nodes) == 3
 
     def test_empty_node_name_raises(self):
         with pytest.raises(GraphError):
@@ -79,7 +79,7 @@ class TestQueries:
         assert edge.target_column in ("x", "x2")
 
     def test_degree_counts_parallel(self, graph):
-        assert graph.degree("a") == 2
+        assert len(graph.edges_of("a")) == 2
 
     def test_edges_between_empty(self, graph):
         assert graph.edges_between("a", "c") == []

@@ -89,7 +89,7 @@ class TestTabularEncoder:
 
     def test_transform_consistent_on_new_rows(self, table):
         encoder = TabularEncoder().fit(table, ["cat"])
-        head = table.head(10)
+        head = table.take(range(10))
         X = encoder.transform(head)
         assert X.shape == (10, 1)
 
@@ -112,10 +112,6 @@ class TestTabularEncoder:
     def test_zero_features_raise(self, table):
         with pytest.raises(ModelError):
             TabularEncoder().fit(table, [])
-
-    def test_feature_names_property(self, table):
-        encoder = TabularEncoder().fit(table, ["num"])
-        assert encoder.feature_names == ["num"]
 
 
 class TestAutoTabularPredictor:

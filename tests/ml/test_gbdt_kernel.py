@@ -3,7 +3,7 @@
 The loop below is the deleted ``_HistTreeBuilder._find_best_split``, kept
 here as a test-only reference.  The kernel must agree with it bit for bit:
 same ``(best_feature, best_bin, best_gain)`` on every node, hence the same
-``decision_function`` and ``feature_importances_`` after a full fit.
+``decision_function`` after a full fit.
 """
 
 import heapq
@@ -145,9 +145,14 @@ class TestSplitTriples:
         kernel = split_triple(_HistTreeBuilder, *args)
         assert kernel[0] == 1
         assert kernel == split_triple(_ReferenceBuilder, *args)
+        # Column 2 never wins a split: the model fits as if it were absent.
         for growth in ("leaf_wise", "depth_wise"):
             model = GradientBoostingBinaryClassifier(n_estimators=5, growth=growth)
-            assert model.fit(X, y).feature_importances_[2] == 0.0
+            without = GradientBoostingBinaryClassifier(n_estimators=5, growth=growth)
+            assert np.array_equal(
+                model.fit(X, y).decision_function(X),
+                without.fit(X[:, :2], y).decision_function(X[:, :2]),
+            )
 
 
 class TestFullFits:
@@ -179,13 +184,10 @@ class TestFullFits:
             assert np.array_equal(
                 ours.decision_function(X), theirs.decision_function(X)
             )
-        assert np.array_equal(
-            kernel.feature_importances_, reference.feature_importances_
-        )
         assert np.array_equal(kernel.predict_proba(X), reference.predict_proba(X))
 
 
-def _reference_grow_leaf_wise(builder, rows, max_leaves, importance):
+def _reference_grow_leaf_wise(builder, rows, max_leaves):
     """Leaf-wise growth as it was: every new child gets its best split."""
     root = _HistNode(rows=rows, depth=0)
     root.value = builder._leaf_value(rows)
@@ -197,7 +199,6 @@ def _reference_grow_leaf_wise(builder, rows, max_leaves, importance):
         neg_gain, _, node = heapq.heappop(heap)
         if -neg_gain <= 0.0:
             break
-        importance[node.best_feature] += node.best_gain
         left, right = builder.split(node)
         n_leaves += 1
         for child in (left, right):
@@ -217,7 +218,6 @@ class _ReferenceBoosting(GradientBoostingBinaryClassifier):
         self._mapper = data.mapper
         raw = np.full(len(y), self._base_score, dtype=np.float64)
         self._trees = []
-        self._importance_gain = np.zeros(data.codes.shape[1], dtype=np.float64)
         rows = np.arange(len(y))
         for _ in range(self.n_estimators):
             p = gbdt._sigmoid(raw)
@@ -230,13 +230,9 @@ class _ReferenceBoosting(GradientBoostingBinaryClassifier):
                 self.min_samples_leaf,
             )
             if self.growth == "leaf_wise":
-                tree = _reference_grow_leaf_wise(
-                    builder, rows, self.max_leaves, self._importance_gain
-                )
+                tree = _reference_grow_leaf_wise(builder, rows, self.max_leaves)
             else:
-                tree = gbdt._grow_depth_wise(
-                    builder, rows, self.max_depth, self._importance_gain
-                )
+                tree = gbdt._grow_depth_wise(builder, rows, self.max_depth)
             self._trees.append(tree)
             raw += self.learning_rate * tree.predict_binned(data.codes)
         self.training_raw = raw
@@ -258,13 +254,10 @@ class TestBoostingTrims:
         ours = GradientBoostingBinaryClassifier(**params).fit(X, y)
         reference = _ReferenceBoosting(**params).fit(X, y)
         if growth == "leaf_wise":
-            assert max(tree.n_leaves for tree in ours._trees) == max_leaves
+            assert max(len(list(tree.leaves())) for tree in ours._trees) == max_leaves
         X_new, _ = make_matrix(COLUMN_KINDS * 2, 50, seed + 100)
         for rows in (X, X_new):
             assert np.array_equal(
                 ours.decision_function(rows), reference.decision_function(rows)
             )
         assert np.array_equal(ours.decision_function(X), reference.training_raw)
-        assert np.array_equal(
-            ours.feature_importances_, reference.feature_importances_
-        )

@@ -14,6 +14,12 @@ def separable(n=400, seed=0):
     return X, y
 
 
+def n_leaves_reached(tree, X):
+    """The leaves the rows of ``X`` land in (each leaf is one value array):
+    on the tree's own training data, every leaf."""
+    return len({id(value) for value in tree._predict_node(X)})
+
+
 class TestClassifier:
     def test_fits_separable_data(self):
         X, y = separable()
@@ -29,19 +35,18 @@ class TestClassifier:
         X = np.zeros((10, 1))
         y = np.zeros(10, dtype=np.int64)
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.depth == 0
-        assert tree.n_leaves == 1
+        assert n_leaves_reached(tree, X) == 1
 
     def test_max_depth_respected(self):
         X, y = separable(600)
         tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.depth <= 2
+        assert n_leaves_reached(tree, X) <= 2**2
 
     def test_min_samples_leaf(self):
         X, y = separable(100)
         tree = DecisionTreeClassifier(min_samples_leaf=40).fit(X, y)
         # Each leaf holds >= 40 of 100 samples, so at most 2 leaves.
-        assert tree.n_leaves <= 2
+        assert n_leaves_reached(tree, X) <= 2
 
     def test_multiclass(self):
         rng = np.random.default_rng(1)
@@ -97,4 +102,4 @@ class TestClassifier:
         X = np.ones((50, 2))
         y = np.array([0, 1] * 25)
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.n_leaves == 1
+        assert n_leaves_reached(tree, X) == 1

@@ -119,7 +119,7 @@ class TestRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         manifest = traced_manifest(seed=3)
         path = manifest.save(tmp_path / "m.json")
-        restored = RunManifest.load(path)
+        restored = RunManifest.from_dict(json.loads(path.read_text()))
         assert restored == manifest
 
     def test_from_dict_tolerates_missing_optionals(self):
@@ -178,10 +178,6 @@ class TestExporters:
         assert "timing tree" in report
         assert "engine.hops_executed" in report
         assert "cache_miss x1" in report
-
-    def test_describe_is_text_report(self):
-        manifest = traced_manifest()
-        assert manifest.describe() == render_text_report(manifest)
 
 
 class TestCLI:

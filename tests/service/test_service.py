@@ -359,7 +359,7 @@ class TestEnvelope:
         wider = self._drg(lake, chain + [("base", "id", "b", "link")])
         assert Envelope.of(wider, "base", 2) != envelope
         # Same edges, a content-equal copy of one table: a new object.
-        copy = [lake[0], Table(lake[1].to_dict(), name="a"), *lake[2:]]
+        copy = [lake[0], Table({n: lake[1][n].to_list() for n in lake[1].column_names}, name="a"), *lake[2:]]
         assert copy[1] == lake[1]
         assert Envelope.of(self._drg(copy, chain), "base", 2) != envelope
 

@@ -50,7 +50,7 @@ record("augment")
 with DiscoveryService(bundle.tables, n_workers=1) as service:
     service.discover(bundle.base_name, bundle.label_column)
     satellite = next(t for t in bundle.tables if t.name != bundle.base_name)
-    service.update_table(satellite.head(satellite.n_rows // 2))
+    service.update_table(satellite.take(range(satellite.n_rows // 2)))
     service.discover(bundle.base_name, bundle.label_column)
 record("service discover/update")
 print(json.dumps(loaded))
