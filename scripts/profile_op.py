@@ -13,9 +13,11 @@ kernel counted and how many candidates its early-rejection bound dropped
 (every workload's op runs ``discover``); how many joined tables the op's
 hops built (only training's ``materialize_path`` builds one: a discovery
 hop walks its path's chain of row maps); how many training fits ran in a
-process pool and how many inline; the CPU time and the largest peak RSS
-of the child processes — the fit pool's workers — over the untraced ops
-(``RUSAGE_CHILDREN``, which ``RUSAGE_SELF`` cannot see);
+process pool and how many inline, and a cProfile of the first pooled fit
+run once more inline (a pool worker's calls are out of the profiler's
+reach) with the GBDT split kernel's call count; the CPU time and the
+largest peak RSS of the child processes — the fit pool's workers — over
+the untraced ops (``RUSAGE_CHILDREN``, which ``RUSAGE_SELF`` cannot see);
 how many verdicts of each kind the op's discovery runs logged; where one
 traced op's ``discover`` time goes — its ``hop``, ``selection`` and
 ``sample`` spans, and what is left over at the coordinator between them —
@@ -166,6 +168,8 @@ def main() -> int:
         "(only materialize_path builds one)"
     )
     print(f"training fits: {work['pooled']} pooled, {work['inline']} inline")
+    if "pooled_fit" in work:
+        _profile_fit(work["pooled_fit"], args.top)
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(work["verdicts"].items()))
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     print(*attribution, sep="\n")
@@ -198,7 +202,8 @@ def _redundancy_work():
     ``hops`` counts probed hops and ``tables`` the joined tables built;
     ``verdicts`` tallies the kinds of the verdicts ``discover`` logged;
     ``pooled`` and ``inline`` count the training fits handed to a pool and
-    run in this process.
+    run in this process; ``pooled_fit`` keeps the first pooled fit's
+    ``evaluate_accuracy`` arguments.
     """
     from repro import ml
     from repro.core import AutoFeat, streaming
@@ -252,7 +257,15 @@ def _redundancy_work():
 
     def counting_pool(workers):
         pool = fit_pool(workers)
-        pool.submit = counting("pooled", pool.submit)
+        submit = pool.submit
+
+        def recording(fn, *fit):
+            with lock:
+                work["pooled"] += 1
+                work.setdefault("pooled_fit", fit)
+            return submit(fn, *fit)
+
+        pool.submit = recording
         return pool
 
     fit_pool, evaluate_accuracy = parallel.fit_pool, ml.evaluate_accuracy
@@ -272,6 +285,27 @@ def _redundancy_work():
         JoinEngine.probe_hop, JoinIndex.attach = probe_hop, attach
         AutoFeat.discover = discover
         parallel.fit_pool, ml.evaluate_accuracy = fit_pool, evaluate_accuracy
+
+
+def _profile_fit(fit, top: int) -> None:
+    """cProfile ``evaluate_accuracy(*fit)`` in this process and print its top
+    rows by own time, then the GBDT split kernel's calls and time."""
+    from repro.ml import automl
+    from repro.ml.gbdt import _HistTreeBuilder
+
+    profiler = cProfile.Profile()
+    profiler.runcall(automl.evaluate_accuracy, *fit)
+    stats = pstats.Stats(profiler)
+    kernel = _HistTreeBuilder._find_best_splits.__code__
+    __, calls, __, seconds, __ = stats.stats.get(
+        (kernel.co_filename, kernel.co_firstlineno, kernel.co_name), (0, 0, 0, 0.0, {})
+    )
+    print(f"one pooled fit ({fit[2]}, {len(fit[3])} features), profiled inline:")
+    stats.strip_dirs().sort_stats("tottime").print_stats(top)
+    print(
+        f"split kernel: {calls} calls, {seconds:.3f} s of the fit's "
+        f"{stats.total_tt:.3f} s profiled"
+    )
 
 
 #: Per phase of one op, the spans its time is split over (outermost only);

@@ -10,10 +10,11 @@ evaluates with:
   the same second-order gain formula and L2 leaf regularisation.
 
 Both share the histogram machinery: features are quantile-binned once per
-fit (at most ``max_bins`` bins) and their codes offset into one
-``n_features × width`` slot layout, so a node's gradient/hessian/count
-histograms of *all* features are three flat ``np.bincount`` calls, and
-split gains use the standard second-order formulation
+fit (at most ``max_bins`` bins) and their codes offset into one bin-major
+``width × 2 × n_features`` slot layout, so the gradient/hessian/count
+histograms of *both* children of a split, over *all* features, are three
+flat ``np.bincount`` calls, and split gains use the standard second-order
+formulation
 gain = G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ).  Binary tasks use logistic
 loss; multi-class is one-vs-rest over one shared binning.
 """
@@ -65,27 +66,28 @@ class _BinnedMatrix:
     """A training matrix binned once per fit, in the split kernel's layout."""
 
     mapper: _BinMapper
-    codes: np.ndarray  # (n, F) bin codes
-    slots: np.ndarray  # (n, F) codes + feature * width: one histogram slot each
+    codes_t: np.ndarray  # (F, n) bin codes, feature-major: a split reads one row
+    slots: np.ndarray  # (n, F) code * 2F + feature: a left child's slot; + F: a right's
     width: int
-    cut_exists: np.ndarray  # (F, width - 1): cut b separates two bins of feature j
+    cut_exists: np.ndarray  # (width - 1, 2, F): cut b separates two bins of feature j
 
     @classmethod
     def build(cls, X: np.ndarray, n_rows: int, max_bins: int) -> "_BinnedMatrix":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != n_rows:
             raise ModelError("X/y shape mismatch")
+        if n_rows == 0:
+            raise ModelError("cannot fit on zero rows")
         if not np.isfinite(X).all():
             raise ModelError("X contains non-finite values; encode/impute first")
         mapper = _BinMapper(max_bins).fit(X)
         codes = mapper.transform(X)
-        n_bins = np.array(
-            [mapper.n_bins(j) for j in range(X.shape[1])], dtype=np.int64
-        )
+        n_features = X.shape[1]
+        n_bins = np.array([mapper.n_bins(j) for j in range(n_features)], dtype=np.int64)
         width = int(n_bins.max(initial=1))
-        slots = codes + np.arange(X.shape[1], dtype=np.int64) * width
-        cut_exists = np.arange(width - 1) < (n_bins[:, np.newaxis] - 1)
-        return cls(mapper, codes, slots, width, cut_exists)
+        slots = codes * (2 * n_features) + np.arange(n_features, dtype=np.int64)
+        cut_exists = np.arange(width - 1).reshape(-1, 1, 1) < np.tile(n_bins - 1, (2, 1))
+        return cls(mapper, np.ascontiguousarray(codes.T), slots, width, cut_exists)
 
 
 @dataclass
@@ -127,42 +129,71 @@ class _HistTreeBuilder:
         self.min_child_weight = min_child_weight
         self.min_samples_leaf = min_samples_leaf
 
-    def _leaf_value(self, rows: np.ndarray) -> float:
-        g = float(self.grad[rows].sum())
-        h = float(self.hess[rows].sum())
-        return -g / (h + self.reg_lambda)
+    def _score(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``g * g / (h + reg_lambda)``, computed in place in ``g`` and ``h``."""
+        g *= g
+        h += self.reg_lambda
+        g /= h
+        return g
 
-    def _score(self, g: float | np.ndarray, h: float | np.ndarray):
-        return g * g / (h + self.reg_lambda)
+    def children(
+        self, rows: np.ndarray, n_left: int, depth: int, search: bool
+    ) -> tuple[_HistNode, _HistNode]:
+        """The nodes over ``rows[:n_left]`` and ``rows[n_left:]``, valued.
 
-    def _find_best_split(self, node: _HistNode) -> None:
-        """Store the best (feature, bin, gain) of ``node`` over all features.
-
-        One flat bincount per statistic fills every feature's histogram;
-        each slot still accumulates its rows in ``rows`` order, so the sums
-        (and everything derived from them) are the floats a per-feature
-        bincount gives.  The row-major argmax keeps the tie-break: lowest
-        feature, then lowest bin, gain strictly above 0.
+        With ``search``, one kernel pass stores both nodes' best splits.
+        The root is the left node of ``children(rows, len(rows), 0, ...)``.
         """
-        rows, data = node.rows, self.data
-        if len(rows) < 2 * self.min_samples_leaf or data.width < 2:
-            return  # too few rows for two leaves, or no feature has two bins
-        shape = (data.slots.shape[1], data.width)
         grad, hess = self.grad[rows], self.hess[rows]
-        g_total = float(grad.sum())
-        h_total = float(hess.sum())
-        slots = data.slots[rows].ravel()
+        nodes, totals = [], []
+        for half in (slice(n_left), slice(n_left, None)):
+            # The same pairwise sums as ``self.grad[node.rows].sum()``.
+            g, h = grad[half].sum(), hess[half].sum()
+            denominator = h + self.reg_lambda
+            nodes.append(_HistNode(rows[half], depth, float(-g / denominator)))
+            totals.append((g, h, g * g / denominator))
+        if search and self.data.width > 1:  # else no feature has two bins
+            self._find_best_splits(nodes, rows, n_left, grad, hess, np.array(totals))
+        return nodes[0], nodes[1]
+
+    def _find_best_splits(
+        self,
+        nodes: list[_HistNode],
+        rows: np.ndarray,
+        n_left: int,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        totals: np.ndarray,
+    ) -> None:
+        """Store the best (feature, bin, gain) of both ``nodes`` over all features.
+
+        ``rows`` holds the left node's rows then the right node's, ``grad``
+        / ``hess`` their statistics and ``totals`` each node's (G, H, parent
+        score).  One bincount per statistic fills both nodes' histograms of
+        every feature in the bin-major layout ``code * 2F + side * F +
+        feature``; each slot still accumulates its rows in ``rows`` order,
+        so the sums (and everything derived from them) are the floats a
+        per-feature, per-node bincount gives.  One argmax per node over the
+        (feature, bin) transpose keeps the tie-break: lowest feature, then
+        lowest bin, gain strictly above 0.  A node below
+        ``2 * min_samples_leaf`` rows has no valid cut.
+        """
+        data = self.data
+        n_features = data.slots.shape[1]
+        slots = data.slots[rows]
+        slots[n_left:] += n_features
+        slots = slots.ravel()
 
         def left_sums(weights: np.ndarray | None) -> np.ndarray:
-            hist = np.bincount(slots, weights=weights, minlength=shape[0] * shape[1])
-            return np.cumsum(hist.reshape(shape), axis=1)[:, :-1]
+            hist = np.bincount(slots, weights, data.width * 2 * n_features)
+            return hist.reshape(data.width, 2, n_features).cumsum(axis=0)[:-1]
 
-        g_left = left_sums(np.repeat(grad, shape[0]))
-        h_left = left_sums(np.repeat(hess, shape[0]))
+        g_left = left_sums(grad.repeat(n_features))
+        h_left = left_sums(hess.repeat(n_features))
         c_left = left_sums(None)
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        c_right = len(rows) - c_left
+        g_right = totals[:, 0:1] - g_left
+        h_right = totals[:, 1:2] - h_left
+        c_right = np.array([[n_left], [len(rows) - n_left]]) - c_left
         valid = (
             data.cut_exists
             & (c_left >= self.min_samples_leaf)
@@ -170,30 +201,28 @@ class _HistTreeBuilder:
             & (h_left >= self.min_child_weight)
             & (h_right >= self.min_child_weight)
         )
-        gains = (
-            self._score(g_left, h_left)
-            + self._score(g_right, h_right)
-            - self._score(g_total, h_total)
-        )
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))
-        feature, cut = divmod(best, data.width - 1)
-        if gains[feature, cut] > 0.0:
-            node.best_gain = float(gains[feature, cut])
-            node.best_feature = feature
-            node.best_bin = cut
+        gains = self._score(g_left, h_left)
+        gains += self._score(g_right, h_right)
+        gains -= totals[:, 2:3]  # the parent's score
+        gains = np.where(valid, gains, -np.inf).transpose(1, 2, 0).reshape(2, -1)
+        for node, node_gains, cut in zip(nodes, gains, gains.argmax(axis=1).tolist()):
+            if node_gains[cut] > 0.0:
+                node.best_gain = float(node_gains[cut])
+                node.best_feature, node.best_bin = divmod(cut, data.width - 1)
 
-    def split(self, node: _HistNode) -> tuple[_HistNode, _HistNode]:
-        """Apply the stored best split and return the two children."""
-        mask = self.data.codes[node.rows, node.best_feature] <= node.best_bin
-        left_rows = node.rows[mask]
-        right_rows = node.rows[~mask]
+    def split(self, node: _HistNode, search: bool) -> tuple[_HistNode, _HistNode]:
+        """Apply the stored best split and return the two children.
+
+        The parent's rows, left child's then right child's, each in the
+        parent's order (a stable sort), so ``children`` gathers once.
+        """
+        right = self.data.codes_t[node.best_feature, node.rows] > node.best_bin
+        rows = node.rows[right.argsort(kind="stable")]
         node.feature = node.best_feature
         node.bin_threshold = node.best_bin
-        node.left = _HistNode(rows=left_rows, depth=node.depth + 1)
-        node.right = _HistNode(rows=right_rows, depth=node.depth + 1)
-        node.left.value = self._leaf_value(left_rows)
-        node.right.value = self._leaf_value(right_rows)
+        node.left, node.right = self.children(
+            rows, len(rows) - int(np.count_nonzero(right)), node.depth + 1, search
+        )
         return node.left, node.right
 
 
@@ -232,24 +261,17 @@ def _grow_leaf_wise(
     rows: np.ndarray,
     max_leaves: int,
 ) -> _HistTree:
-    root = _HistNode(rows=rows, depth=0)
-    root.value = builder._leaf_value(rows)
-    builder._find_best_split(root)
+    root, __ = builder.children(rows, len(rows), 0, search=max_leaves > 1)
     counter = 0
     heap: list[tuple[float, int, _HistNode]] = []
     if root.best_feature >= 0:
         heap.append((-root.best_gain, counter, root))
     n_leaves = 1
     while heap and n_leaves < max_leaves:
-        neg_gain, _, node = heapq.heappop(heap)
-        if -neg_gain <= 0.0:
-            break
-        left, right = builder.split(node)
+        __, __, node = heapq.heappop(heap)
         n_leaves += 1
-        if n_leaves == max_leaves:
-            break  # the children's best splits would never be popped
-        for child in (left, right):
-            builder._find_best_split(child)
+        # The last split's children would never be popped: no search.
+        for child in builder.split(node, search=n_leaves < max_leaves):
             if child.best_feature >= 0:
                 counter += 1
                 heapq.heappush(heap, (-child.best_gain, counter, child))
@@ -261,20 +283,15 @@ def _grow_depth_wise(
     rows: np.ndarray,
     max_depth: int,
 ) -> _HistTree:
-    root = _HistNode(rows=rows, depth=0)
-    root.value = builder._leaf_value(rows)
+    root, __ = builder.children(rows, len(rows), 0, search=max_depth > 0)
     frontier = [root]
     while frontier:
-        next_frontier: list[_HistNode] = []
-        for node in frontier:
-            if node.depth >= max_depth:
-                continue
-            builder._find_best_split(node)
-            if node.best_feature < 0 or node.best_gain <= 0.0:
-                continue
-            left, right = builder.split(node)
-            next_frontier.extend((left, right))
-        frontier = next_frontier
+        frontier = [
+            child
+            for node in frontier
+            if node.best_feature >= 0
+            for child in builder.split(node, search=node.depth + 1 < max_depth)
+        ]
     return _HistTree(root)
 
 
@@ -349,7 +366,7 @@ class GradientBoostingBinaryClassifier:
                 tree = _grow_depth_wise(builder, rows, self.max_depth)
             self._trees.append(tree)
             # The leaves partition ``rows``, so this is the training update
-            # ``raw += lr * tree.predict_binned(data.codes)``, bit for bit.
+            # ``raw += lr * tree.predict_binned(data.codes_t.T)``, bit for bit.
             for leaf in tree.leaves():
                 raw[leaf.rows] += self.learning_rate * leaf.value
         return self

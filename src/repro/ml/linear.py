@@ -95,11 +95,13 @@ class LogisticRegressionL1:
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ModelError("X/y shape mismatch")
+        if X.shape[0] == 0:
+            raise ModelError("cannot fit on zero rows")
         self._mean = X.mean(axis=0)
         self._std = X.std(axis=0)
         self._std[self._std == 0.0] = 1.0
         Xs = self._standardise(X)
-        self.n_classes_ = int(y.max()) + 1 if y.size else 0
+        self.n_classes_ = int(y.max()) + 1
         self._models = []
         if self.n_classes_ <= 2:
             # The positive class is index 1 even when only class 0 is present.

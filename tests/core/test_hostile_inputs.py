@@ -15,6 +15,7 @@ import pytest
 
 from examples.quickstart import build_lake
 from repro import AutoFeat, AutoFeatConfig, DatasetRelationGraph, KFKConstraint, Table
+from repro.errors import ModelError
 from tests.conftest import ROUTES, cpus
 from tests.core.driver_goldens import distinct_fits
 
@@ -112,3 +113,14 @@ def test_both_routes_finish_and_agree(case, pools):
     assert serial == processes
     # The two-CPU route pools whenever two distinct fits miss.
     assert pools == ([2] if serial[2] >= 2 else [])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_empty_base_table_fails_typed(route):
+    """A base table sliced to 0 rows stops at the first fit with a ModelError."""
+
+    def empty_base(lake):
+        lake[BASE] = {name: column.values[:0] for name, column in lake[BASE].items()}
+
+    with cpus(ROUTES[route]), pytest.raises(ModelError, match="zero rows"):
+        AutoFeat(hostile_lake(empty_base), CONFIG).augment(BASE, LABEL)

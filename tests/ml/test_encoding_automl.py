@@ -167,6 +167,12 @@ class TestAutoTabularPredictor:
         assert a == b
 
 
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+def test_fit_on_zero_rows_raises_model_error(model):
+    with pytest.raises(ModelError, match="zero rows"):
+        MODEL_REGISTRY[model](0).fit(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+
+
 class TestSingleClassLabel:
     """One label value is class index 0; no model may predict an index 1."""
 

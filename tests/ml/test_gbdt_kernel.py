@@ -1,74 +1,23 @@
-"""Parity of the flat-bincount split kernel with the per-feature loop it replaced.
+"""Parity of the two-children split kernel with the plain GBDT in ``tests/oracle``.
 
-The loop below is the deleted ``_HistTreeBuilder._find_best_split``, kept
-here as a test-only reference.  The kernel must agree with it bit for bit:
-same ``(best_feature, best_bin, best_gain)`` on every node, hence the same
-``decision_function`` after a full fit.
+``repro.ml.gbdt`` scores both children of a split in one bin-major kernel
+pass; ``tests.oracle.gbdt`` grows the same trees one node and one feature
+at a time.  They must agree bit for bit: the same ``(best_feature,
+best_bin, best_gain)`` and value on every node, hence the same
+``decision_function`` after a full fit.  A work count pins how often the
+kernel runs.
 """
-
-import heapq
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import (
-    GradientBoostingBinaryClassifier,
-    LightGBMClassifier,
-    XGBoostClassifier,
-    gbdt,
-)
-from repro.ml.gbdt import _BinnedMatrix, _HistNode, _HistTreeBuilder
+from repro.ml import GradientBoostingBinaryClassifier, LightGBMClassifier, XGBoostClassifier
+from repro.ml.gbdt import _BinMapper, _BinnedMatrix, _HistTreeBuilder
+from tests.oracle.gbdt import ReferenceBoosting, ReferenceBuilder, ReferenceOneVsRest
 
 COLUMN_KINDS = ("normal", "constant", "few_valued", "rounded", "duplicate_heavy")
-
-
-class _ReferenceBuilder(_HistTreeBuilder):
-    """Split finding as it was before the kernel: one Python pass per feature."""
-
-    def _find_best_split(self, node: _HistNode) -> None:
-        rows = node.rows
-        g_total = float(self.grad[rows].sum())
-        h_total = float(self.hess[rows].sum())
-        parent_score = self._score(g_total, h_total)
-        best_gain, best_feature, best_bin = 0.0, -1, -1
-        for j in range(self.data.codes.shape[1]):
-            bins = self.data.codes[rows, j]
-            n_bins = self.data.mapper.n_bins(j)
-            if n_bins < 2:
-                continue
-            g_hist = np.bincount(bins, weights=self.grad[rows], minlength=n_bins)
-            h_hist = np.bincount(bins, weights=self.hess[rows], minlength=n_bins)
-            c_hist = np.bincount(bins, minlength=n_bins)
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            c_left = np.cumsum(c_hist)[:-1]
-            g_right = g_total - g_left
-            h_right = h_total - h_left
-            c_right = len(rows) - c_left
-            valid = (
-                (c_left >= self.min_samples_leaf)
-                & (c_right >= self.min_samples_leaf)
-                & (h_left >= self.min_child_weight)
-                & (h_right >= self.min_child_weight)
-            )
-            if not valid.any():
-                continue
-            gains = (
-                self._score(g_left, h_left)
-                + self._score(g_right, h_right)
-                - parent_score
-            )
-            gains = np.where(valid, gains, -np.inf)
-            local_best = int(np.argmax(gains))
-            if gains[local_best] > best_gain:
-                best_gain = float(gains[local_best])
-                best_feature = j
-                best_bin = local_best
-        node.best_gain = best_gain
-        node.best_feature = best_feature
-        node.best_bin = best_bin
 
 
 def make_matrix(kinds, n_rows, seed):
@@ -88,10 +37,33 @@ def make_matrix(kinds, n_rows, seed):
     return np.column_stack(columns), rng
 
 
-def split_triple(builder_cls, data, grad, hess, rows, min_samples_leaf):
-    node = _HistNode(rows=rows, depth=0)
-    builder_cls(data, grad, hess, 1.0, 1e-3, min_samples_leaf)._find_best_split(node)
+def builders(X, max_bins, grad, hess, min_samples_leaf):
+    """The kernel's builder and the reference's, on the same statistics."""
+    data = _BinnedMatrix.build(X, len(X), max_bins)
+    mapper = _BinMapper(max_bins).fit(X)
+    n_bins = [mapper.n_bins(j) for j in range(X.shape[1])]
+    args = (grad, hess, 1.0, 1e-3, min_samples_leaf)
+    return (
+        _HistTreeBuilder(data, *args),
+        ReferenceBuilder(mapper.transform(X), n_bins, *args),
+    )
+
+
+def triple(node):
     return node.best_feature, node.best_bin, node.best_gain
+
+
+def kernel_root(builder, rows):
+    """The kernel's root call: ``rows`` on the left, the right half empty."""
+    root, empty = builder.children(rows, len(rows), 0, search=True)
+    assert len(empty.rows) == 0
+    return root
+
+
+def assert_node_matches(node, reference):
+    expected = reference.node(node.rows, node.depth)
+    assert node.value == expected.value
+    assert triple(node) == reference.best_split(node.rows)
 
 
 matrices = st.tuples(
@@ -113,38 +85,41 @@ class TestSplitTriples:
     ):
         kinds, n_rows, seed = matrix
         X, rng = make_matrix(kinds, n_rows, seed)
-        data = _BinnedMatrix.build(X, n_rows, max_bins)
         p = rng.uniform(0.02, 0.98, n_rows)
         grad = p - rng.integers(0, 2, n_rows)
         hess = p * (1.0 - p)
+        kernel, reference = builders(X, max_bins, grad, hess, min_samples_leaf)
         # The root, random sub-nodes, and tiny nodes below 2 * min_samples_leaf.
         sizes = [n_rows, n_rows // 2, n_rows // 5, 2 * min_samples_leaf - 1, 1]
         for size in sizes:
             rows = np.sort(rng.choice(n_rows, size=max(size, 1), replace=False))
-            args = (data, grad, hess, rows, min_samples_leaf)
-            assert split_triple(_HistTreeBuilder, *args) == split_triple(
-                _ReferenceBuilder, *args
-            )
+            node = kernel_root(kernel, rows)
+            assert_node_matches(node, reference)
+            if node.best_feature < 0:
+                continue
+            # Both children of the split come out of one kernel pass.
+            left, right = kernel.split(node, search=True)
+            codes = reference.codes[rows, node.feature]
+            assert np.array_equal(left.rows, rows[codes <= node.bin_threshold])
+            assert np.array_equal(right.rows, rows[codes > node.bin_threshold])
+            for child in (left, right):
+                assert_node_matches(child, reference)
 
     def test_all_constant_matrix_has_no_split(self):
         X = np.full((40, 3), 7.0)
-        data = _BinnedMatrix.build(X, 40, 16)
-        grad = np.linspace(-1, 1, 40)
-        hess = np.full(40, 0.25)
-        args = (data, grad, hess, np.arange(40), 1)
-        assert split_triple(_HistTreeBuilder, *args) == (-1, -1, 0.0)
-        assert split_triple(_ReferenceBuilder, *args) == (-1, -1, 0.0)
+        kernel, reference = builders(X, 16, np.linspace(-1, 1, 40), np.full(40, 0.25), 1)
+        assert triple(kernel_root(kernel, np.arange(40))) == (-1, -1, 0.0)
+        assert reference.best_split(np.arange(40)) == (-1, -1, 0.0)
 
     def test_tied_features_resolve_to_lowest_index(self):
         rng = np.random.default_rng(5)
         signal = rng.normal(0, 1, 200)
         X = np.column_stack([rng.normal(0, 1, 200), signal, signal])
         y = (signal > 0).astype(np.float64)
-        data = _BinnedMatrix.build(X, 200, 32)
-        args = (data, 0.5 - y, np.full(200, 0.25), np.arange(200), 5)
-        kernel = split_triple(_HistTreeBuilder, *args)
-        assert kernel[0] == 1
-        assert kernel == split_triple(_ReferenceBuilder, *args)
+        kernel, reference = builders(X, 32, 0.5 - y, np.full(200, 0.25), 5)
+        root = kernel_root(kernel, np.arange(200))
+        assert root.best_feature == 1
+        assert triple(root) == reference.best_split(np.arange(200))
         # Column 2 never wins a split: the model fits as if it were absent.
         for growth in ("leaf_wise", "depth_wise"):
             model = GradientBoostingBinaryClassifier(n_estimators=5, growth=growth)
@@ -153,6 +128,29 @@ class TestSplitTriples:
                 model.fit(X, y).decision_function(X),
                 without.fit(X[:, :2], y).decision_function(X[:, :2]),
             )
+
+    def test_child_below_twice_min_samples_leaf_has_no_split(self):
+        # Feature 0 cuts off 7 rows: the small child cannot hold two leaves of 5.
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.r_[np.zeros(7), np.ones(93)], rng.normal(0, 1, 100)])
+        grad = np.r_[np.full(7, -5.0), np.where(X[7:, 1] > 0, 0.5, -0.5)]
+        kernel, reference = builders(X, 16, grad, np.full(100, 0.25), 5)
+        root = kernel_root(kernel, np.arange(100))
+        left, right = kernel.split(root, search=True)
+        assert len(left.rows) == 7 and triple(left) == (-1, -1, 0.0)
+        assert right.best_feature == 1
+        for node in (root, left, right):
+            assert_node_matches(node, reference)
+
+
+MODELS = {"leaf_wise": LightGBMClassifier, "depth_wise": XGBoostClassifier}
+
+
+def assert_fits_equal(ours, reference, X):
+    assert len(ours._models) == len(reference.models)
+    for model, theirs in zip(ours._models, reference.models):
+        assert np.array_equal(model.decision_function(X), theirs.decision_function(X))
+    assert np.array_equal(ours.predict_proba(X), reference.predict_proba(X))
 
 
 class TestFullFits:
@@ -170,73 +168,32 @@ class TestFullFits:
         X, rng = make_matrix(kinds, n_rows, seed)
         y = rng.integers(0, n_classes, n_rows)
         y[:n_classes] = np.arange(n_classes)
-
-        def fit():
-            model = model_cls(n_estimators=6, min_samples_leaf=min_samples_leaf)
-            return model.fit(X, y)
-
-        kernel = fit()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gbdt, "_HistTreeBuilder", _ReferenceBuilder)
-            reference = fit()
-        assert len(kernel._models) == len(reference._models)
-        for ours, theirs in zip(kernel._models, reference._models):
-            assert np.array_equal(
-                ours.decision_function(X), theirs.decision_function(X)
-            )
-        assert np.array_equal(kernel.predict_proba(X), reference.predict_proba(X))
+        params = dict(n_estimators=6, min_samples_leaf=min_samples_leaf)
+        ours = model_cls(**params).fit(X, y)
+        reference = ReferenceOneVsRest(model_cls.growth, **params).fit(X, y)
+        assert_fits_equal(ours, reference, X)
 
 
-def _reference_grow_leaf_wise(builder, rows, max_leaves):
-    """Leaf-wise growth as it was: every new child gets its best split."""
-    root = _HistNode(rows=rows, depth=0)
-    root.value = builder._leaf_value(rows)
-    builder._find_best_split(root)
-    counter, heap, n_leaves = 0, [], 1
-    if root.best_feature >= 0:
-        heap.append((-root.best_gain, counter, root))
-    while heap and n_leaves < max_leaves:
-        neg_gain, _, node = heapq.heappop(heap)
-        if -neg_gain <= 0.0:
-            break
-        left, right = builder.split(node)
-        n_leaves += 1
-        for child in (left, right):
-            builder._find_best_split(child)
-            if child.best_feature >= 0:
-                counter += 1
-                heapq.heappush(heap, (-child.best_gain, counter, child))
-    return gbdt._HistTree(root)
+#: The corners the kernel was swept on: (model parameters, rows, classes).
+EDGES = {
+    "min_samples_leaf_0": (dict(min_samples_leaf=0), 60, 2),
+    "max_depth_0": (dict(max_depth=0), 60, 2),
+    "max_bins_2": (dict(max_bins=2), 60, 3),
+    "one_row": ({}, 1, 1),
+    "one_class": ({}, 60, 1),
+    "max_leaves_2": (dict(max_leaves=2), 60, 2),
+}
 
 
-class _ReferenceBoosting(GradientBoostingBinaryClassifier):
-    """Boosting as it was: the training update re-predicts every row."""
-
-    def _fit_binned(self, data, y):
-        positive_rate = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
-        self._base_score = float(np.log(positive_rate / (1 - positive_rate)))
-        self._mapper = data.mapper
-        raw = np.full(len(y), self._base_score, dtype=np.float64)
-        self._trees = []
-        rows = np.arange(len(y))
-        for _ in range(self.n_estimators):
-            p = gbdt._sigmoid(raw)
-            builder = _HistTreeBuilder(
-                data,
-                p - y,
-                p * (1.0 - p),
-                self.reg_lambda,
-                self.min_child_weight,
-                self.min_samples_leaf,
-            )
-            if self.growth == "leaf_wise":
-                tree = _reference_grow_leaf_wise(builder, rows, self.max_leaves)
-            else:
-                tree = gbdt._grow_depth_wise(builder, rows, self.max_depth)
-            self._trees.append(tree)
-            raw += self.learning_rate * tree.predict_binned(data.codes)
-        self.training_raw = raw
-        return self
+@pytest.mark.parametrize("growth", MODELS)
+@pytest.mark.parametrize("edge", EDGES)
+def test_edge_fits_are_bit_identical(edge, growth):
+    params, n_rows, n_classes = EDGES[edge]
+    X, rng = make_matrix(COLUMN_KINDS, n_rows, 7)
+    y = rng.integers(0, n_classes, n_rows)
+    params = dict(n_estimators=6, **params)
+    ours = MODELS[growth](**params).fit(X, y)
+    assert_fits_equal(ours, ReferenceOneVsRest(growth, **params).fit(X, y), X)
 
 
 class TestBoostingTrims:
@@ -252,7 +209,7 @@ class TestBoostingTrims:
             n_estimators=8, max_leaves=max_leaves, max_depth=3, growth=growth
         )
         ours = GradientBoostingBinaryClassifier(**params).fit(X, y)
-        reference = _ReferenceBoosting(**params).fit(X, y)
+        reference = ReferenceBoosting(**params).fit(X, y)
         if growth == "leaf_wise":
             assert max(len(list(tree.leaves())) for tree in ours._trees) == max_leaves
         X_new, _ = make_matrix(COLUMN_KINDS * 2, 50, seed + 100)
@@ -261,3 +218,60 @@ class TestBoostingTrims:
                 ours.decision_function(rows), reference.decision_function(rows)
             )
         assert np.array_equal(ours.decision_function(X), reference.training_raw)
+
+
+def internal_nodes(tree):
+    stack, found = [tree._root], []
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            found.append(node)
+            stack.extend((node.left, node.right))
+    return found
+
+
+class TestWorkCount:
+    """One kernel call per split whose children may split, plus the root's."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = _HistTreeBuilder._find_best_splits
+
+        def counted(self, nodes, *args):
+            calls.append(len(nodes[0].rows) + len(nodes[1].rows))
+            return kernel(self, nodes, *args)
+
+        monkeypatch.setattr(_HistTreeBuilder, "_find_best_splits", counted)
+        return calls
+
+    @staticmethod
+    def data():
+        X, rng = make_matrix(("normal",) * 6, 600, 11)
+        return X, (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 1, 600) > 0)
+
+    @pytest.mark.parametrize("max_leaves", [1, 2, 3, 8, 31])
+    def test_leaf_wise_calls_once_per_split_but_the_last(self, kernel_calls, max_leaves):
+        X, y = self.data()
+        model = GradientBoostingBinaryClassifier(n_estimators=4, max_leaves=max_leaves)
+        model.fit(X, y)
+        assert all(len(list(tree.leaves())) == max_leaves for tree in model._trees)
+        assert len(kernel_calls) == 4 * (max_leaves - 1)
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 2, 5])
+    def test_depth_wise_calls_once_per_split_below_max_depth(
+        self, kernel_calls, max_depth
+    ):
+        X, y = self.data()
+        model = GradientBoostingBinaryClassifier(
+            n_estimators=4, growth="depth_wise", max_depth=max_depth
+        ).fit(X, y)
+        splits = [node for tree in model._trees for node in internal_nodes(tree)]
+        expected = 4 * (max_depth > 0) + sum(n.depth + 1 < max_depth for n in splits)
+        assert len(kernel_calls) == expected
+        # Every call scores the whole parent: the root's rows, or both children's.
+        assert sum(kernel_calls) == 4 * 600 * (max_depth > 0) + sum(
+            len(n.rows) for n in splits if n.depth + 1 < max_depth
+        )
+        if max_depth >= 3:
+            assert expected > 4 + 4  # the trees split below the root's children

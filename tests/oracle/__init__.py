@@ -16,4 +16,8 @@ them, and no entry point calls them (``scripts/reach.py`` measures that):
 * :mod:`tests.oracle.overlap` — sketch Jaccard, containment and the
   MinHash estimate one at a time, and the instance-only matcher the
   ``value_overlap`` rows of the COMA goldens were frozen from.
+* :mod:`tests.oracle.gbdt` — gradient-boosted trees grown one node and
+  one feature at a time (every node searched, every boosting round
+  re-predicting every row), the form the two-children split kernel of
+  ``repro.ml.gbdt`` is held to bit for bit.
 """
