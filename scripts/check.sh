@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check: the tier-1 test suite (once), the legacy micro-benches
 # in smoke mode (each writes its summary to a temp dir), the trace smoke,
-# four paper-shape claim checks, the end-to-end benchmark smoke and one
-# profiled op.
+# four paper-shape claim checks, the end-to-end benchmark smoke and two
+# profiled ops.
 # Performance is gated by benchmarks/e2e/compare.py, the paper by the
 # `python -m repro.bench` shape claims; there is no third gate.  Ends by
 # requiring `git status --porcelain` to read as it did at the start
@@ -52,7 +52,9 @@ echo
 echo "== profiler =="
 # scripts/profile_op.py patches private names of the selection kernels and
 # the join engine to count their work; one run keeps those names honest.
+# wide_match matches in its op, so it also prints the lake pass's counts.
 python scripts/profile_op.py --workload dense_discover --top 1
+python scripts/profile_op.py --workload wide_match --top 1
 
 echo
 echo "== clean tree =="

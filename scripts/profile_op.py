@@ -24,10 +24,10 @@ traced op's ``discover`` time goes — its ``hop``, ``selection`` and
 and, for a workload that trains (``paper_augment``, ``service_mixed``),
 where its ``train`` time goes — its ``path`` spans (materialise), its
 ``evaluate`` spans (fit) and the coordinator's leftover; for a workload that
-matches in its op (``wide_match``, ``paper_augment``), how many table pairs
-and key-like column pairs COMA's instance-overlap gate lets through, and how
-many key-like column pairs its name-score bound lets through at the DRG
-threshold.  cProfile inflates
+matches in its op (``wide_match``, ``paper_augment``), the work counts of
+COMA's lake pass at the DRG threshold: table pairs sharing a token, column
+pairs intersected, name pairs bounded, column pairs name-scored and
+matches emitted.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
 untraced times — or the benchmark itself — to measure them.
 
@@ -174,7 +174,7 @@ def main() -> int:
     print(f"verdicts: {sum(work['verdicts'].values())} ({kinds})")
     print(*attribution, sep="\n")
     if workload.match_in_op:
-        print(*_matching_lines(lake), sep="\n")
+        print(_matching_line(lake))
     return 0
 
 
@@ -380,49 +380,25 @@ def _phase_attribution(workload, lake, seed) -> list[str]:
     return lines
 
 
-def _matching_lines(lake) -> tuple[str, str]:
-    """What COMA's two cheap rejections leave of a cold DRG build.
+def _matching_line(lake) -> str:
+    """The work counts of COMA's lake pass on a cold DRG build.
 
-    The overlap gate: the table and key-like column pairs whose sketches
-    are intersected.  The threshold bound: the key-like column pairs whose
-    name is scored (their bound reaches the DRG threshold the builder
-    hands the matcher as its floor), and the matches emitted at it.
+    The pass intersects only the column pairs whose sketches share a token,
+    bounds each distinct name pair once, and name-scores only the column
+    pairs whose bound reaches the DRG threshold it is handed as its floor.
     """
-    from itertools import combinations
-
     from repro.discovery import ComaMatcher, profile_table
-    from repro.discovery.value_overlap import tables_may_overlap
     from workloads import THRESHOLD
 
     profiles = [profile_table(table) for table in lake.tables]
-    key_like = [sum(map(ComaMatcher._key_like, p.columns)) for p in profiles]
-    tables = passed_tables = columns = passed_columns = 0
-    for i, a in enumerate(profiles):
-        for j in range(i + 1, len(profiles)):
-            pairs = key_like[i] * key_like[j]
-            tables += 1
-            columns += pairs
-            if tables_may_overlap(a, profiles[j]):
-                passed_tables += 1
-                passed_columns += pairs
-    matcher = ComaMatcher()
-    memo = matcher._name_scores
-    score, scored = memo.score, []
-
-    def counted(a, b):
-        scored.append((a, b))
-        return score(a, b)
-
-    memo.score = counted
-    emitted = sum(
-        len(matcher.match_profiles(a, b, THRESHOLD))
-        for a, b in combinations(profiles, 2)
-    )
+    pass_ = ComaMatcher().match_lake_profiles(profiles, THRESHOLD)
+    tables = len(profiles) * (len(profiles) - 1) // 2
     return (
-        f"overlap gate: {passed_tables} / {tables} table pairs, "
-        f"{passed_columns} / {columns} key-like column pairs intersected",
-        f"threshold bound: {len(scored)} / {columns} key-like column pairs "
-        f"name-scored, {emitted} emitted",
+        f"lake pass: {pass_.table_pairs_sharing} / {tables} table pairs share a token, "
+        f"{pass_.column_pairs_intersected} column pairs intersected, "
+        f"{pass_.name_pairs_bounded} name pairs bounded, "
+        f"{pass_.column_pairs_name_scored} column pairs name-scored, "
+        f"{sum(map(len, pass_.pairs.values()))} emitted"
     )
 
 

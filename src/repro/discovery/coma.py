@@ -14,15 +14,19 @@ the noise regime AutoFeat's pruning is evaluated against.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
 from .name_similarity import NameFeatures, _jaro_winkler, _levenshtein, set_jaccard
 from .profiles import ColumnProfile, ProfileCache, TableProfile
-from .value_overlap import check_min_score, instance_similarity, tables_may_overlap
+from .value_overlap import check_min_score, instance_similarity
 
-__all__ = ["ColumnMatch", "ComaMatcher"]
+__all__ = ["ColumnMatch", "ComaMatcher", "LakeMatches"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,157 @@ NAME_MEMO_PAIRS = 512
 #: ``ColumnMatch.score`` is ``round(score, 6)``, which moves a score by at
 #: most 5e-7, and the floor is compared with that rounded value.
 ROUNDING_MARGIN = 1e-6
+
+#: The largest :func:`_name_bound` of two names sharing no trigram and no
+#: token: both Jaccards are ``0.0`` and the Levenshtein bound is at most
+#: 1, so ``(lev + 1.0 + 0.0) / 3.0 <= 2.0 / 3.0`` — in floats too, since
+#: float addition and division round monotonically.
+_UNSHARED_NAME_BOUND = 2.0 / 3.0
+
+#: Entry pairs :func:`_sharing_pairs` makes at a time before tallying
+#: them, so its memory follows the distinct pairs, not the shared items.
+PAIR_BLOCK = 1 << 20
+
+
+@dataclass(frozen=True)
+class LakeMatches:
+    """One lake pass: every table pair's matches, and the work it took.
+
+    ``pairs`` maps positions ``(i, j)``, ``i < j``, in the profiled
+    sequence to the pair's matches; a pair without one is absent
+    (``lake[i, j]`` reads it as ``[]``).
+    """
+
+    pairs: dict[tuple[int, int], list[ColumnMatch]]
+    #: Table pairs with a column pair in ``column_pairs_intersected``.
+    table_pairs_sharing: int
+    #: Column pairs whose sketches share a token hash, intersected exactly.
+    column_pairs_intersected: int
+    #: Distinct unordered name pairs whose ``_name_bound`` was taken.
+    name_pairs_bounded: int
+    #: Column pairs whose bound reached the floor, so their name was scored.
+    column_pairs_name_scored: int
+
+    def __getitem__(self, pair: tuple[int, int]) -> list[ColumnMatch]:
+        return self.pairs.get(pair, [])
+
+
+def _sharing_pairs(
+    item_sets: Sequence[Collection[str]], group: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of sets in different groups that may share an item, and how many.
+
+    ``group`` holds one integer per set; two sets of one group are never
+    paired.  Returns the pairs ``(g, h)``, ``g < h``, as sorted codes
+    ``g * n + h`` (``n = len(item_sets)``), a superset of the sharing
+    pairs, and per pair a count never below the number of items shared.
+
+    The items are hashed in-process (``str`` caches its hash) and sorted,
+    and every run of equal hashes pairs up its sets: equal items hash
+    equally, so no sharing pair is missed, and a hash collision can only
+    add a pair or a count.  The hashes live for one call and never leave
+    the process.
+    """
+    n = len(item_sets)
+    sizes = np.fromiter(map(len, item_sets), dtype=np.int64, count=n)
+    items = chain.from_iterable(item_sets)
+    hashes = np.fromiter(map(hash, items), dtype=np.int64, count=int(sizes.sum()))
+    order = np.argsort(hashes)
+    owner = np.repeat(np.arange(n), sizes)[order]
+    hashes = hashes[order]
+    # Entry k pairs with the later[k] entries after it in its run of equal
+    # hashes; the pairs are made and tallied PAIR_BLOCK at a time.
+    starts = np.flatnonzero(np.concatenate(([True], hashes[1:] != hashes[:-1])))
+    del order, hashes  # a lake's worth of tokens: free them before pairing
+    ends = np.append(starts[1:], len(owner))
+    later = np.repeat(ends, ends - starts) - np.arange(len(owner)) - 1
+    made = np.cumsum(later)  # pairs made by the entries up to k
+    tallies = []
+    lo = done = 0
+    while done < (made[-1] if len(made) else 0):
+        hi = max(int(np.searchsorted(made, done + PAIR_BLOCK, side="right")), lo + 1)
+        span = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), span)
+        offset = np.arange(len(first)) - np.repeat(made[lo:hi] - span - done, span)
+        a, b = owner[first], owner[first + 1 + offset]
+        apart = group[a] != group[b]
+        a, b = a[apart], b[apart]
+        codes = np.minimum(a, b) * n + np.maximum(a, b)
+        tallies.append(np.unique(codes, return_counts=True))
+        lo, done = hi, int(made[hi - 1])
+    if len(tallies) == 1:
+        return tallies[0]
+    codes, inverse = np.unique(
+        np.concatenate([np.empty(0, dtype=np.int64), *(c for c, _ in tallies)]),
+        return_inverse=True,
+    )
+    counts = np.concatenate([np.empty(0), *(k for _, k in tallies)])
+    return codes, np.bincount(inverse, counts, minlength=len(codes)).astype(np.int64)
+
+
+def _sharing_columns(
+    columns: Sequence[ColumnProfile], tables: Sequence[int], focus: int | None
+) -> list[tuple[int, int]]:
+    """Index pairs ``(g, h)``, ``g < h``, of columns of two tables whose
+    sketches may share a token (every pair that does).
+
+    With ``focus``, a column of another table that shares no token with the
+    focus table is left out before hashing: it can pair with no focus column.
+    """
+    sketches = [c.sketch for c in columns]
+    if focus is not None:
+        focal = frozenset().union(*(s for s, t in zip(sketches, tables) if t == focus))
+        sketches = [
+            s if t == focus or not focal.isdisjoint(s) else ()
+            for s, t in zip(sketches, tables)
+        ]
+    codes, _ = _sharing_pairs(sketches, np.asarray(tables, dtype=np.int64))
+    first, second = np.divmod(codes, max(len(columns), 1))
+    return list(zip(first.tolist(), second.tolist()))
+
+
+def _counts_at(codes: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The count of each code among the sorted ``keys``, 0 where absent."""
+    if not len(keys):
+        return np.zeros(len(codes), dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    return np.where(keys[at] == codes, counts[at], 0)
+
+
+def _jaccards(shared: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
+    """:func:`set_jaccard` from counts, with a shared count capped at the
+    smaller size (so an over-count still gives at most 1)."""
+    shared = np.minimum(shared, np.minimum(size_a, size_b))
+    union = size_a + size_b - shared
+    return np.where(union > 0, shared / np.maximum(union, 1), 0.0)
+
+
+def _name_bound_ceilings(
+    features: Sequence[NameFeatures],
+    n: np.ndarray,
+    m: np.ndarray,
+    shared_trigrams: np.ndarray,
+    shared_tokens: np.ndarray,
+) -> np.ndarray:
+    """:func:`_name_bound` of the name pairs ``(features[n], features[m])``
+    at once, from shared trigram and token counts that may be too high.
+
+    The same float operations in the same order as ``_name_bound``, each
+    monotone in the shared counts: a ceiling is never below the pair's
+    bound, and equals it when the counts are exact.
+    """
+    length = np.array([len(f.lowered) for f in features], dtype=np.int64)
+    trigrams = np.array([len(f.trigrams) for f in features], dtype=np.int64)
+    tokens = np.array([len(f.tokens) for f in features], dtype=np.int64)
+    longer = np.maximum(length[n], length[m])
+    levenshtein = 1.0 - np.abs(length[n] - length[m]) / np.maximum(longer, 1)
+    trigram = _jaccards(shared_trigrams, trigrams[n], trigrams[m])
+    ceilings = np.maximum(
+        (levenshtein + 1.0 + trigram) / 3.0,
+        _jaccards(shared_tokens, tokens[n], tokens[m]),
+    )
+    ceilings[n == m] = 1.0
+    return ceilings
 
 
 def _symmetric_measures(a: NameFeatures, b: NameFeatures) -> tuple[float, ...]:
@@ -167,11 +322,11 @@ class ComaMatcher:
     A matcher instance owns two memos with the same lifetime: table
     profiles (:class:`~repro.discovery.profiles.ProfileCache`) and the
     name score of every ordered name pair it has seen (bounded at
-    :data:`NAME_MEMO_PAIRS`).  Both only save work — a fresh matcher
-    starts empty and scores every pair to the same floats.  Instance
-    scores run only for table pairs that
-    :func:`~repro.discovery.value_overlap.tables_may_overlap`; every other
-    pair's instance score is the exact ``0.0`` the computation returns.
+    :data:`NAME_MEMO_PAIRS`); it also keeps the shared trigram and token
+    counts of the last pass's names.  All only save work — a fresh matcher
+    starts empty and scores every pair to the same floats.  A lake is
+    scored in one pass (:meth:`match_lake_profiles`); a table pair is the
+    lake of two.
     """
 
     def __init__(
@@ -194,6 +349,8 @@ class ComaMatcher:
         self._key_like_only = key_like_only
         self._profiles = ProfileCache()
         self._name_scores = _NameScoreMemo()
+        #: The last pass's names and their shared trigram / token counts.
+        self._name_sharing: tuple = (None,)
 
     @staticmethod
     def _key_like(profile: ColumnProfile) -> bool:
@@ -208,44 +365,180 @@ class ComaMatcher:
     ) -> list[ColumnMatch]:
         """Score every column pair of two profiled tables, down to ``floor``.
 
-        A pair whose name-score bound cannot reach ``floor`` (the DRG
-        builders pass their threshold) skips the costly name measures.
+        The lake pass over the lake of these two tables.
         """
-        columns_a, columns_b = profiles_a.columns, profiles_b.columns
-        if self._key_like_only:
-            columns_a = [c for c in columns_a if self._key_like(c)]
-            columns_b = [c for c in columns_b if self._key_like(c)]
-        overlap = tables_may_overlap(profiles_a, profiles_b)
-        name_score, features = self._name_scores.score, self._name_scores.features
+        return self.match_lake_profiles((profiles_a, profiles_b), floor)[0, 1]
+
+    def match_lake_profiles(
+        self,
+        profiles: Sequence[TableProfile],
+        floor: float = 0.0,
+        focus: int | None = None,
+    ) -> LakeMatches:
+        """Score every table pair of a profiled lake, down to ``floor``.
+
+        With ``focus``, only the pairs that table ``focus`` is part of.
+        Each pair's list is what scoring its column pairs one by one gives:
+        the instance score, then ``_name_bound`` against the floor, then
+        the name score, weighted sum, floor and rounding.  Only two kinds
+        of column pair can get past the bound, and only they are scored:
+
+        (a) pairs whose sketches share a token — every other pair's
+            instance score is the exact ``0.0`` (no shared token makes
+            containment, Jaccard and their sum ``0.0``);
+        (b) pairs whose *name pair* clears the floor at instance ``0.0``,
+            each distinct name pair bounded once.  Names sharing no
+            trigram and no token have a bound of at most ``2/3``, so above
+            a floor of ``name_weight · 2/3`` only names sharing one are
+            bounded.
+
+        (a) come from :func:`_sharing_columns`, (b) from :meth:`_name_pairs`.
+        A pair's list is sorted on a key unique within the pair, so the
+        order candidates are found in never shows.
+        """
+        keep = self._key_like if self._key_like_only else None
+        columns: list[ColumnProfile] = []
+        tables: list[int] = []
+        for i, profile in enumerate(profiles):
+            kept = list(filter(keep, profile.columns)) if keep else profile.columns
+            columns.extend(kept)
+            tables.extend([i] * len(kept))
+
+        def touches_focus(g: int, h: int) -> bool:
+            return focus is None or focus in (tables[g], tables[h])
+
+        instances = {
+            (g, h): instance_similarity(columns[g], columns[h])
+            for g, h in _sharing_columns(columns, tables, focus)
+            if touches_focus(g, h)
+        }
+        occurrences: dict[str, list[int]] = {}
+        for g, column in enumerate(columns):
+            occurrences.setdefault(column.column_name, []).append(g)
+        features = {name: self._name_scores.features(name) for name in occurrences}
         name_weight, instance_weight = self._name_weight, self._instance_weight
         cutoff = floor - ROUNDING_MARGIN
-        named_b = [(col_b, features(col_b.column_name)) for col_b in columns_b]
-        matches = []
-        for col_a in columns_a:
-            features_a = features(col_a.column_name)
-            for col_b, features_b in named_b:
-                a, b = col_a.column_name, col_b.column_name
-                instance = instance_similarity(col_a, col_b) if overlap else 0.0
-                bound = _name_bound(features_a, features_b) if cutoff > 0.0 else 1.0
-                if name_weight * bound + instance_weight * instance < cutoff:
-                    continue
-                name = name_score(a, b)
-                score = name_weight * name + instance_weight * instance
-                rounded = round(float(score), 6)
-                if score >= self._min_score and rounded >= floor:
-                    matches.append(
-                        ColumnMatch(
-                            table_a=profiles_a.table_name,
-                            column_a=a,
-                            table_b=profiles_b.table_name,
-                            column_b=b,
-                            score=rounded,
-                            name_score=round(float(name), 6),
-                            instance_score=round(float(instance), 6),
-                        )
+        bounds: dict[tuple[str, str], float] = {}
+
+        def clears(a: str, b: str, instance: float) -> bool:
+            """The pair scan's bound test (it skips a pair failing it)."""
+            if not cutoff > 0.0:
+                return True
+            key = (a, b) if a <= b else (b, a)
+            bound = bounds.get(key)
+            if bound is None:
+                bound = bounds[key] = _name_bound(features[a], features[b])
+            return name_weight * bound + instance_weight * instance >= cutoff
+
+        # (a) with their instance scores, then (b) at instance 0.0.
+        candidates = dict(instances)
+        name_pairs, bounded = self._name_pairs(
+            features, occurrences, tables, focus, cutoff
+        )
+        for a, b in name_pairs:
+            if not clears(a, b, 0.0):
+                continue
+            for g in occurrences[a]:
+                for h in occurrences[b]:
+                    if tables[g] != tables[h] and touches_focus(g, h):
+                        if g < h:
+                            candidates.setdefault((g, h), 0.0)
+                        elif a != b:
+                            candidates.setdefault((h, g), 0.0)
+
+        name_score, min_score = self._name_scores.score, self._min_score
+        pairs: dict[tuple[int, int], list[ColumnMatch]] = {}
+        scored = 0
+        for (g, h), instance in candidates.items():
+            a, b = columns[g].column_name, columns[h].column_name
+            if not clears(a, b, instance):
+                continue
+            scored += 1
+            name = name_score(a, b)
+            score = name_weight * name + instance_weight * instance
+            rounded = round(float(score), 6)
+            if score >= min_score and rounded >= floor:
+                i, j = tables[g], tables[h]
+                pairs.setdefault((i, j), []).append(
+                    ColumnMatch(
+                        table_a=profiles[i].table_name,
+                        column_a=a,
+                        table_b=profiles[j].table_name,
+                        column_b=b,
+                        score=rounded,
+                        name_score=round(float(name), 6),
+                        instance_score=round(float(instance), 6),
                     )
-        matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
-        return matches
+                )
+        for matches in pairs.values():
+            matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
+        return LakeMatches(
+            pairs=pairs,
+            table_pairs_sharing=len({(tables[g], tables[h]) for g, h in instances}),
+            column_pairs_intersected=len(instances),
+            name_pairs_bounded=bounded,
+            column_pairs_name_scored=scored,
+        )
+
+    def _name_pairs(
+        self,
+        features: dict[str, NameFeatures],
+        occurrences: dict[str, list[int]],
+        tables: list[int],
+        focus: int | None,
+        cutoff: float,
+    ) -> tuple[list[tuple[str, str]], int]:
+        """Unordered name pairs, a name with itself included, whose bound
+        may reach ``cutoff`` at instance ``0.0``; and how many were bounded.
+
+        Above ``name_weight · 2/3`` only names sharing a trigram or token
+        are candidates, else every pair is.  With ``focus``, only pairs of
+        a name in that table and a name elsewhere.  The bounds are the
+        vectorised ceilings, which never fall below ``_name_bound``.
+        """
+        names = tuple(features)
+        every = np.arange(len(names))
+        sharing = self._name_sharing
+        if sharing[0] != names:
+            # A service's passes see the same names mutation after mutation.
+            sharing = self._name_sharing = (
+                names,
+                *_sharing_pairs([f.trigrams for f in features.values()], every),
+                *_sharing_pairs([f.tokens for f in features.values()], every),
+            )
+        _, trigram_codes, shared_trigrams, token_codes, shared_tokens = sharing
+        if self._name_weight * _UNSHARED_NAME_BOUND < cutoff:
+            codes = np.union1d(trigram_codes, token_codes)
+        else:
+            first, second = np.triu_indices(len(names), 1)
+            codes = first * len(names) + second
+        codes = np.concatenate([every * (len(names) + 1), codes])
+        n, m = np.divmod(codes, max(len(names), 1))
+        if focus is not None:
+            in_focus = np.zeros(len(names), dtype=bool)
+            elsewhere = np.zeros(len(names), dtype=bool)
+            for k, name in enumerate(names):
+                for g in occurrences[name]:
+                    (in_focus if tables[g] == focus else elsewhere)[k] = True
+            keep = (in_focus[n] & elsewhere[m]) | (in_focus[m] & elsewhere[n])
+            codes, n, m = codes[keep], n[keep], m[keep]
+        bounded = 0
+        if cutoff > 0.0:
+            bounded = len(codes)
+            ceilings = _name_bound_ceilings(
+                list(features.values()),
+                n,
+                m,
+                _counts_at(codes, trigram_codes, shared_trigrams),
+                _counts_at(codes, token_codes, shared_tokens),
+            )
+            keep = ~(self._name_weight * ceilings < cutoff)
+            n, m = n[keep], m[keep]
+        return [(names[a], names[b]) for a, b in zip(n.tolist(), m.tolist())], bounded
+
+    def match_lake(self, tables: Sequence[Table], floor: float = 0.0) -> LakeMatches:
+        """Score every table pair of a lake (profiles are cached)."""
+        return self.match_lake_profiles([self._profiles(t) for t in tables], floor)
 
     def match(
         self, table_a: Table, table_b: Table, floor: float = 0.0

@@ -27,12 +27,14 @@ drives that contract over random mutation sequences for both the COMA
 and Lazo matchers.  Unchanged tables keep their identity across
 snapshots, which is what the service's caches check on read.
 
-Any matcher exposing ``match_profiles(profiles_a, profiles_b, floor)`` —
-either returning :class:`~repro.discovery.ColumnMatch` objects
-(:class:`~repro.discovery.ComaMatcher`) or plain ``(col_a, col_b,
-score)`` tuples (:class:`~repro.discovery.LazoMatcher`) — plugs in;
-matchers without profile support fall back to being called on the raw
-tables, still scoped to the affected pairs only.  The index is the only
+:class:`~repro.discovery.ComaMatcher` scores the affected pairs in one
+lake pass (``match_lake_profiles``: every pair at the initial build, the
+mutated table against the rest per mutation).  Any matcher exposing
+``match_profiles(profiles_a, profiles_b, floor)`` returning plain
+``(col_a, col_b, score)`` tuples (:class:`~repro.discovery.LazoMatcher`)
+is called pair by pair on the stored profiles; matchers without profile
+support fall back to being called on the raw tables, still scoped to the
+affected pairs only.  The index is the only
 state a mutation touches: the matcher is never told about registrations
 or drops, so every stored pair is exactly what a cold scan would score.
 """
@@ -92,8 +94,9 @@ class IncrementalMatchIndex:
         The initial lake.  Its order fixes ``nodes`` but not traversal
         or ranking: every adjacency list is kept sorted.
     matcher:
-        Any DRG ``Matcher``; profile-aware matchers (``match_profiles``)
-        get the incremental fast path.  Defaults to :class:`ComaMatcher`.
+        Any DRG ``Matcher``; profile-aware matchers (``match_profiles``,
+        ``match_lake_profiles``) match stored profiles.  Defaults to
+        :class:`ComaMatcher`.
     threshold:
         Minimum score for a stored match to become a DRG edge — the same
         knob as :meth:`DatasetRelationGraph.from_discovery`.
@@ -118,6 +121,7 @@ class IncrementalMatchIndex:
         self._version = 0
         for table in tables:
             self._ingest(table)
+        self._rematch()
         self._drg = self._build_full()
 
     # -- views ---------------------------------------------------------------
@@ -147,16 +151,12 @@ class IncrementalMatchIndex:
     # -- matching internals --------------------------------------------------
 
     def _ingest(self, table: Table) -> None:
-        """Profile ``table`` and match it against every stored table."""
+        """Profile and store ``table``; :meth:`_rematch` matches it."""
         if not table.name:
             raise DiscoveryError("every lake table needs a non-empty name")
         if table.name in self._tables:
             raise DiscoveryError(f"duplicate table name {table.name!r}")
         self._profiles[table.name] = self._profile(table)
-        for existing in self._tables:
-            self._matches[(existing, table.name)] = self._match_pair(
-                existing, table.name, right_table=table
-            )
         self._tables[table.name] = table
 
     def _profile(self, table: Table) -> TableProfile | None:
@@ -165,20 +165,43 @@ class IncrementalMatchIndex:
         self.counters.profiles_built += 1
         return profile_table(table)
 
-    def _match_pair(
-        self, name_a: str, name_b: str, right_table: Table | None = None
-    ) -> PairMatches:
-        """Run the matcher over one pair, normalising its output."""
-        self.counters.pairs_matched += 1
+    def _rematch(self, focus: str | None = None) -> int:
+        """Match every table pair (only ``focus``'s); returns the pair count.
+
+        A matcher with ``match_lake_profiles`` scores them in one pass;
+        any other is called once per pair.
+        """
+        names = list(self._tables)
+        at = None if focus is None else names.index(focus)
+        pairs = [
+            (i, j)
+            for i, j in combinations(range(len(names)), 2)
+            if at is None or at in (i, j)
+        ]
+        if hasattr(self.matcher, "match_lake_profiles"):
+            lake = self.matcher.match_lake_profiles(
+                [self._profiles[name] for name in names], self.threshold, at
+            )
+            for i, j in pairs:
+                self._matches[names[i], names[j]] = tuple(
+                    (m.column_a, m.column_b, float(m.score)) for m in lake[i, j]
+                )
+        else:
+            for i, j in pairs:
+                self._matches[names[i], names[j]] = self._match_pair(names[i], names[j])
+        self.counters.pairs_matched += len(pairs)
+        return len(pairs)
+
+    def _match_pair(self, name_a: str, name_b: str) -> PairMatches:
+        """Run a pair-at-a-time matcher over one pair, normalising its output."""
         if hasattr(self.matcher, "match_profiles"):
             raw = self.matcher.match_profiles(
                 self._profiles[name_a], self._profiles[name_b], self.threshold
             )
         else:
-            table_b = (
-                right_table if right_table is not None else self._tables[name_b]
+            raw = self.matcher(
+                self._tables[name_a], self._tables[name_b], self.threshold
             )
-            raw = self.matcher(self._tables[name_a], table_b, self.threshold)
         out = []
         for match in raw:
             column_a = getattr(match, "column_a", None)
@@ -188,10 +211,6 @@ class IncrementalMatchIndex:
                 ca, cb, score = match
                 out.append((ca, cb, float(score)))
         return tuple(out)
-
-    def _pairs_of(self, name: str) -> list[tuple[str, str]]:
-        """Every stored unordered pair involving ``name``, in order."""
-        return [pair for pair in self._matches if name in pair]
 
     def _build_full(self) -> DatasetRelationGraph:
         """Replay every stored pair into a fresh DRG (every build)."""
@@ -240,9 +259,9 @@ class IncrementalMatchIndex:
                 f"table {table.name!r} already registered; "
                 f"use update_table to replace it"
             )
-        n_existing = len(self._tables)
         self._ingest(table)
-        return self._finish("register", table.name, n_rematched=n_existing)
+        n_rematched = self._rematch(table.name)
+        return self._finish("register", table.name, n_rematched=n_rematched)
 
     def update_table(self, table: Table) -> MutationReport:
         """Replace a table in place: re-profile it, re-match its pairs."""
@@ -251,13 +270,10 @@ class IncrementalMatchIndex:
                 f"unknown table {table.name!r}; "
                 f"use register_table to add it"
             )
-        name = table.name
-        pairs = self._pairs_of(name)
-        self._profiles[name] = self._profile(table)
-        self._tables[name] = table
-        for pair in pairs:
-            self._matches[pair] = self._match_pair(*pair)
-        return self._finish("update", name, n_rematched=len(pairs))
+        self._profiles[table.name] = self._profile(table)
+        self._tables[table.name] = table
+        n_rematched = self._rematch(table.name)
+        return self._finish("update", table.name, n_rematched=n_rematched)
 
     def drop_table(self, name: str) -> MutationReport:
         """Remove a table: pure bookkeeping, zero matcher calls."""
@@ -265,6 +281,6 @@ class IncrementalMatchIndex:
             raise DiscoveryError(f"unknown table {name!r}; nothing to drop")
         del self._tables[name]
         del self._profiles[name]
-        for pair in self._pairs_of(name):
+        for pair in [pair for pair in self._matches if name in pair]:
             del self._matches[pair]
         return self._finish("drop", name, n_rematched=0)

@@ -115,11 +115,6 @@ class TableProfile:
     table_name: str
     columns: tuple[ColumnProfile, ...]
 
-    @cached_property
-    def sketch_tokens(self) -> frozenset[str]:
-        """Union of the columns' sketches (first read computes it)."""
-        return frozenset().union(*(c.sketch for c in self.columns))
-
 
 def profile_column(column: Column, table_name: str, column_name: str) -> ColumnProfile:
     """Summarise one column into a :class:`ColumnProfile`.

@@ -3,7 +3,8 @@
 COMA's instance matchers compare column *contents*.  Joinability is about
 shared values, so the primary signals are Jaccard overlap and containment
 over the profile sketches, combined from one intersection per column pair
-by :func:`instance_similarity`, behind a per-table-pair overlap gate.  The
+by :func:`instance_similarity` (COMA intersects only the pairs its lake
+pass finds sharing a token).  The
 separate measures and the instance-only matcher the COMA goldens were cut
 with are test references (``tests/oracle/overlap.py``).
 """
@@ -11,12 +12,11 @@ with are test references (``tests/oracle/overlap.py``).
 from __future__ import annotations
 
 from ..errors import DiscoveryError
-from .profiles import ColumnProfile, TableProfile
+from .profiles import ColumnProfile
 
 __all__ = [
     "numeric_range_overlap",
     "instance_similarity",
-    "tables_may_overlap",
 ]
 
 
@@ -62,17 +62,6 @@ def instance_similarity(a: ColumnProfile, b: ColumnProfile) -> float:
     return 0.7 * _containment(shared, size_a, size_b) + 0.3 * _jaccard(
         shared, size_a, size_b
     )
-
-
-def tables_may_overlap(a: TableProfile, b: TableProfile) -> bool:
-    """Whether any column of ``a`` shares a sketch token with one of ``b``.
-
-    One ``isdisjoint`` of the tables' :attr:`TableProfile.sketch_tokens`.
-    ``False`` proves every column pair's intersection empty, so its
-    :func:`instance_similarity` is the exact ``0.0``; ``True`` only sends
-    the pairs on to their exact intersections.
-    """
-    return not a.sketch_tokens.isdisjoint(b.sketch_tokens)
 
 
 def check_min_score(min_score: float) -> None:

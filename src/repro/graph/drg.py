@@ -92,26 +92,38 @@ class DatasetRelationGraph:
 
         Pairs are walked in ``combinations`` order; traversal and ranking
         do not follow it, since every adjacency list is kept sorted
-        (:class:`~repro.graph.multigraph.MultiGraph`).
-        Cheap rejection of a pair that cannot share a value lives inside
-        the exact matchers
-        (:func:`~repro.discovery.value_overlap.tables_may_overlap`), so it
-        never changes a score.  The matcher is handed ``threshold`` as its
-        floor, so it may skip whatever cannot become an edge; the check
-        here stays, so a matcher that ignores the floor is still correct.
+        (:class:`~repro.graph.multigraph.MultiGraph`).  A matcher with a
+        ``match_lake(tables, floor)`` method
+        (:class:`~repro.discovery.ComaMatcher`) scores the whole lake in
+        one pass and is read pair by pair; any other is called once per
+        pair.  The matcher is handed ``threshold`` as its floor, so it may
+        skip whatever cannot become an edge; the check here stays, so a
+        matcher that ignores the floor is still correct.
         """
         if not 0.0 < threshold <= 1.0:
             raise GraphError(f"threshold must be in (0, 1], got {threshold}")
         drg = cls(tables)
-        pairs = list(combinations(tables, 2))
+        pairs = list(combinations(range(len(tables)), 2))
         with tracer.span(
             "drg.match", tables=len(tables), table_pairs=len(pairs)
         ):
-            for table_a, table_b in pairs:
-                for column_a, column_b, score in matcher(table_a, table_b, threshold):
+            if hasattr(matcher, "match_lake"):
+                lake = matcher.match_lake(tables, threshold)
+
+                def scored(i, j):
+                    return ((m.column_a, m.column_b, m.score) for m in lake[i, j])
+
+            else:
+
+                def scored(i, j):
+                    return matcher(tables[i], tables[j], threshold)
+
+            for i, j in pairs:
+                for column_a, column_b, score in scored(i, j):
                     if score >= threshold:
                         drg.add_relationship(
-                            table_a.name, column_a, table_b.name, column_b, weight=score
+                            tables[i].name, column_a, tables[j].name, column_b,
+                            weight=score,
                         )
         return drg
 

@@ -319,6 +319,11 @@ class GradientBoostingBinaryClassifier:
             raise ModelError(f"growth must be leaf_wise or depth_wise, got {growth!r}")
         if n_estimators < 1:
             raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
+        if reg_lambda == min_child_weight == min_samples_leaf == 0:
+            # A cut leaving a child empty would be valid, with gain 0 / 0.
+            raise ModelError(
+                "one of reg_lambda, min_child_weight and min_samples_leaf must be > 0"
+            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_leaves = max_leaves

@@ -289,10 +289,10 @@ class TestLazySignature:
 
 
 class TestRacingSharedMatchers:
-    """Two threads race the first read of a memoised profile field through
-    one shared matcher, then build the DRG with it.  The fields are
-    ``cached_property`` with no lock of ours: computing twice is allowed,
-    a different value — or a different DRG — is not."""
+    """Two threads race the first read of a memoised value through one
+    shared matcher, then build the DRG with it.  The memos have no lock of
+    ours: computing twice is allowed, a different value — or a different
+    DRG — is not."""
 
     @staticmethod
     def _race(first_reads, build):
@@ -340,17 +340,17 @@ class TestRacingSharedMatchers:
             assert all(np.array_equal(a, b) for a, b in zip(values, expected))
             assert fingerprint == single
 
-    def test_sketch_tokens_through_a_shared_coma_matcher(self):
+    def test_lake_pass_through_a_shared_coma_matcher(self):
+        # COMA memoises no profile field; the race is on its name memos and
+        # profile cache, which two concurrent lake passes share.
         tables = make_wide_lake(12, n_rows=200).tables
         matcher = ComaMatcher()
-        table_profiles = [matcher._profiles(t) for t in tables]
-        assert not any("sketch_tokens" in vars(p) for p in table_profiles)
         seen = self._race(
-            lambda: [p.sketch_tokens for p in table_profiles],
+            lambda: repr(matcher.match_lake(tables, 0.55).pairs),
             lambda: DatasetRelationGraph.from_discovery(tables, matcher),
         )
         fresh = ComaMatcher()
-        expected = [fresh._profiles(t).sketch_tokens for t in tables]
+        expected = repr(fresh.match_lake(tables, 0.55).pairs)
         single = DatasetRelationGraph.from_discovery(tables, fresh).edge_fingerprint()
         assert single
         for values, fingerprint in seen:

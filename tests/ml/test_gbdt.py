@@ -9,6 +9,7 @@ from repro.ml import (
     LightGBMClassifier,
     XGBoostClassifier,
 )
+from tests.oracle.gbdt import ReferenceBoosting
 
 
 def make_data(n=600, seed=0):
@@ -62,6 +63,38 @@ class TestBinaryBooster:
     def test_invalid_estimators_raise(self):
         with pytest.raises(ModelError):
             GradientBoostingBinaryClassifier(n_estimators=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            GradientBoostingBinaryClassifier,
+            lambda **params: LightGBMClassifier(**params).fit(*make_data(80)),
+            lambda **params: XGBoostClassifier(**params).fit(*make_data(80)),
+            ReferenceBoosting,
+        ],
+        ids=["binary", "lightgbm", "xgboost", "oracle"],
+    )
+    def test_no_regulariser_raises(self, make):
+        # With all three at 0 a cut leaving a child empty is valid, gain 0 / 0.
+        with pytest.raises(ModelError, match="0"):
+            make(reg_lambda=0, min_child_weight=0, min_samples_leaf=0)
+
+    def test_one_regulariser_is_enough(self):
+        X, y = make_data(80)
+        for params in (
+            dict(reg_lambda=0, min_child_weight=0, min_samples_leaf=1),
+            dict(reg_lambda=0, min_child_weight=1e-3, min_samples_leaf=0),
+            dict(reg_lambda=1.0, min_child_weight=0, min_samples_leaf=0),
+        ):
+            # With reg_lambda 0 an empty candidate child's gain is 0 / 0; the
+            # regulariser left makes that cut invalid, so it is never chosen.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ours = GradientBoostingBinaryClassifier(n_estimators=3, **params)
+                ours.fit(X, y)
+                reference = ReferenceBoosting(n_estimators=3, **params).fit(X, y)
+            assert np.array_equal(
+                ours.predict_proba(X), reference.predict_proba(X)
+            ), params
 
     def test_unfitted_raises(self):
         with pytest.raises(ModelError):

@@ -100,10 +100,27 @@ class TestHelpers:
         t1_wider = Table({"a": [1, 2], "z": [0, 0]}, name="t1")
         assert dataset_fingerprint([t1, t2]) != dataset_fingerprint([t1_wider, t2])
 
-    def test_git_revision_resolves_this_repo(self):
-        rev = git_revision()
-        assert len(rev) == 12
-        assert all(c in "0123456789abcdef" for c in rev)
+    def test_git_revision_resolves_each_ref_layout(self, tmp_path):
+        # A throwaway repository per layout, so the test needs no checkout.
+        # git_revision is cached per start directory: each layout has its
+        # own directory and its own revision, so no answer can be stale.
+        layouts = {
+            "loose": {"HEAD": "ref: refs/heads/main", "refs/heads/main": "{rev}"},
+            "packed": {
+                "HEAD": "ref: refs/heads/main",
+                "packed-refs": "# pack-refs with: peeled\n{rev} refs/heads/main",
+            },
+            "detached": {"HEAD": "{rev}"},
+        }
+        for k, (layout, files) in enumerate(layouts.items()):
+            rev = f"{k}{'0123456789abcdef' * 3}"[:40]
+            for name, text in files.items():
+                path = tmp_path / layout / ".git" / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text.format(rev=rev) + "\n")
+            inside = tmp_path / layout / "src" / "pkg"
+            inside.mkdir(parents=True)
+            assert git_revision(inside) == rev[:12], layout
 
     def test_flat_node_and_synthetic_root_compose(self):
         child_a = flat_node("discover", 1.0)

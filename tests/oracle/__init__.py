@@ -14,8 +14,12 @@ them, and no entry point calls them (``scripts/reach.py`` measures that):
   per-column redundancy scores and the column-wise midrank matrix the
   selection kernels must reproduce;
 * :mod:`tests.oracle.overlap` — sketch Jaccard, containment and the
-  MinHash estimate one at a time, and the instance-only matcher the
-  ``value_overlap`` rows of the COMA goldens were frozen from.
+  MinHash estimate one at a time, the table-pair overlap gate, and the
+  instance-only matcher the ``value_overlap`` rows of the COMA goldens
+  were frozen from;
+* :mod:`tests.oracle.coma` — COMA's per-pair scan (every key-like column
+  pair of every table pair, names measured from fresh features), the form
+  its one-pass lake matcher is held to row for row;
 * :mod:`tests.oracle.gbdt` — gradient-boosted trees grown one node and
   one feature at a time (every node searched, every boosting round
   re-predicting every row), the form the two-children split kernel of

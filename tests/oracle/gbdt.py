@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ModelError
 from repro.ml.gbdt import _BinMapper
 
 
@@ -155,6 +156,8 @@ class ReferenceBoosting:
         min_samples_leaf=5,
         growth="leaf_wise",
     ):
+        if reg_lambda == min_child_weight == min_samples_leaf == 0:
+            raise ModelError("an empty child would split with gain 0 / 0")
         self.n_estimators, self.learning_rate = n_estimators, learning_rate
         self.max_leaves, self.max_depth, self.max_bins = max_leaves, max_depth, max_bins
         self.reg_lambda, self.min_child_weight = reg_lambda, min_child_weight

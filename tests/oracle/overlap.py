@@ -5,8 +5,8 @@ COMA's instance channel (:func:`~repro.discovery.value_overlap
 containment and Jaccard from that one count.  The separate measures here
 are the textbook definitions it is checked against, with the MinHash
 estimate of Jaccard beside them.  :class:`ValueOverlapMatcher` scores
-every column pair on that instance channel alone, behind the same
-table-pair overlap gate COMA uses; the ``value_overlap`` rows of
+every column pair on that instance channel alone, behind the table-pair
+overlap gate COMA used before its lake pass; the ``value_overlap`` rows of
 ``tests/discovery/goldens/coma_matches.json`` were frozen from it, so it
 stays to replay them.
 """
@@ -19,7 +19,6 @@ from repro.discovery.value_overlap import (
     _jaccard,
     check_min_score,
     instance_similarity,
-    tables_may_overlap,
 )
 
 
@@ -31,6 +30,16 @@ def sketch_jaccard(a: ColumnProfile, b: ColumnProfile) -> float:
 def sketch_containment(a: ColumnProfile, b: ColumnProfile) -> float:
     """|A∩B| / min(|A|, |B|): a small key fully inside a large one scores 1."""
     return _containment(len(a.sketch & b.sketch), len(a.sketch), len(b.sketch))
+
+
+def tables_may_overlap(a: TableProfile, b: TableProfile) -> bool:
+    """Whether any column of ``a`` shares a sketch token with one of ``b``.
+
+    ``False`` proves every column pair's :func:`instance_similarity` the
+    exact ``0.0``; ``True`` only sends the pairs on to their intersections.
+    """
+    tokens_a = frozenset().union(*(c.sketch for c in a.columns))
+    return any(not tokens_a.isdisjoint(c.sketch) for c in b.columns)
 
 
 def minhash_jaccard(a: ColumnProfile, b: ColumnProfile) -> float:
