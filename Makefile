@@ -1,9 +1,9 @@
 .PHONY: check test bench-e2e-smoke bench-service bench-anytime
 
 # The tier-1 tests (once), the smoke-mode micro-benches (which write no
-# tracked file), the trace smoke, four `repro.bench` paper-shape claim
-# checks (table2, eq3, traversal, matchers), the end-to-end benchmark smoke
-# and one profiled op; fails if the run changes what `git status
+# tracked file), the trace smoke, six `repro.bench` paper-shape claim
+# checks (table2, eq3, traversal, matchers, fig3a, fig3b), the end-to-end
+# benchmark smoke and two profiled ops; fails if the run changes what `git status
 # --porcelain` reports.
 check:
 	scripts/check.sh

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check: the tier-1 test suite (once), the legacy micro-benches
 # in smoke mode (each writes its summary to a temp dir), the trace smoke,
-# four paper-shape claim checks, the end-to-end benchmark smoke and two
+# six paper-shape claim checks, the end-to-end benchmark smoke and two
 # profiled ops.
 # Performance is gated by benchmarks/e2e/compare.py, the paper by the
 # `python -m repro.bench` shape claims; there is no third gate.  Ends by
@@ -36,11 +36,14 @@ echo "== paper-shape claims =="
 # so no tracked results file is written.  traversal runs AutoFeat's
 # augment end to end and checks bfs >= dfs - 0.05; matchers builds DRGs
 # with the COMA, Lazo and distribution matchers through the Matcher
-# protocol (each is handed the threshold as its floor).
+# protocol (each is handed the threshold as its floor); fig3a and fig3b
+# time the pipeline's relevance and redundancy kernels.
 python -m repro.bench table2
 python -m repro.bench eq3
 python -m repro.bench traversal
 python -m repro.bench matchers
+python -m repro.bench fig3a
+python -m repro.bench fig3b
 
 echo
 echo "== end-to-end benchmark smoke =="

@@ -16,7 +16,7 @@ from ..core import AutoFeat, AutoFeatConfig
 from ..datasets import DATASETS, LakeBundle, build_dataset
 from ..graph import join_all_path_count
 from ..ml import evaluate_accuracy
-from ..selection import greedy_select, relevance_scores
+from ..selection import batch_relevance_scores, greedy_select
 from ..dataframe import Table
 from .harness import BenchProfile, build_setting, compare_methods
 
@@ -99,7 +99,9 @@ def fig3a_relevance_comparison(
     """Relevance metrics: aggregated accuracy and selection runtime.
 
     Protocol of Section V-B: score all features against the label, keep the
-    top-κ, train the model, report accuracy and the scoring time.
+    top-κ, train the model, report accuracy and the scoring time.  Scores
+    come from the pipeline's :func:`~repro.selection.batch_relevance_scores`
+    (the vectorised kernel for Spearman).
     """
     totals: dict[str, dict[str, list[float]]] = {
         m: {"acc": [], "secs": []} for m in RELEVANCE_MENU
@@ -111,7 +113,7 @@ def fig3a_relevance_comparison(
         y = table.column(label_col).to_float()
         for metric in RELEVANCE_MENU:
             started = time.perf_counter()
-            scores = relevance_scores(X, y, metric=metric, seed=seed)
+            scores = batch_relevance_scores(X, y, metric=metric, seed=seed)
             elapsed = time.perf_counter() - started
             order = np.argsort(-scores, kind="stable")[:kappa]
             kept = [features[j] for j in order]
@@ -134,7 +136,12 @@ def fig3b_redundancy_comparison(
     model: str = "lightgbm",
     seed: int = 1,
 ) -> list[dict]:
-    """Redundancy methods: greedy-forward selection accuracy and runtime."""
+    """Redundancy methods: greedy-forward selection accuracy and runtime.
+
+    :func:`~repro.selection.greedy_select` runs the pipeline's redundancy
+    kernel; it stops at κ or at the first step whose best J is ≤ 0, so a
+    method may keep fewer than κ features.
+    """
     totals: dict[str, dict[str, list[float]]] = {
         m: {"acc": [], "secs": []} for m in REDUNDANCY_MENU
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from ..engine.faults import DEFAULT_ERROR_BUDGET, FAILURE_POLICIES
 from ..errors import ConfigError
 from .navigation import FRONTIER_STRATEGIES
-from ..selection.redundancy import REDUNDANCY_METHODS
+from ..selection.kernels import REDUNDANCY_METHODS
 from ..selection.relevance import RELEVANCE_METRICS
 
 __all__ = ["AutoFeatConfig"]

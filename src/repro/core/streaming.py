@@ -23,8 +23,8 @@ once at acceptance time (in insertion-order runs that share a validity
 mask, which is how the redundancy kernel counts them), so the redundancy
 stage does not re-bin the entire selected set — an O(|S|·n) cost that
 would grow quadratically over a traversal — on every hop.  Scores are
-bit-identical to the scalar :func:`~repro.selection.relevance_scores` /
-:func:`~repro.selection.redundancy_scores` estimators, except that a
+bit-identical to the scalar estimators of ``tests/oracle/selection.py``
+(per-column Spearman, Eq. (1) one candidate at a time), except that a
 redundancy score that is not positive comes back as some value ≤ 0 —
 :meth:`_score` reads only its sign (``tests/selection/test_kernels.py``
 holds them so); the

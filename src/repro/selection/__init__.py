@@ -11,10 +11,12 @@ from .online import (
     partial_correlation_pvalue,
 )
 from .kernels import (
+    REDUNDANCY_METHODS,
     SelectionCodeCache,
     batch_redundancy_scores,
     batch_relevance_scores,
     batch_spearman_scores,
+    linear_coefficients,
 )
 from .stats import SelectionStats
 from .entropy import (
@@ -25,22 +27,19 @@ from .entropy import (
     mutual_information,
     symmetrical_uncertainty,
 )
-from .redundancy import (
-    REDUNDANCY_METHODS,
-    greedy_select,
-    linear_coefficients,
-    RedundancyResult,
-    redundancy_score,
-)
 from .relevance import (
     RELEVANCE_METRICS,
     information_gain,
     pearson_relevance,
-    relevance_scores,
     relief_scores,
     su_relevance,
 )
-from .select_k_best import SelectionOutcome, select_k_best, select_k_best_named
+from .select_k_best import (
+    SelectionOutcome,
+    greedy_select,
+    select_k_best,
+    select_k_best_named,
+)
 
 __all__ = [
     "discretize",
@@ -53,10 +52,7 @@ __all__ = [
     "su_relevance",
     "pearson_relevance",
     "relief_scores",
-    "relevance_scores",
     "RELEVANCE_METRICS",
-    "RedundancyResult",
-    "redundancy_score",
     "greedy_select",
     "linear_coefficients",
     "REDUNDANCY_METHODS",

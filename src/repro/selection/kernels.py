@@ -30,13 +30,33 @@ validity masks — *group by mask, then count once per group*:
   proves it cannot be accepted.  There is no per-pair scalar fallback
   (``scalar_fallbacks`` stays 0).
 
+Equation (1) of the paper (after Li et al., "Feature Selection: A Data
+Perspective") scores a candidate X_k against the selected set S as
+
+    J(X_k) = I(X_k; Y) - β · Σ_{X_j∈S} I(X_j; X_k)
+                       + λ · Σ_{X_j∈S} I(X_j; X_k | Y)
+
+and the redundancy kernel implements its five instantiations (paper
+Section V-D):
+
+==========  =========  =========  =======================================
+method      β          λ          note
+==========  =========  =========  =======================================
+MIFS        0.5        0          Battiti's mutual-information selector
+MRMR        1/|S|      0          AutoFeat's choice
+CIFE        1          1          conditional infomax
+JMI         1/|S|      1/|S|      joint mutual information
+CMIM        —          —          max-form, Equation (2)
+==========  =========  =========  =======================================
+
 Bit-identity is load-bearing: every kernel evaluates the same float
 expressions on the same values in the same order as the scalar
-estimators — :func:`relevance_scores` and the column-by-column
-``redundancy_scores`` / ``rank_matrix`` of ``tests/oracle/selection.py`` —
-which ``tests/selection/test_kernels.py`` compares the kernels, and the
-streaming selector built on them, against.  The one relaxation: a
-redundancy score that is not positive is returned as some value ≤ 0.
+estimators of ``tests/oracle/selection.py`` — per-column Spearman
+relevance, Eq. (1) applied one candidate at a time and the column-wise
+midrank matrix — which ``tests/selection/test_kernels.py`` compares the
+kernels, and the streaming selector built on them, against.  The one
+relaxation: a redundancy score that is not positive is returned as some
+value ≤ 0.
 """
 
 from __future__ import annotations
@@ -48,17 +68,39 @@ import numpy as np
 from ..dataframe.encoding import rank_codes
 from ..errors import SelectionError
 from .entropy import discretize
-from .redundancy import REDUNDANCY_METHODS, linear_coefficients
-from .relevance import RELEVANCE_METRICS, relevance_scores
+from .relevance import _SCORERS, RELEVANCE_METRICS, relief_scores
 from .stats import SelectionStats
 
 __all__ = [
+    "REDUNDANCY_METHODS",
+    "MIFS_BETA",
+    "linear_coefficients",
     "column_codes",
     "batch_spearman_scores",
     "batch_relevance_scores",
     "SelectionCodeCache",
     "batch_redundancy_scores",
 ]
+
+#: The criteria of Equation (1)/(2) :func:`batch_redundancy_scores` scores.
+REDUNDANCY_METHODS = ("mifs", "mrmr", "cife", "jmi", "cmim")
+
+MIFS_BETA = 0.5
+
+
+def linear_coefficients(method: str, n_selected: int) -> tuple[float, float] | None:
+    """(β, λ) of Equation (1) for the linear criteria; None for max-form
+    CMIM."""
+    if method == "mifs":
+        return MIFS_BETA, 0.0
+    if method == "mrmr":
+        return (1.0 / n_selected if n_selected else 0.0), 0.0
+    if method == "cife":
+        return 1.0, 1.0
+    if method == "jmi":
+        w = 1.0 / n_selected if n_selected else 0.0
+        return w, w
+    return None
 
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -131,9 +173,10 @@ def _midranks(codes: np.ndarray) -> np.ndarray:
     ``codes`` is (k, m); row ``i``'s ranks come from one flat ``bincount``
     over every row's codes, offset into its own segment: a code's midrank
     is the running count up to it minus half its own count less one.  The
-    arithmetic is integer-exact and is
-    :func:`repro.selection.relevance._rankdata`'s ``ends - (counts - 1) /
-    2.0``, so the result is bit-identical to ranking each row's values.
+    arithmetic is integer-exact and is the ``ends - (counts - 1) / 2.0``
+    of sorting each row's values and averaging the positions of ties, so
+    the result is bit-identical to ranking each row's values
+    (``tests/oracle/selection.py``'s ``rankdata``).
     Returns (k, m) float64, C-ordered: its transpose is the F-ordered
     (m, k) matrix the column reductions run over.
     """
@@ -156,9 +199,9 @@ def _spearman_block(ranks: np.ndarray, label_ranks: np.ndarray) -> np.ndarray:
     the label's midranks over the same rows.
 
     The correlations are column-contiguous reductions over the F-ordered
-    rank matrix, so their floating-point accumulation order matches the
-    per-column scalar :func:`repro.selection.relevance.pearson_relevance`
-    exactly.
+    rank matrix, so their floating-point accumulation order matches
+    :func:`repro.selection.relevance.pearson_relevance` of one column's
+    midranks exactly.
     """
     sy = np.std(label_ranks)
     my = np.mean(label_ranks)
@@ -238,12 +281,15 @@ def batch_relevance_scores(
     codes: np.ndarray | None = None,
     label_codes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel-accelerated drop-in for :func:`relevance_scores`.
+    """Score every column of ``features`` against ``label``.
 
-    Spearman — AutoFeat's published metric — routes through the vectorised
-    kernel (with the rank ``codes`` / ``label_codes`` when the caller
-    holds them); every other metric delegates to the scalar
-    implementation, so callers can switch unconditionally.
+    ``metric`` is one of :data:`~repro.selection.relevance.RELEVANCE_METRICS`
+    plus ``"relief"`` (which scores all columns jointly); one non-negative
+    score per column.  Spearman — AutoFeat's published metric — routes
+    through :func:`batch_spearman_scores` (with the rank ``codes`` /
+    ``label_codes`` when the caller holds them), Relief through
+    :func:`~repro.selection.relevance.relief_scores`; IG, SU and Pearson
+    call their per-feature scorer column by column.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -257,7 +303,12 @@ def batch_relevance_scores(
         counters.features_ranked += X.shape[1]
     if metric == "spearman":
         return batch_spearman_scores(X, label, codes, label_codes)
-    return relevance_scores(X, label, metric=metric, seed=seed)
+    if metric == "relief":
+        return relief_scores(X, label, seed=seed)
+    scorer = _SCORERS[metric]
+    return np.asarray(
+        [scorer(X[:, j], label) for j in range(X.shape[1])], dtype=np.float64
+    )
 
 
 #: Most features in one run of :class:`SelectionCodeCache` — how far the
@@ -385,9 +436,9 @@ def batch_redundancy_scores(
 ) -> np.ndarray:
     """Score every candidate column against the cached selected set.
 
-    Every positive score is bit-identical to scoring each candidate with
-    :func:`repro.selection.redundancy.redundancy_score` with the selected
-    set's codes served from ``cache``; a non-positive one is returned as
+    Every positive score is bit-identical to Equation (1)/(2) applied to
+    one candidate at a time against the selected set's codes served from
+    ``cache`` (``tests/oracle/selection.py``); a non-positive one is returned as
     *some* value ≤ 0 — the bound that proved it.  Candidates are binned
     once and grouped by validity mask, and ``R_sel`` is walked run by run
     in insertion order: each (run, candidate group) pair shares one set of

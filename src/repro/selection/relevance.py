@@ -10,9 +10,11 @@ Five scorers of how strongly a single feature associates with the label:
 
 Every scorer maps ``(feature, label) -> float`` where larger is more
 relevant; Pearson/Spearman return absolute values so sign does not matter.
-NaN entries are excluded pairwise.  Spearman is computed inside
-:func:`relevance_scores`, which ranks the label once per call; its
-one-feature form is a test reference (``tests/oracle/selection.py``).
+NaN entries are excluded pairwise.  A matrix is scored through
+:func:`repro.selection.kernels.batch_relevance_scores`: Spearman by the
+vectorised rank-code kernel (its one-feature form is a test reference,
+``tests/oracle/selection.py``), Relief by :func:`relief_scores`, every
+other metric by its scorer in :data:`_SCORERS`, column by column.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "su_relevance",
     "pearson_relevance",
     "relief_scores",
-    "relevance_scores",
     "RELEVANCE_METRICS",
 ]
 
@@ -90,22 +91,6 @@ def pearson_relevance(feature: np.ndarray, label: np.ndarray) -> float:
     return float(abs(np.clip(r, -1.0, 1.0)))
 
 
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Average ranks in [1, N] (midranks for ties), fully vectorised."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    if values.size == 0:
-        return np.empty(0, dtype=np.float64)
-    new_group = np.r_[True, sorted_vals[1:] != sorted_vals[:-1]]
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    ends = np.cumsum(counts).astype(np.float64)
-    midranks = ends - (counts - 1) / 2.0
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = midranks[group_id]
-    return ranks
-
-
 def relief_scores(
     features: np.ndarray,
     label: np.ndarray,
@@ -156,59 +141,12 @@ def relief_scores(
     return np.clip(weights, 0.0, None)
 
 
-#: The per-feature scorers :func:`relevance_scores` calls column by column.
+#: The per-feature scorers of every metric but Spearman and Relief.
 _SCORERS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "information_gain": information_gain,
     "symmetrical_uncertainty": su_relevance,
     "pearson": pearson_relevance,
 }
 
-#: Every metric :func:`relevance_scores` accepts besides ``"relief"``.
+#: Every relevance metric besides ``"relief"``.
 RELEVANCE_METRICS = (*_SCORERS, "spearman")
-
-
-def relevance_scores(
-    features: np.ndarray,
-    label: np.ndarray,
-    metric: str = "spearman",
-    seed: int = 0,
-) -> np.ndarray:
-    """Score every column of ``features`` against ``label``.
-
-    ``metric`` is one of :data:`RELEVANCE_METRICS` plus ``"relief"`` (which
-    scores all columns jointly).  Returns one non-negative score per column.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise SelectionError("relevance_scores expects a 2-D feature matrix")
-    if metric == "relief":
-        return relief_scores(X, label, seed=seed)
-    if metric not in RELEVANCE_METRICS:
-        raise SelectionError(
-            f"unknown relevance metric {metric!r}; expected one of "
-            f"{sorted(RELEVANCE_METRICS) + ['relief']}"
-        )
-    if metric == "spearman":
-        # Rank the label once per call instead of once per feature: when a
-        # column has no NaN (and the label is finite) its pairwise-complete
-        # mask keeps every row, so the label ranking is column-independent.
-        y = np.asarray(label, dtype=np.float64)
-        y_finite = np.isfinite(y)
-        label_ranks = _rankdata(y) if bool(y_finite.all()) else None
-        out = np.empty(X.shape[1], dtype=np.float64)
-        for j in range(X.shape[1]):
-            x = X[:, j]
-            keep = np.isfinite(x) & y_finite
-            if label_ranks is not None and bool(keep.all()):
-                out[j] = pearson_relevance(_rankdata(x), label_ranks)
-                continue
-            kept = x[keep]
-            if kept.size < 2:
-                out[j] = 0.0
-                continue
-            out[j] = pearson_relevance(_rankdata(kept), _rankdata(y[keep]))
-        return out
-    scorer = _SCORERS[metric]
-    return np.asarray(
-        [scorer(X[:, j], label) for j in range(X.shape[1])], dtype=np.float64
-    )

@@ -1,8 +1,10 @@
-"""Top-κ feature selection ("select κ best", paper Section VI).
+"""Top-κ feature selection ("select κ best", paper Section VI) and greedy
+forward selection under a redundancy criterion (Figure 3b).
 
-Sorts features by a relevance score and keeps the κ best with strictly
-positive scores.  Used by AutoFeat's relevance analysis step and by the
-JoinAll+F filter baseline.
+:func:`select_k_best` sorts features by a relevance score and keeps the κ
+best with strictly positive scores; it is used by AutoFeat's relevance
+analysis step and by the JoinAll+F filter baseline.  :func:`greedy_select`
+grows a feature set one redundancy-scored pick at a time.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SelectionError
-from .kernels import batch_relevance_scores
+from .kernels import (
+    SelectionCodeCache,
+    batch_redundancy_scores,
+    batch_relevance_scores,
+    column_codes,
+)
 from .stats import SelectionStats
 
-__all__ = ["SelectionOutcome", "select_k_best", "select_k_best_named"]
+__all__ = ["SelectionOutcome", "select_k_best", "select_k_best_named", "greedy_select"]
 
 
 @dataclass(frozen=True)
@@ -101,3 +108,43 @@ def select_k_best_named(
     )
     names = [feature_names[j] for j in outcome.indices]
     return names, list(outcome.scores)
+
+
+def greedy_select(
+    features: np.ndarray,
+    label: np.ndarray,
+    k: int,
+    method: str = "mrmr",
+) -> list[int]:
+    """Greedy forward selection of at most ``k`` columns under criterion J.
+
+    The redundancy-method protocol of the paper's Figure 3b, on the
+    pipeline's kernels: each step scores every remaining column with
+    :func:`~repro.selection.kernels.batch_redundancy_scores` against a
+    :class:`~repro.selection.kernels.SelectionCodeCache` of the columns
+    picked so far and adds the first best one.  Selection stops at ``k``
+    or at the first step whose best J is ≤ 0.  That is the streaming
+    selector's acceptance rule (it keeps J > 0), and the only one the
+    kernel can serve: under MIFS, MRMR and CMIM it returns a bound, not
+    the score, for a non-positive J.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise SelectionError("greedy_select expects a 2-D feature matrix")
+    if k < 1:
+        raise SelectionError(f"k must be >= 1, got {k}")
+    codes = column_codes(X)
+    cache = SelectionCodeCache(label)
+    remaining = list(range(X.shape[1]))
+    picked: list[int] = []
+    while remaining and len(picked) < k:
+        scores = batch_redundancy_scores(
+            X[:, remaining], cache, method, codes=codes[remaining]
+        )
+        best = int(np.argmax(scores))
+        if not scores[best] > 0.0:
+            break
+        j = remaining.pop(best)
+        cache.add(X[:, j], codes=codes[j])
+        picked.append(j)
+    return picked

@@ -23,9 +23,10 @@ from repro.dataframe import Column, DType, JoinIndex, Table
 from repro.dataframe.encoding import rank_codes
 from repro.engine import JoinEngine
 from repro.graph import DatasetRelationGraph, JoinPath, KFKConstraint
-from repro.selection import batch_spearman_scores, discretize, relevance_scores
+from repro.selection import batch_spearman_scores, discretize
 
 from tests.conftest import ROUTES, cpus
+from tests.oracle.selection import relevance_scores
 
 _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
 

@@ -10,9 +10,11 @@ them, and no entry point calls them (``scripts/reach.py`` measures that):
   kernels are held to;
 * :mod:`tests.oracle.names` — the scalar Levenshtein, Jaro-Winkler and
   character n-gram similarities COMA's per-name feature scorer fuses;
-* :mod:`tests.oracle.selection` — scalar Spearman relevance, the
-  per-column redundancy scores and the column-wise midrank matrix the
-  selection kernels must reproduce;
+* :mod:`tests.oracle.selection` — scalar Spearman relevance and the
+  column-by-column relevance menu, the five Eq. (1)/(2) redundancy
+  criteria one candidate at a time, the naive and incremental greedy
+  forward selection over them, and the column-wise midrank matrix the
+  selection kernels (and the kernel ``greedy_select``) must reproduce;
 * :mod:`tests.oracle.overlap` — sketch Jaccard, containment and the
   MinHash estimate one at a time, the table-pair overlap gate, and the
   instance-only matcher the ``value_overlap`` rows of the COMA goldens

@@ -1,7 +1,8 @@
 """Bit-identity tests: vectorised selection kernels vs the scalar estimators.
 
-The kernels' contract is *exact* float equality with the public scalar
-``relevance_scores`` / ``redundancy_scores`` (not approximate agreement),
+The kernels' contract is *exact* float equality with the scalar
+``relevance_scores`` / ``redundancy_scores`` of ``tests/oracle/selection.py``
+(not approximate agreement),
 so rankings cannot depend on which of them scored a column.  Every
 comparison below therefore uses ``==``, never ``pytest.approx``.  The one
 relaxation is the redundancy kernel's early rejection: a score that is not
@@ -28,10 +29,17 @@ from repro.selection import (
     batch_spearman_scores,
     discretize,
     greedy_select,
+    relief_scores,
+)
+from repro.selection.relevance import _SCORERS
+from tests.oracle import selection as oracle
+from tests.oracle.selection import (
+    naive_greedy,
+    rank_matrix,
+    rankdata,
+    redundancy_scores,
     relevance_scores,
 )
-from repro.selection.relevance import _rankdata
-from tests.oracle.selection import rank_matrix, redundancy_scores
 
 METHODS = sorted(REDUNDANCY_METHODS)
 
@@ -66,7 +74,7 @@ class TestRankMatrix:
         X, __ = data
         ranks = rank_matrix(X)
         for j in range(X.shape[1]):
-            assert ranks[:, j].tolist() == _rankdata(X[:, j]).tolist()
+            assert ranks[:, j].tolist() == rankdata(X[:, j]).tolist()
 
     def test_empty_matrix(self):
         assert rank_matrix(np.empty((0, 3))).shape == (0, 3)
@@ -131,12 +139,19 @@ class TestBatchRelevance:
         X = rng.normal(size=(40, 3))
         y = (X[:, 0] > 0).astype(float)
         kernel = batch_relevance_scores(X, y, metric=metric, seed=7)
-        scalar = relevance_scores(X, y, metric=metric, seed=7)
-        assert kernel.tolist() == scalar.tolist()
+        if metric == "relief":
+            scalar = relief_scores(X, y, seed=7).tolist()
+        else:
+            scalar = [_SCORERS[metric](X[:, j], y) for j in range(X.shape[1])]
+        assert kernel.tolist() == scalar
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(SelectionError):
             batch_relevance_scores(np.zeros((4, 1)), np.zeros(4), metric="nope")
+
+    def test_requires_matrix(self):
+        with pytest.raises(SelectionError):
+            batch_relevance_scores(np.zeros(4), np.zeros(4))
 
     def test_counts_features_ranked(self):
         counters = SelectionStats()
@@ -401,26 +416,22 @@ class TestBatchRedundancy:
         assert counters.codes_reused == 3
 
 
-def _naive_greedy(X, label, k, method):
-    """The pre-optimisation rescoring loop, kept as the reference oracle."""
-    label_codes = discretize(np.asarray(label, dtype=np.float64))
-    d = X.shape[1]
-    codes = [discretize(X[:, j]) for j in range(d)]
-    scorer = REDUNDANCY_METHODS[method]
-    selected = []
-    while len(selected) < min(k, d):
-        sel_codes = [codes[i] for i in selected]
-        best_j, best_score = -1, -np.inf
-        for j in range(d):
-            if j in selected:
-                continue
-            score = scorer(codes[j], sel_codes, label_codes).score
-            if score > best_score:
-                best_j, best_score = j, score
-        if best_j < 0:
+def _picks_while_positive(picks):
+    """The columns of ``naive_greedy``'s picks up to its first step whose
+    best J is ≤ 0 — the kernel greedy's stop rule."""
+    kept = []
+    for j, score in picks:
+        if not score > 0.0:
             break
-        selected.append(best_j)
-    return selected
+        kept.append(j)
+    return kept
+
+
+@st.composite
+def greedy_problems(draw):
+    """(X, y, κ) with NaN in features and label and κ from 1 to d."""
+    X, y = draw(feature_matrices(max_rows=20, max_cols=5))
+    return X, y, draw(st.integers(1, X.shape[1]))
 
 
 class TestIncrementalGreedy:
@@ -431,10 +442,10 @@ class TestIncrementalGreedy:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_rescoring_loop(self, data, method, k):
+        # The oracle's incremental greedy against its rescoring loop.
         X, y = data
-        assert greedy_select(X, y, k=k, method=method) == _naive_greedy(
-            X, y, k, method
-        )
+        naive = [j for j, __ in naive_greedy(X, y, k, method)]
+        assert oracle.greedy_select(X, y, k=k, method=method) == naive
 
     def test_redundant_copies_deferred(self):
         rng = np.random.default_rng(23)
@@ -444,7 +455,19 @@ class TestIncrementalGreedy:
         order = greedy_select(X, y, k=3, method="mrmr")
         assert order[0] == 0  # ties broken by column index
         assert order[1] == 2  # the duplicate of column 0 goes last
-        assert order == _naive_greedy(X, y, 3, "mrmr")
+        assert order == _picks_while_positive(naive_greedy(X, y, 3, "mrmr"))
+        # Against its copy alone the duplicate's J is I(s;y) − 1·I(s;s) ≤ 0:
+        # without the noise column the greedy stops before picking it.
+        assert greedy_select(X[:, :2], y, k=2, method="mrmr") == [0]
+
+
+class TestKernelGreedy:
+    @given(greedy_problems(), st.sampled_from(METHODS))
+    @settings(max_examples=150, deadline=None)
+    def test_naive_greedy_cut_at_first_nonpositive_step(self, problem, method):
+        X, y, k = problem
+        expected = _picks_while_positive(naive_greedy(X, y, k, method))
+        assert greedy_select(X, y, k=k, method=method) == expected
 
 
 class TestSelectionStats:

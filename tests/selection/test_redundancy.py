@@ -1,15 +1,13 @@
-"""Unit tests for the redundancy methods (Equation 1/2 family)."""
+"""Unit tests for the redundancy methods (Equation 1/2 family), on their
+scalar forms in ``tests/oracle/selection.py`` — the reference the
+redundancy kernel and the kernel greedy are held to in ``test_kernels.py``."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SelectionError
-from repro.selection import (
-    REDUNDANCY_METHODS,
-    greedy_select,
-    redundancy_score,
-)
-from tests.oracle.selection import redundancy_scores
+from repro.selection import REDUNDANCY_METHODS
+from tests.oracle.selection import greedy_select, redundancy_score, redundancy_scores
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,10 @@ from repro.selection import (
     RELEVANCE_METRICS,
     information_gain,
     pearson_relevance,
-    relevance_scores,
     relief_scores,
     su_relevance,
 )
-from tests.oracle.selection import spearman_relevance
+from tests.oracle.selection import relevance_scores, spearman_relevance
 
 
 @pytest.fixture(scope="module")

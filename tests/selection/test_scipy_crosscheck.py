@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from repro.selection.relevance import (
-    _rankdata,
-    _scaled_up,
-    pearson_relevance,
-)
-from tests.oracle.selection import spearman_relevance
+from repro.selection.relevance import _scaled_up, pearson_relevance
+from tests.oracle.selection import rankdata, spearman_relevance
 
 vectors = arrays(
     np.float64,
@@ -24,7 +20,7 @@ vectors = arrays(
 @given(vectors)
 @settings(max_examples=80)
 def test_rankdata_matches_scipy(x):
-    ours = _rankdata(x)
+    ours = rankdata(x)
     theirs = stats.rankdata(x, method="average")
     assert np.allclose(ours, theirs)
 

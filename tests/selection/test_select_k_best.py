@@ -1,10 +1,10 @@
-"""Unit tests for top-κ selection."""
+"""Unit tests for top-κ selection and the kernel greedy forward selection."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SelectionError
-from repro.selection import select_k_best, select_k_best_named
+from repro.selection import REDUNDANCY_METHODS, greedy_select, select_k_best, select_k_best_named
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +74,32 @@ class TestNamedWrapper:
         X, y = data
         with pytest.raises(SelectionError):
             select_k_best_named(X, ["a", "b"], y, k=1)
+
+
+class TestGreedySelect:
+    def test_picks_strong_first(self, data):
+        X, y = data
+        assert greedy_select(X, y, k=1)[0] == 1
+
+    @pytest.mark.parametrize("method", REDUNDANCY_METHODS)
+    def test_picks_are_distinct_and_capped(self, method, data):
+        # 1500 rows: the binned columns the small differential never draws.
+        X, y = data
+        picked = greedy_select(X, y, k=10, method=method)
+        assert 1 <= len(picked) <= X.shape[1]
+        assert len(set(picked)) == len(picked)
+
+    def test_unknown_method_raises(self, data):
+        X, y = data
+        with pytest.raises(SelectionError):
+            greedy_select(X, y, 1, "lasso")
+
+    def test_invalid_k_raises(self, data):
+        X, y = data
+        with pytest.raises(SelectionError):
+            greedy_select(X, y, 0)
+
+    def test_requires_matrix(self, data):
+        X, y = data
+        with pytest.raises(SelectionError):
+            greedy_select(X[:, 0], y, 1)
