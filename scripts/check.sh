@@ -35,8 +35,8 @@ echo "== paper-shape claims =="
 # Each prints its table and exits 1 naming any failed claim.  No --out,
 # so no tracked results file is written.  traversal runs AutoFeat's
 # augment end to end and checks bfs >= dfs - 0.05; matchers builds DRGs
-# with the COMA, Lazo and distribution matchers through the Matcher
-# protocol (each is handed the threshold as its floor); fig3a and fig3b
+# with the COMA, Lazo and distribution matchers, each through its one
+# lake pass, match_lake (handed the threshold as its floor); fig3a and fig3b
 # time the pipeline's relevance and redundancy kernels.
 python -m repro.bench table2
 python -m repro.bench eq3

@@ -31,15 +31,20 @@ __all__ = ["ColumnMatch", "ComaMatcher", "LakeMatches"]
 
 @dataclass(frozen=True)
 class ColumnMatch:
-    """One scored correspondence between columns of two tables."""
+    """One scored correspondence between columns of two tables.
+
+    Every matcher's lake pass emits these.  ``name_score`` and
+    ``instance_score`` are COMA's two channels; a matcher that does not
+    split its score that way leaves them ``None``.
+    """
 
     table_a: str
     column_a: str
     table_b: str
     column_b: str
     score: float
-    name_score: float
-    instance_score: float
+    name_score: float | None = None
+    instance_score: float | None = None
 
 
 #: Ordered name pairs one matcher remembers (~0.2 MB at the bound): four
@@ -70,20 +75,23 @@ PAIR_BLOCK = 1 << 20
 class LakeMatches:
     """One lake pass: every table pair's matches, and the work it took.
 
-    ``pairs`` maps positions ``(i, j)``, ``i < j``, in the profiled
-    sequence to the pair's matches; a pair without one is absent
-    (``lake[i, j]`` reads it as ``[]``).
+    What every matcher's ``match_lake_profiles(profiles, floor, focus)``
+    returns.  ``pairs`` maps positions ``(i, j)``, ``i < j``, in the
+    profiled sequence to the pair's matches, sorted by ``(-score,
+    column_a, column_b)``; a pair without one is absent (``lake[i, j]``
+    reads it as ``[]``).  The work counts are COMA's; other matchers
+    leave them 0.
     """
 
     pairs: dict[tuple[int, int], list[ColumnMatch]]
     #: Table pairs with a column pair in ``column_pairs_intersected``.
-    table_pairs_sharing: int
+    table_pairs_sharing: int = 0
     #: Column pairs whose sketches share a token hash, intersected exactly.
-    column_pairs_intersected: int
+    column_pairs_intersected: int = 0
     #: Distinct unordered name pairs whose ``_name_bound`` was taken.
-    name_pairs_bounded: int
+    name_pairs_bounded: int = 0
     #: Column pairs whose bound reached the floor, so their name was scored.
-    column_pairs_name_scored: int
+    column_pairs_name_scored: int = 0
 
     def __getitem__(self, pair: tuple[int, int]) -> list[ColumnMatch]:
         return self.pairs.get(pair, [])
@@ -360,15 +368,6 @@ class ComaMatcher:
             return True
         return profile.n_distinct <= 64
 
-    def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
-    ) -> list[ColumnMatch]:
-        """Score every column pair of two profiled tables, down to ``floor``.
-
-        The lake pass over the lake of these two tables.
-        """
-        return self.match_lake_profiles((profiles_a, profiles_b), floor)[0, 1]
-
     def match_lake_profiles(
         self,
         profiles: Sequence[TableProfile],
@@ -538,15 +537,4 @@ class ComaMatcher:
 
     def match_lake(self, tables: Sequence[Table], floor: float = 0.0) -> LakeMatches:
         """Score every table pair of a lake (profiles are cached)."""
-        return self.match_lake_profiles([self._profiles(t) for t in tables], floor)
-
-    def match(
-        self, table_a: Table, table_b: Table, floor: float = 0.0
-    ) -> list[ColumnMatch]:
-        """Score every column pair of two tables (profiles are cached)."""
-        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
-
-    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
-        """Adapter to the DRG ``Matcher`` protocol: yields score tuples."""
-        for match in self.match(table_a, table_b, floor):
-            yield match.column_a, match.column_b, match.score
+        return self.match_lake_profiles([self._profiles.get(t) for t in tables], floor)

@@ -2,7 +2,7 @@
 
 Cold DRG construction (:meth:`repro.graph.DatasetRelationGraph
 .from_discovery`) profiles every table and scores every unordered table
-pair — O(n²) matcher calls — on every invocation.  A long-lived service
+pair — O(n²) pairs scored — on every invocation.  A long-lived service
 cannot afford that per mutation: registering one table into a 1000-table
 lake only ever changes the pairs *that table participates in*.
 
@@ -23,20 +23,18 @@ than re-running the matcher.  The replay walks the same
 ``combinations(tables, 2)`` order a cold ``from_discovery`` walks, so the
 graph is bit-identical to a cold build over the same table sequence; the
 property suite in ``tests/service/test_incremental_equivalence.py``
-drives that contract over random mutation sequences for both the COMA
-and Lazo matchers.  Unchanged tables keep their identity across
+drives that contract over random mutation sequences for the COMA, Lazo
+and distribution matchers.  Unchanged tables keep their identity across
 snapshots, which is what the service's caches check on read.
 
-:class:`~repro.discovery.ComaMatcher` scores the affected pairs in one
-lake pass (``match_lake_profiles``: every pair at the initial build, the
-mutated table against the rest per mutation).  Any matcher exposing
-``match_profiles(profiles_a, profiles_b, floor)`` returning plain
-``(col_a, col_b, score)`` tuples (:class:`~repro.discovery.LazoMatcher`)
-is called pair by pair on the stored profiles; matchers without profile
-support fall back to being called on the raw tables, still scoped to the
-affected pairs only.  The index is the only
-state a mutation touches: the matcher is never told about registrations
-or drops, so every stored pair is exactly what a cold scan would score.
+The matcher scores the affected pairs in one lake pass over the stored
+profiles (``match_lake_profiles``: every pair at the initial build, the
+mutated table against the rest, ``focus``, per mutation), whichever
+matcher it is.  The index holds its own profiles, keyed by table name and
+replaced on update, so a replaced table's profile is freed with it.  The
+index is the only state a mutation touches: the matcher is never told
+about registrations or drops, so every stored pair is exactly what a cold
+scan would score.
 """
 
 from __future__ import annotations
@@ -48,14 +46,10 @@ from ..dataframe import Table
 from ..errors import DiscoveryError
 from ..graph import DatasetRelationGraph
 from ..obs.metrics import CounterRecord
-from .coma import ComaMatcher
+from .coma import ColumnMatch, ComaMatcher
 from .profiles import TableProfile, profile_table
 
 __all__ = ["MatchCounters", "MutationReport", "IncrementalMatchIndex"]
-
-#: One scored correspondence, matcher-agnostic.
-PairMatches = tuple[tuple[str, str, float], ...]
-
 
 @dataclass
 class MatchCounters(CounterRecord):
@@ -94,8 +88,8 @@ class IncrementalMatchIndex:
         The initial lake.  Its order fixes ``nodes`` but not traversal
         or ranking: every adjacency list is kept sorted.
     matcher:
-        Any DRG ``Matcher``; profile-aware matchers (``match_profiles``,
-        ``match_lake_profiles``) match stored profiles.  Defaults to
+        Any matcher with a lake pass (``match_lake_profiles(profiles,
+        floor, focus)``); it scores the stored profiles.  Defaults to
         :class:`ComaMatcher`.
     threshold:
         Minimum score for a stored match to become a DRG edge — the same
@@ -117,10 +111,12 @@ class IncrementalMatchIndex:
         self.counters = MatchCounters()
         self._tables: dict[str, Table] = {}
         self._profiles: dict[str, TableProfile] = {}
-        self._matches: dict[tuple[str, str], PairMatches] = {}
+        self._matches: dict[tuple[str, str], tuple[ColumnMatch, ...]] = {}
         self._version = 0
         for table in tables:
-            self._ingest(table)
+            if table.name in self._tables:
+                raise DiscoveryError(f"duplicate table name {table.name!r}")
+            self._store(table)
         self._rematch()
         self._drg = self._build_full()
 
@@ -150,90 +146,43 @@ class IncrementalMatchIndex:
 
     # -- matching internals --------------------------------------------------
 
-    def _ingest(self, table: Table) -> None:
-        """Profile and store ``table``; :meth:`_rematch` matches it."""
+    def _store(self, table: Table) -> None:
+        """Profile ``table`` and store it under its name."""
         if not table.name:
             raise DiscoveryError("every lake table needs a non-empty name")
-        if table.name in self._tables:
-            raise DiscoveryError(f"duplicate table name {table.name!r}")
-        self._profiles[table.name] = self._profile(table)
+        self._profiles[table.name] = profile_table(table)
         self._tables[table.name] = table
-
-    def _profile(self, table: Table) -> TableProfile | None:
-        if not hasattr(self.matcher, "match_profiles"):
-            return None
         self.counters.profiles_built += 1
-        return profile_table(table)
 
     def _rematch(self, focus: str | None = None) -> int:
-        """Match every table pair (only ``focus``'s); returns the pair count.
-
-        A matcher with ``match_lake_profiles`` scores them in one pass;
-        any other is called once per pair.
-        """
+        """Match every table pair (only ``focus``'s) in one lake pass;
+        returns the pair count."""
         names = list(self._tables)
         at = None if focus is None else names.index(focus)
+        lake = self.matcher.match_lake_profiles(
+            [self._profiles[name] for name in names], self.threshold, at
+        )
         pairs = [
             (i, j)
             for i, j in combinations(range(len(names)), 2)
             if at is None or at in (i, j)
         ]
-        if hasattr(self.matcher, "match_lake_profiles"):
-            lake = self.matcher.match_lake_profiles(
-                [self._profiles[name] for name in names], self.threshold, at
-            )
-            for i, j in pairs:
-                self._matches[names[i], names[j]] = tuple(
-                    (m.column_a, m.column_b, float(m.score)) for m in lake[i, j]
-                )
-        else:
-            for i, j in pairs:
-                self._matches[names[i], names[j]] = self._match_pair(names[i], names[j])
+        for i, j in pairs:
+            self._matches[names[i], names[j]] = tuple(lake[i, j])
         self.counters.pairs_matched += len(pairs)
         return len(pairs)
-
-    def _match_pair(self, name_a: str, name_b: str) -> PairMatches:
-        """Run a pair-at-a-time matcher over one pair, normalising its output."""
-        if hasattr(self.matcher, "match_profiles"):
-            raw = self.matcher.match_profiles(
-                self._profiles[name_a], self._profiles[name_b], self.threshold
-            )
-        else:
-            raw = self.matcher(
-                self._tables[name_a], self._tables[name_b], self.threshold
-            )
-        out = []
-        for match in raw:
-            column_a = getattr(match, "column_a", None)
-            if column_a is not None:
-                out.append((match.column_a, match.column_b, float(match.score)))
-            else:
-                ca, cb, score = match
-                out.append((ca, cb, float(score)))
-        return tuple(out)
 
     def _build_full(self) -> DatasetRelationGraph:
         """Replay every stored pair into a fresh DRG (every build)."""
         drg = DatasetRelationGraph(self.tables)
         for name_a, name_b in combinations(self._tables, 2):
-            for column_a, column_b, score in self._matches[(name_a, name_b)]:
-                if score >= self.threshold:
+            for match in self._matches[(name_a, name_b)]:
+                if match.score >= self.threshold:
                     drg.add_relationship(
-                        name_a, column_a, name_b, column_b, weight=score
+                        name_a, match.column_a, name_b, match.column_b,
+                        weight=match.score,
                     )
         return drg
-
-    def rebuild(self) -> DatasetRelationGraph:
-        """Cold full rebuild from scratch — the equivalence oracle.
-
-        Re-profiles and re-matches everything with a *stateless* pass,
-        exactly like :meth:`DatasetRelationGraph.from_discovery` over the
-        current table sequence.  Used by tests and the benchmark parity
-        gate; the service never calls this.
-        """
-        return DatasetRelationGraph.from_discovery(
-            self.tables, self.matcher, threshold=self.threshold
-        )
 
     # -- mutations -----------------------------------------------------------
 
@@ -254,26 +203,30 @@ class IncrementalMatchIndex:
 
     def register_table(self, table: Table) -> MutationReport:
         """Add a new table: one profile, n-1 pair matches, nothing else."""
-        if table.name in self._tables:
+        return self._put("register", table)
+
+    def update_table(self, table: Table) -> MutationReport:
+        """Replace a table in place: re-profile it, re-match its pairs."""
+        return self._put("update", table)
+
+    def _put(self, kind: str, table: Table) -> MutationReport:
+        """Store ``table`` (re-profiled) and re-match its n-1 pairs.
+
+        ``register`` needs a new name and ``update`` a known one; that is
+        all that tells them apart.
+        """
+        if kind == "register" and table.name in self._tables:
             raise DiscoveryError(
                 f"table {table.name!r} already registered; "
                 f"use update_table to replace it"
             )
-        self._ingest(table)
-        n_rematched = self._rematch(table.name)
-        return self._finish("register", table.name, n_rematched=n_rematched)
-
-    def update_table(self, table: Table) -> MutationReport:
-        """Replace a table in place: re-profile it, re-match its pairs."""
-        if table.name not in self._tables:
+        if kind == "update" and table.name not in self._tables:
             raise DiscoveryError(
                 f"unknown table {table.name!r}; "
                 f"use register_table to add it"
             )
-        self._profiles[table.name] = self._profile(table)
-        self._tables[table.name] = table
-        n_rematched = self._rematch(table.name)
-        return self._finish("update", table.name, n_rematched=n_rematched)
+        self._store(table)
+        return self._finish(kind, table.name, n_rematched=self._rematch(table.name))
 
     def drop_table(self, name: str) -> MutationReport:
         """Remove a table: pure bookkeeping, zero matcher calls."""

@@ -6,20 +6,24 @@ signatures with locality-sensitive banding so only colliding columns are
 ever compared, and estimates *containment* (the joinability signal) from
 the estimated Jaccard and the column cardinalities.
 
-:class:`LazoMatcher` implements that recipe over the profile sketches and
-plugs into the same ``Matcher`` protocol the DRG builder accepts, so lakes
-can be built with either matcher interchangeably.
+:class:`LazoMatcher` implements that recipe over the profile sketches
+behind the lake pass every matcher exposes (``match_lake`` /
+``match_lake_profiles``), so lakes can be built with either matcher
+interchangeably.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
+from itertools import combinations
 
 import numpy as np
 
 from ..dataframe import Table
 from ..errors import DiscoveryError
-from .profiles import MINHASH_PERMUTATIONS, ColumnProfile, ProfileCache, TableProfile
+from .coma import ColumnMatch, LakeMatches
+from .profiles import MINHASH_PERMUTATIONS, ProfileCache, TableProfile
 from .value_overlap import check_min_score
 
 __all__ = ["LazoMatcher", "estimate_containment", "validate_banding"]
@@ -87,66 +91,53 @@ class LazoMatcher:
         self.min_score = min_score
         self._profiles = ProfileCache()
 
-    def _band_keys(self, profile: ColumnProfile) -> list[tuple[int, bytes]]:
-        signature = profile.minhash
-        keys = []
-        for band in range(self.bands):
-            lo = band * self.rows_per_band
-            chunk = signature[lo : lo + self.rows_per_band]
-            keys.append((band, chunk.tobytes()))
-        return keys
+    def match_lake_profiles(
+        self,
+        profiles: Sequence[TableProfile],
+        floor: float = 0.0,
+        focus: int | None = None,
+    ) -> LakeMatches:
+        """Score every table pair of a profiled lake, down to ``floor``.
 
-    def candidates(
-        self, profiles_a: TableProfile, profiles_b: TableProfile
-    ) -> list[tuple[ColumnProfile, ColumnProfile]]:
-        """Column pairs whose signatures collide in at least one band."""
-        buckets: dict[tuple[int, bytes], list[ColumnProfile]] = defaultdict(list)
-        for column in profiles_a.columns:
-            for key in self._band_keys(column):
-                buckets[key].append(column)
-        seen: set[tuple[str, str]] = set()
-        out = []
-        for column in profiles_b.columns:
-            for key in self._band_keys(column):
-                for partner in buckets.get(key, ()):
-                    pair_id = (partner.column_name, column.column_name)
-                    if pair_id in seen:
-                        continue
-                    seen.add(pair_id)
-                    out.append((partner, column))
-        return out
-
-    def score(self, a: ColumnProfile, b: ColumnProfile) -> float:
-        """Containment estimated from the MinHash-agreement Jaccard."""
-        if a.minhash.size != b.minhash.size or a.minhash.size == 0:
-            return 0.0
-        jaccard = float(np.mean(a.minhash == b.minhash))
-        return estimate_containment(jaccard, a.n_distinct, b.n_distinct)
-
-    def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
-    ) -> list[tuple[str, str, float]]:
-        """Candidate pairs of two pre-profiled tables reaching ``floor``, sorted.
-
-        The profile-level entry point the incremental re-matcher
-        (:mod:`repro.discovery.incremental`) drives, so a mutated table
-        is re-profiled once and matched against stored profiles instead
-        of re-reading every partner table.
+        With ``focus``, only the pairs that table ``focus`` is part of.
+        Every column's band keys are bucketed once per pass; two columns of
+        different tables sharing a bucket are a candidate, scored once by
+        the containment estimated from their MinHash agreement.  A pair's
+        list is sorted on a key unique within the pair, so the order
+        candidates are found in never shows.
         """
-        pairs = self.candidates(profiles_a, profiles_b)
-        scored = []
-        for col_a, col_b in pairs:
-            score = self.score(col_a, col_b)
+        columns = [c for profile in profiles for c in profile.columns]
+        tables = [i for i, profile in enumerate(profiles) for _ in profile.columns]
+        buckets: dict[tuple[int, bytes], list[int]] = defaultdict(list)
+        for g, column in enumerate(columns):
+            signature = column.minhash
+            for band in range(self.bands):
+                lo = band * self.rows_per_band
+                chunk = signature[lo : lo + self.rows_per_band]
+                buckets[band, chunk.tobytes()].append(g)
+        candidates = {
+            (g, h)
+            for members in buckets.values()
+            for g, h in combinations(members, 2)
+            if tables[g] != tables[h]
+            and (focus is None or focus in (tables[g], tables[h]))
+        }
+        pairs: dict[tuple[int, int], list[ColumnMatch]] = {}
+        for g, h in candidates:
+            a, b = columns[g], columns[h]
+            jaccard = float(np.mean(a.minhash == b.minhash))
+            score = estimate_containment(jaccard, a.n_distinct, b.n_distinct)
             rounded = round(score, 6)
             if score >= self.min_score and rounded >= floor:
-                scored.append((col_a.column_name, col_b.column_name, rounded))
-        scored.sort(key=lambda t: (-t[2], t[0], t[1]))
-        return scored
+                match = ColumnMatch(
+                    a.table_name, a.column_name, b.table_name, b.column_name, rounded
+                )
+                pairs.setdefault((tables[g], tables[h]), []).append(match)
+        for matches in pairs.values():
+            matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
+        return LakeMatches(pairs)
 
-    def match(self, table_a: Table, table_b: Table, floor: float = 0.0):
-        """All candidate pairs with their containment scores, sorted."""
-        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
+    def match_lake(self, tables: Sequence[Table], floor: float = 0.0) -> LakeMatches:
+        """Score every table pair of a lake (profiles are cached)."""
+        return self.match_lake_profiles([self._profiles.get(t) for t in tables], floor)
 
-    def __call__(self, table_a: Table, table_b: Table, floor: float = 0.0):
-        """DRG ``Matcher`` protocol adapter."""
-        yield from self.match(table_a, table_b, floor)

@@ -6,11 +6,12 @@ sketch of distinct values — and all pairwise similarity is computed on
 profiles.  This mirrors how dataset-discovery systems (Aurum, Lazo, JOSIE)
 scale to lakes: profile once, match many times.
 
-Profiling computes what the matchers read.  The MinHash signature costs one
-hash per distinct value and only ``LazoMatcher`` reads it (it is not on
-the default matching path), so
-:attr:`ColumnProfile.minhash` is built from the profile's source column on
-first read and memoised.
+Profiling computes what every matcher reads.  Two summaries only one
+matcher reads are built from the profile's source column on first read and
+memoised, so the default (COMA) path never pays for them: the MinHash
+signature (:attr:`ColumnProfile.minhash`, one hash per distinct value,
+read by ``LazoMatcher``) and the quantile sketch
+(:attr:`ColumnProfile.quantiles`, read by ``DistributionMatcher``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import hashlib
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from ..dataframe import Column, DType, Table
+from ..errors import DiscoveryError
 
 __all__ = [
+    "QuantileSketch",
     "ColumnProfile",
     "TableProfile",
     "ProfileCache",
@@ -71,6 +73,35 @@ def _minhash_signature(tokens: set[str], n_perm: int = MINHASH_PERMUTATIONS) -> 
     return signature
 
 
+N_QUANTILES = 16
+
+
+class QuantileSketch:
+    """Normalised quantile summary of one numeric column."""
+
+    __slots__ = ("quantiles", "n_values")
+
+    def __init__(self, values: np.ndarray, n_quantiles: int = N_QUANTILES):
+        finite = values[np.isfinite(values)]
+        self.n_values = int(finite.size)
+        if self.n_values == 0:
+            self.quantiles = np.zeros(n_quantiles, dtype=np.float64)
+            return
+        lo, hi = float(finite.min()), float(finite.max())
+        span = hi - lo if hi > lo else 1.0
+        normalised = (finite - lo) / span
+        grid = np.linspace(0.0, 1.0, n_quantiles)
+        self.quantiles = np.quantile(normalised, grid)
+
+    @staticmethod
+    def of_column(column: Column) -> "QuantileSketch":
+        if not column.dtype.is_numeric:
+            raise DiscoveryError(
+                f"quantile sketches need numeric columns, got {column.dtype}"
+            )
+        return QuantileSketch(column.to_float())
+
+
 def _normalise(value: object) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
@@ -98,6 +129,11 @@ class ColumnProfile:
     def minhash(self) -> np.ndarray:
         """MinHash signature of all distinct normalised values (first read computes it)."""
         return _minhash_signature({_normalise(v) for v in self.source.unique()})
+
+    @cached_property
+    def quantiles(self) -> QuantileSketch:
+        """Quantile sketch of a numeric column (first read computes it)."""
+        return QuantileSketch.of_column(self.source)
 
     @property
     def uniqueness(self) -> float:
@@ -154,7 +190,7 @@ def profile_table(table: Table) -> TableProfile:
 
 
 class ProfileCache:
-    """Per-table memo of ``factory(table)``, safe against ``id()`` reuse.
+    """Per-table memo of :func:`profile_table`, safe against ``id()`` reuse.
 
     Entries are keyed on ``id(table)`` (tables are unhashable by value and
     must not be kept alive by a matcher) but guarded by a weak reference:
@@ -169,20 +205,19 @@ class ProfileCache:
     cycle and is freed by refcount the moment its owner is dropped.
     """
 
-    def __init__(self, factory: Callable[[Table], object] = profile_table):
-        self._factory = factory
-        self._entries: dict[int, tuple[weakref.ref[Table], object]] = {}
+    def __init__(self):
+        self._entries: dict[int, tuple[weakref.ref[Table], TableProfile]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __call__(self, table: Table):
-        """The cached ``factory(table)``, computed on first sight."""
+    def get(self, table: Table) -> TableProfile:
+        """The cached ``profile_table(table)``, computed on first sight."""
         key = id(table)
         entry = self._entries.get(key)
         if entry is not None and entry[0]() is table:
             return entry[1]
-        value = self._factory(table)
+        value = profile_table(table)
         cache_ref = weakref.ref(self)
 
         def evict(ref: weakref.ref) -> None:

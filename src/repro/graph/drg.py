@@ -9,14 +9,15 @@ experimental settings:
 * **data-lake setting** — by running a schema-matching dataset-discovery
   algorithm over every table pair and keeping matches above a similarity
   threshold (:meth:`DatasetRelationGraph.from_discovery`).  Any matcher
-  that outputs ``(column_a, column_b, score)`` tuples can be plugged in.
+  with the lake pass of :mod:`repro.discovery` (``match_lake(tables,
+  floor)``) can be plugged in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..dataframe import Table
 from ..errors import GraphError
@@ -24,10 +25,6 @@ from ..obs import NULL_TRACER
 from .multigraph import MultiGraph, OrientedEdge
 
 __all__ = ["KFKConstraint", "DatasetRelationGraph"]
-
-#: A matcher maps a pair of tables and a score floor to ``(column_a,
-#: column_b, score)`` tuples; it may omit any match scoring below the floor.
-Matcher = Callable[[Table, Table, float], Iterable[tuple[str, str, float]]]
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class DatasetRelationGraph:
     def from_discovery(
         cls,
         tables: Sequence[Table],
-        matcher: Matcher,
+        matcher,
         threshold: float = 0.55,
         tracer=NULL_TRACER,
     ) -> "DatasetRelationGraph":
@@ -90,14 +87,13 @@ class DatasetRelationGraph:
         not absurd) connections through — AutoFeat's pruning is supposed to
         handle them.
 
-        Pairs are walked in ``combinations`` order; traversal and ranking
-        do not follow it, since every adjacency list is kept sorted
-        (:class:`~repro.graph.multigraph.MultiGraph`).  A matcher with a
-        ``match_lake(tables, floor)`` method
-        (:class:`~repro.discovery.ComaMatcher`) scores the whole lake in
-        one pass and is read pair by pair; any other is called once per
-        pair.  The matcher is handed ``threshold`` as its floor, so it may
-        skip whatever cannot become an edge; the check here stays, so a
+        ``matcher.match_lake(tables, floor)`` scores the whole lake in one
+        pass and returns a :class:`~repro.discovery.coma.LakeMatches`,
+        whose pairs are read in ``combinations`` order; traversal and
+        ranking do not follow it, since every adjacency list is kept
+        sorted (:class:`~repro.graph.multigraph.MultiGraph`).  The
+        matcher is handed ``threshold`` as its floor, so it may skip
+        whatever cannot become an edge; the check here stays, so a
         matcher that ignores the floor is still correct.
         """
         if not 0.0 < threshold <= 1.0:
@@ -107,23 +103,14 @@ class DatasetRelationGraph:
         with tracer.span(
             "drg.match", tables=len(tables), table_pairs=len(pairs)
         ):
-            if hasattr(matcher, "match_lake"):
-                lake = matcher.match_lake(tables, threshold)
-
-                def scored(i, j):
-                    return ((m.column_a, m.column_b, m.score) for m in lake[i, j])
-
-            else:
-
-                def scored(i, j):
-                    return matcher(tables[i], tables[j], threshold)
-
+            lake = matcher.match_lake(tables, threshold)
             for i, j in pairs:
-                for column_a, column_b, score in scored(i, j):
-                    if score >= threshold:
+                for match in lake[i, j]:
+                    if match.score >= threshold:
                         drg.add_relationship(
-                            tables[i].name, column_a, tables[j].name, column_b,
-                            weight=score,
+                            tables[i].name, match.column_a,
+                            tables[j].name, match.column_b,
+                            weight=match.score,
                         )
         return drg
 

@@ -189,9 +189,10 @@ class DiscoveryService:
         Initial lake, in canonical order.
     matcher:
         Schema matcher for edge discovery (:class:`~repro.discovery
-        .ComaMatcher` by default; any ``Matcher`` works, profile-aware
-        ones incrementally).  Every table pair is scored exactly, so the
-        warm DRG is the one a cold ``from_discovery`` builds.
+        .ComaMatcher` by default; any matcher with a lake pass,
+        ``match_lake_profiles``, works).  Every table pair is scored
+        exactly, so the warm DRG is the one a cold ``from_discovery``
+        builds.
     threshold:
         Edge-score threshold, as in ``from_discovery``.
     config:

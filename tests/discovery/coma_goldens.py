@@ -1,6 +1,6 @@
 """Frozen matcher outputs of the per-pair COMA scorer (``goldens/coma_matches.json``).
 
-``ComaMatcher.match_profiles`` once re-derived every name feature
+COMA's per-pair scorer once re-derived every name feature
 (lower-casing, trigram set, token set) and ran a cell-by-cell Levenshtein
 DP for each column pair.  Before that was replaced by per-name features, a
 per-matcher name-score memo and the bit-vector Levenshtein, the full output
@@ -18,7 +18,8 @@ hand-built lake whose constant and mid-cardinality columns are the only
 ones the key-like filter rejects (every generated column is key-like) —
 and per matcher — ``ComaMatcher()``, ``ComaMatcher(key_like_only=False)``,
 ``ValueOverlapMatcher()`` — every *ordered* table pair with at least one
-match maps to its ``match_profiles`` list in output order, scores as
+match maps to its match list in output order (today: the lake of the
+two, read by ``tests.matchers.pair_matches``), scores as
 ``float.hex``.  Both orders of a table pair are recorded because
 Jaro-Winkler's greedy matching is not symmetric.
 """
@@ -39,6 +40,7 @@ from repro.datasets import (
 )
 from repro.dataframe import Table
 from repro.discovery import ComaMatcher, profile_table
+from tests.matchers import pair_matches
 from tests.oracle.overlap import ValueOverlapMatcher
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "coma_matches.json"
@@ -99,27 +101,22 @@ LAKES = {
 
 
 def _row(match) -> list:
-    if isinstance(match, tuple):
-        column_a, column_b, score = match
-        return [column_a, column_b, score.hex()]
-    return [
-        match.column_a,
-        match.column_b,
-        match.score.hex(),
-        match.name_score.hex(),
-        match.instance_score.hex(),
-    ]
+    """A match as frozen: COMA's rows carry its two channels as well."""
+    row = [match.column_a, match.column_b, match.score.hex()]
+    if match.name_score is not None:
+        row += [match.name_score.hex(), match.instance_score.hex()]
+    return row
 
 
 def lake_profiles(lake: str) -> list:
     return [profile_table(table) for table in LAKES[lake]()]
 
 
-def match_cells(profiles, matcher) -> dict[str, list]:
+def match_cells(profiles, matcher, floor: float = 0.0) -> dict[str, list]:
     """``"a|b" -> rows`` for every ordered table pair with any match."""
     cells = {}
     for profile_a, profile_b in permutations(profiles, 2):
-        rows = [_row(m) for m in matcher.match_profiles(profile_a, profile_b)]
+        rows = [_row(m) for m in pair_matches(matcher, profile_a, profile_b, floor)]
         if rows:
             cells[f"{profile_a.table_name}|{profile_b.table_name}"] = rows
     return cells

@@ -9,6 +9,7 @@ import pytest
 import repro.discovery.profiles as profiles_module
 from repro.dataframe import Table
 from repro.discovery import (
+    ColumnMatch,
     ComaMatcher,
     DistributionMatcher,
     LazoMatcher,
@@ -16,6 +17,7 @@ from repro.discovery import (
 )
 from repro.discovery.coma import _NameScoreMemo
 from repro.errors import DiscoveryError
+from tests.matchers import pair_matches
 from tests.oracle.overlap import ValueOverlapMatcher
 
 ALL_MATCHERS = [
@@ -54,33 +56,37 @@ def tables():
 
 class TestMatching:
     def test_true_key_pair_scores_high(self, tables):
-        matches = ComaMatcher().match(*tables)
+        matches = pair_matches(ComaMatcher(), *tables)
         best = matches[0]
         assert (best.column_a, best.column_b) == ("applicant_id", "applicant_id")
         assert best.score > 0.8
 
     def test_spurious_category_pair_found_but_lower(self, tables):
-        matches = {(m.column_a, m.column_b): m.score for m in ComaMatcher().match(*tables)}
+        matches = {
+            (m.column_a, m.column_b): m.score
+            for m in pair_matches(ComaMatcher(), *tables)
+        }
         assert ("region", "region") in matches
         assert matches[("region", "region")] < matches[("applicant_id", "applicant_id")]
 
     def test_continuous_features_not_matched(self, tables):
-        matches = ComaMatcher().match(*tables)
+        matches = pair_matches(ComaMatcher(), *tables)
         columns = {m.column_a for m in matches} | {m.column_b for m in matches}
         assert "income" not in columns
         assert "credit_score" not in columns
 
     def test_key_like_gating_can_be_disabled(self, tables):
-        matches = ComaMatcher(key_like_only=False, min_score=0.01).match(*tables)
+        matcher = ComaMatcher(key_like_only=False, min_score=0.01)
+        matches = pair_matches(matcher, *tables)
         columns = {m.column_a for m in matches}
         assert "income" in columns
 
     def test_sorted_by_score(self, tables):
-        scores = [m.score for m in ComaMatcher().match(*tables)]
+        scores = [m.score for m in pair_matches(ComaMatcher(), *tables)]
         assert scores == sorted(scores, reverse=True)
 
     def test_min_score_floor(self, tables):
-        matches = ComaMatcher(min_score=0.99).match(*tables)
+        matches = pair_matches(ComaMatcher(min_score=0.99), *tables)
         assert all(m.score >= 0.99 for m in matches)
 
     def test_renamed_key_still_found_via_tokens_and_values(self):
@@ -88,22 +94,25 @@ class TestMatching:
         ids = list(range(n))
         a = Table({"credit_ref": ids, "x": np.random.default_rng(0).normal(size=n)}, name="a")
         b = Table({"credit_key": ids, "y": np.random.default_rng(1).normal(size=n)}, name="b")
-        matches = ComaMatcher().match(a, b)
+        matches = pair_matches(ComaMatcher(), a, b)
         assert matches
         assert matches[0].column_a == "credit_ref"
         assert matches[0].column_b == "credit_key"
         assert matches[0].score >= 0.55
 
-    def test_matcher_protocol_yields_tuples(self, tables):
-        matcher = ComaMatcher()
-        tuples = list(matcher(*tables))
-        assert all(len(t) == 3 for t in tuples)
+    @pytest.mark.parametrize("matcher_class", ALL_MATCHERS)
+    def test_lake_pass_emits_column_matches(self, matcher_class, tables):
+        # One shape from every matcher: the DRG builders read column_a,
+        # column_b and score and nothing else.
+        matches = pair_matches(matcher_class(min_score=0.0), *tables)
+        assert matches and all(isinstance(m, ColumnMatch) for m in matches)
+        assert {(m.table_a, m.table_b) for m in matches} == {("applicants", "credit")}
 
     def test_profile_cache_reused(self, tables):
         matcher = ComaMatcher()
-        matcher.match(*tables)
+        pair_matches(matcher, *tables)
         cached = len(matcher._profiles)
-        matcher.match(*tables)
+        pair_matches(matcher, *tables)
         assert len(matcher._profiles) == cached
 
     def test_invalid_weights_raise(self):
@@ -138,8 +147,8 @@ class TestProfileCache:
 
         monkeypatch.setattr(profiles_module, "profile_column", counting)
         matcher = ComaMatcher()
-        matcher.match(*tables)
-        matcher.match(*tables)
+        pair_matches(matcher, *tables)
+        pair_matches(matcher, *tables)
         assert sorted(calls) == sorted(
             (table.name, column) for table in tables for column in table.column_names
         )
@@ -147,7 +156,7 @@ class TestProfileCache:
     def test_entry_evicted_when_table_dies(self):
         matcher = ComaMatcher()
         table = Table({"key": list(range(50))}, name="ephemeral")
-        matcher._profiles(table)
+        matcher._profiles.get(table)
         assert len(matcher._profiles) == 1
         del table
         gc.collect()
@@ -161,9 +170,9 @@ class TestProfileCache:
         cache = ComaMatcher()._profiles
         a = Table({"alpha": list(range(40))}, name="a")
         b = Table({"beta": list(range(40, 80))}, name="b")
-        cache(a)
+        cache.get(a)
         cache._entries[id(b)] = cache._entries.pop(id(a))
-        profile = cache(b)
+        profile = cache.get(b)
         assert profile.table_name == "b"
         assert [c.column_name for c in profile.columns] == ["beta"]
 
@@ -172,7 +181,7 @@ class TestProfileCache:
         # dying table's callback must not evict the newcomer's entry.
         cache = ComaMatcher()._profiles
         a = Table({"alpha": list(range(30))}, name="a")
-        cache(a)
+        cache.get(a)
         key = id(a)
         stale_ref = cache._entries[key][0]
         b = Table({"beta": list(range(30))}, name="b")
@@ -191,7 +200,9 @@ class TestProfileCache:
         other = Table({"k": list(range(50))}, name="other")
         for _ in range(50):
             a = Table({"k": list(range(50))}, name="a")
-            assert matcher.match(a, other) == [("k", "k", 1.0)]
+            assert pair_matches(matcher, a, other) == [
+                ColumnMatch("a", "k", "other", "k", 1.0)
+            ]
             stale = id(a)
             # Built before a dies so that the freed block goes to b itself.
             columns = {"k": [1000 + i**3 for i in range(50)]}
@@ -201,8 +212,11 @@ class TestProfileCache:
                 break
         else:
             pytest.skip("the allocator never handed the freed address back")
-        assert matcher.match(b, other) == matcher_class().match(b, other)
-        assert matcher.match(b, other) != [("k", "k", 1.0)]
+        got = pair_matches(matcher, b, other)
+        assert got == pair_matches(matcher_class(), b, other)
+        assert got != [
+            ColumnMatch("b", "k", "other", "k", 1.0)
+        ]
 
     @pytest.mark.parametrize("matcher_class", ALL_MATCHERS)
     def test_matcher_dies_by_refcount(self, matcher_class, tables):
@@ -213,7 +227,7 @@ class TestProfileCache:
         gc.disable()
         try:
             matcher = matcher_class()
-            matcher.match(*tables)
+            pair_matches(matcher, *tables)
             alive = weakref.ref(matcher)
             del matcher
             assert alive() is None
@@ -232,7 +246,7 @@ class TestNameScoreMemo:
 
     def test_second_matcher_starts_empty(self, tables):
         first = ComaMatcher()
-        first.match(*tables)
+        pair_matches(first, *tables)
         assert len(first._name_scores) > 0
         assert len(ComaMatcher()._name_scores) == 0
 
@@ -249,7 +263,7 @@ class TestNameScoreMemo:
         default, tiny = ComaMatcher(), ComaMatcher()
         tiny._name_scores = _NameScoreMemo(max_pairs=1)
         for pair in (tables, tables[::-1], tables):
-            assert tiny.match(*pair) == default.match(*pair)
+            assert pair_matches(tiny, *pair) == pair_matches(default, *pair)
         assert len(tiny._name_scores) == 1
 
     def test_invalid_bound_raises(self):
@@ -259,12 +273,12 @@ class TestNameScoreMemo:
 
 class TestScoreComposition:
     def test_name_and_instance_recorded(self, tables):
-        match = ComaMatcher().match(*tables)[0]
+        match = pair_matches(ComaMatcher(), *tables)[0]
         assert 0.0 <= match.name_score <= 1.0
         assert 0.0 <= match.instance_score <= 1.0
 
     def test_score_is_convex_combination(self, tables):
         matcher = ComaMatcher(name_weight=0.6, instance_weight=0.4)
-        for match in matcher.match(*tables):
+        for match in pair_matches(matcher, *tables):
             expected = 0.6 * match.name_score + 0.4 * match.instance_score
             assert match.score == pytest.approx(expected, abs=1e-4)

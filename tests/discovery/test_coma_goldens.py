@@ -10,7 +10,6 @@ import json
 import os
 import subprocess
 import sys
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ import repro
 from tests.discovery.coma_goldens import (
     LAKES,
     MATCHERS,
-    _row,
     expected,
     lake_profiles,
     match_cells,
@@ -63,14 +61,7 @@ def test_floor_keeps_exactly_the_golden_rows_reaching_it(goldens, lake):
                 kept = [row for row in rows if float.fromhex(row[2]) >= floor]
                 if kept:
                     want[pair] = kept
-            got = {}
-            for profile_a, profile_b in permutations(profiles, 2):
-                rows = [
-                    _row(match)
-                    for match in matcher.match_profiles(profile_a, profile_b, floor)
-                ]
-                if rows:
-                    got[f"{profile_a.table_name}|{profile_b.table_name}"] = rows
+            got = match_cells(profiles, matcher, floor)
             assert list(got) == list(want), (lake, name, floor)
             for pair, rows in got.items():
                 assert rows == want[pair], (lake, name, floor, pair)

@@ -13,13 +13,15 @@ import pytest
 from repro.dataframe import Table
 from repro.discovery import (
     ComaMatcher,
+    DistributionMatcher,
     IncrementalMatchIndex,
     LazoMatcher,
 )
 from repro.errors import DiscoveryError
 from repro.graph import DatasetRelationGraph
+from tests.matchers import PairFake
 
-MATCHERS = [ComaMatcher, LazoMatcher]
+MATCHERS = [ComaMatcher, LazoMatcher, DistributionMatcher]
 
 
 def _table(name, ids, feature=7):
@@ -38,21 +40,36 @@ def tables():
     ]
 
 
-class CountingMatcher:
-    """Tuple-protocol matcher without profiles; counts pair calls."""
+class CountingMatcher(PairFake):
+    """Lake-shaped fake: records each lake pass's focus table (``None`` for
+    the whole lake) and every table pair it scored."""
 
     def __init__(self):
+        super().__init__(self._record)
+        self.focuses = []
         self.calls = []
 
-    def __call__(self, t1, t2, floor):
-        self.calls.append((t1.name, t2.name))
+    def _record(self, t1, t2):
+        self.calls.append((t1.table_name, t2.table_name))
         yield "record_id", "record_id", 0.9
+
+    def match_lake_profiles(self, profiles, floor=0.0, focus=None):
+        self.focuses.append(None if focus is None else profiles[focus].table_name)
+        return super().match_lake_profiles(profiles, floor, focus)
+
+
+def cold_drg(index):
+    """A cold ``from_discovery`` of the index's tables, through a fresh
+    matcher of the index's matcher's class (no memo shared with it)."""
+    return DatasetRelationGraph.from_discovery(
+        index.tables, type(index.matcher)(), threshold=index.threshold
+    )
 
 
 def assert_matches_cold(index):
     """Same tables, edges, weights and per-node adjacency order as a cold
     ``from_discovery``: the BFS enumerates paths in adjacency order."""
-    cold = index.rebuild()
+    cold = cold_drg(index)
     assert index.drg.table_names == cold.table_names
     assert index.drg.edge_fingerprint() == cold.edge_fingerprint()
     for name in cold.table_names:
@@ -96,8 +113,10 @@ class TestScopedWork:
     def test_register_matches_only_new_pairs(self, tables):
         matcher = CountingMatcher()
         index = IncrementalMatchIndex(tables, matcher=matcher)
+        assert matcher.focuses == [None]
         matcher.calls.clear()
         index.register_table(_table("delta", [1]))
+        assert matcher.focuses == [None, "delta"]
         assert matcher.calls == [
             ("alpha", "delta"), ("beta", "delta"), ("gamma", "delta")
         ]
@@ -107,6 +126,7 @@ class TestScopedWork:
         index = IncrementalMatchIndex(tables, matcher=matcher)
         matcher.calls.clear()
         index.update_table(_table("beta", [42]))
+        assert matcher.focuses == [None, "beta"]
         assert sorted(matcher.calls) == [("alpha", "beta"), ("beta", "gamma")]
 
     def test_drop_makes_no_matcher_calls(self, tables):
@@ -114,6 +134,7 @@ class TestScopedWork:
         index = IncrementalMatchIndex(tables, matcher=matcher)
         matcher.calls.clear()
         report = index.drop_table("beta")
+        assert matcher.focuses == [None]
         assert matcher.calls == []
         assert report.n_pairs_rematched == 0
 
@@ -144,7 +165,7 @@ class TestMutationReports:
         assert report.kind == "drop"
         assert (report.n_pairs_rematched, report.n_pairs_reused) == (0, 1)
         assert all("beta" not in row[::2] for row in index.drg.edge_fingerprint())
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        assert index.drg.edge_fingerprint() == cold_drg(index).edge_fingerprint()
         # The published snapshot is new; the old one is left untouched.
         assert index.drg is not before
         assert "beta" in before.table_names and before.neighbors("beta")
@@ -190,18 +211,10 @@ class TestValidation:
             IncrementalMatchIndex([Table({"x": [1]})])
 
 
-class TestRawTableFallback:
-    def test_matcher_without_profiles_still_incremental(self, tables):
-        matcher = CountingMatcher()
-        index = IncrementalMatchIndex(tables, matcher=matcher)
-        cold = DatasetRelationGraph.from_discovery(
-            index.tables, CountingMatcher(), threshold=0.55
-        )
-        assert index.drg.edge_fingerprint() == cold.edge_fingerprint()
+class TestAnyLakeMatcher:
+    def test_fake_matcher_stays_incremental(self, tables):
+        # Any matcher with a lake pass works, not only the library's.
+        index = IncrementalMatchIndex(tables, matcher=CountingMatcher())
+        assert_matches_cold(index)
         index.update_table(_table("alpha", [5, 6]))
-        assert (
-            index.drg.edge_fingerprint()
-            == DatasetRelationGraph.from_discovery(
-                index.tables, CountingMatcher(), threshold=0.55
-            ).edge_fingerprint()
-        )
+        assert_matches_cold(index)

@@ -1,4 +1,4 @@
-"""COMA's lake pass against the per-pair scan it replaced.
+"""The lake passes against the per-pair scans they replaced.
 
 ``ComaMatcher.match_lake_profiles`` scores only the column pairs whose
 sketches share a token and the name pairs whose bound can clear the
@@ -7,6 +7,10 @@ pair.  Their outputs must be equal row for row, floats included, on random
 lakes: every dtype and nulls, names repeated within a lake and shared
 across tables, floors on both sides of ``name_weight · 2/3``, and both
 key-like settings, for the whole lake and for one table against the rest.
+
+``LazoMatcher.match_lake_profiles`` buckets every column's band keys once
+per lake; ``tests/oracle/lazo.py`` bands each table pair on its own.  They
+are held to the same rows on the same lakes, over several banding layouts.
 """
 
 import pytest
@@ -17,7 +21,9 @@ import numpy as np
 
 from repro.dataframe import Column, DType, Table
 from repro.datasets import make_wide_lake
-from repro.discovery import ComaMatcher, coma, profile_table
+from repro.discovery import ComaMatcher, LazoMatcher, coma, profile_table
+from tests.matchers import pair_matches
+from tests.oracle import lazo
 from tests.oracle.coma import lake_scan, pair_scan
 
 FLOORS = [0.0, 0.3, 0.4, 0.55, 0.7, 1.0]
@@ -97,12 +103,61 @@ class TestLakePassEqualsPairScan:
         lake = matcher.match_lake_profiles(profiles, floor, focus)
         assert same(lake.pairs, lake_scan(matcher, profiles, floor, focus))
 
-    @settings(max_examples=100, deadline=None)
-    @given(profiles=lakes(), matcher=matchers, floor=st.sampled_from(FLOORS))
-    def test_match_profiles_is_the_lake_of_two(self, profiles, matcher, floor):
-        a, b = profiles[0], profiles[-1]
-        got = matcher.match_profiles(a, b, floor)
-        assert repr(got) == repr(pair_scan(matcher, a, b, floor))
+
+
+lazo_matchers = st.builds(
+    lambda layout, min_score: LazoMatcher(*layout, min_score=min_score),
+    layout=st.sampled_from([(16, 4), (1, 64), (64, 1), (8, 2)]),
+    min_score=st.sampled_from([0.0, 0.3]),
+)
+
+
+def lazo_rows(lake, profiles) -> dict:
+    """The pass's pairs as the oracle's ``(column_a, column_b, score)`` rows,
+    after checking each match names its own two tables."""
+    rows = {}
+    for (i, j), matches in lake.pairs.items():
+        names = {(m.table_a, m.table_b) for m in matches}
+        assert names == {(profiles[i].table_name, profiles[j].table_name)}
+        rows[i, j] = [(m.column_a, m.column_b, m.score) for m in matches]
+    return rows
+
+
+class TestLazoLakePassEqualsPairScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profiles=lakes(),
+        other=lakes(),
+        matcher=lazo_matchers,
+        floor=st.sampled_from(FLOORS),
+    )
+    def test_whole_lake(self, profiles, other, matcher, floor):
+        matcher.match_lake_profiles(other, floor)
+        lake = matcher.match_lake_profiles(profiles, floor)
+        want = lazo.lake_scan(matcher, profiles, floor)
+        assert same(lazo_rows(lake, profiles), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profiles=lakes(),
+        matcher=lazo_matchers,
+        floor=st.sampled_from(FLOORS),
+        data=st.data(),
+    )
+    def test_one_table_against_the_rest(self, profiles, matcher, floor, data):
+        focus = data.draw(st.integers(0, len(profiles) - 1))
+        matcher.match_lake_profiles(profiles, data.draw(st.sampled_from(FLOORS)))
+        lake = matcher.match_lake_profiles(profiles, floor, focus)
+        want = lazo.lake_scan(matcher, profiles, floor, focus)
+        assert same(lazo_rows(lake, profiles), want)
+
+    def test_wide_lake(self):
+        # Real lake-sized candidate sets: every pair of make_wide_lake(12).
+        profiles = [profile_table(t) for t in make_wide_lake(12, n_rows=80).tables]
+        matcher = LazoMatcher()
+        want = lazo.lake_scan(matcher, profiles, 0.55)
+        lake = matcher.match_lake_profiles(profiles, 0.55)
+        assert want and same(lazo_rows(lake, profiles), want)
 
 
 class TestCounts:
@@ -127,7 +182,7 @@ class TestCounts:
         # The lake of one table twice: same names, same sketches.
         profile = profile_table(Table({"id": [1, 2, 3], "k0001": [1, 1, 2]}, name="t"))
         matcher = ComaMatcher(min_score=0.0)
-        assert repr(matcher.match_profiles(profile, profile, floor)) == repr(
+        assert repr(pair_matches(matcher, profile, profile, floor)) == repr(
             pair_scan(matcher, profile, profile, floor)
         )
 

@@ -19,6 +19,7 @@ from repro.discovery.lsh import validate_banding
 from repro.discovery.profiles import MINHASH_PERMUTATIONS
 from repro.errors import DiscoveryError
 from repro.graph import DatasetRelationGraph
+from tests.matchers import pair_matches
 
 
 @pytest.fixture(scope="module")
@@ -143,25 +144,24 @@ def test_discovery_surface_is_exact_matchers_only():
 
 class TestLazoMatcher:
     def test_finds_shared_key(self, tables):
-        matches = LazoMatcher().match(*tables)
+        matches = pair_matches(LazoMatcher(), *tables)
         assert matches
-        assert matches[0][:2] == ("user_id", "uid")
-        assert matches[0][2] > 0.9
+        assert (matches[0].column_a, matches[0].column_b) == ("user_id", "uid")
+        assert matches[0].score > 0.9
 
     def test_disjoint_columns_not_matched(self, tables):
         left, right = tables
-        matches = LazoMatcher().match(left, right)
-        matched_pairs = {(a, b) for a, b, __ in matches}
+        matches = pair_matches(LazoMatcher(), left, right)
+        matched_pairs = {(m.column_a, m.column_b) for m in matches}
         assert ("score", "other") not in matched_pairs
 
     def test_candidates_subquadratic_bucketing(self, tables):
         left, right = tables
-        matcher = LazoMatcher()
-        pairs = matcher.candidates(
-            matcher._profiles(left), matcher._profiles(right)
-        )
-        # Only colliding signatures become candidates — not all 4 pairs.
-        assert len(pairs) < left.n_cols * right.n_cols
+        matcher = LazoMatcher(min_score=0.0)
+        # At min_score 0 every candidate is emitted, so the pass's rows are
+        # its candidates: only colliding signatures, not all 4 pairs.
+        pairs = pair_matches(matcher, left, right)
+        assert 0 < len(pairs) < left.n_cols * right.n_cols
 
     def test_invalid_banding_raises(self):
         with pytest.raises(DiscoveryError):
@@ -178,7 +178,8 @@ class TestLazoMatcher:
             (2, 32),
         ):
             assert bands * rows == MINHASH_PERMUTATIONS
-            assert LazoMatcher(bands=bands, rows_per_band=rows).match(*tables)
+            matcher = LazoMatcher(bands=bands, rows_per_band=rows)
+            assert pair_matches(matcher, *tables)
         # One permutation over the signature length fails eagerly, at
         # construction — not deep inside signature slicing.
         with pytest.raises(DiscoveryError):
@@ -198,7 +199,8 @@ class TestLazoMatcher:
         assert drg.n_relationships >= 1
 
     def test_deterministic(self, tables):
-        assert LazoMatcher().match(*tables) == LazoMatcher().match(*tables)
+        first, second = LazoMatcher(), LazoMatcher()
+        assert pair_matches(first, *tables) == pair_matches(second, *tables)
 
 
 class TestQuantileSketch:
@@ -235,19 +237,19 @@ class TestDistributionMatcher:
         values = rng.normal(50, 10, n)
         a = Table({"height_cm": values}, name="a")
         b = Table({"height_mm": values * 10}, name="b")  # unit-scaled copy
-        matches = DistributionMatcher().match(a, b)
+        matches = pair_matches(DistributionMatcher(), a, b)
         assert matches
-        assert matches[0][:2] == ("height_cm", "height_mm")
+        assert (matches[0].column_a, matches[0].column_b) == ("height_cm", "height_mm")
 
     def test_string_columns_ignored(self):
         a = Table({"s": ["x", "y"]}, name="a")
         b = Table({"t": ["x", "y"]}, name="b")
-        assert DistributionMatcher().match(a, b) == []
+        assert pair_matches(DistributionMatcher(), a, b) == []
 
     def test_score_bounded(self, tables):
         matcher = DistributionMatcher(min_score=0.0)
-        for __, __, score in matcher.match(*tables):
-            assert 0.0 <= score <= 1.0
+        for match in pair_matches(matcher, *tables):
+            assert 0.0 <= match.score <= 1.0
 
     def test_usable_as_drg_matcher(self, tables):
         drg = DatasetRelationGraph.from_discovery(

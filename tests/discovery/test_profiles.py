@@ -22,6 +22,7 @@ from repro.discovery import (
 )
 from repro.discovery.profiles import MINHASH_PERMUTATIONS, SKETCH_SIZE, ProfileCache
 from repro.graph import DatasetRelationGraph
+from tests.matchers import pair_matches
 from tests.oracle.overlap import ValueOverlapMatcher
 
 
@@ -85,36 +86,42 @@ class TestProfileTable:
 
 
 class TestProfileCacheClass:
-    def test_computes_once_per_live_table(self):
+    def test_computes_once_per_live_table(self, monkeypatch):
         calls = []
-        cache = ProfileCache(lambda table: calls.append(table.name) or len(calls))
+
+        def counting(table):
+            calls.append(table.name)
+            return len(calls)
+
+        monkeypatch.setattr(profiles, "profile_table", counting)
+        cache = ProfileCache()
         a, b = Table({"x": [1]}, name="a"), Table({"x": [1]}, name="b")
-        assert [cache(a), cache(b), cache(a), cache(b)] == [1, 2, 1, 2]
+        assert [cache.get(a), cache.get(b), cache.get(a), cache.get(b)] == [1, 2, 1, 2]
         assert calls == ["a", "b"]
         assert len(cache) == 2
 
     def test_default_factory_profiles_the_table(self):
         table = Table({"x": [1, 2]}, name="t")
         cache = ProfileCache()
-        assert cache(table) is cache(table)
-        assert cache(table).table_name == "t"
+        assert cache.get(table) is cache.get(table)
+        assert cache.get(table).table_name == "t"
 
     def test_equal_tables_are_distinct_entries(self):
         cache = ProfileCache()
         a, b = Table({"x": [1]}, name="t"), Table({"x": [1]}, name="t")
-        assert cache(a) is not cache(b)
+        assert cache.get(a) is not cache.get(b)
 
     def test_does_not_keep_tables_alive(self):
         cache = ProfileCache()
         table = Table({"x": [1]}, name="t")
-        cache(table)
+        cache.get(table)
         del table
         assert len(cache) == 0
 
     def test_outliving_tables_do_not_touch_a_dead_cache(self):
         table = Table({"x": [1]}, name="t")
         cache = ProfileCache()
-        cache(table)
+        cache.get(table)
         del cache
         del table  # the eviction callback finds its cache gone
 
@@ -205,17 +212,20 @@ class TestLazySignature:
         return [table("alpha", range(40)), table("beta", range(5, 45)), table("gamma", range(10, 50))]
 
     def test_default_path_never_builds_a_signature(self, monkeypatch):
-        def boom(tokens):
-            raise AssertionError("MinHash signature built on the default path")
+        def boom(_):
+            raise AssertionError("a lazy summary was built on the default path")
 
+        # Neither Lazo's signature nor the distribution matcher's sketch.
         monkeypatch.setattr(profiles, "_minhash_signature", boom)
+        monkeypatch.setattr(profiles.QuantileSketch, "of_column", staticmethod(boom))
         tables = self._lake()
         drg = DatasetRelationGraph.from_discovery(tables, ComaMatcher())
         assert drg.n_relationships > 0
-        assert ValueOverlapMatcher().match(tables[0], tables[1])
+        assert pair_matches(ValueOverlapMatcher(), tables[0], tables[1])
         index = IncrementalMatchIndex(tables)
         index.update_table(tables[1].take(np.arange(30)))
-        assert index.drg.edge_fingerprint() == index.rebuild().edge_fingerprint()
+        cold = DatasetRelationGraph.from_discovery(index.tables, ComaMatcher())
+        assert index.drg.edge_fingerprint() == cold.edge_fingerprint()
         with DiscoveryService(tables) as service:
             service.update_table(tables[2].take(np.arange(30)))
             response = service.discover("alpha", "label", timeout=60)
@@ -325,14 +335,14 @@ class TestRacingSharedMatchers:
     def test_minhash_through_a_shared_lazo_matcher(self):
         tables = make_wide_lake(12, n_rows=200).tables
         matcher = LazoMatcher()
-        columns = [c for t in tables for c in matcher._profiles(t).columns]
+        columns = [c for t in tables for c in matcher._profiles.get(t).columns]
         assert not any("minhash" in vars(c) for c in columns)
         seen = self._race(
             lambda: [c.minhash for c in columns],
             lambda: DatasetRelationGraph.from_discovery(tables, matcher),
         )
         fresh = LazoMatcher()
-        expected = [c.minhash for t in tables for c in fresh._profiles(t).columns]
+        expected = [c.minhash for t in tables for c in fresh._profiles.get(t).columns]
         single = DatasetRelationGraph.from_discovery(tables, fresh).edge_fingerprint()
         assert single
         for values, fingerprint in seen:

@@ -22,6 +22,7 @@ from repro.discovery import (
 )
 from repro.discovery.coma import ColumnMatch, _name_score
 from repro.discovery.name_similarity import NameFeatures
+from tests.matchers import pair_matches
 from tests.oracle.overlap import (
     ValueOverlapMatcher,
     minhash_jaccard,
@@ -163,7 +164,7 @@ def _tables(draw, name):
 
 
 def _ungated_coma(matcher, profiles_a, profiles_b):
-    """``ComaMatcher.match_profiles`` with every instance score computed."""
+    """COMA's matches of one table pair with every instance score computed."""
     key_like = ComaMatcher._key_like
     matches = []
     for col_a in filter(key_like, profiles_a.columns):
@@ -190,14 +191,18 @@ def _ungated_coma(matcher, profiles_a, profiles_b):
 
 
 def _ungated_value_overlap(min_score, profiles_a, profiles_b):
-    """``ValueOverlapMatcher.match_profiles`` with every pair intersected."""
+    """``ValueOverlapMatcher``'s matches of one table pair with every column
+    pair intersected."""
     matches = [
-        (col_a.column_name, col_b.column_name, round(float(score), 6))
+        ColumnMatch(
+            profiles_a.table_name, col_a.column_name,
+            profiles_b.table_name, col_b.column_name, round(float(score), 6),
+        )
         for col_a in profiles_a.columns
         for col_b in profiles_b.columns
         if (score := instance_similarity(col_a, col_b)) >= min_score
     ]
-    matches.sort(key=lambda t: (-t[2], t[0], t[1]))
+    matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
     return matches
 
 
@@ -215,10 +220,10 @@ class TestOverlapGate:
         assert tables_may_overlap(profiles_a, profiles_b) == shares
         assert tables_may_overlap(profiles_b, profiles_a) == shares
         coma = ComaMatcher(min_score=0.0)
-        assert repr(coma.match_profiles(profiles_a, profiles_b)) == repr(
+        assert repr(pair_matches(coma, profiles_a, profiles_b)) == repr(
             _ungated_coma(coma, profiles_a, profiles_b)
         )
-        overlap = ValueOverlapMatcher(0.0).match_profiles(profiles_a, profiles_b)
+        overlap = pair_matches(ValueOverlapMatcher(0.0), profiles_a, profiles_b)
         assert repr(overlap) == repr(_ungated_value_overlap(0.0, profiles_a, profiles_b))
 
     def test_gate_is_per_table_pair(self):
@@ -228,7 +233,10 @@ class TestOverlapGate:
         b = profile_table(Table({"id": [3, 4, 5]}, name="b"))
         c = profile_table(Table({"id": [8, 9]}, name="c"))
         assert tables_may_overlap(a, b) and not tables_may_overlap(a, c)
-        scores = {(x, y): s for x, y, s in ValueOverlapMatcher(0.0).match_profiles(a, b)}
+        scores = {
+            (m.column_a, m.column_b): m.score
+            for m in pair_matches(ValueOverlapMatcher(0.0), a, b)
+        }
         assert scores[("other", "id")] == 0.0 and scores[("id", "id")] > 0.0
 
 
@@ -236,8 +244,9 @@ _REMOTE = """
 import pickle, sys
 from repro.discovery import ComaMatcher, profile_table
 remote, table_a, local = pickle.loads(sys.stdin.buffer.read())
-print(repr(ComaMatcher(min_score=0.0).match_profiles(remote, profile_table(local))))
-print(repr(ComaMatcher(min_score=0.0).match(table_a, local)))
+matcher = ComaMatcher(min_score=0.0)
+print(repr(matcher.match_lake_profiles([remote, profile_table(local)])[0, 1]))
+print(repr(ComaMatcher(min_score=0.0).match_lake([table_a, local])[0, 1]))
 """
 
 
@@ -249,8 +258,8 @@ class TestCrossProcess:
         local = Table({"a_id": tail, "zone": [i % 7 + 100 for i in tail]}, name="b")
         profile = profile_table(table_a)
         # The lake pass hashes sketch tokens; none of it may stay on the profile.
-        assert ComaMatcher(min_score=0.0).match_profiles(profile, profile_table(local))
-        cold = repr(ComaMatcher(min_score=0.0).match(table_a, local))
+        assert pair_matches(ComaMatcher(min_score=0.0), profile, profile_table(local))
+        cold = repr(pair_matches(ComaMatcher(min_score=0.0), table_a, local))
         seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}

@@ -5,6 +5,7 @@ import pytest
 from repro.dataframe import Table
 from repro.errors import GraphError
 from repro.graph import DatasetRelationGraph, KFKConstraint
+from tests.matchers import PairFake
 
 
 @pytest.fixture
@@ -57,27 +58,29 @@ class TestConstruction:
 
 class TestDiscoveryConstruction:
     def test_matcher_driven_edges(self, tables):
-        def matcher(t1, t2, floor):
-            if {t1.name, t2.name} == {"a", "b"}:
+        def rule(t1, t2):
+            if {t1.table_name, t2.table_name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6
-            if {t1.name, t2.name} == {"b", "c"}:
+            if {t1.table_name, t2.table_name} == {"b", "c"}:
                 yield "fk", "fk", 0.8
 
-        drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
+        drg = DatasetRelationGraph.from_discovery(tables, PairFake(rule), threshold=0.55)
         assert drg.n_relationships == 3
         assert len(drg.join_options("a", "b")) == 2
 
     def test_threshold_filters(self, tables):
-        def matcher(t1, t2, floor):
-            yield t1.column_names[0], t2.column_names[0], 0.5
+        def rule(t1, t2):
+            yield t1.columns[0].column_name, t2.columns[0].column_name, 0.5
 
-        drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
+        drg = DatasetRelationGraph.from_discovery(tables, PairFake(rule), threshold=0.55)
         assert drg.n_relationships == 0
 
     def test_invalid_threshold_raises(self, tables):
         with pytest.raises(GraphError):
-            DatasetRelationGraph.from_discovery(tables, lambda a, b, floor: [], threshold=0)
+            DatasetRelationGraph.from_discovery(
+                tables, PairFake(lambda a, b: []), threshold=0
+            )
 
 
 class TestQueries:
@@ -99,23 +102,23 @@ class TestQueries:
 
 class TestSimilarityPruning:
     def test_best_keeps_top_score(self, tables):
-        def matcher(t1, t2, floor):
-            if {t1.name, t2.name} == {"a", "b"}:
+        def rule(t1, t2):
+            if {t1.table_name, t2.table_name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6
 
-        drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
+        drg = DatasetRelationGraph.from_discovery(tables, PairFake(rule), threshold=0.55)
         best = drg.best_join_options("a", "b")
         assert len(best) == 1
         assert best[0].weight == 0.9
 
     def test_ties_all_survive(self, tables):
-        def matcher(t1, t2, floor):
-            if {t1.name, t2.name} == {"a", "b"}:
+        def rule(t1, t2):
+            if {t1.table_name, t2.table_name} == {"a", "b"}:
                 yield "id", "id", 0.8
                 yield "id", "fk", 0.8
 
-        drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
+        drg = DatasetRelationGraph.from_discovery(tables, PairFake(rule), threshold=0.55)
         assert len(drg.best_join_options("a", "b")) == 2
 
     def test_no_options_empty(self, drg):
@@ -124,12 +127,12 @@ class TestSimilarityPruning:
 
 class TestSimpleGraphVariant:
     def test_collapse(self, tables):
-        def matcher(t1, t2, floor):
-            if {t1.name, t2.name} == {"a", "b"}:
+        def rule(t1, t2):
+            if {t1.table_name, t2.table_name} == {"a", "b"}:
                 yield "id", "id", 0.9
                 yield "id", "fk", 0.6
 
-        drg = DatasetRelationGraph.from_discovery(tables, matcher, threshold=0.55)
+        drg = DatasetRelationGraph.from_discovery(tables, PairFake(rule), threshold=0.55)
         simple = drg.with_simple_graph()
         assert simple.n_relationships == 1
         assert drg.n_relationships == 2  # original untouched

@@ -7,6 +7,7 @@ adjacency insertion order — as from the same matcher asked for
 everything (floor ``0.0``).
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.e2e.workloads import THRESHOLD, WORKLOADS
@@ -30,18 +31,16 @@ MATCHERS = {
 
 
 class Unfloored:
-    """``matcher`` called with floor 0.0 whatever floor it is handed."""
+    """``matcher``'s lake pass at floor 0.0, whatever floor it is handed."""
 
     def __init__(self, matcher):
         self.matcher = matcher
 
-    def __call__(self, table_a, table_b, floor):
-        return self.matcher(table_a, table_b, 0.0)
+    def match_lake(self, tables, floor):
+        return self.matcher.match_lake(tables, 0.0)
 
-
-class UnflooredProfiles(Unfloored):
-    def match_profiles(self, profiles_a, profiles_b, floor):
-        return self.matcher.match_profiles(profiles_a, profiles_b, 0.0)
+    def match_lake_profiles(self, profiles, floor, focus=None):
+        return self.matcher.match_lake_profiles(profiles, 0.0, focus)
 
 
 def assert_same_drg(got, want):
@@ -79,11 +78,15 @@ def test_e2e_smoke_lakes(workload, seed):
     assert len(floored._name_scores) < len(unfloored._name_scores)
 
 
-@pytest.mark.parametrize("matcher", ["coma", "lazo"])
+@pytest.mark.parametrize("matcher", ["coma", "lazo", "distribution"])
 def test_incremental_index(matcher):
     tables = list(WORKLOADS["wide_match"].build(0, True).tables)
     factory = MATCHERS[matcher]
-    for wrapper in (Unfloored, UnflooredProfiles):
-        want = IncrementalMatchIndex(tables, wrapper(factory()), THRESHOLD).drg
-        got = IncrementalMatchIndex(tables, factory(), THRESHOLD).drg
-        assert_same_drg(got, want)
+    want = IncrementalMatchIndex(tables, Unfloored(factory()), THRESHOLD)
+    got = IncrementalMatchIndex(tables, factory(), THRESHOLD)
+    assert_same_drg(got.drg, want.drg)
+    # A mutation's one-table-against-the-rest pass is handed the floor too.
+    changed = tables[1].take(np.arange(tables[1].n_rows // 2))
+    for index in (want, got):
+        index.update_table(changed)
+    assert_same_drg(got.drg, want.drg)

@@ -22,6 +22,9 @@ them, and no entry point calls them (``scripts/reach.py`` measures that):
 * :mod:`tests.oracle.coma` — COMA's per-pair scan (every key-like column
   pair of every table pair, names measured from fresh features), the form
   its one-pass lake matcher is held to row for row;
+* :mod:`tests.oracle.lazo` — Lazo's per-pair banding (one table's band
+  keys bucketed, the other's looked up, colliding pairs scored and
+  sorted), the form its once-per-lake banding pass is held to row for row;
 * :mod:`tests.oracle.gbdt` — gradient-boosted trees grown one node and
   one feature at a time (every node searched, every boosting round
   re-predicting every row), the form the two-children split kernel of

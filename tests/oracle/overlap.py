@@ -11,8 +11,11 @@ overlap gate COMA used before its lake pass; the ``value_overlap`` rows of
 stays to replay them.
 """
 
+from itertools import combinations
+
 import numpy as np
 
+from repro.discovery.coma import ColumnMatch, LakeMatches
 from repro.discovery.profiles import ColumnProfile, ProfileCache, TableProfile
 from repro.discovery.value_overlap import (
     _containment,
@@ -52,9 +55,10 @@ def minhash_jaccard(a: ColumnProfile, b: ColumnProfile) -> float:
 class ValueOverlapMatcher:
     """Pure instance-level matcher: names are ignored entirely.
 
-    Scores every column pair with ``instance_similarity`` alone, in the
-    ``Matcher`` protocol and the ``(-score, column_a, column_b)`` output
-    order of :class:`~repro.discovery.ComaMatcher`.
+    Scores every column pair of every table pair with
+    ``instance_similarity`` alone, through the lake pass every matcher
+    exposes and in the ``(-score, column_a, column_b)`` output order of
+    :class:`~repro.discovery.ComaMatcher`.
     """
 
     def __init__(self, min_score: float = 0.3):
@@ -62,10 +66,8 @@ class ValueOverlapMatcher:
         self._min_score = min_score
         self._profiles = ProfileCache()
 
-    def match_profiles(
-        self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float = 0.0
-    ) -> list[tuple[str, str, float]]:
-        """Instance scores of every column pair reaching ``floor``, sorted."""
+    def _pair(self, profiles_a: TableProfile, profiles_b: TableProfile, floor: float):
+        """Instance scores of one table pair's column pairs reaching ``floor``."""
         overlap = tables_may_overlap(profiles_a, profiles_b)
         matches = []
         for col_a in profiles_a.columns:
@@ -73,14 +75,25 @@ class ValueOverlapMatcher:
                 score = instance_similarity(col_a, col_b) if overlap else 0.0
                 rounded = round(float(score), 6)
                 if score >= self._min_score and rounded >= floor:
-                    matches.append((col_a.column_name, col_b.column_name, rounded))
-        matches.sort(key=lambda t: (-t[2], t[0], t[1]))
+                    matches.append(
+                        ColumnMatch(
+                            profiles_a.table_name, col_a.column_name,
+                            profiles_b.table_name, col_b.column_name, rounded,
+                        )
+                    )
+        matches.sort(key=lambda m: (-m.score, m.column_a, m.column_b))
         return matches
 
-    def match(self, table_a, table_b, floor: float = 0.0):
-        """Scored column pairs of two tables (profiles are cached)."""
-        return self.match_profiles(*map(self._profiles, (table_a, table_b)), floor)
+    def match_lake_profiles(self, profiles, floor: float = 0.0, focus=None):
+        """Every table pair (only ``focus``'s) scored one by one."""
+        pairs = {}
+        for i, j in combinations(range(len(profiles)), 2):
+            if focus is None or focus in (i, j):
+                matches = self._pair(profiles[i], profiles[j], floor)
+                if matches:
+                    pairs[i, j] = matches
+        return LakeMatches(pairs)
 
-    def __call__(self, table_a, table_b, floor: float = 0.0):
-        """DRG ``Matcher`` protocol adapter."""
-        yield from self.match(table_a, table_b, floor)
+    def match_lake(self, tables, floor: float = 0.0):
+        """Score every table pair of a lake (profiles are cached)."""
+        return self.match_lake_profiles([self._profiles.get(t) for t in tables], floor)

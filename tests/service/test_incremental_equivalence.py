@@ -5,9 +5,9 @@ register/update/drop mutations, the service's incrementally maintained
 state must be bit-identical to throwing everything away and rebuilding
 from scratch — same DRG (edges and weights), same ranked paths and
 scores, same failure reports, same deterministic manifest fields.
-Hypothesis drives random mutation sequences over a small lake for both
-the COMA and Lazo matchers, once with every answer recomputed and once
-with answers served from the warm result store.
+Hypothesis drives random mutation sequences over a small lake for the
+COMA, Lazo and distribution matchers, once with every answer recomputed
+and once with answers served from the warm result store.
 """
 
 import dataclasses
@@ -131,9 +131,9 @@ def manifest_deterministic_fields(manifest):
 
 
 def matcher_factories():
-    from repro.discovery import ComaMatcher, LazoMatcher
+    from repro.discovery import ComaMatcher, DistributionMatcher, LazoMatcher
 
-    return [ComaMatcher, LazoMatcher]
+    return [ComaMatcher, LazoMatcher, DistributionMatcher]
 
 
 @pytest.mark.parametrize("matcher_cls", matcher_factories())
