@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataframe import Table
-from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
+from ..engine import FaultManager, JoinEngine
 from ..graph import DatasetRelationGraph
 from ..ml import RandomForestClassifier, TabularEncoder, encode_labels, evaluate_accuracy
 from ..obs import Tracer, build_manifest
@@ -76,21 +76,16 @@ def run_arda(
     label_column: str,
     model_name: str = "lightgbm",
     seed: int = 0,
-    failure_policy: str = "skip_and_record",
-    error_budget: int = DEFAULT_ERROR_BUDGET,
     hop_hook=None,
-    enable_tracing: bool = True,
 ) -> BaselineResult:
     """Full ARDA pipeline: star join, RIFS, model-based threshold pick.
 
-    Star-join hop failures are handled per ``failure_policy`` and
-    accounted on the result's ``failure_report``.
+    Failed star-join hops are skipped and accounted on the result's
+    ``failure_report``.
     """
-    tracer = Tracer(enabled=enable_tracing)
+    tracer = Tracer()
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
-    faults = FaultManager(
-        policy=failure_policy, error_budget=error_budget, stage="arda"
-    )
+    faults = FaultManager("arda")
     base = drg.table(base_name)
     with tracer.span("arda", base=base_name, model=model_name) as root:
         current = base
@@ -99,8 +94,7 @@ def run_arda(
         links = {base_name: (base, None)}
         for neighbor in drg.neighbors(base_name):
             result = join_neighbor(
-                current, links, drg, base_name, neighbor, base_name, seed,
-                engine=engine, faults=faults,
+                current, links, drg, base_name, neighbor, base_name, engine, faults
             )
             if result is not None:
                 current = result

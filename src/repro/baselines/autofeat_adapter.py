@@ -25,9 +25,8 @@ def run_autofeat(
 ) -> BaselineResult:
     """Run the full AutoFeat pipeline and normalise its result record.
 
-    The failure policy lives on ``config`` (``failure_policy`` /
-    ``error_budget``); the combined discovery+training
-    failure accounting lands on the result's ``failure_report``.
+    The combined discovery+training failure accounting lands on the
+    result's ``failure_report``.
     """
     config = (config or AutoFeatConfig()).with_overrides(seed=seed)
     result = AutoFeat(drg, config, hop_hook=hop_hook).augment(

@@ -19,10 +19,9 @@ def run_base(
     label_column: str,
     model_name: str = "lightgbm",
     seed: int = 0,
-    enable_tracing: bool = True,
 ) -> BaselineResult:
     """Evaluate the base table as-is (no augmentation, no selection)."""
-    tracer = Tracer(enabled=enable_tracing)
+    tracer = Tracer()
     with tracer.span("base", dataset=base_table.name, model=model_name) as root:
         with tracer.span("evaluate", model=model_name):
             acc = evaluate_accuracy(base_table, label_column, model_name, seed=seed)

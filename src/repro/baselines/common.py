@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..dataframe import Table
 from ..engine import ExecutionStats, FailureReport, FaultManager, JoinEngine
-from ..errors import JoinError
 from ..graph import DatasetRelationGraph, OrientedEdge
 from ..obs import RunManifest
 from ..selection.stats import SelectionStats
@@ -48,8 +47,8 @@ class BaselineResult:
     #: layer (AutoFeat, JoinAll+F); None for model-in-the-loop selectors
     #: (ARDA's RIFS, MAB) that never touch it.
     selection_stats: SelectionStats | None = None
-    #: Per-run failure accounting under the method's failure policy; None
-    #: for BASE-style methods that never join.
+    #: Per-run failure accounting; None for BASE-style methods that never
+    #: join.
     failure_report: FailureReport | None = None
     #: Reproducibility record of the run (timing tree, metrics, config,
     #: dataset fingerprint); every baseline attaches one.
@@ -90,37 +89,24 @@ def join_neighbor(
     source: str,
     target: str,
     base_name: str,
-    seed: int = 0,
-    engine: JoinEngine | None = None,
-    faults: FaultManager | None = None,
+    engine: JoinEngine,
+    faults: FaultManager,
 ) -> Table | None:
     """Join ``target`` onto the running table via the best join option.
 
     Returns the joined table, and records ``target``'s link in ``links``,
-    or returns None when no join option exists or the hop failed.  Pass
-    the caller's :class:`JoinEngine` so repeated visits to the same
-    target table reuse its build-side index; a throwaway engine is used
-    otherwise.  Pass the caller's :class:`FaultManager` to run the hop
-    under its failure policy (failed hops are then recorded, and
-    ``fail_fast`` propagates instead of returning None); without one,
-    infeasible joins are silently skipped.
+    or returns None when no join option exists or the hop failed (a
+    failed hop is recorded on ``faults``).  Repeated visits to the same
+    target table reuse ``engine``'s build-side index.
     """
     options = drg.best_join_options(source, target)
     if not options:
         return None
-    if engine is None:
-        engine = JoinEngine(drg, seed=seed)
-
-    def hop() -> tuple[Table, tuple]:
-        return join_hop(engine, current, links, options[0], base_name)
-
-    if faults is None:
-        try:
-            result = hop()
-        except JoinError:
-            return None
-    else:
-        result = faults.execute(hop, base=base_name, edge=options[0])
+    result = faults.execute(
+        lambda: join_hop(engine, current, links, options[0], base_name),
+        base=base_name,
+        edge=options[0],
+    )
     if result is None:
         return None
     joined, links[target] = result

@@ -16,7 +16,7 @@ before training — cheap selection, expensive join.
 from __future__ import annotations
 
 from ..dataframe import Table
-from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
+from ..engine import FaultManager, JoinEngine
 from ..errors import JoinError
 from ..graph import DatasetRelationGraph, bfs_levels, join_all_path_count
 from ..ml import evaluate_accuracy
@@ -33,13 +33,13 @@ FEASIBILITY_CAP = 10_000_000
 def join_all_table(
     drg: DatasetRelationGraph,
     base_name: str,
-    seed: int = 0,
-    engine: JoinEngine | None = None,
-    faults: FaultManager | None = None,
+    engine: JoinEngine,
+    faults: FaultManager,
 ) -> tuple[Table, int]:
-    """Join every reachable table in BFS order; returns (wide, n_joined)."""
-    if engine is None:
-        engine = JoinEngine(drg, seed=seed)
+    """Join every reachable table in BFS order; returns (wide, n_joined).
+
+    Hops run on ``engine``; a failed one is recorded on ``faults``.
+    """
     base = drg.table(base_name)
     levels = bfs_levels(drg.graph, base_name)
     order = sorted(
@@ -57,8 +57,7 @@ def join_all_table(
         ]
         for source in sources:
             result = join_neighbor(
-                current, links, drg, source, name, base_name, seed,
-                engine=engine, faults=faults,
+                current, links, drg, source, name, base_name, engine, faults
             )
             if result is not None:
                 current = result
@@ -75,17 +74,14 @@ def run_join_all(
     kappa: int = 15,
     seed: int = 0,
     feasibility_cap: int = FEASIBILITY_CAP,
-    failure_policy: str = "skip_and_record",
-    error_budget: int = DEFAULT_ERROR_BUDGET,
     hop_hook=None,
-    enable_tracing: bool = True,
 ) -> BaselineResult:
     """JoinAll (``with_filter=False``) or JoinAll+F (``True``).
 
     Raises :class:`JoinError` when Equation (3) puts the number of
     orderings past ``feasibility_cap`` — the "did not finish within the
-    time constraint" outcome of the paper.  Hop failures are handled per
-    ``failure_policy`` and accounted on the result's ``failure_report``.
+    time constraint" outcome of the paper.  Failed hops are skipped and
+    accounted on the result's ``failure_report``.
     """
     method = "JoinAll+F" if with_filter else "JoinAll"
     orderings = join_all_path_count(drg.graph, base_name)
@@ -94,16 +90,12 @@ def run_join_all(
             f"JoinAll is infeasible on {base_name!r}: {orderings} possible "
             f"join orderings exceed the cap of {feasibility_cap}"
         )
-    tracer = Tracer(enabled=enable_tracing)
+    tracer = Tracer()
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
-    faults = FaultManager(
-        policy=failure_policy, error_budget=error_budget, stage="join_all"
-    )
+    faults = FaultManager("join_all")
     selection_stats = SelectionStats() if with_filter else None
     with tracer.span("join_all", base=base_name, model=model_name) as root:
-        wide, joined = join_all_table(
-            drg, base_name, seed, engine=engine, faults=faults
-        )
+        wide, joined = join_all_table(drg, base_name, engine, faults)
         feature_names = [n for n in wide.column_names if n != label_column]
         if with_filter:
             with tracer.span("selection", features=len(feature_names)):

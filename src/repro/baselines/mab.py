@@ -17,8 +17,8 @@ comparison depends on them:
 
 from __future__ import annotations
 
-from ..core.navigation import UcbArm
-from ..engine import DEFAULT_ERROR_BUDGET, FaultManager, JoinEngine
+from ..core.navigation import DEFAULT_FRONTIER_EXPLORATION, UcbArm
+from ..engine import FaultManager, JoinEngine
 from ..graph import DatasetRelationGraph
 from ..ml import evaluate_accuracy
 from ..obs import Tracer, build_manifest
@@ -47,24 +47,20 @@ def run_mab(
     label_column: str,
     model_name: str = "lightgbm",
     budget: int = 12,
-    exploration: float = 0.5,
     seed: int = 0,
-    failure_policy: str = "skip_and_record",
-    error_budget: int = DEFAULT_ERROR_BUDGET,
     hop_hook=None,
-    enable_tracing: bool = True,
 ) -> BaselineResult:
     """UCB1 bandit augmentation with a pull budget.
 
-    Failed pulls are handled per ``failure_policy`` (a failing join
-    penalises and retires the arm, exactly as an unrewarding pull did
-    before) and accounted on the result's ``failure_report``.
+    Arms are scored with the frontier's UCB1 constant,
+    :data:`~repro.core.navigation.DEFAULT_FRONTIER_EXPLORATION`.  A failed
+    pull is recorded (a failing join penalises and retires the arm,
+    exactly as an unrewarding pull did before) and accounted on the
+    result's ``failure_report``.
     """
-    tracer = Tracer(enabled=enable_tracing)
+    tracer = Tracer()
     engine = JoinEngine(drg, seed=seed, hop_hook=hop_hook, tracer=tracer)
-    faults = FaultManager(
-        policy=failure_policy, error_budget=error_budget, stage="mab"
-    )
+    faults = FaultManager("mab")
     base = drg.table(base_name)
     joined: list[str] = []
 
@@ -98,7 +94,10 @@ def run_mab(
             # wins, independent of float noise or dict rehashing.
             arm = max(
                 enumerate(arm_index.values()),
-                key=lambda pair: (pair[1].ucb(total_pulls, exploration), -pair[0]),
+                key=lambda pair: (
+                    pair[1].ucb(total_pulls, DEFAULT_FRONTIER_EXPLORATION),
+                    -pair[0],
+                ),
             )[1]
             source, target = arm.key
             total_pulls += 1

@@ -66,8 +66,8 @@ def failure_reports(result) -> list:
 def assert_no_failures(*results) -> None:
     """Fail loudly when a benchmark run degraded instead of completing.
 
-    Under the default ``skip_and_record`` policy a run that hits join
-    failures still returns — with paths silently missing from its numbers.
+    A run that hits join failures skips and records them and still
+    returns — with paths silently missing from its numbers.
     Benchmark figures must come from complete runs, so every result's
     ``failure_report`` (and, for AutoFeat results, the discovery-phase
     report underneath) must be empty.  Results that carry a

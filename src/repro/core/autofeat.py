@@ -52,7 +52,7 @@ class AutoFeat:
     ``hop_hook`` is the per-hop test seam of every
     :class:`~repro.engine.JoinEngine` the pipeline creates, ``hook(edge)``:
     a hook that raises a deterministic fault makes graceful degradation
-    under ``config.failure_policy`` testable end to end; one that sleeps
+    (the fault is skipped and recorded) testable end to end; one that sleeps
     simulates a slow table.
     """
 
@@ -126,15 +126,6 @@ class AutoFeat:
         """One per-run tracer honouring ``config.enable_tracing``."""
         return Tracer(enabled=self.config.enable_tracing)
 
-    def _faults(self, stage: str) -> FaultManager:
-        """One per-run fault manager applying the config's policy."""
-        config = self.config
-        return FaultManager(
-            policy=config.failure_policy,
-            error_budget=config.error_budget,
-            stage=stage,
-        )
-
     # -- discovery (ranking) phase ---------------------------------------------
 
     def discover(
@@ -185,7 +176,7 @@ class AutoFeat:
             )
         tracer = self._tracer()
         budget, frontier = self._navigation(deadline)
-        faults = self._faults("discovery")
+        faults = FaultManager("discovery")
         engine = self._engine(tracer, budget.deadline)
 
         verdicts: list[HopVerdict] = []
@@ -318,10 +309,10 @@ class AutoFeat:
     ) -> tuple[HopVerdict, tuple | None]:
         """Run the hop ``edge`` out of ``entry`` and decide it.
 
-        Probe along the entry's row map, then the failure policy, the τ
-        rule, streaming selection and the ranking score.  A deadline abort
-        is graceful exhaustion, not a failure; an unfeasible join is
-        pruning input under every policy; a hop that contributed no
+        Probe along the entry's row map, then the τ rule, streaming
+        selection and the ranking score.  A deadline abort is graceful
+        exhaustion, not a failure; an unfeasible join is pruning input; a
+        fault is recorded on ``faults`` and skipped; a hop that contributed no
         columns is not poor join quality — it is ranked (and stays
         traversable) with ``empty`` set.  Returns ``(verdict, rows)``:
         ``rows`` is the extended path's frontier link — this hop's build
@@ -348,8 +339,6 @@ class AutoFeat:
         except JoinError:
             return HopVerdict("unfeasible", *where), None
         except FaultError as exc:
-            if faults.policy == "fail_fast":
-                raise
             faults.record(exc, base=base_name, path=path, edge=edge)
             return HopVerdict("faulted", *where), None
         candidates = [out for __, out in scored]
@@ -407,12 +396,12 @@ class AutoFeat:
         the last hop that contributed one) train the same model, which is
         fitted once.
 
-        Full-table materialisation can fail even though the sampled
-        discovery pass succeeded (the sample may have dodged the rows that
-        break a join).  Under ``skip_and_record`` such a path is
-        recorded on ``AugmentationResult.failure_report`` and skipped, and
-        the remaining top-k paths still train; ``fail_fast`` propagates
-        before any fit starts.
+        A path whose materialisation raises a fault (the hop hook's) or a
+        :class:`JoinError` is recorded on
+        ``AugmentationResult.failure_report`` and skipped, and the
+        remaining top-k paths still train.  The sample cannot hide a
+        ``JoinError`` from discovery: a hop raises one only for a missing
+        column, and the sample has the full table's columns.
 
         The training phase runs under a ``train`` span tree (``train >
         {path > hop > join, evaluate}``: every ``path``, then one
@@ -436,7 +425,7 @@ class AutoFeat:
         memo = self.memo
         tracer = self._tracer()
         budget = RunBudget.start(config.budget_seconds, None, deadline=deadline)
-        faults = self._faults("training")
+        faults = FaultManager("training")
         engine = self._engine(tracer, budget.deadline)
         base_name, label = discovery.base_table, discovery.label_column
         base = self.drg.table(base_name)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..engine.faults import DEFAULT_ERROR_BUDGET, FAILURE_POLICIES
 from ..errors import ConfigError
 from .navigation import FRONTIER_STRATEGIES
 from ..selection.kernels import REDUNDANCY_METHODS
@@ -54,20 +53,6 @@ class AutoFeatConfig:
     traversal:
         ``"bfs"`` (the paper's choice, Section IV-A) or ``"dfs"`` — kept as
         a switch for the traversal ablation.
-    failure_policy:
-        How a run reacts to hop/path failures (faults raised by the
-        ``hop_hook`` and, during training, full-table materialisation
-        errors).  ``"skip_and_record"`` (the default) skips the failing
-        path, records it on the result's ``failure_report`` and keeps
-        going; ``"fail_fast"`` propagates the first typed error (the
-        pre-fault-isolation behaviour).  Ordinary join infeasibilities
-        during discovery are *pruning* input for Algorithm 1 under both
-        policies.
-    error_budget:
-        Recorded failures tolerated per run under ``skip_and_record``
-        before the run aborts with
-        :class:`~repro.errors.ErrorBudgetExceeded` — degradation is
-        bounded, not unconditional.
     enable_tracing:
         Record the run's hierarchical timing tree
         (``discover > hop > join / selection``) through
@@ -114,8 +99,6 @@ class AutoFeatConfig:
     redundancy_method: str | None = "mrmr"
     sample_size: int = 1000
     traversal: str = "bfs"
-    failure_policy: str = "skip_and_record"
-    error_budget: int = DEFAULT_ERROR_BUDGET
     enable_tracing: bool = True
     budget_seconds: float | None = None
     max_hops: int | None = None
@@ -151,15 +134,6 @@ class AutoFeatConfig:
             raise ConfigError(
                 f"unknown relevance metric {self.relevance_metric!r}; "
                 f"expected one of {sorted(valid_relevance)} or None"
-            )
-        if self.failure_policy not in FAILURE_POLICIES:
-            raise ConfigError(
-                f"unknown failure policy {self.failure_policy!r}; "
-                f"expected one of {list(FAILURE_POLICIES)}"
-            )
-        if self.error_budget < 0:
-            raise ConfigError(
-                f"error_budget must be >= 0, got {self.error_budget}"
             )
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ConfigError(

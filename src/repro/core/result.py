@@ -117,8 +117,8 @@ class DiscoveryResult:
     #: Feature-scoring counters of the traversal (batches scored, features
     #: ranked, code-cache activity, scalar fallbacks).
     selection_stats: SelectionStats = field(default_factory=SelectionStats)
-    #: Per-path failure accounting of the traversal under the run's
-    #: failure policy (empty under ``fail_fast``, and for clean runs).
+    #: Per-path failure accounting of the traversal (empty for clean
+    #: runs).
     failure_report: FailureReport = field(default_factory=FailureReport)
     #: Reproducibility record of the traversal: config snapshot, seed,
     #: dataset fingerprint, git revision, timing tree, metrics, events.
@@ -181,7 +181,7 @@ class AugmentationResult:
     #: (the discovery-phase counters live on ``discovery.engine_stats``).
     engine_stats: ExecutionStats = field(default_factory=ExecutionStats)
     #: Training-phase failures (top-k paths whose full-table
-    #: materialisation failed and was skipped under the run's policy).
+    #: materialisation failed and was skipped).
     failure_report: FailureReport = field(default_factory=FailureReport)
     #: Whole-run reproducibility record: the discovery timing tree and the
     #: training timing tree composed under one ``augment`` root, plus the

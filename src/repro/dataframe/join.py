@@ -131,7 +131,6 @@ class JoinIndex:
         "build_table",
         "key_column",
         "seed",
-        "deduplicated",
         "dictionary",
         "_code_rows",
         "_rank_codes",
@@ -143,14 +142,12 @@ class JoinIndex:
         build_table: Table,
         key_column: str,
         seed: int,
-        deduplicated: bool,
         dictionary: KeyDictionary,
         code_rows: np.ndarray,
     ):
         self.build_table = build_table
         self.key_column = key_column
         self.seed = seed
-        self.deduplicated = deduplicated
         #: The source key column's interned universe.
         self.dictionary = dictionary
         #: Dense gather table mapping a dictionary code to its build row.
@@ -160,66 +157,23 @@ class JoinIndex:
         self._row_nulls: np.ndarray | None = None
 
     @classmethod
-    def build(
-        cls,
-        table: Table,
-        key_column: str,
-        seed: int = 0,
-        deduplicate: bool = True,
-    ) -> "JoinIndex":
+    def build(cls, table: Table, key_column: str, seed: int = 0) -> "JoinIndex":
         """Deduplicate ``table`` on ``key_column`` and index the survivors.
 
         Deduplication keeps one representative row per key (see
         :func:`_representative_index`) and drops rows whose key is null or
-        NaN: neither equals any probe value.  With ``deduplicate=False`` the table is taken as-is and a duplicate
-        key raises :class:`JoinError` (a left join through it would
-        duplicate probe rows).
+        NaN: neither equals any probe value.
         """
         if key_column not in table:
             raise JoinError(
                 f"right table {table.name!r} has no join column {key_column!r}"
             )
         dictionary = KeyDictionary.from_column(table.column(key_column))
-        codes = dictionary.codes
-        if deduplicate:
-            picks = _encoded_dedup_picks(codes, dictionary, seed)
-            build = table.take(picks)
-            build_codes = codes[picks]
-        else:
-            cls._check_unique_codes(table, key_column, codes)
-            build = table
-            build_codes = codes
+        picks = _encoded_dedup_picks(dictionary.codes, dictionary, seed)
+        # Every survivor has a key: build row i holds code codes[picks[i]].
         code_rows = np.full(dictionary.n_keys, -1, dtype=np.int64)
-        keyed = np.flatnonzero(build_codes >= 0)
-        code_rows[build_codes[keyed]] = keyed
-        return cls(build, key_column, seed, deduplicate, dictionary, code_rows)
-
-    @staticmethod
-    def _check_unique_codes(
-        table: Table, key_column: str, codes: np.ndarray
-    ) -> None:
-        """Raise on the row a row-by-row scan would reject first.
-
-        That is the earliest second occurrence across all repeated codes;
-        naming it keeps the error message identical to the dict-based
-        test reference.
-        """
-        valid_rows = np.flatnonzero(codes >= 0)
-        if len(valid_rows) < 2:
-            return
-        group_codes = codes[valid_rows]
-        order = np.argsort(group_codes, kind="stable")
-        sorted_rows = valid_rows[order]
-        sorted_codes = group_codes[order]
-        repeats = sorted_codes[1:] == sorted_codes[:-1]
-        if not repeats.any():
-            return
-        offender = int(sorted_rows[1:][repeats].min())
-        value = table.column(key_column)[offender]
-        raise JoinError(
-            f"duplicate join key {value!r} in {table.name!r} with "
-            "deduplicate=False; a left join would duplicate probe rows"
-        )
+        code_rows[dictionary.codes[picks]] = np.arange(len(picks))
+        return cls(table.take(picks), key_column, seed, dictionary, code_rows)
 
     def probe(self, keys: Column) -> np.ndarray:
         """Map probe-side key values onto build-side row indices.
@@ -234,9 +188,7 @@ class JoinIndex:
         gather = self._code_rows[np.clip(codes, 0, None)]
         return np.where(codes >= 0, gather, -1)
 
-    def output_names(
-        self, left_names: Iterable[str], drop_right_key: bool = False
-    ) -> list[tuple[str, str]]:
+    def output_names(self, left_names: Iterable[str]) -> list[tuple[str, str]]:
         """``(build column, output name)`` of every column a join writes.
 
         A build column whose name the running join already holds is
@@ -246,8 +198,6 @@ class JoinIndex:
         taken = set(left_names)
         names = []
         for name in self.build_table.column_names:
-            if drop_right_key and name == self.key_column:
-                continue
             out_name = name
             while out_name in taken:
                 out_name = f"{out_name}_r"
@@ -255,12 +205,10 @@ class JoinIndex:
             names.append((name, out_name))
         return names
 
-    def attach(
-        self, left: Table, row_map: np.ndarray, drop_right_key: bool = False
-    ) -> Table:
+    def attach(self, left: Table, row_map: np.ndarray) -> Table:
         """Gather build rows onto ``left`` along a probe's row map."""
         out = {name: left.column(name) for name in left.column_names}
-        for name, out_name in self.output_names(left.column_names, drop_right_key):
+        for name, out_name in self.output_names(left.column_names):
             out[out_name] = gather_rows(self.build_table.column(name), row_map)
         return Table(out, name=left.name)
 

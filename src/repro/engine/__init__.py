@@ -4,19 +4,13 @@ The engine layer sits between the columnar substrate
 (:mod:`repro.dataframe`) and the algorithm layer (:mod:`repro.core`,
 :mod:`repro.baselines`): it turns DRG edges into build/probe join kernels,
 memoizes build-side state across join paths with a :class:`HopCache`,
-applies a run-level failure policy to failing hops
+skips and records failing hops up to a run-level error budget
 (:mod:`repro.engine.faults`), and exposes execution counters so callers
 can observe exactly how much join work a run performed.
 """
 
 from .engine import JoinEngine
-from .faults import (
-    DEFAULT_ERROR_BUDGET,
-    FAILURE_POLICIES,
-    FailureRecord,
-    FailureReport,
-    FaultManager,
-)
+from .faults import ERROR_BUDGET, FailureRecord, FailureReport, FaultManager
 from .hop_cache import HopCache
 from .naming import qualified, source_column_name
 from .parallel import fit_pool, resolve_max_workers
@@ -28,8 +22,7 @@ __all__ = [
     "ExecutionStats",
     "qualified",
     "source_column_name",
-    "FAILURE_POLICIES",
-    "DEFAULT_ERROR_BUDGET",
+    "ERROR_BUDGET",
     "FailureRecord",
     "FailureReport",
     "FaultManager",

@@ -4,9 +4,9 @@ AutoFeat's value proposition is surviving a messy data lake, so one poison
 table must not abort a whole discovery or training run.  This module holds
 the two pieces that make per-path failures survivable and observable:
 
-* :class:`FaultManager` — applies the run's failure policy (``fail_fast``
-  or ``skip_and_record``) to every guarded hop, enforces the per-run error
-  budget, and accumulates :class:`FailureRecord` entries;
+* :class:`FaultManager` — skips and records every managed error of one
+  run, and aborts the run once more than :data:`ERROR_BUDGET` failures
+  are recorded;
 * :class:`FailureReport` — the frozen per-run failure accounting carried
   on ``DiscoveryResult`` / ``AugmentationResult`` / ``BaselineResult`` and
   rendered by ``summary()``.
@@ -24,26 +24,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from ..errors import ConfigError, ErrorBudgetExceeded, FaultError, JoinError
+from ..errors import ErrorBudgetExceeded, FaultError, JoinError
 
 __all__ = [
-    "FAILURE_POLICIES",
-    "DEFAULT_ERROR_BUDGET",
+    "ERROR_BUDGET",
     "FailureRecord",
     "FailureReport",
     "FaultManager",
 ]
 
-#: The two failure policies a run can execute under.
-#:
-#: * ``fail_fast`` — every managed error propagates immediately (the
-#:   pre-fault-isolation behaviour);
-#: * ``skip_and_record`` — the failing hop/path is skipped, the failure is
-#:   recorded, and the run continues until the error budget is exhausted.
-FAILURE_POLICIES = ("fail_fast", "skip_and_record")
-
 #: Recorded failures tolerated per run before the run itself aborts.
-DEFAULT_ERROR_BUDGET = 64
+ERROR_BUDGET = 64
 
 T = TypeVar("T")
 
@@ -75,8 +66,6 @@ class FailureReport:
     partial result is acceptable.
     """
 
-    policy: str = "skip_and_record"
-    error_budget: int = DEFAULT_ERROR_BUDGET
     records: tuple[FailureRecord, ...] = ()
 
     @property
@@ -94,18 +83,13 @@ class FailureReport:
 
     def merged(self, other: "FailureReport") -> "FailureReport":
         """Record-wise concatenation — e.g. discovery plus training phase."""
-        return FailureReport(
-            policy=self.policy,
-            error_budget=self.error_budget,
-            records=self.records + other.records,
-        )
+        return FailureReport(records=self.records + other.records)
 
     def publish(self, registry, prefix: str = "faults"):
         """Publish the failure accounting into a
-        :class:`repro.obs.MetricsRegistry` (total, budget and per-kind
-        counters under ``faults.*``)."""
+        :class:`repro.obs.MetricsRegistry` (total and per-kind counters
+        under ``faults.*``)."""
         registry.counter(f"{prefix}.recorded").inc(self.n_failures)
-        registry.gauge(f"{prefix}.error_budget").set(self.error_budget)
         for kind, count in sorted(self.by_kind().items()):
             registry.counter(f"{prefix}.kind.{kind}").inc(count)
         return registry
@@ -113,13 +97,13 @@ class FailureReport:
     def describe(self) -> str:
         """One-line human-readable rendering for summaries."""
         if not self.records:
-            return f"none (policy={self.policy})"
+            return "none"
         kinds = ", ".join(
             f"{kind} x{count}" for kind, count in sorted(self.by_kind().items())
         )
         return (
-            f"{self.n_failures} recorded ({kinds}) under policy={self.policy}, "
-            f"budget {self.n_failures}/{self.error_budget}"
+            f"{self.n_failures} recorded ({kinds}), "
+            f"budget {self.n_failures}/{ERROR_BUDGET}"
         )
 
 
@@ -129,41 +113,18 @@ def _edge_signature(edge) -> str:
 
 
 class FaultManager:
-    """Applies one run's failure policy to every guarded operation.
+    """Skips and records the managed errors of one run.
 
     One manager spans one logical run, exactly like :class:`JoinEngine`:
     the discovery traversal, the top-k training pass and each baseline's
-    join loop construct their own.  A baseline and top-k training
-    thread every fallible join through :meth:`execute`; discovery's
-    ``AutoFeat._hop`` records its faulted hops itself.
-
-    Parameters
-    ----------
-    policy:
-        One of :data:`FAILURE_POLICIES`.
-    error_budget:
-        Maximum failures recorded before the run aborts with
-        :class:`~repro.errors.ErrorBudgetExceeded` (``fail_fast`` never
-        records, so the budget only binds ``skip_and_record``).
-    stage:
-        Default stage label stamped onto records.
+    join loop construct their own, and ``stage`` labels its records.  A
+    baseline and top-k training thread every fallible join through
+    :meth:`execute`; discovery's ``AutoFeat._hop`` records its faulted
+    hops itself.  Once more than :data:`ERROR_BUDGET` failures are
+    recorded the run aborts with :class:`~repro.errors.ErrorBudgetExceeded`.
     """
 
-    def __init__(
-        self,
-        policy: str = "skip_and_record",
-        error_budget: int = DEFAULT_ERROR_BUDGET,
-        stage: str = "",
-    ):
-        if policy not in FAILURE_POLICIES:
-            raise ConfigError(
-                f"unknown failure policy {policy!r}; "
-                f"expected one of {list(FAILURE_POLICIES)}"
-            )
-        if error_budget < 0:
-            raise ConfigError(f"error_budget must be >= 0, got {error_budget}")
-        self.policy = policy
-        self.error_budget = error_budget
+    def __init__(self, stage: str = ""):
         self.stage = stage
         self._records: list[FailureRecord] = []
 
@@ -172,46 +133,29 @@ class FaultManager:
         return len(self._records)
 
     def execute(
-        self,
-        fn: Callable[[], T],
-        *,
-        stage: str | None = None,
-        base: str = "",
-        path=None,
-        edge=None,
-        kinds: tuple[type[Exception], ...] = (JoinError, FaultError),
+        self, fn: Callable[[], T], *, base: str = "", path=None, edge=None
     ) -> T | None:
-        """Run ``fn()`` under the policy; None means "recorded and skipped".
+        """Run ``fn()``; None means "recorded and skipped".
 
-        ``kinds`` is the exception family the policy manages here: the
-        baselines pass the default, both families, because a hop they
-        cannot join is a failure to account for.  ``fail_fast`` re-raises
-        a managed error instead of recording it; everything outside
-        ``kinds`` (and :class:`~repro.errors.ErrorBudgetExceeded`, always)
-        propagates.
+        A :class:`~repro.errors.JoinError` or
+        :class:`~repro.errors.FaultError` is recorded: a hop a baseline or
+        top-k training cannot join is a failure to account for.  Anything
+        else, and :class:`~repro.errors.ErrorBudgetExceeded`, propagates.
         """
         try:
             return fn()
         except ErrorBudgetExceeded:
             raise
-        except kinds as exc:
-            if self.policy == "fail_fast":
-                raise
-            self.record(exc, stage=stage, base=base, path=path, edge=edge)
+        except (JoinError, FaultError) as exc:
+            self.record(exc, base=base, path=path, edge=edge)
             return None
 
     def record(
-        self,
-        exc: Exception,
-        *,
-        stage: str | None = None,
-        base: str = "",
-        path=None,
-        edge=None,
+        self, exc: Exception, *, base: str = "", path=None, edge=None
     ) -> None:
         """Append a failure record, aborting once the budget is exhausted."""
         record = FailureRecord(
-            stage=self.stage if stage is None else stage,
+            stage=self.stage,
             error_kind=type(exc).__name__,
             message=str(exc),
             base_table=base,
@@ -219,17 +163,13 @@ class FaultManager:
             edge=_edge_signature(edge) if edge is not None else "",
         )
         self._records.append(record)
-        if len(self._records) > self.error_budget:
+        if len(self._records) > ERROR_BUDGET:
             raise ErrorBudgetExceeded(
                 f"error budget exhausted: {len(self._records)} failures exceed "
-                f"the budget of {self.error_budget} "
+                f"the budget of {ERROR_BUDGET} "
                 f"(last: {record.error_kind} on edge [{record.edge}])"
             )
 
     def report(self) -> FailureReport:
         """Freeze the failures recorded so far into an immutable report."""
-        return FailureReport(
-            policy=self.policy,
-            error_budget=self.error_budget,
-            records=tuple(self._records),
-        )
+        return FailureReport(records=tuple(self._records))

@@ -39,9 +39,9 @@ class FaultError(ReproError):
 class ErrorBudgetExceeded(FaultError):
     """A run recorded more failures than its error budget tolerates.
 
-    Raised by :class:`repro.engine.FaultManager` under the
-    ``skip_and_record`` policy once the per-run budget is
-    exhausted — graceful degradation is bounded, not unconditional.
+    Raised by :class:`repro.engine.FaultManager` once more failures are
+    recorded than :data:`repro.engine.faults.ERROR_BUDGET` — graceful
+    degradation is bounded, not unconditional.
     """
 
 

@@ -81,10 +81,7 @@ class JoinPath:
 
 
 def iter_paths_bfs(
-    graph: MultiGraph,
-    base: str,
-    max_length: int = 3,
-    max_paths: int | None = None,
+    graph: MultiGraph, base: str, max_length: int = 3
 ) -> Iterator[JoinPath]:
     """Yield every acyclic join path from ``base`` in breadth-first order.
 
@@ -92,22 +89,11 @@ def iter_paths_bfs(
     the level-at-a-time exploration the paper argues for (Section IV-A):
     data quality can be assessed after each level and errors do not
     propagate silently into deep paths.
-
-    ``max_paths`` caps the enumeration — the anytime budget of the
-    path-space walk: yield the first ``max_paths`` paths of the canonical
-    BFS order and stop.  Because the order is budget-independent, the
-    yielded sets nest as the cap grows.  None (the default) enumerates
-    everything.
     """
     if base not in graph:
         raise GraphError(f"base table {base!r} is not a node of the graph")
     if max_length < 1:
         raise GraphError(f"max_length must be >= 1, got {max_length}")
-    if max_paths is not None and max_paths < 0:
-        raise GraphError(f"max_paths must be >= 0 or None, got {max_paths}")
-    if max_paths == 0:
-        return
-    yielded = 0
     queue: deque[JoinPath] = deque([JoinPath(base)])
     while queue:
         path = queue.popleft()
@@ -119,20 +105,14 @@ def iter_paths_bfs(
                 continue
             extended = path.extend(edge)
             yield extended
-            yielded += 1
-            if max_paths is not None and yielded >= max_paths:
-                return
             queue.append(extended)
 
 
 def enumerate_paths(
-    graph: MultiGraph,
-    base: str,
-    max_length: int = 3,
-    max_paths: int | None = None,
+    graph: MultiGraph, base: str, max_length: int = 3
 ) -> list[JoinPath]:
     """Materialised :func:`iter_paths_bfs`."""
-    return list(iter_paths_bfs(graph, base, max_length, max_paths=max_paths))
+    return list(iter_paths_bfs(graph, base, max_length))
 
 
 def bfs_levels(graph: MultiGraph, base: str) -> dict[str, int]:

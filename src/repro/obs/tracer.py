@@ -164,9 +164,10 @@ class Tracer:
     enabled:
         When False, :meth:`span` returns timing-only spans that feed
         per-name totals and :meth:`event` is a no-op — the cheap mode
-        ``AutoFeatConfig(enable_tracing=False)`` selects.  Every entry point
-        runs traced by default; the end-to-end benchmark's staged replay
-        is the one caller that turns it off, to measure tracing's cost.
+        ``AutoFeatConfig(enable_tracing=False)`` selects.  The baseline
+        runners always trace and ``AutoFeat`` does by default; the
+        end-to-end benchmark's staged replay is the one caller that turns
+        it off, to measure tracing's cost.
     """
 
     def __init__(self, enabled: bool = True):

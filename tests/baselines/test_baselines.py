@@ -16,6 +16,7 @@ from repro.baselines import (
 )
 from repro.core import UcbArm
 from repro.dataframe import Table
+from repro.engine import FaultManager, JoinEngine
 from repro.errors import JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
@@ -130,10 +131,18 @@ class TestMab:
         assert mab.feature_selection_seconds > autofeat.feature_selection_seconds
 
 
+def wide_table(drg):
+    """JoinAll's wide table on a fresh engine, which must record no failure."""
+    faults = FaultManager()
+    wide = join_all_table(drg, "base", JoinEngine(drg), faults)
+    assert faults.report().ok
+    return wide
+
+
 class TestJoinAll:
     def test_joins_every_reachable_table(self, lake):
         drg, __ = lake
-        wide, joined = join_all_table(drg, "base")
+        wide, joined = wide_table(drg)
         assert joined == 3
         assert "t2.s2" in wide
 
@@ -168,7 +177,7 @@ class TestJoinAll:
                 KFKConstraint("a", "k", "b", "k"),
             ],
         )
-        wide, joined = join_all_table(drg, "base")
+        wide, joined = wide_table(drg)
         assert joined == 2
         assert wide.column("b.f").to_list() == [1.5 * i for i in range(n)]
 

@@ -8,6 +8,7 @@ import pytest
 import repro.bench
 from repro.bench import (
     BenchProfile,
+    assert_no_failures,
     average_by_method,
     build_setting,
     compare_methods,
@@ -19,6 +20,7 @@ from repro.bench import (
 from repro.bench.harness import run_method
 from repro.core import AutoFeatConfig
 from repro.datasets import build_dataset
+from repro.engine import FailureRecord, FailureReport
 from repro.obs import Tracer, build_manifest
 
 
@@ -73,6 +75,20 @@ class TestRequireValidManifest:
         data["timing"]["children"][0]["duration_ns"] = -1
         with pytest.raises(AssertionError, match="invalid run manifest: .*below the minimum"):
             require_valid_manifest(data)
+
+
+class TestAssertNoFailures:
+    def test_a_degraded_run_fails_the_benchmark(self):
+        # What the micro-benches gate on: a skipped path, in either phase.
+        record = FailureRecord(stage="discovery", error_kind="JoinError", message="m")
+        degraded = FailureReport(records=(record,))
+        clean = types.SimpleNamespace(failure_report=FailureReport())
+        assert_no_failures(clean)
+        with pytest.raises(AssertionError, match=r"1 recorded \(JoinError x1\), budget 1/64"):
+            assert_no_failures(clean, types.SimpleNamespace(
+                failure_report=FailureReport(),
+                discovery=types.SimpleNamespace(failure_report=degraded),
+            ))
 
 
 class TestFormatTable:

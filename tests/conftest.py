@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.engine import parallel
+from repro.engine import faults, parallel
 
 #: The CPU count each training route runs on.  On one CPU every fit runs
 #: inline (``serial``); on two, ``processes`` pools the fits of a tree
@@ -23,6 +23,18 @@ def cpus(n: int):
         yield
     finally:
         parallel.resolve_max_workers = saved
+
+
+@contextmanager
+def error_budget(n: int):
+    """A run records at most ``n`` failures inside the block: the module
+    constant :data:`repro.engine.faults.ERROR_BUDGET` reads ``n``."""
+    saved = faults.ERROR_BUDGET
+    faults.ERROR_BUDGET = n
+    try:
+        yield
+    finally:
+        faults.ERROR_BUDGET = saved
 
 
 @pytest.fixture(autouse=True)

@@ -14,7 +14,7 @@ copied over that checkout::
 
 The matrix: three lakes (a random split lake, ``credit``, 600-row
 ``covertype``) x traversal {bfs, dfs} x seeds {0, 1} x {no faults, 30 %
-injected faults under each failure policy} x {unbudgeted, ``max_hops`` with
+injected faults} x {unbudgeted, ``max_hops`` with
 the fifo frontier, ``max_hops`` with the ucb frontier}.  Unbudgeted cells run
 the whole ``augment("knn")``; unbudgeted fault cells also train the clean
 discovery's top-k under a fresh injector, because permanent faults met in
@@ -31,7 +31,14 @@ deleted (matrix ``*/retry/*``, diamond ``stress/retry/*`` and
 ``budget0/retry``) and nothing else: the file keeps one cell per line, and
 :func:`load_goldens` reads it line by line (the last matrix cell it lost
 leaves a trailing comma) and drops the ``retries`` field the failure
-records were frozen with, after checking it is 0.
+records were frozen with, after checking it is 0.  When the ``fail_fast``
+policy was deleted (every run skips and records), the lines of its 39 cells
+were deleted the same way — the 36 matrix cells ``*/fail_fast/*`` and the
+three diamond cells ``stress/fail_fast/*`` — and nothing else, so
+:data:`POLICIES` holds one value.  No remaining matrix cell raises;
+``budget0/skip_and_record`` is reproduced with the module constant
+``repro.engine.faults.ERROR_BUDGET`` pinned to 0
+(:func:`tests.conftest.error_budget`).
 """
 
 from __future__ import annotations
@@ -54,14 +61,13 @@ from repro.datasets import (
 )
 from repro.datasets.splitter import SplitPlan
 from repro.engine import parallel
-from repro.errors import FaultError
 
-from tests.conftest import ROUTES, cpus
+from tests.conftest import ROUTES, cpus, error_budget
 from tests.fault_hooks import FaultInjector
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "driver.json"
 
-POLICIES = ("fail_fast", "skip_and_record")
+POLICIES = ("skip_and_record",)
 
 #: lake name -> the ``max_hops`` cap of its budgeted cells (about half of
 #: the hops an unbudgeted run executes, so the cut lands mid-traversal).
@@ -203,16 +209,11 @@ def distinct_fits(trained) -> int:
     return len(slots)
 
 
-def _raised(exc: Exception) -> dict:
-    return {"raised": [type(exc).__name__, str(exc)]}
-
-
 def _autofeat(lake, traversal, seed, faults, budget) -> AutoFeat:
     __, drg = golden_lake(lake)
     overrides = {}
     injector = None
     if faults != "clean":
-        overrides.update(failure_policy=faults)
         injector = FaultInjector(
             failure_probability=0.2, timeout_probability=0.1, seed=seed
         )
@@ -281,33 +282,20 @@ def _run_cell(key: str) -> tuple[dict, list]:
     bundle, __ = golden_lake(lake)
     autofeat = _autofeat(lake, traversal, seed, faults, budget)
     if budget != "unbudgeted":
-        try:
-            discovery = autofeat.discover(bundle.base_name, bundle.label_column)
-        except FaultError as exc:
-            return _raised(exc), []
+        discovery = autofeat.discover(bundle.base_name, bundle.label_column)
         return {"discovery": discovery_record(discovery)}, []
 
-    record = {}
-    trainings = []
-    try:
-        result = autofeat.augment(bundle.base_name, bundle.label_column, "knn")
-    except FaultError as exc:
-        record.update(_raised(exc))
-    else:
-        record["discovery"] = discovery_record(result.discovery)
-        record["training"] = training_record(result, with_engine=faults == "clean")
-        trainings.append(result.trained)
+    result = autofeat.augment(bundle.base_name, bundle.label_column, "knn")
+    record = {
+        "discovery": discovery_record(result.discovery),
+        "training": training_record(result, with_engine=faults == "clean"),
+    }
+    trainings = [result.trained]
     if faults != "clean":
         fresh = _autofeat(lake, traversal, seed, faults, budget)
-        try:
-            trained = fresh.train_top_k(
-                _clean_discovery(lake, traversal, seed), "knn"
-            )
-        except FaultError as exc:
-            record["training_of_clean"] = _raised(exc)
-        else:
-            record["training_of_clean"] = training_record(trained, with_engine=False)
-            trainings.append(trained.trained)
+        trained = fresh.train_top_k(_clean_discovery(lake, traversal, seed), "knn")
+        record["training_of_clean"] = training_record(trained, with_engine=False)
+        trainings.append(trained.trained)
     return record, trainings
 
 
@@ -353,11 +341,10 @@ def _generate() -> dict:
     diamond = {}
     for policy, fault_seed in product(POLICIES, (0, 1, 2)):
         diamond[f"stress/{policy}/{fault_seed}"] = stress.run_discovery(
-            drg, "serial", policy, fault_seed=fault_seed
+            drg, "serial", fault_seed=fault_seed
         )
-    diamond["budget0/skip_and_record"] = stress.run_discovery(
-        drg, "serial", "skip_and_record", error_budget=0
-    )
+    with error_budget(0):
+        diamond["budget0/skip_and_record"] = stress.run_discovery(drg, "serial")
     diamond["training"] = stress.run_training(drg, "serial")
     return {
         "matrix": {key: run_cell(key, "serial") for key in cell_keys()},

@@ -64,7 +64,7 @@ class TestValidation:
         """A sleeping ``hop_hook`` is the one spelling of hop latency."""
         with pytest.raises(TypeError):
             AutoFeatConfig(hop_latency_seconds=0.0)
-        assert len(dataclasses.fields(AutoFeatConfig)) == 16
+        assert len(dataclasses.fields(AutoFeatConfig)) == 14
 
     @pytest.mark.parametrize(
         "knob", ["max_retries", "hop_timeout_seconds", "max_hop_output_rows"]
@@ -76,8 +76,14 @@ class TestValidation:
             AutoFeatConfig(**{knob: 1})
 
     def test_retry_is_not_a_policy(self):
-        with pytest.raises(ConfigError, match=r"\['fail_fast', 'skip_and_record'\]"):
+        """Nor is anything else: every run skips and records its failures."""
+        with pytest.raises(TypeError):
             AutoFeatConfig(failure_policy="retry")
+
+    def test_error_budget_is_not_a_field(self):
+        """The budget is the constant ``repro.engine.faults.ERROR_BUDGET``."""
+        with pytest.raises(TypeError):
+            AutoFeatConfig(error_budget=0)
 
     def test_frontier_exploration_is_not_a_field(self):
         """The UCB1 constant is ``navigation.DEFAULT_FRONTIER_EXPLORATION``."""

@@ -154,9 +154,7 @@ class TestExplainDegradedPaths:
         injector = FaultInjector(failure_probability=1.0, seed=0)
         result = AutoFeat(
             chain_lake(),
-            AutoFeatConfig(
-                sample_size=400, seed=1, failure_policy="skip_and_record"
-            ),
+            AutoFeatConfig(sample_size=400, seed=1),
             hop_hook=injector,
         ).augment("base", "label")
         # every hop faulted: no path survives, but failures are on record
@@ -175,9 +173,7 @@ class TestExplainDegradedPaths:
         )
         result = AutoFeat(
             chain_lake(sparse=True),
-            AutoFeatConfig(
-                sample_size=400, seed=1, failure_policy="skip_and_record"
-            ),
+            AutoFeatConfig(sample_size=400, seed=1),
             hop_hook=injector,
         ).augment("base", "label")
         assert result.combined_failure_report.n_failures > 0

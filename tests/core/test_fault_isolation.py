@@ -1,11 +1,11 @@
-"""End-to-end fault isolation: policies, determinism, bugfix regressions.
+"""End-to-end fault isolation: skip and record, determinism, bugfix regressions.
 
 The fixture lake is the same diamond as ``tests/engine/test_engine.py``:
 the signal table ``c`` is reachable through ``a`` and through ``b``.  With
 ``FaultInjector(failure_probability=0.3, seed=0)`` exactly one traversed
 edge faults — ``base.a_key->a.a_key`` — so the route to the signal through
 ``b`` survives, which is the graceful-degradation scenario the failure
-policies exist for.
+policy exists for.
 """
 
 import numpy as np
@@ -19,7 +19,8 @@ from repro.engine import JoinEngine
 from repro.errors import ErrorBudgetExceeded, JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
-from tests.fault_hooks import FaultInjector, InjectedFaultError
+from tests.conftest import error_budget
+from tests.fault_hooks import FaultInjector
 
 FAULTY_EDGE = "base.a_key->a.a_key"
 
@@ -93,7 +94,7 @@ def all_oriented_signatures(drg):
 class TestSkipAndRecord:
     def test_augment_survives_injected_faults(self, drg):
         result = AutoFeat(
-            drg, config(failure_policy="skip_and_record"), hop_hook=injector()
+            drg, config(), hop_hook=injector()
         ).augment("base", "label")
         # The run completes and still finds the signal via the b -> c route.
         assert result.best is not None
@@ -116,14 +117,14 @@ class TestSkipAndRecord:
             if inj.fault_kind(edge) is not None
         }
         result = AutoFeat(
-            drg, config(failure_policy="skip_and_record"), hop_hook=injector()
+            drg, config(), hop_hook=injector()
         ).augment("base", "label")
         recorded = {r.edge for r in result.combined_failure_report.records}
         assert recorded <= faulty
         assert FAULTY_EDGE in recorded
 
     def test_same_seed_same_failure_report(self, drg):
-        cfg = config(failure_policy="skip_and_record")
+        cfg = config()
         first = AutoFeat(drg, cfg, hop_hook=injector()).discover(
             "base", "label"
         )
@@ -134,41 +135,17 @@ class TestSkipAndRecord:
         assert first.failure_report.n_failures == 1
 
     def test_error_budget_bounds_degradation(self, drg):
-        with pytest.raises(ErrorBudgetExceeded):
+        with error_budget(0), pytest.raises(ErrorBudgetExceeded):
             AutoFeat(
-                drg,
-                config(failure_policy="skip_and_record", error_budget=0),
-                hop_hook=injector(failure_probability=1.0),
+                drg, config(), hop_hook=injector(failure_probability=1.0)
             ).augment("base", "label")
-
-
-class TestFailFast:
-    def test_first_injected_fault_propagates(self, drg):
-        with pytest.raises(InjectedFaultError) as excinfo:
-            AutoFeat(
-                drg, config(failure_policy="fail_fast"), hop_hook=injector()
-            ).augment("base", "label")
-        assert "injected join failure" in str(excinfo.value)
-        assert FAULTY_EDGE in str(excinfo.value)
-
-    def test_clean_run_matches_default_policy(self, drg):
-        fast = AutoFeat(drg, config(failure_policy="fail_fast")).augment("base", "label")
-        default = AutoFeat(drg, config()).augment("base", "label")
-        assert fast.accuracy == default.accuracy
-        assert (
-            fast.best.ranked.path.describe()
-            == default.best.ranked.path.describe()
-        )
-        assert fast.combined_failure_report.ok
-        assert default.combined_failure_report.ok
 
 
 class TestTrainTopKRegression:
     """A failing full-table materialisation must not abort training."""
 
-    def _discover(self, drg, policy):
-        cfg = config(failure_policy=policy)
-        autofeat = AutoFeat(drg, cfg)
+    def _discover(self, drg):
+        autofeat = AutoFeat(drg, config())
         return autofeat, autofeat.discover("base", "label")
 
     def _poison_top_path(self, monkeypatch, discovery, top_k):
@@ -184,7 +161,7 @@ class TestTrainTopKRegression:
         return top
 
     def test_skip_and_record_trains_remaining_paths(self, drg, monkeypatch):
-        autofeat, discovery = self._discover(drg, "skip_and_record")
+        autofeat, discovery = self._discover(drg)
         top = self._poison_top_path(
             monkeypatch, discovery, autofeat.config.top_k
         )
@@ -196,12 +173,6 @@ class TestTrainTopKRegression:
         assert report.n_failures == 1
         assert report.records[0].stage == "training"
         assert report.records[0].path == top
-
-    def test_fail_fast_still_propagates(self, drg, monkeypatch):
-        autofeat, discovery = self._discover(drg, "fail_fast")
-        self._poison_top_path(monkeypatch, discovery, autofeat.config.top_k)
-        with pytest.raises(JoinError):
-            autofeat.train_top_k(discovery)
 
 
 class TestStreamingDedupeRegression:
@@ -261,17 +232,6 @@ class TestBaselinesUnderInjection:
         assert report.n_failures == 1
         assert report.records[0].stage == "join_all"
         assert report.records[0].edge == FAULTY_EDGE
-
-    def test_join_all_fail_fast_propagates(self, drg):
-        with pytest.raises(InjectedFaultError):
-            run_join_all(
-                drg,
-                "base",
-                "label",
-                seed=1,
-                failure_policy="fail_fast",
-                hop_hook=injector(),
-            )
 
     def test_arda_records_star_join_failure(self, drg):
         result = run_arda(

@@ -1,13 +1,13 @@
-"""Stress: discovery under heavy fault injection, every policy and route.
+"""Stress: discovery under heavy fault injection, on every route.
 
 Runs the diamond lake of ``test_fault_isolation`` through ``discover``
-with 30% injected failure rates under both failure policies on one CPU
-and on two (``tests.conftest.ROUTES``), asserting the degradation contract against the outputs frozen
-from the deleted classic serial loop (``tests/core/driver_goldens.py``
-records how they were generated):
+with 30% injected failure rates on one CPU and on two
+(``tests.conftest.ROUTES``), asserting the degradation contract against
+the outputs frozen from the deleted classic serial loop
+(``tests/core/driver_goldens.py`` records how they were generated):
 
 * failure reports (kinds, messages, edges) are identical to the goldens
-  for every (policy, route, seed) combination;
+  for every (route, seed) combination;
 * the shared error budget trips **exactly once**, at the same canonical
   failure as the classic loop did;
 * same-seed runs are bit-reproducible;
@@ -25,7 +25,7 @@ from repro.engine import JoinEngine
 from repro.errors import ErrorBudgetExceeded, FaultError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 
-from tests.conftest import ROUTES, cpus
+from tests.conftest import ROUTES, cpus, error_budget
 from tests.core.driver_goldens import POLICIES, as_json, load_goldens
 from tests.fault_hooks import FaultInjector
 
@@ -77,20 +77,13 @@ def drg():
     return diamond_lake()
 
 
-def run_discovery(drg, route, policy, *, fault_seed=0, injector_kwargs=None,
-                  **overrides):
+def run_discovery(drg, route, *, fault_seed=0):
     """One discovery run on the CPUs of ``route``; returns ('ok',
     fingerprint) or ('raised', ...)."""
-    kwargs = {"failure_probability": 0.3, "timeout_probability": 0.15,
-              "seed": fault_seed}
-    kwargs.update(injector_kwargs or {})
-    config = AutoFeatConfig(
-        sample_size=200,
-        seed=1,
-        failure_policy=policy,
-        **overrides,
+    injector = FaultInjector(
+        failure_probability=0.3, timeout_probability=0.15, seed=fault_seed
     )
-    autofeat = AutoFeat(drg, config, hop_hook=FaultInjector(**kwargs))
+    autofeat = AutoFeat(drg, AutoFeatConfig(sample_size=200, seed=1), hop_hook=injector)
     try:
         with cpus(ROUTES[route]):
             discovery = autofeat.discover("base", "label")
@@ -111,7 +104,7 @@ def run_discovery(drg, route, policy, *, fault_seed=0, injector_kwargs=None,
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault_seed", (0, 1, 2))
 def test_30pct_fault_stress_matches_serial(drg, route, policy, fault_seed):
-    run = run_discovery(drg, route, policy, fault_seed=fault_seed)
+    run = run_discovery(drg, route, fault_seed=fault_seed)
     assert as_json(run) == golden(f"stress/{policy}/{fault_seed}")
 
 
@@ -127,27 +120,25 @@ def test_error_budget_trips_exactly_once(drg, route, policy):
     assert frozen[0] == "raised"
     assert frozen[1] == "ErrorBudgetExceeded"
     assert "1 failures exceed the budget of 0" in frozen[2]
-    assert as_json(run_discovery(drg, route, policy, error_budget=0)) == frozen
+    with error_budget(0):
+        assert as_json(run_discovery(drg, route)) == frozen
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_budget_trip_is_typed_and_catchable(drg, route):
-    config = AutoFeatConfig(
-        sample_size=200, seed=1,
-        failure_policy="skip_and_record", error_budget=0,
-    )
+    config = AutoFeatConfig(sample_size=200, seed=1)
     autofeat = AutoFeat(
         drg, config, hop_hook=FaultInjector(failure_probability=0.3, seed=0)
     )
-    with cpus(ROUTES[route]), pytest.raises(ErrorBudgetExceeded):
+    with error_budget(0), cpus(ROUTES[route]), pytest.raises(ErrorBudgetExceeded):
         autofeat.discover("base", "label")
 
 
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_same_seed_runs_are_reproducible(drg, route, policy):
-    first = run_discovery(drg, route, policy, fault_seed=0)
-    second = run_discovery(drg, route, policy, fault_seed=0)
+    first = run_discovery(drg, route, fault_seed=0)
+    second = run_discovery(drg, route, fault_seed=0)
     assert first == second
 
 
@@ -163,17 +154,13 @@ def test_unexpected_worker_exception_is_not_swallowed(drg, route, monkeypatch):
         return original(self, current, edge, base_name, **kwargs)
 
     monkeypatch.setattr(JoinEngine, "probe_hop", exploding)
-    config = AutoFeatConfig(
-        sample_size=200, seed=1, failure_policy="skip_and_record",
-    )
+    config = AutoFeatConfig(sample_size=200, seed=1)
     with cpus(ROUTES[route]), pytest.raises(RuntimeError, match="worker bug"):
         AutoFeat(drg, config).discover("base", "label")
 
 
 def run_training(drg, route):
-    config = AutoFeatConfig(
-        sample_size=200, seed=1, failure_policy="skip_and_record", top_k=3,
-    )
+    config = AutoFeatConfig(sample_size=200, seed=1, top_k=3)
     autofeat = AutoFeat(
         drg, config,
         hop_hook=FaultInjector(failure_probability=0.3, seed=0),

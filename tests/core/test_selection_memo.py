@@ -139,7 +139,6 @@ OTHER_VALUE = {
     "tau": 0.5, "kappa": 14, "min_relevance": 0.02, "top_k": 3,
     "max_path_length": 2, "relevance_metric": "pearson",
     "redundancy_method": "jmi", "sample_size": 999, "traversal": "dfs",
-    "failure_policy": "fail_fast", "error_budget": 7,
     "enable_tracing": False,
     "budget_seconds": 60.0, "max_hops": 10**6, "frontier_strategy": "fifo",
     "seed": 1,

@@ -98,15 +98,6 @@ class TestCardinalityControl:
         }
         assert len(picks) > 1
 
-    def test_deduplicate_false_raises_on_duplicates(self, left):
-        right = Table({"id": [1, 1], "y": [1, 2]}, name="r")
-        with pytest.raises(JoinError, match="duplicate join key"):
-            left_join(left, right, "id", "id", deduplicate=False)
-
-    def test_deduplicate_false_ok_on_unique(self, left, right):
-        joined = left_join(left, right, "id", "id", deduplicate=False)
-        assert joined.n_rows == left.n_rows
-
 
 class TestDedupByKey:
     def test_one_row_per_key(self):

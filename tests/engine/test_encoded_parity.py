@@ -4,20 +4,17 @@ The determinism contract of the encoded kernels (DESIGN.md §13), driven
 over hypothesis-drawn inputs: build, dedup and probe return exactly what
 the dict-of-boxed-scalars reference in
 ``tests/oracle/join.py`` returns — same rows, same row
-order, same dedup representatives, same error on a duplicate key.
+order, same dedup representatives.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import Column, DType, JoinIndex, Table
-from repro.errors import JoinError
 from tests.oracle.join import (
     dedup_by_key,
     index_left_join,
-    left_join,
     reference_join_index,
     reference_left_join_table,
 )
@@ -95,18 +92,3 @@ def test_join_kernels_bit_identical(left_kind, right_kind, n_left, n_right, seed
     assert table_fingerprint(
         reference_left_join_table(left, ref_build, ref_index, "k")
     ) == table_fingerprint(index_left_join(index, left, "k"))
-    # Without dedup: the same join, or the same duplicate-key error.
-    try:
-        raw_build, raw_index = reference_join_index(
-            right, "k", seed, deduplicate=False
-        )
-    except JoinError as exc:
-        with pytest.raises(JoinError) as raised:
-            left_join(left, right, "k", "k", seed=seed, deduplicate=False)
-        assert str(raised.value) == str(exc)
-    else:
-        assert table_fingerprint(
-            reference_left_join_table(left, raw_build, raw_index, "k")
-        ) == table_fingerprint(
-            left_join(left, right, "k", "k", seed=seed, deduplicate=False)
-        )

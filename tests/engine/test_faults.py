@@ -12,6 +12,7 @@ from repro.engine import FailureReport, FaultManager, JoinEngine
 from repro.errors import ConfigError, ErrorBudgetExceeded, FaultError, JoinError
 from repro.graph import DatasetRelationGraph, KFKConstraint, OrientedEdge
 
+from tests.conftest import error_budget
 from tests.fault_hooks import FaultInjector, HopBudgetExceeded, InjectedFaultError
 
 
@@ -128,18 +129,8 @@ class TestEngineHopBudgets:
 
 
 class TestFaultManager:
-    def test_fail_fast_propagates(self):
-        manager = FaultManager(policy="fail_fast")
-
-        def boom():
-            raise JoinError("boom")
-
-        with pytest.raises(JoinError):
-            manager.execute(boom, stage="test")
-        assert manager.n_failures == 0
-
     def test_skip_and_record_returns_none_and_records(self, edge):
-        manager = FaultManager(policy="skip_and_record", stage="test")
+        manager = FaultManager("test")
 
         def boom():
             raise HopBudgetExceeded("too big")
@@ -153,46 +144,49 @@ class TestFaultManager:
         assert record.edge == "base.id->sat.id"
 
     def test_unmanaged_kinds_propagate(self):
-        manager = FaultManager(policy="skip_and_record")
+        # Only the JoinError / FaultError family is recorded; a bug is not.
+        manager = FaultManager()
 
         def boom():
-            raise JoinError("prune me instead")
+            raise ValueError("a bug, not a failing hop")
 
-        with pytest.raises(JoinError):
-            manager.execute(boom, kinds=(FaultError,))
+        with pytest.raises(ValueError):
+            manager.execute(boom)
         assert manager.n_failures == 0
 
     def test_successful_fn_passes_through(self):
-        manager = FaultManager(policy="skip_and_record")
+        manager = FaultManager()
         assert manager.execute(lambda: 42) == 42
         assert manager.report().ok
 
+    def test_unknown_policy_rejected(self):
+        """Every policy is: a manager skips and records, up to the budget."""
+        with pytest.raises(TypeError):
+            FaultManager(policy="fail_fast")
+        with pytest.raises(TypeError):
+            FaultManager(error_budget=2)
+
     def test_error_budget_exhaustion_aborts(self):
-        manager = FaultManager(policy="skip_and_record", error_budget=2)
+        manager = FaultManager()
 
         def boom():
             raise JoinError("boom")
 
-        manager.execute(boom)
-        manager.execute(boom)
-        with pytest.raises(ErrorBudgetExceeded):
+        with error_budget(2):
             manager.execute(boom)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            FaultManager(policy="shrug")
-        with pytest.raises(ConfigError, match=r"\['fail_fast', 'skip_and_record'\]"):
-            FaultManager(policy="retry")
+            manager.execute(boom)
+            with pytest.raises(ErrorBudgetExceeded, match="exceed the budget of 2"):
+                manager.execute(boom)
 
 
 class TestFailureReport:
     def test_empty_report_describe(self):
-        report = FailureReport(policy="skip_and_record")
+        report = FailureReport()
         assert report.ok
-        assert "none" in report.describe()
+        assert report.describe() == "none"
 
     def test_by_kind_and_describe(self):
-        manager = FaultManager(policy="skip_and_record", stage="s")
+        manager = FaultManager("s")
 
         def join_boom():
             raise JoinError("a")
@@ -205,11 +199,13 @@ class TestFailureReport:
         manager.execute(budget_boom)
         report = manager.report()
         assert report.by_kind() == {"JoinError": 2, "HopBudgetExceeded": 1}
-        assert "JoinError x2" in report.describe()
+        assert report.describe() == (
+            "3 recorded (HopBudgetExceeded x1, JoinError x2), budget 3/64"
+        )
 
     def test_merged_concatenates_records(self):
-        a = FaultManager(policy="skip_and_record", stage="a")
-        b = FaultManager(policy="skip_and_record", stage="b")
+        a = FaultManager("a")
+        b = FaultManager("b")
 
         def boom():
             raise JoinError("x")

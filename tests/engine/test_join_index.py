@@ -98,15 +98,6 @@ class TestBuildErrors:
         with pytest.raises(JoinError):
             JoinIndex.build(ONE_TO_ONE, "nope")
 
-    def test_duplicate_key_without_dedup_raises(self):
-        with pytest.raises(JoinError):
-            JoinIndex.build(ONE_TO_N, "id", deduplicate=False)
-
-    def test_no_dedup_on_unique_keys_ok(self):
-        index = JoinIndex.build(ONE_TO_ONE, "id", deduplicate=False)
-        assert index.dictionary.n_keys == 3
-        assert not index.deduplicated
-
 
 class TestNumpyKeyNormalisation:
     """numpy scalars must hash/digest like their Python twins."""

@@ -2,8 +2,8 @@
 
 ``train_top_k`` materialises every top-k path itself, in ranked order,
 before any fit starts, and only the fit ``evaluate_accuracy(...)`` may
-leave the loop.  On one CPU the fits run inline, in ranked order, so a
-``fail_fast`` fault stops training before the first fit.  On two CPUs a
+leave the loop.  On one CPU the fits run inline, in ranked order, after
+the last path is materialised.  On two CPUs a
 tree model's fits run in a pool that may finish them in any order, yet
 the accuracies come back in ranked order, a fit's exception re-raises on
 the coordinator, fits still queued when the coordinator stops are
@@ -26,10 +26,10 @@ from repro.core import AutoFeat, AutoFeatConfig, MemoCounters, OutcomeMemo
 from repro.engine import JoinEngine, resolve_max_workers
 from repro.errors import ErrorBudgetExceeded
 
-from tests.conftest import cpus
+from tests.conftest import cpus, error_budget
 from tests.core.driver_goldens import distinct_fits
 from tests.core.test_parallel_faults import diamond_lake
-from tests.fault_hooks import FaultInjector, HopLatency, InjectedFaultError
+from tests.fault_hooks import FaultInjector, HopLatency
 
 _evaluate_accuracy = ml.evaluate_accuracy
 
@@ -115,21 +115,6 @@ class TestSerialHandOff:
         fits = [("fit",)] * fits_made(result)
         assert units == [("path", path) for path in paths] + fits
         assert len(fits) < len(paths)
-
-    def test_a_fail_fast_fault_stops_training_before_any_fit(
-        self, drg, discovery, units
-    ):
-        def second_path_faults(edge):
-            if len(units) == 2:  # path 0, path 1
-                raise InjectedFaultError("second path")
-
-        autofeat = AutoFeat(
-            drg, config(failure_policy="fail_fast"), hop_hook=second_path_faults
-        )
-        with pytest.raises(InjectedFaultError):
-            autofeat.train_top_k(discovery, "knn")
-        top = [ranked.path.describe() for ranked in discovery.top(3)]
-        assert units == [("path", top[0]), ("path", top[1])]
 
     def test_injected_fault_stops_a_unit_before_any_join(self, drg, discovery):
         hook = FaultInjector(failure_probability=1.0)
@@ -289,15 +274,9 @@ class TestPoolIsGoneWhenTrainingEnds:
             self.train(drg)
         assert pools == [2]
 
-    def test_fail_fast_fault(self, drg):
-        with pytest.raises(InjectedFaultError):
-            self.train(
-                drg, FaultInjector(failure_probability=1.0), failure_policy="fail_fast"
-            )
-
     def test_error_budget_exceeded(self, drg):
-        with pytest.raises(ErrorBudgetExceeded):
-            self.train(drg, FaultInjector(failure_probability=1.0), error_budget=0)
+        with error_budget(0), pytest.raises(ErrorBudgetExceeded):
+            self.train(drg, FaultInjector(failure_probability=1.0))
 
     def test_expired_run_budget(self, drg):
         result = self.train(drg, HopLatency(0.1), budget_seconds=0.06)

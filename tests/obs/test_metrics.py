@@ -175,12 +175,10 @@ class TestFailureReportBridge:
                 FailureRecord(stage="training", error_kind="InjectedFaultError",
                               message="m3", base_table="b"),
             ),
-            error_budget=8,
         )
         published = report.publish(MetricsRegistry()).as_dict()
         metrics = {**published["counters"], **published["gauges"]}
         assert metrics["faults.recorded"] == 3
-        assert metrics["faults.error_budget"] == 8
         assert metrics["faults.kind.HopBudgetExceeded"] == 2
         assert metrics["faults.kind.InjectedFaultError"] == 1
 

@@ -138,27 +138,29 @@ class TestAutoFeatManifests:
 
 BASELINES = {
     # name: (runner, root stage, stage holding feature-selection time)
-    "base": (lambda drg, **kw: run_base(drg.table("base"), "label", "knn", **kw),
+    "base": (lambda drg: run_base(drg.table("base"), "label", "knn"),
              "base", "selection"),
-    "join_all": (lambda drg, **kw: run_join_all(drg, "base", "label", "knn", **kw),
+    "join_all": (lambda drg: run_join_all(drg, "base", "label", "knn"),
                  "join_all", "selection"),
     "join_all_f": (
-        lambda drg, **kw: run_join_all(
-            drg, "base", "label", "knn", with_filter=True, **kw
-        ),
+        lambda drg: run_join_all(drg, "base", "label", "knn", with_filter=True),
         "join_all", "selection"),
-    "arda": (lambda drg, **kw: run_arda(drg, "base", "label", "knn", **kw),
+    "arda": (lambda drg: run_arda(drg, "base", "label", "knn"),
              "arda", "selection"),
-    "mab": (lambda drg, **kw: run_mab(drg, "base", "label", "knn", budget=4, **kw),
+    "mab": (lambda drg: run_mab(drg, "base", "label", "knn", budget=4),
             "mab", "pull"),
 }
 
 
-@pytest.mark.parametrize("tracing", [True, False], ids=["traced", "untraced"])
-class TestOneClock:
-    """Result seconds and manifest stages are read off one tracer, in both
-    modes, so they agree to the nanosecond-to-float rounding (1 us here)."""
+TRACING = pytest.mark.parametrize("tracing", [True, False], ids=["traced", "untraced"])
 
+
+class TestOneClock:
+    """Result seconds and manifest stages are read off one tracer (AutoFeat's
+    in both modes; the baselines always trace), so they agree to the
+    nanosecond-to-float rounding (1 us here)."""
+
+    @TRACING
     def test_discover(self, drg, tracing):
         config = CONFIG.with_overrides(enable_tracing=tracing)
         discovery = AutoFeat(drg, config).discover("base", "label")
@@ -171,6 +173,7 @@ class TestOneClock:
         )
         assert 0 < discovery.feature_selection_seconds < discovery.discovery_seconds
 
+    @TRACING
     def test_augment(self, drg, tracing):
         config = CONFIG.with_overrides(enable_tracing=tracing)
         result = AutoFeat(drg, config).augment("base", "label", "knn")
@@ -185,10 +188,11 @@ class TestOneClock:
         assert stages["augment"] == pytest.approx(result.total_seconds, abs=1e-6)
         assert stages["train"] > 0
 
-    @pytest.mark.parametrize("name", sorted(BASELINES))
-    def test_baseline(self, drg, tracing, name):
+    # The baselines always trace.
+    @pytest.mark.parametrize("name", sorted(BASELINES), ids=lambda name: f"{name}-traced")
+    def test_baseline(self, drg, name):
         run, root, fs_stage = BASELINES[name]
-        result = run(drg, enable_tracing=tracing)
+        result = run(drg)
         stages = result.run_manifest.stage_seconds()
         assert stages.get(fs_stage, 0.0) == pytest.approx(
             result.feature_selection_seconds, abs=1e-6
@@ -234,22 +238,3 @@ class TestBaselineManifests:
     def test_autofeat_adapter(self, drg):
         result = run_autofeat(drg, "base", "label", "knn", config=CONFIG)
         assert_valid(result.run_manifest, result.total_seconds, "augment")
-
-    def test_baselines_untraced_still_manifest(self, drg):
-        base_table = drg.table("base")
-        results = [
-            run_base(base_table, "label", "knn", enable_tracing=False),
-            run_join_all(
-                drg, "base", "label", "knn",
-                with_filter=True, enable_tracing=False,
-            ),
-            run_arda(drg, "base", "label", "knn", enable_tracing=False),
-            run_mab(drg, "base", "label", "knn", budget=4, enable_tracing=False),
-        ]
-        for result in results:
-            manifest = result.run_manifest
-            assert validate_manifest(manifest.as_dict()) == []
-            assert manifest.stage_seconds()
-            assert manifest.wall_seconds == pytest.approx(
-                result.total_seconds, abs=1e-6
-            )

@@ -5,7 +5,8 @@ its path's chain of row maps (``JoinIndex.probe`` / ``gather``) and
 training's ``materialize_path`` attaches along them.  The wrappers here —
 :func:`left_join`, :func:`inner_join`, :func:`index_left_join` and
 :func:`dedup_by_key` — compose those same kernels into the textbook
-operations the tests speak in.
+operations the tests speak in; ``drop_right_key`` (leave the right join
+key out of the result) is theirs alone, the pipeline always keeps it.
 
 The ``reference_*`` functions are the **independent join reference** the
 encoded kernels are held to (``tests/engine/test_encoded_parity.py``): a
@@ -17,7 +18,7 @@ dict-of-boxed-scalars dedup + index + probe, row by row.  They share only
 
 import numpy as np
 
-from repro.dataframe import Column, JoinIndex, Table, normalize_key
+from repro.dataframe import Column, JoinIndex, Table, gather_rows, normalize_key
 from repro.dataframe.join import _representative_index
 from repro.errors import JoinError
 
@@ -37,7 +38,25 @@ def index_left_join(
     """Probe ``index`` with ``left`` and gather its build columns onto it."""
     if left_on not in left:
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
-    return index.attach(left, index.probe(left.column(left_on)), drop_right_key)
+    return _attach(index, left, index.probe(left.column(left_on)), drop_right_key)
+
+
+def _attach(
+    index: JoinIndex, left: Table, row_map: np.ndarray, drop_right_key: bool
+) -> Table:
+    """``index.attach``, or the same gather without the right join key:
+    the key takes no name, so a later column may take the one it would."""
+    if not drop_right_key:
+        return index.attach(left, row_map)
+    out = {name: left.column(name) for name in left.column_names}
+    for name in index.build_table.column_names:
+        if name == index.key_column:
+            continue
+        out_name = name
+        while out_name in out:
+            out_name = f"{out_name}_r"
+        out[out_name] = gather_rows(index.build_table.column(name), row_map)
+    return Table(out, name=left.name)
 
 
 def left_join(
@@ -46,22 +65,20 @@ def left_join(
     left_on: str,
     right_on: str,
     seed: int = 0,
-    deduplicate: bool = True,
     drop_right_key: bool = False,
     index: JoinIndex | None = None,
 ) -> Table:
     """Left join preserving ``left``'s row count exactly (paper §IV-B).
 
-    The right side is first reduced to one row per key (``deduplicate``);
-    without that a duplicate right key raises :class:`JoinError`.  A right
-    column whose name ``left`` holds is suffixed ``_r``; unmatched probe
-    rows carry nulls.  A prebuilt ``index`` replaces ``right`` / ``right_on``
-    / ``seed`` / ``deduplicate``.
+    The right side is first reduced to one row per key.  A right column
+    whose name ``left`` holds is suffixed ``_r``; unmatched probe rows
+    carry nulls.  A prebuilt ``index`` replaces ``right`` / ``right_on`` /
+    ``seed``.
     """
     if left_on not in left:
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
     if index is None:
-        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
+        index = JoinIndex.build(right, right_on, seed=seed)
     return index_left_join(index, left, left_on, drop_right_key)
 
 
@@ -71,7 +88,6 @@ def inner_join(
     left_on: str,
     right_on: str,
     seed: int = 0,
-    deduplicate: bool = True,
     drop_right_key: bool = False,
     index: JoinIndex | None = None,
 ) -> Table:
@@ -80,9 +96,9 @@ def inner_join(
     if left_on not in left:
         raise JoinError(f"left table {left.name!r} has no join column {left_on!r}")
     if index is None:
-        index = JoinIndex.build(right, right_on, seed=seed, deduplicate=deduplicate)
+        index = JoinIndex.build(right, right_on, seed=seed)
     row_map = index.probe(left.column(left_on))
-    return index.attach(left, row_map, drop_right_key).filter(row_map >= 0)
+    return _attach(index, left, row_map, drop_right_key).filter(row_map >= 0)
 
 
 def reference_key(value):
@@ -108,25 +124,15 @@ def reference_dedup_picks(column: Column, seed: int) -> np.ndarray:
 
 
 def reference_join_index(
-    table: Table, key_column: str, seed: int, deduplicate: bool = True
+    table: Table, key_column: str, seed: int
 ) -> tuple[Table, dict]:
     """``(build table, {key: build row})`` the way a row-by-row scan finds it."""
-    build = (
-        table.take(reference_dedup_picks(table.column(key_column), seed))
-        if deduplicate
-        else table
-    )
+    build = table.take(reference_dedup_picks(table.column(key_column), seed))
     index: dict = {}
     for i, value in enumerate(build.column(key_column)):
         key = reference_key(value)
-        if key is None:
-            continue
-        if key in index:
-            raise JoinError(
-                f"duplicate join key {value!r} in {table.name!r} with "
-                "deduplicate=False; a left join would duplicate probe rows"
-            )
-        index[key] = i
+        if key is not None:
+            index[key] = i
     return build, index
 
 

@@ -191,9 +191,7 @@ class TestEveryResponseEqualsAColdRebuild:
 
 #: Augment requests on a 240-row split lake whose top-3 paths train on
 #: three different matrices (redundancy off keeps every relevant feature).
-AUGMENT_CONFIG = AutoFeatConfig(
-    sample_size=120, top_k=3, redundancy_method=None, failure_policy="skip_and_record"
-)
+AUGMENT_CONFIG = AutoFeatConfig(sample_size=120, top_k=3, redundancy_method=None)
 
 #: Faults the ``t_t01 -> t_t02`` hop, so one of the three top-k paths of
 #: :func:`split_lake` faults inside ``materialize_path`` and two train.
@@ -546,8 +544,8 @@ class TestWarmState:
 
 
 class TestNoNewKnob:
-    def test_config_still_has_16_fields(self):
-        assert len(dataclasses.fields(AutoFeatConfig)) == 16
+    def test_config_still_has_14_fields(self):
+        assert len(dataclasses.fields(AutoFeatConfig)) == 14
 
 
 def _walk(node):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import AutoFeat, AutoFeatConfig, DiscoveryService
 from repro.dataframe import Table
-from repro.errors import ServiceError
+from repro.errors import GraphError, ServiceError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import validate_manifest
 from repro.service import reachable_within
@@ -145,9 +145,16 @@ class TestRequests:
             with pytest.raises(TypeError):
                 DiscoveryService(_lake(), **{gone: True})
 
-    def test_request_error_surfaces_through_future(self, service):
-        with pytest.raises(Exception):
-            service.discover("no_such_table", "label")
+    def test_request_error_surfaces_through_future(self, config):
+        # One worker: the request after the failure proves it survived.
+        svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config, n_workers=1)
+        try:
+            with pytest.raises(GraphError, match="no_such_table"):
+                svc.discover("no_such_table", "label")
+            assert svc.registry.counter("service.requests_failed").value == 1
+            assert svc.discover("base", "label").result.ranked_paths
+        finally:
+            svc.close()
 
     def test_closed_service_rejects_work(self, config):
         svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
