@@ -125,9 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     assert_no_failures(cold)
 
     # -- warm service: one priming request, then repeats --------------------
-    service = DiscoveryService(
-        tables, matcher=ComaMatcher(), config=config, n_workers=2
-    )
+    service = DiscoveryService(tables, matcher=ComaMatcher(), config=config)
     started = time.perf_counter()
     priming = service.augment(bundle.base_name, bundle.label_column)
     priming_seconds = time.perf_counter() - started

@@ -31,14 +31,9 @@ matches emitted.  cProfile inflates
 call-heavy Python and not native code, so use it to find candidates and the
 untraced times — or the benchmark itself — to measure them.
 
-Every thread is profiled, not only the caller: ``service_mixed`` does its
-work on the service's worker threads, where a main-thread profile sees only
-``lock.acquire``.  A profile function is per thread and can only be set from
-inside it, so each thread started after ``threading.setprofile`` carries a
-hook that switches that thread's own ``cProfile.Profile`` on at its first
-call during the profiled op; the per-thread profiles are merged with
-``pstats.Stats.add``.  Idle, the hook slows a worker thread by 20–40 %, so
-the untraced ops run first, on a state prepared without it.
+Every workload, ``service_mixed`` included, runs its op on the calling
+thread (the service starts no thread), so one ``cProfile.Profile`` sees it
+all.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ import pstats
 import resource
 import statistics
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -114,39 +108,19 @@ def main() -> int:
         "(RUSAGE_CHILDREN: the fit pool's workers)"
     )
 
-    profiling = threading.Event()
-    main_profiler = cProfile.Profile()
-    profilers = [("main", main_profiler)]
-
-    def thread_hook(frame, event, arg):
-        if profiling.is_set():
-            profiler = cProfile.Profile()
-            profilers.append((threading.current_thread().name, profiler))
-            profiler.enable()  # takes this hook's place on its thread
-
-    threading.setprofile(thread_hook)
+    profiler = cProfile.Profile()
     state = workload.prepare(lake, args.seed)
     try:
         workload.op(lake, state)  # warm-up
         memo_before = _memo_counters(workload, state)
-        profiling.set()
         with _redundancy_work() as work:
-            main_profiler.runcall(workload.op, lake, state)
-        profiling.clear()
+            profiler.runcall(workload.op, lake, state)
         memo_after = _memo_counters(workload, state)
     finally:
-        threading.setprofile(None)
-        workload.teardown(state)  # joins the threads it started
+        workload.teardown(state)
     attribution = _phase_attribution(workload, lake, args.seed)
 
-    stats = None
-    for name, profiler in profilers:
-        if not profiler.getstats():
-            continue
-        part = pstats.Stats(profiler)
-        print(f"thread {name}: {part.total_calls} calls, {part.total_tt:.3f} s own time")
-        stats = part if stats is None else stats.add(part)
-    stats.strip_dirs()
+    stats = pstats.Stats(profiler).strip_dirs()
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
     for namespace, after in memo_after.items():
@@ -214,7 +188,6 @@ def _redundancy_work():
     keys = ("counted", "pairs", "rejected", "candidates", "hops", "tables", "pooled")
     work = dict.fromkeys(keys, 0)
     work["verdicts"] = collections.Counter()
-    lock = threading.Lock()  # service workloads score on worker threads
     kernel = streaming.batch_redundancy_scores
     signature = inspect.signature(kernel)
     pair_information = kernels._pair_information
@@ -223,8 +196,7 @@ def _redundancy_work():
 
     def counting_pairs(left, right, given=None):
         if given is None:
-            with lock:
-                work["counted"] += left.shape[0] * right.shape[0]
+            work["counted"] += left.shape[0] * right.shape[0]
         return pair_information(left, right, given)
 
     def counting_kernel(*args, **kwargs):
@@ -232,27 +204,24 @@ def _redundancy_work():
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
         cache, method = call.arguments["cache"], call.arguments["method"]
-        with lock:
-            # Each candidate's relevance is one (candidate × label) pair.
-            work["counted"] -= scores.shape[0]
-            work["pairs"] += cache.n_selected * scores.shape[0]
-            work["candidates"] += scores.shape[0]
-            if method not in ("cife", "jmi"):
-                work["rejected"] += int((scores <= 0.0).sum())
+        # Each candidate's relevance is one (candidate × label) pair.
+        work["counted"] -= scores.shape[0]
+        work["pairs"] += cache.n_selected * scores.shape[0]
+        work["candidates"] += scores.shape[0]
+        if method not in ("cife", "jmi"):
+            work["rejected"] += int((scores <= 0.0).sum())
         return scores
 
     def counting(key, method):
         def counted(*args, **kwargs):
-            with lock:
-                work[key] += 1
+            work[key] += 1
             return method(*args, **kwargs)
 
         return counted
 
     def logging_discover(*args, **kwargs):
         result = discover(*args, **kwargs)
-        with lock:
-            work["verdicts"].update(verdict.kind for verdict in result.verdicts)
+        work["verdicts"].update(verdict.kind for verdict in result.verdicts)
         return result
 
     def counting_pool(workers):
@@ -260,9 +229,8 @@ def _redundancy_work():
         submit = pool.submit
 
         def recording(fn, *fit):
-            with lock:
-                work["pooled"] += 1
-                work.setdefault("pooled_fit", fit)
+            work["pooled"] += 1
+            work.setdefault("pooled_fit", fit)
             return submit(fn, *fit)
 
         pool.submit = recording
@@ -332,7 +300,6 @@ def _phase_attribution(workload, lake, seed) -> list[str]:
     from repro.obs import Tracer
 
     totals = {phase: collections.Counter() for phase in PHASE_SPANS}
-    lock = threading.Lock()  # service workloads run on worker threads
     originals = AutoFeat.discover, AutoFeat.train_top_k, AutoFeat._tracer
 
     def add(counter, names, node):
@@ -348,10 +315,9 @@ def _phase_attribution(workload, lake, seed) -> list[str]:
             root = result.run_manifest.timing
             if phase == "train":  # the augment manifest: discover + train
                 (root,) = (c for c in root["children"] if c["name"] == "train")
-            with lock:
-                totals[phase][phase] += root["duration_ns"]
-                for child in root.get("children", ()):
-                    add(totals[phase], PHASE_SPANS[phase], child)
+            totals[phase][phase] += root["duration_ns"]
+            for child in root.get("children", ()):
+                add(totals[phase], PHASE_SPANS[phase], child)
             return result
 
         return run

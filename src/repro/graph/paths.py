@@ -139,7 +139,6 @@ def join_all_path_count(graph: MultiGraph, base: str) -> int:
     dense (data-lake) graphs.
     """
     levels = bfs_levels(graph, base)
-    visited_before: dict[str, set[str]] = {}
     product = 1
     for node, level in levels.items():
         unvisited = [
@@ -147,6 +146,5 @@ def join_all_path_count(graph: MultiGraph, base: str) -> int:
             for n in graph.neighbors(node)
             if levels.get(n, level + 1) > level
         ]
-        visited_before[node] = set(unvisited)
         product *= factorial(len(unvisited))
     return product

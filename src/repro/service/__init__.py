@@ -1,4 +1,4 @@
-"""Always-on discovery service: warm state, request queue, lake mutations.
+"""Always-on discovery service: warm state, requests, lake mutations.
 
 Turns the batch AutoFeat pipeline into a standing server.  One
 :class:`DiscoveryService` holds the profiles, pair matches, DRG,
@@ -7,12 +7,11 @@ hop cache and ranked results warm across requests; ``register_table`` /
 keeping every answer bit-identical to a cold full rebuild (DESIGN.md §12).
 """
 
-from .service import DiscoveryService, RequestFuture, ServiceResponse
+from .service import DiscoveryService, ServiceResponse
 from .state import LakeSnapshot, reachable_within
 
 __all__ = [
     "DiscoveryService",
-    "RequestFuture",
     "ServiceResponse",
     "LakeSnapshot",
     "reachable_within",

@@ -1,4 +1,4 @@
-"""The always-on DiscoveryService: warm state, a request queue, mutations.
+"""The always-on DiscoveryService: warm state, requests, mutations.
 
 Every pipeline invocation so far rebuilt the world from scratch — lake
 profiling, O(n²) matching, DRG construction and cache warm-up were all
@@ -15,11 +15,12 @@ to feature discovery:
   outcomes (keyed by the bytes a step reads), and a bounded
   :class:`~repro.service.state.ResultStore` of whole
   :class:`~repro.core.DiscoveryResult` / ``AugmentationResult`` objects;
-* **a request queue** — :meth:`submit` enqueues ``discover``/``augment``
-  requests which ``n_workers`` threads drain concurrently, each run
-  multiplexed onto the existing engine machinery (an ``augment``
-  request's tree-model fits may still share a process pool, by the rule
-  of :meth:`~repro.core.AutoFeat.train_top_k`);
+* **requests on the caller's thread** — :meth:`discover` / :meth:`augment`
+  run Algorithm 1 on the thread that calls them and return its answer.
+  The service starts no thread: callers that want requests in parallel
+  call from their own threads (an ``augment`` request's tree-model fits
+  may still share a process pool, by the rule of
+  :meth:`~repro.core.AutoFeat.train_top_k`);
 * **incremental mutation** — :meth:`register_table` /
   :meth:`update_table` / :meth:`drop_table` re-profile and re-match only
   the affected column pairs, replay the stored matches into a fresh DRG
@@ -33,19 +34,19 @@ while they resolve their snapshot and run; mutations take the write side
 — they wait for in-flight requests to drain, apply the index operation,
 publish the new snapshot, and release.  Requests already running keep the
 snapshot (an immutable DRG) they started with, so they never observe a
-half-applied mutation; requests dequeued after the mutation see the new
-snapshot.  The correctness bar is the determinism contract of DESIGN.md
-§11 lifted to service scope: after *any* mutation sequence, a query
-answered from warm state is bit-identical to a cold full rebuild.
+half-applied mutation; requests that take the read side after the
+mutation see the new snapshot.  The correctness bar is the determinism
+contract of DESIGN.md §11 lifted to service scope: after *any* mutation
+sequence, a query answered from warm state is bit-identical to a cold
+full rebuild.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..core import AutoFeat, AutoFeatConfig, OutcomeMemo
 from ..core.result import AugmentationResult, DiscoveryResult
@@ -57,19 +58,16 @@ from ..obs import MetricsRegistry, RunManifest, build_manifest, flat_node
 from ..obs.manifest import config_snapshot
 from .state import LakeSnapshot, ResultStore
 
-__all__ = ["DiscoveryService", "RequestFuture", "ServiceResponse"]
-
-REQUEST_KINDS = ("discover", "augment")
-
-_SHUTDOWN = object()
+__all__ = ["DiscoveryService", "ServiceResponse"]
 
 
 class _RWLock:
     """Writer-priority readers-writer lock.
 
-    Many request workers read concurrently; a mutation writer blocks new
+    Many requests read concurrently; a mutation writer blocks new
     readers, waits for the in-flight ones to drain, and runs alone.
-    Writer priority keeps a busy queue from starving mutations forever.
+    Writer priority keeps a stream of requests from starving mutations
+    forever.
     """
 
     def __init__(self) -> None:
@@ -122,53 +120,15 @@ class ServiceResponse:
     #: best-so-far partial answer rather than the full exploration.
     budget_exhausted: bool
     snapshot_version: int
+    #: Time spent waiting for the read side of the service lock, i.e.
+    #: behind a mutation (the manifest's ``queue`` node).
     queue_seconds: float
     execute_seconds: float
-    #: The per-request service manifest (queue wait, execution, cache
+    #: The per-request service manifest (lock wait, execution, cache
     #: disposition, snapshot version) — distinct from ``result
     #: .run_manifest``, which records the pipeline run that *produced*
     #: the result (possibly on an earlier request, when served warm).
     manifest: RunManifest
-
-
-class RequestFuture:
-    """Handle on one queued request; resolves to a :class:`ServiceResponse`."""
-
-    def __init__(self) -> None:
-        self._done = threading.Event()
-        self._response: ServiceResponse | None = None
-        self._exception: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def result(self, timeout: float | None = None) -> ServiceResponse:
-        if not self._done.wait(timeout):
-            raise ServiceError("request did not complete within the timeout")
-        if self._exception is not None:
-            raise self._exception
-        assert self._response is not None
-        return self._response
-
-    def _resolve(self, response: ServiceResponse) -> None:
-        self._response = response
-        self._done.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._done.set()
-
-
-@dataclass
-class _Request:
-    kind: str
-    base: str
-    label: str
-    model_name: str | None
-    config: AutoFeatConfig
-    use_cache: bool
-    future: RequestFuture
-    submitted_at: float = field(default_factory=time.perf_counter)
 
 
 def _config_key(config: AutoFeatConfig) -> tuple:
@@ -181,7 +141,9 @@ class DiscoveryService:
 
     Repeated identical queries are served from the warm result store
     while the part of the lake they can observe is unchanged; a request
-    that passes ``use_cache=False`` recomputes instead.
+    that passes ``use_cache=False`` recomputes instead.  A request's
+    anytime budget is its config's (``config=replace(service.config,
+    max_hops=...)``), and the budget is part of the result-cache key.
 
     Parameters
     ----------
@@ -198,8 +160,6 @@ class DiscoveryService:
     config:
         Default :class:`AutoFeatConfig` for requests that do not bring
         their own.
-    n_workers:
-        Request-queue worker threads (concurrent requests in flight).
     """
 
     def __init__(
@@ -208,10 +168,7 @@ class DiscoveryService:
         matcher=None,
         threshold: float = 0.55,
         config: AutoFeatConfig | None = None,
-        n_workers: int = 2,
     ):
-        if n_workers < 1:
-            raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
         self.config = config or AutoFeatConfig()
         self.index = IncrementalMatchIndex(tables, matcher=matcher, threshold=threshold)
         self.hop_cache = HopCache()
@@ -220,22 +177,7 @@ class DiscoveryService:
         self._snapshot = LakeSnapshot(version=0, drg=self.index.drg)
         self._rw = _RWLock()
         self._results = ResultStore()
-        self._queue: queue.Queue = queue.Queue()
         self._closed = False
-        #: Held while checking ``_closed`` and enqueuing, and while
-        #: ``close`` sets it and enqueues the shutdown sentinels, so no
-        #: request is ever queued behind a sentinel.
-        self._submit_lock = threading.Lock()
-        self._in_flight = 0
-        self._state_lock = threading.Lock()
-        self._workers = [
-            threading.Thread(
-                target=self._worker, name=f"discovery-svc-{i}", daemon=True
-            )
-            for i in range(n_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -246,15 +188,9 @@ class DiscoveryService:
         self.close()
 
     def close(self) -> None:
-        """Drain the queue and stop the workers (idempotent)."""
-        with self._submit_lock:
-            if self._closed:
-                return
+        """Wait for the requests in flight, then refuse new work (idempotent)."""
+        with self._rw.write():
             self._closed = True
-            for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
-        for worker in self._workers:
-            worker.join()
 
     # -- snapshot access -----------------------------------------------------
 
@@ -273,80 +209,15 @@ class DiscoveryService:
 
     # -- requests ------------------------------------------------------------
 
-    def submit(
-        self,
-        kind: str,
-        base: str,
-        label: str,
-        model_name: str | None = None,
-        config: AutoFeatConfig | None = None,
-        use_cache: bool = True,
-        budget_seconds: float | None = None,
-        max_hops: int | None = None,
-    ) -> RequestFuture:
-        """Enqueue one request; returns immediately with a future.
-
-        ``budget_seconds`` / ``max_hops`` override the config's anytime
-        budget for this request only (see DESIGN.md §14).  The wall-clock
-        deadline starts ticking when a worker *begins executing* the run,
-        not at submit time, so queue wait never eats the budget.  Budget
-        overrides are part of the result-cache key (they live on the
-        request config), so a tight-budget partial answer is never served
-        to a later unbudgeted request.
-        """
-        if kind not in REQUEST_KINDS:
-            raise ServiceError(
-                f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}"
-            )
-        resolved = config or self.config
-        if budget_seconds is not None or max_hops is not None:
-            overrides = {}
-            if budget_seconds is not None:
-                overrides["budget_seconds"] = budget_seconds
-            if max_hops is not None:
-                overrides["max_hops"] = max_hops
-            # replace() re-runs AutoFeatConfig.__post_init__, so invalid
-            # budgets are rejected here, before the request is queued.
-            resolved = replace(resolved, **overrides)
-        request = _Request(
-            kind=kind,
-            base=base,
-            label=label,
-            model_name=(
-                (model_name or "lightgbm") if kind == "augment" else None
-            ),
-            config=resolved,
-            use_cache=use_cache,
-            future=RequestFuture(),
-        )
-        with self._submit_lock:
-            if self._closed:
-                raise ServiceError("service is closed; no further requests")
-            self._queue.put(request)
-        self.registry.counter("service.requests_submitted").inc()
-        self.registry.gauge("service.queue_depth").set(self._queue.qsize())
-        return request.future
-
     def discover(
         self,
         base: str,
         label: str,
         config: AutoFeatConfig | None = None,
         use_cache: bool = True,
-        timeout: float | None = None,
-        budget_seconds: float | None = None,
-        max_hops: int | None = None,
     ) -> ServiceResponse:
-        """Synchronous convenience wrapper: submit + wait."""
-        return self.submit(
-            "discover",
-            base,
-            label,
-            config=config,
-            use_cache=use_cache,
-            budget_seconds=budget_seconds,
-            max_hops=max_hops,
-        ).result(timeout)
+        """Rank the join paths from ``base`` on the current snapshot."""
+        return self._serve("discover", base, label, None, config, use_cache)
 
     def augment(
         self,
@@ -355,70 +226,53 @@ class DiscoveryService:
         model_name: str = "lightgbm",
         config: AutoFeatConfig | None = None,
         use_cache: bool = True,
-        timeout: float | None = None,
-        budget_seconds: float | None = None,
-        max_hops: int | None = None,
     ) -> ServiceResponse:
-        """Synchronous convenience wrapper: submit + wait."""
-        return self.submit(
-            "augment",
-            base,
-            label,
-            model_name=model_name,
-            config=config,
-            use_cache=use_cache,
-            budget_seconds=budget_seconds,
-            max_hops=max_hops,
-        ).result(timeout)
+        """Discover, then train ``model_name`` on the top-k paths."""
+        return self._serve("augment", base, label, model_name, config, use_cache)
 
-    # -- worker side ---------------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                break
-            self.registry.gauge("service.queue_depth").set(self._queue.qsize())
-            with self._state_lock:
-                self._in_flight += 1
-                self.registry.gauge("service.requests_in_flight").set(
-                    self._in_flight
-                )
-            try:
-                item.future._resolve(self._serve(item))
-            except BaseException as exc:  # surface through the future
-                self.registry.counter("service.requests_failed").inc()
-                item.future._fail(exc)
-            finally:
-                with self._state_lock:
-                    self._in_flight -= 1
-                    self.registry.gauge("service.requests_in_flight").set(
-                        self._in_flight
-                    )
-
-    def _serve(self, request: _Request) -> ServiceResponse:
-        queue_seconds = time.perf_counter() - request.submitted_at
-        started = time.perf_counter()
+    def _serve(self, kind, base, label, model_name, config, use_cache) -> ServiceResponse:
+        config = config or self.config
+        waiting = time.perf_counter()
         with self._rw.read():
-            snapshot = self._snapshot
-            key = (
-                request.kind,
-                request.base,
-                request.label,
-                request.model_name,
-                _config_key(request.config),
+            if self._closed:
+                raise ServiceError("service is closed; no further requests")
+            self.registry.counter("service.requests_received").inc()
+            self._count_in_flight(1)
+            try:
+                return self._answer(kind, base, label, model_name, config, use_cache, waiting)
+            except Exception:
+                self.registry.counter("service.requests_failed").inc()
+                raise
+            finally:
+                self._count_in_flight(-1)
+
+    def _count_in_flight(self, delta: int) -> None:
+        with self.registry.lock:
+            gauge = self.registry.gauge("service.requests_in_flight")
+            gauge.set(gauge.value + delta)
+
+    def _answer(self, kind, base, label, model_name, config, use_cache, waiting):
+        """One request under the read lock: the stored result or a fresh run;
+        ``waiting`` is when the caller began waiting for the lock."""
+        started = time.perf_counter()
+        queue_seconds = started - waiting
+        snapshot = self._snapshot
+        key = (kind, base, label, model_name, _config_key(config))
+        result = None
+        if use_cache:
+            envelope = snapshot.envelope(base, config.max_path_length)
+            result = self._results.get(key, envelope)
+        cache_hit = result is not None
+        if not cache_hit:
+            autofeat = AutoFeat(
+                snapshot.drg, config, hop_cache=self.hop_cache, memo=self.memo
             )
-            result = None
-            if request.use_cache:
-                envelope = snapshot.envelope(
-                    request.base, request.config.max_path_length
-                )
-                result = self._results.get(key, envelope)
-            cache_hit = result is not None
-            if not cache_hit:
-                result = self._run(request, snapshot)
-                if request.use_cache and self._cacheable(request, result):
-                    self._results.put(key, envelope, result)
+            if kind == "discover":
+                result = autofeat.discover(base, label)
+            else:
+                result = autofeat.augment(base, label, model_name=model_name)
+            if use_cache and self._cacheable(config, result):
+                self._results.put(key, envelope, result)
         execute_seconds = time.perf_counter() - started
         budget_exhausted = bool(getattr(result, "budget_exhausted", False))
         if budget_exhausted:
@@ -431,14 +285,30 @@ class DiscoveryService:
         }
         for name, value in memo_gauges.items():
             self.registry.gauge(name).set(value)
-        manifest = self._request_manifest(
-            request, snapshot, cache_hit, queue_seconds, execute_seconds, memo_gauges
+        timing = flat_node(
+            f"service.{kind}",
+            queue_seconds + execute_seconds,
+            children=[
+                flat_node("queue", queue_seconds),
+                flat_node("execute", execute_seconds, cache_hit=cache_hit),
+            ],
+            traced=False,
+        )
+        manifest = build_manifest(
+            f"service.{kind}",
+            config=config,
+            dataset=snapshot.drg,
+            seed=config.seed,
+            wall_seconds=queue_seconds + execute_seconds,
+            timing=timing,
+            counters={"service.cache_hit": 1 if cache_hit else 0},
+            gauges={"service.snapshot_version": snapshot.version, **memo_gauges},
         )
         return ServiceResponse(
-            kind=request.kind,
-            base_table=request.base,
-            label_column=request.label,
-            model_name=request.model_name,
+            kind=kind,
+            base_table=base,
+            label_column=label,
+            model_name=model_name,
             result=result,
             cache_hit=cache_hit,
             budget_exhausted=budget_exhausted,
@@ -448,22 +318,8 @@ class DiscoveryService:
             manifest=manifest,
         )
 
-    def _run(self, request: _Request, snapshot: LakeSnapshot):
-        """Execute one pipeline run against shared immutable state."""
-        autofeat = AutoFeat(
-            snapshot.drg,
-            request.config,
-            hop_cache=self.hop_cache,
-            memo=self.memo,
-        )
-        if request.kind == "discover":
-            return autofeat.discover(request.base, request.label)
-        return autofeat.augment(
-            request.base, request.label, model_name=request.model_name
-        )
-
     @staticmethod
-    def _cacheable(request: _Request, result) -> bool:
+    def _cacheable(config: AutoFeatConfig, result) -> bool:
         """Whether a fresh result may enter the warm result cache.
 
         A ``max_hops``-exhausted result is deterministic — the hop budget
@@ -476,7 +332,7 @@ class DiscoveryService:
         """
         if not getattr(result, "budget_exhausted", False):
             return True
-        return request.config.budget_seconds is None
+        return config.budget_seconds is None
 
     def _count_cache(self, hit: bool) -> None:
         # One critical section: the rate is set from the counts it read.
@@ -489,39 +345,6 @@ class DiscoveryService:
             self.registry.gauge("service.warm_hit_rate").set(
                 round(hits / total, 6) if total else 0.0
             )
-
-    def _request_manifest(
-        self,
-        request: _Request,
-        snapshot: LakeSnapshot,
-        cache_hit: bool,
-        queue_seconds: float,
-        execute_seconds: float,
-        memo_gauges: dict,
-    ) -> RunManifest:
-        timing = flat_node(
-            f"service.{request.kind}",
-            queue_seconds + execute_seconds,
-            children=[
-                flat_node("queue", queue_seconds),
-                flat_node("execute", execute_seconds, cache_hit=cache_hit),
-            ],
-            traced=False,
-        )
-        return build_manifest(
-            f"service.{request.kind}",
-            config=request.config,
-            dataset=snapshot.drg,
-            seed=request.config.seed,
-            wall_seconds=queue_seconds + execute_seconds,
-            timing=timing,
-            counters={"service.cache_hit": 1 if cache_hit else 0},
-            gauges={
-                "service.snapshot_version": snapshot.version,
-                "service.queue_depth": self._queue.qsize(),
-                **memo_gauges,
-            },
-        )
 
     # -- mutations -----------------------------------------------------------
 
@@ -540,9 +363,9 @@ class DiscoveryService:
     def _mutate(self, operation) -> MutationReport:
         """Apply one index operation under the write lock and publish the
         new snapshot; every cache checks it on read."""
-        if self._closed:
-            raise ServiceError("service is closed; no further mutations")
         with self._rw.write():
+            if self._closed:
+                raise ServiceError("service is closed; no further mutations")
             report = operation()
             self._snapshot = LakeSnapshot(
                 version=self.index.version, drg=self.index.drg

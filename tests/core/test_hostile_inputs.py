@@ -2,7 +2,8 @@
 
 Each case bends one thing about the quickstart Figure-2 lake (n = 300) —
 infinite or extreme feature values, keys past 2**53, a single-class label,
-an all-NaN column, a unicode column name — and runs ``augment`` on both
+an all-NaN column, a satellite with no rows or with every non-key column
+all NaN, a unicode column name — and runs ``augment`` on both
 ``ROUTES``.  Each run must finish, and both routes must rank the same
 paths with the same scores and train them to the same accuracies.  The
 runs select with CIFE: under the default MRMR no path of this lake adds a
@@ -63,6 +64,20 @@ def all_nan_column(lake):
     history["past_defaults"] = np.full(len(history["past_defaults"]), np.nan)
 
 
+def empty_satellite(lake):
+    lake["property_value"] = {
+        name: column.values[:0] for name, column in lake["property_value"].items()
+    }
+
+
+def all_null_satellite(lake):
+    # property_value: its two non-key columns, a float and an int (loan
+    # history's one non-key column is all_nan_column's).
+    columns = lake["property_value"]
+    for name in ("value", "rooms"):
+        columns[name] = np.full(len(columns[name]), np.nan)
+
+
 def unicode_name(lake):
     columns = lake["property_value"]
     lake["property_value"] = {
@@ -78,6 +93,8 @@ CASES = {
     "keys_2^53_one_side_float": big_keys(float_side=True),
     "single_class_label": single_class,
     "all_nan_column": all_nan_column,
+    "empty_satellite": empty_satellite,
+    "all_null_satellite": all_null_satellite,
     "unicode_column_name": unicode_name,
 }
 

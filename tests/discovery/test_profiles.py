@@ -228,7 +228,7 @@ class TestLazySignature:
         assert index.drg.edge_fingerprint() == cold.edge_fingerprint()
         with DiscoveryService(tables) as service:
             service.update_table(tables[2].take(np.arange(30)))
-            response = service.discover("alpha", "label", timeout=60)
+            response = service.discover("alpha", "label")
             assert response.result.ranked_paths
 
     @settings(max_examples=150, deadline=None)

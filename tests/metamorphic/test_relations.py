@@ -175,10 +175,10 @@ def test_registering_tables_one_by_one_keeps_the_ranking(lake):
             response = service.discover(bundle.base_name, bundle.label_column)
         return ranked_scores(response.result.verdicts)
 
-    cold = ranking(DiscoveryService(tables, config=config, n_workers=1))
+    cold = ranking(DiscoveryService(tables, config=config))
     assert cold
     for order in (others, others[::-1]):
-        service = DiscoveryService([base], config=config, n_workers=1)
+        service = DiscoveryService([base], config=config)
         for table in order:
             service.register_table(table)
         assert ranking(service) == cold

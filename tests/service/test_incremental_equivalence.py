@@ -146,9 +146,7 @@ class TestMutationEquivalence:
     @given(ops=ops_strategy)
     def test_incremental_state_equals_cold_rebuild(self, matcher_cls, ops):
         lake = [make_base(), make_satellite("s1", 0), make_satellite("s2", 1)]
-        service = DiscoveryService(
-            lake, matcher=matcher_cls(), config=CONFIG, n_workers=1
-        )
+        service = DiscoveryService(lake, matcher=matcher_cls(), config=CONFIG)
         try:
             apply_ops(service, ops)
 
@@ -201,9 +199,7 @@ class TestMutationEquivalence:
             make_satellite("s2", 1),
             make_isolated(0),
         ]
-        service = DiscoveryService(
-            lake, matcher=matcher_cls(), config=CONFIG, n_workers=1
-        )
+        service = DiscoveryService(lake, matcher=matcher_cls(), config=CONFIG)
         try:
             for config in configs:
                 service.discover("base", "label", config=config)

@@ -16,6 +16,7 @@ import inspect
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -108,7 +109,7 @@ class TestEveryResponseEqualsAColdRebuild:
         )
     )
     def test_random_interleavings_on_two_threads(self, streams):
-        service = DiscoveryService(initial_lake(), config=CONFIG, n_workers=2)
+        service = DiscoveryService(initial_lake(), config=CONFIG)
         versions = {0: tuple(service.index.tables)}
         mutating = threading.Lock()  # versions[] needs each mutation's lake
         responses, errors = [], []
@@ -136,7 +137,7 @@ class TestEveryResponseEqualsAColdRebuild:
 
         threads = [threading.Thread(target=client, args=(ops,)) for ops in streams]
         switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # 2 clients + 2 workers on 2 cores
+        sys.setswitchinterval(1e-5)  # 2 clients on 2 cores
         try:
             for thread in threads:
                 thread.start()
@@ -164,9 +165,7 @@ class TestEveryResponseEqualsAColdRebuild:
         # s1's feature on one path only): they pool on two CPUs.
         config = dataclasses.replace(CONFIG, top_k=2, redundancy_method=None)
         lake = initial_lake()
-        with cpus(ROUTES[route]), DiscoveryService(
-            lake, config=config, n_workers=1
-        ) as service:
+        with cpus(ROUTES[route]), DiscoveryService(lake, config=config) as service:
             before = [
                 read(service, kind, config, "lightgbm")
                 for kind in ("discover", "augment")
@@ -280,7 +279,7 @@ class TestAugmentEqualsAColdRebuild:
         keep = np.random.default_rng(0).random(satellite.n_rows) < 0.9
         mutated = satellite.filter(keep)
         asked, lookups = [], []
-        with DiscoveryService(lake, config=config, n_workers=1) as service:
+        with DiscoveryService(lake, config=config) as service:
             versions = {0: lake}
             # A repeat, a tau-only variant (same training matrices, other
             # selection keys), then a read after one satellite changed.
@@ -364,9 +363,13 @@ class TestConcurrentAugments:
             return fit_pool(workers)
 
         monkeypatch.setattr(parallel, "fit_pool", held)
-        with cpus(2), DiscoveryService(lake, config=AUGMENT_CONFIG, n_workers=2) as service:
+        with (
+            cpus(2),
+            DiscoveryService(lake, config=AUGMENT_CONFIG) as service,
+            ThreadPoolExecutor(2) as callers,
+        ):
             futures = [
-                service.submit("augment", base, label, "lightgbm", config=config)
+                callers.submit(service.augment, base, label, "lightgbm", config=config)
                 for config in configs
             ]
             give_up = time.monotonic() + JOIN_TIMEOUT
@@ -420,16 +423,14 @@ class _RacingMemo(OutcomeMemo):
 
 class TestRacingOneKey:
     def test_both_compute_and_store_the_same_value(self):
-        service = DiscoveryService(initial_lake(), config=CONFIG, n_workers=2)
+        service = DiscoveryService(initial_lake(), config=CONFIG)
         memo = service.memo = _RacingMemo()
-        try:
+        with service, ThreadPoolExecutor(2) as callers:
             futures = [
-                service.submit("discover", "base", "label", use_cache=False)
+                callers.submit(service.discover, "base", "label", use_cache=False)
                 for _ in range(2)
             ]
             first, second = (f.result(JOIN_TIMEOUT) for f in futures)
-        finally:
-            service.close()
         assert not memo.barrier.broken  # the two runs went key by key together
         expected = fingerprint("discover", cold("discover", initial_lake(), CONFIG))
         assert fingerprint("discover", first.result) == expected
@@ -451,7 +452,7 @@ class TestWarmState:
         # Two configs on one snapshot never share (the whole config is in
         # the digest); each one's re-run after a mutation replays the
         # steps whose bytes the mutation left alone.
-        with DiscoveryService(initial_lake(), config=CONFIG, n_workers=1) as service:
+        with DiscoveryService(initial_lake(), config=CONFIG) as service:
             for config in VARIANTS[:2]:
                 service.discover("base", "label", config=config)
             assert service.stats()["memo"]["selection"]["hits"] == 0
@@ -467,7 +468,7 @@ class TestWarmState:
                 assert gauges[f"service.memo_{namespace}_{name}"] == value
 
     def test_request_manifest_and_spans_report_the_memo(self):
-        with DiscoveryService(initial_lake(), config=CONFIG, n_workers=1) as service:
+        with DiscoveryService(initial_lake(), config=CONFIG) as service:
             responses = [
                 service.discover("base", "label", use_cache=False) for _ in range(2)
             ]
@@ -495,7 +496,7 @@ class TestWarmState:
     @staticmethod
     def check_evaluate_spans(model):
         base, label, lake = split_lake()
-        with DiscoveryService(lake, config=AUGMENT_CONFIG, n_workers=1) as service:
+        with DiscoveryService(lake, config=AUGMENT_CONFIG) as service:
             responses = [
                 service.augment(base, label, model, use_cache=False) for _ in range(2)
             ]
@@ -515,7 +516,7 @@ class TestWarmState:
     def test_a_full_memo_evicts_and_still_answers_exactly(self, monkeypatch):
         monkeypatch.setattr(memo_module, "MEMO_ENTRIES", 2)
         lake = initial_lake()
-        with DiscoveryService(lake, config=CONFIG, n_workers=1) as service:
+        with DiscoveryService(lake, config=CONFIG) as service:
             responses = [
                 (kind, config, read(service, kind, config))
                 for config in VARIANTS
@@ -533,7 +534,7 @@ class TestWarmState:
         for name in ("register_table", "update_table", "drop_table", "_mutate"):
             source = inspect.getsource(getattr(DiscoveryService, name))
             assert "memo" not in source, name
-        with DiscoveryService(initial_lake(), config=CONFIG, n_workers=1) as service:
+        with DiscoveryService(initial_lake(), config=CONFIG) as service:
             service.augment("base", "label", "knn")
             before = service.stats()["memo"]
             assert before["train"]["entries"] > 0

@@ -1,15 +1,19 @@
 """Behavioural tests for the always-on DiscoveryService.
 
 A small deterministic chain lake (base — a — b — far) driven by a
-name-keyed matcher exercises the request queue, the warm result store,
-the read-side checks that decide what a mutation made stale, the bounds
-on both caches, per-request manifests, and the service-level gauges.
+name-keyed matcher exercises requests from concurrent callers, the warm
+result store, the read-side checks that decide what a mutation made
+stale, the bounds on both caches, per-request manifests, and the
+service-level gauges.
 """
 
 import dataclasses
 import inspect
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.errors import GraphError, ServiceError
 from repro.graph import DatasetRelationGraph, KFKConstraint
 from repro.obs import validate_manifest
 from repro.service import reachable_within
+from repro.service import service as service_module
 from repro.service.state import RESULT_ENTRIES, Envelope, ResultStore
 
 from tests.matchers import PairFake
@@ -83,9 +88,7 @@ def config():
 
 @pytest.fixture
 def service(config):
-    svc = DiscoveryService(
-        _lake(), matcher=chain_matcher, config=config, n_workers=2
-    )
+    svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
     yield svc
     svc.close()
 
@@ -107,10 +110,10 @@ class TestRequests:
         assert bypass.result is not first.result
 
     def test_concurrent_requests_agree(self, service):
-        futures = [
-            service.submit("discover", "base", "label") for _ in range(6)
-        ]
-        responses = [f.result(timeout=120) for f in futures]
+        with ThreadPoolExecutor(3) as callers:
+            responses = list(
+                callers.map(lambda _: service.discover("base", "label"), range(6))
+            )
         described = {
             tuple(
                 (r.path.describe(), round(r.score, 12))
@@ -122,67 +125,71 @@ class TestRequests:
         assert sum(not r.cache_hit for r in responses) >= 1
 
     def test_augment_returns_trained_result(self, service):
-        response = service.augment("base", "label", timeout=300)
+        response = service.augment("base", "label")
         assert response.kind == "augment"
         assert response.result.best is not None
         assert response.model_name == "lightgbm"
-
-    def test_unknown_kind_rejected(self, service):
-        with pytest.raises(ServiceError):
-            service.submit("explain", "base", "label")
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ServiceError):
-            DiscoveryService(_lake(), matcher=chain_matcher, n_workers=0)
 
     def test_no_recall_floor_parameter(self):
         # Every pair is scored exactly, so there is no recall to audit;
         # the result cache is always on (``use_cache=False`` per request).
         assert list(inspect.signature(DiscoveryService).parameters) == [
-            "tables", "matcher", "threshold", "config", "n_workers",
+            "tables", "matcher", "threshold", "config",
         ]
-        for gone in ("candidate_min_" "recall", "enable_result_cache"):
+        for gone in ("candidate_min_" "recall", "enable_result_cache", "n_workers"):
             with pytest.raises(TypeError):
                 DiscoveryService(_lake(), **{gone: True})
 
-    def test_request_error_surfaces_through_future(self, config):
-        # One worker: the request after the failure proves it survived.
-        svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config, n_workers=1)
-        try:
-            with pytest.raises(GraphError, match="no_such_table"):
-                svc.discover("no_such_table", "label")
-            assert svc.registry.counter("service.requests_failed").value == 1
-            assert svc.discover("base", "label").result.ranked_paths
-        finally:
-            svc.close()
+    def test_request_error_surfaces_through_future(self, service):
+        # The typed error reaches the caller, is counted once, and the
+        # service answers the next request.
+        with pytest.raises(GraphError, match="no_such_table"):
+            service.discover("no_such_table", "label")
+        assert service.registry.counter("service.requests_failed").value == 1
+        assert service.discover("base", "label").result.ranked_paths
+        gauges = service.registry.as_dict()["gauges"]
+        assert gauges["service.requests_in_flight"] == 0
 
     def test_closed_service_rejects_work(self, config):
         svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
         svc.close()
         with pytest.raises(ServiceError):
-            svc.submit("discover", "base", "label")
+            svc.discover("base", "label")
         with pytest.raises(ServiceError):
             svc.drop_table("far")
         svc.close()  # idempotent
 
-    def test_submit_racing_close_never_loses_the_request(self, config):
-        # close() runs from inside submit(), after the request is built:
-        # the request must be either refused or answered, never queued
-        # behind the shutdown sentinels where no worker would take it.
+    def test_close_waits_for_the_request_in_flight(self, config, monkeypatch):
+        # A request holds the service on another thread; close() returns
+        # only once it has answered, and a request that arrives while
+        # close() waits is refused.
+        entered, release = threading.Event(), threading.Event()
+
+        class Held(AutoFeat):
+            def discover(self, *args, **kwargs):
+                entered.set()
+                assert release.wait(60)
+                return super().discover(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "AutoFeat", Held)
         svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
-        counter = svc.registry.counter
-
-        def closing_counter(name):
-            if name == "service.requests_submitted":
-                svc.close()
-            return counter(name)
-
-        svc.registry.counter = closing_counter
-        try:
-            future = svc.submit("discover", "base", "label")
-        except ServiceError:
-            return
-        assert future.result(timeout=30).result.ranked_paths
+        with ThreadPoolExecutor(3) as callers:
+            request = callers.submit(svc.discover, "base", "label")
+            assert entered.wait(60)
+            closing = callers.submit(svc.close)
+            with pytest.raises(FutureTimeout):
+                closing.result(timeout=0.2)
+            give_up = time.monotonic() + 60
+            while not svc._rw._writers_waiting and time.monotonic() < give_up:
+                time.sleep(0.01)
+            late = callers.submit(svc.discover, "base", "label")
+            release.set()
+            assert request.result(60).result.ranked_paths
+            closing.result(60)
+            with pytest.raises(ServiceError, match="closed"):
+                late.result(60)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.discover("base", "label")
 
     def test_context_manager_closes(self, config):
         with DiscoveryService(
@@ -190,7 +197,7 @@ class TestRequests:
         ) as svc:
             svc.discover("base", "label")
         with pytest.raises(ServiceError):
-            svc.submit("discover", "base", "label")
+            svc.discover("base", "label")
 
 
 class TestMutationInvalidation:
@@ -289,14 +296,13 @@ class TestBounds:
     """Both caches stay bounded however many configs and mutations pass."""
 
     def test_distinct_configs_stay_within_the_result_bound(self, service, config):
-        futures = [
-            service.submit(
-                "discover", "base", "label",
-                config=dataclasses.replace(config, tau=i / 1000),
+        responses = [
+            service.discover(
+                "base", "label", config=dataclasses.replace(config, tau=i / 1000)
             )
             for i in range(1000)
         ]
-        assert not any(f.result(timeout=300).cache_hit for f in futures)
+        assert not any(r.cache_hit for r in responses)
         assert service.stats()["cached_results"] <= RESULT_ENTRIES
         # The most recent configs are the ones still served warm.
         last = dataclasses.replace(config, tau=999 / 1000)
@@ -413,7 +419,7 @@ class TestObservability:
         service.discover("base", "label")
         service.discover("base", "label")
         metrics = service.registry.as_dict()
-        assert metrics["counters"]["service.requests_submitted"] == 2
+        assert metrics["counters"]["service.requests_received"] == 2
         assert metrics["counters"]["service.result_cache_hits"] == 1
         assert metrics["counters"]["service.result_cache_misses"] == 1
         assert metrics["gauges"]["service.warm_hit_rate"] == 0.5
@@ -447,16 +453,14 @@ class TestObservability:
 
 class TestConcurrencyUnderMutation:
     def test_mutations_interleaved_with_requests(self, config):
-        svc = DiscoveryService(
-            _lake(), matcher=chain_matcher, config=config, n_workers=3
-        )
+        svc = DiscoveryService(_lake(), matcher=chain_matcher, config=config)
         lake = {t.name: t for t in _lake()}
         errors = []
 
         def requester():
             for _ in range(5):
                 try:
-                    svc.discover("base", "label", timeout=120)
+                    svc.discover("base", "label")
                 except Exception as exc:  # pragma: no cover - diagnostic
                     errors.append(exc)
 
@@ -483,59 +487,59 @@ class TestConcurrencyUnderMutation:
 
 
 class TestAnytimeBudgets:
-    """Per-request anytime budgets (DESIGN.md §14, service scope)."""
+    """Per-request anytime budgets (DESIGN.md §14, service scope): each
+    request brings its budget on its config."""
 
     def test_response_flags_clear_without_budget(self, service):
         response = service.discover("base", "label")
         assert response.budget_exhausted is False
 
-    def test_max_hops_override_returns_partial(self, service):
-        response = service.discover("base", "label", max_hops=1)
+    def test_max_hops_override_returns_partial(self, service, config):
+        response = service.discover(
+            "base", "label", config=dataclasses.replace(config, max_hops=1)
+        )
         assert response.budget_exhausted
         assert response.result.navigation.hops_executed <= 1
         assert response.result.navigation.strategy == "ucb"
 
-    def test_budget_overrides_get_distinct_cache_keys(self, service):
+    def test_budget_overrides_get_distinct_cache_keys(self, service, config):
+        one_hop = dataclasses.replace(config, max_hops=1)
         full = service.discover("base", "label")
-        partial = service.discover("base", "label", max_hops=1)
+        partial = service.discover("base", "label", config=one_hop)
         assert not full.cache_hit and not partial.cache_hit
         # Replays hit their own entries — the partial never shadows the
         # full answer and vice versa.
         assert service.discover("base", "label").cache_hit
-        again = service.discover("base", "label", max_hops=1)
+        again = service.discover("base", "label", config=one_hop)
         assert again.cache_hit and again.budget_exhausted
 
-    def test_hop_budget_partials_are_cacheable(self, service):
-        cold = service.discover("base", "label", max_hops=1)
-        warm = service.discover("base", "label", max_hops=1)
+    def test_hop_budget_partials_are_cacheable(self, service, config):
+        one_hop = dataclasses.replace(config, max_hops=1)
+        cold = service.discover("base", "label", config=one_hop)
+        warm = service.discover("base", "label", config=one_hop)
         assert not cold.cache_hit and warm.cache_hit
         assert warm.result is cold.result
 
-    def test_wall_clock_partials_are_not_cached(self, service):
-        first = service.discover("base", "label", budget_seconds=1e-9)
-        second = service.discover("base", "label", budget_seconds=1e-9)
+    def test_wall_clock_partials_are_not_cached(self, service, config):
+        tiny = dataclasses.replace(config, budget_seconds=1e-9)
+        first = service.discover("base", "label", config=tiny)
+        second = service.discover("base", "label", config=tiny)
         assert first.budget_exhausted and second.budget_exhausted
         assert not first.cache_hit and not second.cache_hit
 
-    def test_invalid_budget_rejected_at_submit(self, service):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="budget_seconds"):
-            service.submit("discover", "base", "label", budget_seconds=-1.0)
-        with pytest.raises(ConfigError, match="max_hops"):
-            service.submit("discover", "base", "label", max_hops=-2)
-
-    def test_budget_exhausted_counter_increments(self, service):
+    def test_budget_exhausted_counter_increments(self, service, config):
         before = service.registry.counter(
             "service.requests_budget_exhausted"
         ).value
-        service.discover("base", "label", max_hops=0)
+        service.discover("base", "label", config=dataclasses.replace(config, max_hops=0))
         after = service.registry.counter(
             "service.requests_budget_exhausted"
         ).value
         assert after == before + 1
 
-    def test_augment_budget_propagates(self, service):
-        response = service.augment("base", "label", budget_seconds=1e-9)
+    def test_augment_budget_propagates(self, service, config):
+        response = service.augment(
+            "base", "label", config=dataclasses.replace(config, budget_seconds=1e-9)
+        )
         assert response.budget_exhausted
         assert response.result.trained == ()

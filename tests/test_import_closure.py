@@ -4,9 +4,10 @@ scipy (the online selectors' t-test), networkx (two graph tests) and the
 process pool (a pooled training run's fits) are imported where they run,
 never at module level.  The pool rule is checked here too: a run that does
 not pool — one CPU, a ``knn`` or ``linear_l1`` model, a memo-warm re-run
-with one miss — never imports it.  Each case runs in a fresh interpreter:
-other test modules import scipy at collection, so this process cannot
-tell.
+with one miss — never imports it.  The default paths start no thread
+either: the service answers each request on its caller's thread.  Each
+case runs in a fresh interpreter: other test modules import scipy at
+collection, so this process cannot tell.
 """
 
 import json
@@ -22,7 +23,7 @@ FORBIDDEN = ("scipy", "networkx", "concurrent.futures.process", "multiprocessing
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 DEFAULT_PATHS = f"""
-import json, sys
+import json, sys, threading
 
 FORBIDDEN = {FORBIDDEN!r}
 loaded = {{}}
@@ -47,13 +48,14 @@ AutoFeat(datalake_drg(bundle), AutoFeatConfig()).augment(
 )
 record("augment")
 
-with DiscoveryService(bundle.tables, n_workers=1) as service:
+with DiscoveryService(bundle.tables) as service:
     service.discover(bundle.base_name, bundle.label_column)
     satellite = next(t for t in bundle.tables if t.name != bundle.base_name)
     service.update_table(satellite.take(range(satellite.n_rows // 2)))
     service.discover(bundle.base_name, bundle.label_column)
+    threads = threading.active_count()
 record("service discover/update")
-print(json.dumps(loaded))
+print(json.dumps({{"loaded": loaded, "threads": threads}}))
 """
 
 PROCESSES_DISCOVER = """
@@ -147,12 +149,14 @@ def run_fresh(script: str) -> dict:
 
 
 def test_default_paths_load_numpy_only():
-    loaded = run_fresh(DEFAULT_PATHS)
-    assert loaded == {
+    out = run_fresh(DEFAULT_PATHS)
+    assert out["loaded"] == {
         "import repro": [],
         "augment": [],
         "service discover/update": [],
     }
+    # The service answers on the caller's thread: the library starts none.
+    assert out["threads"] == 1
 
 
 def test_discover_never_starts_the_pool():
